@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"tugal/internal/exec"
@@ -221,9 +222,22 @@ func TestComputeTVLBEndToEnd(t *testing.T) {
 		t.Skip("multi-second pipeline")
 	}
 	tp := topo.MustNew(2, 4, 2, 9)
+	// Count the full-store compiles the run reports: Step 1 builds the
+	// conventional set once and the baseline must score on that store.
+	pool := exec.NewPool(2)
+	var fullCompiles atomic.Int32
+	pool.SetObserver(func(s exec.Stat) {
+		if s.Label == "compile/"+(paths.Full{}).Name() {
+			fullCompiles.Add(1)
+		}
+	})
+	defer exec.SetDefault(exec.SetDefault(pool))
 	res, err := ComputeTVLB(tp, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := fullCompiles.Load(); n != 1 {
+		t.Errorf("full VLB store compiled %d times, want once", n)
 	}
 	if len(res.Curve) != 31 {
 		t.Fatalf("curve %d points", len(res.Curve))

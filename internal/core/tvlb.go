@@ -156,6 +156,14 @@ func modelPatterns(t *topo.Compiled, opt Options) []traffic.Deterministic {
 // subsets and the means are averaged — the paper's optional
 // randomization guard.
 func Step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
+	curve, best, _, err := step1(t, opt)
+	return curve, best, err
+}
+
+// step1 is Step1 also returning the compiled full VLB store the grid
+// was derived from (nil when none was built), so ComputeTVLB scores
+// the conventional baseline on it instead of compiling it again.
+func step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, *paths.Store, error) {
 	pats := modelPatterns(t, opt)
 	grid := ProbeGrid()
 	repeats := opt.Step1Repeats
@@ -199,10 +207,14 @@ func Step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
 			}
 		}
 	}
-	curve := make([]ProbePoint, 0, len(grid))
-	best := grid[len(grid)-1]
-	bestMean := -1.0
-	for _, dp := range grid {
+	// The grid points only read the shared store, grid and patterns,
+	// so they run as pool tasks; each writes its own curve slot and the
+	// best point is picked from the finished curve in grid order, which
+	// keeps the result independent of the worker count.
+	curve := make([]ProbePoint, len(grid))
+	errs := make([]error, len(grid))
+	pool.Run("step1/grid", len(grid), func(gi int) int64 {
+		dp := grid[gi]
 		var mean, se float64
 		for rep := 0; rep < repeats; rep++ {
 			pol := dp.Policy(t, rng.Hash64(opt.Seed, uint64(rep)))
@@ -229,17 +241,26 @@ func Step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
 			}
 			mn, s, err := flow.AverageModeled(t, pol, pats, m)
 			if err != nil {
-				return nil, DataPoint{}, fmt.Errorf("core: step 1 at %v: %w", dp, err)
+				errs[gi] = fmt.Errorf("core: step 1 at %v: %w", dp, err)
+				return 0
 			}
 			mean += mn / float64(repeats)
 			se += s / float64(repeats)
 		}
-		curve = append(curve, ProbePoint{Point: dp, Mean: mean, StdErr: se})
-		if mean > bestMean {
-			bestMean, best = mean, dp
+		curve[gi] = ProbePoint{Point: dp, Mean: mean, StdErr: se}
+		return 0
+	})
+	best := grid[len(grid)-1]
+	bestMean := -1.0
+	for gi, p := range curve {
+		if errs[gi] != nil {
+			return nil, DataPoint{}, nil, errs[gi]
+		}
+		if p.Mean > bestMean {
+			bestMean, best = p.Mean, p.Point
 		}
 	}
-	return curve, best, nil
+	return curve, best, base, nil
 }
 
 // vicinity selects Step-2 candidate points around the best.
@@ -292,8 +313,9 @@ func simulateScore(t *topo.Compiled, pol paths.Policy, opt Options) float64 {
 	pool := exec.Default()
 	// Simulate on the compiled form when it fits the budget, so every
 	// per-packet draw is a PathID lookup. Rebalanced candidates arrive
-	// already compiled (and already degraded when a mask is in play);
-	// this covers the conventional baseline.
+	// already compiled (and already degraded when a mask is in play),
+	// and so does the conventional baseline when Step 1 built its
+	// store; this covers a baseline whose Step 1 ran without one.
 	if _, already := pol.(*paths.Store); !already {
 		if st, ok := paths.TryCompileDegraded(t, pol, paths.DefaultCompileBudget, opt.Failures); ok {
 			pool.Report(exec.Stat{Label: "compile/" + st.Name(),
@@ -322,11 +344,22 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	res := &Result{Topology: t.Label()}
 
 	// Step 1: coarse-grain estimation over the Table-1 grid.
-	curve, best, err := Step1(t, opt)
+	curve, best, base, err := step1(t, opt)
 	if err != nil {
 		return nil, err
 	}
 	res.Curve, res.Best = curve, best
+
+	// Conventional UGAL baseline, under the same simulation as the
+	// candidates below. It is scored first, on Step 1's full store when
+	// that compiled one (same policy, same mask), so that the store —
+	// the largest single object of the run — is garbage before the
+	// candidates build theirs.
+	baseline := paths.Policy(paths.Full{T: t})
+	if base != nil {
+		baseline = base
+	}
+	res.BaselineThroughput = simulateScore(t, baseline, opt)
 
 	// Candidate set: vicinity of the best point.
 	points := vicinity(curve, best, opt)
@@ -382,9 +415,6 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 		}
 		return 0
 	})
-
-	// Conventional UGAL baseline under the identical simulation.
-	res.BaselineThroughput = simulateScore(t, paths.Full{T: t}, opt)
 
 	// Select the winner. A candidate matching the baseline wins the
 	// tie (the custom set is shorter at equal performance); the

@@ -200,6 +200,22 @@ func (p *Pool) Run(label string, n int, task Task) {
 	}
 }
 
+// RunRows calls row for every row 0..n-1 of one data-parallel build,
+// as at most Workers() tasks of a Run call, each a contiguous range of
+// rows. One task per worker rather than one per row keeps the observer
+// to a line per worker and the Done counter a count of work items, not
+// of loop iterations. A row that writes only what it owns produces the
+// same result at any worker bound.
+func (p *Pool) RunRows(label string, n int, row func(i int)) {
+	chunks := min(p.workers, n)
+	p.Run(label, chunks, func(c int) int64 {
+		for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
+			row(i)
+		}
+		return 0
+	})
+}
+
 // cpuTokens is the process-wide CPU budget shared by the worker pool
 // and netsim's shard engine, initialized to GOMAXPROCS. Every pool
 // task holds one token implicitly while running (debited around the

@@ -23,6 +23,30 @@ func TestRunExecutesEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestRunRowsCoversEveryRowInFewTasks: every row runs once, whatever
+// the row count relative to the worker bound (fewer rows than workers,
+// a count the bound does not divide, none at all), and the observer
+// sees one task per worker at most — not one per row.
+func TestRunRowsCoversEveryRowInFewTasks(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		for _, n := range []int{0, 1, 5, 100} {
+			p := NewPool(workers)
+			var tasks atomic.Int64
+			p.SetObserver(func(Stat) { tasks.Add(1) })
+			hits := make([]atomic.Int64, n)
+			p.RunRows("rows", n, func(i int) { hits[i].Add(1) })
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("workers=%d n=%d: row %d ran %d times", workers, n, i, got)
+				}
+			}
+			if got, want := tasks.Load(), int64(min(workers, n)); got != want {
+				t.Fatalf("workers=%d n=%d: %d tasks reported, want %d", workers, n, got, want)
+			}
+		}
+	}
+}
+
 func TestOneWorkerPoolRunsInOrder(t *testing.T) {
 	p := NewPool(1)
 	var order []int

@@ -25,8 +25,9 @@ const gridStride = paths.MaxVLBHops + 2
 // Compile only serves policies that implement paths.KeyedFilter
 // (membership from hop count + identity hash alone — the whole
 // Table-1 family); others fall back to CompileLoadMatrixFromStore.
-// Like the matrices it emits, a built grid is read-only, but Compile
-// itself reuses internal scratch and must not be called concurrently.
+// Like the matrices it emits, a built grid is read-only: Compile
+// makes its scratch per call, so a Step-1 grid derives its points
+// concurrently from one shared grid.
 type MatrixGrid struct {
 	net   *Network
 	base  *paths.Store
@@ -56,8 +57,6 @@ type MatrixGrid struct {
 	minHops  []float64
 
 	npaths    int
-	acc       *edgeAcc
-	admitted  []int32
 	buildTime time.Duration
 }
 
@@ -78,8 +77,8 @@ func NewMatrixGrid(net *Network, base *paths.Store, pairs [][2]int32) *MatrixGri
 		off:      make([]int32, n*n),
 		minStart: make([]int32, n*n+1),
 		minHops:  make([]float64, n*n),
-		acc:      newEdgeAcc(net.NumEdges),
 	}
+	acc := newEdgeAcc(net.NumEdges)
 	for pi := range g.off {
 		g.off[pi] = -1
 	}
@@ -109,23 +108,23 @@ func NewMatrixGrid(net *Network, base *paths.Store, pairs [][2]int32) *MatrixGri
 		// MIN row, exactly as compileMatrix builds it (surviving
 		// paths only under a failure mask; possibly an empty row).
 		minPaths := paths.EnumerateMinAlive(net.T, net.Fail, s, d)
-		g.acc.reset()
+		acc.reset()
 		if len(minPaths) > 0 {
 			w := 1 / float64(len(minPaths))
 			for _, p := range minPaths {
 				scratch = net.PathEdges(scratch[:0], p)
-				g.acc.add(scratch, w)
+				acc.add(scratch, w)
 				g.minHops[pi] += w * float64(p.Hops())
 			}
 		}
-		g.minArena = g.acc.appendRow(g.minArena)
+		g.minArena = acc.appendRow(g.minArena)
 
 		// Per-path edge lists and keys: one materialization walk,
 		// paid once for the whole grid. The same pass collects the
 		// pair's edge union.
 		g.off[pi] = ci
 		g.unionStart[j] = int32(len(g.unionArena))
-		g.acc.reset()
+		acc.reset()
 		first, count := base.PairRange(s, d)
 		for k := 0; k < count; k++ {
 			base.MaterializeInto(s, first+paths.PathID(k), &pbuf)
@@ -133,11 +132,11 @@ func NewMatrixGrid(net *Network, base *paths.Store, pairs [][2]int32) *MatrixGri
 			row := net.PathEdges(g.edges[eb:eb:eb+gridStride], pbuf)
 			g.hops[ci] = uint8(len(row) - 2)
 			g.keys[ci] = pbuf.Key()
-			g.acc.add(row, 1)
+			acc.add(row, 1)
 			ci++
 		}
-		slices.Sort(g.acc.touched)
-		g.unionArena = append(g.unionArena, g.acc.touched...)
+		slices.Sort(acc.touched)
+		g.unionArena = append(g.unionArena, acc.touched...)
 	}
 	g.unionStart[len(g.pairs)] = int32(len(g.unionArena))
 	for q := prev + 1; q <= n*n; q++ {
@@ -225,7 +224,8 @@ func (g *MatrixGrid) Compile(pol paths.Policy) (*LoadMatrix, bool) {
 	// capacity is exact for a full-coverage policy and the append
 	// below never regrows.
 	lm.vlbArena = make([]EdgeWeight, 0, len(g.unionArena))
-	acc := g.acc
+	acc := newEdgeAcc(g.net.NumEdges)
+	var admitted []int32
 	prev := -1
 	for j, pr := range g.pairs {
 		s, d := int(pr[0]), int(pr[1])
@@ -239,18 +239,18 @@ func (g *MatrixGrid) Compile(pol paths.Policy) (*LoadMatrix, bool) {
 
 		ci0 := g.off[pi]
 		_, count := g.base.PairRange(s, d)
-		g.admitted = g.admitted[:0]
+		admitted = admitted[:0]
 		for k := 0; k < count; k++ {
 			ci := ci0 + int32(k)
 			if kf.AllowsKeyed(int(g.hops[ci]), g.keys[ci]) {
-				g.admitted = append(g.admitted, ci)
+				admitted = append(admitted, ci)
 			}
 		}
 		acc.reset()
-		if nk := len(g.admitted); nk > 0 {
+		if nk := len(admitted); nk > 0 {
 			lm.vlbOK[pi] = true
 			w := 1 / float64(nk)
-			for _, ci := range g.admitted {
+			for _, ci := range admitted {
 				h := int(g.hops[ci])
 				eb := int(ci) * gridStride
 				// Accumulate generation-marked, without touched-list

@@ -59,6 +59,31 @@ func EnumerateMinAlive(t *topo.Compiled, m *topo.FailureMask, s, d int) []Path {
 	return out
 }
 
+// CountMinAlive is len(EnumerateMinAlive(t, m, s, d)) without building
+// the paths: what sizing a forwarding-table row needs.
+func CountMinAlive(t *topo.Compiled, m *topo.FailureMask, s, d int) int {
+	switch {
+	case m != nil && (m.SwitchDead(s) || m.SwitchDead(d)):
+		return 0
+	case s == d:
+		return 1
+	case t.SameGroup(s, d):
+		if m != nil && m.ChannelDead(s, t.LocalPort(s, d)) {
+			return 0
+		}
+		return 1
+	case m == nil:
+		return len(t.LinksBetweenGroups(t.GroupOf(s), t.GroupOf(d)))
+	}
+	count := 0
+	for _, l := range m.LinksBetweenGroups(t.GroupOf(s), t.GroupOf(d)) {
+		if minLinkAlive(t, m, s, d, l) {
+			count++
+		}
+	}
+	return count
+}
+
 // minLinkAlive reports whether the MIN path s -> l.From -> l.To -> d
 // survives the mask. The global channel itself is alive by
 // construction (l came from the mask's filtered link list); the local

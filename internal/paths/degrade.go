@@ -255,22 +255,23 @@ func CompileDegraded(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Stor
 		out, _ := st.ApplyFailures(mask, mask.DeadChannels())
 		return out
 	}
-	return compileStoreMasked(t, pol, hopCap(pol), mask)
+	return mustCompileStore(t, pol, mask)
 }
 
-// TryCompileDegraded is TryCompile under a failure mask: ok=false
-// when the estimated pristine size exceeds the budget (the degraded
-// set is never larger).
+// TryCompileDegraded is TryCompile under a failure mask (nil: none):
+// ok=false when the estimated pristine size exceeds the budget (the
+// degraded set is never larger) or the counted size overflows the
+// PathID space.
 func TryCompileDegraded(t *topo.Compiled, pol Policy, budget int64, mask *topo.FailureMask) (*Store, bool) {
-	if mask == nil {
-		return TryCompile(t, pol, budget)
-	}
 	if st, ok := pol.(*Store); ok {
-		out, _ := st.ApplyFailures(mask, mask.DeadChannels())
-		return out, true
+		if mask != nil {
+			st, _ = st.ApplyFailures(mask, mask.DeadChannels())
+		}
+		return st, true
 	}
 	if budget > 0 && EstimatePaths(t, pol) > budget {
 		return nil, false
 	}
-	return compileStoreMasked(t, pol, hopCap(pol), mask), true
+	st, _ := compileStore(t, pol, mask, pathIDSpace)
+	return st, st != nil
 }

@@ -196,31 +196,147 @@ func minViaLink(t *topo.Compiled, s, d int, l topo.GlobalLink) Path {
 	return p
 }
 
-// join concatenates two MIN legs meeting at an intermediate switch.
-// Switch revisits are allowed — a VLB path hairpins through the
-// intermediate group's connector switch whenever both legs attach to
-// it, which is the common case on topologies with one link per group
-// pair — but a join that would reuse a directed channel is rejected
-// (cannot arise from two MIN legs of disjoint group pairs, so ok is
-// always true today; the check guards future arrangement variants).
-func join(leg1, leg2 Path) (Path, bool) {
-	n := len(leg1.Ports) + len(leg2.Ports)
-	p := Path{
-		Sw:    make([]int32, 0, n+1),
-		Ports: make([]int8, 0, n),
+// minLeg is one MIN path in fixed-size scratch form: n hops, their
+// out-ports, and the switch sequence from the leg's own source.
+type minLeg struct {
+	n     int8
+	ports [3]int8
+	sw    [4]int32
+}
+
+// set builds the MIN leg s -> l.From -> l.To -> d.
+func (m *minLeg) set(t *topo.Compiled, s, d int, l topo.GlobalLink) {
+	u, v := int(l.From), int(l.To)
+	n := 0
+	m.sw[0] = int32(s)
+	if u != s {
+		m.ports[n] = int8(t.LocalPort(s, u))
+		n++
+		m.sw[n] = int32(u)
 	}
-	p.Sw = append(append(p.Sw, leg1.Sw...), leg2.Sw[1:]...)
-	p.Ports = append(append(p.Ports, leg1.Ports...), leg2.Ports...)
-	// A VLB path has at most 6 hops: the quadratic duplicate-channel
-	// check beats any allocation.
-	for i := range p.Ports {
-		for j := i + 1; j < len(p.Ports); j++ {
-			if p.Sw[i] == p.Sw[j] && p.Ports[i] == p.Ports[j] {
-				return Path{}, false
+	m.ports[n] = int8(t.GlobalPort(int(l.FromPort)))
+	n++
+	m.sw[n] = int32(v)
+	if v != d {
+		m.ports[n] = int8(t.LocalPort(v, d))
+		n++
+		m.sw[n] = int32(d)
+	}
+	m.n = int8(n)
+}
+
+// sharesChannel reports whether joining the two legs would use one
+// directed channel twice. It cannot arise from two MIN legs of
+// disjoint group pairs, so it is always false today; the check guards
+// future arrangement variants. A MIN leg never repeats a channel
+// itself, so only cross-leg hops are compared.
+func (m *minLeg) sharesChannel(o *minLeg) bool {
+	for i := 0; i < int(m.n); i++ {
+		for j := 0; j < int(o.n); j++ {
+			if m.sw[i] == o.sw[j] && m.ports[i] == o.ports[j] {
+				return true
 			}
 		}
 	}
-	return p, true
+	return false
+}
+
+// vlbVisitor enumerates the VLB paths out of one source switch
+// without allocating per path: EnumerateVLBMax, EstimatePaths and both
+// passes of the store compile are this one walk. The MIN(src, ·) legs
+// toward every possible intermediate are built once, on the first
+// inter-group pair (each is reused for every destination), the K
+// second legs of an (intermediate, destination) pair are built into
+// legs2 when the walk reaches it, and every joined path is handed to
+// the callback as a Path view over sw/ports.
+type vlbVisitor struct {
+	t     *topo.Compiled
+	src   int
+	legs1 []minLeg // MIN(src, inter) leg k at [inter*K+k]
+	legs2 []minLeg
+	sw    [MaxVLBHops + 1]int32
+	ports [MaxVLBHops]int8
+}
+
+func (v *vlbVisitor) buildLegs() {
+	t := v.t
+	v.legs1 = make([]minLeg, t.NumSwitches()*t.K)
+	v.legs2 = make([]minLeg, t.K)
+	gs := t.GroupOf(v.src)
+	for gi := 0; gi < t.G; gi++ {
+		if gi == gs {
+			continue
+		}
+		links := t.LinksBetweenGroups(gs, gi)
+		for si := 0; si < t.A; si++ {
+			inter := t.SwitchID(gi, si)
+			for k, l := range links {
+				v.legs1[inter*t.K+k].set(t, v.src, inter, l)
+			}
+		}
+	}
+}
+
+// visit calls yield for every VLB path from the visitor's source to d
+// of at most maxHops hops: all combinations of MIN(src,i) and MIN(i,d)
+// over intermediates i outside both endpoint groups, in (group,
+// switch, first leg, second leg) order, or the 2-hop in-group detours
+// of a same-group pair. Switch revisits are allowed — a VLB path
+// hairpins through the intermediate group's connector switch whenever
+// both legs attach to it, the common case with one link per group
+// pair. The Path aliases the visitor's scratch and is valid only until
+// yield returns; Clone it to keep it.
+func (v *vlbVisitor) visit(d, maxHops int, yield func(Path)) {
+	t, s := v.t, v.src
+	if s == d || maxHops < 2 {
+		return
+	}
+	if t.SameGroup(s, d) {
+		g := t.GroupOf(s)
+		v.sw[0], v.sw[2] = int32(s), int32(d)
+		for i := 0; i < t.A; i++ {
+			m := t.SwitchID(g, i)
+			if m == s || m == d {
+				continue
+			}
+			v.sw[1] = int32(m)
+			v.ports[0], v.ports[1] = int8(t.LocalPort(s, m)), int8(t.LocalPort(m, d))
+			yield(Path{Sw: v.sw[:3:3], Ports: v.ports[:2:2]})
+		}
+		return
+	}
+	if v.legs1 == nil {
+		v.buildLegs()
+	}
+	gs, gd := t.GroupOf(s), t.GroupOf(d)
+	for gi := 0; gi < t.G; gi++ {
+		if gi == gs || gi == gd {
+			continue
+		}
+		links2 := t.LinksBetweenGroups(gi, gd)
+		for si := 0; si < t.A; si++ {
+			inter := t.SwitchID(gi, si)
+			for k, l := range links2 {
+				v.legs2[k].set(t, inter, d, l)
+			}
+			for k1 := 0; k1 < t.K; k1++ {
+				l1 := &v.legs1[inter*t.K+k1]
+				n1 := int(l1.n)
+				copy(v.sw[:4], l1.sw[:])
+				copy(v.ports[:3], l1.ports[:])
+				for k2 := range v.legs2 {
+					l2 := &v.legs2[k2]
+					h := n1 + int(l2.n)
+					if h > maxHops || l1.sharesChannel(l2) {
+						continue
+					}
+					copy(v.sw[n1:n1+4], l2.sw[:])
+					copy(v.ports[n1:n1+3], l2.ports[:])
+					yield(Path{Sw: v.sw[: h+1 : h+1], Ports: v.ports[:h:h]})
+				}
+			}
+		}
+	}
 }
 
 // EnumerateVLB returns every VLB path from s to d: all loop-free
@@ -233,50 +349,11 @@ func EnumerateVLB(t *topo.Compiled, s, d int) []Path {
 
 // EnumerateVLBMax is EnumerateVLB restricted to paths of at most
 // maxHops hops, skipping longer leg combinations before they are
-// built. Store compilation uses a policy's hop cap here so that
-// compiling a length-restricted policy never materializes the paths
-// its filter would reject anyway. Enumeration order is a stable
-// subsequence of the full EnumerateVLB order.
+// built. Enumeration order is a stable subsequence of the full
+// EnumerateVLB order.
 func EnumerateVLBMax(t *topo.Compiled, s, d, maxHops int) []Path {
-	if s == d || maxHops < 2 {
-		return nil
-	}
 	var out []Path
-	if t.SameGroup(s, d) {
-		g := t.GroupOf(s)
-		for i := 0; i < t.A; i++ {
-			m := t.SwitchID(g, i)
-			if m == s || m == d {
-				continue
-			}
-			out = append(out, Path{
-				Sw:    []int32{int32(s), int32(m), int32(d)},
-				Ports: []int8{int8(t.LocalPort(s, m)), int8(t.LocalPort(m, d))},
-			})
-		}
-		return out
-	}
-	gs, gd := t.GroupOf(s), t.GroupOf(d)
-	for gi := 0; gi < t.G; gi++ {
-		if gi == gs || gi == gd {
-			continue
-		}
-		for si := 0; si < t.A; si++ {
-			inter := t.SwitchID(gi, si)
-			legs1 := EnumerateMin(t, s, inter)
-			legs2 := EnumerateMin(t, inter, d)
-			for _, l1 := range legs1 {
-				for _, l2 := range legs2 {
-					if len(l1.Ports)+len(l2.Ports) > maxHops {
-						continue
-					}
-					if p, ok := join(l1, l2); ok {
-						out = append(out, p)
-					}
-				}
-			}
-		}
-	}
+	(&vlbVisitor{t: t, src: s}).visit(d, maxHops, func(p Path) { out = append(out, p.Clone()) })
 	return out
 }
 
@@ -284,9 +361,7 @@ func EnumerateVLBMax(t *topo.Compiled, s, d, maxHops int) []Path {
 // count; index i holds the number of i-hop paths.
 func CountVLBByHops(t *topo.Compiled, s, d int) [MaxVLBHops + 1]int {
 	var hist [MaxVLBHops + 1]int
-	for _, p := range EnumerateVLB(t, s, d) {
-		hist[p.Hops()]++
-	}
+	(&vlbVisitor{t: t, src: s}).visit(d, MaxVLBHops, func(p Path) { hist[p.Hops()]++ })
 	return hist
 }
 
@@ -333,7 +408,7 @@ func SampleMinInto(t *topo.Compiled, r *rng.Source, s, d int, dst *Path) {
 // topology offers no intermediate (g<3 for inter-group, a<3 for
 // intra-group). Because the two legs live in disjoint group pairs, a
 // sampled path can never reuse a directed channel, so no join check
-// is needed (the enumerator's join keeps one for generality).
+// is needed (the enumerator keeps one for generality).
 func sampleVLBOnceInto(t *topo.Compiled, r *rng.Source, s, d int, dst *Path) bool {
 	if s == d {
 		return false

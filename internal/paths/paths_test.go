@@ -346,3 +346,147 @@ func TestPathKeyDistinguishesParallelLinks(t *testing.T) {
 		t.Fatalf("path keys collide across parallel links: %d keys for %d paths", len(keys), len(ps))
 	}
 }
+
+// join concatenates two MIN legs meeting at an intermediate switch.
+// Switch revisits are allowed — a VLB path hairpins through the
+// intermediate group's connector switch whenever both legs attach to
+// it — but a join that would reuse a directed channel is rejected.
+func join(leg1, leg2 Path) (Path, bool) {
+	n := len(leg1.Ports) + len(leg2.Ports)
+	p := Path{
+		Sw:    make([]int32, 0, n+1),
+		Ports: make([]int8, 0, n),
+	}
+	p.Sw = append(append(p.Sw, leg1.Sw...), leg2.Sw[1:]...)
+	p.Ports = append(append(p.Ports, leg1.Ports...), leg2.Ports...)
+	for i := range p.Ports {
+		for j := i + 1; j < len(p.Ports); j++ {
+			if p.Sw[i] == p.Sw[j] && p.Ports[i] == p.Ports[j] {
+				return Path{}, false
+			}
+		}
+	}
+	return p, true
+}
+
+// naiveEnumerateVLBMax is the slice-per-path enumeration the package
+// shipped before the visitor: every EnumerateMin leg pair through
+// every intermediate, joined on the heap. It shares nothing with
+// vlbVisitor beyond the topology queries, which makes it the oracle
+// the visitor (and everything compiled through it) is checked
+// against, enumeration order included.
+func naiveEnumerateVLBMax(t *topo.Compiled, s, d, maxHops int) []Path {
+	if s == d || maxHops < 2 {
+		return nil
+	}
+	var out []Path
+	if t.SameGroup(s, d) {
+		g := t.GroupOf(s)
+		for i := 0; i < t.A; i++ {
+			m := t.SwitchID(g, i)
+			if m == s || m == d {
+				continue
+			}
+			out = append(out, Path{
+				Sw:    []int32{int32(s), int32(m), int32(d)},
+				Ports: []int8{int8(t.LocalPort(s, m)), int8(t.LocalPort(m, d))},
+			})
+		}
+		return out
+	}
+	gs, gd := t.GroupOf(s), t.GroupOf(d)
+	for gi := 0; gi < t.G; gi++ {
+		if gi == gs || gi == gd {
+			continue
+		}
+		for si := 0; si < t.A; si++ {
+			inter := t.SwitchID(gi, si)
+			legs1 := EnumerateMin(t, s, inter)
+			legs2 := EnumerateMin(t, inter, d)
+			for _, l1 := range legs1 {
+				for _, l2 := range legs2 {
+					if len(l1.Ports)+len(l2.Ports) > maxHops {
+						continue
+					}
+					if p, ok := join(l1, l2); ok {
+						out = append(out, p)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// oracleTopos are the instances the visitor and the compile are
+// differential-tested on: one link per group pair, parallel links
+// (h > g-1), no intra-group detour (a < 3), the second family, and —
+// outside -short — the paper's g9 machine.
+func oracleTopos() []*topo.Compiled {
+	ts := []*topo.Compiled{
+		topo.MustNew(2, 4, 2, 5),
+		topo.MustNew(2, 4, 2, 9),
+		topo.MustNew(2, 4, 4, 3),
+		topo.MustNew(1, 2, 1, 3),
+		topo.MustNewD3(12, 4, 2),
+	}
+	if !testing.Short() {
+		ts = append(ts, topo.MustNew(4, 8, 4, 9))
+	}
+	return ts
+}
+
+// TestVisitorMatchesNaiveEnumeration checks EnumerateVLBMax — the
+// visitor with a cloning callback — against the naive oracle: same
+// paths, same order, at every hop cap, and CountVLBByHops against the
+// oracle's histogram. On g9 a few source rows stand in for all 72.
+func TestVisitorMatchesNaiveEnumeration(t *testing.T) {
+	for _, tp := range oracleTopos() {
+		n := tp.NumSwitches()
+		step := 1
+		if n > 48 {
+			step = 29
+		}
+		for s := 0; s < n; s += step {
+			for d := 0; d < n; d++ {
+				for maxHops := 1; maxHops <= MaxVLBHops; maxHops++ {
+					want := naiveEnumerateVLBMax(tp, s, d, maxHops)
+					got := EnumerateVLBMax(tp, s, d, maxHops)
+					if len(got) != len(want) {
+						t.Fatalf("%s pair (%d,%d) cap %d: %d paths, oracle %d",
+							tp.Label(), s, d, maxHops, len(got), len(want))
+					}
+					for i := range want {
+						if !got[i].Equal(want[i]) {
+							t.Fatalf("%s pair (%d,%d) cap %d path %d: %v (ports %v), oracle %v (ports %v)",
+								tp.Label(), s, d, maxHops, i, got[i], got[i].Ports, want[i], want[i].Ports)
+						}
+					}
+				}
+				var hist [MaxVLBHops + 1]int
+				for _, p := range naiveEnumerateVLBMax(tp, s, d, MaxVLBHops) {
+					hist[p.Hops()]++
+				}
+				if got := CountVLBByHops(tp, s, d); got != hist {
+					t.Fatalf("%s pair (%d,%d): hop histogram %v, oracle %v", tp.Label(), s, d, got, hist)
+				}
+			}
+		}
+	}
+}
+
+// TestCountMinAlive checks the non-building MIN count against the
+// enumeration it stands in for, pristine and under a failure mask.
+func TestCountMinAlive(t *testing.T) {
+	for _, tp := range oracleTopos() {
+		for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
+			for s := 0; s < tp.NumSwitches(); s++ {
+				for d := 0; d < tp.NumSwitches(); d++ {
+					if got, want := CountMinAlive(tp, mask, s, d), len(EnumerateMinAlive(tp, mask, s, d)); got != want {
+						t.Fatalf("%s mask %v pair (%d,%d): CountMinAlive = %d, enumeration has %d", tp.Label(), mask, s, d, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -91,7 +91,7 @@ func (f Full) Enumerate(s, d int) []Path { return EnumerateVLB(f.T, s, d) }
 func (f Full) Contains(_, _ int, _ Path) bool { return true }
 
 // Compile implements Policy.
-func (f Full) Compile(t *topo.Compiled) *Store { return compileStore(t, f, MaxVLBHops) }
+func (f Full) Compile(t *topo.Compiled) *Store { return mustCompileStore(t, f, nil) }
 
 // AllowsStored implements StoredFilter.
 func (f Full) AllowsStored(*Store, int, int, PathID) bool { return true }
@@ -207,7 +207,7 @@ func (l LengthCapped) AllowsKeyed(hops int, key uint64) bool {
 
 // Compile implements Policy. Enumeration is pruned to MaxHops(+1)
 // hops, so compiling a tight cap is much cheaper than the full set.
-func (l LengthCapped) Compile(t *topo.Compiled) *Store { return compileStore(t, l, hopCap(l)) }
+func (l LengthCapped) Compile(t *topo.Compiled) *Store { return mustCompileStore(t, l, nil) }
 
 // Strategic is the Step-2 deterministic expansion for the 50% 5-hop
 // vicinity: all VLB paths of at most 4 hops, plus exactly the 5-hop
@@ -331,7 +331,7 @@ func (s Strategic) Enumerate(src, dst int) []Path {
 func (s Strategic) Contains(src, dst int, p Path) bool { return s.allows(src, dst, p) }
 
 // Compile implements Policy (strategic sets never exceed 5 hops).
-func (s Strategic) Compile(t *topo.Compiled) *Store { return compileStore(t, s, hopCap(s)) }
+func (s Strategic) Compile(t *topo.Compiled) *Store { return mustCompileStore(t, s, nil) }
 
 // Explicit wraps any base policy with a removal set, the output of
 // Algorithm 1's load-balance adjustment ("removing paths that cause
@@ -407,4 +407,4 @@ func (e *Explicit) Contains(s, d int, p Path) bool {
 }
 
 // Compile implements Policy, inheriting the base policy's hop cap.
-func (e *Explicit) Compile(t *topo.Compiled) *Store { return compileStore(t, e, hopCap(e)) }
+func (e *Explicit) Compile(t *topo.Compiled) *Store { return mustCompileStore(t, e, nil) }

@@ -2,8 +2,10 @@ package paths
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"tugal/internal/exec"
 	"tugal/internal/rng"
 	"tugal/internal/topo"
 )
@@ -22,6 +24,10 @@ type PathID int32
 // and the giant dfly(13,26,13,27), whose full set is tens of
 // billions of paths.
 var DefaultCompileBudget int64 = 9 << 20
+
+// pathIDSpace is the largest path count a Store can index: PathID and
+// pairStart are int32.
+const pathIDSpace = math.MaxInt32
 
 // Store is the compiled, immutable form of a Policy on one topology:
 // a flat arena of per-hop out-ports (stride MaxVLBHops, no per-path
@@ -100,46 +106,80 @@ func (st *Store) Mask() *topo.FailureMask { return st.mask }
 // compile, incremented by every ApplyFailures derivation.
 func (st *Store) Epoch() int { return st.epoch }
 
-// compileStore enumerates pol pair by pair (bounded by the policy's
-// hop cap) and packs every member path into the arena. Per-pair path
-// order is exactly the policy's Enumerate order, so analyses that
-// walk paths in order behave identically on the compiled form.
-func compileStore(t *topo.Compiled, pol Policy, maxHops int) *Store {
-	return compileStoreMasked(t, pol, maxHops, nil)
-}
-
-// compileStoreMasked is compileStore with paths crossing a dead
-// channel of mask excluded. Per-pair order is the policy's Enumerate
-// order filtered by aliveness — exactly the sequence ApplyFailures
-// produces incrementally, which is what makes the two bit-identical.
-func compileStoreMasked(t *topo.Compiled, pol Policy, maxHops int, mask *topo.FailureMask) *Store {
+// compileStore compiles pol under mask (nil: the pristine topology)
+// as count -> prefix-sum -> fill over source-switch rows. The count
+// pass walks every pair with a vlbVisitor bounded by the policy's hop
+// cap and leaves its number of admitted paths in pairStart; the prefix
+// sum turns those into PathID ranges and sizes hops/ports exactly; the
+// fill pass repeats the walk, writing each admitted path into its
+// final slot. Rows own disjoint arena ranges, so both passes run over
+// row chunks on the default pool and the arenas are byte-identical at
+// any worker count. Per-pair order is the policy's Enumerate order
+// filtered by aliveness — exactly the sequence ApplyFailures produces
+// incrementally, which is what makes the two bit-identical.
+//
+// The second result is the counted total. When it exceeds limit (the
+// PathID space, for every caller but the overflow test) the store is
+// nil and no arena has been allocated.
+func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit int64) (*Store, int64) {
 	start := time.Now()
 	n := t.NumSwitches()
+	maxHops := hopCap(pol)
 	_, isFull := pol.(Full)
 	st := &Store{T: t, name: pol.Name(), full: isFull, n: n, mask: mask}
 	st.pairStart = make([]int32, n*n+1)
-	for s := 0; s < n; s++ {
+	admit := func(s, d int, p Path) bool { return pol.Contains(s, d, p) && Alive(mask, p) }
+	pool := exec.Default()
+	pool.RunRows("paths/count", n, func(s int) {
+		v := &vlbVisitor{t: t, src: s}
 		for d := 0; d < n; d++ {
-			st.pairStart[s*n+d] = int32(len(st.hops))
-			if s == d {
-				continue
-			}
-			for _, p := range EnumerateVLBMax(t, s, d, maxHops) {
-				if !pol.Contains(s, d, p) {
-					continue
+			cnt := int32(0)
+			v.visit(d, maxHops, func(p Path) {
+				if admit(s, d, p) {
+					cnt++
 				}
-				if !Alive(mask, p) {
-					continue
-				}
-				st.hops = append(st.hops, uint8(p.Hops()))
-				base := len(st.ports)
-				st.ports = append(st.ports, make([]int8, MaxVLBHops)...)
-				copy(st.ports[base:], p.Ports)
-			}
+			})
+			st.pairStart[s*n+d+1] = cnt
 		}
+	})
+	total := int64(0)
+	for pi := 1; pi <= n*n; pi++ {
+		total += int64(st.pairStart[pi])
+		st.pairStart[pi] = int32(total)
 	}
-	st.pairStart[n*n] = int32(len(st.hops))
+	if total > limit {
+		return nil, total
+	}
+	st.hops = make([]uint8, total)
+	st.ports = make([]int8, total*MaxVLBHops)
+	pool.RunRows("paths/fill", n, func(s int) {
+		v := &vlbVisitor{t: t, src: s}
+		id := int(st.pairStart[s*n])
+		for d := 0; d < n; d++ {
+			v.visit(d, maxHops, func(p Path) {
+				if admit(s, d, p) {
+					st.hops[id] = uint8(len(p.Ports))
+					copy(st.ports[id*MaxVLBHops:], p.Ports)
+					id++
+				}
+			})
+		}
+		if id != int(st.pairStart[(s+1)*n]) {
+			panic(fmt.Sprintf("paths: %s admitted different path sets for switch %d on the count and fill passes", pol.Name(), s))
+		}
+	})
 	st.buildTime = time.Since(start)
+	return st, total
+}
+
+// mustCompileStore is compileStore for the Compile methods, which
+// have no way to refuse.
+func mustCompileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Store {
+	st, total := compileStore(t, pol, mask, pathIDSpace)
+	if st == nil {
+		panic(fmt.Sprintf("paths: %s on %s has %d paths, more than the int32 PathID space holds",
+			pol.Name(), t.Label(), total))
+	}
 	return st
 }
 
@@ -187,20 +227,19 @@ func EstimatePaths(t *topo.Compiled, pol Policy) int64 {
 	hc := hopCap(pol)
 	perPair := int64(0)
 	samples := 0
+	s := t.SwitchID(0, 0)
+	v := &vlbVisitor{t: t, src: s}
 	for _, gi := range []int{1, t.G / 2, t.G - 1} {
 		if gi <= 0 || samples >= 3 {
 			continue
 		}
-		s, d := t.SwitchID(0, 0), t.SwitchID(gi, t.A/2)
-		if t.SameGroup(s, d) {
-			continue
-		}
+		d := t.SwitchID(gi, t.A/2)
 		cnt := int64(0)
-		for _, p := range EnumerateVLBMax(t, s, d, hc) {
+		v.visit(d, hc, func(p Path) {
 			if pol.Contains(s, d, p) {
 				cnt++
 			}
-		}
+		})
 		if cnt > perPair {
 			perPair = cnt
 		}
@@ -210,16 +249,11 @@ func EstimatePaths(t *topo.Compiled, pol Policy) int64 {
 }
 
 // TryCompile compiles pol into a Store when its estimated size fits
-// the budget (<=0 means unlimited); ok=false leaves the interpreted
-// policy in charge. A policy that already is a Store passes through.
+// the budget (<=0 means unlimited) and its counted size fits the
+// PathID space; ok=false leaves the interpreted policy in charge. A
+// policy that already is a Store passes through.
 func TryCompile(t *topo.Compiled, pol Policy, budget int64) (*Store, bool) {
-	if st, ok := pol.(*Store); ok {
-		return st, true
-	}
-	if budget > 0 && EstimatePaths(t, pol) > budget {
-		return nil, false
-	}
-	return pol.Compile(t), true
+	return TryCompileDegraded(t, pol, budget, nil)
 }
 
 // Name implements Policy.

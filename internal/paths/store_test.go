@@ -2,8 +2,10 @@ package paths
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"tugal/internal/exec"
 	"tugal/internal/rng"
 	"tugal/internal/topo"
 )
@@ -23,6 +25,10 @@ func storePolicies(t *topo.Compiled) []Policy {
 				adj.Remove(ps[len(ps)/2])
 			}
 		}
+	}
+	if t.NumSwitches() > 48 {
+		// One policy per shape keeps the g9 cases to seconds.
+		return []Policy{Full{T: t}, capped, Strategic{T: t, FirstLeg: 2}, adj}
 	}
 	return []Policy{
 		Full{T: t},
@@ -258,5 +264,102 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// naiveCompile is the enumerate-then-append store compile the package
+// shipped before count -> fill, over the naive enumeration: the
+// byte-level reference for pairStart, hops and ports.
+func naiveCompile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (pairStart []int32, hops []uint8, ports []int8) {
+	n := t.NumSwitches()
+	pairStart = make([]int32, n*n+1)
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			pairStart[s*n+d] = int32(len(hops))
+			for _, p := range naiveEnumerateVLBMax(t, s, d, hopCap(pol)) {
+				if !pol.Contains(s, d, p) || !Alive(mask, p) {
+					continue
+				}
+				hops = append(hops, uint8(p.Hops()))
+				base := len(ports)
+				ports = append(ports, make([]int8, MaxVLBHops)...)
+				copy(ports[base:], p.Ports)
+			}
+		}
+	}
+	pairStart[n*n] = int32(len(hops))
+	return pairStart, hops, ports
+}
+
+// degradedMask fails one global link, one local link and one switch.
+func degradedMask(t *topo.Compiled) *topo.FailureMask {
+	m := topo.NewFailureMask(t)
+	for _, sc := range failSteps() {
+		sc.step(t, m)
+	}
+	return m
+}
+
+// TestCompileWorkers pins the row-parallel compile byte-identical to
+// the naive sequential reference — pair index, hop array and port
+// arena — at 1, 2 and 8 workers, for every policy shape, pristine and
+// under a failure mask.
+func TestCompileWorkers(t *testing.T) {
+	for _, tp := range oracleTopos() {
+		for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
+			for _, pol := range storePolicies(tp) {
+				name := fmt.Sprintf("%s/%s/pristine", tp.Label(), pol.Name())
+				if mask != nil {
+					name = fmt.Sprintf("%s/%s/%v", tp.Label(), pol.Name(), mask)
+				}
+				t.Run(name, func(t *testing.T) {
+					pairStart, hops, ports := naiveCompile(tp, pol, mask)
+					for _, workers := range []int{1, 2, 8} {
+						old := exec.SetDefault(exec.NewPool(workers))
+						st := CompileDegraded(tp, pol, mask)
+						exec.SetDefault(old)
+						if !slices.Equal(st.pairStart, pairStart) {
+							t.Fatalf("%d workers: pair index differs from the reference", workers)
+						}
+						if !slices.Equal(st.hops, hops) {
+							t.Fatalf("%d workers: hop array differs from the reference", workers)
+						}
+						if !slices.Equal(st.ports, ports) {
+							t.Fatalf("%d workers: port arena differs from the reference", workers)
+						}
+						if st.Mask() != mask || st.Name() != pol.Name() {
+							t.Fatalf("%d workers: store carries mask %v name %q", workers, st.Mask(), st.Name())
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCompileRefusesPathIDOverflow covers a policy whose counted size
+// does not fit the PathID space: the count pass must stop the compile
+// before the arenas are allocated. An instance that really holds 2^31
+// paths takes minutes to count, so the test hands compileStore a small
+// limit on a small instance instead — the one argument TryCompile* and
+// Compile do not choose; they turn its nil store into ok=false and
+// into mustCompileStore's panic naming the counted total.
+func TestCompileRefusesPathIDOverflow(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	full := Full{T: tp}
+	_, hops, _ := naiveCompile(tp, full, nil)
+	total := int64(len(hops))
+	for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
+		// The mask kills far fewer than half the paths.
+		if st, n := compileStore(tp, full, mask, total/2); st != nil || n <= total/2 || n > total {
+			t.Errorf("mask %v: compileStore = (%v, %d) under limit %d, want no store and the counted total", mask, st, n, total/2)
+		}
+	}
+	// The boundary is inclusive, and a policy that fits is unaffected.
+	if st, n := compileStore(tp, full, nil, total); st == nil || n != total || int64(st.NumPaths()) != total {
+		t.Errorf("compileStore refused a policy that exactly fills its limit (%d of %d)", n, total)
+	}
+	if st, _ := compileStore(tp, LengthCapped{T: tp, MaxHops: 3}, nil, total/2); st == nil {
+		t.Error("compileStore refused a policy inside its limit")
 	}
 }

@@ -20,8 +20,10 @@ package route
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"tugal/internal/exec"
 	"tugal/internal/netsim"
 	"tugal/internal/paths"
 	"tugal/internal/rng"
@@ -206,7 +208,7 @@ func (tb *Tables) EqualRows(o *Tables) bool {
 	return true
 }
 
-// emitter carries the per-pair scratch state of an emit pass.
+// emitter carries one worker's scratch state of an emit pass.
 type emitter struct {
 	t      *topo.Compiled
 	cfg    Config
@@ -247,9 +249,14 @@ func (e *emitter) emitPair(st *paths.Store, s, d int, out []uint64) (arena []uin
 }
 
 // Emit compiles the store (and the topology's MIN sets, filtered by
-// the store's failure mask) into forwarding tables. The arena holds
-// one word per candidate — for the paper's largest compiled store
-// (~8.4M paths) that is ~67 MiB, the same class as the store itself.
+// the store's failure mask) into forwarding tables. Every row's
+// candidate counts are known before anything is packed, so words is
+// allocated once at its exact size — one word per candidate, ~67 MiB
+// for the paper's largest compiled store (~8.4M paths) — and every
+// source switch packs its rows into their own range, the switches
+// spread over the default pool. The tables are identical at any worker
+// count, and so is a failure: the error names the lowest-index failing
+// row.
 func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 	start := time.Now()
 	t := st.T
@@ -261,16 +268,34 @@ func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 		n:      n,
 		idx:    make([]int32, n*n*3),
 	}
-	e := &emitter{t: t, cfg: tb.cfg, mask: st.Mask()}
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			i := (s*n + d) * 3
-			tb.idx[i] = int32(len(tb.words))
-			tb.words, tb.idx[i+1], tb.idx[i+2] = e.emitPair(st, s, d, tb.words)
-		}
+	mask := st.Mask()
+	total := int64(0)
+	for pi := 0; pi < n*n; pi++ {
+		_, vlbN := st.PairRange(pi/n, pi%n)
+		minN := paths.CountMinAlive(t, mask, pi/n, pi%n)
+		tb.idx[pi*3], tb.idx[pi*3+1], tb.idx[pi*3+2] = int32(total), int32(minN), int32(vlbN)
+		total += int64(minN + vlbN)
 	}
-	if e.failed != nil {
-		return nil, e.failed
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("route: %d candidates exceed the int32 table index", total)
+	}
+	tb.words = make([]uint64, total)
+	errs := make([]error, n)
+	exec.Default().RunRows("route/emit", n, func(s int) {
+		e := &emitter{t: t, cfg: tb.cfg, mask: mask}
+		for d := 0; d < n && errs[s] == nil; d++ {
+			i := (s*n + d) * 3
+			first, end := tb.idx[i], tb.idx[i]+tb.idx[i+1]+tb.idx[i+2]
+			e.emitPair(st, s, d, tb.words[first:first:end])
+			if e.failed != nil {
+				errs[s] = fmt.Errorf("route: row (%d,%d): %w", s, d, e.failed)
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	tb.buildTime = time.Since(start)
 	return tb, nil
