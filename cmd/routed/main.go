@@ -5,9 +5,11 @@
 // percentiles and writes BENCH_routed.json.
 //
 // The serving layer is epoch-swapped: POST /fail applies a failure
-// spec, recompiles the path store incrementally, re-emits only the
-// dirtied table rows, and swaps the new epoch in with a single atomic
-// store. Lookups in flight keep their epoch; none are dropped.
+// spec to a copy of the serving mask, filters the table rows it
+// dirtied out of the previous epoch's, and swaps mask and tables in
+// with a single atomic store — or, when any part of the spec is
+// rejected, changes nothing. Lookups in flight keep their epoch; none
+// are dropped.
 //
 // Usage:
 //
@@ -121,12 +123,22 @@ type lookupReply struct {
 }
 
 func serve(t *topo.Compiled, svc *route.Service, addr string) {
+	fmt.Printf("routed: listening on %s\n", addr)
+	if err := http.ListenAndServe(addr, newMux(t, svc)); err != nil {
+		fail("%v", err)
+	}
+}
+
+// newMux returns the service's HTTP surface: POST /lookup, GET /stats
+// and POST /fail.
+func newMux(t *topo.Compiled, svc *route.Service) *http.ServeMux {
 	var mu sync.Mutex // serializes the per-request scratch buffers
 	var src, dst []int32
 	var out []route.Decision
 	r := rng.New(uint64(time.Now().UnixNano()))
+	mux := http.NewServeMux()
 
-	http.HandleFunc("POST /lookup", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("POST /lookup", func(w http.ResponseWriter, req *http.Request) {
 		var body lookupRequest
 		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -158,7 +170,7 @@ func serve(t *topo.Compiled, svc *route.Service, addr string) {
 		writeJSON(w, replies)
 	})
 
-	http.HandleFunc("GET /stats", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, req *http.Request) {
 		tb := svc.Tables()
 		served, batches, swaps := svc.Counters()
 		writeJSON(w, map[string]any{
@@ -173,7 +185,7 @@ func serve(t *topo.Compiled, svc *route.Service, addr string) {
 		})
 	})
 
-	http.HandleFunc("POST /fail", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("POST /fail", func(w http.ResponseWriter, req *http.Request) {
 		fs := req.URL.Query().Get("spec")
 		if fs == "" {
 			http.Error(w, "missing ?spec=", http.StatusBadRequest)
@@ -188,11 +200,7 @@ func serve(t *topo.Compiled, svc *route.Service, addr string) {
 		}
 		writeJSON(w, stats)
 	})
-
-	fmt.Printf("routed: listening on %s\n", addr)
-	if err := http.ListenAndServe(addr, nil); err != nil {
-		fail("%v", err)
-	}
+	return mux
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

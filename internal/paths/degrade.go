@@ -3,6 +3,7 @@ package paths
 import (
 	"time"
 
+	"tugal/internal/exec"
 	"tugal/internal/topo"
 )
 
@@ -11,93 +12,111 @@ import (
 // indices (s*n+d) whose compiled paths cross it. A failure then
 // dirties exactly the pairs listed under its dead channels, which is
 // what lets ApplyFailures recompile a handful of pair ranges instead
-// of the whole store. CSR layout; pair lists are in ascending order.
+// of the whole store. CSR layout over the channel index
+// topo.Compiled.PeerDense and FailureMask.DeadDense share; pair lists
+// are in ascending order.
 type edgeIndex struct {
 	nonTerm int // non-terminal ports per switch: a-1+h
 	start   []int32
 	pairs   []int32
-	// peer[ch] is PeerOfPort flattened over the same channel index,
-	// so the refilter's path walk is two array loads per hop.
-	peer []int32
 }
 
 // BuildEdgeIndex builds the reverse index over the base arena if it
 // is not already present. Call it once before the store is shared:
 // like compilation, it is a single-writer operation, and building it
-// ahead of time keeps ApplyFailures' latency down to the dirty-pair
-// refilter alone. Overlay stores inherit the base index.
+// ahead of time keeps the first failure's latency down to the
+// dirty-pair work alone. Overlay stores inherit the base index.
+//
+// The build is count -> prefix-sum -> fill over chunks of source-switch
+// rows on the default pool. A pair belongs to one chunk and chunks are
+// laid out in row order under every channel, so the CSR is the same at
+// any worker count.
 func (st *Store) BuildEdgeIndex() {
 	if st.idx != nil {
 		return
 	}
 	t := st.T
 	nonTerm := t.A - 1 + t.H
-	nch := t.NumSwitches() * nonTerm
-	peer := make([]int32, nch)
-	for sw := 0; sw < t.NumSwitches(); sw++ {
-		for pt := t.P; pt < t.Radix(); pt++ {
-			if v, ok := t.PeerOfPortOK(sw, pt); ok {
-				peer[sw*nonTerm+pt-t.P] = int32(v)
-			} else {
-				// Unwired slot (no stored path crosses it): keep a
-				// sentinel so a bad walk fails loudly downstream.
-				peer[sw*nonTerm+pt-t.P] = -1
-			}
+	nch := st.n * nonTerm
+	peer := t.PeerDense()
+	pool := exec.Default()
+	chunks := min(pool.Workers(), st.n)
+	// walk reports each (channel, pair) incidence of chunk c's rows
+	// once, pairs ascending. It mirrors MaterializeInto: the switch
+	// sequence is re-derived from the source switch and the port arena.
+	walk := func(c int, visit func(ch int, pi int32)) {
+		last := make([]int32, nch)
+		for i := range last {
+			last[i] = -1
 		}
-	}
-	start := make([]int32, nch+1)
-	last := make([]int32, nch)
-	for i := range last {
-		last[i] = -1
-	}
-	// Pass 1: count deduplicated (channel, pair) incidences. The walk
-	// mirrors MaterializeInto: the switch sequence is re-derived from
-	// the source switch and the port arena.
-	p := t.P
-	for pi := 0; pi < st.n*st.n; pi++ {
-		s := pi / st.n
-		for id := st.pairStart[pi]; id < st.pairStart[pi+1]; id++ {
-			cur := s
-			base := int(id) * MaxVLBHops
-			for h := int(st.hops[id]); h > 0; h-- {
-				ch := cur*nonTerm + int(st.ports[base]) - p
-				if last[ch] != int32(pi) {
-					last[ch] = int32(pi)
-					start[ch+1]++
+		lo, hi := c*st.n/chunks, (c+1)*st.n/chunks // the chunk's rows, as RunRows splits them
+		for pi := lo * st.n; pi < hi*st.n; pi++ {
+			s := pi / st.n
+			for id := st.pairStart[pi]; id < st.pairStart[pi+1]; id++ {
+				cur := s
+				base := int(id) * MaxVLBHops
+				for h := int(st.hops[id]); h > 0; h-- {
+					ch := cur*nonTerm + int(st.ports[base]) - t.P
+					if last[ch] != int32(pi) {
+						last[ch] = int32(pi)
+						visit(ch, int32(pi))
+					}
+					cur = int(peer[ch])
+					base++
 				}
-				cur = int(peer[ch])
-				base++
 			}
 		}
 	}
-	for i := 0; i < nch; i++ {
-		start[i+1] += start[i]
-	}
-	idx := &edgeIndex{nonTerm: nonTerm, start: start, peer: peer}
-	idx.pairs = make([]int32, start[nch])
-	fill := make([]int32, nch)
-	copy(fill, start[:nch])
-	for i := range last {
-		last[i] = -1
-	}
-	for pi := 0; pi < st.n*st.n; pi++ {
-		s := pi / st.n
-		for id := st.pairStart[pi]; id < st.pairStart[pi+1]; id++ {
-			cur := s
-			base := int(id) * MaxVLBHops
-			for h := int(st.hops[id]); h > 0; h-- {
-				ch := cur*nonTerm + int(st.ports[base]) - p
-				if last[ch] != int32(pi) {
-					last[ch] = int32(pi)
-					idx.pairs[fill[ch]] = int32(pi)
-					fill[ch]++
-				}
-				cur = int(peer[ch])
-				base++
-			}
+	// at[c*nch+ch]: chunk c's incidence count under channel ch, turned
+	// by the prefix sum into where the chunk writes them.
+	at := make([]int32, chunks*nch)
+	pool.RunRows("paths/index-count", chunks, func(c int) {
+		cnt := at[c*nch : (c+1)*nch]
+		walk(c, func(ch int, _ int32) { cnt[ch]++ })
+	})
+	idx := &edgeIndex{nonTerm: nonTerm, start: make([]int32, nch+1)}
+	total := int32(0)
+	for ch := 0; ch < nch; ch++ {
+		idx.start[ch] = total
+		for c := 0; c < chunks; c++ {
+			at[c*nch+ch], total = total, total+at[c*nch+ch]
 		}
 	}
+	idx.start[nch] = total
+	idx.pairs = make([]int32, total)
+	pool.RunRows("paths/index-fill", chunks, func(c int) {
+		cur := at[c*nch : (c+1)*nch]
+		walk(c, func(ch int, pi int32) {
+			idx.pairs[cur[ch]] = pi
+			cur[ch]++
+		})
+	})
 	st.idx = idx
+}
+
+// DirtyPairs returns the (src, dst) pairs with a base-arena path across
+// any of the given channels, deduplicated, in channel order and
+// ascending pair order under each channel. It is the one definition of
+// which pairs a failure delta dirties: ApplyFailures refilters these
+// ranges and route.Tables.ApplyDelta these rows. The edge index is
+// built on first use (single-writer, like BuildEdgeIndex).
+func (st *Store) DirtyPairs(chs []topo.Channel) [][2]int32 {
+	st.BuildEdgeIndex()
+	var out [][2]int32
+	seen := make([]bool, st.n*st.n)
+	for _, ch := range chs {
+		chID := int(ch.Sw)*st.idx.nonTerm + int(ch.Port) - st.T.P
+		if chID < 0 || chID >= len(st.idx.start)-1 {
+			continue // terminal channel of a dead switch: no stored path uses it
+		}
+		for _, pi := range st.idx.pairs[st.idx.start[chID]:st.idx.start[chID+1]] {
+			if !seen[pi] {
+				seen[pi] = true
+				out = append(out, [2]int32{pi / int32(st.n), pi % int32(st.n)})
+			}
+		}
+	}
+	return out
 }
 
 // baseAlive reports whether base-arena path id of source switch src
@@ -177,65 +196,53 @@ func (st *Store) ApplyFailures(mask *topo.FailureMask, newlyDead []topo.Channel)
 	out.pHops = st.pHops[:len(st.pHops):len(st.pHops)]
 	out.pPorts = st.pPorts[:len(st.pPorts):len(st.pPorts)]
 
-	var stats RecompileStats
-	seen := make([]bool, st.n*st.n)
+	stats := RecompileStats{Pairs: st.DirtyPairs(newlyDead)}
+	stats.DirtyPairs = len(stats.Pairs)
 	baseLen := len(st.hops)
 	dead := mask.DeadDense()
-	peer := st.idx.peer
+	peer := st.T.PeerDense()
 	nonTerm, p := st.idx.nonTerm, st.T.P
-	for _, ch := range newlyDead {
-		chID := int(ch.Sw)*nonTerm + int(ch.Port) - p
-		if chID < 0 || chID >= len(st.idx.start)-1 {
-			continue // terminal channel of a dead switch: no stored path uses it
-		}
-		for _, pi32 := range st.idx.pairs[st.idx.start[chID]:st.idx.start[chID+1]] {
-			pi := int(pi32)
-			if seen[pi] {
+	for _, pr := range stats.Pairs {
+		s := int(pr[0])
+		pi := s*st.n + int(pr[1])
+		// Single pass: refilter the pair's base range into the patch
+		// arena under the cumulative mask, rolling the appends back
+		// if nothing died this epoch.
+		lo, hi := st.pairStart[pi], st.pairStart[pi+1]
+		markH, markP := len(out.pHops), len(out.pPorts)
+		alive := 0
+		for id := lo; id < hi; id++ {
+			cur := s
+			base := int(id) * MaxVLBHops
+			ok := true
+			for h := int(st.hops[id]); h > 0; h-- {
+				chi := cur*nonTerm + int(st.ports[base]) - p
+				if dead[chi] {
+					ok = false
+					break
+				}
+				cur = int(peer[chi])
+				base++
+			}
+			if !ok {
 				continue
 			}
-			seen[pi] = true
-			stats.DirtyPairs++
-			s := pi / st.n
-			stats.Pairs = append(stats.Pairs, [2]int32{int32(s), int32(pi % st.n)})
-			// Single pass: refilter the pair's base range into the patch
-			// arena under the cumulative mask, rolling the appends back
-			// if nothing died this epoch.
-			lo, hi := st.pairStart[pi], st.pairStart[pi+1]
-			markH, markP := len(out.pHops), len(out.pPorts)
-			alive := 0
-			for id := lo; id < hi; id++ {
-				cur := s
-				base := int(id) * MaxVLBHops
-				ok := true
-				for h := int(st.hops[id]); h > 0; h-- {
-					chi := cur*nonTerm + int(st.ports[base]) - p
-					if dead[chi] {
-						ok = false
-						break
-					}
-					cur = int(peer[chi])
-					base++
-				}
-				if !ok {
-					continue
-				}
-				alive++
-				out.pHops = append(out.pHops, st.hops[id])
-				out.pPorts = append(out.pPorts, st.ports[int(id)*MaxVLBHops:int(id+1)*MaxVLBHops]...)
-			}
-			prev := int(out.pairCount[pi])
-			if alive == prev {
-				// The surviving set did not shrink this epoch: keep the
-				// previous range and discard the rebuilt copy.
-				out.pHops = out.pHops[:markH]
-				out.pPorts = out.pPorts[:markP]
-				continue
-			}
-			stats.ChangedPairs++
-			stats.PathsRemoved += prev - alive
-			out.pairFirst[pi] = int32(baseLen + markH)
-			out.pairCount[pi] = int32(alive)
+			alive++
+			out.pHops = append(out.pHops, st.hops[id])
+			out.pPorts = append(out.pPorts, st.ports[int(id)*MaxVLBHops:int(id+1)*MaxVLBHops]...)
 		}
+		prev := int(out.pairCount[pi])
+		if alive == prev {
+			// The surviving set did not shrink this epoch: keep the
+			// previous range and discard the rebuilt copy.
+			out.pHops = out.pHops[:markH]
+			out.pPorts = out.pPorts[:markP]
+			continue
+		}
+		stats.ChangedPairs++
+		stats.PathsRemoved += prev - alive
+		out.pairFirst[pi] = int32(baseLen + markH)
+		out.pairCount[pi] = int32(alive)
 	}
 	out.buildTime = time.Since(start)
 	stats.BuildTime = out.buildTime

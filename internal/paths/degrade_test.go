@@ -3,9 +3,12 @@ package paths
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"tugal/internal/exec"
+	"tugal/internal/rng"
 	"tugal/internal/topo"
 )
 
@@ -150,6 +153,94 @@ func TestApplyFailuresDirtyPairCount(t *testing.T) {
 	}
 	if stats.PathsRemoved == 0 {
 		t.Fatal("no paths removed for a used global link")
+	}
+}
+
+// TestEdgeIndexWorkers pins the chunk-parallel index build, at 1, 2
+// and 8 workers, byte-equal to per-channel lists appended in one
+// sequential walk over the enumerated paths.
+func TestEdgeIndexWorkers(t *testing.T) {
+	for _, tp := range oracleTopos() {
+		for _, pol := range []Policy{Full{T: tp}, Strategic{T: tp, FirstLeg: 2}} {
+			t.Run(fmt.Sprintf("%s/%s", tp.Label(), pol.Name()), func(t *testing.T) {
+				base := pol.Compile(tp)
+				n, nonTerm := tp.NumSwitches(), tp.A-1+tp.H
+				lists := make([][]int32, n*nonTerm)
+				for pi := 0; pi < n*n; pi++ {
+					for _, p := range base.Enumerate(pi/n, pi%n) {
+						for h, pt := range p.Ports {
+							ch := int(p.Sw[h])*nonTerm + int(pt) - tp.P
+							if l := lists[ch]; len(l) == 0 || l[len(l)-1] != int32(pi) {
+								lists[ch] = append(lists[ch], int32(pi))
+							}
+						}
+					}
+				}
+				start := []int32{0}
+				var pairs []int32
+				for _, l := range lists {
+					pairs = append(pairs, l...)
+					start = append(start, int32(len(pairs)))
+				}
+				for _, workers := range []int{1, 2, 8} {
+					st := *base // the same arenas, no index yet
+					old := exec.SetDefault(exec.NewPool(workers))
+					st.BuildEdgeIndex()
+					exec.SetDefault(old)
+					if !slices.Equal(st.idx.start, start) {
+						t.Fatalf("%d workers: channel offsets differ from the sequential lists", workers)
+					}
+					if !slices.Equal(st.idx.pairs, pairs) {
+						t.Fatalf("%d workers: pair lists differ from the sequential lists", workers)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStoreDirtyPairsMatchesApplyFailures is why route.Service can keep
+// the base store and never recompile it: over randomized failure
+// sequences, the base store's DirtyPairs for each delta is — same
+// pairs, same order — the dirty list ApplyFailures reports on the
+// store recompiled under every failure before it.
+func TestStoreDirtyPairsMatchesApplyFailures(t *testing.T) {
+	for _, tp := range []*topo.Compiled{topo.MustNew(2, 4, 2, 9), topo.MustNew(2, 4, 4, 3), topo.MustNewD3(12, 4, 2)} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", tp.Label(), seed), func(t *testing.T) {
+				r := rng.New(seed)
+				base := Full{T: tp}.Compile(tp)
+				cur, mask := base, topo.NewFailureMask(tp)
+				for step := 0; step < 8; step++ {
+					var dead []topo.Channel
+					switch sw := r.Intn(tp.NumSwitches()); r.Intn(3) {
+					case 0:
+						dead, _ = mask.FailGlobalLink(sw, r.Intn(tp.H)) // an unwired port kills nothing
+					case 1:
+						dead, _ = mask.FailLocalLink(sw, tp.SwitchID(tp.GroupOf(sw), r.Intn(tp.A)))
+					default:
+						dead, _ = mask.FailSwitch(sw)
+					}
+					next, stats := cur.ApplyFailures(mask, dead)
+					if got := base.DirtyPairs(dead); !slices.Equal(got, stats.Pairs) || len(got) != stats.DirtyPairs {
+						t.Fatalf("step %d (%v): base DirtyPairs has %d pairs, the epoch-%d recompile %d",
+							step, mask, len(got), cur.Epoch(), stats.DirtyPairs)
+					}
+					for _, pr := range stats.Pairs {
+						crossed := false
+						for _, p := range base.Enumerate(int(pr[0]), int(pr[1])) {
+							for h, pt := range p.Ports {
+								crossed = crossed || slices.Contains(dead, topo.Channel{Sw: p.Sw[h], Port: pt})
+							}
+						}
+						if !crossed {
+							t.Fatalf("step %d: pair %v flagged, but none of its paths crosses %v", step, pr, dead)
+						}
+					}
+					cur = next
+				}
+			})
+		}
 	}
 }
 

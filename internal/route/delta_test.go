@@ -61,9 +61,9 @@ func replayMask(t *testing.T, tp *topo.Compiled, ops []failOp, k int) *topo.Fail
 	return m
 }
 
-// TestDeltaMatchesScratch is the incremental-recompile property test:
+// TestDeltaMatchesScratch is the incremental-epoch property test:
 // over randomized failure sequences, the tables the service reaches
-// through ApplyFailures → dirty-row re-emit → epoch swap must equal,
+// through dirty-pair list → dirty-row filter → epoch swap must equal,
 // row for row, a from-scratch emit over a store compiled degraded
 // against the same cumulative failure mask.
 func TestDeltaMatchesScratch(t *testing.T) {
@@ -90,7 +90,7 @@ func TestDeltaMatchesScratch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if stats.NewlyDead == 0 {
+					if stats.Epoch == len(ops) {
 						continue // already-dead target: no-op, no swap
 					}
 					ops = append(ops, op)
@@ -117,9 +117,10 @@ func TestDeltaMatchesScratch(t *testing.T) {
 
 // TestEpochSnapshotIsolation pins the RCU contract on the table side:
 // a *Tables captured before a swap keeps serving its own rows
-// unchanged after any number of later deltas (the patch arena is
-// full-capacity sliced, so later epochs reallocate instead of
-// clobbering).
+// unchanged after any number of later deltas. Every epoch writes a
+// chunk of its own on fresh patch pages and shares the earlier ones by
+// pointer, so a dozen swaps leave a dozen chunks live behind the
+// oldest snapshot's back.
 func TestEpochSnapshotIsolation(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
 	pol := paths.Full{T: tp}
@@ -130,7 +131,7 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 	r := rng.New(42)
 	var ops []failOp
 	snaps := []*route.Tables{svc.Tables()}
-	for step := 0; step < 16 && len(ops) < 4; step++ {
+	for step := 0; step < 64 && len(ops) < 14; step++ {
 		op, ok := drawFailure(r, tp)
 		if !ok {
 			continue
@@ -139,14 +140,14 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.NewlyDead == 0 {
+		if stats.Epoch == len(ops) {
 			continue
 		}
 		ops = append(ops, op)
 		snaps = append(snaps, svc.Tables())
 	}
-	if len(ops) < 2 {
-		t.Fatal("not enough effective failures to test isolation")
+	if len(ops) < 12 {
+		t.Fatalf("%d effective failures, want at least 12 live epochs", len(ops))
 	}
 	// Every historical snapshot must still equal the scratch emit of
 	// its own epoch's mask, despite all the swaps since.

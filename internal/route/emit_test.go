@@ -91,6 +91,82 @@ func TestEmitWorkers(t *testing.T) {
 	}
 }
 
+// TestDeltaWorkers pins the row-parallel delta filter, over a global
+// link, a local link and a switch failing in turn: 1, 2 and 8 workers
+// give the same idx and the same patch pages, derived three times from
+// one parent (ApplyDelta shares no writable memory with its receiver),
+// and rows equal to a from-scratch emit of a store compiled degraded.
+// The g9 instance is the one whose epochs span several pages.
+func TestDeltaWorkers(t *testing.T) {
+	topos := []*topo.Compiled{topo.MustNew(2, 4, 2, 5), topo.MustNewD3(12, 4, 2)}
+	if !testing.Short() {
+		topos = append(topos, topo.MustNew(4, 8, 4, 9))
+	}
+	steps := []func(*topo.Compiled, *topo.FailureMask) ([]topo.Channel, error){
+		func(tp *topo.Compiled, m *topo.FailureMask) ([]topo.Channel, error) {
+			return m.FailGlobalLink(tp.A/2, tp.H-1)
+		},
+		func(tp *topo.Compiled, m *topo.FailureMask) ([]topo.Channel, error) {
+			return m.FailLocalLink(tp.SwitchID(1, 0), tp.SwitchID(1, 1))
+		},
+		func(tp *topo.Compiled, m *topo.FailureMask) ([]topo.Channel, error) {
+			return m.FailSwitch(tp.SwitchID(tp.G-1, 0))
+		},
+	}
+	for _, tp := range topos {
+		t.Run(tp.Label(), func(t *testing.T) {
+			pol := paths.Full{T: tp}
+			st := pol.Compile(tp)
+			tb, err := Emit(st, Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			mask := topo.NewFailureMask(tp)
+			for i, step := range steps {
+				mask = mask.Clone()
+				delta, err := step(tp, mask)
+				if err != nil || len(delta) == 0 {
+					t.Fatalf("step %d killed %d channels: %v", i, len(delta), err)
+				}
+				vlbDirty := st.DirtyPairs(delta)
+				var first *Tables
+				for _, workers := range []int{1, 2, 8} {
+					old := exec.SetDefault(exec.NewPool(workers))
+					got, stats, err := tb.ApplyDelta(mask, delta, vlbDirty)
+					exec.SetDefault(old)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if first == nil {
+						first = got
+						want, err := Emit(paths.CompileDegraded(tp, pol, mask), Default())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !got.EqualRows(want) {
+							t.Fatalf("step %d: filtered rows differ from the scratch emit", i)
+						}
+						if got.PatchBytes()-tb.PatchBytes() != 8*int64(stats.WordsEmitted) || stats.WordsEmitted == 0 {
+							t.Fatalf("step %d: %d words emitted, patch grew %d bytes", i, stats.WordsEmitted, got.PatchBytes()-tb.PatchBytes())
+						}
+						continue
+					}
+					if !slices.Equal(got.idx, first.idx) {
+						t.Fatalf("step %d, %d workers: idx differs from the 1-worker tables", i, workers)
+					}
+					if !slices.EqualFunc(got.pages, first.pages, slices.Equal[[]uint64]) {
+						t.Fatalf("step %d, %d workers: patch pages differ from the 1-worker tables", i, workers)
+					}
+				}
+				tb = first
+			}
+			if tp.G == 9 && len(tb.pages) <= 2*len(steps) {
+				t.Fatalf("g9 epochs fit %d pages: no chunk spans a page boundary", len(tb.pages))
+			}
+		})
+	}
+}
+
 // TestEmitErrorIsLowestRow: whichever worker hits a packing failure
 // first, Emit reports the lowest-index failing row. A negative VC
 // budget clamps every hop's VC below zero, so every row with a hop
@@ -119,6 +195,31 @@ func TestEmitErrorIsLowestRow(t *testing.T) {
 }
 
 var benchTables *Tables
+
+// BenchmarkFailSwap times one failure epoch of the route service on the
+// paper's g9 machine: a global link failed through Service.Fail on
+// pristine tables — mask clone, dirty-pair list, row filter, swap. The
+// base store's edge index is built before the clock starts.
+func BenchmarkFailSwap(b *testing.B) {
+	tp := topo.MustNew(4, 8, 4, 9)
+	st := paths.Full{T: tp}.Compile(tp)
+	st.BuildEdgeIndex()
+	tb, err := Emit(st, Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := &Service{store: st}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc.cur.Store(tb)
+		if _, err := svc.FailGlobalLink(tp.A/2, tp.H-1); err != nil {
+			b.Fatal(err)
+		}
+		benchTables = svc.Tables()
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+}
 
 // BenchmarkEmit times the table emit of the full-VLB store on the
 // paper's g9 machine (~4.1M candidate words).

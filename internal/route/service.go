@@ -15,10 +15,12 @@ import (
 // Service is the long-lived serving layer over compiled forwarding
 // tables: an epoch-swapped table pointer read with one atomic load
 // per batch on the query path, and an RCU-style writer side that
-// composes topo failure deltas, paths.Store.ApplyFailures and
-// Tables.ApplyDelta into a single swap. Queries in flight during a
-// swap finish against the epoch they started on — no query is ever
-// dropped or torn — and the batch APIs allocate nothing once the
+// composes a failure delta on a copy of the mask, the store's
+// dirty-pair list for it and Tables.ApplyDelta into a single swap.
+// Every epoch is one *Tables — rows and the mask they were filtered
+// under — so a swap publishes both or neither. Queries in flight
+// during a swap finish against the epoch they started on — no query is
+// ever dropped or torn — and the batch APIs allocate nothing once the
 // caller's buffers exist.
 type Service struct {
 	mode      Mode
@@ -26,11 +28,13 @@ type Service struct {
 
 	cur atomic.Pointer[Tables]
 
-	// mu serializes the writer side: mask mutation, store recompile,
-	// table delta emit, epoch swap.
-	mu    sync.Mutex
+	// mu serializes the writer side: mask clone, dirty-pair list, row
+	// filter, epoch swap.
+	mu sync.Mutex
+	// store is the store epoch 0 was emitted from. It is only ever
+	// asked which pairs a delta dirties (its edge index is built on the
+	// first failure); the rows themselves come from the previous epoch.
 	store *paths.Store
-	mask  *topo.FailureMask
 
 	served  atomic.Int64
 	batches atomic.Int64
@@ -38,15 +42,15 @@ type Service struct {
 }
 
 // NewService emits tables from the store and wraps them in a serving
-// layer using the given lookup mode and UGAL threshold. The store
-// (and its mask, when degraded) becomes the service's recompilation
-// base: Fail derives every later epoch from it incrementally.
+// layer using the given lookup mode and UGAL threshold. The tables
+// (with the store's mask, when degraded) are epoch 0: Fail derives
+// every later epoch from the one before it.
 func NewService(st *paths.Store, mode Mode, threshold int, cfg Config) (*Service, error) {
 	tb, err := Emit(st, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{mode: mode, threshold: threshold, store: st, mask: st.Mask()}
+	s := &Service{mode: mode, threshold: threshold, store: st}
 	s.cur.Store(tb)
 	return s, nil
 }
@@ -104,53 +108,61 @@ func (s *Service) AppendRouteFor(buf []netsim.RouteHop, d Decision, dstNode int3
 type SwapStats struct {
 	Epoch      int           `json:"epoch"`        // the new serving epoch
 	NewlyDead  int           `json:"newlyDead"`    // channels the failure killed
-	VLBDirty   int           `json:"vlbDirty"`     // pairs the store recompile refiltered
-	DirtyPairs int           `json:"dirtyPairs"`   // rows the table delta re-emitted
-	StoreBuild time.Duration `json:"storeBuildNS"` // incremental store recompile time
-	TableBuild time.Duration `json:"tableBuildNS"` // dirty-row re-emit time
+	VLBDirty   int           `json:"vlbDirty"`     // pairs the store's edge index flagged
+	DirtyPairs int           `json:"dirtyPairs"`   // rows the table delta examined
+	PatchBytes int64         `json:"patchBytes"`   // patch chunks alive after the swap, all epochs'
+	StoreBuild time.Duration `json:"storeBuildNS"` // dirty-pair list time (the first builds the edge index)
+	TableBuild time.Duration `json:"tableBuildNS"` // dirty-row filter time
 }
 
-// Fail applies one failure to the service's cumulative mask via
-// apply (any combination of topo.FailureMask Fail* calls), then
-// recompiles the store incrementally, re-emits the dirtied table
-// rows, and swaps the new epoch in. A failure that kills nothing new
-// (already-dead link) is a no-op and swaps nothing. Concurrent
-// lookups are never blocked: they serve the previous epoch until the
-// single atomic store below, and their own epoch stays intact after
-// it.
+// Fail applies one failure via apply (any combination of
+// topo.FailureMask Fail* calls) to a copy of the serving epoch's mask,
+// filters the rows it dirtied, and swaps mask and tables in together.
+// When apply fails nothing is kept: the serving epoch and its mask are
+// what they were. A failure that leaves the mask as it was
+// (already-dead link) is a no-op and swaps nothing. Concurrent lookups
+// are never blocked: they serve the previous epoch until the single
+// atomic store below, and their own epoch stays intact after it.
 func (s *Service) Fail(apply func(*topo.FailureMask) ([]topo.Channel, error)) (SwapStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.mask == nil {
-		s.mask = topo.NewFailureMask(s.cur.Load().T)
+	cur := s.cur.Load()
+	mask := topo.NewFailureMask(cur.T)
+	if cur.mask != nil {
+		mask = cur.mask.Clone()
 	}
-	delta, err := apply(s.mask)
+	g0, l0, sw0 := mask.Counts()
+	delta, err := apply(mask)
 	if err != nil {
 		return SwapStats{}, fmt.Errorf("route: fail: %w", err)
 	}
-	if len(delta) == 0 {
-		return SwapStats{Epoch: s.cur.Load().Epoch()}, nil
+	// The counts, not the delta, say whether the mask grew: a switch
+	// whose links all failed earlier dies without a newly dead channel.
+	if g, l, sw := mask.Counts(); g == g0 && l == l0 && sw == sw0 {
+		return SwapStats{Epoch: cur.Epoch(), PatchBytes: cur.PatchBytes()}, nil
 	}
-	newStore, rstats := s.store.ApplyFailures(s.mask, delta)
-	newTb, dstats, err := s.cur.Load().ApplyDelta(newStore, delta, rstats.Pairs)
+	start := time.Now()
+	vlbDirty := s.store.DirtyPairs(delta)
+	storeBuild := time.Since(start)
+	newTb, dstats, err := cur.ApplyDelta(mask, delta, vlbDirty)
 	if err != nil {
 		return SwapStats{}, err
 	}
-	s.store = newStore
 	s.cur.Store(newTb)
 	s.swaps.Add(1)
 	return SwapStats{
 		Epoch:      newTb.Epoch(),
 		NewlyDead:  len(delta),
-		VLBDirty:   rstats.DirtyPairs,
+		VLBDirty:   len(vlbDirty),
 		DirtyPairs: dstats.DirtyPairs,
-		StoreBuild: rstats.BuildTime,
+		PatchBytes: newTb.PatchBytes(),
+		StoreBuild: storeBuild,
 		TableBuild: dstats.BuildTime,
 	}, nil
 }
 
 // FailGlobalLink fails the global link at global port gp of switch
-// sw and swaps in the recompiled epoch.
+// sw and swaps in the filtered epoch.
 func (s *Service) FailGlobalLink(sw, gp int) (SwapStats, error) {
 	return s.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) {
 		return m.FailGlobalLink(sw, gp)
@@ -158,14 +170,14 @@ func (s *Service) FailGlobalLink(sw, gp int) (SwapStats, error) {
 }
 
 // FailLocalLink fails the local link between u and v and swaps in
-// the recompiled epoch.
+// the filtered epoch.
 func (s *Service) FailLocalLink(u, v int) (SwapStats, error) {
 	return s.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) {
 		return m.FailLocalLink(u, v)
 	})
 }
 
-// FailSwitch fails a whole switch and swaps in the recompiled epoch.
+// FailSwitch fails a whole switch and swaps in the filtered epoch.
 func (s *Service) FailSwitch(sw int) (SwapStats, error) {
 	return s.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) {
 		return m.FailSwitch(sw)

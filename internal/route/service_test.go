@@ -156,6 +156,100 @@ func TestFailNoOp(t *testing.T) {
 	}
 }
 
+// TestFailErrorLeavesEpoch: an apply that kills a link and then
+// fails must leave nothing behind — same tables, same mask — so the
+// same link failed again, alone, is a real failure and swaps.
+func TestFailErrorLeavesEpoch(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 5)
+	svc, err := route.NewService((paths.Full{T: tp}).Compile(tp), route.ModeUGAL, 0, route.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsw, ggp := wiredGlobal(tp)
+	before := svc.Tables()
+	_, err = svc.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) {
+		if _, err := m.FailGlobalLink(gsw, ggp); err != nil {
+			return nil, err
+		}
+		return m.FailSwitch(-1)
+	})
+	if err == nil {
+		t.Fatal("half-valid failure was accepted")
+	}
+	if svc.Tables() != before {
+		t.Fatal("rejected failure swapped the tables")
+	}
+	stats, err := svc.FailGlobalLink(gsw, ggp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.NewlyDead != 2 || stats.Epoch != 1 {
+		t.Fatalf("link killed by the rejected failure stayed dead in the mask: %+v", stats)
+	}
+	if m := svc.Tables().Mask(); !m.ChannelDead(gsw, tp.GlobalPort(ggp)) {
+		t.Fatal("the swapped epoch's mask does not hold the failed link")
+	}
+	if before.Mask() != nil {
+		t.Fatal("epoch 0 acquired a mask")
+	}
+}
+
+// TestFailSwitchAfterItsLinks: a switch whose links were all failed
+// one by one dies without a single newly dead channel. The mask still
+// grew, so the failure must swap, and the switch's own row must refuse.
+func TestFailSwitchAfterItsLinks(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 5)
+	pol := paths.Full{T: tp}
+	svc, err := route.NewService(pol.Compile(tp), route.ModeUGAL, 0, route.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sw = 5
+	mask := topo.NewFailureMask(tp)
+	for i := 0; i < tp.A; i++ {
+		if v := tp.SwitchID(tp.GroupOf(sw), i); v != sw {
+			if _, err := svc.FailLocalLink(sw, v); err != nil {
+				t.Fatal(err)
+			}
+			mask.FailLocalLink(sw, v)
+		}
+	}
+	for gp := 0; gp < tp.H; gp++ {
+		if _, _, ok := tp.GlobalPeerOK(sw, gp); ok {
+			if _, err := svc.FailGlobalLink(sw, gp); err != nil {
+				t.Fatal(err)
+			}
+			mask.FailGlobalLink(sw, gp)
+		}
+	}
+	epoch := svc.Tables().Epoch()
+	node := int32(tp.NodeID(sw, 0))
+	out := make([]route.Decision, 1)
+	svc.LookupBatch(rng.New(1), []int32{node}, []int32{node}, out)
+	if out[0].Refused {
+		t.Fatal("an isolated but live switch refused its own terminals")
+	}
+	stats, err := svc.FailSwitch(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.NewlyDead != 0 || stats.Epoch != epoch+1 || stats.DirtyPairs != 1 {
+		t.Fatalf("switch death with no live channel left: %+v, want a swap to epoch %d of one row", stats, epoch+1)
+	}
+	svc.LookupBatch(rng.New(1), []int32{node}, []int32{node}, out)
+	if !out[0].Refused {
+		t.Fatal("dead switch still serves its own row")
+	}
+	mask.FailSwitch(sw)
+	want, err := route.Emit(paths.CompileDegraded(tp, pol, mask), route.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !svc.Tables().EqualRows(want) {
+		t.Fatal("tables differ from a scratch emit under the same mask")
+	}
+}
+
 // TestParseMode covers the mode spec round-trip.
 func TestParseMode(t *testing.T) {
 	for _, spec := range []string{"ugal", "min", "vlb"} {

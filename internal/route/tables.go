@@ -13,14 +13,16 @@
 //
 // Tables are immutable after Emit, shared read-only like paths.Store
 // and flow.LoadMatrix. Topology changes go through ApplyDelta, which
-// re-emits only the rows dirtied by a failure delta into a patch
-// arena behind a new epoch — the Service layer swaps the epoch in
-// atomically so no in-flight query is ever dropped or torn.
+// filters the rows a failure delta dirtied out of the previous epoch's
+// rows into a patch chunk of their own behind a new epoch — the
+// Service layer swaps the epoch in atomically so no in-flight query is
+// ever dropped or torn.
 package route
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"tugal/internal/exec"
@@ -124,21 +126,40 @@ type Tables struct {
 	cfg    Config
 	epoch  int
 	n      int // switches; the row index is src*n+dst
+	// mask is the failure mask the rows were emitted or filtered
+	// under (nil: pristine). Like the rows it is never written again.
+	mask *topo.FailureMask
 
 	// idx has stride 3 per ordered pair: word start, MIN candidate
 	// count, VLB candidate count. A pair's words are contiguous —
 	// MIN candidates first — in the base arena when start <
-	// len(words), in the patch arena (at start-len(words)) otherwise.
+	// len(words), in a patch chunk (patch address start-len(words))
+	// otherwise.
 	idx   []int32
 	words []uint64
-	// pWords is the delta-epoch patch arena. Like paths.Store's
-	// overlay, it is shared full-capacity-sliced across epochs so a
-	// later epoch's appends reallocate instead of clobbering rows an
-	// earlier epoch still serves.
-	pWords []uint64
+	// pages maps the patch address space, pageWords addresses a page,
+	// onto the patch chunks. Every ApplyDelta epoch allocates one chunk
+	// of exactly the words it writes and starts it on a fresh page;
+	// page p of a chunk is the chunk from word p*pageWords to its end,
+	// so pages[a>>pageShift][a&pageMask] resolves any patch address a
+	// and a row read from its first word's page is contiguous even
+	// across a page boundary. Later epochs share earlier chunks by
+	// pointer and copy only this table of slice headers.
+	pages      [][]uint64
+	patchWords int64 // words in all live chunks
 
 	buildTime time.Duration
 }
+
+// Patch pages are 64Ki words (512 KiB): small enough that the page an
+// epoch leaves part-used costs the int32 address space little (2^15
+// epochs at worst), large enough that a g17 epoch (~1.8M words) adds
+// under thirty slice headers to the table every later epoch copies.
+const (
+	pageShift = 16
+	pageWords = 1 << pageShift
+	pageMask  = pageWords - 1
+)
 
 // Policy returns the name of the VLB candidate policy the tables were
 // emitted from.
@@ -148,34 +169,53 @@ func (tb *Tables) Policy() string { return tb.policy }
 // by every ApplyDelta derivation.
 func (tb *Tables) Epoch() int { return tb.epoch }
 
-// BuildTime reports how long the emit (or delta re-emit) took.
+// Mask returns the failure mask the tables serve under (nil:
+// pristine). It is shared and must not be modified.
+func (tb *Tables) Mask() *topo.FailureMask { return tb.mask }
+
+// BuildTime reports how long the emit (or delta filter) took.
 func (tb *Tables) BuildTime() time.Duration { return tb.buildTime }
+
+// PatchBytes reports the size of the patch chunks the tables keep
+// alive: what every ApplyDelta epoch so far has added, superseded rows
+// included.
+func (tb *Tables) PatchBytes() int64 { return 8 * tb.patchWords }
 
 // Bytes reports the resident size of the table arenas.
 func (tb *Tables) Bytes() int64 {
-	return 8*int64(len(tb.words)+len(tb.pWords)) + 4*int64(len(tb.idx))
+	return 8*int64(len(tb.words)) + tb.PatchBytes() + 4*int64(len(tb.idx))
 }
 
-// word resolves a candidate index across the base and patch arenas.
+// word resolves a candidate index across the base arena and the patch
+// pages.
 func (tb *Tables) word(i int32) uint64 {
 	if int(i) < len(tb.words) {
 		return tb.words[i]
 	}
-	return tb.pWords[int(i)-len(tb.words)]
+	a := int(i) - len(tb.words)
+	return tb.pages[a>>pageShift][a&pageMask]
+}
+
+// row returns pair pi's candidate words — MIN candidates first — as
+// one read-only view, and how many of them are MIN candidates.
+func (tb *Tables) row(pi int) (words []uint64, minN int32) {
+	start, mc, vc := tb.idx[pi*3], tb.idx[pi*3+1], tb.idx[pi*3+2]
+	if mc+vc == 0 {
+		return nil, 0 // an empty row's start may address nothing
+	}
+	arena := tb.words
+	if int(start) >= len(tb.words) {
+		a := int(start) - len(tb.words)
+		arena, start = tb.pages[a>>pageShift], int32(a&pageMask)
+	}
+	return arena[start : start+mc+vc : start+mc+vc], mc
 }
 
 // Row returns the pair's MIN and VLB candidate words as read-only
 // views into the arenas.
 func (tb *Tables) Row(s, d int) (min, vlb []uint64) {
-	i := (s*tb.n + d) * 3
-	start, mc, vc := tb.idx[i], tb.idx[i+1], tb.idx[i+2]
-	arena := tb.words
-	if int(start) >= len(tb.words) {
-		arena = tb.pWords
-		start -= int32(len(tb.words))
-	}
-	return arena[start : start+mc : start+mc],
-		arena[start+mc : start+mc+vc : start+mc+vc]
+	words, mc := tb.row(s*tb.n + d)
+	return words[:mc:mc], words[mc:]
 }
 
 // EqualRows reports whether two tables serve identical candidate
@@ -266,9 +306,10 @@ func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 		policy: st.Name(),
 		cfg:    cfg.withDefaults(),
 		n:      n,
+		mask:   st.Mask(),
 		idx:    make([]int32, n*n*3),
 	}
-	mask := st.Mask()
+	mask := tb.mask
 	total := int64(0)
 	for pi := 0; pi < n*n; pi++ {
 		_, vlbN := st.PairRange(pi/n, pi%n)
@@ -301,74 +342,159 @@ func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 	return tb, nil
 }
 
-// DeltaStats reports what one ApplyDelta epoch re-emitted.
+// DeltaStats reports what one ApplyDelta epoch did.
 type DeltaStats struct {
-	// DirtyPairs is how many rows were re-emitted: the union of the
-	// store's VLB-dirty pairs and the MIN-dirty pairs implied by the
-	// newly dead channels.
+	// DirtyPairs is how many rows were examined: the union of the
+	// store's VLB-dirty pairs, the MIN-dirty pairs implied by the
+	// newly dead channels and the newly dead switches' own rows.
 	DirtyPairs int
-	// WordsEmitted is the total candidate words written to the patch
-	// arena this epoch.
+	// WordsEmitted is the total candidate words written to this
+	// epoch's patch chunk (the rows that lost a candidate).
 	WordsEmitted int
 	BuildTime    time.Duration
 }
 
-// ApplyDelta derives the tables for a failure-recompiled store
-// without re-emitting clean rows: vlbDirty is the dirty-pair list
-// paths.RecompileStats reports, newlyDead the failure delta (whose
-// MIN-affected pairs are over-approximated via paths.MinDirtyPairs),
-// and only the union's rows are re-emitted — from st's new epoch,
-// under its cumulative mask — into the patch arena. The receiver is
-// never mutated; earlier epochs keep serving their own rows.
-func (tb *Tables) ApplyDelta(st *paths.Store, newlyDead []topo.Channel, vlbDirty [][2]int32) (*Tables, DeltaStats, error) {
-	start := time.Now()
-	out := &Tables{
-		T: tb.T, policy: tb.policy, cfg: tb.cfg,
-		epoch: tb.epoch + 1, n: tb.n,
-		idx:   append([]int32(nil), tb.idx...),
-		words: tb.words,
-		// Full-capacity slice: this epoch's first append reallocates,
-		// leaving earlier epochs' rows untouched.
-		pWords: tb.pWords[:len(tb.pWords):len(tb.pWords)],
+// rowFilter decides which words of a row survive a mask. A word
+// carries its own ports and its VCs do not depend on the mask, so a
+// degraded row is its previous epoch's row minus the dead words, in
+// order — exactly what Emit over a store compiled degraded under the
+// same mask packs (the live samplers' orders are stable under
+// filtering).
+type rowFilter struct {
+	mask    *topo.FailureMask
+	dead    []bool  // mask.DeadDense
+	peer    []int32 // topo.Compiled.PeerDense
+	nonTerm int     // channels per switch in both
+	p       int     // first non-terminal port
+}
+
+// alive walks the word's ports from switch src over the dense channel
+// arrays. A zero-hop word (the same-switch ejection) lives exactly as
+// long as its switch.
+func (f *rowFilter) alive(w uint64, src int) bool {
+	h := WordHops(w)
+	if h == 0 {
+		return !f.mask.SwitchDead(src)
 	}
-	var stats DeltaStats
-	e := &emitter{t: tb.T, cfg: tb.cfg, mask: st.Mask()}
-	seen := make([]bool, tb.n*tb.n)
-	mark := len(out.pWords)
-	reemit := func(s, d int) {
-		pi := s*tb.n + d
-		if seen[pi] {
-			return
+	for w >>= 3; h > 0; h-- {
+		ch := src*f.nonTerm + int(w&wordPortMask) - f.p
+		if f.dead[ch] {
+			return false
 		}
-		seen[pi] = true
-		stats.DirtyPairs++
-		i := pi * 3
-		out.idx[i] = int32(len(tb.words) + len(out.pWords))
-		out.pWords, out.idx[i+1], out.idx[i+2] = e.emitPair(st, s, d, out.pWords)
+		src = int(f.peer[ch])
+		w >>= wordHopBits
+	}
+	return true
+}
+
+// count returns how many of the words, all routes out of src, survive.
+func (f *rowFilter) count(words []uint64, src int) (n int32) {
+	for _, w := range words {
+		if f.alive(w, src) {
+			n++
+		}
+	}
+	return n
+}
+
+// fill writes the surviving words to dst in order.
+func (f *rowFilter) fill(dst, words []uint64, src int) {
+	at := 0
+	for _, w := range words {
+		if f.alive(w, src) {
+			dst[at] = w
+			at++
+		}
+	}
+}
+
+// ApplyDelta derives the tables for a grown failure mask from the
+// receiver's rows alone: mask is the cumulative mask (the receiver's
+// plus this delta, never nil), newlyDead the failure delta (whose
+// MIN-affected pairs are over-approximated via paths.MinDirtyPairs)
+// and vlbDirty the store's dirty-pair list for it
+// (paths.Store.DirtyPairs). Each dirty row is filtered against mask,
+// count -> size -> fill with the rows spread over the default pool: a
+// row that lost nothing keeps its range, the others are written, in
+// dirty-list order, to one new chunk of exactly their size. The
+// receiver is never mutated and shares no writable memory with the
+// result, so earlier epochs keep serving their own rows and the result
+// is the same at any worker count.
+func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, vlbDirty [][2]int32) (*Tables, DeltaStats, error) {
+	start := time.Now()
+	n := tb.n
+	seen := make([]bool, n*n)
+	var dirty []int32
+	add := func(s, d int32) {
+		if pi := s*int32(n) + d; !seen[pi] {
+			seen[pi] = true
+			dirty = append(dirty, pi)
+		}
 	}
 	for _, p := range vlbDirty {
-		reemit(int(p[0]), int(p[1]))
+		add(p[0], p[1])
 	}
 	for _, p := range paths.MinDirtyPairs(tb.T, newlyDead) {
-		reemit(int(p[0]), int(p[1]))
+		add(p[0], p[1])
 	}
 	// MinDirtyPairs only reports s != d pairs; a switch death also
 	// dirties its own (sw, sw) row, whose single zero-hop candidate
-	// must drop so same-switch lookups refuse.
-	if mask := st.Mask(); mask != nil {
-		for _, ch := range newlyDead {
-			if mask.SwitchDead(int(ch.Sw)) {
-				reemit(int(ch.Sw), int(ch.Sw))
-			}
+	// must drop so same-switch lookups refuse. The masks are compared,
+	// not the delta: a switch whose links had all failed already dies
+	// without a newly dead channel.
+	for sw := 0; sw < n; sw++ {
+		if mask.SwitchDead(sw) && (tb.mask == nil || !tb.mask.SwitchDead(sw)) {
+			add(int32(sw), int32(sw))
 		}
 	}
-	if e.failed != nil {
-		return nil, stats, e.failed
+
+	f := &rowFilter{mask: mask, dead: mask.DeadDense(), peer: tb.T.PeerDense(), nonTerm: tb.T.A - 1 + tb.T.H, p: tb.T.P}
+	pool := exec.Default()
+	out := &Tables{
+		T: tb.T, policy: tb.policy, cfg: tb.cfg,
+		epoch: tb.epoch + 1, n: n, mask: mask,
+		idx:   slices.Clone(tb.idx),
+		words: tb.words,
+		pages: slices.Clone(tb.pages),
 	}
-	stats.WordsEmitted = len(out.pWords) - mark
+	pool.RunRows("route/delta-count", len(dirty), func(k int) {
+		pi := int(dirty[k])
+		words, mc := tb.row(pi)
+		out.idx[pi*3+1] = f.count(words[:mc], pi/n)
+		out.idx[pi*3+2] = f.count(words[mc:], pi/n)
+	})
+	// The rows that lost a candidate move, in dirty-list order, to this
+	// epoch's chunk, whose first word takes the first address of a
+	// fresh page. A row left empty has no words to address and keeps
+	// its start.
+	base := int64(len(tb.words)) + int64(len(tb.pages))*pageWords
+	total := int64(0)
+	for _, pi := range dirty {
+		i := int(pi) * 3
+		lost := out.idx[i+1] != tb.idx[i+1] || out.idx[i+2] != tb.idx[i+2]
+		if size := out.idx[i+1] + out.idx[i+2]; lost && size > 0 {
+			out.idx[i] = int32(base + total) // wraps past MaxInt32: refused below
+			total += int64(size)
+		}
+	}
+	if base+total > math.MaxInt32 {
+		return nil, DeltaStats{}, fmt.Errorf("route: epoch %d: patch addresses reach %d, beyond the int32 table index", out.epoch, base+total)
+	}
+	chunk := make([]uint64, total)
+	for at := int64(0); at < total; at += pageWords {
+		out.pages = append(out.pages, chunk[at:])
+	}
+	out.patchWords = tb.patchWords + total
+	pool.RunRows("route/delta-fill", len(dirty), func(k int) {
+		pi := int(dirty[k])
+		if out.idx[pi*3] == tb.idx[pi*3] {
+			return
+		}
+		words, _ := tb.row(pi)
+		f.fill(chunk[int64(out.idx[pi*3])-base:], words, pi/n)
+	})
 	out.buildTime = time.Since(start)
-	stats.BuildTime = out.buildTime
-	return out, stats, nil
+	return out, DeltaStats{DirtyPairs: len(dirty), WordsEmitted: int(total), BuildTime: out.buildTime}, nil
 }
 
 // Mode selects how a lookup combines the row's MIN and VLB candidate
@@ -544,13 +670,16 @@ func (tb *Tables) FirstHops(s, d int, buf []FirstHop) []FirstHop {
 // Stats summarizes emitted tables for reporting (cmd/dflyinfo
 // -tables, cmd/routed /stats).
 type Stats struct {
-	Pairs     int           `json:"pairs"`    // ordered switch pairs (rows), n*n
-	Rows      int           `json:"rows"`     // rows with at least one candidate
-	MinWords  int           `json:"minWords"` // MIN candidate entries across live rows
-	VLBWords  int           `json:"vlbWords"` // VLB candidate entries across live rows
-	Bytes     int64         `json:"bytes"`    // resident arena size
-	Epoch     int           `json:"epoch"`
-	BuildTime time.Duration `json:"buildTimeNS"`
+	Pairs    int   `json:"pairs"`    // ordered switch pairs (rows), n*n
+	Rows     int   `json:"rows"`     // rows with at least one candidate
+	MinWords int   `json:"minWords"` // MIN candidate entries across live rows
+	VLBWords int   `json:"vlbWords"` // VLB candidate entries across live rows
+	Bytes    int64 `json:"bytes"`    // resident arena size
+	// PatchBytes is the part of Bytes in patch chunks: what the
+	// failure epochs so far have added, superseded rows included.
+	PatchBytes int64         `json:"patchBytes"`
+	Epoch      int           `json:"epoch"`
+	BuildTime  time.Duration `json:"buildTimeNS"`
 	// AvgCandidates / MaxCandidates describe candidates per live row.
 	AvgCandidates float64 `json:"avgCandidates"`
 	MaxCandidates int     `json:"maxCandidates"`
@@ -562,7 +691,7 @@ type Stats struct {
 
 // Stats computes the table summary by walking every row.
 func (tb *Tables) Stats() Stats {
-	s := Stats{Pairs: tb.n * tb.n, Bytes: tb.Bytes(), Epoch: tb.epoch, BuildTime: tb.buildTime}
+	s := Stats{Pairs: tb.n * tb.n, Bytes: tb.Bytes(), PatchBytes: tb.PatchBytes(), Epoch: tb.epoch, BuildTime: tb.buildTime}
 	var hopBuf []FirstHop
 	firstHops := 0
 	for src := 0; src < tb.n; src++ {

@@ -328,6 +328,13 @@ func (c *Compiled) PeerOfPortOK(sw, pt int) (peer int, ok bool) {
 	return int(p), true
 }
 
+// PeerDense exposes the port-graph arena for hot loops that walk port
+// sequences: entry sw*(a-1+h) + (port-p) is the switch at the far end
+// of the non-terminal channel (sw, port), -1 when the port is unwired
+// — the same index FailureMask.DeadDense uses. The slice is shared and
+// must not be modified.
+func (c *Compiled) PeerDense() []int32 { return c.peerSw }
+
 // PeerPortOfPortOK additionally resolves the far-end port number of
 // the channel (the port on the peer pointing back), ok=false exactly
 // when PeerOfPortOK fails.

@@ -53,6 +53,20 @@ func NewFailureMask(c *Compiled) *FailureMask {
 	return m
 }
 
+// Clone returns an independent copy of the mask: Fail* calls on either
+// leave the other untouched. This is how a writer grows a mask that
+// concurrent readers still hold — clone, fail, publish — keeping every
+// published mask read-only.
+func (m *FailureMask) Clone() *FailureMask {
+	out := *m
+	out.dead = append([]bool(nil), m.dead...)
+	out.deadSw = append([]bool(nil), m.deadSw...)
+	out.chans = append([]Channel(nil), m.chans...)
+	// The per-pair link lists are replaced, never edited, on a failure.
+	out.links = append([][]GlobalLink(nil), m.links...)
+	return &out
+}
+
 // Topo returns the compiled topology the mask applies to.
 func (m *FailureMask) Topo() *Compiled { return m.c }
 

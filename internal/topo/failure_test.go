@@ -152,3 +152,39 @@ func TestFailLocalLinkAndSwitch(t *testing.T) {
 		t.Fatalf("DeadChannels has %d entries, want %d", len(m.DeadChannels()), 2+wantDead)
 	}
 }
+
+// TestFailureMaskClone: a clone and its original fail independently —
+// channels, switches, counts, dead-channel list and filtered link lists.
+func TestFailureMaskClone(t *testing.T) {
+	tp := MustNew(2, 4, 2, 9)
+	m := NewFailureMask(tp)
+	if _, err := m.FailGlobalLink(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	peer := tp.GlobalPeer(0, 0)
+	gi, gj := tp.GroupOf(0), tp.GroupOf(peer)
+	before := m.String()
+
+	c := m.Clone()
+	if _, err := c.FailSwitch(peer); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FailLocalLink(tp.SwitchID(gi, 1), tp.SwitchID(gi, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if m.String() != before || m.SwitchDead(peer) || m.NumDeadChannels() != 2 ||
+		m.ChannelDead(tp.SwitchID(gi, 1), tp.LocalPort(tp.SwitchID(gi, 1), tp.SwitchID(gi, 2))) {
+		t.Fatalf("failures on the clone reached the original: %v", m)
+	}
+	if !c.ChannelDead(0, tp.GlobalPort(0)) || c.NumDeadChannels() <= 2 {
+		t.Fatalf("clone lost the original's failure: %v", c)
+	}
+	// The other way round, through the link lists both started sharing.
+	if _, err := m.FailGlobalLink(tp.SwitchID(gi, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	far := tp.GroupOf(tp.GlobalPeer(tp.SwitchID(gi, 1), 0))
+	if got := len(c.LinksBetweenGroups(gi, far)); far != gj && got != tp.K {
+		t.Fatalf("a failure on the original filtered the clone's link list to %d links", got)
+	}
+}
