@@ -112,3 +112,49 @@ func TestGoldenStep1G9(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenNetsimSequentialPathsG5 pins the three configurations that
+// only ever ran on the sequential stepper — an in-flight reviser (PAR,
+// whose credits travel interleaved with flit events), PAR with
+// wormhole packets, and wormhole UGAL-L at one shard — captured from
+// that stepper before it became the 1-shard case of the engine.
+func TestGoldenNetsimSequentialPathsG5(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 5)
+	full := paths.Full{T: tp}
+	type golden struct {
+		thr, lat, hops, vlb, load uint64
+		measured, refused         int64
+	}
+	cases := []struct {
+		name   string
+		vcs    int
+		packet int
+		rf     netsim.RoutingFunc
+		rate   float64
+		want   golden
+	}{
+		{"PAR", 5, 1, routing.NewPAR(tp, full), 0.2, golden{
+			0x3fc963886594af4f, 0x4045ce98204bdef1, 0x400c793d531ca4e2, 0x3fc72206cae0aa32, 0x3fc9916872b020c5, 3995, 0}},
+		{"PAR/packet4", 5, 4, routing.NewPAR(tp, full), 0.05, golden{
+			0x3fa972474538ef35, 0x404a6d54a6bec905, 0x400e0cc986c6f815, 0x3fd112286857f9dd, 0x3fa9a027525460aa, 1001, 0}},
+		{"UGAL-L/packet4", 4, 4, routing.NewUGALL(tp, full), 0.05, golden{
+			0x3fa916872b020c4a, 0x40479163fefa1e32, 0x400aa11e6efe35b1, 0x3fd61f336793907f, 0x3fa9a027525460aa, 1001, 0}},
+	}
+	for _, c := range cases {
+		cfg := netsim.DefaultConfig()
+		cfg.Seed = 42
+		cfg.NumVCs = c.vcs
+		cfg.PacketSize = c.packet
+		res := netsim.New(tp, cfg, c.rf.CloneRouting(), traffic.Shift{T: tp, DG: 1}, c.rate).Run(500, 500, 2000)
+		got := golden{
+			math.Float64bits(res.Throughput), math.Float64bits(res.AvgLatency),
+			math.Float64bits(res.AvgHops), math.Float64bits(res.VLBFraction),
+			math.Float64bits(res.OfferedLoad), res.Measured, res.Refused,
+		}
+		if got != c.want {
+			t.Errorf("%s:\n got    {%#x, %#x, %#x, %#x, %#x, %d, %d}\n golden {%#x, %#x, %#x, %#x, %#x, %d, %d}",
+				c.name, got.thr, got.lat, got.hops, got.vlb, got.load, got.measured, got.refused,
+				c.want.thr, c.want.lat, c.want.hops, c.want.vlb, c.want.load, c.want.measured, c.want.refused)
+		}
+	}
+}
