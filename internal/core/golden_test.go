@@ -114,10 +114,11 @@ func TestGoldenStep1G9(t *testing.T) {
 }
 
 // TestGoldenNetsimSequentialPathsG5 pins the three configurations that
-// only ever ran on the sequential stepper — an in-flight reviser (PAR,
-// whose credits travel interleaved with flit events), PAR with
-// wormhole packets, and wormhole UGAL-L at one shard — captured from
-// that stepper before it became the 1-shard case of the engine.
+// only ever ran on the former sequential stepper — an in-flight
+// reviser (PAR, whose credits travel interleaved with flit events),
+// PAR with wormhole packets, and wormhole UGAL-L at one shard —
+// captured from that stepper before it was replaced by the 1-shard
+// case of the cycle engine.
 func TestGoldenNetsimSequentialPathsG5(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
 	full := paths.Full{T: tp}

@@ -46,9 +46,9 @@ type Options struct {
 	Seed  uint64
 	// Seeds is the number of simulation seeds averaged per point.
 	Seeds int
-	// Shards selects the simulator's intra-run sharded stepper for
-	// every run of the figure (0/1 = sequential; see
-	// netsim.Config.Shards). Results are bit-identical for any value.
+	// Shards is the simulator's intra-run shard count for every run
+	// of the figure (0/1 = one shard; see netsim.Config.Shards).
+	// Results are bit-identical for any value.
 	Shards int
 }
 

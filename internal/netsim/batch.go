@@ -26,7 +26,7 @@ package netsim
 // hop and credit returns bypass the event wheel (n.fastCredits): an
 // in-flight reviser (PAR) draws routeRNG and reads credit state at
 // enqueue-time head arrival, making the cross-queue interleaving
-// semantic. The sharded stepper implies fastCredits. n.batchDrain
+// semantic. More than one shard implies fastCredits. n.batchDrain
 // carries the gate; tests clear it to prove observation equivalence.
 
 const (

@@ -14,11 +14,11 @@ import (
 // BenchmarkStepSharded measures the cycle loop at 1/2/4/8 shards with
 // the worker crew forced to the shard count, on the paper's g=9
 // topology and (unless -short) the 702-switch fig13/14 topology. The
-// 1-shard case is the sequential stepper — the baseline every sharded
-// ns/op compares against. Speedup requires cores: on GOMAXPROCS=1
-// hosts the sharded cases only measure engine overhead.
-// cmd/benchnetsim records the same measurement to BENCH_netsim.json
-// for the perf trajectory.
+// 1-shard case — one worker, no barrier — is the baseline every
+// multi-shard ns/op compares against. Speedup requires cores: on
+// GOMAXPROCS=1 hosts the multi-shard cases only measure mailbox and
+// barrier overhead. This is the repo's 1/2/4/8-shard matrix; cmd/bench
+// times the 1- and 2-shard loop end to end (sim_sw702_adv).
 func BenchmarkStepSharded(b *testing.B) {
 	bench := func(b *testing.B, t *topo.Compiled, cycles int64, rate float64) {
 		for _, shards := range []int{1, 2, 4, 8} {
@@ -83,8 +83,8 @@ func BenchmarkStepArena(b *testing.B) {
 // simulation must allocate nothing — on the coordinator or on any
 // engine worker. AllocsPerRun measures the global malloc counter, so
 // a worker goroutine that allocates per cycle fails the test just as
-// the main loop would. This is the regression gate behind the
-// "0.00 steady" column cmd/benchnetsim records.
+// the main loop would. cmd/bench reports the same figure from outside
+// as netsim.steady_allocs_per_cycle.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc steadiness needs full warmup; skipped in -short")

@@ -3,6 +3,7 @@ package netsim
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tugal/internal/topo"
 	"tugal/internal/traffic"
@@ -26,30 +27,28 @@ func mustPanic(t *testing.T, substr string, fn func()) {
 	fn()
 }
 
-// TestScheduleRejectsOutOfWheelDelay: the wheel is sized maxLat+2 at
-// construction; a delay at or past the wheel length would wrap and
-// deliver early. A latency raised after New must panic, not corrupt
-// timing.
+// TestScheduleRejectsOutOfWheelDelay: every event is scheduled by
+// emit, onto a wheel sized maxLat+2 at construction; a delay at or
+// past the wheel length would wrap and deliver early. A latency raised
+// after New must panic, not corrupt timing.
 func TestScheduleRejectsOutOfWheelDelay(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	n := New(tp, DefaultConfig(), minRouter{tp}, traffic.Uniform{T: tp}, 0.1)
+	sh := &n.shards[0]
+	ev := event{r: 0, port: int8(tp.P), vc: 0}
 
 	// In-range delays are fine.
-	n.schedule(0, event{r: 0, port: int8(tp.P), vc: 0})
-	n.schedule(len(n.wheel)-1, event{r: 0, port: int8(tp.P), vc: 0})
+	n.emit(sh, 0, ev)
+	n.emit(sh, n.wheelLen-1, ev)
 
-	mustPanic(t, "timing wheel", func() {
-		n.schedule(len(n.wheel), event{r: 0, port: int8(tp.P), vc: 0})
-	})
-	mustPanic(t, "timing wheel", func() {
-		n.schedule(-1, event{r: 0, port: int8(tp.P), vc: 0})
-	})
+	mustPanic(t, "timing wheel", func() { n.emit(sh, n.wheelLen, ev) })
+	mustPanic(t, "timing wheel", func() { n.emit(sh, -1, ev) })
 
 	// The documented trap: raising a channel latency after New. The
-	// simulator must fail loudly at the first scheduled event.
+	// simulator must fail loudly at the first emitted event.
 	n2 := New(tp, DefaultConfig(), minRouter{tp}, traffic.Uniform{T: tp}, 0.3)
 	for j := range n2.outLat {
-		n2.outLat[j] = int16(len(n2.wheel)) // beyond the wheel
+		n2.outLat[j] = int16(n2.wheelLen) // beyond the wheel
 	}
 	mustPanic(t, "timing wheel", func() {
 		for i := 0; i < 5000; i++ {
@@ -66,5 +65,27 @@ func TestRunRejectsNonPositiveMeasure(t *testing.T) {
 	for _, measure := range []int64{0, -5} {
 		n := New(tp, DefaultConfig(), minRouter{tp}, traffic.Uniform{T: tp}, 0.1)
 		mustPanic(t, "measure > 0", func() { n.Run(100, measure, 100) })
+	}
+}
+
+// TestShardSeedBytesMatchesReserve: the budget check of
+// seedShardBuffers prices exactly the bytes it then reserves.
+func TestShardSeedBytesMatchesReserve(t *testing.T) {
+	tp := topo.MustNew(4, 8, 4, 9)
+	cfg := DefaultConfig()
+	cfg.Shards = 4
+	n := New(tp, cfg, minRouter{tp}, traffic.Uniform{T: tp}, 0.1)
+	for s := range n.shards {
+		sh := &n.shards[s]
+		reserved := 0
+		for i := range sh.wheel {
+			reserved += cap(sh.wheel[i])*int(unsafe.Sizeof(event{})) + cap(sh.cwheel[i])*4
+		}
+		for i := range sh.outbox {
+			reserved += cap(sh.outbox[i])*int(unsafe.Sizeof(outEvent{})) + cap(sh.coutbox[i])*8
+		}
+		if est := n.shardSeedBytes(sh, len(n.shards)); est != reserved || est == 0 {
+			t.Fatalf("shard %d: estimate %d B, reserved %d B", s, est, reserved)
+		}
 	}
 }

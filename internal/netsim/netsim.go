@@ -18,6 +18,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"tugal/internal/rng"
 	"tugal/internal/stats"
@@ -56,16 +57,16 @@ type Config struct {
 	// measured head-generation to tail-ejection.
 	PacketSize int
 	// Shards partitions the routers into static contiguous shards
-	// stepped by the intra-run parallel engine: each shard owns its
-	// routers' state, a timing-wheel segment and an allocation pass,
-	// and cross-shard events flow through per-(source, destination)
-	// mailboxes merged in fixed shard order at the cycle barrier, so
-	// the results are bit-identical for every shard count. 0 or 1
-	// selects the sequential stepper. Shards only takes effect for
+	// stepped by the cycle engine: each shard owns its routers' state,
+	// a timing-wheel segment and an allocation pass, and events flow
+	// through per-(source, destination) mailboxes merged in fixed shard
+	// order at the cycle barrier, so the results are bit-identical for
+	// every shard count. 0 means 1: one shard holding every router,
+	// stepped by the same engine. Shards above 1 only takes effect for
 	// routing functions that declare (via InFlightReviser) that they
 	// never revise a route in flight: PAR's mid-route revision reads
 	// remote queue state and draws routeRNG at head-of-buffer time,
-	// which has no lookahead and therefore runs sequentially.
+	// which has no lookahead, so a reviser is forced to one shard.
 	Shards int
 	// ShardWorkers forces the number of OS-thread-parallel workers
 	// stepping the shards (clamped to Shards). 0 — the default, and
@@ -305,11 +306,11 @@ type RoutingFunc interface {
 // InFlightReviser is an optional RoutingFunc capability: a routing
 // function that can prove it never revises a route after injection
 // (never sets Flit.Revisable) returns false from RevisesInFlight,
-// which makes it eligible for the sharded stepper. Revision runs at
+// which makes it eligible for more than one shard. Revision runs at
 // head-of-buffer time inside the allocation phase, reads remote queue
 // state and draws routeRNG — none of which has lookahead — so a
 // reviser (PAR), or any routing function that does not implement the
-// interface, is conservatively stepped sequentially regardless of
+// interface, is conservatively forced to one shard regardless of
 // Config.Shards.
 type InFlightReviser interface {
 	RevisesInFlight() bool
@@ -368,16 +369,19 @@ type Network struct {
 	now int64
 
 	// phase accumulates the per-phase wall-clock breakdown when
-	// Cfg.PhaseTiming is set (see PhaseTimes).
+	// Cfg.PhaseTiming is set (see PhaseTimes); lapAt is the clock
+	// reading the next lap is measured from.
 	phase PhaseTimes
+	lapAt time.Time
 
 	// Cached topology dimensions (avoids method calls in the loop).
 	ports, numVCs, nonTerm int
 
 	// fa is the flit arena; scratch is the reusable routing-boundary
 	// view materialized around SourceRoute/Revise calls. Both are
-	// touched only on the sequential phases (injection, revision), so
-	// sharing them across shards is safe.
+	// touched only on the sequential phase (injection) and by revision,
+	// which only happens at one shard, so sharing them across shards is
+	// safe.
 	fa      flitArena
 	scratch Flit
 
@@ -440,26 +444,22 @@ type Network struct {
 	rbMask uint32
 	qShift uint
 
-	// wheel is the sequential stepper's single timing wheel; the
-	// sharded stepper leaves it empty and gives each shard its own
-	// segment instead. wheelLen is the common wheel length; nowSlot
-	// caches now % wheelLen per cycle so the per-event slot reduction
-	// is an add and a compare instead of a 64-bit divide (wheelLen is
-	// not a compile-time constant, so % compiles to hardware DIV —
-	// measurable at thousands of schedule/credit calls per cycle).
-	wheel    [][]event
+	// wheelLen is the length of every shard's timing-wheel segment;
+	// nowSlot caches now % wheelLen per cycle so the per-event slot
+	// reduction is an add and a compare instead of a 64-bit divide
+	// (wheelLen is not a compile-time constant, so % compiles to
+	// hardware DIV — measurable at thousands of emit/credit calls per
+	// cycle).
 	wheelLen int
 	nowSlot  int32
-	// creditWheel is the sequential stepper's credit-return wheel:
-	// buckets of bare credit indices. Credit delivery is a commutative
-	// increment, so credits skip the event machinery entirely — a
-	// 4-byte entry and a branch-free drain loop instead of a 12-byte
-	// event (sharded stepping uses the per-shard cwheel/coutbox
-	// equivalents). Only valid when fastCredits is set: an in-flight
-	// reviser (PAR) observes credit state mid-delivery through
-	// Revise, so its credits must stay interleaved with flit events
-	// in their original emission order.
-	creditWheel [][]int32
+	// fastCredits sends credit returns through the shards' bare
+	// credit-index wheels (simShard.cwheel) instead of the event
+	// machinery: credit delivery is a commutative increment, so a
+	// 4-byte entry and a branch-free drain loop replace a 24-byte
+	// event. Only valid when the routing function never revises in
+	// flight: a reviser (PAR) observes credit state mid-delivery
+	// through Revise, so its credits must stay interleaved with flit
+	// events in their original emission order.
 	fastCredits bool
 	// batchDrain enables the region-sorted wheel drains of batch.go.
 	// Set exactly when fastCredits is (the interleaving of an
@@ -468,17 +468,15 @@ type Network struct {
 	batchDrain bool
 
 	// shards is the static contiguous router partition (always at
-	// least one entry; exactly one when stepping sequentially). Each
-	// shard tracks which of its routers buffer flits in an active
-	// bitset; multi-shard networks additionally carry per-shard wheel
-	// segments, cross-shard mailboxes and ejection buffers.
+	// least one entry). Each shard owns its routers' active bitset,
+	// input-queue arena, timing-wheel segment, mailboxes and ejection
+	// buffer.
 	shards    []simShard
 	shardSize int32
-	// engine drives the parallel phases while a Run holds workers;
-	// nil otherwise (step then processes shards inline).
-	engine *shardEngine
-	// lastWorkers records the worker count of the most recent Run.
-	lastWorkers int
+	// engine steps the shards; workers is the number of its crew the
+	// current (or most recent) Run steps them with, 1 before any Run.
+	engine  *shardEngine
+	workers int
 
 	// Per-node unbounded source queues and next generation times.
 	// genCal buckets nodes by next generation cycle and srcActive
@@ -596,8 +594,6 @@ func (n *Network) build() {
 		maxLat = n.Cfg.LocalLatency
 	}
 	n.wheelLen = maxLat + 2
-	n.wheel = make([][]event, n.wheelLen)
-	n.creditWheel = make([][]int32, n.wheelLen)
 	if n.ports > 64 {
 		panic("netsim: switch radix above 64 unsupported by the port-mask allocator")
 	}
@@ -751,13 +747,9 @@ func (n *Network) Shards() int { return len(n.shards) }
 
 // ShardStats reports the effective shard count and the number of
 // parallel workers the most recent Run stepped them with (1 before
-// any Run, and always 1 when stepping sequentially).
+// any Run, and always 1 at one shard).
 func (n *Network) ShardStats() (shards, workers int) {
-	w := n.lastWorkers
-	if w < 1 {
-		w = 1
-	}
-	return len(n.shards), w
+	return len(n.shards), n.workers
 }
 
 // Routing returns the routing function under simulation.
@@ -803,16 +795,9 @@ func (n *Network) audit() (inFlight int64, err error) {
 	for i := range n.nodeQ {
 		queued += int64(n.nodeQ[i].len())
 	}
+	// In-flight flits sit in the shards' wheel segments and, between
+	// cycles, in the not-yet-merged mailboxes.
 	var wheeled int64
-	for _, bucket := range n.wheel {
-		for _, ev := range bucket {
-			if ev.flit >= 0 {
-				wheeled++
-			}
-		}
-	}
-	// Sharded stepping keeps in-flight flits in per-shard wheel
-	// segments and, between cycles, in the not-yet-merged mailboxes.
 	for s := range n.shards {
 		sh := &n.shards[s]
 		for _, bucket := range sh.wheel {

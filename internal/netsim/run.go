@@ -78,9 +78,9 @@ func (n *Network) Run(warmup, measure, drainCap int64) RunResult {
 	if n.Cfg.CollectChanStats && n.chanCount == nil {
 		n.chanCount = make([]int64, n.T.NumSwitches()*(n.T.Radix()-n.T.P))
 	}
-	// Sharded networks step with a worker crew sized off the shared
-	// CPU-token budget for the duration of this Run (a no-op when
-	// sequential; see startEngine).
+	// The shards are stepped by a worker crew sized off the shared
+	// CPU-token budget for the duration of this Run (one worker — the
+	// calling goroutine — at one shard; see startEngine).
 	stop := n.startEngine()
 	defer stop()
 	for n.now < n.measEnd {
@@ -215,28 +215,32 @@ func (n *Network) RunConverged(warmup, window int64, relTol float64,
 	return res, maxWindows + 1
 }
 
-// step advances the simulation by one cycle: deliver, inject,
-// allocate. Multi-shard networks fan the deliver and allocate phases
-// out across shards (see shard.go); results are bit-identical either
-// way.
+// step advances the simulation by one cycle: the engine's fused
+// deliver → inject → allocate pass over the shards (shard.go), then
+// the ejection drain. There is one cycle loop for every shard and
+// worker count — a lone shard stepped by the calling goroutine is the
+// sequential case of it — and results are bit-identical across all of
+// them.
 func (n *Network) step() {
 	n.nowVC = int32(n.now % int64(n.numVCs))
 	n.nowSlot = int32(n.now % int64(n.wheelLen))
-	if len(n.shards) > 1 {
-		n.stepSharded()
-	} else {
-		n.stepSeq()
+	if n.Cfg.PhaseTiming {
+		n.phase.Cycles++
+		n.lapAt = time.Now()
 	}
+	n.engine.runCycle(n)
+	n.drainEject()
+	n.lap(&n.phase.EjectNS)
+	n.now++
 }
 
-// PhaseTimes is the accumulated wall-clock breakdown of the stepper's
-// phases across every cycle run with Config.PhaseTiming set. On the
-// sequential stepper ejection is inline in allocation (AllocateNS
-// includes it, EjectNS stays zero) and BarrierNS is zero; on the
-// engine-driven sharded stepper DeliverNS/AllocateNS count only the
-// coordinating goroutine's own shard work, and BarrierNS is the time
-// it spent waiting on the rest of the crew (the fused cycle has two
-// such waits: pre-inject and end-of-cycle).
+// PhaseTimes is the accumulated wall-clock breakdown of the cycle
+// loop's phases across every cycle stepped with Config.PhaseTiming
+// set, as seen by the coordinating goroutine: DeliverNS and AllocNS
+// are its own share of the shard work, InjectNS and EjectNS the two
+// sequential phases, and BarrierNS the time it spent waiting on the
+// rest of the crew (two waits a cycle: pre-inject and end-of-cycle;
+// zero when the crew is one worker).
 type PhaseTimes struct {
 	Cycles    int64
 	DeliverNS int64
@@ -254,66 +258,18 @@ func (n *Network) PhaseTimes() PhaseTimes { return n.phase }
 // probe window's breakdown is not diluted by ramp cycles).
 func (n *Network) ResetPhaseTimes() { n.phase = PhaseTimes{} }
 
-// stepSeq is the sequential stepper: one global timing wheel, inline
-// delivery and ejection.
-func (n *Network) stepSeq() {
-	if n.Cfg.PhaseTiming {
-		n.stepSeqTimed()
+// lap is the cycle loop's phase probe: it books the wall time since
+// the previous lap (step starts the clock) to *acc. With
+// Config.PhaseTiming off it does nothing, so the timed and untimed
+// cycle are the same calls in the same order and timing cannot change
+// results.
+func (n *Network) lap(acc *int64) {
+	if !n.Cfg.PhaseTiming {
 		return
 	}
-	n.deliverEvents()
-	n.inject()
-	n.allocateShard(0)
-	n.now++
-}
-
-// stepSeqTimed is stepSeq with the phase clock (same calls, same
-// order — timing can never change results).
-func (n *Network) stepSeqTimed() {
-	t0 := time.Now()
-	n.deliverEvents()
-	t1 := time.Now()
-	n.inject()
-	t2 := time.Now()
-	n.allocateShard(0)
-	t3 := time.Now()
-	ph := &n.phase
-	ph.Cycles++
-	ph.DeliverNS += t1.Sub(t0).Nanoseconds()
-	ph.InjectNS += t2.Sub(t1).Nanoseconds()
-	ph.AllocNS += t3.Sub(t2).Nanoseconds()
-	n.now++
-}
-
-// deliverEvents processes the timing-wheel bucket for this cycle:
-// flit arrivals into input buffers and credit returns. The slot is
-// reduced in 64-bit arithmetic: cycle counts past 2^31 would
-// overflow a 32-bit int before the modulo. Sequential stepper only,
-// so every router lives in the single shard 0.
-func (n *Network) deliverEvents() {
-	slot := int(n.nowSlot)
-	sh := &n.shards[0]
-	cb := n.creditWheel[slot]
-	n.drainCredits(sh, cb)
-	n.creditWheel[slot] = cb[:0]
-	bucket := n.wheel[slot]
-	if n.batchDrain && len(bucket) >= batchMin {
-		n.drainBatched(sh, bucket)
-	} else {
-		for i := range bucket {
-			ev := bucket[i]
-			if ev.flit >= 0 {
-				pi := int(ev.r)*n.ports + int(ev.port)
-				n.enqueue(sh, ev.r, int(ev.port), int(ev.vc), pi, pi*n.numVCs+int(ev.vc),
-					ev.flit, ev.hop, ev.rw)
-			} else {
-				// Interleaved credit of an in-flight reviser (see
-				// returnCredit).
-				n.credits[(int(ev.r)*n.nonTerm+int(ev.port)-n.T.P)*n.numVCs+int(ev.vc)]++
-			}
-		}
-	}
-	n.wheel[slot] = bucket[:0]
+	now := time.Now()
+	*acc += now.Sub(n.lapAt).Nanoseconds()
+	n.lapAt = now
 }
 
 // headEmpty marks an empty input buffer in the hop field of qMeta;
@@ -433,8 +389,8 @@ func (n *Network) headVal(sw int32, f int32) uint16 {
 
 // reviseSlot materializes the routing-boundary view of slot f around
 // a Revise call and writes the (possibly rewritten) route back into
-// the arena. Revisable flits only exist on the sequential stepper
-// (injectNode panics otherwise), so the shared scratch view is safe.
+// the arena. Revisable flits only exist at one shard (injectNode
+// panics otherwise), so the shared scratch view is safe.
 func (n *Network) reviseSlot(f int32, sw int32) {
 	fa := &n.fa
 	v := &n.scratch
@@ -455,23 +411,6 @@ func (n *Network) reviseSlot(f int32, sw int32) {
 	v.Route = nil
 }
 
-// schedule enqueues an event at now+delay. The timing wheel is sized
-// maxLat+2 at construction; a delay at or beyond the wheel length
-// would wrap and deliver the event too early, silently corrupting
-// timing, so any config path that raises a latency after New must be
-// rejected here.
-func (n *Network) schedule(delay int, ev event) {
-	if delay < 0 || delay >= len(n.wheel) {
-		panic(fmt.Sprintf("netsim: schedule delay %d outside timing wheel [0,%d); "+
-			"channel latencies must not change after New", delay, len(n.wheel)))
-	}
-	slot := int(n.nowSlot) + delay
-	if slot >= len(n.wheel) {
-		slot -= len(n.wheel)
-	}
-	n.wheel[slot] = append(n.wheel[slot], ev)
-}
-
 // inject generates new packets and moves source-queue heads into the
 // terminal input buffers of their switches, computing routes at that
 // moment from current queue state (the source-router decision).
@@ -483,7 +422,7 @@ func (n *Network) schedule(delay int, ev event) {
 // ascending id order — the exact trafficRNG/routeRNG draw order of
 // the full scan this replaces — making injection O(active) per cycle
 // instead of O(nodes). Injection always runs on the calling
-// goroutine, sequentially, in both stepper modes.
+// goroutine, sequentially, whatever the shard and worker count.
 func (n *Network) inject() {
 	due := n.genCal.pop(n.now)
 	active := n.srcActive
@@ -623,7 +562,7 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 		}
 		if v.Revisable && len(n.shards) > 1 {
 			panic("netsim: routing function declared RevisesInFlight()==false " +
-				"but produced a Revisable flit under the sharded stepper")
+				"but produced a Revisable flit on a multi-shard network")
 		}
 		fa.setRoute(f, v.Route)
 		flags := fa.rec[f].flags
@@ -753,10 +692,9 @@ func (n *Network) allocateShard(s int) {
 // cycle, one grant per input port per pass, one flit per output
 // channel per cycle, one ejection per terminal port per cycle,
 // credit-gated. It touches only the router's own state; everything
-// outbound goes through emit (sequential: straight onto the wheel;
-// sharded: into the destination shard's mailbox) or, for ejections,
-// the shard's ejection buffer — which is what makes the phase safe
-// to run concurrently across shards.
+// outbound goes through emit (into the destination shard's mailbox)
+// or, for ejections, the shard's ejection buffer — which is what
+// makes the phase safe to run concurrently across shards.
 //
 // The scan walks the occupancy masks: ports in rotated priority
 // order off portMask, then that port's non-empty VCs off vcMask,
@@ -840,11 +778,7 @@ func (n *Network) allocateRouter(swi int, sh *simShard) {
 						outUsed |= 1 << out
 						f, _ := n.dequeue(sh, int32(swi), port, vc, pBase+port, hBase+port*numVCs+vc)
 						n.returnCredit(sh, pBase+port, vc)
-						if sh.wheel == nil {
-							n.deliver(f)
-						} else {
-							sh.eject = append(sh.eject, f)
-						}
+						sh.eject = append(sh.eject, f)
 					} else {
 						outVC := int(head & 0xff)
 						ci := cBase + (out-termPorts)*numVCs + outVC
@@ -957,8 +891,8 @@ func (n *Network) returnCredit(sh *simShard, pi, vc int) {
 	if !n.fastCredits {
 		// An in-flight reviser (PAR) observes credit state from Revise
 		// mid-delivery, so its credits must stay interleaved with flit
-		// events in emission order on the shared wheel. Reverse channel
-		// has the same latency as the forward one.
+		// events in emission order on the wheel. Reverse channel has
+		// the same latency as the forward one.
 		up := n.inChan[pi]
 		oi := int(up.r)*n.nonTerm + int(up.port) - n.T.P
 		n.emit(sh, int(n.outLat[oi]), event{flit: -1, r: up.r, port: up.port, vc: int8(vc)})
@@ -969,8 +903,9 @@ func (n *Network) returnCredit(sh *simShard, pi, vc int) {
 	if slot >= int32(n.wheelLen) {
 		slot -= int32(n.wheelLen)
 	}
-	if sh.wheel == nil {
-		n.creditWheel[slot] = append(n.creditWheel[slot], ci)
+	if len(n.shards) == 1 {
+		// Lone shard: no mailbox hop (see emit).
+		sh.cwheel[slot] = append(sh.cwheel[slot], ci)
 		return
 	}
 	d := int(desc >> 48 & 0x7fff)

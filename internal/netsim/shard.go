@@ -5,17 +5,19 @@ import (
 	"math/bits"
 	"runtime"
 	"sync/atomic"
-	"time"
+	"unsafe"
 
 	"tugal/internal/exec"
 )
 
-// The sharded stepper is a conservative parallel discrete-event
-// engine. Channel latencies are at least one cycle, so everything a
-// router does in cycle t can only be observed elsewhere at t+1 or
-// later — the guaranteed lookahead that lets all routers of a cycle
-// be processed concurrently. Routers are partitioned into static
-// contiguous shards; each cycle runs as barrier-separated phases:
+// The cycle engine is a conservative parallel discrete-event engine,
+// and the only stepper: a network with one shard, stepped by the
+// calling goroutine alone, is its sequential case. Channel latencies
+// are at least one cycle, so everything a router does in cycle t can
+// only be observed elsewhere at t+1 or later — the guaranteed
+// lookahead that lets all routers of a cycle be processed
+// concurrently. Routers are partitioned into static contiguous shards;
+// each cycle runs as barrier-separated phases:
 //
 //	deliver  (parallel)   each shard merges last cycle's mailboxes
 //	                      into its wheel segment and drains this
@@ -27,18 +29,22 @@ import (
 //	                      goes into the mailbox of the destination
 //	                      router's shard; ejections buffer per shard
 //	eject    (sequential) per-shard ejection buffers drain in shard
-//	                      order, keeping the floating-point
+//	                      order, fixing the floating-point
 //	                      accumulation order of the statistics
 //
-// Determinism contract: results are bit-identical to the sequential
-// stepper for every shard and worker count. The sequential wheel
-// bucket for a delivery cycle is appended in (emission cycle,
-// ascending source router id) order, because allocate scans routers
-// in ascending order. Merging the per-(source, destination) mailboxes
-// in fixed ascending source-shard order each cycle reconstructs
-// exactly that order — shards are contiguous ascending id ranges —
-// so every input buffer receives its flits in the sequential order,
-// and all downstream arbitration decisions coincide.
+// Determinism contract: results are bit-identical for every shard and
+// worker count. Allocate scans routers in ascending order, so one
+// shard's mailbox holds a cycle's events in ascending source router
+// id; merging the per-(source, destination) mailboxes in fixed
+// ascending source-shard order each cycle therefore appends every
+// wheel bucket in (emission cycle, ascending source router id) order
+// whatever the partition — shards are contiguous ascending id ranges —
+// so every input buffer receives its flits in the same order, and all
+// downstream arbitration decisions coincide.
+// A lone shard is the degenerate case — one sender, one receiver, its
+// emission order already the merge order — so there emit and
+// returnCredit append straight to the shard's own wheel and the merge
+// finds its mailboxes empty: a property of the input, not an option.
 //
 // Everything exchanged between shards is an index: events carry flit
 // arena slots and ejection buffers hold slots, so mailbox traffic is
@@ -53,9 +59,7 @@ import (
 // bits instead of every router. ring is the shard's input-queue
 // arena: rbCap (power-of-two, see Network.qShift) int32 flit slots
 // for each of the shard's (router, port, vc) queues, at offset
-// (g-ringBase)<<qShift for global queue slot g. The remaining fields
-// are nil on single-shard networks (the sequential stepper uses the
-// global wheel and delivers ejections inline): wheel is the shard's
+// (g-ringBase)<<qShift for global queue slot g. wheel is the shard's
 // private timing-wheel segment, outbox[d] the mailbox of events this
 // shard emitted for shard d during the current allocate phase, and
 // eject the flit slots this shard ejected this cycle, in ascending
@@ -68,10 +72,10 @@ type simShard struct {
 	wheel    [][]event
 	outbox   [][]outEvent
 	// cwheel/coutbox are the credit-return counterparts of
-	// wheel/outbox: cwheel buckets hold bare credit indices, coutbox
-	// entries pack (wheel slot << 32 | credit index) into a uint64.
-	// Credit delivery is a commutative increment, so merge order
-	// needs no determinism guarantees.
+	// wheel/outbox (used when Network.fastCredits): cwheel buckets hold
+	// bare credit indices, coutbox entries pack (wheel slot << 32 |
+	// credit index) into a uint64. Credit delivery is a commutative
+	// increment, so merge order needs no determinism guarantees.
 	cwheel  [][]int32
 	coutbox [][]uint64
 	eject   []int32
@@ -95,10 +99,11 @@ type outEvent struct {
 }
 
 // buildShards resolves the effective shard count and partitions the
-// routers. Shards only engage when the routing function declares (via
-// InFlightReviser) that it never revises routes in flight; anything
-// else — including routing functions that predate the interface —
-// conservatively steps sequentially.
+// routers. More than one shard only engages when the routing function
+// declares (via InFlightReviser) that it never revises routes in
+// flight; anything else — including routing functions that predate the
+// interface — is conservatively forced to one shard. The engine that
+// steps the shards starts as a crew of one (see startEngine).
 func (n *Network) buildShards() {
 	sw := n.T.NumSwitches()
 	s := n.Cfg.Shards
@@ -126,14 +131,19 @@ func (n *Network) buildShards() {
 		sh.active = make([]uint64, (int(sh.hi-sh.lo)+63)/64)
 		sh.ringBase = sh.lo * int32(qPerSw)
 		sh.ring = make([]uint64, int(sh.hi-sh.lo)*qPerSw<<n.qShift*2)
+		sh.wheel = make([][]event, n.wheelLen)
+		sh.outbox = make([][]outEvent, count)
+		sh.cwheel = make([][]int32, n.wheelLen)
+		sh.coutbox = make([][]uint64, count)
+		// A lone shard's buckets grow by doubling instead: its
+		// worst-case reserve is the whole network's, most of it never
+		// touched at the loads a one-shard run is chosen for.
 		if count > 1 {
-			sh.wheel = make([][]event, n.wheelLen)
-			sh.outbox = make([][]outEvent, count)
-			sh.cwheel = make([][]int32, n.wheelLen)
-			sh.coutbox = make([][]uint64, count)
 			n.seedShardBuffers(sh, count)
 		}
 	}
+	n.engine = newShardEngine(1)
+	n.workers = 1
 }
 
 // seedShardBuffers pre-sizes a shard's wheel buckets and mailboxes to
@@ -150,16 +160,16 @@ func (n *Network) buildShards() {
 //     may address the same destination shard.
 //
 // The full reserve across shards is O(switches·radix·(wheelLen +
-// shards)) — ~13MB on the largest benchmarked case — and is skipped
+// shards)) — 17MB at two shards and 25MB at eight on the largest
+// benchmarked case (sw702) — and is skipped
 // (growth falls back to amortized doubling, steady allocations stay
 // near but not exactly zero) when it would exceed a sanity budget.
 func (n *Network) seedShardBuffers(sh *simShard, count int) {
-	chans := int(sh.hi-sh.lo) * n.nonTerm
-	su := n.Cfg.SpeedUp
-	total := n.wheelLen*chans*(16+4*su) + count*chans*(24+8*su)
-	if total > shardSeedBudget {
+	if n.shardSeedBytes(sh, count) > shardSeedBudget {
 		return
 	}
+	chans := int(sh.hi-sh.lo) * n.nonTerm
+	su := n.Cfg.SpeedUp
 	for i := range sh.wheel {
 		sh.wheel[i] = make([]event, 0, chans)
 		sh.cwheel[i] = make([]int32, 0, chans*su)
@@ -168,6 +178,16 @@ func (n *Network) seedShardBuffers(sh *simShard, count int) {
 		sh.outbox[i] = make([]outEvent, 0, chans)
 		sh.coutbox[i] = make([]uint64, 0, chans*su)
 	}
+}
+
+// shardSeedBytes is the size of the reserve seedShardBuffers makes for
+// one shard of a count-shard network.
+func (n *Network) shardSeedBytes(sh *simShard, count int) int {
+	chans := int(sh.hi-sh.lo) * n.nonTerm
+	su := n.Cfg.SpeedUp
+	perSlot := int(unsafe.Sizeof(event{})) + su*int(unsafe.Sizeof(int32(0)))
+	perBox := int(unsafe.Sizeof(outEvent{})) + su*int(unsafe.Sizeof(uint64(0)))
+	return chans * (n.wheelLen*perSlot + count*perBox)
 }
 
 // shardSeedBudget caps the per-shard pre-reserve of seedShardBuffers.
@@ -191,65 +211,13 @@ func (n *Network) clearActive(id int32) {
 	sh.active[i>>6] &^= 1 << (i & 63)
 }
 
-// stepSharded is one cycle of the multi-shard stepper. The
-// deliver→inject→allocate sequence fans out over the engine's workers
-// when the current Run holds more than one, and runs inline (still
-// through the mailbox machinery, so results are identical) otherwise.
-func (n *Network) stepSharded() {
-	if n.Cfg.PhaseTiming {
-		n.stepShardedTimed()
-		return
-	}
-	if e := n.engine; e != nil && n.lastWorkers > 1 {
-		e.runCycle(n)
-	} else {
-		for s := range n.shards {
-			n.shardDeliver(s)
-		}
-		n.inject()
-		for s := range n.shards {
-			n.allocateShard(s)
-		}
-	}
-	n.drainEject()
-	n.now++
-}
-
-// stepShardedTimed is stepSharded with the phase clock.
-func (n *Network) stepShardedTimed() {
-	if e := n.engine; e != nil && n.lastWorkers > 1 {
-		e.runCycleTimed(n)
-	} else {
-		t0 := time.Now()
-		for s := range n.shards {
-			n.shardDeliver(s)
-		}
-		t1 := time.Now()
-		n.inject()
-		t2 := time.Now()
-		for s := range n.shards {
-			n.allocateShard(s)
-		}
-		t3 := time.Now()
-		ph := &n.phase
-		ph.DeliverNS += t1.Sub(t0).Nanoseconds()
-		ph.InjectNS += t2.Sub(t1).Nanoseconds()
-		ph.AllocNS += t3.Sub(t2).Nanoseconds()
-	}
-	t3 := time.Now()
-	n.drainEject()
-	n.phase.EjectNS += time.Since(t3).Nanoseconds()
-	n.phase.Cycles++
-	n.now++
-}
-
 // drainEject drains the per-shard ejection buffers in shard order =
-// ascending router order: the exact order the sequential allocator
-// calls deliver in, so the Welford/histogram floating-point
-// accumulation (and arena free-list order) match bit for bit. Nothing
-// reads delivery statistics or the free list between allocation and
-// here, so deferring the calls past the allocate barrier cannot
-// change any result.
+// ascending router order, whatever the partition: this is the one
+// place the Welford/histogram floating-point accumulation order (and
+// the arena free-list order) is defined. Nothing reads delivery
+// statistics or the free list between allocation and here, so
+// deferring the deliver calls past the allocate barrier is not
+// observable.
 func (n *Network) drainEject() {
 	for s := range n.shards {
 		sh := &n.shards[s]
@@ -293,42 +261,60 @@ func (n *Network) shardDeliver(s int) {
 	} else {
 		for i := range bucket {
 			ev := bucket[i]
-			pi := int(ev.r)*n.ports + int(ev.port)
-			n.enqueue(sh, ev.r, int(ev.port), int(ev.vc), pi, pi*n.numVCs+int(ev.vc),
-				ev.flit, ev.hop, ev.rw)
+			if ev.flit >= 0 {
+				pi := int(ev.r)*n.ports + int(ev.port)
+				n.enqueue(sh, ev.r, int(ev.port), int(ev.vc), pi, pi*n.numVCs+int(ev.vc),
+					ev.flit, ev.hop, ev.rw)
+			} else {
+				// Interleaved credit of an in-flight reviser (see
+				// returnCredit).
+				n.credits[(int(ev.r)*n.nonTerm+int(ev.port)-n.T.P)*n.numVCs+int(ev.vc)]++
+			}
 		}
 	}
 	sh.wheel[slot] = bucket[:0]
 }
 
-// emit routes an event produced by shard sh during allocation: the
-// sequential stepper schedules it on the global wheel directly, the
-// sharded stepper appends it to the mailbox of the destination
-// router's shard, tagged with its delivery slot.
+// emit routes an event produced by shard sh during allocation into the
+// mailbox of the destination router's shard, tagged with its delivery
+// slot now+delay (or, on a one-shard network, straight onto the
+// shard's own wheel). The wheel is sized maxLat+2 at construction; a
+// delay at or beyond its length would wrap and deliver the event too
+// early, silently corrupting timing, so any config path that raises a
+// latency after New is rejected here.
 func (n *Network) emit(sh *simShard, delay int, ev event) {
-	if sh.wheel == nil {
-		n.schedule(delay, ev)
-		return
-	}
 	if delay < 0 || delay >= n.wheelLen {
-		panic(fmt.Sprintf("netsim: schedule delay %d outside timing wheel [0,%d); "+
+		panic(fmt.Sprintf("netsim: emit delay %d outside timing wheel [0,%d); "+
 			"channel latencies must not change after New", delay, n.wheelLen))
 	}
 	slot := n.nowSlot + int32(delay)
 	if slot >= int32(n.wheelLen) {
 		slot -= int32(n.wheelLen)
 	}
+	if len(n.shards) == 1 {
+		// A lone shard is its own only sender, so its emission order
+		// already is the merge order: append to the wheel directly and
+		// save the mailbox hop (measured at ≈6% of a sw702 cycle).
+		sh.wheel[slot] = append(sh.wheel[slot], ev)
+		return
+	}
 	d := ev.r / n.shardSize
 	sh.outbox[d] = append(sh.outbox[d], outEvent{ev: ev, slot: slot})
 }
 
-// shardEngine is the persistent worker crew of one Network. Workers
-// park on the wake channel between cycles and run the whole fused
-// deliver→(inject gate)→allocate sequence per wake: one channel send
-// releases a worker for the cycle and one buffered completion send
-// joins it, so a cycle costs 2·(workers-1) channel operations where
-// the per-phase engine this replaced paid 4·(workers-1). The
-// mid-cycle barrier pair — "all shards delivered" before the
+// shardEngine is the persistent worker crew of one Network: the
+// calling goroutine plus crew-1 parked workers. A Run steps with
+// n.workers of them (at most the crew). With one worker — every
+// one-shard network, and any Run the CPU-token budget grants no extra
+// worker — nobody is woken and nobody is waited for: runCycle is then
+// a plain deliver → inject → allocate loop on the calling goroutine,
+// with no goroutine, channel operation or barrier wait in it.
+//
+// Workers park on the wake channel between cycles and run the whole
+// fused deliver→(inject gate)→allocate sequence per wake: one channel
+// send releases a worker for the cycle and one buffered completion
+// send joins it, so a cycle costs 2·(workers-1) channel operations.
+// The mid-cycle barrier pair — "all shards delivered" before the
 // sequential inject, "inject done" before any allocate claim — is a
 // pair of atomics the parties poll with runtime.Gosched, which on a
 // loaded host deschedules as cleanly as a channel park without the
@@ -341,8 +327,8 @@ func (n *Network) emit(sh *simShard, delay int, ev event) {
 // arrives through the wake channel each cycle — and teardown is wired
 // to the Network's reclamation with runtime.AddCleanup, which the
 // worker's engine-only reference cannot block. stop is idempotent so
-// an explicit rebuild (worker count changed) and the cleanup can race
-// harmlessly.
+// an explicit rebuild (a Run needs a larger crew) and the cleanup can
+// race harmlessly.
 //
 // Memory ordering: all cross-worker handoffs are through channel
 // operations or sync/atomic (sequentially consistent), so every write
@@ -350,9 +336,9 @@ func (n *Network) emit(sh *simShard, delay int, ev event) {
 // visible to allocate, and every allocate write is visible to the
 // eject drain — the barriers the determinism argument needs.
 type shardEngine struct {
-	workers int
-	// cycle counts runCycle calls; workers mirror it locally (one wake
-	// = one cycle) and use it to gate on injDone.
+	crew int
+	// cycle counts runCycle calls; it is written before the wake sends,
+	// so a woken worker reads it race-free to gate on injDone.
 	cycle int64
 	// nextD/nextA are the deliver- and allocate-phase shard claim
 	// counters; both are reset before workers wake, so the fused pass
@@ -368,17 +354,16 @@ type shardEngine struct {
 	done      chan struct{}
 }
 
-func newShardEngine(workers int) *shardEngine {
+func newShardEngine(crew int) *shardEngine {
 	e := &shardEngine{
-		workers: workers,
-		wake:    make(chan *Network),
-		done:    make(chan struct{}, workers-1),
+		crew: crew,
+		wake: make(chan *Network),
+		done: make(chan struct{}, crew-1),
 	}
-	for i := 1; i < workers; i++ {
+	for i := 1; i < crew; i++ {
 		go func() {
-			var cycle int64
 			for n := range e.wake {
-				cycle++
+				cycle := e.cycle
 				e.deliverPass(n)
 				for e.injDone.Load() < cycle {
 					runtime.Gosched()
@@ -392,60 +377,39 @@ func newShardEngine(workers int) *shardEngine {
 }
 
 // runCycle executes one fused deliver→inject→allocate cycle across
-// the crew, the caller participating as worker zero.
+// n.workers of the crew, the caller participating as worker zero. The
+// n.lap calls are the phase probe (no-ops unless Config.PhaseTiming):
+// the caller's own deliver and allocate shard work, the sequential
+// inject, and — only when there is someone to wait for — the two crew
+// waits as BarrierNS.
 func (e *shardEngine) runCycle(n *Network) {
+	w := n.workers
 	e.cycle++
 	e.nextD.Store(0)
 	e.nextA.Store(0)
 	e.delivered.Store(0)
-	for i := 1; i < e.workers; i++ {
+	for i := 1; i < w; i++ {
 		e.wake <- n
 	}
 	e.deliverPass(n)
-	for e.delivered.Load() < int32(e.workers) {
-		runtime.Gosched()
+	n.lap(&n.phase.DeliverNS)
+	if w > 1 {
+		for e.delivered.Load() < int32(w) {
+			runtime.Gosched()
+		}
+		n.lap(&n.phase.BarrierNS)
 	}
 	n.inject()
+	n.lap(&n.phase.InjectNS)
 	e.injDone.Store(e.cycle)
 	e.allocatePass(n)
-	for i := 1; i < e.workers; i++ {
-		<-e.done
+	n.lap(&n.phase.AllocNS)
+	if w > 1 {
+		for i := 1; i < w; i++ {
+			<-e.done
+		}
+		n.lap(&n.phase.BarrierNS)
 	}
-}
-
-// runCycleTimed is runCycle with the phase clock, from the
-// coordinating goroutine's perspective: its own deliver/allocate shard
-// work, the sequential inject, and the two crew waits (pre-inject and
-// end-of-cycle) as BarrierNS.
-func (e *shardEngine) runCycleTimed(n *Network) {
-	e.cycle++
-	e.nextD.Store(0)
-	e.nextA.Store(0)
-	e.delivered.Store(0)
-	t0 := time.Now()
-	for i := 1; i < e.workers; i++ {
-		e.wake <- n
-	}
-	e.deliverPass(n)
-	t1 := time.Now()
-	for e.delivered.Load() < int32(e.workers) {
-		runtime.Gosched()
-	}
-	t2 := time.Now()
-	n.inject()
-	t3 := time.Now()
-	e.injDone.Store(e.cycle)
-	e.allocatePass(n)
-	t4 := time.Now()
-	for i := 1; i < e.workers; i++ {
-		<-e.done
-	}
-	t5 := time.Now()
-	ph := &n.phase
-	ph.DeliverNS += t1.Sub(t0).Nanoseconds()
-	ph.InjectNS += t3.Sub(t2).Nanoseconds()
-	ph.AllocNS += t4.Sub(t3).Nanoseconds()
-	ph.BarrierNS += t2.Sub(t1).Nanoseconds() + t5.Sub(t4).Nanoseconds()
 }
 
 // deliverPass claims deliver-phase shards until none remain, then
@@ -486,14 +450,11 @@ func (e *shardEngine) stop() {
 // enclosing pool task already accounts for) plus one worker per
 // acquired token — so a sharded simulation inside a saturated fan-out
 // gets zero extra workers instead of oversubscribing, and the tokens
-// return to the budget when the Run finishes. The crew itself outlives
-// the Run: it is rebuilt only when the resolved worker count changes,
-// and reaped with the Network (see shardEngine).
+// return to the budget when the Run finishes. A one-shard network asks
+// for nothing. The engine itself outlives the Run: it is rebuilt only
+// when a Run needs more workers than it has, and reaped with the
+// Network (see shardEngine).
 func (n *Network) startEngine() func() {
-	n.lastWorkers = 1
-	if len(n.shards) <= 1 {
-		return func() {}
-	}
 	workers := n.Cfg.ShardWorkers
 	tokens := 0
 	if workers <= 0 {
@@ -502,11 +463,9 @@ func (n *Network) startEngine() func() {
 	} else if workers > len(n.shards) {
 		workers = len(n.shards)
 	}
-	n.lastWorkers = workers
-	if workers > 1 && (n.engine == nil || n.engine.workers != workers) {
-		if n.engine != nil {
-			n.engine.stop()
-		}
+	n.workers = workers
+	if workers > n.engine.crew {
+		n.engine.stop()
 		e := newShardEngine(workers)
 		n.engine = e
 		runtime.AddCleanup(n, func(e *shardEngine) { e.stop() }, e)
@@ -531,12 +490,11 @@ var releaseNothing = func() {}
 // inter-arrival gap lands — live in a small power-of-two wheel
 // indexed by cycle; the long tail spills into a map. Buckets are
 // recycled through a free list. pop must be called once per cycle
-// with strictly increasing t (the steppers do): the wheel slot is
+// with strictly increasing t (inject does): the wheel slot is
 // reclaimed on pop, which is what keeps slot collisions impossible.
 //
 // A popped bucket is handed out in ascending node id order (the
-// injection RNG draw order the sequential and sharded steppers both
-// rely on). Instead of sorting, pop drains the bucket through a
+// injection RNG draw order every shard count relies on). Instead of sorting, pop drains the bucket through a
 // node-indexed scratch bitmap: setting one bit per due node and
 // scanning the words in order is O(nodes/64 + due) per cycle, beats
 // comparison sorting at every realistic bucket size, and yields the

@@ -17,8 +17,9 @@ import (
 // latency mean and histogram quantiles, hop and VLB statistics,
 // channel utilization — is bit-identical for any shard count and any
 // worker count, across the same schemes and patterns the worker-pool
-// determinism suite pins. Shard counts cover 1 (the sequential
-// stepper), even splits, and more shards than fit evenly; workers are
+// determinism suite pins. Shard counts cover 1 (every router in one
+// shard, stepped by the calling goroutine alone), even splits, and
+// more shards than fit evenly; workers are
 // forced to the shard count so `go test -race` drives true
 // multi-goroutine phases regardless of the CPU-token budget.
 
@@ -70,13 +71,13 @@ func requireIdentical(t *testing.T, want, got netsim.RunResult, label string) {
 	wc, gc := want.Channels, got.Channels
 	want.Channels, got.Channels = nil, nil
 	if want != got {
-		t.Fatalf("%s: RunResult diverged:\nseq: %+v\ngot: %+v", label, want, got)
+		t.Fatalf("%s: RunResult diverged:\n1-shard: %+v\ngot: %+v", label, want, got)
 	}
 	if (wc == nil) != (gc == nil) {
 		t.Fatalf("%s: Channels presence diverged: %v vs %v", label, wc, gc)
 	}
 	if wc != nil && !reflect.DeepEqual(*wc, *gc) {
-		t.Fatalf("%s: Channels diverged:\nseq: %+v\ngot: %+v", label, *wc, *gc)
+		t.Fatalf("%s: Channels diverged:\n1-shard: %+v\ngot: %+v", label, *wc, *gc)
 	}
 }
 
@@ -123,8 +124,8 @@ func TestShardDeterminismWormhole(t *testing.T) {
 }
 
 // TestShardWarmNetwork pins repeated Run calls (the RunConverged
-// mechanism) to identical results in both stepper modes: statistics
-// reset per call, cycle counts accumulate.
+// mechanism) to identical results at one and several shards:
+// statistics reset per call, cycle counts accumulate.
 func TestShardWarmNetwork(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	cfg := netsim.DefaultConfig()
@@ -142,23 +143,30 @@ func TestShardWarmNetwork(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		got, w := run(shards)
 		if w != refW {
-			t.Fatalf("shards=%d: window count %d != sequential %d", shards, w, refW)
+			t.Fatalf("shards=%d: window count %d != one-shard %d", shards, w, refW)
 		}
 		requireIdentical(t, ref, got, fmt.Sprintf("warm/shards=%d", shards))
 	}
 }
 
-// TestPARFallsBackSequential pins the conservative gate: PAR revises
-// routes in flight, so a sharded config must silently downgrade to
-// one shard rather than race on routeRNG.
-func TestPARFallsBackSequential(t *testing.T) {
+// TestPARResolvesToOneShard pins the conservative gate: PAR revises
+// routes in flight, so a sharded config must silently resolve to one
+// shard — and one worker — rather than race on routeRNG.
+func TestPARResolvesToOneShard(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	cfg := netsim.DefaultConfig()
 	cfg.NumVCs = 5
 	cfg.Shards = 4
+	cfg.ShardWorkers = 4
 	n := netsim.New(tp, cfg, routing.NewPAR(tp, paths.Full{T: tp}), traffic.Uniform{T: tp}, 0.1)
 	if got := n.Shards(); got != 1 {
-		t.Fatalf("PAR network built %d shards, want 1 (sequential fallback)", got)
+		t.Fatalf("PAR network built %d shards, want 1", got)
+	}
+	if res := n.Run(200, 200, 500); res.Measured == 0 {
+		t.Fatal("PAR run measured no packets")
+	}
+	if shards, workers := n.ShardStats(); shards != 1 || workers != 1 {
+		t.Fatalf("PAR network stepped %d shards with %d workers, want 1/1", shards, workers)
 	}
 	// And an eligible scheme on the same config does shard.
 	n2 := netsim.New(tp, cfg, routing.NewUGALL(tp, paths.Full{T: tp}), traffic.Uniform{T: tp}, 0.1)

@@ -189,7 +189,7 @@ func (u *UGAL) CloneRouting() netsim.RoutingFunc {
 // RevisesInFlight implements netsim.InFlightReviser: only PAR
 // (Progressive) marks flits Revisable and rewrites routes at
 // head-of-buffer time; every other mode decides the full route at the
-// source and is therefore eligible for the sharded stepper.
+// source and is therefore eligible for more than one shard.
 func (u *UGAL) RevisesInFlight() bool { return u.Mode == Progressive }
 
 // Name implements netsim.RoutingFunc.

@@ -70,10 +70,10 @@ type Experiment struct {
 	GlobalLatency int       `json:"globalLatency"`
 	Speedup       int       `json:"speedup"`
 	PacketSize    int       `json:"packetSize"`
-	// Shards selects the simulator's intra-run sharded stepper
-	// (0/1 = sequential; see netsim.Config.Shards). Results are
-	// bit-identical for any value; schemes that revise routes in
-	// flight (PAR) fall back to sequential automatically.
+	// Shards is the simulator's intra-run shard count (0/1 = one
+	// shard; see netsim.Config.Shards). Results are bit-identical for
+	// any value; schemes that revise routes in flight (PAR) resolve
+	// to one shard automatically.
 	Shards int `json:"shards"`
 }
 
