@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"tugal/internal/flow"
@@ -263,26 +264,9 @@ func rebalanceInterpreted(net *flow.Network, pol paths.Policy, opt LBOptions) (*
 
 	// Global adjustment: links whose expected usage across all pairs
 	// is significantly above the mean shed their longest paths.
-	used := 0
-	gmean := 0.0
-	for _, u := range globalUse {
-		if u > 0 {
-			used++
-			gmean += u
-		}
-	}
-	if used == 0 {
-		return out, rep
-	}
-	gmean /= float64(used)
-	hotGlobal := make(map[flow.Edge]bool)
-	for e, u := range globalUse {
-		if u > opt.Tol*gmean {
-			hotGlobal[flow.Edge(e)] = true
-		}
-	}
-	rep.GlobalHotLinks = len(hotGlobal)
-	if len(hotGlobal) == 0 {
+	hotGlobal, nHot := hotLinks(globalUse, opt.Tol)
+	rep.GlobalHotLinks = nHot
+	if nHot == 0 {
 		return out, rep
 	}
 	for _, pr := range pairs {
@@ -321,59 +305,149 @@ func rebalanceInterpreted(net *flow.Network, pol paths.Policy, opt LBOptions) (*
 	return out, rep
 }
 
-// rebalanceStore is the compiled-form adjustment: the same two-level
-// algorithm, but path sets are contiguous PathID ranges, the removal
-// set is a []bool indexed by PathID, and the result is a compacted
-// Store. Decision order mirrors rebalanceInterpreted exactly.
+// hotLinks marks the links whose expected usage across all pairs is
+// more than tol times the mean over used links, and counts them.
+func hotLinks(globalUse []float64, tol float64) ([]bool, int) {
+	hot := make([]bool, len(globalUse))
+	used, n := 0, 0
+	gmean := 0.0
+	for _, u := range globalUse {
+		if u > 0 {
+			used++
+			gmean += u
+		}
+	}
+	if used == 0 {
+		return hot, 0
+	}
+	gmean /= float64(used)
+	for e, u := range globalUse {
+		if u > tol*gmean {
+			hot[e] = true
+			n++
+		}
+	}
+	return hot, n
+}
+
+// pairScratch holds the live paths of one pair in flat arrays reused
+// from pair to pair, so the compiled adjustment allocates per growth,
+// not per path: PathIDs, hop counts, each path's hop count and ports
+// packed into one word (from one source switch the ports identify the
+// path, so equal words are the duplicate PathIDs of one concrete path,
+// see Store.EqualIDs), its edges at stride MaxVLBHops, and the removal
+// order.
+type pairScratch struct {
+	ids   []paths.PathID
+	hops  []uint8
+	words []uint64
+	edges []flow.Edge
+	order []int32
+}
+
+// load fills the scratch with the paths of pair (s, d) not marked in
+// drop, in store order, and returns how many there are.
+func (ps *pairScratch) load(net *flow.Network, st *paths.Store, s, d int, drop []bool) int {
+	first, count := st.PairRange(s, d)
+	if cap(ps.ids) < count {
+		c := max(count, 2*cap(ps.ids))
+		ps.ids, ps.hops, ps.words = make([]paths.PathID, c), make([]uint8, c), make([]uint64, c)
+		ps.edges, ps.order = make([]flow.Edge, c*paths.MaxVLBHops), make([]int32, c)
+	}
+	ps.ids, ps.hops, ps.words = ps.ids[:count], ps.hops[:count], ps.words[:count]
+	peer := net.T.PeerDense()
+	n := 0
+	for id := first; id < first+paths.PathID(count); id++ {
+		if drop[id] {
+			continue
+		}
+		ports := st.Ports(id)
+		word := uint64(len(ports)) << 48
+		cur := s
+		for h, pt := range ports {
+			e := net.EdgeOf(cur, int(pt))
+			ps.edges[n*paths.MaxVLBHops+h] = e
+			word |= uint64(uint8(pt)) << (8 * h)
+			cur = int(peer[e])
+		}
+		ps.ids[n], ps.hops[n], ps.words[n] = id, uint8(len(ports)), word
+		n++
+	}
+	ps.ids, ps.hops, ps.words = ps.ids[:n], ps.hops[:n], ps.words[:n]
+	return n
+}
+
+// edgesOf returns the switch-to-switch edges of loaded path k.
+func (ps *pairScratch) edgesOf(k int) []flow.Edge {
+	return ps.edges[k*paths.MaxVLBHops:][:ps.hops[k]]
+}
+
+// longestFirst orders the loaded paths by hop count, longest first
+// and in store order within a length: a stable counting sort.
+func (ps *pairScratch) longestFirst() []int32 {
+	var at [paths.MaxVLBHops + 2]int32
+	for _, h := range ps.hops {
+		at[paths.MaxVLBHops-int(h)+1]++
+	}
+	for b := 1; b < len(at); b++ {
+		at[b] += at[b-1]
+	}
+	order := ps.order[:len(ps.hops)]
+	for k, h := range ps.hops {
+		b := paths.MaxVLBHops - int(h)
+		order[at[b]] = int32(k)
+		at[b]++
+	}
+	return order
+}
+
+// remove marks loaded path k and every copy of it in drop, mirroring
+// the interpreted branch's key-based removal: removing a path removes
+// every PathID it holds under the pair.
+func (ps *pairScratch) remove(drop []bool, k int32) {
+	for j, w := range ps.words {
+		if w == ps.words[k] {
+			drop[ps.ids[j]] = true
+		}
+	}
+}
+
+// rebalanceStore is the adjustment of a whole compiled policy: the
+// result is a compacted Store.
 func rebalanceStore(net *flow.Network, st *paths.Store, opt LBOptions) (*paths.Store, BalanceReport) {
-	t := net.T
+	removed, rep := rebalance(net, st, nil, opt)
+	return st.Without(removed), rep
+}
+
+// rebalance is the compiled-form adjustment of the paths of st not
+// marked in drop (nil: all of them) — a candidate of Step 2 is a drop
+// mask over Step 1's store and is never copied out before it has been
+// adjusted. It is the same two-level algorithm as rebalanceInterpreted
+// with the same decision order, but a pair's path set is a PathID range
+// loaded into flat scratch and the removal set is drop itself, indexed
+// by PathID: the paths removed are marked in it and it is returned.
+func rebalance(net *flow.Network, st *paths.Store, drop []bool, opt LBOptions) ([]bool, BalanceReport) {
+	if drop == nil {
+		drop = make([]bool, st.NumPaths())
+	}
 	rep := BalanceReport{}
-	pairs := analyzePairs(t, opt)
+	pairs := analyzePairs(net.T, opt)
 	rep.PairsAnalyzed = len(pairs)
 
-	removed := make([]bool, st.NumPaths())
 	globalUse := make([]float64, net.NumEdges)
 	use := newUseScratch(net.NumEdges)
-	var buf paths.Path
-
-	// markRemoved mirrors the interpreted branch's key-based removal:
-	// the VLB enumeration can hold duplicate concrete paths under one
-	// pair (see Store.EqualIDs), and removing a path removes every
-	// copy of it from the set.
-	markRemoved := func(first paths.PathID, count int, id paths.PathID) {
-		removed[id] = true
-		for j := 0; j < count; j++ {
-			jd := first + paths.PathID(j)
-			if jd != id && !removed[jd] && st.EqualIDs(id, jd) {
-				removed[jd] = true
-			}
-		}
-	}
-
-	// edgesAt returns a path's switch-to-switch edges via the scratch
-	// materialization buffer.
-	edgesAt := func(s int, id paths.PathID, dst []flow.Edge) []flow.Edge {
-		st.MaterializeInto(s, id, &buf)
-		dst = dst[:0]
-		for h, pt := range buf.Ports {
-			dst = append(dst, net.EdgeOf(int(buf.Sw[h]), int(pt)))
-		}
-		return dst
-	}
+	var ps pairScratch
 
 	for _, pr := range pairs {
-		s, d := int(pr[0]), int(pr[1])
-		first, count := st.PairRange(s, d)
+		count := ps.load(net, st, int(pr[0]), int(pr[1]), drop)
 		if count == 0 {
 			continue
 		}
 		rep.PathsConsidered += count
 		// Per-pair usage counts over switch-to-switch edges.
 		use.reset()
-		edgesOf := make([][]flow.Edge, count)
-		for i := 0; i < count; i++ {
-			edgesOf[i] = edgesAt(s, first+paths.PathID(i), nil)
-			for _, e := range edgesOf[i] {
+		for k := range ps.ids {
+			for _, e := range ps.edgesOf(k) {
 				use.inc(e)
 			}
 		}
@@ -383,50 +457,30 @@ func rebalanceStore(net *flow.Network, st *paths.Store, opt LBOptions) (*paths.S
 		budget := int(opt.MaxRemoveFrac * float64(count))
 		removedHere := 0
 		hot := func(e flow.Edge) bool { return use.w[e] > opt.Tol*mean && use.w[e] > 1 }
-		anyHot := false
-		for _, e := range use.touched {
-			if hot(e) {
-				anyHot = true
-				break
-			}
-		}
-		if anyHot {
+		if slices.ContainsFunc(use.touched, hot) {
 			rep.LocalHotPairs++
-			order := make([]int, count)
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(a, b int) bool {
-				return st.Hops(first+paths.PathID(order[a])) > st.Hops(first+paths.PathID(order[b]))
-			})
-			for _, i := range order {
+			for _, k := range ps.longestFirst() {
 				if removedHere >= budget {
 					break
 				}
-				crossesHot := false
-				for _, e := range edgesOf[i] {
-					if hot(e) {
-						crossesHot = true
-						break
-					}
-				}
-				if !crossesHot {
+				edges := ps.edgesOf(int(k))
+				if !slices.ContainsFunc(edges, hot) {
 					continue
 				}
-				markRemoved(first, count, first+paths.PathID(i))
+				ps.remove(drop, k)
 				removedHere++
 				rep.LocalRemoved++
-				for _, e := range edgesOf[i] {
+				for _, e := range edges {
 					use.w[e]--
 				}
 			}
 		}
 		// Accumulate surviving usage into the global picture.
-		for i := 0; i < count; i++ {
-			if removed[first+paths.PathID(i)] {
+		for k, id := range ps.ids {
+			if drop[id] {
 				continue
 			}
-			for _, e := range edgesOf[i] {
+			for _, e := range ps.edgesOf(k) {
 				globalUse[e] += w
 			}
 		}
@@ -434,69 +488,30 @@ func rebalanceStore(net *flow.Network, st *paths.Store, opt LBOptions) (*paths.S
 
 	// Global adjustment: links whose expected usage across all pairs
 	// is significantly above the mean shed their longest paths.
-	used := 0
-	gmean := 0.0
-	for _, u := range globalUse {
-		if u > 0 {
-			used++
-			gmean += u
-		}
+	hotGlobal, nHot := hotLinks(globalUse, opt.Tol)
+	rep.GlobalHotLinks = nHot
+	if nHot == 0 {
+		return drop, rep
 	}
-	if used == 0 {
-		return st.Without(removed), rep
-	}
-	gmean /= float64(used)
-	hotGlobal := make(map[flow.Edge]bool)
-	for e, u := range globalUse {
-		if u > opt.Tol*gmean {
-			hotGlobal[flow.Edge(e)] = true
-		}
-	}
-	rep.GlobalHotLinks = len(hotGlobal)
-	if len(hotGlobal) == 0 {
-		return st.Without(removed), rep
-	}
-	var scratch []flow.Edge
+	crosses := func(e flow.Edge) bool { return hotGlobal[e] }
 	for _, pr := range pairs {
-		s, d := int(pr[0]), int(pr[1])
-		first, count := st.PairRange(s, d)
-		// Surviving PathIDs of the pair, in enumeration order.
-		var ids []paths.PathID
-		for i := 0; i < count; i++ {
-			if !removed[first+paths.PathID(i)] {
-				ids = append(ids, first+paths.PathID(i))
-			}
-		}
-		if len(ids) <= 1 {
+		// Surviving paths of the pair, in enumeration order.
+		count := ps.load(net, st, int(pr[0]), int(pr[1]), drop)
+		if count <= 1 {
 			continue
 		}
-		budget := int(opt.MaxRemoveFrac * float64(len(ids)))
-		order := make([]int, len(ids))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return st.Hops(ids[order[a]]) > st.Hops(ids[order[b]])
-		})
+		budget := int(opt.MaxRemoveFrac * float64(count))
 		removedHere := 0
-		for _, i := range order {
-			if removedHere >= budget || len(ids)-removedHere <= 1 {
+		for _, k := range ps.longestFirst() {
+			if removedHere >= budget || count-removedHere <= 1 {
 				break
 			}
-			scratch = edgesAt(s, ids[i], scratch)
-			crosses := false
-			for _, e := range scratch {
-				if hotGlobal[e] {
-					crosses = true
-					break
-				}
-			}
-			if crosses {
-				markRemoved(first, count, ids[i])
+			if slices.ContainsFunc(ps.edgesOf(int(k)), crosses) {
+				ps.remove(drop, k)
 				removedHere++
 				rep.GlobalRemoved++
 			}
 		}
 	}
-	return st.Without(removed), rep
+	return drop, rep
 }

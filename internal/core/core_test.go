@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -187,30 +189,45 @@ func TestRebalanceDisabled(t *testing.T) {
 
 // TestRebalanceStoreMatchesInterpreted proves the PathID-based
 // adjustment makes the same removal decisions as the map-based
-// fallback: identical reports and identical surviving sets.
+// fallback: identical reports and identical surviving sets, from the
+// policy's own compiled store and from a drop mask over the full store
+// (Step 2's entry point), pristine and degraded.
 func TestRebalanceStoreMatchesInterpreted(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	base := paths.Strategic{T: tp, FirstLeg: 2}
 	opt := DefaultLBOptions()
 	opt.PairCap = 300
-	net := flow.NewNetwork(tp)
-	st, srep := rebalanceStore(net, base.Compile(tp), opt)
-	ex, irep := rebalanceInterpreted(net, base, opt)
-	if srep != irep {
-		t.Fatalf("reports differ: store %+v, interpreted %+v", srep, irep)
+	mask := topo.NewFailureMask(tp)
+	if _, err := mask.FailGlobalLink(4, 1); err != nil {
+		t.Fatal(err)
 	}
-	n := tp.NumSwitches()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			want := ex.Enumerate(s, d)
-			got := st.Enumerate(s, d)
-			if len(got) != len(want) {
-				t.Fatalf("pair (%d,%d): store keeps %d paths, interpreted %d",
-					s, d, len(got), len(want))
+	for _, fail := range []*topo.FailureMask{nil, mask} {
+		net := flow.NewDegradedNetwork(tp, fail)
+		ex, irep := rebalanceInterpreted(net, base, opt)
+		own, orep := rebalanceStore(net, paths.CompileDegraded(tp, base, fail), opt)
+		full := paths.CompileDegraded(tp, paths.Full{T: tp}, fail)
+		drop, mrep := rebalance(net, full, full.DropMask(base), opt)
+		for name, c := range map[string]struct {
+			st  *paths.Store
+			rep BalanceReport
+		}{"compiled policy": {own, orep}, "masked full store": {full.Without(drop), mrep}} {
+			if c.rep != irep {
+				t.Fatalf("%s, mask %v: reports differ: store %+v, interpreted %+v", name, fail, c.rep, irep)
 			}
-			for i := range want {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("pair (%d,%d) path %d differs", s, d, i)
+			n := tp.NumSwitches()
+			for s := 0; s < n; s++ {
+				for d := 0; d < n; d++ {
+					want := alivePaths(net, ex.Enumerate(s, d))
+					got := c.st.Enumerate(s, d)
+					if len(got) != len(want) {
+						t.Fatalf("%s, mask %v, pair (%d,%d): store keeps %d paths, interpreted %d",
+							name, fail, s, d, len(got), len(want))
+					}
+					for i := range want {
+						if !got[i].Equal(want[i]) {
+							t.Fatalf("%s, mask %v, pair (%d,%d) path %d differs", name, fail, s, d, i)
+						}
+					}
 				}
 			}
 		}
@@ -222,13 +239,16 @@ func TestComputeTVLBEndToEnd(t *testing.T) {
 		t.Skip("multi-second pipeline")
 	}
 	tp := topo.MustNew(2, 4, 2, 9)
-	// Count the full-store compiles the run reports: Step 1 builds the
-	// conventional set once and the baseline must score on that store.
+	// Count the store compiles the run reports: Step 1 builds the
+	// conventional set once, the baseline must score on that store and
+	// every candidate is cut out of it, so nothing else is enumerated.
 	pool := exec.NewPool(2)
-	var fullCompiles atomic.Int32
+	var fullCompiles, otherCompiles atomic.Int32
 	pool.SetObserver(func(s exec.Stat) {
 		if s.Label == "compile/"+(paths.Full{}).Name() {
 			fullCompiles.Add(1)
+		} else if strings.HasPrefix(s.Label, "compile/") {
+			otherCompiles.Add(1)
 		}
 	})
 	defer exec.SetDefault(exec.SetDefault(pool))
@@ -238,6 +258,9 @@ func TestComputeTVLBEndToEnd(t *testing.T) {
 	}
 	if n := fullCompiles.Load(); n != 1 {
 		t.Errorf("full VLB store compiled %d times, want once", n)
+	}
+	if n := otherCompiles.Load(); n != 0 {
+		t.Errorf("%d candidate stores were compiled by enumeration, want none", n)
 	}
 	if len(res.Curve) != 31 {
 		t.Fatalf("curve %d points", len(res.Curve))
@@ -254,6 +277,118 @@ func TestComputeTVLBEndToEnd(t *testing.T) {
 	if res.FinalName() == "" {
 		t.Fatal("empty final name")
 	}
+}
+
+// TestComputeTVLBSeedReachesPairSampling: above PairCap the adjustment
+// samples its pairs, and Options.Seed — documented to drive every
+// random choice — must drive that one too: the strategic candidates
+// are the same path sets before the adjustment at any seed, so their
+// adjusted sets differ between two seeds exactly when the sampled
+// pairs do, and one seed must repeat itself.
+func TestComputeTVLBSeedReachesPairSampling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three pipeline runs")
+	}
+	tp := topo.MustNew(2, 4, 2, 9)
+	adjusted := func(seed uint64) []paths.PathID {
+		opt := tinyOptions() // PairCap 500 of 1260 pairs, LB.Seed unset
+		opt.Seed = seed
+		opt.Sim.Windows = sweep.Windows{Warmup: 200, Measure: 100, Drain: 200}
+		res, err := ComputeTVLB(tp, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range res.Candidates {
+			if c.Name == "strategic 2+3" {
+				st := c.Policy.(*paths.Store)
+				var counts []paths.PathID
+				for s := 0; s < tp.NumSwitches(); s++ {
+					for d := 0; d < tp.NumSwitches(); d++ {
+						_, n := st.PairRange(s, d)
+						counts = append(counts, paths.PathID(n))
+					}
+				}
+				return counts
+			}
+		}
+		t.Fatalf("seed %d: no strategic 2+3 candidate", seed)
+		return nil
+	}
+	one, again, two := adjusted(1), adjusted(1), adjusted(2)
+	if !slices.Equal(one, again) {
+		t.Error("one seed adjusted two different pair samples")
+	}
+	if slices.Equal(one, two) {
+		t.Error("seeds 1 and 2 adjusted the same sampled pairs: Options.Seed does not reach LBOptions.Seed")
+	}
+}
+
+// TestTwinWords: the adjustment finds the duplicate PathIDs of one
+// concrete path by comparing packed words, so word equality must be
+// Store.EqualIDs for every two paths of a pair — on an instance with
+// parallel global links, whose full set holds such duplicates.
+func TestTwinWords(t *testing.T) {
+	tp := topo.MustNew(2, 4, 4, 3)
+	net := flow.NewNetwork(tp)
+	st := paths.Full{T: tp}.Compile(tp)
+	drop := make([]bool, st.NumPaths())
+	var ps pairScratch
+	twins := 0
+	for s := 0; s < tp.NumSwitches(); s++ {
+		for d := 0; d < tp.NumSwitches(); d++ {
+			n := ps.load(net, st, s, d, drop)
+			for j := 0; j < n; j++ {
+				for k := j + 1; k < n; k++ {
+					same := ps.words[j] == ps.words[k]
+					if same != st.EqualIDs(ps.ids[j], ps.ids[k]) {
+						t.Fatalf("pair (%d,%d) ids %d,%d: words equal %v, EqualIDs %v",
+							s, d, ps.ids[j], ps.ids[k], same, !same)
+					}
+					if same {
+						twins++
+					}
+				}
+			}
+		}
+	}
+	if twins == 0 {
+		t.Error("no duplicate path in the full set: the test compared nothing that matters")
+	}
+}
+
+// TestRebalanceAllocs: the compiled adjustment allocates its result,
+// its accumulators and a few growths of the per-pair scratch — not
+// per path, and not more for a path set several times the size.
+func TestRebalanceAllocs(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 5)
+	net := flow.NewNetwork(tp)
+	opt := DefaultLBOptions()
+	for _, pol := range []paths.Policy{paths.LengthCapped{T: tp, MaxHops: 3}, paths.Full{T: tp}} {
+		st := pol.Compile(tp)
+		allocs := testing.AllocsPerRun(3, func() { rebalance(net, st, nil, opt) })
+		if allocs > 40 {
+			t.Errorf("%s (%d paths): %.0f allocations per adjustment, want a constant few",
+				pol.Name(), st.NumPaths(), allocs)
+		}
+	}
+}
+
+var benchAdjusted *paths.Store
+
+// BenchmarkRebalanceStore times the adjustment of one Step-2 candidate
+// on the paper's g9 machine: the strategic 2+3 set (~1.4M paths), all
+// pairs analyzed. allocs/op is the number the flat scratch is held to.
+func BenchmarkRebalanceStore(b *testing.B) {
+	tp := topo.MustNew(4, 8, 4, 9)
+	net := flow.NewNetwork(tp)
+	st := paths.Strategic{T: tp, FirstLeg: 2}.Compile(tp)
+	opt := DefaultLBOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchAdjusted, _ = rebalanceStore(net, st, opt)
+	}
+	b.ReportMetric(float64(st.NumPaths()), "paths")
 }
 
 // TestModelPatternsRespectCaps checks pattern suite sizing.

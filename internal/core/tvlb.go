@@ -351,17 +351,16 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	res.Curve, res.Best = curve, best
 
 	// Conventional UGAL baseline, under the same simulation as the
-	// candidates below. It is scored first, on Step 1's full store when
-	// that compiled one (same policy, same mask), so that the store —
-	// the largest single object of the run — is garbage before the
-	// candidates build theirs.
+	// candidates below, on Step 1's full store when that compiled one
+	// (same policy, same mask).
 	baseline := paths.Policy(paths.Full{T: t})
 	if base != nil {
 		baseline = base
 	}
 	res.BaselineThroughput = simulateScore(t, baseline, opt)
 
-	// Candidate set: vicinity of the best point.
+	// Candidate set: vicinity of the best point. The all-VLB point is
+	// the baseline and is not scored again.
 	points := vicinity(curve, best, opt)
 
 	// Step 2 expansion: deterministic strategic choices whenever the
@@ -371,48 +370,61 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 		pol  paths.Policy
 	}
 	var cands []cand
-	seenAll := false
+	touches5 := false
 	for _, dp := range points {
-		if dp.IsAll() {
-			seenAll = true
-			continue // the all-VLB baseline is always scored separately
+		if (dp.MaxHops == 4 && dp.Frac > 0) || dp.MaxHops == 5 || dp.IsAll() {
+			touches5 = true
 		}
-		cands = append(cands, cand{dp.String(), dp.Policy(t, opt.Seed)})
+		if !dp.IsAll() {
+			cands = append(cands, cand{dp.String(), dp.Policy(t, opt.Seed)})
+		}
 	}
-	if opt.Strategic {
-		touches5 := false
-		for _, dp := range points {
-			if (dp.MaxHops == 4 && dp.Frac > 0) || dp.MaxHops == 5 || dp.IsAll() {
-				touches5 = true
-			}
-		}
-		if touches5 {
-			cands = append(cands,
-				cand{"strategic 2+3", paths.Strategic{T: t, FirstLeg: 2}},
-				cand{"strategic 3+2", paths.Strategic{T: t, FirstLeg: 3}},
-			)
-		}
+	if opt.Strategic && touches5 {
+		cands = append(cands,
+			cand{"strategic 2+3", paths.Strategic{T: t, FirstLeg: 2}},
+			cand{"strategic 3+2", paths.Strategic{T: t, FirstLeg: 3}},
+		)
 	}
 
-	// Load-balance adjustment, then simulate every candidate. The
-	// candidates are independent of each other and evaluate
-	// concurrently on the default pool, written by index so the
-	// reported order (and the winner of score ties below) is stable.
+	// Load-balance adjustment. Every candidate is a subset of the full
+	// VLB set in its order, so on Step 1's store it is a drop mask over
+	// the stored paths: membership, adjustment and one compaction, with
+	// no enumeration and no copy before the adjustment. The candidates
+	// are independent and run concurrently on the default pool, written
+	// by index so the reported order (and the winner of score ties
+	// below) is stable. One immutable edge space serves them all.
+	lb := opt.LB
+	if lb.Seed == 0 {
+		lb.Seed = rng.Hash64(opt.Seed, 0x1b)
+	}
 	res.Candidates = make([]Candidate, len(cands))
 	pool := exec.Default()
-	// One immutable edge space serves every candidate's adjustment.
 	net := flow.NewDegradedNetwork(t, opt.Failures)
-	pool.Run("tvlb/candidates", len(cands), func(i int) int64 {
+	pool.Run("tvlb/rebalance", len(cands), func(i int) int64 {
 		c := cands[i]
-		adj, rep := RebalanceOn(net, c.pol, opt.LB)
-		adj = paths.SetLabel(adj, "T-VLB("+c.name+")")
-		score := simulateScore(t, adj, opt)
-		res.Candidates[i] = Candidate{
-			Name:          c.name,
-			Policy:        adj,
-			RemovedPaths:  rep.LocalRemoved + rep.GlobalRemoved,
-			SimThroughput: score,
+		var adj paths.Policy
+		var rep BalanceReport
+		if base != nil {
+			drop := base.DropMask(c.pol)
+			if lb.Enabled {
+				drop, rep = rebalance(net, base, drop, lb)
+			}
+			adj = base.Without(drop)
+		} else {
+			adj, rep = RebalanceOn(net, c.pol, lb)
 		}
+		res.Candidates[i] = Candidate{
+			Name:         c.name,
+			Policy:       paths.SetLabel(adj, "T-VLB("+c.name+")"),
+			RemovedPaths: rep.LocalRemoved + rep.GlobalRemoved,
+		}
+		return 0
+	})
+	// The full store — the largest single object of the run — is
+	// garbage before the simulations build their networks.
+	base, baseline = nil, nil
+	pool.Run("tvlb/candidates", len(cands), func(i int) int64 {
+		res.Candidates[i].SimThroughput = simulateScore(t, res.Candidates[i].Policy, opt)
 		return 0
 	})
 
@@ -421,8 +433,7 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	// baseline wins only when it is strictly better than every
 	// candidate — then T-UGAL converges to UGAL, as on topologies
 	// with one link per group pair, where Step 1 already ranks the
-	// all-VLB point on top (seenAll).
-	_ = seenAll
+	// all-VLB point on top.
 	bestScore := res.BaselineThroughput
 	res.Final = paths.Policy(paths.Full{T: t})
 	res.ConvergedToUGAL = true

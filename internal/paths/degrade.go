@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"slices"
 	"time"
 
 	"tugal/internal/exec"
@@ -249,18 +250,38 @@ func (st *Store) ApplyFailures(mask *topo.FailureMask, newlyDead []topo.Channel)
 	return out, stats
 }
 
+// sameDead reports whether two masks describe one degraded topology:
+// the same mask, or equal failure counts over the same dead channels.
+func sameDead(a, b *topo.FailureMask) bool {
+	if a == b || a == nil || b == nil {
+		return a == b
+	}
+	ag, al, as := a.Counts()
+	bg, bl, bs := b.Counts()
+	return ag == bg && al == bl && as == bs && slices.Equal(a.DeadDense(), b.DeadDense())
+}
+
+// degradedStore is the *Store case of the two functions below: a store
+// already compiled under mask passes through — no new epoch, no edge
+// index, no patch arena — and any other is recompiled via
+// ApplyFailures over the full dead-channel list.
+func degradedStore(st *Store, mask *topo.FailureMask) *Store {
+	if mask == nil || sameDead(st.mask, mask) {
+		return st
+	}
+	out, _ := st.ApplyFailures(mask, mask.DeadChannels())
+	return out
+}
+
 // CompileDegraded compiles pol on t with every path crossing a dead
 // channel of mask excluded — the from-scratch reference that
-// ApplyFailures reproduces incrementally. A policy that already is a
-// Store is recompiled via ApplyFailures over the full dead-channel
-// list.
+// ApplyFailures reproduces incrementally.
 func CompileDegraded(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Store {
+	if st, ok := pol.(*Store); ok {
+		return degradedStore(st, mask)
+	}
 	if mask == nil {
 		return pol.Compile(t)
-	}
-	if st, ok := pol.(*Store); ok {
-		out, _ := st.ApplyFailures(mask, mask.DeadChannels())
-		return out
 	}
 	return mustCompileStore(t, pol, mask)
 }
@@ -271,10 +292,7 @@ func CompileDegraded(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Stor
 // PathID space.
 func TryCompileDegraded(t *topo.Compiled, pol Policy, budget int64, mask *topo.FailureMask) (*Store, bool) {
 	if st, ok := pol.(*Store); ok {
-		if mask != nil {
-			st, _ = st.ApplyFailures(mask, mask.DeadChannels())
-		}
-		return st, true
+		return degradedStore(st, mask), true
 	}
 	if budget > 0 && EstimatePaths(t, pol) > budget {
 		return nil, false

@@ -224,33 +224,6 @@ func (s Strategic) Name() string {
 	return fmt.Sprintf("strategic-%d+%d", s.FirstLeg, 5-s.FirstLeg)
 }
 
-// legSplits returns the valid (first leg, second leg) hop-length
-// decompositions of a VLB path: splits at an intermediate-group
-// switch where both halves have a legal MIN shape (at most one local
-// hop, one global hop, at most one local hop). The distinction
-// matters: a "g l l g l" path is only a 2-hop-MIN + 3-hop-MIN
-// composition, while "l g l g l" decomposes both as 2+3 and 3+2.
-func legSplits(t *topo.Compiled, p Path) [][2]int {
-	var out [][2]int
-	if p.Hops() < 2 {
-		return out
-	}
-	if t.SameGroup(p.Src(), p.Dst()) {
-		// In-group detour: the middle switch splits 1+1.
-		return append(out, [2]int{1, p.Hops() - 1})
-	}
-	gs := t.GroupOf(p.Src())
-	gd := t.GroupOf(p.Dst())
-	for i, sw := range p.Sw {
-		g := t.GroupOf(int(sw))
-		if g != gs && g != gd &&
-			minShape(t, p.Ports[:i]) && minShape(t, p.Ports[i:]) {
-			out = append(out, [2]int{i, p.Hops() - i})
-		}
-	}
-	return out
-}
-
 // minShape reports whether a hop sequence has the inter-group MIN
 // form (l?) g (l?): exactly one global hop, at most one local hop on
 // each side.
@@ -272,19 +245,37 @@ func minShape(t *topo.Compiled, ports []int8) bool {
 
 // allows reports membership.
 func (s Strategic) allows(src, dst int, p Path) bool {
-	h := p.Hops()
-	if h <= 4 {
-		return true
+	if h := p.Hops(); h != 5 {
+		return h <= 4
 	}
-	if h != 5 {
-		return false
+	return s.splits(src, dst, int(p.Sw[s.FirstLeg]), p.Ports)
+}
+
+// splits reports whether a 5-hop VLB path of the pair decomposes at
+// mid, the switch FirstLeg hops in, into two legal MIN legs: mid lies
+// in a third group and both halves have the MIN shape. The
+// distinction matters: a "g l l g l" path is only a 2-hop-MIN +
+// 3-hop-MIN composition, while "l g l g l" decomposes both as 2+3 and
+// 3+2.
+func (s Strategic) splits(src, dst, mid int, ports []int8) bool {
+	t := s.T
+	g, gs, gd := t.GroupOf(mid), t.GroupOf(src), t.GroupOf(dst)
+	return gs != gd && g != gs && g != gd &&
+		minShape(t, ports[:s.FirstLeg]) && minShape(t, ports[s.FirstLeg:5])
+}
+
+// AllowsStored implements StoredFilter: only 5-hop paths walk their
+// first leg's stored ports to the split switch, and nothing is built.
+func (s Strategic) AllowsStored(base *Store, src, dst int, id PathID) bool {
+	if h := base.hopOf(id); h != 5 {
+		return h <= 4
 	}
-	for _, split := range legSplits(s.T, p) {
-		if split[0] == s.FirstLeg {
-			return true
-		}
+	ports := base.portsOf(id)
+	mid := src
+	for _, pt := range ports[:s.FirstLeg] {
+		mid = s.T.PeerOfPort(mid, int(pt))
 	}
-	return false
+	return s.splits(src, dst, mid, ports)
 }
 
 // SampleVLBInto implements Policy.

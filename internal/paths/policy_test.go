@@ -143,3 +143,30 @@ func TestIntraGroupSampling(t *testing.T) {
 		t.Fatal("a=2 intra-group VLB should not exist")
 	}
 }
+
+// legSplits returns the valid (first leg, second leg) hop-length
+// decompositions of a VLB path: splits at an intermediate-group
+// switch where both halves have a legal MIN shape (at most one local
+// hop, one global hop, at most one local hop). It is the slice-building
+// definition Strategic shipped before it tested its one split point in
+// place, kept as the oracle for Strategic.Contains and AllowsStored.
+func legSplits(t *topo.Compiled, p Path) [][2]int {
+	var out [][2]int
+	if p.Hops() < 2 {
+		return out
+	}
+	if t.SameGroup(p.Src(), p.Dst()) {
+		// In-group detour: the middle switch splits 1+1.
+		return append(out, [2]int{1, p.Hops() - 1})
+	}
+	gs := t.GroupOf(p.Src())
+	gd := t.GroupOf(p.Dst())
+	for i, sw := range p.Sw {
+		g := t.GroupOf(int(sw))
+		if g != gs && g != gd &&
+			minShape(t, p.Ports[:i]) && minShape(t, p.Ports[i:]) {
+			out = append(out, [2]int{i, p.Hops() - i})
+		}
+	}
+	return out
+}

@@ -406,44 +406,73 @@ func (st *Store) EqualIDs(a, b PathID) bool {
 	return true
 }
 
+// Ports returns a compiled path's out-ports, one per hop: a read-only
+// view of the arena. With the source switch they identify the path.
+func (st *Store) Ports(id PathID) []int8 { return st.portsOf(id)[:st.hopOf(id)] }
+
+// DropMask marks, by PathID, the live paths of st that pol does not
+// admit. Every policy's per-pair order is the full VLB order filtered,
+// so on a store of the full set st.Without(st.DropMask(pol)) is
+// byte-for-byte pol compiled under st's mask — by a walk over stored
+// paths, with no enumeration: through pol's StoredFilter hook when it
+// has one, else by materializing into one scratch Path per row. Rows
+// own disjoint PathID ranges and run over row chunks on the default
+// pool.
+func (st *Store) DropMask(pol Policy) []bool {
+	drop := make([]bool, st.NumPaths())
+	sf, _ := pol.(StoredFilter)
+	exec.Default().RunRows("paths/drop-mask", st.n, func(s int) {
+		var p Path
+		for d := 0; d < st.n; d++ {
+			first, count := st.pairSpan(s*st.n + d)
+			for id := first; id < first+PathID(count); id++ {
+				if sf != nil {
+					drop[id] = !sf.AllowsStored(st, s, d, id)
+					continue
+				}
+				st.MaterializeInto(s, id, &p)
+				drop[id] = !pol.Contains(s, d, p)
+			}
+		}
+	})
+	return drop
+}
+
 // Without returns a compacted copy excluding the paths whose PathID
-// is marked in removed (indexed by PathID, len NumPaths). Pair order
-// is preserved. This is how the Step-2 balance adjustment expresses
-// its removal set on a compiled store.
+// is marked in removed (indexed by PathID, len NumPaths), as count ->
+// prefix -> exact-size fill. Pair order is preserved. This is how the
+// Step-2 balance adjustment expresses its removal set on a compiled
+// store, and the only copy a candidate derived from Step 1's store
+// ever gets.
 func (st *Store) Without(removed []bool) *Store {
 	start := time.Now()
-	nRemoved := 0
-	for _, r := range removed {
-		if r {
-			nRemoved++
-		}
-	}
-	out := &Store{
-		T:    st.T,
-		name: fmt.Sprintf("%s-minus-%d", st.name, nRemoved),
-		n:    st.n,
-		mask: st.mask,
-	}
-	live := st.NumPaths() - nRemoved
-	if live < 0 {
-		live = 0
-	}
-	out.pairStart = make([]int32, st.n*st.n+1)
-	out.hops = make([]uint8, 0, live)
-	out.ports = make([]int8, 0, live*MaxVLBHops)
-	for pi := 0; pi < st.n*st.n; pi++ {
-		out.pairStart[pi] = int32(len(out.hops))
+	nn := st.n * st.n
+	out := &Store{T: st.T, n: st.n, mask: st.mask, pairStart: make([]int32, nn+1)}
+	before, live := 0, 0
+	for pi := 0; pi < nn; pi++ {
 		first, count := st.pairSpan(pi)
-		for k := 0; k < count; k++ {
-			id := first + PathID(k)
-			if removed[id] {
-				continue
+		before += count
+		for id := first; id < first+PathID(count); id++ {
+			if !removed[id] {
+				live++
 			}
-			out.hops = append(out.hops, uint8(st.hopOf(id)))
-			out.ports = append(out.ports, st.portsOf(id)...)
+		}
+		out.pairStart[pi+1] = int32(live)
+	}
+	out.name = fmt.Sprintf("%s-minus-%d", st.name, before-live)
+	out.hops = make([]uint8, live)
+	out.ports = make([]int8, live*MaxVLBHops)
+	k := 0
+	for pi := 0; pi < nn; pi++ {
+		first, count := st.pairSpan(pi)
+		for id := first; id < first+PathID(count); id++ {
+			if !removed[id] {
+				out.hops[k] = uint8(st.hopOf(id))
+				copy(out.ports[k*MaxVLBHops:], st.portsOf(id))
+				k++
+			}
 		}
 	}
-	out.pairStart[st.n*st.n] = int32(len(out.hops))
 	out.buildTime = time.Since(start)
 	return out
 }

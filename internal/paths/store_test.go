@@ -222,48 +222,133 @@ func TestTryCompileBudget(t *testing.T) {
 }
 
 // TestStoredFilterMatchesContains pins the no-materialization
-// membership path: KeyOf must equal the materialized path's Key, and
-// AllowsStored must agree with Contains for every stored full-VLB
-// path under every StoredFilter policy.
+// membership path on every stored full-VLB path of four instances (one
+// link per group pair, parallel links, the second family): KeyOf must
+// equal the materialized path's Key, AllowsStored and AllowsKeyed must
+// agree with Contains under every filter policy, and Strategic — whose
+// Contains tests its one split point in place — must agree with the
+// slice-building legSplits definition.
 func TestStoredFilterMatchesContains(t *testing.T) {
-	tp := topo.MustNew(2, 4, 2, 9)
-	base := Full{T: tp}.Compile(tp)
-	var filters []Policy
-	for _, pol := range storePolicies(tp) {
-		if _, ok := pol.(StoredFilter); ok {
-			filters = append(filters, pol)
+	for _, tp := range []*topo.Compiled{
+		topo.MustNew(2, 4, 2, 5), topo.MustNew(2, 4, 2, 9),
+		topo.MustNew(2, 4, 4, 3), topo.MustNewD3(12, 4, 2),
+	} {
+		base := Full{T: tp}.Compile(tp)
+		filters := []Policy{
+			Full{T: tp},
+			LengthCapped{T: tp, MaxHops: 3},
+			LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 7},
+			Strategic{T: tp, FirstLeg: 2},
+			Strategic{T: tp, FirstLeg: 3},
 		}
-	}
-	if len(filters) < 3 {
-		t.Fatalf("only %d StoredFilter policies in the suite", len(filters))
-	}
-	n := tp.NumSwitches()
-	var p Path
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			first, count := base.PairRange(s, d)
-			for k := 0; k < count; k++ {
-				id := first + PathID(k)
-				base.MaterializeInto(s, id, &p)
-				if got := base.KeyOf(s, id); got != p.Key() {
-					t.Fatalf("pair (%d,%d) path %d: KeyOf %x, materialized Key %x",
-						s, d, k, got, p.Key())
-				}
-				for _, pol := range filters {
-					sf := pol.(StoredFilter)
-					if sf.AllowsStored(base, s, d, id) != pol.Contains(s, d, p) {
-						t.Fatalf("%s pair (%d,%d) path %d: AllowsStored disagrees with Contains",
-							pol.Name(), s, d, k)
+		n := tp.NumSwitches()
+		var p Path
+		fiveHop := 0
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				first, count := base.PairRange(s, d)
+				for k := 0; k < count; k++ {
+					id := first + PathID(k)
+					base.MaterializeInto(s, id, &p)
+					if got := base.KeyOf(s, id); got != p.Key() {
+						t.Fatalf("%s pair (%d,%d) path %d: KeyOf %x, materialized Key %x",
+							tp.Label(), s, d, k, got, p.Key())
 					}
-					if kf, ok := pol.(KeyedFilter); ok {
-						if kf.AllowsKeyed(p.Hops(), p.Key()) != pol.Contains(s, d, p) {
-							t.Fatalf("%s pair (%d,%d) path %d: AllowsKeyed disagrees with Contains",
-								pol.Name(), s, d, k)
+					for _, pol := range filters {
+						want := pol.Contains(s, d, p)
+						if pol.(StoredFilter).AllowsStored(base, s, d, id) != want {
+							t.Fatalf("%s %s pair (%d,%d) path %d: AllowsStored disagrees with Contains",
+								tp.Label(), pol.Name(), s, d, k)
+						}
+						if kf, ok := pol.(KeyedFilter); ok && kf.AllowsKeyed(p.Hops(), p.Key()) != want {
+							t.Fatalf("%s %s pair (%d,%d) path %d: AllowsKeyed disagrees with Contains",
+								tp.Label(), pol.Name(), s, d, k)
+						}
+						st, ok := pol.(Strategic)
+						if !ok || p.Hops() != 5 {
+							continue
+						}
+						fiveHop++
+						oracle := false
+						for _, split := range legSplits(tp, p) {
+							oracle = oracle || split[0] == st.FirstLeg
+						}
+						if want != oracle {
+							t.Fatalf("%s %s pair (%d,%d) path %d: Contains %v, legSplits says %v",
+								tp.Label(), pol.Name(), s, d, k, want, oracle)
 						}
 					}
 				}
 			}
 		}
+		if fiveHop == 0 {
+			t.Errorf("%s: no 5-hop path exercised the strategic split", tp.Label())
+		}
+	}
+}
+
+// TestDropMaskWorkers pins a candidate derived from the full store —
+// DropMask, then the one Without compaction — byte-identical in pair
+// index, hop array and port arena to the policy's own enumerating
+// compile, at 1, 2 and 8 workers, for every policy shape (Explicit has
+// no stored-filter hook and takes the materializing fallback), pristine
+// and masked, from a full store compiled under the mask and from the
+// overlay ApplyFailures derives.
+func TestDropMaskWorkers(t *testing.T) {
+	for _, tp := range oracleTopos() {
+		pristine := Full{T: tp}.Compile(tp)
+		for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
+			bases := map[string]*Store{"compiled": CompileDegraded(tp, Full{T: tp}, mask)}
+			if mask != nil {
+				bases["overlay"], _ = pristine.ApplyFailures(mask, mask.DeadChannels())
+			}
+			for _, pol := range storePolicies(tp) {
+				want := CompileDegraded(tp, pol, mask)
+				for kind, base := range bases {
+					for _, workers := range []int{1, 2, 8} {
+						old := exec.SetDefault(exec.NewPool(workers))
+						got := base.Without(base.DropMask(pol))
+						exec.SetDefault(old)
+						if !slices.Equal(got.pairStart, want.pairStart) || !slices.Equal(got.hops, want.hops) ||
+							!slices.Equal(got.ports, want.ports) || got.Mask() != mask {
+							t.Fatalf("%s %s mask %v, %s base, %d workers: candidate differs from the policy's compile",
+								tp.Label(), pol.Name(), mask, kind, workers)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCompileDegradedPassesThrough: a store already compiled under the
+// mask — the same one, or another over the same dead set — comes back
+// as it is, without a new epoch, an edge index or a patch arena; a
+// different mask still derives a new epoch.
+func TestCompileDegradedPassesThrough(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	mask := degradedMask(tp)
+	st := CompileDegraded(tp, Full{T: tp}, mask)
+	over, _ := Full{T: tp}.Compile(tp).ApplyFailures(mask, mask.DeadChannels())
+	for _, st := range []*Store{st, over} {
+		epoch, n := st.Epoch(), st.NumPaths()
+		for _, m := range []*topo.FailureMask{mask, mask.Clone(), nil} {
+			got, ok := TryCompileDegraded(tp, st, 1, m)
+			if !ok || got != st || CompileDegraded(tp, st, m) != st {
+				t.Fatalf("store under %v recompiled for mask %v", st.Mask(), m)
+			}
+		}
+		if st.Epoch() != epoch || st.NumPaths() != n || (st.idx != nil) != (st == over) {
+			t.Fatalf("pass-through moved the store: epoch %d -> %d, %d -> %d paths, index built %v",
+				epoch, st.Epoch(), n, st.NumPaths(), st.idx != nil)
+		}
+	}
+	grown := mask.Clone()
+	if _, err := grown.FailGlobalLink(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := CompileDegraded(tp, st, grown); got == st || got.Epoch() != st.Epoch()+1 || got.Mask() != grown {
+		t.Fatalf("a grown mask did not derive a new epoch (epoch %d)", got.Epoch())
 	}
 }
 
