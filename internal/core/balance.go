@@ -332,14 +332,13 @@ func hotLinks(globalUse []float64, tol float64) ([]bool, int) {
 
 // pairScratch holds the live paths of one pair in flat arrays reused
 // from pair to pair, so the compiled adjustment allocates per growth,
-// not per path: PathIDs, hop counts, each path's hop count and ports
-// packed into one word (from one source switch the ports identify the
-// path, so equal words are the duplicate PathIDs of one concrete path,
-// see Store.EqualIDs), its edges at stride MaxVLBHops, and the removal
+// not per path: PathIDs, each path's hop count and ports packed into
+// one word (from one source switch the ports identify the path, so
+// equal words are the duplicate PathIDs of one concrete path, see
+// Store.EqualIDs), its edges at stride MaxVLBHops, and the removal
 // order.
 type pairScratch struct {
 	ids   []paths.PathID
-	hops  []uint8
 	words []uint64
 	edges []flow.Edge
 	order []int32
@@ -351,50 +350,49 @@ func (ps *pairScratch) load(net *flow.Network, st *paths.Store, s, d int, drop [
 	first, count := st.PairRange(s, d)
 	if cap(ps.ids) < count {
 		c := max(count, 2*cap(ps.ids))
-		ps.ids, ps.hops, ps.words = make([]paths.PathID, c), make([]uint8, c), make([]uint64, c)
+		ps.ids, ps.words = make([]paths.PathID, 0, c), make([]uint64, 0, c)
 		ps.edges, ps.order = make([]flow.Edge, c*paths.MaxVLBHops), make([]int32, c)
 	}
-	ps.ids, ps.hops, ps.words = ps.ids[:count], ps.hops[:count], ps.words[:count]
-	peer := net.T.PeerDense()
-	n := 0
+	ps.ids, ps.words = ps.ids[:0], ps.words[:0]
 	for id := first; id < first+paths.PathID(count); id++ {
 		if drop[id] {
 			continue
 		}
 		ports := st.Ports(id)
 		word := uint64(len(ports)) << 48
+		edges := ps.edges[len(ps.ids)*paths.MaxVLBHops:]
 		cur := s
 		for h, pt := range ports {
-			e := net.EdgeOf(cur, int(pt))
-			ps.edges[n*paths.MaxVLBHops+h] = e
+			edges[h] = net.EdgeOf(cur, int(pt))
 			word |= uint64(uint8(pt)) << (8 * h)
-			cur = int(peer[e])
+			cur = net.T.PeerOfPort(cur, int(pt))
 		}
-		ps.ids[n], ps.hops[n], ps.words[n] = id, uint8(len(ports)), word
-		n++
+		ps.ids, ps.words = append(ps.ids, id), append(ps.words, word)
 	}
-	ps.ids, ps.hops, ps.words = ps.ids[:n], ps.hops[:n], ps.words[:n]
-	return n
+	return len(ps.ids)
 }
+
+// hops returns the hop count of loaded path k.
+func (ps *pairScratch) hops(k int) int { return int(ps.words[k] >> 48) }
 
 // edgesOf returns the switch-to-switch edges of loaded path k.
 func (ps *pairScratch) edgesOf(k int) []flow.Edge {
-	return ps.edges[k*paths.MaxVLBHops:][:ps.hops[k]]
+	return ps.edges[k*paths.MaxVLBHops:][:ps.hops(k)]
 }
 
 // longestFirst orders the loaded paths by hop count, longest first
 // and in store order within a length: a stable counting sort.
 func (ps *pairScratch) longestFirst() []int32 {
 	var at [paths.MaxVLBHops + 2]int32
-	for _, h := range ps.hops {
-		at[paths.MaxVLBHops-int(h)+1]++
+	for k := range ps.words {
+		at[paths.MaxVLBHops-ps.hops(k)+1]++
 	}
 	for b := 1; b < len(at); b++ {
 		at[b] += at[b-1]
 	}
-	order := ps.order[:len(ps.hops)]
-	for k, h := range ps.hops {
-		b := paths.MaxVLBHops - int(h)
+	order := ps.order[:len(ps.words)]
+	for k := range ps.words {
+		b := paths.MaxVLBHops - ps.hops(k)
 		order[at[b]] = int32(k)
 		at[b]++
 	}

@@ -420,9 +420,9 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 		}
 		return 0
 	})
-	// The full store — the largest single object of the run — is
-	// garbage before the simulations build their networks.
-	base, baseline = nil, nil
+	// Scoring is a pass of its own so that the full store — the largest
+	// single object of the run, not referenced past the adjustment — is
+	// garbage while the simulations build their networks.
 	pool.Run("tvlb/candidates", len(cands), func(i int) int64 {
 		res.Candidates[i].SimThroughput = simulateScore(t, res.Candidates[i].Policy, opt)
 		return 0
