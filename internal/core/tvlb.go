@@ -350,15 +350,6 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	}
 	res.Curve, res.Best = curve, best
 
-	// Conventional UGAL baseline, under the same simulation as the
-	// candidates below, on Step 1's full store when that compiled one
-	// (same policy, same mask).
-	baseline := paths.Policy(paths.Full{T: t})
-	if base != nil {
-		baseline = base
-	}
-	res.BaselineThroughput = simulateScore(t, baseline, opt)
-
 	// Candidate set: vicinity of the best point. The all-VLB point is
 	// the baseline and is not scored again.
 	points := vicinity(curve, best, opt)
@@ -393,6 +384,12 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	// are independent and run concurrently on the default pool, written
 	// by index so the reported order (and the winner of score ties
 	// below) is stable. One immutable edge space serves them all.
+	//
+	// The conventional UGAL baseline is scored beside them (task 0),
+	// under the same simulation as the candidates below and on Step 1's
+	// store when there is one (same policy, same mask): a saturation
+	// search is a chain of bracket probes that leaves a worker idle
+	// about half the time, and the adjustments run in that time.
 	lb := opt.LB
 	if lb.Seed == 0 {
 		lb.Seed = rng.Hash64(opt.Seed, 0x1b)
@@ -400,7 +397,16 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	res.Candidates = make([]Candidate, len(cands))
 	pool := exec.Default()
 	net := flow.NewDegradedNetwork(t, opt.Failures)
-	pool.Run("tvlb/rebalance", len(cands), func(i int) int64 {
+	pool.Run("tvlb/rebalance", 1+len(cands), func(i int) int64 {
+		if i == 0 {
+			baseline := paths.Policy(paths.Full{T: t})
+			if base != nil {
+				baseline = base
+			}
+			res.BaselineThroughput = simulateScore(t, baseline, opt)
+			return 0
+		}
+		i--
 		c := cands[i]
 		var adj paths.Policy
 		var rep BalanceReport
