@@ -162,7 +162,8 @@ func Step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
 
 // step1 is Step1 also returning the compiled full VLB store the grid
 // was derived from (nil when none was built), so ComputeTVLB scores
-// the conventional baseline on it instead of compiling it again.
+// the conventional baseline on it and cuts its Step-2 candidates out
+// of it instead of enumerating anything again.
 func step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, *paths.Store, error) {
 	pats := modelPatterns(t, opt)
 	grid := ProbeGrid()
