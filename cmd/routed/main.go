@@ -10,6 +10,12 @@
 // rejected, changes nothing. Lookups in flight keep their epoch; none
 // are dropped.
 //
+// Limits: POST /lookup takes exactly {"pairs":[[src,dst],…]}, at most
+// 65 536 pairs in at most 2 MiB (413 past either, 400 for a malformed
+// body or a node id out of range). A connection gets 5 s to send a
+// header, 30 s for a request, a minute to take the reply and 5 minutes
+// idle; SIGINT or SIGTERM gives requests in flight 5 s to finish.
+//
 // Usage:
 //
 //	routed                                  # serve on :8709
@@ -18,12 +24,21 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"slices"
+	"strconv"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"tugal/internal/paths"
@@ -77,72 +92,98 @@ func main() {
 		t.Label(), tb.Policy(), mode, storeTime.Seconds(), tb.BuildTime().Seconds(),
 		tb.Stats().Rows, float64(tb.Bytes())/(1<<20))
 
-	serve(t, svc, *addr)
-}
-
-// ---------------------------------------------------------------- serve
-
-// lookupRequest is the POST /lookup body: node-id pairs.
-type lookupRequest struct {
-	Pairs [][2]int32 `json:"pairs"`
-}
-
-// lookupReply is one decision of a POST /lookup response.
-type lookupReply struct {
-	Port    int8   `json:"port"`
-	VC      int8   `json:"vc"`
-	Hops    uint8  `json:"hops"`
-	Min     bool   `json:"min"`
-	Refused bool   `json:"refused,omitempty"`
-	Word    uint64 `json:"word"`
-}
-
-func serve(t *topo.Compiled, svc *route.Service, addr string) {
-	fmt.Printf("routed: listening on %s\n", addr)
-	if err := http.ListenAndServe(addr, newMux(t, svc)); err != nil {
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fail("%v", err)
+	}
+	fmt.Printf("routed: listening on %s\n", l.Addr())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve(ctx, l, newMux(t, svc)); err != nil {
 		fail("%v", err)
 	}
 }
 
+// ---------------------------------------------------------------- serve
+
+// serve answers requests on l with h until ctx is done, then stops
+// accepting and gives the requests in flight 5 s to finish. It returns
+// nil after a clean shutdown.
+func serve(ctx context.Context, l net.Listener, h http.Handler) error {
+	srv := &http.Server{
+		Handler: h,
+		// A client may sit idle on its keep-alive connection for minutes
+		// between bursts; a request or a reply may not take that long.
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      time.Minute,
+		IdleTimeout:       5 * time.Minute,
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	grace, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err := srv.Shutdown(grace)
+	<-served // http.ErrServerClosed, now that Shutdown was called
+	return err
+}
+
+// lookupScratch is what one POST /lookup needs besides the service. The
+// request caps bound its slices, so it is pooled whatever it has served.
+type lookupScratch struct {
+	body     bytes.Buffer
+	src, dst []int32
+	out      []route.Decision
+	reply    []byte
+	rng      rng.Source
+}
+
 // newMux returns the service's HTTP surface: POST /lookup, GET /stats
-// and POST /fail.
+// and POST /fail. Lookups share nothing but svc and the scratch pool.
 func newMux(t *topo.Compiled, svc *route.Service) *http.ServeMux {
-	var mu sync.Mutex // serializes the per-request scratch buffers
-	var src, dst []int32
-	var out []route.Decision
-	r := rng.New(uint64(time.Now().UnixNano()))
+	var seeds atomic.Uint64
+	pool := sync.Pool{New: func() any {
+		s := new(lookupScratch)
+		s.rng.Reseed(uint64(time.Now().UnixNano()) + seeds.Add(1))
+		return s
+	}}
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /lookup", func(w http.ResponseWriter, req *http.Request) {
-		var body lookupRequest
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		s := pool.Get().(*lookupScratch)
+		defer pool.Put(s)
+		s.body.Reset()
+		_, err := s.body.ReadFrom(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+		if err == nil {
+			s.src, s.dst, err = parsePairs(s.body.Bytes(), s.src, s.dst)
+		}
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) || errors.Is(err, errTooManyPairs) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
-		nn := int32(t.NumNodes())
-		for _, p := range body.Pairs {
-			if p[0] < 0 || p[0] >= nn || p[1] < 0 || p[1] >= nn {
-				http.Error(w, fmt.Sprintf("node pair %v out of range [0,%d)", p, nn), http.StatusBadRequest)
+		nn := uint32(t.NumNodes())
+		for i, a := range s.src {
+			if b := s.dst[i]; uint32(a) >= nn || uint32(b) >= nn {
+				http.Error(w, fmt.Sprintf("node pair [%d %d] out of range [0,%d)", a, b, nn), http.StatusBadRequest)
 				return
 			}
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if cap(src) < len(body.Pairs) {
-			src = make([]int32, len(body.Pairs))
-			dst = make([]int32, len(body.Pairs))
-			out = make([]route.Decision, len(body.Pairs))
-		}
-		src, dst, out = src[:len(body.Pairs)], dst[:len(body.Pairs)], out[:len(body.Pairs)]
-		for i, p := range body.Pairs {
-			src[i], dst[i] = p[0], p[1]
-		}
-		svc.LookupBatch(r, src, dst, out)
-		replies := make([]lookupReply, len(out))
-		for i, d := range out {
-			replies[i] = lookupReply{Port: d.Port, VC: d.VC, Hops: d.Hops, Min: d.Min, Refused: d.Refused, Word: d.Word}
-		}
-		writeJSON(w, replies)
+		s.out = slices.Grow(s.out[:0], len(s.src))[:len(s.src)]
+		svc.LookupBatch(&s.rng, s.src, s.dst, s.out)
+		s.reply = appendDecisions(s.reply[:0], s.out)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(s.reply)))
+		w.Write(s.reply) // an error here is a client that left; there is no one to tell
 	})
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, req *http.Request) {
@@ -178,9 +219,12 @@ func newMux(t *topo.Compiled, svc *route.Service) *http.ServeMux {
 	return mux
 }
 
+// writeJSON sends v indented, as /stats and /fail always have.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		fmt.Fprintf(os.Stderr, "routed: reply: %v\n", err)
+	}
 }

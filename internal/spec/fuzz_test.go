@@ -1,0 +1,92 @@
+package spec
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"tugal/internal/topo"
+)
+
+// FuzzTopology: any spec string is an error or an instance inside
+// topo.Compile's limits that passes the family validation — never a
+// panic, never an arena past the budget.
+func FuzzTopology(f *testing.F) {
+	for _, s := range []string{
+		"4,8,4,9", "4,8,4,9,relative", "dfly(2,4,2,5)", "dfly(4,8,4,17,absolute)",
+		"d3(8,4)", "d3(12,4,2)", " dragonfly( 1, 2, 1, 3 ) ",
+		"", "4,8,4", "4,8,4,9,weird", "a,8,4,9", "4,8,4,12", "torus(4,4)", "d3(8)", "dfly(",
+		"dfly(1,100000,100000,2)", "dfly(1,40000,1,40001)", "d3(254,2)",
+		"dfly(1,64,64,2)", "dfly(9223372036854775807,2,1,2)", "dfly(1,4294967296,4294967296,2)",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tp, err := Topology(s)
+		if err != nil {
+			return
+		}
+		if tp.Radix() > topo.MaxRadix || tp.G > topo.MaxGroups || tp.NumSwitches() > topo.MaxSwitches ||
+			tp.NumSwitches()*(tp.A-1+tp.H) > topo.MaxPeerSlots {
+			t.Fatalf("%q compiled past the limits: %+v", s, tp.Schema)
+		}
+		if err := tp.Validate(); err != nil {
+			t.Fatalf("%q compiled but does not validate: %v", s, err)
+		}
+	})
+}
+
+// FuzzFailures: any failure spec applied to a clone of a degraded mask
+// is refused — and then the mask it was cloned from is untouched, which
+// is what makes POST /fail atomic — or is applied, and then its delta
+// is exactly the channels that died, Failures agrees with ApplyFailures
+// on a fresh mask, and applying it again kills nothing.
+func FuzzFailures(f *testing.F) {
+	for _, s := range []string{
+		"global:2:1, local:4:5 ,switch:8", "global:2:1,global:2:1", "switch:0", "local:0:1",
+		"global:2", "global:2:9", "local:4", "local:4:4", "switch:999", "switch:x", "link:1:2",
+		"global:1:0,bogus", "", ",", "switch:-1", "global:99999999999999999999:0", "local:0:4",
+	} {
+		f.Add(s)
+	}
+	tp := topo.MustNew(2, 4, 2, 9)
+	base := topo.NewFailureMask(tp)
+	if _, err := ApplyFailures(base, "global:0:0,switch:5"); err != nil {
+		f.Fatal(err)
+	}
+	baseDead := slices.Clone(base.DeadDense())
+	baseChans := slices.Clone(base.DeadChannels())
+	baseSummary := base.String()
+
+	f.Fuzz(func(t *testing.T, s string) {
+		m := base.Clone()
+		delta, err := ApplyFailures(m, s)
+		if !slices.Equal(base.DeadDense(), baseDead) || !slices.Equal(base.DeadChannels(), baseChans) || base.String() != baseSummary {
+			t.Fatalf("%q applied to a clone changed the original (err=%v)", s, err)
+		}
+		// Items are validated against the topology, not the mask, so what
+		// a degraded mask accepts a pristine one accepts too. (An empty
+		// spec is Failures' "no mask", not an item.)
+		fresh, ferr := Failures(tp, s)
+		if (ferr != nil) != (err != nil) && strings.TrimSpace(s) != "" {
+			t.Fatalf("%q: ApplyFailures err=%v, Failures err=%v", s, err, ferr)
+		}
+		if ferr != nil && fresh != nil {
+			t.Fatalf("%q: Failures returned a mask with its error", s)
+		}
+		if err != nil {
+			return
+		}
+		if got := m.NumDeadChannels() - len(baseChans); got != len(delta) {
+			t.Fatalf("%q: delta of %d channels, mask grew by %d", s, len(delta), got)
+		}
+		for _, ch := range delta {
+			if !m.ChannelDead(int(ch.Sw), int(ch.Port)) {
+				t.Fatalf("%q: delta channel %v is alive", s, ch)
+			}
+		}
+		if again, err := ApplyFailures(m, s); err != nil || len(again) != 0 {
+			t.Fatalf("%q applied twice: %d newly dead, err=%v", s, len(again), err)
+		}
+	})
+}

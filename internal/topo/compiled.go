@@ -57,16 +57,49 @@ type Compiled struct {
 	profile PathProfile
 }
 
+// Limits of a compilable instance. Ports are int8 in paths, netsim and
+// the route word's 7-bit port field, which caps the radix and with it A
+// and P (and keeps swIdx, nodeIdx and peerPort inside their int16); the
+// other three are a budget, some way past any dragonfly built or
+// studied, that holds the arenas Compile allocates to about 100 MB.
+const (
+	MaxRadix     = 128
+	MaxSwitches  = 1 << 16
+	MaxGroups    = 1 << 10 // linksBetween has G*G rows
+	MaxPeerSlots = 1 << 22 // NumSwitches * (A-1+H), the peer tables
+)
+
+// overLimit names the limit a schema breaks — one the compiled arenas
+// or a route word cannot represent, or the budget above — or returns "".
+// Every factor is bounded before it is multiplied, so no product
+// overflows.
+func (s Schema) overLimit() string {
+	switch {
+	case s.P < 1 || s.A < 2 || s.H < 1 || s.G < 2:
+		return "P>=1, A>=2, H>=1, G>=2"
+	case s.P > MaxRadix || s.A > MaxRadix || s.H > MaxRadix || s.Radix() > MaxRadix:
+		return fmt.Sprintf("radix P+A-1+H <= %d", MaxRadix)
+	case s.G > MaxGroups:
+		return fmt.Sprintf("G <= %d", MaxGroups)
+	case s.NumSwitches() > MaxSwitches:
+		return fmt.Sprintf("G*A <= %d switches", MaxSwitches)
+	case s.NumSwitches()*(s.A-1+s.H) > MaxPeerSlots:
+		return fmt.Sprintf("G*A*(A-1+H) <= %d peer-table slots", MaxPeerSlots)
+	}
+	return ""
+}
+
 // Compile builds the flat arena for a family instance: decomposition
 // tables, the peer/kind/latency port tables, and the per-group-pair
 // link lists (bucketed in ascending (switch, port) order, which on
 // the Dragonfly reproduces the paper's parallel-link order exactly).
-// It fails if the wiring is asymmetric, escapes the schema, or joins
-// group pairs unevenly.
+// It fails, before allocating anything, if the schema is outside the
+// limits above, and later if the wiring is asymmetric, escapes the
+// schema, or joins group pairs unevenly.
 func Compile(n Network) (*Compiled, error) {
 	s := n.Schema()
-	if s.P < 1 || s.A < 2 || s.H < 1 || s.G < 2 {
-		return nil, fmt.Errorf("topo: %s schema %+v out of range", n.Family(), s)
+	if limit := s.overLimit(); limit != "" {
+		return nil, fmt.Errorf("%w: %s schema %+v breaks the compile limit %s", ErrBadParams, n.Family(), s, limit)
 	}
 	c := &Compiled{Schema: s, Net: n, profile: n.PathProfile()}
 	nsw := s.NumSwitches()
@@ -388,7 +421,7 @@ func (c *Compiled) AdjacentPort(u, v int) (port int, ok bool) {
 func (c *Compiled) Validate() error {
 	n := c.NumSwitches()
 	nonTerm := c.A - 1 + c.H
-	pairCount := make(map[[2]int]int)
+	pairCount := make([]int, c.G*c.G)
 	for sw := 0; sw < n; sw++ {
 		for gp := 0; gp < c.H; gp++ {
 			peer := c.peerSw[sw*nonTerm+c.A-1+gp]
@@ -410,7 +443,7 @@ func (c *Compiled) Validate() error {
 			if int(c.peerSw[back]) != sw || int(c.peerPort[back]) != c.GlobalPort(gp) {
 				return fmt.Errorf("topo: link (%d,%d)<->(%d,%d) not symmetric", sw, gp, peer, ppt)
 			}
-			pairCount[[2]int{c.GroupOf(sw), c.GroupOf(int(peer))}]++
+			pairCount[c.GroupOf(sw)*c.G+c.GroupOf(int(peer))]++
 		}
 	}
 	for gi := 0; gi < c.G; gi++ {
@@ -418,7 +451,7 @@ func (c *Compiled) Validate() error {
 			if gi == gj {
 				continue
 			}
-			if cnt := pairCount[[2]int{gi, gj}]; cnt != c.K {
+			if cnt := pairCount[gi*c.G+gj]; cnt != c.K {
 				return fmt.Errorf("topo: groups (%d,%d) joined by %d links, want %d", gi, gj, cnt, c.K)
 			}
 		}

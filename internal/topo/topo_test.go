@@ -1,6 +1,9 @@
 package topo
 
 import (
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -32,6 +35,51 @@ func TestNewValidation(t *testing.T) {
 		if (err != nil) != c.wantErr {
 			t.Errorf("New(%d,%d,%d,%d): err=%v, wantErr=%v", c.p, c.a, c.h, c.g, err, c.wantErr)
 		}
+	}
+}
+
+// TestCompileLimits: parameters every family check accepts but the
+// compiled arenas or a route word cannot hold are an ErrBadParams naming
+// the limit, refused before Compile allocates anything (the first used
+// to die on a 160 GB make); instances on the limits still compile.
+func TestCompileLimits(t *testing.T) {
+	over := []struct {
+		p, a, h, g int
+		limit      string
+	}{
+		{1, 100000, 100000, 2, "radix"}, // a past swIdx's int16 too
+		{1, 40000, 1, 40001, "radix"},
+		{120, 4, 6, 3, "radix"}, // 129 ports
+		{1, 64, 32, 2049, "G <="},
+		{1, 93, 11, 1024, "switches"},  // 95 232 of them
+		{1, 73, 42, 512, "peer-table"}, // 37 376 switches x 114 ports
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, c := range over {
+		_, err := New(c.p, c.a, c.h, c.g)
+		if !errors.Is(err, ErrBadParams) || !strings.Contains(err.Error(), c.limit) {
+			t.Errorf("New(%d,%d,%d,%d): err=%v, want ErrBadParams naming the %s limit", c.p, c.a, c.h, c.g, err, c.limit)
+		}
+	}
+	if _, err := NewD3(254, 2, 0); !errors.Is(err, ErrBadParams) {
+		t.Errorf("NewD3(254,2): err=%v, want ErrBadParams", err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<16 {
+		t.Errorf("refusing %d schemas allocated %d bytes", len(over)+1, d)
+	}
+
+	for _, c := range [][4]int{
+		{13, 26, 13, 27}, // the largest shipped instance
+		{1, 64, 64, 2},   // radix exactly MaxRadix
+	} {
+		if _, err := New(c[0], c[1], c[2], c[3]); err != nil {
+			t.Errorf("New(%v): %v", c, err)
+		}
+	}
+	if _, err := NewD3(127, 127, 0); err != nil { // d3's radix is K+1
+		t.Errorf("NewD3(127,127): %v", err)
 	}
 }
 
