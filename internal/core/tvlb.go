@@ -221,18 +221,16 @@ func step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, *paths.Store
 			pol := dp.Policy(t, rng.Hash64(opt.Seed, uint64(rep)))
 			m := opt.Model
 			if pairs != nil {
+				// From the grid when Step 1 has a store (every Table-1
+				// policy is a KeyedFilter, and a store inside the compile
+				// budget always fits the grid's), else a plain compile.
 				var lm *flow.LoadMatrix
 				var ok bool
-				_, isStore := pol.(*paths.Store)
-				if mgrid != nil && !isStore {
+				if mgrid != nil {
 					lm, ok = mgrid.Compile(pol)
 				}
 				if !ok {
-					if base != nil && !isStore {
-						lm, ok = flow.TryCompileLoadMatrixFromStore(net, base, pol, pairs, flow.DefaultMatrixBudget)
-					} else {
-						lm, ok = flow.TryCompileLoadMatrix(net, pol, pairs, flow.DefaultMatrixBudget)
-					}
+					lm, ok = flow.TryCompileLoadMatrix(net, pol, pairs, flow.DefaultMatrixBudget)
 				}
 				if ok {
 					m.Loads.Matrix = lm

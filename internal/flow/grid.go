@@ -24,7 +24,8 @@ const gridStride = paths.MaxVLBHops + 2
 //
 // Compile only serves policies that implement paths.KeyedFilter
 // (membership from hop count + identity hash alone — the whole
-// Table-1 family); others fall back to CompileLoadMatrixFromStore.
+// Table-1 family); the caller compiles any other directly
+// (CompileLoadMatrix).
 // Like the matrices it emits, a built grid is read-only: Compile
 // makes its scratch per call, so a Step-1 grid derives its points
 // concurrently from one shared grid.
@@ -78,7 +79,8 @@ func NewMatrixGrid(net *Network, base *paths.Store, pairs [][2]int32) *MatrixGri
 		minStart: make([]int32, n*n+1),
 		minHops:  make([]float64, n*n),
 	}
-	acc := newEdgeAcc(net.NumEdges)
+	re := newRowEnv(net, base) // the MIN row builder, and the walk's scratch
+	acc := re.acc
 	for pi := range g.off {
 		g.off[pi] = -1
 	}
@@ -93,8 +95,6 @@ func NewMatrixGrid(net *Network, base *paths.Store, pairs [][2]int32) *MatrixGri
 	g.hops = make([]uint8, total)
 	g.unionStart = make([]int32, len(g.pairs)+1)
 
-	var pbuf paths.Path
-	var scratch []Edge
 	ci := int32(0)
 	prev := -1
 	for j, pr := range g.pairs {
@@ -104,20 +104,7 @@ func NewMatrixGrid(net *Network, base *paths.Store, pairs [][2]int32) *MatrixGri
 			g.minStart[q] = int32(len(g.minArena))
 		}
 		prev = pi
-
-		// MIN row, exactly as compileMatrix builds it (surviving
-		// paths only under a failure mask; possibly an empty row).
-		minPaths := paths.EnumerateMinAlive(net.T, net.Fail, s, d)
-		acc.reset()
-		if len(minPaths) > 0 {
-			w := 1 / float64(len(minPaths))
-			for _, p := range minPaths {
-				scratch = net.PathEdges(scratch[:0], p)
-				acc.add(scratch, w)
-				g.minHops[pi] += w * float64(p.Hops())
-			}
-		}
-		g.minArena = acc.appendRow(g.minArena)
+		g.minArena, g.minHops[pi] = re.minRow(s, d, g.minArena)
 
 		// Per-path edge lists and keys: one materialization walk,
 		// paid once for the whole grid. The same pass collects the
@@ -127,11 +114,11 @@ func NewMatrixGrid(net *Network, base *paths.Store, pairs [][2]int32) *MatrixGri
 		acc.reset()
 		first, count := base.PairRange(s, d)
 		for k := 0; k < count; k++ {
-			base.MaterializeInto(s, first+paths.PathID(k), &pbuf)
+			base.MaterializeInto(s, first+paths.PathID(k), &re.pbuf)
 			eb := int(ci) * gridStride
-			row := net.PathEdges(g.edges[eb:eb:eb+gridStride], pbuf)
+			row := net.PathEdges(g.edges[eb:eb:eb+gridStride], re.pbuf)
 			g.hops[ci] = uint8(len(row) - 2)
-			g.keys[ci] = pbuf.Key()
+			g.keys[ci] = re.pbuf.Key()
 			acc.add(row, 1)
 			ci++
 		}
@@ -198,7 +185,7 @@ func TryNewMatrixGrid(net *Network, base *paths.Store, pairs [][2]int32, budget 
 // Compile derives pol's LoadMatrix from the cache. The admitted
 // sequence per pair is the stored order filtered by AllowsKeyed —
 // exactly pol.Enumerate's order — and the accumulation replays
-// compileMatrix's float operations verbatim, so the rows are
+// rowEnv.vlbRow's float operations verbatim, so the rows are
 // bit-identical to every other compilation path. ok=false when pol
 // does not implement paths.KeyedFilter.
 func (g *MatrixGrid) Compile(pol paths.Policy) (*LoadMatrix, bool) {

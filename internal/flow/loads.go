@@ -1,8 +1,6 @@
 package flow
 
 import (
-	"sort"
-
 	"tugal/internal/paths"
 	"tugal/internal/rng"
 	"tugal/internal/traffic"
@@ -17,22 +15,6 @@ type EdgeWeight struct {
 // SparseVec is a sparse expected-crossings-per-unit-of-traffic vector
 // over edges, sorted by edge id.
 type SparseVec []EdgeWeight
-
-// accumulate folds a weighted edge list into a map accumulator.
-func accumulate(acc map[Edge]float64, edges []Edge, w float64) {
-	for _, e := range edges {
-		acc[e] += w
-	}
-}
-
-func toSparse(acc map[Edge]float64) SparseVec {
-	v := make(SparseVec, 0, len(acc))
-	for e, w := range acc {
-		v = append(v, EdgeWeight{E: e, W: w})
-	}
-	sort.Slice(v, func(i, j int) bool { return v[i].E < v[j].E })
-	return v
-}
 
 // LoadOptions controls how per-demand load vectors are estimated.
 type LoadOptions struct {
@@ -85,9 +67,7 @@ func ComputeLoads(net *Network, pol paths.Policy, demands []traffic.Demand, opt 
 		VlbHops: make([]float64, len(demands)),
 	}
 	r := rng.New(opt.Seed)
-	st, _ := pol.(*paths.Store)
-	var scratch []Edge
-	var pbuf paths.Path
+	var re *rowEnv // made for the first demand the matrix does not hold
 	for i, d := range demands {
 		s, t := int(d.Src), int(d.Dst)
 
@@ -102,88 +82,17 @@ func ComputeLoads(net *Network, pol paths.Policy, demands []traffic.Demand, opt 
 		}
 
 		// MIN candidates are always enumerated exactly: there are at
-		// most K of them. Under a failure mask only surviving paths
-		// count; a pair with none yields an empty row (the solvers
-		// treat such a demand as VLB-only or unservable).
-		minPaths := paths.EnumerateMinAlive(net.T, net.Fail, s, t)
-		acc := make(map[Edge]float64, 8)
-		var w float64
-		if len(minPaths) > 0 {
-			w = 1 / float64(len(minPaths))
-			for _, p := range minPaths {
-				scratch = net.PathEdges(scratch[:0], p)
-				accumulate(acc, scratch, w)
-				dl.MinHops[i] += w * float64(p.Hops())
-			}
+		// most K of them. A pair with none surviving yields an empty row
+		// (the solvers treat such a demand as VLB-only or unservable).
+		if re == nil {
+			re = newRowEnv(net, pol)
 		}
-		dl.Min[i] = toSparse(acc)
-
-		acc = make(map[Edge]float64, 64)
+		dl.Min[i], dl.MinHops[i] = re.minRow(s, t, nil)
 		if opt.Enumerate {
-			if st != nil {
-				// Compiled fast path: walk the pair's PathID range
-				// through one reusable buffer instead of allocating the
-				// per-pair path list on every model evaluation.
-				first, count := st.PairRange(s, t)
-				if count > 0 {
-					dl.VlbOK[i] = true
-					w = 1 / float64(count)
-					for k := 0; k < count; k++ {
-						st.MaterializeInto(s, first+paths.PathID(k), &pbuf)
-						scratch = net.PathEdges(scratch[:0], pbuf)
-						accumulate(acc, scratch, w)
-						dl.VlbHops[i] += w * float64(pbuf.Hops())
-					}
-				}
-			} else {
-				vlbPaths := pol.Enumerate(s, t)
-				if net.Fail != nil {
-					// Order-preserving aliveness filter, matching the
-					// degraded store's surviving sequence.
-					nk := 0
-					for _, p := range vlbPaths {
-						if paths.Alive(net.Fail, p) {
-							vlbPaths[nk] = p
-							nk++
-						}
-					}
-					vlbPaths = vlbPaths[:nk]
-				}
-				if len(vlbPaths) > 0 {
-					dl.VlbOK[i] = true
-					w = 1 / float64(len(vlbPaths))
-					for _, p := range vlbPaths {
-						scratch = net.PathEdges(scratch[:0], p)
-						accumulate(acc, scratch, w)
-						dl.VlbHops[i] += w * float64(p.Hops())
-					}
-				}
-			}
+			dl.Vlb[i], dl.VlbHops[i], dl.VlbOK[i] = re.vlbRow(s, t, nil)
 		} else {
-			got := 0
-			for k := 0; k < opt.Samples; k++ {
-				p, ok := pol.SampleVLB(r, s, t)
-				if !ok {
-					break
-				}
-				if net.Fail != nil && !paths.Alive(net.Fail, p) {
-					continue // dead sample: draw again within the budget
-				}
-				got++
-				scratch = net.PathEdges(scratch[:0], p)
-				accumulate(acc, scratch, 1)
-				dl.VlbHops[i] += float64(p.Hops())
-			}
-			if got > 0 {
-				dl.VlbOK[i] = true
-				inv := 1 / float64(got)
-				for e := range acc {
-					acc[e] *= inv
-				}
-				dl.VlbHops[i] *= inv
-			}
+			dl.Vlb[i], dl.VlbHops[i], dl.VlbOK[i] = re.sampledRow(r, opt.Samples, s, t, nil)
 		}
-		dl.Vlb[i] = toSparse(acc)
 	}
 	return dl
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tugal/internal/paths"
+	"tugal/internal/rng"
 	"tugal/internal/topo"
 	"tugal/internal/traffic"
 )
@@ -15,7 +16,7 @@ import (
 // ~512 MiB of arena — far above every enumerable topology of the
 // paper (dfly(4,8,4,9) full VLB is ~2.7M entries) while refusing
 // degenerate requests.
-var DefaultMatrixBudget int64 = 32 << 20
+const DefaultMatrixBudget int64 = 32 << 20
 
 // LoadMatrix is the compiled, immutable form of the throughput
 // model's per-pair load vectors on one (topology, policy): a CSR
@@ -55,25 +56,14 @@ type LoadMatrix struct {
 	vlbHops []float64
 	vlbOK   []bool
 
-	// Patched rows of an incrementally recompiled matrix
-	// (Recompiled): patchOf[pi] >= 0 redirects the pair's rows to the
-	// patch CSR arenas, overriding the base arenas which stay shared
-	// with the pristine matrix. Nil on a directly compiled matrix.
-	patchOf   []int32
-	pMinStart []int32
-	pVlbStart []int32
-	pMinArena []EdgeWeight
-	pVlbArena []EdgeWeight
-
 	pairs     int
 	buildTime time.Duration
 }
 
-// edgeAcc is a dense scratch accumulator over the edge space: the
-// allocation-free replacement for the map[Edge]float64 the
-// interpreted path builds per demand. Accumulation order is the path
-// enumeration order, exactly as with the map, so the per-edge sums
-// are bit-identical to the map-based rows.
+// edgeAcc is a dense scratch accumulator over the edge space, reused
+// from row to row. Accumulation order is the path enumeration order,
+// so the per-edge sums are bit-identical to a map[Edge]float64 filled
+// in that order (the tests' naiveLoads).
 type edgeAcc struct {
 	w       []float64
 	mark    []int32
@@ -153,53 +143,73 @@ func PatternPairs(t *topo.Compiled, pats []traffic.Deterministic) [][2]int32 {
 // pairs (nil compiles every pair). When pol is a compiled
 // paths.Store the VLB rows are produced in one pass over its arena
 // through a reusable buffer; otherwise the policy is enumerated pair
-// by pair. Either way the rows are bit-identical to what the
-// map-based per-demand path computes.
+// by pair. Either way the rows are the ones ComputeLoads builds per
+// demand, because both run rowEnv.
 func CompileLoadMatrix(net *Network, pol paths.Policy, pairs [][2]int32) *LoadMatrix {
-	return compileMatrix(net, pol, nil, pairs)
+	start := time.Now()
+	n := net.T.NumSwitches()
+	if pairs == nil {
+		pairs = allPairs(n)
+	}
+	lm := &LoadMatrix{
+		Net:      net,
+		name:     pol.Name(),
+		n:        n,
+		has:      make([]bool, n*n),
+		minStart: make([]int32, n*n+1),
+		vlbStart: make([]int32, n*n+1),
+		minHops:  make([]float64, n*n),
+		vlbHops:  make([]float64, n*n),
+		vlbOK:    make([]bool, n*n),
+	}
+	// CSR fill requires ascending pair order; callers may hand pairs
+	// in any order.
+	order := sortPairs(pairs, n)
+	re := newRowEnv(net, pol)
+	prev := -1
+	for _, pr := range order {
+		s, d := int(pr[0]), int(pr[1])
+		pi := s*n + d
+		if pi == prev || s == d {
+			continue // duplicate or diagonal
+		}
+		// Carry row bounds forward over the un-compiled gap.
+		for q := prev + 1; q <= pi; q++ {
+			lm.minStart[q] = int32(len(lm.minArena))
+			lm.vlbStart[q] = int32(len(lm.vlbArena))
+		}
+		prev = pi
+		lm.has[pi] = true
+		lm.pairs++
+		lm.minArena, lm.minHops[pi] = re.minRow(s, d, lm.minArena)
+		lm.vlbArena, lm.vlbHops[pi], lm.vlbOK[pi] = re.vlbRow(s, d, lm.vlbArena)
+	}
+	for q := prev + 1; q <= n*n; q++ {
+		lm.minStart[q] = int32(len(lm.minArena))
+		lm.vlbStart[q] = int32(len(lm.vlbArena))
+	}
+	lm.buildTime = time.Since(start)
+	return lm
 }
 
-// CompileLoadMatrixFromStore builds pol's rows by walking base — a
-// compiled superset of pol's candidate set, typically the full VLB
-// store — and keeping the stored paths pol.Contains admits, instead
-// of re-enumerating the pair. Every interpreted policy's Enumerate is
-// the order-preserving Contains-filter of the full enumeration (the
-// order base stores), so the rows are bit-identical to
-// CompileLoadMatrix; the enumeration cost is paid once by the base
-// store for an entire grid of policies. A Step-1 probe compiles the
-// full store once and derives all 31 Table-1 matrices from it.
-//
-// When pol is itself a *paths.Store, base is ignored and pol's own
-// arena is walked.
-func CompileLoadMatrixFromStore(net *Network, base *paths.Store, pol paths.Policy, pairs [][2]int32) *LoadMatrix {
-	return compileMatrix(net, pol, base, pairs)
-}
-
-// rowEnv bundles the state one pair-row compilation needs, so a full
-// compile (compileMatrix) and an incremental patch (Recompiled)
-// execute the exact same float operations in the exact same order —
-// the rows they emit are bit-identical by construction.
+// rowEnv is the one builder of per-pair load rows: the policy, its
+// compiled form when it has one, and the scratch a row needs. A matrix
+// compile (CompileLoadMatrix) and a per-demand computation
+// (ComputeLoads) both go through it, so they execute the same float
+// operations in the same order and their rows are bit-identical by
+// construction.
 type rowEnv struct {
 	net     *Network
 	pol     paths.Policy
 	st      *paths.Store // pol as a compiled store (walk own arena)
-	base    *paths.Store // superset store filtered by pol
-	sf      paths.StoredFilter
 	acc     *edgeAcc
 	scratch []Edge
 	pbuf    paths.Path
-	kept    []paths.Path
 }
 
-func newRowEnv(net *Network, pol paths.Policy, base *paths.Store) *rowEnv {
-	re := &rowEnv{net: net, pol: pol, base: base, acc: newEdgeAcc(net.NumEdges)}
+func newRowEnv(net *Network, pol paths.Policy) *rowEnv {
+	re := &rowEnv{net: net, pol: pol, acc: newEdgeAcc(net.NumEdges)}
 	re.st, _ = pol.(*paths.Store)
-	if re.st != nil {
-		re.base = nil // a Store walks its own arena
-	}
-	if re.base != nil {
-		re.sf, _ = pol.(paths.StoredFilter)
-	}
 	return re
 }
 
@@ -241,43 +251,6 @@ func (re *rowEnv) vlbRow(s, d int, arena []EdgeWeight) ([]EdgeWeight, float64, b
 				hops += w * float64(re.pbuf.Hops())
 			}
 		}
-	} else if re.base != nil {
-		// Walk the shared superset store and keep what pol admits;
-		// the kept sequence is exactly pol.Enumerate's order. With a
-		// StoredFilter policy only admitted paths are materialized —
-		// length-filtered grid points reject the bulk of the full
-		// set from the stored hop count alone. Under a failure mask
-		// the base store must already be degraded (CompileDegraded),
-		// so its arena holds only surviving paths.
-		first, count := re.base.PairRange(s, d)
-		nk := 0
-		for k := 0; k < count; k++ {
-			id := first + paths.PathID(k)
-			if nk == len(re.kept) {
-				re.kept = append(re.kept, paths.Path{})
-			}
-			if re.sf != nil {
-				if !re.sf.AllowsStored(re.base, s, d, id) {
-					continue
-				}
-				re.base.MaterializeInto(s, id, &re.kept[nk])
-				nk++
-				continue
-			}
-			re.base.MaterializeInto(s, id, &re.kept[nk])
-			if re.pol.Contains(s, d, re.kept[nk]) {
-				nk++
-			}
-		}
-		if nk > 0 {
-			ok = true
-			w := 1 / float64(nk)
-			for k := 0; k < nk; k++ {
-				re.scratch = re.net.PathEdges(re.scratch[:0], re.kept[k])
-				re.acc.add(re.scratch, w)
-				hops += w * float64(re.kept[k].Hops())
-			}
-		}
 	} else {
 		vlbPaths := re.pol.Enumerate(s, d)
 		if re.net.Fail != nil {
@@ -306,135 +279,34 @@ func (re *rowEnv) vlbRow(s, d int, arena []EdgeWeight) ([]EdgeWeight, float64, b
 	return re.acc.appendRow(arena), hops, ok
 }
 
-func compileMatrix(net *Network, pol paths.Policy, base *paths.Store, pairs [][2]int32) *LoadMatrix {
-	start := time.Now()
-	n := net.T.NumSwitches()
-	if pairs == nil {
-		pairs = allPairs(n)
-	}
-	lm := &LoadMatrix{
-		Net:      net,
-		name:     pol.Name(),
-		n:        n,
-		has:      make([]bool, n*n),
-		minStart: make([]int32, n*n+1),
-		vlbStart: make([]int32, n*n+1),
-		minHops:  make([]float64, n*n),
-		vlbHops:  make([]float64, n*n),
-		vlbOK:    make([]bool, n*n),
-	}
-	// CSR fill requires ascending pair order; callers may hand pairs
-	// in any order.
-	order := sortPairs(pairs, n)
-	re := newRowEnv(net, pol, base)
-	prev := -1
-	for _, pr := range order {
-		s, d := int(pr[0]), int(pr[1])
-		pi := s*n + d
-		if pi == prev || s == d {
-			continue // duplicate or diagonal
+// sampledRow is vlbRow estimated from up to samples draws of the
+// policy's sampler — the Monte-Carlo mode for topologies too large to
+// enumerate. Under a failure mask a dead draw is discarded and the row
+// averages the survivors.
+func (re *rowEnv) sampledRow(r *rng.Source, samples, s, d int, arena []EdgeWeight) ([]EdgeWeight, float64, bool) {
+	re.acc.reset()
+	hops := 0.0
+	got := 0
+	for k := 0; k < samples; k++ {
+		if !re.pol.SampleVLBInto(r, s, d, &re.pbuf) {
+			break
 		}
-		// Carry row bounds forward over the un-compiled gap.
-		for q := prev + 1; q <= pi; q++ {
-			lm.minStart[q] = int32(len(lm.minArena))
-			lm.vlbStart[q] = int32(len(lm.vlbArena))
+		if !paths.Alive(re.net.Fail, re.pbuf) {
+			continue // dead sample: draw again within the budget
 		}
-		prev = pi
-		lm.has[pi] = true
-		lm.pairs++
-		lm.minArena, lm.minHops[pi] = re.minRow(s, d, lm.minArena)
-		lm.vlbArena, lm.vlbHops[pi], lm.vlbOK[pi] = re.vlbRow(s, d, lm.vlbArena)
+		got++
+		re.scratch = re.net.PathEdges(re.scratch[:0], re.pbuf)
+		re.acc.add(re.scratch, 1)
+		hops += float64(re.pbuf.Hops())
 	}
-	for q := prev + 1; q <= n*n; q++ {
-		lm.minStart[q] = int32(len(lm.minArena))
-		lm.vlbStart[q] = int32(len(lm.vlbArena))
-	}
-	lm.buildTime = time.Since(start)
-	return lm
-}
-
-// MergeDirtyPairs unions dirty-pair lists (e.g. a store recompile's
-// RecompileStats.Pairs and paths.MinDirtyPairs) into one deduplicated
-// list — the row set Recompiled must re-derive.
-func MergeDirtyPairs(n int, lists ...[][2]int32) [][2]int32 {
-	seen := make([]bool, n*n)
-	var out [][2]int32
-	for _, l := range lists {
-		for _, pr := range l {
-			pi := int(pr[0])*n + int(pr[1])
-			if seen[pi] {
-				continue
-			}
-			seen[pi] = true
-			out = append(out, pr)
+	if got > 0 {
+		inv := 1 / float64(got)
+		for _, e := range re.acc.touched {
+			re.acc.w[e] *= inv
 		}
+		hops *= inv
 	}
-	return out
-}
-
-// Recompiled derives the matrix for a degraded network from this one
-// without recompiling clean rows: only the dirty pairs — the union of
-// the store recompile's touched pairs and the MIN dirty pairs of the
-// newly dead channels (MergeDirtyPairs) — are re-derived, into patch
-// arenas; every other row aliases the receiver's arenas unchanged.
-// net carries the failure mask and pol the matching degraded path set
-// (typically the paths.Store epoch ApplyFailures returned). The
-// receiver is not modified; chained recompiles patch over patches.
-// Patched rows are bit-identical to a from-scratch degraded compile's
-// because both run the same rowEnv operations.
-func (lm *LoadMatrix) Recompiled(net *Network, pol paths.Policy, dirty [][2]int32) *LoadMatrix {
-	start := time.Now()
-	n := lm.n
-	out := &LoadMatrix{
-		Net:      net,
-		name:     pol.Name(),
-		n:        n,
-		has:      lm.has,
-		minStart: lm.minStart,
-		vlbStart: lm.vlbStart,
-		minArena: lm.minArena,
-		vlbArena: lm.vlbArena,
-		minHops:  append([]float64(nil), lm.minHops...),
-		vlbHops:  append([]float64(nil), lm.vlbHops...),
-		vlbOK:    append([]bool(nil), lm.vlbOK...),
-		pairs:    lm.pairs,
-	}
-	if lm.patchOf != nil {
-		out.patchOf = append([]int32(nil), lm.patchOf...)
-		// Full-capacity slices: the first append reallocates, leaving
-		// the receiver's readers untouched (the paths.Store overlay
-		// contract).
-		out.pMinStart = lm.pMinStart[:len(lm.pMinStart):len(lm.pMinStart)]
-		out.pVlbStart = lm.pVlbStart[:len(lm.pVlbStart):len(lm.pVlbStart)]
-		out.pMinArena = lm.pMinArena[:len(lm.pMinArena):len(lm.pMinArena)]
-		out.pVlbArena = lm.pVlbArena[:len(lm.pVlbArena):len(lm.pVlbArena)]
-	} else {
-		out.patchOf = make([]int32, n*n)
-		for pi := range out.patchOf {
-			out.patchOf[pi] = -1
-		}
-		out.pMinStart = []int32{0}
-		out.pVlbStart = []int32{0}
-	}
-	re := newRowEnv(net, pol, nil)
-	order := sortPairs(dirty, n)
-	prev := -1
-	for _, pr := range order {
-		s, d := int(pr[0]), int(pr[1])
-		pi := s*n + d
-		if pi == prev || s == d || !lm.has[pi] {
-			continue // duplicate, diagonal, or never compiled
-		}
-		prev = pi
-		j := int32(len(out.pMinStart) - 1)
-		out.pMinArena, out.minHops[pi] = re.minRow(s, d, out.pMinArena)
-		out.pMinStart = append(out.pMinStart, int32(len(out.pMinArena)))
-		out.pVlbArena, out.vlbHops[pi], out.vlbOK[pi] = re.vlbRow(s, d, out.pVlbArena)
-		out.pVlbStart = append(out.pVlbStart, int32(len(out.pVlbArena)))
-		out.patchOf[pi] = j
-	}
-	out.buildTime = time.Since(start)
-	return out
+	return re.acc.appendRow(arena), hops, got > 0
 }
 
 // EstimateMatrixEntries predicts the total sparse-entry count of a
@@ -491,20 +363,6 @@ func TryCompileLoadMatrix(net *Network, pol paths.Policy, pairs [][2]int32, budg
 	return CompileLoadMatrix(net, pol, pairs), true
 }
 
-// TryCompileLoadMatrixFromStore is CompileLoadMatrixFromStore behind
-// the same entry-budget gate as TryCompileLoadMatrix.
-func TryCompileLoadMatrixFromStore(net *Network, base *paths.Store, pol paths.Policy, pairs [][2]int32, budget int64) (*LoadMatrix, bool) {
-	npairs := len(pairs)
-	if pairs == nil {
-		n := net.T.NumSwitches()
-		npairs = n * (n - 1)
-	}
-	if budget > 0 && EstimateMatrixEntries(net, pol, npairs) > budget {
-		return nil, false
-	}
-	return CompileLoadMatrixFromStore(net, base, pol, pairs), true
-}
-
 // Name returns the compiled policy's name.
 func (lm *LoadMatrix) Name() string { return lm.name }
 
@@ -518,11 +376,6 @@ func (lm *LoadMatrix) Has(s, d int) bool { return lm.has[s*lm.n+d] }
 // callers must not mutate it) and average MIN hop count.
 func (lm *LoadMatrix) MinRow(s, d int) (SparseVec, float64) {
 	pi := s*lm.n + d
-	if lm.patchOf != nil {
-		if j := lm.patchOf[pi]; j >= 0 {
-			return SparseVec(lm.pMinArena[lm.pMinStart[j]:lm.pMinStart[j+1]]), lm.minHops[pi]
-		}
-	}
 	return SparseVec(lm.minArena[lm.minStart[pi]:lm.minStart[pi+1]]), lm.minHops[pi]
 }
 
@@ -531,11 +384,6 @@ func (lm *LoadMatrix) MinRow(s, d int) (SparseVec, float64) {
 // candidate VLB path.
 func (lm *LoadMatrix) VlbRow(s, d int) (SparseVec, float64, bool) {
 	pi := s*lm.n + d
-	if lm.patchOf != nil {
-		if j := lm.patchOf[pi]; j >= 0 {
-			return SparseVec(lm.pVlbArena[lm.pVlbStart[j]:lm.pVlbStart[j+1]]), lm.vlbHops[pi], lm.vlbOK[pi]
-		}
-	}
 	return SparseVec(lm.vlbArena[lm.vlbStart[pi]:lm.vlbStart[pi+1]]), lm.vlbHops[pi], lm.vlbOK[pi]
 }
 
@@ -543,9 +391,7 @@ func (lm *LoadMatrix) VlbRow(s, d int) (SparseVec, float64, bool) {
 func (lm *LoadMatrix) Bytes() int64 {
 	const entry = 16 // EdgeWeight: int32 + pad + float64
 	b := entry * (int64(len(lm.minArena)) + int64(len(lm.vlbArena)))
-	b += entry * (int64(len(lm.pMinArena)) + int64(len(lm.pVlbArena)))
 	b += 4 * (int64(len(lm.minStart)) + int64(len(lm.vlbStart)))
-	b += 4 * (int64(len(lm.pMinStart)) + int64(len(lm.pVlbStart)) + int64(len(lm.patchOf)))
 	b += 8 * (int64(len(lm.minHops)) + int64(len(lm.vlbHops)))
 	b += int64(len(lm.vlbOK)) + int64(len(lm.has))
 	return b

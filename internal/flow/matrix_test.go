@@ -3,6 +3,7 @@ package flow
 import (
 	"bytes"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -51,9 +52,58 @@ func requireSameLoads(t *testing.T, want, got *DemandLoads) {
 	}
 }
 
-// TestLoadMatrixMatchesComputeLoads pins the matrix row-gather
-// against the per-demand map-based path, bit for bit, on interpreted
-// and compiled policies.
+// naiveLoads is the map-based per-demand row builder ComputeLoads
+// shipped before it shared rowEnv with the matrix compile: every
+// candidate enumerated and Alive-filtered in order, each row summed in
+// a fresh map[Edge]float64 and sorted at the end. It shares nothing
+// with rowEnv or edgeAcc, so it is the independent reference for both.
+func naiveLoads(net *Network, pol paths.Policy, demands []traffic.Demand) *DemandLoads {
+	dl := &DemandLoads{
+		Net:     net,
+		Demands: demands,
+		Min:     make([]SparseVec, len(demands)),
+		Vlb:     make([]SparseVec, len(demands)),
+		VlbOK:   make([]bool, len(demands)),
+		MinHops: make([]float64, len(demands)),
+		VlbHops: make([]float64, len(demands)),
+	}
+	// row spreads unit traffic evenly over ps, returning the sorted
+	// per-edge sums and the average hop count.
+	row := func(ps []paths.Path) (SparseVec, float64) {
+		acc := make(map[Edge]float64)
+		hops := 0.0
+		for _, p := range ps {
+			w := 1 / float64(len(ps))
+			for _, e := range net.PathEdges(nil, p) {
+				acc[e] += w
+			}
+			hops += w * float64(p.Hops())
+		}
+		v := make(SparseVec, 0, len(acc))
+		for e, w := range acc {
+			v = append(v, EdgeWeight{E: e, W: w})
+		}
+		sort.Slice(v, func(i, j int) bool { return v[i].E < v[j].E })
+		return v, hops
+	}
+	for i, d := range demands {
+		s, t := int(d.Src), int(d.Dst)
+		dl.Min[i], dl.MinHops[i] = row(paths.EnumerateMinAlive(net.T, net.Fail, s, t))
+		var vlb []paths.Path
+		for _, p := range pol.Enumerate(s, t) {
+			if paths.Alive(net.Fail, p) {
+				vlb = append(vlb, p)
+			}
+		}
+		dl.Vlb[i], dl.VlbHops[i] = row(vlb)
+		dl.VlbOK[i] = len(vlb) > 0
+	}
+	return dl
+}
+
+// TestLoadMatrixMatchesComputeLoads pins ComputeLoads — the matrix
+// row-gather and the per-demand rowEnv build — against the map-based
+// naiveLoads, bit for bit, on interpreted and compiled policies.
 func TestLoadMatrixMatchesComputeLoads(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	net := NewNetwork(tp)
@@ -69,7 +119,8 @@ func TestLoadMatrixMatchesComputeLoads(t *testing.T) {
 		}
 		for _, pat := range pats {
 			demands := traffic.SwitchDemands(tp, pat)
-			want := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true})
+			want := naiveLoads(net, pol, demands)
+			requireSameLoads(t, want, ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true}))
 			got := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true, Matrix: lm})
 			requireSameLoads(t, want, got)
 
@@ -86,27 +137,6 @@ func TestLoadMatrixMatchesComputeLoads(t *testing.T) {
 			if wl != gl {
 				t.Fatalf("%s/%s: LP %v vs %v", name, pat.Name(), gl, wl)
 			}
-		}
-	}
-}
-
-// TestLoadMatrixFromStore: deriving a policy's matrix by filtering
-// the full VLB store must reproduce direct compilation bit for bit —
-// the contract that lets a Step-1 probe enumerate each pair once for
-// the whole Table-1 grid.
-func TestLoadMatrixFromStore(t *testing.T) {
-	tp := topo.MustNew(2, 4, 2, 9)
-	net := NewNetwork(tp)
-	base := paths.Full{T: tp}.Compile(tp)
-	pairs := PatternPairs(tp, []traffic.Deterministic{
-		traffic.Shift{T: tp, DG: 1, DS: 0},
-		traffic.NewGroupPermutation(tp, 5),
-	})
-	for _, pairSet := range [][][2]int32{nil, pairs} {
-		for name, pol := range matrixPolicies(tp) {
-			want := CompileLoadMatrix(net, pol, pairSet)
-			got := CompileLoadMatrixFromStore(net, base, pol, pairSet)
-			requireSameMatrix(t, name, tp, want, got)
 		}
 	}
 }
@@ -197,6 +227,11 @@ func TestMatrixGrid(t *testing.T) {
 	if _, ok := TryNewMatrixGrid(net, base, pairs, 0); !ok {
 		t.Fatal("grid refused an unlimited budget")
 	}
+	// core.step1 has no rung between the grid and a per-pair compile: a
+	// store inside the compile budget must always fit the grid's.
+	if paths.DefaultCompileBudget*(gridStride*4+9) > DefaultMatrixBudget*16 {
+		t.Fatal("a store within paths.DefaultCompileBudget can exceed the grid's share of DefaultMatrixBudget")
+	}
 }
 
 // TestLoadMatrixPartialPairsFallback: a matrix restricted to one
@@ -220,7 +255,7 @@ func TestLoadMatrixPartialPairsFallback(t *testing.T) {
 				miss++
 			}
 		}
-		want := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true})
+		want := naiveLoads(net, pol, demands)
 		got := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true, Matrix: lm})
 		requireSameLoads(t, want, got)
 	}

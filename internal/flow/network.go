@@ -45,7 +45,7 @@ type Network struct {
 	// zero capacity (so any load accidentally routed over dead gear
 	// collapses alpha to zero instead of passing silently). Compiled
 	// stores handed to the matrix builders must already be degraded
-	// under the same mask (paths.CompileDegraded / ApplyFailures).
+	// under the same mask (paths.CompileDegraded).
 	Fail *topo.FailureMask
 
 	portsPerSw int // a-1+h switch-to-switch ports

@@ -267,7 +267,7 @@ func (s Strategic) splits(src, dst, mid int, ports []int8) bool {
 // AllowsStored implements StoredFilter: only 5-hop paths walk their
 // first leg's stored ports to the split switch, and nothing is built.
 func (s Strategic) AllowsStored(base *Store, src, dst int, id PathID) bool {
-	if h := base.hopOf(id); h != 5 {
+	if h := base.Hops(id); h != 5 {
 		return h <= 4
 	}
 	ports := base.portsOf(id)

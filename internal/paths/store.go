@@ -23,7 +23,7 @@ type PathID int32
 // smaller) while refusing the modeled-only dfly(4,8,4,33) (~17M)
 // and the giant dfly(13,26,13,27), whose full set is tens of
 // billions of paths.
-var DefaultCompileBudget int64 = 9 << 20
+const DefaultCompileBudget int64 = 9 << 20
 
 // pathIDSpace is the largest path count a Store can index: PathID and
 // pairStart are int32.
@@ -54,57 +54,18 @@ type Store struct {
 	ports     []int8 // flat arena, MaxVLBHops entries per path
 	buildTime time.Duration
 
-	// Degraded-topology overlay state, zero on pristine stores. An
-	// ApplyFailures epoch shares the base arenas (pairStart/hops/
-	// ports) read-only and overrides the per-pair index: when
-	// pairFirst is non-nil, pair pi spans [pairFirst[pi],
-	// pairFirst[pi]+pairCount[pi]). PathIDs below len(hops) address
-	// the base arena; higher IDs address the patch arena at
-	// id-len(hops), where rewritten (shrunken) pair ranges live.
-	mask      *topo.FailureMask
-	epoch     int
-	pairFirst []int32
-	pairCount []int32
-	pHops     []uint8
-	pPorts    []int8
-	idx       *edgeIndex
+	mask *topo.FailureMask // compiled under (nil: pristine)
+	idx  *edgeIndex        // BuildEdgeIndex's reverse index, nil until built
 }
 
-// pairSpan returns pair pi's first PathID and path count, honoring
-// the overlay index when present.
-func (st *Store) pairSpan(pi int) (PathID, int) {
-	if st.pairFirst != nil {
-		return PathID(st.pairFirst[pi]), int(st.pairCount[pi])
-	}
-	first := st.pairStart[pi]
-	return PathID(first), int(st.pairStart[pi+1] - first)
-}
-
-// hopOf resolves a path's hop count across the base and patch arenas.
-func (st *Store) hopOf(id PathID) int {
-	if i := int(id); i < len(st.hops) {
-		return int(st.hops[i])
-	}
-	return int(st.pHops[int(id)-len(st.hops)])
-}
-
-// portsOf resolves a path's port sequence (stride MaxVLBHops) across
-// the base and patch arenas.
+// portsOf returns a path's slot in the port arena (stride MaxVLBHops).
 func (st *Store) portsOf(id PathID) []int8 {
-	if i := int(id); i < len(st.hops) {
-		return st.ports[i*MaxVLBHops : (i+1)*MaxVLBHops]
-	}
-	j := int(id) - len(st.hops)
-	return st.pPorts[j*MaxVLBHops : (j+1)*MaxVLBHops]
+	return st.ports[int(id)*MaxVLBHops : (int(id)+1)*MaxVLBHops]
 }
 
-// Mask returns the failure mask the store was compiled or recompiled
-// under (nil for pristine stores).
+// Mask returns the failure mask the store was compiled under (nil for
+// pristine stores).
 func (st *Store) Mask() *topo.FailureMask { return st.mask }
-
-// Epoch returns the store's recompilation epoch: 0 for a fresh
-// compile, incremented by every ApplyFailures derivation.
-func (st *Store) Epoch() int { return st.epoch }
 
 // compileStore compiles pol under mask (nil: the pristine topology)
 // as count -> prefix-sum -> fill over source-switch rows. The count
@@ -115,8 +76,9 @@ func (st *Store) Epoch() int { return st.epoch }
 // final slot. Rows own disjoint arena ranges, so both passes run over
 // row chunks on the default pool and the arenas are byte-identical at
 // any worker count. Per-pair order is the policy's Enumerate order
-// filtered by aliveness — exactly the sequence ApplyFailures produces
-// incrementally, which is what makes the two bit-identical.
+// filtered by aliveness — the sequence filtering an already compiled
+// store by the same mask leaves (degradedStore), which is what makes
+// the two byte-identical.
 //
 // The second result is the counted total. When it exceeds limit (the
 // PathID space, for every caller but the overflow test) the store is
@@ -267,19 +229,18 @@ func (st *Store) Name() string {
 // Compile implements Policy: a Store is already compiled.
 func (st *Store) Compile(*topo.Compiled) *Store { return st }
 
-// NumPaths returns the size of the PathID space: base plus patch
-// arena entries. On an overlay store some IDs belong to superseded
-// ranges that PairRange never yields; removal sets indexed by PathID
-// (Without) stay correct because those IDs are simply never visited.
-func (st *Store) NumPaths() int { return len(st.hops) + len(st.pHops) }
+// NumPaths returns the number of compiled paths, the size of the
+// PathID space.
+func (st *Store) NumPaths() int { return len(st.hops) }
 
 // PairRange returns the pair's first PathID and path count.
 func (st *Store) PairRange(s, d int) (PathID, int) {
-	return st.pairSpan(s*st.n + d)
+	first := st.pairStart[s*st.n+d]
+	return PathID(first), int(st.pairStart[s*st.n+d+1] - first)
 }
 
 // Hops returns a compiled path's hop count.
-func (st *Store) Hops(id PathID) int { return st.hopOf(id) }
+func (st *Store) Hops(id PathID) int { return int(st.hops[id]) }
 
 // SampleID draws a uniform PathID from the pair's range: the O(1),
 // allocation-free replacement for rejection sampling. ok=false when
@@ -298,7 +259,7 @@ func (st *Store) SampleID(r *rng.Source, s, d int) (PathID, bool) {
 func (st *Store) MaterializeInto(src int, id PathID, dst *Path) {
 	dst.Sw = append(dst.Sw[:0], int32(src))
 	dst.Ports = dst.Ports[:0]
-	h := st.hopOf(id)
+	h := st.Hops(id)
 	ports := st.portsOf(id)
 	cur := src
 	for i := 0; i < h; i++ {
@@ -318,7 +279,7 @@ func (st *Store) MaterializeInto(src int, id PathID, dst *Path) {
 // sequence without building the path.
 func (st *Store) KeyOf(src int, id PathID) uint64 {
 	h := rng.Mix(rng.HashSeed, uint64(int32(src)))
-	n := st.hopOf(id)
+	n := st.Hops(id)
 	ports := st.portsOf(id)
 	cur := src
 	for i := 0; i < n; i++ {
@@ -373,7 +334,7 @@ func (st *Store) Contains(s, d int, p Path) bool {
 outer:
 	for i := 0; i < count; i++ {
 		id := first + PathID(i)
-		if st.hopOf(id) != h {
+		if st.Hops(id) != h {
 			continue
 		}
 		ports := st.portsOf(id)
@@ -393,8 +354,8 @@ outer:
 // split points of its middle local hop), so one concrete path may
 // hold several PathIDs; removal semantics treat those as one path.
 func (st *Store) EqualIDs(a, b PathID) bool {
-	h := st.hopOf(a)
-	if h != st.hopOf(b) {
+	h := st.Hops(a)
+	if h != st.Hops(b) {
 		return false
 	}
 	pa, pb := st.portsOf(a), st.portsOf(b)
@@ -408,9 +369,9 @@ func (st *Store) EqualIDs(a, b PathID) bool {
 
 // Ports returns a compiled path's out-ports, one per hop: a read-only
 // view of the arena. With the source switch they identify the path.
-func (st *Store) Ports(id PathID) []int8 { return st.portsOf(id)[:st.hopOf(id)] }
+func (st *Store) Ports(id PathID) []int8 { return st.portsOf(id)[:st.Hops(id)] }
 
-// DropMask marks, by PathID, the live paths of st that pol does not
+// DropMask marks, by PathID, the paths of st that pol does not
 // admit. Every policy's per-pair order is the full VLB order filtered,
 // so on a store of the full set st.Without(st.DropMask(pol)) is
 // byte-for-byte pol compiled under st's mask — by a walk over stored
@@ -424,7 +385,7 @@ func (st *Store) DropMask(pol Policy) []bool {
 	exec.Default().RunRows("paths/drop-mask", st.n, func(s int) {
 		var p Path
 		for d := 0; d < st.n; d++ {
-			first, count := st.pairSpan(s*st.n + d)
+			first, count := st.PairRange(s, d)
 			for id := first; id < first+PathID(count); id++ {
 				if sf != nil {
 					drop[id] = !sf.AllowsStored(st, s, d, id)
@@ -448,42 +409,34 @@ func (st *Store) Without(removed []bool) *Store {
 	start := time.Now()
 	nn := st.n * st.n
 	out := &Store{T: st.T, n: st.n, mask: st.mask, pairStart: make([]int32, nn+1)}
-	before, live := 0, 0
+	live := 0
 	for pi := 0; pi < nn; pi++ {
-		first, count := st.pairSpan(pi)
-		before += count
-		for id := first; id < first+PathID(count); id++ {
+		for id := st.pairStart[pi]; id < st.pairStart[pi+1]; id++ {
 			if !removed[id] {
 				live++
 			}
 		}
 		out.pairStart[pi+1] = int32(live)
 	}
-	out.name = fmt.Sprintf("%s-minus-%d", st.name, before-live)
+	out.name = fmt.Sprintf("%s-minus-%d", st.name, len(st.hops)-live)
 	out.hops = make([]uint8, live)
 	out.ports = make([]int8, live*MaxVLBHops)
 	k := 0
-	for pi := 0; pi < nn; pi++ {
-		first, count := st.pairSpan(pi)
-		for id := first; id < first+PathID(count); id++ {
-			if !removed[id] {
-				out.hops[k] = uint8(st.hopOf(id))
-				copy(out.ports[k*MaxVLBHops:], st.portsOf(id))
-				k++
-			}
+	for id, h := range st.hops {
+		if !removed[id] {
+			out.hops[k] = h
+			copy(out.ports[k*MaxVLBHops:], st.portsOf(PathID(id)))
+			k++
 		}
 	}
 	out.buildTime = time.Since(start)
 	return out
 }
 
-// Bytes reports the resident size of the compiled arenas, including
-// any overlay patch arenas and per-pair index.
+// Bytes reports the resident size of the compiled arenas and the
+// per-pair index.
 func (st *Store) Bytes() int64 {
-	b := int64(len(st.ports)) + int64(len(st.hops)) + 4*int64(len(st.pairStart))
-	b += int64(len(st.pPorts)) + int64(len(st.pHops))
-	b += 4 * int64(len(st.pairFirst)+len(st.pairCount))
-	return b
+	return int64(len(st.ports)) + int64(len(st.hops)) + 4*int64(len(st.pairStart))
 }
 
 // BuildTime reports how long compilation took.
@@ -498,19 +451,16 @@ type StoreStats struct {
 	BuildTime time.Duration
 }
 
-// Stats computes the store's summary statistics over the live path
-// set (superseded overlay ranges are not counted).
+// Stats computes the store's summary statistics.
 func (st *Store) Stats() StoreStats {
-	s := StoreStats{Bytes: st.Bytes(), BuildTime: st.buildTime}
+	s := StoreStats{Paths: len(st.hops), Bytes: st.Bytes(), BuildTime: st.buildTime}
 	for pi := 0; pi < st.n*st.n; pi++ {
-		first, count := st.pairSpan(pi)
-		if count > 0 {
+		if st.pairStart[pi+1] > st.pairStart[pi] {
 			s.Pairs++
 		}
-		s.Paths += count
-		for k := 0; k < count; k++ {
-			s.HopHist[st.hopOf(first+PathID(k))]++
-		}
+	}
+	for _, h := range st.hops {
+		s.HopHist[h]++
 	}
 	return s
 }

@@ -293,14 +293,14 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 // compile, at 1, 2 and 8 workers, for every policy shape (Explicit has
 // no stored-filter hook and takes the materializing fallback), pristine
 // and masked, from a full store compiled under the mask and from the
-// overlay ApplyFailures derives.
+// pristine store filtered by it.
 func TestDropMaskWorkers(t *testing.T) {
 	for _, tp := range oracleTopos() {
 		pristine := Full{T: tp}.Compile(tp)
 		for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
 			bases := map[string]*Store{"compiled": CompileDegraded(tp, Full{T: tp}, mask)}
 			if mask != nil {
-				bases["overlay"], _ = pristine.ApplyFailures(mask, mask.DeadChannels())
+				bases["filtered"] = CompileDegraded(tp, pristine, mask)
 			}
 			for _, pol := range storePolicies(tp) {
 				want := CompileDegraded(tp, pol, mask)
@@ -323,32 +323,31 @@ func TestDropMaskWorkers(t *testing.T) {
 
 // TestCompileDegradedPassesThrough: a store already compiled under the
 // mask — the same one, or another over the same dead set — comes back
-// as it is, without a new epoch, an edge index or a patch arena; a
-// different mask still derives a new epoch.
+// as it is, whether it was enumerated under the mask or filtered from
+// the pristine store, and no edge index is built for it; a grown mask
+// derives a new store.
 func TestCompileDegradedPassesThrough(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	mask := degradedMask(tp)
 	st := CompileDegraded(tp, Full{T: tp}, mask)
-	over, _ := Full{T: tp}.Compile(tp).ApplyFailures(mask, mask.DeadChannels())
-	for _, st := range []*Store{st, over} {
-		epoch, n := st.Epoch(), st.NumPaths()
+	filtered := CompileDegraded(tp, Full{T: tp}.Compile(tp), mask)
+	for _, st := range []*Store{st, filtered} {
 		for _, m := range []*topo.FailureMask{mask, mask.Clone(), nil} {
 			got, ok := TryCompileDegraded(tp, st, 1, m)
 			if !ok || got != st || CompileDegraded(tp, st, m) != st {
 				t.Fatalf("store under %v recompiled for mask %v", st.Mask(), m)
 			}
 		}
-		if st.Epoch() != epoch || st.NumPaths() != n || (st.idx != nil) != (st == over) {
-			t.Fatalf("pass-through moved the store: epoch %d -> %d, %d -> %d paths, index built %v",
-				epoch, st.Epoch(), n, st.NumPaths(), st.idx != nil)
+		if st.Mask() != mask || st.idx != nil {
+			t.Fatalf("pass-through moved the store: mask %v, index built %v", st.Mask(), st.idx != nil)
 		}
 	}
 	grown := mask.Clone()
 	if _, err := grown.FailGlobalLink(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := CompileDegraded(tp, st, grown); got == st || got.Epoch() != st.Epoch()+1 || got.Mask() != grown {
-		t.Fatalf("a grown mask did not derive a new epoch (epoch %d)", got.Epoch())
+	if got := CompileDegraded(tp, st, grown); got == st || got.NumPaths() >= st.NumPaths() || got.Mask() != grown {
+		t.Fatalf("a grown mask did not derive a smaller store under it (%d of %d paths)", got.NumPaths(), st.NumPaths())
 	}
 }
 

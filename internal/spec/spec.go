@@ -268,9 +268,8 @@ func Failures(t *topo.Compiled, s string) (*topo.FailureMask, error) {
 
 // ApplyFailures applies a failure spec (same grammar as Failures) to
 // an existing mask, returning the newly dead channels — the delta
-// form incremental recompilation (paths.Store.ApplyFailures,
-// route.Service.Fail) consumes. Already-dead items contribute nothing
-// to the delta.
+// form route.Service.Fail consumes. Already-dead items contribute
+// nothing to the delta.
 func ApplyFailures(m *topo.FailureMask, s string) ([]topo.Channel, error) {
 	var delta []topo.Channel
 	for _, item := range strings.Split(s, ",") {
