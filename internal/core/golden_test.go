@@ -162,6 +162,31 @@ func TestGoldenNetsimSequentialPathsG5(t *testing.T) {
 	}
 }
 
+// TestGoldenNetsimInterpretedStrategicG5 pins T-UGAL-L over the
+// interpreted strategic 2+3 policy: every VLB candidate of the run is
+// a rejection-sampled draw, which no other netsim golden covers (they
+// sample paths.Full or a compiled store). Captured from
+// Strategic.SampleVLBInto's own rejection loop.
+func TestGoldenNetsimInterpretedStrategicG5(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 5)
+	cfg := netsim.DefaultConfig()
+	cfg.Seed = 42
+	rf := routing.NewUGALL(tp, paths.Strategic{T: tp, FirstLeg: 2})
+	res := netsim.New(tp, cfg, rf.CloneRouting(), traffic.Shift{T: tp, DG: 1}, 0.2).Run(500, 500, 2000)
+	want := map[string][2]uint64{
+		"Throughput":  {math.Float64bits(res.Throughput), 0x3fc999999999999a},
+		"AvgLatency":  {math.Float64bits(res.AvgLatency), 0x404328d9df51b3c3},
+		"AvgHops":     {math.Float64bits(res.AvgHops), 0x4008c350eee3ff41},
+		"VLBFraction": {math.Float64bits(res.VLBFraction), 0x3fd5736883bfa9e0},
+		"OfferedLoad": {math.Float64bits(res.OfferedLoad), 0x3fc9916872b020c5},
+	}
+	for name, v := range want {
+		if v[0] != v[1] {
+			t.Errorf("%s = %#x, golden %#x", name, v[0], v[1])
+		}
+	}
+}
+
 // tvlbGolden is everything Algorithm 1 reports about its Step 2.
 type tvlbGolden struct {
 	Names    []string
