@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"tugal/internal/exec"
 	"tugal/internal/paths"
 	"tugal/internal/route"
 	"tugal/internal/spec"
@@ -109,7 +110,7 @@ func main() {
 		}
 		fmt.Printf("\npolicy %s:\n", pol.Name())
 		est := paths.EstimatePaths(t, pol)
-		st, ok := paths.TryCompile(t, pol, paths.DefaultCompileBudget)
+		st, ok := paths.Compiled(exec.Default(), t, pol, nil)
 		if !ok {
 			fmt.Printf("  over compile budget: ~%d paths estimated (budget %d); interpreted sampling only\n",
 				est, paths.DefaultCompileBudget)

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -228,6 +230,67 @@ func FuzzLookupHandler(f *testing.F) {
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 		default:
 			t.Fatalf("%q: status %d", body, rec.Code)
+		}
+	})
+}
+
+// FuzzFailHandler: any ?spec= on a service that already lost a switch is
+// a 200 or a 400, never a panic. A 400 leaves the epoch, the tables and
+// the mask exactly as they were; a 200 leaves the mask the spec applied
+// to a clone of the old one gives, and reports the epoch it swapped to.
+func FuzzFailHandler(f *testing.F) {
+	for _, s := range []string{
+		"global:0:1", "switch:9", "local:16:18", "global:0:1,switch:9", "global:1:0,bogus", "switch:3",
+		"global:2", "global:2:9", "local:4", "local:4:4", "switch:999", "switch:x", "link:1:2",
+		"", ",", "switch:-1", "global:99999999999999999999:0", "a=b&spec=switch:1", "switch:1%2Cswitch:2",
+	} {
+		f.Add(s)
+	}
+	tp, err := spec.Topology("dfly(2,4,2,5)")
+	if err != nil {
+		f.Fatal(err)
+	}
+	st := paths.Compile(tp, paths.Full{T: tp})
+	f.Fuzz(func(t *testing.T, failSpec string) {
+		svc, err := route.NewService(st, route.ModeUGAL, 0, route.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.FailSwitch(3); err != nil {
+			t.Fatal(err)
+		}
+		before := svc.Tables()
+		dead := slices.Clone(before.Mask().DeadDense())
+		want := before.Mask().Clone()
+		_, wantErr := spec.ApplyFailures(want, failSpec)
+
+		rec := httptest.NewRecorder()
+		target := "/fail?" + url.Values{"spec": {failSpec}}.Encode()
+		newMux(tp, svc).ServeHTTP(rec, httptest.NewRequest("POST", target, nil))
+		after := svc.Tables()
+		switch rec.Code {
+		case http.StatusBadRequest:
+			if wantErr == nil && failSpec != "" {
+				t.Fatalf("%q: 400 (%s) for a spec ApplyFailures takes", failSpec, rec.Body)
+			}
+			if after != before || !slices.Equal(after.Mask().DeadDense(), dead) {
+				t.Fatalf("%q: refused, yet epoch %d -> %d or the mask changed", failSpec, before.Epoch(), after.Epoch())
+			}
+		case http.StatusOK:
+			var swap route.SwapStats
+			if err := json.Unmarshal(rec.Body.Bytes(), &swap); err != nil || swap.Epoch != after.Epoch() {
+				t.Fatalf("%q: reply %s (err=%v), tables at epoch %d", failSpec, rec.Body, err, after.Epoch())
+			}
+			if wantErr != nil || !slices.Equal(after.Mask().DeadDense(), want.DeadDense()) {
+				t.Fatalf("%q: 200, ApplyFailures err=%v, or another mask than it leaves", failSpec, wantErr)
+			}
+			g0, l0, s0 := before.Mask().Counts()
+			g, l, sw := want.Counts()
+			if grew := g != g0 || l != l0 || sw != s0; (grew && after.Epoch() != before.Epoch()+1) || (!grew && after != before) {
+				t.Fatalf("%q: mask grew=%v, epoch %d -> %d", failSpec, grew, before.Epoch(), after.Epoch())
+			}
+		default:
+			t.Fatalf("%q: status %d", failSpec, rec.Code)
 		}
 	})
 }

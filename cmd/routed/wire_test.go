@@ -174,7 +174,7 @@ func g5(t testing.TB, mode route.Mode) (*topo.Compiled, *route.Service) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := route.NewService(paths.Full{T: tp}.Compile(tp), mode, 0, route.Default())
+	svc, err := route.NewService(paths.Compile(tp, paths.Full{T: tp}), mode, 0, route.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

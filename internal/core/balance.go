@@ -2,8 +2,8 @@ package core
 
 import (
 	"slices"
-	"sort"
 
+	"tugal/internal/exec"
 	"tugal/internal/flow"
 	"tugal/internal/paths"
 	"tugal/internal/rng"
@@ -83,13 +83,14 @@ func analyzePairs(t *topo.Compiled, opt LBOptions) [][2]int32 {
 // path of a pair is equally likely; paths causing usage significantly
 // above the mean are removed, longest first.
 //
-// When the policy compiles within the store budget, the analysis
-// runs on the compiled form — removal is a []bool indexed by PathID
-// and the result is a compacted Store ready for allocation-free
-// sampling. Otherwise (modeled-only giant topologies) it falls back
-// to the interpreted path: an Explicit wrapper with a hash-keyed
-// removal set. Both branches make identical removal decisions
-// because the store preserves per-pair enumeration order.
+// There is one adjustment (adjust) with two feeds. When the policy
+// compiles within the store budget, a pair's paths are read out of the
+// store's arena, removal is a []bool indexed by PathID and the result
+// is a compacted Store ready for allocation-free sampling. Otherwise
+// (modeled-only giant topologies) they come from a filtered walk of
+// the interpreted policy and the result is an Explicit wrapper with a
+// hash-keyed removal set. Both feeds hand the adjustment the same paths
+// in the same order, so it makes the same removal decisions.
 func Rebalance(t *topo.Compiled, pol paths.Policy, opt LBOptions) (paths.Policy, BalanceReport) {
 	return RebalanceOn(flow.NewNetwork(t), pol, opt)
 }
@@ -103,20 +104,18 @@ func RebalanceOn(net *flow.Network, pol paths.Policy, opt LBOptions) (paths.Poli
 		return paths.NewExplicit(pol), BalanceReport{}
 	}
 	// On a degraded network (net.Fail set) the analysis runs over
-	// surviving paths only: the compiled branch gets the degraded
-	// store epoch, the interpreted branch filters each enumeration.
-	if st, ok := paths.TryCompileDegraded(net.T, pol, paths.DefaultCompileBudget, net.Fail); ok {
+	// surviving paths only: the store is compiled or filtered under the
+	// mask, the walk of an interpreted policy skips dead paths.
+	if st, ok := paths.Compiled(exec.Default(), net.T, pol, net.Fail); ok {
 		return rebalanceStore(net, st, opt)
 	}
-	return rebalanceInterpreted(net, pol, opt)
+	return rebalancePolicy(net, pol, opt)
 }
 
-// useScratch is the dense per-pair usage accumulator shared by both
-// rebalance branches: counts indexed by edge with a first-touch
-// list, reset in O(1) by generation bump. Unlike the former
-// map[Edge]float64, the mean over touched edges sums in a
-// deterministic order (first touch = path enumeration order), so the
-// interpreted and store branches agree bit-for-bit.
+// useScratch is the dense per-pair usage accumulator of the
+// adjustment: counts indexed by edge with a first-touch list, reset in
+// O(1) by generation bump. The mean over touched edges sums in first
+// touch order, which is path order, so it does not depend on the feed.
 type useScratch struct {
 	w       []float64
 	mark    []int32
@@ -142,8 +141,7 @@ func (u *useScratch) inc(e flow.Edge) {
 	u.w[e]++
 }
 
-// mean returns the average count over touched edges and whether any
-// edge is "hot" (count above tol times the mean, and shared).
+// mean returns the average count over touched edges.
 func (u *useScratch) mean() float64 {
 	if len(u.touched) == 0 {
 		return 0
@@ -153,156 +151,6 @@ func (u *useScratch) mean() float64 {
 		m += u.w[e]
 	}
 	return m / float64(len(u.touched))
-}
-
-// alivePaths drops paths crossing dead gear, in place and order
-// preserving, matching the degraded store's surviving sequence so the
-// two rebalance branches keep making identical decisions. A pristine
-// network returns the slice untouched.
-func alivePaths(net *flow.Network, ps []paths.Path) []paths.Path {
-	if net.Fail == nil {
-		return ps
-	}
-	nk := 0
-	for _, p := range ps {
-		if paths.Alive(net.Fail, p) {
-			ps[nk] = p
-			nk++
-		}
-	}
-	return ps[:nk]
-}
-
-// rebalanceInterpreted is the enumeration-based fallback for
-// policies too large to compile.
-func rebalanceInterpreted(net *flow.Network, pol paths.Policy, opt LBOptions) (*paths.Explicit, BalanceReport) {
-	t := net.T
-	out := paths.NewExplicit(pol)
-	rep := BalanceReport{}
-	pairs := analyzePairs(t, opt)
-	rep.PairsAnalyzed = len(pairs)
-
-	globalUse := make([]float64, net.NumEdges)
-	use := newUseScratch(net.NumEdges)
-	var scratch []flow.Edge
-
-	for _, pr := range pairs {
-		s, d := int(pr[0]), int(pr[1])
-		ps := alivePaths(net, out.Enumerate(s, d))
-		if len(ps) == 0 {
-			continue
-		}
-		rep.PathsConsidered += len(ps)
-		// Per-pair usage counts over switch-to-switch edges.
-		use.reset()
-		edgesOf := make([][]flow.Edge, len(ps))
-		for i, p := range ps {
-			scratch = scratch[:0]
-			for h, pt := range p.Ports {
-				scratch = append(scratch, net.EdgeOf(int(p.Sw[h]), int(pt)))
-			}
-			edgesOf[i] = append([]flow.Edge(nil), scratch...)
-			for _, e := range scratch {
-				use.inc(e)
-			}
-		}
-		w := 1 / float64(len(ps))
-		mean := use.mean()
-		// Local adjustment: remove longest paths crossing hot links.
-		budget := int(opt.MaxRemoveFrac * float64(len(ps)))
-		removedHere := 0
-		hot := func(e flow.Edge) bool { return use.w[e] > opt.Tol*mean && use.w[e] > 1 }
-		anyHot := false
-		for _, e := range use.touched {
-			if hot(e) {
-				anyHot = true
-				break
-			}
-		}
-		if anyHot {
-			rep.LocalHotPairs++
-			// Longest-first removal order.
-			order := make([]int, len(ps))
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(a, b int) bool {
-				return ps[order[a]].Hops() > ps[order[b]].Hops()
-			})
-			for _, i := range order {
-				if removedHere >= budget {
-					break
-				}
-				crossesHot := false
-				for _, e := range edgesOf[i] {
-					if hot(e) {
-						crossesHot = true
-						break
-					}
-				}
-				if !crossesHot {
-					continue
-				}
-				out.Remove(ps[i])
-				removedHere++
-				rep.LocalRemoved++
-				for _, e := range edgesOf[i] {
-					use.w[e]--
-				}
-			}
-		}
-		// Accumulate surviving usage into the global picture.
-		for i, p := range ps {
-			if out.Removed[p.Key()] {
-				continue
-			}
-			for _, e := range edgesOf[i] {
-				globalUse[e] += w
-			}
-		}
-	}
-
-	// Global adjustment: links whose expected usage across all pairs
-	// is significantly above the mean shed their longest paths.
-	hotGlobal, nHot := hotLinks(globalUse, opt.Tol)
-	rep.GlobalHotLinks = nHot
-	if nHot == 0 {
-		return out, rep
-	}
-	for _, pr := range pairs {
-		s, d := int(pr[0]), int(pr[1])
-		ps := alivePaths(net, out.Enumerate(s, d))
-		if len(ps) <= 1 {
-			continue
-		}
-		budget := int(opt.MaxRemoveFrac * float64(len(ps)))
-		order := make([]int, len(ps))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return ps[order[a]].Hops() > ps[order[b]].Hops()
-		})
-		removedHere := 0
-		for _, i := range order {
-			if removedHere >= budget || len(ps)-removedHere <= 1 {
-				break
-			}
-			crosses := false
-			for h, pt := range ps[i].Ports {
-				if hotGlobal[net.EdgeOf(int(ps[i].Sw[h]), int(pt))] {
-					crosses = true
-					break
-				}
-			}
-			if crosses {
-				out.Remove(ps[i])
-				removedHere++
-				rep.GlobalRemoved++
-			}
-		}
-	}
-	return out, rep
 }
 
 // hotLinks marks the links whose expected usage across all pairs is
@@ -330,46 +178,71 @@ func hotLinks(globalUse []float64, tol float64) ([]bool, int) {
 	return hot, n
 }
 
-// pairScratch holds the live paths of one pair in flat arrays reused
-// from pair to pair, so the compiled adjustment allocates per growth,
-// not per path: PathIDs, each path's hop count and ports packed into
-// one word (from one source switch the ports identify the path, so
-// equal words are the duplicate PathIDs of one concrete path, see
-// Store.EqualIDs), its edges at stride MaxVLBHops, and the removal
-// order.
+// pairScratch is the adjustment's view of one pair at a time: the live
+// paths in flat arrays reused from pair to pair, so the adjustment
+// allocates per growth, not per path. Each path is its hop count and
+// ports packed into one word (from one source switch the ports identify
+// the path, so equal words are the duplicates of one concrete path, see
+// Store.EqualIDs) and its edges at stride MaxVLBHops.
+//
+// The paths come from one of two feeds, and removals go back to it: a
+// compiled store (st) minus the PathIDs marked in drop, where removing
+// marks drop; or a walk of the Explicit policy under construction (ex),
+// where removing adds the path's key to ex's removal set.
 type pairScratch struct {
-	ids   []paths.PathID
+	st   *paths.Store
+	drop []bool
+	ids  []paths.PathID
+
+	walk *paths.Walker
+	ex   *paths.Explicit
+	ps   []paths.Path
+
 	words []uint64
 	edges []flow.Edge
 	order []int32
 }
 
-// load fills the scratch with the paths of pair (s, d) not marked in
-// drop, in store order, and returns how many there are.
-func (ps *pairScratch) load(net *flow.Network, st *paths.Store, s, d int, drop []bool) int {
-	first, count := st.PairRange(s, d)
-	if cap(ps.ids) < count {
-		c := max(count, 2*cap(ps.ids))
+// load fills the scratch with the feed's live paths of pair (s, d), in
+// enumeration order, and returns how many there are.
+func (ps *pairScratch) load(net *flow.Network, s, d int) int {
+	var first paths.PathID
+	var count int
+	if ps.st != nil {
+		first, count = ps.st.PairRange(s, d)
+	} else {
+		ps.ps = ps.walk.Pair(s, d)
+		count = len(ps.ps)
+	}
+	if cap(ps.words) < count {
+		c := max(count, 2*cap(ps.words))
 		ps.ids, ps.words = make([]paths.PathID, 0, c), make([]uint64, 0, c)
 		ps.edges, ps.order = make([]flow.Edge, c*paths.MaxVLBHops), make([]int32, c)
 	}
 	ps.ids, ps.words = ps.ids[:0], ps.words[:0]
-	for id := first; id < first+paths.PathID(count); id++ {
-		if drop[id] {
-			continue
+	for k := 0; k < count; k++ {
+		var ports []int8
+		if ps.st != nil {
+			id := first + paths.PathID(k)
+			if ps.drop[id] {
+				continue
+			}
+			ports = ps.st.Ports(id)
+			ps.ids = append(ps.ids, id)
+		} else {
+			ports = ps.ps[k].Ports
 		}
-		ports := st.Ports(id)
 		word := uint64(len(ports)) << 48
-		edges := ps.edges[len(ps.ids)*paths.MaxVLBHops:]
+		edges := ps.edges[len(ps.words)*paths.MaxVLBHops:]
 		cur := s
 		for h, pt := range ports {
 			edges[h] = net.EdgeOf(cur, int(pt))
 			word |= uint64(uint8(pt)) << (8 * h)
 			cur = net.T.PeerOfPort(cur, int(pt))
 		}
-		ps.ids, ps.words = append(ps.ids, id), append(ps.words, word)
+		ps.words = append(ps.words, word)
 	}
-	return len(ps.ids)
+	return len(ps.words)
 }
 
 // hops returns the hop count of loaded path k.
@@ -381,7 +254,7 @@ func (ps *pairScratch) edgesOf(k int) []flow.Edge {
 }
 
 // longestFirst orders the loaded paths by hop count, longest first
-// and in store order within a length: a stable counting sort.
+// and in enumeration order within a length: a stable counting sort.
 func (ps *pairScratch) longestFirst() []int32 {
 	var at [paths.MaxVLBHops + 2]int32
 	for k := range ps.words {
@@ -399,15 +272,27 @@ func (ps *pairScratch) longestFirst() []int32 {
 	return order
 }
 
-// remove marks loaded path k and every copy of it in drop, mirroring
-// the interpreted branch's key-based removal: removing a path removes
-// every PathID it holds under the pair.
-func (ps *pairScratch) remove(drop []bool, k int32) {
+// remove removes loaded path k from the feed, and every copy of it: a
+// removal set keyed by path identity cannot tell the copies apart, so
+// the PathID feed drops them together too.
+func (ps *pairScratch) remove(k int32) {
+	if ps.st == nil {
+		ps.ex.Remove(ps.ps[k])
+		return
+	}
 	for j, w := range ps.words {
 		if w == ps.words[k] {
-			drop[ps.ids[j]] = true
+			ps.drop[ps.ids[j]] = true
 		}
 	}
+}
+
+// removed reports whether loaded path k has been removed since load.
+func (ps *pairScratch) removed(k int) bool {
+	if ps.st == nil {
+		return ps.ex.Removed[ps.ps[k].Key()]
+	}
+	return ps.drop[ps.ids[k]]
 }
 
 // rebalanceStore is the adjustment of a whole compiled policy: the
@@ -417,34 +302,43 @@ func rebalanceStore(net *flow.Network, st *paths.Store, opt LBOptions) (*paths.S
 	return st.Without(removed), rep
 }
 
-// rebalance is the compiled-form adjustment of the paths of st not
-// marked in drop (nil: all of them) — a candidate of Step 2 is a drop
-// mask over Step 1's store and is never copied out before it has been
-// adjusted. It is the same two-level algorithm as rebalanceInterpreted
-// with the same decision order, but a pair's path set is a PathID range
-// loaded into flat scratch and the removal set is drop itself, indexed
-// by PathID: the paths removed are marked in it and it is returned.
+// rebalance is the adjustment of the paths of st not marked in drop
+// (nil: all of them) — a candidate of Step 2 is a drop mask over Step
+// 1's store and is never copied out before it has been adjusted. The
+// paths removed are marked in drop and it is returned.
 func rebalance(net *flow.Network, st *paths.Store, drop []bool, opt LBOptions) ([]bool, BalanceReport) {
 	if drop == nil {
 		drop = make([]bool, st.NumPaths())
 	}
+	return drop, adjust(net, &pairScratch{st: st, drop: drop}, opt)
+}
+
+// rebalancePolicy is the adjustment of a policy too large to compile:
+// the result wraps it with the removal set.
+func rebalancePolicy(net *flow.Network, pol paths.Policy, opt LBOptions) (*paths.Explicit, BalanceReport) {
+	ex := paths.NewExplicit(pol)
+	return ex, adjust(net, &pairScratch{walk: paths.NewWalker(net.T, ex, net.Fail), ex: ex}, opt)
+}
+
+// adjust is the two-level adjustment over whatever ps feeds it, one
+// pair at a time; removals land in the feed.
+func adjust(net *flow.Network, ps *pairScratch, opt LBOptions) BalanceReport {
 	rep := BalanceReport{}
 	pairs := analyzePairs(net.T, opt)
 	rep.PairsAnalyzed = len(pairs)
 
 	globalUse := make([]float64, net.NumEdges)
 	use := newUseScratch(net.NumEdges)
-	var ps pairScratch
 
 	for _, pr := range pairs {
-		count := ps.load(net, st, int(pr[0]), int(pr[1]), drop)
+		count := ps.load(net, int(pr[0]), int(pr[1]))
 		if count == 0 {
 			continue
 		}
 		rep.PathsConsidered += count
 		// Per-pair usage counts over switch-to-switch edges.
 		use.reset()
-		for k := range ps.ids {
+		for k := range ps.words {
 			for _, e := range ps.edgesOf(k) {
 				use.inc(e)
 			}
@@ -465,7 +359,7 @@ func rebalance(net *flow.Network, st *paths.Store, drop []bool, opt LBOptions) (
 				if !slices.ContainsFunc(edges, hot) {
 					continue
 				}
-				ps.remove(drop, k)
+				ps.remove(k)
 				removedHere++
 				rep.LocalRemoved++
 				for _, e := range edges {
@@ -474,8 +368,8 @@ func rebalance(net *flow.Network, st *paths.Store, drop []bool, opt LBOptions) (
 			}
 		}
 		// Accumulate surviving usage into the global picture.
-		for k, id := range ps.ids {
-			if drop[id] {
+		for k := range ps.words {
+			if ps.removed(k) {
 				continue
 			}
 			for _, e := range ps.edgesOf(k) {
@@ -489,12 +383,12 @@ func rebalance(net *flow.Network, st *paths.Store, drop []bool, opt LBOptions) (
 	hotGlobal, nHot := hotLinks(globalUse, opt.Tol)
 	rep.GlobalHotLinks = nHot
 	if nHot == 0 {
-		return drop, rep
+		return rep
 	}
 	crosses := func(e flow.Edge) bool { return hotGlobal[e] }
 	for _, pr := range pairs {
 		// Surviving paths of the pair, in enumeration order.
-		count := ps.load(net, st, int(pr[0]), int(pr[1]), drop)
+		count := ps.load(net, int(pr[0]), int(pr[1]))
 		if count <= 1 {
 			continue
 		}
@@ -505,11 +399,11 @@ func rebalance(net *flow.Network, st *paths.Store, drop []bool, opt LBOptions) (
 				break
 			}
 			if slices.ContainsFunc(ps.edgesOf(int(k)), crosses) {
-				ps.remove(drop, k)
+				ps.remove(k)
 				removedHere++
 				rep.GlobalRemoved++
 			}
 		}
 	}
-	return drop, rep
+	return rep
 }

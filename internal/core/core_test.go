@@ -1,8 +1,10 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -187,45 +189,218 @@ func TestRebalanceDisabled(t *testing.T) {
 	}
 }
 
-// TestRebalanceStoreMatchesInterpreted proves the PathID-based
-// adjustment makes the same removal decisions as the map-based
-// fallback: identical reports and identical surviving sets, from the
-// policy's own compiled store and from a drop mask over the full store
-// (Step 2's entry point), pristine and degraded.
+// alivePaths drops paths crossing dead gear, in place and order
+// preserving, matching the degraded store's surviving sequence so the
+// two rebalance branches keep making identical decisions. A pristine
+// network returns the slice untouched.
+func alivePaths(net *flow.Network, ps []paths.Path) []paths.Path {
+	if net.Fail == nil {
+		return ps
+	}
+	nk := 0
+	for _, p := range ps {
+		if paths.Alive(net.Fail, p) {
+			ps[nk] = p
+			nk++
+		}
+	}
+	return ps[:nk]
+}
+
+// rebalanceInterpreted is the adjustment as it shipped for policies
+// too large to compile, before the store feed and the policy feed
+// shared one body (adjust): slices of cloned paths, a sort per pair and
+// a map-keyed removal set, verbatim. It is the oracle both feeds are
+// held to.
+func rebalanceInterpreted(net *flow.Network, pol paths.Policy, opt LBOptions) (*paths.Explicit, BalanceReport) {
+	t := net.T
+	out := paths.NewExplicit(pol)
+	rep := BalanceReport{}
+	pairs := analyzePairs(t, opt)
+	rep.PairsAnalyzed = len(pairs)
+
+	globalUse := make([]float64, net.NumEdges)
+	use := newUseScratch(net.NumEdges)
+	var scratch []flow.Edge
+
+	for _, pr := range pairs {
+		s, d := int(pr[0]), int(pr[1])
+		ps := alivePaths(net, out.Enumerate(s, d))
+		if len(ps) == 0 {
+			continue
+		}
+		rep.PathsConsidered += len(ps)
+		// Per-pair usage counts over switch-to-switch edges.
+		use.reset()
+		edgesOf := make([][]flow.Edge, len(ps))
+		for i, p := range ps {
+			scratch = scratch[:0]
+			for h, pt := range p.Ports {
+				scratch = append(scratch, net.EdgeOf(int(p.Sw[h]), int(pt)))
+			}
+			edgesOf[i] = append([]flow.Edge(nil), scratch...)
+			for _, e := range scratch {
+				use.inc(e)
+			}
+		}
+		w := 1 / float64(len(ps))
+		mean := use.mean()
+		// Local adjustment: remove longest paths crossing hot links.
+		budget := int(opt.MaxRemoveFrac * float64(len(ps)))
+		removedHere := 0
+		hot := func(e flow.Edge) bool { return use.w[e] > opt.Tol*mean && use.w[e] > 1 }
+		anyHot := false
+		for _, e := range use.touched {
+			if hot(e) {
+				anyHot = true
+				break
+			}
+		}
+		if anyHot {
+			rep.LocalHotPairs++
+			// Longest-first removal order.
+			order := make([]int, len(ps))
+			for i := range order {
+				order[i] = i
+			}
+			sort.SliceStable(order, func(a, b int) bool {
+				return ps[order[a]].Hops() > ps[order[b]].Hops()
+			})
+			for _, i := range order {
+				if removedHere >= budget {
+					break
+				}
+				crossesHot := false
+				for _, e := range edgesOf[i] {
+					if hot(e) {
+						crossesHot = true
+						break
+					}
+				}
+				if !crossesHot {
+					continue
+				}
+				out.Remove(ps[i])
+				removedHere++
+				rep.LocalRemoved++
+				for _, e := range edgesOf[i] {
+					use.w[e]--
+				}
+			}
+		}
+		// Accumulate surviving usage into the global picture.
+		for i, p := range ps {
+			if out.Removed[p.Key()] {
+				continue
+			}
+			for _, e := range edgesOf[i] {
+				globalUse[e] += w
+			}
+		}
+	}
+
+	// Global adjustment: links whose expected usage across all pairs
+	// is significantly above the mean shed their longest paths.
+	hotGlobal, nHot := hotLinks(globalUse, opt.Tol)
+	rep.GlobalHotLinks = nHot
+	if nHot == 0 {
+		return out, rep
+	}
+	for _, pr := range pairs {
+		s, d := int(pr[0]), int(pr[1])
+		ps := alivePaths(net, out.Enumerate(s, d))
+		if len(ps) <= 1 {
+			continue
+		}
+		budget := int(opt.MaxRemoveFrac * float64(len(ps)))
+		order := make([]int, len(ps))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return ps[order[a]].Hops() > ps[order[b]].Hops()
+		})
+		removedHere := 0
+		for _, i := range order {
+			if removedHere >= budget || len(ps)-removedHere <= 1 {
+				break
+			}
+			crosses := false
+			for h, pt := range ps[i].Ports {
+				if hotGlobal[net.EdgeOf(int(ps[i].Sw[h]), int(pt))] {
+					crosses = true
+					break
+				}
+			}
+			if crosses {
+				out.Remove(ps[i])
+				removedHere++
+				rep.GlobalRemoved++
+			}
+		}
+	}
+	return out, rep
+}
+
+// TestRebalanceStoreMatchesInterpreted holds the one adjustment, on
+// each of its feeds, to the oracle: identical reports and identical
+// surviving sets from the policy's own compiled store, from a drop mask
+// over the full store (Step 2's entry point) and from the walk of the
+// interpreted policy — whose removal set must also be the oracle's key
+// for key — pristine and degraded, over every pair and over a
+// PairCap-sampled 300 of the 1260, at the default tolerance and at one
+// tight enough for the global pass to remove something.
 func TestRebalanceStoreMatchesInterpreted(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	base := paths.Strategic{T: tp, FirstLeg: 2}
-	opt := DefaultLBOptions()
-	opt.PairCap = 300
 	mask := topo.NewFailureMask(tp)
 	if _, err := mask.FailGlobalLink(4, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, fail := range []*topo.FailureMask{nil, mask} {
-		net := flow.NewDegradedNetwork(tp, fail)
-		ex, irep := rebalanceInterpreted(net, base, opt)
-		own, orep := rebalanceStore(net, paths.CompileDegraded(tp, base, fail), opt)
-		full := paths.CompileDegraded(tp, paths.Full{T: tp}, fail)
-		drop, mrep := rebalance(net, full, full.DropMask(base), opt)
-		for name, c := range map[string]struct {
-			st  *paths.Store
-			rep BalanceReport
-		}{"compiled policy": {own, orep}, "masked full store": {full.Without(drop), mrep}} {
-			if c.rep != irep {
-				t.Fatalf("%s, mask %v: reports differ: store %+v, interpreted %+v", name, fail, c.rep, irep)
+	n := tp.NumSwitches()
+	for _, c := range []struct {
+		pairCap int
+		tol     float64
+	}{{0, 2}, {300, 2}, {300, 1.3}} {
+		opt := DefaultLBOptions()
+		opt.PairCap, opt.Tol = c.pairCap, c.tol
+		pairCap := c.pairCap
+		for _, fail := range []*topo.FailureMask{nil, mask} {
+			net := flow.NewDegradedNetwork(tp, fail)
+			ex, irep := rebalanceInterpreted(net, base, opt)
+			// At the default tolerance no link of this instance is hot
+			// across pairs; the tighter one is what runs the global pass.
+			if irep.LocalRemoved == 0 || (c.tol < 2 && irep.GlobalRemoved == 0) {
+				t.Fatalf("cap %d, tol %v, mask %v: the oracle removed %d+%d paths: a pass is not exercised",
+					pairCap, c.tol, fail, irep.LocalRemoved, irep.GlobalRemoved)
 			}
-			n := tp.NumSwitches()
-			for s := 0; s < n; s++ {
-				for d := 0; d < n; d++ {
-					want := alivePaths(net, ex.Enumerate(s, d))
-					got := c.st.Enumerate(s, d)
-					if len(got) != len(want) {
-						t.Fatalf("%s, mask %v, pair (%d,%d): store keeps %d paths, interpreted %d",
-							name, fail, s, d, len(got), len(want))
-					}
-					for i := range want {
-						if !got[i].Equal(want[i]) {
-							t.Fatalf("%s, mask %v, pair (%d,%d) path %d differs", name, fail, s, d, i)
+			own, orep := rebalanceStore(net, paths.CompileDegraded(tp, base, fail), opt)
+			full := paths.CompileDegraded(tp, paths.Full{T: tp}, fail)
+			drop, mrep := rebalance(net, full, full.DropMask(base), opt)
+			pex, prep := rebalancePolicy(net, base, opt)
+			if !maps.Equal(pex.Removed, ex.Removed) {
+				t.Errorf("cap %d, mask %v: the policy feed removed %d keys, the oracle %d, or other ones",
+					pairCap, fail, len(pex.Removed), len(ex.Removed))
+			}
+			for name, c := range map[string]struct {
+				pol paths.Policy
+				rep BalanceReport
+			}{"compiled policy": {own, orep}, "masked full store": {full.Without(drop), mrep}, "interpreted policy": {pex, prep}} {
+				if c.rep != irep {
+					t.Fatalf("%s, cap %d, mask %v: reports differ: got %+v, oracle %+v", name, pairCap, fail, c.rep, irep)
+				}
+				for s := 0; s < n; s++ {
+					for d := 0; d < n; d++ {
+						want := alivePaths(net, ex.Enumerate(s, d))
+						got := alivePaths(net, c.pol.Enumerate(s, d))
+						if len(got) != len(want) {
+							t.Fatalf("%s, cap %d, mask %v, pair (%d,%d): keeps %d paths, oracle %d",
+								name, pairCap, fail, s, d, len(got), len(want))
+						}
+						for i := range want {
+							if !got[i].Equal(want[i]) {
+								t.Fatalf("%s, cap %d, mask %v, pair (%d,%d) path %d differs", name, pairCap, fail, s, d, i)
+							}
 						}
 					}
 				}
@@ -330,13 +505,12 @@ func TestComputeTVLBSeedReachesPairSampling(t *testing.T) {
 func TestTwinWords(t *testing.T) {
 	tp := topo.MustNew(2, 4, 4, 3)
 	net := flow.NewNetwork(tp)
-	st := paths.Full{T: tp}.Compile(tp)
-	drop := make([]bool, st.NumPaths())
-	var ps pairScratch
+	st := paths.Compile(tp, paths.Full{T: tp})
+	ps := pairScratch{st: st, drop: make([]bool, st.NumPaths())}
 	twins := 0
 	for s := 0; s < tp.NumSwitches(); s++ {
 		for d := 0; d < tp.NumSwitches(); d++ {
-			n := ps.load(net, st, s, d, drop)
+			n := ps.load(net, s, d)
 			for j := 0; j < n; j++ {
 				for k := j + 1; k < n; k++ {
 					same := ps.words[j] == ps.words[k]
@@ -364,7 +538,7 @@ func TestRebalanceAllocs(t *testing.T) {
 	net := flow.NewNetwork(tp)
 	opt := DefaultLBOptions()
 	for _, pol := range []paths.Policy{paths.LengthCapped{T: tp, MaxHops: 3}, paths.Full{T: tp}} {
-		st := pol.Compile(tp)
+		st := paths.Compile(tp, pol)
 		allocs := testing.AllocsPerRun(3, func() { rebalance(net, st, nil, opt) })
 		if allocs > 40 {
 			t.Errorf("%s (%d paths): %.0f allocations per adjustment, want a constant few",
@@ -381,7 +555,7 @@ var benchAdjusted *paths.Store
 func BenchmarkRebalanceStore(b *testing.B) {
 	tp := topo.MustNew(4, 8, 4, 9)
 	net := flow.NewNetwork(tp)
-	st := paths.Strategic{T: tp, FirstLeg: 2}.Compile(tp)
+	st := paths.Compile(tp, paths.Strategic{T: tp, FirstLeg: 2})
 	opt := DefaultLBOptions()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -194,10 +194,8 @@ func step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, *paths.Store
 	var base *paths.Store
 	var mgrid *flow.MatrixGrid
 	if pairs != nil {
-		if st, ok := paths.TryCompileDegraded(t, paths.Full{T: t}, paths.DefaultCompileBudget, opt.Failures); ok {
+		if st, ok := paths.Compiled(pool, t, paths.Full{T: t}, opt.Failures); ok {
 			base = st
-			pool.Report(exec.Stat{Label: "compile/" + st.Name(),
-				Wall: st.BuildTime(), Bytes: st.Bytes()})
 			// Caching each stored path's edge list and identity hash
 			// once makes every grid point a filtered accumulation over
 			// the cache — the walk itself is also paid only once.
@@ -314,13 +312,10 @@ func simulateScore(t *topo.Compiled, pol paths.Policy, opt Options) float64 {
 	// per-packet draw is a PathID lookup. Rebalanced candidates arrive
 	// already compiled (and already degraded when a mask is in play),
 	// and so does the conventional baseline when Step 1 built its
-	// store; this covers a baseline whose Step 1 ran without one.
-	if _, already := pol.(*paths.Store); !already {
-		if st, ok := paths.TryCompileDegraded(t, pol, paths.DefaultCompileBudget, opt.Failures); ok {
-			pool.Report(exec.Stat{Label: "compile/" + st.Name(),
-				Wall: st.BuildTime(), Bytes: st.Bytes()})
-			pol = st
-		}
+	// store, and pass through; this covers a baseline whose Step 1 ran
+	// without one.
+	if st, ok := paths.Compiled(pool, t, pol, opt.Failures); ok {
+		pol = st
 	}
 	cfg := opt.Sim.Config
 	cfg.Failures = opt.Failures

@@ -225,12 +225,10 @@ func compiled(t *topo.Compiled, pol paths.Policy) paths.Policy {
 	if st, ok := storeCache[key]; ok {
 		return st
 	}
-	st, ok := paths.TryCompile(t, pol, paths.DefaultCompileBudget)
+	st, ok := paths.Compiled(exec.Default(), t, pol, nil)
 	if !ok {
 		return pol
 	}
-	exec.Default().Report(exec.Stat{Label: "compile/" + st.Name(),
-		Wall: st.BuildTime(), Bytes: st.Bytes()})
 	storeCache[key] = st
 	return st
 }

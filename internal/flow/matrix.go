@@ -140,11 +140,10 @@ func PatternPairs(t *topo.Compiled, pats []traffic.Deterministic) [][2]int32 {
 }
 
 // CompileLoadMatrix builds the matrix rows for the given ordered
-// pairs (nil compiles every pair). When pol is a compiled
-// paths.Store the VLB rows are produced in one pass over its arena
-// through a reusable buffer; otherwise the policy is enumerated pair
-// by pair. Either way the rows are the ones ComputeLoads builds per
-// demand, because both run rowEnv.
+// pairs (nil compiles every pair): a paths.Walker reads a compiled
+// paths.Store's arena and walks any other policy pair by pair. The
+// rows are the ones ComputeLoads builds per demand, because both run
+// rowEnv.
 func CompileLoadMatrix(net *Network, pol paths.Policy, pairs [][2]int32) *LoadMatrix {
 	start := time.Now()
 	n := net.T.NumSwitches()
@@ -192,25 +191,22 @@ func CompileLoadMatrix(net *Network, pol paths.Policy, pairs [][2]int32) *LoadMa
 	return lm
 }
 
-// rowEnv is the one builder of per-pair load rows: the policy, its
-// compiled form when it has one, and the scratch a row needs. A matrix
-// compile (CompileLoadMatrix) and a per-demand computation
-// (ComputeLoads) both go through it, so they execute the same float
-// operations in the same order and their rows are bit-identical by
-// construction.
+// rowEnv is the one builder of per-pair load rows: the policy, a walk
+// of its path set and the scratch a row needs. A matrix compile
+// (CompileLoadMatrix) and a per-demand computation (ComputeLoads) both
+// go through it, so they execute the same float operations in the same
+// order and their rows are bit-identical by construction.
 type rowEnv struct {
 	net     *Network
 	pol     paths.Policy
-	st      *paths.Store // pol as a compiled store (walk own arena)
+	walk    *paths.Walker
 	acc     *edgeAcc
 	scratch []Edge
 	pbuf    paths.Path
 }
 
 func newRowEnv(net *Network, pol paths.Policy) *rowEnv {
-	re := &rowEnv{net: net, pol: pol, acc: newEdgeAcc(net.NumEdges)}
-	re.st, _ = pol.(*paths.Store)
-	return re
+	return &rowEnv{net: net, pol: pol, walk: paths.NewWalker(net.T, pol, net.Fail), acc: newEdgeAcc(net.NumEdges)}
 }
 
 // minRow appends the pair's MIN load row to arena and returns it with
@@ -234,49 +230,22 @@ func (re *rowEnv) minRow(s, d int, arena []EdgeWeight) ([]EdgeWeight, float64) {
 }
 
 // vlbRow appends the pair's VLB load row to arena, returning it with
-// the average hop count and availability.
+// the average hop count and availability. The walk yields a compiled
+// store's own range or an interpreted policy's surviving paths, the
+// same sequence either way, so either form yields the same row.
 func (re *rowEnv) vlbRow(s, d int, arena []EdgeWeight) ([]EdgeWeight, float64, bool) {
 	re.acc.reset()
 	hops := 0.0
-	ok := false
-	if re.st != nil {
-		first, count := re.st.PairRange(s, d)
-		if count > 0 {
-			ok = true
-			w := 1 / float64(count)
-			for k := 0; k < count; k++ {
-				re.st.MaterializeInto(s, first+paths.PathID(k), &re.pbuf)
-				re.scratch = re.net.PathEdges(re.scratch[:0], re.pbuf)
-				re.acc.add(re.scratch, w)
-				hops += w * float64(re.pbuf.Hops())
-			}
-		}
-	} else {
-		vlbPaths := re.pol.Enumerate(s, d)
-		if re.net.Fail != nil {
-			// Order-preserving aliveness filter: the surviving
-			// sequence equals a degraded store's, so either
-			// compilation path yields the same row.
-			nk := 0
-			for _, p := range vlbPaths {
-				if paths.Alive(re.net.Fail, p) {
-					vlbPaths[nk] = p
-					nk++
-				}
-			}
-			vlbPaths = vlbPaths[:nk]
-		}
-		if len(vlbPaths) > 0 {
-			ok = true
-			w := 1 / float64(len(vlbPaths))
-			for _, p := range vlbPaths {
-				re.scratch = re.net.PathEdges(re.scratch[:0], p)
-				re.acc.add(re.scratch, w)
-				hops += w * float64(p.Hops())
-			}
+	vlbPaths := re.walk.Pair(s, d)
+	if len(vlbPaths) > 0 {
+		w := 1 / float64(len(vlbPaths))
+		for _, p := range vlbPaths {
+			re.scratch = re.net.PathEdges(re.scratch[:0], p)
+			re.acc.add(re.scratch, w)
+			hops += w * float64(p.Hops())
 		}
 	}
-	return re.acc.appendRow(arena), hops, ok
+	return re.acc.appendRow(arena), hops, len(vlbPaths) > 0
 }
 
 // sampledRow is vlbRow estimated from up to samples draws of the
@@ -319,15 +288,11 @@ func EstimateMatrixEntries(net *Network, pol paths.Policy, npairs int) int64 {
 	acc := newEdgeAcc(net.NumEdges)
 	var scratch []Edge
 	perPair := int64(0)
-	samples := 0
 	for _, gi := range []int{1, t.G / 2, t.G - 1} {
-		if gi <= 0 || samples >= 3 {
+		if gi <= 0 {
 			continue
 		}
 		s, d := t.SwitchID(0, 0), t.SwitchID(gi, t.A/2)
-		if t.SameGroup(s, d) {
-			continue
-		}
 		acc.reset()
 		for _, p := range paths.EnumerateMin(t, s, d) {
 			scratch = net.PathEdges(scratch[:0], p)
@@ -340,7 +305,6 @@ func EstimateMatrixEntries(net *Network, pol paths.Policy, npairs int) int64 {
 		if c := int64(len(acc.touched)); c > perPair {
 			perPair = c
 		}
-		samples++
 	}
 	if perPair == 0 {
 		perPair = int64(2 + paths.MaxVLBHops)

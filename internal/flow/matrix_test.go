@@ -21,8 +21,8 @@ func matrixPolicies(tp *topo.Compiled) map[string]paths.Policy {
 		"full":         paths.Full{T: tp},
 		"capped":       paths.LengthCapped{T: tp, MaxHops: 4, Frac: 0.3, Seed: 7},
 		"strategic":    paths.Strategic{T: tp, FirstLeg: 2},
-		"full-store":   paths.Full{T: tp}.Compile(tp),
-		"capped-store": paths.LengthCapped{T: tp, MaxHops: 4, Frac: 0.3, Seed: 7}.Compile(tp),
+		"full-store":   paths.Compile(tp, paths.Full{T: tp}),
+		"capped-store": paths.Compile(tp, paths.LengthCapped{T: tp, MaxHops: 4, Frac: 0.3, Seed: 7}),
 		"empty-of-vlb": paths.LengthCapped{T: tp, MaxHops: 1, Seed: 1},
 	}
 }
@@ -187,7 +187,7 @@ func requireSameMatrix(t *testing.T, name string, tp *topo.Compiled, want, got *
 func TestMatrixGrid(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	net := NewNetwork(tp)
-	base := paths.Full{T: tp}.Compile(tp)
+	base := paths.Compile(tp, paths.Full{T: tp})
 	pairs := PatternPairs(tp, []traffic.Deterministic{
 		traffic.Shift{T: tp, DG: 1, DS: 0},
 		traffic.NewGroupPermutation(tp, 5),
@@ -374,7 +374,7 @@ func BenchmarkMatrixGrid(b *testing.B) {
 	net := NewNetwork(tp)
 	pol := paths.LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 1}
 	pairs := PatternPairs(tp, append(traffic.Type1Set(tp), traffic.Type2Set(tp, 20, 1)...))
-	base := paths.Full{T: tp}.Compile(tp)
+	base := paths.Compile(tp, paths.Full{T: tp})
 	grid := NewMatrixGrid(net, base, pairs)
 	b.ReportAllocs()
 	b.ResetTimer()

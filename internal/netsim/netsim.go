@@ -461,11 +461,6 @@ type Network struct {
 	// through Revise, so its credits must stay interleaved with flit
 	// events in their original emission order.
 	fastCredits bool
-	// batchDrain enables the region-sorted wheel drains of batch.go.
-	// Set exactly when fastCredits is (the interleaving of an
-	// in-flight reviser's credit events is semantic, see batch.go);
-	// equivalence tests clear it to compare against the scan order.
-	batchDrain bool
 
 	// shards is the static contiguous router partition (always at
 	// least one entry). Each shard owns its routers' active bitset,
@@ -563,7 +558,6 @@ func New(t *topo.Compiled, cfg Config, rf RoutingFunc, pat traffic.Pattern, rate
 	}
 	if ir, ok := rf.(InFlightReviser); ok && !ir.RevisesInFlight() {
 		n.fastCredits = true
-		n.batchDrain = true
 	}
 	if rate > 0 && rate < 1 {
 		n.logq = math.Log(1 - rate)

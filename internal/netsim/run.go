@@ -647,45 +647,18 @@ func (n *Network) refusePacket(f int32, q *ringQ, measured bool) {
 // allocateShard performs switch allocation for every active router
 // of shard s, in ascending router-id order. The active bitset —
 // maintained exactly by enqueue/dequeue — replaces the former scan
-// over all routers. The set bits are first materialized into the
-// shard's reusable worklist (the same snapshot-ascending order the
-// former word-copy iteration produced: allocateRouter only ever
-// clears bits of the router it is arbitrating, never sets one), and
-// the sweep early-touches the next routers' occupied qMeta lines —
-// guided by their portMask words, so only lines the allocator will
-// actually probe get pulled — plus their credit base, allocPF
-// routers ahead (see batch.go).
+// over all routers; each word is iterated from a copy, so a router
+// clearing its own bit on going idle does not perturb the scan.
 func (n *Network) allocateShard(s int) {
 	sh := &n.shards[s]
-	lst := sh.actList[:0]
-	base := sh.lo
+	base := int(sh.lo)
 	for w, word := range sh.active {
-		wb := base + int32(w)<<6
 		for word != 0 {
-			lst = append(lst, wb+int32(trailingZeros(word)))
+			b := trailingZeros(word)
 			word &= word - 1
+			n.allocateRouter(base+w*64+b, sh)
 		}
 	}
-	sh.actList = lst
-	numVCs := n.numVCs
-	qPerSw := n.ports * numVCs
-	cPerSw := n.nonTerm * numVCs
-	var sink uint64
-	for i := 0; i < len(lst); i++ {
-		if i+allocPF < len(lst) {
-			nid := int(lst[i+allocPF])
-			hb := nid * qPerSw
-			pm := n.portMask[nid]
-			for pm != 0 {
-				p := trailingZeros(pm)
-				pm &= pm - 1
-				sink += n.qMeta[hb+p*numVCs]
-			}
-			sink += uint64(uint16(n.credits[nid*cPerSw]))
-		}
-		n.allocateRouter(int(lst[i]), sh)
-	}
-	sh.sink += sink
 }
 
 // allocateRouter arbitrates one router: up to SpeedUp passes per

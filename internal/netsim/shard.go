@@ -79,15 +79,6 @@ type simShard struct {
 	cwheel  [][]int32
 	coutbox [][]uint64
 	eject   []int32
-	// Region-batching scratch (batch.go): drainCnt/drainEv back the
-	// per-cycle counting sort of wheel buckets, actList the allocate
-	// phase's materialized active-router worklist. sink absorbs the
-	// software-prefetch early-touch loads so they cannot be optimized
-	// away; each shard only ever writes its own.
-	drainCnt []int32
-	drainEv  []event
-	actList  []int32
-	sink     uint64
 }
 
 // outEvent is a mailbox entry: the event plus its precomputed wheel
@@ -253,23 +244,21 @@ func (n *Network) shardDeliver(s int) {
 	}
 	slot := int(n.nowSlot)
 	cb := sh.cwheel[slot]
-	n.drainCredits(sh, cb)
+	for _, ci := range cb {
+		n.credits[ci]++
+	}
 	sh.cwheel[slot] = cb[:0]
 	bucket := sh.wheel[slot]
-	if n.batchDrain && len(bucket) >= batchMin {
-		n.drainBatched(sh, bucket)
-	} else {
-		for i := range bucket {
-			ev := bucket[i]
-			if ev.flit >= 0 {
-				pi := int(ev.r)*n.ports + int(ev.port)
-				n.enqueue(sh, ev.r, int(ev.port), int(ev.vc), pi, pi*n.numVCs+int(ev.vc),
-					ev.flit, ev.hop, ev.rw)
-			} else {
-				// Interleaved credit of an in-flight reviser (see
-				// returnCredit).
-				n.credits[(int(ev.r)*n.nonTerm+int(ev.port)-n.T.P)*n.numVCs+int(ev.vc)]++
-			}
+	for i := range bucket {
+		ev := bucket[i]
+		if ev.flit >= 0 {
+			pi := int(ev.r)*n.ports + int(ev.port)
+			n.enqueue(sh, ev.r, int(ev.port), int(ev.vc), pi, pi*n.numVCs+int(ev.vc),
+				ev.flit, ev.hop, ev.rw)
+		} else {
+			// Interleaved credit of an in-flight reviser (see
+			// returnCredit).
+			n.credits[(int(ev.r)*n.nonTerm+int(ev.port)-n.T.P)*n.numVCs+int(ev.vc)]++
 		}
 	}
 	sh.wheel[slot] = bucket[:0]

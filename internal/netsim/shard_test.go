@@ -26,7 +26,7 @@ import (
 func shardSchemes(t *topo.Compiled) map[string]func() netsim.RoutingFunc {
 	full := paths.Full{T: t}
 	strat := paths.Strategic{T: t, FirstLeg: 2}
-	fullSt := full.Compile(t)
+	fullSt := paths.Compile(t, full)
 	return map[string]func() netsim.RoutingFunc{
 		"MIN":          func() netsim.RoutingFunc { return routing.NewMin(t) },
 		"VLB":          func() netsim.RoutingFunc { return routing.NewVLB(t, full) },

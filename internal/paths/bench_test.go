@@ -18,7 +18,7 @@ func BenchmarkCompileStore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchStore = pol.Compile(tp)
+		benchStore = Compile(tp, pol)
 	}
 	b.ReportMetric(float64(benchStore.NumPaths()), "paths")
 }

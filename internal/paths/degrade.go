@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
@@ -165,6 +166,12 @@ func degradedStore(st *Store, mask *topo.FailureMask) *Store {
 	return out
 }
 
+// Compile materializes pol into an immutable Store: the same path set
+// per pair (in Enumerate order), with O(1) allocation-free sampling.
+// Compilation enumerates every pair — go through Compiled on topologies
+// whose path count may exceed memory.
+func Compile(t *topo.Compiled, pol Policy) *Store { return CompileDegraded(t, pol, nil) }
+
 // CompileDegraded compiles pol on t with every path crossing a dead
 // channel of mask excluded. A pol that already is a Store is filtered,
 // not enumerated again, and passes through when it was compiled under
@@ -173,10 +180,12 @@ func CompileDegraded(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Stor
 	if st, ok := pol.(*Store); ok {
 		return degradedStore(st, mask)
 	}
-	if mask == nil {
-		return pol.Compile(t)
+	st, total := compileStore(t, pol, mask, pathIDSpace)
+	if st == nil {
+		panic(fmt.Sprintf("paths: %s on %s has %d paths, more than the int32 PathID space holds",
+			pol.Name(), t.Label(), total))
 	}
-	return mustCompileStore(t, pol, mask)
+	return st
 }
 
 // TryCompileDegraded is TryCompile under a failure mask (nil: none):
@@ -192,4 +201,18 @@ func TryCompileDegraded(t *topo.Compiled, pol Policy, budget int64, mask *topo.F
 	}
 	st, _ := compileStore(t, pol, mask, pathIDSpace)
 	return st, st != nil
+}
+
+// Compiled is the one place the interpreted/compiled choice is made:
+// pol as a Store under mask (nil: none) when it fits
+// DefaultCompileBudget, the build reported to pool's observer as
+// compile/<name>; ok=false when it does not, and the caller keeps the
+// interpreted policy — the Figure 13/14 topology stays interpreted by
+// design. A Store already under mask passes through unreported.
+func Compiled(pool *exec.Pool, t *topo.Compiled, pol Policy, mask *topo.FailureMask) (*Store, bool) {
+	st, ok := TryCompileDegraded(t, pol, DefaultCompileBudget, mask)
+	if ok && Policy(st) != pol {
+		pool.Report(exec.Stat{Label: "compile/" + st.Name(), Wall: st.BuildTime(), Bytes: st.Bytes()})
+	}
+	return st, ok
 }

@@ -62,7 +62,7 @@ func TestCompileDegradedComposes(t *testing.T) {
 					old := exec.SetDefault(exec.NewPool(workers))
 					t.Cleanup(func() { exec.SetDefault(old) })
 					mask := topo.NewFailureMask(tp)
-					cur := pol.Compile(tp)
+					cur := Compile(tp, pol)
 					cur.Label = "chained"
 					for _, sc := range failSteps() {
 						sc.step(tp, mask)
@@ -98,7 +98,7 @@ func TestEdgeIndexWorkers(t *testing.T) {
 	for _, tp := range oracleTopos() {
 		for _, pol := range []Policy{Full{T: tp}, Strategic{T: tp, FirstLeg: 2}} {
 			t.Run(fmt.Sprintf("%s/%s", tp.Label(), pol.Name()), func(t *testing.T) {
-				base := pol.Compile(tp)
+				base := Compile(tp, pol)
 				n, nonTerm := tp.NumSwitches(), tp.A-1+tp.H
 				lists := make([][]int32, n*nonTerm)
 				for pi := 0; pi < n*n; pi++ {
@@ -178,7 +178,7 @@ func TestStoreDirtyPairsMatchesApplyFailures(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tp.Label(), seed), func(t *testing.T) {
 				r := rng.New(seed)
-				base := Full{T: tp}.Compile(tp)
+				base := Compile(tp, Full{T: tp})
 				cur, mask := base, topo.NewFailureMask(tp)
 				for step := 0; step < 8; step++ {
 					var dead []topo.Channel
@@ -223,7 +223,7 @@ func TestDegradedTwinsAndRemoval(t *testing.T) {
 		tp := topo.MustNew(pr.P, pr.A, pr.H, pr.G)
 		n := tp.NumSwitches()
 		mask := topo.NewFailureMask(tp)
-		st := Full{T: tp}.Compile(tp)
+		st := Compile(tp, Full{T: tp})
 		for _, sc := range failSteps() {
 			sc.step(tp, mask)
 			st = CompileDegraded(tp, st, mask.Clone())

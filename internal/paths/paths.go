@@ -242,8 +242,9 @@ func (m *minLeg) sharesChannel(o *minLeg) bool {
 }
 
 // vlbVisitor enumerates the VLB paths out of one source switch
-// without allocating per path: EnumerateVLBMax, EstimatePaths and both
-// passes of the store compile are this one walk. The MIN(src, ·) legs
+// without allocating per path: EnumerateVLBMax and, through policyWalk,
+// every policy's Enumerate, EstimatePaths, both passes of the store
+// compile and Walker are this one walk. The MIN(src, ·) legs
 // toward every possible intermediate are built once, on the first
 // inter-group pair (each is reused for every destination), the K
 // second legs of an (intermediate, destination) pair are built into
@@ -337,6 +338,89 @@ func (v *vlbVisitor) visit(d, maxHops int, yield func(Path)) {
 			}
 		}
 	}
+}
+
+// policyWalk is the one filtered enumerator: the paths out of one source
+// switch that pol admits and that survive mask (nil: all do), in full
+// VLB order, walking only leg combinations of at most hopCap(pol) hops.
+type policyWalk struct {
+	v       vlbVisitor
+	pol     Policy
+	maxHops int
+	mask    *topo.FailureMask
+}
+
+func newPolicyWalk(t *topo.Compiled, pol Policy, mask *topo.FailureMask, src int) *policyWalk {
+	return &policyWalk{v: vlbVisitor{t: t, src: src}, pol: pol, maxHops: hopCap(pol), mask: mask}
+}
+
+// visit calls yield for each such path to d; as with vlbVisitor.visit,
+// the Path is valid only until yield returns.
+func (w *policyWalk) visit(d int, yield func(Path)) {
+	w.v.visit(d, w.maxHops, func(p Path) {
+		if w.pol.Contains(w.v.src, d, p) && Alive(w.mask, p) {
+			yield(p)
+		}
+	})
+}
+
+// Walker lists a policy's path set pair by pair, for the analyses that
+// need a pair's paths together (the load rows of the throughput model,
+// the load-balance adjustment): the stored range of a compiled Store,
+// which must already be degraded under the mask in play, or the
+// filtered walk of an interpreted policy under mask. Either way the
+// paths come in the policy's Enumerate order, in scratch the Walker
+// reuses from call to call. Not for concurrent use.
+type Walker struct {
+	st *Store      // the policy, when it is compiled
+	w  *policyWalk // otherwise its walk, out of the last source asked for
+
+	buf   Path
+	sw    []int32 // one path every MaxVLBHops+1
+	ports []int8  // one path every MaxVLBHops
+	hops  []uint8
+	out   []Path
+}
+
+// NewWalker returns a Walker over pol on t.
+func NewWalker(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Walker {
+	if st, ok := pol.(*Store); ok {
+		return &Walker{st: st}
+	}
+	return &Walker{w: newPolicyWalk(t, pol, mask, -1)}
+}
+
+// Pair returns the paths of pair (s, d), valid until the next call.
+func (k *Walker) Pair(s, d int) []Path {
+	k.sw, k.ports, k.hops, k.out = k.sw[:0], k.ports[:0], k.hops[:0], k.out[:0]
+	if k.st != nil {
+		first, count := k.st.PairRange(s, d)
+		for id := first; id < first+PathID(count); id++ {
+			k.st.MaterializeInto(s, id, &k.buf)
+			k.keep(k.buf)
+		}
+	} else {
+		if k.w.v.src != s {
+			k.w.v = vlbVisitor{t: k.w.v.t, src: s}
+		}
+		k.w.visit(d, k.keep)
+	}
+	// Headers last: the appends above may have moved the scratch.
+	for i, h := range k.hops {
+		sw, ports := k.sw[i*(MaxVLBHops+1):], k.ports[i*MaxVLBHops:]
+		k.out = append(k.out, Path{Sw: sw[: h+1 : h+1], Ports: ports[:h:h]})
+	}
+	return k.out
+}
+
+func (k *Walker) keep(p Path) {
+	var sw [MaxVLBHops + 1]int32
+	var ports [MaxVLBHops]int8
+	copy(sw[:], p.Sw)
+	copy(ports[:], p.Ports)
+	k.sw = append(k.sw, sw[:]...)
+	k.ports = append(k.ports, ports[:]...)
+	k.hops = append(k.hops, uint8(p.Hops()))
 }
 
 // EnumerateVLB returns every VLB path from s to d: all loop-free
@@ -467,11 +551,4 @@ func sampleVLBOnceInto(t *topo.Compiled, r *rng.Source, s, d int, dst *Path) boo
 		hop(d, t.LocalPort(cur, d))
 	}
 	return true
-}
-
-// sampleVLBOnce is sampleVLBOnceInto into a fresh Path.
-func sampleVLBOnce(t *topo.Compiled, r *rng.Source, s, d int) (Path, bool) {
-	var p Path
-	ok := sampleVLBOnceInto(t, r, s, d, &p)
-	return p, ok
 }

@@ -137,7 +137,7 @@ func TestFullPolicySampling(t *testing.T) {
 		want[p.Key()] = true
 	}
 	for i := 0; i < 500; i++ {
-		p, ok := pol.SampleVLB(r, s, d)
+		p, ok := sampleVLB(pol, r, s, d)
 		if !ok {
 			t.Fatal("Full policy failed to sample")
 		}
@@ -195,7 +195,7 @@ func TestLengthCappedSamplingStaysInSet(t *testing.T) {
 	r := rng.New(9)
 	s, d := 0, tp.SwitchID(4, 2)
 	for i := 0; i < 300; i++ {
-		p, ok := pol.SampleVLB(r, s, d)
+		p, ok := sampleVLB(pol, r, s, d)
 		if !ok {
 			t.Fatal("sample failed")
 		}
@@ -291,7 +291,7 @@ func TestExplicitRemoval(t *testing.T) {
 	}
 	r := rng.New(2)
 	for i := 0; i < 200; i++ {
-		p, ok := pol.SampleVLB(r, s, d)
+		p, ok := sampleVLB(pol, r, s, d)
 		if ok && p.Key() == victim.Key() {
 			t.Fatal("removed path still sampled")
 		}
@@ -489,4 +489,11 @@ func TestCountMinAlive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sampleVLB is pol.SampleVLBInto into a fresh Path.
+func sampleVLB(pol Policy, r *rng.Source, s, d int) (Path, bool) {
+	var p Path
+	ok := pol.SampleVLBInto(r, s, d, &p)
+	return p, ok
 }

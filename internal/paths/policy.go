@@ -8,10 +8,13 @@ import (
 )
 
 // Policy is a candidate-VLB-path set: the only thing T-UGAL changes
-// relative to conventional UGAL. SampleVLB must draw candidates the
-// way the router would at packet-injection time; Enumerate/Contains
-// expose the same set to the throughput model and to the
-// load-balance analysis of Algorithm 1 Step 2.
+// relative to conventional UGAL. A set is a membership test over the
+// VLB enumeration (Contains); Full, LengthCapped and Strategic are
+// nothing else, and sample and enumerate through the one rejection
+// sampler and the one filtered enumerator below. SampleVLBInto must
+// draw candidates the way the router would at packet-injection time;
+// Enumerate/Contains expose the same set to the throughput model and
+// to the load-balance analysis of Algorithm 1 Step 2.
 type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
@@ -20,20 +23,12 @@ type Policy interface {
 	// path for it (then UGAL degenerates to MIN for the pair). This
 	// is the simulator's per-packet hot path.
 	SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool
-	// SampleVLB is SampleVLBInto into a fresh Path.
-	SampleVLB(r *rng.Source, s, d int) (Path, bool)
 	// Enumerate lists every VLB path of the pair under the policy.
 	// Intended for analysis on small/medium topologies.
 	Enumerate(s, d int) []Path
 	// Contains reports whether p (a valid VLB path of the pair) is in
 	// the policy's set.
 	Contains(s, d int, p Path) bool
-	// Compile materializes the policy into an immutable Store: the
-	// same path set per pair (in Enumerate order), with O(1)
-	// allocation-free sampling. Compilation enumerates every pair —
-	// gate it with TryCompile on topologies whose path count may
-	// exceed memory.
-	Compile(t *topo.Compiled) *Store
 }
 
 // StoredFilter is an optional Policy refinement: deciding membership
@@ -64,6 +59,43 @@ type KeyedFilter interface {
 // acceptance is high and the fallback is statistically irrelevant.
 const sampleAttempts = 64
 
+// sampleWhere is the interpreted sampler of every predicate policy:
+// rejection from the conventional sampler, preserving UGAL's
+// intermediate-selection behaviour on the allowed subset. When no
+// allowed path is drawn within the attempt budget, the shortest path
+// seen is used so the router still has a non-minimal escape (matching
+// UGAL's liveness); it is kept in fixed scratch, because on a giant
+// topology this runs interpreted for every packet.
+func sampleWhere(t *topo.Compiled, contains func(s, d int, p Path) bool, r *rng.Source, s, d int, dst *Path) bool {
+	var sw [MaxVLBHops + 1]int32
+	var ports [MaxVLBHops]int8
+	best := 0 // hops of the fallback; a VLB path has at least 2
+	for a := 0; a < sampleAttempts; a++ {
+		if !sampleVLBOnceInto(t, r, s, d, dst) {
+			return false
+		}
+		if contains(s, d, *dst) {
+			return true
+		}
+		if h := dst.Hops(); best == 0 || h < best {
+			best = h
+			copy(sw[:], dst.Sw)
+			copy(ports[:], dst.Ports)
+		}
+	}
+	dst.Sw = append(dst.Sw[:0], sw[:best+1]...)
+	dst.Ports = append(dst.Ports[:0], ports[:best]...)
+	return true
+}
+
+// enumerate is Enumerate for every predicate policy: the filtered walk,
+// each admitted path cloned out of the walk's scratch.
+func enumerate(t *topo.Compiled, pol Policy, s, d int) []Path {
+	var out []Path
+	newPolicyWalk(t, pol, nil, s).visit(d, func(p Path) { out = append(out, p.Clone()) })
+	return out
+}
+
 // Full is conventional UGAL's policy: every VLB path is a candidate.
 type Full struct {
 	T *topo.Compiled
@@ -77,21 +109,11 @@ func (f Full) SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool {
 	return sampleVLBOnceInto(f.T, r, s, d, dst)
 }
 
-// SampleVLB implements Policy.
-func (f Full) SampleVLB(r *rng.Source, s, d int) (Path, bool) {
-	var p Path
-	ok := f.SampleVLBInto(r, s, d, &p)
-	return p, ok
-}
-
 // Enumerate implements Policy.
 func (f Full) Enumerate(s, d int) []Path { return EnumerateVLB(f.T, s, d) }
 
 // Contains implements Policy.
 func (f Full) Contains(_, _ int, _ Path) bool { return true }
-
-// Compile implements Policy.
-func (f Full) Compile(t *topo.Compiled) *Store { return mustCompileStore(t, f, nil) }
 
 // AllowsStored implements StoredFilter.
 func (f Full) AllowsStored(*Store, int, int, PathID) bool { return true }
@@ -121,65 +143,24 @@ func (l LengthCapped) Name() string {
 	return fmt.Sprintf("<=%d-hop+%d%%%d-hop", l.MaxHops, int(l.Frac*100+0.5), l.MaxHops+1)
 }
 
-// allows reports membership for a path of the pair.
-func (l LengthCapped) allows(p Path) bool {
-	h := p.Hops()
-	switch {
-	case h <= l.MaxHops:
-		return true
-	case h == l.MaxHops+1 && l.Frac > 0:
-		return rng.Float01(rng.Mix(rng.Mix(rng.HashSeed, l.Seed), p.Key())) < l.Frac
-	default:
-		return false
-	}
-}
-
-// SampleVLBInto implements Policy by rejection from the conventional
-// sampler, preserving UGAL's intermediate-selection behaviour on the
-// allowed subset. When no allowed path is drawn within the attempt
-// budget, the shortest path seen is used so the router still has a
-// non-minimal escape (matching UGAL's liveness).
+// SampleVLBInto implements Policy.
 func (l LengthCapped) SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool {
-	var best Path
-	found := false
-	for a := 0; a < sampleAttempts; a++ {
-		if !sampleVLBOnceInto(l.T, r, s, d, dst) {
-			return false
-		}
-		if l.allows(*dst) {
-			return true
-		}
-		if !found || dst.Hops() < best.Hops() {
-			best = dst.Clone() // fallback bookkeeping; rare in practice
-			found = true
-		}
+	return sampleWhere(l.T, l.Contains, r, s, d, dst)
+}
+
+// Enumerate implements Policy. The walk stops at MaxHops(+1) hops, so
+// a tight cap never builds the longer leg combinations.
+func (l LengthCapped) Enumerate(s, d int) []Path { return enumerate(l.T, l, s, d) }
+
+// Contains implements Policy; like AllowsStored, only a
+// boundary-length path pays for its identity hash.
+func (l LengthCapped) Contains(_, _ int, p Path) bool {
+	h := p.Hops()
+	if h == l.MaxHops+1 && l.Frac > 0 {
+		return l.AllowsKeyed(h, p.Key())
 	}
-	dst.Sw = append(dst.Sw[:0], best.Sw...)
-	dst.Ports = append(dst.Ports[:0], best.Ports...)
-	return found
+	return h <= l.MaxHops
 }
-
-// SampleVLB implements Policy.
-func (l LengthCapped) SampleVLB(r *rng.Source, s, d int) (Path, bool) {
-	var p Path
-	ok := l.SampleVLBInto(r, s, d, &p)
-	return p, ok
-}
-
-// Enumerate implements Policy.
-func (l LengthCapped) Enumerate(s, d int) []Path {
-	all := EnumerateVLB(l.T, s, d)
-	out := all[:0]
-	for _, p := range all {
-		if l.allows(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Contains implements Policy.
-func (l LengthCapped) Contains(_, _ int, p Path) bool { return l.allows(p) }
 
 // AllowsStored implements StoredFilter: paths at or under the cap
 // are admitted (and longer-than-boundary ones rejected) from the
@@ -193,7 +174,7 @@ func (l LengthCapped) AllowsStored(base *Store, s, _ int, id PathID) bool {
 	return h <= l.MaxHops
 }
 
-// AllowsKeyed implements KeyedFilter.
+// AllowsKeyed implements KeyedFilter: the one statement of the set.
 func (l LengthCapped) AllowsKeyed(hops int, key uint64) bool {
 	switch {
 	case hops <= l.MaxHops:
@@ -205,18 +186,25 @@ func (l LengthCapped) AllowsKeyed(hops int, key uint64) bool {
 	}
 }
 
-// Compile implements Policy. Enumeration is pruned to MaxHops(+1)
-// hops, so compiling a tight cap is much cheaper than the full set.
-func (l LengthCapped) Compile(t *topo.Compiled) *Store { return mustCompileStore(t, l, nil) }
-
 // Strategic is the Step-2 deterministic expansion for the 50% 5-hop
 // vicinity: all VLB paths of at most 4 hops, plus exactly the 5-hop
 // paths decomposable as a FirstLeg-hop MIN leg followed by a
-// (5-FirstLeg)-hop MIN leg. FirstLeg is 2 or 3; the two choices are
-// the paper's "all 2-hop MIN followed by 3-hop MIN" and its mirror.
+// (5-FirstLeg)-hop MIN leg. FirstLeg is 2 or 3 (NewStrategic checks
+// it); the two choices are the paper's "all 2-hop MIN followed by
+// 3-hop MIN" and its mirror.
 type Strategic struct {
 	T        *topo.Compiled
 	FirstLeg int
+}
+
+// NewStrategic is Strategic{t, firstLeg} for a first leg that did not
+// come from the program text: a MIN leg has 1 to 3 hops, so only 2 and
+// 3 split a 5-hop path into two of them.
+func NewStrategic(t *topo.Compiled, firstLeg int) (Strategic, error) {
+	if firstLeg != 2 && firstLeg != 3 {
+		return Strategic{}, fmt.Errorf("paths: strategic first leg %d (want 2 or 3)", firstLeg)
+	}
+	return Strategic{T: t, FirstLeg: firstLeg}, nil
 }
 
 // Name implements Policy.
@@ -241,14 +229,6 @@ func minShape(t *topo.Compiled, ports []int8) bool {
 		}
 	}
 	return gAt >= 0 && gAt <= 1 && len(ports)-1-gAt <= 1
-}
-
-// allows reports membership.
-func (s Strategic) allows(src, dst int, p Path) bool {
-	if h := p.Hops(); h != 5 {
-		return h <= 4
-	}
-	return s.splits(src, dst, int(p.Sw[s.FirstLeg]), p.Ports)
 }
 
 // splits reports whether a 5-hop VLB path of the pair decomposes at
@@ -280,49 +260,19 @@ func (s Strategic) AllowsStored(base *Store, src, dst int, id PathID) bool {
 
 // SampleVLBInto implements Policy.
 func (s Strategic) SampleVLBInto(r *rng.Source, src, dst int, out *Path) bool {
-	var best Path
-	found := false
-	for a := 0; a < sampleAttempts; a++ {
-		if !sampleVLBOnceInto(s.T, r, src, dst, out) {
-			return false
-		}
-		if s.allows(src, dst, *out) {
-			return true
-		}
-		if !found || out.Hops() < best.Hops() {
-			best = out.Clone()
-			found = true
-		}
-	}
-	out.Sw = append(out.Sw[:0], best.Sw...)
-	out.Ports = append(out.Ports[:0], best.Ports...)
-	return found
+	return sampleWhere(s.T, s.Contains, r, src, dst, out)
 }
 
-// SampleVLB implements Policy.
-func (s Strategic) SampleVLB(r *rng.Source, src, dst int) (Path, bool) {
-	var p Path
-	ok := s.SampleVLBInto(r, src, dst, &p)
-	return p, ok
-}
-
-// Enumerate implements Policy.
-func (s Strategic) Enumerate(src, dst int) []Path {
-	all := EnumerateVLB(s.T, src, dst)
-	out := all[:0]
-	for _, p := range all {
-		if s.allows(src, dst, p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// Enumerate implements Policy (strategic sets never exceed 5 hops).
+func (s Strategic) Enumerate(src, dst int) []Path { return enumerate(s.T, s, src, dst) }
 
 // Contains implements Policy.
-func (s Strategic) Contains(src, dst int, p Path) bool { return s.allows(src, dst, p) }
-
-// Compile implements Policy (strategic sets never exceed 5 hops).
-func (s Strategic) Compile(t *topo.Compiled) *Store { return mustCompileStore(t, s, nil) }
+func (s Strategic) Contains(src, dst int, p Path) bool {
+	if h := p.Hops(); h != 5 {
+		return h <= 4
+	}
+	return s.splits(src, dst, int(p.Sw[s.FirstLeg]), p.Ports)
+}
 
 // Explicit wraps any base policy with a removal set, the output of
 // Algorithm 1's load-balance adjustment ("removing paths that cause
@@ -370,13 +320,6 @@ func (e *Explicit) SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool {
 	return true
 }
 
-// SampleVLB implements Policy.
-func (e *Explicit) SampleVLB(r *rng.Source, s, d int) (Path, bool) {
-	var p Path
-	ok := e.SampleVLBInto(r, s, d, &p)
-	return p, ok
-}
-
 // Enumerate implements Policy.
 func (e *Explicit) Enumerate(s, d int) []Path {
 	all := e.Base.Enumerate(s, d)
@@ -396,6 +339,3 @@ func (e *Explicit) Enumerate(s, d int) []Path {
 func (e *Explicit) Contains(s, d int, p Path) bool {
 	return e.Base.Contains(s, d, p) && !e.Removed[p.Key()]
 }
-
-// Compile implements Policy, inheriting the base policy's hop cap.
-func (e *Explicit) Compile(t *topo.Compiled) *Store { return mustCompileStore(t, e, nil) }

@@ -128,7 +128,7 @@ func TestIntraGroupSampling(t *testing.T) {
 	pol := Full{T: tp}
 	r := rng.New(5)
 	for i := 0; i < 100; i++ {
-		p, ok := pol.SampleVLB(r, 0, 2)
+		p, ok := sampleVLB(pol, r, 0, 2)
 		if !ok || p.Hops() != 2 {
 			t.Fatalf("intra-group VLB sample: %v %v", p, ok)
 		}
@@ -139,8 +139,62 @@ func TestIntraGroupSampling(t *testing.T) {
 	}
 	// a=2 topologies have no intra-group detour.
 	t2 := topo.MustNew(1, 2, 1, 3)
-	if _, ok := (Full{T: t2}).SampleVLB(r, 0, 1); ok {
+	if _, ok := sampleVLB(Full{T: t2}, r, 0, 1); ok {
 		t.Fatal("a=2 intra-group VLB should not exist")
+	}
+}
+
+// TestInterpretedSamplingAllocs: an interpreted policy is sampled once
+// per packet on the topologies too large to compile (Figures 13/14), so
+// no draw may allocate — not a rejected one either, whose path the
+// shortest-seen fallback has to remember. <=3-hop on this pair takes
+// the fallback in most calls.
+func TestInterpretedSamplingAllocs(t *testing.T) {
+	tp := topo.MustNew(4, 8, 4, 9)
+	s, d := 0, 40
+	bases := []Policy{
+		Full{T: tp},
+		Strategic{T: tp, FirstLeg: 2},
+		Strategic{T: tp, FirstLeg: 3},
+		LengthCapped{T: tp, MaxHops: 3},
+		LengthCapped{T: tp, MaxHops: 4, Frac: 0.3, Seed: 7},
+	}
+	pols := bases
+	for _, base := range bases {
+		ex := NewExplicit(base)
+		for i, p := range base.Enumerate(s, d) {
+			if i%3 == 1 {
+				ex.Remove(p)
+			}
+		}
+		pols = append(pols, ex)
+	}
+	for _, pol := range pols {
+		r := rng.New(9)
+		buf := Path{Sw: make([]int32, 0, MaxVLBHops+1), Ports: make([]int8, 0, MaxVLBHops)}
+		allocs := testing.AllocsPerRun(2000, func() {
+			if !pol.SampleVLBInto(r, s, d, &buf) {
+				t.Fatalf("%s: pair (%d,%d) has no candidate", pol.Name(), s, d)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocations per draw, want 0", pol.Name(), allocs)
+		}
+	}
+}
+
+// TestNewStrategicChecksFirstLeg: a 5-hop path splits into two MIN legs
+// only 2+3 or 3+2. Any other first leg used to name a set it was not
+// (strategic-0+5 was the <=4-hop set) or, at 6, index past the path.
+func TestNewStrategicChecksFirstLeg(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	for leg := -1; leg <= 7; leg++ {
+		pol, err := NewStrategic(tp, leg)
+		if want := leg == 2 || leg == 3; (err == nil) != want {
+			t.Errorf("NewStrategic(%d): err = %v", leg, err)
+		} else if want && pol != (Strategic{T: tp, FirstLeg: leg}) {
+			t.Errorf("NewStrategic(%d) = %+v", leg, pol)
+		}
 	}
 }
 

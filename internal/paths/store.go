@@ -69,8 +69,8 @@ func (st *Store) Mask() *topo.FailureMask { return st.mask }
 
 // compileStore compiles pol under mask (nil: the pristine topology)
 // as count -> prefix-sum -> fill over source-switch rows. The count
-// pass walks every pair with a vlbVisitor bounded by the policy's hop
-// cap and leaves its number of admitted paths in pairStart; the prefix
+// pass walks every pair with a policyWalk (bounded by the policy's hop
+// cap) and leaves its number of admitted paths in pairStart; the prefix
 // sum turns those into PathID ranges and sizes hops/ports exactly; the
 // fill pass repeats the walk, writing each admitted path into its
 // final slot. Rows own disjoint arena ranges, so both passes run over
@@ -86,21 +86,15 @@ func (st *Store) Mask() *topo.FailureMask { return st.mask }
 func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit int64) (*Store, int64) {
 	start := time.Now()
 	n := t.NumSwitches()
-	maxHops := hopCap(pol)
 	_, isFull := pol.(Full)
 	st := &Store{T: t, name: pol.Name(), full: isFull, n: n, mask: mask}
 	st.pairStart = make([]int32, n*n+1)
-	admit := func(s, d int, p Path) bool { return pol.Contains(s, d, p) && Alive(mask, p) }
 	pool := exec.Default()
 	pool.RunRows("paths/count", n, func(s int) {
-		v := &vlbVisitor{t: t, src: s}
+		w := newPolicyWalk(t, pol, mask, s)
 		for d := 0; d < n; d++ {
 			cnt := int32(0)
-			v.visit(d, maxHops, func(p Path) {
-				if admit(s, d, p) {
-					cnt++
-				}
-			})
+			w.visit(d, func(Path) { cnt++ })
 			st.pairStart[s*n+d+1] = cnt
 		}
 	})
@@ -115,15 +109,13 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 	st.hops = make([]uint8, total)
 	st.ports = make([]int8, total*MaxVLBHops)
 	pool.RunRows("paths/fill", n, func(s int) {
-		v := &vlbVisitor{t: t, src: s}
+		w := newPolicyWalk(t, pol, mask, s)
 		id := int(st.pairStart[s*n])
 		for d := 0; d < n; d++ {
-			v.visit(d, maxHops, func(p Path) {
-				if admit(s, d, p) {
-					st.hops[id] = uint8(len(p.Ports))
-					copy(st.ports[id*MaxVLBHops:], p.Ports)
-					id++
-				}
+			w.visit(d, func(p Path) {
+				st.hops[id] = uint8(len(p.Ports))
+				copy(st.ports[id*MaxVLBHops:], p.Ports)
+				id++
 			})
 		}
 		if id != int(st.pairStart[(s+1)*n]) {
@@ -132,17 +124,6 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 	})
 	st.buildTime = time.Since(start)
 	return st, total
-}
-
-// mustCompileStore is compileStore for the Compile methods, which
-// have no way to refuse.
-func mustCompileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Store {
-	st, total := compileStore(t, pol, mask, pathIDSpace)
-	if st == nil {
-		panic(fmt.Sprintf("paths: %s on %s has %d paths, more than the int32 PathID space holds",
-			pol.Name(), t.Label(), total))
-	}
-	return st
 }
 
 // hopCap returns an upper bound on the hop count of any path the
@@ -186,26 +167,18 @@ func EstimatePaths(t *topo.Compiled, pol Policy) int64 {
 	if interPairs <= 0 {
 		return total
 	}
-	hc := hopCap(pol)
 	perPair := int64(0)
-	samples := 0
 	s := t.SwitchID(0, 0)
-	v := &vlbVisitor{t: t, src: s}
+	w := newPolicyWalk(t, pol, nil, s)
 	for _, gi := range []int{1, t.G / 2, t.G - 1} {
-		if gi <= 0 || samples >= 3 {
+		if gi <= 0 {
 			continue
 		}
-		d := t.SwitchID(gi, t.A/2)
 		cnt := int64(0)
-		v.visit(d, hc, func(p Path) {
-			if pol.Contains(s, d, p) {
-				cnt++
-			}
-		})
+		w.visit(t.SwitchID(gi, t.A/2), func(Path) { cnt++ })
 		if cnt > perPair {
 			perPair = cnt
 		}
-		samples++
 	}
 	return total + interPairs*perPair
 }
@@ -225,9 +198,6 @@ func (st *Store) Name() string {
 	}
 	return st.name
 }
-
-// Compile implements Policy: a Store is already compiled.
-func (st *Store) Compile(*topo.Compiled) *Store { return st }
 
 // NumPaths returns the number of compiled paths, the size of the
 // PathID space.
@@ -303,13 +273,6 @@ func (st *Store) SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool {
 	}
 	st.MaterializeInto(s, id, dst)
 	return true
-}
-
-// SampleVLB implements Policy.
-func (st *Store) SampleVLB(r *rng.Source, s, d int) (Path, bool) {
-	var p Path
-	ok := st.SampleVLBInto(r, s, d, &p)
-	return p, ok
 }
 
 // Enumerate implements Policy, materializing the pair's range in

@@ -54,7 +54,7 @@ func TestStoreMatchesInterpreted(t *testing.T) {
 		for _, pol := range storePolicies(tp) {
 			pol := pol
 			t.Run(fmt.Sprintf("dfly(%d,%d,%d,%d)/%s", pr.P, pr.A, pr.H, pr.G, pol.Name()), func(t *testing.T) {
-				st := pol.Compile(tp)
+				st := Compile(tp, pol)
 				if st.Name() != pol.Name() {
 					t.Errorf("store name %q != policy name %q", st.Name(), pol.Name())
 				}
@@ -110,7 +110,7 @@ func TestStoreMatchesInterpreted(t *testing.T) {
 // every candidate of a pair with near-uniform frequency.
 func TestStoreSamplingIsUniform(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
-	st := Strategic{T: tp, FirstLeg: 2}.Compile(tp)
+	st := Compile(tp, Strategic{T: tp, FirstLeg: 2})
 	s, d := 0, tp.SwitchID(4, 1)
 	first, count := st.PairRange(s, d)
 	if count < 2 {
@@ -140,7 +140,7 @@ func TestStoreSamplingIsUniform(t *testing.T) {
 // store drops exactly the marked paths and keeps pair order.
 func TestStoreWithout(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
-	st := LengthCapped{T: tp, MaxHops: 4}.Compile(tp)
+	st := Compile(tp, LengthCapped{T: tp, MaxHops: 4})
 	removed := make([]bool, st.NumPaths())
 	// Mark every third path of a few pairs.
 	marked := 0
@@ -187,7 +187,7 @@ func TestStoreWithout(t *testing.T) {
 // draw performs no allocation.
 func TestStoreSampleIsAllocationFree(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
-	st := Strategic{T: tp, FirstLeg: 2}.Compile(tp)
+	st := Compile(tp, Strategic{T: tp, FirstLeg: 2})
 	r := rng.New(5)
 	buf := Path{Sw: make([]int32, 0, MaxVLBHops+1), Ports: make([]int8, 0, MaxVLBHops)}
 	d := tp.SwitchID(5, 2)
@@ -233,7 +233,7 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 		topo.MustNew(2, 4, 2, 5), topo.MustNew(2, 4, 2, 9),
 		topo.MustNew(2, 4, 4, 3), topo.MustNewD3(12, 4, 2),
 	} {
-		base := Full{T: tp}.Compile(tp)
+		base := Compile(tp, Full{T: tp})
 		filters := []Policy{
 			Full{T: tp},
 			LengthCapped{T: tp, MaxHops: 3},
@@ -296,7 +296,7 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 // pristine store filtered by it.
 func TestDropMaskWorkers(t *testing.T) {
 	for _, tp := range oracleTopos() {
-		pristine := Full{T: tp}.Compile(tp)
+		pristine := Compile(tp, Full{T: tp})
 		for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
 			bases := map[string]*Store{"compiled": CompileDegraded(tp, Full{T: tp}, mask)}
 			if mask != nil {
@@ -330,7 +330,7 @@ func TestCompileDegradedPassesThrough(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	mask := degradedMask(tp)
 	st := CompileDegraded(tp, Full{T: tp}, mask)
-	filtered := CompileDegraded(tp, Full{T: tp}.Compile(tp), mask)
+	filtered := CompileDegraded(tp, Compile(tp, Full{T: tp}), mask)
 	for _, st := range []*Store{st, filtered} {
 		for _, m := range []*topo.FailureMask{mask, mask.Clone(), nil} {
 			got, ok := TryCompileDegraded(tp, st, 1, m)
@@ -427,7 +427,7 @@ func TestCompileWorkers(t *testing.T) {
 // paths takes minutes to count, so the test hands compileStore a small
 // limit on a small instance instead — the one argument TryCompile* and
 // Compile do not choose; they turn its nil store into ok=false and
-// into mustCompileStore's panic naming the counted total.
+// into CompileDegraded's panic naming the counted total.
 func TestCompileRefusesPathIDOverflow(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	full := Full{T: tp}

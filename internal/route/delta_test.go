@@ -76,7 +76,7 @@ func TestDeltaMatchesScratch(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", tp.Label(), seed), func(t *testing.T) {
 				r := rng.New(seed)
 				pol := paths.Full{T: tp}
-				svc, err := route.NewService(pol.Compile(tp), route.ModeUGAL, 0, route.Default())
+				svc, err := route.NewService(paths.Compile(tp, pol), route.ModeUGAL, 0, route.Default())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,7 +124,7 @@ func TestDeltaMatchesScratch(t *testing.T) {
 func TestEpochSnapshotIsolation(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
 	pol := paths.Full{T: tp}
-	svc, err := route.NewService(pol.Compile(tp), route.ModeUGAL, 0, route.Default())
+	svc, err := route.NewService(paths.Compile(tp, pol), route.ModeUGAL, 0, route.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

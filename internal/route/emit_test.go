@@ -116,7 +116,7 @@ func TestDeltaWorkers(t *testing.T) {
 	for _, tp := range topos {
 		t.Run(tp.Label(), func(t *testing.T) {
 			pol := paths.Full{T: tp}
-			st := pol.Compile(tp)
+			st := paths.Compile(tp, pol)
 			tb, err := Emit(st, Default())
 			if err != nil {
 				t.Fatal(err)
@@ -202,7 +202,7 @@ var benchTables *Tables
 // base store's edge index is built before the clock starts.
 func BenchmarkFailSwap(b *testing.B) {
 	tp := topo.MustNew(4, 8, 4, 9)
-	st := paths.Full{T: tp}.Compile(tp)
+	st := paths.Compile(tp, paths.Full{T: tp})
 	st.BuildEdgeIndex()
 	tb, err := Emit(st, Default())
 	if err != nil {
@@ -225,7 +225,7 @@ func BenchmarkFailSwap(b *testing.B) {
 // paper's g9 machine (~4.1M candidate words).
 func BenchmarkEmit(b *testing.B) {
 	tp := topo.MustNew(4, 8, 4, 9)
-	st := paths.Full{T: tp}.Compile(tp)
+	st := paths.Compile(tp, paths.Full{T: tp})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

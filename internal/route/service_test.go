@@ -47,7 +47,7 @@ func validateDecision(t *testing.T, tb *route.Tables, d route.Decision, srcSw, d
 func TestConcurrentLookupsAndSwaps(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
 	pol := paths.Full{T: tp}
-	svc, err := route.NewService(pol.Compile(tp), route.ModeUGAL, 0, route.Default())
+	svc, err := route.NewService(paths.Compile(tp, pol), route.ModeUGAL, 0, route.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestConcurrentLookupsAndSwaps(t *testing.T) {
 // nothing: same epoch, no dirty rows, same table pointer.
 func TestFailNoOp(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
-	svc, err := route.NewService((paths.Full{T: tp}).Compile(tp), route.ModeUGAL, 0, route.Default())
+	svc, err := route.NewService(paths.Compile(tp, paths.Full{T: tp}), route.ModeUGAL, 0, route.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFailNoOp(t *testing.T) {
 // same link failed again, alone, is a real failure and swaps.
 func TestFailErrorLeavesEpoch(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
-	svc, err := route.NewService((paths.Full{T: tp}).Compile(tp), route.ModeUGAL, 0, route.Default())
+	svc, err := route.NewService(paths.Compile(tp, paths.Full{T: tp}), route.ModeUGAL, 0, route.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFailErrorLeavesEpoch(t *testing.T) {
 func TestFailSwitchAfterItsLinks(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
 	pol := paths.Full{T: tp}
-	svc, err := route.NewService(pol.Compile(tp), route.ModeUGAL, 0, route.Default())
+	svc, err := route.NewService(paths.Compile(tp, pol), route.ModeUGAL, 0, route.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

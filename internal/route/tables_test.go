@@ -191,7 +191,7 @@ func checkEquivalence(t *testing.T, tp *topo.Compiled, st *paths.Store, mask *to
 func TestEquivalenceAcrossEpochSwap(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
 	pol := paths.Full{T: tp}
-	st := pol.Compile(tp)
+	st := paths.Compile(tp, pol)
 	svc, err := route.NewService(st, route.ModeUGAL, 0, route.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestEquivalenceAcrossEpochSwap(t *testing.T) {
 // exported routing helper.
 func TestEmitRowShapes(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
-	st := (paths.Full{T: tp}).Compile(tp)
+	st := paths.Compile(tp, paths.Full{T: tp})
 	tb, err := route.Emit(st, route.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +320,7 @@ func checkWord(t *testing.T, w uint64, want []netsim.RouteHop) {
 // within a class.
 func TestFirstHopsWeights(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
-	st := (paths.Full{T: tp}).Compile(tp)
+	st := paths.Compile(tp, paths.Full{T: tp})
 	tb, err := route.Emit(st, route.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +361,7 @@ func b2i(b bool) int8 {
 // TestSteadyStateAllocs.
 func TestLookupBatchAllocs(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
-	st := (paths.Full{T: tp}).Compile(tp)
+	st := paths.Compile(tp, paths.Full{T: tp})
 	svc, err := route.NewService(st, route.ModeUGAL, 0, route.Default())
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -87,6 +88,55 @@ func FuzzFailures(f *testing.F) {
 		}
 		if again, err := ApplyFailures(m, s); err != nil || len(again) != 0 {
 			t.Fatalf("%q applied twice: %d newly dead, err=%v", s, len(again), err)
+		}
+	})
+}
+
+// FuzzLoadSuite: any bytes are refused or become a suite every
+// experiment of which names its parts, sweeps rates inside (0,1] and
+// carries no negative window, seed count, buffer, latency or shard
+// count for netsim to size an array with — never a panic. The decoder
+// reads fields it knows into slices the input spelled out, so what it
+// allocates is bounded by the input.
+func FuzzLoadSuite(f *testing.F) {
+	for _, js := range []string{
+		`{"experiments":[{"name":"smoke","topology":"2,4,2,9","pattern":"shift:1:0","routing":["ugal-l","t-ugal-l"],"policy":"capped:4","rates":[0.05,0.15],"warmup":1500,"measure":1000,"drain":2000}]}`,
+		`{}`,
+		`{"experiments":[{"name":"x"}]}`,
+		`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["min"],"rates":[2.0]}]}`,
+		`{"experiments":[{"name":"x","unknown":1}]}`,
+		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["min"],"rates":[0.1],"seeds":-1,"warmup":-5,"buffer":-3}]}`,
+		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["min"],"rates":[0.1],"shards":-2}]}`,
+		`{"experiments":[{"name":"x","topology":"t","pattern":"p","routing":["r"],"rates":[1e-320],"vcs":99999999999}]}`,
+		`{"experiments":[`, `[]`, `null`, ``,
+	} {
+		f.Add([]byte(js))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		suite, err := LoadSuite(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(suite.Experiments) == 0 {
+			t.Fatal("accepted a suite with no experiments")
+		}
+		for _, e := range suite.Experiments {
+			if e.Name == "" || e.Topology == "" || e.Pattern == "" || len(e.Routing) == 0 || len(e.Rates) == 0 {
+				t.Fatalf("accepted an experiment with a part missing: %+v", e)
+			}
+			for _, r := range e.Rates {
+				if !(r > 0 && r <= 1) {
+					t.Fatalf("%q: accepted rate %v", e.Name, r)
+				}
+			}
+			for _, v := range []int64{int64(e.Seeds), e.Warmup, e.Measure, e.Drain, int64(e.Buffer), int64(e.LocalLatency), int64(e.GlobalLatency), int64(e.Speedup), int64(e.PacketSize)} {
+				if v <= 0 {
+					t.Fatalf("%q: accepted a non-positive size or count: %+v", e.Name, e)
+				}
+			}
+			if e.VCs < 0 || e.Shards < 0 {
+				t.Fatalf("%q: accepted vcs %d, shards %d", e.Name, e.VCs, e.Shards)
+			}
 		}
 	})
 }

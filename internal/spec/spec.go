@@ -108,12 +108,16 @@ func Policy(t *topo.Compiled, s string, seed uint64) (paths.Policy, error) {
 		leg := 2
 		if len(parts) > 1 {
 			v, err := strconv.Atoi(parts[1])
-			if err != nil || (v != 2 && v != 3) {
+			if err != nil {
 				return nil, fmt.Errorf("spec: strategic leg %q (want 2 or 3)", parts[1])
 			}
 			leg = v
 		}
-		return paths.Strategic{T: t, FirstLeg: leg}, nil
+		pol, err := paths.NewStrategic(t, leg)
+		if err != nil {
+			return nil, fmt.Errorf("spec: %w", err)
+		}
+		return pol, nil
 	case "capped":
 		if len(parts) < 2 {
 			return nil, fmt.Errorf("spec: capped policy needs capped:<maxHops>[:frac]")

@@ -43,7 +43,7 @@ func TestPolicySpec(t *testing.T) {
 			t.Fatalf("%q -> %q want %q", in, pol.Name(), want)
 		}
 	}
-	for _, bad := range []string{"strategic:5", "capped", "capped:9", "capped:4:2", "nope"} {
+	for _, bad := range []string{"strategic:5", "strategic:6", "strategic:0", "strategic:x", "capped", "capped:9", "capped:4:2", "nope"} {
 		if _, err := Policy(tp, bad, 1); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}

@@ -11,24 +11,8 @@ import (
 	"tugal/internal/paths"
 	"tugal/internal/rng"
 	"tugal/internal/sweep"
-	"tugal/internal/topo"
 	"tugal/internal/traffic"
 )
-
-// compileFor compiles a policy for an experiment's simulations when
-// it fits the store budget, reporting build time and arena size to
-// the pool observer; otherwise the interpreted policy is returned.
-func compileFor(pool *exec.Pool, t *topo.Compiled, pol paths.Policy) paths.Policy {
-	st, ok := paths.TryCompile(t, pol, paths.DefaultCompileBudget)
-	if !ok {
-		return pol
-	}
-	if paths.Policy(st) != pol {
-		pool.Report(exec.Stat{Label: "compile/" + st.Name(),
-			Wall: st.BuildTime(), Bytes: st.Bytes()})
-	}
-	return st
-}
 
 // Suite is a JSON-defined batch of experiments for cmd/experiment.
 //
@@ -118,6 +102,12 @@ func (e *Experiment) normalize() error {
 			return fmt.Errorf("rate %v out of (0,1]", r)
 		}
 	}
+	// Zero means "the default" below; a negative one would reach netsim
+	// and sweep as an array size.
+	if min(int64(e.Seeds), e.Warmup, e.Measure, e.Drain, int64(e.VCs), int64(e.Buffer), int64(e.LocalLatency),
+		int64(e.GlobalLatency), int64(e.Speedup), int64(e.PacketSize), int64(e.Shards)) < 0 {
+		return fmt.Errorf("negative count, window, size or latency in %+v", *e)
+	}
 	if e.Seeds == 0 {
 		e.Seeds = 1
 	}
@@ -147,9 +137,6 @@ func (e *Experiment) normalize() error {
 	}
 	if e.PacketSize == 0 {
 		e.PacketSize = 1
-	}
-	if e.Shards < 0 {
-		return fmt.Errorf("shards %d negative", e.Shards)
 	}
 	return nil
 }
@@ -194,12 +181,16 @@ func (e *Experiment) RunOn(pool *exec.Pool) (*ExperimentResult, error) {
 	// Compile each distinct policy once per experiment; every routing
 	// entry (and every cloned run on the pool) shares the immutable
 	// store. Over-budget topologies keep the interpreted policies.
-	pol = compileFor(pool, t, pol)
+	if st, ok := paths.Compiled(pool, t, pol, nil); ok {
+		pol = st
+	}
 	var conv paths.Policy = paths.Full{T: t}
 	for _, rname := range e.Routing {
 		l := strings.ToLower(rname)
 		if l != "min" && !strings.HasPrefix(l, "t-") {
-			conv = compileFor(pool, t, conv)
+			if st, ok := paths.Compiled(pool, t, conv, nil); ok {
+				conv = st
+			}
 			break
 		}
 	}

@@ -24,8 +24,8 @@ func detSchemes(t *topo.Compiled) map[string]func() netsim.RoutingFunc {
 	// Store-backed variants: one immutable compiled store shared by
 	// every cloned run on both pools, exercising the PathID sampling
 	// path under the same determinism contract.
-	fullSt := full.Compile(t)
-	stratSt := strat.Compile(t)
+	fullSt := paths.Compile(t, full)
+	stratSt := paths.Compile(t, strat)
 	return map[string]func() netsim.RoutingFunc{
 		"UGAL-L/store": func() netsim.RoutingFunc { return routing.NewUGALL(t, fullSt) },
 		"T-UGAL-L/store": func() netsim.RoutingFunc {

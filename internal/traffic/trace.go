@@ -28,6 +28,12 @@ const traceMagic = "DFTR"
 // traceVersion is bumped on format changes.
 const traceVersion = 1
 
+// maxTraceNodes is the largest node count ReadTrace accepts. The
+// reader allocates 28 bytes a node on the header's say-so, before it
+// has seen a record; a million nodes is a hundred times the paper's
+// largest machine and keeps what 12 hostile bytes can ask for at 28 MB.
+const maxTraceNodes = 1 << 20
+
 // Recorder wraps a pattern and appends every generated (src, dst) to
 // an in-memory trace. Not safe for concurrent simulations, and it
 // deliberately does not implement Cloner: cloning would scatter the
@@ -115,7 +121,7 @@ func ReadTrace(r io.Reader) (*Replay, error) {
 		return nil, fmt.Errorf("traffic: unsupported trace version %d", v)
 	}
 	numNodes := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if numNodes <= 0 || numNodes > 1<<24 {
+	if numNodes <= 0 || numNodes > maxTraceNodes {
 		return nil, fmt.Errorf("traffic: implausible node count %d", numNodes)
 	}
 	rp := &Replay{
@@ -131,12 +137,11 @@ func ReadTrace(r io.Reader) (*Replay, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("traffic: trace record: %w", err)
 		}
-		src := int(binary.LittleEndian.Uint32(rec[0:]))
-		dst := int32(binary.LittleEndian.Uint32(rec[4:]))
-		if src >= numNodes || int(dst) >= numNodes {
+		src, dst := binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:])
+		if src >= uint32(numNodes) || dst >= uint32(numNodes) {
 			return nil, fmt.Errorf("traffic: trace record out of range (%d -> %d)", src, dst)
 		}
-		rp.perSrc[src] = append(rp.perSrc[src], dst)
+		rp.perSrc[src] = append(rp.perSrc[src], int32(dst))
 	}
 	return rp, nil
 }

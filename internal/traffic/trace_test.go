@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -88,4 +89,48 @@ func TestRecorderName(t *testing.T) {
 	if rec.Name() != "UR+rec" {
 		t.Fatalf("name %q", rec.Name())
 	}
+}
+
+// FuzzReadTrace: any byte stream is an error or a Replay that hands
+// back exactly the records the stream held — every destination a node
+// of the trace, per source in stream order — never a panic, and never
+// arrays for more nodes than maxTraceNodes however few bytes asked for
+// them.
+func FuzzReadTrace(f *testing.F) {
+	hdr := func(version, nodes uint32, recs ...uint32) []byte {
+		b := []byte(traceMagic)
+		for _, v := range append([]uint32{version, nodes}, recs...) {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	f.Add([]byte("not a trace at all"))
+	f.Add([]byte("DFTR"))
+	f.Add(hdr(9, 8))
+	f.Add(hdr(1, 2, 5, 0))
+	f.Add(hdr(1, 4, 0, 3, 1, 2, 0, 1, 3, 3))
+	f.Add(hdr(1, 4, 0, 3, 1))          // a record cut short
+	f.Add(hdr(1, 2, 1, 0xffffffff))    // a destination past int32
+	f.Add(hdr(1, 0))                   // no nodes
+	f.Add(hdr(1, 0xffffffff, 7, 7))    // a node count no topology has
+	f.Add(hdr(1, maxTraceNodes, 0, 0)) // the largest one accepted
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rp, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if rp.numNodes <= 0 || rp.numNodes > maxTraceNodes || len(rp.perSrc) != rp.numNodes {
+			t.Fatalf("accepted a trace of %d nodes (%d streams)", rp.numNodes, len(rp.perSrc))
+		}
+		recs := data[12:]
+		if len(recs)%8 != 0 || rp.Remaining() != len(recs)/8 {
+			t.Fatalf("%d bytes of records became %d", len(recs), rp.Remaining())
+		}
+		for ; len(recs) > 0; recs = recs[8:] {
+			src, want := int(binary.LittleEndian.Uint32(recs)), int(binary.LittleEndian.Uint32(recs[4:]))
+			if dst, ok := rp.Dest(nil, src); !ok || dst != want || dst < 0 || dst >= rp.numNodes {
+				t.Fatalf("source %d replays %d (ok=%v), the stream says %d of %d nodes", src, dst, ok, want, rp.numNodes)
+			}
+		}
+	})
 }

@@ -96,9 +96,14 @@ func LengthCappedVLB(t *Topology, maxHops int, frac float64, seed uint64) PathPo
 
 // StrategicVLB returns all VLB paths of at most 4 hops plus the
 // 5-hop paths formed as a firstLeg-hop MIN leg followed by a
-// (5-firstLeg)-hop MIN leg (firstLeg = 2 or 3).
+// (5-firstLeg)-hop MIN leg. firstLeg is 2 or 3, the only two ways a
+// 5-hop path splits into MIN legs; anything else panics.
 func StrategicVLB(t *Topology, firstLeg int) PathPolicy {
-	return paths.Strategic{T: t, FirstLeg: firstLeg}
+	pol, err := paths.NewStrategic(t, firstLeg)
+	if err != nil {
+		panic(err)
+	}
+	return pol
 }
 
 // PathStore is a policy compiled into an immutable flat arena with
@@ -113,7 +118,7 @@ type PathStore = paths.Store
 // candidate sets are too large to hold in memory (the interpreted
 // policy should then be used directly).
 func CompileVLB(t *Topology, pol PathPolicy) (*PathStore, bool) {
-	return paths.TryCompile(t, pol, paths.DefaultCompileBudget)
+	return paths.Compiled(exec.Default(), t, pol, nil)
 }
 
 // RNG is the deterministic random source threaded through sampling.

@@ -1,7 +1,9 @@
 package tugal_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"tugal"
@@ -34,6 +36,23 @@ func TestFacadePolicies(t *testing.T) {
 		if len(ps) == 0 {
 			t.Fatalf("%s: no paths", pol.Name())
 		}
+	}
+}
+
+// TestStrategicVLBRejectsBadLeg: a first leg other than 2 or 3 used to
+// panic with an index error on the first 5-hop path (6) or quietly be
+// the <=4-hop set (0, 1, 4, 5).
+func TestStrategicVLBRejectsBadLeg(t *testing.T) {
+	tp := tugal.MustTopology(2, 4, 2, 9)
+	for _, leg := range []int{0, 1, 4, 5, 6} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "want 2 or 3") {
+					t.Errorf("StrategicVLB(tp, %d): recovered %q", leg, msg)
+				}
+			}()
+			tugal.StrategicVLB(tp, leg)
+		}()
 	}
 }
 
