@@ -287,6 +287,29 @@ func (ps *pairScratch) remove(k int32) {
 	}
 }
 
+// shed is the removal loop of both passes: longest first, it removes
+// loaded paths that cross a link hot reports, handing each one's edges
+// to cooled before it tests the next, until the share frac of the pair
+// is gone or only keep paths are left. It returns how many it removed.
+func (ps *pairScratch) shed(frac float64, keep int, hot func(flow.Edge) bool, cooled func(flow.Edge)) int {
+	budget, n := int(frac*float64(len(ps.words))), 0
+	for _, k := range ps.longestFirst() {
+		if n >= budget || len(ps.words)-n <= keep {
+			break
+		}
+		edges := ps.edgesOf(int(k))
+		if !slices.ContainsFunc(edges, hot) {
+			continue
+		}
+		ps.remove(k)
+		n++
+		for _, e := range edges {
+			cooled(e)
+		}
+	}
+	return n
+}
+
 // removed reports whether loaded path k has been removed since load.
 func (ps *pairScratch) removed(k int) bool {
 	if ps.st == nil {
@@ -346,26 +369,10 @@ func adjust(net *flow.Network, ps *pairScratch, opt LBOptions) BalanceReport {
 		w := 1 / float64(count)
 		mean := use.mean()
 		// Local adjustment: remove longest paths crossing hot links.
-		budget := int(opt.MaxRemoveFrac * float64(count))
-		removedHere := 0
 		hot := func(e flow.Edge) bool { return use.w[e] > opt.Tol*mean && use.w[e] > 1 }
 		if slices.ContainsFunc(use.touched, hot) {
 			rep.LocalHotPairs++
-			for _, k := range ps.longestFirst() {
-				if removedHere >= budget {
-					break
-				}
-				edges := ps.edgesOf(int(k))
-				if !slices.ContainsFunc(edges, hot) {
-					continue
-				}
-				ps.remove(k)
-				removedHere++
-				rep.LocalRemoved++
-				for _, e := range edges {
-					use.w[e]--
-				}
-			}
+			rep.LocalRemoved += ps.shed(opt.MaxRemoveFrac, 0, hot, func(e flow.Edge) { use.w[e]-- })
 		}
 		// Accumulate surviving usage into the global picture.
 		for k := range ps.words {
@@ -387,23 +394,10 @@ func adjust(net *flow.Network, ps *pairScratch, opt LBOptions) BalanceReport {
 	}
 	crosses := func(e flow.Edge) bool { return hotGlobal[e] }
 	for _, pr := range pairs {
-		// Surviving paths of the pair, in enumeration order.
-		count := ps.load(net, int(pr[0]), int(pr[1]))
-		if count <= 1 {
-			continue
-		}
-		budget := int(opt.MaxRemoveFrac * float64(count))
-		removedHere := 0
-		for _, k := range ps.longestFirst() {
-			if removedHere >= budget || count-removedHere <= 1 {
-				break
-			}
-			if slices.ContainsFunc(ps.edgesOf(int(k)), crosses) {
-				ps.remove(k)
-				removedHere++
-				rep.GlobalRemoved++
-			}
-		}
+		// Surviving paths of the pair, in enumeration order; a pair is
+		// never left without one.
+		ps.load(net, int(pr[0]), int(pr[1]))
+		rep.GlobalRemoved += ps.shed(opt.MaxRemoveFrac, 1, crosses, func(flow.Edge) {})
 	}
 	return rep
 }

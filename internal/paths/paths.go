@@ -376,8 +376,8 @@ type Walker struct {
 	w  *policyWalk // otherwise its walk, out of the last source asked for
 
 	buf   Path
-	sw    []int32 // one path every MaxVLBHops+1
-	ports []int8  // one path every MaxVLBHops
+	sw    []int32 // the kept paths' switches, ports and hop counts,
+	ports []int8  // back to back
 	hops  []uint8
 	out   []Path
 }
@@ -405,21 +405,20 @@ func (k *Walker) Pair(s, d int) []Path {
 		}
 		k.w.visit(d, k.keep)
 	}
-	// Headers last: the appends above may have moved the scratch.
+	// Headers last: the appends above may have moved the scratch. Path
+	// i starts after the o ports and o+i switches of the ones before it.
+	o := 0
 	for i, h := range k.hops {
-		sw, ports := k.sw[i*(MaxVLBHops+1):], k.ports[i*MaxVLBHops:]
+		sw, ports := k.sw[o+i:], k.ports[o:]
 		k.out = append(k.out, Path{Sw: sw[: h+1 : h+1], Ports: ports[:h:h]})
+		o += int(h)
 	}
 	return k.out
 }
 
 func (k *Walker) keep(p Path) {
-	var sw [MaxVLBHops + 1]int32
-	var ports [MaxVLBHops]int8
-	copy(sw[:], p.Sw)
-	copy(ports[:], p.Ports)
-	k.sw = append(k.sw, sw[:]...)
-	k.ports = append(k.ports, ports[:]...)
+	k.sw = append(k.sw, p.Sw...)
+	k.ports = append(k.ports, p.Ports...)
 	k.hops = append(k.hops, uint8(p.Hops()))
 }
 
