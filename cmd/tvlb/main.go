@@ -14,9 +14,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"tugal/internal/core"
+	"tugal/internal/exec"
+	"tugal/internal/paths"
 	"tugal/internal/spec"
 	"tugal/internal/topo"
 )
@@ -66,11 +71,32 @@ func main() {
 		fmt.Printf("degraded: %s\n", mask)
 	}
 	fmt.Println()
+	// Each Step-2 saturation search ends with one line to the pool
+	// observer naming the path set it scored and what became of its
+	// probes; keep those to print under their candidates.
+	var mu sync.Mutex
+	var searches []string
+	exec.Default().SetObserver(func(s exec.Stat) {
+		if line, ok := strings.CutPrefix(s.Label, "search/"); ok {
+			mu.Lock()
+			searches = append(searches, line)
+			mu.Unlock()
+		}
+	})
 	start := time.Now()
 	res, err := core.ComputeTVLB(t, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tvlb:", err)
 		os.Exit(1)
+	}
+	exec.Default().SetObserver(nil)
+	sort.Strings(searches)
+	printSearches := func(set string) {
+		for _, line := range searches {
+			if strings.Contains(line, "["+set+"]") {
+				fmt.Printf("        search %s\n", line)
+			}
+		}
 	}
 
 	fmt.Println("Step 1 — modeled throughput per Table-1 data point:")
@@ -83,9 +109,11 @@ func main() {
 	}
 	fmt.Printf("\nStep 2 — candidates (simulated saturation throughput, TYPE_2 patterns):\n")
 	fmt.Printf("    %-24s %8.3f   (conventional UGAL baseline)\n", "all VLB", res.BaselineThroughput)
+	printSearches(paths.Full{T: t}.Name())
 	for _, c := range res.Candidates {
 		fmt.Printf("    %-24s %8.3f   (%d paths removed by balance adjustment)\n",
 			c.Name, c.SimThroughput, c.RemovedPaths)
+		printSearches(c.Policy.Name())
 	}
 	fmt.Printf("\nfinal T-VLB: %s\n", res.FinalName())
 	if res.ConvergedToUGAL {

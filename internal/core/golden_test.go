@@ -11,9 +11,13 @@ package core_test
 import (
 	"math"
 	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"tugal/internal/core"
+	"tugal/internal/exec"
 	"tugal/internal/netsim"
 	"tugal/internal/paths"
 	"tugal/internal/routing"
@@ -265,6 +269,68 @@ func TestGoldenComputeTVLB(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s fail(%s):\n got    %#v\n golden %#v", c.topo, c.fail, got, c.want)
+		}
+	}
+}
+
+// TestGoldenSaturationProbeCounts pins, on the pristine g9 instance of
+// TestGoldenComputeTVLB, what each Step-2 saturation search spent: the
+// tally line it leaves on the pool observer, at one worker, where the
+// bracket is a sequential scan and the counts are exact. A search that
+// went back to running all four bracket probes shows here as
+// "0 skipped", whatever the clock says. The scores are held to the
+// golden test's words at 1, 2 and 8 workers beside it, so that the
+// counts cannot be bought with a different answer.
+func TestGoldenSaturationProbeCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three Algorithm-1 runs on dfly(4,8,4,9)")
+	}
+	opt := core.QuickOptions()
+	opt.VicinityMax = 1
+	opt.Sim.Patterns = 1
+	opt.Sim.Windows = sweep.Windows{Warmup: 800, Measure: 500, Drain: 1000}
+	opt.Sim.Resolution = 0.1
+	opt.Sim.Config.Seed = 1
+	tp, err := spec.Topology("dfly(4,8,4,9)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantScores := []uint64{0x3fc8000000000000, 0x3fd0000000000000, 0x3fc8000000000000}
+	wantTallies := []string{
+		"search/T-UGAL-L[T-VLB(strategic 2+3)]: 4 probes, 0 aborted, 2 skipped",
+		"search/T-UGAL-L[T-VLB(strategic 3+2)]: 3 probes, 0 aborted, 3 skipped",
+		"search/UGAL-L[VLB-all]: 3 probes, 0 aborted, 3 skipped",
+	}
+	for _, workers := range []int{1, 2, 8} {
+		pool := exec.NewPool(workers)
+		var mu sync.Mutex
+		var tallies []string
+		pool.SetObserver(func(s exec.Stat) {
+			if strings.HasPrefix(s.Label, "search/") {
+				mu.Lock()
+				tallies = append(tallies, s.Label)
+				mu.Unlock()
+			}
+		})
+		old := exec.SetDefault(pool)
+		res, err := core.ComputeTVLB(tp, opt)
+		exec.SetDefault(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores := []uint64{math.Float64bits(res.BaselineThroughput)}
+		for _, cd := range res.Candidates {
+			scores = append(scores, math.Float64bits(cd.SimThroughput))
+		}
+		if !reflect.DeepEqual(scores, wantScores) {
+			t.Errorf("workers=%d: scores %#x, golden %#x", workers, scores, wantScores)
+		}
+		sort.Strings(tallies)
+		if workers == 1 && !reflect.DeepEqual(tallies, wantTallies) {
+			t.Errorf("one worker: search tallies\n got  %q\n want %q", tallies, wantTallies)
+		}
+		if len(tallies) != len(wantTallies) {
+			t.Errorf("workers=%d: %d tally lines for %d searches: %q", workers, len(tallies), len(wantTallies), tallies)
 		}
 	}
 }

@@ -326,6 +326,9 @@ func simulateScore(t *topo.Compiled, pol paths.Policy, opt Options) float64 {
 		}
 		rf := routing.NewUGALL(t, pol)
 		rf.Fail = opt.Failures
+		// The label reaches only the pool observer: it is how a search's
+		// probe lines and closing tally name the path set they scored.
+		rf.Label = rf.Name() + "[" + pol.Name() + "]"
 		scores[i] = sweep.SaturationOn(pool, t, cfg, rf, pf,
 			opt.Sim.Windows, opt.Sim.Seeds, opt.Sim.Resolution)
 		return 0
@@ -382,8 +385,9 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	// The conventional UGAL baseline is scored beside them (task 0),
 	// under the same simulation as the candidates below and on Step 1's
 	// store when there is one (same policy, same mask): a saturation
-	// search is a chain of bracket probes that leaves a worker idle
-	// about half the time, and the adjustments run in that time.
+	// search that finds the pool busy is one chain of probes, each run
+	// only once the one before has answered (see sweep), so it keeps a
+	// single worker busy, and the adjustments run on the others.
 	lb := opt.LB
 	if lb.Seed == 0 {
 		lb.Seed = rng.Hash64(opt.Seed, 0x1b)

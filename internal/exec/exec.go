@@ -4,7 +4,11 @@
 // bracket probes of sweep.Saturation, the per-scheme curves of
 // internal/figures, Step-2 candidate evaluation in internal/core and
 // the suite entries of cmd/experiment all schedule onto one bounded
-// worker pool.
+// worker pool. Scheduled is not the same as executed: a task decides
+// for itself whether its work is still wanted when its turn comes (a
+// bracket probe above a rate already known to saturate returns at
+// once), and Run's order — ascending, inline when no worker is free —
+// is part of what such tasks rely on.
 //
 // The engine never decides *what* a task computes — callers derive
 // every seed from their master seed exactly as the sequential code
@@ -140,10 +144,12 @@ func (p *Pool) Report(s Stat) {
 // reported to the pool observer.
 type Task func(i int) int64
 
-// Run executes tasks 0..n-1 and blocks until all complete. Tasks run
-// concurrently up to the pool bound; excess tasks run inline on the
-// calling goroutine, which both bounds memory and makes nested Run
-// calls deadlock-free. A panic in any task is re-raised on the
+// Run executes tasks 0..n-1 and blocks until all complete. Tasks are
+// started in ascending index order and run concurrently up to the pool
+// bound; excess tasks run inline on the calling goroutine, which both
+// bounds memory and makes nested Run calls deadlock-free, and means a
+// submitter that finds the pool busy runs its tasks one after another
+// in index order. A panic in any task is re-raised on the
 // calling goroutine after the remaining tasks finish.
 func (p *Pool) Run(label string, n int, task Task) {
 	if n <= 0 {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -19,7 +20,10 @@ type RunResult struct {
 	Throughput float64
 	// AvgLatency is the mean packet latency (generation to ejection,
 	// including source queueing) of packets generated during the
-	// measurement window; +Inf when too many never drained.
+	// measurement window — of those delivered by the drain deadline
+	// (measEnd + drainCap). When more than 2 % of the measured packets
+	// are still undelivered at that deadline the delivered-only mean
+	// would underestimate, and AvgLatency is +Inf instead.
 	AvgLatency float64
 	// P50Latency and P99Latency are latency quantiles of the same
 	// packets (bucket-resolution approximations).
@@ -30,7 +34,11 @@ type RunResult struct {
 	// VLBFraction is the share of measured packets routed on a
 	// non-minimal (VLB) path.
 	VLBFraction float64
-	// Saturated applies the paper's rule: AvgLatency > LatencyCap.
+	// Saturated applies the paper's rule, AvgLatency > Config.LatencyCap,
+	// to the AvgLatency above: a run is saturated when the mean latency
+	// of its delivered measured packets exceeds the cap, or when more
+	// than 2 % of them never drained (+Inf exceeds every cap). It is the
+	// only field a saturation search reads.
 	Saturated bool
 	// Measured and Undelivered count measurement-window packets.
 	Measured    int64
@@ -68,6 +76,21 @@ const watchdogWindow = 2000
 // Throughput are rates per measurement cycle, so a zero or negative
 // window has no defined result (it would produce NaN/Inf statistics).
 func (n *Network) Run(warmup, measure, drainCap int64) RunResult {
+	res, _ := n.RunContext(context.TODO(), warmup, measure, drainCap)
+	return res
+}
+
+// RunContext is Run that gives up when ctx is done. ctx is polled once
+// a cycle, before the cycle is stepped, so a cancellation costs at
+// most the cycle in flight; one that never comes changes nothing (Run
+// is this function under a context that is never done).
+//
+// An aborted run returns ctx's error and a RunResult in which only
+// Cycles is set (the cumulative count actually stepped): the window
+// was cut short, so no statistic of it exists and nothing may read
+// one. The shard workers' CPU tokens go back to the exec budget as
+// after a finished run.
+func (n *Network) RunContext(ctx context.Context, warmup, measure, drainCap int64) (RunResult, error) {
 	if measure <= 0 {
 		panic(fmt.Sprintf("netsim: Run requires measure > 0 (got %d); "+
 			"rates are normalized by the measurement window", measure))
@@ -83,11 +106,17 @@ func (n *Network) Run(warmup, measure, drainCap int64) RunResult {
 	// calling goroutine — at one shard; see startEngine).
 	stop := n.startEngine()
 	defer stop()
-	for n.now < n.measEnd {
-		n.step()
-	}
+	// Warmup and measurement run to measEnd; the drain then runs until
+	// every measured packet is delivered or refused, or to the deadline.
 	deadline := n.measEnd + drainCap
-	for n.measDeliv+n.measRefused < n.measCount && n.now < deadline {
+	done := ctx.Done()
+	for n.now < n.measEnd ||
+		(n.measDeliv+n.measRefused < n.measCount && n.now < deadline) {
+		select {
+		case <-done:
+			return RunResult{Cycles: n.now}, ctx.Err()
+		default:
+		}
 		n.step()
 	}
 	nodes := float64(n.T.NumNodes())
@@ -116,7 +145,7 @@ func (n *Network) Run(warmup, measure, drainCap int64) RunResult {
 		res.Channels = n.channelStats(measure)
 	}
 	res.DeadlockSuspected = n.deadlockSuspected()
-	return res
+	return res, nil
 }
 
 // deadlockSuspected reports whether flits are in flight but nothing

@@ -1,6 +1,10 @@
 package sweep
 
 import (
+	"fmt"
+	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"tugal/internal/exec"
@@ -100,17 +104,108 @@ func TestRunPointDeterminismMultiSeed(t *testing.T) {
 }
 
 // TestSaturationDeterminismAcrossPoolSizes pins the bracket+bisect
-// search: same result on sequential and parallel pools.
+// search on real simulations: at 1 and 3 seeds, pools of 1, 2 and 8
+// workers — sequential scan, a mix, and every probe started at once
+// with the higher ones aborted — all return the rate the eager
+// four-probe oracle (lazy_test.go) computes from whole RunPointOn
+// points, which run every seed to the end.
 func TestSaturationDeterminismAcrossPoolSizes(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	cfg := netsim.DefaultConfig()
 	pf := Fixed(traffic.Shift{T: tp, DG: 1, DS: 0})
-	w := QuickWindows()
+	w := Windows{Warmup: 400, Measure: 300, Drain: 600}
 	mk := func() netsim.RoutingFunc { return routing.NewUGALL(tp, paths.Full{T: tp}) }
-	ss := SaturationOn(exec.NewPool(1), tp, cfg, mk(), pf, w, 1, 0.05)
-	sp := SaturationOn(exec.NewPool(8), tp, cfg, mk(), pf, w, 1, 0.05)
-	if ss != sp {
-		t.Fatalf("saturation differs: seq %v par %v", ss, sp)
+	seedCounts, pools := []int{1, 3}, []int{1, 2, 8}
+	if testing.Short() {
+		seedCounts, pools = []int{3}, []int{1, 8}
+	}
+	for _, seeds := range seedCounts {
+		want, _ := eagerSearch(0.05, func(rate float64) bool {
+			return RunPointOn(exec.NewPool(1), tp, cfg, mk(), pf, rate, w, seeds).Saturated
+		})
+		for _, workers := range pools {
+			if got := SaturationOn(exec.NewPool(workers), tp, cfg, mk(), pf, w, seeds, 0.05); got != want {
+				t.Errorf("seeds=%d workers=%d: saturation %v, eager oracle %v", seeds, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestSaturationLazyObserved: nothing a search skips or aborts is
+// silent. It ends with one tally line on the pool observer, an aborted
+// run reports the cycles it stepped under its own label, and a
+// sequential pool aborts nothing — what it does not need it never
+// starts. Small enough to run many times under the race detector, with
+// the observer, the seeds and the cancellations all live.
+func TestSaturationLazyObserved(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	cfg := netsim.DefaultConfig()
+	pf := Fixed(traffic.Shift{T: tp, DG: 1, DS: 0})
+	w := Windows{Warmup: 200, Measure: 200, Drain: 400}
+	rf := routing.NewUGALL(tp, paths.Full{T: tp})
+	var got [2]float64
+	for k, workers := range []int{1, 8} {
+		pool := exec.NewPool(workers)
+		var mu sync.Mutex
+		var stats []exec.Stat
+		pool.SetObserver(func(s exec.Stat) {
+			mu.Lock()
+			stats = append(stats, s)
+			mu.Unlock()
+		})
+		got[k] = SaturationOn(pool, tp, cfg, rf, pf, w, 3, 0.1)
+		var tallies, abortedRuns int
+		var completed, aborted, skipped int
+		for _, s := range stats {
+			switch {
+			case strings.HasPrefix(s.Label, "search/UGAL-L: "):
+				tallies++
+				if _, err := fmt.Sscanf(s.Label, "search/UGAL-L: %d probes, %d aborted, %d skipped",
+					&completed, &aborted, &skipped); err != nil {
+					t.Fatalf("workers=%d: tally line %q: %v", workers, s.Label, err)
+				}
+			case strings.HasSuffix(s.Label, "/aborted"):
+				abortedRuns++
+				if s.Cycles >= w.Warmup+w.Measure+w.Drain || s.Wall <= 0 {
+					t.Errorf("workers=%d: %s reports %d cycles in %v", workers, s.Label, s.Cycles, s.Wall)
+				}
+			}
+		}
+		if tallies != 1 || completed+aborted+skipped < len(saturationProbes) {
+			t.Errorf("workers=%d: %d tally lines, last %d/%d/%d", workers, tallies, completed, aborted, skipped)
+		}
+		if workers == 1 && (aborted != 0 || abortedRuns != 0 || skipped == 0) {
+			t.Errorf("sequential pool: %d probes and %d runs aborted, %d probes skipped; want 0, 0 and some",
+				aborted, abortedRuns, skipped)
+		}
+		if aborted > 0 && abortedRuns == 0 {
+			t.Errorf("workers=%d: %d probes aborted but no run reported itself aborted", workers, aborted)
+		}
+	}
+	if got[0] != got[1] {
+		t.Errorf("saturation %v on 1 worker, %v on 8", got[0], got[1])
+	}
+}
+
+// TestSaturationResolutionNotFinite: a resolution that is not a
+// positive finite number means the default, as zero always did. NaN
+// used to slip past the `<= 0` guard and end the bisection before it
+// began (hi-lo > NaN is false), returning the 0.25-wide bracket's floor.
+func TestSaturationResolutionNotFinite(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	cfg := netsim.DefaultConfig()
+	pf := Fixed(traffic.Shift{T: tp, DG: 1, DS: 0})
+	w := Windows{Warmup: 300, Measure: 300, Drain: 600}
+	rf := routing.NewUGALL(tp, paths.Full{T: tp})
+	pool := exec.NewPool(2)
+	want := SaturationOn(pool, tp, cfg, rf, pf, w, 1, 0.01)
+	if want == 0.25 || want == 0.5 {
+		t.Fatalf("the 0.01 search returned the grid rate %v: the instance cannot tell a refined search from a bare bracket", want)
+	}
+	for _, res := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		if got := SaturationOn(pool, tp, cfg, rf, pf, w, 1, res); got != want {
+			t.Errorf("resolution %v: saturation %v, want %v (the default resolution's)", res, got, want)
+		}
 	}
 }
 

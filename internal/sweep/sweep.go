@@ -10,12 +10,20 @@
 // the sequential code did (rng.Hash64(cfg.Seed, seedIndex)), each
 // run gets its own routing-function clone and pattern instance, and
 // results are written by index then aggregated in index order.
+//
+// A saturation search is lazy on top of that: it reads one bit per
+// probe, and only the bits up to the first saturated rate, so a probe
+// whose bit cannot be read is not started, or is cancelled mid-run if
+// it was started as speculation on an idle worker (see search). What a
+// search returns depends on the bits it reads and on nothing else.
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
+	"time"
 
 	"tugal/internal/exec"
 	"tugal/internal/netsim"
@@ -134,40 +142,12 @@ func RunPoint(t *topo.Compiled, cfg netsim.Config, rf netsim.RoutingFunc,
 }
 
 // RunPointOn is RunPoint on an explicit pool. Each seed runs an
-// independent simulation (own routing clone, own pattern instance,
-// seed derived as rng.Hash64(cfg.Seed, seedIndex)); per-seed results
-// land in a slice by index and are aggregated in seed order, so the
-// point is bit-identical whatever the pool's worker count.
+// independent simulation (see runSeeds); per-seed results land in a
+// slice by index and are aggregated in seed order, so the point is
+// bit-identical whatever the pool's worker count.
 func RunPointOn(pool *exec.Pool, t *topo.Compiled, cfg netsim.Config,
 	rf netsim.RoutingFunc, pf PatternFactory, rate float64, w Windows, seeds int) Point {
-	if seeds < 1 {
-		seeds = 1
-	}
-	results := make([]netsim.RunResult, seeds)
-	shardStats := make([][2]int, seeds)
-	label := fmt.Sprintf("%s@%.3g", rf.Name(), rate)
-	pool.Run(label, seeds, func(s int) int64 {
-		c := cfg
-		c.Seed = rng.Hash64(cfg.Seed, uint64(s))
-		n := netsim.New(t, c, rf.CloneRouting(), pf(c.Seed), rate)
-		results[s] = n.Run(w.Warmup, w.Measure, w.Drain)
-		shardStats[s][0], shardStats[s][1] = n.ShardStats()
-		return results[s].Cycles
-	})
-	// Surface intra-run parallelism to the observer: one line per
-	// point with the shard count and the widest worker crew any seed
-	// obtained from the CPU-token budget (crews size per Run, so
-	// seeds of one point may differ under a busy pool).
-	if shards := shardStats[0][0]; shards > 1 {
-		workers := 0
-		for _, st := range shardStats {
-			if st[1] > workers {
-				workers = st[1]
-			}
-		}
-		pool.Report(exec.Stat{Label: "shards/" + label,
-			Shards: shards, ShardWorkers: workers})
-	}
+	results, _ := runSeeds(context.TODO(), pool, t, cfg, rf, pf, rate, w, seeds, nil)
 	var lat, thr, vlb, hops []float64
 	saturated := false
 	for _, res := range results {
@@ -191,6 +171,64 @@ func RunPointOn(pool *exec.Pool, t *topo.Compiled, cfg netsim.Config,
 	p.VLBFraction = stats.Mean(vlb)
 	p.AvgHops = stats.Mean(hops)
 	return p
+}
+
+// runSeeds is the one per-seed runner, under RunPointOn and
+// saturatedAt alike: seed s of a (routing, pattern, rate) point is an
+// independent simulation — own routing clone, own pattern instance,
+// seed rng.Hash64(cfg.Seed, s) — scheduled on the pool, its result
+// landing in results[s]. A seed that ctx stopped, before it built its
+// network or mid-run, leaves finished[s] false and results[s] unset;
+// each, when not nil, is handed every finished result as it arrives,
+// on the goroutine that ran the seed.
+//
+// An aborted run is reported to the pool observer under the point's
+// label plus "/aborted", with the cycles it stepped and the wall time
+// it took: work done for a bit nobody read is still work.
+func runSeeds(ctx context.Context, pool *exec.Pool, t *topo.Compiled, cfg netsim.Config,
+	rf netsim.RoutingFunc, pf PatternFactory, rate float64, w Windows, seeds int,
+	each func(netsim.RunResult)) (results []netsim.RunResult, finished []bool) {
+	if seeds < 1 {
+		seeds = 1
+	}
+	results = make([]netsim.RunResult, seeds)
+	finished = make([]bool, seeds)
+	shardStats := make([][2]int, seeds)
+	label := fmt.Sprintf("%s@%.3g", rf.Name(), rate)
+	pool.Run(label, seeds, func(s int) int64 {
+		if ctx.Err() != nil {
+			return 0
+		}
+		start := time.Now()
+		c := cfg
+		c.Seed = rng.Hash64(cfg.Seed, uint64(s))
+		n := netsim.New(t, c, rf.CloneRouting(), pf(c.Seed), rate)
+		res, err := n.RunContext(ctx, w.Warmup, w.Measure, w.Drain)
+		shardStats[s][0], shardStats[s][1] = n.ShardStats()
+		if err != nil {
+			pool.Report(exec.Stat{Label: label + "/aborted", Index: s,
+				Wall: time.Since(start), Cycles: res.Cycles})
+			return 0
+		}
+		results[s], finished[s] = res, true
+		if each != nil {
+			each(res)
+		}
+		return res.Cycles
+	})
+	// Surface intra-run parallelism to the observer: one line per
+	// point with the shard count and the widest worker crew any seed
+	// obtained from the CPU-token budget (crews size per Run, so
+	// seeds of one point may differ under a busy pool).
+	shards, workers := 0, 0
+	for _, st := range shardStats {
+		shards, workers = max(shards, st[0]), max(workers, st[1])
+	}
+	if shards > 1 {
+		pool.Report(exec.Stat{Label: "shards/" + label,
+			Shards: shards, ShardWorkers: workers})
+	}
+	return results, finished
 }
 
 // Curve is a latency-vs-offered-load series for one routing scheme.
@@ -253,10 +291,10 @@ func LatencyCurveOn(pool *exec.Pool, t *topo.Compiled, cfg netsim.Config,
 	return c
 }
 
-// saturationProbes is the coarse grid of the bracket phase: the
-// probes are the first two levels of the former pure bisection of
-// [0, 1] plus the 1.0 endpoint, so on monotone instances the search
-// visits the same rates as before — it just runs them concurrently.
+// saturationProbes is the coarse grid of the bracket phase: the first
+// two levels of a pure bisection of [0, 1] plus the 1.0 endpoint. The
+// bracket is the first saturated grid rate in ascending order and the
+// rate below it.
 var saturationProbes = []float64{0.25, 0.5, 0.75, 1.0}
 
 // Saturation searches the saturation throughput on the default pool.
@@ -266,26 +304,132 @@ func Saturation(t *topo.Compiled, cfg netsim.Config, rf netsim.RoutingFunc,
 }
 
 // SaturationOn searches the saturation throughput to the given
-// resolution: the largest rate whose run stays under the latency cap.
-// The bracket phase evaluates a coarse probe grid concurrently on the
-// pool; the refinement bisects the bracket sequentially (each probe
-// depends on the previous outcome). Deterministic: every probe is a
-// RunPointOn with seeds derived from cfg.Seed.
+// resolution (0.01 when it is not a positive finite number): the
+// largest rate whose run stays under the latency cap. The bracket
+// phase is one pool.Run over the coarse probe grid; the refinement
+// bisects the bracket sequentially (each probe depends on the previous
+// outcome). Deterministic: every probe is a multi-seed point with
+// seeds derived from cfg.Seed, and the search reads nothing of a probe
+// but its saturated bit (see search for which bits it reads). It ends
+// with one line to the pool observer: how many probes ran to an
+// answer, were aborted mid-run, or were never started.
 func SaturationOn(pool *exec.Pool, t *topo.Compiled, cfg netsim.Config,
 	rf netsim.RoutingFunc, pf PatternFactory, w Windows, seeds int, resolution float64) float64 {
-	if resolution <= 0 {
+	if !(resolution > 0) || math.IsInf(resolution, 1) {
 		resolution = 0.01
 	}
-	// Bracket phase: probe the coarse grid in parallel.
-	sat := make([]bool, len(saturationProbes))
-	pool.Run("saturation/bracket", len(saturationProbes), func(i int) int64 {
-		sat[i] = RunPointOn(pool, t, cfg, rf, pf, saturationProbes[i], w, seeds).Saturated
+	lo, tl := search(pool, resolution, func(ctx context.Context, rate float64) (sat, ok bool) {
+		return saturatedAt(ctx, pool, t, cfg, rf, pf, rate, w, seeds)
+	})
+	pool.Report(exec.Stat{Label: fmt.Sprintf("search/%s: %d probes, %d aborted, %d skipped",
+		rf.Name(), tl.completed, tl.aborted, tl.skipped)})
+	return lo
+}
+
+// saturatedAt answers the one question a saturation search asks of a
+// rate: does any seed saturate there? It is a RunPointOn that stops at
+// the bit: the first seed to finish saturated cancels the others, whose
+// results could no longer change the answer. ok is false when ctx
+// stopped the point before it could tell; sat then means nothing.
+func saturatedAt(ctx context.Context, pool *exec.Pool, t *topo.Compiled, cfg netsim.Config,
+	rf netsim.RoutingFunc, pf PatternFactory, rate float64, w Windows, seeds int) (sat, ok bool) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	results, finished := runSeeds(ctx, pool, t, cfg, rf, pf, rate, w, seeds,
+		func(res netsim.RunResult) {
+			if res.Saturated {
+				cancel()
+			}
+		})
+	ok = true
+	for s, res := range results {
+		if finished[s] && res.Saturated {
+			return true, true
+		}
+		ok = ok && finished[s]
+	}
+	return false, ok
+}
+
+// probeFunc tells a search whether a rate saturates. ok is false when
+// ctx stopped the probe before it had an answer; sat then means
+// nothing and the search must not read it.
+type probeFunc func(ctx context.Context, rate float64) (sat, ok bool)
+
+// tally is what became of one search's probes.
+type tally struct {
+	// read lists the rates whose answer the search consumed, in the
+	// order it consumed them; the returned rate is a function of these
+	// answers alone.
+	read []float64
+	// completed probes ran to an answer (read or not), aborted ones were
+	// cancelled mid-run, skipped ones never started.
+	completed, aborted, skipped int
+}
+
+// search is the decision logic of SaturationOn over an abstract probe.
+//
+// The bracket is the first saturated rate of saturationProbes in
+// ascending order, so the answer of any probe above a rate known to
+// saturate is never read, and the search does not pay for it: a probe
+// that finishes saturated cancels every higher one, and a cancelled
+// probe that has not started is skipped. The grid is still one
+// pool.Run, which dispatches in ascending order and runs what it
+// cannot hand to a free worker inline. Under a busy pool (Step 2 of
+// Algorithm 1: more searches than workers) that makes the scan
+// sequential, ending at the first saturated rate; on an idle pool the
+// higher probes start at once as speculation — they are the answer
+// when the lower ones come back unsaturated — and are aborted as soon
+// as a lower one saturates. Either way the returned rate is the one an
+// eager search of all four probes returns, monotone instance or not,
+// because the eager scan stopped reading at the same place.
+func search(pool *exec.Pool, resolution float64, probe probeFunc) (float64, tally) {
+	n := len(saturationProbes)
+	type answer struct{ sat, ok, started bool }
+	answers := make([]answer, n)
+	ctxs := make([]context.Context, n)
+	cancels := make([]context.CancelFunc, n)
+	for i := range ctxs {
+		ctxs[i], cancels[i] = context.WithCancel(context.TODO())
+		defer cancels[i]()
+	}
+	pool.Run("saturation/bracket", n, func(i int) int64 {
+		if ctxs[i].Err() != nil {
+			return 0
+		}
+		sat, ok := probe(ctxs[i], saturationProbes[i])
+		answers[i] = answer{sat, ok, true}
+		if sat && ok {
+			for _, cancel := range cancels[i+1:] {
+				cancel()
+			}
+		}
 		return 0
 	})
-	lo, hi := 0.0, saturationProbes[len(saturationProbes)-1]
+	var tl tally
+	for _, a := range answers {
+		switch {
+		case !a.started:
+			tl.skipped++
+		case a.ok:
+			tl.completed++
+		default:
+			tl.aborted++
+		}
+	}
+	// read consumes one answer. A probe is cancelled only by a
+	// saturated one below it, which the ascending scan reaches first.
+	read := func(rate float64, sat, ok bool) bool {
+		if !ok {
+			panic(fmt.Sprintf("sweep: saturation search read the cancelled probe at rate %v", rate))
+		}
+		tl.read = append(tl.read, rate)
+		return sat
+	}
+	lo, hi := 0.0, saturationProbes[n-1]
 	bracketed := false
-	for i, s := range sat {
-		if s {
+	for i, a := range answers {
+		if read(saturationProbes[i], a.sat, a.ok) {
 			hi = saturationProbes[i]
 			bracketed = true
 			break
@@ -294,18 +438,20 @@ func SaturationOn(pool *exec.Pool, t *topo.Compiled, cfg netsim.Config,
 	}
 	if !bracketed {
 		// Even the highest probe (rate 1.0) stayed unsaturated.
-		return hi
+		return hi, tl
 	}
 	// Refinement: bisect the bracket.
 	for hi-lo > resolution {
 		mid := (lo + hi) / 2
-		if RunPointOn(pool, t, cfg, rf, pf, mid, w, seeds).Saturated {
+		sat, ok := probe(context.TODO(), mid)
+		tl.completed++
+		if read(mid, sat, ok) {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	return lo
+	return lo, tl
 }
 
 // Rates builds an evenly spaced load grid in (0, max].
