@@ -97,8 +97,7 @@ func Rebalance(t *topo.Compiled, pol paths.Policy, opt LBOptions) (paths.Policy,
 
 // RebalanceOn is Rebalance against a caller-built edge space, so
 // pipelines that already hold one (ComputeTVLB builds a single
-// Network for Step 1's LoadMatrix and every candidate adjustment)
-// do not rebuild it per call.
+// Network for every candidate adjustment) do not rebuild it per call.
 func RebalanceOn(net *flow.Network, pol paths.Policy, opt LBOptions) (paths.Policy, BalanceReport) {
 	if !opt.Enabled {
 		return paths.NewExplicit(pol), BalanceReport{}

@@ -596,3 +596,162 @@ func TestModeledAllVLBOptimal(t *testing.T) {
 		t.Fatalf("modeled mean %v implausible", mean)
 	}
 }
+
+func requireSameCurve(t *testing.T, name string, want, got []ProbePoint) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points, want %d", name, len(got), len(want))
+	}
+	for k := range want {
+		a, b := want[k], got[k]
+		if a.Point != b.Point || math.Float64bits(a.Mean) != math.Float64bits(b.Mean) ||
+			math.Float64bits(a.StdErr) != math.Float64bits(b.StdErr) {
+			t.Fatalf("%s: point %d is %+v, want %+v", name, k, b, a)
+		}
+	}
+}
+
+// TestStep1StoreOrNot: exact Step 1 walks the compiled full store when
+// the topology fits the compile budget and the interpreted full set
+// when it does not, and the curve is the same bits either way — at 1, 2
+// and 8 workers, pristine and under a failure mask, with one pass and
+// with Step1Repeats averaging two.
+func TestStep1StoreOrNot(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	refuse := func(*exec.Pool, *topo.Compiled, paths.Policy, *topo.FailureMask) (*paths.Store, bool) {
+		return nil, false
+	}
+	mask := topo.NewFailureMask(tp)
+	if _, err := mask.FailGlobalLink(tp.A/2, tp.H-1); err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]Options{
+		"pristine": tinyOptions(),
+		"masked":   func() Options { o := tinyOptions(); o.Failures = mask; return o }(),
+		"repeats":  func() Options { o := tinyOptions(); o.Step1Repeats = 2; return o }(),
+	} {
+		var want []ProbePoint
+		for _, workers := range []int{1, 2, 8} {
+			if testing.Short() && workers == 2 {
+				continue
+			}
+			old := exec.SetDefault(exec.NewPool(workers))
+			withStore, best, base, err := step1(tp, opt, paths.Compiled)
+			without, bestWithout, noBase, err2 := step1(tp, opt, refuse)
+			exec.SetDefault(old)
+			if err != nil || err2 != nil {
+				t.Fatal(err, err2)
+			}
+			if base == nil || noBase != nil {
+				t.Fatalf("%s: store %v with the compile allowed, %v with it refused", name, base, noBase)
+			}
+			if want == nil {
+				want = withStore
+			}
+			requireSameCurve(t, name+" with a store", want, withStore)
+			requireSameCurve(t, name+" without one", want, without)
+			if best != bestWithout {
+				t.Fatalf("%s: best %v with a store, %v without", name, best, bestWithout)
+			}
+		}
+	}
+}
+
+// TestStep1MonteCarlo: with Loads.Enumerate off Step 1 samples each
+// grid point's own policy per demand — the mode of the topologies too
+// large to enumerate — as one pool task a point, and the curve does not
+// depend on the worker count.
+func TestStep1MonteCarlo(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 5)
+	opt := tinyOptions()
+	opt.Model.Loads = flow.LoadOptions{Samples: 64, Seed: 5}
+	var want []ProbePoint
+	for _, workers := range []int{1, 8} {
+		pool := exec.NewPool(workers)
+		var points, walks atomic.Int32
+		pool.SetObserver(func(s exec.Stat) {
+			switch {
+			case s.Label == "step1/grid":
+				points.Add(1)
+			case strings.HasPrefix(s.Label, "loadgrid/"), strings.HasPrefix(s.Label, "compile/"):
+				walks.Add(1)
+			}
+		})
+		old := exec.SetDefault(pool)
+		curve, _, err := Step1(tp, opt)
+		exec.SetDefault(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if points.Load() != 31 || walks.Load() != 0 {
+			t.Fatalf("%d grid-point tasks and %d store compiles or grid walks, want 31 and 0", points.Load(), walks.Load())
+		}
+		if want == nil {
+			want = curve
+		}
+		requireSameCurve(t, "monte carlo", want, curve)
+	}
+	exact, _, err := Step1(tp, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, p := range want {
+		if math.Abs(p.Mean-exact[k].Mean) > 0.25*exact[k].Mean {
+			t.Errorf("%v: sampled mean %v, exact %v", p.Point, p.Mean, exact[k].Mean)
+		}
+	}
+}
+
+// noShifts is a family whose TYPE_1 set is empty.
+type noShifts struct{ topo.Network }
+
+func (noShifts) AdversarialShifts() [][2]int { return nil }
+
+// TestOptionsValidated: Step1 and ComputeTVLB refuse, with an error
+// naming the field, option values that used to panic inside a make
+// (negative counts), score nothing and still name a final policy
+// (Sim.Patterns 0), or select no candidate (a NaN tolerance).
+func TestOptionsValidated(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 5)
+	for _, c := range []struct {
+		field string
+		set   func(*Options)
+		step1 bool // refused by Step1 too
+	}{
+		{"Type2Model", func(o *Options) { o.Type2Model = -1 }, true},
+		{"Type1Cap", func(o *Options) { o.Type1Cap = -3 }, true},
+		{"VicinityMax", func(o *Options) { o.VicinityMax = -1 }, true},
+		{"Sim.Patterns", func(o *Options) { o.Sim.Patterns = -1 }, true},
+		{"Sim.Seeds", func(o *Options) { o.Sim.Seeds = -2 }, true},
+		{"VicinityTol", func(o *Options) { o.VicinityTol = math.NaN() }, true},
+		{"VicinityTol", func(o *Options) { o.VicinityTol = math.Inf(1) }, true},
+		{"VicinityTol", func(o *Options) { o.VicinityTol = -0.01 }, true},
+		{"Sim.Patterns", func(o *Options) { o.Sim.Patterns = 0 }, false},
+	} {
+		opt := tinyOptions()
+		c.set(&opt)
+		_, _, err := Step1(tp, opt)
+		if c.step1 != (err != nil && strings.Contains(err.Error(), "Options."+c.field)) {
+			t.Errorf("Step1 with a bad %s: error %v", c.field, err)
+		}
+		res, err := ComputeTVLB(tp, opt)
+		if res != nil || err == nil || !strings.Contains(err.Error(), "Options."+c.field) {
+			t.Errorf("ComputeTVLB with a bad %s: result %v, error %v", c.field, res, err)
+		}
+	}
+	// A suite that resolves to no pattern: a family with no adversarial
+	// shift (topo.Network is open to one) and no TYPE_2 pattern asked for.
+	opt := tinyOptions()
+	opt.Type2Model = 0
+	bare := *tp
+	bare.Net = noShifts{tp.Net}
+	if _, _, err := Step1(&bare, opt); err == nil || !strings.Contains(err.Error(), "no pattern") {
+		t.Errorf("Step1 with an empty suite: error %v", err)
+	}
+	// Every valid extreme still runs.
+	opt = tinyOptions()
+	opt.VicinityTol, opt.VicinityMax, opt.Sim.Seeds = 0, 0, 0
+	if _, _, err := Step1(tp, opt); err != nil {
+		t.Error(err)
+	}
+}

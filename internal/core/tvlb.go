@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tugal/internal/exec"
@@ -86,6 +87,33 @@ func DefaultOptions() Options {
 	}
 }
 
+// validate refuses, naming the field, the values no stage can run with:
+// a negative count would panic in a make or a slice bound, and a
+// VicinityTol that is not a finite non-negative number compares false
+// against every point and leaves Step 2 no candidate. step2 adds what
+// only ComputeTVLB needs: with no simulated pattern every score is the
+// mean of nothing.
+func (o Options) validate(step2 bool) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Type2Model", o.Type2Model}, {"Type1Cap", o.Type1Cap}, {"VicinityMax", o.VicinityMax},
+		{"Sim.Patterns", o.Sim.Patterns}, {"Sim.Seeds", o.Sim.Seeds},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("core: Options.%s is %d, want >= 0", f.name, f.v)
+		}
+	}
+	if !(o.VicinityTol >= 0) || math.IsInf(o.VicinityTol, 0) {
+		return fmt.Errorf("core: Options.VicinityTol is %v, want a finite value >= 0", o.VicinityTol)
+	}
+	if step2 && o.Sim.Patterns == 0 {
+		return fmt.Errorf("core: Options.Sim.Patterns is 0, want >= 1: Step 2 would score nothing")
+	}
+	return nil
+}
+
 // QuickOptions is a CI/benchmark-scale configuration.
 func QuickOptions() Options {
 	o := DefaultOptions()
@@ -156,105 +184,87 @@ func modelPatterns(t *topo.Compiled, opt Options) []traffic.Deterministic {
 // subsets and the means are averaged — the paper's optional
 // randomization guard.
 func Step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
-	curve, best, _, err := step1(t, opt)
+	if err := opt.validate(false); err != nil {
+		return nil, DataPoint{}, err
+	}
+	curve, best, _, err := step1(t, opt, paths.Compiled)
 	return curve, best, err
 }
 
 // step1 is Step1 also returning the compiled full VLB store the grid
 // was derived from (nil when none was built), so ComputeTVLB scores
 // the conventional baseline on it and cuts its Step-2 candidates out
-// of it instead of enumerating anything again.
-func step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, *paths.Store, error) {
+// of it instead of enumerating anything again. opt has been validated;
+// compiled is paths.Compiled, or a test's refusal.
+func step1(t *topo.Compiled, opt Options, compiled func(*exec.Pool, *topo.Compiled, paths.Policy, *topo.FailureMask) (*paths.Store, bool)) ([]ProbePoint, DataPoint, *paths.Store, error) {
 	pats := modelPatterns(t, opt)
-	grid := ProbeGrid()
-	repeats := opt.Step1Repeats
-	if repeats < 1 {
-		repeats = 1
+	if len(pats) == 0 {
+		return nil, DataPoint{}, nil, fmt.Errorf("core: Type1Cap %d and Type2Model %d leave Step 1 no pattern on %s", opt.Type1Cap, opt.Type2Model, t.Label())
 	}
+	grid := ProbeGrid()
+	repeats := max(opt.Step1Repeats, 1)
 	// Degraded probes thread the mask everywhere a candidate set or an
 	// edge capacity is derived; with a nil mask every call below is
 	// exactly the pristine path.
 	opt.Model.Failures = opt.Failures
-	// One edge space and one demand-pair union serve the whole grid;
-	// each (point, repeat) compiles its policy's LoadMatrix over
-	// those pairs once (budget-gated) and shares it read-only across
-	// all pattern evaluations, which fan out on the worker pool
-	// inside AverageModeled. Compile cost lands on the pool observer
-	// like path-store compiles do.
-	net := flow.NewDegradedNetwork(t, opt.Failures)
-	var pairs [][2]int32
-	if opt.Model.Loads.Enumerate && opt.Model.Loads.Matrix == nil {
-		pairs = flow.PatternPairs(t, pats)
-	}
 	pool := exec.Default()
-	// Every grid policy filters the full VLB set, so one compiled
-	// full store lets each point's matrix be derived by a stored-path
-	// walk instead of 31 separate enumerations of every pair — the
-	// dominant cost of the probe on enumerable topologies.
+	// means and ses hold every (repeat, point) probe, repeat-major.
+	var means, ses []float64
 	var base *paths.Store
-	var mgrid *flow.MatrixGrid
-	if pairs != nil {
-		if st, ok := paths.Compiled(pool, t, paths.Full{T: t}, opt.Failures); ok {
-			base = st
-			// Caching each stored path's edge list and identity hash
-			// once makes every grid point a filtered accumulation over
-			// the cache — the walk itself is also paid only once.
-			if g, ok := flow.TryNewMatrixGrid(net, base, pairs, flow.DefaultMatrixBudget); ok {
-				mgrid = g
-				pool.Report(exec.Stat{Label: "loadgrid/" + st.Name(),
-					Wall: g.BuildTime(), Bytes: g.Bytes()})
+	if opt.Model.Loads.Enumerate {
+		// Exact loads: every grid policy filters the full VLB set, so
+		// one walk of it per demand pair serves all of them
+		// (flow.AverageModeledGrid) — over the compiled store when the
+		// topology fits the compile budget, over the interpreted set
+		// when it does not.
+		full := paths.Policy(paths.Full{T: t})
+		if st, ok := compiled(pool, t, full, opt.Failures); ok {
+			base, full = st, st
+		}
+		pols := make([]paths.Policy, 0, repeats*len(grid))
+		for rep := 0; rep < repeats; rep++ {
+			for _, dp := range grid {
+				pols = append(pols, dp.Policy(t, rng.Hash64(opt.Seed, uint64(rep))))
+			}
+		}
+		var err error
+		if means, ses, err = flow.AverageModeledGrid(t, full, pols, pats, opt.Model); err != nil {
+			return nil, DataPoint{}, nil, fmt.Errorf("core: step 1: %w", err)
+		}
+	} else {
+		// Monte-Carlo loads (the giants): each probe samples its own
+		// policy per demand. The probes only read the shared patterns,
+		// so they run as pool tasks, each writing its own slot.
+		means, ses = make([]float64, repeats*len(grid)), make([]float64, repeats*len(grid))
+		errs := make([]error, len(means))
+		pool.Run("step1/grid", len(means), func(k int) int64 {
+			dp := grid[k%len(grid)]
+			pol := dp.Policy(t, rng.Hash64(opt.Seed, uint64(k/len(grid))))
+			if means[k], ses[k], errs[k] = flow.AverageModeled(t, pol, pats, opt.Model); errs[k] != nil {
+				errs[k] = fmt.Errorf("core: step 1 at %v: %w", dp, errs[k])
+			}
+			return 0
+		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, DataPoint{}, nil, err
 			}
 		}
 	}
-	// The grid points only read the shared store, grid and patterns,
-	// so they run as pool tasks; each writes its own curve slot and the
-	// best point is picked from the finished curve in grid order, which
-	// keeps the result independent of the worker count.
+	// The best point is picked from the finished curve in grid order,
+	// which keeps the result independent of the worker count.
 	curve := make([]ProbePoint, len(grid))
-	errs := make([]error, len(grid))
-	pool.Run("step1/grid", len(grid), func(gi int) int64 {
-		dp := grid[gi]
-		var mean, se float64
-		for rep := 0; rep < repeats; rep++ {
-			pol := dp.Policy(t, rng.Hash64(opt.Seed, uint64(rep)))
-			m := opt.Model
-			if pairs != nil {
-				// From the grid when Step 1 has a store (every Table-1
-				// policy is a KeyedFilter, and a store inside the compile
-				// budget always fits the grid's), else a plain compile.
-				var lm *flow.LoadMatrix
-				var ok bool
-				if mgrid != nil {
-					lm, ok = mgrid.Compile(pol)
-				}
-				if !ok {
-					lm, ok = flow.TryCompileLoadMatrix(net, pol, pairs, flow.DefaultMatrixBudget)
-				}
-				if ok {
-					m.Loads.Matrix = lm
-					pool.Report(exec.Stat{Label: "loadmatrix/" + lm.Name(),
-						Wall: lm.BuildTime(), Bytes: lm.Bytes()})
-				}
-			}
-			mn, s, err := flow.AverageModeled(t, pol, pats, m)
-			if err != nil {
-				errs[gi] = fmt.Errorf("core: step 1 at %v: %w", dp, err)
-				return 0
-			}
-			mean += mn / float64(repeats)
-			se += s / float64(repeats)
-		}
-		curve[gi] = ProbePoint{Point: dp, Mean: mean, StdErr: se}
-		return 0
-	})
 	best := grid[len(grid)-1]
 	bestMean := -1.0
-	for gi, p := range curve {
-		if errs[gi] != nil {
-			return nil, DataPoint{}, nil, errs[gi]
+	for gi, dp := range grid {
+		var mean, se float64
+		for rep := 0; rep < repeats; rep++ {
+			mean += means[rep*len(grid)+gi] / float64(repeats)
+			se += ses[rep*len(grid)+gi] / float64(repeats)
 		}
-		if p.Mean > bestMean {
-			bestMean, best = p.Mean, p.Point
+		curve[gi] = ProbePoint{Point: dp, Mean: mean, StdErr: se}
+		if mean > bestMean {
+			bestMean, best = mean, dp
 		}
 	}
 	return curve, best, base, nil
@@ -338,10 +348,13 @@ func simulateScore(t *topo.Compiled, pol paths.Policy, opt Options) float64 {
 
 // ComputeTVLB runs Algorithm 1 for a topology.
 func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
+	if err := opt.validate(true); err != nil {
+		return nil, err
+	}
 	res := &Result{Topology: t.Label()}
 
 	// Step 1: coarse-grain estimation over the Table-1 grid.
-	curve, best, base, err := step1(t, opt)
+	curve, best, base, err := step1(t, opt, paths.Compiled)
 	if err != nil {
 		return nil, err
 	}

@@ -9,28 +9,21 @@ import (
 	"tugal/internal/traffic"
 )
 
-// requireSameMatrix pins two matrices row by row over every pair:
-// edge ids, bit-level weights, hop averages and availability.
-func requireBitIdenticalMatrix(t *testing.T, name string, want, got *LoadMatrix) {
+// requireBitIdenticalLoads pins two DemandLoads demand by demand: edge
+// ids, Float64bits of the weights and hop averages, availability.
+func requireBitIdenticalLoads(t *testing.T, name string, want, got *DemandLoads) {
 	t.Helper()
-	n := want.n
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if want.Has(s, d) != got.Has(s, d) {
-				t.Fatalf("%s: pair (%d,%d): Has %v vs %v", name, s, d, got.Has(s, d), want.Has(s, d))
-			}
-			wm, wmh := want.MinRow(s, d)
-			gm, gmh := got.MinRow(s, d)
-			requireSameRow(t, name, "min", s, d, wm, gm)
-			if math.Float64bits(wmh) != math.Float64bits(gmh) {
-				t.Fatalf("%s: pair (%d,%d): min hops %v vs %v", name, s, d, gmh, wmh)
-			}
-			wv, wvh, wok := want.VlbRow(s, d)
-			gv, gvh, gok := got.VlbRow(s, d)
-			requireSameRow(t, name, "vlb", s, d, wv, gv)
-			if math.Float64bits(wvh) != math.Float64bits(gvh) || wok != gok {
-				t.Fatalf("%s: pair (%d,%d): vlb hops/ok (%v,%v) vs (%v,%v)", name, s, d, gvh, gok, wvh, wok)
-			}
+	if len(got.Demands) != len(want.Demands) || got.Net != want.Net {
+		t.Fatalf("%s: %d demands on %p vs %d on %p", name, len(got.Demands), got.Net, len(want.Demands), want.Net)
+	}
+	for i, dm := range want.Demands {
+		s, d := int(dm.Src), int(dm.Dst)
+		requireSameRow(t, name, "min", s, d, want.Min[i], got.Min[i])
+		requireSameRow(t, name, "vlb", s, d, want.Vlb[i], got.Vlb[i])
+		if math.Float64bits(want.MinHops[i]) != math.Float64bits(got.MinHops[i]) ||
+			math.Float64bits(want.VlbHops[i]) != math.Float64bits(got.VlbHops[i]) || want.VlbOK[i] != got.VlbOK[i] {
+			t.Fatalf("%s: pair (%d,%d): hops/ok (%v,%v,%v) vs (%v,%v,%v)", name, s, d,
+				got.MinHops[i], got.VlbHops[i], got.VlbOK[i], want.MinHops[i], want.VlbHops[i], want.VlbOK[i])
 		}
 	}
 }
@@ -67,8 +60,8 @@ func degradeSteps(tp *topo.Compiled, mask *topo.FailureMask) {
 // TestDegradedLoadsAndSolvers checks the model end to end on a lossy
 // g9-family topology with K=1 (one global link per group pair, so one
 // link failure leaves cross-group pairs with zero MIN paths): loads
-// from the matrix and from the map-based naiveLoads agree bit-for-bit,
-// demands
+// from ComputeLoads, from the grid walk and from the map-based
+// naiveLoads agree bit-for-bit, demands
 // with no surviving MIN ride VLB only, dead-endpoint demands are
 // unservable, and both solvers return finite positive throughput.
 func TestDegradedLoadsAndSolvers(t *testing.T) {
@@ -79,7 +72,6 @@ func TestDegradedLoadsAndSolvers(t *testing.T) {
 
 	degNet := NewDegradedNetwork(tp, mask)
 	degStore := paths.CompileDegraded(tp, paths.Full{T: tp}, mask)
-	lm := CompileLoadMatrix(degNet, degStore, nil)
 
 	// With K=1, failing one global link leaves its two groups' cross
 	// pairs with zero surviving MIN paths; find one with both
@@ -110,8 +102,13 @@ func TestDegradedLoadsAndSolvers(t *testing.T) {
 		{Src: int32(okS), Dst: int32(okD), Rate: 1},     // healthy
 	}
 
-	dlA := ComputeLoads(degNet, degStore, demands, LoadOptions{Enumerate: true, Matrix: lm})
+	dlA := ComputeLoads(degNet, degStore, demands, LoadOptions{Enumerate: true})
 	requireSameLoads(t, naiveLoads(degNet, degStore, demands), dlA)
+	walk, err := NewGridWalk(degNet, degStore, []paths.Policy{paths.Full{T: tp}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdenticalLoads(t, "grid walk", dlA, walk.Loads(demands)[0])
 
 	if len(dlA.Min[0]) != 0 || !dlA.VlbOK[0] {
 		t.Fatalf("link-cut pair: MinRow len %d, VlbOK %v; want empty row, VLB available",
@@ -144,26 +141,35 @@ func TestDegradedLoadsAndSolvers(t *testing.T) {
 	}
 }
 
-// TestDegradedGridMatchesMatrix pins the grid path: a MatrixGrid over
-// a degraded store and network derives the same matrix as the direct
-// compile of the policy's own degraded store, empty MIN rows included,
-// and so does the interpreted policy on the degraded network — the
-// Alive filter preserves enumeration order.
+// TestDegradedGridMatchesMatrix pins the grid walk on every ordered
+// pair of a degraded topology, dead endpoints and empty MIN rows
+// included: walking the degraded full store, and walking the
+// interpreted full set under the mask, derives for a fractional policy
+// the rows ComputeLoads builds from the policy's own degraded store —
+// the Alive filter preserves enumeration order. (The name is from when
+// both sides were compiled matrices.)
 func TestDegradedGridMatchesMatrix(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	mask := topo.NewFailureMask(tp)
 	degradeSteps(tp, mask)
 
 	degNet := NewDegradedNetwork(tp, mask)
-	degStore := paths.CompileDegraded(tp, paths.Full{T: tp}, mask)
+	full := paths.Full{T: tp}
 	pol := paths.LengthCapped{T: tp, MaxHops: 4, Frac: 0.3, Seed: 7}
-
-	grid := NewMatrixGrid(degNet, degStore, nil)
-	got, ok := grid.Compile(pol)
-	if !ok {
-		t.Fatal("grid rejected a KeyedFilter policy")
+	var demands []traffic.Demand
+	for s := 0; s < tp.NumSwitches(); s++ {
+		for d := 0; d < tp.NumSwitches(); d++ {
+			if s != d {
+				demands = append(demands, traffic.Demand{Src: int32(s), Dst: int32(d), Rate: 1})
+			}
+		}
 	}
-	want := CompileLoadMatrix(degNet, paths.CompileDegraded(tp, pol, mask), nil)
-	requireBitIdenticalMatrix(t, "grid", want, got)
-	requireBitIdenticalMatrix(t, "interpreted", want, CompileLoadMatrix(degNet, pol, nil))
+	want := ComputeLoads(degNet, paths.CompileDegraded(tp, pol, mask), demands, LoadOptions{Enumerate: true})
+	for name, base := range map[string]paths.Policy{"store": paths.CompileDegraded(tp, full, mask), "interpreted": full} {
+		walk, err := NewGridWalk(degNet, base, []paths.Policy{pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdenticalLoads(t, name, want, walk.Loads(demands)[0])
+	}
 }

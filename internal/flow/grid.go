@@ -1,283 +1,309 @@
 package flow
 
 import (
+	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"tugal/internal/paths"
+	"tugal/internal/traffic"
 )
 
-// gridStride is the per-path slot width of the grid's edge cache: a
+// gridStride is the per-path slot width of the walk's edge cache: a
 // VLB path of h hops crosses h+2 edges (injection, the switch hops,
 // ejection).
 const gridStride = paths.MaxVLBHops + 2
 
-// MatrixGrid derives the LoadMatrix of every policy in a Step-1 grid
-// from one shared superset store. Building the grid caches, for each
-// stored path of the probed pairs, its edge list and identity hash;
-// each policy's matrix is then one filtered accumulation pass over
-// cached int32 edge ids — no materialization, no per-hop topology
-// walk, no re-hashing. The MIN rows are policy-independent, so they
-// are compiled once at grid build and every derived matrix aliases
-// them.
+// hopClasses sizes the per-hop-count arrays; a VLB path has 2 to
+// MaxVLBHops hops.
+const hopClasses = paths.MaxVLBHops + 1
+
+// gridPolicy is one policy of a GridWalk, reduced to what a row needs:
+// bit h of all is set when every h-hop path is in, bit h of some when
+// AllowsKeyed decides each h-hop path (paths.KeyedFilter.HopClass).
+type gridPolicy struct {
+	kf        paths.KeyedFilter
+	all, some uint8
+}
+
+// GridWalk builds the load rows of many policies over one walk of a
+// path set they all filter — the Table-1 grid over the full VLB set.
+// A demand pair's paths are listed and decoded once (edge list, hop
+// count, identity hash) and every policy's VLB row is derived while
+// they sit in cache; nothing is kept from pair to pair but the rows.
 //
-// Compile only serves policies that implement paths.KeyedFilter
-// (membership from hop count + identity hash alone — the whole
-// Table-1 family); the caller compiles any other directly
-// (CompileLoadMatrix).
-// Like the matrices it emits, a built grid is read-only: Compile
-// makes its scratch per call, so a Step-1 grid derives its points
-// concurrently from one shared grid.
-type MatrixGrid struct {
-	net   *Network
-	base  *paths.Store
-	pairs [][2]int32 // ascending, deduped, diagonal-free
-	n     int
+// A row needs no float work per path. The h-hop paths' crossing counts
+// over the pair's sorted edge union are built once per pair (cnt); a
+// policy sums the vectors of the lengths it admits whole and walks
+// only the lengths it keys, and an edge crossed by c of its nk paths
+// weighs tbl[c], tbl[0] = 0, tbl[c] = tbl[c-1] + 1/nk: the float
+// rowEnv.vlbRow reaches by adding 1/nk once per crossing, since every
+// addend is the same. VlbHops is summed over the pair's paths in walk
+// order with a path that is out adding zero, which is vlbRow's sum.
+// Rows, hop averages and availability are therefore Float64bits-equal
+// to ComputeLoads' under each policy, in whatever order the policies
+// come and whether or not their sets are nested (TestGridLoads).
+//
+// Not for concurrent use; the rows of a Loads call live in the walk's
+// arena until the next call.
+type GridWalk struct {
+	re    *rowEnv // over the walked set: its Walker, the MIN rows, the edge scratch
+	pols  []gridPolicy
+	keyed uint8 // the lengths some policy keys: only their paths are hashed
 
-	// off[pi] is the pair's offset into the compact per-path arrays;
-	// the pair's k-th stored path lives at compact index off[pi]+k.
-	// Pairs outside the grid hold -1.
-	off   []int32
-	edges []Edge   // stride gridStride per compact path
-	hops  []uint8  // cached so admission never touches the store
-	keys  []uint64 // identity hash per compact path
+	// One pair's paths, in walk order.
+	edges  []int32  // stride gridStride: a path's edges, then their union indices
+	hops   []uint8  //
+	sel    []uint8  // hops, a policy's rejected paths zeroed while it sums VlbHops
+	keys   []uint64 // set at the keyed lengths only
+	byHops [hopClasses][]int32
+	cnt    [hopClasses][]int32 // crossings of each union edge by the h-hop paths
+	pos    []int32             // edge -> union index, for this pair's edges
 
-	// Sorted union of every stored path's edges, per pair: CSR over
-	// the j-th entry of pairs. Any policy's VLB row is a subset, so a
-	// derived row is emitted by scanning the pair's union in order and
-	// keeping the generation-marked edges — no per-row sort — and
-	// len(unionArena) bounds any derived arena exactly, so Compile
-	// never regrows one.
-	unionStart []int32
-	unionArena []Edge
+	// One policy on one pair.
+	base     []int32 // sum of cnt, and baseN of path counts, over the lengths in baseAll
+	baseAll  uint8
+	baseN    int
+	tot      []int32
+	rejected []int32
+	tbl      []float64
 
-	// Shared MIN CSR, compiled once; derived matrices alias it.
-	minStart []int32
-	minArena []EdgeWeight
-	minHops  []float64
+	arena   []EdgeWeight // the rows of one Loads call, back to back; see room
+	entries int
+	min     []SparseVec
+	minHops []float64
+	out     []*DemandLoads
 
-	npaths    int
-	buildTime time.Duration
+	// Decode and Derive are the wall time the last Loads call spent
+	// listing and decoding pairs (MIN rows included) and deriving the
+	// policies' rows from them.
+	Decode, Derive time.Duration
 }
 
-// NewMatrixGrid builds the grid cache for the given pairs (nil means
-// every ordered pair) over base, which must be a superset store of
-// every policy later passed to Compile (typically the full VLB set).
-func NewMatrixGrid(net *Network, base *paths.Store, pairs [][2]int32) *MatrixGrid {
-	start := time.Now()
-	n := net.T.NumSwitches()
-	if pairs == nil {
-		pairs = allPairs(n)
+// NewGridWalk returns a walk serving pols over base on net. base must
+// hold every path any of them admits, in their Enumerate order — the
+// full VLB set does, as a Store already degraded under net.Fail or as
+// the interpreted policy, which the walk filters by net.Fail itself. A
+// policy that is not a paths.KeyedFilter is refused: its membership
+// cannot be read off hop counts and hashes.
+func NewGridWalk(net *Network, base paths.Policy, pols []paths.Policy) (*GridWalk, error) {
+	g := &GridWalk{
+		re:   newRowEnv(net, base),
+		pols: make([]gridPolicy, len(pols)),
+		pos:  make([]int32, net.NumEdges),
+		out:  make([]*DemandLoads, len(pols)),
 	}
-	g := &MatrixGrid{
-		net:      net,
-		base:     base,
-		pairs:    dedupPairs(sortPairs(pairs, n), n),
-		n:        n,
-		off:      make([]int32, n*n),
-		minStart: make([]int32, n*n+1),
-		minHops:  make([]float64, n*n),
-	}
-	re := newRowEnv(net, base) // the MIN row builder, and the walk's scratch
-	acc := re.acc
-	for pi := range g.off {
-		g.off[pi] = -1
-	}
-	total := 0
-	for _, pr := range g.pairs {
-		_, count := base.PairRange(int(pr[0]), int(pr[1]))
-		total += count
-	}
-	g.npaths = total
-	g.edges = make([]Edge, total*gridStride)
-	g.keys = make([]uint64, total)
-	g.hops = make([]uint8, total)
-	g.unionStart = make([]int32, len(g.pairs)+1)
-
-	ci := int32(0)
-	prev := -1
-	for j, pr := range g.pairs {
-		s, d := int(pr[0]), int(pr[1])
-		pi := s*n + d
-		for q := prev + 1; q <= pi; q++ {
-			g.minStart[q] = int32(len(g.minArena))
+	for k, pol := range pols {
+		kf, ok := pol.(paths.KeyedFilter)
+		if !ok {
+			return nil, fmt.Errorf("flow: grid walk over %s: %s is not a keyed filter", base.Name(), pol.Name())
 		}
-		prev = pi
-		g.minArena, g.minHops[pi] = re.minRow(s, d, g.minArena)
-
-		// Per-path edge lists and keys: one materialization walk,
-		// paid once for the whole grid. The same pass collects the
-		// pair's edge union.
-		g.off[pi] = ci
-		g.unionStart[j] = int32(len(g.unionArena))
-		acc.reset()
-		first, count := base.PairRange(s, d)
-		for k := 0; k < count; k++ {
-			base.MaterializeInto(s, first+paths.PathID(k), &re.pbuf)
-			eb := int(ci) * gridStride
-			row := net.PathEdges(g.edges[eb:eb:eb+gridStride], re.pbuf)
-			g.hops[ci] = uint8(len(row) - 2)
-			g.keys[ci] = re.pbuf.Key()
-			acc.add(row, 1)
-			ci++
+		gp := gridPolicy{kf: kf}
+		for h := 0; h < hopClasses; h++ {
+			all, some := kf.HopClass(h)
+			if all {
+				gp.all |= 1 << h
+			} else if some {
+				gp.some |= 1 << h
+			}
 		}
-		slices.Sort(acc.touched)
-		g.unionArena = append(g.unionArena, acc.touched...)
+		g.pols[k] = gp
+		g.keyed |= gp.some
+		g.out[k] = &DemandLoads{Net: net}
 	}
-	g.unionStart[len(g.pairs)] = int32(len(g.unionArena))
-	for q := prev + 1; q <= n*n; q++ {
-		g.minStart[q] = int32(len(g.minArena))
-	}
-	g.buildTime = time.Since(start)
-	return g
+	return g, nil
 }
 
-// sortPairs copies pairs into ascending pair-index order.
-func sortPairs(pairs [][2]int32, n int) [][2]int32 {
-	order := make([][2]int32, len(pairs))
-	copy(order, pairs)
-	sort.Slice(order, func(i, j int) bool {
-		return int(order[i][0])*n+int(order[i][1]) < int(order[j][0])*n+int(order[j][1])
-	})
-	return order
+// resized returns xs with length n, reallocated only to grow; the
+// caller overwrites every element.
+func resized[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
 }
 
-// dedupPairs drops duplicates and diagonal entries from an ascending
-// pair list, in place.
-func dedupPairs(order [][2]int32, n int) [][2]int32 {
-	out := order[:0]
-	prev := -1
-	for _, pr := range order {
-		pi := int(pr[0])*n + int(pr[1])
-		if pi == prev || pr[0] == pr[1] {
+// Loads returns the DemandLoads of demands under each policy, in the
+// order the policies were given. All of them share the MIN rows, and
+// all are overwritten by the next call.
+func (g *GridWalk) Loads(demands []traffic.Demand) []*DemandLoads {
+	n := len(demands)
+	g.arena, g.entries = g.arena[:0], 0
+	g.min, g.minHops = resized(g.min, n), resized(g.minHops, n)
+	for _, dl := range g.out {
+		dl.Demands, dl.Min, dl.MinHops = demands, g.min, g.minHops
+		dl.Vlb, dl.VlbOK, dl.VlbHops = resized(dl.Vlb, n), resized(dl.VlbOK, n), resized(dl.VlbHops, n)
+	}
+	g.Decode, g.Derive = 0, 0
+	// Two clock reads a pair, none per path or per policy.
+	mark := time.Now()
+	for i, d := range demands {
+		s, t := int(d.Src), int(d.Dst)
+		g.room(g.re.net.T.K * (paths.MaxVLBHops/2 + 2))
+		start := len(g.arena)
+		g.arena, g.minHops[i] = g.re.minRow(s, t, g.arena)
+		g.min[i] = g.row(start)
+		g.decode(s, t)
+		now := time.Now()
+		g.Decode += now.Sub(mark)
+		mark = now
+
+		for k := range g.pols {
+			g.derive(k, i)
+		}
+		now = time.Now()
+		g.Derive += now.Sub(mark)
+		mark = now
+	}
+	return g.out
+}
+
+// RowBytes is the size of the rows the last Loads call returned.
+func (g *GridWalk) RowBytes() int64 { return 16 * int64(g.entries) }
+
+// room makes the arena hold n more entries without moving. When it
+// cannot, the rows emitted so far keep the old array and the arena
+// continues in a new one twice the size, which is the one the next
+// Loads call starts from: nothing is ever copied, and a walk that has
+// seen its largest pattern allocates no more.
+func (g *GridWalk) room(n int) {
+	if cap(g.arena)-len(g.arena) < n {
+		g.arena = make([]EdgeWeight, 0, max(2*cap(g.arena), n, 1<<14))
+	}
+}
+
+// row closes the row emitted since start.
+func (g *GridWalk) row(start int) SparseVec {
+	g.entries += len(g.arena) - start
+	return SparseVec(g.arena[start:len(g.arena):len(g.arena)])
+}
+
+// decode lists the pair's paths and fills the per-pair state: each
+// path's edges as indices into the pair's sorted edge union, its hop
+// count and (at a keyed length) its hash, the paths bucketed by hop
+// count, and per hop count the crossings of every union edge.
+func (g *GridWalk) decode(s, d int) {
+	re, acc := g.re, g.re.acc
+	ps := re.walk.Pair(s, d)
+	g.edges = resized(g.edges, len(ps)*gridStride)
+	g.hops, g.sel, g.keys = resized(g.hops, len(ps)), resized(g.sel, len(ps)), resized(g.keys, len(ps))
+	for h := range g.byHops {
+		g.byHops[h] = g.byHops[h][:0]
+	}
+	acc.reset()
+	for k, p := range ps {
+		h := p.Hops()
+		g.hops[k] = uint8(h)
+		g.byHops[h] = append(g.byHops[h], int32(k))
+		if g.keyed>>h&1 != 0 {
+			g.keys[k] = p.Key()
+		}
+		acc.add(re.net.PathEdges(g.edges[k*gridStride:k*gridStride:(k+1)*gridStride], p), 0)
+	}
+	copy(g.sel, g.hops)
+	slices.Sort(acc.touched)
+	for u, e := range acc.touched {
+		g.pos[e] = int32(u)
+	}
+	nu := len(acc.touched)
+	for h := range g.cnt {
+		g.cnt[h] = resized(g.cnt[h], nu)
+		clear(g.cnt[h])
+	}
+	g.base, g.tot = resized(g.base, nu), resized(g.tot, nu)
+	for k, h := range g.hops {
+		cnt := g.cnt[h]
+		row := g.edges[k*gridStride:][:int(h)+2]
+		for j, e := range row {
+			u := g.pos[e]
+			row[j] = u
+			cnt[u]++
+		}
+	}
+	g.rebase(0)
+}
+
+// rebase sets base to the crossings of the lengths in all.
+func (g *GridWalk) rebase(all uint8) {
+	g.baseAll, g.baseN = all, 0
+	clear(g.base)
+	for h := range g.cnt {
+		if all>>h&1 == 0 {
 			continue
 		}
-		prev = pi
-		out = append(out, pr)
+		g.baseN += len(g.byHops[h])
+		for u, c := range g.cnt[h] {
+			g.base[u] += c
+		}
 	}
-	return out
 }
 
-// TryNewMatrixGrid builds the grid when its cache fits the same
-// 16-byte-entry budget TryCompileLoadMatrix uses (<=0 unlimited).
-// Unlike the matrix estimate this gate is exact: the store already
-// knows every pair's path count.
-func TryNewMatrixGrid(net *Network, base *paths.Store, pairs [][2]int32, budget int64) (*MatrixGrid, bool) {
-	if budget > 0 {
-		n := net.T.NumSwitches()
-		if pairs == nil {
-			pairs = allPairs(n)
-		}
-		total := int64(0)
-		for _, pr := range pairs {
-			_, count := base.PairRange(int(pr[0]), int(pr[1]))
-			total += int64(count)
-		}
-		// Per cached path: gridStride int32 edges + uint64 key + hop.
-		if total*(gridStride*4+9) > budget*16 {
-			return nil, false
-		}
+// derive emits policy k's VLB row for the decoded pair as demand i.
+func (g *GridWalk) derive(k, i int) {
+	gp := &g.pols[k]
+	if gp.all != g.baseAll {
+		// Consecutive Table-1 points share their whole lengths, so a
+		// grid rebases four times a pair, not thirty-one.
+		g.rebase(gp.all)
 	}
-	return NewMatrixGrid(net, base, pairs), true
-}
-
-// Compile derives pol's LoadMatrix from the cache. The admitted
-// sequence per pair is the stored order filtered by AllowsKeyed —
-// exactly pol.Enumerate's order — and the accumulation replays
-// rowEnv.vlbRow's float operations verbatim, so the rows are
-// bit-identical to every other compilation path. ok=false when pol
-// does not implement paths.KeyedFilter.
-func (g *MatrixGrid) Compile(pol paths.Policy) (*LoadMatrix, bool) {
-	kf, ok := pol.(paths.KeyedFilter)
-	if !ok {
-		return nil, false
-	}
-	start := time.Now()
-	n := g.n
-	lm := &LoadMatrix{
-		Net:      g.net,
-		name:     pol.Name(),
-		n:        n,
-		has:      make([]bool, n*n),
-		minStart: g.minStart,
-		minArena: g.minArena,
-		minHops:  g.minHops,
-		vlbStart: make([]int32, n*n+1),
-		vlbHops:  make([]float64, n*n),
-		vlbOK:    make([]bool, n*n),
-	}
-	// Any derived arena is a subset of the pair-union arena, so this
-	// capacity is exact for a full-coverage policy and the append
-	// below never regrows.
-	lm.vlbArena = make([]EdgeWeight, 0, len(g.unionArena))
-	acc := newEdgeAcc(g.net.NumEdges)
-	var admitted []int32
-	prev := -1
-	for j, pr := range g.pairs {
-		s, d := int(pr[0]), int(pr[1])
-		pi := s*n + d
-		for q := prev + 1; q <= pi; q++ {
-			lm.vlbStart[q] = int32(len(lm.vlbArena))
-		}
-		prev = pi
-		lm.has[pi] = true
-		lm.pairs++
-
-		ci0 := g.off[pi]
-		_, count := g.base.PairRange(s, d)
-		admitted = admitted[:0]
-		for k := 0; k < count; k++ {
-			ci := ci0 + int32(k)
-			if kf.AllowsKeyed(int(g.hops[ci]), g.keys[ci]) {
-				admitted = append(admitted, ci)
+	tot, nk := g.base, g.baseN
+	g.rejected = g.rejected[:0]
+	if gp.some != 0 {
+		tot = g.tot
+		copy(tot, g.base)
+		for h := 0; h < hopClasses; h++ {
+			if gp.some>>h&1 == 0 {
+				continue
 			}
-		}
-		acc.reset()
-		if nk := len(admitted); nk > 0 {
-			lm.vlbOK[pi] = true
-			w := 1 / float64(nk)
-			for _, ci := range admitted {
-				h := int(g.hops[ci])
-				eb := int(ci) * gridStride
-				// Accumulate generation-marked, without touched-list
-				// bookkeeping: the union scan below recovers the
-				// row's edges in sorted order.
-				for _, e := range g.edges[eb : eb+h+2] {
-					if acc.mark[e] != acc.gen {
-						acc.mark[e] = acc.gen
-						acc.w[e] = 0
-					}
-					acc.w[e] += w
+			for _, p := range g.byHops[h] {
+				if !gp.kf.AllowsKeyed(h, g.keys[p]) {
+					g.rejected = append(g.rejected, p)
+					continue
 				}
-				lm.vlbHops[pi] += w * float64(h)
-			}
-			for _, e := range g.unionArena[g.unionStart[j]:g.unionStart[j+1]] {
-				if acc.mark[e] == acc.gen {
-					lm.vlbArena = append(lm.vlbArena, EdgeWeight{E: e, W: acc.w[e]})
+				nk++
+				for _, u := range g.edges[int(p)*gridStride:][:h+2] {
+					tot[u]++
 				}
 			}
 		}
 	}
-	for q := prev + 1; q <= n*n; q++ {
-		lm.vlbStart[q] = int32(len(lm.vlbArena))
+
+	dl := g.out[k]
+	g.room(len(tot))
+	start := len(g.arena)
+	hs := 0.0
+	if nk > 0 {
+		w := 1 / float64(nk)
+		// The hop average replays vlbRow's sum in walk order; a path
+		// that is out adds wh[0] = 0, which leaves the sum as it was.
+		var wh [hopClasses]float64
+		for h := range wh {
+			if (gp.all|gp.some)>>h&1 != 0 {
+				wh[h] = w * float64(h)
+			}
+		}
+		for _, p := range g.rejected {
+			g.sel[p] = 0
+		}
+		for _, h := range g.sel {
+			hs += wh[h]
+		}
+		for _, p := range g.rejected {
+			g.sel[p] = g.hops[p]
+		}
+		union := g.re.acc.touched
+		tbl := append(g.tbl[:0], 0)
+		for u, c := range tot {
+			if c == 0 {
+				continue
+			}
+			for int(c) >= len(tbl) {
+				tbl = append(tbl, tbl[len(tbl)-1]+w)
+			}
+			g.arena = append(g.arena, EdgeWeight{E: union[u], W: tbl[c]})
+		}
+		g.tbl = tbl
 	}
-	lm.buildTime = time.Since(start)
-	return lm, true
+	dl.Vlb[i] = g.row(start)
+	dl.VlbHops[i], dl.VlbOK[i] = hs, nk > 0
 }
-
-// Paths returns the number of cached paths.
-func (g *MatrixGrid) Paths() int { return g.npaths }
-
-// Bytes reports the resident size of the grid's caches (the shared
-// MIN arena included; derived matrices alias rather than copy it).
-func (g *MatrixGrid) Bytes() int64 {
-	b := 4*int64(len(g.edges)) + 8*int64(len(g.keys)) + int64(len(g.hops))
-	b += 4*int64(len(g.unionArena)) + 4*int64(len(g.unionStart))
-	b += 16*int64(len(g.minArena)) + 4*int64(len(g.minStart)) + 8*int64(len(g.minHops))
-	b += 4 * int64(len(g.off))
-	return b
-}
-
-// BuildTime reports how long the grid build took.
-func (g *MatrixGrid) BuildTime() time.Duration { return g.buildTime }

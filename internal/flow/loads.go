@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"slices"
+
 	"tugal/internal/paths"
 	"tugal/internal/rng"
 	"tugal/internal/traffic"
@@ -28,12 +30,6 @@ type LoadOptions struct {
 	Samples int
 	// Seed for Monte-Carlo mode.
 	Seed uint64
-	// Matrix, when set in Enumerate mode, serves each demand whose
-	// pair it compiled as a row-gather from the shared arena instead
-	// of re-enumerating the candidate set; demands outside the
-	// matrix fall back to the per-demand path. Rows gathered this
-	// way alias the matrix arena and must not be mutated.
-	Matrix *LoadMatrix
 }
 
 // DemandLoads holds, for every demand of a pattern, the expected
@@ -67,26 +63,12 @@ func ComputeLoads(net *Network, pol paths.Policy, demands []traffic.Demand, opt 
 		VlbHops: make([]float64, len(demands)),
 	}
 	r := rng.New(opt.Seed)
-	var re *rowEnv // made for the first demand the matrix does not hold
+	re := newRowEnv(net, pol)
 	for i, d := range demands {
 		s, t := int(d.Src), int(d.Dst)
-
-		// Compiled fast path: the matrix already holds this pair's
-		// rows — gather them (aliasing the shared read-only arena)
-		// instead of re-enumerating the candidate sets.
-		if opt.Enumerate && opt.Matrix != nil && opt.Matrix.Has(s, t) {
-			lm := opt.Matrix
-			dl.Min[i], dl.MinHops[i] = lm.MinRow(s, t)
-			dl.Vlb[i], dl.VlbHops[i], dl.VlbOK[i] = lm.VlbRow(s, t)
-			continue
-		}
-
 		// MIN candidates are always enumerated exactly: there are at
 		// most K of them. A pair with none surviving yields an empty row
 		// (the solvers treat such a demand as VLB-only or unservable).
-		if re == nil {
-			re = newRowEnv(net, pol)
-		}
 		dl.Min[i], dl.MinHops[i] = re.minRow(s, t, nil)
 		if opt.Enumerate {
 			dl.Vlb[i], dl.VlbHops[i], dl.VlbOK[i] = re.vlbRow(s, t, nil)
@@ -112,4 +94,133 @@ func (dl *DemandLoads) AvgVLBHops() float64 {
 		return 0
 	}
 	return sum / wsum
+}
+
+// edgeAcc is a dense scratch accumulator over the edge space, reused
+// from row to row. Accumulation order is the path enumeration order,
+// so the per-edge sums are bit-identical to a map[Edge]float64 filled
+// in that order (the tests' naiveLoads).
+type edgeAcc struct {
+	w       []float64
+	mark    []int32
+	gen     int32
+	touched []Edge
+}
+
+func newEdgeAcc(numEdges int) *edgeAcc {
+	return &edgeAcc{w: make([]float64, numEdges), mark: make([]int32, numEdges)}
+}
+
+// reset clears the accumulator in O(1) via a generation bump.
+func (a *edgeAcc) reset() {
+	a.gen++
+	a.touched = a.touched[:0]
+}
+
+// add folds a weighted edge list into the accumulator.
+func (a *edgeAcc) add(edges []Edge, w float64) {
+	for _, e := range edges {
+		if a.mark[e] != a.gen {
+			a.mark[e] = a.gen
+			a.w[e] = 0
+			a.touched = append(a.touched, e)
+		}
+		a.w[e] += w
+	}
+}
+
+// appendRow sorts the touched edges and appends the row to arena.
+// Edge ids are unique within a row, so any sort yields the same row.
+func (a *edgeAcc) appendRow(arena []EdgeWeight) []EdgeWeight {
+	slices.Sort(a.touched)
+	for _, e := range a.touched {
+		arena = append(arena, EdgeWeight{E: e, W: a.w[e]})
+	}
+	return arena
+}
+
+// rowEnv is the per-demand builder of load rows: the policy, a walk of
+// its path set and the scratch a row needs. ComputeLoads builds every
+// row with it, in either mode; GridWalk takes its MIN rows and its walk
+// from one and is held to its vlbRow bit for bit.
+type rowEnv struct {
+	net     *Network
+	pol     paths.Policy
+	walk    *paths.Walker
+	acc     *edgeAcc
+	scratch []Edge
+	pbuf    paths.Path
+}
+
+func newRowEnv(net *Network, pol paths.Policy) *rowEnv {
+	return &rowEnv{net: net, pol: pol, walk: paths.NewWalker(net.T, pol, net.Fail), acc: newEdgeAcc(net.NumEdges)}
+}
+
+// minRow appends the pair's MIN load row to arena and returns it with
+// the candidate-weighted average hop count. Under a failure mask only
+// surviving MIN paths are enumerated; a pair with none (endpoint or
+// every minimal route dead) yields an empty row and zero hops — never
+// a division by zero.
+func (re *rowEnv) minRow(s, d int, arena []EdgeWeight) ([]EdgeWeight, float64) {
+	minPaths := paths.EnumerateMinAlive(re.net.T, re.net.Fail, s, d)
+	re.acc.reset()
+	hops := 0.0
+	if len(minPaths) > 0 {
+		w := 1 / float64(len(minPaths))
+		for _, p := range minPaths {
+			re.scratch = re.net.PathEdges(re.scratch[:0], p)
+			re.acc.add(re.scratch, w)
+			hops += w * float64(p.Hops())
+		}
+	}
+	return re.acc.appendRow(arena), hops
+}
+
+// vlbRow appends the pair's VLB load row to arena, returning it with
+// the average hop count and availability. The walk yields a compiled
+// store's own range or an interpreted policy's surviving paths, the
+// same sequence either way, so either form yields the same row.
+func (re *rowEnv) vlbRow(s, d int, arena []EdgeWeight) ([]EdgeWeight, float64, bool) {
+	re.acc.reset()
+	hops := 0.0
+	vlbPaths := re.walk.Pair(s, d)
+	if len(vlbPaths) > 0 {
+		w := 1 / float64(len(vlbPaths))
+		for _, p := range vlbPaths {
+			re.scratch = re.net.PathEdges(re.scratch[:0], p)
+			re.acc.add(re.scratch, w)
+			hops += w * float64(p.Hops())
+		}
+	}
+	return re.acc.appendRow(arena), hops, len(vlbPaths) > 0
+}
+
+// sampledRow is vlbRow estimated from up to samples draws of the
+// policy's sampler — the Monte-Carlo mode for topologies too large to
+// enumerate. Under a failure mask a dead draw is discarded and the row
+// averages the survivors.
+func (re *rowEnv) sampledRow(r *rng.Source, samples, s, d int, arena []EdgeWeight) ([]EdgeWeight, float64, bool) {
+	re.acc.reset()
+	hops := 0.0
+	got := 0
+	for k := 0; k < samples; k++ {
+		if !re.pol.SampleVLBInto(r, s, d, &re.pbuf) {
+			break
+		}
+		if !paths.Alive(re.net.Fail, re.pbuf) {
+			continue // dead sample: draw again within the budget
+		}
+		got++
+		re.scratch = re.net.PathEdges(re.scratch[:0], re.pbuf)
+		re.acc.add(re.scratch, 1)
+		hops += float64(re.pbuf.Hops())
+	}
+	if got > 0 {
+		inv := 1 / float64(got)
+		for _, e := range re.acc.touched {
+			re.acc.w[e] *= inv
+		}
+		hops *= inv
+	}
+	return re.acc.appendRow(arena), hops, got > 0
 }

@@ -44,7 +44,7 @@ type Network struct {
 	// VLB candidate sets are Alive-filtered, and dead channels carry
 	// zero capacity (so any load accidentally routed over dead gear
 	// collapses alpha to zero instead of passing silently). Compiled
-	// stores handed to the matrix builders must already be degraded
+	// stores handed to the row builders must already be degraded
 	// under the same mask (paths.CompileDegraded).
 	Fail *topo.FailureMask
 

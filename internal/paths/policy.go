@@ -46,10 +46,17 @@ type StoredFilter interface {
 // KeyedFilter is one refinement beyond StoredFilter: membership
 // decided from a path's hop count and identity hash alone, with no
 // access to its structure. AllowsKeyed(p.Hops(), p.Key()) must equal
-// Contains(s, d, p) for every valid VLB path of every pair. A grid
-// analysis that hashes a superset store once can then derive every
-// such policy's path set without touching the arena again.
+// Contains(s, d, p) for every valid VLB path of every pair. An analysis
+// that hashes a pair's paths once can then derive every such policy's
+// path set from the hashes, and HopClass lets it skip the hashes too
+// for whole lengths: every Table-1 policy admits all paths up to a
+// cap, a keyed subset one hop longer and nothing beyond, so per policy
+// at most one length is ever looked at path by path.
 type KeyedFilter interface {
+	// HopClass states the policy on all paths of one length at once:
+	// all when every one is in, some when AllowsKeyed decides each by
+	// its key, neither when none is in.
+	HopClass(hops int) (all, some bool)
 	AllowsKeyed(hops int, key uint64) bool
 }
 
@@ -118,6 +125,9 @@ func (f Full) Contains(_, _ int, _ Path) bool { return true }
 // AllowsStored implements StoredFilter.
 func (f Full) AllowsStored(*Store, int, int, PathID) bool { return true }
 
+// HopClass implements KeyedFilter.
+func (f Full) HopClass(int) (all, some bool) { return true, false }
+
 // AllowsKeyed implements KeyedFilter.
 func (f Full) AllowsKeyed(int, uint64) bool { return true }
 
@@ -155,11 +165,8 @@ func (l LengthCapped) Enumerate(s, d int) []Path { return enumerate(l.T, l, s, d
 // Contains implements Policy; like AllowsStored, only a
 // boundary-length path pays for its identity hash.
 func (l LengthCapped) Contains(_, _ int, p Path) bool {
-	h := p.Hops()
-	if h == l.MaxHops+1 && l.Frac > 0 {
-		return l.AllowsKeyed(h, p.Key())
-	}
-	return h <= l.MaxHops
+	all, some := l.HopClass(p.Hops())
+	return all || some && l.keyed(p.Key())
 }
 
 // AllowsStored implements StoredFilter: paths at or under the cap
@@ -167,23 +174,25 @@ func (l LengthCapped) Contains(_, _ int, p Path) bool {
 // stored hop count alone; only boundary-length paths pay the
 // identity-hash walk.
 func (l LengthCapped) AllowsStored(base *Store, s, _ int, id PathID) bool {
-	h := base.Hops(id)
-	if h == l.MaxHops+1 && l.Frac > 0 {
-		return l.AllowsKeyed(h, base.KeyOf(s, id))
-	}
-	return h <= l.MaxHops
+	all, some := l.HopClass(base.Hops(id))
+	return all || some && l.keyed(base.KeyOf(s, id))
 }
 
-// AllowsKeyed implements KeyedFilter: the one statement of the set.
+// HopClass implements KeyedFilter: the one statement of the set.
+func (l LengthCapped) HopClass(hops int) (all, some bool) {
+	return hops <= l.MaxHops, hops == l.MaxHops+1 && l.Frac > 0
+}
+
+// AllowsKeyed implements KeyedFilter.
 func (l LengthCapped) AllowsKeyed(hops int, key uint64) bool {
-	switch {
-	case hops <= l.MaxHops:
-		return true
-	case hops == l.MaxHops+1 && l.Frac > 0:
-		return rng.Float01(rng.Mix(rng.Mix(rng.HashSeed, l.Seed), key)) < l.Frac
-	default:
-		return false
-	}
+	all, some := l.HopClass(hops)
+	return all || some && l.keyed(key)
+}
+
+// keyed draws the boundary-length path with identity hash key into or
+// out of the Frac subset.
+func (l LengthCapped) keyed(key uint64) bool {
+	return rng.Float01(rng.Mix(rng.Mix(rng.HashSeed, l.Seed), key)) < l.Frac
 }
 
 // Strategic is the Step-2 deterministic expansion for the 50% 5-hop

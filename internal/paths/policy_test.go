@@ -224,3 +224,66 @@ func legSplits(t *topo.Compiled, p Path) [][2]int {
 	}
 	return out
 }
+
+// TestHopClass holds the three statements of a keyed filter together
+// on both implementers, for every hop count 0..6: HopClass against the
+// Table-1 definition written out here (all paths up to MaxHops, a keyed
+// Frac of the MaxHops+1 ones, nothing longer), AllowsKeyed against
+// HopClass and the hash draw over 2000 keys a length, and Contains
+// against AllowsKeyed on every real path out of one switch.
+func TestHopClass(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	var real []Path
+	for d := 1; d < tp.NumSwitches(); d++ {
+		real = append(real, EnumerateVLB(tp, 0, d)...)
+	}
+	for _, kf := range []KeyedFilter{
+		Full{T: tp},
+		LengthCapped{T: tp, MaxHops: 3},
+		LengthCapped{T: tp, MaxHops: 4, Frac: 0.3, Seed: 7},
+		LengthCapped{T: tp, MaxHops: 5, Frac: 0.9, Seed: 1},
+		LengthCapped{T: tp, MaxHops: 6, Frac: 0.5, Seed: 2},
+		LengthCapped{T: tp, MaxHops: 1, Frac: 0.5, Seed: 3},
+		LengthCapped{T: tp, MaxHops: 1},
+	} {
+		pol := kf.(Policy)
+		l, capped := kf.(LengthCapped)
+		lengths := map[int]bool{}
+		for _, p := range real {
+			lengths[p.Hops()] = true
+			if pol.Contains(p.Src(), p.Dst(), p) != kf.AllowsKeyed(p.Hops(), p.Key()) {
+				t.Fatalf("%s: Contains and AllowsKeyed disagree on %v", pol.Name(), p)
+			}
+		}
+		if len(lengths) != 5 {
+			t.Fatalf("real paths cover lengths %v, want 2..6", lengths)
+		}
+		for hops := 0; hops <= MaxVLBHops; hops++ {
+			all, some := kf.HopClass(hops)
+			wantAll, wantSome := true, false
+			if capped {
+				wantAll, wantSome = hops <= l.MaxHops, hops == l.MaxHops+1 && l.Frac > 0
+			}
+			if all != wantAll || some != wantSome {
+				t.Fatalf("%s: HopClass(%d) = (%v, %v), want (%v, %v)", pol.Name(), hops, all, some, wantAll, wantSome)
+			}
+			in := 0
+			for k := uint64(0); k < 2000; k++ {
+				key := rng.Hash64(k, uint64(hops))
+				want := all
+				if some {
+					want = rng.Float01(rng.Mix(rng.Mix(rng.HashSeed, l.Seed), key)) < l.Frac
+				}
+				if kf.AllowsKeyed(hops, key) != want {
+					t.Fatalf("%s: AllowsKeyed(%d, %#x) = %v", pol.Name(), hops, key, !want)
+				}
+				if want {
+					in++
+				}
+			}
+			if frac := float64(in) / 2000; some && (frac < l.Frac-0.05 || frac > l.Frac+0.05) {
+				t.Errorf("%s: %.3f of the %d-hop keys are in, want about %v", pol.Name(), frac, hops, l.Frac)
+			}
+		}
+	}
+}
