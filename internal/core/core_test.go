@@ -95,8 +95,8 @@ func TestStep1SmallTopology(t *testing.T) {
 	}
 }
 
-// TestStep1WorkerDeterminism: the full Step-1 probe — matrix
-// compilation included — must yield a bit-identical curve and the
+// TestStep1WorkerDeterminism: the full Step-1 probe — store compile
+// and grid walk included — must yield a bit-identical curve and the
 // same best point at any worker count.
 func TestStep1WorkerDeterminism(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)

@@ -139,7 +139,7 @@ func (g *GridWalk) Loads(demands []traffic.Demand) []*DemandLoads {
 	mark := time.Now()
 	for i, d := range demands {
 		s, t := int(d.Src), int(d.Dst)
-		g.room(g.re.net.T.K * (paths.MaxVLBHops/2 + 2))
+		g.room(5 * g.re.net.T.K) // K MIN paths of at most 3 hops
 		start := len(g.arena)
 		g.arena, g.minHops[i] = g.re.minRow(s, t, g.arena)
 		g.min[i] = g.row(start)
@@ -292,6 +292,8 @@ func (g *GridWalk) derive(k, i int) {
 			g.sel[p] = g.hops[p]
 		}
 		union := g.re.acc.touched
+		row := g.arena[start : start+len(tot)]
+		n := 0
 		tbl := append(g.tbl[:0], 0)
 		for u, c := range tot {
 			if c == 0 {
@@ -300,9 +302,10 @@ func (g *GridWalk) derive(k, i int) {
 			for int(c) >= len(tbl) {
 				tbl = append(tbl, tbl[len(tbl)-1]+w)
 			}
-			g.arena = append(g.arena, EdgeWeight{E: union[u], W: tbl[c]})
+			row[n] = EdgeWeight{E: union[u], W: tbl[c]}
+			n++
 		}
-		g.tbl = tbl
+		g.tbl, g.arena = tbl, g.arena[:start+n]
 	}
 	dl.Vlb[i] = g.row(start)
 	dl.VlbHops[i], dl.VlbOK[i] = hs, nk > 0

@@ -11,8 +11,8 @@
 // bit-equivalent to the decisions paths.Store + internal/routing
 // produce directly on an idle network (see the equivalence tests).
 //
-// Tables are immutable after Emit, shared read-only like paths.Store
-// and flow.LoadMatrix. Topology changes go through ApplyDelta, which
+// Tables are immutable after Emit, shared read-only like paths.Store.
+// Topology changes go through ApplyDelta, which
 // filters the rows a failure delta dirtied out of the previous epoch's
 // rows into a patch chunk of their own behind a new epoch — the
 // Service layer swaps the epoch in atomically so no in-flight query is
