@@ -103,7 +103,7 @@ func TestDegradedLoadsAndSolvers(t *testing.T) {
 	}
 
 	dlA := ComputeLoads(degNet, degStore, demands, LoadOptions{Enumerate: true})
-	requireSameLoads(t, naiveLoads(degNet, degStore, demands), dlA)
+	requireBitIdenticalLoads(t, "per demand", naiveLoads(degNet, degStore, demands), dlA)
 	walk, err := NewGridWalk(degNet, degStore, []paths.Policy{paths.Full{T: tp}})
 	if err != nil {
 		t.Fatal(err)

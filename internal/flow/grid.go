@@ -52,9 +52,8 @@ type GridWalk struct {
 	keyed uint8 // the lengths some policy keys: only their paths are hashed
 
 	// One pair's paths, in walk order.
-	edges  []int32  // stride gridStride: a path's edges, then their union indices
-	hops   []uint8  //
-	sel    []uint8  // hops, a policy's rejected paths zeroed while it sums VlbHops
+	edges  []int32 // stride gridStride: a path's edges, then their union indices
+	hops   []uint8
 	keys   []uint64 // set at the keyed lengths only
 	byHops [hopClasses][]int32
 	cnt    [hopClasses][]int32 // crossings of each union edge by the h-hop paths
@@ -66,6 +65,7 @@ type GridWalk struct {
 	baseN    int
 	tot      []int32
 	rejected []int32
+	sel      []uint8 // hops with the rejected paths' zeroed
 	tbl      []float64
 
 	arena   []EdgeWeight // the rows of one Loads call, back to back; see room
@@ -186,7 +186,7 @@ func (g *GridWalk) decode(s, d int) {
 	re, acc := g.re, g.re.acc
 	ps := re.walk.Pair(s, d)
 	g.edges = resized(g.edges, len(ps)*gridStride)
-	g.hops, g.sel, g.keys = resized(g.hops, len(ps)), resized(g.sel, len(ps)), resized(g.keys, len(ps))
+	g.hops, g.keys = resized(g.hops, len(ps)), resized(g.keys, len(ps))
 	for h := range g.byHops {
 		g.byHops[h] = g.byHops[h][:0]
 	}
@@ -200,7 +200,6 @@ func (g *GridWalk) decode(s, d int) {
 		}
 		acc.add(re.net.PathEdges(g.edges[k*gridStride:k*gridStride:(k+1)*gridStride], p), 0)
 	}
-	copy(g.sel, g.hops)
 	slices.Sort(acc.touched)
 	for u, e := range acc.touched {
 		g.pos[e] = int32(u)
@@ -268,7 +267,6 @@ func (g *GridWalk) derive(k, i int) {
 		}
 	}
 
-	dl := g.out[k]
 	g.room(len(tot))
 	start := len(g.arena)
 	hs := 0.0
@@ -282,14 +280,17 @@ func (g *GridWalk) derive(k, i int) {
 				wh[h] = w * float64(h)
 			}
 		}
-		for _, p := range g.rejected {
-			g.sel[p] = 0
+		sel := g.hops
+		if len(g.rejected) > 0 {
+			g.sel = resized(g.sel, len(g.hops))
+			sel = g.sel
+			copy(sel, g.hops)
+			for _, p := range g.rejected {
+				sel[p] = 0
+			}
 		}
-		for _, h := range g.sel {
+		for _, h := range sel {
 			hs += wh[h]
-		}
-		for _, p := range g.rejected {
-			g.sel[p] = g.hops[p]
 		}
 		union := g.re.acc.touched
 		row := g.arena[start : start+len(tot)]
@@ -307,6 +308,6 @@ func (g *GridWalk) derive(k, i int) {
 		}
 		g.tbl, g.arena = tbl, g.arena[:start+n]
 	}
-	dl.Vlb[i] = g.row(start)
-	dl.VlbHops[i], dl.VlbOK[i] = hs, nk > 0
+	dl := g.out[k]
+	dl.Vlb[i], dl.VlbHops[i], dl.VlbOK[i] = g.row(start), hs, nk > 0
 }

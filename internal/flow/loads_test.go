@@ -27,31 +27,6 @@ func loadPolicies(tp *topo.Compiled) map[string]paths.Policy {
 	}
 }
 
-// requireSameLoads pins two DemandLoads row by row: edges, weights,
-// hop averages and VLB availability must match exactly.
-func requireSameLoads(t *testing.T, want, got *DemandLoads) {
-	t.Helper()
-	for i := range want.Demands {
-		if want.VlbOK[i] != got.VlbOK[i] {
-			t.Fatalf("demand %d: VlbOK %v vs %v", i, got.VlbOK[i], want.VlbOK[i])
-		}
-		if want.MinHops[i] != got.MinHops[i] || want.VlbHops[i] != got.VlbHops[i] {
-			t.Fatalf("demand %d: hops (%v,%v) vs (%v,%v)", i,
-				got.MinHops[i], got.VlbHops[i], want.MinHops[i], want.VlbHops[i])
-		}
-		for _, rows := range [][2]SparseVec{{want.Min[i], got.Min[i]}, {want.Vlb[i], got.Vlb[i]}} {
-			if len(rows[0]) != len(rows[1]) {
-				t.Fatalf("demand %d: row length %d vs %d", i, len(rows[1]), len(rows[0]))
-			}
-			for k := range rows[0] {
-				if rows[0][k] != rows[1][k] {
-					t.Fatalf("demand %d entry %d: %v vs %v", i, k, rows[1][k], rows[0][k])
-				}
-			}
-		}
-	}
-}
-
 // naiveLoads is the map-based per-demand row builder ComputeLoads
 // once was: every candidate enumerated and Alive-filtered in order,
 // each row summed in a fresh map[Edge]float64 and sorted at the end. It
@@ -117,7 +92,7 @@ func TestComputeLoadsMatchesNaive(t *testing.T) {
 			demands := traffic.SwitchDemands(tp, pat)
 			want := naiveLoads(net, pol, demands)
 			got := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true})
-			requireSameLoads(t, want, got)
+			requireBitIdenticalLoads(t, name+"/"+pat.Name(), want, got)
 
 			// The solved results must therefore agree bit for bit.
 			ws, gs := SolveSymmetric(want), SolveSymmetric(got)
