@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -224,4 +225,32 @@ func BenchmarkGridLoads(b *testing.B) {
 	}
 	b.ReportMetric(float64(g.RowBytes())/(1<<20), "row-MiB")
 	b.ReportMetric(float64(len(demands)), "demands")
+}
+
+// TestAverageModeledGridKeepsNothing: the walks (scratch and row arenas,
+// a quarter MiB each at the least) are garbage once the call returns —
+// one collection brings the heap back to where it stood. A free list
+// that outlives the call, or a sync.Pool and its victim cache, would
+// leave them in the live heap of whatever runs next.
+func TestAverageModeledGridKeepsNothing(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	base := paths.Compile(tp, paths.Full{T: tp})
+	list := tableOne(tp, 1)
+	pats := traffic.Type1Set(tp)[:6]
+	defer exec.SetDefault(exec.SetDefault(exec.NewPool(2)))
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	if _, _, err := AverageModeledGrid(tp, base, list, pats, DefaultModelOptions()); err != nil {
+		t.Fatal(err)
+	}
+	after := live()
+	if kept := int64(after) - int64(before); kept > 64<<10 {
+		t.Errorf("%d KiB still live one collection after the call, want next to nothing", kept>>10)
+	}
+	runtime.KeepAlive(base)
 }

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"tugal/internal/exec"
@@ -110,9 +109,11 @@ func AverageModeledGrid(t *topo.Compiled, base paths.Policy, pols []paths.Policy
 		return nil, nil, err
 	}
 	// A walk's scratch and row arena go from one pattern to the next a
-	// worker takes.
-	var walks sync.Pool
-	walks.Put(first)
+	// worker takes, and no further: the free list dies with this call,
+	// where a sync.Pool would keep the arenas reachable for two more
+	// collections, whenever those come.
+	walks := make(chan *GridWalk, pool.Workers())
+	walks <- first
 	np := len(pats)
 	alphas := make([]float64, len(pols)*np) // policy-major
 	errs := make([]error, len(alphas))
@@ -124,11 +125,15 @@ func AverageModeledGrid(t *topo.Compiled, base paths.Policy, pols []paths.Policy
 			}
 			return 0
 		}
-		g, _ := walks.Get().(*GridWalk)
-		if g == nil {
+		// At most Workers() tasks run at once, so at most that many
+		// walks exist and the send finds room.
+		var g *GridWalk
+		select {
+		case g = <-walks:
+		default:
 			g, _ = NewGridWalk(net, base, pols) // refused above if ever
 		}
-		defer walks.Put(g)
+		defer func() { walks <- g }()
 		loads := g.Loads(demands)
 		pool.Report(exec.Stat{Label: "loadgrid/" + base.Name(), Index: i, Wall: g.Decode})
 		pool.Report(exec.Stat{Label: "loadmatrix/" + base.Name(), Index: i, Wall: g.Derive, Bytes: g.RowBytes()})
