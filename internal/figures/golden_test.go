@@ -1,0 +1,79 @@
+package figures
+
+import (
+	"math"
+	"testing"
+
+	"tugal/internal/sweep"
+)
+
+// foldPoints folds every field of every point into h, FNV-1a style
+// over 64-bit words: any change to any bit of any point moves it.
+func foldPoints(h uint64, name string, pts []sweep.Point) uint64 {
+	mix := func(w uint64) { h = (h ^ w) * 0x100000001b3 }
+	for _, b := range []byte(name) {
+		mix(uint64(b))
+	}
+	for _, p := range pts {
+		for _, f := range []float64{p.Offered, p.Latency, p.LatencyErr, p.Throughput, p.VLBFraction, p.AvgHops} {
+			mix(math.Float64bits(f))
+		}
+		if p.Saturated {
+			mix(1)
+		} else {
+			mix(0)
+		}
+	}
+	return h
+}
+
+func foldResult(res *Result) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for _, s := range res.Series {
+		h = foldPoints(h, s.Name, s.Points)
+	}
+	return h
+}
+
+// goldenFigures pins every simulation figure at ScaleBench, seed 1,
+// one seed: a Float64bits fold over every sweep.Point field of every
+// series, in series order, names included. Recorded from the last
+// commit that built Figures 6-18 with figures.latencyFigure and
+// sensitivityFigure; fig17 was re-recorded by the commit that gave
+// PAR its five VCs there, and by nothing else.
+var goldenFigures = []struct {
+	id    string
+	short bool // kept under -short
+	fold  uint64
+}{
+	{"fig6", true, 0x9f093c48e892116e},
+	{"fig7", true, 0x451503644a034bc6},
+	{"fig8", false, 0xfbbdadf4be46511f},
+	{"fig9", false, 0x9e8b91daa74860c8},
+	{"fig10", false, 0x289fcd2aaa084f1},
+	{"fig11", false, 0x4c29acf3226cefaf},
+	{"fig12", false, 0xc6c10d1c4c3f3282},
+	{"fig13", false, 0x5750594c0d0115cf},
+	{"fig14", false, 0x98a9fd17c7cc0213},
+	{"fig15", false, 0x859e7f34cd6ba3dc},
+	{"fig16", false, 0x671b7a1ddbe551e},
+	{"fig17", false, 0x8de795c255d48eaf},
+	{"fig18", true, 0x7a0bca3c3d9b0b20},
+}
+
+func TestGoldenFigures(t *testing.T) {
+	for _, g := range goldenFigures {
+		if testing.Short() && !g.short {
+			continue
+		}
+		t.Run(g.id, func(t *testing.T) {
+			res, err := Run(g.id, Options{Scale: ScaleBench, Seed: 1, Seeds: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := foldResult(res); got != g.fold {
+				t.Errorf("%s fold = %#x, golden %#x", g.id, got, g.fold)
+			}
+		})
+	}
+}
