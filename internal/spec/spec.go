@@ -12,6 +12,7 @@ import (
 	"tugal/internal/netsim"
 	"tugal/internal/paths"
 	"tugal/internal/placement"
+	"tugal/internal/rng"
 	"tugal/internal/routing"
 	"tugal/internal/topo"
 	"tugal/internal/traffic"
@@ -182,7 +183,9 @@ func Pattern(t *topo.Compiled, s string, seed uint64) (traffic.Pattern, error) {
 		if err != nil {
 			return nil, fmt.Errorf("spec: %v", err)
 		}
-		return traffic.NewMixed(t, ur, traffic.Shift{T: t, DG: 1, DS: 0}, seed), nil
+		// The node split is drawn from its own stream of the seed, the
+		// derivation the paper figures have always used.
+		return traffic.NewMixed(t, ur, traffic.Shift{T: t, DG: 1, DS: 0}, rng.Hash64(seed, 0x311d)), nil
 	case "tmixed":
 		ur, err := atoi(1, 50)
 		if err != nil {
