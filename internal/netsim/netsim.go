@@ -521,28 +521,60 @@ type ChannelStats struct {
 	GlobalMaxOverMean     float64
 }
 
+// MaxLatency bounds a channel latency: a channel keeps its latency in
+// an int16, and every shard's timing wheel has a slot per cycle of the
+// longest one.
+const MaxLatency = math.MaxInt16
+
+// ConfigError is a Config field (or the injection rate, Field "rate")
+// that New refuses.
+type ConfigError struct {
+	Field string
+	Msg   string
+}
+
+func (e *ConfigError) Error() string { return "netsim: " + e.Field + " " + e.Msg }
+
+// Check reports the first reason New would refuse to simulate t under
+// cfg at the given injection rate, as a *ConfigError; New panics on
+// exactly these. The bounds are the packed structures': uint8 ring
+// cursors (BufSize), the port- and vc-mask allocators (radix, NumVCs),
+// a wormhole packet that must fit one buffer, int16 latencies.
+func (cfg Config) Check(t *topo.Compiled, rate float64) error {
+	bad := func(field, format string, args ...any) error {
+		return &ConfigError{Field: field, Msg: fmt.Sprintf(format, args...)}
+	}
+	switch {
+	case !(rate >= 0 && rate <= 1):
+		return bad("rate", "%v outside [0,1]", rate)
+	case cfg.NumVCs < 1 || cfg.NumVCs > 16:
+		return bad("NumVCs", "%d outside 1..16 (the vc-mask allocator's width)", cfg.NumVCs)
+	case cfg.BufSize < 1 || cfg.BufSize > 128:
+		return bad("BufSize", "%d outside 1..128 (the packed queue metadata's range)", cfg.BufSize)
+	case cfg.SpeedUp < 1:
+		return bad("SpeedUp", "%d below 1", cfg.SpeedUp)
+	case cfg.PacketSize < 0 || cfg.PacketSize > cfg.BufSize:
+		return bad("PacketSize", "%d outside 1..BufSize (%d)", cfg.PacketSize, cfg.BufSize)
+	case cfg.LocalLatency < 0 || cfg.LocalLatency > MaxLatency:
+		return bad("LocalLatency", "%d outside 0..%d", cfg.LocalLatency, MaxLatency)
+	case cfg.GlobalLatency < 0 || cfg.GlobalLatency > MaxLatency:
+		return bad("GlobalLatency", "%d outside 0..%d", cfg.GlobalLatency, MaxLatency)
+	case t.Radix() > 64:
+		return bad("topology", "radix %d above 64, the port-mask allocator's width", t.Radix())
+	case cfg.Failures != nil && cfg.Failures.Topo() != t:
+		return bad("Failures", "was built for a different topology")
+	}
+	return nil
+}
+
 // New builds a simulation of pattern traffic at the given per-node
 // injection rate (packets/cycle/node) under a routing function.
 func New(t *topo.Compiled, cfg Config, rf RoutingFunc, pat traffic.Pattern, rate float64) *Network {
-	if cfg.NumVCs < 1 || cfg.BufSize < 1 || cfg.SpeedUp < 1 {
-		panic("netsim: invalid config")
-	}
-	if cfg.BufSize > 128 {
-		// qMeta's free-running uint8 ring cursors need the capacity
-		// strictly below 256 to keep head==tail unambiguous.
-		panic("netsim: BufSize above 128 unsupported by the packed queue metadata")
+	if err := cfg.Check(t, rate); err != nil {
+		panic(err)
 	}
 	if cfg.PacketSize == 0 {
 		cfg.PacketSize = 1
-	}
-	if cfg.PacketSize < 1 || cfg.PacketSize > cfg.BufSize {
-		panic("netsim: PacketSize must be in [1, BufSize]")
-	}
-	if rate < 0 || rate > 1 {
-		panic("netsim: rate must be in [0,1]")
-	}
-	if cfg.Failures != nil && cfg.Failures.Topo() != t {
-		panic("netsim: Config.Failures was built for a different topology")
 	}
 	n := &Network{
 		T:          t,
@@ -588,12 +620,6 @@ func (n *Network) build() {
 		maxLat = n.Cfg.LocalLatency
 	}
 	n.wheelLen = maxLat + 2
-	if n.ports > 64 {
-		panic("netsim: switch radix above 64 unsupported by the port-mask allocator")
-	}
-	if n.numVCs > 16 {
-		panic("netsim: more than 16 VCs unsupported by the vc-mask allocator")
-	}
 	// Ring-buffer capacity: BufSize rounded up to a power of two, so
 	// queue positions are one shift+mask.
 	rbCap := uint32(1)
