@@ -18,10 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"tugal/internal/exec"
+	"tugal/internal/prof"
 	"tugal/internal/spec"
 )
 
@@ -29,7 +28,7 @@ const exampleSuite = `{
   "experiments": [
     {
       "name": "adversarial-g9",
-      "topology": "4,8,4,9",
+      "topology": "dfly(4,8,4,9)",
       "pattern": "shift:2:0",
       "routing": ["ugal-l", "t-ugal-l", "par", "t-par"],
       "policy": "strategic:2",
@@ -39,7 +38,7 @@ const exampleSuite = `{
     },
     {
       "name": "placed-ring-g9",
-      "topology": "4,8,4,9",
+      "topology": "dfly(4,8,4,9)",
       "pattern": "ring@group-rr",
       "routing": ["ugal-l", "t-ugal-l"],
       "policy": "strategic:2",
@@ -93,39 +92,12 @@ func run() int {
 		return 1
 	}
 
-	if *cpuprofile != "" {
-		cf, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiment:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(cf); err != nil {
-			fmt.Fprintln(os.Stderr, "experiment:", err)
-			cf.Close()
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			cf.Close()
-			fmt.Fprintln(os.Stderr, "experiment: wrote CPU profile to", *cpuprofile)
-		}()
+	stop, err := prof.Start("experiment", *cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiment:", err)
+		return 1
 	}
-	if *memprofile != "" {
-		defer func() {
-			mf, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiment:", err)
-				return
-			}
-			defer mf.Close()
-			runtime.GC() // materialize final live-heap statistics
-			if err := pprof.WriteHeapProfile(mf); err != nil {
-				fmt.Fprintln(os.Stderr, "experiment:", err)
-				return
-			}
-			fmt.Fprintln(os.Stderr, "experiment: wrote heap profile to", *memprofile)
-		}()
-	}
+	defer stop()
 
 	pool := exec.NewPool(*workers)
 	if *progress {
