@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	dflyinfo -p 4 -a 8 -h 4 -g 9
+//	dflyinfo
 //	dflyinfo -topo 'dfly(4,8,4,9)' -policies full,strategic:2,capped:4:0.6
 //	dflyinfo -topo 'd3(12,4)'
 package main
@@ -26,37 +26,15 @@ import (
 )
 
 func main() {
-	p := flag.Int("p", 4, "terminal links per switch")
-	a := flag.Int("a", 8, "switches per group")
-	h := flag.Int("h", 4, "global links per switch")
-	g := flag.Int("g", 9, "number of groups")
-	arrName := flag.String("arrangement", "absolute", "global link arrangement: absolute|relative")
-	topoSpec := flag.String("topo", "", spec.TopologyUsage+"; overrides -p/-a/-h/-g")
+	topoSpec := flag.String("topo", "dfly(4,8,4,9)", spec.TopologyUsage)
 	policies := flag.String("policies", "", "comma-separated path policies to compile and summarize (e.g. full,strategic:2,capped:4:0.6)")
 	tables := flag.Bool("tables", false, "also emit forwarding tables per -policies entry and summarize them (rows, bytes, candidates per row, build time)")
 	flag.Parse()
 
-	var t *topo.Compiled
-	var err error
-	if *topoSpec != "" {
-		t, err = spec.Topology(*topoSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dflyinfo: -topo:", err)
-			os.Exit(2)
-		}
-	} else {
-		arr := topo.Absolute
-		if *arrName == "relative" {
-			arr = topo.Relative
-		} else if *arrName != "absolute" {
-			fmt.Fprintln(os.Stderr, "dflyinfo: unknown arrangement", *arrName)
-			os.Exit(2)
-		}
-		t, err = topo.NewArranged(*p, *a, *h, *g, arr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dflyinfo:", err)
-			os.Exit(1)
-		}
+	t, err := spec.Topology(*topoSpec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dflyinfo: -topo:", err)
+		os.Exit(2)
 	}
 	if err := t.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "dflyinfo: validation failed:", err)

@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	tvlb -p 4 -a 8 -h 4 -g 9            # quick (minutes)
-//	tvlb -p 4 -a 8 -h 4 -g 9 -full      # paper-faithful settings
+//	tvlb -topo 'dfly(4,8,4,9)'            # quick (minutes)
+//	tvlb -topo 'dfly(4,8,4,9)' -full      # paper-faithful settings
 package main
 
 import (
@@ -23,35 +23,20 @@ import (
 	"tugal/internal/exec"
 	"tugal/internal/paths"
 	"tugal/internal/spec"
-	"tugal/internal/topo"
 )
 
 func main() {
-	p := flag.Int("p", 4, "terminal links per switch")
-	a := flag.Int("a", 8, "switches per group")
-	h := flag.Int("h", 4, "global links per switch")
-	g := flag.Int("g", 9, "number of groups")
-	topoSpec := flag.String("topo", "", spec.TopologyUsage+"; overrides -p/-a/-h/-g")
+	topoSpec := flag.String("topo", "dfly(4,8,4,9)", spec.TopologyUsage)
 	full := flag.Bool("full", false, "paper-faithful settings (slow)")
 	seed := flag.Uint64("seed", 1, "master seed")
 	failSpec := flag.String("fail", "", "failure mask: comma-separated global:<sw>:<gp>, local:<u>:<v>, switch:<sw>")
 	flag.Parse()
 
-	var t *topo.Compiled
-	var err error
-	if *topoSpec != "" {
-		t, err = spec.Topology(*topoSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tvlb: -topo:", err)
-			flag.Usage()
-			os.Exit(2)
-		}
-	} else {
-		t, err = topo.New(*p, *a, *h, *g)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tvlb:", err)
-			os.Exit(1)
-		}
+	t, err := spec.Topology(*topoSpec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tvlb: -topo:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	mask, err := spec.Failures(t, *failSpec)
 	if err != nil {
