@@ -45,17 +45,9 @@ func runFigure(b *testing.B, id string) {
 // as custom benchmark metrics, so `go test -bench` output doubles as
 // a compact reproduction log.
 func reportFigure(b *testing.B, res *tugal.FigureResult) {
-	for _, s := range res.Series {
-		c := curveOf(s)
-		b.ReportMetric(c.SaturationThroughput(), "sat:"+sanitize(s.Name))
+	for _, c := range res.Series {
+		b.ReportMetric(c.SaturationThroughput(), "sat:"+sanitize(c.Name))
 	}
-}
-
-func curveOf(s struct {
-	Name   string
-	Points []tugal.SweepPoint
-}) tugal.SweepCurve {
-	return tugal.SweepCurve{Name: s.Name, Points: s.Points}
 }
 
 func sanitize(s string) string {

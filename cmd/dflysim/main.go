@@ -1,235 +1,189 @@
 // Command dflysim runs one cycle-level simulation: a topology, a
 // routing scheme (conventional or T-), a traffic pattern and an
-// offered load, reporting latency and accepted throughput.
+// offered load, reporting latency and accepted throughput. Its flags
+// are the fields of a one-entry spec.Experiment, resolved and run as
+// cmd/experiment would run it; -fail and -chanstats are laid on the
+// resolved entry.
 //
 // Usage examples:
 //
-//	dflysim -g 9 -routing ugal-l -pattern shift:2:0 -rate 0.2
-//	dflysim -g 9 -routing t-par -policy strategic:2 -pattern perm -rate 0.4
-//	dflysim -g 17 -routing ugal-l -pattern mixed:25 -rate 0.25 -sweep
-//	dflysim -g 9 -routing ugal-pb -pattern ring@group-rr -rate 0.3
+//	dflysim -routing ugal-l -pattern shift:2:0 -rate 0.2
+//	dflysim -routing t-par -policy strategic:2 -pattern perm -rate 0.4
+//	dflysim -topo 'dfly(4,8,4,17)' -routing ugal-l -pattern mixed:25 -rate 0.25 -sweep
+//	dflysim -topo 'd3(12,4,2)' -routing ugal-pb -pattern ring@group-rr -rate 0.3
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
+	"tugal/internal/exec"
 	"tugal/internal/netsim"
-	"tugal/internal/rng"
+	"tugal/internal/paths"
+	"tugal/internal/prof"
 	"tugal/internal/routing"
 	"tugal/internal/spec"
 	"tugal/internal/sweep"
-	"tugal/internal/topo"
-	"tugal/internal/traffic"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dflysim: "+format+"\n", args...)
-	os.Exit(1)
+// flagOf names the flag behind each spec.Experiment field whose flag
+// is not spelled like the field.
+var flagOf = map[string]string{
+	"topology": "topo", "rates": "rate", "packetSize": "packet",
+	"localLatency": "local-latency", "globalLatency": "global-latency",
 }
 
-// failUsage reports a bad flag value and exits with the conventional
-// usage status.
-func failUsage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dflysim: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	p := flag.Int("p", 4, "terminal links per switch")
-	a := flag.Int("a", 8, "switches per group")
-	h := flag.Int("h", 4, "global links per switch")
-	g := flag.Int("g", 9, "number of groups")
-	arrangement := flag.String("arrangement", "absolute", "absolute|relative")
-	topoSpec := flag.String("topo", "", spec.TopologyUsage+"; overrides -p/-a/-h/-g")
-	rtName := flag.String("routing", "ugal-l", "min|vlb|ugal-l|ugal-g|ugal-pb|par|t-ugal-l|t-ugal-g|t-ugal-pb|t-par")
-	policy := flag.String("policy", "strategic:2", "T-VLB policy for t-* schemes (full|strategic[:leg]|capped:<hops>[:frac])")
-	pattern := flag.String("pattern", "ur", "traffic pattern (see internal/spec)")
-	rate := flag.Float64("rate", 0.1, "offered load, packets/cycle/node")
-	seed := flag.Uint64("seed", 1, "seed")
-	seeds := flag.Int("seeds", 1, "seeds to average")
-	warmup := flag.Int64("warmup", 30000, "warmup cycles")
-	measure := flag.Int64("measure", 10000, "measurement cycles")
-	drain := flag.Int64("drain", 20000, "drain cap, cycles")
-	vcs := flag.Int("vcs", 0, "virtual channels (0 = per-scheme default)")
-	buf := flag.Int("buffer", 32, "VC buffer depth")
-	localLat := flag.Int("local-latency", 10, "local channel latency")
-	globalLat := flag.Int("global-latency", 15, "global channel latency")
-	speedup := flag.Int("speedup", 2, "router internal speedup")
-	pktSize := flag.Int("packet", 1, "flits per packet (>1 enables wormhole)")
-	shards := flag.Int("shards", 0, "simulator shards (0/1 = sequential; bit-identical results)")
-	failSpec := flag.String("fail", "", "failure mask: comma-separated global:<sw>:<gp>, local:<u>:<v>, switch:<sw>")
-	doSweep := flag.Bool("sweep", false, "sweep loads up to -rate and report the curve")
-	points := flag.Int("points", 8, "sweep points")
-	chanStats := flag.Bool("chanstats", false, "collect and print per-channel utilization")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
-
-	// Profile plumbing mirrors cmd/experiment so a hot-loop regression
-	// seen on a single run is diagnosable without rebuilding the suite
-	// harness around it. fail() exits without running the deferred
-	// stops, which only loses the profile of an already-failed run.
-	if *cpuprofile != "" {
-		cf, err := os.Create(*cpuprofile)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := pprof.StartCPUProfile(cf); err != nil {
-			cf.Close()
-			fail("%v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			cf.Close()
-			fmt.Fprintln(os.Stderr, "dflysim: wrote CPU profile to", *cpuprofile)
-		}()
+// run is main with its exit status returned, so deferred profile
+// writers run (os.Exit skips defers) and tests can call it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dflysim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	// failUsage reports a bad flag value with the conventional usage
+	// status.
+	failUsage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "dflysim: "+format+"\n", args...)
+		fs.Usage()
+		return 2
 	}
-	if *memprofile != "" {
-		defer func() {
-			mf, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dflysim:", err)
-				return
-			}
-			defer mf.Close()
-			runtime.GC() // materialize final live-heap statistics
-			if err := pprof.WriteHeapProfile(mf); err != nil {
-				fmt.Fprintln(os.Stderr, "dflysim:", err)
-				return
-			}
-			fmt.Fprintln(os.Stderr, "dflysim: wrote heap profile to", *memprofile)
-		}()
+	def, win := netsim.DefaultConfig(), sweep.PaperWindows()
+	e := spec.Experiment{Name: "dflysim"}
+	fs.StringVar(&e.Topology, "topo", "dfly(4,8,4,9)", spec.TopologyUsage)
+	rtName := fs.String("routing", "ugal-l", "min|vlb|ugal-l|ugal-g|ugal-pb|par|t-ugal-l|t-ugal-g|t-ugal-pb|t-par")
+	fs.StringVar(&e.Policy, "policy", "strategic:2", "T-VLB policy for t-* schemes (full|strategic[:leg]|capped:<hops>[:frac])")
+	fs.StringVar(&e.Pattern, "pattern", "ur", "traffic pattern (see internal/spec)")
+	rate := fs.Float64("rate", 0.1, "offered load, packets/cycle/node")
+	fs.Uint64Var(&e.Seed, "seed", def.Seed, "seed")
+	fs.IntVar(&e.Seeds, "seeds", 1, "seeds to average")
+	fs.Int64Var(&e.Warmup, "warmup", win.Warmup, "warmup cycles")
+	fs.Int64Var(&e.Measure, "measure", win.Measure, "measurement cycles")
+	fs.Int64Var(&e.Drain, "drain", win.Drain, "drain cap, cycles")
+	fs.IntVar(&e.VCs, "vcs", 0, "virtual channels (0 = per-scheme default)")
+	fs.IntVar(&e.Buffer, "buffer", def.BufSize, "VC buffer depth")
+	fs.IntVar(&e.LocalLatency, "local-latency", def.LocalLatency, "local channel latency")
+	fs.IntVar(&e.GlobalLatency, "global-latency", def.GlobalLatency, "global channel latency")
+	fs.IntVar(&e.Speedup, "speedup", def.SpeedUp, "router internal speedup")
+	fs.IntVar(&e.PacketSize, "packet", 1, "flits per packet (>1 enables wormhole)")
+	fs.IntVar(&e.Shards, "shards", 0, "simulator shards (0/1 = sequential; bit-identical results)")
+	failSpec := fs.String("fail", "", "failure mask: comma-separated global:<sw>:<gp>, local:<u>:<v>, switch:<sw>")
+	doSweep := fs.Bool("sweep", false, "sweep loads up to -rate and report the curve")
+	points := fs.Int("points", 8, "sweep points")
+	chanStats := fs.Bool("chanstats", false, "collect and print per-channel utilization")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
-	// Every enum-style or range-constrained flag is validated up front
-	// so a typo fails with a usage error naming the bad value instead
-	// of a panic (or silence) deep inside a run.
-	arr, ok := map[string]topo.Arrangement{
-		"absolute": topo.Absolute, "relative": topo.Relative,
-	}[*arrangement]
-	if !ok {
-		failUsage("-arrangement must be absolute or relative, got %q", *arrangement)
-	}
-	if *rate <= 0 {
-		failUsage("-rate must be positive, got %v", *rate)
-	}
-	if *measure <= 0 {
-		failUsage("-measure must be positive, got %v", *measure)
-	}
-	if *shards < 0 {
-		failUsage("-shards must be >= 0, got %d", *shards)
-	}
-	if *seeds <= 0 {
-		failUsage("-seeds must be positive, got %d", *seeds)
-	}
-	var t *topo.Compiled
-	var err error
-	if *topoSpec != "" {
-		t, err = spec.Topology(*topoSpec)
-		if err != nil {
-			failUsage("-topo: %v", err)
+	// Every flag is validated before anything runs, so a typo is a
+	// usage error naming the flag and not a panic deep inside a run. An
+	// experiment reads a zero size, window or count as "the default",
+	// so a flag whose default is not zero does not take zero; every
+	// other bound is the experiment's own check.
+	zero := ""
+	fs.Visit(func(f *flag.Flag) {
+		if f.Value.String() == "0" && f.DefValue != "0" {
+			zero = f.Name
 		}
-	} else {
-		t, err = topo.NewArranged(*p, *a, *h, *g, arr)
-		if err != nil {
-			fail("%v", err)
+	})
+	if zero != "" {
+		return failUsage("-%s must not be 0", zero)
+	}
+	if *points < 1 {
+		return failUsage("-points must be positive, got %d", *points)
+	}
+	e.Routing = []string{*rtName}
+	e.Rates = []float64{*rate}
+	if *doSweep {
+		e.Rates = sweep.Rates(*rate, *points)
+	}
+	pool := exec.Default()
+	r, err := e.Resolve(pool)
+	if err != nil {
+		var fe *spec.FieldError
+		if !errors.As(err, &fe) {
+			return failUsage("%v", err)
 		}
+		name, ok := flagOf[fe.Field]
+		if !ok {
+			name = fe.Field
+		}
+		return failUsage("-%s: %v", name, fe.Err)
 	}
-	pol, err := spec.Policy(t, *policy, rng.Hash64(*seed, 0x90))
+	en := &r.Entries[0]
+	mask, err := spec.Failures(r.T, *failSpec)
 	if err != nil {
-		failUsage("-policy: %v", err)
-	}
-	rf, defVCs, err := spec.Routing(t, *rtName, pol)
-	if err != nil {
-		failUsage("-routing: %v", err)
-	}
-	if _, err := spec.Pattern(t, *pattern, *seed); err != nil {
-		failUsage("-pattern: %v", err)
-	}
-	mask, err := spec.Failures(t, *failSpec)
-	if err != nil {
-		failUsage("-fail: %v", err)
+		return failUsage("-fail: %v", err)
 	}
 	if mask != nil {
-		if u, ok := rf.(*routing.UGAL); ok {
+		// The routing function draws from what survives: its store is
+		// filtered under the mask, not compiled again.
+		en.Config.Failures = mask
+		if u, ok := en.Routing.(*routing.UGAL); ok {
 			u.Fail = mask
+			if st, ok := u.Policy.(*paths.Store); ok {
+				u.Policy = paths.CompileDegraded(r.T, st, mask)
+			}
 		}
 	}
+	en.Config.CollectChanStats = *chanStats
+	cfg := en.Config
 
-	cfg := netsim.Config{
-		Failures:         mask,
-		NumVCs:           defVCs,
-		BufSize:          *buf,
-		LocalLatency:     *localLat,
-		GlobalLatency:    *globalLat,
-		SpeedUp:          *speedup,
-		LatencyCap:       500,
-		Seed:             *seed,
-		PacketSize:       *pktSize,
-		Shards:           *shards,
-		CollectChanStats: *chanStats,
+	stop, err := prof.Start("dflysim", *cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(stderr, "dflysim:", err)
+		return 1
 	}
-	if *vcs > 0 {
-		cfg.NumVCs = *vcs
-	}
-	w := sweep.Windows{Warmup: *warmup, Measure: *measure, Drain: *drain}
-	pf := func(s uint64) traffic.Pattern {
-		pt, perr := spec.Pattern(t, *pattern, s)
-		if perr != nil {
-			panic(perr)
-		}
-		return pt
-	}
+	defer stop()
 
-	fmt.Printf("%s (%s)  routing=%s  pattern=%s  vcs=%d buf=%d lat=%d/%d speedup=%d packet=%d\n",
-		t.Label(), t.Family(), rf.Name(), *pattern, cfg.NumVCs, cfg.BufSize,
+	fmt.Fprintf(stdout, "%s (%s)  routing=%s  pattern=%s  vcs=%d buf=%d lat=%d/%d speedup=%d packet=%d\n",
+		r.T.Label(), r.T.Family(), en.Routing.Name(), e.Pattern, cfg.NumVCs, cfg.BufSize,
 		cfg.LocalLatency, cfg.GlobalLatency, cfg.SpeedUp, cfg.PacketSize)
 	if mask != nil {
-		fmt.Printf("degraded: %s\n", mask)
+		fmt.Fprintf(stdout, "degraded: %s\n", mask)
 	}
 
-	if *doSweep {
-		rates := sweep.Rates(*rate, *points)
-		c := sweep.LatencyCurve(t, cfg, rf, pf, rates, w, *seeds)
-		fmt.Printf("%8s %10s %10s %8s %8s\n", "offered", "latency", "throughput", "vlb%", "sat")
-		for _, pt := range c.Points {
-			fmt.Printf("%8.3f %10.1f %10.3f %7.1f%% %8v\n",
-				pt.Offered, pt.Latency, pt.Throughput, 100*pt.VLBFraction, pt.Saturated)
-		}
-		fmt.Printf("saturation throughput: %.3f\n", c.SaturationThroughput())
-		return
-	}
-	if *chanStats {
+	if *chanStats && !*doSweep {
 		// Channel statistics need a direct run (they are not
 		// aggregated across seeds).
-		n := netsim.New(t, cfg, rf, pf(*seed), *rate)
-		res := n.Run(*warmup, *measure, *drain)
-		fmt.Printf("offered:    %.4f packets/cycle/node\n", res.OfferedLoad)
-		fmt.Printf("latency:    %.1f cycles (p50 %.1f, p99 %.1f)\n",
+		w := r.Windows
+		res := netsim.New(r.T, cfg, en.Routing, r.Pattern(cfg.Seed), *rate).Run(w.Warmup, w.Measure, w.Drain)
+		fmt.Fprintf(stdout, "offered:    %.4f packets/cycle/node\n", res.OfferedLoad)
+		fmt.Fprintf(stdout, "latency:    %.1f cycles (p50 %.1f, p99 %.1f)\n",
 			res.AvgLatency, res.P50Latency, res.P99Latency)
-		fmt.Printf("throughput: %.4f packets/cycle/node\n", res.Throughput)
+		fmt.Fprintf(stdout, "throughput: %.4f packets/cycle/node\n", res.Throughput)
 		if mask != nil {
-			fmt.Printf("refused:    %d packets\n", res.Refused)
+			fmt.Fprintf(stdout, "refused:    %d packets\n", res.Refused)
 		}
-		fmt.Printf("saturated:  %v\n", res.Saturated)
+		fmt.Fprintf(stdout, "saturated:  %v\n", res.Saturated)
 		if cs := res.Channels; cs != nil {
-			fmt.Printf("local  channels: mean %.3f max %.3f (max/mean %.2f)\n",
+			fmt.Fprintf(stdout, "local  channels: mean %.3f max %.3f (max/mean %.2f)\n",
 				cs.LocalMean, cs.LocalMax, cs.LocalMaxOverMean)
-			fmt.Printf("global channels: mean %.3f max %.3f (max/mean %.2f)\n",
+			fmt.Fprintf(stdout, "global channels: mean %.3f max %.3f (max/mean %.2f)\n",
 				cs.GlobalMean, cs.GlobalMax, cs.GlobalMaxOverMean)
 		}
-		return
+		return 0
 	}
-	pt := sweep.RunPoint(t, cfg, rf, pf, *rate, w, *seeds)
-	fmt.Printf("offered:    %.4f packets/cycle/node\n", pt.Offered)
-	fmt.Printf("latency:    %.1f ± %.1f cycles\n", pt.Latency, pt.LatencyErr)
-	fmt.Printf("throughput: %.4f packets/cycle/node\n", pt.Throughput)
-	fmt.Printf("VLB share:  %.1f%%\n", 100*pt.VLBFraction)
-	fmt.Printf("avg hops:   %.2f\n", pt.AvgHops)
-	fmt.Printf("saturated:  %v\n", pt.Saturated)
+	c := r.Run(pool).Curves[0]
+	if *doSweep {
+		fmt.Fprintf(stdout, "%8s %10s %10s %8s %8s\n", "offered", "latency", "throughput", "vlb%", "sat")
+		for _, pt := range c.Points {
+			fmt.Fprintf(stdout, "%8.3f %10.1f %10.3f %7.1f%% %8v\n",
+				pt.Offered, pt.Latency, pt.Throughput, 100*pt.VLBFraction, pt.Saturated)
+		}
+		fmt.Fprintf(stdout, "saturation throughput: %.3f\n", c.SaturationThroughput())
+		return 0
+	}
+	pt := c.Points[0]
+	fmt.Fprintf(stdout, "offered:    %.4f packets/cycle/node\n", pt.Offered)
+	fmt.Fprintf(stdout, "latency:    %.1f ± %.1f cycles\n", pt.Latency, pt.LatencyErr)
+	fmt.Fprintf(stdout, "throughput: %.4f packets/cycle/node\n", pt.Throughput)
+	fmt.Fprintf(stdout, "VLB share:  %.1f%%\n", 100*pt.VLBFraction)
+	fmt.Fprintf(stdout, "avg hops:   %.2f\n", pt.AvgHops)
+	fmt.Fprintf(stdout, "saturated:  %v\n", pt.Saturated)
+	return 0
 }

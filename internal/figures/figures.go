@@ -15,15 +15,9 @@ package figures
 import (
 	"fmt"
 	"sort"
-	"sync"
 
-	"tugal/internal/core"
-	"tugal/internal/exec"
-	"tugal/internal/netsim"
-	"tugal/internal/paths"
-	"tugal/internal/routing"
+	"tugal/internal/spec"
 	"tugal/internal/sweep"
-	"tugal/internal/topo"
 )
 
 // Scale selects experiment fidelity.
@@ -70,46 +64,44 @@ func (o Options) windows(large bool) sweep.Windows {
 	}
 }
 
-// Series is one curve of a figure.
-type Series struct {
-	Name   string
-	Points []sweep.Point
-}
-
 // Result is a regenerated table or figure.
 type Result struct {
 	ID     string
 	Title  string
 	Header []string
 	Rows   [][]string
-	Series []Series
+	Series []sweep.Curve
 }
 
 // runner produces a Result.
 type runner func(Options) (*Result, error)
 
+// registry holds every table and figure: tables and the Step-1 curves
+// have a runner; Figures 6-18 are a list of spec.Experiment values (see
+// latency.go) that Run scales and runs.
 var registry = map[string]struct {
 	title string
 	run   runner
+	sim   []spec.Experiment
 }{
-	"table1": {"Table 1: coarse-grain probe grid", runTable1},
-	"table2": {"Table 2: topologies used in the experiments", runTable2},
-	"table3": {"Table 3: default network parameters", runTable3},
-	"fig4":   {"Figure 4: Step-1 modeled throughput, dfly(4,8,4,9)", runFig4},
-	"fig5":   {"Figure 5: Step-1 modeled throughput, dfly(4,8,4,33)", runFig5},
-	"fig6":   {"Figure 6: shift(2,0) latency, UGAL-L/PAR, dfly(4,8,4,9)", runFig6},
-	"fig7":   {"Figure 7: shift(2,0) latency, UGAL-G, dfly(4,8,4,9)", runFig7},
-	"fig8":   {"Figure 8: random permutation, UGAL-L/PAR, dfly(4,8,4,9)", runFig8},
-	"fig9":   {"Figure 9: random permutation, UGAL-G, dfly(4,8,4,9)", runFig9},
-	"fig10":  {"Figure 10: MIXED(75,25), UGAL-L/PAR, dfly(4,8,4,17)", runFig10},
-	"fig11":  {"Figure 11: MIXED(25,75), UGAL-L/PAR, dfly(4,8,4,17)", runFig11},
-	"fig12":  {"Figure 12: TMIXED(50,50), UGAL-L/PAR, dfly(4,8,4,17)", runFig12},
-	"fig13":  {"Figure 13: shift(1,0), all schemes, dfly(13,26,13,27)", runFig13},
-	"fig14":  {"Figure 14: MIXED(50,50), all schemes, dfly(13,26,13,27)", runFig14},
-	"fig15":  {"Figure 15: link-latency sensitivity, UGAL-G, dfly(4,8,4,17)", runFig15},
-	"fig16":  {"Figure 16: buffer-length sensitivity, UGAL-L, dfly(4,8,4,17)", runFig16},
-	"fig17":  {"Figure 17: speedup sensitivity, PAR, dfly(4,8,4,17)", runFig17},
-	"fig18":  {"Figure 18: VC-scheme sensitivity, UGAL-G, dfly(4,8,4,9)", runFig18},
+	"table1": {title: "Table 1: coarse-grain probe grid", run: runTable1},
+	"table2": {title: "Table 2: topologies used in the experiments", run: runTable2},
+	"table3": {title: "Table 3: default network parameters", run: runTable3},
+	"fig4":   {title: "Figure 4: Step-1 modeled throughput, dfly(4,8,4,9)", run: runFig4},
+	"fig5":   {title: "Figure 5: Step-1 modeled throughput, dfly(4,8,4,33)", run: runFig5},
+	"fig6":   {title: "Figure 6: shift(2,0) latency, UGAL-L/PAR, dfly(4,8,4,9)", sim: fig6},
+	"fig7":   {title: "Figure 7: shift(2,0) latency, UGAL-G, dfly(4,8,4,9)", sim: fig7},
+	"fig8":   {title: "Figure 8: random permutation, UGAL-L/PAR, dfly(4,8,4,9)", sim: fig8},
+	"fig9":   {title: "Figure 9: random permutation, UGAL-G, dfly(4,8,4,9)", sim: fig9},
+	"fig10":  {title: "Figure 10: MIXED(75,25), UGAL-L/PAR, dfly(4,8,4,17)", sim: fig10},
+	"fig11":  {title: "Figure 11: MIXED(25,75), UGAL-L/PAR, dfly(4,8,4,17)", sim: fig11},
+	"fig12":  {title: "Figure 12: TMIXED(50,50), UGAL-L/PAR, dfly(4,8,4,17)", sim: fig12},
+	"fig13":  {title: "Figure 13: shift(1,0), all schemes, dfly(13,26,13,27)", sim: fig13},
+	"fig14":  {title: "Figure 14: MIXED(50,50), all schemes, dfly(13,26,13,27)", sim: fig14},
+	"fig15":  {title: "Figure 15: link-latency sensitivity, UGAL-G, dfly(4,8,4,17)", sim: fig15},
+	"fig16":  {title: "Figure 16: buffer-length sensitivity, UGAL-L, dfly(4,8,4,17)", sim: fig16},
+	"fig17":  {title: "Figure 17: speedup sensitivity, PAR, dfly(4,8,4,17)", sim: fig17},
+	"fig18":  {title: "Figure 18: VC-scheme sensitivity, UGAL-G, dfly(4,8,4,9)", sim: fig18},
 }
 
 // All lists the experiment ids in canonical order.
@@ -145,161 +137,15 @@ func Run(id string, opt Options) (*Result, error) {
 	if opt.Seeds < 1 {
 		opt.Seeds = 1
 	}
-	res, err := r.run(opt)
+	run := r.run
+	if run == nil {
+		run = func(opt Options) (*Result, error) { return runSim(id, opt) }
+	}
+	res, err := run(opt)
 	if err != nil {
 		return nil, err
 	}
 	res.ID, res.Title = id, r.title
-	return res, nil
-}
-
-// tvlbPolicy returns the T-VLB path policy used by the T- schemes in
-// the simulation figures. The paper's Algorithm-1 outcome for these
-// topologies is the strategic 2-hop+3-hop choice with load-balance
-// adjustment; at demo/bench scale the adjustment (a whole-topology
-// enumeration pass) is skipped, at paper scale it runs with the
-// default options and is cached per topology. cmd/tvlb recomputes
-// the full pipeline from scratch.
-func tvlbPolicy(t *topo.Compiled, opt Options) paths.Policy {
-	base := paths.Strategic{T: t, FirstLeg: 2}
-	if opt.Scale != ScalePaper {
-		return base
-	}
-	key := tvlbKey{params: t.Label(), seed: opt.Seed}
-	tvlbCacheMu.Lock()
-	defer tvlbCacheMu.Unlock()
-	if pol, ok := tvlbCache[key]; ok {
-		return pol
-	}
-	lb := core.DefaultLBOptions()
-	lb.Seed = opt.Seed
-	adj, _ := core.Rebalance(t, base, lb)
-	adj = paths.SetLabel(adj, "T-VLB(strategic 2+3)")
-	tvlbCache[key] = adj
-	return adj
-}
-
-type tvlbKey struct {
-	params string
-	seed   uint64
-}
-
-var (
-	tvlbCacheMu sync.Mutex
-	tvlbCache   = map[tvlbKey]paths.Policy{}
-)
-
-// scheme bundles a routing function with its VC requirement.
-type scheme struct {
-	rf  netsim.RoutingFunc
-	vcs int
-}
-
-// storeCache holds compiled path stores shared across figures: the
-// same conventional set backs fig6-9 and fig18, and stores are
-// immutable, so one compile per (topology, policy) serves every
-// scheme and every worker. Keying by policy name is sound here
-// because the only cached policies are Full and Strategic, whose
-// names determine their sets given the topology.
-var (
-	storeCacheMu sync.Mutex
-	storeCache   = map[storeKey]paths.Policy{}
-)
-
-type storeKey struct {
-	params string
-	name   string
-}
-
-// compiled returns the store-backed form of pol when it fits the
-// compile budget (reporting build time and arena bytes to the pool
-// observer on a fresh compile), or pol itself when it does not —
-// the Figure 13/14 topology stays interpreted by design.
-func compiled(t *topo.Compiled, pol paths.Policy) paths.Policy {
-	if _, already := pol.(*paths.Store); already {
-		return pol
-	}
-	key := storeKey{params: t.Label(), name: pol.Name()}
-	storeCacheMu.Lock()
-	defer storeCacheMu.Unlock()
-	if st, ok := storeCache[key]; ok {
-		return st
-	}
-	st, ok := paths.Compiled(exec.Default(), t, pol, nil)
-	if !ok {
-		return pol
-	}
-	storeCache[key] = st
-	return st
-}
-
-// mkSchemes builds the requested conventional/T pairs. Both policies
-// are compiled once (when within budget) and shared read-only by
-// every scheme and cloned run on the pool.
-func mkSchemes(t *topo.Compiled, opt Options, which ...string) []scheme {
-	tp := compiled(t, tvlbPolicy(t, opt))
-	full := compiled(t, paths.Full{T: t})
-	out := make([]scheme, 0, len(which))
-	for _, w := range which {
-		switch w {
-		case "UGAL-L":
-			out = append(out, scheme{routing.NewUGALL(t, full), 4})
-		case "T-UGAL-L":
-			r := routing.NewUGALL(t, tp)
-			r.Label = "T-UGAL-L"
-			out = append(out, scheme{r, 4})
-		case "UGAL-G":
-			out = append(out, scheme{routing.NewUGALG(t, full), 4})
-		case "T-UGAL-G":
-			r := routing.NewUGALG(t, tp)
-			r.Label = "T-UGAL-G"
-			out = append(out, scheme{r, 4})
-		case "PAR":
-			out = append(out, scheme{routing.NewPAR(t, full), 5})
-		case "T-PAR":
-			r := routing.NewPAR(t, tp)
-			r.Label = "T-PAR"
-			out = append(out, scheme{r, 5})
-		case "MIN":
-			out = append(out, scheme{routing.NewMin(t), 4})
-		default:
-			panic("figures: unknown scheme " + w)
-		}
-	}
-	return out
-}
-
-// latencyFigure sweeps each scheme over the rates for a pattern. The
-// per-scheme curves run concurrently on the default pool and land in
-// a slice by index, so series order (and content) matches the former
-// sequential loop exactly.
-func latencyFigure(t *topo.Compiled, opt Options, pf sweep.PatternFactory,
-	rates []float64, large bool, which ...string) (*Result, error) {
-	res := &Result{}
-	w := opt.windows(large)
-	schemes := mkSchemes(t, opt, which...)
-	curves := make([]sweep.Curve, len(schemes))
-	pool := exec.Default()
-	pool.Run("figure/latency", len(schemes), func(i int) int64 {
-		cfg := netsim.DefaultConfig()
-		cfg.NumVCs = schemes[i].vcs
-		cfg.Seed = opt.Seed
-		cfg.Shards = opt.Shards
-		curves[i] = sweep.LatencyCurveOn(pool, t, cfg, schemes[i].rf, pf, rates, w, opt.Seeds)
-		return 0
-	})
-	for _, c := range curves {
-		res.Series = append(res.Series, Series{Name: c.Name, Points: c.Points})
-	}
-	res.Header = []string{"scheme", "saturation-throughput", "latency@low-load"}
-	for _, s := range res.Series {
-		c := sweep.Curve{Name: s.Name, Points: s.Points}
-		res.Rows = append(res.Rows, []string{
-			s.Name,
-			fmt.Sprintf("%.3f", c.SaturationThroughput()),
-			fmt.Sprintf("%.1f", s.Points[0].Latency),
-		})
-	}
 	return res, nil
 }
 

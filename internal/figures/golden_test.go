@@ -1,9 +1,15 @@
 package figures
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 
+	"tugal/internal/exec"
+	"tugal/internal/spec"
 	"tugal/internal/sweep"
 )
 
@@ -61,18 +67,81 @@ var goldenFigures = []struct {
 	{"fig18", true, 0x7a0bca3c3d9b0b20},
 }
 
+var benchOptions = Options{Scale: ScaleBench, Seed: 1, Seeds: 1}
+
+// benchFigure runs a figure at benchOptions once for all the tests
+// that read it.
+var benchFigure = func() func(t *testing.T, id string) *Result {
+	type run struct {
+		once sync.Once
+		res  *Result
+		err  error
+	}
+	var runs sync.Map
+	return func(t *testing.T, id string) *Result {
+		v, _ := runs.LoadOrStore(id, new(run))
+		r := v.(*run)
+		r.once.Do(func() { r.res, r.err = Run(id, benchOptions) })
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r.res
+	}
+}()
+
 func TestGoldenFigures(t *testing.T) {
 	for _, g := range goldenFigures {
 		if testing.Short() && !g.short {
 			continue
 		}
 		t.Run(g.id, func(t *testing.T) {
-			res, err := Run(g.id, Options{Scale: ScaleBench, Seed: 1, Seeds: 1})
+			res := benchFigure(t, g.id)
+			if got := foldResult(res); got != g.fold {
+				t.Errorf("%s fold = %#x, golden %#x", g.id, got, g.fold)
+			}
+		})
+	}
+}
+
+// TestFigureIsASuite: a figure is its experiments and nothing else.
+// Marshalled to suite JSON and run the way cmd/experiment runs a suite
+// (LoadSuite, then RunOn per entry), every figure the grammar can
+// express gives the curves Run gives, bit for bit, under the names Run
+// gives them less the "(setting)" a sensitivity figure appends. Figure
+// 18 is not expressible (routing.HopCountVC); Figures 13 and 14 are,
+// and are left to their goldens: the same path on a topology that
+// costs a minute a figure.
+func TestFigureIsASuite(t *testing.T) {
+	for _, g := range goldenFigures {
+		if g.id == "fig13" || g.id == "fig14" || g.id == "fig18" || testing.Short() && !g.short {
+			continue
+		}
+		t.Run(g.id, func(t *testing.T) {
+			js, err := json.Marshal(spec.Suite{Experiments: experiments(g.id, benchOptions)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := foldResult(res); got != g.fold {
-				t.Errorf("%s fold = %#x, golden %#x", g.id, got, g.fold)
+			suite, err := spec.LoadSuite(bytes.NewReader(js))
+			if err != nil {
+				t.Fatalf("%s: %v", js, err)
+			}
+			var got []sweep.Curve
+			for i := range suite.Experiments {
+				res, err := suite.Experiments[i].RunOn(exec.Default())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, res.Curves...)
+			}
+			want := benchFigure(t, g.id).Series
+			if len(got) != len(want) {
+				t.Fatalf("suite gave %d curves, figure %d", len(got), len(want))
+			}
+			for i, c := range got {
+				name, _, _ := strings.Cut(want[i].Name, "(")
+				if c.Name != name || foldPoints(0, "", c.Points) != foldPoints(0, "", want[i].Points) {
+					t.Errorf("curve %d: suite %s %+v, figure %s %+v", i, c.Name, c.Points, want[i].Name, want[i].Points)
+				}
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tugal/internal/netsim"
 	"tugal/internal/topo"
 )
 
@@ -93,11 +94,13 @@ func FuzzFailures(f *testing.F) {
 }
 
 // FuzzLoadSuite: any bytes are refused or become a suite every
-// experiment of which names its parts, sweeps rates inside (0,1] and
-// carries no negative window, seed count, buffer, latency or shard
-// count for netsim to size an array with — never a panic. The decoder
-// reads fields it knows into slices the input spelled out, so what it
-// allocates is bounded by the input.
+// experiment of which passes the static check (Resolve on no pool: no
+// compile, no simulation) into something netsim and sweep can size
+// their arrays from — parts named, rates inside (0,1], windows and seed
+// count sane, every entry's config inside netsim's bounds — never a
+// panic, never an out-of-memory wheel. The decoder reads fields it
+// knows into slices the input spelled out, so what it allocates is
+// bounded by the input.
 func FuzzLoadSuite(f *testing.F) {
 	for _, js := range []string{
 		`{"experiments":[{"name":"smoke","topology":"2,4,2,9","pattern":"shift:1:0","routing":["ugal-l","t-ugal-l"],"policy":"capped:4","rates":[0.05,0.15],"warmup":1500,"measure":1000,"drain":2000}]}`,
@@ -108,6 +111,9 @@ func FuzzLoadSuite(f *testing.F) {
 		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["min"],"rates":[0.1],"seeds":-1,"warmup":-5,"buffer":-3}]}`,
 		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["min"],"rates":[0.1],"shards":-2}]}`,
 		`{"experiments":[{"name":"x","topology":"t","pattern":"p","routing":["r"],"rates":[1e-320],"vcs":99999999999}]}`,
+		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["par"],"rates":[1e-320],"vcs":40}]}`,
+		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["min"],"rates":[0.1],"localLatency":2000000000}]}`,
+		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["min"],"rates":[0.1],"packetSize":9,"buffer":8}]}`,
 		`{"experiments":[`, `[]`, `null`, ``,
 	} {
 		f.Add([]byte(js))
@@ -129,13 +135,19 @@ func FuzzLoadSuite(f *testing.F) {
 					t.Fatalf("%q: accepted rate %v", e.Name, r)
 				}
 			}
-			for _, v := range []int64{int64(e.Seeds), e.Warmup, e.Measure, e.Drain, int64(e.Buffer), int64(e.LocalLatency), int64(e.GlobalLatency), int64(e.Speedup), int64(e.PacketSize)} {
-				if v <= 0 {
-					t.Fatalf("%q: accepted a non-positive size or count: %+v", e.Name, e)
-				}
+			r, err := e.Resolve(nil)
+			if err != nil {
+				t.Fatalf("%q: loaded, then refused: %v", e.Name, err)
 			}
-			if e.VCs < 0 || e.Shards < 0 {
-				t.Fatalf("%q: accepted vcs %d, shards %d", e.Name, e.VCs, e.Shards)
+			if w := r.Windows; w.Warmup < 0 || w.Measure <= 0 || w.Drain < 0 || r.Seeds < 1 || len(r.Entries) != len(e.Routing) || r.T.Radix() > 64 {
+				t.Fatalf("%q: resolved to windows %+v, %d seeds, %d entries, radix %d", e.Name, w, r.Seeds, len(r.Entries), r.T.Radix())
+			}
+			for _, en := range r.Entries {
+				c := en.Config
+				if c.NumVCs < 1 || c.NumVCs > 16 || c.BufSize < 1 || c.BufSize > 128 || c.SpeedUp < 1 || c.PacketSize < 0 || c.PacketSize > c.BufSize ||
+					c.LocalLatency < 0 || c.LocalLatency > netsim.MaxLatency || c.GlobalLatency < 0 || c.GlobalLatency > netsim.MaxLatency || c.Shards < 0 {
+					t.Fatalf("%q: %s resolved to a config netsim refuses: %+v", e.Name, en.Routing.Name(), c)
+				}
 			}
 		}
 	})

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"tugal/internal/netsim"
 	"tugal/internal/paths"
+	"tugal/internal/sweep"
 	"tugal/internal/topo"
 )
 
@@ -167,16 +169,83 @@ func TestSuiteLoadAndRun(t *testing.T) {
 	}
 }
 
+// TestSuiteValidation: every bad suite is an error naming the field —
+// none reaches netsim to panic there or to size a timing wheel out of
+// memory.
 func TestSuiteValidation(t *testing.T) {
-	bad := []string{
-		`{}`,
-		`{"experiments":[{"name":"x"}]}`,
-		`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["min"],"rates":[2.0]}]}`,
-		`{"experiments":[{"name":"x","unknown":1}]}`,
-	}
-	for _, js := range bad {
-		if _, err := LoadSuite(strings.NewReader(js)); err == nil {
-			t.Fatalf("accepted %s", js)
+	const ok = `"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["min","par"],"rates":[0.1]`
+	for _, c := range []struct{ js, field string }{
+		{`{}`, "no experiments"},
+		{`{"experiments":[{"name":"x","unknown":1}]}`, "unknown"},
+		{`{"experiments":[{"topology":"2,4,2,9"}]}`, `"name"`},
+		{`{"experiments":[{"name":"x"}]}`, `"topology"`},
+		{`{"experiments":[{"name":"x","topology":"2,4,2,9"}]}`, `"pattern"`},
+		{`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur"}]}`, `"routing"`},
+		{`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["min"]}]}`, `"rates"`},
+		{`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["min"],"rates":[2.0]}]}`, `"rates"`},
+		{`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["min"],"rates":[0]}]}`, `"rates"`},
+		{`{"experiments":[{"name":"x","topology":"2,4,2","pattern":"ur","routing":["min"],"rates":[0.1]}]}`, `"topology"`},
+		{`{"experiments":[{"name":"x","topology":"dfly(1,64,64,2)","pattern":"ur","routing":["min"],"rates":[0.1]}]}`, `"topology"`},
+		{`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"warp","routing":["min"],"rates":[0.1]}]}`, `"pattern"`},
+		{`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["ospf"],"rates":[0.1]}]}`, `"routing"`},
+		{`{"experiments":[{` + ok + `,"policy":"capped"}]}`, `"policy"`},
+		{`{"experiments":[{` + ok + `,"localLatency":2000000000}]}`, `"localLatency"`},
+		{`{"experiments":[{` + ok + `,"globalLatency":-1}]}`, `"globalLatency"`},
+		{`{"experiments":[{` + ok + `,"vcs":40}]}`, `"vcs"`},
+		{`{"experiments":[{` + ok + `,"vcs":-1}]}`, `"vcs"`},
+		{`{"experiments":[{` + ok + `,"packetSize":9,"buffer":8}]}`, `"packetSize"`},
+		{`{"experiments":[{` + ok + `,"buffer":129}]}`, `"buffer"`},
+		{`{"experiments":[{` + ok + `,"speedup":-2}]}`, `"speedup"`},
+		{`{"experiments":[{` + ok + `,"warmup":-5}]}`, `"warmup"`},
+		{`{"experiments":[{` + ok + `,"measure":-1}]}`, `"measure"`},
+		{`{"experiments":[{` + ok + `,"drain":-1}]}`, `"drain"`},
+		{`{"experiments":[{` + ok + `,"seeds":-1}]}`, `"seeds"`},
+		{`{"experiments":[{` + ok + `,"shards":-2}]}`, `"shards"`},
+	} {
+		_, err := LoadSuite(strings.NewReader(c.js))
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %v, want one naming %s", c.js, err, c.field)
 		}
+	}
+	if _, err := LoadSuite(strings.NewReader(`{"experiments":[{` + ok + `,"localLatency":32767,"vcs":16,"buffer":128,"packetSize":128}]}`)); err != nil {
+		t.Errorf("refused a suite at the bounds: %v", err)
+	}
+}
+
+// TestResolveConfig: a resolved entry's config is Table 3
+// (netsim.DefaultConfig) with the experiment's non-zero fields laid
+// over it, and its VC count is the scheme's own budget unless the
+// experiment sets vcs.
+func TestResolveConfig(t *testing.T) {
+	names := []string{"min", "vlb", "ugal-l", "ugal-g", "ugal-pb", "par", "t-ugal-l", "t-ugal-g", "t-ugal-pb", "t-par"}
+	e := Experiment{Name: "x", Topology: "dfly(2,4,2,9)", Pattern: "ur", Routing: names, Rates: []float64{0.1}}
+	r, err := e.Resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Windows != sweep.PaperWindows() || r.Seeds != 1 {
+		t.Fatalf("default windows %+v, seeds %d", r.Windows, r.Seeds)
+	}
+	for i, en := range r.Entries {
+		_, budget, _ := Routing(r.T, names[i], nil)
+		want := netsim.DefaultConfig()
+		want.NumVCs = budget
+		if en.Config != want {
+			t.Errorf("%s: config %+v, want Table 3 with %d VCs", names[i], en.Config, budget)
+		}
+	}
+	e.VCs, e.Buffer, e.LocalLatency, e.GlobalLatency, e.Speedup, e.PacketSize, e.Shards, e.Seed = 6, 8, 40, 60, 1, 2, 3, 9
+	e.Warmup, e.Measure, e.Drain, e.Seeds = 100, 200, 300, 4
+	if r, err = e.Resolve(nil); err != nil {
+		t.Fatal(err)
+	}
+	want := netsim.Config{NumVCs: 6, BufSize: 8, LocalLatency: 40, GlobalLatency: 60, SpeedUp: 1, LatencyCap: netsim.DefaultConfig().LatencyCap, Seed: 9, PacketSize: 2, Shards: 3}
+	for i, en := range r.Entries {
+		if en.Config != want {
+			t.Errorf("%s: config %+v, want %+v", names[i], en.Config, want)
+		}
+	}
+	if r.Windows != (sweep.Windows{Warmup: 100, Measure: 200, Drain: 300}) || r.Seeds != 4 {
+		t.Fatalf("windows %+v, seeds %d", r.Windows, r.Seeds)
 	}
 }

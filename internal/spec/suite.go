@@ -2,8 +2,10 @@ package spec
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"tugal/internal/exec"
@@ -11,6 +13,7 @@ import (
 	"tugal/internal/paths"
 	"tugal/internal/rng"
 	"tugal/internal/sweep"
+	"tugal/internal/topo"
 	"tugal/internal/traffic"
 )
 
@@ -35,7 +38,13 @@ type Suite struct {
 	Experiments []Experiment `json:"experiments"`
 }
 
-// Experiment is one sweep definition.
+// Experiment is the one description of a simulation sweep: the suite
+// format of cmd/experiment, what a paper figure is a table of
+// (internal/figures) and what cmd/dflysim binds its flags to. A zero
+// numeric field means the default: Table 3 (netsim.DefaultConfig) for
+// the network parameters and the seed, the paper's windows
+// (sweep.PaperWindows), one seed per point, and for vcs each routing
+// scheme's own budget.
 type Experiment struct {
 	Name          string    `json:"name"`
 	Topology      string    `json:"topology"`
@@ -61,7 +70,9 @@ type Experiment struct {
 	Shards int `json:"shards"`
 }
 
-// LoadSuite parses and validates a suite.
+// LoadSuite parses a suite and resolves every experiment statically
+// (Resolve on no pool), so a bad entry anywhere is reported before
+// anything runs.
 func LoadSuite(r io.Reader) (*Suite, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -73,72 +84,160 @@ func LoadSuite(r io.Reader) (*Suite, error) {
 		return nil, fmt.Errorf("spec: suite has no experiments")
 	}
 	for i := range s.Experiments {
-		if err := s.Experiments[i].normalize(); err != nil {
+		if _, err := s.Experiments[i].Resolve(nil); err != nil {
 			return nil, fmt.Errorf("spec: experiment %d (%q): %w", i, s.Experiments[i].Name, err)
 		}
 	}
 	return &s, nil
 }
 
-// normalize applies defaults and validates statically.
-func (e *Experiment) normalize() error {
-	if e.Name == "" {
-		return fmt.Errorf("missing name")
+// FieldError is a bad value in one field of an Experiment, named as
+// the suite JSON spells it.
+type FieldError struct {
+	Field string
+	Err   error
+}
+
+func (e *FieldError) Error() string { return fmt.Sprintf("%q: %v", e.Field, e.Err) }
+func (e *FieldError) Unwrap() error { return e.Err }
+
+// configField names the Experiment field behind each netsim.Config
+// field (and the rate) that netsim.Config.Check can refuse.
+var configField = map[string]string{
+	"rate": "rates", "NumVCs": "vcs", "BufSize": "buffer", "SpeedUp": "speedup", "PacketSize": "packetSize",
+	"LocalLatency": "localLatency", "GlobalLatency": "globalLatency", "topology": "topology",
+}
+
+// lay writes v over *dst unless v is zero, an Experiment's way of
+// saying "the default".
+func lay[T comparable](dst *T, v T) {
+	var zero T
+	if v != zero {
+		*dst = v
 	}
-	if e.Topology == "" {
-		return fmt.Errorf("missing topology")
+}
+
+// Resolved is an experiment made runnable: everything Run hands to
+// sweep.LatencyCurveOn. The values are the caller's to adjust before
+// Run — that is how cmd/dflysim lays a failure mask on, and how
+// internal/figures sets the two things the grammar cannot say.
+type Resolved struct {
+	Name    string
+	T       *topo.Compiled
+	Pattern sweep.PatternFactory
+	Rates   []float64
+	Windows sweep.Windows
+	Seeds   int
+	Entries []Entry
+}
+
+// Entry is one routing entry of a resolved experiment.
+type Entry struct {
+	Routing netsim.RoutingFunc
+	Config  netsim.Config
+}
+
+// Resolve is the one step from a description to what runs: it checks
+// every field, builds the topology, the pattern factory (a fresh
+// pattern per simulation run, so concurrent runs share no state) and
+// the windows, and per routing entry the routing function and the
+// netsim.Config — netsim.DefaultConfig with the experiment's non-zero
+// fields laid over it and the scheme's VC budget unless vcs is set —
+// which netsim.Config.Check must accept at every rate. Each distinct
+// policy is compiled once on pool and shared, immutable, by every
+// entry and every cloned run; topologies over the compile budget keep
+// the interpreted policies. A nil pool compiles nothing: the static
+// check LoadSuite makes. Errors are *FieldError.
+func (e *Experiment) Resolve(pool *exec.Pool) (*Resolved, error) {
+	bad := func(field, format string, args ...any) (*Resolved, error) {
+		return nil, &FieldError{Field: field, Err: fmt.Errorf(format, args...)}
 	}
-	if e.Pattern == "" {
-		return fmt.Errorf("missing pattern")
+	switch {
+	case e.Name == "":
+		return bad("name", "missing")
+	case e.Topology == "":
+		return bad("topology", "missing")
+	case e.Pattern == "":
+		return bad("pattern", "missing")
+	case len(e.Routing) == 0:
+		return bad("routing", "missing")
+	case len(e.Rates) == 0:
+		return bad("rates", "missing")
+	case slices.Contains(e.Rates, 0):
+		return bad("rates", "0 injects nothing")
 	}
-	if len(e.Routing) == 0 {
-		return fmt.Errorf("missing routing list")
-	}
-	if len(e.Rates) == 0 {
-		return fmt.Errorf("missing rates")
-	}
-	for _, r := range e.Rates {
-		if r <= 0 || r > 1 {
-			return fmt.Errorf("rate %v out of (0,1]", r)
+	// Zero means the default; a negative count or window would size an
+	// array in sweep or netsim.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"seeds", int64(e.Seeds)}, {"warmup", e.Warmup}, {"measure", e.Measure}, {"drain", e.Drain}, {"shards", int64(e.Shards)}} {
+		if f.v < 0 {
+			return bad(f.name, "%d is negative", f.v)
 		}
 	}
-	// Zero means "the default" below; a negative one would reach netsim
-	// and sweep as an array size.
-	if min(int64(e.Seeds), e.Warmup, e.Measure, e.Drain, int64(e.VCs), int64(e.Buffer), int64(e.LocalLatency),
-		int64(e.GlobalLatency), int64(e.Speedup), int64(e.PacketSize), int64(e.Shards)) < 0 {
-		return fmt.Errorf("negative count, window, size or latency in %+v", *e)
+	base := netsim.DefaultConfig()
+	lay(&base.Seed, e.Seed)
+	lay(&base.BufSize, e.Buffer)
+	lay(&base.LocalLatency, e.LocalLatency)
+	lay(&base.GlobalLatency, e.GlobalLatency)
+	lay(&base.SpeedUp, e.Speedup)
+	base.PacketSize, base.Shards = e.PacketSize, e.Shards
+	res := &Resolved{Name: e.Name, Rates: e.Rates, Windows: sweep.PaperWindows(), Seeds: max(e.Seeds, 1)}
+	lay(&res.Windows.Warmup, e.Warmup)
+	lay(&res.Windows.Measure, e.Measure)
+	lay(&res.Windows.Drain, e.Drain)
+
+	t, err := Topology(e.Topology)
+	if err != nil {
+		return nil, &FieldError{"topology", err}
 	}
-	if e.Seeds == 0 {
-		e.Seeds = 1
+	pol, err := Policy(t, e.Policy, rng.Hash64(base.Seed, 0x90))
+	if err != nil {
+		return nil, &FieldError{"policy", err}
 	}
-	if e.Seed == 0 {
-		e.Seed = 1
+	if _, err := Pattern(t, e.Pattern, base.Seed); err != nil {
+		return nil, &FieldError{"pattern", err}
 	}
-	if e.Warmup == 0 {
-		e.Warmup = 30000
+	res.T = t
+	res.Pattern = func(seed uint64) traffic.Pattern {
+		p, perr := Pattern(t, e.Pattern, seed)
+		if perr != nil {
+			panic(perr) // parsed above; only the seed varies
+		}
+		return p
 	}
-	if e.Measure == 0 {
-		e.Measure = 10000
+	var conv paths.Policy = paths.Full{T: t}
+	if pool != nil {
+		if st, ok := paths.Compiled(pool, t, pol, nil); ok {
+			pol = st
+		}
+		if slices.ContainsFunc(e.Routing, func(name string) bool {
+			l := strings.ToLower(name)
+			return l != "min" && !strings.HasPrefix(l, "t-")
+		}) {
+			if st, ok := paths.Compiled(pool, t, conv, nil); ok {
+				conv = st
+			}
+		}
 	}
-	if e.Drain == 0 {
-		e.Drain = 20000
+	for _, name := range e.Routing {
+		rf, vcs, err := routingWith(t, name, pol, conv)
+		if err != nil {
+			return nil, &FieldError{"routing", err}
+		}
+		cfg := base
+		cfg.NumVCs = vcs
+		lay(&cfg.NumVCs, e.VCs)
+		for _, rate := range e.Rates {
+			var ce *netsim.ConfigError
+			if err := cfg.Check(t, rate); errors.As(err, &ce) {
+				return bad(configField[ce.Field], "%s: %s", rf.Name(), ce.Msg)
+			}
+		}
+		res.Entries = append(res.Entries, Entry{Routing: rf, Config: cfg})
 	}
-	if e.Buffer == 0 {
-		e.Buffer = 32
-	}
-	if e.LocalLatency == 0 {
-		e.LocalLatency = 10
-	}
-	if e.GlobalLatency == 0 {
-		e.GlobalLatency = 15
-	}
-	if e.Speedup == 0 {
-		e.Speedup = 2
-	}
-	if e.PacketSize == 0 {
-		e.PacketSize = 1
-	}
-	return nil
+	return res, nil
 }
 
 // ExperimentResult is one experiment's curves.
@@ -152,77 +251,23 @@ func (e *Experiment) Run() (*ExperimentResult, error) {
 	return e.RunOn(exec.Default())
 }
 
-// RunOn executes the experiment on an explicit pool. Every routing
-// entry is resolved (and its errors reported) up front; the per-entry
-// sweeps then run concurrently and land in Curves by entry index, so
-// the result is identical to the former sequential loop.
+// RunOn resolves the experiment and runs it on pool.
 func (e *Experiment) RunOn(pool *exec.Pool) (*ExperimentResult, error) {
-	t, err := Topology(e.Topology)
+	r, err := e.Resolve(pool)
 	if err != nil {
 		return nil, err
 	}
-	pol, err := Policy(t, e.Policy, rng.Hash64(e.Seed, 0x90))
-	if err != nil {
-		return nil, err
-	}
-	// Validate the pattern spec once up front; the factory builds a
-	// fresh instance per simulation run, so concurrent runs never
-	// share pattern state.
-	if _, err := Pattern(t, e.Pattern, e.Seed); err != nil {
-		return nil, err
-	}
-	pf := func(seed uint64) traffic.Pattern {
-		p, perr := Pattern(t, e.Pattern, seed)
-		if perr != nil {
-			panic(perr) // validated above; only seed varies
-		}
-		return p
-	}
-	// Compile each distinct policy once per experiment; every routing
-	// entry (and every cloned run on the pool) shares the immutable
-	// store. Over-budget topologies keep the interpreted policies.
-	if st, ok := paths.Compiled(pool, t, pol, nil); ok {
-		pol = st
-	}
-	var conv paths.Policy = paths.Full{T: t}
-	for _, rname := range e.Routing {
-		l := strings.ToLower(rname)
-		if l != "min" && !strings.HasPrefix(l, "t-") {
-			if st, ok := paths.Compiled(pool, t, conv, nil); ok {
-				conv = st
-			}
-			break
-		}
-	}
-	rfs := make([]netsim.RoutingFunc, len(e.Routing))
-	cfgs := make([]netsim.Config, len(e.Routing))
-	for i, rname := range e.Routing {
-		rf, vcs, err := routingWith(t, rname, pol, conv)
-		if err != nil {
-			return nil, err
-		}
-		cfg := netsim.Config{
-			NumVCs:        vcs,
-			BufSize:       e.Buffer,
-			LocalLatency:  e.LocalLatency,
-			GlobalLatency: e.GlobalLatency,
-			SpeedUp:       e.Speedup,
-			LatencyCap:    500,
-			Seed:          e.Seed,
-			PacketSize:    e.PacketSize,
-			Shards:        e.Shards,
-		}
-		if e.VCs > 0 {
-			cfg.NumVCs = e.VCs
-		}
-		rfs[i], cfgs[i] = rf, cfg
-	}
-	res := &ExperimentResult{Name: e.Name}
-	w := sweep.Windows{Warmup: e.Warmup, Measure: e.Measure, Drain: e.Drain}
-	res.Curves = make([]sweep.Curve, len(rfs))
-	pool.Run("suite/"+e.Name, len(rfs), func(i int) int64 {
-		res.Curves[i] = sweep.LatencyCurveOn(pool, t, cfgs[i], rfs[i], pf, e.Rates, w, e.Seeds)
+	return r.Run(pool), nil
+}
+
+// Run sweeps every entry over the rates, one sweep.LatencyCurveOn per
+// entry, concurrently on pool; the curves land by entry index.
+func (r *Resolved) Run(pool *exec.Pool) *ExperimentResult {
+	res := &ExperimentResult{Name: r.Name, Curves: make([]sweep.Curve, len(r.Entries))}
+	pool.Run("suite/"+r.Name, len(r.Entries), func(i int) int64 {
+		en := r.Entries[i]
+		res.Curves[i] = sweep.LatencyCurveOn(pool, r.T, en.Config, en.Routing, r.Pattern, r.Rates, r.Windows, r.Seeds)
 		return 0
 	})
-	return res, nil
+	return res
 }
