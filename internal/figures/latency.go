@@ -60,8 +60,8 @@ var (
 	}
 	// Router internal speedup {1, 2}, PAR on MIXED(25,75).
 	fig17 = []spec.Experiment{
-		{Name: "1", Topology: g17, Pattern: "mixed:25", Routing: par, Rates: rates17, Speedup: 1, VCs: 4},
-		{Name: "2", Topology: g17, Pattern: "mixed:25", Routing: par, Rates: rates17, VCs: 4},
+		{Name: "1", Topology: g17, Pattern: "mixed:25", Routing: par, Rates: rates17, Speedup: 1},
+		{Name: "2", Topology: g17, Pattern: "mixed:25", Routing: par, Rates: rates17},
 	}
 	// VC allocation: the 4-VC phase scheme against the 6-VC
 	// new-VC-every-hop scheme (routing.HopCountVC, which runSim sets),
