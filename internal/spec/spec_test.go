@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tugal/internal/exec"
 	"tugal/internal/netsim"
 	"tugal/internal/paths"
 	"tugal/internal/sweep"
@@ -152,7 +153,7 @@ func TestSuiteLoadAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := suite.Experiments[0].Run()
+	res, err := suite.Experiments[0].RunOn(exec.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

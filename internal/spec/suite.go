@@ -246,11 +246,6 @@ type ExperimentResult struct {
 	Curves []sweep.Curve `json:"curves"`
 }
 
-// Run executes the experiment on the default pool.
-func (e *Experiment) Run() (*ExperimentResult, error) {
-	return e.RunOn(exec.Default())
-}
-
 // RunOn resolves the experiment and runs it on pool.
 func (e *Experiment) RunOn(pool *exec.Pool) (*ExperimentResult, error) {
 	r, err := e.Resolve(pool)
