@@ -137,11 +137,13 @@ func Run(id string, opt Options) (*Result, error) {
 	if opt.Seeds < 1 {
 		opt.Seeds = 1
 	}
-	run := r.run
-	if run == nil {
-		run = func(opt Options) (*Result, error) { return runSim(id, opt) }
+	var res *Result
+	var err error
+	if r.run != nil {
+		res, err = r.run(opt)
+	} else {
+		res, err = runSim(id, opt)
 	}
-	res, err := run(opt)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"tugal/internal/exec"
@@ -70,24 +69,20 @@ var goldenFigures = []struct {
 var benchOptions = Options{Scale: ScaleBench, Seed: 1, Seeds: 1}
 
 // benchFigure runs a figure at benchOptions once for all the tests
-// that read it.
-var benchFigure = func() func(t *testing.T, id string) *Result {
-	type run struct {
-		once sync.Once
-		res  *Result
-		err  error
+// that read it (none of them runs in parallel).
+func benchFigure(t *testing.T, id string) *Result {
+	if res, ok := benchRuns[id]; ok {
+		return res
 	}
-	var runs sync.Map
-	return func(t *testing.T, id string) *Result {
-		v, _ := runs.LoadOrStore(id, new(run))
-		r := v.(*run)
-		r.once.Do(func() { r.res, r.err = Run(id, benchOptions) })
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		return r.res
+	res, err := Run(id, benchOptions)
+	if err != nil {
+		t.Fatal(err)
 	}
-}()
+	benchRuns[id] = res
+	return res
+}
+
+var benchRuns = map[string]*Result{}
 
 func TestGoldenFigures(t *testing.T) {
 	for _, g := range goldenFigures {

@@ -133,10 +133,8 @@ func runSim(id string, opt Options) (*Result, error) {
 			}
 		}
 		curves[i] = r.Run(pool).Curves
-		if setting := registry[id].sim[i].Name; setting != "" {
-			for j := range curves[i] {
-				curves[i][j].Name += "(" + setting + ")"
-			}
+		for j := range curves[i] {
+			curves[i][j].Name += strings.TrimPrefix(exps[i].Name, id) // "(setting)", or nothing
 		}
 		return 0
 	})

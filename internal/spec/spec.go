@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"tugal/internal/netsim"
 	"tugal/internal/paths"
 	"tugal/internal/placement"
 	"tugal/internal/rng"
@@ -326,17 +325,12 @@ func ApplyFailures(m *topo.FailureMask, s string) ([]topo.Channel, error) {
 	return delta, nil
 }
 
-// Routing builds a routing function from its spec name, returning it
-// with the VC budget it requires. T- schemes use pol as their T-VLB
-// set; conventional schemes ignore pol.
-func Routing(t *topo.Compiled, name string, pol paths.Policy) (netsim.RoutingFunc, int, error) {
-	return routingWith(t, name, pol, paths.Full{T: t})
-}
-
-// routingWith is Routing with an explicit conventional policy, so a
-// suite can hand every conventional scheme one shared compiled store
-// instead of a fresh interpreted Full per entry.
-func routingWith(t *topo.Compiled, name string, pol, conv paths.Policy) (netsim.RoutingFunc, int, error) {
+// Routing builds a routing function from its spec name — the one
+// scheme table — returning it with the VC budget it requires. T-
+// schemes use pol as their T-VLB set; conventional schemes route on
+// the full set.
+func Routing(t *topo.Compiled, name string, pol paths.Policy) (*routing.UGAL, int, error) {
+	conv := paths.Full{T: t}
 	switch strings.ToLower(name) {
 	case "min":
 		return routing.NewMin(t), 4, nil

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 
 	"tugal/internal/exec"
 	"tugal/internal/netsim"
 	"tugal/internal/paths"
 	"tugal/internal/rng"
+	"tugal/internal/routing"
 	"tugal/internal/sweep"
 	"tugal/internal/topo"
 	"tugal/internal/traffic"
@@ -207,22 +207,9 @@ func (e *Experiment) Resolve(pool *exec.Pool) (*Resolved, error) {
 		}
 		return p
 	}
-	var conv paths.Policy = paths.Full{T: t}
-	if pool != nil {
-		if st, ok := paths.Compiled(pool, t, pol, nil); ok {
-			pol = st
-		}
-		if slices.ContainsFunc(e.Routing, func(name string) bool {
-			l := strings.ToLower(name)
-			return l != "min" && !strings.HasPrefix(l, "t-")
-		}) {
-			if st, ok := paths.Compiled(pool, t, conv, nil); ok {
-				conv = st
-			}
-		}
-	}
+	var schemes []*routing.UGAL
 	for _, name := range e.Routing {
-		rf, vcs, err := routingWith(t, name, pol, conv)
+		u, vcs, err := Routing(t, name, pol)
 		if err != nil {
 			return nil, &FieldError{"routing", err}
 		}
@@ -232,10 +219,29 @@ func (e *Experiment) Resolve(pool *exec.Pool) (*Resolved, error) {
 		for _, rate := range e.Rates {
 			var ce *netsim.ConfigError
 			if err := cfg.Check(t, rate); errors.As(err, &ce) {
-				return bad(configField[ce.Field], "%s: %s", rf.Name(), ce.Msg)
+				return bad(configField[ce.Field], "%s: %s", u.Name(), ce.Msg)
 			}
 		}
-		res.Entries = append(res.Entries, Entry{Routing: rf, Config: cfg})
+		schemes = append(schemes, u)
+		res.Entries = append(res.Entries, Entry{Routing: u, Config: cfg})
+	}
+	if pool == nil {
+		return res, nil
+	}
+	stores := map[paths.Policy]paths.Policy{}
+	for _, u := range schemes {
+		if u.Mode == routing.MinOnly {
+			continue // never draws a VLB path
+		}
+		st, ok := stores[u.Policy]
+		if !ok {
+			st = u.Policy
+			if c, ok := paths.Compiled(pool, t, st, nil); ok {
+				st = c
+			}
+			stores[u.Policy] = st
+		}
+		u.Policy = st
 	}
 	return res, nil
 }
