@@ -43,9 +43,9 @@ func foldResult(res *Result) uint64 {
 // goldenFigures pins every simulation figure at ScaleBench, seed 1,
 // one seed: a Float64bits fold over every sweep.Point field of every
 // series, in series order, names included. Recorded from the last
-// commit that built Figures 6-18 with figures.latencyFigure and
-// sensitivityFigure; fig17 was re-recorded by the commit that gave
-// PAR its five VCs there, and by nothing else.
+// commit before Figures 6-18 became spec.Experiment values (each then
+// built its own schemes and configs); fig17 was re-recorded by the
+// commit that gave PAR its five VCs there, and by nothing else.
 var goldenFigures = []struct {
 	id    string
 	short bool // kept under -short
