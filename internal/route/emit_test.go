@@ -28,6 +28,19 @@ func emitMask(t *testing.T, tp *topo.Compiled) *topo.FailureMask {
 	return m
 }
 
+// failSteps fail a global link, a local link and a switch, in turn.
+var failSteps = []func(*topo.Compiled, *topo.FailureMask) ([]topo.Channel, error){
+	func(tp *topo.Compiled, m *topo.FailureMask) ([]topo.Channel, error) {
+		return m.FailGlobalLink(tp.A/2, tp.H-1)
+	},
+	func(tp *topo.Compiled, m *topo.FailureMask) ([]topo.Channel, error) {
+		return m.FailLocalLink(tp.SwitchID(1, 0), tp.SwitchID(1, 1))
+	},
+	func(tp *topo.Compiled, m *topo.FailureMask) ([]topo.Channel, error) {
+		return m.FailSwitch(tp.SwitchID(tp.G-1, 0))
+	},
+}
+
 // TestEmitWorkers pins the row-parallel emit byte-identical — idx and
 // words — to a sequential row-by-row append of the same candidates, at
 // 1, 2 and 8 workers, across policy shapes, families, and pristine
@@ -102,17 +115,6 @@ func TestDeltaWorkers(t *testing.T) {
 	if !testing.Short() {
 		topos = append(topos, topo.MustNew(4, 8, 4, 9))
 	}
-	steps := []func(*topo.Compiled, *topo.FailureMask) ([]topo.Channel, error){
-		func(tp *topo.Compiled, m *topo.FailureMask) ([]topo.Channel, error) {
-			return m.FailGlobalLink(tp.A/2, tp.H-1)
-		},
-		func(tp *topo.Compiled, m *topo.FailureMask) ([]topo.Channel, error) {
-			return m.FailLocalLink(tp.SwitchID(1, 0), tp.SwitchID(1, 1))
-		},
-		func(tp *topo.Compiled, m *topo.FailureMask) ([]topo.Channel, error) {
-			return m.FailSwitch(tp.SwitchID(tp.G-1, 0))
-		},
-	}
 	for _, tp := range topos {
 		t.Run(tp.Label(), func(t *testing.T) {
 			pol := paths.Full{T: tp}
@@ -122,7 +124,7 @@ func TestDeltaWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			mask := topo.NewFailureMask(tp)
-			for i, step := range steps {
+			for i, step := range failSteps {
 				mask = mask.Clone()
 				delta, err := step(tp, mask)
 				if err != nil || len(delta) == 0 {
@@ -160,7 +162,7 @@ func TestDeltaWorkers(t *testing.T) {
 				}
 				tb = first
 			}
-			if tp.G == 9 && len(tb.pages) <= 2*len(steps) {
+			if tp.G == 9 && len(tb.pages) <= 2*len(failSteps) {
 				t.Fatalf("g9 epochs fit %d pages: no chunk spans a page boundary", len(tb.pages))
 			}
 		})

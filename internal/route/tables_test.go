@@ -17,8 +17,13 @@ import (
 // counter is full, so CreditOcc/DownstreamOcc report zero — the
 // queue state under which every UGAL variant's threshold rule
 // reduces to the decision the tables serve.
-func idleNetwork(t *topo.Compiled, rf netsim.RoutingFunc) *netsim.Network {
-	return netsim.New(t, netsim.DefaultConfig(), rf, traffic.Uniform{T: t}, 0.01)
+// numVCs 0 keeps DefaultConfig's budget.
+func idleNetwork(t *topo.Compiled, rf netsim.RoutingFunc, numVCs int) *netsim.Network {
+	cfg := netsim.DefaultConfig()
+	if numVCs > 0 {
+		cfg.NumVCs = numVCs
+	}
+	return netsim.New(t, cfg, rf, traffic.Uniform{T: t}, 0.01)
 }
 
 // degradedMask fails a global link, a local link and a whole switch
@@ -60,18 +65,22 @@ type equivCase struct {
 	mode      route.Mode
 	threshold int
 	direct    func(t *topo.Compiled, pol paths.Policy) *routing.UGAL
+	cfg       route.Config
 }
 
 func equivCases() []equivCase {
 	return []equivCase{
-		{"ugal-l", route.ModeUGAL, 0, routing.NewUGALL},
-		{"ugal-g", route.ModeUGAL, 0, routing.NewUGALG},
-		{"ugal-pb", route.ModeUGAL, 0, routing.NewPiggyback},
-		{"ugal-neg-threshold", route.ModeUGAL, -1, routing.NewUGALL},
+		{"ugal-l", route.ModeUGAL, 0, routing.NewUGALL, route.Default()},
+		{"ugal-g", route.ModeUGAL, 0, routing.NewUGALG, route.Default()},
+		{"ugal-pb", route.ModeUGAL, 0, routing.NewPiggyback, route.Default()},
+		{"ugal-neg-threshold", route.ModeUGAL, -1, routing.NewUGALL, route.Default()},
 		{"min", route.ModeMin, 0, func(t *topo.Compiled, pol paths.Policy) *routing.UGAL {
 			return routing.NewMin(t)
-		}},
-		{"vlb", route.ModeVLB, 0, routing.NewVLB},
+		}, route.Default()},
+		{"vlb", route.ModeVLB, 0, routing.NewVLB, route.Default()},
+		// Six hop-count VCs: VLB words VC-stamped by the scheme the
+		// Figure 18 variant simulates, MIN where no VLB survives.
+		{"hopcount-vc", route.ModeUGAL, -1, routing.NewUGALL, route.Config{NumVCs: 6, Scheme: routing.HopCountVC}},
 	}
 }
 
@@ -124,9 +133,10 @@ func checkEquivalence(t *testing.T, tp *topo.Compiled, st *paths.Store, mask *to
 	u := c.direct(tp, st)
 	u.Threshold = c.threshold
 	u.Fail = mask
-	n := idleNetwork(tp, u)
+	u.Scheme = c.cfg.Scheme
+	n := idleNetwork(tp, u, c.cfg.NumVCs)
 
-	svc, err := route.NewService(st, c.mode, c.threshold, route.Default())
+	svc, err := route.NewService(st, c.mode, c.threshold, c.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +211,7 @@ func TestEquivalenceAcrossEpochSwap(t *testing.T) {
 		dst := paths.CompileDegraded(tp, pol, mask)
 		u := routing.NewUGALL(tp, dst)
 		u.Fail = mask
-		n := idleNetwork(tp, u)
+		n := idleNetwork(tp, u, 0)
 		rDirect, rServe := rng.New(3), rng.New(3)
 		pairs := rng.New(11)
 		f := &netsim.Flit{}
@@ -358,16 +368,12 @@ func b2i(b bool) int8 {
 // TestLookupBatchAllocs pins the zero-allocation contract of the
 // query path: once the caller's buffers exist, batches of any size
 // allocate nothing — the serving analogue of netsim's
-// TestSteadyStateAllocs.
+// TestSteadyStateAllocs — in every mode, with the threshold that serves
+// VLB, and on a degraded epoch whose patched rows are served too.
 func TestLookupBatchAllocs(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
 	st := paths.Compile(tp, paths.Full{T: tp})
-	svc, err := route.NewService(st, route.ModeUGAL, 0, route.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const batch = 256
-	r := rng.New(1)
 	pairs := rng.New(2)
 	src := make([]int32, batch)
 	dst := make([]int32, batch)
@@ -376,11 +382,62 @@ func TestLookupBatchAllocs(t *testing.T) {
 		src[i] = int32(pairs.Intn(tp.NumNodes()))
 		dst[i] = int32(pairs.Intn(tp.NumNodes()))
 	}
-	svc.LookupBatch(r, src, dst, out) // warm
-	allocs := testing.AllocsPerRun(100, func() {
-		svc.LookupBatch(r, src, dst, out)
-	})
-	if allocs > 0 {
-		t.Errorf("LookupBatch allocated %.1f times per warm batch, want 0", allocs)
+	for _, c := range []struct {
+		mode      route.Mode
+		threshold int
+	}{{route.ModeUGAL, 0}, {route.ModeUGAL, -1}, {route.ModeMin, 0}, {route.ModeVLB, 0}} {
+		for _, degraded := range []bool{false, true} {
+			svc, err := route.NewService(st, c.mode, c.threshold, route.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if degraded {
+				gsw, ggp := wiredGlobal(tp)
+				if _, err := svc.FailGlobalLink(gsw, ggp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := rng.New(1)
+			svc.LookupBatch(r, src, dst, out) // warm
+			allocs := testing.AllocsPerRun(100, func() {
+				svc.LookupBatch(r, src, dst, out)
+			})
+			if allocs > 0 {
+				t.Errorf("mode %v threshold %d degraded=%v: LookupBatch allocated %.1f times per warm batch, want 0",
+					c.mode, c.threshold, degraded, allocs)
+			}
+		}
+	}
+}
+
+var benchWord uint64
+
+// BenchmarkLookup times one Tables.Lookup per op, per mode, on the
+// full-VLB tables of dfly(4,8,4,17) — serve_g17's — or dfly(4,8,4,9)
+// under -short, cycling through 64Ki seeded switch pairs.
+func BenchmarkLookup(b *testing.B) {
+	tp := topo.MustNew(4, 8, 4, 17)
+	if testing.Short() {
+		tp = topo.MustNew(4, 8, 4, 9)
+	}
+	tb, err := route.Emit(paths.Compile(tp, paths.Full{T: tp}), route.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const pool = 1 << 16
+	pairs := rng.New(2)
+	src, dst := make([]int, pool), make([]int, pool)
+	for i := range src {
+		src[i], dst[i] = pairs.Intn(tp.NumSwitches()), pairs.Intn(tp.NumSwitches())
+	}
+	for _, mode := range []route.Mode{route.ModeUGAL, route.ModeMin, route.ModeVLB} {
+		b.Run(mode.String(), func(b *testing.B) {
+			r := rng.New(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := i & (pool - 1)
+				benchWord += tb.Lookup(r, mode, 0, src[j], dst[j]).Word
+			}
+		})
 	}
 }
