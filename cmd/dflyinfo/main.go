@@ -118,7 +118,7 @@ func main() {
 			fmt.Printf("    VLB candidates:    %d\n", ts.VLBWords)
 			fmt.Printf("    candidates/row:    %.1f avg, %d max\n", ts.AvgCandidates, ts.MaxCandidates)
 			fmt.Printf("    next-hop fanout:   %.1f avg (port,VC) entries/row\n", ts.AvgFirstHops)
-			fmt.Printf("    table size:        %.1f MiB\n", float64(ts.Bytes)/(1<<20))
+			fmt.Printf("    table size:        %.1f MiB beside the store\n", float64(ts.Bytes)/(1<<20))
 			fmt.Printf("    emit time:         %v\n", ts.BuildTime.Round(time.Millisecond))
 		}
 	}

@@ -88,9 +88,9 @@ func main() {
 		fail("%v", err)
 	}
 	tb := svc.Tables()
-	fmt.Printf("routed: %s policy=%s mode=%s  store %.2fs  tables %.2fs (%d rows, %.1f MiB)\n",
-		t.Label(), tb.Policy(), mode, storeTime.Seconds(), tb.BuildTime().Seconds(),
-		tb.Stats().Rows, float64(tb.Bytes())/(1<<20))
+	fmt.Printf("routed: %s policy=%s mode=%s  store %.2fs (%.1f MiB)  tables %.2fs (%d rows, %.1f MiB beside the store)\n",
+		t.Label(), tb.Policy(), mode, storeTime.Seconds(), float64(st.Bytes())/(1<<20),
+		tb.BuildTime().Seconds(), tb.Stats().Rows, float64(tb.Bytes())/(1<<20))
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"tugal/internal/exec"
 	"tugal/internal/paths"
+	"tugal/internal/routing"
 	"tugal/internal/topo"
 )
 
@@ -41,9 +42,9 @@ var failSteps = []func(*topo.Compiled, *topo.FailureMask) ([]topo.Channel, error
 	},
 }
 
-// TestEmitWorkers pins the row-parallel emit byte-identical — idx and
-// words — to a sequential row-by-row append of the same candidates, at
-// 1, 2 and 8 workers, across policy shapes, families, and pristine
+// TestEmitWorkers pins the row-parallel emit byte-identical — rows and
+// MIN arena — to a sequential row-by-row append of the same candidates,
+// at 1, 2 and 8 workers, across policy shapes, families, and pristine
 // and degraded stores.
 func TestEmitWorkers(t *testing.T) {
 	topos := []*topo.Compiled{
@@ -64,19 +65,18 @@ func TestEmitWorkers(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/degraded=%v", tp.Label(), pol.Name(), mask != nil), func(t *testing.T) {
 					st := paths.CompileDegraded(tp, pol, mask)
 					n := tp.NumSwitches()
-					e := &emitter{t: tp, cfg: Default(), mask: mask}
-					idx := make([]int32, 0, n*n*3)
+					ref := &Tables{T: tp, stamps: stampShapes(tp, Default())}
+					var rows []row
 					var words []uint64
 					for s := 0; s < n; s++ {
 						for d := 0; d < n; d++ {
 							start := int32(len(words))
-							var minN, vlbN int32
-							words, minN, vlbN = e.emitPair(st, s, d, words)
-							idx = append(idx, start, minN, vlbN)
+							for _, p := range paths.EnumerateMinAlive(tp, mask, s, d) {
+								words = append(words, ref.word(p.Ports))
+							}
+							first, count := st.PairRange(s, d)
+							rows = append(rows, row{minAt: start, minN: int32(len(words)) - start, vlbAt: int32(first), vlbN: int32(count)})
 						}
-					}
-					if e.failed != nil {
-						t.Fatal(e.failed)
 					}
 					var first *Tables
 					for _, workers := range []int{1, 2, 8} {
@@ -86,11 +86,11 @@ func TestEmitWorkers(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !slices.Equal(tb.idx, idx) {
-							t.Fatalf("%d workers: idx differs from the sequential reference", workers)
+						if !slices.Equal(tb.rows, rows) {
+							t.Fatalf("%d workers: rows differ from the sequential reference", workers)
 						}
-						if !slices.Equal(tb.words, words) {
-							t.Fatalf("%d workers: words differ from the sequential reference", workers)
+						if len(tb.chunks) != 1 || !slices.Equal(tb.chunks[0].min, words) {
+							t.Fatalf("%d workers: MIN words differ from the sequential reference", workers)
 						}
 						if first == nil {
 							first = tb
@@ -106,10 +106,11 @@ func TestEmitWorkers(t *testing.T) {
 
 // TestDeltaWorkers pins the row-parallel delta filter, over a global
 // link, a local link and a switch failing in turn: 1, 2 and 8 workers
-// give the same idx and the same patch pages, derived three times from
-// one parent (ApplyDelta shares no writable memory with its receiver),
-// and rows equal to a from-scratch emit of a store compiled degraded.
-// The g9 instance is the one whose epochs span several pages.
+// give the same rows and the same patches, derived three times from one
+// parent (ApplyDelta shares no writable memory with its receiver), and
+// rows equal to a from-scratch emit of a store compiled degraded. Each
+// epoch's patch holds exactly the candidates it reports, at 8 B a MIN
+// word and 4 B a VLB PathID.
 func TestDeltaWorkers(t *testing.T) {
 	topos := []*topo.Compiled{topo.MustNew(2, 4, 2, 5), topo.MustNewD3(12, 4, 2)}
 	if !testing.Short() {
@@ -134,11 +135,8 @@ func TestDeltaWorkers(t *testing.T) {
 				var first *Tables
 				for _, workers := range []int{1, 2, 8} {
 					old := exec.SetDefault(exec.NewPool(workers))
-					got, stats, err := tb.ApplyDelta(mask, delta, vlbDirty)
+					got, stats := tb.ApplyDelta(mask, delta, vlbDirty)
 					exec.SetDefault(old)
-					if err != nil {
-						t.Fatal(err)
-					}
 					if first == nil {
 						first = got
 						want, err := Emit(paths.CompileDegraded(tp, pol, mask), Default())
@@ -148,49 +146,56 @@ func TestDeltaWorkers(t *testing.T) {
 						if !got.EqualRows(want) {
 							t.Fatalf("step %d: filtered rows differ from the scratch emit", i)
 						}
-						if got.PatchBytes()-tb.PatchBytes() != 8*int64(stats.WordsEmitted) || stats.WordsEmitted == 0 {
-							t.Fatalf("step %d: %d words emitted, patch grew %d bytes", i, stats.WordsEmitted, got.PatchBytes()-tb.PatchBytes())
+						p := got.chunks[len(got.chunks)-1]
+						grew := got.PatchBytes() - tb.PatchBytes()
+						if len(p.min)+len(p.vlb) != stats.WordsEmitted || grew != 8*int64(len(p.min))+4*int64(len(p.vlb)) || len(p.vlb) == 0 {
+							t.Fatalf("step %d: %d candidates emitted, patch of %d MIN and %d VLB grew %d bytes",
+								i, stats.WordsEmitted, len(p.min), len(p.vlb), grew)
 						}
 						continue
 					}
-					if !slices.Equal(got.idx, first.idx) {
-						t.Fatalf("step %d, %d workers: idx differs from the 1-worker tables", i, workers)
+					if !slices.Equal(got.rows, first.rows) {
+						t.Fatalf("step %d, %d workers: rows differ from the 1-worker tables", i, workers)
 					}
-					if !slices.EqualFunc(got.pages, first.pages, slices.Equal[[]uint64]) {
-						t.Fatalf("step %d, %d workers: patch pages differ from the 1-worker tables", i, workers)
+					if !slices.EqualFunc(got.chunks, first.chunks, func(a, b chunk) bool {
+						return slices.Equal(a.min, b.min) && slices.Equal(a.vlb, b.vlb)
+					}) {
+						t.Fatalf("step %d, %d workers: patches differ from the 1-worker tables", i, workers)
 					}
 				}
 				tb = first
-			}
-			if tp.G == 9 && len(tb.pages) <= 2*len(failSteps) {
-				t.Fatalf("g9 epochs fit %d pages: no chunk spans a page boundary", len(tb.pages))
 			}
 		})
 	}
 }
 
-// TestEmitErrorIsLowestRow: whichever worker hits a packing failure
-// first, Emit reports the lowest-index failing row. A negative VC
-// budget clamps every hop's VC below zero, so every row with a hop
-// fails; with switch 0 dead its rows are empty, (1,0) has no
-// candidate and (1,1) is the zero-hop ejection, which leaves (1,2).
-func TestEmitErrorIsLowestRow(t *testing.T) {
+// TestEmitRejectsUnpackable: lookups build VLB words lazily and cannot
+// report a packing error, so Emit refuses every configuration a word
+// cannot hold — a VC budget outside the 3-bit VC field — naming the
+// field, whichever worker count it runs at. (The 7-bit port field holds
+// topo.MaxRadix, so no compiled topology reaches the radix check.)
+func TestEmitRejectsUnpackable(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
-	mask := topo.NewFailureMask(tp)
-	if _, err := mask.FailSwitch(0); err != nil {
-		t.Fatal(err)
-	}
-	st := paths.CompileDegraded(tp, paths.Full{T: tp}, mask)
-	for _, workers := range []int{1, 2, 8} {
-		for rep := 0; rep < 20; rep++ {
+	st := paths.Compile(tp, paths.Full{T: tp})
+	for _, c := range []struct {
+		cfg Config
+		err string
+	}{
+		{Config{NumVCs: -1}, "Config.NumVCs -1 outside 1..8"},
+		{Config{NumVCs: 9}, "Config.NumVCs 9 outside 1..8"},
+		{Config{NumVCs: 0}, ""},
+		{Config{NumVCs: 1}, ""},
+		{Config{NumVCs: 8, Scheme: routing.HopCountVC}, ""},
+	} {
+		for _, workers := range []int{1, 2, 8} {
 			old := exec.SetDefault(exec.NewPool(workers))
-			tb, err := Emit(st, Config{NumVCs: -1})
+			tb, err := Emit(st, c.cfg)
 			exec.SetDefault(old)
-			if err == nil || tb != nil {
-				t.Fatalf("%d workers: Emit = (%v, %v), want a packing error", workers, tb, err)
+			if c.err == "" && err != nil {
+				t.Fatalf("%+v: %v", c.cfg, err)
 			}
-			if !strings.Contains(err.Error(), "row (1,2)") {
-				t.Fatalf("%d workers: error %q does not name the lowest failing row (1,2)", workers, err)
+			if c.err != "" && (tb != nil || err == nil || !strings.Contains(err.Error(), c.err)) {
+				t.Fatalf("%+v at %d workers: Emit = (%v, %v), want an error naming %q", c.cfg, workers, tb, err, c.err)
 			}
 		}
 	}
@@ -210,7 +215,7 @@ func BenchmarkFailSwap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc := &Service{store: st}
+	svc := &Service{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -224,7 +229,7 @@ func BenchmarkFailSwap(b *testing.B) {
 }
 
 // BenchmarkEmit times the table emit of the full-VLB store on the
-// paper's g9 machine (~4.1M candidate words).
+// paper's g9 machine (~4.1M VLB candidates, none of them copied).
 func BenchmarkEmit(b *testing.B) {
 	tp := topo.MustNew(4, 8, 4, 9)
 	st := paths.Compile(tp, paths.Full{T: tp})

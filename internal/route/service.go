@@ -15,7 +15,7 @@ import (
 // Service is the long-lived serving layer over compiled forwarding
 // tables: an epoch-swapped table pointer read with one atomic load
 // per batch on the query path, and an RCU-style writer side that
-// composes a failure delta on a copy of the mask, the store's
+// composes a failure delta on a copy of the mask, the base store's
 // dirty-pair list for it and Tables.ApplyDelta into a single swap.
 // Every epoch is one *Tables — rows and the mask they were filtered
 // under — so a swap publishes both or neither. Queries in flight
@@ -31,10 +31,6 @@ type Service struct {
 	// mu serializes the writer side: mask clone, dirty-pair list, row
 	// filter, epoch swap.
 	mu sync.Mutex
-	// store is the store epoch 0 was emitted from. It is only ever
-	// asked which pairs a delta dirties (its edge index is built on the
-	// first failure); the rows themselves come from the previous epoch.
-	store *paths.Store
 
 	served  atomic.Int64
 	batches atomic.Int64
@@ -50,7 +46,7 @@ func NewService(st *paths.Store, mode Mode, threshold int, cfg Config) (*Service
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{mode: mode, threshold: threshold, store: st}
+	s := &Service{mode: mode, threshold: threshold}
 	s.cur.Store(tb)
 	return s, nil
 }
@@ -110,7 +106,7 @@ type SwapStats struct {
 	NewlyDead  int           `json:"newlyDead"`    // channels the failure killed
 	VLBDirty   int           `json:"vlbDirty"`     // pairs the store's edge index flagged
 	DirtyPairs int           `json:"dirtyPairs"`   // rows the table delta examined
-	PatchBytes int64         `json:"patchBytes"`   // patch chunks alive after the swap, all epochs'
+	PatchBytes int64         `json:"patchBytes"`   // patches alive after the swap, all epochs'
 	StoreBuild time.Duration `json:"storeBuildNS"` // dirty-pair list time (the first builds the edge index)
 	TableBuild time.Duration `json:"tableBuildNS"` // dirty-row filter time
 }
@@ -141,13 +137,12 @@ func (s *Service) Fail(apply func(*topo.FailureMask) ([]topo.Channel, error)) (S
 	if g, l, sw := mask.Counts(); g == g0 && l == l0 && sw == sw0 {
 		return SwapStats{Epoch: cur.Epoch(), PatchBytes: cur.PatchBytes()}, nil
 	}
+	// The base store every epoch views lists the VLB-dirty pairs; its
+	// edge index is built on the first failure.
 	start := time.Now()
-	vlbDirty := s.store.DirtyPairs(delta)
+	vlbDirty := cur.st.DirtyPairs(delta)
 	storeBuild := time.Since(start)
-	newTb, dstats, err := cur.ApplyDelta(mask, delta, vlbDirty)
-	if err != nil {
-		return SwapStats{}, err
-	}
+	newTb, dstats := cur.ApplyDelta(mask, delta, vlbDirty)
 	s.cur.Store(newTb)
 	s.swaps.Add(1)
 	return SwapStats{

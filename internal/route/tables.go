@@ -1,20 +1,25 @@
 // Package route compiles a topology's routing decisions — the MIN
 // candidate sets and a compiled VLB candidate policy (paths.Store) —
-// into flat per-switch forwarding tables and serves route lookups
-// from them at production rates.
+// into per-switch forwarding tables and serves route lookups from them
+// at production rates.
 //
 // The table form is the deliverable a fabric manager pushes to real
-// switches: for every (source switch, destination switch) pair an
-// int32-indexed row of candidate entries, each a packed route word
-// carrying the full ≤6-hop port/VC sequence. Lookups are two array
-// loads plus at most two bounded RNG draws, and are pinned
-// bit-equivalent to the decisions paths.Store + internal/routing
-// produce directly on an idle network (see the equivalence tests).
+// switches: for every (source switch, destination switch) pair a row of
+// candidates, each a packed route word carrying the full ≤6-hop port/VC
+// sequence. A row is a view of the store it was emitted from: its MIN
+// candidates are packed words in a small dense arena, its VLB
+// candidates are the store's PathIDs — the pair's range while the row
+// is pristine, a patch of the surviving IDs once a failure trimmed it —
+// and a VLB word is VC-stamped and packed only when a lookup returns
+// it. A lookup is one row load, at most two bounded RNG draws and the
+// one candidate it serves, pinned bit-equivalent to the decisions
+// paths.Store + internal/routing produce directly on an idle network
+// (see the equivalence and word-oracle tests).
 //
-// Tables are immutable after Emit, shared read-only like paths.Store.
-// Topology changes go through ApplyDelta, which
-// filters the rows a failure delta dirtied out of the previous epoch's
-// rows into a patch chunk of their own behind a new epoch — the
+// Tables are immutable after Emit and read their store, like it,
+// without synchronization. Topology changes go through ApplyDelta,
+// which filters the rows a failure delta dirtied out of the previous
+// epoch's rows into a patch of their own behind a new epoch — the
 // Service layer swaps the epoch in atomically so no in-flight query is
 // ever dropped or torn.
 package route
@@ -22,6 +27,7 @@ package route
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -88,8 +94,8 @@ func packWord(hops []netsim.RouteHop) (uint64, error) {
 	return w, nil
 }
 
-// Config selects the VC assignment the emitter bakes into every
-// candidate word. The zero value is replaced by Default.
+// Config selects the VC assignment stamped into every route word.
+// The zero value is replaced by Default.
 type Config struct {
 	// NumVCs is the virtual-channel budget routes are clamped to
 	// (netsim's DefaultConfig uses 4 for the UGAL family).
@@ -109,10 +115,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// check refuses a configuration whose words cannot be packed: a VC
+// budget past the word's 3-bit VC field or a radix past its 7-bit port
+// field. Lookups build VLB words lazily and have no error to report, so
+// Emit rules out every packing error up front.
+func (c Config) check(t *topo.Compiled) error {
+	if c.NumVCs < 1 || c.NumVCs > wordVCMask+1 {
+		return fmt.Errorf("route: Config.NumVCs %d outside 1..%d, the route word's VC field", c.NumVCs, wordVCMask+1)
+	}
+	if t.Radix() > wordPortMask+1 {
+		return fmt.Errorf("route: radix %d exceeds the route word's %d-port field", t.Radix(), wordPortMask+1)
+	}
+	return nil
+}
+
 // Tables is the compiled forwarding-table form of one (topology,
 // policy, failure-mask) triple: per ordered switch pair a row of MIN
-// candidate words followed by VLB candidate words, uniform-weight
-// within each class, in the exact order the live samplers
+// candidates followed by VLB candidates, uniform-weight within each
+// class, in the exact order the live samplers
 // (paths.SampleMinAliveInto, Store.SampleID) index — which is what
 // makes table lookups bit-equivalent to direct routing decisions.
 //
@@ -122,6 +142,9 @@ func (c Config) withDefaults() Config {
 type Tables struct {
 	T *topo.Compiled
 
+	// st is the store epoch 0 was emitted from; every VLB candidate of
+	// every later epoch is one of its PathIDs.
+	st     *paths.Store
 	policy string
 	cfg    Config
 	epoch  int
@@ -130,36 +153,35 @@ type Tables struct {
 	// under (nil: pristine). Like the rows it is never written again.
 	mask *topo.FailureMask
 
-	// idx has stride 3 per ordered pair: word start, MIN candidate
-	// count, VLB candidate count. A pair's words are contiguous —
-	// MIN candidates first — in the base arena when start <
-	// len(words), in a patch chunk (patch address start-len(words))
-	// otherwise.
-	idx   []int32
-	words []uint64
-	// pages maps the patch address space, pageWords addresses a page,
-	// onto the patch chunks. Every ApplyDelta epoch allocates one chunk
-	// of exactly the words it writes and starts it on a fresh page;
-	// page p of a chunk is the chunk from word p*pageWords to its end,
-	// so pages[a>>pageShift][a&pageMask] resolves any patch address a
-	// and a row read from its first word's page is contiguous even
-	// across a page boundary. Later epochs share earlier chunks by
-	// pointer and copy only this table of slice headers.
-	pages      [][]uint64
-	patchWords int64 // words in all live chunks
+	// stamps holds each route shape's word minus its ports (see
+	// stampShapes); every word is built from it by word.
+	stamps *[1 << (paths.MaxVLBHops + 1)]uint64
+
+	rows []row
+	// chunks[0] is the base: the MIN arena Emit packs, beside VLB
+	// candidates that are the store's pair ranges. Every ApplyDelta
+	// epoch appends one patch holding exactly the rows it rewrote; later
+	// epochs share earlier chunks by pointer and copy only this slice of
+	// headers.
+	chunks     []chunk
+	patchBytes int64 // bytes in all live patches
 
 	buildTime time.Duration
 }
 
-// Patch pages are 64Ki words (512 KiB): small enough that the page an
-// epoch leaves part-used costs the int32 address space little (2^15
-// epochs at worst), large enough that a g17 epoch (~1.8M words) adds
-// under thirty slice headers to the table every later epoch copies.
-const (
-	pageShift = 16
-	pageWords = 1 << pageShift
-	pageMask  = pageWords - 1
-)
+// row locates one ordered pair's candidates in chunks[chunk]: MIN words
+// min[minAt:minAt+minN], and VLB candidates vlbAt..vlbAt+vlbN-1 — the
+// PathIDs themselves in the base, indexes into the patch's vlb in a
+// patch.
+type row struct{ chunk, minAt, minN, vlbAt, vlbN int32 }
+
+const rowBytes = 5 * 4
+
+// chunk holds MIN candidate words and, in a patch, VLB PathIDs.
+type chunk struct {
+	min []uint64
+	vlb []paths.PathID
+}
 
 // Policy returns the name of the VLB candidate policy the tables were
 // emitted from.
@@ -176,46 +198,92 @@ func (tb *Tables) Mask() *topo.FailureMask { return tb.mask }
 // BuildTime reports how long the emit (or delta filter) took.
 func (tb *Tables) BuildTime() time.Duration { return tb.buildTime }
 
-// PatchBytes reports the size of the patch chunks the tables keep
-// alive: what every ApplyDelta epoch so far has added, superseded rows
-// included.
-func (tb *Tables) PatchBytes() int64 { return 8 * tb.patchWords }
+// PatchBytes reports the size of the patches the tables keep alive —
+// 8 B per MIN word, 4 B per VLB PathID — what every ApplyDelta epoch
+// so far has added, superseded rows included.
+func (tb *Tables) PatchBytes() int64 { return tb.patchBytes }
 
-// Bytes reports the resident size of the table arenas.
+// Bytes reports the resident size of the tables: rows, MIN arena and
+// patches. The store they view is not counted.
 func (tb *Tables) Bytes() int64 {
-	return 8*int64(len(tb.words)) + tb.PatchBytes() + 4*int64(len(tb.idx))
+	return rowBytes*int64(len(tb.rows)) + 8*int64(len(tb.chunks[0].min)) + tb.patchBytes
 }
 
-// word resolves a candidate index across the base arena and the patch
-// pages.
-func (tb *Tables) word(i int32) uint64 {
-	if int(i) < len(tb.words) {
-		return tb.words[i]
-	}
-	a := int(i) - len(tb.words)
-	return tb.pages[a>>pageShift][a&pageMask]
+// minWords returns a row's MIN words as a read-only view.
+func (tb *Tables) minWords(r *row) []uint64 {
+	return tb.chunks[r.chunk].min[r.minAt : r.minAt+r.minN : r.minAt+r.minN]
 }
 
-// row returns pair pi's candidate words — MIN candidates first — as
-// one read-only view, and how many of them are MIN candidates.
-func (tb *Tables) row(pi int) (words []uint64, minN int32) {
-	start, mc, vc := tb.idx[pi*3], tb.idx[pi*3+1], tb.idx[pi*3+2]
-	if mc+vc == 0 {
-		return nil, 0 // an empty row's start may address nothing
+// vlbID returns a row's k-th VLB candidate.
+func (tb *Tables) vlbID(r *row, k int32) paths.PathID {
+	if r.chunk == 0 {
+		return paths.PathID(r.vlbAt + k)
 	}
-	arena := tb.words
-	if int(start) >= len(tb.words) {
-		a := int(start) - len(tb.words)
-		arena, start = tb.pages[a>>pageShift], int32(a&pageMask)
-	}
-	return arena[start : start+mc+vc : start+mc+vc], mc
+	return tb.chunks[r.chunk].vlb[r.vlbAt+k]
 }
 
-// Row returns the pair's MIN and VLB candidate words as read-only
-// views into the arenas.
+// stampShapes VC-assigns (srcBudget 1: the UGAL family) and packs one
+// route of every shape — hop count h and which hops are global, shape
+// 1<<h | g with hop i global when bit h-1-i of g is set — and keeps
+// each word minus its ports. Every shipped scheme assigns a hop's VC
+// from its index and the kinds of the hops up to it alone, so a
+// shape's stamp is every such route's; the word oracle holds each
+// served word to AppendVCHops on its own path. Emit's Config.check
+// leaves packWord nothing to refuse.
+func stampShapes(t *topo.Compiled, cfg Config) *[1 << (paths.MaxVLBHops + 1)]uint64 {
+	var local, global int8
+	for p := t.Radix() - 1; p >= t.P; p-- {
+		if t.KindOfPort(p) == topo.Global {
+			global = int8(p)
+		} else {
+			local = int8(p)
+		}
+	}
+	stamps := new([1 << (paths.MaxVLBHops + 1)]uint64)
+	var ports [paths.MaxVLBHops]int8
+	for shape := 1; shape < len(stamps); shape++ {
+		h := bits.Len(uint(shape)) - 1
+		for i := range ports[:h] {
+			ports[i] = local
+			if shape>>(h-1-i)&1 == 1 {
+				ports[i] = global
+			}
+		}
+		w, _ := packWord(routing.AppendVCHops(nil, t, cfg.NumVCs, cfg.Scheme, 1, paths.Path{Ports: ports[:h]}))
+		for i := range h {
+			w &^= wordPortMask << (3 + uint(i)*wordHopBits)
+		}
+		stamps[shape] = w
+	}
+	return stamps
+}
+
+// word packs a route's ports under its shape's stamp: the one way
+// every word, MIN or VLB, is built.
+func (tb *Tables) word(ports []int8) uint64 {
+	w, shape := uint64(0), 1
+	for i, p := range ports {
+		w |= uint64(p) << (3 + uint(i)*wordHopBits)
+		shape <<= 1
+		if tb.T.KindOfPort(int(p)) == topo.Global {
+			shape |= 1
+		}
+	}
+	return w | tb.stamps[shape]
+}
+
+// vlbWord builds a row's k-th VLB candidate word from the store's ports.
+func (tb *Tables) vlbWord(r *row, k int32) uint64 { return tb.word(tb.st.Ports(tb.vlbID(r, k))) }
+
+// Row returns the pair's MIN candidate words, a read-only view of the
+// arena, and its VLB candidate words, built into a new slice.
 func (tb *Tables) Row(s, d int) (min, vlb []uint64) {
-	words, mc := tb.row(s*tb.n + d)
-	return words[:mc:mc], words[mc:]
+	r := &tb.rows[s*tb.n+d]
+	vlb = make([]uint64, r.vlbN)
+	for k := range vlb {
+		vlb[k] = tb.vlbWord(r, int32(k))
+	}
+	return tb.minWords(r), vlb
 }
 
 // EqualRows reports whether two tables serve identical candidate
@@ -225,22 +293,11 @@ func (tb *Tables) EqualRows(o *Tables) bool {
 	if tb.n != o.n {
 		return false
 	}
-	eq := func(a, b []uint64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
 	for s := 0; s < tb.n; s++ {
 		for d := 0; d < tb.n; d++ {
 			am, av := tb.Row(s, d)
 			bm, bv := o.Row(s, d)
-			if !eq(am, bm) || !eq(av, bv) {
+			if !slices.Equal(am, bm) || !slices.Equal(av, bv) {
 				return false
 			}
 		}
@@ -248,96 +305,44 @@ func (tb *Tables) EqualRows(o *Tables) bool {
 	return true
 }
 
-// emitter carries one worker's scratch state of an emit pass.
-type emitter struct {
-	t      *topo.Compiled
-	cfg    Config
-	mask   *topo.FailureMask
-	path   paths.Path
-	hops   []netsim.RouteHop
-	failed error
-}
-
-// pack VC-assigns p (srcBudget 1: the UGAL family) and packs it.
-func (e *emitter) pack(p paths.Path) uint64 {
-	e.hops = routing.AppendVCHops(e.hops[:0], e.t, e.cfg.NumVCs, e.cfg.Scheme, 1, p)
-	w, err := packWord(e.hops)
-	if err != nil && e.failed == nil {
-		e.failed = err
-	}
-	return w
-}
-
-// emitPair appends the pair's MIN then VLB candidate words to out,
-// returning the extended arena and the two counts. Orders mirror the
-// live samplers: MIN candidates follow EnumerateMinAlive (= the
-// mask-filtered link-list order SampleMinAliveInto draws over), VLB
-// candidates follow the store's compiled pair range (= SampleID's
-// index space).
-func (e *emitter) emitPair(st *paths.Store, s, d int, out []uint64) (arena []uint64, minN, vlbN int32) {
-	for _, p := range paths.EnumerateMinAlive(e.t, e.mask, s, d) {
-		out = append(out, e.pack(p))
-		minN++
-	}
-	first, count := st.PairRange(s, d)
-	for k := 0; k < count; k++ {
-		st.MaterializeInto(s, first+paths.PathID(k), &e.path)
-		out = append(out, e.pack(e.path))
-		vlbN++
-	}
-	return out, minN, vlbN
-}
-
 // Emit compiles the store (and the topology's MIN sets, filtered by
-// the store's failure mask) into forwarding tables. Every row's
-// candidate counts are known before anything is packed, so words is
-// allocated once at its exact size — one word per candidate, ~67 MiB
-// for the paper's largest compiled store (~8.4M paths) — and every
-// source switch packs its rows into their own range, the switches
-// spread over the default pool. The tables are identical at any worker
-// count, and so is a failure: the error names the lowest-index failing
-// row.
+// the store's failure mask) into forwarding tables, refusing a Config
+// whose words cannot be packed. VLB candidates are not copied: a row's
+// are its PairRange. Every row's MIN count is known before anything is
+// packed (paths.CountMinAlive), so the MIN arena is allocated once at
+// its exact size — ≈0.3 MiB for the paper's largest compiled store —
+// and every source switch packs its rows into their own range, the
+// switches spread over the default pool. The tables are identical at
+// any worker count.
 func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 	start := time.Now()
 	t := st.T
-	n := t.NumSwitches()
-	tb := &Tables{
-		T:      t,
-		policy: st.Name(),
-		cfg:    cfg.withDefaults(),
-		n:      n,
-		mask:   st.Mask(),
-		idx:    make([]int32, n*n*3),
+	cfg = cfg.withDefaults()
+	if err := cfg.check(t); err != nil {
+		return nil, err
 	}
-	mask := tb.mask
+	n := t.NumSwitches()
+	tb := &Tables{T: t, st: st, policy: st.Name(), cfg: cfg, n: n, mask: st.Mask(), stamps: stampShapes(t, cfg), rows: make([]row, n*n)}
 	total := int64(0)
-	for pi := 0; pi < n*n; pi++ {
-		_, vlbN := st.PairRange(pi/n, pi%n)
-		minN := paths.CountMinAlive(t, mask, pi/n, pi%n)
-		tb.idx[pi*3], tb.idx[pi*3+1], tb.idx[pi*3+2] = int32(total), int32(minN), int32(vlbN)
-		total += int64(minN + vlbN)
+	for pi := range tb.rows {
+		first, vlbN := st.PairRange(pi/n, pi%n)
+		minN := paths.CountMinAlive(t, tb.mask, pi/n, pi%n)
+		tb.rows[pi] = row{minAt: int32(total), minN: int32(minN), vlbAt: int32(first), vlbN: int32(vlbN)}
+		total += int64(minN)
 	}
 	if total > math.MaxInt32 {
-		return nil, fmt.Errorf("route: %d candidates exceed the int32 table index", total)
+		return nil, fmt.Errorf("route: %d MIN candidates exceed the int32 table index", total)
 	}
-	tb.words = make([]uint64, total)
-	errs := make([]error, n)
+	min := make([]uint64, total)
 	exec.Default().RunRows("route/emit", n, func(s int) {
-		e := &emitter{t: t, cfg: tb.cfg, mask: mask}
-		for d := 0; d < n && errs[s] == nil; d++ {
-			i := (s*n + d) * 3
-			first, end := tb.idx[i], tb.idx[i]+tb.idx[i+1]+tb.idx[i+2]
-			e.emitPair(st, s, d, tb.words[first:first:end])
-			if e.failed != nil {
-				errs[s] = fmt.Errorf("route: row (%d,%d): %w", s, d, e.failed)
+		for d := 0; d < n; d++ {
+			at := tb.rows[s*n+d].minAt
+			for i, p := range paths.EnumerateMinAlive(t, tb.mask, s, d) {
+				min[at+int32(i)] = tb.word(p.Ports)
 			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	tb.chunks = []chunk{{min: min}}
 	tb.buildTime = time.Since(start)
 	return tb, nil
 }
@@ -348,18 +353,18 @@ type DeltaStats struct {
 	// store's VLB-dirty pairs, the MIN-dirty pairs implied by the
 	// newly dead channels and the newly dead switches' own rows.
 	DirtyPairs int
-	// WordsEmitted is the total candidate words written to this
-	// epoch's patch chunk (the rows that lost a candidate).
+	// WordsEmitted is how many candidates this epoch's patch holds: the
+	// rows that lost one, rewritten whole, MIN words at 8 B and VLB
+	// PathIDs at 4 B apiece.
 	WordsEmitted int
 	BuildTime    time.Duration
 }
 
-// rowFilter decides which words of a row survive a mask. A word
-// carries its own ports and its VCs do not depend on the mask, so a
-// degraded row is its previous epoch's row minus the dead words, in
-// order — exactly what Emit over a store compiled degraded under the
-// same mask packs (the live samplers' orders are stable under
-// filtering).
+// rowFilter decides which candidates of a row survive a mask. A
+// candidate's ports and VCs do not depend on the mask, so a degraded
+// row is its previous epoch's row minus the dead candidates, in order —
+// exactly what Emit over a store compiled degraded under the same mask
+// serves (the live samplers' orders are stable under filtering).
 type rowFilter struct {
 	mask    *topo.FailureMask
 	dead    []bool  // mask.DeadDense
@@ -368,42 +373,56 @@ type rowFilter struct {
 	p       int     // first non-terminal port
 }
 
-// alive walks the word's ports from switch src over the dense channel
-// arrays. A zero-hop word (the same-switch ejection) lives exactly as
+// alive walks a route's ports from switch src over the dense channel
+// arrays. A zero-hop route (the same-switch ejection) lives exactly as
 // long as its switch.
-func (f *rowFilter) alive(w uint64, src int) bool {
-	h := WordHops(w)
-	if h == 0 {
+func (f *rowFilter) alive(ports []int8, src int) bool {
+	if len(ports) == 0 {
 		return !f.mask.SwitchDead(src)
 	}
-	for w >>= 3; h > 0; h-- {
-		ch := src*f.nonTerm + int(w&wordPortMask) - f.p
+	for _, p := range ports {
+		ch := src*f.nonTerm + int(p) - f.p
 		if f.dead[ch] {
 			return false
 		}
 		src = int(f.peer[ch])
-		w >>= wordHopBits
 	}
 	return true
 }
 
-// count returns how many of the words, all routes out of src, survive.
-func (f *rowFilter) count(words []uint64, src int) (n int32) {
-	for _, w := range words {
-		if f.alive(w, src) {
-			n++
+// mark sets keep[i] for each surviving candidate i of tb's row r —
+// routes out of src, MIN first — and counts the survivors per class. A
+// MIN word's ports are its own, a VLB candidate's the store's.
+func (f *rowFilter) mark(tb *Tables, r *row, src int, keep []bool) (minN, vlbN int32) {
+	var ports [paths.MaxVLBHops]int8
+	for i, w := range tb.minWords(r) {
+		h := ports[:WordHops(w)]
+		for j := range h {
+			h[j], _ = WordHop(w, j)
+		}
+		if keep[i] = f.alive(h, src); keep[i] {
+			minN++
 		}
 	}
-	return n
+	for k := int32(0); k < r.vlbN; k++ {
+		if keep[r.minN+k] = f.alive(tb.st.Ports(tb.vlbID(r, k)), src); keep[r.minN+k] {
+			vlbN++
+		}
+	}
+	return minN, vlbN
 }
 
-// fill writes the surviving words to dst in order.
-func (f *rowFilter) fill(dst, words []uint64, src int) {
-	at := 0
-	for _, w := range words {
-		if f.alive(w, src) {
-			dst[at] = w
-			at++
+// copyKept writes the candidates of row r that keep marks to min and
+// vlb, in order.
+func (tb *Tables) copyKept(r *row, keep []bool, min []uint64, vlb []paths.PathID) {
+	for i, w := range tb.minWords(r) {
+		if keep[i] {
+			min[0], min = w, min[1:]
+		}
+	}
+	for k := int32(0); k < r.vlbN; k++ {
+		if keep[r.minN+k] {
+			vlb[0], vlb = tb.vlbID(r, k), vlb[1:]
 		}
 	}
 }
@@ -414,13 +433,14 @@ func (f *rowFilter) fill(dst, words []uint64, src int) {
 // MIN-affected pairs are over-approximated via paths.MinDirtyPairs)
 // and vlbDirty the store's dirty-pair list for it
 // (paths.Store.DirtyPairs). Each dirty row is filtered against mask,
-// count -> size -> fill with the rows spread over the default pool: a
-// row that lost nothing keeps its range, the others are written, in
-// dirty-list order, to one new chunk of exactly their size. The
+// mark -> size -> fill with the rows spread over the default pool: the
+// mark pass walks every candidate once and records its verdict, a row
+// that lost nothing keeps its place, and the others are copied whole,
+// in dirty-list order, to one new patch of exactly their size. The
 // receiver is never mutated and shares no writable memory with the
 // result, so earlier epochs keep serving their own rows and the result
 // is the same at any worker count.
-func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, vlbDirty [][2]int32) (*Tables, DeltaStats, error) {
+func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, vlbDirty [][2]int32) (*Tables, DeltaStats) {
 	start := time.Now()
 	n := tb.n
 	seen := make([]bool, n*n)
@@ -451,50 +471,45 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, v
 	f := &rowFilter{mask: mask, dead: mask.DeadDense(), peer: tb.T.PeerDense(), nonTerm: tb.T.A - 1 + tb.T.H, p: tb.T.P}
 	pool := exec.Default()
 	out := &Tables{
-		T: tb.T, policy: tb.policy, cfg: tb.cfg,
+		T: tb.T, st: tb.st, policy: tb.policy, cfg: tb.cfg, stamps: tb.stamps,
 		epoch: tb.epoch + 1, n: n, mask: mask,
-		idx:   slices.Clone(tb.idx),
-		words: tb.words,
-		pages: slices.Clone(tb.pages),
+		rows: slices.Clone(tb.rows),
 	}
+	// keep[at[k]:at[k+1]] holds the verdicts on dirty row k's candidates.
+	at := make([]int, len(dirty)+1)
+	for k, pi := range dirty {
+		at[k+1] = at[k] + int(tb.rows[pi].minN+tb.rows[pi].vlbN)
+	}
+	keep := make([]bool, at[len(dirty)])
 	pool.RunRows("route/delta-count", len(dirty), func(k int) {
 		pi := int(dirty[k])
-		words, mc := tb.row(pi)
-		out.idx[pi*3+1] = f.count(words[:mc], pi/n)
-		out.idx[pi*3+2] = f.count(words[mc:], pi/n)
+		r := &out.rows[pi]
+		r.minN, r.vlbN = f.mark(tb, &tb.rows[pi], pi/n, keep[at[k]:at[k+1]])
 	})
 	// The rows that lost a candidate move, in dirty-list order, to this
-	// epoch's chunk, whose first word takes the first address of a
-	// fresh page. A row left empty has no words to address and keeps
-	// its start.
-	base := int64(len(tb.words)) + int64(len(tb.pages))*pageWords
-	total := int64(0)
+	// epoch's patch. A row left empty has nothing to address and keeps
+	// its place.
+	patch := int32(len(tb.chunks))
+	var minN, vlbN int32
 	for _, pi := range dirty {
-		i := int(pi) * 3
-		lost := out.idx[i+1] != tb.idx[i+1] || out.idx[i+2] != tb.idx[i+2]
-		if size := out.idx[i+1] + out.idx[i+2]; lost && size > 0 {
-			out.idx[i] = int32(base + total) // wraps past MaxInt32: refused below
-			total += int64(size)
+		r, was := &out.rows[pi], &tb.rows[pi]
+		if (r.minN != was.minN || r.vlbN != was.vlbN) && r.minN+r.vlbN > 0 {
+			r.chunk, r.minAt, r.vlbAt = patch, minN, vlbN
+			minN += r.minN
+			vlbN += r.vlbN
 		}
 	}
-	if base+total > math.MaxInt32 {
-		return nil, DeltaStats{}, fmt.Errorf("route: epoch %d: patch addresses reach %d, beyond the int32 table index", out.epoch, base+total)
-	}
-	chunk := make([]uint64, total)
-	for at := int64(0); at < total; at += pageWords {
-		out.pages = append(out.pages, chunk[at:])
-	}
-	out.patchWords = tb.patchWords + total
+	ch := chunk{min: make([]uint64, minN), vlb: make([]paths.PathID, vlbN)}
+	out.chunks = append(slices.Clip(tb.chunks), ch)
+	out.patchBytes = tb.patchBytes + 8*int64(minN) + 4*int64(vlbN)
 	pool.RunRows("route/delta-fill", len(dirty), func(k int) {
 		pi := int(dirty[k])
-		if out.idx[pi*3] == tb.idx[pi*3] {
-			return
+		if r := &out.rows[pi]; r.chunk == patch {
+			tb.copyKept(&tb.rows[pi], keep[at[k]:], ch.min[r.minAt:], ch.vlb[r.vlbAt:])
 		}
-		words, _ := tb.row(pi)
-		f.fill(chunk[int64(out.idx[pi*3])-base:], words, pi/n)
 	})
 	out.buildTime = time.Since(start)
-	return out, DeltaStats{DirtyPairs: len(dirty), WordsEmitted: int(total), BuildTime: out.buildTime}, nil
+	return out, DeltaStats{DirtyPairs: len(dirty), WordsEmitted: int(minN + vlbN), BuildTime: out.buildTime}
 }
 
 // Mode selects how a lookup combines the row's MIN and VLB candidate
@@ -569,61 +584,33 @@ func decide(w uint64, min bool) Decision {
 // pairs with surviving candidates, then a VLB draw only when the mode
 // samples VLB and the row has candidates — so a caller feeding the
 // same rng.Source stream to direct routing and to Lookup gets
-// bit-identical decisions, query after query.
+// bit-identical decisions, query after query. Only the candidate the
+// decision serves is loaded: a MIN word from the arena, or a VLB
+// PathID whose word is built from the store's ports.
 func (tb *Tables) Lookup(r *rng.Source, mode Mode, threshold int, srcSw, dstSw int) Decision {
-	i := (srcSw*tb.n + dstSw) * 3
-	start, minCount, vlbCount := tb.idx[i], tb.idx[i+1], tb.idx[i+2]
-	if srcSw == dstSw {
-		if minCount == 0 {
-			return Decision{Refused: true, Port: -1} // dead switch
-		}
-		return decide(tb.word(start), true)
+	row := &tb.rows[srcSw*tb.n+dstSw]
+	minOK := row.minN > 0
+	mk := row.minAt
+	// Same-switch and same-group pairs have a single MIN path and the
+	// live sampler draws nothing for them; inter-group pairs draw
+	// uniformly over the surviving link list.
+	if minOK && tb.T.GroupOf(srcSw) != tb.T.GroupOf(dstSw) {
+		mk += int32(r.Intn(int(row.minN)))
 	}
-	minOK := minCount > 0
-	var mWord uint64
-	if minOK {
-		var k int32
-		// Same-group pairs have a single MIN path and the live
-		// sampler draws nothing for them; inter-group pairs draw
-		// uniformly over the surviving link list.
-		if tb.T.GroupOf(srcSw) != tb.T.GroupOf(dstSw) {
-			k = int32(r.Intn(int(minCount)))
-		}
-		mWord = tb.word(start + k)
+	vlbOK := row.vlbN > 0 && mode != ModeMin && srcSw != dstSw
+	var vk int32
+	if vlbOK {
+		vk = int32(r.Intn(int(row.vlbN)))
 	}
-	switch mode {
-	case ModeMin:
-		if !minOK {
-			return Decision{Refused: true, Port: -1}
-		}
-		return decide(mWord, true)
-	case ModeVLB:
-		if vlbCount > 0 {
-			w := tb.word(start + minCount + int32(r.Intn(int(vlbCount))))
-			return decide(w, false)
-		}
-		if minOK {
-			return decide(mWord, true)
-		}
-		return Decision{Refused: true, Port: -1}
-	default: // ModeUGAL
-		if vlbCount > 0 {
-			w := tb.word(start + minCount + int32(r.Intn(int(vlbCount))))
-			if !minOK {
-				return decide(w, false)
-			}
-			// Idle queue estimates: qMin = qVlb = 0, so the
-			// threshold rule reduces to its sign.
-			if 0 <= threshold {
-				return decide(mWord, true)
-			}
-			return decide(w, false)
-		}
-		if minOK {
-			return decide(mWord, true)
-		}
-		return Decision{Refused: true, Port: -1}
+	// ModeVLB serves VLB whenever it can. ModeUGAL's idle queue
+	// estimates (qMin = qVlb = 0) reduce the threshold rule to its sign.
+	switch {
+	case vlbOK && (mode == ModeVLB || !minOK || threshold < 0):
+		return decide(tb.vlbWord(row, vk), false)
+	case minOK:
+		return decide(tb.chunks[row.chunk].min[mk], true)
 	}
+	return Decision{Refused: true, Port: -1}
 }
 
 // FirstHop is one deduplicated next-hop entry of a forwarding row:
@@ -639,32 +626,47 @@ type FirstHop struct {
 
 // FirstHops appends the pair's weighted next-hop entries to buf:
 // MIN-class entries first, then VLB-class, each deduplicated by
-// (port, VC) in first-appearance order.
+// (port, VC) in first-appearance order. No whole word is built: a MIN
+// first port is read from its word, a VLB one from the store, and as a
+// first hop's VC depends on its port alone, entries are told apart by
+// port and take their VC from the word of the one-port prefix.
 func (tb *Tables) FirstHops(s, d int, buf []FirstHop) []FirstHop {
-	min, vlb := tb.Row(s, d)
-	fold := func(words []uint64, isMin bool, buf []FirstHop) []FirstHop {
-		base := len(buf)
-		for _, w := range words {
-			p, vc := int8(-1), int8(0)
-			if WordHops(w) > 0 {
-				p, vc = WordHop(w, 0)
-			}
-			found := false
-			for j := base; j < len(buf); j++ {
-				if buf[j].Port == p && buf[j].VC == vc {
-					buf[j].Weight++
-					found = true
-					break
-				}
-			}
-			if !found {
-				buf = append(buf, FirstHop{Port: p, VC: vc, Weight: 1, Min: isMin})
-			}
+	r := &tb.rows[s*tb.n+d]
+	var at [wordPortMask + 2]int32 // port+1 -> this class's entry index+1
+	for _, w := range tb.minWords(r) {
+		p := int8(-1)
+		if WordHops(w) > 0 {
+			p, _ = WordHop(w, 0)
 		}
-		return buf
+		if i := at[int(p)+1]; i > 0 {
+			buf[i-1].Weight++
+		} else {
+			buf = tb.newFirstHop(buf, &at, p, true)
+		}
 	}
-	buf = fold(min, true, buf)
-	return fold(vlb, false, buf)
+	at = [wordPortMask + 2]int32{}
+	for k := int32(0); k < r.vlbN; k++ {
+		p := int8(-1)
+		if ports := tb.st.Ports(tb.vlbID(r, k)); len(ports) > 0 {
+			p = ports[0]
+		}
+		if i := at[int(p)+1]; i > 0 {
+			buf[i-1].Weight++
+		} else {
+			buf = tb.newFirstHop(buf, &at, p, false)
+		}
+	}
+	return buf
+}
+
+// newFirstHop appends the entry of port p, weight 1, to buf.
+func (tb *Tables) newFirstHop(buf []FirstHop, at *[wordPortMask + 2]int32, p int8, min bool) []FirstHop {
+	at[int(p)+1] = int32(len(buf)) + 1
+	fh := FirstHop{Port: p, Weight: 1, Min: min}
+	if p >= 0 {
+		_, fh.VC = WordHop(tb.word([]int8{p}), 0)
+	}
+	return append(buf, fh)
 }
 
 // Stats summarizes emitted tables for reporting (cmd/dflyinfo
@@ -672,11 +674,11 @@ func (tb *Tables) FirstHops(s, d int, buf []FirstHop) []FirstHop {
 type Stats struct {
 	Pairs    int   `json:"pairs"`    // ordered switch pairs (rows), n*n
 	Rows     int   `json:"rows"`     // rows with at least one candidate
-	MinWords int   `json:"minWords"` // MIN candidate entries across live rows
-	VLBWords int   `json:"vlbWords"` // VLB candidate entries across live rows
-	Bytes    int64 `json:"bytes"`    // resident arena size
-	// PatchBytes is the part of Bytes in patch chunks: what the
-	// failure epochs so far have added, superseded rows included.
+	MinWords int   `json:"minWords"` // MIN candidates across live rows
+	VLBWords int   `json:"vlbWords"` // VLB candidates across live rows
+	Bytes    int64 `json:"bytes"`    // Tables.Bytes: the store is not counted
+	// PatchBytes is the part of Bytes in patches: what the failure
+	// epochs so far have added, superseded rows included.
 	PatchBytes int64         `json:"patchBytes"`
 	Epoch      int           `json:"epoch"`
 	BuildTime  time.Duration `json:"buildTimeNS"`
@@ -689,27 +691,22 @@ type Stats struct {
 	AvgFirstHops float64 `json:"avgFirstHops"`
 }
 
-// Stats computes the table summary by walking every row.
+// Stats computes the table summary by walking every row's first hops.
 func (tb *Tables) Stats() Stats {
-	s := Stats{Pairs: tb.n * tb.n, Bytes: tb.Bytes(), PatchBytes: tb.PatchBytes(), Epoch: tb.epoch, BuildTime: tb.buildTime}
+	s := Stats{Pairs: len(tb.rows), Bytes: tb.Bytes(), PatchBytes: tb.PatchBytes(), Epoch: tb.epoch, BuildTime: tb.buildTime}
 	var hopBuf []FirstHop
 	firstHops := 0
-	for src := 0; src < tb.n; src++ {
-		for dst := 0; dst < tb.n; dst++ {
-			min, vlb := tb.Row(src, dst)
-			c := len(min) + len(vlb)
-			if c == 0 {
-				continue
-			}
-			s.Rows++
-			s.MinWords += len(min)
-			s.VLBWords += len(vlb)
-			if c > s.MaxCandidates {
-				s.MaxCandidates = c
-			}
-			hopBuf = tb.FirstHops(src, dst, hopBuf[:0])
-			firstHops += len(hopBuf)
+	for pi, r := range tb.rows {
+		c := int(r.minN + r.vlbN)
+		if c == 0 {
+			continue
 		}
+		s.Rows++
+		s.MinWords += int(r.minN)
+		s.VLBWords += int(r.vlbN)
+		s.MaxCandidates = max(s.MaxCandidates, c)
+		hopBuf = tb.FirstHops(pi/tb.n, pi%tb.n, hopBuf[:0])
+		firstHops += len(hopBuf)
 	}
 	if s.Rows > 0 {
 		s.AvgCandidates = float64(s.MinWords+s.VLBWords) / float64(s.Rows)
