@@ -498,38 +498,6 @@ func TestComputeTVLBSeedReachesPairSampling(t *testing.T) {
 	}
 }
 
-// TestTwinWords: the adjustment finds the duplicate PathIDs of one
-// concrete path by comparing packed words, so word equality must be
-// Store.EqualIDs for every two paths of a pair — on an instance with
-// parallel global links, whose full set holds such duplicates.
-func TestTwinWords(t *testing.T) {
-	tp := topo.MustNew(2, 4, 4, 3)
-	net := flow.NewNetwork(tp)
-	st := paths.Compile(tp, paths.Full{T: tp})
-	ps := pairScratch{st: st, drop: make([]bool, st.NumPaths())}
-	twins := 0
-	for s := 0; s < tp.NumSwitches(); s++ {
-		for d := 0; d < tp.NumSwitches(); d++ {
-			n := ps.load(net, s, d)
-			for j := 0; j < n; j++ {
-				for k := j + 1; k < n; k++ {
-					same := ps.words[j] == ps.words[k]
-					if same != st.EqualIDs(ps.ids[j], ps.ids[k]) {
-						t.Fatalf("pair (%d,%d) ids %d,%d: words equal %v, EqualIDs %v",
-							s, d, ps.ids[j], ps.ids[k], same, !same)
-					}
-					if same {
-						twins++
-					}
-				}
-			}
-		}
-	}
-	if twins == 0 {
-		t.Error("no duplicate path in the full set: the test compared nothing that matters")
-	}
-}
-
 // TestRebalanceAllocs: the compiled adjustment allocates its result,
 // its accumulators and a few growths of the per-pair scratch — not
 // per path, and not more for a path set several times the size.
