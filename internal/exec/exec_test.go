@@ -90,6 +90,33 @@ func TestNestedRunDoesNotDeadlock(t *testing.T) {
 	}
 }
 
+// TestFreedWorkerTakesNextTask: a goroutine that finishes a task
+// claims the next index instead of leaving the slot idle. On a
+// 2-worker pool task 0 holds its goroutine until task 1 has started and
+// task 1 holds its own until task 2 has started. Static dispatch, which
+// hands index 2 out only after the submitter's inline task 1 returns,
+// deadlocks on this; the goroutine freed by task 0 must take task 2.
+func TestFreedWorkerTakesNextTask(t *testing.T) {
+	p := NewPool(2)
+	started := [3]chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+	donech := make(chan struct{})
+	go func() {
+		defer close(donech)
+		p.Run("claim", 3, func(i int) int64 {
+			close(started[i])
+			if i < 2 {
+				<-started[i+1]
+			}
+			return 0
+		})
+	}()
+	select {
+	case <-donech:
+	case <-time.After(10 * time.Second):
+		t.Fatal("task 2 never started: a freed worker did not take the next task")
+	}
+}
+
 func TestObserverSeesEveryTask(t *testing.T) {
 	p := NewPool(4)
 	var events atomic.Int64

@@ -374,11 +374,13 @@ type tally struct {
 // saturate is never read, and the search does not pay for it: a probe
 // that finishes saturated cancels every higher one, and a cancelled
 // probe that has not started is skipped. The grid is still one
-// pool.Run, which dispatches in ascending order and runs what it
-// cannot hand to a free worker inline. Under a busy pool (Step 2 of
-// Algorithm 1: more searches than workers) that makes the scan
-// sequential, ending at the first saturated rate; on an idle pool the
-// higher probes start at once as speculation — they are the answer
+// pool.Run, whose goroutines claim probes in ascending order: a probe
+// starts only after every lower one has been claimed, and the
+// submitter runs what it claims inline when no worker is free. Under a
+// busy pool (Step 2 of Algorithm 1: more searches than workers) that
+// makes the scan sequential, ending at the first saturated rate; a
+// worker freed mid-scan claims the next probe up, and on an idle pool
+// the higher probes start at once. Those are speculation — the answer
 // when the lower ones come back unsaturated — and are aborted as soon
 // as a lower one saturates. Either way the returned rate is the one an
 // eager search of all four probes returns, monotone instance or not,
