@@ -109,8 +109,8 @@ func TestEmitWorkers(t *testing.T) {
 // give the same rows and the same patches, derived three times from one
 // parent (ApplyDelta shares no writable memory with its receiver), and
 // rows equal to a from-scratch emit of a store compiled degraded. Each
-// epoch's patch holds exactly the candidates it reports, at 8 B a MIN
-// word and 4 B a VLB PathID.
+// epoch's patch holds exactly the entries it reports, at 8 B a MIN
+// word and 4 B a dead VLB PathID.
 func TestDeltaWorkers(t *testing.T) {
 	topos := []*topo.Compiled{topo.MustNew(2, 4, 2, 5), topo.MustNewD3(12, 4, 2)}
 	if !testing.Short() {
@@ -148,9 +148,9 @@ func TestDeltaWorkers(t *testing.T) {
 						}
 						p := got.chunks[len(got.chunks)-1]
 						grew := got.PatchBytes() - tb.PatchBytes()
-						if len(p.min)+len(p.vlb) != stats.WordsEmitted || grew != 8*int64(len(p.min))+4*int64(len(p.vlb)) || len(p.vlb) == 0 {
-							t.Fatalf("step %d: %d candidates emitted, patch of %d MIN and %d VLB grew %d bytes",
-								i, stats.WordsEmitted, len(p.min), len(p.vlb), grew)
+						if len(p.min)+len(p.dead) != stats.PatchEntries || grew != 8*int64(len(p.min))+4*int64(len(p.dead)) || len(p.dead) == 0 {
+							t.Fatalf("step %d: %d patch entries, patch of %d MIN and %d dead VLB grew %d bytes",
+								i, stats.PatchEntries, len(p.min), len(p.dead), grew)
 						}
 						continue
 					}
@@ -158,12 +158,87 @@ func TestDeltaWorkers(t *testing.T) {
 						t.Fatalf("step %d, %d workers: rows differ from the 1-worker tables", i, workers)
 					}
 					if !slices.EqualFunc(got.chunks, first.chunks, func(a, b chunk) bool {
-						return slices.Equal(a.min, b.min) && slices.Equal(a.vlb, b.vlb)
+						return slices.Equal(a.min, b.min) && slices.Equal(a.dead, b.dead)
 					}) {
 						t.Fatalf("step %d, %d workers: patches differ from the 1-worker tables", i, workers)
 					}
 				}
 				tb = first
+			}
+		})
+	}
+}
+
+// TestTrimmedRowSelect holds a trimmed row's two read paths to each
+// other: Lookup's k-th selection (the range's k-th ID moved past each
+// dead ID at or below it) and the merge of the range with its dead list
+// that Row and FirstHops read, ID for ID and word for word, on every row
+// of every epoch. The failures re-dirty the same rows — two global links
+// and a local link at one group, then the switch between them, which
+// empties rows — and the local link trims some rows' MIN candidates
+// only, which move to a patch with their dead list as it was.
+func TestTrimmedRowSelect(t *testing.T) {
+	for _, tp := range []*topo.Compiled{topo.MustNew(2, 4, 2, 5), topo.MustNewD3(12, 4, 2)} {
+		t.Run(tp.Label(), func(t *testing.T) {
+			sw := tp.SwitchID(1, 0)
+			peer := tp.SwitchID(1, 1)
+			var steps []func(*topo.FailureMask) ([]topo.Channel, error)
+			for gp := 0; gp < tp.H; gp++ {
+				if _, _, ok := tp.GlobalPeerOK(sw, gp); ok {
+					steps = append(steps, func(m *topo.FailureMask) ([]topo.Channel, error) { return m.FailGlobalLink(sw, gp) })
+				}
+			}
+			steps = append(steps[:min(2, len(steps))],
+				func(m *topo.FailureMask) ([]topo.Channel, error) { return m.FailLocalLink(sw, peer) },
+				func(m *topo.FailureMask) ([]topo.Channel, error) { return m.FailSwitch(sw) })
+			svc, err := NewService(paths.Compile(tp, paths.Full{T: tp}), ModeVLB, 0, Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := tp.NumSwitches()
+			var redirtied, minOnly, emptied int
+			for i, step := range steps {
+				prev := svc.Tables()
+				if _, err := svc.Fail(step); err != nil {
+					t.Fatal(err)
+				}
+				tb := svc.Tables()
+				for pi := range tb.rows {
+					s, d := pi/n, pi%n
+					r, was := &tb.rows[pi], &prev.rows[pi]
+					if r.chunk == int32(len(tb.chunks)-1) {
+						if was.chunk != 0 {
+							redirtied++
+						}
+						if r.minN < was.minN && r.vlbN == was.vlbN {
+							minOnly++
+						}
+					}
+					if r.minN+r.vlbN == 0 && was.minN+was.vlbN > 0 {
+						emptied++
+					}
+					first, count, dead := tb.vlbSpan(r, s, d)
+					var merged []paths.PathID
+					for id := first; id < first+paths.PathID(count); id++ {
+						if len(dead) > 0 && dead[0] == id {
+							dead = dead[1:]
+							continue
+						}
+						merged = append(merged, id)
+					}
+					if len(dead) != 0 || len(merged) != int(r.vlbN) {
+						t.Fatalf("step %d row (%d,%d): %d merged candidates, %d dead IDs outside the range, row says %d", i, s, d, len(merged), len(dead), r.vlbN)
+					}
+					_, vlb := tb.Row(s, d)
+					for k, id := range merged {
+						if got := tb.vlbID(r, s, d, int32(k)); got != id || vlb[k] != tb.word(tb.st.Ports(got)) {
+							t.Fatalf("step %d row (%d,%d): candidate %d selects %d, merge order has %d", i, s, d, k, got, id)
+						}
+					}
+				}
+			}
+			if redirtied == 0 || minOnly == 0 || emptied == 0 {
+				t.Fatalf("the sequence re-dirtied %d rows, trimmed %d in MIN only and emptied %d: a case did not bite", redirtied, minOnly, emptied)
 			}
 		})
 	}

@@ -106,7 +106,7 @@ type SwapStats struct {
 	NewlyDead  int           `json:"newlyDead"`    // channels the failure killed
 	VLBDirty   int           `json:"vlbDirty"`     // pairs the store's edge index flagged
 	DirtyPairs int           `json:"dirtyPairs"`   // rows the table delta examined
-	PatchBytes int64         `json:"patchBytes"`   // patches alive after the swap, all epochs'
+	PatchBytes int64         `json:"patchBytes"`   // Tables.PatchBytes after the swap: MIN words and dead IDs, all epochs'
 	StoreBuild time.Duration `json:"storeBuildNS"` // dirty-pair list time (the first builds the edge index)
 	TableBuild time.Duration `json:"tableBuildNS"` // dirty-row filter time
 }

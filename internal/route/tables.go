@@ -8,18 +8,18 @@
 // candidates, each a packed route word carrying the full ≤6-hop port/VC
 // sequence. A row is a view of the store it was emitted from: its MIN
 // candidates are packed words in a small dense arena, its VLB
-// candidates are the store's PathIDs — the pair's range while the row
-// is pristine, a patch of the surviving IDs once a failure trimmed it —
-// and a VLB word is VC-stamped and packed only when a lookup returns
-// it. A lookup is one row load, at most two bounded RNG draws and the
-// one candidate it serves, pinned bit-equivalent to the decisions
-// paths.Store + internal/routing produce directly on an idle network
-// (see the equivalence and word-oracle tests).
+// candidates are the store's PathIDs — the pair's range, minus a
+// sorted list of dead IDs once a failure trimmed it — and a VLB word is
+// VC-stamped and packed only when a lookup returns it. A lookup is one
+// row load, at most two bounded RNG draws and the one candidate it
+// serves, pinned bit-equivalent to the decisions paths.Store +
+// internal/routing produce directly on an idle network (see the
+// equivalence and word-oracle tests).
 //
 // Tables are immutable after Emit and read their store, like it,
 // without synchronization. Topology changes go through ApplyDelta,
-// which filters the rows a failure delta dirtied out of the previous
-// epoch's rows into a patch of their own behind a new epoch — the
+// which writes the rows a failure delta trimmed — MIN survivors and
+// dead VLB IDs — to a patch of their own behind a new epoch. The
 // Service layer swaps the epoch in atomically so no in-flight query is
 // ever dropped or torn.
 package route
@@ -170,17 +170,18 @@ type Tables struct {
 }
 
 // row locates one ordered pair's candidates in chunks[chunk]: MIN words
-// min[minAt:minAt+minN], and VLB candidates vlbAt..vlbAt+vlbN-1 — the
-// PathIDs themselves in the base, indexes into the patch's vlb in a
-// patch.
+// min[minAt:minAt+minN], then vlbN VLB candidates out of the pair's
+// Store.PairRange. In the base they are the PathIDs vlbAt..vlbAt+vlbN-1;
+// in a patch vlbN counts the range's survivors and dead[vlbAt:] lists
+// its other IDs, ascending.
 type row struct{ chunk, minAt, minN, vlbAt, vlbN int32 }
 
 const rowBytes = 5 * 4
 
-// chunk holds MIN candidate words and, in a patch, VLB PathIDs.
+// chunk holds MIN candidate words and, in a patch, dead PathIDs.
 type chunk struct {
-	min []uint64
-	vlb []paths.PathID
+	min  []uint64
+	dead []paths.PathID
 }
 
 // Policy returns the name of the VLB candidate policy the tables were
@@ -199,8 +200,8 @@ func (tb *Tables) Mask() *topo.FailureMask { return tb.mask }
 func (tb *Tables) BuildTime() time.Duration { return tb.buildTime }
 
 // PatchBytes reports the size of the patches the tables keep alive —
-// 8 B per MIN word, 4 B per VLB PathID — what every ApplyDelta epoch
-// so far has added, superseded rows included.
+// 8 B per MIN word, 4 B per dead VLB PathID — what every ApplyDelta
+// epoch so far has added, superseded rows included.
 func (tb *Tables) PatchBytes() int64 { return tb.patchBytes }
 
 // Bytes reports the resident size of the tables: rows, MIN arena and
@@ -214,12 +215,25 @@ func (tb *Tables) minWords(r *row) []uint64 {
 	return tb.chunks[r.chunk].min[r.minAt : r.minAt+r.minN : r.minAt+r.minN]
 }
 
-// vlbID returns a row's k-th VLB candidate.
-func (tb *Tables) vlbID(r *row, k int32) paths.PathID {
+// vlbSpan returns the VLB candidates of row r, pair (s, d), as a range
+// of PathIDs and the sorted IDs in it that are dead (none in the base).
+func (tb *Tables) vlbSpan(r *row, s, d int) (first paths.PathID, n int, dead []paths.PathID) {
 	if r.chunk == 0 {
-		return paths.PathID(r.vlbAt + k)
+		return paths.PathID(r.vlbAt), int(r.vlbN), nil
 	}
-	return tb.chunks[r.chunk].vlb[r.vlbAt+k]
+	first, n = tb.st.PairRange(s, d)
+	return first, n, tb.chunks[r.chunk].dead[r.vlbAt : int(r.vlbAt)+n-int(r.vlbN)]
+}
+
+// vlbID returns the k-th VLB candidate of row r, pair (s, d): the
+// range's k-th ID, moved past each dead ID at or below it.
+func (tb *Tables) vlbID(r *row, s, d int, k int32) paths.PathID {
+	first, _, dead := tb.vlbSpan(r, s, d)
+	id := first + paths.PathID(k)
+	for i := 0; i < len(dead) && dead[i] <= id; i++ {
+		id++
+	}
+	return id
 }
 
 // stampShapes VC-assigns (srcBudget 1: the UGAL family) and packs one
@@ -272,16 +286,18 @@ func (tb *Tables) word(ports []int8) uint64 {
 	return w | tb.stamps[shape]
 }
 
-// vlbWord builds a row's k-th VLB candidate word from the store's ports.
-func (tb *Tables) vlbWord(r *row, k int32) uint64 { return tb.word(tb.st.Ports(tb.vlbID(r, k))) }
-
 // Row returns the pair's MIN candidate words, a read-only view of the
 // arena, and its VLB candidate words, built into a new slice.
 func (tb *Tables) Row(s, d int) (min, vlb []uint64) {
 	r := &tb.rows[s*tb.n+d]
-	vlb = make([]uint64, r.vlbN)
-	for k := range vlb {
-		vlb[k] = tb.vlbWord(r, int32(k))
+	vlb = make([]uint64, 0, r.vlbN)
+	first, n, dead := tb.vlbSpan(r, s, d)
+	for id := first; id < first+paths.PathID(n); id++ {
+		if len(dead) > 0 && dead[0] == id {
+			dead = dead[1:]
+			continue
+		}
+		vlb = append(vlb, tb.word(tb.st.Ports(id)))
 	}
 	return tb.minWords(r), vlb
 }
@@ -353,78 +369,10 @@ type DeltaStats struct {
 	// store's VLB-dirty pairs, the MIN-dirty pairs implied by the
 	// newly dead channels and the newly dead switches' own rows.
 	DirtyPairs int
-	// WordsEmitted is how many candidates this epoch's patch holds: the
-	// rows that lost one, rewritten whole, MIN words at 8 B and VLB
-	// PathIDs at 4 B apiece.
-	WordsEmitted int
+	// PatchEntries is what this epoch's patch holds for the rows that
+	// lost a candidate: MIN survivors at 8 B, dead VLB PathIDs at 4 B.
+	PatchEntries int
 	BuildTime    time.Duration
-}
-
-// rowFilter decides which candidates of a row survive a mask. A
-// candidate's ports and VCs do not depend on the mask, so a degraded
-// row is its previous epoch's row minus the dead candidates, in order —
-// exactly what Emit over a store compiled degraded under the same mask
-// serves (the live samplers' orders are stable under filtering).
-type rowFilter struct {
-	mask    *topo.FailureMask
-	dead    []bool  // mask.DeadDense
-	peer    []int32 // topo.Compiled.PeerDense
-	nonTerm int     // channels per switch in both
-	p       int     // first non-terminal port
-}
-
-// alive walks a route's ports from switch src over the dense channel
-// arrays. A zero-hop route (the same-switch ejection) lives exactly as
-// long as its switch.
-func (f *rowFilter) alive(ports []int8, src int) bool {
-	if len(ports) == 0 {
-		return !f.mask.SwitchDead(src)
-	}
-	for _, p := range ports {
-		ch := src*f.nonTerm + int(p) - f.p
-		if f.dead[ch] {
-			return false
-		}
-		src = int(f.peer[ch])
-	}
-	return true
-}
-
-// mark sets keep[i] for each surviving candidate i of tb's row r —
-// routes out of src, MIN first — and counts the survivors per class. A
-// MIN word's ports are its own, a VLB candidate's the store's.
-func (f *rowFilter) mark(tb *Tables, r *row, src int, keep []bool) (minN, vlbN int32) {
-	var ports [paths.MaxVLBHops]int8
-	for i, w := range tb.minWords(r) {
-		h := ports[:WordHops(w)]
-		for j := range h {
-			h[j], _ = WordHop(w, j)
-		}
-		if keep[i] = f.alive(h, src); keep[i] {
-			minN++
-		}
-	}
-	for k := int32(0); k < r.vlbN; k++ {
-		if keep[r.minN+k] = f.alive(tb.st.Ports(tb.vlbID(r, k)), src); keep[r.minN+k] {
-			vlbN++
-		}
-	}
-	return minN, vlbN
-}
-
-// copyKept writes the candidates of row r that keep marks to min and
-// vlb, in order.
-func (tb *Tables) copyKept(r *row, keep []bool, min []uint64, vlb []paths.PathID) {
-	for i, w := range tb.minWords(r) {
-		if keep[i] {
-			min[0], min = w, min[1:]
-		}
-	}
-	for k := int32(0); k < r.vlbN; k++ {
-		if keep[r.minN+k] {
-			vlb[0], vlb = tb.vlbID(r, k), vlb[1:]
-		}
-	}
 }
 
 // ApplyDelta derives the tables for a grown failure mask from the
@@ -432,14 +380,18 @@ func (tb *Tables) copyKept(r *row, keep []bool, min []uint64, vlb []paths.PathID
 // plus this delta, never nil), newlyDead the failure delta (whose
 // MIN-affected pairs are over-approximated via paths.MinDirtyPairs)
 // and vlbDirty the store's dirty-pair list for it
-// (paths.Store.DirtyPairs). Each dirty row is filtered against mask,
-// mark -> size -> fill with the rows spread over the default pool: the
-// mark pass walks every candidate once and records its verdict, a row
-// that lost nothing keeps its place, and the others are copied whole,
-// in dirty-list order, to one new patch of exactly their size. The
-// receiver is never mutated and shares no writable memory with the
-// result, so earlier epochs keep serving their own rows and the result
-// is the same at any worker count.
+// (paths.Store.DirtyPairs). A candidate's ports and VCs do not depend
+// on the mask, so a degraded row is the base row minus the dead
+// candidates, in order: what Emit over a store compiled degraded under
+// mask serves. Each dirty row is mark -> size -> fill on the default
+// pool: one paths.MaskWalk marks its MIN words and its pair's whole
+// base range (an ID dead in an earlier epoch dies again); a row that
+// lost nothing keeps its place, an emptied one becomes an empty base
+// row, and the rest get their MIN survivors and dead IDs, in dirty-list
+// order, in one patch of exactly their size. The receiver is never
+// mutated and shares no writable memory with the result, so earlier
+// epochs keep serving their own rows and the result is the same at any
+// worker count.
 func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, vlbDirty [][2]int32) (*Tables, DeltaStats) {
 	start := time.Now()
 	n := tb.n
@@ -468,48 +420,77 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, v
 		}
 	}
 
-	f := &rowFilter{mask: mask, dead: mask.DeadDense(), peer: tb.T.PeerDense(), nonTerm: tb.T.A - 1 + tb.T.H, p: tb.T.P}
+	w := paths.NewMaskWalk(tb.T, mask)
 	pool := exec.Default()
 	out := &Tables{
 		T: tb.T, st: tb.st, policy: tb.policy, cfg: tb.cfg, stamps: tb.stamps,
 		epoch: tb.epoch + 1, n: n, mask: mask,
 		rows: slices.Clone(tb.rows),
 	}
-	// keep[at[k]:at[k+1]] holds the verdicts on dirty row k's candidates.
+	// dead[at[k]:at[k+1]] holds the verdicts on dirty row k's MIN words,
+	// then on its pair's base range.
 	at := make([]int, len(dirty)+1)
 	for k, pi := range dirty {
-		at[k+1] = at[k] + int(tb.rows[pi].minN+tb.rows[pi].vlbN)
+		_, count := tb.st.PairRange(int(pi)/n, int(pi)%n)
+		at[k+1] = at[k] + int(tb.rows[pi].minN) + count
 	}
-	keep := make([]bool, at[len(dirty)])
+	dead := make([]bool, at[len(dirty)])
 	pool.RunRows("route/delta-count", len(dirty), func(k int) {
 		pi := int(dirty[k])
-		r := &out.rows[pi]
-		r.minN, r.vlbN = f.mark(tb, &tb.rows[pi], pi/n, keep[at[k]:at[k+1]])
+		s, was, r := pi/n, &tb.rows[pi], &out.rows[pi]
+		marks := dead[at[k]:at[k+1]]
+		var ports [paths.MaxVLBHops]int8
+		r.minN = 0
+		for i, wd := range tb.minWords(was) {
+			h := ports[:WordHops(wd)]
+			for j := range h {
+				h[j], _ = WordHop(wd, j)
+			}
+			if marks[i] = !w.Alive(s, h); !marks[i] {
+				r.minN++
+			}
+		}
+		first, count := tb.st.PairRange(s, pi%n)
+		r.vlbN = int32(count - w.MarkDead(tb.st, s, first, count, marks[was.minN:]))
 	})
-	// The rows that lost a candidate move, in dirty-list order, to this
-	// epoch's patch. A row left empty has nothing to address and keeps
-	// its place.
 	patch := int32(len(tb.chunks))
-	var minN, vlbN int32
-	for _, pi := range dirty {
+	var minN, deadN int32
+	for k, pi := range dirty {
 		r, was := &out.rows[pi], &tb.rows[pi]
-		if (r.minN != was.minN || r.vlbN != was.vlbN) && r.minN+r.vlbN > 0 {
-			r.chunk, r.minAt, r.vlbAt = patch, minN, vlbN
+		switch {
+		case r.minN == was.minN && r.vlbN == was.vlbN:
+		case r.minN+r.vlbN == 0:
+			*r = row{}
+		default:
+			r.chunk, r.minAt, r.vlbAt = patch, minN, deadN
 			minN += r.minN
-			vlbN += r.vlbN
+			deadN += int32(at[k+1]-at[k]) - was.minN - r.vlbN
 		}
 	}
-	ch := chunk{min: make([]uint64, minN), vlb: make([]paths.PathID, vlbN)}
+	ch := chunk{min: make([]uint64, minN), dead: make([]paths.PathID, deadN)}
 	out.chunks = append(slices.Clip(tb.chunks), ch)
-	out.patchBytes = tb.patchBytes + 8*int64(minN) + 4*int64(vlbN)
+	out.patchBytes = tb.patchBytes + 8*int64(minN) + 4*int64(deadN)
 	pool.RunRows("route/delta-fill", len(dirty), func(k int) {
 		pi := int(dirty[k])
-		if r := &out.rows[pi]; r.chunk == patch {
-			tb.copyKept(&tb.rows[pi], keep[at[k]:], ch.min[r.minAt:], ch.vlb[r.vlbAt:])
+		r, was := &out.rows[pi], &tb.rows[pi]
+		if r.chunk != patch {
+			return
+		}
+		marks, min, ids := dead[at[k]:at[k+1]], ch.min[r.minAt:], ch.dead[r.vlbAt:]
+		for i, wd := range tb.minWords(was) {
+			if !marks[i] {
+				min[0], min = wd, min[1:]
+			}
+		}
+		first, _ := tb.st.PairRange(pi/n, pi%n)
+		for i, x := range marks[was.minN:] {
+			if x {
+				ids[0], ids = first+paths.PathID(i), ids[1:]
+			}
 		}
 	})
 	out.buildTime = time.Since(start)
-	return out, DeltaStats{DirtyPairs: len(dirty), WordsEmitted: int(minN + vlbN), BuildTime: out.buildTime}
+	return out, DeltaStats{DirtyPairs: len(dirty), PatchEntries: int(minN + deadN), BuildTime: out.buildTime}
 }
 
 // Mode selects how a lookup combines the row's MIN and VLB candidate
@@ -586,7 +567,8 @@ func decide(w uint64, min bool) Decision {
 // same rng.Source stream to direct routing and to Lookup gets
 // bit-identical decisions, query after query. Only the candidate the
 // decision serves is loaded: a MIN word from the arena, or a VLB
-// PathID whose word is built from the store's ports.
+// PathID — in a trimmed row, selected past the row's dead IDs — whose
+// word is built from the store's ports.
 func (tb *Tables) Lookup(r *rng.Source, mode Mode, threshold int, srcSw, dstSw int) Decision {
 	row := &tb.rows[srcSw*tb.n+dstSw]
 	minOK := row.minN > 0
@@ -606,7 +588,7 @@ func (tb *Tables) Lookup(r *rng.Source, mode Mode, threshold int, srcSw, dstSw i
 	// estimates (qMin = qVlb = 0) reduce the threshold rule to its sign.
 	switch {
 	case vlbOK && (mode == ModeVLB || !minOK || threshold < 0):
-		return decide(tb.vlbWord(row, vk), false)
+		return decide(tb.word(tb.st.Ports(tb.vlbID(row, srcSw, dstSw, vk))), false)
 	case minOK:
 		return decide(tb.chunks[row.chunk].min[mk], true)
 	}
@@ -627,7 +609,8 @@ type FirstHop struct {
 // FirstHops appends the pair's weighted next-hop entries to buf:
 // MIN-class entries first, then VLB-class, each deduplicated by
 // (port, VC) in first-appearance order. No whole word is built: a MIN
-// first port is read from its word, a VLB one from the store, and as a
+// first port is read from its word, a VLB one from the store (a trimmed
+// row read as one merge of its range with its dead list), and as a
 // first hop's VC depends on its port alone, entries are told apart by
 // port and take their VC from the word of the one-port prefix.
 func (tb *Tables) FirstHops(s, d int, buf []FirstHop) []FirstHop {
@@ -645,9 +628,14 @@ func (tb *Tables) FirstHops(s, d int, buf []FirstHop) []FirstHop {
 		}
 	}
 	at = [wordPortMask + 2]int32{}
-	for k := int32(0); k < r.vlbN; k++ {
+	first, n, dead := tb.vlbSpan(r, s, d)
+	for id := first; id < first+paths.PathID(n); id++ {
+		if len(dead) > 0 && dead[0] == id {
+			dead = dead[1:]
+			continue
+		}
 		p := int8(-1)
-		if ports := tb.st.Ports(tb.vlbID(r, k)); len(ports) > 0 {
+		if ports := tb.st.Ports(id); len(ports) > 0 {
 			p = ports[0]
 		}
 		if i := at[int(p)+1]; i > 0 {
@@ -677,7 +665,8 @@ type Stats struct {
 	MinWords int   `json:"minWords"` // MIN candidates across live rows
 	VLBWords int   `json:"vlbWords"` // VLB candidates across live rows
 	Bytes    int64 `json:"bytes"`    // Tables.Bytes: the store is not counted
-	// PatchBytes is the part of Bytes in patches: what the failure
+	// PatchBytes is the part of Bytes in patches: the trimmed rows'
+	// MIN words at 8 B and dead VLB PathIDs at 4 B, what the failure
 	// epochs so far have added, superseded rows included.
 	PatchBytes int64         `json:"patchBytes"`
 	Epoch      int           `json:"epoch"`
