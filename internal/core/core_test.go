@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -95,35 +97,52 @@ func TestStep1SmallTopology(t *testing.T) {
 	}
 }
 
-// TestStep1WorkerDeterminism: the full Step-1 probe — store compile
-// and grid walk included — must yield a bit-identical curve and the
-// same best point at any worker count.
+// TestStep1WorkerDeterminism: the full Step-1 probe must yield a
+// bit-identical curve and the same best point at 1, 2 and 16 workers,
+// pristine and under a failure mask, with one pass and with
+// Step1Repeats averaging two. Its full set is over step1StoreMax, so it
+// walks the interpreted set and compiles no store: the pool observer
+// sees no compile/ stat.
 func TestStep1WorkerDeterminism(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
-	opt := tinyOptions()
-	type outcome struct {
-		curve []ProbePoint
-		best  DataPoint
+	mask := topo.NewFailureMask(tp)
+	if _, err := mask.FailGlobalLink(tp.A/2, tp.H-1); err != nil {
+		t.Fatal(err)
 	}
-	var runs [2]outcome
-	for i, workers := range []int{1, 16} {
-		old := exec.SetDefault(exec.NewPool(workers))
-		curve, best, err := Step1(tp, opt)
-		exec.SetDefault(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = outcome{curve, best}
-	}
-	if runs[0].best != runs[1].best {
-		t.Fatalf("best point differs: %v vs %v", runs[0].best, runs[1].best)
-	}
-	for k := range runs[0].curve {
-		a, b := runs[0].curve[k], runs[1].curve[k]
-		if a.Point != b.Point ||
-			math.Float64bits(a.Mean) != math.Float64bits(b.Mean) ||
-			math.Float64bits(a.StdErr) != math.Float64bits(b.StdErr) {
-			t.Fatalf("point %d differs: %+v vs %+v", k, a, b)
+	for name, opt := range map[string]Options{
+		"pristine": tinyOptions(),
+		"masked":   func() Options { o := tinyOptions(); o.Failures = mask; return o }(),
+		"repeats":  func() Options { o := tinyOptions(); o.Step1Repeats = 2; return o }(),
+	} {
+		var want []ProbePoint
+		var wantBest DataPoint
+		for _, workers := range []int{1, 2, 16} {
+			if testing.Short() && workers == 2 {
+				continue
+			}
+			pool := exec.NewPool(workers)
+			var compiles atomic.Int32
+			pool.SetObserver(func(s exec.Stat) {
+				if strings.HasPrefix(s.Label, "compile/") {
+					compiles.Add(1)
+				}
+			})
+			old := exec.SetDefault(pool)
+			curve, best, err := Step1(tp, opt)
+			exec.SetDefault(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := compiles.Load(); n != 0 {
+				t.Errorf("%s, %d workers: Step 1 compiled %d stores, want none", name, workers, n)
+			}
+			if want == nil {
+				want, wantBest = curve, best
+			}
+			requireSameCurve(t, fmt.Sprintf("%s, %d workers", name, workers), want, curve)
+			if best != wantBest {
+				t.Fatalf("%s, %d workers: best %v, want %v", name, workers, best, wantBest)
+			}
 		}
 	}
 }
@@ -414,28 +433,39 @@ func TestComputeTVLBEndToEnd(t *testing.T) {
 		t.Skip("multi-second pipeline")
 	}
 	tp := topo.MustNew(2, 4, 2, 9)
-	// Count the store compiles the run reports: Step 1 builds the
-	// conventional set once, the baseline must score on that store and
-	// every candidate is cut out of it, so nothing else is enumerated.
+	// Order the store compiles the run reports against Step 1's solves:
+	// the conventional set is compiled once, after the last Step-1 model
+	// evaluation, the baseline must score on that store and every
+	// candidate is cut out of it, so nothing else is enumerated.
 	pool := exec.NewPool(2)
-	var fullCompiles, otherCompiles atomic.Int32
+	var mu sync.Mutex
+	var fullCompiles []int
+	lastModel, otherCompiles, seen := -1, 0, 0
 	pool.SetObserver(func(s exec.Stat) {
-		if s.Label == "compile/"+(paths.Full{}).Name() {
-			fullCompiles.Add(1)
-		} else if strings.HasPrefix(s.Label, "compile/") {
-			otherCompiles.Add(1)
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case s.Label == "compile/"+(paths.Full{}).Name():
+			fullCompiles = append(fullCompiles, seen)
+		case strings.HasPrefix(s.Label, "compile/"):
+			otherCompiles++
+		case strings.HasPrefix(s.Label, "model/"):
+			lastModel = seen
 		}
+		seen++
 	})
 	defer exec.SetDefault(exec.SetDefault(pool))
 	res, err := ComputeTVLB(tp, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := fullCompiles.Load(); n != 1 {
-		t.Errorf("full VLB store compiled %d times, want once", n)
+	if len(fullCompiles) != 1 {
+		t.Errorf("full VLB store compiled %d times, want once", len(fullCompiles))
+	} else if lastModel < 0 || fullCompiles[0] < lastModel {
+		t.Errorf("full VLB store compiled as stat %d and the last Step-1 model stat is %d, want the compile after it", fullCompiles[0], lastModel)
 	}
-	if n := otherCompiles.Load(); n != 0 {
-		t.Errorf("%d candidate stores were compiled by enumeration, want none", n)
+	if otherCompiles != 0 {
+		t.Errorf("%d candidate stores were compiled by enumeration, want none", otherCompiles)
 	}
 	if len(res.Curve) != 31 {
 		t.Fatalf("curve %d points", len(res.Curve))
@@ -572,52 +602,6 @@ func requireSameCurve(t *testing.T, name string, want, got []ProbePoint) {
 		if a.Point != b.Point || math.Float64bits(a.Mean) != math.Float64bits(b.Mean) ||
 			math.Float64bits(a.StdErr) != math.Float64bits(b.StdErr) {
 			t.Fatalf("%s: point %d is %+v, want %+v", name, k, b, a)
-		}
-	}
-}
-
-// TestStep1StoreOrNot: exact Step 1 walks the compiled full store when
-// the topology fits the compile budget and the interpreted full set
-// when it does not, and the curve is the same bits either way — at 1, 2
-// and 8 workers, pristine and under a failure mask, with one pass and
-// with Step1Repeats averaging two.
-func TestStep1StoreOrNot(t *testing.T) {
-	tp := topo.MustNew(2, 4, 2, 9)
-	refuse := func(*exec.Pool, *topo.Compiled, paths.Policy, *topo.FailureMask) (*paths.Store, bool) {
-		return nil, false
-	}
-	mask := topo.NewFailureMask(tp)
-	if _, err := mask.FailGlobalLink(tp.A/2, tp.H-1); err != nil {
-		t.Fatal(err)
-	}
-	for name, opt := range map[string]Options{
-		"pristine": tinyOptions(),
-		"masked":   func() Options { o := tinyOptions(); o.Failures = mask; return o }(),
-		"repeats":  func() Options { o := tinyOptions(); o.Step1Repeats = 2; return o }(),
-	} {
-		var want []ProbePoint
-		for _, workers := range []int{1, 2, 8} {
-			if testing.Short() && workers == 2 {
-				continue
-			}
-			old := exec.SetDefault(exec.NewPool(workers))
-			withStore, best, base, err := step1(tp, opt, paths.Compiled)
-			without, bestWithout, noBase, err2 := step1(tp, opt, refuse)
-			exec.SetDefault(old)
-			if err != nil || err2 != nil {
-				t.Fatal(err, err2)
-			}
-			if base == nil || noBase != nil {
-				t.Fatalf("%s: store %v with the compile allowed, %v with it refused", name, base, noBase)
-			}
-			if want == nil {
-				want = withStore
-			}
-			requireSameCurve(t, name+" with a store", want, withStore)
-			requireSameCurve(t, name+" without one", want, without)
-			if best != bestWithout {
-				t.Fatalf("%s: best %v with a store, %v without", name, best, bestWithout)
-			}
 		}
 	}
 }

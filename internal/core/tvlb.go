@@ -187,19 +187,25 @@ func Step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
 	if err := opt.validate(false); err != nil {
 		return nil, DataPoint{}, err
 	}
-	curve, best, _, err := step1(t, opt, paths.Compiled)
-	return curve, best, err
+	return step1(t, opt)
 }
 
-// step1 is Step1 also returning the compiled full VLB store the grid
-// was derived from (nil when none was built), so ComputeTVLB scores
-// the conventional baseline on it and cuts its Step-2 candidates out
-// of it instead of enumerating anything again. opt has been validated;
-// compiled is paths.Compiled, or a test's refusal.
-func step1(t *topo.Compiled, opt Options, compiled func(*exec.Pool, *topo.Compiled, paths.Policy, *topo.FailureMask) (*paths.Store, bool)) ([]ProbePoint, DataPoint, *paths.Store, error) {
+// step1StoreMax is the largest full VLB set Step 1 compiles before its
+// walk: 2^14 paths, a store of about 110 KB built in about a
+// millisecond. dfly(2,4,2,5) (15 480 paths) is under it, and there the
+// two walks tie (interpreted ÷ compiled ×0.92–1.01 on 2 vCPUs); the
+// paper's topologies are far over it, where the interpreted walk is
+// faster (×0.44–0.95 on dfly(4,8,4,9) and dfly(4,8,4,17)). The one
+// reason to compile at all is cmd/bench: its quick tier runs step1_g9
+// on dfly(2,4,2,5), and its tests require that workload to report a
+// store compile.
+const step1StoreMax = 1 << 14
+
+// step1 is Step1 on validated options.
+func step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
 	pats := modelPatterns(t, opt)
 	if len(pats) == 0 {
-		return nil, DataPoint{}, nil, fmt.Errorf("core: Type1Cap %d and Type2Model %d leave Step 1 no pattern on %s", opt.Type1Cap, opt.Type2Model, t.Label())
+		return nil, DataPoint{}, fmt.Errorf("core: Type1Cap %d and Type2Model %d leave Step 1 no pattern on %s", opt.Type1Cap, opt.Type2Model, t.Label())
 	}
 	grid := ProbeGrid()
 	repeats := max(opt.Step1Repeats, 1)
@@ -210,16 +216,19 @@ func step1(t *topo.Compiled, opt Options, compiled func(*exec.Pool, *topo.Compil
 	pool := exec.Default()
 	// means and ses hold every (repeat, point) probe, repeat-major.
 	var means, ses []float64
-	var base *paths.Store
 	if opt.Model.Loads.Enumerate {
 		// Exact loads: every grid policy filters the full VLB set, so
 		// one walk of it per demand pair serves all of them
-		// (flow.AverageModeledGrid) — over the compiled store when the
-		// topology fits the compile budget, over the interpreted set
-		// when it does not.
+		// (flow.AverageModeledGrid). The walk is the interpreted set under
+		// the mask: a suite reads only the pairs its demands name, so
+		// compiling every pair's paths first costs more than it saves.
+		// Only a set of at most step1StoreMax paths is compiled first;
+		// either walk gives the same bits.
 		full := paths.Policy(paths.Full{T: t})
-		if st, ok := compiled(pool, t, full, opt.Failures); ok {
-			base, full = st, st
+		if paths.EstimatePaths(t, full) <= step1StoreMax {
+			if st, ok := paths.Compiled(pool, t, full, opt.Failures); ok {
+				full = st
+			}
 		}
 		pols := make([]paths.Policy, 0, repeats*len(grid))
 		for rep := 0; rep < repeats; rep++ {
@@ -229,7 +238,7 @@ func step1(t *topo.Compiled, opt Options, compiled func(*exec.Pool, *topo.Compil
 		}
 		var err error
 		if means, ses, err = flow.AverageModeledGrid(t, full, pols, pats, opt.Model); err != nil {
-			return nil, DataPoint{}, nil, fmt.Errorf("core: step 1: %w", err)
+			return nil, DataPoint{}, fmt.Errorf("core: step 1: %w", err)
 		}
 	} else {
 		// Monte-Carlo loads (the giants): each probe samples its own
@@ -258,7 +267,7 @@ func step1(t *topo.Compiled, opt Options, compiled func(*exec.Pool, *topo.Compil
 			bestMean, best = mean, dp
 		}
 	}
-	return curve, best, base, nil
+	return curve, best, nil
 }
 
 // vicinity selects Step-2 candidate points around the best.
@@ -312,9 +321,8 @@ func simulateScore(t *topo.Compiled, pol paths.Policy, opt Options) float64 {
 	// Simulate on the compiled form when it fits the budget, so every
 	// per-packet draw is a PathID lookup. Rebalanced candidates arrive
 	// already compiled (and already degraded when a mask is in play),
-	// and so does the conventional baseline when Step 1 built its
-	// store, and pass through; this covers a baseline whose Step 1 ran
-	// without one.
+	// and so does the conventional baseline whenever the full set fits,
+	// and pass through.
 	if st, ok := paths.Compiled(pool, t, pol, opt.Failures); ok {
 		pol = st
 	}
@@ -345,7 +353,7 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	res := &Result{Topology: t.Label()}
 
 	// Step 1: coarse-grain estimation over the Table-1 grid.
-	curve, best, base, err := step1(t, opt, paths.Compiled)
+	curve, best, err := step1(t, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -380,15 +388,16 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 
 	// One task per candidate: load-balance adjustment, then its score.
 	// Every candidate is a subset of the full VLB set in its order, so on
-	// Step 1's store it is a drop mask over the stored paths: membership,
-	// adjustment and one compaction, with no enumeration and no copy
-	// before the adjustment. The candidates are independent and run
-	// concurrently on the default pool, written by index so the reported
-	// order (and the winner of score ties below) is stable. One immutable
-	// edge space serves them all.
+	// the full store, compiled here once Step 1 is done with its walks
+	// when the topology fits the budget, it is a drop mask over the
+	// stored paths: membership, adjustment and one compaction, with no
+	// enumeration and no copy before the adjustment. The candidates are
+	// independent and run concurrently on the default pool, written by
+	// index so the reported order (and the winner of score ties below) is
+	// stable. One immutable edge space serves them all.
 	//
 	// The conventional UGAL baseline is scored beside them (task 0),
-	// under the same simulation and on Step 1's store when there is one
+	// under the same simulation and on the same store when there is one
 	// (same policy, same mask): a saturation search that finds the pool
 	// busy is one chain of probes, each run only once the one before has
 	// answered (see sweep), so it keeps a single worker busy, and a worker
@@ -399,6 +408,7 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	}
 	res.Candidates = make([]Candidate, len(cands))
 	pool := exec.Default()
+	base, _ := paths.Compiled(pool, t, paths.Full{T: t}, opt.Failures) // nil over the budget
 	net := flow.NewDegradedNetwork(t, opt.Failures)
 	// Each task takes the full store, the call's largest object, from a
 	// slot of its own, so it is garbage once the baseline is scored and

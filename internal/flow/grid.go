@@ -20,9 +20,9 @@ const hopClasses = paths.MaxVLBHops + 1
 
 // gridPolicy is one policy of a GridWalk, reduced to what a row needs:
 // bit h of all is set when every h-hop path is in, bit h of some when
-// AllowsKeyed decides each h-hop path (paths.KeyedFilter.HopClass).
+// the draw decides each h-hop path (paths.KeyedFilter).
 type gridPolicy struct {
-	kf        paths.KeyedFilter
+	draw      paths.KeyDraw
 	all, some uint8
 }
 
@@ -98,7 +98,7 @@ func NewGridWalk(net *Network, base paths.Policy, pols []paths.Policy) (*GridWal
 		if !ok {
 			return nil, fmt.Errorf("flow: grid walk over %s: %s is not a keyed filter", base.Name(), pol.Name())
 		}
-		gp := gridPolicy{kf: kf}
+		gp := gridPolicy{draw: kf.Keyed()}
 		for h := 0; h < hopClasses; h++ {
 			all, some := kf.HopClass(h)
 			if all {
@@ -255,7 +255,7 @@ func (g *GridWalk) derive(k, i int) {
 				continue
 			}
 			for _, p := range g.byHops[h] {
-				if !gp.kf.AllowsKeyed(h, g.keys[p]) {
+				if !gp.draw.In(g.keys[p]) {
 					g.rejected = append(g.rejected, p)
 					continue
 				}

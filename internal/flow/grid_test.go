@@ -178,6 +178,54 @@ func TestAverageModeledGridMatchesAverageModeled(t *testing.T) {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// TestAverageModeledGridStoreOrNot: Step 1 walks the interpreted full set
+// under the mask, and a compiled store of it must give the same curve —
+// means and standard errors Float64bits-equal, pristine and degraded,
+// for the Table-1 grid under two seeds, at 1, 2 and 8 workers.
+func TestAverageModeledGridStoreOrNot(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	full := paths.Full{T: tp}
+	pats := append(traffic.Type1Set(tp)[:4], traffic.Type2Set(tp, 2, 7)...)
+	for _, degraded := range []bool{false, true} {
+		opt := DefaultModelOptions()
+		if degraded {
+			// One dead global link: degradeSteps' dead switch would zero
+			// most of these patterns' alphas and hide a difference.
+			opt.Failures = topo.NewFailureMask(tp)
+			if _, err := opt.Failures.FailGlobalLink(tp.A/2, tp.H-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bases := map[string]paths.Policy{"store": paths.CompileDegraded(tp, full, opt.Failures), "interpreted": full}
+		for _, seed := range []uint64{1, 2} {
+			list := tableOne(tp, seed)
+			var wantM, wantS []float64
+			for _, workers := range []int{1, 2, 8} {
+				if testing.Short() && workers == 2 {
+					continue
+				}
+				old := exec.SetDefault(exec.NewPool(workers))
+				for name, base := range bases {
+					means, ses, err := AverageModeledGrid(tp, base, list, pats, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wantM == nil {
+						wantM, wantS = means, ses
+					}
+					for k, pol := range list {
+						if !sameBits(means[k], wantM[k]) || !sameBits(ses[k], wantS[k]) {
+							t.Fatalf("degraded=%v seed %d, %d workers, %s: %s is (%v, %v), want (%v, %v)",
+								degraded, seed, workers, name, pol.Name(), means[k], ses[k], wantM[k], wantS[k])
+						}
+					}
+				}
+				exec.SetDefault(old)
+			}
+		}
+	}
+}
+
 // TestGridLoadsAllocs: a warm walk builds a pattern's rows in scratch
 // it already has. What is left is the MIN enumeration (K paths of two
 // slices each, and their list, per demand), which does not grow with

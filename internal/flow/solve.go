@@ -19,8 +19,15 @@ type Result struct {
 // three full dense arrays per evaluation.
 type Aggregate struct {
 	Fixed, Mu, Nu []float64
-	// Packed active-edge view, parallel arrays in edge order.
-	f, m, v, cap []float64
+	// Packed active-edge view, one group a capacity.
+	groups []capGroup
+}
+
+// capGroup holds the active edges of one capacity: their fixed, min and
+// vlb loads as parallel arrays, in edge order.
+type capGroup struct {
+	cap     float64
+	f, m, v []float64
 }
 
 // From folds dl's per-demand load vectors, weighted by demand rate,
@@ -55,17 +62,31 @@ func (a *Aggregate) From(dl *DemandLoads) {
 			a.Nu[ew.E] += d.Rate * ew.W
 		}
 	}
-	// Pack the edges any load can touch; the per-evaluation zero
-	// check stays inside alphaAt (an edge can still carry zero load
-	// at the probed split, e.g. mu=0 at x=1).
-	a.f, a.m, a.v, a.cap = a.f[:0], a.m[:0], a.v[:0], a.cap[:0]
-	for e := 0; e < n; e++ {
-		if a.Fixed[e] != 0 || a.Mu[e] != 0 || a.Nu[e] != 0 {
-			a.f = append(a.f, a.Fixed[e])
-			a.m = append(a.m, a.Mu[e])
-			a.v = append(a.v, a.Nu[e])
-			a.cap = append(a.cap, dl.Net.Cap[e])
+	// Pack the edges any load can touch by capacity (a network has
+	// three: 1, p and 0 on dead gear). A group this fold leaves empty
+	// costs alphaAt nothing, so groups are kept, arrays and all, from
+	// fold to fold. The per-evaluation zero check stays inside alphaAt
+	// (an edge can still carry zero load at the probed split, e.g. mu=0
+	// at x=1).
+	for i := range a.groups {
+		g := &a.groups[i]
+		g.f, g.m, g.v = g.f[:0], g.m[:0], g.v[:0]
+	}
+	for e, c := range dl.Net.Cap {
+		if a.Fixed[e] == 0 && a.Mu[e] == 0 && a.Nu[e] == 0 {
+			continue
 		}
+		i := 0
+		for i < len(a.groups) && a.groups[i].cap != c {
+			i++
+		}
+		if i == len(a.groups) {
+			a.groups = append(a.groups, capGroup{cap: c})
+		}
+		g := &a.groups[i]
+		g.f = append(g.f, a.Fixed[e])
+		g.m = append(g.m, a.Mu[e])
+		g.v = append(g.v, a.Nu[e])
 	}
 }
 
@@ -81,15 +102,27 @@ func resetDense(xs []float64, n int) []float64 {
 }
 
 // alphaAt returns the saturation alpha at MIN split x, scanning only
-// the packed active edges.
+// the packed active edges: the least cap/load over the edges whose load
+// exceeds 1e-12, or 0 when none does. It divides once per capacity, not
+// once per edge: a correctly rounded c/x does not increase with x > 0,
+// so over the loads of one capacity c above the cutoff the least c/load
+// is c over the largest of them, bit for bit.
 func (a *Aggregate) alphaAt(x float64) float64 {
 	best := math.Inf(1)
-	for i, f := range a.f {
-		load := f + x*a.m[i] + (1-x)*a.v[i]
-		if load <= 1e-12 {
+	for i := range a.groups {
+		g := &a.groups[i]
+		m, v := g.m[:len(g.f)], g.v[:len(g.f)] // one bounds check a group, none an edge
+		top := 0.0
+		for i, f := range g.f {
+			load := f + x*m[i] + (1-x)*v[i]
+			if load > top { // not max(): it orders NaNs and zeros, three times the cost
+				top = load
+			}
+		}
+		if top <= 1e-12 {
 			continue
 		}
-		if al := a.cap[i] / load; al < best {
+		if al := g.cap / top; al < best {
 			best = al
 		}
 	}
@@ -106,13 +139,16 @@ func (a *Aggregate) alphaAt(x float64) float64 {
 // split x, solved by golden-section over a coarse grid bracket; the
 // golden-section loop carries the surviving interior evaluation, so
 // each iteration costs one alphaAt call instead of two.
-func (a *Aggregate) Solve() Result {
+func (a *Aggregate) Solve() Result { return maximize(a.alphaAt) }
+
+// maximize is Solve over any alpha(x).
+func maximize(alphaAt func(x float64) float64) Result {
 	// Coarse grid bracket, then golden-section refinement.
-	bestX, bestA := 0.0, a.alphaAt(0)
+	bestX, bestA := 0.0, alphaAt(0)
 	const grid = 64
 	for i := 1; i <= grid; i++ {
 		x := float64(i) / grid
-		if al := a.alphaAt(x); al > bestA {
+		if al := alphaAt(x); al > bestA {
 			bestA, bestX = al, x
 		}
 	}
@@ -121,22 +157,22 @@ func (a *Aggregate) Solve() Result {
 	const phi = 0.6180339887498949
 	m1 := hi - phi*(hi-lo)
 	m2 := lo + phi*(hi-lo)
-	f1, f2 := a.alphaAt(m1), a.alphaAt(m2)
+	f1, f2 := alphaAt(m1), alphaAt(m2)
 	for it := 0; it < 48; it++ {
 		if f1 < f2 {
 			lo = m1
 			m1, f1 = m2, f2
 			m2 = lo + phi*(hi-lo)
-			f2 = a.alphaAt(m2)
+			f2 = alphaAt(m2)
 		} else {
 			hi = m2
 			m2, f2 = m1, f1
 			m1 = hi - phi*(hi-lo)
-			f1 = a.alphaAt(m1)
+			f1 = alphaAt(m1)
 		}
 	}
 	x := (lo + hi) / 2
-	al := a.alphaAt(x)
+	al := alphaAt(x)
 	if bestA > al {
 		al, x = bestA, bestX
 	}

@@ -45,20 +45,32 @@ type StoredFilter interface {
 
 // KeyedFilter is one refinement beyond StoredFilter: membership
 // decided from a path's hop count and identity hash alone, with no
-// access to its structure. AllowsKeyed(p.Hops(), p.Key()) must equal
-// Contains(s, d, p) for every valid VLB path of every pair. An analysis
-// that hashes a pair's paths once can then derive every such policy's
-// path set from the hashes, and HopClass lets it skip the hashes too
-// for whole lengths: every Table-1 policy admits all paths up to a
-// cap, a keyed subset one hop longer and nothing beyond, so per policy
-// at most one length is ever looked at path by path.
+// access to its structure. With all, some := HopClass(p.Hops()),
+// all || some && Keyed().In(p.Key()) must equal Contains(s, d, p) for
+// every valid VLB path of every pair. An analysis that hashes a pair's
+// paths once can then derive every such policy's path set from the
+// hashes, and HopClass lets it skip the hashes too for whole lengths:
+// every Table-1 policy admits all paths up to a cap, a keyed subset one
+// hop longer and nothing beyond, so per policy at most one length is
+// ever looked at path by path, and that through a KeyDraw taken once.
 type KeyedFilter interface {
 	// HopClass states the policy on all paths of one length at once:
-	// all when every one is in, some when AllowsKeyed decides each by
-	// its key, neither when none is in.
+	// all when every one is in, some when Keyed decides each by its
+	// key, neither when none is in.
 	HopClass(hops int) (all, some bool)
-	AllowsKeyed(hops int, key uint64) bool
+	Keyed() KeyDraw
 }
+
+// KeyDraw is a keyed filter's test of one path, with the policy's seed
+// already mixed in: a value, so a walk over many paths calls no
+// interface and hashes each key once.
+type KeyDraw struct {
+	seed uint64 // rng.HashSeed mixed with the policy's seed
+	frac float64
+}
+
+// In reports whether the path with identity hash key is drawn in.
+func (k KeyDraw) In(key uint64) bool { return rng.Float01(rng.Mix(k.seed, key)) < k.frac }
 
 // sampleAttempts bounds rejection sampling in restricted policies.
 // If no allowed path is found within the budget, the shortest path
@@ -128,8 +140,9 @@ func (f Full) AllowsStored(*Store, int, int, PathID) bool { return true }
 // HopClass implements KeyedFilter.
 func (f Full) HopClass(int) (all, some bool) { return true, false }
 
-// AllowsKeyed implements KeyedFilter.
-func (f Full) AllowsKeyed(int, uint64) bool { return true }
+// Keyed implements KeyedFilter: no length is keyed, and the draw would
+// admit every path (rng.Float01 < 1).
+func (f Full) Keyed() KeyDraw { return KeyDraw{frac: 1} }
 
 // LengthCapped is the Table 1 family of data points: all VLB paths of
 // at most MaxHops hops, plus a pseudo-random fraction Frac of the
@@ -166,7 +179,7 @@ func (l LengthCapped) Enumerate(s, d int) []Path { return enumerate(l.T, l, s, d
 // boundary-length path pays for its identity hash.
 func (l LengthCapped) Contains(_, _ int, p Path) bool {
 	all, some := l.HopClass(p.Hops())
-	return all || some && l.keyed(p.Key())
+	return all || some && l.Keyed().In(p.Key())
 }
 
 // AllowsStored implements StoredFilter: paths at or under the cap
@@ -175,7 +188,7 @@ func (l LengthCapped) Contains(_, _ int, p Path) bool {
 // identity-hash walk.
 func (l LengthCapped) AllowsStored(base *Store, s, _ int, id PathID) bool {
 	all, some := l.HopClass(base.Hops(id))
-	return all || some && l.keyed(base.KeyOf(s, id))
+	return all || some && l.Keyed().In(base.KeyOf(s, id))
 }
 
 // HopClass implements KeyedFilter: the one statement of the set.
@@ -183,16 +196,11 @@ func (l LengthCapped) HopClass(hops int) (all, some bool) {
 	return hops <= l.MaxHops, hops == l.MaxHops+1 && l.Frac > 0
 }
 
-// AllowsKeyed implements KeyedFilter.
-func (l LengthCapped) AllowsKeyed(hops int, key uint64) bool {
-	all, some := l.HopClass(hops)
-	return all || some && l.keyed(key)
-}
-
-// keyed draws the boundary-length path with identity hash key into or
-// out of the Frac subset.
-func (l LengthCapped) keyed(key uint64) bool {
-	return rng.Float01(rng.Mix(rng.Mix(rng.HashSeed, l.Seed), key)) < l.Frac
+// Keyed implements KeyedFilter, and is the one definition of the Frac
+// subset: a boundary-length path is in when its identity hash, mixed
+// with Seed, falls below Frac.
+func (l LengthCapped) Keyed() KeyDraw {
+	return KeyDraw{seed: rng.Mix(rng.HashSeed, l.Seed), frac: l.Frac}
 }
 
 // Strategic is the Step-2 deterministic expansion for the 50% 5-hop

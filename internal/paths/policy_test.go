@@ -228,9 +228,10 @@ func legSplits(t *topo.Compiled, p Path) [][2]int {
 // TestHopClass holds the three statements of a keyed filter together
 // on both implementers, for every hop count 0..6: HopClass against the
 // Table-1 definition written out here (all paths up to MaxHops, a keyed
-// Frac of the MaxHops+1 ones, nothing longer), AllowsKeyed against
-// HopClass and the hash draw over 2000 keys a length, and Contains
-// against AllowsKeyed on every real path out of one switch.
+// Frac of the MaxHops+1 ones, nothing longer), the keyed verdict
+// (allowsKeyed) against the hash draw written out here over 2000 keys a
+// length, and Contains against the keyed verdict on every real path out
+// of one switch.
 func TestHopClass(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	var real []Path
@@ -251,8 +252,8 @@ func TestHopClass(t *testing.T) {
 		lengths := map[int]bool{}
 		for _, p := range real {
 			lengths[p.Hops()] = true
-			if pol.Contains(p.Src(), p.Dst(), p) != kf.AllowsKeyed(p.Hops(), p.Key()) {
-				t.Fatalf("%s: Contains and AllowsKeyed disagree on %v", pol.Name(), p)
+			if pol.Contains(p.Src(), p.Dst(), p) != allowsKeyed(kf, p.Hops(), p.Key()) {
+				t.Fatalf("%s: Contains and the keyed verdict disagree on %v", pol.Name(), p)
 			}
 		}
 		if len(lengths) != 5 {
@@ -274,8 +275,8 @@ func TestHopClass(t *testing.T) {
 				if some {
 					want = rng.Float01(rng.Mix(rng.Mix(rng.HashSeed, l.Seed), key)) < l.Frac
 				}
-				if kf.AllowsKeyed(hops, key) != want {
-					t.Fatalf("%s: AllowsKeyed(%d, %#x) = %v", pol.Name(), hops, key, !want)
+				if allowsKeyed(kf, hops, key) != want {
+					t.Fatalf("%s: keyed verdict on (%d, %#x) = %v", pol.Name(), hops, key, !want)
 				}
 				if want {
 					in++
@@ -286,4 +287,11 @@ func TestHopClass(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allowsKeyed is a keyed filter's verdict on one path from its hop count
+// and identity hash alone, as the KeyedFilter contract states it.
+func allowsKeyed(kf KeyedFilter, hops int, key uint64) bool {
+	all, some := kf.HopClass(hops)
+	return all || some && kf.Keyed().In(key)
 }

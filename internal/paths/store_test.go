@@ -224,8 +224,8 @@ func TestTryCompileBudget(t *testing.T) {
 // TestStoredFilterMatchesContains pins the no-materialization
 // membership path on every stored full-VLB path of four instances (one
 // link per group pair, parallel links, the second family): KeyOf must
-// equal the materialized path's Key, AllowsStored and AllowsKeyed must
-// agree with Contains under every filter policy, and Strategic — whose
+// equal the materialized path's Key, AllowsStored and the keyed verdict
+// (allowsKeyed) must agree with Contains under every filter policy, and Strategic — whose
 // Contains tests its one split point in place — must agree with the
 // slice-building legSplits definition.
 func TestStoredFilterMatchesContains(t *testing.T) {
@@ -260,8 +260,8 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 							t.Fatalf("%s %s pair (%d,%d) path %d: AllowsStored disagrees with Contains",
 								tp.Label(), pol.Name(), s, d, k)
 						}
-						if kf, ok := pol.(KeyedFilter); ok && kf.AllowsKeyed(p.Hops(), p.Key()) != want {
-							t.Fatalf("%s %s pair (%d,%d) path %d: AllowsKeyed disagrees with Contains",
+						if kf, ok := pol.(KeyedFilter); ok && allowsKeyed(kf, p.Hops(), p.Key()) != want {
+							t.Fatalf("%s %s pair (%d,%d) path %d: the keyed verdict disagrees with Contains",
 								tp.Label(), pol.Name(), s, d, k)
 						}
 						st, ok := pol.(Strategic)

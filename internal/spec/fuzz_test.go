@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tugal/internal/netsim"
+	"tugal/internal/paths"
 	"tugal/internal/topo"
 )
 
@@ -96,8 +97,9 @@ func FuzzFailures(f *testing.F) {
 // FuzzLoadSuite: any bytes are refused or become a suite every
 // experiment of which passes the static check (Resolve on no pool: no
 // compile, no simulation) into something netsim and sweep can size
-// their arrays from — parts named, rates inside (0,1], windows and seed
-// count sane, every entry's config inside netsim's bounds — never a
+// their arrays from — parts named, rates inside (0,1], a capped policy's
+// fraction inside [0,1], windows and seed count sane, every entry's
+// config inside netsim's bounds — never a
 // panic, never an out-of-memory wheel. The decoder reads fields it
 // knows into slices the input spelled out, so what it allocates is
 // bounded by the input.
@@ -115,6 +117,7 @@ func FuzzLoadSuite(f *testing.F) {
 		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["min"],"rates":[0.1],"localLatency":2000000000}]}`,
 		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["min"],"rates":[0.1],"packetSize":9,"buffer":8}]}`,
 		`{"experiments":[`, `[]`, `null`, ``,
+		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["t-ugal-l"],"rates":[0.1],"policy":"capped:3:NaN"}]}`,
 	} {
 		f.Add([]byte(js))
 	}
@@ -138,6 +141,11 @@ func FuzzLoadSuite(f *testing.F) {
 			r, err := e.Resolve(nil)
 			if err != nil {
 				t.Fatalf("%q: loaded, then refused: %v", e.Name, err)
+			}
+			if pol, err := Policy(r.T, e.Policy, 0); err != nil {
+				t.Fatalf("%q: resolved, then its policy %q is refused: %v", e.Name, e.Policy, err)
+			} else if lc, ok := pol.(paths.LengthCapped); ok && !(lc.Frac >= 0 && lc.Frac <= 1) {
+				t.Fatalf("%q: accepted policy %q with fraction %v", e.Name, e.Policy, lc.Frac)
 			}
 			if w := r.Windows; w.Warmup < 0 || w.Measure <= 0 || w.Drain < 0 || r.Seeds < 1 || len(r.Entries) != len(e.Routing) || r.T.Radix() > 64 {
 				t.Fatalf("%q: resolved to windows %+v, %d seeds, %d entries, radix %d", e.Name, w, r.Seeds, len(r.Entries), r.T.Radix())

@@ -129,7 +129,7 @@ func Policy(t *topo.Compiled, s string, seed uint64) (paths.Policy, error) {
 		frac := 0.0
 		if len(parts) > 2 {
 			frac, err = strconv.ParseFloat(parts[2], 64)
-			if err != nil || frac < 0 || frac > 1 {
+			if err != nil || !(frac >= 0 && frac <= 1) { // NaN fails both
 				return nil, fmt.Errorf("spec: bad frac %q", parts[2])
 			}
 		}
