@@ -366,8 +366,8 @@ func (st *Store) DropMask(pol Policy) []bool {
 // is marked in removed (indexed by PathID, len NumPaths), as count ->
 // prefix -> exact-size fill. Pair order is preserved. This is how the
 // Step-2 balance adjustment expresses its removal set on a compiled
-// store, and the only copy a candidate derived from Step 1's store
-// ever gets.
+// store, and the only copy a candidate cut out of the full store ever
+// gets.
 func (st *Store) Without(removed []bool) *Store {
 	start := time.Now()
 	nn := st.n * st.n
