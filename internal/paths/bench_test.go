@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"fmt"
 	"testing"
 
 	"tugal/internal/topo"
@@ -9,18 +10,22 @@ import (
 var benchStore *Store
 
 // BenchmarkCompileStore times the full-VLB store compile on the
-// paper's g9 machine (~4.1M paths). allocs/op is the number the
+// paper's g9 machine (~4.1M paths) and on dfly(4,8,4,17), the topology
+// cmd/routed serves (~8.4M paths). allocs/op is the number the
 // count -> fill build is held to: a few per source switch, not a few
 // per path.
 func BenchmarkCompileStore(b *testing.B) {
-	tp := topo.MustNew(4, 8, 4, 9)
-	pol := Full{T: tp}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchStore = Compile(tp, pol)
+	for _, g := range []int{9, 17} {
+		tp := topo.MustNew(4, 8, 4, g)
+		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
+			pol := Full{T: tp}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchStore = Compile(tp, pol)
+			}
+			b.ReportMetric(float64(benchStore.NumPaths()), "paths")
+		})
 	}
-	b.ReportMetric(float64(benchStore.NumPaths()), "paths")
 }
 
 // BenchmarkBuildEdgeIndex times the lazy cost of a service's first

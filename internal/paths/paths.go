@@ -196,18 +196,29 @@ func minViaLink(t *topo.Compiled, s, d int, l topo.GlobalLink) Path {
 	return p
 }
 
-// minLeg is one MIN path in fixed-size scratch form: n hops, their
-// out-ports, and the switch sequence from the leg's own source.
+// minLeg is one MIN path in fixed-size form: n hops, their out-ports
+// (zero past n), the switch sequence from the leg's own source, and
+// whether every hop survives the walk's failure mask. A VLB path is two
+// legs joined at an intermediate switch, so its hops are theirs: it
+// survives the mask exactly when both legs do, and the two legs never
+// share a directed channel. The source, intermediate and destination
+// groups are distinct, and a channel of the first leg either starts in
+// the source group or enters the intermediate switch, while a channel
+// of the second starts in the intermediate or destination group and
+// never enters the intermediate switch, the second leg's own source.
 type minLeg struct {
 	n     int8
+	alive bool
 	ports [3]int8
 	sw    [4]int32
 }
 
-// set builds the MIN leg s -> l.From -> l.To -> d.
-func (m *minLeg) set(t *topo.Compiled, s, d int, l topo.GlobalLink) {
+// set builds the MIN leg s -> l.From -> l.To -> d under mask (nil:
+// pristine).
+func (m *minLeg) set(t *topo.Compiled, mask *topo.FailureMask, s, d int, l topo.GlobalLink) {
 	u, v := int(l.From), int(l.To)
 	n := 0
+	m.ports = [3]int8{}
 	m.sw[0] = int32(s)
 	if u != s {
 		m.ports[n] = int8(t.LocalPort(s, u))
@@ -223,145 +234,233 @@ func (m *minLeg) set(t *topo.Compiled, s, d int, l topo.GlobalLink) {
 		m.sw[n] = int32(d)
 	}
 	m.n = int8(n)
+	m.alive = m.survives(mask)
 }
 
-// sharesChannel reports whether joining the two legs would use one
-// directed channel twice. It cannot arise from two MIN legs of
-// disjoint group pairs, so it is always false today; the check guards
-// future arrangement variants. A MIN leg never repeats a channel
-// itself, so only cross-leg hops are compared.
-func (m *minLeg) sharesChannel(o *minLeg) bool {
-	for i := 0; i < int(m.n); i++ {
-		for j := 0; j < int(o.n); j++ {
-			if m.sw[i] == o.sw[j] && m.ports[i] == o.ports[j] {
-				return true
+// setLocal builds the one-hop leg u -> v inside a group under mask.
+func (m *minLeg) setLocal(t *topo.Compiled, mask *topo.FailureMask, u, v int) {
+	*m = minLeg{n: 1, ports: [3]int8{int8(t.LocalPort(u, v))}, sw: [4]int32{int32(u), int32(v)}}
+	m.alive = m.survives(mask)
+}
+
+func (m *minLeg) survives(mask *topo.FailureMask) bool {
+	for i := 0; mask != nil && i < int(m.n); i++ {
+		if mask.ChannelDead(int(m.sw[i]), int(m.ports[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// newLegTable builds every inter-group MIN leg of t once, with its
+// liveness under mask: the K legs from x to y at [(x*(n-a)+col)*K, +K),
+// col being y's place among the n-a switches outside x's group. Each
+// compile pass builds one before its row tasks start, and they only
+// read it.
+func newLegTable(t *topo.Compiled, mask *topo.FailureMask) []minLeg {
+	n := t.NumSwitches()
+	legs := make([]minLeg, 0, n*(n-t.A)*t.K)
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			if gx, gy := t.GroupOf(x), t.GroupOf(y); gx != gy {
+				for _, l := range t.LinksBetweenGroups(gx, gy) {
+					var m minLeg
+					m.set(t, mask, x, y, l)
+					legs = append(legs, m)
+				}
 			}
 		}
 	}
-	return false
+	return legs
 }
 
-// vlbVisitor enumerates the VLB paths out of one source switch
-// without allocating per path: EnumerateVLBMax and, through policyWalk,
-// every policy's Enumerate, EstimatePaths, both passes of the store
-// compile and Walker are this one walk. The MIN(src, ·) legs
-// toward every possible intermediate are built once, on the first
-// inter-group pair (each is reused for every destination), the K
-// second legs of an (intermediate, destination) pair are built into
-// legs2 when the walk reaches it, and every joined path is handed to
-// the callback as a Path view over sw/ports.
+// vlbVisitor supplies the MIN legs of the VLB paths out of one source
+// switch, each carrying its liveness under mask, and joins a leg pair
+// into a Path view over its scratch. Under a compile the legs come
+// from the pass's leg table. An interpreted walk builds none: there
+// the MIN(src, ·) legs toward every possible intermediate are built
+// once, on the first inter-group pair (each is reused for every
+// destination), and the K second legs of an (intermediate,
+// destination) pair are built into legs2 when the walk reaches it.
 type vlbVisitor struct {
 	t     *topo.Compiled
+	mask  *topo.FailureMask
+	table []minLeg // newLegTable's; nil on an interpreted walk
 	src   int
-	legs1 []minLeg // MIN(src, inter) leg k at [inter*K+k]
-	legs2 []minLeg
+	legs1 []minLeg  // interpreted: MIN(src, inter) leg k at [inter*K+k]
+	legs2 []minLeg  // interpreted: MIN(inter, d) of the current pair
+	local [2]minLeg // the two hops of an in-group detour
 	sw    [MaxVLBHops + 1]int32
 	ports [MaxVLBHops]int8
 }
 
-func (v *vlbVisitor) buildLegs() {
+// legs returns the K MIN legs from x, in group gx, to y, in group
+// gy != gx: x is the source and y an intermediate, or x an
+// intermediate and y the destination.
+func (v *vlbVisitor) legs(x, gx, y, gy int) []minLeg {
 	t := v.t
-	v.legs1 = make([]minLeg, t.NumSwitches()*t.K)
-	v.legs2 = make([]minLeg, t.K)
-	gs := t.GroupOf(v.src)
-	for gi := 0; gi < t.G; gi++ {
-		if gi == gs {
-			continue
+	if v.table != nil {
+		col := y
+		if gy > gx {
+			col -= t.A
 		}
-		links := t.LinksBetweenGroups(gs, gi)
-		for si := 0; si < t.A; si++ {
-			inter := t.SwitchID(gi, si)
-			for k, l := range links {
-				v.legs1[inter*t.K+k].set(t, v.src, inter, l)
+		i := (x*(t.NumSwitches()-t.A) + col) * t.K
+		return v.table[i : i+t.K]
+	}
+	if x != v.src {
+		for k, l := range t.LinksBetweenGroups(gx, gy) {
+			v.legs2[k].set(t, v.mask, x, y, l)
+		}
+		return v.legs2
+	}
+	if v.legs1 == nil {
+		v.legs1 = make([]minLeg, t.NumSwitches()*t.K)
+		v.legs2 = make([]minLeg, t.K)
+		for gi := 0; gi < t.G; gi++ {
+			if gi == gx {
+				continue
+			}
+			links := t.LinksBetweenGroups(gx, gi)
+			for si := 0; si < t.A; si++ {
+				inter := t.SwitchID(gi, si)
+				for k, l := range links {
+					v.legs1[inter*t.K+k].set(t, v.mask, x, inter, l)
+				}
 			}
 		}
 	}
+	return v.legs1[y*t.K : (y+1)*t.K]
 }
 
-// visit calls yield for every VLB path from the visitor's source to d
-// of at most maxHops hops: all combinations of MIN(src,i) and MIN(i,d)
-// over intermediates i outside both endpoint groups, in (group,
-// switch, first leg, second leg) order, or the 2-hop in-group detours
-// of a same-group pair. Switch revisits are allowed — a VLB path
-// hairpins through the intermediate group's connector switch whenever
-// both legs attach to it, the common case with one link per group
-// pair. The Path aliases the visitor's scratch and is valid only until
-// yield returns; Clone it to keep it.
-func (v *vlbVisitor) visit(d, maxHops int, yield func(Path)) {
+// path joins two legs into a Path view over the visitor's scratch,
+// valid until the next call; Clone it to keep it.
+func (v *vlbVisitor) path(a, b *minLeg) Path {
+	n1, h := int(a.n), int(a.n+b.n)
+	copy(v.sw[:4], a.sw[:])
+	copy(v.ports[:3], a.ports[:])
+	copy(v.sw[n1:n1+4], b.sw[:])
+	copy(v.ports[n1:n1+3], b.ports[:])
+	return Path{Sw: v.sw[: h+1 : h+1], Ports: v.ports[:h:h]}
+}
+
+// admit is how a policyWalk decides the paths of one hop count.
+type admit uint8
+
+const (
+	admitNone     admit = iota
+	admitAll            // every path is in
+	admitKeyed          // the policy's KeyDraw decides each by its Key
+	admitContains       // the policy's Contains decides each
+)
+
+// policyWalk is the one filtered enumerator: the paths out of one
+// source switch that pol admits and that survive the visitor's mask,
+// in full VLB order. Every policy's Enumerate, EnumerateVLBMax,
+// EstimatePaths, Walker and both passes of the store compile are this
+// walk. A path's liveness is its two legs', and a KeyedFilter policy
+// (Full, LengthCapped) admits it from its hop count through HopClass,
+// so a path is built only for a keyed length, to take its Key, or for
+// a policy that is not a KeyedFilter, to call Contains.
+type policyWalk struct {
+	v     vlbVisitor
+	pol   Policy
+	class [MaxVLBHops + 1]admit // by hop count
+	draw  KeyDraw
+}
+
+// newPolicyWalk walks pol out of src under mask (nil: pristine), with
+// legs from table, which must have been built under the same mask, or
+// built as the walk goes when table is nil.
+func newPolicyWalk(t *topo.Compiled, pol Policy, mask *topo.FailureMask, src int, table []minLeg) *policyWalk {
+	w := &policyWalk{v: vlbVisitor{t: t, mask: mask, table: table, src: src}, pol: pol}
+	if kf, ok := pol.(KeyedFilter); ok {
+		w.draw = kf.Keyed()
+		for h := range w.class {
+			if all, some := kf.HopClass(h); all {
+				w.class[h] = admitAll
+			} else if some {
+				w.class[h] = admitKeyed
+			}
+		}
+	} else {
+		for h := 0; h <= hopCap(pol); h++ {
+			w.class[h] = admitContains
+		}
+	}
+	return w
+}
+
+// visit calls yield with the two legs of each admitted path to d: all
+// combinations of MIN(src,i) and MIN(i,d) over intermediates i outside
+// both endpoint groups, in (group, switch, first leg, second leg)
+// order, or the 2-hop in-group detours of a same-group pair. Switch
+// revisits are allowed — a VLB path hairpins through the intermediate
+// group's connector switch whenever both legs attach to it, the common
+// case with one link per group pair. The legs are valid only until
+// yield returns.
+func (w *policyWalk) visit(d int, yield func(a, b *minLeg)) {
+	v := &w.v
 	t, s := v.t, v.src
-	if s == d || maxHops < 2 {
+	if s == d {
 		return
 	}
-	if t.SameGroup(s, d) {
-		g := t.GroupOf(s)
-		v.sw[0], v.sw[2] = int32(s), int32(d)
+	gs, gd := t.GroupOf(s), t.GroupOf(d)
+	if gs == gd {
 		for i := 0; i < t.A; i++ {
-			m := t.SwitchID(g, i)
+			m := t.SwitchID(gs, i)
 			if m == s || m == d {
 				continue
 			}
-			v.sw[1] = int32(m)
-			v.ports[0], v.ports[1] = int8(t.LocalPort(s, m)), int8(t.LocalPort(m, d))
-			yield(Path{Sw: v.sw[:3:3], Ports: v.ports[:2:2]})
+			v.local[0].setLocal(t, v.mask, s, m)
+			v.local[1].setLocal(t, v.mask, m, d)
+			w.join(d, v.local[:1], v.local[1:], yield)
 		}
 		return
 	}
-	if v.legs1 == nil {
-		v.buildLegs()
-	}
-	gs, gd := t.GroupOf(s), t.GroupOf(d)
 	for gi := 0; gi < t.G; gi++ {
 		if gi == gs || gi == gd {
 			continue
 		}
-		links2 := t.LinksBetweenGroups(gi, gd)
 		for si := 0; si < t.A; si++ {
 			inter := t.SwitchID(gi, si)
-			for k, l := range links2 {
-				v.legs2[k].set(t, inter, d, l)
+			w.join(d, v.legs(s, gs, inter, gi), v.legs(inter, gi, d, gd), yield)
+		}
+	}
+}
+
+// join hands yield every live pair of a first and a second leg that
+// pol admits.
+func (w *policyWalk) join(d int, legs1, legs2 []minLeg, yield func(a, b *minLeg)) {
+	for i := range legs1 {
+		a := &legs1[i]
+		if !a.alive {
+			continue
+		}
+		for j := range legs2 {
+			b := &legs2[j]
+			if !b.alive {
+				continue
 			}
-			for k1 := 0; k1 < t.K; k1++ {
-				l1 := &v.legs1[inter*t.K+k1]
-				n1 := int(l1.n)
-				copy(v.sw[:4], l1.sw[:])
-				copy(v.ports[:3], l1.ports[:])
-				for k2 := range v.legs2 {
-					l2 := &v.legs2[k2]
-					h := n1 + int(l2.n)
-					if h > maxHops || l1.sharesChannel(l2) {
-						continue
-					}
-					copy(v.sw[n1:n1+4], l2.sw[:])
-					copy(v.ports[n1:n1+3], l2.ports[:])
-					yield(Path{Sw: v.sw[: h+1 : h+1], Ports: v.ports[:h:h]})
+			switch w.class[a.n+b.n] {
+			case admitAll:
+				yield(a, b)
+			case admitKeyed:
+				if w.draw.In(w.v.path(a, b).Key()) {
+					yield(a, b)
+				}
+			case admitContains:
+				if w.pol.Contains(w.v.src, d, w.v.path(a, b)) {
+					yield(a, b)
 				}
 			}
 		}
 	}
 }
 
-// policyWalk is the one filtered enumerator: the paths out of one source
-// switch that pol admits and that survive mask (nil: all do), in full
-// VLB order, walking only leg combinations of at most hopCap(pol) hops.
-type policyWalk struct {
-	v       vlbVisitor
-	pol     Policy
-	maxHops int
-	mask    *topo.FailureMask
-}
-
-func newPolicyWalk(t *topo.Compiled, pol Policy, mask *topo.FailureMask, src int) *policyWalk {
-	return &policyWalk{v: vlbVisitor{t: t, src: src}, pol: pol, maxHops: hopCap(pol), mask: mask}
-}
-
-// visit calls yield for each such path to d; as with vlbVisitor.visit,
-// the Path is valid only until yield returns.
-func (w *policyWalk) visit(d int, yield func(Path)) {
-	w.v.visit(d, w.maxHops, func(p Path) {
-		if w.pol.Contains(w.v.src, d, p) && Alive(w.mask, p) {
-			yield(p)
-		}
-	})
+// paths is visit with each admitted path joined into the visitor's
+// scratch, valid only until yield returns.
+func (w *policyWalk) paths(d int, yield func(Path)) {
+	w.visit(d, func(a, b *minLeg) { yield(w.v.path(a, b)) })
 }
 
 // Walker lists a policy's path set pair by pair, for the analyses that
@@ -387,7 +486,7 @@ func NewWalker(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Walker {
 	if st, ok := pol.(*Store); ok {
 		return &Walker{st: st}
 	}
-	return &Walker{w: newPolicyWalk(t, pol, mask, -1)}
+	return &Walker{w: newPolicyWalk(t, pol, mask, -1, nil)}
 }
 
 // Pair returns the paths of pair (s, d), valid until the next call.
@@ -401,9 +500,9 @@ func (k *Walker) Pair(s, d int) []Path {
 		}
 	} else {
 		if k.w.v.src != s {
-			k.w.v = vlbVisitor{t: k.w.v.t, src: s}
+			k.w.v.src, k.w.v.legs1 = s, nil // the legs out of the old source go; the mask stays
 		}
-		k.w.visit(d, k.keep)
+		k.w.paths(d, k.keep)
 	}
 	// Headers last: the appends above may have moved the scratch. Path
 	// i starts after the o ports and o+i switches of the ones before it.
@@ -431,20 +530,18 @@ func EnumerateVLB(t *topo.Compiled, s, d int) []Path {
 }
 
 // EnumerateVLBMax is EnumerateVLB restricted to paths of at most
-// maxHops hops, skipping longer leg combinations before they are
-// built. Enumeration order is a stable subsequence of the full
-// EnumerateVLB order.
+// maxHops hops — the set of LengthCapped{MaxHops: maxHops} — joining
+// no longer leg pair. Enumeration order is a stable subsequence of the
+// full EnumerateVLB order.
 func EnumerateVLBMax(t *topo.Compiled, s, d, maxHops int) []Path {
-	var out []Path
-	(&vlbVisitor{t: t, src: s}).visit(d, maxHops, func(p Path) { out = append(out, p.Clone()) })
-	return out
+	return enumerate(t, LengthCapped{T: t, MaxHops: maxHops}, s, d)
 }
 
 // CountVLBByHops histograms the full VLB path set of a pair by hop
 // count; index i holds the number of i-hop paths.
 func CountVLBByHops(t *topo.Compiled, s, d int) [MaxVLBHops + 1]int {
 	var hist [MaxVLBHops + 1]int
-	(&vlbVisitor{t: t, src: s}).visit(d, MaxVLBHops, func(p Path) { hist[p.Hops()]++ })
+	newPolicyWalk(t, Full{T: t}, nil, s, nil).visit(d, func(a, b *minLeg) { hist[a.n+b.n]++ })
 	return hist
 }
 
@@ -489,9 +586,8 @@ func SampleMinInto(t *topo.Compiled, r *rng.Source, s, d int, dst *Path) {
 // intermediate switch outside both groups, then a uniform MIN leg on
 // each side — writing into dst's backing storage. ok=false when the
 // topology offers no intermediate (g<3 for inter-group, a<3 for
-// intra-group). Because the two legs live in disjoint group pairs, a
-// sampled path can never reuse a directed channel, so no join check
-// is needed (the enumerator keeps one for generality).
+// intra-group). Like the enumerator's, its two legs can never reuse a
+// directed channel (see minLeg), so no join check is needed.
 func sampleVLBOnceInto(t *topo.Compiled, r *rng.Source, s, d int, dst *Path) bool {
 	if s == d {
 		return false

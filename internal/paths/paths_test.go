@@ -371,10 +371,10 @@ func join(leg1, leg2 Path) (Path, bool) {
 
 // naiveEnumerateVLBMax is the slice-per-path enumeration the package
 // shipped before the visitor: every EnumerateMin leg pair through
-// every intermediate, joined on the heap. It shares nothing with
-// vlbVisitor beyond the topology queries, which makes it the oracle
-// the visitor (and everything compiled through it) is checked
-// against, enumeration order included.
+// every intermediate, joined on the heap with a channel-reuse check.
+// It shares nothing with policyWalk beyond the topology queries, which
+// makes it the oracle the walk (and everything compiled through it) is
+// checked against, enumeration order included.
 func naiveEnumerateVLBMax(t *topo.Compiled, s, d, maxHops int) []Path {
 	if s == d || maxHops < 2 {
 		return nil

@@ -111,7 +111,7 @@ func sampleWhere(t *topo.Compiled, contains func(s, d int, p Path) bool, r *rng.
 // each admitted path cloned out of the walk's scratch.
 func enumerate(t *topo.Compiled, pol Policy, s, d int) []Path {
 	var out []Path
-	newPolicyWalk(t, pol, nil, s).visit(d, func(p Path) { out = append(out, p.Clone()) })
+	newPolicyWalk(t, pol, nil, s, nil).paths(d, func(p Path) { out = append(out, p.Clone()) })
 	return out
 }
 

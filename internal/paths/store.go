@@ -68,17 +68,19 @@ func (st *Store) portsOf(id PathID) []int8 {
 func (st *Store) Mask() *topo.FailureMask { return st.mask }
 
 // compileStore compiles pol under mask (nil: the pristine topology)
-// as count -> prefix-sum -> fill over source-switch rows. The count
-// pass walks every pair with a policyWalk (bounded by the policy's hop
-// cap) and leaves its number of admitted paths in pairStart; the prefix
-// sum turns those into PathID ranges and sizes hops/ports exactly; the
-// fill pass repeats the walk, writing each admitted path into its
-// final slot. Rows own disjoint arena ranges, so both passes run over
-// row chunks on the default pool and the arenas are byte-identical at
-// any worker count. Per-pair order is the policy's Enumerate order
-// filtered by aliveness — the sequence filtering an already compiled
-// store by the same mask leaves (degradedStore), which is what makes
-// the two byte-identical.
+// as count -> prefix-sum -> fill over source-switch rows. Each pass
+// first builds a legTable, every inter-group MIN leg with its liveness
+// under mask, and joins its legs from it. The count pass
+// walks every pair with a policyWalk and leaves its number of admitted
+// paths in pairStart, building no path for a policy that HopClass
+// decides; the prefix sum turns those into PathID ranges and sizes
+// hops/ports exactly; the fill pass repeats the walk, writing each
+// admitted leg pair into its final slot. Rows own disjoint arena
+// ranges, so both passes run over row chunks on the default pool and
+// the arenas are byte-identical at any worker count. Per-pair order is
+// the policy's Enumerate order filtered by aliveness — the sequence
+// filtering an already compiled store by the same mask leaves
+// (degradedStore), which is what makes the two byte-identical.
 //
 // The second result is the counted total. When it exceeds limit (the
 // PathID space, for every caller but the overflow test) the store is
@@ -90,14 +92,44 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 	st := &Store{T: t, name: pol.Name(), full: isFull, n: n, mask: mask}
 	st.pairStart = make([]int32, n*n+1)
 	pool := exec.Default()
-	pool.RunRows("paths/count", n, func(s int) {
-		w := newPolicyWalk(t, pol, mask, s)
-		for d := 0; d < n; d++ {
-			cnt := int32(0)
-			w.visit(d, func(Path) { cnt++ })
-			st.pairStart[s*n+d+1] = cnt
-		}
-	})
+	// pass walks every row: the count pass (fill false) leaves each
+	// pair's admitted count in pairStart, the fill writes each admitted
+	// path into the arena from the row's first PathID on. A leg's ports
+	// are zero past its hops and each slot of the new arena is written
+	// once, so the second leg's three ports may overwrite the first's
+	// padding and leave the slot's own. Each pass builds its own leg
+	// table, so that the count's is garbage when the arenas are
+	// allocated: the collection that allocation starts would otherwise
+	// count it live and raise the next heap goal by twice its size.
+	pass := func(label string, fill bool) {
+		legs := newLegTable(t, mask)
+		pool.RunRows(label, n, func(s int) {
+			w := newPolicyWalk(t, pol, mask, s, legs)
+			id := 0
+			if fill {
+				id = int(st.pairStart[s*n])
+			}
+			for d := 0; d < n; d++ {
+				first := id
+				w.visit(d, func(a, b *minLeg) {
+					if fill {
+						st.hops[id] = uint8(a.n + b.n)
+						slot := st.ports[id*MaxVLBHops : (id+1)*MaxVLBHops]
+						*(*[3]int8)(slot) = a.ports
+						*(*[3]int8)(slot[a.n:]) = b.ports
+					}
+					id++
+				})
+				if !fill {
+					st.pairStart[s*n+d+1] = int32(id - first)
+				}
+			}
+			if fill && id != int(st.pairStart[(s+1)*n]) {
+				panic(fmt.Sprintf("paths: %s admitted different path sets for switch %d on the count and fill passes", pol.Name(), s))
+			}
+		})
+	}
+	pass("paths/count", false)
 	total := int64(0)
 	for pi := 1; pi <= n*n; pi++ {
 		total += int64(st.pairStart[pi])
@@ -108,20 +140,7 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 	}
 	st.hops = make([]uint8, total)
 	st.ports = make([]int8, total*MaxVLBHops)
-	pool.RunRows("paths/fill", n, func(s int) {
-		w := newPolicyWalk(t, pol, mask, s)
-		id := int(st.pairStart[s*n])
-		for d := 0; d < n; d++ {
-			w.visit(d, func(p Path) {
-				st.hops[id] = uint8(len(p.Ports))
-				copy(st.ports[id*MaxVLBHops:], p.Ports)
-				id++
-			})
-		}
-		if id != int(st.pairStart[(s+1)*n]) {
-			panic(fmt.Sprintf("paths: %s admitted different path sets for switch %d on the count and fill passes", pol.Name(), s))
-		}
-	})
+	pass("paths/fill", true)
 	st.buildTime = time.Since(start)
 	return st, total
 }
@@ -169,13 +188,13 @@ func EstimatePaths(t *topo.Compiled, pol Policy) int64 {
 	}
 	perPair := int64(0)
 	s := t.SwitchID(0, 0)
-	w := newPolicyWalk(t, pol, nil, s)
+	w := newPolicyWalk(t, pol, nil, s, nil)
 	for _, gi := range []int{1, t.G / 2, t.G - 1} {
 		if gi <= 0 {
 			continue
 		}
 		cnt := int64(0)
-		w.visit(t.SwitchID(gi, t.A/2), func(Path) { cnt++ })
+		w.visit(t.SwitchID(gi, t.A/2), func(*minLeg, *minLeg) { cnt++ })
 		if cnt > perPair {
 			perPair = cnt
 		}

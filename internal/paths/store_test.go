@@ -421,6 +421,38 @@ func TestCompileWorkers(t *testing.T) {
 	}
 }
 
+// TestWalkerMatchesStore holds the interpreted Walker, which joins legs
+// it builds per source and intermediate, to the Walker over the same
+// policy's compiled store, which reads the stored ranges: the same
+// paths of every pair, in order, pristine and under a failure mask,
+// with the source changing between pairs as the load rows walk them.
+func TestWalkerMatchesStore(t *testing.T) {
+	for _, tp := range oracleTopos() {
+		if tp.NumSwitches() > 48 {
+			continue
+		}
+		for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
+			for _, pol := range storePolicies(tp) {
+				interp := NewWalker(tp, pol, mask)
+				stored := NewWalker(tp, CompileDegraded(tp, pol, mask), mask)
+				for s := 0; s < tp.NumSwitches(); s++ {
+					for d := 0; d < tp.NumSwitches(); d++ {
+						got, want := interp.Pair(s, d), stored.Pair(s, d)
+						if len(got) != len(want) {
+							t.Fatalf("%s %s mask %v pair (%d,%d): %d paths interpreted, %d stored", tp.Label(), pol.Name(), mask, s, d, len(got), len(want))
+						}
+						for i := range want {
+							if !got[i].Equal(want[i]) {
+								t.Fatalf("%s %s mask %v pair (%d,%d) path %d: %v interpreted, %v stored", tp.Label(), pol.Name(), mask, s, d, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCompileRefusesPathIDOverflow covers a policy whose counted size
 // does not fit the PathID space: the count pass must stop the compile
 // before the arenas are allocated. An instance that really holds 2^31
