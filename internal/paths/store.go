@@ -69,11 +69,11 @@ func (st *Store) Mask() *topo.FailureMask { return st.mask }
 
 // compileStore compiles pol under mask (nil: the pristine topology)
 // as count -> prefix-sum -> fill over source-switch rows. Each pass
-// first builds a legTable, every inter-group MIN leg with its liveness
-// under mask, and joins its legs from it. The count pass
-// walks every pair with a policyWalk and leaves its number of admitted
-// paths in pairStart, building no path for a policy that HopClass
-// decides; the prefix sum turns those into PathID ranges and sizes
+// first builds a leg table (newLegTable), every inter-group MIN leg
+// with its liveness under mask, and joins its legs from it. The count
+// pass walks every pair with a policyWalk and leaves its number of
+// admitted paths in pairStart, building no path for a length that
+// HopClass decides whole; the prefix sum turns those into PathID ranges and sizes
 // hops/ports exactly; the fill pass repeats the walk, writing each
 // admitted leg pair into its final slot. Rows own disjoint arena
 // ranges, so both passes run over row chunks on the default pool and
@@ -146,7 +146,7 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 }
 
 // hopCap returns an upper bound on the hop count of any path the
-// policy admits, used to prune compilation-time enumeration.
+// policy admits: the lengths a policyWalk asks Contains about.
 func hopCap(pol Policy) int {
 	switch p := pol.(type) {
 	case LengthCapped:
