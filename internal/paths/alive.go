@@ -208,3 +208,44 @@ func MinDirtyPairs(t *topo.Compiled, chs []topo.Channel) [][2]int32 {
 	}
 	return out
 }
+
+// LegEnds returns, indexed by switch, where a MIN leg across one of the
+// given channels can start (srcs) and end (dsts). A MIN leg is local,
+// global, local, so a global channel ga->gb is crossed only by legs out
+// of ga into gb, and a local channel u->v only as a leg's first hop
+// (out of u, on to a group v's global ports reach) or its last (into v,
+// from a group whose global links land at u); an in-group detour hop
+// u->v starts at u and ends at v. Every stored path is two MIN legs, so
+// a path of pair (s, d) crosses one of chs only if srcs[s] or dsts[d].
+// Terminal-port channels and switches out of range add nothing.
+func LegEnds(t *topo.Compiled, chs []topo.Channel) (srcs, dsts []bool) {
+	n := t.NumSwitches()
+	srcs, dsts = make([]bool, n), make([]bool, n)
+	group := func(set []bool, g int) {
+		for i := 0; i < t.A; i++ {
+			set[t.SwitchID(g, i)] = true
+		}
+	}
+	for _, ch := range chs {
+		sw, pt := int(ch.Sw), int(ch.Port)
+		peer, ok := t.PeerOfPortOK(sw, pt)
+		if !ok {
+			continue
+		}
+		if t.KindOfPort(pt) == topo.Global {
+			group(srcs, t.GroupOf(sw))
+			group(dsts, t.GroupOf(peer))
+			continue
+		}
+		srcs[sw], dsts[peer] = true, true
+		for gp := 0; gp < t.H; gp++ {
+			if far, _, ok := t.GlobalPeerOK(sw, gp); ok {
+				group(srcs, t.GroupOf(far))
+			}
+			if far, _, ok := t.GlobalPeerOK(peer, gp); ok {
+				group(dsts, t.GroupOf(far))
+			}
+		}
+	}
+	return srcs, dsts
+}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tugal/internal/exec"
-	"tugal/internal/rng"
 	"tugal/internal/topo"
 )
 
@@ -91,121 +90,70 @@ func TestCompileDegradedComposes(t *testing.T) {
 	}
 }
 
-// TestEdgeIndexWorkers pins the chunk-parallel index build, at 1, 2
-// and 8 workers, byte-equal to per-channel lists appended in one
-// sequential walk over the enumerated paths.
-func TestEdgeIndexWorkers(t *testing.T) {
-	for _, tp := range oracleTopos() {
-		for _, pol := range []Policy{Full{T: tp}, Strategic{T: tp, FirstLeg: 2}} {
-			t.Run(fmt.Sprintf("%s/%s", tp.Label(), pol.Name()), func(t *testing.T) {
-				base := Compile(tp, pol)
-				n, nonTerm := tp.NumSwitches(), tp.A-1+tp.H
-				lists := make([][]int32, n*nonTerm)
-				for pi := 0; pi < n*n; pi++ {
-					for _, p := range base.Enumerate(pi/n, pi%n) {
-						for h, pt := range p.Ports {
-							ch := int(p.Sw[h])*nonTerm + int(pt) - tp.P
-							if l := lists[ch]; len(l) == 0 || l[len(l)-1] != int32(pi) {
-								lists[ch] = append(lists[ch], int32(pi))
-							}
-						}
-					}
-				}
-				start := []int32{0}
-				var pairs []int32
-				for _, l := range lists {
-					pairs = append(pairs, l...)
-					start = append(start, int32(len(pairs)))
-				}
-				for _, workers := range []int{1, 2, 8} {
-					st := *base // the same arenas, no index yet
-					old := exec.SetDefault(exec.NewPool(workers))
-					st.BuildEdgeIndex()
-					exec.SetDefault(old)
-					if !slices.Equal(st.idx.start, start) {
-						t.Fatalf("%d workers: channel offsets differ from the sequential lists", workers)
-					}
-					if !slices.Equal(st.idx.pairs, pairs) {
-						t.Fatalf("%d workers: pair lists differ from the sequential lists", workers)
-					}
-				}
-			})
-		}
-	}
-}
-
-// crossers is the brute-force DirtyPairs: for each channel in turn,
-// the pairs in ascending order with a stored path across it, each pair
-// listed once.
-func crossers(st *Store, chs []topo.Channel) [][2]int32 {
+// crossers is the brute-force VLB-dirty set of each channel:
+// hit[c][pi] reports whether a stored path of pair pi crosses chs[c].
+func crossers(st *Store, chs []topo.Channel) (hit [][]bool) {
 	n := st.T.NumSwitches()
-	hit := make([][]bool, len(chs)) // hit[c][pi]: a path of pair pi crosses chs[c]
-	for c := range hit {
+	at := make(map[topo.Channel]int, len(chs))
+	hit = make([][]bool, len(chs))
+	for c, ch := range chs {
+		at[ch] = c
 		hit[c] = make([]bool, n*n)
 	}
 	for pi := 0; pi < n*n; pi++ {
 		for _, p := range st.Enumerate(pi/n, pi%n) {
 			for h, pt := range p.Ports {
-				if c := slices.Index(chs, topo.Channel{Sw: p.Sw[h], Port: pt}); c >= 0 {
+				if c, ok := at[topo.Channel{Sw: p.Sw[h], Port: pt}]; ok {
 					hit[c][pi] = true
 				}
 			}
 		}
 	}
-	var out [][2]int32
-	seen := make([]bool, n*n)
-	for c := range chs {
-		for pi, crossed := range hit[c] {
-			if crossed && !seen[pi] {
-				seen[pi] = true
-				out = append(out, [2]int32{int32(pi / n), int32(pi % n)})
-			}
-		}
-	}
-	return out
+	return hit
 }
 
-// TestStoreDirtyPairsMatchesApplyFailures is why route.Service can keep
-// the base store and never recompile it: over randomized sequences of
-// failures applied to a growing mask, DirtyPairs for each delta (what
-// spec.ApplyFailures hands Service.Fail) is — same pairs, same order —
-// the brute-force list of pairs with a stored path across a newly dead
-// channel, on the base store and on the compact store degraded under
-// every failure before it (whose index is its own). A terminal-port
-// channel or one of a switch that does not exist dirties nothing.
-func TestStoreDirtyPairsMatchesApplyFailures(t *testing.T) {
-	for _, tp := range []*topo.Compiled{topo.MustNew(2, 4, 2, 9), topo.MustNew(2, 4, 4, 3), topo.MustNewD3(12, 4, 2)} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", tp.Label(), seed), func(t *testing.T) {
-				r := rng.New(seed)
-				base := Compile(tp, Full{T: tp})
-				cur, mask := base, topo.NewFailureMask(tp)
-				for step := 0; step < 8; step++ {
-					var dead []topo.Channel
-					switch sw := r.Intn(tp.NumSwitches()); r.Intn(3) {
-					case 0:
-						dead, _ = mask.FailGlobalLink(sw, r.Intn(tp.H)) // an unwired port kills nothing
-					case 1:
-						dead, _ = mask.FailLocalLink(sw, tp.SwitchID(tp.GroupOf(sw), r.Intn(tp.A)))
-					default:
-						dead, _ = mask.FailSwitch(sw)
-					}
-					for kind, st := range map[string]*Store{"base": base, "degraded": cur} {
-						if got, want := st.DirtyPairs(dead), crossers(st, dead); !slices.Equal(got, want) {
-							t.Fatalf("step %d (%v), %s store: DirtyPairs has %d pairs, brute force %d",
-								step, mask, kind, len(got), len(want))
-						}
-					}
-					cur = CompileDegraded(tp, cur, mask.Clone())
+// TestLegEndsCover is why route.Tables.ApplyDelta can find a failure's
+// rows without an index over the store: for every non-terminal directed
+// channel, every pair with a stored path across it, on a full and on a
+// strategic store, has its source among LegEnds' srcs or its
+// destination among its dsts. A terminal-port channel, one of a switch
+// that does not exist and one of a port past the radix give empty sets.
+func TestLegEndsCover(t *testing.T) {
+	for _, tp := range []*topo.Compiled{
+		topo.MustNew(2, 4, 2, 9),
+		topo.MustNew(2, 4, 4, 3), // parallel global links (h > g-1)
+		topo.MustNew(2, 4, 2, 5),
+		topo.MustNewD3(12, 4, 2),
+		topo.MustNewD3(8, 4, 0),
+	} {
+		n := tp.NumSwitches()
+		var chs []topo.Channel
+		for sw := 0; sw < n; sw++ {
+			for pt := tp.P; pt < tp.Radix(); pt++ {
+				if _, ok := tp.PeerOfPortOK(sw, pt); ok {
+					chs = append(chs, topo.Channel{Sw: int32(sw), Port: int8(pt)})
 				}
-				// Port 0 of switch 1 is a terminal port; before the guard its
-				// channel id aliased switch 0's last channel.
-				for _, ch := range []topo.Channel{{Sw: 1, Port: 0}, {Sw: int32(tp.NumSwitches()), Port: int8(tp.P)}, {Sw: -1, Port: int8(tp.P)}} {
-					if got := base.DirtyPairs([]topo.Channel{ch}); len(got) != 0 {
-						t.Fatalf("channel %v is no stored path's, yet dirtied %d pairs", ch, len(got))
+			}
+		}
+		for _, pol := range []Policy{Full{T: tp}, Strategic{T: tp, FirstLeg: 2}} {
+			t.Run(fmt.Sprintf("%s/%s", tp.Label(), pol.Name()), func(t *testing.T) {
+				hit := crossers(Compile(tp, pol), chs)
+				for c, ch := range chs {
+					srcs, dsts := LegEnds(tp, chs[c:c+1])
+					for pi, crossed := range hit[c] {
+						if crossed && !srcs[pi/n] && !dsts[pi%n] {
+							t.Fatalf("channel %v: pair (%d,%d) has a path across it, yet neither end is a leg end", ch, pi/n, pi%n)
+						}
 					}
 				}
 			})
+		}
+		// Port 0 of switch 1 is a terminal port.
+		for _, ch := range []topo.Channel{{Sw: 1, Port: 0}, {Sw: int32(n), Port: int8(tp.P)}, {Sw: -1, Port: int8(tp.P)}, {Sw: 0, Port: int8(tp.Radix())}} {
+			srcs, dsts := LegEnds(tp, []topo.Channel{ch})
+			if slices.Contains(srcs, true) || slices.Contains(dsts, true) {
+				t.Fatalf("%s: channel %v is no stored path's, yet has leg ends", tp.Label(), ch)
+			}
 		}
 	}
 }

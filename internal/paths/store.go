@@ -55,7 +55,6 @@ type Store struct {
 	buildTime time.Duration
 
 	mask *topo.FailureMask // compiled under (nil: pristine)
-	idx  *edgeIndex        // BuildEdgeIndex's reverse index, nil until built
 }
 
 // portsOf returns a path's slot in the port arena (stride MaxVLBHops).

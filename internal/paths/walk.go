@@ -55,12 +55,21 @@ func (h *hopTable) step(ports []int8, src, id, last int, c *[4][MaxVLBHops]int32
 // mask through the hop table: the store filter and the route table's
 // row filter are both this walk. Read-only once built.
 type MaskWalk struct {
-	h    *hopTable
-	dead []uint8 // 1 for each slot, channel or switch, the mask kills
+	h *hopTable
+	// dead holds, for each slot, channel or switch, bit 0 when the mask
+	// kills it and bit 1 when it is a channel of the walk's delta.
+	dead []uint8
 }
 
 // NewMaskWalk prepares the walk of t's paths against mask.
 func NewMaskWalk(t *topo.Compiled, mask *topo.FailureMask) *MaskWalk {
+	return NewDeltaWalk(t, mask, nil)
+}
+
+// NewDeltaWalk is NewMaskWalk that also flags delta, the channels of
+// the last failure, for MarkDelta. Terminal-port channels and switches
+// out of range are skipped: no stored path crosses them.
+func NewDeltaWalk(t *topo.Compiled, mask *topo.FailureMask, delta []topo.Channel) *MaskWalk {
 	w := &MaskWalk{h: newHopTable(t)}
 	w.dead = make([]uint8, w.h.nch+t.NumSwitches())
 	for i := range w.dead {
@@ -68,28 +77,45 @@ func NewMaskWalk(t *topo.Compiled, mask *topo.FailureMask) *MaskWalk {
 			w.dead[i] = 1
 		}
 	}
+	nonTerm := t.A - 1 + t.H
+	for _, ch := range delta {
+		if sw, pt := int(ch.Sw), int(ch.Port)-t.P; sw >= 0 && sw < t.NumSwitches() && pt >= 0 && pt < nonTerm {
+			w.dead[sw*nonTerm+pt] |= 2
+		}
+	}
 	return w
 }
 
-func (w *MaskWalk) crosses(c *[MaxVLBHops]int32) bool {
+// flags ORs the dead bits of one walked path's slots.
+func (w *MaskWalk) flags(c *[MaxVLBHops]int32) uint8 {
 	d := w.dead
-	return d[c[0]]|d[c[1]]|d[c[2]]|d[c[3]]|d[c[4]]|d[c[5]] != 0
+	return d[c[0]] | d[c[1]] | d[c[2]] | d[c[3]] | d[c[4]] | d[c[5]]
 }
 
 // MarkDead sets dead[k], k < count, to whether path first+k of st, out
 // of src, crosses a channel the mask kills, and returns how many do.
 func (w *MaskWalk) MarkDead(st *Store, src int, first PathID, count int, dead []bool) int {
+	n, _ := w.MarkDelta(st, src, first, count, dead)
+	return n
+}
+
+// MarkDelta is MarkDead that also reports, from the same walk, whether
+// any of the paths crosses a channel of the walk's delta.
+func (w *MaskWalk) MarkDelta(st *Store, src int, first PathID, count int, dead []bool) (n int, crossed bool) {
 	var c [4][MaxVLBHops]int32
-	n, last := 0, int(first)+count-1
+	var hit uint8
+	last := int(first) + count - 1
 	for i := 0; i < count; i += 4 {
 		w.h.step(st.ports, src, int(first)+i, last, &c)
 		for k := range min(4, count-i) {
-			if dead[i+k] = w.crosses(&c[k]); dead[i+k] {
+			f := w.flags(&c[k])
+			hit |= f
+			if dead[i+k] = f&1 != 0; dead[i+k] {
 				n++
 			}
 		}
 	}
-	return n
+	return n, hit&2 != 0
 }
 
 // Alive reports whether the route out of src over ports (at most
@@ -99,5 +125,5 @@ func (w *MaskWalk) Alive(src int, ports []int8) bool {
 	copy(slots[:], ports)
 	var c [4][MaxVLBHops]int32
 	w.h.step(slots[:], src, 0, 0, &c)
-	return !w.crosses(&c[0])
+	return w.flags(&c[0])&1 == 0
 }

@@ -63,7 +63,7 @@ func replayMask(t *testing.T, tp *topo.Compiled, ops []failOp, k int) *topo.Fail
 
 // TestDeltaMatchesScratch is the incremental-epoch property test:
 // over randomized failure sequences, the tables the service reaches
-// through dirty-pair list → dirty-row filter → epoch swap must equal,
+// through row list → dirty-row filter → epoch swap must equal,
 // row for row, a from-scratch emit over a store compiled degraded
 // against the same cumulative failure mask.
 func TestDeltaMatchesScratch(t *testing.T) {
@@ -76,7 +76,8 @@ func TestDeltaMatchesScratch(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", tp.Label(), seed), func(t *testing.T) {
 				r := rng.New(seed)
 				pol := paths.Full{T: tp}
-				svc, err := route.NewService(paths.Compile(tp, pol), route.ModeUGAL, 0, route.Default())
+				st := paths.Compile(tp, pol)
+				svc, err := route.NewService(st, route.ModeUGAL, 0, route.Default())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,6 +96,10 @@ func TestDeltaMatchesScratch(t *testing.T) {
 					}
 					ops = append(ops, op)
 					mask := replayMask(t, tp, ops, len(ops))
+					if vlb, all := route.BruteDirty(st, replayMask(t, tp, ops, len(ops)-1), mask); stats.VLBDirty != vlb || stats.DirtyPairs != all {
+						t.Fatalf("step %d: %d VLB-dirty and %d dirty pairs, brute force %d and %d",
+							step, stats.VLBDirty, stats.DirtyPairs, vlb, all)
+					}
 					want, err := route.Emit(paths.CompileDegraded(tp, pol, mask), route.Default())
 					if err != nil {
 						t.Fatal(err)

@@ -131,14 +131,17 @@ func TestDeltaWorkers(t *testing.T) {
 				if err != nil || len(delta) == 0 {
 					t.Fatalf("step %d killed %d channels: %v", i, len(delta), err)
 				}
-				vlbDirty := st.DirtyPairs(delta)
 				var first *Tables
 				for _, workers := range []int{1, 2, 8} {
 					old := exec.SetDefault(exec.NewPool(workers))
-					got, stats := tb.ApplyDelta(mask, delta, vlbDirty)
+					got, stats := tb.ApplyDelta(mask, delta)
 					exec.SetDefault(old)
 					if first == nil {
 						first = got
+						if vlb, all := bruteDirty(st, tb.mask, mask); stats.VLBDirty != vlb || stats.DirtyPairs != all {
+							t.Fatalf("step %d: %d VLB-dirty and %d dirty pairs, brute force %d and %d",
+								i, stats.VLBDirty, stats.DirtyPairs, vlb, all)
+						}
 						want, err := Emit(paths.CompileDegraded(tp, pol, mask), Default())
 						if err != nil {
 							t.Fatal(err)
@@ -278,29 +281,31 @@ func TestEmitRejectsUnpackable(t *testing.T) {
 
 var benchTables *Tables
 
-// BenchmarkFailSwap times one failure epoch of the route service on the
-// paper's g9 machine: a global link failed through Service.Fail on
-// pristine tables — mask clone, dirty-pair list, row filter, swap. The
-// base store's edge index is built before the clock starts.
+// BenchmarkFailSwap times a first failure epoch of the route service on
+// the paper's g9 machine and on dfly(4,8,4,17), the topology cmd/routed
+// serves: a global link failed through Service.Fail on freshly emitted
+// tables — mask clone, row list, row filter, swap.
 func BenchmarkFailSwap(b *testing.B) {
-	tp := topo.MustNew(4, 8, 4, 9)
-	st := paths.Compile(tp, paths.Full{T: tp})
-	st.BuildEdgeIndex()
-	tb, err := Emit(st, Default())
-	if err != nil {
-		b.Fatal(err)
+	for _, g := range []int{9, 17} {
+		tp := topo.MustNew(4, 8, 4, g)
+		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
+			tb, err := Emit(paths.Compile(tp, paths.Full{T: tp}), Default())
+			if err != nil {
+				b.Fatal(err)
+			}
+			svc := &Service{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				svc.cur.Store(tb)
+				if _, err := svc.FailGlobalLink(tp.A/2, tp.H-1); err != nil {
+					b.Fatal(err)
+				}
+				benchTables = svc.Tables()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
 	}
-	svc := &Service{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc.cur.Store(tb)
-		if _, err := svc.FailGlobalLink(tp.A/2, tp.H-1); err != nil {
-			b.Fatal(err)
-		}
-		benchTables = svc.Tables()
-	}
-	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 }
 
 // BenchmarkEmit times the table emit of the full-VLB store on the

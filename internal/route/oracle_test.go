@@ -114,3 +114,55 @@ func checkOracle(t *testing.T, tb *Tables, st *paths.Store, cfg Config) {
 		}
 	}
 }
+
+// bruteDirty is the brute force a failure's DeltaStats are held to,
+// over the channels and switches dead in after but not in before (nil:
+// pristine): vlb counts the pairs with a path of st across a newly dead
+// channel, found path by path, and all those pairs together with
+// paths.MinDirtyPairs' and the newly dead switches' own rows.
+func bruteDirty(st *paths.Store, before, after *topo.FailureMask) (vlb, all int) {
+	t := st.T
+	n, nonTerm := t.NumSwitches(), t.A-1+t.H
+	fresh := func(sw, pt int) bool {
+		return after.ChannelDead(sw, pt) && (before == nil || !before.ChannelDead(sw, pt))
+	}
+	var delta []topo.Channel
+	for i := range after.DeadDense() {
+		if sw, pt := i/nonTerm, t.P+i%nonTerm; fresh(sw, pt) {
+			delta = append(delta, topo.Channel{Sw: int32(sw), Port: int8(pt)})
+		}
+	}
+	dirty := make([]bool, n*n)
+	var p paths.Path
+	for pi := range dirty {
+		first, count := st.PairRange(pi/n, pi%n)
+		for id := first; id < first+paths.PathID(count) && !dirty[pi]; id++ {
+			st.MaterializeInto(pi/n, id, &p)
+			for h, pt := range p.Ports {
+				dirty[pi] = dirty[pi] || fresh(int(p.Sw[h]), int(pt))
+			}
+		}
+	}
+	for _, d := range dirty {
+		if d {
+			vlb++
+		}
+	}
+	for _, pr := range paths.MinDirtyPairs(t, delta) {
+		dirty[int(pr[0])*n+int(pr[1])] = true
+	}
+	for sw := 0; sw < n; sw++ {
+		if after.SwitchDead(sw) && (before == nil || !before.SwitchDead(sw)) {
+			dirty[sw*n+sw] = true
+		}
+	}
+	for _, d := range dirty {
+		if d {
+			all++
+		}
+	}
+	return vlb, all
+}
+
+// BruteDirty is bruteDirty for the external tests.
+var BruteDirty = bruteDirty

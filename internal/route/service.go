@@ -15,8 +15,8 @@ import (
 // Service is the long-lived serving layer over compiled forwarding
 // tables: an epoch-swapped table pointer read with one atomic load
 // per batch on the query path, and an RCU-style writer side that
-// composes a failure delta on a copy of the mask, the base store's
-// dirty-pair list for it and Tables.ApplyDelta into a single swap.
+// composes a failure delta on a copy of the mask and Tables.ApplyDelta
+// into a single swap.
 // Every epoch is one *Tables — rows and the mask they were filtered
 // under — so a swap publishes both or neither. Queries in flight
 // during a swap finish against the epoch they started on — no query is
@@ -28,8 +28,8 @@ type Service struct {
 
 	cur atomic.Pointer[Tables]
 
-	// mu serializes the writer side: mask clone, dirty-pair list, row
-	// filter, epoch swap.
+	// mu serializes the writer side: mask clone, row filter, epoch
+	// swap.
 	mu sync.Mutex
 
 	served  atomic.Int64
@@ -104,16 +104,18 @@ func (s *Service) AppendRouteFor(buf []netsim.RouteHop, d Decision, dstNode int3
 type SwapStats struct {
 	Epoch      int           `json:"epoch"`        // the new serving epoch
 	NewlyDead  int           `json:"newlyDead"`    // channels the failure killed
-	VLBDirty   int           `json:"vlbDirty"`     // pairs the store's edge index flagged
-	DirtyPairs int           `json:"dirtyPairs"`   // rows the table delta examined
+	VLBDirty   int           `json:"vlbDirty"`     // pairs with a base-store path across a newly dead channel
+	DirtyPairs int           `json:"dirtyPairs"`   // rows the table delta refiltered: VLB-dirty, MIN-dirty, new self rows
 	PatchBytes int64         `json:"patchBytes"`   // Tables.PatchBytes after the swap: MIN words and dead IDs, all epochs'
-	StoreBuild time.Duration `json:"storeBuildNS"` // dirty-pair list time (the first builds the edge index)
-	TableBuild time.Duration `json:"tableBuildNS"` // dirty-row filter time
+	StoreBuild time.Duration `json:"storeBuildNS"` // row-list time: the pairs the delta's MIN-leg ends can touch
+	TableBuild time.Duration `json:"tableBuildNS"` // ApplyDelta time, the row list included
 }
 
 // Fail applies one failure via apply (any combination of
 // topo.FailureMask Fail* calls) to a copy of the serving epoch's mask,
-// filters the rows it dirtied, and swaps mask and tables in together.
+// refilters the rows it dirtied (Tables.ApplyDelta finds them from the
+// newly dead channels alone, so the first failure costs what every
+// other does), and swaps mask and tables in together.
 // When apply fails nothing is kept: the serving epoch and its mask are
 // what they were. A failure that leaves the mask as it was
 // (already-dead link) is a no-op and swaps nothing. Concurrent lookups
@@ -137,21 +139,16 @@ func (s *Service) Fail(apply func(*topo.FailureMask) ([]topo.Channel, error)) (S
 	if g, l, sw := mask.Counts(); g == g0 && l == l0 && sw == sw0 {
 		return SwapStats{Epoch: cur.Epoch(), PatchBytes: cur.PatchBytes()}, nil
 	}
-	// The base store every epoch views lists the VLB-dirty pairs; its
-	// edge index is built on the first failure.
-	start := time.Now()
-	vlbDirty := cur.st.DirtyPairs(delta)
-	storeBuild := time.Since(start)
-	newTb, dstats := cur.ApplyDelta(mask, delta, vlbDirty)
+	newTb, dstats := cur.ApplyDelta(mask, delta)
 	s.cur.Store(newTb)
 	s.swaps.Add(1)
 	return SwapStats{
 		Epoch:      newTb.Epoch(),
 		NewlyDead:  len(delta),
-		VLBDirty:   len(vlbDirty),
+		VLBDirty:   dstats.VLBDirty,
 		DirtyPairs: dstats.DirtyPairs,
 		PatchBytes: newTb.PatchBytes(),
-		StoreBuild: storeBuild,
+		StoreBuild: dstats.rowList,
 		TableBuild: dstats.BuildTime,
 	}, nil
 }

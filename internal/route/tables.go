@@ -365,49 +365,49 @@ func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 
 // DeltaStats reports what one ApplyDelta epoch did.
 type DeltaStats struct {
-	// DirtyPairs is how many rows were examined: the union of the
-	// store's VLB-dirty pairs, the MIN-dirty pairs implied by the
-	// newly dead channels and the newly dead switches' own rows.
+	// DirtyPairs is how many rows were refiltered: the union of the
+	// VLB-dirty pairs, the MIN-dirty pairs implied by the newly dead
+	// channels and the newly dead switches' own rows.
 	DirtyPairs int
+	// VLBDirty is how many pairs have a base-store path across a newly
+	// dead channel.
+	VLBDirty int
 	// PatchEntries is what this epoch's patch holds for the rows that
 	// lost a candidate: MIN survivors at 8 B, dead VLB PathIDs at 4 B.
 	PatchEntries int
 	BuildTime    time.Duration
+	rowList      time.Duration // the part of BuildTime that listed the rows to walk
 }
 
 // ApplyDelta derives the tables for a grown failure mask from the
 // receiver's rows alone: mask is the cumulative mask (the receiver's
-// plus this delta, never nil), newlyDead the failure delta (whose
-// MIN-affected pairs are over-approximated via paths.MinDirtyPairs)
-// and vlbDirty the store's dirty-pair list for it
-// (paths.Store.DirtyPairs). A candidate's ports and VCs do not depend
-// on the mask, so a degraded row is the base row minus the dead
-// candidates, in order: what Emit over a store compiled degraded under
-// mask serves. Each dirty row is mark -> size -> fill on the default
-// pool: one paths.MaskWalk marks its MIN words and its pair's whole
-// base range (an ID dead in an earlier epoch dies again); a row that
+// plus this delta, never nil) and newlyDead the failure delta. A
+// candidate's ports and VCs do not depend on the mask, so a degraded
+// row is the base row minus the dead candidates, in order: what Emit
+// over a store compiled degraded under mask serves.
+//
+// The rows to walk are the pairs whose source a MIN leg across a newly
+// dead channel can start at or whose destination it can end at
+// (paths.LegEnds), the MIN-dirty pairs (paths.MinDirtyPairs, an
+// over-approximation) and the newly dead switches' own rows, ascending.
+// Each is mark -> size -> fill on the default pool: one paths.MaskWalk
+// walk of its pair's whole base range gives the verdicts under mask (an
+// ID dead in an earlier epoch dies again) and whether a path crosses
+// the delta, which makes the row VLB-dirty. A row neither VLB- nor
+// MIN-dirty keeps its place, since nothing in it crosses a newly dead
+// channel; a dirty row also has its MIN words marked. A dirty row that
 // lost nothing keeps its place, an emptied one becomes an empty base
-// row, and the rest get their MIN survivors and dead IDs, in dirty-list
-// order, in one patch of exactly their size. The receiver is never
-// mutated and shares no writable memory with the result, so earlier
-// epochs keep serving their own rows and the result is the same at any
-// worker count.
-func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, vlbDirty [][2]int32) (*Tables, DeltaStats) {
+// row, and the rest get their MIN survivors and dead IDs, in row order,
+// in one patch of exactly their size. The receiver is never mutated and
+// shares no writable memory with the result, so earlier epochs keep
+// serving their own rows and the result is the same at any worker
+// count.
+func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (*Tables, DeltaStats) {
 	start := time.Now()
 	n := tb.n
-	seen := make([]bool, n*n)
-	var dirty []int32
-	add := func(s, d int32) {
-		if pi := s*int32(n) + d; !seen[pi] {
-			seen[pi] = true
-			dirty = append(dirty, pi)
-		}
-	}
-	for _, p := range vlbDirty {
-		add(p[0], p[1])
-	}
+	minDirty := make([]bool, n*n)
 	for _, p := range paths.MinDirtyPairs(tb.T, newlyDead) {
-		add(p[0], p[1])
+		minDirty[int(p[0])*n+int(p[1])] = true
 	}
 	// MinDirtyPairs only reports s != d pairs; a switch death also
 	// dirties its own (sw, sw) row, whose single zero-hop candidate
@@ -416,29 +416,45 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, v
 	// without a newly dead channel.
 	for sw := 0; sw < n; sw++ {
 		if mask.SwitchDead(sw) && (tb.mask == nil || !tb.mask.SwitchDead(sw)) {
-			add(int32(sw), int32(sw))
+			minDirty[sw*n+sw] = true
 		}
 	}
+	srcs, dsts := paths.LegEnds(tb.T, newlyDead)
+	var walk []int32
+	for pi, md := range minDirty {
+		if md || srcs[pi/n] || dsts[pi%n] {
+			walk = append(walk, int32(pi))
+		}
+	}
+	rowList := time.Since(start)
 
-	w := paths.NewMaskWalk(tb.T, mask)
+	w := paths.NewDeltaWalk(tb.T, mask, newlyDead)
 	pool := exec.Default()
 	out := &Tables{
 		T: tb.T, st: tb.st, policy: tb.policy, cfg: tb.cfg, stamps: tb.stamps,
 		epoch: tb.epoch + 1, n: n, mask: mask,
 		rows: slices.Clone(tb.rows),
 	}
-	// dead[at[k]:at[k+1]] holds the verdicts on dirty row k's MIN words,
-	// then on its pair's base range.
-	at := make([]int, len(dirty)+1)
-	for k, pi := range dirty {
+	// dead[at[k]:at[k+1]] holds the verdicts on walked row k's MIN words,
+	// then on its pair's base range; vlbDirty[k] whether the range
+	// crosses the delta.
+	at := make([]int, len(walk)+1)
+	for k, pi := range walk {
 		_, count := tb.st.PairRange(int(pi)/n, int(pi)%n)
 		at[k+1] = at[k] + int(tb.rows[pi].minN) + count
 	}
-	dead := make([]bool, at[len(dirty)])
-	pool.RunRows("route/delta-count", len(dirty), func(k int) {
-		pi := int(dirty[k])
+	dead := make([]bool, at[len(walk)])
+	vlbDirty := make([]bool, len(walk))
+	pool.RunRows("route/delta-count", len(walk), func(k int) {
+		pi := int(walk[k])
 		s, was, r := pi/n, &tb.rows[pi], &out.rows[pi]
 		marks := dead[at[k]:at[k+1]]
+		first, count := tb.st.PairRange(s, pi%n)
+		deadN, crossed := w.MarkDelta(tb.st, s, first, count, marks[was.minN:])
+		if vlbDirty[k] = crossed; !crossed && !minDirty[pi] {
+			return
+		}
+		r.vlbN = int32(count - deadN)
 		var ports [paths.MaxVLBHops]int8
 		r.minN = 0
 		for i, wd := range tb.minWords(was) {
@@ -450,12 +466,18 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, v
 				r.minN++
 			}
 		}
-		first, count := tb.st.PairRange(s, pi%n)
-		r.vlbN = int32(count - w.MarkDead(tb.st, s, first, count, marks[was.minN:]))
 	})
 	patch := int32(len(tb.chunks))
 	var minN, deadN int32
-	for k, pi := range dirty {
+	stats := DeltaStats{rowList: rowList}
+	for k, pi := range walk {
+		if !vlbDirty[k] && !minDirty[pi] {
+			continue
+		}
+		stats.DirtyPairs++
+		if vlbDirty[k] {
+			stats.VLBDirty++
+		}
 		r, was := &out.rows[pi], &tb.rows[pi]
 		switch {
 		case r.minN == was.minN && r.vlbN == was.vlbN:
@@ -470,8 +492,8 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, v
 	ch := chunk{min: make([]uint64, minN), dead: make([]paths.PathID, deadN)}
 	out.chunks = append(slices.Clip(tb.chunks), ch)
 	out.patchBytes = tb.patchBytes + 8*int64(minN) + 4*int64(deadN)
-	pool.RunRows("route/delta-fill", len(dirty), func(k int) {
-		pi := int(dirty[k])
+	pool.RunRows("route/delta-fill", len(walk), func(k int) {
+		pi := int(walk[k])
 		r, was := &out.rows[pi], &tb.rows[pi]
 		if r.chunk != patch {
 			return
@@ -490,7 +512,8 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel, v
 		}
 	})
 	out.buildTime = time.Since(start)
-	return out, DeltaStats{DirtyPairs: len(dirty), PatchEntries: int(minN + deadN), BuildTime: out.buildTime}
+	stats.PatchEntries, stats.BuildTime = int(minN+deadN), out.buildTime
+	return out, stats
 }
 
 // Mode selects how a lookup combines the row's MIN and VLB candidate
