@@ -11,18 +11,18 @@ import (
 // Property test for the allocator's incremental scan state: after any
 // sequence of enqueue/dequeue operations, portMask, vcMask, headCache,
 // inOcc, flits and the shard active bitsets must agree with a
-// brute-force recomputation from the underlying ring queues. These
+// brute-force recomputation from the underlying queues. These
 // invariants are what let allocate visit only set bits — a stale mask
 // or active bit silently drops or invents work — and what makes the
 // rotated vcMask bit scan equivalent to probing every VC's head cache.
 
 // checkScanState recomputes every derived structure of switch sw from
-// its input-queue rings and compares.
+// its input queues and compares.
 func checkScanState(t *testing.T, n *Network, sw int32, step int) {
 	t.Helper()
 	numVCs := n.numVCs
 	ports := n.ports
-	sh := n.shardOf(sw)
+	sh := &n.shards[sw/n.shardSize]
 	fa := &n.fa
 	var flits int32
 	var portMask uint64
@@ -131,8 +131,8 @@ func TestActiveSetInvariants(t *testing.T) {
 		port, vc := r.Intn(ports), r.Intn(numVCs)
 		// Bias toward enqueue so buffers build depth — but never past
 		// BufSize, the bound every production enqueue path (credits,
-		// terminal backpressure) already enforces on the fixed-capacity
-		// rings — and always dequeue when anything is buffered at the
+		// terminal backpressure) already enforces on the uint8 queue
+		// cursors — and always dequeue when anything is buffered at the
 		// sampled point.
 		doEnq := len(occupied) == 0 || r.Float64() < 0.6
 		if doEnq && n.queueLen(int(sw), port, vc) >= n.Cfg.BufSize {
@@ -141,7 +141,7 @@ func TestActiveSetInvariants(t *testing.T) {
 		if doEnq {
 			f := mkFlit()
 			pi := int(sw)*n.ports + port
-			n.enqueue(n.shardOf(sw), sw, port, vc, pi, pi*n.numVCs+vc, f, headEmpty, n.fa.packRW(f, 1))
+			n.enqueue(sw, port, vc, pi, pi*n.numVCs+vc, f, headEmpty, n.fa.packRW(f, 1))
 			occupied = append(occupied, slotRef{sw, port, vc})
 			checkScanState(t, n, sw, i)
 		} else if len(occupied) > 0 {
@@ -150,7 +150,7 @@ func TestActiveSetInvariants(t *testing.T) {
 			occupied[k] = occupied[len(occupied)-1]
 			occupied = occupied[:len(occupied)-1]
 			pi := int(ref.sw)*n.ports + ref.port
-			if f, _ := n.dequeue(n.shardOf(ref.sw), ref.sw, ref.port, ref.vc, pi, pi*n.numVCs+ref.vc); f < 0 {
+			if f, _ := n.dequeue(ref.sw, ref.port, ref.vc, pi, pi*n.numVCs+ref.vc); f < 0 {
 				t.Fatalf("step %d: dequeue returned invalid slot %d", i, f)
 			}
 			checkScanState(t, n, ref.sw, i)
@@ -160,7 +160,7 @@ func TestActiveSetInvariants(t *testing.T) {
 	// active bits, no masks, all caches empty.
 	for _, ref := range occupied {
 		pi := int(ref.sw)*n.ports + ref.port
-		n.dequeue(n.shardOf(ref.sw), ref.sw, ref.port, ref.vc, pi, pi*n.numVCs+ref.vc)
+		n.dequeue(ref.sw, ref.port, ref.vc, pi, pi*n.numVCs+ref.vc)
 	}
 	for sw := 0; sw < tp.NumSwitches(); sw++ {
 		checkScanState(t, n, int32(sw), steps)

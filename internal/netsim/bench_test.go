@@ -2,6 +2,7 @@ package netsim_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tugal/internal/netsim"
@@ -128,4 +129,59 @@ func BenchmarkInjectActive(b *testing.B) {
 		}
 	}
 	b.ReportMetric(4000*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+}
+
+// newAlloc returns the bytes netsim.New allocates for a UGAL-L network
+// on t with the given buffer depth.
+func newAlloc(t *topo.Compiled, rf netsim.RoutingFunc, bufSize int) uint64 {
+	cfg := netsim.DefaultConfig()
+	cfg.BufSize = bufSize
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n := netsim.New(t, cfg, rf, traffic.Shift{T: t, DG: 2, DS: 0}, 0.15)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(n)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestNewAllocIndependentOfBufSize pins that a network's queues cost
+// nothing until flits arrive: every queue is a chain through the flit
+// arena, so what New allocates does not grow with the buffer depth.
+// It reads the process-wide allocation counter, so it does not run in
+// parallel with other tests.
+func TestNewAllocIndependentOfBufSize(t *testing.T) {
+	tp := topo.MustNew(4, 8, 4, 9)
+	rf := routing.NewUGALL(tp, paths.Full{T: tp})
+	a32, a128 := newAlloc(tp, rf, 32), newAlloc(tp, rf, 128)
+	diff := int64(a128) - int64(a32)
+	if diff < -64<<10 || diff > 64<<10 {
+		t.Fatalf("New allocates %d B at BufSize 32 and %d B at BufSize 128; want equal within 64 KiB", a32, a128)
+	}
+}
+
+// BenchmarkNew measures netsim.New alone (run with -benchmem for its
+// B/op) on the paper's g=9 topology and, unless -short, the 702-switch
+// fig13/14 topology, at the default and the largest buffer depth.
+func BenchmarkNew(b *testing.B) {
+	bench := func(b *testing.B, t *topo.Compiled) {
+		rf := routing.NewUGALL(t, paths.Full{T: t})
+		for _, buf := range []int{32, 128} {
+			b.Run(fmt.Sprintf("buf=%d", buf), func(b *testing.B) {
+				cfg := netsim.DefaultConfig()
+				cfg.BufSize = buf
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					netsim.New(t, cfg, rf, traffic.Shift{T: t, DG: 2, DS: 0}, 0.06)
+				}
+			})
+		}
+	}
+	b.Run("g9", func(b *testing.B) { bench(b, topo.MustNew(4, 8, 4, 9)) })
+	b.Run("sw702", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("702-switch topology skipped in -short")
+		}
+		bench(b, topo.MustNew(13, 26, 13, 27))
+	})
 }

@@ -9,10 +9,11 @@
 // 500-cycle average-latency saturation rule.
 //
 // The hot loop is struct-of-arrays: flits live in an int32-indexed
-// arena of parallel dense arrays (see flitArena), input buffers are
-// flat per-shard ring-buffer arenas, and timing-wheel events carry
-// flit indices — the inner loop never follows a pointer and never
-// allocates in steady state (DESIGN.md §4.9).
+// arena (see flitArena), every queue — input buffer or source queue —
+// is a chain of arena slots through the arena's links, and
+// timing-wheel events carry flit indices — the inner loop never
+// follows a pointer and never allocates in steady state (DESIGN.md
+// §4.9).
 package netsim
 
 import (
@@ -177,9 +178,28 @@ type flitRec struct {
 // slot (headOf) and keep the head's slot alive via pending — the
 // count of the packet's not-yet-ejected flits — so body flits can
 // read the route through the head even after the head itself ejected.
+//
+// link[s] threads slot s through the one queue it sits in: a flit is
+// in at most one queue at a time (a source queue, an input buffer, or
+// neither while on a wire), so the queues need no storage of their
+// own and memory follows live flits. Only the queue's owner writes a
+// link — the sequential injection phase for source queues, the shard
+// owning the router for input buffers — the rule rec already follows.
 type flitArena struct {
 	rec  []flitRec
+	link []flitLink
 	free []int32
+}
+
+// flitLink is a queued slot's successor in its queue. hop and rw are
+// the slot's own decoded next hop and route word while it waits behind
+// an input buffer's head (the head's are in qMeta/qRW); a source queue
+// uses next alone. Kept apart from flitRec so a fast flit never
+// touches its record between inject and eject.
+type flitLink struct {
+	next int32
+	hop  uint16
+	rw   uint64
 }
 
 // alloc returns a free slot, growing the arena when the free list is
@@ -191,6 +211,7 @@ func (a *flitArena) alloc() int32 {
 		return s
 	}
 	a.rec = append(a.rec, flitRec{headOf: -1})
+	a.link = append(a.link, flitLink{})
 	return int32(len(a.rec) - 1)
 }
 
@@ -204,6 +225,39 @@ func (a *flitArena) size() int { return len(a.rec) }
 
 // live returns the number of currently allocated slots.
 func (a *flitArena) live() int { return len(a.rec) - len(a.free) }
+
+// srcQ is a node's source queue: a FIFO chain of n arena slots from
+// head to tail through the arena's links. The zero value is empty.
+type srcQ struct{ head, tail, n int32 }
+
+// push appends slot s at the tail.
+func (q *srcQ) push(a *flitArena, s int32) {
+	if q.n == 0 {
+		q.head = s
+	} else {
+		a.link[q.tail].next = s
+	}
+	q.tail = s
+	q.n++
+}
+
+// pop removes and returns the head slot. The queue must be non-empty:
+// every caller guards with n (an empty pop would hand out a stale
+// slot, so misuse is the caller's bug to keep impossible).
+func (q *srcQ) pop(a *flitArena) int32 {
+	s := q.head
+	q.head = a.link[s].next
+	q.n--
+	return s
+}
+
+// peek returns the head slot without removing it, or -1 when empty.
+func (q *srcQ) peek() int32 {
+	if q.n == 0 {
+		return -1
+	}
+	return q.head
+}
 
 // routeBlock returns the slot's empty arena-backed route view: length
 // zero, capacity maxRoute, aliasing the slot's block so appends write
@@ -377,11 +431,12 @@ type Network struct {
 	// Cached topology dimensions (avoids method calls in the loop).
 	ports, numVCs, nonTerm int
 
-	// fa is the flit arena; scratch is the reusable routing-boundary
-	// view materialized around SourceRoute/Revise calls. Both are
-	// touched only on the sequential phase (injection) and by revision,
-	// which only happens at one shard, so sharing them across shards is
-	// safe.
+	// fa is the flit arena. It grows and recycles slots only on the
+	// sequential phases, and a slot's record and link are written only
+	// by whoever holds the flit: injection, or the shard owning the
+	// router it is queued at. scratch is the reusable routing-boundary
+	// view materialized around SourceRoute/Revise calls, used by
+	// injection and by revision, which only happens at one shard.
 	fa      flitArena
 	scratch Flit
 
@@ -423,26 +478,24 @@ type Network struct {
 	// flits[sw] counts all buffered flits (skip idle routers fast).
 	flits []int32
 
-	// Input queues are ring buffers in per-shard arenas (simShard.ring)
-	// with one power-of-two capacity rbCap derived from Cfg.BufSize.
-	// Queue g = (sw*ports+p)*numVCs+v packs its head entry into
-	// qMeta[g]: free-running uint8 head and tail cursors (bits 0-7,
-	// 8-15; BufSize is capped at 128 so the cursor difference is
-	// unambiguous), the head flit's decoded next hop (bits 16-31,
+	// Input queue g = (sw*ports+p)*numVCs+v is a chain of arena slots
+	// (flitArena.link) whose head entry is packed into qMeta[g]:
+	// free-running uint8 head and tail cursors (bits 0-7, 8-15;
+	// BufSize is capped at 128 so the cursor difference — the depth —
+	// is unambiguous), the head flit's decoded next hop (bits 16-31,
 	// outPort<<8|outVC, headEmpty when empty) and its arena slot
 	// (bits 32-63). qRW[g] holds the head flit's packed route word.
+	// qTail[g] is the last slot of a queue two or more deep; a push
+	// onto a one-deep queue links from the head slot in qMeta.
 	//
-	// The two arrays are deliberately parallel rather than
+	// qMeta and qRW are deliberately parallel rather than
 	// interleaved: an allocator probe reads only qMeta[g], so qMeta
 	// stays dense enough to live in L2 for the largest topologies,
-	// while qRW is touched only by push/pop/forward. Entries behind
-	// the head live as word pairs (slot|hop<<32, rw) at
-	// ring[2*((g-shard.ringBase)<<qShift ...)] inside the owning
-	// shard's arena.
-	qMeta  []uint64
-	qRW    []uint64
-	rbMask uint32
-	qShift uint
+	// while qRW is touched only by push/pop/forward. The flits behind
+	// the head keep their hop and route word in their own links.
+	qMeta []uint64
+	qRW   []uint64
+	qTail []int32
 
 	// wheelLen is the length of every shard's timing-wheel segment;
 	// nowSlot caches now % wheelLen per cycle so the per-event slot
@@ -464,8 +517,7 @@ type Network struct {
 
 	// shards is the static contiguous router partition (always at
 	// least one entry). Each shard owns its routers' active bitset,
-	// input-queue arena, timing-wheel segment, mailboxes and ejection
-	// buffer.
+	// timing-wheel segment, mailboxes and ejection buffer.
 	shards    []simShard
 	shardSize int32
 	// engine steps the shards; workers is the number of its crew the
@@ -473,12 +525,13 @@ type Network struct {
 	engine  *shardEngine
 	workers int
 
-	// Per-node unbounded source queues and next generation times.
+	// Per-node source queues (bounded by sourceQueueCap) and next
+	// generation times.
 	// genCal buckets nodes by next generation cycle and srcActive
 	// lists nodes with non-empty source queues (sorted ascending), so
 	// inject visits O(active) nodes instead of all of them; srcNext
 	// is the double buffer srcActive is rebuilt into each cycle.
-	nodeQ     []ringQ
+	nodeQ     []srcQ
 	nextGen   []int64
 	genCal    genCalendar
 	srcActive []int32
@@ -537,7 +590,7 @@ func (e *ConfigError) Error() string { return "netsim: " + e.Field + " " + e.Msg
 
 // Check reports the first reason New would refuse to simulate t under
 // cfg at the given injection rate, as a *ConfigError; New panics on
-// exactly these. The bounds are the packed structures': uint8 ring
+// exactly these. The bounds are the packed structures': uint8 queue
 // cursors (BufSize), the port- and vc-mask allocators (radix, NumVCs),
 // a wormhole packet that must fit one buffer, int16 latencies.
 func (cfg Config) Check(t *topo.Compiled, rate float64) error {
@@ -620,15 +673,6 @@ func (n *Network) build() {
 		maxLat = n.Cfg.LocalLatency
 	}
 	n.wheelLen = maxLat + 2
-	// Ring-buffer capacity: BufSize rounded up to a power of two, so
-	// queue positions are one shift+mask.
-	rbCap := uint32(1)
-	n.qShift = 0
-	for int(rbCap) < n.Cfg.BufSize {
-		rbCap <<= 1
-		n.qShift++
-	}
-	n.rbMask = rbCap - 1
 
 	n.portMask = make([]uint64, sw)
 	n.vcMask = make([]uint16, sw*n.ports)
@@ -637,6 +681,7 @@ func (n *Network) build() {
 		n.qMeta[i] = qmEmpty
 	}
 	n.qRW = make([]uint64, len(n.qMeta))
+	n.qTail = make([]int32, len(n.qMeta))
 	n.inOcc = make([]int32, sw*n.ports)
 	n.credits = make([]int16, sw*n.nonTerm*n.numVCs)
 	for i := range n.credits {
@@ -700,21 +745,7 @@ func (n *Network) build() {
 			uint64(uint32(up.r/n.shardSize))<<48
 	}
 	nodes := t.NumNodes()
-	n.nodeQ = make([]ringQ, nodes)
-	// Pre-size every source queue: first-push and doubling allocations
-	// otherwise land mid-simulation (they dominated timed allocation
-	// counts), and queues keep setting depth maxima far into a run, so
-	// only reserving the full cap actually reaches zero steady-state
-	// allocations. See sourceQueueReserveBudget.
-	if n.rate > 0 {
-		reserve := sourceQueueCap
-		if nodes*sourceQueueCap*4 > sourceQueueReserveBudget {
-			reserve = sourceQueueReserveMin
-		}
-		for i := range n.nodeQ {
-			n.nodeQ[i].reserve(reserve)
-		}
-	}
+	n.nodeQ = make([]srcQ, nodes)
 	n.nextGen = make([]int64, nodes)
 	// Expected calendar bucket high water: the mean due-node count of
 	// one cycle plus a five-sigma Poisson margin, so pre-sized buckets
@@ -802,18 +833,69 @@ func (n *Network) queueLen(sw, port, vc int) int {
 	return int(uint8(m>>8) - uint8(m))
 }
 
-// shardOf returns the shard owning switch sw.
-func (n *Network) shardOf(sw int32) *simShard { return &n.shards[sw/n.shardSize] }
-
-// audit verifies flit conservation; used by tests.
+// audit verifies flit conservation and the queue chains; used by
+// tests. Every non-empty input buffer's chain, walked from its qMeta
+// head, must hold exactly the depth its cursors give and end at qTail
+// when two or more deep; every source queue's chain holds its n
+// slots and ends at its tail. No slot may be walked twice or be free,
+// and the walked totals must equal each switch's flits and the
+// source-queued count.
 func (n *Network) audit() (inFlight int64, err error) {
+	fa := &n.fa
+	seen := make([]bool, fa.size())
+	for _, s := range fa.free {
+		seen[s] = true
+	}
+	walk := func(what string, id int, s int32, depth int) (last int32, err error) {
+		for k := 0; ; k++ {
+			if s < 0 || int(s) >= len(seen) || seen[s] {
+				return s, fmt.Errorf("netsim: %s %d: link %d of %d reaches slot %d, free or already queued", what, id, k, depth, s)
+			}
+			seen[s] = true
+			if k == depth-1 {
+				return s, nil
+			}
+			s = fa.link[s].next
+		}
+	}
+	qPerSw := n.ports * n.numVCs
 	var buffered int64
-	for _, c := range n.flits {
+	for sw, c := range n.flits {
+		walked := 0
+		for g := sw * qPerSw; g < (sw+1)*qPerSw; g++ {
+			m := n.qMeta[g]
+			depth := int(uint8(m>>8) - uint8(m))
+			if depth == 0 {
+				continue
+			}
+			last, err := walk("input queue", g, int32(uint32(m>>32)), depth)
+			if err != nil {
+				return 0, err
+			}
+			if depth >= 2 && last != n.qTail[g] {
+				return 0, fmt.Errorf("netsim: input queue %d: chain of %d ends at slot %d, qTail %d", g, depth, last, n.qTail[g])
+			}
+			walked += depth
+		}
+		if walked != int(c) {
+			return 0, fmt.Errorf("netsim: switch %d: chains hold %d flits, flits counts %d", sw, walked, c)
+		}
 		buffered += int64(c)
 	}
 	var queued int64
 	for i := range n.nodeQ {
-		queued += int64(n.nodeQ[i].len())
+		q := &n.nodeQ[i]
+		if q.n == 0 {
+			continue
+		}
+		last, err := walk("source queue", i, q.head, int(q.n))
+		if err != nil {
+			return 0, err
+		}
+		if last != q.tail {
+			return 0, fmt.Errorf("netsim: source queue %d: chain of %d ends at slot %d, tail %d", i, q.n, last, q.tail)
+		}
+		queued += int64(q.n)
 	}
 	// In-flight flits sit in the shards' wheel segments and, between
 	// cycles, in the not-yet-merged mailboxes.
@@ -845,7 +927,7 @@ func (n *Network) audit() (inFlight int64, err error) {
 	// head slot legitimately outlives its own ejection while pending
 	// body flits remain (the headOf invariant), so live may exceed
 	// in-flight there but never trail it.
-	live := int64(n.fa.live())
+	live := int64(fa.live())
 	if live < inFlight || (n.Cfg.PacketSize == 1 && live != inFlight) {
 		return inFlight, fmt.Errorf("netsim: arena leak: %d live slots, %d flits in flight", live, inFlight)
 	}

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math"
 	"testing"
 
 	"tugal/internal/rng"
@@ -9,108 +8,187 @@ import (
 	"tugal/internal/traffic"
 )
 
-// Property test for ringQ, the growable power-of-two ring backing the
-// per-node source queues. The slice-backed fifo it replaced relied on
-// an untested compaction heuristic in pop; here every behavior —
-// growth, wraparound of the buffer index, free-running uint32 cursor
-// overflow — is checked against a naive slice model under randomized
-// operation sequences, including the burst push / drain-all shape the
-// degraded-refusal drop path (refusePacket) produces.
+// Property test for the queues threaded through the flit arena: input
+// buffers (head in qMeta/qRW, the rest chained through flitArena.link
+// with their own hop and route word, qTail past depth one) and source
+// queues (srcQ chains). Random operation sequences — input buffers
+// filled to BufSize and drained, pushes behind a head carrying the
+// headEmpty sentinel so promotion must decode them, source-queue
+// packets pushed whole, popped, and refused with their bodies — are
+// checked step by step against slice models, with audit walking every
+// chain after each step.
 
-// ringModel is the obviously-correct reference: a slice with O(n)
-// pops.
-type ringModel struct{ s []int32 }
-
-func (m *ringModel) push(v int32) { m.s = append(m.s, v) }
-func (m *ringModel) pop() int32   { v := m.s[0]; m.s = m.s[1:]; return v }
-func (m *ringModel) peek() int32 {
-	if len(m.s) == 0 {
-		return -1
-	}
-	return m.s[0]
+// bufEntry is the model of one input-buffer entry: the slot and the
+// hop and route word the head cache must show when it is promoted.
+type bufEntry struct {
+	slot int32
+	hop  uint16
+	rw   uint64
 }
 
-func checkRingAgainstModel(t *testing.T, r *rng.Source, q *ringQ, steps int) {
+// srcEntry is the model of one source-queue entry; pkt numbers the
+// packet it belongs to, independently of the arena's headOf links.
+type srcEntry struct {
+	slot int32
+	pkt  int
+}
+
+func checkQueuesAgainstModel(t *testing.T, n *Network, r *rng.Source, steps int) {
 	t.Helper()
-	var m ringModel
-	next := int32(0)
+	fa := &n.fa
+	tp := n.T
+	type bufQ struct {
+		sw           int32
+		port, vc, pi int
+		g            int
+		m            []bufEntry
+	}
+	// Six input buffers on switches of both shards, two of them on one
+	// port, so their chains interleave in the arena.
+	var bufs []*bufQ
+	for _, at := range [][3]int{{0, 0, 0}, {0, 0, 1}, {1, 3, 2}, {7, 2, 0}, {tp.NumSwitches() - 1, 4, 3}, {12, 6, 1}} {
+		pi := at[0]*n.ports + at[1]
+		bufs = append(bufs, &bufQ{sw: int32(at[0]), port: at[1], vc: at[2], pi: pi, g: pi*n.numVCs + at[2]})
+	}
+	srcs := make([][]srcEntry, 4)
+	pkt := 0
+
+	newSlot := func(headOf int32) int32 {
+		s := fa.alloc()
+		fa.rec[s].headOf = headOf
+		fa.rec[s].hopIdx = 0
+		fa.rec[s].flags = 0
+		route := append(fa.routeBlock(s), RouteHop{Port: int8(r.Intn(n.ports)), VC: int8(r.Intn(n.numVCs))})
+		fa.setRoute(s, route)
+		return s
+	}
+	push := func(b *bufQ) {
+		f := newSlot(-1)
+		e := bufEntry{slot: f, hop: uint16(r.Intn(headEmpty)), rw: r.Uint64()}
+		hop := e.hop
+		if r.Intn(4) == 0 {
+			// The lazy sentinel: decoded from the route when it
+			// becomes the head, at push or at promotion.
+			hop = headEmpty
+			h := fa.rec[f].route[0]
+			e.hop = uint16(uint8(h.Port))<<8 | uint16(uint8(h.VC))
+		}
+		n.enqueue(b.sw, b.port, b.vc, b.pi, b.g, f, hop, e.rw)
+		n.injected++
+		b.m = append(b.m, e)
+	}
+	pop := func(i int, b *bufQ) {
+		f, rw := n.dequeue(b.sw, b.port, b.vc, b.pi, b.g)
+		if want := b.m[0]; f != want.slot || rw != want.rw {
+			t.Fatalf("step %d: dequeue = (%d, %#x), model (%d, %#x)", i, f, rw, want.slot, want.rw)
+		}
+		b.m = b.m[1:]
+		fa.release(f)
+		n.delivered++
+	}
 	for i := 0; i < steps; i++ {
-		switch op := r.Intn(10); {
-		case op < 4: // push
-			q.push(next)
-			m.push(next)
-			next++
-		case op < 5: // burst push, the generation shape of wormhole
-			// packets (head + bodies pushed back to back) — the case
-			// that forces growth mid-sequence.
-			k := 2 + r.Intn(6)
-			for j := 0; j < k; j++ {
-				q.push(next)
-				m.push(next)
-				next++
+		b := bufs[r.Intn(len(bufs))]
+		k := r.Intn(len(srcs))
+		q, sm := &n.nodeQ[k], &srcs[k]
+		switch op := r.Intn(12); {
+		case op < 4: // push, never past BufSize
+			if len(b.m) < n.Cfg.BufSize {
+				push(b)
 			}
-		case op < 8: // pop (guarded like every production caller)
-			if q.len() > 0 {
-				got, want := q.pop(), m.pop()
-				if got != want {
-					t.Fatalf("step %d: pop = %d, model %d", i, got, want)
+		case op < 5: // fill to BufSize
+			for len(b.m) < n.Cfg.BufSize {
+				push(b)
+			}
+		case op < 7:
+			if len(b.m) > 0 {
+				pop(i, b)
+			}
+		case op < 8: // drain
+			for len(b.m) > 0 {
+				pop(i, b)
+			}
+		case op < 10: // a source packet of 1-4 flits, pushed whole
+			pkt++
+			head := newSlot(-1)
+			for body := r.Intn(4); body >= 0; body-- {
+				s := head
+				if len(*sm) > 0 && (*sm)[len(*sm)-1].pkt == pkt {
+					s = newSlot(head)
 				}
+				q.push(fa, s)
+				*sm = append(*sm, srcEntry{s, pkt})
+				n.injected++
 			}
-		case op < 9: // drain-all, the refusePacket shape: peek-guarded
-			// pops until the head changes ownership (here: empty).
-			for q.peek() >= 0 {
-				got, want := q.pop(), m.pop()
-				if got != want {
-					t.Fatalf("step %d: drain pop = %d, model %d", i, got, want)
+		default: // pop, and refuse the packet when the head is a head
+			if len(*sm) == 0 {
+				if q.n != 0 || q.peek() != -1 {
+					t.Fatalf("step %d: empty source queue reports n=%d peek=%d", i, q.n, q.peek())
 				}
+				continue
 			}
-		default: // peek
-			if got, want := q.peek(), m.peek(); got != want {
-				t.Fatalf("step %d: peek = %d, model %d", i, got, want)
+			f := q.pop(fa)
+			want := (*sm)[0]
+			if f != want.slot {
+				t.Fatalf("step %d: source pop = %d, model %d", i, f, want.slot)
+			}
+			*sm = (*sm)[1:]
+			if fa.rec[f].headOf < 0 && r.Intn(2) == 0 {
+				n.refusePacket(f, q, false)
+				for len(*sm) > 0 && (*sm)[0].pkt == want.pkt {
+					*sm = (*sm)[1:]
+				}
+			} else {
+				fa.release(f)
+				n.delivered++
 			}
 		}
-		if q.len() != len(m.s) {
-			t.Fatalf("step %d: len = %d, model %d", i, q.len(), len(m.s))
+		for _, b := range bufs {
+			if got := n.queueLen(int(b.sw), b.port, b.vc); got != len(b.m) {
+				t.Fatalf("step %d: queue %d holds %d, model %d", i, b.g, got, len(b.m))
+			}
+			if len(b.m) == 0 {
+				continue
+			}
+			m := n.qMeta[b.g]
+			if f, hop, want := int32(uint32(m>>32)), uint16(m>>16), b.m[0]; f != want.slot || hop != want.hop || n.qRW[b.g] != want.rw {
+				t.Fatalf("step %d: queue %d head (%d, %#x, %#x), model (%d, %#x, %#x)",
+					i, b.g, f, hop, n.qRW[b.g], want.slot, want.hop, want.rw)
+			}
 		}
-	}
-	// Drain what's left: contents and order must match exactly.
-	for len(m.s) > 0 {
-		if q.len() == 0 {
-			t.Fatalf("queue empty with %d modeled entries left", len(m.s))
+		for k := range srcs {
+			q := &n.nodeQ[k]
+			want := int32(-1)
+			if len(srcs[k]) > 0 {
+				want = srcs[k][0].slot
+			}
+			if int(q.n) != len(srcs[k]) || q.peek() != want {
+				t.Fatalf("step %d: source queue %d: n=%d peek=%d, model %d entries, head %d", i, k, q.n, q.peek(), len(srcs[k]), want)
+			}
 		}
-		if got, want := q.pop(), m.pop(); got != want {
-			t.Fatalf("final drain: pop = %d, model %d", got, want)
+		if _, err := n.audit(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
 		}
-	}
-	if q.len() != 0 || q.peek() != -1 {
-		t.Fatalf("drained queue reports len=%d peek=%d", q.len(), q.peek())
 	}
 }
 
-func TestRingQProperty(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		var q ringQ
-		checkRingAgainstModel(t, rng.New(seed), &q, 4000)
+func TestQueueChainsProperty(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 5)
+	for _, buf := range []int{1, 2, 5, 16} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := DefaultConfig()
+			cfg.BufSize = buf
+			cfg.Shards = 2
+			n := New(tp, cfg, minRouter{tp}, traffic.Uniform{T: tp}, 0)
+			checkQueuesAgainstModel(t, n, rng.New(seed), 3000)
+		}
 	}
-}
-
-// TestRingQCursorWrap starts the free-running cursors just below the
-// uint32 wrap point: len(), position masking and growth's unwrapping
-// copy must all survive head/tail overflowing to zero mid-sequence.
-func TestRingQCursorWrap(t *testing.T) {
-	var q ringQ
-	q.push(0) // allocate the initial buffer
-	q.pop()
-	q.head = math.MaxUint32 - 7
-	q.tail = q.head
-	checkRingAgainstModel(t, rng.New(99), &q, 2000)
 }
 
 // TestRefusePacketDropsWholePacket pins the degraded-refusal drop
-// path on the ring-backed source queue: refusing a popped head must
-// also pop exactly its own body flits (contiguous behind it), leave
-// the next packet queued, and return every dropped slot to the arena
-// free list.
+// path on the linked source queue: refusing a popped head must also
+// pop exactly its own body flits (contiguous behind it), leave the
+// next packet queued, and return every dropped slot to the arena free
+// list.
 func TestRefusePacketDropsWholePacket(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	cfg := DefaultConfig()
@@ -119,16 +197,16 @@ func TestRefusePacketDropsWholePacket(t *testing.T) {
 	fa := &n.fa
 	freeBefore := len(fa.free)
 
-	mkPacket := func(q *ringQ, size int) int32 {
+	mkPacket := func(q *srcQ, size int) int32 {
 		head := fa.alloc()
 		fa.rec[head].headOf = -1
 		fa.rec[head].pending = int32(size)
-		q.push(head)
+		q.push(fa, head)
 		for k := 1; k < size; k++ {
 			b := fa.alloc()
 			fa.rec[b].headOf = head
 			fa.rec[b].pending = 0
-			q.push(b)
+			q.push(fa, b)
 		}
 		return head
 	}
@@ -137,13 +215,13 @@ func TestRefusePacketDropsWholePacket(t *testing.T) {
 	doomed := mkPacket(q, 4)
 	second := mkPacket(q, 4)
 
-	f := q.pop() // the production path refuses an already-popped head
+	f := q.pop(fa) // the production path refuses an already-popped head
 	if f != doomed {
 		t.Fatalf("popped %d, want the first head %d", f, doomed)
 	}
 	n.refusePacket(f, q, true)
 
-	if got := q.len(); got != 4 {
+	if got := q.n; got != 4 {
 		t.Fatalf("queue holds %d flits after refusal, want the 4 of the second packet", got)
 	}
 	if got := q.peek(); got != second {

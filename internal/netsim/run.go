@@ -280,30 +280,16 @@ const (
 // it only bounds memory on deeply oversubscribed runs.
 const sourceQueueCap = 512
 
-// Source queues are pre-sized at build (see build): a queue's depth is
-// capped at sourceQueueCap, so reserving the cap outright makes the
-// source queues allocation-free for the network's lifetime — heavy
-// patterns (adversarial shifts near saturation) demonstrably push
-// queues all the way there, so any smaller reserve keeps producing
-// new-maximum growth deep into a run. sourceQueueReserveBudget bounds
-// the total spend; past it (≳16k nodes) queues fall back to a small
-// reserve that still absorbs the common early doublings.
-const (
-	sourceQueueReserveBudget = 64 << 20
-	sourceQueueReserveMin    = 64
-)
-
 // enqueue pushes flit slot f into input buffer (port, vc) of switch
 // sw, maintaining occupancy counters, scan masks and the head cache.
-// sw must belong to shard sh (whose ring arena backs the queue). pi
-// and g are the caller's precomputed port index (sw*ports+port) and
-// global queue slot (pi*numVCs+vc) — every call site already has
+// pi and g are the caller's precomputed port index (sw*ports+port)
+// and global queue slot (pi*numVCs+vc) — every call site already has
 // them in hand for its own indexing, so enqueue takes them instead
 // of redoing the multiply chain per flit. hop is the flit's
 // pre-decoded next hop at this router (headEmpty for the lazy
 // Revisable path). PAR revision fires when the flit becomes the
 // buffer head (the point a progressive router recomputes the route).
-func (n *Network) enqueue(sh *simShard, sw int32, port, vc, pi, g int, f int32, hop uint16, rw uint64) {
+func (n *Network) enqueue(sw int32, port, vc, pi, g int, f int32, hop uint16, rw uint64) {
 	m := n.qMeta[g]
 	head, tail := uint8(m), uint8(m>>8)
 	n.inOcc[pi]++
@@ -314,25 +300,29 @@ func (n *Network) enqueue(sh *simShard, sw int32, port, vc, pi, g int, f int32, 
 	n.vcMask[pi] |= 1 << vc
 	n.portMask[sw] |= 1 << port
 	if head == tail {
-		// Empty queue: the new head lives entirely in qMeta/qRW —
-		// the ring arena is untouched below depth 2, which is what
-		// keeps low-load traffic out of the (large) ring arrays.
+		// Empty queue: the new head lives entirely in qMeta/qRW, and
+		// no link is written.
 		if hop == headEmpty {
 			hop = n.headVal(sw, f)
 		}
 		n.qMeta[g] = uint64(head) | uint64(tail+1)<<8 | uint64(hop)<<16 | uint64(uint32(f))<<32
 		n.qRW[g] = rw
 	} else {
-		ri := ((g-int(sh.ringBase))<<n.qShift + int(tail)&int(n.rbMask)) * 2
-		sh.ring[ri] = uint64(uint32(f)) | uint64(hop)<<32
-		sh.ring[ri+1] = rw
+		link := n.fa.link
+		link[f].hop, link[f].rw = hop, rw
+		prev := int32(uint32(m >> 32))
+		if tail-head > 1 {
+			prev = n.qTail[g]
+		}
+		link[prev].next = f
+		n.qTail[g] = f
 		n.qMeta[g] = m&^(0xff<<8) | uint64(tail+1)<<8
 	}
 }
 
 // dequeue pops the head of input buffer (port, vc) of switch sw,
 // maintaining counters, masks and the head cache. pi/g as in enqueue.
-func (n *Network) dequeue(sh *simShard, sw int32, port, vc, pi, g int) (int32, uint64) {
+func (n *Network) dequeue(sw int32, port, vc, pi, g int) (int32, uint64) {
 	m := n.qMeta[g]
 	head, tail := uint8(m), uint8(m>>8)
 	f := int32(uint32(m >> 32))
@@ -344,16 +334,16 @@ func (n *Network) dequeue(sh *simShard, sw int32, port, vc, pi, g int) (int32, u
 		n.clearActive(sw)
 	}
 	if head != tail {
-		// Promote the next ring entry pair into the qMeta/qRW head
-		// cache — the only ring read on the pop path.
-		ri := ((g-int(sh.ringBase))<<n.qShift + int(head)&int(n.rbMask)) * 2
-		next := sh.ring[ri]
-		hop := uint16(next >> 32)
+		// Promote the head's successor, with the hop and route word
+		// its link holds, into the qMeta/qRW head cache.
+		next := n.fa.link[f].next
+		ln := &n.fa.link[next]
+		hop := ln.hop
 		if hop == headEmpty {
-			hop = n.headVal(sw, int32(uint32(next)))
+			hop = n.headVal(sw, next)
 		}
 		n.qMeta[g] = uint64(head) | uint64(tail)<<8 | uint64(hop)<<16 | uint64(uint32(next))<<32
-		n.qRW[g] = sh.ring[ri+1]
+		n.qRW[g] = ln.rw
 	} else {
 		n.qMeta[g] = uint64(head) | uint64(tail)<<8 | qmEmpty
 		n.vcMask[pi] &^= 1 << vc
@@ -468,7 +458,7 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 			dst, ok = n.pattern.Dest(n.trafficRNG, int(node))
 		}
 		if ok && dst != int(node) &&
-			n.nodeQ[node].len() < sourceQueueCap {
+			n.nodeQ[node].n < sourceQueueCap {
 			if fail := n.Cfg.Failures; fail != nil &&
 				(fail.SwitchDead(t.SwitchOfNode(int(node))) || fail.SwitchDead(t.SwitchOfNode(dst))) {
 				// Dead endpoint switch: the packet is refused before it
@@ -496,7 +486,7 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 					n.measCount++
 				}
 				fa.rec[head].flags = flags
-				n.nodeQ[node].push(head)
+				n.nodeQ[node].push(fa, head)
 				n.injected++
 				for k := 1; k < size; k++ {
 					b := fa.alloc()
@@ -511,7 +501,7 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 					} else {
 						fa.rec[b].flags = 0
 					}
-					n.nodeQ[node].push(b)
+					n.nodeQ[node].push(fa, b)
 					n.injected++
 				}
 			}
@@ -521,7 +511,7 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 		n.genCal.add(ng, node)
 	}
 	q := &n.nodeQ[node]
-	if q.len() == 0 {
+	if q.n == 0 {
 		return nextActive
 	}
 	sw := int32(t.SwitchOfNode(int(node)))
@@ -531,7 +521,7 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 	if n.queueLen(int(sw), termPort, 0) >= n.Cfg.BufSize {
 		return append(nextActive, node)
 	}
-	f := q.pop()
+	f := q.pop(fa)
 	if fa.rec[f].headOf < 0 {
 		// Head flit: compute the packet's route now, from current
 		// source-router state, directly into the slot's arena block.
@@ -550,7 +540,7 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 			// injection port rather than blackhole it mid-network.
 			n.refusePacket(f, q, v.Measured)
 			v.Route = nil
-			if q.len() > 0 {
+			if q.n > 0 {
 				nextActive = append(nextActive, node)
 			}
 			return nextActive
@@ -590,8 +580,8 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 		rw = fa.packRW(f, 1)
 	}
 	pi := int(sw)*n.ports + termPort
-	n.enqueue(n.shardOf(sw), sw, termPort, 0, pi, pi*n.numVCs, f, hop, rw)
-	if q.len() > 0 {
+	n.enqueue(sw, termPort, 0, pi, pi*n.numVCs, f, hop, rw)
+	if q.n > 0 {
 		nextActive = append(nextActive, node)
 	}
 	return nextActive
@@ -625,11 +615,11 @@ func (n *Network) routeAlive(sw int32, f *Flit) bool {
 // the sequential injection path only, so the counters stay
 // deterministic under sharding. Body slots are released first, the
 // head last, mirroring arrival order in the free list.
-func (n *Network) refusePacket(f int32, q *ringQ, measured bool) {
+func (n *Network) refusePacket(f int32, q *srcQ, measured bool) {
 	fa := &n.fa
 	dropped := int64(1)
-	for q.len() > 0 && fa.rec[q.peek()].headOf == f {
-		fa.release(q.pop())
+	for q.n > 0 && fa.rec[q.head].headOf == f {
+		fa.release(q.pop(fa))
 		dropped++
 	}
 	if measured {
@@ -744,7 +734,7 @@ func (n *Network) allocateRouter(swi int, sh *simShard) {
 					if out < termPorts {
 						// Ejection.
 						outUsed |= 1 << out
-						f, _ := n.dequeue(sh, int32(swi), port, vc, pBase+port, hBase+port*numVCs+vc)
+						f, _ := n.dequeue(int32(swi), port, vc, pBase+port, hBase+port*numVCs+vc)
 						n.returnCredit(sh, pBase+port, vc)
 						sh.eject = append(sh.eject, f)
 					} else {
@@ -769,7 +759,7 @@ func (n *Network) allocateRouter(swi int, sh *simShard) {
 						}
 						outUsed |= 1 << out
 						credits[ci]--
-						f, rw := n.dequeue(sh, int32(swi), port, vc, pBase+port, hBase+port*numVCs+vc)
+						f, rw := n.dequeue(int32(swi), port, vc, pBase+port, hBase+port*numVCs+vc)
 						n.returnCredit(sh, pBase+port, vc)
 						var hop uint16
 						if rw&rwSlow == 0 {

@@ -56,21 +56,18 @@ import (
 // simShard is one static partition of the routers. lo/hi bound the
 // owned id range [lo, hi). active has bit (id-lo) set iff router id
 // buffers any flit; enqueue/dequeue maintain it so allocate scans set
-// bits instead of every router. ring is the shard's input-queue
-// arena: rbCap (power-of-two, see Network.qShift) int32 flit slots
-// for each of the shard's (router, port, vc) queues, at offset
-// (g-ringBase)<<qShift for global queue slot g. wheel is the shard's
+// bits instead of every router. The shard's input queues are chains
+// in the flit arena (see Network.qMeta); only this shard writes their
+// links. wheel is the shard's
 // private timing-wheel segment, outbox[d] the mailbox of events this
 // shard emitted for shard d during the current allocate phase, and
 // eject the flit slots this shard ejected this cycle, in ascending
 // router order.
 type simShard struct {
-	lo, hi   int32
-	active   []uint64
-	ring     []uint64
-	ringBase int32
-	wheel    [][]event
-	outbox   [][]outEvent
+	lo, hi int32
+	active []uint64
+	wheel  [][]event
+	outbox [][]outEvent
 	// cwheel/coutbox are the credit-return counterparts of
 	// wheel/outbox (used when Network.fastCredits): cwheel buckets hold
 	// bare credit indices, coutbox entries pack (wheel slot << 32 |
@@ -114,14 +111,11 @@ func (n *Network) buildShards() {
 	n.shardSize = int32(size)
 	count := (sw + size - 1) / size
 	n.shards = make([]simShard, count)
-	qPerSw := n.ports * n.numVCs
 	for i := range n.shards {
 		sh := &n.shards[i]
 		sh.lo = int32(i * size)
 		sh.hi = int32(min((i+1)*size, sw))
 		sh.active = make([]uint64, (int(sh.hi-sh.lo)+63)/64)
-		sh.ringBase = sh.lo * int32(qPerSw)
-		sh.ring = make([]uint64, int(sh.hi-sh.lo)*qPerSw<<n.qShift*2)
 		sh.wheel = make([][]event, n.wheelLen)
 		sh.outbox = make([][]outEvent, count)
 		sh.cwheel = make([][]int32, n.wheelLen)
@@ -253,7 +247,7 @@ func (n *Network) shardDeliver(s int) {
 		ev := bucket[i]
 		if ev.flit >= 0 {
 			pi := int(ev.r)*n.ports + int(ev.port)
-			n.enqueue(sh, ev.r, int(ev.port), int(ev.vc), pi, pi*n.numVCs+int(ev.vc),
+			n.enqueue(ev.r, int(ev.port), int(ev.vc), pi, pi*n.numVCs+int(ev.vc),
 				ev.flit, ev.hop, ev.rw)
 		} else {
 			// Interleaved credit of an in-flight reviser (see
