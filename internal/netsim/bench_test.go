@@ -160,6 +160,9 @@ func TestNewAllocIndependentOfBufSize(t *testing.T) {
 	}
 }
 
+// newSink keeps BenchmarkNew's networks observable to the compiler.
+var newSink *netsim.Network
+
 // BenchmarkNew measures netsim.New alone (run with -benchmem for its
 // B/op) on the paper's g=9 topology and, unless -short, the 702-switch
 // fig13/14 topology, at the default and the largest buffer depth.
@@ -172,7 +175,7 @@ func BenchmarkNew(b *testing.B) {
 				cfg.BufSize = buf
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					netsim.New(t, cfg, rf, traffic.Shift{T: t, DG: 2, DS: 0}, 0.06)
+					newSink = netsim.New(t, cfg, rf, traffic.Shift{T: t, DG: 2, DS: 0}, 0.06)
 				}
 			})
 		}

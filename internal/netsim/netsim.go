@@ -251,14 +251,6 @@ func (q *srcQ) pop(a *flitArena) int32 {
 	return s
 }
 
-// peek returns the head slot without removing it, or -1 when empty.
-func (q *srcQ) peek() int32 {
-	if q.n == 0 {
-		return -1
-	}
-	return q.head
-}
-
 // routeBlock returns the slot's empty arena-backed route view: length
 // zero, capacity maxRoute, aliasing the slot's block so appends write
 // the arena directly.
@@ -846,17 +838,22 @@ func (n *Network) audit() (inFlight int64, err error) {
 	for _, s := range fa.free {
 		seen[s] = true
 	}
-	walk := func(what string, id int, s int32, depth int) (last int32, err error) {
-		for k := 0; ; k++ {
+	// walk follows a chain of depth slots from s through live slots
+	// not walked before; it must end at last unless last < 0.
+	walk := func(what string, id int, s int32, depth int, last int32) error {
+		for k := 0; k < depth; k++ {
+			if k > 0 {
+				s = fa.link[s].next
+			}
 			if s < 0 || int(s) >= len(seen) || seen[s] {
-				return s, fmt.Errorf("netsim: %s %d: link %d of %d reaches slot %d, free or already queued", what, id, k, depth, s)
+				return fmt.Errorf("netsim: %s %d: link %d of %d reaches slot %d, free or already queued", what, id, k, depth, s)
 			}
 			seen[s] = true
-			if k == depth-1 {
-				return s, nil
-			}
-			s = fa.link[s].next
 		}
+		if last >= 0 && s != last {
+			return fmt.Errorf("netsim: %s %d: chain of %d ends at slot %d, not its tail %d", what, id, depth, s, last)
+		}
+		return nil
 	}
 	qPerSw := n.ports * n.numVCs
 	var buffered int64
@@ -865,15 +862,12 @@ func (n *Network) audit() (inFlight int64, err error) {
 		for g := sw * qPerSw; g < (sw+1)*qPerSw; g++ {
 			m := n.qMeta[g]
 			depth := int(uint8(m>>8) - uint8(m))
-			if depth == 0 {
-				continue
+			last := int32(-1)
+			if depth >= 2 {
+				last = n.qTail[g]
 			}
-			last, err := walk("input queue", g, int32(uint32(m>>32)), depth)
-			if err != nil {
+			if err := walk("input queue", g, int32(uint32(m>>32)), depth, last); err != nil {
 				return 0, err
-			}
-			if depth >= 2 && last != n.qTail[g] {
-				return 0, fmt.Errorf("netsim: input queue %d: chain of %d ends at slot %d, qTail %d", g, depth, last, n.qTail[g])
 			}
 			walked += depth
 		}
@@ -883,17 +877,12 @@ func (n *Network) audit() (inFlight int64, err error) {
 		buffered += int64(c)
 	}
 	var queued int64
-	for i := range n.nodeQ {
-		q := &n.nodeQ[i]
+	for i, q := range n.nodeQ {
 		if q.n == 0 {
 			continue
 		}
-		last, err := walk("source queue", i, q.head, int(q.n))
-		if err != nil {
+		if err := walk("source queue", i, q.head, int(q.n), q.tail); err != nil {
 			return 0, err
-		}
-		if last != q.tail {
-			return 0, fmt.Errorf("netsim: source queue %d: chain of %d ends at slot %d, tail %d", i, q.n, last, q.tail)
 		}
 		queued += int64(q.n)
 	}

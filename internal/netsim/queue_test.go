@@ -33,6 +33,14 @@ type srcEntry struct {
 	pkt  int
 }
 
+// peek returns a source queue's head slot, or -1 when it is empty.
+func (q *srcQ) peek() int32 {
+	if q.n == 0 {
+		return -1
+	}
+	return q.head
+}
+
 func checkQueuesAgainstModel(t *testing.T, n *Network, r *rng.Source, steps int) {
 	t.Helper()
 	fa := &n.fa
