@@ -423,12 +423,11 @@ type Network struct {
 	// Cached topology dimensions (avoids method calls in the loop).
 	ports, numVCs, nonTerm int
 
-	// fa is the flit arena. It grows and recycles slots only on the
-	// sequential phases, and a slot's record and link are written only
-	// by whoever holds the flit: injection, or the shard owning the
-	// router it is queued at. scratch is the reusable routing-boundary
-	// view materialized around SourceRoute/Revise calls, used by
-	// injection and by revision, which only happens at one shard.
+	// fa is the flit arena; it grows and recycles slots only on the
+	// sequential phases (see flitArena for who writes a slot). scratch
+	// is the reusable routing-boundary view materialized around
+	// SourceRoute/Revise calls, used by injection and by revision,
+	// which only happens at one shard.
 	fa      flitArena
 	scratch Flit
 
@@ -518,11 +517,11 @@ type Network struct {
 	workers int
 
 	// Per-node source queues (bounded by sourceQueueCap) and next
-	// generation times.
-	// genCal buckets nodes by next generation cycle and srcActive
-	// lists nodes with non-empty source queues (sorted ascending), so
-	// inject visits O(active) nodes instead of all of them; srcNext
-	// is the double buffer srcActive is rebuilt into each cycle.
+	// generation times. genCal buckets nodes by next generation cycle
+	// and srcActive lists nodes with non-empty source queues (sorted
+	// ascending), so inject visits O(active) nodes instead of all of
+	// them; srcNext is the double buffer srcActive is rebuilt into
+	// each cycle.
 	nodeQ     []srcQ
 	nextGen   []int64
 	genCal    genCalendar

@@ -58,11 +58,10 @@ import (
 // buffers any flit; enqueue/dequeue maintain it so allocate scans set
 // bits instead of every router. The shard's input queues are chains
 // in the flit arena (see Network.qMeta); only this shard writes their
-// links. wheel is the shard's
-// private timing-wheel segment, outbox[d] the mailbox of events this
-// shard emitted for shard d during the current allocate phase, and
-// eject the flit slots this shard ejected this cycle, in ascending
-// router order.
+// links. wheel is the shard's private timing-wheel segment, outbox[d]
+// the mailbox of events this shard emitted for shard d during the
+// current allocate phase, and eject the flit slots this shard ejected
+// this cycle, in ascending router order.
 type simShard struct {
 	lo, hi int32
 	active []uint64
