@@ -169,13 +169,10 @@ func BenchmarkPathEnumeration(b *testing.B) {
 // paper's small topology (the unit of Step 1's 31x(patterns) grid).
 func BenchmarkModelSolve(b *testing.B) {
 	t := topo.MustNew(4, 8, 4, 9)
-	net := flow.NewNetwork(t)
-	demands := traffic.SwitchDemands(t, traffic.Shift{T: t, DG: 2, DS: 0})
+	pat := traffic.Shift{T: t, DG: 2, DS: 0}
 	b.ReportAllocs()
-	var agg flow.Aggregate
 	for i := 0; i < b.N; i++ {
-		agg.From(flow.ComputeLoads(net, paths.Full{T: t}, demands, flow.LoadOptions{Enumerate: true}))
-		if res := agg.Solve(); res.Alpha <= 0 {
+		if res := flow.ModelThroughput(t, paths.Full{T: t}, pat, nil); res.Alpha <= 0 {
 			b.Fatal("zero alpha")
 		}
 	}

@@ -37,7 +37,7 @@ func ExampleFullVLB() {
 func ExampleModelThroughput() {
 	t := tugal.MustTopology(4, 8, 4, 9)
 	res := tugal.ModelThroughput(t, tugal.FullVLB(t),
-		tugal.ShiftPattern(t, 2, 0), tugal.DefaultModelOptions())
+		tugal.ShiftPattern(t, 2, 0), nil)
 	fmt.Printf("%.4f\n", res.Alpha)
 	// Output: 0.5625
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"os"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -563,6 +565,53 @@ func BenchmarkRebalanceStore(b *testing.B) {
 	b.ReportMetric(float64(st.NumPaths()), "paths")
 }
 
+// BenchmarkStep1Giant runs Step 1 on the paper's largest topology,
+// dfly(13,26,13,27) of Figures 13 and 14, at QuickOptions' pattern
+// counts (8 TYPE_1 and 4 TYPE_2 patterns over the 31-point grid), and
+// reports the wall time of a call and the process's peak resident set
+// (VmHWM, 0 where /proc has none). One call takes minutes on two
+// cores, so the first run is the only one; with -v the curve is logged:
+//
+//	go test -run '^$' -bench Step1Giant -v ./internal/core/
+func BenchmarkStep1Giant(b *testing.B) {
+	if testing.Short() {
+		b.Skip("minutes of Step 1 on dfly(13,26,13,27)")
+	}
+	tp := topo.MustNew(13, 26, 13, 27)
+	opt := QuickOptions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		curve, best, err := Step1(tp, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			for _, p := range curve {
+				b.Logf("%-12v %.4f ± %.4f", p.Point, p.Mean, p.StdErr)
+			}
+			b.Logf("best %v", best)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "wall-s/op")
+	b.ReportMetric(peakRSSMiB(), "peak-MiB")
+}
+
+// peakRSSMiB is VmHWM from /proc/self/status in MiB, or 0.
+func peakRSSMiB() float64 {
+	data, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			if kb, err := strconv.ParseFloat(strings.Fields(rest)[0], 64); err == nil {
+				return kb / 1024
+			}
+		}
+	}
+	return 0
+}
+
 // TestModelPatternsRespectCaps checks pattern suite sizing.
 func TestModelPatternsRespectCaps(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
@@ -585,9 +634,13 @@ func TestModelPatternsRespectCaps(t *testing.T) {
 // optimum computed by hand (see flow tests) — anchoring Step 1.
 func TestModeledAllVLBOptimal(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
-	pats := modelPatterns(tp, Options{Seed: 1, Type2Model: 1, Type1Cap: 2, Model: flow.DefaultModelOptions()})
-	mean, _ := flow.AverageModeled(tp, paths.Full{T: tp}, pats, flow.DefaultModelOptions())
-	if mean <= 0.3 || mean > 1 {
+	pats := modelPatterns(tp, Options{Seed: 1, Type2Model: 1, Type1Cap: 2})
+	full := paths.Full{T: tp}
+	means, _, err := flow.AverageModeledGrid(tp, full, []paths.Policy{full}, pats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mean := means[0]; mean <= 0.3 || mean > 1 {
 		t.Fatalf("modeled mean %v implausible", mean)
 	}
 }
@@ -606,51 +659,6 @@ func requireSameCurve(t *testing.T, name string, want, got []ProbePoint) {
 	}
 }
 
-// TestStep1MonteCarlo: with Loads.Enumerate off Step 1 samples each
-// grid point's own policy per demand — the mode of the topologies too
-// large to enumerate — as one pool task a point, and the curve does not
-// depend on the worker count.
-func TestStep1MonteCarlo(t *testing.T) {
-	tp := topo.MustNew(2, 4, 2, 5)
-	opt := tinyOptions()
-	opt.Model.Loads = flow.LoadOptions{Samples: 64, Seed: 5}
-	var want []ProbePoint
-	for _, workers := range []int{1, 8} {
-		pool := exec.NewPool(workers)
-		var points, walks atomic.Int32
-		pool.SetObserver(func(s exec.Stat) {
-			switch {
-			case s.Label == "step1/grid":
-				points.Add(1)
-			case strings.HasPrefix(s.Label, "loadgrid/"), strings.HasPrefix(s.Label, "compile/"):
-				walks.Add(1)
-			}
-		})
-		old := exec.SetDefault(pool)
-		curve, _, err := Step1(tp, opt)
-		exec.SetDefault(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if points.Load() != 31 || walks.Load() != 0 {
-			t.Fatalf("%d grid-point tasks and %d store compiles or grid walks, want 31 and 0", points.Load(), walks.Load())
-		}
-		if want == nil {
-			want = curve
-		}
-		requireSameCurve(t, "monte carlo", want, curve)
-	}
-	exact, _, err := Step1(tp, tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, p := range want {
-		if math.Abs(p.Mean-exact[k].Mean) > 0.25*exact[k].Mean {
-			t.Errorf("%v: sampled mean %v, exact %v", p.Point, p.Mean, exact[k].Mean)
-		}
-	}
-}
-
 // noShifts is a family whose TYPE_1 set is empty.
 type noShifts struct{ topo.Network }
 
@@ -658,8 +666,9 @@ func (noShifts) AdversarialShifts() [][2]int { return nil }
 
 // TestOptionsValidated: Step1 and ComputeTVLB refuse, with an error
 // naming the field, option values that used to panic inside a make
-// (negative counts), score nothing and still name a final policy
-// (Sim.Patterns 0), or select no candidate (a NaN tolerance).
+// (negative counts) or index out of range (a failure mask of another
+// topology), score nothing and still name a final policy (Sim.Patterns
+// 0), or select no candidate (a NaN tolerance).
 func TestOptionsValidated(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 5)
 	for _, c := range []struct {
@@ -686,6 +695,19 @@ func TestOptionsValidated(t *testing.T) {
 		res, err := ComputeTVLB(tp, opt)
 		if res != nil || err == nil || !strings.Contains(err.Error(), "Options."+c.field) {
 			t.Errorf("ComputeTVLB with a bad %s: result %v, error %v", c.field, res, err)
+		}
+	}
+	// A failure mask of another topology, either way round between
+	// dfly(2,4,2,5) and dfly(2,4,2,9).
+	g9 := topo.MustNew(2, 4, 2, 9)
+	for _, c := range []struct{ run, mask *topo.Compiled }{{tp, g9}, {g9, tp}} {
+		opt := tinyOptions()
+		opt.Failures = topo.NewFailureMask(c.mask)
+		if _, _, err := Step1(c.run, opt); err == nil || !strings.Contains(err.Error(), "Options.Failures") {
+			t.Errorf("Step1 on %s with a mask of %s: error %v", c.run.Label(), c.mask.Label(), err)
+		}
+		if res, err := ComputeTVLB(c.run, opt); res != nil || err == nil || !strings.Contains(err.Error(), "Options.Failures") {
+			t.Errorf("ComputeTVLB on %s with a mask of %s: result %v, error %v", c.run.Label(), c.mask.Label(), res, err)
 		}
 	}
 	// A suite that resolves to no pattern: a family with no adversarial

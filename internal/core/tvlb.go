@@ -40,8 +40,6 @@ type Options struct {
 	// Type1Cap subsamples TYPE_1_SET when positive; 0 uses all
 	// (g-1)*a patterns. Large topologies need a cap.
 	Type1Cap int
-	// Model controls the Step-1 throughput model.
-	Model flow.ModelOptions
 	// Step1Repeats re-runs the coarse grain with fresh random path
 	// subsets and averages, the paper's optional guard against a bad
 	// random seed (§3.3.2). 0 or 1 means a single pass.
@@ -60,7 +58,8 @@ type Options struct {
 	Sim SimOptions
 	// Failures customizes the path set for a degraded topology: every
 	// stage — Step-1 model, load-balance adjustment, Step-2 simulation
-	// — sees only surviving paths and zero capacity on dead gear.
+	// — sees only surviving paths and zero capacity on dead gear. It
+	// must be a mask of the topology being customised.
 	Failures *topo.FailureMask
 }
 
@@ -72,7 +71,6 @@ func DefaultOptions() Options {
 	return Options{
 		Seed:        1,
 		Type2Model:  20,
-		Model:       flow.DefaultModelOptions(),
 		VicinityTol: 0.03,
 		VicinityMax: 4,
 		Strategic:   true,
@@ -87,13 +85,14 @@ func DefaultOptions() Options {
 	}
 }
 
-// validate refuses, naming the field, the values no stage can run with:
-// a negative count would panic in a make or a slice bound, and a
+// validate refuses, naming the field, the values no stage can run with
+// on t: a negative count would panic in a make or a slice bound, a
 // VicinityTol that is not a finite non-negative number compares false
-// against every point and leaves Step 2 no candidate. step2 adds what
-// only ComputeTVLB needs: with no simulated pattern every score is the
-// mean of nothing.
-func (o Options) validate(step2 bool) error {
+// against every point and leaves Step 2 no candidate, and a failure
+// mask of another topology indexes channels t does not have. step2
+// adds what only ComputeTVLB needs: with no simulated pattern every
+// score is the mean of nothing.
+func (o Options) validate(t *topo.Compiled, step2 bool) error {
 	for _, f := range []struct {
 		name string
 		v    int
@@ -107,6 +106,9 @@ func (o Options) validate(step2 bool) error {
 	}
 	if !(o.VicinityTol >= 0) || math.IsInf(o.VicinityTol, 0) {
 		return fmt.Errorf("core: Options.VicinityTol is %v, want a finite value >= 0", o.VicinityTol)
+	}
+	if o.Failures != nil && o.Failures.Topo() != t {
+		return fmt.Errorf("core: Options.Failures was built for a different topology (%s) than %s", o.Failures.Topo().Label(), t.Label())
 	}
 	if step2 && o.Sim.Patterns == 0 {
 		return fmt.Errorf("core: Options.Sim.Patterns is 0, want >= 1: Step 2 would score nothing")
@@ -184,7 +186,7 @@ func modelPatterns(t *topo.Compiled, opt Options) []traffic.Deterministic {
 // subsets and the means are averaged — the paper's optional
 // randomization guard.
 func Step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
-	if err := opt.validate(false); err != nil {
+	if err := opt.validate(t, false); err != nil {
 		return nil, DataPoint{}, err
 	}
 	return step1(t, opt)
@@ -209,47 +211,28 @@ func step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
 	}
 	grid := ProbeGrid()
 	repeats := max(opt.Step1Repeats, 1)
-	// Degraded probes thread the mask everywhere a candidate set or an
-	// edge capacity is derived; with a nil mask every call below is
-	// exactly the pristine path.
-	opt.Model.Failures = opt.Failures
-	pool := exec.Default()
+	// Every grid policy filters the full VLB set, so one walk of it per
+	// demand pair serves all of them (flow.AverageModeledGrid). The walk
+	// is the interpreted set under the mask: a suite reads only the
+	// pairs its demands name, so compiling every pair's paths first
+	// costs more than it saves. Only a set of at most step1StoreMax
+	// paths is compiled first; either walk gives the same bits.
+	full := paths.Policy(paths.Full{T: t})
+	if paths.EstimatePaths(t, full) <= step1StoreMax {
+		if st, ok := paths.Compiled(exec.Default(), t, full, opt.Failures); ok {
+			full = st
+		}
+	}
+	pols := make([]paths.Policy, 0, repeats*len(grid))
+	for rep := 0; rep < repeats; rep++ {
+		for _, dp := range grid {
+			pols = append(pols, dp.Policy(t, rng.Hash64(opt.Seed, uint64(rep))))
+		}
+	}
 	// means and ses hold every (repeat, point) probe, repeat-major.
-	var means, ses []float64
-	if opt.Model.Loads.Enumerate {
-		// Exact loads: every grid policy filters the full VLB set, so
-		// one walk of it per demand pair serves all of them
-		// (flow.AverageModeledGrid). The walk is the interpreted set under
-		// the mask: a suite reads only the pairs its demands name, so
-		// compiling every pair's paths first costs more than it saves.
-		// Only a set of at most step1StoreMax paths is compiled first;
-		// either walk gives the same bits.
-		full := paths.Policy(paths.Full{T: t})
-		if paths.EstimatePaths(t, full) <= step1StoreMax {
-			if st, ok := paths.Compiled(pool, t, full, opt.Failures); ok {
-				full = st
-			}
-		}
-		pols := make([]paths.Policy, 0, repeats*len(grid))
-		for rep := 0; rep < repeats; rep++ {
-			for _, dp := range grid {
-				pols = append(pols, dp.Policy(t, rng.Hash64(opt.Seed, uint64(rep))))
-			}
-		}
-		var err error
-		if means, ses, err = flow.AverageModeledGrid(t, full, pols, pats, opt.Model); err != nil {
-			return nil, DataPoint{}, fmt.Errorf("core: step 1: %w", err)
-		}
-	} else {
-		// Monte-Carlo loads (the giants): each probe samples its own
-		// policy per demand. The probes only read the shared patterns,
-		// so they run as pool tasks, each writing its own slot.
-		means, ses = make([]float64, repeats*len(grid)), make([]float64, repeats*len(grid))
-		pool.Run("step1/grid", len(means), func(k int) int64 {
-			pol := grid[k%len(grid)].Policy(t, rng.Hash64(opt.Seed, uint64(k/len(grid))))
-			means[k], ses[k] = flow.AverageModeled(t, pol, pats, opt.Model)
-			return 0
-		})
+	means, ses, err := flow.AverageModeledGrid(t, full, pols, pats, opt.Failures)
+	if err != nil {
+		return nil, DataPoint{}, fmt.Errorf("core: step 1: %w", err)
 	}
 	// The best point is picked from the finished curve in grid order,
 	// which keeps the result independent of the worker count.
@@ -347,7 +330,7 @@ func simulateScore(t *topo.Compiled, pol paths.Policy, opt Options) float64 {
 
 // ComputeTVLB runs Algorithm 1 for a topology.
 func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
-	if err := opt.validate(true); err != nil {
+	if err := opt.validate(t, true); err != nil {
 		return nil, err
 	}
 	res := &Result{Topology: t.Label()}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -26,6 +27,26 @@ func requireBitIdenticalLoads(t *testing.T, name string, want, got *DemandLoads)
 				got.MinHops[i], got.VlbHops[i], got.VlbOK[i], want.MinHops[i], want.VlbHops[i], want.VlbOK[i])
 		}
 	}
+}
+
+// sumsDiffer compares two Aggregates' dense sums — Fixed, Mu and Nu,
+// edge by edge, by Float64bits — and describes the first difference,
+// or returns "" when there is none.
+func sumsDiffer(want, got *Aggregate) string {
+	for _, c := range []struct {
+		kind      string
+		want, got []float64
+	}{{"Fixed", want.Fixed, got.Fixed}, {"Mu", want.Mu, got.Mu}, {"Nu", want.Nu, got.Nu}} {
+		if len(c.got) != len(c.want) {
+			return fmt.Sprintf("%s over %d edges, want %d", c.kind, len(c.got), len(c.want))
+		}
+		for e, w := range c.want {
+			if math.Float64bits(w) != math.Float64bits(c.got[e]) {
+				return fmt.Sprintf("%s[%d] = %v (%#x), want %v (%#x)", c.kind, e, c.got[e], math.Float64bits(c.got[e]), w, math.Float64bits(w))
+			}
+		}
+	}
+	return ""
 }
 
 func requireSameRow(t *testing.T, name, kind string, s, d int, want, got SparseVec) {
@@ -60,8 +81,8 @@ func degradeSteps(tp *topo.Compiled, mask *topo.FailureMask) {
 // TestDegradedLoadsAndSolvers checks the model end to end on a lossy
 // g9-family topology with K=1 (one global link per group pair, so one
 // link failure leaves cross-group pairs with zero MIN paths): loads
-// from ComputeLoads, from the grid walk and from the map-based
-// naiveLoads agree bit-for-bit, demands
+// from ComputeLoads and from the map-based naiveLoads agree
+// bit-for-bit and the grid walk folds them into the same sums, demands
 // with no surviving MIN ride VLB only, dead-endpoint demands are
 // unservable, the symmetric solver returns finite positive throughput
 // and the path LP bounds it from above.
@@ -103,13 +124,13 @@ func TestDegradedLoadsAndSolvers(t *testing.T) {
 		{Src: int32(okS), Dst: int32(okD), Rate: 1},     // healthy
 	}
 
-	dlA := ComputeLoads(degNet, degStore, demands, LoadOptions{Enumerate: true})
+	dlA := ComputeLoads(degNet, degStore, demands)
 	requireBitIdenticalLoads(t, "per demand", naiveLoads(degNet, degStore, demands), dlA)
 	walk, err := NewGridWalk(degNet, degStore, []paths.Policy{paths.Full{T: tp}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBitIdenticalLoads(t, "grid walk", dlA, walk.Loads(demands)[0])
+	requireFolds(t, "grid walk", walk, demands, []*DemandLoads{dlA})
 
 	if len(dlA.Min[0]) != 0 || !dlA.VlbOK[0] {
 		t.Fatalf("link-cut pair: MinRow len %d, VlbOK %v; want empty row, VLB available",
@@ -136,18 +157,16 @@ func TestDegradedLoadsAndSolvers(t *testing.T) {
 }
 
 // TestDegradedGridMatchesMatrix pins the grid walk on every ordered
-// pair of a degraded topology, dead endpoints and empty MIN rows
-// included: walking the degraded full store, and walking the
-// interpreted full set under the mask, derives for a fractional policy
-// the rows ComputeLoads builds from the policy's own degraded store —
-// the Alive filter preserves enumeration order. (The name is from when
-// both sides were compiled matrices.)
+// pair of a topology, pristine and degraded, dead endpoints and empty
+// MIN rows included: walking the (degraded) full store, and walking the
+// interpreted full set under the mask, folds for a fractional policy
+// the sums of the rows ComputeLoads builds from the policy's own
+// (degraded) store — the Alive filter preserves enumeration order. The
+// one-policy walk over each base no keyed filter describes folds its
+// own rows' sums. (The name is from when both sides were compiled
+// matrices.)
 func TestDegradedGridMatchesMatrix(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
-	mask := topo.NewFailureMask(tp)
-	degradeSteps(tp, mask)
-
-	degNet := NewDegradedNetwork(tp, mask)
 	full := paths.Full{T: tp}
 	pol := paths.LengthCapped{T: tp, MaxHops: 4, Frac: 0.3, Seed: 7}
 	var demands []traffic.Demand
@@ -158,12 +177,28 @@ func TestDegradedGridMatchesMatrix(t *testing.T) {
 			}
 		}
 	}
-	want := ComputeLoads(degNet, paths.CompileDegraded(tp, pol, mask), demands, LoadOptions{Enumerate: true})
-	for name, base := range map[string]paths.Policy{"store": paths.CompileDegraded(tp, full, mask), "interpreted": full} {
-		walk, err := NewGridWalk(degNet, base, []paths.Policy{pol})
-		if err != nil {
-			t.Fatal(err)
+	for _, degraded := range []bool{false, true} {
+		var mask *topo.FailureMask
+		if degraded {
+			mask = topo.NewFailureMask(tp)
+			degradeSteps(tp, mask)
 		}
-		requireBitIdenticalLoads(t, name, want, walk.Loads(demands)[0])
+		net := NewDegradedNetwork(tp, mask)
+		want := []*DemandLoads{ComputeLoads(net, paths.CompileDegraded(tp, pol, mask), demands)}
+		for name, base := range map[string]paths.Policy{"store": paths.CompileDegraded(tp, full, mask), "interpreted": full} {
+			walk, err := NewGridWalk(net, base, []paths.Policy{pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireFolds(t, fmt.Sprintf("degraded=%v over %s", degraded, name), walk, demands, want)
+		}
+		for name, base := range unkeyedBases(tp, mask, [][]traffic.Demand{demands}) {
+			walk, err := NewGridWalk(net, base, []paths.Policy{full})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireFolds(t, fmt.Sprintf("degraded=%v one policy over %s", degraded, name), walk, demands,
+				[]*DemandLoads{ComputeLoads(net, base, demands)}, []*DemandLoads{naiveLoads(net, base, demands)})
+		}
 	}
 }

@@ -66,7 +66,7 @@ func TestPathEdgesRoundTrip(t *testing.T) {
 func TestShiftAllVLBAlpha(t *testing.T) {
 	tp := topo.MustNew(4, 8, 4, 9)
 	res := ModelThroughput(tp, paths.Full{T: tp},
-		traffic.Shift{T: tp, DG: 2, DS: 0}, DefaultModelOptions())
+		traffic.Shift{T: tp, DG: 2, DS: 0}, nil)
 	if math.Abs(res.Alpha-0.5625) > 0.003 {
 		t.Fatalf("alpha=%.4f want 0.5625", res.Alpha)
 	}
@@ -78,10 +78,9 @@ func TestShiftAllVLBAlpha(t *testing.T) {
 func TestG33MonotoneTowardFull(t *testing.T) {
 	tp := topo.MustNew(4, 8, 4, 33)
 	pat := traffic.Shift{T: tp, DG: 1, DS: 0}
-	opt := DefaultModelOptions()
-	a4 := ModelThroughput(tp, paths.LengthCapped{T: tp, MaxHops: 4, Seed: 1}, pat, opt)
-	a5 := ModelThroughput(tp, paths.LengthCapped{T: tp, MaxHops: 5, Seed: 1}, pat, opt)
-	aAll := ModelThroughput(tp, paths.Full{T: tp}, pat, opt)
+	a4 := ModelThroughput(tp, paths.LengthCapped{T: tp, MaxHops: 4, Seed: 1}, pat, nil)
+	a5 := ModelThroughput(tp, paths.LengthCapped{T: tp, MaxHops: 5, Seed: 1}, pat, nil)
+	aAll := ModelThroughput(tp, paths.Full{T: tp}, pat, nil)
 	if !(aAll.Alpha > a5.Alpha && a5.Alpha > a4.Alpha) {
 		t.Fatalf("expected monotone: <=4:%.3f <=5:%.3f all:%.3f", a4.Alpha, a5.Alpha, aAll.Alpha)
 	}
@@ -95,19 +94,12 @@ func TestMinOnlyBound(t *testing.T) {
 	net := NewNetwork(tp)
 	demands := traffic.SwitchDemands(tp, traffic.Shift{T: tp, DG: 1, DS: 0})
 	pol := paths.LengthCapped{T: tp, MaxHops: 1, Seed: 1} // no VLB path has <=1 hops
-	loads := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true})
+	loads := ComputeLoads(net, pol, demands)
 	res := fold(loads).Solve()
 	want := float64(tp.K) * 1.0 / float64(tp.A*tp.P)
 	if math.Abs(res.Alpha-want) > 0.005 {
 		t.Fatalf("MIN-only alpha %.4f want %.4f", res.Alpha, want)
 	}
-}
-
-// fold is the symmetric solver's input: dl folded into an Aggregate.
-func fold(dl *DemandLoads) *Aggregate {
-	a := new(Aggregate)
-	a.From(dl)
-	return a
 }
 
 // pathLPAlpha solves the unconstrained path LP over the candidates the
@@ -164,7 +156,7 @@ func TestPathLPAtLeastSymmetric(t *testing.T) {
 				if c.demands > 0 {
 					demands = demands[:c.demands]
 				}
-				dl := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true})
+				dl := ComputeLoads(net, pol, demands)
 				sym := fold(dl).Solve()
 				if lp := pathLPAlpha(t, dl, pol); lp < sym.Alpha-1e-9 {
 					t.Errorf("%s degraded=%v %s: path LP %.6f below symmetric %.6f", tp.Label(), degraded, pat.Name(), lp, sym.Alpha)
@@ -174,29 +166,12 @@ func TestPathLPAtLeastSymmetric(t *testing.T) {
 	}
 }
 
-func TestMonteCarloMatchesEnumeration(t *testing.T) {
-	tp := topo.MustNew(2, 4, 2, 9)
-	net := NewNetwork(tp)
-	demands := traffic.SwitchDemands(tp, traffic.Shift{T: tp, DG: 2, DS: 1})
-	pol := paths.Full{T: tp}
-	exact := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true})
-	mc := ComputeLoads(net, pol, demands, LoadOptions{Samples: 20000, Seed: 9})
-	aE := fold(exact).Solve()
-	aMC := fold(mc).Solve()
-	if math.Abs(aE.Alpha-aMC.Alpha) > 0.03*aE.Alpha {
-		t.Fatalf("MC alpha %.4f vs exact %.4f", aMC.Alpha, aE.Alpha)
-	}
-	if math.Abs(exact.AvgVLBHops()-mc.AvgVLBHops()) > 0.1 {
-		t.Fatalf("MC hops %.3f vs exact %.3f", mc.AvgVLBHops(), exact.AvgVLBHops())
-	}
-}
-
 func TestAvgVLBHopsFullSet(t *testing.T) {
 	tp := topo.MustNew(4, 8, 4, 9)
 	net := NewNetwork(tp)
 	demands := traffic.SwitchDemands(tp, traffic.Shift{T: tp, DG: 2, DS: 0})
-	full := ComputeLoads(net, paths.Full{T: tp}, demands, LoadOptions{Enumerate: true})
-	capped := ComputeLoads(net, paths.LengthCapped{T: tp, MaxHops: 4, Seed: 1}, demands, LoadOptions{Enumerate: true})
+	full := ComputeLoads(net, paths.Full{T: tp}, demands)
+	capped := ComputeLoads(net, paths.LengthCapped{T: tp, MaxHops: 4, Seed: 1}, demands)
 	if full.AvgVLBHops() < 5.3 {
 		t.Fatalf("full-set average VLB length %.2f implausibly short", full.AvgVLBHops())
 	}
@@ -261,7 +236,7 @@ func TestOptimalFlowOverestimates(t *testing.T) {
 	net := NewNetwork(tp)
 	demands := traffic.SwitchDemands(tp, traffic.Shift{T: tp, DG: 1, DS: 0})
 	pol := paths.LengthCapped{T: tp, MaxHops: 4, Frac: 0.2, Seed: 1}
-	loads := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true})
+	loads := ComputeLoads(net, pol, demands)
 	behav := fold(loads).Solve()
 	ps := BuildPathSets(net, pol, demands, 0, 1)
 	opt := ps.MaxConcurrentGK(0.05)
@@ -313,7 +288,7 @@ func TestAverageModeled(t *testing.T) {
 		traffic.Shift{T: tp, DG: 1, DS: 0},
 		traffic.Shift{T: tp, DG: 2, DS: 0},
 	}
-	mean, se := AverageModeled(tp, paths.Full{T: tp}, pats, DefaultModelOptions())
+	mean, se := AverageModeled(tp, paths.Full{T: tp}, pats, nil)
 	if mean <= 0 || mean > 1 {
 		t.Fatalf("mean %.4f out of range", mean)
 	}

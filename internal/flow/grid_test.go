@@ -62,14 +62,80 @@ func gridDemands(tp *topo.Compiled) [][]traffic.Demand {
 	}
 }
 
+// requireFolds holds a walk's sums to the oracles' rows, policy by
+// policy, Float64bits-equal: every demand folded at once, which pins
+// the order of the additions, then one demand at a time, which pins
+// each demand's rows and where they go. Each oracle lists one
+// DemandLoads a policy, in the walk's order.
+func requireFolds(t *testing.T, name string, g *GridWalk, demands []traffic.Demand, oracles ...[]*DemandLoads) {
+	t.Helper()
+	got := g.Fold(demands)
+	if len(demands) > 0 && (g.Decode <= 0 || g.Derive <= 0) {
+		t.Fatalf("%s: decode %v, derive %v", name, g.Decode, g.Derive)
+	}
+	for _, want := range oracles {
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d sums, want %d", name, len(got), len(want))
+		}
+		for k, dl := range want {
+			if diff := sumsDiffer(fold(dl), &got[k]); diff != "" {
+				t.Fatalf("%s policy %d: %s", name, k, diff)
+			}
+		}
+	}
+	var one Aggregate
+	for i := range demands {
+		got := g.Fold(demands[i : i+1])
+		for k, dl := range oracles[0] {
+			one.From(dl.only(i))
+			if diff := sumsDiffer(&one, &got[k]); diff != "" {
+				t.Fatalf("%s policy %d demand %d: %s", name, k, i, diff)
+			}
+		}
+	}
+}
+
+// only is dl cut down to its demand i.
+func (dl *DemandLoads) only(i int) *DemandLoads {
+	return &DemandLoads{Net: dl.Net, Demands: dl.Demands[i : i+1], Min: dl.Min[i : i+1], Vlb: dl.Vlb[i : i+1],
+		VlbOK: dl.VlbOK[i : i+1], MinHops: dl.MinHops[i : i+1], VlbHops: dl.VlbHops[i : i+1]}
+}
+
+// unkeyedBases are the bases a one-policy walk (ModelThroughput)
+// serves that no keyed filter describes: both strategic expansions, a
+// compiled store of a fractional set degraded under mask, and a
+// relabeled Explicit with a third of the full set's paths on the pairs
+// of sets removed, as the load-balance adjustment leaves it.
+func unkeyedBases(tp *topo.Compiled, mask *topo.FailureMask, sets [][]traffic.Demand) map[string]paths.Policy {
+	full := paths.Full{T: tp}
+	ex := paths.NewExplicit(full)
+	for _, demands := range sets {
+		for _, d := range demands {
+			for _, p := range full.Enumerate(int(d.Src), int(d.Dst)) {
+				if p.Key()%3 == 0 {
+					ex.Remove(p)
+				}
+			}
+		}
+	}
+	return map[string]paths.Policy{
+		"strategic-2+3": paths.Strategic{T: tp, FirstLeg: 2},
+		"strategic-3+2": paths.Strategic{T: tp, FirstLeg: 3},
+		"store":         paths.CompileDegraded(tp, paths.LengthCapped{T: tp, MaxHops: 4, Frac: 0.3, Seed: 7}, mask),
+		"explicit":      paths.SetLabel(ex, "rebalanced"),
+	}
+}
+
 // TestGridLoads holds the grid walk to the per-demand builder and to
 // the map-based oracle: for the Table-1 grid and for an un-nested list,
 // on three instances (one link per group pair, parallel links, d3),
 // pristine and degraded, walking the compiled full store and the
-// interpreted full set, every policy's rows, hop averages and
-// availability are Float64bits-equal to ComputeLoads' and naiveLoads'
-// under that policy. One walk serves every demand set in turn, so its
-// scratch and arena reuse is under the same check.
+// interpreted full set, every policy's folded Fixed, Mu and Nu are
+// Float64bits-equal to Aggregate.From over ComputeLoads' and
+// naiveLoads' rows under that policy (requireFolds). The one-policy
+// walk ModelThroughput runs is held to the same oracles over bases no
+// keyed filter describes. One walk serves every demand set in turn, so
+// its scratch and sums reuse is under the same check.
 func TestGridLoads(t *testing.T) {
 	for _, tp := range []*topo.Compiled{
 		topo.MustNew(2, 4, 2, 9),
@@ -100,23 +166,29 @@ func TestGridLoads(t *testing.T) {
 						walks[name] = g
 					}
 					for si, demands := range sets {
-						got := map[string][]*DemandLoads{}
-						for name, g := range walks {
-							got[name] = g.Loads(demands)
-							if len(got[name]) != len(list) || g.RowBytes() <= 0 || g.Decode <= 0 || g.Derive <= 0 {
-								t.Fatalf("%s: %d loads, %d row bytes, decode %v, derive %v", name, len(got[name]), g.RowBytes(), g.Decode, g.Derive)
-							}
-						}
+						want := make([]*DemandLoads, len(list))
 						for k, pol := range list {
-							want := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true})
-							requireBitIdenticalLoads(t, "oracle", naiveLoads(net, pol, demands), want)
-							for name := range walks {
-								requireBitIdenticalLoads(t, fmt.Sprintf("set %d policy %d (%s) over %s", si, k, pol.Name(), name), want, got[name][k])
-							}
+							want[k] = ComputeLoads(net, pol, demands)
+							requireBitIdenticalLoads(t, fmt.Sprintf("set %d policy %d (%s): oracle", si, k, pol.Name()), naiveLoads(net, pol, demands), want[k])
+						}
+						for name, g := range walks {
+							requireFolds(t, fmt.Sprintf("set %d over %s", si, name), g, demands, want)
 						}
 					}
 				})
 			}
+			t.Run(fmt.Sprintf("%s/degraded=%v/one-policy", tp.Label(), degraded), func(t *testing.T) {
+				for name, base := range unkeyedBases(tp, mask, sets) {
+					g, err := NewGridWalk(net, base, []paths.Policy{full})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for si, demands := range sets {
+						requireFolds(t, fmt.Sprintf("set %d over %s", si, name), g, demands,
+							[]*DemandLoads{ComputeLoads(net, base, demands)}, []*DemandLoads{naiveLoads(net, base, demands)})
+					}
+				}
+			})
 		}
 	}
 }
@@ -137,7 +209,7 @@ func TestGridLoadsRefusesUnkeyed(t *testing.T) {
 		}
 	}
 	pats := []traffic.Deterministic{traffic.Shift{T: tp, DG: 1, DS: 0}}
-	if _, _, err := AverageModeledGrid(tp, full, []paths.Policy{paths.Strategic{T: tp, FirstLeg: 2}}, pats, DefaultModelOptions()); err == nil {
+	if _, _, err := AverageModeledGrid(tp, full, []paths.Policy{paths.Strategic{T: tp, FirstLeg: 2}}, pats, nil); err == nil {
 		t.Error("AverageModeledGrid served a strategic policy")
 	}
 }
@@ -160,8 +232,7 @@ func TestAverageModeledGridMatchesAverageModeled(t *testing.T) {
 		mu.Unlock()
 	})
 	defer exec.SetDefault(exec.SetDefault(pool))
-	opt := DefaultModelOptions()
-	means, ses, err := AverageModeledGrid(tp, paths.Compile(tp, full), list, pats, opt)
+	means, ses, err := AverageModeledGrid(tp, paths.Compile(tp, full), list, pats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +240,7 @@ func TestAverageModeledGridMatchesAverageModeled(t *testing.T) {
 		t.Errorf("observer saw %v, want %d loadgrid, %d loadmatrix, %d model", seen, len(pats), len(pats), len(list)*len(pats))
 	}
 	for k, pol := range list {
-		m, se := AverageModeled(tp, pol, pats, opt)
+		m, se := AverageModeled(tp, pol, pats, nil)
 		if !sameBits(m, means[k]) || !sameBits(se, ses[k]) {
 			t.Fatalf("%s: grid (%v, %v), per policy (%v, %v)", pol.Name(), means[k], ses[k], m, se)
 		}
@@ -187,16 +258,16 @@ func TestAverageModeledGridStoreOrNot(t *testing.T) {
 	full := paths.Full{T: tp}
 	pats := append(traffic.Type1Set(tp)[:4], traffic.Type2Set(tp, 2, 7)...)
 	for _, degraded := range []bool{false, true} {
-		opt := DefaultModelOptions()
+		var mask *topo.FailureMask
 		if degraded {
 			// One dead global link: degradeSteps' dead switch would zero
 			// most of these patterns' alphas and hide a difference.
-			opt.Failures = topo.NewFailureMask(tp)
-			if _, err := opt.Failures.FailGlobalLink(tp.A/2, tp.H-1); err != nil {
+			mask = topo.NewFailureMask(tp)
+			if _, err := mask.FailGlobalLink(tp.A/2, tp.H-1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		bases := map[string]paths.Policy{"store": paths.CompileDegraded(tp, full, opt.Failures), "interpreted": full}
+		bases := map[string]paths.Policy{"store": paths.CompileDegraded(tp, full, mask), "interpreted": full}
 		for _, seed := range []uint64{1, 2} {
 			list := tableOne(tp, seed)
 			var wantM, wantS []float64
@@ -206,7 +277,7 @@ func TestAverageModeledGridStoreOrNot(t *testing.T) {
 				}
 				old := exec.SetDefault(exec.NewPool(workers))
 				for name, base := range bases {
-					means, ses, err := AverageModeledGrid(tp, base, list, pats, opt)
+					means, ses, err := AverageModeledGrid(tp, base, list, pats, mask)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -226,8 +297,8 @@ func TestAverageModeledGridStoreOrNot(t *testing.T) {
 	}
 }
 
-// TestGridLoadsAllocs: a warm walk builds a pattern's rows in scratch
-// it already has. What is left is the MIN enumeration (K paths of two
+// TestGridLoadsAllocs: a warm walk folds a pattern into scratch and
+// sums it already has. What is left is the MIN enumeration (K paths of two
 // slices each, and their list, per demand), which does not grow with
 // the policies or the VLB paths.
 func TestGridLoadsAllocs(t *testing.T) {
@@ -238,8 +309,8 @@ func TestGridLoadsAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	demands := traffic.SwitchDemands(tp, traffic.NewGroupPermutation(tp, 3))
-	g.Loads(demands)
-	perDemand := testing.AllocsPerRun(5, func() { g.Loads(demands) }) / float64(len(demands))
+	g.Fold(demands)
+	perDemand := testing.AllocsPerRun(5, func() { g.Fold(demands) }) / float64(len(demands))
 	if limit := float64(2*tp.K + 2); perDemand > limit {
 		t.Errorf("%.1f allocations a demand on a warm walk, want at most %.0f", perDemand, limit)
 	}
@@ -258,14 +329,13 @@ func BenchmarkGridLoads(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Loads(demands)
+		g.Fold(demands)
 	}
-	b.ReportMetric(float64(g.RowBytes())/(1<<20), "row-MiB")
 	b.ReportMetric(float64(len(demands)), "demands")
 }
 
-// TestAverageModeledGridKeepsNothing: the walks (scratch and row arenas,
-// a quarter MiB each at the least) are garbage once the call returns —
+// TestAverageModeledGridKeepsNothing: the walks (their scratch and the
+// policies' sums) are garbage once the call returns —
 // one collection brings the heap back to where it stood. A free list
 // that outlives the call, or a sync.Pool and its victim cache, would
 // leave them in the live heap of whatever runs next.
@@ -282,7 +352,7 @@ func TestAverageModeledGridKeepsNothing(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := live()
-	if _, _, err := AverageModeledGrid(tp, base, list, pats, DefaultModelOptions()); err != nil {
+	if _, _, err := AverageModeledGrid(tp, base, list, pats, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := live()

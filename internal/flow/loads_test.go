@@ -7,9 +7,160 @@ import (
 
 	"tugal/internal/exec"
 	"tugal/internal/paths"
+	"tugal/internal/stats"
 	"tugal/internal/topo"
 	"tugal/internal/traffic"
 )
+
+// The oracle: the per-demand row builder Step 1 once ran, kept here to
+// hold GridWalk's folded sums to. ComputeLoads builds each demand's
+// MIN and VLB rows path by path, Aggregate.From folds the rows into the
+// solver's sums, and modelOracle and AverageModeled solve them.
+
+// SparseVec is a sparse expected-crossings-per-unit-of-traffic vector
+// over edges, sorted by edge id.
+type SparseVec []EdgeWeight
+
+// DemandLoads holds, for every demand of a pattern, the expected
+// per-unit edge crossings when routed MIN and when routed VLB under
+// a given policy, plus average hop counts.
+type DemandLoads struct {
+	Net     *Network
+	Demands []traffic.Demand
+	Min     []SparseVec
+	Vlb     []SparseVec
+	// VlbOK[i] is false when the pair has no candidate VLB path
+	// (its traffic is all-MIN regardless of the adaptive split).
+	VlbOK []bool
+	// MinHops and VlbHops are candidate-weighted average hop counts.
+	MinHops []float64
+	VlbHops []float64
+}
+
+// ComputeLoads builds the load rows of all demands under pol.
+func ComputeLoads(net *Network, pol paths.Policy, demands []traffic.Demand) *DemandLoads {
+	dl := &DemandLoads{
+		Net:     net,
+		Demands: demands,
+		Min:     make([]SparseVec, len(demands)),
+		Vlb:     make([]SparseVec, len(demands)),
+		VlbOK:   make([]bool, len(demands)),
+		MinHops: make([]float64, len(demands)),
+		VlbHops: make([]float64, len(demands)),
+	}
+	re := newRowEnv(net, pol)
+	for i, d := range demands {
+		s, t := int(d.Src), int(d.Dst)
+		dl.Min[i] = re.minRow(s, t, nil)
+		dl.MinHops[i] = avgHops(paths.EnumerateMinAlive(net.T, net.Fail, s, t))
+		dl.Vlb[i], dl.VlbHops[i], dl.VlbOK[i] = re.vlbRow(s, t, nil)
+	}
+	return dl
+}
+
+// avgHops is the hop count of ps averaged with weight 1/len(ps), summed
+// in order.
+func avgHops(ps []paths.Path) float64 {
+	hops := 0.0
+	for _, p := range ps {
+		hops += 1 / float64(len(ps)) * float64(p.Hops())
+	}
+	return hops
+}
+
+// vlbRow appends the pair's VLB load row to arena, returning it with
+// the average hop count and availability. The walk yields a compiled
+// store's own range or an interpreted policy's surviving paths, the
+// same sequence either way, so either form yields the same row.
+func (re *rowEnv) vlbRow(s, d int, arena []EdgeWeight) ([]EdgeWeight, float64, bool) {
+	re.acc.reset()
+	vlbPaths := re.walk.Pair(s, d)
+	if len(vlbPaths) > 0 {
+		w := 1 / float64(len(vlbPaths))
+		for _, p := range vlbPaths {
+			re.scratch = re.net.PathEdges(re.scratch[:0], p)
+			re.acc.add(re.scratch, w)
+		}
+	}
+	return re.acc.appendRow(arena), avgHops(vlbPaths), len(vlbPaths) > 0
+}
+
+// AvgVLBHops returns the demand-weighted average VLB candidate path
+// length — the quantity T-UGAL minimizes subject to path diversity
+// (paper §3.1's "average length of VLB paths").
+func (dl *DemandLoads) AvgVLBHops() float64 {
+	sum, wsum := 0.0, 0.0
+	for i, d := range dl.Demands {
+		if dl.VlbOK[i] {
+			sum += d.Rate * dl.VlbHops[i]
+			wsum += d.Rate
+		}
+	}
+	if wsum == 0 {
+		return 0
+	}
+	return sum / wsum
+}
+
+// From folds dl's per-demand load vectors, weighted by demand rate,
+// into the dense fixed/min/vlb load arrays, reusing them, and packs the
+// active edges. Demands without VLB paths contribute their MIN loads to
+// fixed (they cannot adapt).
+func (a *Aggregate) From(dl *DemandLoads) {
+	a.reset(dl.Net.NumEdges)
+	for i, d := range dl.Demands {
+		if !dl.VlbOK[i] {
+			for _, ew := range dl.Min[i] {
+				a.Fixed[ew.E] += d.Rate * ew.W
+			}
+			continue
+		}
+		if len(dl.Min[i]) == 0 {
+			// Degraded pair with no surviving MIN path: it cannot
+			// adapt, so its whole rate rides the VLB row regardless of
+			// the split.
+			for _, ew := range dl.Vlb[i] {
+				a.Fixed[ew.E] += d.Rate * ew.W
+			}
+			continue
+		}
+		for _, ew := range dl.Min[i] {
+			a.Mu[ew.E] += d.Rate * ew.W
+		}
+		for _, ew := range dl.Vlb[i] {
+			a.Nu[ew.E] += d.Rate * ew.W
+		}
+	}
+	a.pack(dl.Net.Cap)
+}
+
+// fold is the symmetric solver's input: dl folded into an Aggregate.
+func fold(dl *DemandLoads) *Aggregate {
+	a := new(Aggregate)
+	a.From(dl)
+	return a
+}
+
+// modelOracle is ModelThroughput over ComputeLoads' rows.
+func modelOracle(t *topo.Compiled, pol paths.Policy, pat traffic.Deterministic, fail *topo.FailureMask) Result {
+	demands := traffic.SwitchDemands(t, pat)
+	if len(demands) == 0 {
+		return idle(t)
+	}
+	return fold(ComputeLoads(NewDegradedNetwork(t, fail), pol, demands)).Solve()
+}
+
+// AverageModeled returns the mean and standard error of modelOracle
+// over a set of patterns, one pool task a pattern, each result written
+// by index.
+func AverageModeled(t *topo.Compiled, pol paths.Policy, pats []traffic.Deterministic, fail *topo.FailureMask) (mean, stderr float64) {
+	vals := make([]float64, len(pats))
+	exec.Default().Run("model/"+pol.Name(), len(pats), func(i int) int64 {
+		vals[i] = modelOracle(t, pol, pats[i], fail).Alpha
+		return 0
+	})
+	return stats.MeanErr(vals)
+}
 
 // loadPolicies lists the policy shapes ComputeLoads must serve:
 // interpreted (Full, LengthCapped with a fractional tier, Strategic)
@@ -89,7 +240,7 @@ func TestComputeLoadsMatchesNaive(t *testing.T) {
 		for _, pat := range pats {
 			demands := traffic.SwitchDemands(tp, pat)
 			want := naiveLoads(net, pol, demands)
-			got := ComputeLoads(net, pol, demands, LoadOptions{Enumerate: true})
+			got := ComputeLoads(net, pol, demands)
 			requireBitIdenticalLoads(t, name+"/"+pat.Name(), want, got)
 
 			// The solved results must therefore agree bit for bit.
@@ -101,25 +252,23 @@ func TestComputeLoadsMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestAverageModeledWorkerDeterminism: the parallel pattern fan-out
-// must reproduce the sequential
-// per-pattern loop bit for bit at any worker count.
+// TestAverageModeledWorkerDeterminism: the oracle's parallel pattern
+// fan-out reproduces, at any worker count, the sequential loop over
+// ModelThroughput — the one-policy walk — bit for bit.
 func TestAverageModeledWorkerDeterminism(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	pol := paths.LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 3}
 	pats := append(traffic.Type1Set(tp)[:6], traffic.Type2Set(tp, 4, 99)...)
-	opt := DefaultModelOptions()
 
-	// Reference: the pre-matrix sequential loop.
 	vals := make([]float64, len(pats))
 	for i, pat := range pats {
-		vals[i] = ModelThroughput(tp, pol, pat, opt).Alpha
+		vals[i] = ModelThroughput(tp, pol, pat, nil).Alpha
 	}
 
 	var means, errs [2]float64
 	for i, workers := range []int{1, 16} {
 		old := exec.SetDefault(exec.NewPool(workers))
-		means[i], errs[i] = AverageModeled(tp, pol, pats, opt)
+		means[i], errs[i] = AverageModeled(tp, pol, pats, nil)
 		exec.SetDefault(old)
 	}
 	if math.Float64bits(means[0]) != math.Float64bits(means[1]) ||
@@ -136,17 +285,19 @@ func TestAverageModeledWorkerDeterminism(t *testing.T) {
 }
 
 // BenchmarkAverageModeled measures the per-data-point quantity of a
-// Monte-Carlo or single-policy probe — the full pattern-suite average
-// on g=9 with every demand's rows built per pattern.
+// single-policy probe — the full pattern-suite average on g=9, one
+// walk of the policy's own paths per pattern.
 func BenchmarkAverageModeled(b *testing.B) {
 	tp := topo.MustNew(4, 8, 4, 9)
 	pol := paths.LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 1}
 	pats := append(traffic.Type1Set(tp), traffic.Type2Set(tp, 20, 1)...)
-	opt := DefaultModelOptions()
+	one := []paths.Policy{paths.Full{T: tp}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AverageModeled(tp, pol, pats, opt)
+		if _, _, err := AverageModeledGrid(tp, pol, one, pats, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(pats))*float64(b.N)/b.Elapsed().Seconds(), "evals/s")
 }

@@ -10,86 +10,57 @@ import (
 	"tugal/internal/traffic"
 )
 
-// ModelOptions configures the throughput model.
-type ModelOptions struct {
-	// Loads controls per-demand load estimation.
-	Loads LoadOptions
-	// Failures degrades the modeled network: dead channels get zero
-	// capacity and candidate enumeration is restricted to surviving
-	// paths.
-	Failures *topo.FailureMask
-}
-
-// DefaultModelOptions enumerates candidate sets exactly — the
-// configuration used for the Table-1 probe on the paper's small/medium
-// topologies.
-func DefaultModelOptions() ModelOptions {
-	return ModelOptions{Loads: LoadOptions{Enumerate: true}}
-}
-
 // ModelThroughput runs the behavioural UGAL throughput model for one
 // deterministic pattern under a path policy and returns the modeled
-// saturation throughput (packets/cycle/node): its load rows folded
-// into an Aggregate and solved under one shared MIN/VLB split.
-func ModelThroughput(t *topo.Compiled, pol paths.Policy, pat traffic.Deterministic, opt ModelOptions) Result {
-	net := NewDegradedNetwork(t, opt.Failures)
+// saturation throughput (packets/cycle/node): the pattern's loads
+// folded by a one-policy walk (the policy's own paths under
+// paths.Full) and solved under one shared MIN/VLB split. fail, when
+// non-nil, degrades the modeled network: dead channels get zero
+// capacity and only surviving paths are candidates (a compiled Store
+// must already be degraded under it).
+func ModelThroughput(t *topo.Compiled, pol paths.Policy, pat traffic.Deterministic, fail *topo.FailureMask) Result {
 	demands := traffic.SwitchDemands(t, pat)
 	if len(demands) == 0 {
 		return idle(t)
 	}
-	var agg Aggregate
-	agg.From(ComputeLoads(net, pol, demands, opt.Loads))
-	return agg.Solve()
+	g, _ := NewGridWalk(NewDegradedNetwork(t, fail), pol, []paths.Policy{paths.Full{T: t}}) // Full is keyed
+	return g.Fold(demands)[0].Solve()
 }
 
 // idle is the model's answer for a pattern that crosses no switch:
 // the terminal links are the only limit.
 func idle(t *topo.Compiled) Result { return Result{Alpha: float64(t.P), SplitMin: 1} }
 
-// AverageModeled returns the mean and standard error of the modeled
-// throughput over a set of patterns — the per-data-point quantity of
-// the paper's Figures 4 and 5 — building every demand's rows per
-// pattern (ComputeLoads). The patterns fan out on the shared worker
-// pool — token-aware like every other fan-out in the repository — with
-// per-pattern results written by index, so the mean and standard error
-// are bit-identical to the sequential loop at any worker count.
-func AverageModeled(t *topo.Compiled, pol paths.Policy, pats []traffic.Deterministic, opt ModelOptions) (mean, stderr float64) {
-	vals := make([]float64, len(pats))
-	exec.Default().Run("model/"+pol.Name(), len(pats), func(i int) int64 {
-		vals[i] = ModelThroughput(t, pol, pats[i], opt).Alpha
-		return 0
-	})
-	return stats.MeanErr(vals)
-}
-
-// AverageModeledGrid is AverageModeled, with exact loads, for every
-// policy of pols at once: means[k] and stderrs[k] are bit for bit what
-// AverageModeled(t, pols[k], pats, opt) returns. pols are keyed filters
-// over base (NewGridWalk); Step 1's Table-1 grid over the full VLB set
-// is the caller. The work is turned inside out: one pool task per
-// pattern, and in it one walk per demand pair serving every policy
-// (GridWalk), then the policies' solves on those rows before the task
-// moves on. Nothing pair-indexed outlives a task, because nothing would
-// be read twice: a Step-1 suite puts its demands on nearly as many
-// distinct pairs (1152 on 1099 for 16 patterns of dfly(4,8,4,9), 6048
-// on 4608 for the paper's 84), while one pair's paths are read by every
-// policy. Alphas land by (policy, pattern) index and each policy's
-// mean and standard error are taken in pattern order.
+// AverageModeledGrid returns, for every policy of pols, the mean and
+// standard error of the modeled throughput over pats — the
+// per-data-point quantity of the paper's Figures 4 and 5 — under the
+// failure mask fail (nil for the pristine network). pols are keyed
+// filters over base (NewGridWalk); Step 1's Table-1 grid over the full
+// VLB set is the caller. The work is turned inside out: one pool task
+// per pattern, and in it one walk per demand pair folding every
+// policy's sums (GridWalk), then the policies' solves on those sums
+// before the task moves on. Nothing pair-indexed outlives a task,
+// because nothing would be read twice: a Step-1 suite puts its demands
+// on nearly as many distinct pairs (1152 on 1099 for 16 patterns of
+// dfly(4,8,4,9), 6048 on 4608 for the paper's 84), while one pair's
+// paths are read by every policy. Alphas land by (policy, pattern)
+// index and each policy's mean and standard error are taken in pattern
+// order, so both are bit-identical at any worker count.
 //
 // The pool observer sees, per pattern, its task grid/<base> and inside
 // it loadgrid/<base> (wall spent listing and decoding the pairs),
-// loadmatrix/<base> (wall spent deriving the policies' rows, and the
-// rows' size) and one model/<policy> per solve.
-func AverageModeledGrid(t *topo.Compiled, base paths.Policy, pols []paths.Policy, pats []traffic.Deterministic, opt ModelOptions) (means, stderrs []float64, err error) {
+// loadmatrix/<base> (wall spent folding them into the policies' sums)
+// and one model/<policy> per solve.
+func AverageModeledGrid(t *topo.Compiled, base paths.Policy, pols []paths.Policy, pats []traffic.Deterministic, fail *topo.FailureMask) (means, stderrs []float64, err error) {
 	pool := exec.Default()
-	net := NewDegradedNetwork(t, opt.Failures)
+	net := NewDegradedNetwork(t, fail)
 	first, err := NewGridWalk(net, base, pols)
 	if err != nil {
 		return nil, nil, err
 	}
-	// A walk's scratch and row arena go from one pattern to the next a
+	// A walk's scratch and sums go from one pattern to the next a
 	// worker takes, and no further: the free list dies with this call,
-	// where a sync.Pool would keep the arenas reachable for two more
+	// where a sync.Pool would keep them reachable for two more
 	// collections, whenever those come.
 	walks := make(chan *GridWalk, pool.Workers())
 	walks <- first
@@ -112,14 +83,12 @@ func AverageModeledGrid(t *topo.Compiled, base paths.Policy, pols []paths.Policy
 			g, _ = NewGridWalk(net, base, pols) // refused above if ever
 		}
 		defer func() { walks <- g }()
-		loads := g.Loads(demands)
+		aggs := g.Fold(demands)
 		pool.Report(exec.Stat{Label: "loadgrid/" + base.Name(), Index: i, Wall: g.Decode})
-		pool.Report(exec.Stat{Label: "loadmatrix/" + base.Name(), Index: i, Wall: g.Derive, Bytes: g.RowBytes()})
-		var agg Aggregate
-		for k, dl := range loads {
+		pool.Report(exec.Stat{Label: "loadmatrix/" + base.Name(), Index: i, Wall: g.Derive})
+		for k := range aggs {
 			start := time.Now()
-			agg.From(dl)
-			alphas[k*np+i] = agg.Solve().Alpha
+			alphas[k*np+i] = aggs[k].Solve().Alpha
 			pool.Report(exec.Stat{Label: "model/" + pols[k].Name(), Index: i, Wall: time.Since(start)})
 		}
 		return 0

@@ -9,10 +9,10 @@
 // portion spreads it over the candidate paths with exactly the
 // probabilities UGAL's random candidate selection induces (uniform over
 // (intermediate, MIN-leg, MIN-leg) combinations for VLB, uniform over
-// global links for MIN). Those spreads are the load rows (ComputeLoads,
-// GridWalk). Aggregate.Solve folds them and maximizes the uniform
-// injection fraction alpha subject to channel capacities under one
-// MIN/VLB split shared by every demand. Because candidate selection is
+// global links for MIN). GridWalk folds those spreads, weighted by
+// demand rate, into each policy's Aggregate, and Aggregate.Solve
+// maximizes the uniform injection fraction alpha subject to channel
+// capacities under one MIN/VLB split shared by every demand. Because candidate selection is
 // uniform, a longer path never carries more rate than a shorter path of
 // the same pair: the paper's added dominance constraint holds by
 // construction. The paper's unconstrained path LP, solved by an exact
@@ -39,13 +39,13 @@ type Network struct {
 	// Cap[e] is the capacity of edge e.
 	Cap []float64
 
-	// Fail, when non-nil, is the failure mask load compilation
-	// respects: MIN rows enumerate only surviving paths, interpreted
-	// VLB candidate sets are Alive-filtered, and dead channels carry
-	// zero capacity (so any load accidentally routed over dead gear
-	// collapses alpha to zero instead of passing silently). Compiled
-	// stores handed to the row builders must already be degraded
-	// under the same mask (paths.CompileDegraded).
+	// Fail, when non-nil, is the failure mask the walk respects: MIN
+	// rows enumerate only surviving paths, interpreted VLB candidate
+	// sets are Alive-filtered, and dead channels carry zero capacity
+	// (so any load accidentally routed over dead gear collapses alpha
+	// to zero instead of passing silently). A compiled store handed to
+	// the walk must already be degraded under the same mask
+	// (paths.CompileDegraded).
 	Fail *topo.FailureMask
 
 	portsPerSw int // a-1+h switch-to-switch ports

@@ -12,11 +12,12 @@ type Result struct {
 	SplitMin float64
 }
 
-// Aggregate is the dense folded view of a DemandLoads: per-edge
-// fixed/min/vlb load arrays plus a packed list of the active edges
-// (those any demand can load), which is the solver's scratch — the
-// golden-section inner loop scans only the packed entries instead of
-// three full dense arrays per evaluation.
+// Aggregate is the folded load of one pattern under one policy:
+// per-edge fixed/min/vlb load arrays (GridWalk.Fold adds every
+// demand's rate-weighted rows into them) plus a packed list of the
+// active edges (those any demand can load), which is the solver's
+// scratch — the golden-section inner loop scans only the packed entries
+// instead of three full dense arrays per evaluation.
 type Aggregate struct {
 	Fixed, Mu, Nu []float64
 	// Packed active-edge view, one group a capacity.
@@ -30,49 +31,26 @@ type capGroup struct {
 	f, m, v []float64
 }
 
-// From folds dl's per-demand load vectors, weighted by demand rate,
-// into the dense fixed/min/vlb load arrays, reusing them, and packs the
-// active edges. Demands without VLB paths contribute their MIN loads to
-// fixed (they cannot adapt).
-func (a *Aggregate) From(dl *DemandLoads) {
-	n := dl.Net.NumEdges
-	a.Fixed = resetDense(a.Fixed, n)
-	a.Mu = resetDense(a.Mu, n)
-	a.Nu = resetDense(a.Nu, n)
-	for i, d := range dl.Demands {
-		if !dl.VlbOK[i] {
-			for _, ew := range dl.Min[i] {
-				a.Fixed[ew.E] += d.Rate * ew.W
-			}
-			continue
-		}
-		if len(dl.Min[i]) == 0 {
-			// Degraded pair with no surviving MIN path: it cannot
-			// adapt, so its whole rate rides the VLB row regardless of
-			// the split.
-			for _, ew := range dl.Vlb[i] {
-				a.Fixed[ew.E] += d.Rate * ew.W
-			}
-			continue
-		}
-		for _, ew := range dl.Min[i] {
-			a.Mu[ew.E] += d.Rate * ew.W
-		}
-		for _, ew := range dl.Vlb[i] {
-			a.Nu[ew.E] += d.Rate * ew.W
-		}
-	}
-	// Pack the edges any load can touch by capacity (a network has
-	// three: 1, p and 0 on dead gear). A group this fold leaves empty
-	// costs alphaAt nothing, so groups are kept, arrays and all, from
-	// fold to fold. The per-evaluation zero check stays inside alphaAt
-	// (an edge can still carry zero load at the probed split, e.g. mu=0
-	// at x=1).
+// reset zeroes the sums over n edges, reusing their arrays.
+func (a *Aggregate) reset(n int) {
+	a.Fixed, a.Mu, a.Nu = resized(a.Fixed, n), resized(a.Mu, n), resized(a.Nu, n)
+	clear(a.Fixed)
+	clear(a.Mu)
+	clear(a.Nu)
+}
+
+// pack groups the edges any load can touch by capacity (a network has
+// three: 1, p and 0 on dead gear). A group this fold leaves empty
+// costs alphaAt nothing, so groups are kept, arrays and all, from
+// fold to fold. The per-evaluation zero check stays inside alphaAt
+// (an edge can still carry zero load at the probed split, e.g. mu=0
+// at x=1).
+func (a *Aggregate) pack(caps []float64) {
 	for i := range a.groups {
 		g := &a.groups[i]
 		g.f, g.m, g.v = g.f[:0], g.m[:0], g.v[:0]
 	}
-	for e, c := range dl.Net.Cap {
+	for e, c := range caps {
 		if a.Fixed[e] == 0 && a.Mu[e] == 0 && a.Nu[e] == 0 {
 			continue
 		}
@@ -88,17 +66,6 @@ func (a *Aggregate) From(dl *DemandLoads) {
 		g.m = append(g.m, a.Mu[e])
 		g.v = append(g.v, a.Nu[e])
 	}
-}
-
-func resetDense(xs []float64, n int) []float64 {
-	if cap(xs) < n {
-		return make([]float64, n)
-	}
-	xs = xs[:n]
-	for i := range xs {
-		xs[i] = 0
-	}
-	return xs
 }
 
 // alphaAt returns the saturation alpha at MIN split x, scanning only

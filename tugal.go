@@ -293,19 +293,15 @@ func ComputeTVLB(t *Topology, opt TVLBOptions) (*TVLBResult, error) {
 
 // Throughput model.
 
-// ModelOptions configures the throughput model.
-type ModelOptions = flow.ModelOptions
-
 // ModelResult is a modeled saturation throughput.
 type ModelResult = flow.Result
 
-// DefaultModelOptions enumerates candidates exactly.
-func DefaultModelOptions() ModelOptions { return flow.DefaultModelOptions() }
-
 // ModelThroughput models one deterministic pattern's saturation
-// throughput under a policy.
-func ModelThroughput(t *Topology, pol PathPolicy, pat traffic.Deterministic, opt ModelOptions) ModelResult {
-	return flow.ModelThroughput(t, pol, pat, opt)
+// throughput under a policy, with every candidate path enumerated. A
+// non-nil fail models the degraded network: dead channels carry
+// nothing and only surviving paths are candidates.
+func ModelThroughput(t *Topology, pol PathPolicy, pat traffic.Deterministic, fail *topo.FailureMask) ModelResult {
+	return flow.ModelThroughput(t, pol, pat, fail)
 }
 
 // Figures.
