@@ -20,7 +20,7 @@ const hopClasses = paths.MaxVLBHops + 1
 
 // gridPolicy is one policy of a GridWalk, reduced to what its sums
 // need: bit h of all is set when every h-hop path is in, bit h of some
-// when the draw decides each h-hop path (paths.KeyedFilter).
+// when the draw decides each h-hop path (paths.Words.ByLength).
 type gridPolicy struct {
 	draw      paths.KeyDraw
 	all, some uint8
@@ -80,9 +80,10 @@ type GridWalk struct {
 // policy gets the paths of base it admits. Step 1 walks the full VLB
 // set — a Store already degraded under net.Fail or the interpreted
 // policy, which the walk filters by net.Fail itself — and ModelThroughput
-// walks its policy under paths.Full. A policy that is not a
-// paths.KeyedFilter is refused: its membership cannot be read off hop
-// counts and hashes.
+// walks its policy under paths.Full. A policy whose word table
+// (paths.WordsOf) differs between words of one length, or that has
+// none, is refused: its membership cannot be read off hop counts and
+// hashes.
 func NewGridWalk(net *Network, base paths.Policy, pols []paths.Policy) (*GridWalk, error) {
 	g := &GridWalk{
 		re:   newRowEnv(net, base),
@@ -91,21 +92,13 @@ func NewGridWalk(net *Network, base paths.Policy, pols []paths.Policy) (*GridWal
 		pos:  make([]int32, net.NumEdges),
 	}
 	for k, pol := range pols {
-		kf, ok := pol.(paths.KeyedFilter)
-		if !ok {
-			return nil, fmt.Errorf("flow: grid walk over %s: %s is not a keyed filter", base.Name(), pol.Name())
+		words, ok := paths.WordsOf(pol)
+		all, keyed, mixed := words.ByLength()
+		if !ok || mixed != 0 {
+			return nil, fmt.Errorf("flow: grid walk over %s: %s is not stated by hop count", base.Name(), pol.Name())
 		}
-		gp := gridPolicy{draw: kf.Keyed()}
-		for h := 0; h < hopClasses; h++ {
-			all, some := kf.HopClass(h)
-			if all {
-				gp.all |= 1 << h
-			} else if some {
-				gp.some |= 1 << h
-			}
-		}
-		g.pols[k] = gp
-		g.keyed |= gp.some
+		g.pols[k] = gridPolicy{draw: words.Draw(), all: all, some: keyed}
+		g.keyed |= keyed
 	}
 	return g, nil
 }

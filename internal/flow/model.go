@@ -23,7 +23,7 @@ func ModelThroughput(t *topo.Compiled, pol paths.Policy, pat traffic.Determinist
 	if len(demands) == 0 {
 		return idle(t)
 	}
-	g, _ := NewGridWalk(NewDegradedNetwork(t, fail), pol, []paths.Policy{paths.Full{T: t}}) // Full is keyed
+	g, _ := NewGridWalk(NewDegradedNetwork(t, fail), pol, []paths.Policy{paths.Full{T: t}}) // Full is stated by hop count
 	return g.Fold(demands)[0].Solve()
 }
 
@@ -34,8 +34,8 @@ func idle(t *topo.Compiled) Result { return Result{Alpha: float64(t.P), SplitMin
 // AverageModeledGrid returns, for every policy of pols, the mean and
 // standard error of the modeled throughput over pats — the
 // per-data-point quantity of the paper's Figures 4 and 5 — under the
-// failure mask fail (nil for the pristine network). pols are keyed
-// filters over base (NewGridWalk); Step 1's Table-1 grid over the full
+// failure mask fail (nil for the pristine network). pols are stated by
+// hop count over base (NewGridWalk); Step 1's Table-1 grid over the full
 // VLB set is the caller. The work is turned inside out: one pool task
 // per pattern, and in it one walk per demand pair folding every
 // policy's sums (GridWalk), then the policies' solves on those sums

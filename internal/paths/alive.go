@@ -144,17 +144,7 @@ func SampleMinAliveInto(t *topo.Compiled, m *topo.FailureMask, r *rng.Source, s,
 			k--
 			continue
 		}
-		u, v := int(l.From), int(l.To)
-		if u != s {
-			dst.Ports = append(dst.Ports, int8(t.LocalPort(s, u)))
-			dst.Sw = append(dst.Sw, int32(u))
-		}
-		dst.Ports = append(dst.Ports, int8(t.GlobalPort(int(l.FromPort))))
-		dst.Sw = append(dst.Sw, int32(v))
-		if v != d {
-			dst.Ports = append(dst.Ports, int8(t.LocalPort(v, d)))
-			dst.Sw = append(dst.Sw, int32(d))
-		}
+		appendLeg(t, dst, s, d, l)
 		return true
 	}
 	return false

@@ -119,13 +119,7 @@ func crossers(st *Store, chs []topo.Channel) (hit [][]bool) {
 // destination among its dsts. A terminal-port channel, one of a switch
 // that does not exist and one of a port past the radix give empty sets.
 func TestLegEndsCover(t *testing.T) {
-	for _, tp := range []*topo.Compiled{
-		topo.MustNew(2, 4, 2, 9),
-		topo.MustNew(2, 4, 4, 3), // parallel global links (h > g-1)
-		topo.MustNew(2, 4, 2, 5),
-		topo.MustNewD3(12, 4, 2),
-		topo.MustNewD3(8, 4, 0),
-	} {
+	for _, tp := range legEndTopos() {
 		n := tp.NumSwitches()
 		var chs []topo.Channel
 		for sw := 0; sw < n; sw++ {

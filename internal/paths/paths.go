@@ -11,10 +11,18 @@
 // the destination (2-6 hops). For source and destination in the same
 // group, the non-minimal path detours through another switch of the
 // group (2 hops).
+//
+// A candidate set is one table over port-kind words (Words): every
+// policy but Explicit admits a VLB path by the l/g sequence of its
+// hops, whole, by a keyed hash draw, or not at all. The compile's walk
+// reads it once per leg pair, Store.DropMask per stored path, Contains
+// per built path. Explicit is a base set less a removal set.
 package paths
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"tugal/internal/rng"
 	"tugal/internal/topo"
@@ -64,37 +72,14 @@ func (p Path) Clone() Path {
 }
 
 // Equal reports identity of switches and ports.
-func (p Path) Equal(q Path) bool {
-	if len(p.Sw) != len(q.Sw) {
-		return false
-	}
-	for i := range p.Sw {
-		if p.Sw[i] != q.Sw[i] {
-			return false
-		}
-	}
-	for i := range p.Ports {
-		if p.Ports[i] != q.Ports[i] {
-			return false
-		}
-	}
-	return true
-}
+func (p Path) Equal(q Path) bool { return slices.Equal(p.Sw, q.Sw) && slices.Equal(p.Ports, q.Ports) }
 
 func (p Path) String() string {
 	return fmt.Sprintf("path%v", p.Sw)
 }
 
 // GlobalHops counts the global links on the path.
-func GlobalHops(t *topo.Compiled, p Path) int {
-	n := 0
-	for _, pt := range p.Ports {
-		if t.KindOfPort(int(pt)) == topo.Global {
-			n++
-		}
-	}
-	return n
-}
+func GlobalHops(t *topo.Compiled, p Path) int { return bits.OnesCount(globals(t, p.Ports)) }
 
 // Validate checks that the path is structurally sound: every hop uses
 // a port of the stated kind that actually reaches the next switch.
@@ -180,28 +165,33 @@ func EnumerateMin(t *topo.Compiled, s, d int) []Path {
 
 // minViaLink builds the MIN path s -> (link.From) -> (link.To) -> d.
 func minViaLink(t *topo.Compiled, s, d int, l topo.GlobalLink) Path {
-	p := Path{Sw: make([]int32, 0, 4), Ports: make([]int8, 0, 3)}
-	p.Sw = append(p.Sw, int32(s))
-	u, v := int(l.From), int(l.To)
-	if u != s {
-		p.Ports = append(p.Ports, int8(t.LocalPort(s, u)))
-		p.Sw = append(p.Sw, int32(u))
-	}
-	p.Ports = append(p.Ports, int8(t.GlobalPort(int(l.FromPort))))
-	p.Sw = append(p.Sw, int32(v))
-	if v != d {
-		p.Ports = append(p.Ports, int8(t.LocalPort(v, d)))
-		p.Sw = append(p.Sw, int32(d))
-	}
+	p := Path{Sw: append(make([]int32, 0, 4), int32(s)), Ports: make([]int8, 0, 3)}
+	appendLeg(t, &p, s, d, l)
 	return p
 }
 
+// appendLeg appends to p, which ends at switch s, the hops of the MIN
+// leg s -> (link.From) -> (link.To) -> d.
+func appendLeg(t *topo.Compiled, p *Path, s, d int, l topo.GlobalLink) {
+	sw, ports := p.Sw, p.Ports
+	u, v := int(l.From), int(l.To)
+	if u != s {
+		sw, ports = append(sw, int32(u)), append(ports, int8(t.LocalPort(s, u)))
+	}
+	sw, ports = append(sw, int32(v)), append(ports, int8(t.GlobalPort(int(l.FromPort))))
+	if v != d {
+		sw, ports = append(sw, int32(d)), append(ports, int8(t.LocalPort(v, d)))
+	}
+	p.Sw, p.Ports = sw, ports
+}
+
 // minLeg is one MIN path in fixed-size form: n hops, their out-ports
-// (zero past n), the switch sequence from the leg's own source, and
-// whether every hop survives the walk's failure mask. A VLB path is two
-// legs joined at an intermediate switch, so its hops are theirs: it
-// survives the mask exactly when both legs do, and the two legs never
-// share a directed channel. The source, intermediate and destination
+// (zero past n), the switch sequence from the leg's own source, its
+// shape (an index into legShapes), and whether every hop survives the
+// walk's failure mask. A VLB path is two legs joined at an
+// intermediate switch, so its hops are theirs: it survives the mask
+// exactly when both legs do, and the two legs never share a directed
+// channel. The source, intermediate and destination
 // groups are distinct, and a channel of the first leg either starts in
 // the source group or enters the intermediate switch, while a channel
 // of the second starts in the intermediate or destination group and
@@ -209,6 +199,7 @@ func minViaLink(t *topo.Compiled, s, d int, l topo.GlobalLink) Path {
 type minLeg struct {
 	n     int8
 	alive bool
+	shape uint8
 	ports [3]int8
 	sw    [4]int32
 }
@@ -220,10 +211,12 @@ func (m *minLeg) set(t *topo.Compiled, mask *topo.FailureMask, s, d int, l topo.
 	n := 0
 	m.ports = [3]int8{}
 	m.sw[0] = int32(s)
+	m.shape = 1 // g, 2 lg; a last local hop makes them 3 gl and 4 lgl
 	if u != s {
 		m.ports[n] = int8(t.LocalPort(s, u))
 		n++
 		m.sw[n] = int32(u)
+		m.shape = 2
 	}
 	m.ports[n] = int8(t.GlobalPort(int(l.FromPort)))
 	n++
@@ -232,12 +225,14 @@ func (m *minLeg) set(t *topo.Compiled, mask *topo.FailureMask, s, d int, l topo.
 		m.ports[n] = int8(t.LocalPort(v, d))
 		n++
 		m.sw[n] = int32(d)
+		m.shape += 2
 	}
 	m.n = int8(n)
 	m.alive = m.survives(mask)
 }
 
-// setLocal builds the one-hop leg u -> v inside a group under mask.
+// setLocal builds the one-hop leg u -> v inside a group under mask;
+// its shape is legShapes[0], l.
 func (m *minLeg) setLocal(t *topo.Compiled, mask *topo.FailureMask, u, v int) {
 	*m = minLeg{n: 1, ports: [3]int8{int8(t.LocalPort(u, v))}, sw: [4]int32{int32(u), int32(v)}}
 	m.alive = m.survives(mask)
@@ -343,48 +338,41 @@ func (v *vlbVisitor) path(a, b *minLeg) Path {
 	return Path{Sw: v.sw[: h+1 : h+1], Ports: v.ports[:h:h]}
 }
 
-// admit is how a policyWalk decides the paths of one hop count.
-type admit uint8
-
-const (
-	admitNone     admit = iota
-	admitAll            // every path is in
-	admitKeyed          // the policy's KeyDraw decides each by its Key
-	admitContains       // the policy's Contains decides each
-)
+// legShapes are the words a MIN leg can have, n hops with global-hop
+// bits g: an in-group detour's one local hop, then an inter-group
+// leg's (l?) g (l?) — g, lg, gl, lgl.
+var legShapes = [...]struct{ n, g uint }{{1, 0}, {1, 1}, {2, 2}, {2, 1}, {3, 2}}
 
 // policyWalk is the one filtered enumerator: the paths out of one
 // source switch that pol admits and that survive the visitor's mask,
-// in full VLB order. Every policy's Enumerate, EnumerateVLBMax,
+// in full VLB order. Every word policy's Enumerate, EnumerateVLBMax,
 // EstimatePaths, Walker and both passes of the store compile are this
-// walk. A path's liveness is its two legs', and a KeyedFilter policy
-// (Full, LengthCapped) admits it from its hop count through HopClass,
-// so a path is built only for a keyed length, to take its Key, or for
-// a policy that is not a KeyedFilter, to call Contains.
+// walk. A path's liveness is its two legs', and its admission the
+// policy's table at the word its legs' shapes join into, read once per
+// shape pair when the walk is made. So a path is built only to take
+// its Key: at a keyed word, or under an Explicit, whose removals it
+// must miss.
 type policyWalk struct {
 	v     vlbVisitor
-	pol   Policy
-	class [MaxVLBHops + 1]admit // by hop count
+	pairs [len(legShapes)][len(legShapes)]admit // by first and second leg shape
 	draw  KeyDraw
+	ex    *Explicit // removals to miss; nil: none
 }
 
 // newPolicyWalk walks pol out of src under mask (nil: pristine), with
 // legs from table, which must have been built under the same mask, or
-// built as the walk goes when table is nil.
+// built as the walk goes when table is nil. pol is a word policy or an
+// Explicit over one.
 func newPolicyWalk(t *topo.Compiled, pol Policy, mask *topo.FailureMask, src int, table []minLeg) *policyWalk {
-	w := &policyWalk{v: vlbVisitor{t: t, mask: mask, table: table, src: src}, pol: pol}
-	if kf, ok := pol.(KeyedFilter); ok {
-		w.draw = kf.Keyed()
-		for h := range w.class {
-			if all, some := kf.HopClass(h); all {
-				w.class[h] = admitAll
-			} else if some {
-				w.class[h] = admitKeyed
-			}
-		}
-	} else {
-		for h := 0; h <= hopCap(pol); h++ {
-			w.class[h] = admitContains
+	root, ex := unwrap(pol)
+	words, ok := WordsOf(root)
+	if !ok {
+		panic(fmt.Sprintf("paths: %s is not stated by port-kind words", root.Name()))
+	}
+	w := &policyWalk{v: vlbVisitor{t: t, mask: mask, table: table, src: src}, draw: words.draw, ex: ex}
+	for i, a := range legShapes {
+		for j, b := range legShapes {
+			w.pairs[i][j] = words.class(int(a.n+b.n), a.g|b.g<<a.n)
 		}
 	}
 	return w
@@ -413,7 +401,7 @@ func (w *policyWalk) visit(d int, yield func(a, b *minLeg)) {
 			}
 			v.local[0].setLocal(t, v.mask, s, m)
 			v.local[1].setLocal(t, v.mask, m, d)
-			w.join(d, v.local[:1], v.local[1:], yield)
+			w.join(v.local[:1], v.local[1:], yield)
 		}
 		return
 	}
@@ -423,38 +411,35 @@ func (w *policyWalk) visit(d int, yield func(a, b *minLeg)) {
 		}
 		for si := 0; si < t.A; si++ {
 			inter := t.SwitchID(gi, si)
-			w.join(d, v.legs(s, gs, inter, gi), v.legs(inter, gi, d, gd), yield)
+			w.join(v.legs(s, gs, inter, gi), v.legs(inter, gi, d, gd), yield)
 		}
 	}
 }
 
 // join hands yield every live pair of a first and a second leg that
-// pol admits.
-func (w *policyWalk) join(d int, legs1, legs2 []minLeg, yield func(a, b *minLeg)) {
+// pol admits: the table's answer for their shapes, and the joined
+// path's key where that decides.
+func (w *policyWalk) join(legs1, legs2 []minLeg, yield func(a, b *minLeg)) {
 	for i := range legs1 {
 		a := &legs1[i]
 		if !a.alive {
 			continue
 		}
+		row := &w.pairs[a.shape]
 		for j := range legs2 {
 			b := &legs2[j]
-			if !b.alive {
-				continue
-			}
-			switch w.class[a.n+b.n] {
-			case admitAll:
+			if c := row[b.shape]; b.alive && (c == admitAll && w.ex == nil || c != admitNone && w.keyed(c, a, b)) {
 				yield(a, b)
-			case admitKeyed:
-				if w.draw.In(w.v.path(a, b).Key()) {
-					yield(a, b)
-				}
-			case admitContains:
-				if w.pol.Contains(w.v.src, d, w.v.path(a, b)) {
-					yield(a, b)
-				}
 			}
 		}
 	}
+}
+
+// keyed is join's verdict on a path whose key decides: one of a keyed
+// word, or one an Explicit's removals must miss.
+func (w *policyWalk) keyed(c admit, a, b *minLeg) bool {
+	key := w.v.path(a, b).Key()
+	return (c == admitAll || w.draw.In(key)) && !w.ex.removes(key)
 }
 
 // paths is visit with each admitted path joined into the visitor's
@@ -467,11 +452,13 @@ func (w *policyWalk) paths(d int, yield func(Path)) {
 // need a pair's paths together (the load rows of the throughput model,
 // the load-balance adjustment): the stored range of a compiled Store,
 // which must already be degraded under the mask in play, or the
-// filtered walk of an interpreted policy under mask. Either way the
-// paths come in the policy's Enumerate order, in scratch the Walker
-// reuses from call to call. Not for concurrent use.
+// filtered walk of an interpreted policy under mask. An Explicit reads
+// its base's paths and skips those it removes. Either way the paths
+// come in the policy's Enumerate order, in scratch the Walker reuses
+// from call to call. Not for concurrent use.
 type Walker struct {
-	st *Store      // the policy, when it is compiled
+	st *Store      // the policy, or the base of an Explicit, when it is compiled
+	ex *Explicit   // the stored range's removals; nil: none
 	w  *policyWalk // otherwise its walk, out of the last source asked for
 
 	buf   Path
@@ -483,8 +470,9 @@ type Walker struct {
 
 // NewWalker returns a Walker over pol on t.
 func NewWalker(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Walker {
-	if st, ok := pol.(*Store); ok {
-		return &Walker{st: st}
+	root, ex := unwrap(pol)
+	if st, ok := root.(*Store); ok {
+		return &Walker{st: st, ex: ex}
 	}
 	return &Walker{w: newPolicyWalk(t, pol, mask, -1, nil)}
 }
@@ -495,8 +483,10 @@ func (k *Walker) Pair(s, d int) []Path {
 	if k.st != nil {
 		first, count := k.st.PairRange(s, d)
 		for id := first; id < first+PathID(count); id++ {
-			k.st.MaterializeInto(s, id, &k.buf)
-			k.keep(k.buf)
+			if k.ex == nil || !k.ex.removes(k.st.KeyOf(s, id)) {
+				k.st.MaterializeInto(s, id, &k.buf)
+				k.keep(k.buf)
+			}
 		}
 	} else {
 		if k.w.v.src != s {
@@ -567,18 +557,7 @@ func SampleMinInto(t *topo.Compiled, r *rng.Source, s, d int, dst *Path) {
 		return
 	}
 	links := t.LinksBetweenGroups(t.GroupOf(s), t.GroupOf(d))
-	l := links[r.Intn(len(links))]
-	u, v := int(l.From), int(l.To)
-	if u != s {
-		dst.Ports = append(dst.Ports, int8(t.LocalPort(s, u)))
-		dst.Sw = append(dst.Sw, int32(u))
-	}
-	dst.Ports = append(dst.Ports, int8(t.GlobalPort(int(l.FromPort))))
-	dst.Sw = append(dst.Sw, int32(v))
-	if v != d {
-		dst.Ports = append(dst.Ports, int8(t.LocalPort(v, d)))
-		dst.Sw = append(dst.Sw, int32(d))
-	}
+	appendLeg(t, dst, s, d, links[r.Intn(len(links))])
 }
 
 // sampleVLBOnceInto draws one random (intermediate, leg, leg)
@@ -625,25 +604,7 @@ func sampleVLBOnceInto(t *topo.Compiled, r *rng.Source, s, d int, dst *Path) boo
 	links2 := t.LinksBetweenGroups(gi, gd)
 	l1 := links1[r.Intn(len(links1))]
 	l2 := links2[r.Intn(len(links2))]
-	cur := s
-	hop := func(to int, port int) {
-		dst.Sw = append(dst.Sw, int32(to))
-		dst.Ports = append(dst.Ports, int8(port))
-		cur = to
-	}
-	if int(l1.From) != cur {
-		hop(int(l1.From), t.LocalPort(cur, int(l1.From)))
-	}
-	hop(int(l1.To), t.GlobalPort(int(l1.FromPort)))
-	if inter != cur {
-		hop(inter, t.LocalPort(cur, inter))
-	}
-	if int(l2.From) != cur {
-		hop(int(l2.From), t.LocalPort(cur, int(l2.From)))
-	}
-	hop(int(l2.To), t.GlobalPort(int(l2.FromPort)))
-	if d != cur {
-		hop(d, t.LocalPort(cur, d))
-	}
+	appendLeg(t, dst, s, inter, l1)
+	appendLeg(t, dst, inter, d, l2)
 	return true
 }

@@ -8,13 +8,12 @@ import (
 )
 
 // Policy is a candidate-VLB-path set: the only thing T-UGAL changes
-// relative to conventional UGAL. A set is a membership test over the
-// VLB enumeration (Contains); Full, LengthCapped and Strategic are
-// nothing else, and sample and enumerate through the one rejection
-// sampler and the one filtered enumerator below. SampleVLBInto must
-// draw candidates the way the router would at packet-injection time;
-// Enumerate/Contains expose the same set to the throughput model and
-// to the load-balance analysis of Algorithm 1 Step 2.
+// relative to conventional UGAL. Full, LengthCapped and Strategic are
+// each nothing but the port-kind words they admit (Words).
+// SampleVLBInto must draw candidates the way the router would at
+// packet-injection time; Enumerate/Contains expose the same set to the
+// throughput model and to the load-balance analysis of Algorithm 1
+// Step 2.
 type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
@@ -31,37 +30,123 @@ type Policy interface {
 	Contains(s, d int, p Path) bool
 }
 
-// StoredFilter is an optional Policy refinement: deciding membership
-// of a path held in a superset Store (typically the compiled full VLB
-// set) directly from the store's arena, without materializing the
-// path. AllowsStored(base, s, d, id) must equal
-// Contains(s, d, base.Materialize(s, id)). Length-based policies
-// answer most paths from the O(1) stored hop count alone, which is
-// what makes deriving a whole grid of restricted path sets from one
-// compiled superset cheap.
-type StoredFilter interface {
-	AllowsStored(base *Store, s, d int, id PathID) bool
+// A path's word is the kinds of its hops in order, l (local) or g
+// (global): its hop count h and the bits g of its global hops (bit i
+// for hop i). A VLB path joins two MIN legs of legShapes, so on a
+// Dragonfly its words are 13: an in-group pair's detours are all ll,
+// and an inter-group path has exactly two g hops. D3, with one global
+// port a switch, has the 9 of them without gg.
+
+// globals returns the global-hop bits of a port sequence.
+func globals(t *topo.Compiled, ports []int8) uint {
+	g := uint(0)
+	for i, pt := range ports {
+		if t.KindOfPort(int(pt)) == topo.Global {
+			g |= 1 << i
+		}
+	}
+	return g
 }
 
-// KeyedFilter is one refinement beyond StoredFilter: membership
-// decided from a path's hop count and identity hash alone, with no
-// access to its structure. With all, some := HopClass(p.Hops()),
-// all || some && Keyed().In(p.Key()) must equal Contains(s, d, p) for
-// every valid VLB path of every pair. An analysis that hashes a pair's
-// paths once can then derive every such policy's path set from the
-// hashes, and HopClass lets it skip the hashes too for whole lengths:
-// every Table-1 policy admits all paths up to a cap, a keyed subset one
-// hop longer and nothing beyond, so per policy at most one length is
-// ever looked at path by path, and that through a KeyDraw taken once.
-type KeyedFilter interface {
-	// HopClass states the policy on all paths of one length at once:
-	// all when every one is in, some when Keyed decides each by its
-	// key, neither when none is in.
-	HopClass(hops int) (all, some bool)
-	Keyed() KeyDraw
+// every is the mask of all the words of h letters (1<<64 is 0).
+func every(h int) uint64 { return uint64(1)<<(1<<h) - 1 }
+
+// admit is the table's answer for one word.
+type admit uint8
+
+const (
+	admitNone  admit = iota
+	admitAll         // every path of the word is in
+	admitKeyed       // the draw decides each path by its Key
+)
+
+// Words is a VLB path set stated by port-kind word: each word is in
+// whole, in by key (the draw admits the path's identity hash), or out.
+// A leg pair is decided by the word its legs join into, and a length
+// whose words all answer alike by hop count alone.
+type Words struct {
+	all, keyed [MaxVLBHops + 1]uint64 // bit g of [h]: the h-letter word g; disjoint
+	draw       KeyDraw
 }
 
-// KeyDraw is a keyed filter's test of one path, with the policy's seed
+// WordsOf returns the table of a policy stated by words (Full,
+// LengthCapped, Strategic); ok=false for any other.
+func WordsOf(pol Policy) (Words, bool) {
+	if wp, ok := pol.(interface{ Words() Words }); ok {
+		return wp.Words(), true
+	}
+	return Words{}, false
+}
+
+// class is the table's answer for the h-letter word g.
+func (w *Words) class(h int, g uint) admit {
+	switch {
+	case w.all[h]>>g&1 != 0:
+		return admitAll
+	case w.keyed[h]>>g&1 != 0:
+		return admitKeyed
+	}
+	return admitNone
+}
+
+// length is the table read by hop count: the answer every h-letter
+// word shares, ok=false when they differ and only the word can tell.
+func (w *Words) length(h int) (admit, bool) {
+	switch all, keyed, every := w.all[h], w.keyed[h], every(h); {
+	case all == every:
+		return admitAll, true
+	case keyed == every:
+		return admitKeyed, true
+	case all|keyed == 0:
+		return admitNone, true
+	}
+	return admitNone, false
+}
+
+// contains is the table's verdict on p, a VLB path on t: its word is
+// read only at a length whose words differ, its key only at a keyed
+// word.
+func (w *Words) contains(t *topo.Compiled, p Path) bool {
+	h := p.Hops()
+	c, ok := w.length(h)
+	if !ok {
+		c = w.class(h, globals(t, p.Ports))
+	}
+	return c == admitAll || c == admitKeyed && w.draw.In(p.Key())
+}
+
+// lengths is length at every hop count, bit h of mixed set where the
+// h-letter words differ (and byLen[h] is admitNone).
+func (w *Words) lengths() (byLen [MaxVLBHops + 1]admit, mixed uint8) {
+	for h := range byLen {
+		var ok bool
+		if byLen[h], ok = w.length(h); !ok {
+			mixed |= 1 << h
+		}
+	}
+	return byLen, mixed
+}
+
+// ByLength is the table read by hop count: bit h of all is set when
+// every h-letter word is in, of keyed when every one is keyed, of mixed
+// when they differ.
+func (w Words) ByLength() (all, keyed, mixed uint8) {
+	byLen, mixed := w.lengths()
+	for h, c := range byLen {
+		switch c {
+		case admitAll:
+			all |= 1 << h
+		case admitKeyed:
+			keyed |= 1 << h
+		}
+	}
+	return all, keyed, mixed
+}
+
+// Draw returns the test a path of a keyed word takes.
+func (w Words) Draw() KeyDraw { return w.draw }
+
+// KeyDraw is a keyed word's test of one path, with the policy's seed
 // already mixed in: a value, so a walk over many paths calls no
 // interface and hashes each key once.
 type KeyDraw struct {
@@ -74,18 +159,20 @@ func (k KeyDraw) In(key uint64) bool { return rng.Float01(rng.Mix(k.seed, key)) 
 
 // sampleAttempts bounds rejection sampling in restricted policies.
 // If no allowed path is found within the budget, the shortest path
-// seen is used; with the configurations Algorithm 1 actually emits,
-// acceptance is high and the fallback is statistically irrelevant.
+// seen is used, and that path is outside the set. Acceptance can be
+// tiny: on dfly(13,26,13,27), pair 0 -> 351, a <=4-hop set holds 782
+// of 109 850 paths, so all 64 draws miss with probability about 0.63.
 const sampleAttempts = 64
 
-// sampleWhere is the interpreted sampler of every predicate policy:
+// sampleWhere is the interpreted sampler of every word policy:
 // rejection from the conventional sampler, preserving UGAL's
 // intermediate-selection behaviour on the allowed subset. When no
 // allowed path is drawn within the attempt budget, the shortest path
-// seen is used so the router still has a non-minimal escape (matching
-// UGAL's liveness); it is kept in fixed scratch, because on a giant
-// topology this runs interpreted for every packet.
-func sampleWhere(t *topo.Compiled, contains func(s, d int, p Path) bool, r *rng.Source, s, d int, dst *Path) bool {
+// seen is returned, outside the set, so the router still has a
+// non-minimal escape (matching UGAL's liveness); it is kept in fixed
+// scratch, because on a giant topology this runs interpreted for every
+// packet.
+func sampleWhere(t *topo.Compiled, w *Words, r *rng.Source, s, d int, dst *Path) bool {
 	var sw [MaxVLBHops + 1]int32
 	var ports [MaxVLBHops]int8
 	best := 0 // hops of the fallback; a VLB path has at least 2
@@ -93,7 +180,7 @@ func sampleWhere(t *topo.Compiled, contains func(s, d int, p Path) bool, r *rng.
 		if !sampleVLBOnceInto(t, r, s, d, dst) {
 			return false
 		}
-		if contains(s, d, *dst) {
+		if w.contains(t, *dst) {
 			return true
 		}
 		if h := dst.Hops(); best == 0 || h < best {
@@ -107,7 +194,7 @@ func sampleWhere(t *topo.Compiled, contains func(s, d int, p Path) bool, r *rng.
 	return true
 }
 
-// enumerate is Enumerate for every predicate policy: the filtered walk,
+// enumerate is Enumerate for every word policy: the filtered walk,
 // each admitted path cloned out of the walk's scratch.
 func enumerate(t *topo.Compiled, pol Policy, s, d int) []Path {
 	var out []Path
@@ -120,10 +207,13 @@ type Full struct {
 	T *topo.Compiled
 }
 
+// Words admits every word.
+func (f Full) Words() Words { return LengthCapped{MaxHops: MaxVLBHops}.Words() }
+
 // Name implements Policy.
 func (f Full) Name() string { return "VLB-all" }
 
-// SampleVLBInto implements Policy.
+// SampleVLBInto implements Policy: every draw is in.
 func (f Full) SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool {
 	return sampleVLBOnceInto(f.T, r, s, d, dst)
 }
@@ -132,17 +222,10 @@ func (f Full) SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool {
 func (f Full) Enumerate(s, d int) []Path { return EnumerateVLB(f.T, s, d) }
 
 // Contains implements Policy.
-func (f Full) Contains(_, _ int, _ Path) bool { return true }
-
-// AllowsStored implements StoredFilter.
-func (f Full) AllowsStored(*Store, int, int, PathID) bool { return true }
-
-// HopClass implements KeyedFilter.
-func (f Full) HopClass(int) (all, some bool) { return true, false }
-
-// Keyed implements KeyedFilter: no length is keyed, and the draw would
-// admit every path (rng.Float01 < 1).
-func (f Full) Keyed() KeyDraw { return KeyDraw{frac: 1} }
+func (f Full) Contains(_, _ int, p Path) bool {
+	w := f.Words()
+	return w.contains(f.T, p)
+}
 
 // LengthCapped is the Table 1 family of data points: all VLB paths of
 // at most MaxHops hops, plus a pseudo-random fraction Frac of the
@@ -158,6 +241,20 @@ type LengthCapped struct {
 	Seed    uint64  // subset selector
 }
 
+// Words admits every word of at most MaxHops letters, and keys the
+// words one letter longer when Frac > 0: a path of one of them is in
+// when its identity hash, mixed with Seed, falls below Frac.
+func (l LengthCapped) Words() Words {
+	w := Words{draw: KeyDraw{seed: rng.Mix(rng.HashSeed, l.Seed), frac: l.Frac}}
+	for h := 0; h <= min(l.MaxHops, MaxVLBHops); h++ {
+		w.all[h] = every(h)
+	}
+	if h := l.MaxHops + 1; l.Frac > 0 && h >= 0 && h <= MaxVLBHops {
+		w.keyed[h] = every(h)
+	}
+	return w
+}
+
 // Name implements Policy.
 func (l LengthCapped) Name() string {
 	if l.Frac == 0 {
@@ -168,39 +265,19 @@ func (l LengthCapped) Name() string {
 
 // SampleVLBInto implements Policy.
 func (l LengthCapped) SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool {
-	return sampleWhere(l.T, l.Contains, r, s, d, dst)
+	w := l.Words()
+	return sampleWhere(l.T, &w, r, s, d, dst)
 }
 
-// Enumerate implements Policy. The walk stops at MaxHops(+1) hops, so
-// a tight cap never builds the longer leg combinations.
+// Enumerate implements Policy. The walk joins no leg pair whose word
+// is out, so a tight cap never builds the longer paths.
 func (l LengthCapped) Enumerate(s, d int) []Path { return enumerate(l.T, l, s, d) }
 
-// Contains implements Policy; like AllowsStored, only a
-// boundary-length path pays for its identity hash.
+// Contains implements Policy; only a keyed-length path pays for its
+// identity hash.
 func (l LengthCapped) Contains(_, _ int, p Path) bool {
-	all, some := l.HopClass(p.Hops())
-	return all || some && l.Keyed().In(p.Key())
-}
-
-// AllowsStored implements StoredFilter: paths at or under the cap
-// are admitted (and longer-than-boundary ones rejected) from the
-// stored hop count alone; only boundary-length paths pay the
-// identity-hash walk.
-func (l LengthCapped) AllowsStored(base *Store, s, _ int, id PathID) bool {
-	all, some := l.HopClass(base.Hops(id))
-	return all || some && l.Keyed().In(base.KeyOf(s, id))
-}
-
-// HopClass implements KeyedFilter: the one statement of the set.
-func (l LengthCapped) HopClass(hops int) (all, some bool) {
-	return hops <= l.MaxHops, hops == l.MaxHops+1 && l.Frac > 0
-}
-
-// Keyed implements KeyedFilter, and is the one definition of the Frac
-// subset: a boundary-length path is in when its identity hash, mixed
-// with Seed, falls below Frac.
-func (l LengthCapped) Keyed() KeyDraw {
-	return KeyDraw{seed: rng.Mix(rng.HashSeed, l.Seed), frac: l.Frac}
+	w := l.Words()
+	return w.contains(l.T, p)
 }
 
 // Strategic is the Step-2 deterministic expansion for the 50% 5-hop
@@ -224,71 +301,52 @@ func NewStrategic(t *topo.Compiled, firstLeg int) (Strategic, error) {
 	return Strategic{T: t, FirstLeg: firstLeg}, nil
 }
 
+// Words admits every word of at most 4 letters, and the 5-letter words
+// a FirstLeg-letter MIN leg and a MIN leg join into: gllgl and lglgl
+// at 2+3, lglgl and lgllg at 3+2. A 5-hop path of one of them crosses
+// into its intermediate group on its first g, so the split switch lies
+// in a third group, as the paper's composition asks.
+func (s Strategic) Words() Words {
+	if s.FirstLeg < 0 || s.FirstLeg >= len(strategicWords) {
+		return strategicWords[0] // no 5-hop path splits there
+	}
+	return strategicWords[s.FirstLeg]
+}
+
+// strategicWords[k] is the table of Strategic{FirstLeg: k}, made once:
+// the interpreted sampler asks for it on every draw.
+var strategicWords = func() (ws [4]Words) {
+	for k := range ws {
+		ws[k] = LengthCapped{MaxHops: 4}.Words()
+		for _, a := range legShapes[1:] {
+			for _, b := range legShapes[1:] {
+				if int(a.n) == k && a.n+b.n == 5 {
+					ws[k].all[5] |= 1 << (a.g | b.g<<a.n)
+				}
+			}
+		}
+	}
+	return ws
+}()
+
 // Name implements Policy.
 func (s Strategic) Name() string {
 	return fmt.Sprintf("strategic-%d+%d", s.FirstLeg, 5-s.FirstLeg)
 }
 
-// minShape reports whether a hop sequence has the inter-group MIN
-// form (l?) g (l?): exactly one global hop, at most one local hop on
-// each side.
-func minShape(t *topo.Compiled, ports []int8) bool {
-	if len(ports) < 1 || len(ports) > 3 {
-		return false
-	}
-	gAt := -1
-	for i, pt := range ports {
-		if t.KindOfPort(int(pt)) == topo.Global {
-			if gAt >= 0 {
-				return false
-			}
-			gAt = i
-		}
-	}
-	return gAt >= 0 && gAt <= 1 && len(ports)-1-gAt <= 1
-}
-
-// splits reports whether a 5-hop VLB path of the pair decomposes at
-// mid, the switch FirstLeg hops in, into two legal MIN legs: mid lies
-// in a third group and both halves have the MIN shape. The
-// distinction matters: a "g l l g l" path is only a 2-hop-MIN +
-// 3-hop-MIN composition, while "l g l g l" decomposes both as 2+3 and
-// 3+2.
-func (s Strategic) splits(src, dst, mid int, ports []int8) bool {
-	t := s.T
-	g, gs, gd := t.GroupOf(mid), t.GroupOf(src), t.GroupOf(dst)
-	return gs != gd && g != gs && g != gd &&
-		minShape(t, ports[:s.FirstLeg]) && minShape(t, ports[s.FirstLeg:5])
-}
-
-// AllowsStored implements StoredFilter: only 5-hop paths walk their
-// first leg's stored ports to the split switch, and nothing is built.
-func (s Strategic) AllowsStored(base *Store, src, dst int, id PathID) bool {
-	if h := base.Hops(id); h != 5 {
-		return h <= 4
-	}
-	ports := base.portsOf(id)
-	mid := src
-	for _, pt := range ports[:s.FirstLeg] {
-		mid = s.T.PeerOfPort(mid, int(pt))
-	}
-	return s.splits(src, dst, mid, ports)
-}
-
 // SampleVLBInto implements Policy.
 func (s Strategic) SampleVLBInto(r *rng.Source, src, dst int, out *Path) bool {
-	return sampleWhere(s.T, s.Contains, r, src, dst, out)
+	w := s.Words()
+	return sampleWhere(s.T, &w, r, src, dst, out)
 }
 
 // Enumerate implements Policy (strategic sets never exceed 5 hops).
 func (s Strategic) Enumerate(src, dst int) []Path { return enumerate(s.T, s, src, dst) }
 
-// Contains implements Policy.
-func (s Strategic) Contains(src, dst int, p Path) bool {
-	if h := p.Hops(); h != 5 {
-		return h <= 4
-	}
-	return s.splits(src, dst, int(p.Sw[s.FirstLeg]), p.Ports)
+// Contains implements Policy; only a 5-hop path's word is read.
+func (s Strategic) Contains(_, _ int, p Path) bool {
+	w := s.Words()
+	return w.contains(s.T, p)
 }
 
 // Explicit wraps any base policy with a removal set, the output of
@@ -331,9 +389,10 @@ func (e *Explicit) SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool {
 			return true
 		}
 	}
-	// Every draw hit the removal set: keep the last draw — the
-	// balance adjustment never empties a pair's path set, so this is
-	// a biased-but-live fallback.
+	// Every draw hit the removal set: keep the last draw, a removed
+	// path, so the router still has a non-minimal escape. The balance
+	// adjustment never empties a pair's set, but it may leave few
+	// paths in it, and then this is not rare.
 	return true
 }
 
@@ -355,4 +414,26 @@ func (e *Explicit) Enumerate(s, d int) []Path {
 // Contains implements Policy.
 func (e *Explicit) Contains(s, d int, p Path) bool {
 	return e.Base.Contains(s, d, p) && !e.Removed[p.Key()]
+}
+
+// removes reports whether e, or an Explicit it wraps, removes the path
+// with identity hash key; a nil e removes nothing.
+func (e *Explicit) removes(key uint64) bool {
+	for ; e != nil; e, _ = e.Base.(*Explicit) {
+		if e.Removed[key] {
+			return true
+		}
+	}
+	return false
+}
+
+// unwrap splits pol into the policy under any Explicit wrappers and the
+// outermost wrapper (nil when pol is none), whose removals, with those
+// of the wrappers under it, a walk of pol checks on each admitted key.
+func unwrap(pol Policy) (Policy, *Explicit) {
+	ex, _ := pol.(*Explicit)
+	for e := ex; e != nil; e, _ = pol.(*Explicit) {
+		pol = e.Base
+	}
+	return pol, ex
 }

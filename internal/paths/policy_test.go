@@ -1,6 +1,9 @@
 package paths
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"tugal/internal/rng"
@@ -225,20 +228,20 @@ func legSplits(t *topo.Compiled, p Path) [][2]int {
 	return out
 }
 
-// TestHopClass holds the three statements of a keyed filter together
-// on both implementers, for every hop count 0..6: HopClass against the
-// Table-1 definition written out here (all paths up to MaxHops, a keyed
-// Frac of the MaxHops+1 ones, nothing longer), the keyed verdict
-// (allowsKeyed) against the hash draw written out here over 2000 keys a
-// length, and Contains against the keyed verdict on every real path out
-// of one switch.
+// TestHopClass holds the per-length view of the word tables of Full and
+// LengthCapped (Words.length, ByLength) to the Table-1 definition
+// written out here (all paths up to MaxHops, a keyed Frac of the
+// MaxHops+1 ones, nothing longer) for every hop count 0..6, the keyed
+// verdict (allowsKeyed) to the hash draw written out here over 2000
+// keys a length, and Contains to the keyed verdict on every real path
+// out of one switch.
 func TestHopClass(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	var real []Path
 	for d := 1; d < tp.NumSwitches(); d++ {
 		real = append(real, EnumerateVLB(tp, 0, d)...)
 	}
-	for _, kf := range []KeyedFilter{
+	for _, pol := range []Policy{
 		Full{T: tp},
 		LengthCapped{T: tp, MaxHops: 3},
 		LengthCapped{T: tp, MaxHops: 4, Frac: 0.3, Seed: 7},
@@ -247,26 +250,30 @@ func TestHopClass(t *testing.T) {
 		LengthCapped{T: tp, MaxHops: 1, Frac: 0.5, Seed: 3},
 		LengthCapped{T: tp, MaxHops: 1},
 	} {
-		pol := kf.(Policy)
-		l, capped := kf.(LengthCapped)
+		w, _ := WordsOf(pol)
+		l, capped := pol.(LengthCapped)
 		lengths := map[int]bool{}
 		for _, p := range real {
 			lengths[p.Hops()] = true
-			if pol.Contains(p.Src(), p.Dst(), p) != allowsKeyed(kf, p.Hops(), p.Key()) {
+			if pol.Contains(p.Src(), p.Dst(), p) != allowsKeyed(t, w, p.Hops(), p.Key()) {
 				t.Fatalf("%s: Contains and the keyed verdict disagree on %v", pol.Name(), p)
 			}
 		}
 		if len(lengths) != 5 {
 			t.Fatalf("real paths cover lengths %v, want 2..6", lengths)
 		}
+		allBits, keyedBits, mixed := w.ByLength()
+		if mixed != 0 {
+			t.Fatalf("%s: lengths %b read by word", pol.Name(), mixed)
+		}
 		for hops := 0; hops <= MaxVLBHops; hops++ {
-			all, some := kf.HopClass(hops)
+			all, some := allBits>>hops&1 != 0, keyedBits>>hops&1 != 0
 			wantAll, wantSome := true, false
 			if capped {
-				wantAll, wantSome = hops <= l.MaxHops, hops == l.MaxHops+1 && l.Frac > 0
+				wantAll, wantSome = hopClass(l, hops)
 			}
 			if all != wantAll || some != wantSome {
-				t.Fatalf("%s: HopClass(%d) = (%v, %v), want (%v, %v)", pol.Name(), hops, all, some, wantAll, wantSome)
+				t.Fatalf("%s: length %d reads (%v, %v), want (%v, %v)", pol.Name(), hops, all, some, wantAll, wantSome)
 			}
 			in := 0
 			for k := uint64(0); k < 2000; k++ {
@@ -275,7 +282,7 @@ func TestHopClass(t *testing.T) {
 				if some {
 					want = rng.Float01(rng.Mix(rng.Mix(rng.HashSeed, l.Seed), key)) < l.Frac
 				}
-				if allowsKeyed(kf, hops, key) != want {
+				if allowsKeyed(t, w, hops, key) != want {
 					t.Fatalf("%s: keyed verdict on (%d, %#x) = %v", pol.Name(), hops, key, !want)
 				}
 				if want {
@@ -289,9 +296,222 @@ func TestHopClass(t *testing.T) {
 	}
 }
 
-// allowsKeyed is a keyed filter's verdict on one path from its hop count
-// and identity hash alone, as the KeyedFilter contract states it.
-func allowsKeyed(kf KeyedFilter, hops int, key uint64) bool {
-	all, some := kf.HopClass(hops)
-	return all || some && kf.Keyed().In(key)
+// allowsKeyed is a table's verdict on a path from its hop count and
+// identity hash alone, at a length whose words all answer alike.
+func allowsKeyed(t *testing.T, w Words, hops int, key uint64) bool {
+	c, ok := w.length(hops)
+	if !ok {
+		t.Fatalf("length %d is read by word", hops)
+	}
+	return c == admitAll || c == admitKeyed && w.draw.In(key)
+}
+
+// minShape reports whether a hop sequence has the inter-group MIN
+// form (l?) g (l?): exactly one global hop, at most one local hop on
+// each side. It is the definition Strategic tested its split against
+// before the word table, kept with the rest of oracleContains.
+func minShape(t *topo.Compiled, ports []int8) bool {
+	if len(ports) < 1 || len(ports) > 3 {
+		return false
+	}
+	gAt := -1
+	for i, pt := range ports {
+		if t.KindOfPort(int(pt)) == topo.Global {
+			if gAt >= 0 {
+				return false
+			}
+			gAt = i
+		}
+	}
+	return gAt >= 0 && gAt <= 1 && len(ports)-1-gAt <= 1
+}
+
+// hopClass is LengthCapped's set by hop count as HopClass stated it:
+// all paths of at most MaxHops hops, a keyed draw at MaxHops+1.
+func hopClass(l LengthCapped, hops int) (all, some bool) {
+	return hops <= l.MaxHops, hops == l.MaxHops+1 && l.Frac > 0
+}
+
+// oracleContains is the membership of the word policies as their own
+// predicates stated it before one table held them, kept as the oracle
+// the table is held to. Full admits every path. LengthCapped admits by
+// hopClass, a keyed path when its key, mixed with the seed as Keyed
+// mixed it, falls below Frac. Strategic admits every path of at most 4
+// hops, and a 5-hop path of a pair in two groups when the switch
+// FirstLeg hops in lies in a third group and splits the path into two
+// MIN shapes (Strategic.splits).
+func oracleContains(tp *topo.Compiled, pol Policy, src, dst int, p Path) bool {
+	switch pol := pol.(type) {
+	case Full:
+		return true
+	case LengthCapped:
+		all, some := hopClass(pol, p.Hops())
+		return all || some && rng.Float01(rng.Mix(rng.Mix(rng.HashSeed, pol.Seed), p.Key())) < pol.Frac
+	case Strategic:
+		if h := p.Hops(); h != 5 {
+			return h <= 4
+		}
+		g, gs, gd := tp.GroupOf(int(p.Sw[pol.FirstLeg])), tp.GroupOf(src), tp.GroupOf(dst)
+		return gs != gd && g != gs && g != gd &&
+			minShape(tp, p.Ports[:pol.FirstLeg]) && minShape(tp, p.Ports[pol.FirstLeg:5])
+	}
+	panic("oracleContains: " + pol.Name() + " is not a word policy")
+}
+
+// legEndTopos are TestLegEndsCover's topologies: both families, one and
+// several links per group pair.
+func legEndTopos() []*topo.Compiled {
+	return []*topo.Compiled{
+		topo.MustNew(2, 4, 2, 9),
+		topo.MustNew(2, 4, 4, 3), // parallel global links (h > g-1)
+		topo.MustNew(2, 4, 2, 5),
+		topo.MustNewD3(12, 4, 2),
+		topo.MustNewD3(8, 4, 0),
+	}
+}
+
+// legEndMask is degradedMask on the legEndTopos: one global link, one
+// local link and one switch, the global link from the first switch at
+// or after degradedMask's whose last global slot is wired (on D3 a
+// switch's slot may not be).
+func legEndMask(tp *topo.Compiled) *topo.FailureMask {
+	m := topo.NewFailureMask(tp)
+	for sw := tp.A / 2; ; sw++ {
+		if _, err := m.FailGlobalLink(sw, tp.H-1); err == nil {
+			break
+		}
+	}
+	for _, sc := range failSteps()[1:] {
+		sc.step(tp, m)
+	}
+	return m
+}
+
+// TestWordsMatchOracle holds the one word table to oracleContains on
+// every VLB path of the legEndTopos, pristine and under legEndMask,
+// for Full, four Table-1 points (two keyed) and both strategic sets, at
+// each place the table is read: Contains on the built path, DropMask
+// from the stored ports of the full store, and the walk's per-leg-pair
+// admission, asked of the legs the full walk joins into that path.
+func TestWordsMatchOracle(t *testing.T) {
+	for _, tp := range legEndTopos() {
+		pols := []Policy{
+			Full{T: tp},
+			LengthCapped{T: tp, MaxHops: 3},
+			LengthCapped{T: tp, MaxHops: 4},
+			LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 7},
+			LengthCapped{T: tp, MaxHops: 5, Frac: 0.3, Seed: 3},
+			Strategic{T: tp, FirstLeg: 2},
+			Strategic{T: tp, FirstLeg: 3},
+		}
+		for _, mask := range []*topo.FailureMask{nil, legEndMask(tp)} {
+			t.Run(fmt.Sprintf("%s/degraded=%v", tp.Label(), mask != nil), func(t *testing.T) {
+				full := CompileDegraded(tp, Full{T: tp}, mask)
+				drops := make([][]bool, len(pols))
+				for i, pol := range pols {
+					drops[i] = full.DropMask(pol)
+				}
+				n := tp.NumSwitches()
+				in := make([]int, len(pols))
+				var p Path
+				for s := 0; s < n; s++ {
+					fw := newPolicyWalk(tp, Full{T: tp}, mask, s, nil)
+					walks := make([]*policyWalk, len(pols))
+					for i, pol := range pols {
+						walks[i] = newPolicyWalk(tp, pol, mask, s, nil)
+					}
+					for d := 0; d < n; d++ {
+						id, count := full.PairRange(s, d)
+						end := id + PathID(count)
+						fw.visit(d, func(a, b *minLeg) {
+							full.MaterializeInto(s, id, &p)
+							if !fw.v.path(a, b).Equal(p) {
+								t.Fatalf("pair (%d,%d): the walk and the store disagree at path %d", s, d, id)
+							}
+							for i, pol := range pols {
+								want := oracleContains(tp, pol, s, d, p)
+								if got := pol.Contains(s, d, p); got != want {
+									t.Fatalf("%s pair (%d,%d) %v: Contains %v, oracle %v", pol.Name(), s, d, p, got, want)
+								}
+								if got := !drops[i][id]; got != want {
+									t.Fatalf("%s pair (%d,%d) %v: DropMask admits %v, oracle %v", pol.Name(), s, d, p, got, want)
+								}
+								got := false
+								walks[i].join([]minLeg{*a}, []minLeg{*b}, func(*minLeg, *minLeg) { got = true })
+								if got != want {
+									t.Fatalf("%s pair (%d,%d) %v: the walk admits %v, oracle %v", pol.Name(), s, d, p, got, want)
+								}
+								if want {
+									in[i]++
+								}
+							}
+							id++
+						})
+						if id != end {
+							t.Fatalf("pair (%d,%d): the walk yields %d paths, the store holds %d", s, d, int(id-end)+count, count)
+						}
+					}
+				}
+				for i, pol := range pols {
+					if _, strategic := pol.(Strategic); in[i] == 0 || strategic && in[i] == full.NumPaths() {
+						t.Errorf("%s admits %d of %d paths", pol.Name(), in[i], full.NumPaths())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestWordStructure pins the fact that lets a policy's table be over
+// words alone, with no bit for a pair in one group: on the legEndTopos,
+// pristine and under legEndMask, every VLB path of an in-group pair
+// has the word ll, every inter-group one exactly two g hops, and the
+// words found are the 13 of a Dragonfly or the 9 of D3.
+func TestWordStructure(t *testing.T) {
+	dragonfly := []string{"gg", "ggl", "glg", "glgl", "gllg", "gllgl", "lgg", "lggl", "lglg", "lglgl", "lgllg", "lgllgl", "ll"}
+	d3 := []string{"glg", "glgl", "gllg", "gllgl", "lglg", "lglgl", "lgllg", "lgllgl", "ll"} // one global port a switch: no gg
+	for _, tp := range legEndTopos() {
+		want := dragonfly
+		if tp.Family() == "d3" {
+			want = d3
+		}
+		for _, mask := range []*topo.FailureMask{nil, legEndMask(tp)} {
+			st := CompileDegraded(tp, Full{T: tp}, mask)
+			seen := map[string]bool{}
+			n := tp.NumSwitches()
+			for s := 0; s < n; s++ {
+				for d := 0; d < n; d++ {
+					first, count := st.PairRange(s, d)
+					for id := first; id < first+PathID(count); id++ {
+						w := wordString(tp, st.Ports(id))
+						seen[w] = true
+						if same := tp.SameGroup(s, d); same && w != "ll" || !same && strings.Count(w, "g") != 2 {
+							t.Fatalf("%s pair (%d,%d) in one group %v: word %s", tp.Label(), s, d, same, w)
+						}
+					}
+				}
+			}
+			var got []string
+			for w := range seen {
+				got = append(got, w)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s degraded=%v: words %q, want %q", tp.Label(), mask != nil, got, want)
+			}
+		}
+	}
+}
+
+// wordString spells a port sequence's word in l and g.
+func wordString(tp *topo.Compiled, ports []int8) string {
+	var b strings.Builder
+	for _, pt := range ports {
+		if tp.KindOfPort(int(pt)) == topo.Global {
+			b.WriteByte('g')
+		} else {
+			b.WriteByte('l')
+		}
+	}
+	return b.String()
 }

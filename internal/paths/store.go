@@ -3,6 +3,7 @@ package paths
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"tugal/internal/exec"
@@ -71,8 +72,8 @@ func (st *Store) Mask() *topo.FailureMask { return st.mask }
 // first builds a leg table (newLegTable), every inter-group MIN leg
 // with its liveness under mask, and joins its legs from it. The count
 // pass walks every pair with a policyWalk and leaves its number of
-// admitted paths in pairStart, building no path for a length that
-// HopClass decides whole; the prefix sum turns those into PathID ranges and sizes
+// admitted paths in pairStart, building no path of a word the table
+// admits whole; the prefix sum turns those into PathID ranges and sizes
 // hops/ports exactly; the fill pass repeats the walk, writing each
 // admitted leg pair into its final slot. Rows own disjoint arena
 // ranges, so both passes run over row chunks on the default pool and
@@ -142,27 +143,6 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 	pass("paths/fill", true)
 	st.buildTime = time.Since(start)
 	return st, total
-}
-
-// hopCap returns an upper bound on the hop count of any path the
-// policy admits: the lengths a policyWalk asks Contains about.
-func hopCap(pol Policy) int {
-	switch p := pol.(type) {
-	case LengthCapped:
-		c := p.MaxHops
-		if p.Frac > 0 {
-			c++
-		}
-		if c > MaxVLBHops {
-			c = MaxVLBHops
-		}
-		return c
-	case Strategic:
-		return 5
-	case *Explicit:
-		return hopCap(p.Base)
-	}
-	return MaxVLBHops
 }
 
 // EstimatePaths predicts the total path count of a compiled store
@@ -311,20 +291,10 @@ func (st *Store) Enumerate(s, d int) []Path {
 // sequence (with the shared source switch) identifies a path fully.
 func (st *Store) Contains(s, d int, p Path) bool {
 	first, count := st.PairRange(s, d)
-	h := p.Hops()
-outer:
-	for i := 0; i < count; i++ {
-		id := first + PathID(i)
-		if st.Hops(id) != h {
-			continue
+	for id := first; id < first+PathID(count); id++ {
+		if slices.Equal(st.Ports(id), p.Ports) {
+			return true
 		}
-		ports := st.portsOf(id)
-		for j := 0; j < h; j++ {
-			if ports[j] != p.Ports[j] {
-				continue outer
-			}
-		}
-		return true
 	}
 	return false
 }
@@ -334,47 +304,41 @@ outer:
 // emit the same concrete path under two intermediate switches (both
 // split points of its middle local hop), so one concrete path may
 // hold several PathIDs; removal semantics treat those as one path.
-func (st *Store) EqualIDs(a, b PathID) bool {
-	h := st.Hops(a)
-	if h != st.Hops(b) {
-		return false
-	}
-	pa, pb := st.portsOf(a), st.portsOf(b)
-	for i := 0; i < h; i++ {
-		if pa[i] != pb[i] {
-			return false
-		}
-	}
-	return true
-}
+func (st *Store) EqualIDs(a, b PathID) bool { return slices.Equal(st.Ports(a), st.Ports(b)) }
 
 // Ports returns a compiled path's out-ports, one per hop: a read-only
 // view of the arena. With the source switch they identify the path.
 func (st *Store) Ports(id PathID) []int8 { return st.portsOf(id)[:st.Hops(id)] }
 
-// DropMask marks, by PathID, the paths of st that pol does not
-// admit. Every policy's per-pair order is the full VLB order filtered,
-// so on a store of the full set st.Without(st.DropMask(pol)) is
-// byte-for-byte pol compiled under st's mask — by a walk over stored
-// paths, with no enumeration: through pol's StoredFilter hook when it
-// has one, else by materializing into one scratch Path per row. Rows
-// own disjoint PathID ranges and run over row chunks on the default
-// pool.
+// DropMask marks, by PathID, the paths of st that pol, a word policy
+// or an Explicit over one, does not admit. Every policy's per-pair
+// order is the full VLB order filtered, so on a store of the full set
+// st.Without(st.DropMask(pol)) is byte-for-byte pol compiled under st's
+// mask, with nothing built: a word is read off the stored ports only at
+// a length whose words differ, a key only where it decides. Rows run
+// over row chunks on the default pool.
 func (st *Store) DropMask(pol Policy) []bool {
+	root, ex := unwrap(pol)
+	words, ok := WordsOf(root)
+	if !ok {
+		panic(fmt.Sprintf("paths: DropMask: %s is not stated by port-kind words", root.Name()))
+	}
+	byLen, mixed := words.lengths()
 	drop := make([]bool, st.NumPaths())
-	sf, _ := pol.(StoredFilter)
 	exec.Default().RunRows("paths/drop-mask", st.n, func(s int) {
-		var p Path
-		for d := 0; d < st.n; d++ {
-			first, count := st.PairRange(s, d)
-			for id := first; id < first+PathID(count); id++ {
-				if sf != nil {
-					drop[id] = !sf.AllowsStored(st, s, d, id)
-					continue
-				}
-				st.MaterializeInto(s, id, &p)
-				drop[id] = !pol.Contains(s, d, p)
+		lo, hi := PathID(st.pairStart[s*st.n]), PathID(st.pairStart[(s+1)*st.n])
+		for id := lo; id < hi; id++ {
+			h := st.Hops(id)
+			c := byLen[h]
+			if mixed>>h&1 != 0 {
+				c = words.class(h, globals(st.T, st.Ports(id)))
 			}
+			if c == admitNone || c == admitAll && ex == nil {
+				drop[id] = c == admitNone
+				continue
+			}
+			key := st.KeyOf(s, id)
+			drop[id] = c == admitKeyed && !words.draw.In(key) || ex.removes(key)
 		}
 	})
 	return drop

@@ -224,10 +224,10 @@ func TestTryCompileBudget(t *testing.T) {
 // TestStoredFilterMatchesContains pins the no-materialization
 // membership path on every stored full-VLB path of four instances (one
 // link per group pair, parallel links, the second family): KeyOf must
-// equal the materialized path's Key, AllowsStored and the keyed verdict
-// (allowsKeyed) must agree with Contains under every filter policy, and Strategic — whose
-// Contains tests its one split point in place — must agree with the
-// slice-building legSplits definition.
+// equal the materialized path's Key, the word read off the stored ports
+// the built path's, and DropMask's verdict Contains' under every word
+// policy; and Strategic — whose table lists its 5-letter words — must
+// agree with the slice-building legSplits definition.
 func TestStoredFilterMatchesContains(t *testing.T) {
 	for _, tp := range []*topo.Compiled{
 		topo.MustNew(2, 4, 2, 5), topo.MustNew(2, 4, 2, 9),
@@ -240,6 +240,10 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 			LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 7},
 			Strategic{T: tp, FirstLeg: 2},
 			Strategic{T: tp, FirstLeg: 3},
+		}
+		drops := make([][]bool, len(filters))
+		for i, pol := range filters {
+			drops[i] = base.DropMask(pol)
 		}
 		n := tp.NumSwitches()
 		var p Path
@@ -254,14 +258,13 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 						t.Fatalf("%s pair (%d,%d) path %d: KeyOf %x, materialized Key %x",
 							tp.Label(), s, d, k, got, p.Key())
 					}
-					for _, pol := range filters {
+					if globals(tp, base.Ports(id)) != globals(tp, p.Ports) {
+						t.Fatalf("%s pair (%d,%d) path %d: stored and built words differ", tp.Label(), s, d, k)
+					}
+					for i, pol := range filters {
 						want := pol.Contains(s, d, p)
-						if pol.(StoredFilter).AllowsStored(base, s, d, id) != want {
-							t.Fatalf("%s %s pair (%d,%d) path %d: AllowsStored disagrees with Contains",
-								tp.Label(), pol.Name(), s, d, k)
-						}
-						if kf, ok := pol.(KeyedFilter); ok && allowsKeyed(kf, p.Hops(), p.Key()) != want {
-							t.Fatalf("%s %s pair (%d,%d) path %d: the keyed verdict disagrees with Contains",
+						if drops[i][id] == want {
+							t.Fatalf("%s %s pair (%d,%d) path %d: DropMask disagrees with Contains",
 								tp.Label(), pol.Name(), s, d, k)
 						}
 						st, ok := pol.(Strategic)
@@ -290,9 +293,9 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 // TestDropMaskWorkers pins a candidate derived from the full store —
 // DropMask, then the one Without compaction — byte-identical in pair
 // index, hop array and port arena to the policy's own enumerating
-// compile, at 1, 2 and 8 workers, for every policy shape (Explicit has
-// no stored-filter hook and takes the materializing fallback), pristine
-// and masked, from a full store compiled under the mask and from the
+// compile, at 1, 2 and 8 workers, for every policy shape (an Explicit
+// checks its removals on each admitted path's key), pristine and
+// masked, from a full store compiled under the mask and from the
 // pristine store filtered by it.
 func TestDropMaskWorkers(t *testing.T) {
 	for _, tp := range oracleTopos() {
@@ -372,6 +375,20 @@ func naiveCompile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (pairSta
 	}
 	pairStart[n*n] = int32(len(hops))
 	return pairStart, hops, ports
+}
+
+// hopCap is the longest hop count pol, a word policy or an Explicit
+// over one, admits a path of: the longest paths naiveCompile lists.
+func hopCap(pol Policy) int {
+	root, _ := unwrap(pol)
+	w, ok := WordsOf(root)
+	h := MaxVLBHops
+	for ; ok && h > 0; h-- {
+		if c, uniform := w.length(h); !uniform || c != admitNone {
+			break
+		}
+	}
+	return h
 }
 
 // degradedMask fails one global link, one local link and one switch.
@@ -476,5 +493,28 @@ func TestCompileRefusesPathIDOverflow(t *testing.T) {
 	}
 	if st, _ := compileStore(tp, LengthCapped{T: tp, MaxHops: 3}, nil, total/2); st == nil {
 		t.Error("compileStore refused a policy inside its limit")
+	}
+}
+
+// TestExplicitOverStore: a Walker over an Explicit whose base is a
+// Store, or an Explicit under another, lists the base's stored range
+// less the keys its wrappers remove: the paths it lists over the
+// interpreted base.
+func TestExplicitOverStore(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	capped := LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 7}
+	inner := thinned(tp, capped)
+	outer := NewExplicit(inner)
+	outer.Remove(capped.Enumerate(0, tp.NumSwitches()-1)[0])
+	onStore := NewExplicit(NewExplicit(Compile(tp, capped)))
+	onStore.Base.(*Explicit).Removed = inner.Removed
+	onStore.Removed = outer.Removed
+	wa, wb := NewWalker(tp, outer, nil), NewWalker(tp, onStore, nil)
+	for s := 0; s < tp.NumSwitches(); s++ {
+		for d := 0; d < tp.NumSwitches(); d++ {
+			if a, b := wa.Pair(s, d), wb.Pair(s, d); !slices.EqualFunc(a, b, Path.Equal) {
+				t.Fatalf("pair (%d,%d): the walker over the store lists %d paths, over the policy %d", s, d, len(b), len(a))
+			}
+		}
 	}
 }

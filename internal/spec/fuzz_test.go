@@ -118,6 +118,11 @@ func FuzzLoadSuite(f *testing.F) {
 		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["min"],"rates":[0.1],"packetSize":9,"buffer":8}]}`,
 		`{"experiments":[`, `[]`, `null`, ``,
 		`{"experiments":[{"name":"x","topology":"d3(8,4)","pattern":"ur","routing":["t-ugal-l"],"rates":[0.1],"policy":"capped:3:NaN"}]}`,
+		`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["t-ugal-l"],"rates":[0.1],"policy":"full:3"}]}`,
+		`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["t-ugal-l"],"rates":[0.1],"policy":"all:x"}]}`,
+		`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["t-ugal-l"],"rates":[0.1],"policy":"strategic:2:9"}]}`,
+		`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["t-ugal-l"],"rates":[0.1],"policy":"capped:4:0.5:1"}]}`,
+		`{"experiments":[{"name":"x","topology":"2,4,2,9","pattern":"ur","routing":["t-ugal-l"],"rates":[0.1],"policy":"capped:6:0.5"}]}`,
 	} {
 		f.Add([]byte(js))
 	}

@@ -99,8 +99,15 @@ func d3FromArgs(s string, args []string) (*topo.Compiled, error) {
 //	full | all
 //	strategic[:firstLeg]
 //	capped:<maxHops>[:frac]
+//
+// A field past the form's last is refused, and so is a fraction of the
+// (maxHops+1)-hop paths when maxHops is already the longest VLB path.
 func Policy(t *topo.Compiled, s string, seed uint64) (paths.Policy, error) {
 	parts := strings.Split(s, ":")
+	fields := map[string]int{"full": 1, "all": 1, "": 1, "strategic": 2, "capped": 3}
+	if n, ok := fields[parts[0]]; ok && len(parts) > n {
+		return nil, fmt.Errorf("spec: policy %q: field %d %q is past the last of %s", s, n+1, parts[n], parts[0])
+	}
 	switch parts[0] {
 	case "full", "all", "":
 		return paths.Full{T: t}, nil
@@ -131,6 +138,9 @@ func Policy(t *topo.Compiled, s string, seed uint64) (paths.Policy, error) {
 			frac, err = strconv.ParseFloat(parts[2], 64)
 			if err != nil || !(frac >= 0 && frac <= 1) { // NaN fails both
 				return nil, fmt.Errorf("spec: bad frac %q", parts[2])
+			}
+			if frac > 0 && maxHops == paths.MaxVLBHops {
+				return nil, fmt.Errorf("spec: frac %q of %d-hop paths: no VLB path is longer than %d hops", parts[2], maxHops+1, maxHops)
 			}
 		}
 		return paths.LengthCapped{T: t, MaxHops: maxHops, Frac: frac, Seed: seed}, nil

@@ -36,6 +36,7 @@ func TestPolicySpec(t *testing.T) {
 		"strategic:3":  "strategic-3+2",
 		"capped:4":     "<=4-hop",
 		"capped:4:0.5": "<=4-hop+50%5-hop",
+		"capped:6":     "<=6-hop",
 	}
 	for in, want := range cases {
 		pol, err := Policy(tp, in, 1)
@@ -46,7 +47,8 @@ func TestPolicySpec(t *testing.T) {
 			t.Fatalf("%q -> %q want %q", in, pol.Name(), want)
 		}
 	}
-	for _, bad := range []string{"strategic:5", "strategic:6", "strategic:0", "strategic:x", "capped", "capped:9", "capped:4:2", "capped:4:NaN", "nope"} {
+	for _, bad := range []string{"strategic:5", "strategic:6", "strategic:0", "strategic:x", "capped", "capped:9", "capped:4:2", "capped:4:NaN", "nope",
+		"full:3", "all:x", ":1", "strategic:2:9", "capped:4:0.5:1", "capped:6:0.5"} {
 		if _, err := Policy(tp, bad, 1); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
