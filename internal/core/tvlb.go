@@ -194,13 +194,12 @@ func Step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
 
 // step1StoreMax is the largest full VLB set Step 1 compiles before its
 // walk: 2^14 paths, a store of about 110 KB built in about a
-// millisecond. dfly(2,4,2,5) (15 480 paths) is under it, and there the
-// two walks tie (interpreted ÷ compiled ×0.92–1.01 on 2 vCPUs); the
-// paper's topologies are far over it, where the interpreted walk is
-// faster (×0.44–0.95 on dfly(4,8,4,9) and dfly(4,8,4,17)). The one
-// reason to compile at all is cmd/bench: its quick tier runs step1_g9
-// on dfly(2,4,2,5), and its tests require that workload to report a
-// store compile.
+// millisecond. dfly(2,4,2,5) (15 480 paths) is under it; the paper's
+// topologies are far over it. The walk reads a store through the same
+// MIN legs as the interpreted set, plus a merge with the stored range,
+// so compiling first only adds the compile. The one reason to compile
+// at all is cmd/bench: its quick tier runs step1_g9 on dfly(2,4,2,5),
+// and its tests require that workload to report a store compile.
 const step1StoreMax = 1 << 14
 
 // step1 is Step1 on validated options.

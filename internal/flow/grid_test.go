@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tugal/internal/exec"
 	"tugal/internal/paths"
@@ -298,40 +299,63 @@ func TestAverageModeledGridStoreOrNot(t *testing.T) {
 }
 
 // TestGridLoadsAllocs: a warm walk folds a pattern into scratch and
-// sums it already has. What is left is the MIN enumeration (K paths of two
-// slices each, and their list, per demand), which does not grow with
-// the policies or the VLB paths.
+// sums it already has, MIN legs included, so it allocates nothing, over
+// a compiled store or the interpreted set, pristine or degraded.
 func TestGridLoadsAllocs(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
-	net := NewNetwork(tp)
-	g, err := NewGridWalk(net, paths.Compile(tp, paths.Full{T: tp}), tableOne(tp, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mask := topo.NewFailureMask(tp)
+	degradeSteps(tp, mask)
 	demands := traffic.SwitchDemands(tp, traffic.NewGroupPermutation(tp, 3))
-	g.Fold(demands)
-	perDemand := testing.AllocsPerRun(5, func() { g.Fold(demands) }) / float64(len(demands))
-	if limit := float64(2*tp.K + 2); perDemand > limit {
-		t.Errorf("%.1f allocations a demand on a warm walk, want at most %.0f", perDemand, limit)
+	for _, m := range []*topo.FailureMask{nil, mask} {
+		full := paths.Full{T: tp}
+		for name, base := range map[string]paths.Policy{"store": paths.CompileDegraded(tp, full, m), "interpreted": full} {
+			g, err := NewGridWalk(NewDegradedNetwork(tp, m), base, tableOne(tp, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Fold(demands)
+			if perDemand := testing.AllocsPerRun(5, func() { g.Fold(demands) }) / float64(len(demands)); perDemand != 0 {
+				t.Errorf("%s, degraded=%v: %.2f allocations a demand on a warm walk, want 0", name, m != nil, perDemand)
+			}
+		}
 	}
 }
 
 // BenchmarkGridLoads measures the kernel of a Step-1 probe on g=9: one
-// pattern's 72 demands walked once for the 31 Table-1 policies.
+// pattern's 72 demands walked once for the 31 Table-1 policies, over
+// the compiled full store and over the interpreted full set (the base
+// core.Step1 walks there), with the Fold's decode and derive walls per
+// op:
+//
+//	go test -run '^$' -bench GridLoads ./internal/flow/
 func BenchmarkGridLoads(b *testing.B) {
 	tp := topo.MustNew(4, 8, 4, 9)
 	net := NewNetwork(tp)
-	g, err := NewGridWalk(net, paths.Compile(tp, paths.Full{T: tp}), tableOne(tp, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	full := paths.Full{T: tp}
 	demands := traffic.SwitchDemands(tp, traffic.NewGroupPermutation(tp, 1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Fold(demands)
+	for _, bc := range []struct {
+		name string
+		base paths.Policy
+	}{{"store", paths.Compile(tp, full)}, {"interpreted", full}} {
+		b.Run(bc.name, func(b *testing.B) {
+			g, err := NewGridWalk(net, bc.base, tableOne(tp, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var decode, derive time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Fold(demands)
+				decode += g.Decode
+				derive += g.Derive
+			}
+			ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+			b.ReportMetric(ms(decode), "decode-ms")
+			b.ReportMetric(ms(derive), "derive-ms")
+			b.ReportMetric(float64(len(demands)), "demands")
+		})
 	}
-	b.ReportMetric(float64(len(demands)), "demands")
 }
 
 // TestAverageModeledGridKeepsNothing: the walks (their scratch and the

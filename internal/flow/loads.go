@@ -56,30 +56,40 @@ func (a *edgeAcc) appendRow(arena []EdgeWeight) []EdgeWeight {
 	return arena
 }
 
-// rowEnv is a walk of one path set with the scratch a pair's load row
-// needs. GridWalk takes its MIN rows and its walk from one.
+// rowEnv is the scratch a pair's MIN row needs. GridWalk takes its MIN
+// rows from one.
 type rowEnv struct {
 	net     *Network
-	walk    *paths.Walker
 	acc     *edgeAcc
+	legs    []paths.Leg
 	scratch []Edge
 }
 
-func newRowEnv(net *Network, pol paths.Policy) *rowEnv {
-	return &rowEnv{net: net, walk: paths.NewWalker(net.T, pol, net.Fail), acc: newEdgeAcc(net.NumEdges)}
+func newRowEnv(net *Network) *rowEnv {
+	return &rowEnv{net: net, acc: newEdgeAcc(net.NumEdges)}
 }
 
-// minRow appends the pair's MIN load row to arena. Under a failure
-// mask only surviving MIN paths are enumerated; a pair with none
-// (endpoint or every minimal route dead) yields an empty row — never a
-// division by zero.
+// minRow appends the pair's MIN load row to arena: 1/n added along each
+// of its n MIN legs that survive the mask, as a per-path build over
+// EnumerateMinAlive adds it. A pair with none (endpoint or every
+// minimal route dead) yields an empty row — never a division by zero.
 func (re *rowEnv) minRow(s, d int, arena []EdgeWeight) []EdgeWeight {
-	minPaths := paths.EnumerateMinAlive(re.net.T, re.net.Fail, s, d)
+	re.legs = paths.MinLegs(re.net.T, re.net.Fail, s, d, re.legs[:0])
+	n := 0
+	for i := range re.legs {
+		if re.legs[i].Alive() {
+			n++
+		}
+	}
 	re.acc.reset()
-	if len(minPaths) > 0 {
-		w := 1 / float64(len(minPaths))
-		for _, p := range minPaths {
-			re.scratch = re.net.PathEdges(re.scratch[:0], p)
+	w := 1 / float64(n)
+	for i := range re.legs {
+		if l := &re.legs[i]; l.Alive() {
+			re.scratch = append(re.scratch[:0], re.net.InjectionEdge(s))
+			for h := range l.Hops() {
+				re.scratch = append(re.scratch, re.net.EdgeOf(l.Hop(h)))
+			}
+			re.scratch = append(re.scratch, re.net.EjectionEdge(d))
 			re.acc.add(re.scratch, w)
 		}
 	}

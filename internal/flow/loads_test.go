@@ -48,14 +48,25 @@ func ComputeLoads(net *Network, pol paths.Policy, demands []traffic.Demand) *Dem
 		MinHops: make([]float64, len(demands)),
 		VlbHops: make([]float64, len(demands)),
 	}
-	re := newRowEnv(net, pol)
+	re, walk := newRowEnv(net), paths.NewWalker(net.T, pol, net.Fail)
 	for i, d := range demands {
 		s, t := int(d.Src), int(d.Dst)
 		dl.Min[i] = re.minRow(s, t, nil)
 		dl.MinHops[i] = avgHops(paths.EnumerateMinAlive(net.T, net.Fail, s, t))
-		dl.Vlb[i], dl.VlbHops[i], dl.VlbOK[i] = re.vlbRow(s, t, nil)
+		dl.Vlb[i], dl.VlbHops[i], dl.VlbOK[i] = re.vlbRow(walk, s, t, nil)
 	}
 	return dl
+}
+
+// PathEdges appends the edges traversed by a switch path, including
+// the endpoint injection and ejection edges, to dst and returns it.
+func (n *Network) PathEdges(dst []Edge, p paths.Path) []Edge {
+	dst = append(dst, n.InjectionEdge(p.Src()))
+	for i, pt := range p.Ports {
+		dst = append(dst, n.EdgeOf(int(p.Sw[i]), int(pt)))
+	}
+	dst = append(dst, n.EjectionEdge(p.Dst()))
+	return dst
 }
 
 // avgHops is the hop count of ps averaged with weight 1/len(ps), summed
@@ -72,9 +83,9 @@ func avgHops(ps []paths.Path) float64 {
 // the average hop count and availability. The walk yields a compiled
 // store's own range or an interpreted policy's surviving paths, the
 // same sequence either way, so either form yields the same row.
-func (re *rowEnv) vlbRow(s, d int, arena []EdgeWeight) ([]EdgeWeight, float64, bool) {
+func (re *rowEnv) vlbRow(walk *paths.Walker, s, d int, arena []EdgeWeight) ([]EdgeWeight, float64, bool) {
 	re.acc.reset()
-	vlbPaths := re.walk.Pair(s, d)
+	vlbPaths := walk.Pair(s, d)
 	if len(vlbPaths) > 0 {
 		w := 1 / float64(len(vlbPaths))
 		for _, p := range vlbPaths {

@@ -48,9 +48,9 @@ func idle(t *topo.Compiled) Result { return Result{Alpha: float64(t.P), SplitMin
 // order, so both are bit-identical at any worker count.
 //
 // The pool observer sees, per pattern, its task grid/<base> and inside
-// it loadgrid/<base> (wall spent listing and decoding the pairs),
-// loadmatrix/<base> (wall spent folding them into the policies' sums)
-// and one model/<policy> per solve.
+// it loadgrid/<base> (wall spent reading the pairs from their MIN legs,
+// MIN rows included), loadmatrix/<base> (wall spent folding them into
+// the policies' sums) and one model/<policy> per solve.
 func AverageModeledGrid(t *topo.Compiled, base paths.Policy, pols []paths.Policy, pats []traffic.Deterministic, fail *topo.FailureMask) (means, stderrs []float64, err error) {
 	pool := exec.Default()
 	net := NewDegradedNetwork(t, fail)

@@ -20,10 +20,7 @@
 // oracle that bounds the model from above.
 package flow
 
-import (
-	"tugal/internal/paths"
-	"tugal/internal/topo"
-)
+import "tugal/internal/topo"
 
 // Edge identifies one directed channel of the network.
 type Edge = int32
@@ -40,8 +37,8 @@ type Network struct {
 	Cap []float64
 
 	// Fail, when non-nil, is the failure mask the walk respects: MIN
-	// rows enumerate only surviving paths, interpreted VLB candidate
-	// sets are Alive-filtered, and dead channels carry zero capacity
+	// rows and interpreted VLB sets keep only the MIN legs that survive
+	// it, and dead channels carry zero capacity
 	// (so any load accidentally routed over dead gear collapses alpha
 	// to zero instead of passing silently). A compiled store handed to
 	// the walk must already be degraded under the same mask
@@ -112,15 +109,4 @@ func (n *Network) IsGlobal(e Edge) bool {
 	}
 	port := int(e)%n.portsPerSw + n.T.P
 	return n.T.KindOfPort(port) == topo.Global
-}
-
-// PathEdges appends the edges traversed by a switch path, including
-// the endpoint injection and ejection edges, to dst and returns it.
-func (n *Network) PathEdges(dst []Edge, p paths.Path) []Edge {
-	dst = append(dst, n.InjectionEdge(p.Src()))
-	for i, pt := range p.Ports {
-		dst = append(dst, n.EdgeOf(int(p.Sw[i]), int(pt)))
-	}
-	dst = append(dst, n.EjectionEdge(p.Dst()))
-	return dst
 }

@@ -185,7 +185,7 @@ func appendLeg(t *topo.Compiled, p *Path, s, d int, l topo.GlobalLink) {
 	p.Sw, p.Ports = sw, ports
 }
 
-// minLeg is one MIN path in fixed-size form: n hops, their out-ports
+// Leg is one MIN path in fixed-size form: n hops, their out-ports
 // (zero past n), the switch sequence from the leg's own source, its
 // shape (an index into legShapes), and whether every hop survives the
 // walk's failure mask. A VLB path is two legs joined at an
@@ -196,7 +196,7 @@ func appendLeg(t *topo.Compiled, p *Path, s, d int, l topo.GlobalLink) {
 // the source group or enters the intermediate switch, while a channel
 // of the second starts in the intermediate or destination group and
 // never enters the intermediate switch, the second leg's own source.
-type minLeg struct {
+type Leg struct {
 	n     int8
 	alive bool
 	shape uint8
@@ -206,7 +206,7 @@ type minLeg struct {
 
 // set builds the MIN leg s -> l.From -> l.To -> d under mask (nil:
 // pristine).
-func (m *minLeg) set(t *topo.Compiled, mask *topo.FailureMask, s, d int, l topo.GlobalLink) {
+func (m *Leg) set(t *topo.Compiled, mask *topo.FailureMask, s, d int, l topo.GlobalLink) {
 	u, v := int(l.From), int(l.To)
 	n := 0
 	m.ports = [3]int8{}
@@ -233,12 +233,12 @@ func (m *minLeg) set(t *topo.Compiled, mask *topo.FailureMask, s, d int, l topo.
 
 // setLocal builds the one-hop leg u -> v inside a group under mask;
 // its shape is legShapes[0], l.
-func (m *minLeg) setLocal(t *topo.Compiled, mask *topo.FailureMask, u, v int) {
-	*m = minLeg{n: 1, ports: [3]int8{int8(t.LocalPort(u, v))}, sw: [4]int32{int32(u), int32(v)}}
+func (m *Leg) setLocal(t *topo.Compiled, mask *topo.FailureMask, u, v int) {
+	*m = Leg{n: 1, ports: [3]int8{int8(t.LocalPort(u, v))}, sw: [4]int32{int32(u), int32(v)}}
 	m.alive = m.survives(mask)
 }
 
-func (m *minLeg) survives(mask *topo.FailureMask) bool {
+func (m *Leg) survives(mask *topo.FailureMask) bool {
 	for i := 0; mask != nil && i < int(m.n); i++ {
 		if mask.ChannelDead(int(m.sw[i]), int(m.ports[i])) {
 			return false
@@ -247,19 +247,70 @@ func (m *minLeg) survives(mask *topo.FailureMask) bool {
 	return true
 }
 
+// Hops returns the leg's hop count: 0 for a same-switch MIN path, 1 to
+// 3 otherwise.
+func (m *Leg) Hops() int { return int(m.n) }
+
+// Alive reports whether every hop of the leg survives the mask it was
+// built under.
+func (m *Leg) Alive() bool { return m.alive }
+
+// Hop returns the switch hop i leaves and the out-port it takes.
+func (m *Leg) Hop(i int) (sw, port int) { return int(m.sw[i]), int(m.ports[i]) }
+
+// chain continues a Path.Key chain that has mixed in the leg's source
+// over the rest of the leg: each hop's port, then the switch it
+// reaches. A joined path's key is its second leg's chain continued from
+// its first leg's, which ends by mixing in the intermediate.
+func (m *Leg) chain(h uint64) uint64 {
+	for i := 0; i < int(m.n); i++ {
+		h = rng.Mix(h, uint64(uint8(m.ports[i])))
+		h = rng.Mix(h, uint64(m.sw[i+1]))
+	}
+	return h
+}
+
+// packed is the leg's ports one byte each, hop 0 lowest, as a Store
+// slot packs (Store.packed); zero past its hops.
+func (m *Leg) packed() uint64 {
+	return uint64(uint8(m.ports[0])) | uint64(uint8(m.ports[1]))<<8 | uint64(uint8(m.ports[2]))<<16
+}
+
+// MinLegs appends to dst the MIN paths of pair (s, d) as legs, in
+// EnumerateMin's order, each with its liveness under mask (nil:
+// pristine): one zero-hop leg when s == d, alive with its switch, one
+// local hop inside a group, else one leg a global link between the
+// groups. The live ones are EnumerateMinAlive's paths.
+func MinLegs(t *topo.Compiled, mask *topo.FailureMask, s, d int, dst []Leg) []Leg {
+	switch {
+	case s == d:
+		return append(dst, Leg{sw: [4]int32{int32(s)}, alive: mask == nil || !mask.SwitchDead(s)})
+	case t.SameGroup(s, d):
+		var m Leg
+		m.setLocal(t, mask, s, d)
+		return append(dst, m)
+	}
+	for _, l := range t.LinksBetweenGroups(t.GroupOf(s), t.GroupOf(d)) {
+		var m Leg
+		m.set(t, mask, s, d, l)
+		dst = append(dst, m)
+	}
+	return dst
+}
+
 // newLegTable builds every inter-group MIN leg of t once, with its
 // liveness under mask: the K legs from x to y at [(x*(n-a)+col)*K, +K),
 // col being y's place among the n-a switches outside x's group. Each
 // compile pass builds one before its row tasks start, and they only
 // read it.
-func newLegTable(t *topo.Compiled, mask *topo.FailureMask) []minLeg {
+func newLegTable(t *topo.Compiled, mask *topo.FailureMask) []Leg {
 	n := t.NumSwitches()
-	legs := make([]minLeg, 0, n*(n-t.A)*t.K)
+	legs := make([]Leg, 0, n*(n-t.A)*t.K)
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
 			if gx, gy := t.GroupOf(x), t.GroupOf(y); gx != gy {
 				for _, l := range t.LinksBetweenGroups(gx, gy) {
-					var m minLeg
+					var m Leg
 					m.set(t, mask, x, y, l)
 					legs = append(legs, m)
 				}
@@ -280,19 +331,28 @@ func newLegTable(t *topo.Compiled, mask *topo.FailureMask) []minLeg {
 type vlbVisitor struct {
 	t     *topo.Compiled
 	mask  *topo.FailureMask
-	table []minLeg // newLegTable's; nil on an interpreted walk
+	table []Leg // newLegTable's; nil on an interpreted walk
 	src   int
-	legs1 []minLeg  // interpreted: MIN(src, inter) leg k at [inter*K+k]
-	legs2 []minLeg  // interpreted: MIN(inter, d) of the current pair
-	local [2]minLeg // the two hops of an in-group detour
+	built bool   // interpreted: legs1 holds src's legs
+	legs1 []Leg  // interpreted: MIN(src, inter) leg k at [inter*K+k]
+	legs2 []Leg  // interpreted: MIN(inter, d) of the current pair
+	local [2]Leg // the two hops of an in-group detour
 	sw    [MaxVLBHops + 1]int32
 	ports [MaxVLBHops]int8
+}
+
+// from moves an interpreted walk to source src: the legs out of the old
+// source go, their storage and the mask stay.
+func (v *vlbVisitor) from(src int) {
+	if v.src != src {
+		v.src, v.built = src, false
+	}
 }
 
 // legs returns the K MIN legs from x, in group gx, to y, in group
 // gy != gx: x is the source and y an intermediate, or x an
 // intermediate and y the destination.
-func (v *vlbVisitor) legs(x, gx, y, gy int) []minLeg {
+func (v *vlbVisitor) legs(x, gx, y, gy int) []Leg {
 	t := v.t
 	if v.table != nil {
 		col := y
@@ -308,9 +368,12 @@ func (v *vlbVisitor) legs(x, gx, y, gy int) []minLeg {
 		}
 		return v.legs2
 	}
-	if v.legs1 == nil {
-		v.legs1 = make([]minLeg, t.NumSwitches()*t.K)
-		v.legs2 = make([]minLeg, t.K)
+	if !v.built {
+		if v.legs1 == nil {
+			v.legs1 = make([]Leg, t.NumSwitches()*t.K)
+			v.legs2 = make([]Leg, t.K)
+		}
+		v.built = true
 		for gi := 0; gi < t.G; gi++ {
 			if gi == gx {
 				continue
@@ -329,7 +392,7 @@ func (v *vlbVisitor) legs(x, gx, y, gy int) []minLeg {
 
 // path joins two legs into a Path view over the visitor's scratch,
 // valid until the next call; Clone it to keep it.
-func (v *vlbVisitor) path(a, b *minLeg) Path {
+func (v *vlbVisitor) path(a, b *Leg) Path {
 	n1, h := int(a.n), int(a.n+b.n)
 	copy(v.sw[:4], a.sw[:])
 	copy(v.ports[:3], a.ports[:])
@@ -346,8 +409,8 @@ var legShapes = [...]struct{ n, g uint }{{1, 0}, {1, 1}, {2, 2}, {2, 1}, {3, 2}}
 // policyWalk is the one filtered enumerator: the paths out of one
 // source switch that pol admits and that survive the visitor's mask,
 // in full VLB order. Every word policy's Enumerate, EnumerateVLBMax,
-// EstimatePaths, Walker and both passes of the store compile are this
-// walk. A path's liveness is its two legs', and its admission the
+// EstimatePaths, Walker, LegWalk and both passes of the store compile
+// are this walk. A path's liveness is its two legs', and its admission the
 // policy's table at the word its legs' shapes join into, read once per
 // shape pair when the walk is made. So a path is built only to take
 // its Key: at a keyed word, or under an Explicit, whose removals it
@@ -363,7 +426,7 @@ type policyWalk struct {
 // legs from table, which must have been built under the same mask, or
 // built as the walk goes when table is nil. pol is a word policy or an
 // Explicit over one.
-func newPolicyWalk(t *topo.Compiled, pol Policy, mask *topo.FailureMask, src int, table []minLeg) *policyWalk {
+func newPolicyWalk(t *topo.Compiled, pol Policy, mask *topo.FailureMask, src int, table []Leg) *policyWalk {
 	root, ex := unwrap(pol)
 	words, ok := WordsOf(root)
 	if !ok {
@@ -386,8 +449,16 @@ func newPolicyWalk(t *topo.Compiled, pol Policy, mask *topo.FailureMask, src int
 // group's connector switch whenever both legs attach to it, the common
 // case with one link per group pair. The legs are valid only until
 // yield returns.
-func (w *policyWalk) visit(d int, yield func(a, b *minLeg)) {
-	v := &w.v
+func (w *policyWalk) visit(d int, yield func(a, b *Leg)) {
+	w.v.each(d, func(legs1, legs2 []Leg) { w.join(legs1, legs2, yield) })
+}
+
+// each calls yield with the first and second legs of every intermediate
+// of the pair (src, d), in visit's order: MIN(src, i) and MIN(i, d) for
+// each switch i outside both endpoint groups, or for a same-group pair
+// the local hops into and out of each other switch of the group. The
+// legs are valid only until yield returns.
+func (v *vlbVisitor) each(d int, yield func(legs1, legs2 []Leg)) {
 	t, s := v.t, v.src
 	if s == d {
 		return
@@ -401,7 +472,7 @@ func (w *policyWalk) visit(d int, yield func(a, b *minLeg)) {
 			}
 			v.local[0].setLocal(t, v.mask, s, m)
 			v.local[1].setLocal(t, v.mask, m, d)
-			w.join(v.local[:1], v.local[1:], yield)
+			yield(v.local[:1], v.local[1:])
 		}
 		return
 	}
@@ -411,7 +482,7 @@ func (w *policyWalk) visit(d int, yield func(a, b *minLeg)) {
 		}
 		for si := 0; si < t.A; si++ {
 			inter := t.SwitchID(gi, si)
-			w.join(v.legs(s, gs, inter, gi), v.legs(inter, gi, d, gd), yield)
+			yield(v.legs(s, gs, inter, gi), v.legs(inter, gi, d, gd))
 		}
 	}
 }
@@ -419,7 +490,7 @@ func (w *policyWalk) visit(d int, yield func(a, b *minLeg)) {
 // join hands yield every live pair of a first and a second leg that
 // pol admits: the table's answer for their shapes, and the joined
 // path's key where that decides.
-func (w *policyWalk) join(legs1, legs2 []minLeg, yield func(a, b *minLeg)) {
+func (w *policyWalk) join(legs1, legs2 []Leg, yield func(a, b *Leg)) {
 	for i := range legs1 {
 		a := &legs1[i]
 		if !a.alive {
@@ -437,7 +508,7 @@ func (w *policyWalk) join(legs1, legs2 []minLeg, yield func(a, b *minLeg)) {
 
 // keyed is join's verdict on a path whose key decides: one of a keyed
 // word, or one an Explicit's removals must miss.
-func (w *policyWalk) keyed(c admit, a, b *minLeg) bool {
+func (w *policyWalk) keyed(c admit, a, b *Leg) bool {
 	key := w.v.path(a, b).Key()
 	return (c == admitAll || w.draw.In(key)) && !w.ex.removes(key)
 }
@@ -445,7 +516,7 @@ func (w *policyWalk) keyed(c admit, a, b *minLeg) bool {
 // paths is visit with each admitted path joined into the visitor's
 // scratch, valid only until yield returns.
 func (w *policyWalk) paths(d int, yield func(Path)) {
-	w.visit(d, func(a, b *minLeg) { yield(w.v.path(a, b)) })
+	w.visit(d, func(a, b *Leg) { yield(w.v.path(a, b)) })
 }
 
 // Walker lists a policy's path set pair by pair, for the analyses that
@@ -489,9 +560,7 @@ func (k *Walker) Pair(s, d int) []Path {
 			}
 		}
 	} else {
-		if k.w.v.src != s {
-			k.w.v.src, k.w.v.legs1 = s, nil // the legs out of the old source go; the mask stays
-		}
+		k.w.v.from(s)
 		k.w.paths(d, k.keep)
 	}
 	// Headers last: the appends above may have moved the scratch. Path
@@ -509,6 +578,119 @@ func (k *Walker) keep(p Path) {
 	k.sw = append(k.sw, p.Sw...)
 	k.ports = append(k.ports, p.Ports...)
 	k.hops = append(k.hops, uint8(p.Hops()))
+}
+
+// LegWalk reads a path set one pair at a time as the MIN legs its VLB
+// paths join, for walks that count crossings instead of listing paths:
+// the throughput model's. It builds no Path. Per intermediate it hands
+// out the first and second legs and the set's verdict on each join, and
+// takes a joined path's Key, where a verdict or the caller needs it, by
+// continuing the key chain of the first leg over the second. A word
+// policy's verdict is its table at the two legs' shapes and, at a keyed
+// word, its draw; an Explicit's is its base's less its removals. Over a
+// compiled Store the legs are the full set's under the store's mask,
+// and a join is in when it is the pair's next stored path: every
+// store's pair range is the full VLB order filtered, so one merge finds
+// them, and a range the merge does not use up panics. A dead leg is in
+// no join. Not for concurrent use.
+type LegWalk struct {
+	w        *policyWalk // the base's table and removals; Full's for a store
+	st       *Store      // the compiled base; nil: none
+	keyed    uint8       // the hop counts whose keys the caller reads
+	in       []bool
+	keys     []uint64
+	next     PathID // the merge: the pair's next stored path, and its end
+	end      PathID
+	nextPort uint64 // the next stored path's ports, packed
+}
+
+// NewLegWalk returns a LegWalk over base on t under mask (a compiled
+// base is walked under the mask it was compiled under), handing out the
+// keys of the joins of hop count h in the set where bit h of keyed is
+// set.
+func NewLegWalk(t *topo.Compiled, base Policy, mask *topo.FailureMask, keyed uint8) *LegWalk {
+	root, ex := unwrap(base)
+	lw := &LegWalk{keyed: keyed}
+	if st, ok := root.(*Store); ok {
+		lw.st, mask = st, st.Mask()
+		root = Full{T: t}
+	}
+	lw.w = newPolicyWalk(t, root, mask, -1, nil)
+	lw.w.ex = ex
+	return lw
+}
+
+// Pair calls yield once for each intermediate of pair (s, d), in the
+// set's enumeration order, with its first and second legs. For first[i]
+// joined to second[j], in[i*len(second)+j] reports whether the path is
+// in the set, and when it is and its hop count is one the walk keys,
+// keys[i*len(second)+j] is its Path.Key. All are valid only until yield
+// returns.
+func (lw *LegWalk) Pair(s, d int, yield func(first, second []Leg, in []bool, keys []uint64)) {
+	lw.w.v.from(s)
+	if lw.st != nil {
+		first, count := lw.st.PairRange(s, d)
+		lw.next, lw.end = first, first+PathID(count)
+		lw.advance()
+	}
+	start := rng.Mix(rng.HashSeed, uint64(int32(s)))
+	lw.w.v.each(d, func(first, second []Leg) {
+		lw.judge(start, first, second)
+		yield(first, second, lw.in, lw.keys)
+	})
+	if lw.next != lw.end {
+		panic(fmt.Sprintf("paths: %s: pair (%d, %d) has stored paths the full walk under the store's mask does not reach", lw.st.Name(), s, d))
+	}
+}
+
+// advance loads the packed ports of the merge's next stored path.
+func (lw *LegWalk) advance() {
+	if lw.next < lw.end {
+		lw.nextPort = lw.st.packed(lw.next)
+	}
+}
+
+// judge fills in and keys for one intermediate's joins, start being the
+// key chain through the pair's source.
+func (lw *LegWalk) judge(start uint64, first, second []Leg) {
+	w, n2 := lw.w, len(second)
+	lw.in, lw.keys = resize(lw.in, len(first)*n2), resize(lw.keys, len(first)*n2)
+	for i := range first {
+		a := &first[i]
+		in := lw.in[i*n2 : (i+1)*n2]
+		if !a.alive {
+			clear(in)
+			continue
+		}
+		keys, chain := lw.keys[i*n2:(i+1)*n2], a.chain(start)
+		row := &w.pairs[a.shape]
+		for j := range second {
+			b := &second[j]
+			c, h := row[b.shape], a.n+b.n
+			ok := b.alive && c != admitNone
+			if ok && lw.st != nil {
+				if ok = lw.next < lw.end && a.packed()|b.packed()<<(8*a.n) == lw.nextPort; ok {
+					lw.next++
+					lw.advance()
+				}
+			}
+			if ok && (c == admitKeyed || w.ex != nil || lw.keyed>>h&1 != 0) {
+				key := b.chain(chain)
+				keys[j] = key
+				ok = (c == admitAll || w.draw.In(key)) && !w.ex.removes(key)
+			}
+			in[j] = ok
+		}
+	}
+}
+
+// resize returns xs with length n, reallocated only to grow; the caller
+// overwrites what it reads.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
 }
 
 // EnumerateVLB returns every VLB path from s to d: all loop-free
@@ -531,7 +713,7 @@ func EnumerateVLBMax(t *topo.Compiled, s, d, maxHops int) []Path {
 // count; index i holds the number of i-hop paths.
 func CountVLBByHops(t *topo.Compiled, s, d int) [MaxVLBHops + 1]int {
 	var hist [MaxVLBHops + 1]int
-	newPolicyWalk(t, Full{T: t}, nil, s, nil).visit(d, func(a, b *minLeg) { hist[a.n+b.n]++ })
+	newPolicyWalk(t, Full{T: t}, nil, s, nil).visit(d, func(a, b *Leg) { hist[a.n+b.n]++ })
 	return hist
 }
 
@@ -566,7 +748,7 @@ func SampleMinInto(t *topo.Compiled, r *rng.Source, s, d int, dst *Path) {
 // each side — writing into dst's backing storage. ok=false when the
 // topology offers no intermediate (g<3 for inter-group, a<3 for
 // intra-group). Like the enumerator's, its two legs can never reuse a
-// directed channel (see minLeg), so no join check is needed.
+// directed channel (see Leg), so no join check is needed.
 func sampleVLBOnceInto(t *topo.Compiled, r *rng.Source, s, d int, dst *Path) bool {
 	if s == d {
 		return false

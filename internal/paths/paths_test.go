@@ -2,6 +2,7 @@ package paths
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -484,6 +485,32 @@ func TestCountMinAlive(t *testing.T) {
 				for d := 0; d < tp.NumSwitches(); d++ {
 					if got, want := CountMinAlive(tp, mask, s, d), len(EnumerateMinAlive(tp, mask, s, d)); got != want {
 						t.Fatalf("%s mask %v pair (%d,%d): CountMinAlive = %d, enumeration has %d", tp.Label(), mask, s, d, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMinLegsMatchEnumeration: the live MIN legs of a pair are the
+// paths EnumerateMinAlive lists, in its order, hop for hop, pristine and
+// under a failure mask, same-switch and same-group pairs included.
+func TestMinLegsMatchEnumeration(t *testing.T) {
+	for _, tp := range oracleTopos() {
+		for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
+			var legs []Leg
+			for s := 0; s < tp.NumSwitches(); s++ {
+				for d := 0; d < tp.NumSwitches(); d++ {
+					legs = MinLegs(tp, mask, s, d, legs[:0])
+					var got []Path
+					for i := range legs {
+						if l := &legs[i]; l.Alive() {
+							got = append(got, Path{Sw: l.sw[:l.Hops()+1], Ports: l.ports[:l.Hops()]})
+						}
+					}
+					want := EnumerateMinAlive(tp, mask, s, d)
+					if !slices.EqualFunc(got, want, Path.Equal) {
+						t.Fatalf("%s mask %v pair (%d,%d): live legs %v, enumeration %v", tp.Label(), mask, s, d, got, want)
 					}
 				}
 			}

@@ -423,7 +423,7 @@ func TestWordsMatchOracle(t *testing.T) {
 					for d := 0; d < n; d++ {
 						id, count := full.PairRange(s, d)
 						end := id + PathID(count)
-						fw.visit(d, func(a, b *minLeg) {
+						fw.visit(d, func(a, b *Leg) {
 							full.MaterializeInto(s, id, &p)
 							if !fw.v.path(a, b).Equal(p) {
 								t.Fatalf("pair (%d,%d): the walk and the store disagree at path %d", s, d, id)
@@ -437,7 +437,7 @@ func TestWordsMatchOracle(t *testing.T) {
 									t.Fatalf("%s pair (%d,%d) %v: DropMask admits %v, oracle %v", pol.Name(), s, d, p, got, want)
 								}
 								got := false
-								walks[i].join([]minLeg{*a}, []minLeg{*b}, func(*minLeg, *minLeg) { got = true })
+								walks[i].join([]Leg{*a}, []Leg{*b}, func(*Leg, *Leg) { got = true })
 								if got != want {
 									t.Fatalf("%s pair (%d,%d) %v: the walk admits %v, oracle %v", pol.Name(), s, d, p, got, want)
 								}

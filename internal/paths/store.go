@@ -63,6 +63,17 @@ func (st *Store) portsOf(id PathID) []int8 {
 	return st.ports[int(id)*MaxVLBHops : (int(id)+1)*MaxVLBHops]
 }
 
+// packed is a stored path's ports one byte each, hop 0 lowest; the
+// slot's zero padding packs to zero bytes, as a Leg's does.
+func (st *Store) packed(id PathID) uint64 {
+	p := (*[MaxVLBHops]int8)(st.portsOf(id))
+	var x uint64
+	for i := MaxVLBHops - 1; i >= 0; i-- {
+		x = x<<8 | uint64(uint8(p[i]))
+	}
+	return x
+}
+
 // Mask returns the failure mask the store was compiled under (nil for
 // pristine stores).
 func (st *Store) Mask() *topo.FailureMask { return st.mask }
@@ -111,7 +122,7 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 			}
 			for d := 0; d < n; d++ {
 				first := id
-				w.visit(d, func(a, b *minLeg) {
+				w.visit(d, func(a, b *Leg) {
 					if fill {
 						st.hops[id] = uint8(a.n + b.n)
 						slot := st.ports[id*MaxVLBHops : (id+1)*MaxVLBHops]
@@ -173,7 +184,7 @@ func EstimatePaths(t *topo.Compiled, pol Policy) int64 {
 			continue
 		}
 		cnt := int64(0)
-		w.visit(t.SwitchID(gi, t.A/2), func(*minLeg, *minLeg) { cnt++ })
+		w.visit(t.SwitchID(gi, t.A/2), func(*Leg, *Leg) { cnt++ })
 		if cnt > perPair {
 			perPair = cnt
 		}
