@@ -207,12 +207,13 @@ type pairScratch struct {
 }
 
 // load fills the scratch with the feed's live paths of pair (s, d), in
-// enumeration order, and returns how many there are.
+// enumeration order, and returns how many there are. A store's pair is
+// one read (paths.Store.PairPorts), joined from MIN legs on the
+// pristine full set.
 func (ps *pairScratch) load(net *flow.Network, s, d int) int {
-	var first paths.PathID
 	var count int
 	if ps.st != nil {
-		first, count = ps.st.PairRange(s, d)
+		_, count = ps.st.PairRange(s, d)
 	} else {
 		ps.ps = ps.walk.Pair(s, d)
 		count = len(ps.ps)
@@ -225,32 +226,36 @@ func (ps *pairScratch) load(net *flow.Network, s, d int) int {
 		ps.order, ps.twin, ps.slots = i32[:c], i32[c:2*c], i32[2*c:]
 	}
 	ps.ids, ps.words = ps.ids[:0], ps.words[:0]
-	for k := 0; k < count; k++ {
-		var ports []int8
-		if ps.st != nil {
-			id := first + paths.PathID(k)
-			if ps.drop[id] {
-				continue
+	if ps.st != nil {
+		ps.st.PairPorts(s, d, func(id paths.PathID, ports uint64) {
+			if !ps.drop[id] {
+				ps.ids = append(ps.ids, id)
+				ps.add(net, s, ports)
 			}
-			ports = ps.st.Ports(id)
-			ps.ids = append(ps.ids, id)
-		} else {
-			ports = ps.ps[k].Ports
+		})
+		if len(ps.words) > 0 {
+			ps.groupTwins()
 		}
-		word := uint64(len(ports)) << 48
-		edges := ps.edges[len(ps.words)*paths.MaxVLBHops:]
-		cur := s
-		for h, pt := range ports {
-			edges[h] = net.EdgeOf(cur, int(pt))
-			word |= uint64(uint8(pt)) << (8 * h)
-			cur = net.T.PeerOfPort(cur, int(pt))
+	} else {
+		for _, p := range ps.ps {
+			ps.add(net, s, paths.Packed(p.Ports))
 		}
-		ps.words = append(ps.words, word)
-	}
-	if ps.st != nil && len(ps.words) > 0 {
-		ps.groupTwins()
 	}
 	return len(ps.words)
+}
+
+// add loads the path out of s over packed ports: its word, hop count
+// over the ports, and its edges.
+func (ps *pairScratch) add(net *flow.Network, s int, ports uint64) {
+	word := uint64(paths.PackedHops(ports))<<48 | ports
+	edges := ps.edges[len(ps.words)*paths.MaxVLBHops:]
+	cur := s
+	for h := 0; ports != 0; h, ports = h+1, ports>>8 {
+		pt := int(ports & 0xff)
+		edges[h] = net.EdgeOf(cur, pt)
+		cur = net.T.PeerOfPort(cur, pt)
+	}
+	ps.words = append(ps.words, word)
 }
 
 // groupTwins links the loaded paths into one ring per word, twin, through

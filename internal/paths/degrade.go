@@ -21,23 +21,29 @@ func sameDead(a, b *topo.FailureMask) bool {
 }
 
 // degradedStore is the *Store case of the two functions below: a store
-// already compiled under mask passes through; any other is filtered —
-// a row-parallel MaskWalk mark of the stored paths that cross a dead
-// channel of mask, then the compaction Without does — into a new store
-// that keeps st's name, conventional flag and label. mask must include
+// already compiled under mask passes through; the pristine full set is
+// compiled under mask, the walk of its legs; any other is filtered — a
+// row-parallel MaskWalk mark of the stored paths that cross a dead
+// channel of mask, then the compaction Without does — into a new store.
+// Each keeps st's name, conventional flag and label. mask must include
 // every failure st was compiled under.
 func degradedStore(st *Store, mask *topo.FailureMask) *Store {
 	if mask == nil || sameDead(st.mask, mask) {
 		return st
 	}
 	start := time.Now()
-	w := NewMaskWalk(st.T, mask)
-	drop := make([]bool, st.NumPaths())
-	exec.Default().RunRows("paths/degrade", st.n, func(s int) {
-		lo, hi := st.pairStart[s*st.n], st.pairStart[(s+1)*st.n]
-		w.MarkDead(st, s, PathID(lo), int(hi-lo), drop[lo:hi])
-	})
-	out := st.Without(drop)
+	var out *Store
+	if st.legs != nil {
+		out, _ = compileStore(st.T, Full{T: st.T}, mask, pathIDSpace)
+	} else {
+		w := NewMaskWalk(st.T, mask)
+		drop := make([]bool, st.NumPaths())
+		exec.Default().RunRows("paths/degrade", st.n, func(s int) {
+			lo, hi := int(st.pairStart[s*st.n]), int(st.pairStart[(s+1)*st.n])
+			w.markRange(st.ports, s, lo, hi-lo, drop[lo:hi])
+		})
+		out = st.Without(drop)
+	}
 	out.Label, out.name, out.full, out.mask = st.Label, st.name, st.full, mask
 	out.buildTime = time.Since(start)
 	return out
@@ -45,8 +51,9 @@ func degradedStore(st *Store, mask *topo.FailureMask) *Store {
 
 // Compile materializes pol into an immutable Store: the same path set
 // per pair (in Enumerate order), with O(1) allocation-free sampling.
-// Compilation enumerates every pair — go through Compiled on topologies
-// whose path count may exceed memory.
+// Compilation enumerates every pair, save for Full on the pristine
+// topology, whose store is arithmetic — go through Compiled on
+// topologies whose path count may exceed memory.
 func Compile(t *topo.Compiled, pol Policy) *Store { return CompileDegraded(t, pol, nil) }
 
 // CompileDegraded compiles pol on t with every path crossing a dead
@@ -57,7 +64,7 @@ func CompileDegraded(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Stor
 	if st, ok := pol.(*Store); ok {
 		return degradedStore(st, mask)
 	}
-	st, total := compileStore(t, pol, mask, pathIDSpace)
+	st, total := compile(t, pol, mask)
 	if st == nil {
 		panic(fmt.Sprintf("paths: %s on %s has %d paths, more than the int32 PathID space holds",
 			pol.Name(), t.Label(), total))
@@ -76,7 +83,7 @@ func TryCompileDegraded(t *topo.Compiled, pol Policy, budget int64, mask *topo.F
 	if budget > 0 && EstimatePaths(t, pol) > budget {
 		return nil, false
 	}
-	st, _ := compileStore(t, pol, mask, pathIDSpace)
+	st, _ := compile(t, pol, mask)
 	return st, st != nil
 }
 

@@ -17,6 +17,13 @@
 // hops, whole, by a keyed hash draw, or not at all. The compile's walk
 // reads it once per leg pair, Store.DropMask per stored path, Contains
 // per built path. Explicit is a base set less a removal set.
+//
+// A Store is a compiled set: PathID ranges per pair over a port arena.
+// The pristine full set, the base every other set filters, keeps no
+// arena: every inter-group pair holds (G-2)·A·K² paths and every
+// in-group pair A-2, so a PathID's path is arithmetic over the MIN legs
+// it joins. A point read decodes one PathID; a reader of a whole pair
+// or store joins legs.
 package paths
 
 import (
@@ -270,8 +277,8 @@ func (m *Leg) chain(h uint64) uint64 {
 	return h
 }
 
-// packed is the leg's ports one byte each, hop 0 lowest, as a Store
-// slot packs (Store.packed); zero past its hops.
+// packed is the leg's ports one byte each, hop 0 lowest, as
+// Store.Ports packs them; zero past its hops.
 func (m *Leg) packed() uint64 {
 	return uint64(uint8(m.ports[0])) | uint64(uint8(m.ports[1]))<<8 | uint64(uint8(m.ports[2]))<<16
 }
@@ -513,6 +520,33 @@ func (w *policyWalk) keyed(c admit, a, b *Leg) bool {
 	return (c == admitAll || w.draw.In(key)) && !w.ex.removes(key)
 }
 
+// drops sets drop[k], for the k-th path of the unmasked full set of pair
+// (src, d), to whether pol leaves it out: join's verdict on every leg
+// pair, the key chained from the legs (Leg.chain) where it decides.
+// This is Store.DropMask over the pristine full set.
+func (w *policyWalk) drops(d int, drop []bool) {
+	start, k := rng.Mix(rng.HashSeed, uint64(int32(w.v.src))), 0
+	w.v.each(d, func(legs1, legs2 []Leg) {
+		for i := range legs1 {
+			a := &legs1[i]
+			row, chain, chained := &w.pairs[a.shape], uint64(0), false
+			for j := range legs2 {
+				c := row[legs2[j].shape]
+				out := c == admitNone
+				if !out && (c == admitKeyed || w.ex != nil) {
+					if !chained {
+						chain, chained = a.chain(start), true
+					}
+					key := legs2[j].chain(chain)
+					out = c == admitKeyed && !w.draw.In(key) || w.ex.removes(key)
+				}
+				drop[k] = out
+				k++
+			}
+		}
+	})
+}
+
 // paths is visit with each admitted path joined into the visitor's
 // scratch, valid only until yield returns.
 func (w *policyWalk) paths(d int, yield func(Path)) {
@@ -521,12 +555,12 @@ func (w *policyWalk) paths(d int, yield func(Path)) {
 
 // Walker lists a policy's path set pair by pair, for the analyses that
 // need a pair's paths together (the load rows of the throughput model,
-// the load-balance adjustment): the stored range of a compiled Store,
-// which must already be degraded under the mask in play, or the
-// filtered walk of an interpreted policy under mask. An Explicit reads
-// its base's paths and skips those it removes. Either way the paths
-// come in the policy's Enumerate order, in scratch the Walker reuses
-// from call to call. Not for concurrent use.
+// the load-balance adjustment): the stored range of a compiled Store
+// (Store.PairPorts), which must already be degraded under the mask in
+// play, or the filtered walk of an interpreted policy under mask. An
+// Explicit reads its base's paths and skips those it removes. Either
+// way the paths come in the policy's Enumerate order, in scratch the
+// Walker reuses from call to call. Not for concurrent use.
 type Walker struct {
 	st *Store      // the policy, or the base of an Explicit, when it is compiled
 	ex *Explicit   // the stored range's removals; nil: none
@@ -552,13 +586,12 @@ func NewWalker(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Walker {
 func (k *Walker) Pair(s, d int) []Path {
 	k.sw, k.ports, k.hops, k.out = k.sw[:0], k.ports[:0], k.hops[:0], k.out[:0]
 	if k.st != nil {
-		first, count := k.st.PairRange(s, d)
-		for id := first; id < first+PathID(count); id++ {
-			if k.ex == nil || !k.ex.removes(k.st.KeyOf(s, id)) {
-				k.st.MaterializeInto(s, id, &k.buf)
+		k.st.PairPorts(s, d, func(_ PathID, ports uint64) {
+			k.st.materialize(s, ports, &k.buf)
+			if k.ex == nil || !k.ex.removes(k.buf.Key()) {
 				k.keep(k.buf)
 			}
-		}
+		})
 	} else {
 		k.w.v.from(s)
 		k.w.paths(d, k.keep)
@@ -591,7 +624,8 @@ func (k *Walker) keep(p Path) {
 // compiled Store the legs are the full set's under the store's mask,
 // and a join is in when it is the pair's next stored path: every
 // store's pair range is the full VLB order filtered, so one merge finds
-// them, and a range the merge does not use up panics. A dead leg is in
+// them, and a range the merge does not use up panics; the pristine full
+// store holds every join, so it is walked as Full is. A dead leg is in
 // no join. Not for concurrent use.
 type LegWalk struct {
 	w        *policyWalk // the base's table and removals; Full's for a store
@@ -607,13 +641,16 @@ type LegWalk struct {
 // NewLegWalk returns a LegWalk over base on t under mask (a compiled
 // base is walked under the mask it was compiled under), handing out the
 // keys of the joins of hop count h in the set where bit h of keyed is
-// set.
+// set. The pristine full store is its legs, every join in, so it needs
+// no merge.
 func NewLegWalk(t *topo.Compiled, base Policy, mask *topo.FailureMask, keyed uint8) *LegWalk {
 	root, ex := unwrap(base)
 	lw := &LegWalk{keyed: keyed}
 	if st, ok := root.(*Store); ok {
-		lw.st, mask = st, st.Mask()
-		root = Full{T: t}
+		if st.legs == nil {
+			lw.st = st
+		}
+		mask, root = st.Mask(), Full{T: t}
 	}
 	lw.w = newPolicyWalk(t, root, mask, -1, nil)
 	lw.w.ex = ex
@@ -646,7 +683,7 @@ func (lw *LegWalk) Pair(s, d int, yield func(first, second []Leg, in []bool, key
 // advance loads the packed ports of the merge's next stored path.
 func (lw *LegWalk) advance() {
 	if lw.next < lw.end {
-		lw.nextPort = lw.st.packed(lw.next)
+		lw.nextPort = lw.st.arenaPorts(lw.next)
 	}
 }
 

@@ -483,7 +483,7 @@ func TestWordStructure(t *testing.T) {
 				for d := 0; d < n; d++ {
 					first, count := st.PairRange(s, d)
 					for id := first; id < first+PathID(count); id++ {
-						w := wordString(tp, st.Ports(id))
+						w := wordString(tp, unpack(st.Ports(s, d, id)))
 						seen[w] = true
 						if same := tp.SameGroup(s, d); same && w != "ll" || !same && strings.Count(w, "g") != 2 {
 							t.Fatalf("%s pair (%d,%d) in one group %v: word %s", tp.Label(), s, d, same, w)

@@ -3,7 +3,6 @@ package paths
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"tugal/internal/exec"
@@ -18,24 +17,29 @@ type PathID int32
 
 // DefaultCompileBudget caps, in total paths, how large a policy the
 // analysis layers will compile into a Store before falling back to
-// the interpreted form. ~9.4M paths is ~65 MiB of arena — it covers
-// every simulated topology of the paper (dfly(4,8,4,9) full VLB is
-// ~4.1M paths, dfly(4,8,4,17) ~8.4M; restricted T-VLB sets are far
-// smaller) while refusing the modeled-only dfly(4,8,4,33) (~17M)
-// and the giant dfly(13,26,13,27), whose full set is tens of
-// billions of paths.
+// the interpreted form. The pristine full set holds no arena, but every
+// set cut from it (DropMask and Without, a rebalanced candidate) and
+// every masked compile is an arena of MaxVLBHops+1 bytes a path, so
+// ~9.4M paths is ~65 MiB. The budget covers every simulated topology of
+// the paper (dfly(4,8,4,9) full VLB is ~4.1M paths, dfly(4,8,4,17)
+// ~8.4M; restricted T-VLB sets are far smaller) while refusing the
+// modeled-only dfly(4,8,4,33) (~17M) and the giant dfly(13,26,13,27),
+// whose full set is tens of billions of paths.
 const DefaultCompileBudget int64 = 9 << 20
 
 // pathIDSpace is the largest path count a Store can index: PathID and
 // pairStart are int32.
 const pathIDSpace = math.MaxInt32
 
-// Store is the compiled, immutable form of a Policy on one topology:
-// a flat arena of per-hop out-ports (stride MaxVLBHops, no per-path
-// slices) plus a per-ordered-pair index of contiguous PathID ranges.
-// Switch sequences are not stored — they are re-derived from the
-// source switch and the port sequence when a path is materialized,
-// which keeps the arena at MaxVLBHops+1 bytes per path.
+// Store is the compiled, immutable form of a Policy on one topology: a
+// per-ordered-pair index of contiguous PathID ranges over the pairs'
+// paths. Most stores keep those paths in a flat arena of per-hop
+// out-ports (stride MaxVLBHops, no per-path slices) and their hop
+// counts. The pristine full set keeps none: its paths are arithmetic
+// over its MIN legs (fullSet), so a point read decodes one PathID and a
+// reader of a whole pair joins the pair's legs. Switch sequences are
+// never stored — they are re-derived from the source switch and the
+// port sequence when a path is materialized.
 //
 // A Store is strictly read-only after Compile returns. That is the
 // sharing contract with internal/exec: one Store is built per
@@ -52,26 +56,96 @@ type Store struct {
 	n         int    // switches; the pair index is s*n+d
 	pairStart []int32
 	hops      []uint8
-	ports     []int8 // flat arena, MaxVLBHops entries per path
+	ports     []int8   // flat arena, MaxVLBHops entries per path
+	legs      *fullSet // the pristine full set, in place of the arena
 	buildTime time.Duration
 
 	mask *topo.FailureMask // compiled under (nil: pristine)
 }
 
-// portsOf returns a path's slot in the port arena (stride MaxVLBHops).
-func (st *Store) portsOf(id PathID) []int8 {
-	return st.ports[int(id)*MaxVLBHops : (int(id)+1)*MaxVLBHops]
+// fullStore is the store of Full on pristine t: its pair index and the
+// tables of its arithmetic. The caller has checked fullPaths against
+// the PathID space.
+func fullStore(t *topo.Compiled) *Store {
+	start := time.Now()
+	n := t.NumSwitches()
+	st := &Store{T: t, name: Full{T: t}.Name(), full: true, n: n, legs: newFullSet(t), pairStart: make([]int32, n*n+1)}
+	total := int32(0)
+	for pi := 0; pi < n*n; pi++ {
+		total += int32(st.legs.count(pi/n, pi%n))
+		st.pairStart[pi+1] = total
+	}
+	st.buildTime = time.Since(start)
+	return st
 }
 
-// packed is a stored path's ports one byte each, hop 0 lowest; the
-// slot's zero padding packs to zero bytes, as a Leg's does.
-func (st *Store) packed(id PathID) uint64 {
-	p := (*[MaxVLBHops]int8)(st.portsOf(id))
+// compile is compileStore with the PathID space as its limit, save that
+// Full on the pristine topology is the arithmetic store and walks no
+// path.
+func compile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (*Store, int64) {
+	if _, ok := pol.(Full); ok && mask == nil {
+		total := fullPaths(t)
+		if total > pathIDSpace {
+			return nil, total
+		}
+		return fullStore(t), total
+	}
+	return compileStore(t, pol, mask, pathIDSpace)
+}
+
+// Ports returns the out-ports of path id of pair (s, d), one byte a
+// hop, hop 0 lowest and zero past its hops (PackedHops counts them).
+// With the source switch they identify the path. The pristine full set
+// decodes them from the ID's offset in the pair.
+func (st *Store) Ports(s, d int, id PathID) uint64 {
+	if st.legs != nil {
+		return st.legs.path(s, d, int(id-PathID(st.pairStart[s*st.n+d])))
+	}
+	return st.arenaPorts(id)
+}
+
+// portsOf is Ports for a PathID alone: the pristine full set first
+// finds the ID's pair.
+func (st *Store) portsOf(id PathID) uint64 {
+	if st.legs != nil {
+		return st.legs.path(st.legs.locate(id))
+	}
+	return st.arenaPorts(id)
+}
+
+// arenaPorts packs an arena slot's ports; its zero padding packs to
+// zero bytes, as a Leg's does.
+func (st *Store) arenaPorts(id PathID) uint64 {
+	p := (*[MaxVLBHops]int8)(st.ports[int(id)*MaxVLBHops:])
 	var x uint64
 	for i := MaxVLBHops - 1; i >= 0; i-- {
 		x = x<<8 | uint64(uint8(p[i]))
 	}
 	return x
+}
+
+// setLegs writes the path joining legs a and b into arena slot k. A
+// leg's ports are zero past its hops and each slot is written once, so
+// b's three ports may overwrite a's padding and leave the slot's own.
+func (st *Store) setLegs(k int, a, b *Leg) {
+	st.hops[k] = uint8(a.n + b.n)
+	slot := st.ports[k*MaxVLBHops : (k+1)*MaxVLBHops]
+	*(*[3]int8)(slot) = a.ports
+	*(*[3]int8)(slot[a.n:]) = b.ports
+}
+
+// PairPorts calls fn with each stored path of pair (s, d) in PathID
+// order and its Ports. Over the pristine full set it joins the pair's
+// MIN legs, K into and K out of each intermediate, and decodes no path.
+func (st *Store) PairPorts(s, d int, fn func(id PathID, ports uint64)) {
+	id, count := st.PairRange(s, d)
+	if st.legs == nil {
+		for end := id + PathID(count); id < end; id++ {
+			fn(id, st.arenaPorts(id))
+		}
+		return
+	}
+	st.legs.each(s, d, id, fn)
 }
 
 // Mask returns the failure mask the store was compiled under (nil for
@@ -105,13 +179,11 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 	pool := exec.Default()
 	// pass walks every row: the count pass (fill false) leaves each
 	// pair's admitted count in pairStart, the fill writes each admitted
-	// path into the arena from the row's first PathID on. A leg's ports
-	// are zero past its hops and each slot of the new arena is written
-	// once, so the second leg's three ports may overwrite the first's
-	// padding and leave the slot's own. Each pass builds its own leg
-	// table, so that the count's is garbage when the arenas are
-	// allocated: the collection that allocation starts would otherwise
-	// count it live and raise the next heap goal by twice its size.
+	// path into the arena from the row's first PathID on. Each pass
+	// builds its own leg table, so that the count's is garbage when the
+	// arenas are allocated: the collection that allocation starts would
+	// otherwise count it live and raise the next heap goal by twice its
+	// size.
 	pass := func(label string, fill bool) {
 		legs := newLegTable(t, mask)
 		pool.RunRows(label, n, func(s int) {
@@ -124,10 +196,7 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 				first := id
 				w.visit(d, func(a, b *Leg) {
 					if fill {
-						st.hops[id] = uint8(a.n + b.n)
-						slot := st.ports[id*MaxVLBHops : (id+1)*MaxVLBHops]
-						*(*[3]int8)(slot) = a.ports
-						*(*[3]int8)(slot[a.n:]) = b.ports
+						st.setLegs(id, a, b)
 					}
 					id++
 				})
@@ -210,7 +279,7 @@ func (st *Store) Name() string {
 
 // NumPaths returns the number of compiled paths, the size of the
 // PathID space.
-func (st *Store) NumPaths() int { return len(st.hops) }
+func (st *Store) NumPaths() int { return int(st.pairStart[st.n*st.n]) }
 
 // PairRange returns the pair's first PathID and path count.
 func (st *Store) PairRange(s, d int) (PathID, int) {
@@ -219,7 +288,12 @@ func (st *Store) PairRange(s, d int) (PathID, int) {
 }
 
 // Hops returns a compiled path's hop count.
-func (st *Store) Hops(id PathID) int { return int(st.hops[id]) }
+func (st *Store) Hops(id PathID) int {
+	if st.legs != nil {
+		return PackedHops(st.portsOf(id))
+	}
+	return int(st.hops[id])
+}
 
 // SampleID draws a uniform PathID from the pair's range: the O(1),
 // allocation-free replacement for rejection sampling. ok=false when
@@ -236,16 +310,19 @@ func (st *Store) SampleID(r *rng.Source, s, d int) (PathID, bool) {
 // storage by walking the port sequence from the source switch.
 // src must be the path's source (PathIDs do not store it).
 func (st *Store) MaterializeInto(src int, id PathID, dst *Path) {
+	st.materialize(src, st.portsOf(id), dst)
+}
+
+// materialize builds the path out of src over packed ports into dst.
+func (st *Store) materialize(src int, ports uint64, dst *Path) {
 	dst.Sw = append(dst.Sw[:0], int32(src))
 	dst.Ports = dst.Ports[:0]
-	h := st.Hops(id)
-	ports := st.portsOf(id)
 	cur := src
-	for i := 0; i < h; i++ {
-		pt := ports[i]
+	for ; ports != 0; ports >>= 8 {
+		pt := int8(ports)
 		next, ok := st.T.PeerOfPortOK(cur, int(pt))
 		if !ok {
-			break // corrupt arena entry; stored ports are always wired
+			break // corrupt ports; stored ports are always wired
 		}
 		cur = next
 		dst.Sw = append(dst.Sw, int32(cur))
@@ -258,12 +335,10 @@ func (st *Store) MaterializeInto(src int, id PathID, dst *Path) {
 // sequence without building the path.
 func (st *Store) KeyOf(src int, id PathID) uint64 {
 	h := rng.Mix(rng.HashSeed, uint64(int32(src)))
-	n := st.Hops(id)
-	ports := st.portsOf(id)
 	cur := src
-	for i := 0; i < n; i++ {
-		pt := ports[i]
-		h = rng.Mix(h, uint64(uint8(pt)))
+	for ports := st.portsOf(id); ports != 0; ports >>= 8 {
+		pt := uint8(ports)
+		h = rng.Mix(h, uint64(pt))
 		next, ok := st.T.PeerOfPortOK(cur, int(pt))
 		if !ok {
 			break
@@ -280,34 +355,28 @@ func (st *Store) SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool {
 	if !ok {
 		return false
 	}
-	st.MaterializeInto(s, id, dst)
+	st.materialize(s, st.Ports(s, d, id), dst)
 	return true
 }
 
 // Enumerate implements Policy, materializing the pair's range in
 // compiled (= the source policy's Enumerate) order.
 func (st *Store) Enumerate(s, d int) []Path {
-	first, count := st.PairRange(s, d)
-	if count == 0 {
-		return nil
-	}
-	out := make([]Path, count)
-	for i := range out {
-		st.MaterializeInto(s, first+PathID(i), &out[i])
-	}
+	var out []Path
+	st.PairPorts(s, d, func(_ PathID, ports uint64) {
+		var p Path
+		st.materialize(s, ports, &p)
+		out = append(out, p)
+	})
 	return out
 }
 
 // Contains implements Policy by scanning the pair's range; the port
 // sequence (with the shared source switch) identifies a path fully.
 func (st *Store) Contains(s, d int, p Path) bool {
-	first, count := st.PairRange(s, d)
-	for id := first; id < first+PathID(count); id++ {
-		if slices.Equal(st.Ports(id), p.Ports) {
-			return true
-		}
-	}
-	return false
+	want, in := Packed(p.Ports), false
+	st.PairPorts(s, d, func(_ PathID, ports uint64) { in = in || ports == want })
+	return in
 }
 
 // EqualIDs reports whether two compiled paths of the same source
@@ -315,34 +384,43 @@ func (st *Store) Contains(s, d int, p Path) bool {
 // emit the same concrete path under two intermediate switches (both
 // split points of its middle local hop), so one concrete path may
 // hold several PathIDs; removal semantics treat those as one path.
-func (st *Store) EqualIDs(a, b PathID) bool { return slices.Equal(st.Ports(a), st.Ports(b)) }
-
-// Ports returns a compiled path's out-ports, one per hop: a read-only
-// view of the arena. With the source switch they identify the path.
-func (st *Store) Ports(id PathID) []int8 { return st.portsOf(id)[:st.Hops(id)] }
+func (st *Store) EqualIDs(a, b PathID) bool { return st.portsOf(a) == st.portsOf(b) }
 
 // DropMask marks, by PathID, the paths of st that pol, a word policy
 // or an Explicit over one, does not admit. Every policy's per-pair
 // order is the full VLB order filtered, so on a store of the full set
 // st.Without(st.DropMask(pol)) is byte-for-byte pol compiled under st's
 // mask, with nothing built: a word is read off the stored ports only at
-// a length whose words differ, a key only where it decides. Rows run
-// over row chunks on the default pool.
+// a length whose words differ, a key only where it decides. The
+// pristine full set is read as the compile's walk reads it, its legs
+// from one table and each join's verdict at its legs' shapes, a key
+// chained from the legs. Rows run over row chunks on the default pool.
 func (st *Store) DropMask(pol Policy) []bool {
 	root, ex := unwrap(pol)
 	words, ok := WordsOf(root)
 	if !ok {
 		panic(fmt.Sprintf("paths: DropMask: %s is not stated by port-kind words", root.Name()))
 	}
-	byLen, mixed := words.lengths()
 	drop := make([]bool, st.NumPaths())
+	if st.legs != nil {
+		legs := newLegTable(st.T, nil)
+		exec.Default().RunRows("paths/drop-mask", st.n, func(s int) {
+			w := newPolicyWalk(st.T, pol, nil, s, legs)
+			for d := 0; d < st.n; d++ {
+				first, count := st.PairRange(s, d)
+				w.drops(d, drop[first:int(first)+count])
+			}
+		})
+		return drop
+	}
+	byLen, mixed := words.lengths()
 	exec.Default().RunRows("paths/drop-mask", st.n, func(s int) {
 		lo, hi := PathID(st.pairStart[s*st.n]), PathID(st.pairStart[(s+1)*st.n])
 		for id := lo; id < hi; id++ {
-			h := st.Hops(id)
+			h := int(st.hops[id])
 			c := byLen[h]
 			if mixed>>h&1 != 0 {
-				c = words.class(h, globals(st.T, st.Ports(id)))
+				c = words.class(h, globalsOf(st.T, st.arenaPorts(id)))
 			}
 			if c == admitNone || c == admitAll && ex == nil {
 				drop[id] = c == admitNone
@@ -357,10 +435,11 @@ func (st *Store) DropMask(pol Policy) []bool {
 
 // Without returns a compacted copy excluding the paths whose PathID
 // is marked in removed (indexed by PathID, len NumPaths), as count ->
-// prefix -> exact-size fill. Pair order is preserved. This is how the
-// Step-2 balance adjustment expresses its removal set on a compiled
-// store, and the only copy a candidate cut out of the full store ever
-// gets.
+// prefix -> exact-size fill. Pair order is preserved. The pristine full
+// set is filled as the compile fills, every leg pair joined from one
+// leg table, over row chunks on the default pool. This is how the Step-2 balance
+// adjustment expresses its removal set on a compiled store, and the
+// only copy a candidate cut out of the full store ever gets.
 func (st *Store) Without(removed []bool) *Store {
 	start := time.Now()
 	nn := st.n * st.n
@@ -374,25 +453,50 @@ func (st *Store) Without(removed []bool) *Store {
 		}
 		out.pairStart[pi+1] = int32(live)
 	}
-	out.name = fmt.Sprintf("%s-minus-%d", st.name, len(st.hops)-live)
+	out.name = fmt.Sprintf("%s-minus-%d", st.name, st.NumPaths()-live)
 	out.hops = make([]uint8, live)
 	out.ports = make([]int8, live*MaxVLBHops)
-	k := 0
-	for id, h := range st.hops {
-		if !removed[id] {
-			out.hops[k] = h
-			copy(out.ports[k*MaxVLBHops:], st.portsOf(PathID(id)))
-			k++
+	if st.legs == nil {
+		k := 0
+		for id, h := range st.hops {
+			if !removed[id] {
+				out.hops[k] = h
+				copy(out.ports[k*MaxVLBHops:], st.ports[id*MaxVLBHops:(id+1)*MaxVLBHops])
+				k++
+			}
 		}
+	} else {
+		legs := newLegTable(st.T, nil)
+		exec.Default().RunRows("paths/without", st.n, func(s int) {
+			v := vlbVisitor{t: st.T, table: legs, src: s}
+			id, k := st.pairStart[s*st.n], int(out.pairStart[s*st.n])
+			for d := 0; d < st.n; d++ {
+				v.each(d, func(legs1, legs2 []Leg) {
+					for i := range legs1 {
+						for j := range legs2 {
+							if !removed[id] {
+								out.setLegs(k, &legs1[i], &legs2[j])
+								k++
+							}
+							id++
+						}
+					}
+				})
+			}
+		})
 	}
 	out.buildTime = time.Since(start)
 	return out
 }
 
-// Bytes reports the resident size of the compiled arenas and the
-// per-pair index.
+// Bytes reports the resident size of the store: the arenas, or the
+// pristine full set's two tables, and the per-pair index.
 func (st *Store) Bytes() int64 {
-	return int64(len(st.ports)) + int64(len(st.hops)) + 4*int64(len(st.pairStart))
+	b := int64(len(st.ports)) + int64(len(st.hops)) + 4*int64(len(st.pairStart))
+	if st.legs != nil {
+		b += st.legs.bytes()
+	}
+	return b
 }
 
 // BuildTime reports how long compilation took.
@@ -407,13 +511,18 @@ type StoreStats struct {
 	BuildTime time.Duration
 }
 
-// Stats computes the store's summary statistics.
+// Stats computes the store's summary statistics; the pristine full
+// set's hop histogram is its legs' lengths joined.
 func (st *Store) Stats() StoreStats {
-	s := StoreStats{Paths: len(st.hops), Bytes: st.Bytes(), BuildTime: st.buildTime}
+	s := StoreStats{Paths: st.NumPaths(), Bytes: st.Bytes(), BuildTime: st.buildTime}
 	for pi := 0; pi < st.n*st.n; pi++ {
 		if st.pairStart[pi+1] > st.pairStart[pi] {
 			s.Pairs++
 		}
+	}
+	if st.legs != nil {
+		s.HopHist = st.legs.hopHist()
+		return s
 	}
 	for _, h := range st.hops {
 		s.HopHist[h]++

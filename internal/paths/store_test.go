@@ -258,7 +258,7 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 						t.Fatalf("%s pair (%d,%d) path %d: KeyOf %x, materialized Key %x",
 							tp.Label(), s, d, k, got, p.Key())
 					}
-					if globals(tp, base.Ports(id)) != globals(tp, p.Ports) {
+					if globalsOf(tp, base.Ports(s, d, id)) != globals(tp, p.Ports) {
 						t.Fatalf("%s pair (%d,%d) path %d: stored and built words differ", tp.Label(), s, d, k)
 					}
 					for i, pol := range filters {
@@ -312,8 +312,7 @@ func TestDropMaskWorkers(t *testing.T) {
 						old := exec.SetDefault(exec.NewPool(workers))
 						got := base.Without(base.DropMask(pol))
 						exec.SetDefault(old)
-						if !slices.Equal(got.pairStart, want.pairStart) || !slices.Equal(got.hops, want.hops) ||
-							!slices.Equal(got.ports, want.ports) || got.Mask() != mask {
+						if !sameArena(got, want) || got.Mask() != mask {
 							t.Fatalf("%s %s mask %v, %s base, %d workers: candidate differs from the policy's compile",
 								tp.Label(), pol.Name(), mask, kind, workers)
 						}
@@ -351,6 +350,43 @@ func TestCompileDegradedPassesThrough(t *testing.T) {
 	if got := CompileDegraded(tp, st, grown); got == st || got.NumPaths() >= st.NumPaths() || got.Mask() != grown {
 		t.Fatalf("a grown mask did not derive a smaller store under it (%d of %d paths)", got.NumPaths(), st.NumPaths())
 	}
+}
+
+// arenaOf returns st's hop array and port arena; the pristine full set,
+// which keeps neither, has them read pair by pair (Store.PairPorts).
+func arenaOf(st *Store) ([]uint8, []int8) {
+	if st.legs == nil {
+		return st.hops, st.ports
+	}
+	hops, ports := make([]uint8, st.NumPaths()), make([]int8, st.NumPaths()*MaxVLBHops)
+	for s := 0; s < st.n; s++ {
+		for d := 0; d < st.n; d++ {
+			st.PairPorts(s, d, func(id PathID, x uint64) {
+				hops[id] = uint8(PackedHops(x))
+				for i := range MaxVLBHops {
+					ports[int(id)*MaxVLBHops+i] = int8(x >> (8 * i))
+				}
+			})
+		}
+	}
+	return hops, ports
+}
+
+// sameArena reports whether two stores hold the same pair index, hop
+// array and port arena, arenaOf's for the pristine full set.
+func sameArena(a, b *Store) bool {
+	ah, ap := arenaOf(a)
+	bh, bp := arenaOf(b)
+	return slices.Equal(a.pairStart, b.pairStart) && slices.Equal(ah, bh) && slices.Equal(ap, bp)
+}
+
+// unpack returns packed ports (Store.Ports) as a port sequence.
+func unpack(ports uint64) []int8 {
+	var out []int8
+	for ; ports != 0; ports >>= 8 {
+		out = append(out, int8(ports))
+	}
+	return out
 }
 
 // naiveCompile is the enumerate-then-append store compile the package
@@ -421,10 +457,11 @@ func TestCompileWorkers(t *testing.T) {
 						if !slices.Equal(st.pairStart, pairStart) {
 							t.Fatalf("%d workers: pair index differs from the reference", workers)
 						}
-						if !slices.Equal(st.hops, hops) {
+						stHops, stPorts := arenaOf(st)
+						if !slices.Equal(stHops, hops) {
 							t.Fatalf("%d workers: hop array differs from the reference", workers)
 						}
-						if !slices.Equal(st.ports, ports) {
+						if !slices.Equal(stPorts, ports) {
 							t.Fatalf("%d workers: port arena differs from the reference", workers)
 						}
 						if st.Mask() != mask || st.Name() != pol.Name() {

@@ -53,12 +53,18 @@ func (h *hopTable) step(ports []int8, src, id, last int, c *[4][MaxVLBHops]int32
 
 // MaskWalk tests stored paths and port sequences against one failure
 // mask through the hop table: the store filter and the route table's
-// row filter are both this walk. Read-only once built.
+// row filter are both this walk. An arena's paths are walked hop by
+// hop; the pristine full set's by their MIN legs, a path being dead
+// exactly when one of its two legs is. Read-only once built.
 type MaskWalk struct {
 	h *hopTable
+	t *topo.Compiled
 	// dead holds, for each slot, channel or switch, bit 0 when the mask
 	// kills it and bit 1 when it is a channel of the walk's delta.
 	dead []uint8
+	// legs holds the dead bits of every inter-group MIN leg, at
+	// newLegTable's index.
+	legs []uint8
 }
 
 // NewMaskWalk prepares the walk of t's paths against mask.
@@ -83,6 +89,27 @@ func NewDeltaWalk(t *topo.Compiled, mask *topo.FailureMask, delta []topo.Channel
 			w.dead[sw*nonTerm+pt] |= 2
 		}
 	}
+	n := t.NumSwitches()
+	w.t, w.legs = t, make([]uint8, 0, n*(n-t.A)*t.K)
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			gx, gy := t.GroupOf(x), t.GroupOf(y)
+			if gx == gy {
+				continue
+			}
+			for _, l := range t.LinksBetweenGroups(gx, gy) {
+				u, v := int(l.From), int(l.To)
+				f := w.dead[u*nonTerm+t.GlobalPort(int(l.FromPort))-t.P]
+				if u != x {
+					f |= w.dead[x*nonTerm+t.LocalPort(x, u)-t.P]
+				}
+				if v != y {
+					f |= w.dead[v*nonTerm+t.LocalPort(v, y)-t.P]
+				}
+				w.legs = append(w.legs, f)
+			}
+		}
+	}
 	return w
 }
 
@@ -92,21 +119,32 @@ func (w *MaskWalk) flags(c *[MaxVLBHops]int32) uint8 {
 	return d[c[0]] | d[c[1]] | d[c[2]] | d[c[3]] | d[c[4]] | d[c[5]]
 }
 
-// MarkDead sets dead[k], k < count, to whether path first+k of st, out
-// of src, crosses a channel the mask kills, and returns how many do.
-func (w *MaskWalk) MarkDead(st *Store, src int, first PathID, count int, dead []bool) int {
-	n, _ := w.MarkDelta(st, src, first, count, dead)
+// MarkDead sets dead[k], k below the pair's path count, to whether path
+// k of pair (s, d) of st crosses a channel the mask kills, and returns
+// how many do.
+func (w *MaskWalk) MarkDead(st *Store, s, d int, dead []bool) int {
+	n, _ := w.MarkDelta(st, s, d, dead)
 	return n
 }
 
 // MarkDelta is MarkDead that also reports, from the same walk, whether
-// any of the paths crosses a channel of the walk's delta.
-func (w *MaskWalk) MarkDelta(st *Store, src int, first PathID, count int, dead []bool) (n int, crossed bool) {
+// any of the pair's paths crosses a channel of the walk's delta.
+func (w *MaskWalk) MarkDelta(st *Store, s, d int, dead []bool) (n int, crossed bool) {
+	if st.legs != nil {
+		return w.markLegs(s, d, dead)
+	}
+	first, count := st.PairRange(s, d)
+	return w.markRange(st.ports, s, int(first), count, dead)
+}
+
+// markRange marks paths first..first+count-1 of a port arena out of
+// src, four at a time in lockstep.
+func (w *MaskWalk) markRange(ports []int8, src, first, count int, dead []bool) (n int, crossed bool) {
 	var c [4][MaxVLBHops]int32
 	var hit uint8
-	last := int(first) + count - 1
+	last := first + count - 1
 	for i := 0; i < count; i += 4 {
-		w.h.step(st.ports, src, int(first)+i, last, &c)
+		w.h.step(ports, src, first+i, last, &c)
 		for k := range min(4, count-i) {
 			f := w.flags(&c[k])
 			hit |= f
@@ -118,11 +156,64 @@ func (w *MaskWalk) MarkDelta(st *Store, src int, first PathID, count int, dead [
 	return n, hit&2 != 0
 }
 
-// Alive reports whether the route out of src over ports (at most
-// MaxVLBHops) survives the mask; a zero-hop one lives with its switch.
-func (w *MaskWalk) Alive(src int, ports []int8) bool {
+// markLegs is MarkDelta over the pristine full set: a join's bits are
+// its two legs', from the walk's leg table, and the pair crosses the
+// delta exactly when one of its legs does, each leg being in some join.
+func (w *MaskWalk) markLegs(s, d int, dead []bool) (n int, crossed bool) {
+	t := w.t
+	gs, gd := t.GroupOf(s), t.GroupOf(d)
+	var hit uint8
+	mark := func(i int, x uint8) {
+		hit |= x
+		if dead[i] = x&1 != 0; dead[i] {
+			n++
+		}
+	}
+	if gs == gd {
+		nonTerm := t.A - 1 + t.H
+		for o := range dead {
+			m := t.SwitchID(gs, skip(o, t.SwitchIndexInGroup(s), t.SwitchIndexInGroup(d)))
+			mark(o, w.dead[s*nonTerm+t.LocalPort(s, m)-t.P]|w.dead[m*nonTerm+t.LocalPort(m, d)-t.P])
+		}
+		return n, hit&2 != 0
+	}
+	i := 0
+	for q := 0; q < t.G-2; q++ {
+		gi := skip(q, gs, gd)
+		for ip := 0; ip < t.A; ip++ {
+			inter := t.SwitchID(gi, ip)
+			second := w.legsTo(inter, d)
+			for _, a := range w.legsTo(s, inter) {
+				for _, b := range second {
+					mark(i, a|b)
+					i++
+				}
+			}
+		}
+	}
+	return n, hit&2 != 0
+}
+
+// legsTo returns the dead bits of the K MIN legs from x to y in another
+// group.
+func (w *MaskWalk) legsTo(x, y int) []uint8 {
+	t := w.t
+	col := y
+	if t.GroupOf(y) > t.GroupOf(x) {
+		col -= t.A
+	}
+	i := (x*(t.NumSwitches()-t.A) + col) * t.K
+	return w.legs[i : i+t.K]
+}
+
+// Alive reports whether the route out of src over packed ports (at most
+// MaxVLBHops, see Store.Ports) survives the mask; a zero-hop one lives
+// with its switch.
+func (w *MaskWalk) Alive(src int, ports uint64) bool {
 	var slots [MaxVLBHops]int8
-	copy(slots[:], ports)
+	for i := range slots {
+		slots[i] = int8(ports >> (8 * i))
+	}
 	var c [4][MaxVLBHops]int32
 	w.h.step(slots[:], src, 0, 0, &c)
 	return w.flags(&c[0])&1 == 0

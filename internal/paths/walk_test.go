@@ -17,7 +17,7 @@ func crossesScan(st *Store, src int, id PathID, dead []bool) bool {
 	peer := st.T.PeerDense()
 	nonTerm, p := st.T.A-1+st.T.H, st.T.P
 	cur := src
-	for _, pt := range st.Ports(id) {
+	for _, pt := range unpack(st.portsOf(id)) {
 		ch := cur*nonTerm + int(pt) - p
 		if dead[ch] {
 			return true
@@ -43,16 +43,17 @@ func randomMask(tp *topo.Compiled, r *rng.Source, k int) *topo.FailureMask {
 	return m
 }
 
-// TestLockstepWalkMatchesScan holds the four-path walk to the per-hop
-// scan on both families under random masks: over PathID ranges of
-// length 0 to 9 — random ones, and ones that end at the arena's last
-// path, where a four-path step runs past the end — every lane's
-// channels are its materialized path's followed by its destination's
-// switch slot, MarkDead's verdicts and count are crossesScan's, and
-// Alive on a path's ports (or on none, a zero-hop route) agrees.
+// TestLockstepWalkMatchesScan holds the four-path walk of an arena to
+// the per-hop scan on both families under random masks, on the full
+// set's walk-compiled arena: over PathID ranges of length 0 to 9 —
+// random ones, and ones that end at the arena's last path, where a
+// four-path step runs past the end — every lane's channels are its
+// materialized path's followed by its destination's switch slot,
+// markRange's verdicts and count are crossesScan's, and Alive on a
+// path's ports (or on none, a zero-hop route) agrees.
 func TestLockstepWalkMatchesScan(t *testing.T) {
 	for _, tp := range []*topo.Compiled{topo.MustNew(2, 4, 2, 9), topo.MustNew(2, 4, 4, 3), topo.MustNewD3(12, 4, 2)} {
-		st := Compile(tp, Full{T: tp})
+		st, _ := compileStore(tp, Full{T: tp}, nil, pathIDSpace)
 		n, nonTerm := tp.NumSwitches(), tp.A-1+tp.H
 		for seed := uint64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tp.Label(), seed), func(t *testing.T) {
@@ -60,8 +61,8 @@ func TestLockstepWalkMatchesScan(t *testing.T) {
 				mask := randomMask(tp, r, 1+int(seed)%4)
 				w := NewMaskWalk(tp, mask)
 				for sw := 0; sw < n; sw++ {
-					if w.Alive(sw, nil) == mask.SwitchDead(sw) {
-						t.Fatalf("zero-hop route at switch %d: Alive %v, switch dead %v", sw, w.Alive(sw, nil), mask.SwitchDead(sw))
+					if w.Alive(sw, 0) == mask.SwitchDead(sw) {
+						t.Fatalf("zero-hop route at switch %d: Alive %v, switch dead %v", sw, w.Alive(sw, 0), mask.SwitchDead(sw))
 					}
 				}
 				type span struct{ src, first, count int }
@@ -89,19 +90,19 @@ func TestLockstepWalkMatchesScan(t *testing.T) {
 						dead[k] = k%2 == 0
 					}
 					want := 0
-					got := w.MarkDead(st, sp.src, PathID(sp.first), sp.count, dead)
+					got, _ := w.markRange(st.ports, sp.src, sp.first, sp.count, dead)
 					for k := 0; k < sp.count; k++ {
 						id := PathID(sp.first + k)
 						x := crossesScan(st, sp.src, id, mask.DeadDense())
 						if x {
 							want++
 						}
-						if dead[k] != x || w.Alive(sp.src, st.Ports(id)) == x {
-							t.Fatalf("span %+v path %d: MarkDead %v, Alive %v, scan crosses %v", sp, id, dead[k], w.Alive(sp.src, st.Ports(id)), x)
+						if dead[k] != x || w.Alive(sp.src, st.portsOf(id)) == x {
+							t.Fatalf("span %+v path %d: markRange %v, Alive %v, scan crosses %v", sp, id, dead[k], w.Alive(sp.src, st.portsOf(id)), x)
 						}
 					}
 					if got != want {
-						t.Fatalf("span %+v: MarkDead counted %d dead, scan %d", sp, got, want)
+						t.Fatalf("span %+v: markRange counted %d dead, scan %d", sp, got, want)
 					}
 					for i := 0; i < sp.count; i += 4 {
 						w.h.step(st.ports, sp.src, sp.first+i, sp.first+sp.count-1, &c)
@@ -127,10 +128,11 @@ func TestLockstepWalkMatchesScan(t *testing.T) {
 
 // TestPortSlotsPadTerminal pins the precondition of a branch-free
 // channel walk: port 0 is a terminal port on every instance of the
-// family conformance set (P >= 1), and every store — compiled, compiled
-// under a mask, filtered by one, cut by Without and cut to a policy by
-// DropMask then Without — holds zero in each path's unused port slots,
-// so a short path's padding is a terminal port.
+// family conformance set (P >= 1), and every arena — the full set's walk
+// compile, a compile under a mask, the pristine full set filtered by
+// one, cut by Without and cut to a policy by DropMask then Without, and
+// a cut filtered — holds zero in each path's unused port slots, so a
+// short path's padding is a terminal port.
 func TestPortSlotsPadTerminal(t *testing.T) {
 	relative, err := topo.NewDragonfly(2, 4, 2, 5, topo.Relative)
 	if err != nil {
@@ -151,13 +153,14 @@ func TestPortSlotsPadTerminal(t *testing.T) {
 	}
 	for _, tp := range oracleTopos() {
 		full := Compile(tp, Full{T: tp})
+		walked, _ := compileStore(tp, Full{T: tp}, nil, pathIDSpace)
 		mask := degradedMask(tp)
 		removed := make([]bool, full.NumPaths())
 		for id := range removed {
 			removed[id] = id%3 == 1
 		}
 		for name, st := range map[string]*Store{
-			"compile":         full,
+			"compile":         walked,
 			"masked compile":  CompileDegraded(tp, Strategic{T: tp, FirstLeg: 2}, mask),
 			"store filter":    CompileDegraded(tp, full, mask),
 			"without":         full.Without(removed),
@@ -165,8 +168,11 @@ func TestPortSlotsPadTerminal(t *testing.T) {
 			"filter of a cut": CompileDegraded(tp, full.Without(removed), mask),
 		} {
 			t.Run(fmt.Sprintf("%s/%s", tp.Label(), name), func(t *testing.T) {
+				if st.legs != nil || len(st.hops) != st.NumPaths() {
+					t.Fatalf("the store keeps %d slots for %d paths", len(st.hops), st.NumPaths())
+				}
 				for id, h := range st.hops {
-					for k, pt := range st.portsOf(PathID(id))[h:] {
+					for k, pt := range st.ports[id*MaxVLBHops : (id+1)*MaxVLBHops][h:] {
 						if pt != 0 {
 							t.Fatalf("path %d (%d hops): unused port slot %d holds %d", id, h, int(h)+k, pt)
 						}

@@ -72,7 +72,7 @@ func TestEmitWorkers(t *testing.T) {
 						for d := 0; d < n; d++ {
 							start := int32(len(words))
 							for _, p := range paths.EnumerateMinAlive(tp, mask, s, d) {
-								words = append(words, ref.word(p.Ports))
+								words = append(words, ref.word(paths.Packed(p.Ports)))
 							}
 							first, count := st.PairRange(s, d)
 							rows = append(rows, row{minAt: start, minN: int32(len(words)) - start, vlbAt: int32(first), vlbN: int32(count)})
@@ -234,7 +234,7 @@ func TestTrimmedRowSelect(t *testing.T) {
 					}
 					_, vlb := tb.Row(s, d)
 					for k, id := range merged {
-						if got := tb.vlbID(r, s, d, int32(k)); got != id || vlb[k] != tb.word(tb.st.Ports(got)) {
+						if got := tb.vlbID(r, s, d, int32(k)); got != id || vlb[k] != tb.word(tb.st.Ports(s, d, got)) {
 							t.Fatalf("step %d row (%d,%d): candidate %d selects %d, merge order has %d", i, s, d, k, got, id)
 						}
 					}

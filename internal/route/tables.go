@@ -60,6 +60,17 @@ func WordHop(w uint64, i int) (port, vc int8) {
 	return int8(f & wordPortMask), int8((f >> wordVCShift) & wordVCMask)
 }
 
+// wordPorts returns a route word's ports, packed one byte a hop as
+// paths.Store.Ports packs them.
+func wordPorts(w uint64) uint64 {
+	x := uint64(0)
+	for i := range WordHops(w) {
+		p, _ := WordHop(w, i)
+		x |= uint64(p) << (8 * i)
+	}
+	return x
+}
+
 // AppendRoute decodes a route word into netsim route hops, appending
 // to buf, and finishes with the ejection hop at the destination
 // switch's terminal port ejectPort — exactly the route SourceRoute
@@ -272,12 +283,14 @@ func stampShapes(t *topo.Compiled, cfg Config) *[1 << (paths.MaxVLBHops + 1)]uin
 	return stamps
 }
 
-// word packs a route's ports under its shape's stamp: the one way
+// word packs a route's ports, packed one byte a hop as
+// paths.Store.Ports packs them, under its shape's stamp: the one way
 // every word, MIN or VLB, is built.
-func (tb *Tables) word(ports []int8) uint64 {
+func (tb *Tables) word(ports uint64) uint64 {
 	w, shape := uint64(0), 1
-	for i, p := range ports {
-		w |= uint64(p) << (3 + uint(i)*wordHopBits)
+	for i := 0; ports != 0; i, ports = i+1, ports>>8 {
+		p := ports & 0xff
+		w |= p << (3 + uint(i)*wordHopBits)
 		shape <<= 1
 		if tb.T.KindOfPort(int(p)) == topo.Global {
 			shape |= 1
@@ -287,19 +300,30 @@ func (tb *Tables) word(ports []int8) uint64 {
 }
 
 // Row returns the pair's MIN candidate words, a read-only view of the
-// arena, and its VLB candidate words, built into a new slice.
+// arena, and its VLB candidate words, built into a new slice from the
+// store's pair read (paths.Store.PairPorts).
 func (tb *Tables) Row(s, d int) (min, vlb []uint64) {
 	r := &tb.rows[s*tb.n+d]
 	vlb = make([]uint64, 0, r.vlbN)
-	first, n, dead := tb.vlbSpan(r, s, d)
-	for id := first; id < first+paths.PathID(n); id++ {
+	tb.eachVLB(r, s, d, func(ports uint64) { vlb = append(vlb, tb.word(ports)) })
+	return tb.minWords(r), vlb
+}
+
+// eachVLB calls fn with the ports of each VLB candidate of row r, pair
+// (s, d), in order: the pair's stored paths merged with the row's dead
+// list, or none when the row is empty.
+func (tb *Tables) eachVLB(r *row, s, d int, fn func(ports uint64)) {
+	_, n, dead := tb.vlbSpan(r, s, d)
+	if n == 0 {
+		return // an emptied row keeps no range
+	}
+	tb.st.PairPorts(s, d, func(id paths.PathID, ports uint64) {
 		if len(dead) > 0 && dead[0] == id {
 			dead = dead[1:]
-			continue
+			return
 		}
-		vlb = append(vlb, tb.word(tb.st.Ports(id)))
-	}
-	return tb.minWords(r), vlb
+		fn(ports)
+	})
 }
 
 // EqualRows reports whether two tables serve identical candidate
@@ -354,7 +378,7 @@ func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 		for d := 0; d < n; d++ {
 			at := tb.rows[s*n+d].minAt
 			for i, p := range paths.EnumerateMinAlive(t, tb.mask, s, d) {
-				min[at+int32(i)] = tb.word(p.Ports)
+				min[at+int32(i)] = tb.word(paths.Packed(p.Ports))
 			}
 		}
 	})
@@ -449,20 +473,14 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (
 		pi := int(walk[k])
 		s, was, r := pi/n, &tb.rows[pi], &out.rows[pi]
 		marks := dead[at[k]:at[k+1]]
-		first, count := tb.st.PairRange(s, pi%n)
-		deadN, crossed := w.MarkDelta(tb.st, s, first, count, marks[was.minN:])
+		deadN, crossed := w.MarkDelta(tb.st, s, pi%n, marks[was.minN:])
 		if vlbDirty[k] = crossed; !crossed && !minDirty[pi] {
 			return
 		}
-		r.vlbN = int32(count - deadN)
-		var ports [paths.MaxVLBHops]int8
+		r.vlbN = int32(len(marks) - int(was.minN) - deadN)
 		r.minN = 0
 		for i, wd := range tb.minWords(was) {
-			h := ports[:WordHops(wd)]
-			for j := range h {
-				h[j], _ = WordHop(wd, j)
-			}
-			if marks[i] = !w.Alive(s, h); !marks[i] {
+			if marks[i] = !w.Alive(s, wordPorts(wd)); !marks[i] {
 				r.minN++
 			}
 		}
@@ -611,7 +629,7 @@ func (tb *Tables) Lookup(r *rng.Source, mode Mode, threshold int, srcSw, dstSw i
 	// estimates (qMin = qVlb = 0) reduce the threshold rule to its sign.
 	switch {
 	case vlbOK && (mode == ModeVLB || !minOK || threshold < 0):
-		return decide(tb.word(tb.st.Ports(tb.vlbID(row, srcSw, dstSw, vk))), false)
+		return decide(tb.word(tb.st.Ports(srcSw, dstSw, tb.vlbID(row, srcSw, dstSw, vk))), false)
 	case minOK:
 		return decide(tb.chunks[row.chunk].min[mk], true)
 	}
@@ -651,22 +669,14 @@ func (tb *Tables) FirstHops(s, d int, buf []FirstHop) []FirstHop {
 		}
 	}
 	at = [wordPortMask + 2]int32{}
-	first, n, dead := tb.vlbSpan(r, s, d)
-	for id := first; id < first+paths.PathID(n); id++ {
-		if len(dead) > 0 && dead[0] == id {
-			dead = dead[1:]
-			continue
-		}
-		p := int8(-1)
-		if ports := tb.st.Ports(id); len(ports) > 0 {
-			p = ports[0]
-		}
-		if i := at[int(p)+1]; i > 0 {
-			buf[i-1].Weight++
+	tb.eachVLB(r, s, d, func(ports uint64) {
+		// A VLB path has at least two hops, so its first port is set.
+		if p := int8(ports); at[int(p)+1] > 0 {
+			buf[at[int(p)+1]-1].Weight++
 		} else {
 			buf = tb.newFirstHop(buf, &at, p, false)
 		}
-	}
+	})
 	return buf
 }
 
@@ -675,7 +685,7 @@ func (tb *Tables) newFirstHop(buf []FirstHop, at *[wordPortMask + 2]int32, p int
 	at[int(p)+1] = int32(len(buf)) + 1
 	fh := FirstHop{Port: p, Weight: 1, Min: min}
 	if p >= 0 {
-		_, fh.VC = WordHop(tb.word([]int8{p}), 0)
+		_, fh.VC = WordHop(tb.word(uint64(p)), 0)
 	}
 	return append(buf, fh)
 }

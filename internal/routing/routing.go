@@ -117,11 +117,9 @@ func (u *UGAL) sampleVLB(r *rng.Source, s, d int) bool {
 		u.bound = true
 	}
 	if u.store != nil {
-		id, ok := u.store.SampleID(r, s, d)
-		if !ok {
+		if !u.store.SampleVLBInto(r, s, d, &u.vlbBuf) {
 			return false
 		}
-		u.store.MaterializeInto(s, id, &u.vlbBuf)
 		if u.Fail != nil && !paths.Alive(u.Fail, u.vlbBuf) {
 			// Only possible when the store predates the mask; the
 			// degraded epoch never stores dead paths.
