@@ -218,6 +218,25 @@ func (f *fullSet) each(s, d int, id PathID, fn func(PathID, uint64)) {
 	}
 }
 
+// firstPorts calls fn with the first port of the paths of pair (s, d)
+// and how many paths it starts, in path order save that the A·K paths a
+// leg toward an intermediate group starts come at once.
+func (f *fullSet) firstPorts(s, d int, fn func(port int8, n int)) {
+	t := f.t
+	gs, gd := t.GroupOf(s), t.GroupOf(d)
+	if gs == gd {
+		for o := range f.count(s, d) {
+			fn(int8(f.detour(s, d, o)), 1)
+		}
+		return
+	}
+	for q := 0; q < f.g-2; q++ {
+		for _, h := range f.headsTo(s, skip(q, gs, gd)) {
+			fn(int8(h.ports), f.a*f.k)
+		}
+	}
+}
+
 // hopHist counts the set's paths by hop count, every pair read by its
 // legs.
 func (f *fullSet) hopHist() (hist [MaxVLBHops + 1]int) {

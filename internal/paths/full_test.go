@@ -32,16 +32,17 @@ func pairPorts(st *Store, s, d int) (ids []PathID, ports []uint64) {
 
 // TestFullStoreIsArithmetic holds the pristine full store, which keeps
 // no arena, to the walk compile of the same set (compileStore), its
-// oracle. Every pair's count and every PathID's hops, ports, KeyOf,
-// materialized path and pair read agree, and so do the hop histogram
-// and EqualIDs between neighbours, on one link per group pair, one link
-// between groups (K = 1), parallel links, two D3 instances and — one
-// source row under -short — the paper's g9 machine. On the four smaller
-// ones every bulk reader reads what it reads off the arena: DropMask
-// for the 31 Table-1 points, both strategic sets and two Explicits,
-// Without, the Walker and the LegWalk over the store and over an
-// Explicit on it, and, under random masks with a delta, MarkDead,
-// MarkDelta and the store degraded under the mask.
+// oracle. Every pair's count, pair read and first ports, and every
+// PathID's hops, ports, KeyOf and materialized path agree, and so do
+// the hop histogram and EqualIDs between neighbours, on one link per
+// group pair, one link between groups (K = 1), parallel links, two D3
+// instances and — one source row under -short — the paper's g9
+// machine. On the four smaller ones every bulk reader reads what it
+// reads off the arena: DropMask for the 31 Table-1 points, both
+// strategic sets and two Explicits, Without, the Walker and the LegWalk
+// over the store and over an Explicit on it, and, under random masks
+// with a delta, MarkDead, MarkDelta and the store degraded under the
+// mask.
 func TestFullStoreIsArithmetic(t *testing.T) {
 	topos := []*topo.Compiled{
 		topo.MustNew(2, 4, 2, 5),
@@ -173,9 +174,15 @@ func TestFullStoreIsArithmetic(t *testing.T) {
 	}
 }
 
+// firstPorts lists Store.FirstPorts of a pair, port and count.
+func firstPorts(st *Store, s, d int) (out [][2]int) {
+	st.FirstPorts(s, d, func(p int8, n int) { out = append(out, [2]int{int(p), n}) })
+	return out
+}
+
 // samePoints compares the point reads of source s's paths on the
 // pristine full store got with the walk compile's arena want: the pair
-// read, and per PathID its ports (by pair and by ID alone), hop count,
+// read and its first ports, and per PathID its ports (by pair and by ID alone), hop count,
 // KeyOf, materialized path and EqualIDs with the next path of its pair.
 func samePoints(got, want *Store, s int) error {
 	var p, q Path
@@ -185,6 +192,9 @@ func samePoints(got, want *Store, s int) error {
 		wi, wp := pairPorts(want, s, d)
 		if !slices.Equal(gi, wi) || !slices.Equal(gp, wp) {
 			return fmt.Errorf("pair (%d,%d): the pair read differs from the arena's", s, d)
+		}
+		if a, b := firstPorts(got, s, d), firstPorts(want, s, d); !slices.Equal(a, b) {
+			return fmt.Errorf("pair (%d,%d): first ports %v, arena %v", s, d, a, b)
 		}
 		for k, id := range wi {
 			if x := got.Ports(s, d, id); x != wp[k] || got.portsOf(id) != x {

@@ -305,6 +305,16 @@ func MinLegs(t *topo.Compiled, mask *topo.FailureMask, s, d int, dst []Leg) []Le
 	return dst
 }
 
+// legAt is where the K MIN legs from x, in group gx, to y, in group
+// gy != gx, start in a table of every inter-group leg (newLegTable's).
+func legAt(t *topo.Compiled, x, gx, y, gy int) int {
+	col := y
+	if gy > gx {
+		col -= t.A
+	}
+	return (x*(t.NumSwitches()-t.A) + col) * t.K
+}
+
 // newLegTable builds every inter-group MIN leg of t once, with its
 // liveness under mask: the K legs from x to y at [(x*(n-a)+col)*K, +K),
 // col being y's place among the n-a switches outside x's group. Each
@@ -362,11 +372,7 @@ func (v *vlbVisitor) from(src int) {
 func (v *vlbVisitor) legs(x, gx, y, gy int) []Leg {
 	t := v.t
 	if v.table != nil {
-		col := y
-		if gy > gx {
-			col -= t.A
-		}
-		i := (x*(t.NumSwitches()-t.A) + col) * t.K
+		i := legAt(t, x, gx, y, gy)
 		return v.table[i : i+t.K]
 	}
 	if x != v.src {

@@ -148,6 +148,32 @@ func (st *Store) PairPorts(s, d int, fn func(id PathID, ports uint64)) {
 	st.legs.each(s, d, id, fn)
 }
 
+// FirstPorts calls fn, in order of first appearance, with each port the
+// stored paths of pair (s, d) leave their source by and how many of them
+// do. Over the pristine full set a path's first port is its first leg's,
+// which does not depend on the intermediate's place in its group, so
+// each of the K legs toward a group counts once, for its A·K paths.
+func (st *Store) FirstPorts(s, d int, fn func(port int8, paths int)) {
+	var count [128]int // by port; a port is below the radix
+	var order [128]int8
+	k := 0
+	add := func(p int8, n int) {
+		if count[p] == 0 {
+			order[k] = p
+			k++
+		}
+		count[p] += n
+	}
+	if st.legs != nil {
+		st.legs.firstPorts(s, d, add)
+	} else {
+		st.PairPorts(s, d, func(_ PathID, ports uint64) { add(int8(ports), 1) })
+	}
+	for _, p := range order[:k] {
+		fn(p, count[p])
+	}
+}
+
 // Mask returns the failure mask the store was compiled under (nil for
 // pristine stores).
 func (st *Store) Mask() *topo.FailureMask { return st.mask }

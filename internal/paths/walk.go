@@ -62,8 +62,7 @@ type MaskWalk struct {
 	// dead holds, for each slot, channel or switch, bit 0 when the mask
 	// kills it and bit 1 when it is a channel of the walk's delta.
 	dead []uint8
-	// legs holds the dead bits of every inter-group MIN leg, at
-	// newLegTable's index.
+	// legs holds the dead bits of every inter-group MIN leg (legAt).
 	legs []uint8
 }
 
@@ -198,11 +197,7 @@ func (w *MaskWalk) markLegs(s, d int, dead []bool) (n int, crossed bool) {
 // group.
 func (w *MaskWalk) legsTo(x, y int) []uint8 {
 	t := w.t
-	col := y
-	if t.GroupOf(y) > t.GroupOf(x) {
-		col -= t.A
-	}
-	i := (x*(t.NumSwitches()-t.A) + col) * t.K
+	i := legAt(t, x, t.GroupOf(x), y, t.GroupOf(y))
 	return w.legs[i : i+t.K]
 }
 

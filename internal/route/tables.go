@@ -650,40 +650,43 @@ type FirstHop struct {
 // FirstHops appends the pair's weighted next-hop entries to buf:
 // MIN-class entries first, then VLB-class, each deduplicated by
 // (port, VC) in first-appearance order. No whole word is built: a MIN
-// first port is read from its word, a VLB one from the store (a trimmed
-// row read as one merge of its range with its dead list), and as a
-// first hop's VC depends on its port alone, entries are told apart by
-// port and take their VC from the word of the one-port prefix.
+// first port is read from its word, a VLB one from the store (a whole
+// range by paths.Store.FirstPorts, a trimmed row read as one merge of
+// its range with its dead list), and as a first hop's VC depends on its
+// port alone, entries are told apart by port and take their VC from the
+// word of the one-port prefix.
 func (tb *Tables) FirstHops(s, d int, buf []FirstHop) []FirstHop {
 	r := &tb.rows[s*tb.n+d]
 	var at [wordPortMask + 2]int32 // port+1 -> this class's entry index+1
+	add := func(p int8, n int, min bool) {
+		if i := at[int(p)+1]; i > 0 {
+			buf[i-1].Weight += int32(n)
+		} else {
+			buf = tb.newFirstHop(buf, &at, p, n, min)
+		}
+	}
 	for _, w := range tb.minWords(r) {
 		p := int8(-1)
 		if WordHops(w) > 0 {
 			p, _ = WordHop(w, 0)
 		}
-		if i := at[int(p)+1]; i > 0 {
-			buf[i-1].Weight++
-		} else {
-			buf = tb.newFirstHop(buf, &at, p, true)
-		}
+		add(p, 1, true)
 	}
 	at = [wordPortMask + 2]int32{}
-	tb.eachVLB(r, s, d, func(ports uint64) {
+	vlb := func(p int8, n int) { add(p, n, false) }
+	if _, n, dead := tb.vlbSpan(r, s, d); n > 0 && len(dead) == 0 {
+		tb.st.FirstPorts(s, d, vlb)
+	} else {
 		// A VLB path has at least two hops, so its first port is set.
-		if p := int8(ports); at[int(p)+1] > 0 {
-			buf[at[int(p)+1]-1].Weight++
-		} else {
-			buf = tb.newFirstHop(buf, &at, p, false)
-		}
-	})
+		tb.eachVLB(r, s, d, func(ports uint64) { vlb(int8(ports), 1) })
+	}
 	return buf
 }
 
-// newFirstHop appends the entry of port p, weight 1, to buf.
-func (tb *Tables) newFirstHop(buf []FirstHop, at *[wordPortMask + 2]int32, p int8, min bool) []FirstHop {
+// newFirstHop appends the entry of port p, weight n, to buf.
+func (tb *Tables) newFirstHop(buf []FirstHop, at *[wordPortMask + 2]int32, p int8, n int, min bool) []FirstHop {
 	at[int(p)+1] = int32(len(buf)) + 1
-	fh := FirstHop{Port: p, Weight: 1, Min: min}
+	fh := FirstHop{Port: p, Weight: int32(n), Min: min}
 	if p >= 0 {
 		_, fh.VC = WordHop(tb.word(uint64(p)), 0)
 	}
