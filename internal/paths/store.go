@@ -463,9 +463,10 @@ func (st *Store) DropMask(pol Policy) []bool {
 // is marked in removed (indexed by PathID, len NumPaths), as count ->
 // prefix -> exact-size fill. Pair order is preserved. The pristine full
 // set is filled as the compile fills, every leg pair joined from one
-// leg table, over row chunks on the default pool. This is how the Step-2 balance
-// adjustment expresses its removal set on a compiled store, and the
-// only copy a candidate cut out of the full store ever gets.
+// leg table, over row chunks on the default pool. This is how the
+// Step-2 balance adjustment expresses its removal set on a compiled
+// store, and the only copy a candidate cut out of the full store ever
+// gets.
 func (st *Store) Without(removed []bool) *Store {
 	start := time.Now()
 	nn := st.n * st.n

@@ -73,7 +73,9 @@ func NewMaskWalk(t *topo.Compiled, mask *topo.FailureMask) *MaskWalk {
 
 // NewDeltaWalk is NewMaskWalk that also flags delta, the channels of
 // the last failure, for MarkDelta. Terminal-port channels and switches
-// out of range are skipped: no stored path crosses them.
+// out of range are skipped: no stored path crosses them. It folds each
+// inter-group MIN leg's channels into one byte, which is how the
+// pristine full set is marked.
 func NewDeltaWalk(t *topo.Compiled, mask *topo.FailureMask, delta []topo.Channel) *MaskWalk {
 	w := &MaskWalk{h: newHopTable(t)}
 	w.dead = make([]uint8, w.h.nch+t.NumSwitches())
