@@ -102,8 +102,14 @@ func main() {
 				fmt.Printf("  %d-hop paths:         %d\n", hops, c)
 			}
 		}
-		fmt.Printf("  store size:          %.1f MiB\n", float64(s.Bytes)/(1<<20))
-		fmt.Printf("  compile time:        %v\n", s.BuildTime.Round(time.Millisecond))
+		// The pristine full set's store is arithmetic: tens of KiB built
+		// in well under a millisecond.
+		size, unit, tick := float64(s.Bytes)/(1<<20), "MiB", time.Millisecond
+		if s.Bytes < 1<<20 {
+			size, unit, tick = float64(s.Bytes)/(1<<10), "KiB", time.Microsecond
+		}
+		fmt.Printf("  store size:          %.1f %s\n", size, unit)
+		fmt.Printf("  compile time:        %v\n", s.BuildTime.Round(tick))
 
 		if *tables {
 			tb, err := route.Emit(st, route.Default())
