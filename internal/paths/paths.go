@@ -15,8 +15,8 @@
 // A candidate set is one table over port-kind words (Words): every
 // policy but Explicit admits a VLB path by the l/g sequence of its
 // hops, whole, by a keyed hash draw, or not at all. The compile's walk
-// reads it once per leg pair, Store.DropMask per stored path, Contains
-// per built path. Explicit is a base set less a removal set.
+// and Store.DropMask read it once per leg pair, Contains per built
+// path. Explicit is a base set less a removal set.
 //
 // A Store is a compiled set: PathID ranges per pair over a port arena.
 // The pristine full set, the base every other set filters, keeps no
@@ -526,24 +526,32 @@ func (w *policyWalk) keyed(c admit, a, b *Leg) bool {
 	return (c == admitAll || w.draw.In(key)) && !w.ex.removes(key)
 }
 
-// drops sets drop[k], for the k-th path of the unmasked full set of pair
-// (src, d), to whether pol leaves it out: join's verdict on every leg
-// pair, the key chained from the legs (Leg.chain) where it decides.
-// This is Store.DropMask over the pristine full set.
+// drops sets drop[k], for the k-th live path of the full set of pair
+// (src, d) under the walk's mask, to whether pol leaves it out: join's
+// verdict on every live leg pair, the key chained from the legs
+// (Leg.chain) where it decides. This is Store.DropMask; drop must hold
+// exactly the pair's live paths.
 func (w *policyWalk) drops(d int, drop []bool) {
 	start, k := rng.Mix(rng.HashSeed, uint64(int32(w.v.src))), 0
 	w.v.each(d, func(legs1, legs2 []Leg) {
 		for i := range legs1 {
 			a := &legs1[i]
+			if !a.alive {
+				continue
+			}
 			row, chain, chained := &w.pairs[a.shape], uint64(0), false
 			for j := range legs2 {
-				c := row[legs2[j].shape]
+				b := &legs2[j]
+				if !b.alive {
+					continue
+				}
+				c := row[b.shape]
 				out := c == admitNone
 				if !out && (c == admitKeyed || w.ex != nil) {
 					if !chained {
 						chain, chained = a.chain(start), true
 					}
-					key := legs2[j].chain(chain)
+					key := b.chain(chain)
 					out = c == admitKeyed && !w.draw.In(key) || w.ex.removes(key)
 				}
 				drop[k] = out
@@ -551,6 +559,9 @@ func (w *policyWalk) drops(d int, drop []bool) {
 			}
 		}
 	})
+	if k != len(drop) {
+		panic(fmt.Sprintf("paths: pair (%d, %d) holds %d paths, its live joins are %d", w.v.src, d, len(drop), k))
+	}
 }
 
 // paths is visit with each admitted path joined into the visitor's

@@ -48,17 +48,6 @@ func globals(t *topo.Compiled, ports []int8) uint {
 	return g
 }
 
-// globalsOf is globals over packed ports (Store.Ports).
-func globalsOf(t *topo.Compiled, ports uint64) uint {
-	g := uint(0)
-	for i := 0; ports != 0; i, ports = i+1, ports>>8 {
-		if t.KindOfPort(int(uint8(ports))) == topo.Global {
-			g |= 1 << i
-		}
-	}
-	return g
-}
-
 // every is the mask of all the words of h letters (1<<64 is 0).
 func every(h int) uint64 { return uint64(1)<<(1<<h) - 1 }
 

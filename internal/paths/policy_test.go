@@ -391,8 +391,8 @@ func legEndMask(tp *topo.Compiled) *topo.FailureMask {
 // every VLB path of the legEndTopos, pristine and under legEndMask,
 // for Full, four Table-1 points (two keyed) and both strategic sets, at
 // each place the table is read: Contains on the built path, DropMask
-// from the stored ports of the full store, and the walk's per-leg-pair
-// admission, asked of the legs the full walk joins into that path.
+// over the full store's legs, and the walk's per-leg-pair admission,
+// asked of the legs the full walk joins into that path.
 func TestWordsMatchOracle(t *testing.T) {
 	for _, tp := range legEndTopos() {
 		pols := []Policy{

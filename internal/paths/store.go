@@ -412,48 +412,25 @@ func (st *Store) Contains(s, d int, p Path) bool {
 // hold several PathIDs; removal semantics treat those as one path.
 func (st *Store) EqualIDs(a, b PathID) bool { return st.portsOf(a) == st.portsOf(b) }
 
-// DropMask marks, by PathID, the paths of st that pol, a word policy
-// or an Explicit over one, does not admit. Every policy's per-pair
-// order is the full VLB order filtered, so on a store of the full set
+// DropMask marks, by PathID, the paths of st, a store of the full set,
+// that pol, a word policy or an Explicit over one, does not admit. Every
+// policy's per-pair order is the full VLB order filtered, so
 // st.Without(st.DropMask(pol)) is byte-for-byte pol compiled under st's
-// mask, with nothing built: a word is read off the stored ports only at
-// a length whose words differ, a key only where it decides. The
-// pristine full set is read as the compile's walk reads it, its legs
-// from one table and each join's verdict at its legs' shapes, a key
-// chained from the legs. Rows run over row chunks on the default pool.
+// mask. The store is read as the compile's walk reads it: its legs from
+// one table under its mask, and each live join's verdict at its legs'
+// shapes, a key chained from the legs only where it decides. No path is
+// built. Rows run over row chunks on the default pool.
 func (st *Store) DropMask(pol Policy) []bool {
-	root, ex := unwrap(pol)
-	words, ok := WordsOf(root)
-	if !ok {
-		panic(fmt.Sprintf("paths: DropMask: %s is not stated by port-kind words", root.Name()))
+	if !st.full {
+		panic(fmt.Sprintf("paths: DropMask: %s is not the full VLB set", st.Name()))
 	}
 	drop := make([]bool, st.NumPaths())
-	if st.legs != nil {
-		legs := newLegTable(st.T, nil)
-		exec.Default().RunRows("paths/drop-mask", st.n, func(s int) {
-			w := newPolicyWalk(st.T, pol, nil, s, legs)
-			for d := 0; d < st.n; d++ {
-				first, count := st.PairRange(s, d)
-				w.drops(d, drop[first:int(first)+count])
-			}
-		})
-		return drop
-	}
-	byLen, mixed := words.lengths()
+	legs := newLegTable(st.T, st.mask)
 	exec.Default().RunRows("paths/drop-mask", st.n, func(s int) {
-		lo, hi := PathID(st.pairStart[s*st.n]), PathID(st.pairStart[(s+1)*st.n])
-		for id := lo; id < hi; id++ {
-			h := int(st.hops[id])
-			c := byLen[h]
-			if mixed>>h&1 != 0 {
-				c = words.class(h, globalsOf(st.T, st.arenaPorts(id)))
-			}
-			if c == admitNone || c == admitAll && ex == nil {
-				drop[id] = c == admitNone
-				continue
-			}
-			key := st.KeyOf(s, id)
-			drop[id] = c == admitKeyed && !words.draw.In(key) || ex.removes(key)
+		w := newPolicyWalk(st.T, pol, st.mask, s, legs)
+		for d := 0; d < st.n; d++ {
+			first, count := st.PairRange(s, d)
+			w.drops(d, drop[first:int(first)+count])
 		}
 	})
 	return drop

@@ -258,7 +258,7 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 						t.Fatalf("%s pair (%d,%d) path %d: KeyOf %x, materialized Key %x",
 							tp.Label(), s, d, k, got, p.Key())
 					}
-					if globalsOf(tp, base.Ports(s, d, id)) != globals(tp, p.Ports) {
+					if globals(tp, unpack(base.Ports(s, d, id))) != globals(tp, p.Ports) {
 						t.Fatalf("%s pair (%d,%d) path %d: stored and built words differ", tp.Label(), s, d, k)
 					}
 					for i, pol := range filters {
