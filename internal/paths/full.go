@@ -237,18 +237,6 @@ func (f *fullSet) firstPorts(s, d int, fn func(port int8, n int)) {
 	}
 }
 
-// hopHist counts the set's paths by hop count, every pair read by its
-// legs.
-func (f *fullSet) hopHist() (hist [MaxVLBHops + 1]int) {
-	n := f.t.NumSwitches()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			f.each(s, d, 0, func(_ PathID, ports uint64) { hist[PackedHops(ports)]++ })
-		}
-	}
-	return hist
-}
-
 // PackedHops is the hop count of packed ports (one byte a hop, hop 0
 // lowest, zero past the last): every hop leaves by a non-terminal port,
 // which is never port 0.

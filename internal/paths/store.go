@@ -515,21 +515,15 @@ type StoreStats struct {
 	BuildTime time.Duration
 }
 
-// Stats computes the store's summary statistics; the pristine full
-// set's hop histogram is its legs' lengths joined.
+// Stats computes the store's summary statistics, the hop histogram
+// from each pair's read (PairPorts).
 func (st *Store) Stats() StoreStats {
 	s := StoreStats{Paths: st.NumPaths(), Bytes: st.Bytes(), BuildTime: st.buildTime}
 	for pi := 0; pi < st.n*st.n; pi++ {
 		if st.pairStart[pi+1] > st.pairStart[pi] {
 			s.Pairs++
 		}
-	}
-	if st.legs != nil {
-		s.HopHist = st.legs.hopHist()
-		return s
-	}
-	for _, h := range st.hops {
-		s.HopHist[h]++
+		st.PairPorts(pi/st.n, pi%st.n, func(_ PathID, ports uint64) { s.HopHist[PackedHops(ports)]++ })
 	}
 	return s
 }
