@@ -21,29 +21,25 @@ func sameDead(a, b *topo.FailureMask) bool {
 }
 
 // degradedStore is the *Store case of the two functions below: a store
-// already compiled under mask passes through; the pristine full set is
-// compiled under mask, the walk of its legs; any other is filtered — a
+// already compiled under mask passes through; any other is filtered — a
 // row-parallel MaskWalk mark of the stored paths that cross a dead
-// channel of mask, then the compaction Without does — into a new store.
-// Each keeps st's name, conventional flag and label. mask must include
+// channel of mask, then the compaction Without does — into a new store
+// that keeps st's name, conventional flag and label. mask must include
 // every failure st was compiled under.
 func degradedStore(st *Store, mask *topo.FailureMask) *Store {
 	if mask == nil || sameDead(st.mask, mask) {
 		return st
 	}
 	start := time.Now()
-	var out *Store
-	if st.legs != nil {
-		out, _ = compileStore(st.T, Full{T: st.T}, mask, pathIDSpace)
-	} else {
-		w := NewMaskWalk(st.T, mask)
-		drop := make([]bool, st.NumPaths())
-		exec.Default().RunRows("paths/degrade", st.n, func(s int) {
-			lo, hi := int(st.pairStart[s*st.n]), int(st.pairStart[(s+1)*st.n])
-			w.markRange(st.ports, s, lo, hi-lo, drop[lo:hi])
-		})
-		out = st.Without(drop)
-	}
+	w := NewMaskWalk(st.T, mask)
+	drop := make([]bool, st.NumPaths())
+	exec.Default().RunRows("paths/degrade", st.n, func(s int) {
+		for d := 0; d < st.n; d++ {
+			first, count := st.PairRange(s, d)
+			w.MarkDead(st, s, d, drop[first:int(first)+count])
+		}
+	})
+	out := st.Without(drop)
 	out.Label, out.name, out.full, out.mask = st.Label, st.name, st.full, mask
 	out.buildTime = time.Since(start)
 	return out

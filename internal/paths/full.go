@@ -22,20 +22,18 @@ import (
 // its two-hop detours through the group's other switches, in switch
 // order.
 type fullSet struct {
-	t          *topo.Compiled
-	p, a, g, k int // the topology's P, A, G and K
-	perPair    int // paths of an inter-group pair
-	perRow     int // paths out of one switch
-	split      []split
-	heads      []legHead // [(x*G+gy)*K+i]: out of switch x over link i of x's group to group gy
+	t       *topo.Compiled
+	a, g, k int // the topology's A, G and K
+	perPair int // paths of an inter-group pair
+	perRow  int // paths out of one switch
+	split   []split
+	heads   []legHead // [(x*G+gy)*K+i]: out of switch x over link i of x's group to group gy
 }
 
 // split is one offset of an inter-group pair: the intermediate's group
-// rank and switch, and the first and second legs' links.
-type split struct {
-	gq         uint16
-	si, k1, k2 uint8
-}
+// rank and switch, and the first and second legs' links. The radix is
+// at most topo.MaxRadix, so G, A and K are all below 2^14.
+type split struct{ gq, si, k1, k2 uint16 }
 
 // legHead is a MIN leg up to its global hop: its ports packed (the
 // local hop to the link's switch, when that is not the leg's own, then
@@ -58,11 +56,11 @@ func fullPaths(t *topo.Compiled) int64 {
 // fits the PathID space (fullPaths).
 func newFullSet(t *topo.Compiled) *fullSet {
 	n, a, g, k := t.NumSwitches(), t.A, t.G, t.K
-	f := &fullSet{t: t, p: t.P, a: a, g: g, k: k, perPair: max(g-2, 0) * a * k * k}
+	f := &fullSet{t: t, a: a, g: g, k: k, perPair: max(g-2, 0) * a * k * k}
 	f.perRow = (n-a)*f.perPair + (a-1)*max(a-2, 0)
 	f.split = make([]split, f.perPair)
 	for o := range f.split {
-		f.split[o] = split{gq: uint16(o / (a * k * k)), si: uint8(o / (k * k) % a), k1: uint8(o / k % k), k2: uint8(o % k)}
+		f.split[o] = split{gq: uint16(o / (a * k * k)), si: uint16(o / (k * k) % a), k1: uint16(o / k % k), k2: uint16(o % k)}
 	}
 	f.heads = make([]legHead, n*g*k)
 	for x := 0; x < n; x++ {
@@ -117,18 +115,9 @@ func skip(q, a, b int) int {
 func (f *fullSet) leg(h legHead, y int) uint64 {
 	ports := uint64(h.ports)
 	if land := int(h.land); land != y {
-		ports |= uint64(f.local(land, y)) << (8 * h.n)
+		ports |= uint64(f.t.LocalPortAt(land, y)) << (8 * h.n)
 	}
 	return ports
-}
-
-// local is LocalPort between the switches with places u != v in one
-// group.
-func (f *fullSet) local(u, v int) int {
-	if v > u {
-		v--
-	}
-	return f.p + v
 }
 
 // headsTo returns the K leg heads from switch x toward group gy.
@@ -143,7 +132,7 @@ func (f *fullSet) detour(s, d, o int) uint64 {
 	t := f.t
 	si, di := t.SwitchIndexInGroup(s), t.SwitchIndexInGroup(d)
 	m := skip(o, si, di)
-	return uint64(f.local(si, m)) | uint64(f.local(m, di))<<8
+	return uint64(t.LocalPortAt(si, m)) | uint64(t.LocalPortAt(m, di))<<8
 }
 
 // path returns the packed ports of pair (s, d)'s o-th path.

@@ -216,6 +216,51 @@ func samePoints(got, want *Store, s int) error {
 	return nil
 }
 
+// TestFullStoreWideLinks decodes the pristine full store of a topology
+// with more global links between two groups than a byte counts
+// (dfly(1,16,34,3): K = 272, ~1.8e9 paths, too many for an arena
+// oracle): one inter-group pair's paths, read in bulk and by PathID,
+// are the walk's, and so are every 97th one's path and key.
+func TestFullStoreWideLinks(t *testing.T) {
+	tp := topo.MustNew(1, 16, 34, 3)
+	if tp.K <= 255 {
+		t.Fatalf("K = %d fits a byte", tp.K)
+	}
+	st := Compile(tp, Full{T: tp})
+	s, d := tp.SwitchID(0, 3), tp.SwitchID(2, 11)
+	first, count := st.PairRange(s, d)
+	if count != tp.A*tp.K*tp.K {
+		t.Fatalf("pair holds %d paths, want %d", count, tp.A*tp.K*tp.K)
+	}
+	w := newPolicyWalk(tp, Full{T: tp}, nil, s, nil)
+	want := make([]uint64, 0, count)
+	var p Path
+	w.visit(d, func(a, b *Leg) {
+		id := first + PathID(len(want))
+		x := a.packed() | b.packed()<<(8*a.n)
+		if got := st.Ports(s, d, id); got != x {
+			t.Fatalf("path %d: ports %x, walk %x", id, got, x)
+		}
+		if len(want)%97 == 0 {
+			st.MaterializeInto(s, id, &p)
+			if q := w.v.path(a, b); !p.Equal(q) || st.KeyOf(s, id) != q.Key() {
+				t.Fatalf("path %d: %v, walk %v", id, p, q)
+			}
+		}
+		want = append(want, x)
+	})
+	k := 0
+	st.PairPorts(s, d, func(id PathID, x uint64) {
+		if id != first+PathID(k) || k >= len(want) || x != want[k] {
+			t.Fatalf("pair read %d: path %d ports %x", k, id, x)
+		}
+		k++
+	})
+	if k != count || len(want) != count {
+		t.Fatalf("pair read %d paths, walk %d, store %d", k, len(want), count)
+	}
+}
+
 // BenchmarkMaterializeStore materializes random PathIDs of the full set
 // on dfly(4,8,4,17), the topology cmd/routed serves, from the walk
 // compile's arena and from the pristine full store's arithmetic: the

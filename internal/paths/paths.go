@@ -423,11 +423,11 @@ var legShapes = [...]struct{ n, g uint }{{1, 0}, {1, 1}, {2, 2}, {2, 1}, {3, 2}}
 // source switch that pol admits and that survive the visitor's mask,
 // in full VLB order. Every word policy's Enumerate, EnumerateVLBMax,
 // EstimatePaths, Walker, LegWalk and both passes of the store compile
-// are this walk. A path's liveness is its two legs', and its admission the
-// policy's table at the word its legs' shapes join into, read once per
-// shape pair when the walk is made. So a path is built only to take
-// its Key: at a keyed word, or under an Explicit, whose removals it
-// must miss.
+// are this walk, and so is Store.DropMask. A path's liveness is its two
+// legs', and its admission the policy's table at the word its legs'
+// shapes join into, read once per shape pair when the walk is made, and
+// where that decides (a keyed word, or an Explicit, whose removals it
+// must miss) its Key, chained from the legs. No path is built.
 type policyWalk struct {
 	v     vlbVisitor
 	pairs [len(legShapes)][len(legShapes)]admit // by first and second leg shape
@@ -463,7 +463,11 @@ func newPolicyWalk(t *topo.Compiled, pol Policy, mask *topo.FailureMask, src int
 // case with one link per group pair. The legs are valid only until
 // yield returns.
 func (w *policyWalk) visit(d int, yield func(a, b *Leg)) {
-	w.v.each(d, func(legs1, legs2 []Leg) { w.join(legs1, legs2, yield) })
+	w.judge(d, func(a, b *Leg, in bool) {
+		if in {
+			yield(a, b)
+		}
+	})
 }
 
 // each calls yield with the first and second legs of every intermediate
@@ -500,39 +504,14 @@ func (v *vlbVisitor) each(d int, yield func(legs1, legs2 []Leg)) {
 	}
 }
 
-// join hands yield every live pair of a first and a second leg that
-// pol admits: the table's answer for their shapes, and the joined
-// path's key where that decides.
-func (w *policyWalk) join(legs1, legs2 []Leg, yield func(a, b *Leg)) {
-	for i := range legs1 {
-		a := &legs1[i]
-		if !a.alive {
-			continue
-		}
-		row := &w.pairs[a.shape]
-		for j := range legs2 {
-			b := &legs2[j]
-			if c := row[b.shape]; b.alive && (c == admitAll && w.ex == nil || c != admitNone && w.keyed(c, a, b)) {
-				yield(a, b)
-			}
-		}
-	}
-}
-
-// keyed is join's verdict on a path whose key decides: one of a keyed
-// word, or one an Explicit's removals must miss.
-func (w *policyWalk) keyed(c admit, a, b *Leg) bool {
-	key := w.v.path(a, b).Key()
-	return (c == admitAll || w.draw.In(key)) && !w.ex.removes(key)
-}
-
-// drops sets drop[k], for the k-th live path of the full set of pair
-// (src, d) under the walk's mask, to whether pol leaves it out: join's
-// verdict on every live leg pair, the key chained from the legs
-// (Leg.chain) where it decides. This is Store.DropMask; drop must hold
-// exactly the pair's live paths.
-func (w *policyWalk) drops(d int, drop []bool) {
-	start, k := rng.Mix(rng.HashSeed, uint64(int32(w.v.src))), 0
+// judge calls yield with the two legs of every live path to d, in
+// visit's order, and pol's verdict on it: the table's answer for the
+// legs' shapes and, where that decides, the joined path's key, chained
+// from the legs (Leg.chain) — one of a keyed word, or one an
+// Explicit's removals must miss. The legs are valid only until yield
+// returns.
+func (w *policyWalk) judge(d int, yield func(a, b *Leg, in bool)) {
+	start := rng.Mix(rng.HashSeed, uint64(int32(w.v.src)))
 	w.v.each(d, func(legs1, legs2 []Leg) {
 		for i := range legs1 {
 			a := &legs1[i]
@@ -546,18 +525,29 @@ func (w *policyWalk) drops(d int, drop []bool) {
 					continue
 				}
 				c := row[b.shape]
-				out := c == admitNone
-				if !out && (c == admitKeyed || w.ex != nil) {
+				in := c != admitNone
+				if in && (c == admitKeyed || w.ex != nil) {
 					if !chained {
 						chain, chained = a.chain(start), true
 					}
 					key := b.chain(chain)
-					out = c == admitKeyed && !w.draw.In(key) || w.ex.removes(key)
+					in = (c == admitAll || w.draw.In(key)) && !w.ex.removes(key)
 				}
-				drop[k] = out
-				k++
+				yield(a, b, in)
 			}
 		}
+	})
+}
+
+// drops sets drop[k], for the k-th live path of the full set of pair
+// (src, d) under the walk's mask, to whether pol leaves it out: judge's
+// verdict. This is Store.DropMask; drop must hold exactly the pair's
+// live paths.
+func (w *policyWalk) drops(d int, drop []bool) {
+	k := 0
+	w.judge(d, func(_, _ *Leg, in bool) {
+		drop[k] = !in
+		k++
 	})
 	if k != len(drop) {
 		panic(fmt.Sprintf("paths: pair (%d, %d) holds %d paths, its live joins are %d", w.v.src, d, len(drop), k))

@@ -74,10 +74,10 @@ func NewMaskWalk(t *topo.Compiled, mask *topo.FailureMask) *MaskWalk {
 // NewDeltaWalk is NewMaskWalk that also flags delta, the channels of
 // the last failure, for MarkDelta. Terminal-port channels and switches
 // out of range are skipped: no stored path crosses them. It folds each
-// inter-group MIN leg's channels into one byte, which is how the
-// pristine full set is marked.
+// inter-group MIN leg's channels (newLegTable's legs) into one byte,
+// which is how the pristine full set is marked.
 func NewDeltaWalk(t *topo.Compiled, mask *topo.FailureMask, delta []topo.Channel) *MaskWalk {
-	w := &MaskWalk{h: newHopTable(t)}
+	w := &MaskWalk{h: newHopTable(t), t: t}
 	w.dead = make([]uint8, w.h.nch+t.NumSwitches())
 	for i := range w.dead {
 		if i < w.h.nch && mask.DeadDense()[i] || i >= w.h.nch && mask.SwitchDead(i-w.h.nch) {
@@ -90,25 +90,12 @@ func NewDeltaWalk(t *topo.Compiled, mask *topo.FailureMask, delta []topo.Channel
 			w.dead[sw*nonTerm+pt] |= 2
 		}
 	}
-	n := t.NumSwitches()
-	w.t, w.legs = t, make([]uint8, 0, n*(n-t.A)*t.K)
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			gx, gy := t.GroupOf(x), t.GroupOf(y)
-			if gx == gy {
-				continue
-			}
-			for _, l := range t.LinksBetweenGroups(gx, gy) {
-				u, v := int(l.From), int(l.To)
-				f := w.dead[u*nonTerm+t.GlobalPort(int(l.FromPort))-t.P]
-				if u != x {
-					f |= w.dead[x*nonTerm+t.LocalPort(x, u)-t.P]
-				}
-				if v != y {
-					f |= w.dead[v*nonTerm+t.LocalPort(v, y)-t.P]
-				}
-				w.legs = append(w.legs, f)
-			}
+	legs := newLegTable(t, nil)
+	w.legs = make([]uint8, len(legs))
+	for i := range legs {
+		for j := range legs[i].Hops() {
+			sw, pt := legs[i].Hop(j)
+			w.legs[i] |= w.dead[sw*nonTerm+pt-t.P]
 		}
 	}
 	return w

@@ -296,6 +296,14 @@ func (c *Compiled) LocalPort(u, v int) int {
 	if c.swGroup[u] != c.swGroup[v] || su == sv {
 		panic(fmt.Sprintf("topo: LocalPort(%d,%d) not distinct same-group switches", u, v))
 	}
+	return c.LocalPortAt(su, sv)
+}
+
+// LocalPortAt is LocalPort by place in the group: the port on the
+// switch with index su toward the one with index sv != su. Local ports
+// follow the terminals, one per other switch of the group in index
+// order.
+func (c *Compiled) LocalPortAt(su, sv int) int {
 	if sv > su {
 		sv--
 	}
@@ -314,10 +322,7 @@ func (c *Compiled) LocalPortOK(u, v int) (port int, ok bool) {
 	if c.swGroup[u] != c.swGroup[v] || su == sv {
 		return 0, false
 	}
-	if sv > su {
-		sv--
-	}
-	return c.P + sv, true
+	return c.LocalPortAt(su, sv), true
 }
 
 // KindOfPort classifies port number pt of any switch.
