@@ -2,7 +2,7 @@
 // the quantities of the paper's Table 2 — plus path-diversity
 // statistics for a sample switch pair, and, with -policies,
 // whole-topology candidate-set statistics per policy from the
-// compiled path store (pairs, paths, hop histogram, arena size).
+// compiled path store (pairs, paths, hop histogram, store size).
 //
 // Usage:
 //

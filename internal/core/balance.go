@@ -86,8 +86,8 @@ func analyzePairs(t *topo.Compiled, opt LBOptions) [][2]int32 {
 //
 // There is one adjustment (adjust) with two feeds. When the policy
 // compiles within the store budget, a pair's paths are read out of the
-// store's arena, removal is a []bool indexed by PathID and the result
-// is a compacted Store ready for allocation-free sampling. Otherwise
+// store, removal is a bit per PathID (paths.IDSet) and the result is a
+// Store of the kept offsets, ready for allocation-free sampling. Otherwise
 // (modeled-only giant topologies) they come from a filtered walk of
 // the interpreted policy and the result is an Explicit wrapper with a
 // hash-keyed removal set. Both feeds hand the adjustment the same paths
@@ -192,7 +192,7 @@ func hotLinks(globalUse []float64, tol float64) ([]bool, int) {
 // path's key to ex's removal set.
 type pairScratch struct {
 	st    *paths.Store
-	drop  []bool
+	drop  paths.IDSet
 	ids   []paths.PathID
 	twin  []int32
 	slots []int32
@@ -208,8 +208,7 @@ type pairScratch struct {
 
 // load fills the scratch with the feed's live paths of pair (s, d), in
 // enumeration order, and returns how many there are. A store's pair is
-// one read (paths.Store.PairPorts), joined from MIN legs on the
-// pristine full set.
+// one read (paths.Store.PairPorts), joined from MIN legs.
 func (ps *pairScratch) load(net *flow.Network, s, d int) int {
 	var count int
 	if ps.st != nil {
@@ -228,7 +227,7 @@ func (ps *pairScratch) load(net *flow.Network, s, d int) int {
 	ps.ids, ps.words = ps.ids[:0], ps.words[:0]
 	if ps.st != nil {
 		ps.st.PairPorts(s, d, func(id paths.PathID, ports uint64) {
-			if !ps.drop[id] {
+			if !ps.drop.Has(id) {
 				ps.ids = append(ps.ids, id)
 				ps.add(net, s, ports)
 			}
@@ -316,7 +315,7 @@ func (ps *pairScratch) remove(k int32) {
 		return
 	}
 	for j := k; ; {
-		ps.drop[ps.ids[j]] = true
+		ps.drop.Add(ps.ids[j])
 		if j = ps.twin[j]; j == k {
 			return
 		}
@@ -351,11 +350,11 @@ func (ps *pairScratch) removed(k int) bool {
 	if ps.st == nil {
 		return ps.ex.Removed[ps.ps[k].Key()]
 	}
-	return ps.drop[ps.ids[k]]
+	return ps.drop.Has(ps.ids[k])
 }
 
 // rebalanceStore is the adjustment of a whole compiled policy: the
-// result is a compacted Store.
+// result is the Store of its kept paths.
 func rebalanceStore(net *flow.Network, st *paths.Store, opt LBOptions) (*paths.Store, BalanceReport) {
 	removed, rep := rebalance(net, st, nil, opt)
 	return st.Without(removed), rep
@@ -365,9 +364,9 @@ func rebalanceStore(net *flow.Network, st *paths.Store, opt LBOptions) (*paths.S
 // (nil: all of them) — a candidate of Step 2 is a drop mask over Step
 // 1's store and is never copied out before it has been adjusted. The
 // paths removed are marked in drop and it is returned.
-func rebalance(net *flow.Network, st *paths.Store, drop []bool, opt LBOptions) ([]bool, BalanceReport) {
+func rebalance(net *flow.Network, st *paths.Store, drop paths.IDSet, opt LBOptions) (paths.IDSet, BalanceReport) {
 	if drop == nil {
-		drop = make([]bool, st.NumPaths())
+		drop = paths.NewIDSet(st.NumPaths())
 	}
 	return drop, adjust(net, &pairScratch{st: st, drop: drop}, opt)
 }

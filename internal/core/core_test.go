@@ -565,6 +565,26 @@ func BenchmarkRebalanceStore(b *testing.B) {
 	b.ReportMetric(float64(st.NumPaths()), "paths")
 }
 
+// BenchmarkCutCandidate times one Step-2 candidate cut out of the full
+// store on the paper's g9 machine as ComputeTVLB cuts it: the strategic
+// 2+3 drop mask over the full set's ~4.1M paths, the adjustment, and
+// the one copy, Without. B/op is what a candidate costs beside the full
+// store.
+func BenchmarkCutCandidate(b *testing.B) {
+	tp := topo.MustNew(4, 8, 4, 9)
+	net := flow.NewNetwork(tp)
+	full := paths.Compile(tp, paths.Full{T: tp})
+	pol := paths.Strategic{T: tp, FirstLeg: 2}
+	opt := DefaultLBOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drop, _ := rebalance(net, full, full.DropMask(pol), opt)
+		benchAdjusted = full.Without(drop)
+	}
+	b.ReportMetric(float64(benchAdjusted.NumPaths()), "paths")
+}
+
 // BenchmarkStep1Giant runs Step 1 on the paper's largest topology,
 // dfly(13,26,13,27) of Figures 13 and 14, at QuickOptions' pattern
 // counts (8 TYPE_1 and 4 TYPE_2 patterns over the 31-point grid), and

@@ -372,11 +372,12 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	// Every candidate is a subset of the full VLB set in its order, so on
 	// the full store, compiled here once Step 1 is done with its walks
 	// when the topology fits the budget, it is a drop mask over the
-	// stored paths: membership, adjustment and one compaction, with no
-	// enumeration and no copy before the adjustment. The candidates are
-	// independent and run concurrently on the default pool, written by
-	// index so the reported order (and the winner of score ties below) is
-	// stable. One immutable edge space serves them all.
+	// stored paths: membership, adjustment and one copy of the kept
+	// offsets, with no enumeration and no copy before the adjustment.
+	// The candidates are independent and run concurrently on the
+	// default pool, written by index so the reported order (and the
+	// winner of score ties below) is stable. One immutable edge space
+	// serves them all.
 	//
 	// The conventional UGAL baseline is scored beside them (task 0),
 	// under the same simulation and on the same store when there is one

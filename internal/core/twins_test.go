@@ -15,7 +15,7 @@ import (
 func (ps *pairScratch) removeScan(k int32) {
 	for j, w := range ps.words {
 		if w == ps.words[k] {
-			ps.drop[ps.ids[j]] = true
+			ps.drop.Add(ps.ids[j])
 		}
 	}
 }
@@ -44,7 +44,7 @@ func (ps *pairScratch) shedScan(frac float64, keep int, hot func(flow.Edge) bool
 // rebalanceScan is rebalance with adjust's two passes restated over
 // shedScan: the drop mask and the report every twin-removal scheme must
 // reproduce bit for bit.
-func rebalanceScan(net *flow.Network, st *paths.Store, drop []bool, opt LBOptions) ([]bool, BalanceReport) {
+func rebalanceScan(net *flow.Network, st *paths.Store, drop paths.IDSet, opt LBOptions) (paths.IDSet, BalanceReport) {
 	ps := &pairScratch{st: st, drop: drop}
 	rep := BalanceReport{}
 	pairs := analyzePairs(net.T, opt)
@@ -127,8 +127,8 @@ func TestTwinRemovalMatchesScan(t *testing.T) {
 		// At the tight tolerance both passes must remove, and some removal
 		// must take a twin along: more PathIDs marked than removals counted.
 		marked := 0
-		for id, d := range want {
-			if d && !cut[id] {
+		for id := range paths.PathID(full.NumPaths()) {
+			if want.Has(id) && !cut.Has(id) {
 				marked++
 			}
 		}
@@ -156,7 +156,7 @@ func TestTwinWords(t *testing.T) {
 	tp := topo.MustNew(2, 4, 4, 3)
 	net := flow.NewNetwork(tp)
 	st := paths.Compile(tp, paths.Full{T: tp})
-	ps := pairScratch{st: st, drop: make([]bool, st.NumPaths())}
+	ps := pairScratch{st: st, drop: paths.NewIDSet(st.NumPaths())}
 	twins := 0
 	for s := 0; s < tp.NumSwitches(); s++ {
 		for d := 0; d < tp.NumSwitches(); d++ {

@@ -51,8 +51,8 @@ type Stat struct {
 	// Wall for simulated cycles/sec.
 	Cycles int64
 	// Bytes is the task's self-reported resident footprint — the
-	// arena size of a compiled path store for compile tasks, 0 when
-	// not applicable.
+	// size of a compiled path store for compile tasks, 0 when not
+	// applicable.
 	Bytes int64
 	// Shards and ShardWorkers describe intra-run parallelism for
 	// simulation tasks that stepped a sharded network: the shard
@@ -126,7 +126,7 @@ func (p *Pool) Snapshot() (queued, running, done int64) {
 // Report delivers a caller-built Stat to the pool observer without
 // touching the task counters (the snapshot fields are filled in).
 // Consumers use it for one-off work done outside Run — e.g. spec and
-// figures report each path-store compilation's build time and arena
+// figures report each path-store compilation's build time and store
 // bytes here, so -progress output accounts for setup cost too.
 func (p *Pool) Report(s Stat) {
 	p.mu.RLock()

@@ -23,26 +23,58 @@ func sameDead(a, b *topo.FailureMask) bool {
 // degradedStore is the *Store case of the two functions below: a store
 // already compiled under mask passes through; any other is filtered — a
 // row-parallel MaskWalk mark of the stored paths that cross a dead
-// channel of mask, then the compaction Without does — into a new store
-// that keeps st's name, conventional flag and label. mask must include
-// every failure st was compiled under.
+// channel of mask, then Without — into a new store that keeps st's
+// name, conventional flag and label. mask must include every failure st
+// was compiled under, or the result would claim a mask it does not obey:
+// that panics.
 func degradedStore(st *Store, mask *topo.FailureMask) *Store {
 	if mask == nil || sameDead(st.mask, mask) {
 		return st
 	}
+	if !covers(mask, st.mask) {
+		panic(fmt.Sprintf("paths: %s was compiled under %v, and %v does not include it", st.Name(), st.mask, mask))
+	}
 	start := time.Now()
 	w := NewMaskWalk(st.T, mask)
-	drop := make([]bool, st.NumPaths())
+	drop := NewIDSet(st.NumPaths())
 	exec.Default().RunRows("paths/degrade", st.n, func(s int) {
+		marks := rowBits{set: drop, word: -1}
+		var dead []bool
 		for d := 0; d < st.n; d++ {
 			first, count := st.PairRange(s, d)
-			w.MarkDead(st, s, d, drop[first:int(first)+count])
+			dead = resize(dead, count)
+			w.MarkDead(st, s, d, dead)
+			for k, x := range dead {
+				if x {
+					marks.add(first + PathID(k))
+				}
+			}
 		}
+		marks.flush()
 	})
 	out := st.Without(drop)
 	out.Label, out.name, out.full, out.mask = st.Label, st.name, st.full, mask
 	out.buildTime = time.Since(start)
 	return out
+}
+
+// covers reports whether mask kills every channel and switch old does
+// (nil: none).
+func covers(mask, old *topo.FailureMask) bool {
+	if old == nil {
+		return true
+	}
+	for ch, dead := range old.DeadDense() {
+		if dead && !mask.DeadDense()[ch] {
+			return false
+		}
+	}
+	for sw := range old.Topo().NumSwitches() {
+		if old.SwitchDead(sw) && !mask.SwitchDead(sw) {
+			return false
+		}
+	}
+	return true
 }
 
 // Compile materializes pol into an immutable Store: the same path set

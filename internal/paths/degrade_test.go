@@ -3,6 +3,7 @@ package paths
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"tugal/internal/exec"
@@ -45,9 +46,8 @@ func failSteps() []failScenario {
 // TestCompileDegradedComposes grows a failure mask step by step,
 // degrading the previous step's store under a clone of the mask each
 // time, and checks after every step, at 1, 2 and 8 workers, that the
-// chained store is byte-identical — pair index, hop array, port arena —
-// to the policy's own compile under the mask and to the naive
-// reference, and that it still carries the policy's name, conventional
+// chained store holds the offsets of the policy's own compile under the
+// mask and the naive reference's paths (pair index, hops, ports), and that it still carries the policy's name, conventional
 // flag, the label and the mask it was handed.
 func TestCompileDegradedComposes(t *testing.T) {
 	for _, tp := range []*topo.Compiled{
@@ -57,13 +57,14 @@ func TestCompileDegradedComposes(t *testing.T) {
 	} {
 		for _, pol := range []Policy{Full{T: tp}, Strategic{T: tp, FirstLeg: 2}} {
 			t.Run(fmt.Sprintf("%s/%s", tp.Label(), pol.Name()), func(t *testing.T) {
+				refs := make([]naiveRef, len(failSteps())) // by step, from the first worker count's masks
 				for _, workers := range []int{1, 2, 8} {
 					old := exec.SetDefault(exec.NewPool(workers))
 					t.Cleanup(func() { exec.SetDefault(old) })
 					mask := topo.NewFailureMask(tp)
 					cur := Compile(tp, pol)
 					cur.Label = "chained"
-					for _, sc := range failSteps() {
+					for k, sc := range failSteps() {
 						sc.step(tp, mask)
 						prev, m := cur, mask.Clone()
 						cur = CompileDegraded(tp, prev, m)
@@ -71,12 +72,16 @@ func TestCompileDegradedComposes(t *testing.T) {
 							t.Fatalf("%s: a grown mask did not derive a new store under it", sc.name)
 						}
 						want := CompileDegraded(tp, pol, mask)
-						pairStart, hops, ports := naiveCompile(tp, pol, mask)
-						if !sameArena(cur, want) {
+						if refs[k].pairStart == nil {
+							refs[k] = naiveCompileAll(tp, []Policy{pol}, mask)[0]
+						}
+						pairStart, hops, ports := refs[k].pairStart, refs[k].hops, refs[k].ports
+						if !sameStore(cur, want) {
 							t.Fatalf("%s, %d workers: chained store differs from the policy's masked compile", sc.name, workers)
 						}
-						if !slices.Equal(cur.pairStart, pairStart) || !slices.Equal(cur.hops, hops) ||
-							!slices.Equal(cur.ports, ports) {
+						curHops, curPorts := readStore(cur)
+						if !slices.Equal(cur.pairStart, pairStart) || !slices.Equal(curHops, hops) ||
+							!slices.Equal(curPorts, ports) {
 							t.Fatalf("%s, %d workers: chained store differs from the naive reference", sc.name, workers)
 						}
 						if cur.Name() != "chained" || cur.name != pol.Name() || IsConventional(cur) != IsConventional(pol) {
@@ -174,20 +179,20 @@ func TestDegradedTwinsAndRemoval(t *testing.T) {
 		// equal port sequences must still be either all present or all
 		// absent — verified implicitly by removing every other path WITH
 		// its twins and checking Contains afterwards.
-		removed := make([]bool, st.NumPaths())
+		removed := NewIDSet(st.NumPaths())
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
 				first, count := st.PairRange(s, d)
 				for k := 0; k < count; k++ {
 					id := first + PathID(k)
-					if k%2 != 1 || removed[id] {
+					if k%2 != 1 || removed.Has(id) {
 						continue
 					}
-					removed[id] = true
+					removed.Add(id)
 					for j := 0; j < count; j++ {
 						jd := first + PathID(j)
-						if jd != id && !removed[jd] && st.EqualIDs(id, jd) {
-							removed[jd] = true
+						if jd != id && !removed.Has(jd) && st.EqualIDs(id, jd) {
+							removed.Add(jd)
 						}
 					}
 				}
@@ -201,12 +206,61 @@ func TestDegradedTwinsAndRemoval(t *testing.T) {
 					id := first + PathID(k)
 					var p Path
 					st.MaterializeInto(s, id, &p)
-					if got, want := out.Contains(s, d, p), !removed[id]; got != want {
+					if got, want := out.Contains(s, d, p), !removed.Has(id); got != want {
 						t.Fatalf("%s: pair (%d,%d) path %v: Contains=%v, removed=%v",
-							tp.Label(), s, d, p, got, removed[id])
+							tp.Label(), s, d, p, got, !want)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDegradedStoreChecksItsMask: a store filtered under a mask that
+// lacks one of the failures it was compiled under panics, naming both
+// masks, whether the mask misses a dead channel or only a dead switch
+// (every channel of which it kills); a mask that includes them all
+// derives the store under it.
+func TestDegradedStoreChecksItsMask(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	x := tp.SwitchID(2, 1)
+	dead := topo.NewFailureMask(tp)
+	if _, err := dead.FailSwitch(x); err != nil {
+		t.Fatal(err)
+	}
+	links := topo.NewFailureMask(tp)
+	for y := 0; y < tp.A; y++ {
+		if y != tp.SwitchIndexInGroup(x) {
+			links.FailLocalLink(x, tp.SwitchID(tp.GroupOf(x), y))
+		}
+	}
+	for gp := 0; gp < tp.H; gp++ {
+		links.FailGlobalLink(x, gp)
+	}
+	other := topo.NewFailureMask(tp)
+	if _, err := other.FailGlobalLink(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name        string
+		under, then *topo.FailureMask
+	}{{"channel", degradedMask(tp), other}, {"switch", dead, links}} {
+		st := CompileDegraded(tp, Strategic{T: tp, FirstLeg: 2}, c.under)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.under.String()) || !strings.Contains(msg, c.then.String()) {
+					t.Fatalf("%s: the filter under a mask lacking a failure panicked with %q", c.name, msg)
+				}
+			}()
+			CompileDegraded(tp, st, c.then)
+		}()
+		grown := c.under.Clone()
+		if _, err := grown.FailGlobalLink(tp.NumSwitches()-1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := CompileDegraded(tp, st, grown); got.Mask() != grown {
+			t.Fatalf("%s: a grown mask did not derive the store under it", c.name)
 		}
 	}
 }

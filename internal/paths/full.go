@@ -8,10 +8,9 @@ import (
 )
 
 // fullSet is the pristine full VLB set of one topology as arithmetic
-// over its MIN legs: what a Store of Full with no failure mask holds in
-// place of an arena. Every inter-group pair holds (G-2)·A·K² paths and
-// every in-group pair A-2, so a PathID's pair and its offset in it are
-// arithmetic, and so is the path at that offset.
+// over its MIN legs: the space every Store's paths are offsets in. Every
+// inter-group pair holds (G-2)·A·K² paths and every in-group pair A-2,
+// and the path at an offset in its pair is arithmetic.
 //
 // An inter-group pair's paths come in the walk's order: intermediate
 // group (the source and destination groups skipped), switch in it,
@@ -25,9 +24,9 @@ type fullSet struct {
 	t       *topo.Compiled
 	a, g, k int // the topology's A, G and K
 	perPair int // paths of an inter-group pair
-	perRow  int // paths out of one switch
 	split   []split
 	heads   []legHead // [(x*G+gy)*K+i]: out of switch x over link i of x's group to group gy
+	every   []uint32  // 0, 1, ...: a pristine pair's offsets
 }
 
 // split is one offset of an inter-group pair: the intermediate's group
@@ -52,15 +51,17 @@ func fullPaths(t *topo.Compiled) int64 {
 	return int64(t.NumSwitches()) * row
 }
 
-// newFullSet builds the two tables; the caller has checked that the set
-// fits the PathID space (fullPaths).
+// newFullSet builds the three tables. They are pair-local, so they do not
+// depend on the set fitting the PathID space.
 func newFullSet(t *topo.Compiled) *fullSet {
 	n, a, g, k := t.NumSwitches(), t.A, t.G, t.K
 	f := &fullSet{t: t, a: a, g: g, k: k, perPair: max(g-2, 0) * a * k * k}
-	f.perRow = (n-a)*f.perPair + (a-1)*max(a-2, 0)
-	f.split = make([]split, f.perPair)
+	f.split, f.every = make([]split, f.perPair), make([]uint32, max(f.perPair, a-2))
 	for o := range f.split {
 		f.split[o] = split{gq: uint16(o / (a * k * k)), si: uint16(o / (k * k) % a), k1: uint16(o / k % k), k2: uint16(o % k)}
+	}
+	for o := range f.every {
+		f.every[o] = uint32(o)
 	}
 	f.heads = make([]legHead, n*g*k)
 	for x := 0; x < n; x++ {
@@ -82,9 +83,9 @@ func newFullSet(t *topo.Compiled) *fullSet {
 	return f
 }
 
-// bytes is the size of the two tables.
+// bytes is the size of the three tables.
 func (f *fullSet) bytes() int64 {
-	return int64(len(f.split))*int64(unsafe.Sizeof(split{})) + int64(len(f.heads))*int64(unsafe.Sizeof(legHead{}))
+	return int64(len(f.split))*int64(unsafe.Sizeof(split{})) + int64(len(f.heads))*int64(unsafe.Sizeof(legHead{})) + 4*int64(len(f.every))
 }
 
 // count is the path count of pair (s, d).
@@ -149,58 +150,50 @@ func (f *fullSet) path(s, d, o int) uint64 {
 	return a | f.leg(f.headsTo(inter, gd)[sp.k2], t.SwitchIndexInGroup(d))<<(8*PackedHops(a))
 }
 
-// locate returns the pair of PathID id and its offset in the pair.
-// Every switch's row holds perRow paths: the groups before its own, then
-// its group's other switches, then the groups after it.
-func (f *fullSet) locate(id PathID) (s, d, o int) {
-	t := f.t
-	s, r := int(id)/f.perRow, int(id)%f.perRow
-	gs := t.GroupOf(s)
-	before := gs * f.a * f.perPair
-	if r < before {
-		return s, r / f.perPair, r % f.perPair
-	}
-	r -= before
-	in := (f.a - 1) * (f.a - 2)
-	if r < in {
-		j := r / (f.a - 2)
-		if j >= t.SwitchIndexInGroup(s) {
-			j++
-		}
-		return s, t.SwitchID(gs, j), r % (f.a - 2)
-	}
-	r -= in
-	return s, t.SwitchID(gs+1, 0) + r/f.perPair, r % f.perPair
-}
-
-// each calls fn with the PathIDs from id on and the packed ports of the
-// paths of pair (s, d), in order: per intermediate the legs out of it
-// are built once and each leg into it joins them.
-func (f *fullSet) each(s, d int, id PathID, fn func(PathID, uint64)) {
+// each calls fn with the packed ports of pair (s, d)'s paths at
+// offsets offs (ascending), in order, numbered from id. Per intermediate
+// its stored joins pass, it joins the legs into it with the legs out of
+// it, built once, when it stores all K² joins, and decodes each stored
+// join (as path does) when it does not: a read costs the stored paths
+// and the intermediates they pass, not the pair's full set.
+func (f *fullSet) each(s, d int, id PathID, offs []uint32, fn func(id PathID, ports uint64)) {
 	t := f.t
 	gs, gd := t.GroupOf(s), t.GroupOf(d)
 	if gs == gd {
-		for o := range f.count(s, d) {
-			fn(id+PathID(o), f.detour(s, d, o))
+		for k, o := range offs {
+			fn(id+PathID(k), f.detour(s, d, int(o)))
 		}
 		return
 	}
 	var buf [16]uint64
-	second, di := buf[:0], t.SwitchIndexInGroup(d)
+	di, kk, k := t.SwitchIndexInGroup(d), f.k*f.k, 0
 	for q := 0; q < f.g-2; q++ {
 		gi := skip(q, gs, gd)
 		into := f.headsTo(s, gi)
-		for si := 0; si < f.a; si++ {
-			second = second[:0]
-			for _, h := range f.headsTo(t.SwitchID(gi, si), gd) {
+		for si := 0; si < f.a && k < len(offs); si++ {
+			end := (q*f.a + si + 1) * kk // past the intermediate's joins
+			if int(offs[k]) >= end {
+				continue
+			}
+			out := f.headsTo(t.SwitchID(gi, si), gd)
+			if k+kk > len(offs) || int(offs[k+kk-1]) != end-1 {
+				for ; k < len(offs) && int(offs[k]) < end; k++ {
+					sp := f.split[offs[k]]
+					a := f.leg(into[sp.k1], si)
+					fn(id+PathID(k), a|f.leg(out[sp.k2], di)<<(8*PackedHops(a)))
+				}
+				continue
+			}
+			second := buf[:0]
+			for _, h := range out {
 				second = append(second, f.leg(h, di))
 			}
 			for _, h := range into {
 				a := f.leg(h, si)
 				shift := 8 * PackedHops(a)
 				for _, b := range second {
-					fn(id, a|b<<shift)
-					id++
+					fn(id+PathID(k), a|b<<shift)
+					k++
 				}
 			}
 		}

@@ -30,19 +30,164 @@ func pairPorts(st *Store, s, d int) (ids []PathID, ports []uint64) {
 	return ids, ports
 }
 
+// naiveRow is the oracle of every offset: for source s of tp, each
+// pair's full VLB set in the naive enumeration's order, which is the
+// walk's (TestVisitorMatchesNaiveEnumeration), so a path's index in its
+// pair's list is its offset.
+func naiveRow(tp *topo.Compiled, s int) [][]Path {
+	row := make([][]Path, tp.NumSwitches())
+	for d := range row {
+		row[d] = naiveEnumerateVLBMax(tp, s, d, MaxVLBHops)
+	}
+	return row
+}
+
+// checkRow holds the pairs of source s of st to the naive oracle row:
+// the stored paths of pair (s, d) are those of row[d] that keep admits,
+// in order, each at its index in row[d] as its offset — so the offsets
+// ascend and stay below the pair's full count. Per pair it checks the
+// count, the pair read and the first ports; per PathID its offset,
+// ports (by pair and by ID alone, zero bytes past the hops), hop count,
+// KeyOf, materialized path and EqualIDs with the next stored path. It
+// returns the row's hop histogram.
+func checkRow(st *Store, s int, row [][]Path, keep func(d, o int) bool) (hist [MaxVLBHops + 1]int, err error) {
+	var q Path
+	for d, full := range row {
+		var offs []int
+		var first [][2]int
+		for o, p := range full {
+			if !keep(d, o) {
+				continue
+			}
+			offs = append(offs, o)
+			i := slices.IndexFunc(first, func(fp [2]int) bool { return fp[0] == int(p.Ports[0]) })
+			if i < 0 {
+				i, first = len(first), append(first, [2]int{int(p.Ports[0]), 0})
+			}
+			first[i][1]++
+			hist[p.Hops()]++
+		}
+		id0, count := st.PairRange(s, d)
+		ids, ports := pairPorts(st, s, d)
+		if count != len(offs) || len(ids) != count {
+			return hist, fmt.Errorf("pair (%d,%d): %d paths, pair read %d, oracle %d", s, d, count, len(ids), len(offs))
+		}
+		if fp := firstPorts(st, s, d); !slices.Equal(fp, first) {
+			return hist, fmt.Errorf("pair (%d,%d): first ports %v, oracle %v", s, d, fp, first)
+		}
+		for k, o := range offs {
+			id, p := id0+PathID(k), full[o]
+			x := Packed(p.Ports)
+			if got := st.offset(s*st.n+d, id); got != o {
+				return hist, fmt.Errorf("pair (%d,%d) path %d: offset %d, oracle %d", s, d, id, got, o)
+			}
+			if ids[k] != id || ports[k] != x || st.Ports(s, d, id) != x || st.portsOf(id) != x || PackedHops(x) != p.Hops() || st.Hops(id) != p.Hops() {
+				return hist, fmt.Errorf("pair (%d,%d) path %d: ports %x (pair read %x, by ID alone %x), oracle %v", s, d, id, st.Ports(s, d, id), ports[k], st.portsOf(id), p)
+			}
+			if st.KeyOf(s, id) != p.Key() {
+				return hist, fmt.Errorf("pair (%d,%d) path %d: KeyOf %x, oracle %x", s, d, id, st.KeyOf(s, id), p.Key())
+			}
+			if st.MaterializeInto(s, id, &q); !q.Equal(p) {
+				return hist, fmt.Errorf("pair (%d,%d) path %d: %v, oracle %v", s, d, id, q, p)
+			}
+			if k+1 < len(offs) && st.EqualIDs(id, id+1) != p.Equal(full[offs[k+1]]) {
+				return hist, fmt.Errorf("pair (%d,%d) paths %d, %d: EqualIDs differs from the oracle", s, d, id, id+1)
+			}
+		}
+	}
+	return hist, nil
+}
+
+// all keeps every path of the oracle row.
+func all(int, int) bool { return true }
+
+// deltaDense marks the non-terminal channels of delta as
+// FailureMask.DeadDense numbers them: crossesScan's input.
+func deltaDense(tp *topo.Compiled, delta []topo.Channel) []bool {
+	nonTerm := tp.A - 1 + tp.H
+	dense := make([]bool, tp.NumSwitches()*nonTerm)
+	for _, ch := range delta {
+		if pt := int(ch.Port) - tp.P; pt >= 0 {
+			dense[int(ch.Sw)*nonTerm+pt] = true
+		}
+	}
+	return dense
+}
+
+// checkMarks holds MaskWalk.MarkDead and MarkDelta on the pairs of
+// source s of st to crossesScan: w walks mask, whose last failure was
+// delta.
+func checkMarks(st *Store, s int, w *MaskWalk, mask *topo.FailureMask, delta []bool) error {
+	for d := 0; d < st.n; d++ {
+		first, count := st.PairRange(s, d)
+		dead := make([]bool, count)
+		n, crossed := w.MarkDelta(st, s, d, dead)
+		wantN, wantCrossed := 0, false
+		for k, x := range dead {
+			want := crossesScan(st, s, first+PathID(k), mask.DeadDense())
+			if want {
+				wantN++
+			}
+			wantCrossed = wantCrossed || crossesScan(st, s, first+PathID(k), delta)
+			if x != want {
+				return fmt.Errorf("mask %v pair (%d,%d) path %d: MarkDelta %v, scan %v", mask, s, d, k, x, want)
+			}
+		}
+		if n != wantN || crossed != wantCrossed || w.MarkDead(st, s, d, dead) != wantN {
+			return fmt.Errorf("mask %v pair (%d,%d): MarkDelta (%d, %v), scan (%d, %v)", mask, s, d, n, crossed, wantN, wantCrossed)
+		}
+	}
+	return nil
+}
+
+// randomDelta fails one more random link or switch of mask and returns
+// the newly dead channels.
+func randomDelta(tp *topo.Compiled, r *rng.Source, mask *topo.FailureMask) []topo.Channel {
+	var delta []topo.Channel
+	for len(delta) == 0 {
+		switch sw := r.Intn(tp.NumSwitches()); r.Intn(3) {
+		case 0:
+			delta, _ = mask.FailGlobalLink(sw, r.Intn(tp.H))
+		case 1:
+			delta, _ = mask.FailLocalLink(sw, tp.SwitchID(tp.GroupOf(sw), r.Intn(tp.A)))
+		default:
+			delta, _ = mask.FailSwitch(sw)
+		}
+	}
+	return delta
+}
+
+// legWalkRecord lists what a LegWalk hands out for pair (s, d): per
+// intermediate, each join's verdict, and a 5-hop member's key.
+func legWalkRecord(lw *LegWalk, s, d int) (rows [][]uint64) {
+	lw.Pair(s, d, func(first, second []Leg, in []bool, keys []uint64) {
+		row := make([]uint64, len(in))
+		for k, x := range in {
+			if x {
+				row[k] = 1
+			}
+			if x && first[k/len(second)].Hops()+second[k%len(second)].Hops() == 5 {
+				row[k] = keys[k] | 1
+			}
+		}
+		rows = append(rows, row)
+	})
+	return rows
+}
+
 // TestFullStoreIsArithmetic holds the pristine full store, which keeps
-// no arena, to the walk compile of the same set (compileStore), its
-// oracle. Every pair's count, pair read and first ports, and every
-// PathID's hops, ports, KeyOf and materialized path agree, and so do
-// the hop histogram and EqualIDs between neighbours, on one link per
-// group pair, one link between groups (K = 1), parallel links, two D3
-// instances and — one source row under -short — the paper's g9
-// machine. On the four smaller ones every bulk reader reads what it
-// reads off the arena: DropMask for the 31 Table-1 points, both
-// strategic sets and two Explicits, Without, the Walker and the LegWalk
-// over the store and over an Explicit on it, and, under random masks
-// with a delta, MarkDead, MarkDelta and the store degraded under the
-// mask.
+// no offsets, to the naive enumeration (naiveRow, checkRow): pair
+// counts, and per PathID its ports, hops, KeyOf, materialized path and
+// EqualIDs, with the pair read, first ports and hop histogram, on one
+// link per group pair, one link between groups (K = 1), parallel links,
+// two D3 instances and — one source row under -short — the paper's g9
+// machine. On the four smaller ones every bulk reader agrees too:
+// DropMask with Contains for the 31 Table-1 points, both strategic sets
+// and two Explicits; Without with the oracle less its removals; the
+// Walker and the LegWalk over the store, and over an Explicit on it,
+// with those over the interpreted set; and, under random masks with a
+// delta, MarkDead and MarkDelta with crossesScan and the store degraded
+// under the mask with the oracle's live paths.
 func TestFullStoreIsArithmetic(t *testing.T) {
 	topos := []*topo.Compiled{
 		topo.MustNew(2, 4, 2, 5),
@@ -55,119 +200,186 @@ func TestFullStoreIsArithmetic(t *testing.T) {
 	for _, tp := range topos {
 		t.Run(tp.Label(), func(t *testing.T) {
 			got := Compile(tp, Full{T: tp})
-			want, _ := compileStore(tp, Full{T: tp}, nil, pathIDSpace)
-			if got.legs == nil || got.hops != nil || got.ports != nil {
-				t.Fatal("the pristine full store keeps an arena")
+			if got.offs != nil || int64(got.NumPaths()) != fullPaths(tp) {
+				t.Fatalf("the pristine full store keeps %d offsets for %d paths", len(got.offs), got.NumPaths())
 			}
-			if !slices.Equal(got.pairStart, want.pairStart) || got.NumPaths() != want.NumPaths() {
-				t.Fatal("pair counts differ from the walk compile")
-			}
-			if got.Name() != want.Name() || !IsConventional(got) || got.Mask() != nil {
+			if got.Name() != (Full{}).Name() || !IsConventional(got) || got.Mask() != nil {
 				t.Fatalf("store %q conventional %v mask %v", got.Name(), IsConventional(got), got.Mask())
 			}
-			if got.Bytes() <= 0 || got.BuildTime() <= 0 || got.Bytes() >= want.Bytes()/4 {
-				t.Fatalf("Bytes %d (arena %d), BuildTime %v", got.Bytes(), want.Bytes(), got.BuildTime())
+			if got.Bytes() <= 0 || got.BuildTime() <= 0 || got.Bytes() >= int64(got.NumPaths()) {
+				t.Fatalf("Bytes %d for %d paths, BuildTime %v", got.Bytes(), got.NumPaths(), got.BuildTime())
 			}
 			n := tp.NumSwitches()
 			rows := n
 			if testing.Short() && n > 48 {
 				rows = 1
 			}
+			hists := make([][MaxVLBHops + 1]int, rows)
 			exec.Default().RunRows("test/points", rows, func(s int) {
-				if err := samePoints(got, want, s); err != nil {
+				var err error
+				if hists[s], err = checkRow(got, s, naiveRow(tp, s), all); err != nil {
 					t.Error(err)
 				}
 			})
-			if t.Failed() {
+			if t.Failed() || rows < n {
 				return
 			}
-			if rows < n {
-				return
+			var hist [MaxVLBHops + 1]int
+			for _, h := range hists {
+				for k, c := range h {
+					hist[k] += c
+				}
 			}
-			if gs, ws := got.Stats(), want.Stats(); gs.HopHist != ws.HopHist || gs.Pairs != ws.Pairs || gs.Paths != ws.Paths {
-				t.Fatalf("stats %+v, arena %+v", gs, ws)
+			if gs := got.Stats(); gs.HopHist != hist || gs.Paths != got.NumPaths() {
+				t.Fatalf("stats %+v, oracle histogram %v", gs, hist)
 			}
 			if n >= 48 {
 				return // the bulk readers on the four small instances
 			}
+			oracle := make([][][]Path, n)
+			for s := range oracle {
+				oracle[s] = naiveRow(tp, s)
+			}
 			pols := append(table1(tp), Strategic{T: tp, FirstLeg: 2}, Strategic{T: tp, FirstLeg: 3},
 				thinned(tp, Full{T: tp}), thinned(tp, LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 7}))
 			for _, pol := range pols {
-				if !slices.Equal(got.DropMask(pol), want.DropMask(pol)) {
-					t.Fatalf("%s: DropMask differs from the arena's", pol.Name())
+				drop := got.DropMask(pol)
+				for s := 0; s < n; s++ {
+					for d := 0; d < n; d++ {
+						first, _ := got.PairRange(s, d)
+						for o, p := range oracle[s][d] {
+							if drop.Has(first+PathID(o)) == pol.Contains(s, d, p) {
+								t.Fatalf("%s pair (%d,%d) path %d: DropMask disagrees with Contains", pol.Name(), s, d, o)
+							}
+						}
+					}
 				}
 			}
 			r := rng.New(uint64(n))
-			removed := make([]bool, got.NumPaths())
-			for id := range removed {
-				removed[id] = r.Intn(3) == 0
+			removed := NewIDSet(got.NumPaths())
+			for id := range PathID(got.NumPaths()) {
+				if r.Intn(3) == 0 {
+					removed.Add(id)
+				}
 			}
-			if !sameArena(got.Without(removed), want.Without(removed)) {
-				t.Fatal("Without differs from the arena's")
+			cut := got.Without(removed)
+			for s := 0; s < n; s++ {
+				if _, err := checkRow(cut, s, oracle[s], func(d, o int) bool {
+					first, _ := got.PairRange(s, d)
+					return !removed.Has(first + PathID(o))
+				}); err != nil {
+					t.Fatalf("Without: %v", err)
+				}
 			}
-			ex, exWant := thinned(tp, got), NewExplicit(want)
-			exWant.Removed = ex.Removed
-			for _, pair := range [][2]Policy{{got, want}, {ex, exWant}} {
+			ex := thinned(tp, got)
+			exFull := NewExplicit(Full{T: tp})
+			exFull.Removed = ex.Removed
+			for _, pair := range [][2]Policy{{got, Full{T: tp}}, {ex, exFull}} {
 				wa, wb := NewWalker(tp, pair[0], nil), NewWalker(tp, pair[1], nil)
 				la, lb := NewLegWalk(tp, pair[0], nil, 1<<5), NewLegWalk(tp, pair[1], nil, 1<<5)
 				for s := 0; s < n; s++ {
 					for d := 0; d < n; d++ {
 						if a, b := wa.Pair(s, d), wb.Pair(s, d); !slices.EqualFunc(a, b, Path.Equal) {
-							t.Fatalf("%s pair (%d,%d): the Walker lists %d paths, over the arena %d", pair[0].Name(), s, d, len(a), len(b))
+							t.Fatalf("%s pair (%d,%d): the Walker lists %d paths, over the interpreted set %d", pair[0].Name(), s, d, len(a), len(b))
 						}
-						var a, b [][]uint64
-						record := func(into *[][]uint64) func([]Leg, []Leg, []bool, []uint64) {
-							return func(first, second []Leg, in []bool, keys []uint64) {
-								row := make([]uint64, len(in))
-								for k, x := range in {
-									if x {
-										row[k] = 1
-									}
-									if x && first[k/len(second)].Hops()+second[k%len(second)].Hops() == 5 {
-										row[k] = keys[k] | 1
-									}
-								}
-								*into = append(*into, row)
-							}
-						}
-						la.Pair(s, d, record(&a))
-						lb.Pair(s, d, record(&b))
-						if !slices.EqualFunc(a, b, slices.Equal[[]uint64]) {
-							t.Fatalf("%s pair (%d,%d): the LegWalk differs from the arena's merge", pair[0].Name(), s, d)
+						if !slices.EqualFunc(legWalkRecord(la, s, d), legWalkRecord(lb, s, d), slices.Equal[[]uint64]) {
+							t.Fatalf("%s pair (%d,%d): the LegWalk differs from the interpreted set's", pair[0].Name(), s, d)
 						}
 					}
 				}
 			}
-			for seed := uint64(1); seed <= 4; seed++ {
-				mask := randomMask(tp, r, int(seed))
-				var delta []topo.Channel
-				for len(delta) == 0 {
-					switch sw := r.Intn(n); r.Intn(3) {
-					case 0:
-						delta, _ = mask.FailGlobalLink(sw, r.Intn(tp.H))
-					case 1:
-						delta, _ = mask.FailLocalLink(sw, tp.SwitchID(tp.GroupOf(sw), r.Intn(tp.A)))
-					default:
-						delta, _ = mask.FailSwitch(sw)
+			for seed := 1; seed <= 4; seed++ {
+				mask := randomMask(tp, r, seed)
+				delta := randomDelta(tp, r, mask)
+				w := NewDeltaWalk(tp, mask, delta)
+				got.Label = "labelled"
+				dg := CompileDegraded(tp, got, mask)
+				got.Label = ""
+				if dg.Mask() != mask || dg.Name() != "labelled" || !IsConventional(dg) {
+					t.Fatalf("mask %v: the store degraded under it is %q, mask %v", mask, dg.Name(), dg.Mask())
+				}
+				for s := 0; s < n; s++ {
+					if err := checkMarks(got, s, w, mask, deltaDense(tp, delta)); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := checkRow(dg, s, oracle[s], func(d, o int) bool { return Alive(mask, oracle[s][d][o]) }); err != nil {
+						t.Fatalf("degraded under %v: %v", mask, err)
 					}
 				}
-				w := NewDeltaWalk(tp, mask, delta)
-				for s := 0; s < n; s++ {
+			}
+		})
+	}
+}
+
+// TestStoreOffsetsMatchWalk holds every store that keeps offsets to
+// the naive enumeration: the 31 Table-1 points, both strategic sets and
+// a rebalanced Explicit (a strategic set less every third path of every
+// fifth pair), each compiled pristine and under one of three random
+// masks, on one link per group pair, one link between groups (K = 1),
+// parallel links, two D3 instances and, outside -short, the paper's g9
+// machine (a strategic set and the Explicit under one mask there). For
+// each store, on a random source row, checkRow holds the count, offsets, ports, KeyOf
+// and materialized paths to the oracle's live paths the policy's
+// Contains admits, MarkDead and MarkDelta under a further mask and
+// delta agree with crossesScan, and the LegWalk over the store hands out
+// what the one over the interpreted policy does; and the policy cut out
+// of the full store under the same mask, Without(DropMask(pol)), has
+// the compile's offsets.
+func TestStoreOffsetsMatchWalk(t *testing.T) {
+	topos := []*topo.Compiled{
+		topo.MustNew(2, 4, 2, 9),
+		topo.MustNew(1, 4, 2, 9), // K = 1
+		topo.MustNew(2, 4, 4, 3), // parallel global links (h > g-1)
+		topo.MustNewD3(6, 3, 1),
+		topo.MustNewD3(12, 4, 2),
+	}
+	if !testing.Short() {
+		topos = append(topos, topo.MustNew(4, 8, 4, 9))
+	}
+	for _, tp := range topos {
+		t.Run(tp.Label(), func(t *testing.T) {
+			n := tp.NumSwitches()
+			r := rng.New(uint64(n))
+			pols := append(table1(tp), Strategic{T: tp, FirstLeg: 2}, Strategic{T: tp, FirstLeg: 3})
+			masks := []*topo.FailureMask{nil, randomMask(tp, r, 1), randomMask(tp, r, 2), randomMask(tp, r, 4)}
+			if n > 48 {
+				pols, masks = []Policy{Strategic{T: tp, FirstLeg: 3}}, masks[:2]
+			}
+			pols = append(pols, thinned(tp, Strategic{T: tp, FirstLeg: 2}))
+			oracle := make([][][]Path, n)
+			fulls := make([]*Store, len(masks))
+			for k, mask := range masks {
+				fulls[k] = CompileDegraded(tp, Full{T: tp}, mask)
+			}
+			for i, pol := range pols {
+				for _, k := range []int{0, 1 + i%(len(masks)-1)} {
+					mask, full := masks[k], fulls[k]
+					st := CompileDegraded(tp, pol, mask)
+					if !sameStore(full.Without(full.DropMask(pol)), st) {
+						t.Fatalf("%s under %v: the cut of the full store has other offsets than the compile", pol.Name(), mask)
+					}
+					walk := randomMask(tp, r, 2)
+					delta := randomDelta(tp, r, walk)
+					w := NewDeltaWalk(tp, walk, delta)
+					lw, lwPol := NewLegWalk(tp, st, nil, 1<<5), NewLegWalk(tp, pol, mask, 1<<5)
+					s := r.Intn(n)
+					if oracle[s] == nil {
+						oracle[s] = naiveRow(tp, s)
+					}
+					if _, err := checkRow(st, s, oracle[s], func(d, o int) bool {
+						p := oracle[s][d][o]
+						return Alive(mask, p) && pol.Contains(s, d, p)
+					}); err != nil {
+						t.Fatalf("%s under %v: %v", pol.Name(), mask, err)
+					}
+					if err := checkMarks(st, s, w, walk, deltaDense(tp, delta)); err != nil {
+						t.Fatalf("%s under %v: %v", pol.Name(), mask, err)
+					}
 					for d := 0; d < n; d++ {
-						_, count := got.PairRange(s, d)
-						a, b := make([]bool, count), make([]bool, count)
-						na, ca := w.MarkDelta(got, s, d, a)
-						nb, cb := w.MarkDelta(want, s, d, b)
-						if na != nb || ca != cb || !slices.Equal(a, b) || w.MarkDead(got, s, d, a) != nb {
-							t.Fatalf("mask %v pair (%d,%d): MarkDelta (%d, %v), arena (%d, %v)", mask, s, d, na, ca, nb, cb)
+						if !slices.EqualFunc(legWalkRecord(lw, s, d), legWalkRecord(lwPol, s, d), slices.Equal[[]uint64]) {
+							t.Fatalf("%s under %v pair (%d,%d): the LegWalk over the store differs from the policy's", pol.Name(), mask, s, d)
 						}
 					}
-				}
-				got.Label = "labelled"
-				dg, dw := CompileDegraded(tp, got, mask), CompileDegraded(tp, want, mask)
-				got.Label = ""
-				if !sameArena(dg, dw) || dg.Mask() != mask || dg.Name() != "labelled" || !IsConventional(dg) {
-					t.Fatalf("mask %v: the store degraded under it differs from the arena's (%q)", mask, dg.Name())
 				}
 			}
 		})
@@ -180,45 +392,9 @@ func firstPorts(st *Store, s, d int) (out [][2]int) {
 	return out
 }
 
-// samePoints compares the point reads of source s's paths on the
-// pristine full store got with the walk compile's arena want: the pair
-// read and its first ports, and per PathID its ports (by pair and by ID alone), hop count,
-// KeyOf, materialized path and EqualIDs with the next path of its pair.
-func samePoints(got, want *Store, s int) error {
-	var p, q Path
-	for d := 0; d < got.n; d++ {
-		first, count := got.PairRange(s, d)
-		gi, gp := pairPorts(got, s, d)
-		wi, wp := pairPorts(want, s, d)
-		if !slices.Equal(gi, wi) || !slices.Equal(gp, wp) {
-			return fmt.Errorf("pair (%d,%d): the pair read differs from the arena's", s, d)
-		}
-		if a, b := firstPorts(got, s, d), firstPorts(want, s, d); !slices.Equal(a, b) {
-			return fmt.Errorf("pair (%d,%d): first ports %v, arena %v", s, d, a, b)
-		}
-		for k, id := range wi {
-			if x := got.Ports(s, d, id); x != wp[k] || got.portsOf(id) != x {
-				return fmt.Errorf("pair (%d,%d) path %d: ports %x (by ID alone %x), arena %x", s, d, id, x, got.portsOf(id), wp[k])
-			}
-			if got.Hops(id) != want.Hops(id) || got.KeyOf(s, id) != want.KeyOf(s, id) {
-				return fmt.Errorf("pair (%d,%d) path %d: hops %d key %x, arena %d %x", s, d, id, got.Hops(id), got.KeyOf(s, id), want.Hops(id), want.KeyOf(s, id))
-			}
-			got.MaterializeInto(s, id, &p)
-			want.MaterializeInto(s, id, &q)
-			if !p.Equal(q) {
-				return fmt.Errorf("pair (%d,%d) path %d: %v, arena %v", s, d, id, p, q)
-			}
-			if next := id + 1; next < first+PathID(count) && got.EqualIDs(id, next) != (wp[k] == wp[k+1]) {
-				return fmt.Errorf("pair (%d,%d) paths %d, %d: EqualIDs differs from the arena's", s, d, id, next)
-			}
-		}
-	}
-	return nil
-}
-
 // TestFullStoreWideLinks decodes the pristine full store of a topology
 // with more global links between two groups than a byte counts
-// (dfly(1,16,34,3): K = 272, ~1.8e9 paths, too many for an arena
+// (dfly(1,16,34,3): K = 272, ~1.8e9 paths, too many for a naive
 // oracle): one inter-group pair's paths, read in bulk and by PathID,
 // are the walk's, and so are every 97th one's path and key.
 func TestFullStoreWideLinks(t *testing.T) {
@@ -237,7 +413,7 @@ func TestFullStoreWideLinks(t *testing.T) {
 	var p Path
 	w.visit(d, func(a, b *Leg) {
 		id := first + PathID(len(want))
-		x := a.packed() | b.packed()<<(8*a.n)
+		x := Packed(w.v.path(a, b).Ports)
 		if got := st.Ports(s, d, id); got != x {
 			t.Fatalf("path %d: ports %x, walk %x", id, got, x)
 		}
@@ -261,29 +437,39 @@ func TestFullStoreWideLinks(t *testing.T) {
 	}
 }
 
-// BenchmarkMaterializeStore materializes random PathIDs of the full set
-// on dfly(4,8,4,17), the topology cmd/routed serves, from the walk
-// compile's arena and from the pristine full store's arithmetic: the
-// point read a VLB lookup or a simulated packet pays.
+// BenchmarkMaterializeStore materializes random paths of random pairs
+// on dfly(4,8,4,17), the topology cmd/routed serves, as a draw does
+// (SampleVLBInto): the pair's Ports at a PathID, then the path. It reads
+// the pristine full store, whose offsets are arithmetic, and strategic
+// 2+3's store, which loads each PathID's offset first: the point read a
+// VLB lookup or a simulated packet pays.
 func BenchmarkMaterializeStore(b *testing.B) {
 	tp := topo.MustNew(4, 8, 4, 17)
-	arena, _ := compileStore(tp, Full{T: tp}, nil, pathIDSpace)
-	perRow := arena.NumPaths() / tp.NumSwitches() // every source's row holds as many
 	for _, c := range []struct {
 		name string
 		st   *Store
-	}{{"arena", arena}, {"implicit", Compile(tp, Full{T: tp})}} {
+	}{{"implicit", Compile(tp, Full{T: tp})}, {"offsets", Compile(tp, Strategic{T: tp, FirstLeg: 2})}} {
 		b.Run(c.name, func(b *testing.B) {
 			r := rng.New(1)
-			ids := make([]PathID, 1<<16)
-			for i := range ids {
-				ids[i] = PathID(r.Intn(c.st.NumPaths()))
+			type draw struct {
+				s, d int
+				id   PathID
+			}
+			draws := make([]draw, 1<<16)
+			for i := range draws {
+				s, d := r.Intn(tp.NumSwitches()), r.Intn(tp.NumSwitches())
+				first, count := c.st.PairRange(s, d)
+				for count == 0 {
+					s, d = r.Intn(tp.NumSwitches()), r.Intn(tp.NumSwitches())
+					first, count = c.st.PairRange(s, d)
+				}
+				draws[i] = draw{s, d, first + PathID(r.Intn(count))}
 			}
 			var p Path
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id := ids[i&(len(ids)-1)]
-				c.st.MaterializeInto(int(id)/perRow, id, &p)
+				x := &draws[i&(len(draws)-1)]
+				c.st.materialize(x.s, c.st.Ports(x.s, x.d, x.id), &p)
 			}
 		})
 	}

@@ -18,12 +18,13 @@
 // and Store.DropMask read it once per leg pair, Contains per built
 // path. Explicit is a base set less a removal set.
 //
-// A Store is a compiled set: PathID ranges per pair over a port arena.
-// The pristine full set, the base every other set filters, keeps no
-// arena: every inter-group pair holds (G-2)·A·K² paths and every
-// in-group pair A-2, so a PathID's path is arithmetic over the MIN legs
-// it joins. A point read decodes one PathID; a reader of a whole pair
-// or store joins legs.
+// A Store is a compiled set: PathID ranges per pair over the full VLB
+// set, the base every other set filters. That base is arithmetic: every
+// inter-group pair holds (G-2)·A·K² paths and every in-group pair A-2,
+// and the path at an offset in its pair is the MIN legs it joins. The
+// pristine full set is the base itself; any other store keeps each
+// PathID's offset in its pair. A point read decodes one offset; a
+// reader of a whole pair joins legs and takes the stored joins.
 package paths
 
 import (
@@ -277,12 +278,6 @@ func (m *Leg) chain(h uint64) uint64 {
 	return h
 }
 
-// packed is the leg's ports one byte each, hop 0 lowest, as
-// Store.Ports packs them; zero past its hops.
-func (m *Leg) packed() uint64 {
-	return uint64(uint8(m.ports[0])) | uint64(uint8(m.ports[1]))<<8 | uint64(uint8(m.ports[2]))<<16
-}
-
 // MinLegs appends to dst the MIN paths of pair (s, d) as legs, in
 // EnumerateMin's order, each with its liveness under mask (nil:
 // pristine): one zero-hop leg when s == d, alive with its switch, one
@@ -504,28 +499,23 @@ func (v *vlbVisitor) each(d int, yield func(legs1, legs2 []Leg)) {
 	}
 }
 
-// judge calls yield with the two legs of every live path to d, in
-// visit's order, and pol's verdict on it: the table's answer for the
-// legs' shapes and, where that decides, the joined path's key, chained
-// from the legs (Leg.chain) — one of a keyed word, or one an
-// Explicit's removals must miss. The legs are valid only until yield
-// returns.
+// judge calls yield with the two legs of every path of the full set to
+// d, in visit's order, so that the k-th call is the join at offset k in
+// the pair, and pol's verdict on it: out when a leg is dead, else the
+// table's answer for the legs' shapes and, where that decides, the
+// joined path's key, chained from the legs (Leg.chain) — one of a keyed
+// word, or one an Explicit's removals must miss. The legs are valid
+// only until yield returns.
 func (w *policyWalk) judge(d int, yield func(a, b *Leg, in bool)) {
 	start := rng.Mix(rng.HashSeed, uint64(int32(w.v.src)))
 	w.v.each(d, func(legs1, legs2 []Leg) {
 		for i := range legs1 {
 			a := &legs1[i]
-			if !a.alive {
-				continue
-			}
 			row, chain, chained := &w.pairs[a.shape], uint64(0), false
 			for j := range legs2 {
 				b := &legs2[j]
-				if !b.alive {
-					continue
-				}
 				c := row[b.shape]
-				in := c != admitNone
+				in := a.alive && b.alive && c != admitNone
 				if in && (c == admitKeyed || w.ex != nil) {
 					if !chained {
 						chain, chained = a.chain(start), true
@@ -537,21 +527,6 @@ func (w *policyWalk) judge(d int, yield func(a, b *Leg, in bool)) {
 			}
 		}
 	})
-}
-
-// drops sets drop[k], for the k-th live path of the full set of pair
-// (src, d) under the walk's mask, to whether pol leaves it out: judge's
-// verdict. This is Store.DropMask; drop must hold exactly the pair's
-// live paths.
-func (w *policyWalk) drops(d int, drop []bool) {
-	k := 0
-	w.judge(d, func(_, _ *Leg, in bool) {
-		drop[k] = !in
-		k++
-	})
-	if k != len(drop) {
-		panic(fmt.Sprintf("paths: pair (%d, %d) holds %d paths, its live joins are %d", w.v.src, d, len(drop), k))
-	}
 }
 
 // paths is visit with each admitted path joined into the visitor's
@@ -629,35 +604,29 @@ func (k *Walker) keep(p Path) {
 // policy's verdict is its table at the two legs' shapes and, at a keyed
 // word, its draw; an Explicit's is its base's less its removals. Over a
 // compiled Store the legs are the full set's under the store's mask,
-// and a join is in when it is the pair's next stored path: every
-// store's pair range is the full VLB order filtered, so one merge finds
-// them, and a range the merge does not use up panics; the pristine full
-// store holds every join, so it is walked as Full is. A dead leg is in
-// no join. Not for concurrent use.
+// and a join is in when its offset in the pair is the next stored one:
+// every store's pair range is the full VLB order filtered, so one merge
+// finds them, and a range the merge does not use up panics. A dead leg
+// is in no join. Not for concurrent use.
 type LegWalk struct {
-	w        *policyWalk // the base's table and removals; Full's for a store
-	st       *Store      // the compiled base; nil: none
-	keyed    uint8       // the hop counts whose keys the caller reads
-	in       []bool
-	keys     []uint64
-	next     PathID // the merge: the pair's next stored path, and its end
-	end      PathID
-	nextPort uint64 // the next stored path's ports, packed
+	w     *policyWalk // the base's table and removals; Full's for a store
+	st    *Store      // the compiled base; nil: none
+	keyed uint8       // the hop counts whose keys the caller reads
+	in    []bool
+	keys  []uint64
+	m     pairMerge // the merge with the pair's stored offsets
+	o     int       // the offset of the intermediate's first join
 }
 
 // NewLegWalk returns a LegWalk over base on t under mask (a compiled
 // base is walked under the mask it was compiled under), handing out the
 // keys of the joins of hop count h in the set where bit h of keyed is
-// set. The pristine full store is its legs, every join in, so it needs
-// no merge.
+// set.
 func NewLegWalk(t *topo.Compiled, base Policy, mask *topo.FailureMask, keyed uint8) *LegWalk {
 	root, ex := unwrap(base)
 	lw := &LegWalk{keyed: keyed}
 	if st, ok := root.(*Store); ok {
-		if st.legs == nil {
-			lw.st = st
-		}
-		mask, root = st.Mask(), Full{T: t}
+		lw.st, mask, root = st, st.Mask(), Full{T: t}
 	}
 	lw.w = newPolicyWalk(t, root, mask, -1, nil)
 	lw.w.ex = ex
@@ -672,25 +641,18 @@ func NewLegWalk(t *topo.Compiled, base Policy, mask *topo.FailureMask, keyed uin
 // returns.
 func (lw *LegWalk) Pair(s, d int, yield func(first, second []Leg, in []bool, keys []uint64)) {
 	lw.w.v.from(s)
+	lw.m, lw.o = pairMerge{all: true}, 0
 	if lw.st != nil {
-		first, count := lw.st.PairRange(s, d)
-		lw.next, lw.end = first, first+PathID(count)
-		lw.advance()
+		lw.m = lw.st.merge(lw.st.PairRange(s, d))
 	}
 	start := rng.Mix(rng.HashSeed, uint64(int32(s)))
 	lw.w.v.each(d, func(first, second []Leg) {
 		lw.judge(start, first, second)
+		lw.o += len(first) * len(second)
 		yield(first, second, lw.in, lw.keys)
 	})
-	if lw.next != lw.end {
+	if len(lw.m.offs) != 0 {
 		panic(fmt.Sprintf("paths: %s: pair (%d, %d) has stored paths the full walk under the store's mask does not reach", lw.st.Name(), s, d))
-	}
-}
-
-// advance loads the packed ports of the merge's next stored path.
-func (lw *LegWalk) advance() {
-	if lw.next < lw.end {
-		lw.nextPort = lw.st.arenaPorts(lw.next)
 	}
 }
 
@@ -711,13 +673,7 @@ func (lw *LegWalk) judge(start uint64, first, second []Leg) {
 		for j := range second {
 			b := &second[j]
 			c, h := row[b.shape], a.n+b.n
-			ok := b.alive && c != admitNone
-			if ok && lw.st != nil {
-				if ok = lw.next < lw.end && a.packed()|b.packed()<<(8*a.n) == lw.nextPort; ok {
-					lw.next++
-					lw.advance()
-				}
-			}
+			ok := b.alive && c != admitNone && lw.m.take(lw.o+i*n2+j)
 			if ok && (c == admitKeyed || w.ex != nil || lw.keyed>>h&1 != 0) {
 				key := b.chain(chain)
 				keys[j] = key

@@ -2,6 +2,7 @@ package paths
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"tugal/internal/rng"
 	"tugal/internal/topo"
@@ -164,6 +165,11 @@ func (k KeyDraw) In(key uint64) bool { return rng.Float01(rng.Mix(k.seed, key)) 
 // of 109 850 paths, so all 64 draws miss with probability about 0.63.
 const sampleAttempts = 64
 
+// fallbacks counts the VLB draws returned outside their set: the
+// shortest-seen path of sampleWhere and the last draw of an Explicit
+// (ROADMAP item 6). Only tests read it.
+var fallbacks atomic.Int64
+
 // sampleWhere is the interpreted sampler of every word policy:
 // rejection from the conventional sampler, preserving UGAL's
 // intermediate-selection behaviour on the allowed subset. When no
@@ -191,6 +197,7 @@ func sampleWhere(t *topo.Compiled, w *Words, r *rng.Source, s, d int, dst *Path)
 	}
 	dst.Sw = append(dst.Sw[:0], sw[:best+1]...)
 	dst.Ports = append(dst.Ports[:0], ports[:best]...)
+	fallbacks.Add(1)
 	return true
 }
 
@@ -393,6 +400,7 @@ func (e *Explicit) SampleVLBInto(r *rng.Source, s, d int, dst *Path) bool {
 	// path, so the router still has a non-minimal escape. The balance
 	// adjustment never empties a pair's set, but it may leave few
 	// paths in it, and then this is not rare.
+	fallbacks.Add(1)
 	return true
 }
 

@@ -407,7 +407,7 @@ func TestWordsMatchOracle(t *testing.T) {
 		for _, mask := range []*topo.FailureMask{nil, legEndMask(tp)} {
 			t.Run(fmt.Sprintf("%s/degraded=%v", tp.Label(), mask != nil), func(t *testing.T) {
 				full := CompileDegraded(tp, Full{T: tp}, mask)
-				drops := make([][]bool, len(pols))
+				drops := make([]IDSet, len(pols))
 				for i, pol := range pols {
 					drops[i] = full.DropMask(pol)
 				}
@@ -423,7 +423,7 @@ func TestWordsMatchOracle(t *testing.T) {
 					}
 					for d := 0; d < n; d++ {
 						id, count := full.PairRange(s, d)
-						first, end := id, id+PathID(count)
+						end := id + PathID(count)
 						for i := range pols {
 							verdicts[i] = verdicts[i][:0]
 							walks[i].judge(d, func(_, _ *Leg, in bool) { verdicts[i] = append(verdicts[i], in) })
@@ -438,10 +438,10 @@ func TestWordsMatchOracle(t *testing.T) {
 								if got := pol.Contains(s, d, p); got != want {
 									t.Fatalf("%s pair (%d,%d) %v: Contains %v, oracle %v", pol.Name(), s, d, p, got, want)
 								}
-								if got := !drops[i][id]; got != want {
+								if got := !drops[i].Has(id); got != want {
 									t.Fatalf("%s pair (%d,%d) %v: DropMask admits %v, oracle %v", pol.Name(), s, d, p, got, want)
 								}
-								if got := verdicts[i][id-first]; got != want {
+								if got := verdicts[i][full.offset(s*n+d, id)]; got != want {
 									t.Fatalf("%s pair (%d,%d) %v: the walk admits %v, oracle %v", pol.Name(), s, d, p, got, want)
 								}
 								if want {

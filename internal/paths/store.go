@@ -3,6 +3,9 @@ package paths
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sort"
+	"sync/atomic"
 	"time"
 
 	"tugal/internal/exec"
@@ -17,12 +20,12 @@ type PathID int32
 
 // DefaultCompileBudget caps, in total paths, how large a policy the
 // analysis layers will compile into a Store before falling back to
-// the interpreted form. The pristine full set holds no arena, but every
-// set cut from it (DropMask and Without, a rebalanced candidate) and
-// every masked compile is an arena of MaxVLBHops+1 bytes a path, so
-// ~9.4M paths is ~65 MiB. The budget covers every simulated topology of
-// the paper (dfly(4,8,4,9) full VLB is ~4.1M paths, dfly(4,8,4,17)
-// ~8.4M; restricted T-VLB sets are far smaller) while refusing the
+// the interpreted form. The pristine full set holds no offsets, but
+// every other set — one cut from it (DropMask and Without, a rebalanced
+// candidate), a masked compile — holds 4 bytes a path, so ~9.4M paths
+// is ~36 MiB. The budget covers every simulated topology of the paper
+// (dfly(4,8,4,9) full VLB is ~4.1M paths, dfly(4,8,4,17) ~8.4M;
+// restricted T-VLB sets are far smaller) while refusing the
 // modeled-only dfly(4,8,4,33) (~17M) and the giant dfly(13,26,13,27),
 // whose full set is tens of billions of paths.
 const DefaultCompileBudget int64 = 9 << 20
@@ -33,13 +36,15 @@ const pathIDSpace = math.MaxInt32
 
 // Store is the compiled, immutable form of a Policy on one topology: a
 // per-ordered-pair index of contiguous PathID ranges over the pairs'
-// paths. Most stores keep those paths in a flat arena of per-hop
-// out-ports (stride MaxVLBHops, no per-path slices) and their hop
-// counts. The pristine full set keeps none: its paths are arithmetic
-// over its MIN legs (fullSet), so a point read decodes one PathID and a
-// reader of a whole pair joins the pair's legs. Switch sequences are
-// never stored — they are re-derived from the source switch and the
-// port sequence when a path is materialized.
+// paths. Every path is one of its pair's full VLB set, which is
+// arithmetic over the topology's MIN legs (fullSet), so a Store keeps
+// no ports: a PathID is an offset in its pair's full range. The
+// pristine full set stores every offset and so keeps none; every other
+// set — a policy's compile, a masked one, a cut by Without — keeps each
+// PathID's offset, ascending within a pair. A point read decodes one
+// offset; a reader of a whole pair joins its legs and takes the joins
+// whose offsets are stored. Switch sequences are re-derived from the
+// source switch and the ports when a path is materialized.
 //
 // A Store is strictly read-only after Compile returns. That is the
 // sharing contract with internal/exec: one Store is built per
@@ -55,12 +60,79 @@ type Store struct {
 	full      bool   // compiled from the conventional all-VLB policy
 	n         int    // switches; the pair index is s*n+d
 	pairStart []int32
-	hops      []uint8
-	ports     []int8   // flat arena, MaxVLBHops entries per path
-	legs      *fullSet // the pristine full set, in place of the arena
+	offs      []uint32 // each PathID's offset in its pair; nil: every offset
+	set       *fullSet
 	buildTime time.Duration
 
 	mask *topo.FailureMask // compiled under (nil: pristine)
+}
+
+// IDSet is a set of a Store's PathIDs, one bit each: a drop mask
+// (DropMask, Without).
+type IDSet []uint64
+
+// NewIDSet returns an empty set over n PathIDs.
+func NewIDSet(n int) IDSet { return make(IDSet, (n+63)/64) }
+
+// Has reports whether id is in the set.
+func (b IDSet) Has(id PathID) bool { return b[id>>6]&(1<<(id&63)) != 0 }
+
+// Add puts id in the set.
+func (b IDSet) Add(id PathID) { b[id>>6] |= 1 << (id & 63) }
+
+// rowBits adds one row task's ascending PathIDs to a shared IDSet a word
+// at a time, each word ORed in atomically: the rows before and after it
+// may share its first and last words.
+type rowBits struct {
+	set  IDSet
+	word int
+	acc  uint64
+}
+
+func (r *rowBits) add(id PathID) {
+	if w := int(id >> 6); w != r.word {
+		r.flush()
+		r.word = w
+	}
+	r.acc |= 1 << (id & 63)
+}
+
+// flush ORs in the word being built; a row task ends with it.
+func (r *rowBits) flush() {
+	for r.acc != 0 {
+		w := &r.set[r.word]
+		if old := atomic.LoadUint64(w); atomic.CompareAndSwapUint64(w, old, old|r.acc) {
+			r.acc = 0
+		}
+	}
+}
+
+// pairMerge is the merge of a pair's full joins with its stored offsets,
+// for the walks that judge every join (DropMask, LegWalk): take(o),
+// called with ascending join offsets, reports whether join o is the
+// pair's next stored path. The pristine full set stores every join.
+type pairMerge struct {
+	offs []uint32 // the offsets not taken yet
+	all  bool
+}
+
+// merge returns the merge of the pair whose range is first, count.
+func (st *Store) merge(first PathID, count int) pairMerge {
+	if st.offs == nil {
+		return pairMerge{all: true}
+	}
+	return pairMerge{offs: st.offs[first : int(first)+count]}
+}
+
+func (m *pairMerge) take(o int) bool {
+	if m.all {
+		return true
+	}
+	if len(m.offs) == 0 || int(m.offs[0]) != o {
+		return false
+	}
+	m.offs = m.offs[1:]
+	return true
 }
 
 // fullStore is the store of Full on pristine t: its pair index and the
@@ -69,10 +141,10 @@ type Store struct {
 func fullStore(t *topo.Compiled) *Store {
 	start := time.Now()
 	n := t.NumSwitches()
-	st := &Store{T: t, name: Full{T: t}.Name(), full: true, n: n, legs: newFullSet(t), pairStart: make([]int32, n*n+1)}
+	st := &Store{T: t, name: Full{T: t}.Name(), full: true, n: n, set: newFullSet(t), pairStart: make([]int32, n*n+1)}
 	total := int32(0)
 	for pi := 0; pi < n*n; pi++ {
-		total += int32(st.legs.count(pi/n, pi%n))
+		total += int32(st.set.count(pi/n, pi%n))
 		st.pairStart[pi+1] = total
 	}
 	st.buildTime = time.Since(start)
@@ -80,7 +152,7 @@ func fullStore(t *topo.Compiled) *Store {
 }
 
 // compile is compileStore with the PathID space as its limit, save that
-// Full on the pristine topology is the arithmetic store and walks no
+// Full on the pristine topology is the full set itself and walks no
 // path.
 func compile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (*Store, int64) {
 	if _, ok := pol.(Full); ok && mask == nil {
@@ -93,59 +165,46 @@ func compile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (*Store, int6
 	return compileStore(t, pol, mask, pathIDSpace)
 }
 
+// pairOffsets returns pair pi's stored offsets, ascending: the pristine
+// full set's are every offset of the pair.
+func (st *Store) pairOffsets(pi int) []uint32 {
+	lo, hi := st.pairStart[pi], st.pairStart[pi+1]
+	if st.offs == nil {
+		return st.set.every[:hi-lo]
+	}
+	return st.offs[lo:hi]
+}
+
+// offset returns PathID id's offset in its pair, pair index pi.
+func (st *Store) offset(pi int, id PathID) int {
+	if st.offs != nil {
+		return int(st.offs[id])
+	}
+	return int(id) - int(st.pairStart[pi])
+}
+
 // Ports returns the out-ports of path id of pair (s, d), one byte a
-// hop, hop 0 lowest and zero past its hops (PackedHops counts them).
-// With the source switch they identify the path. The pristine full set
-// decodes them from the ID's offset in the pair.
+// hop, hop 0 lowest and zero past its hops (PackedHops counts them),
+// decoded from the ID's offset in the pair. With the source switch they
+// identify the path.
 func (st *Store) Ports(s, d int, id PathID) uint64 {
-	if st.legs != nil {
-		return st.legs.path(s, d, int(id-PathID(st.pairStart[s*st.n+d])))
-	}
-	return st.arenaPorts(id)
+	return st.set.path(s, d, st.offset(s*st.n+d, id))
 }
 
-// portsOf is Ports for a PathID alone: the pristine full set first
-// finds the ID's pair.
+// portsOf is Ports for a PathID alone: its pair is the last whose range
+// starts at or before it.
 func (st *Store) portsOf(id PathID) uint64 {
-	if st.legs != nil {
-		return st.legs.path(st.legs.locate(id))
-	}
-	return st.arenaPorts(id)
-}
-
-// arenaPorts packs an arena slot's ports; its zero padding packs to
-// zero bytes, as a Leg's does.
-func (st *Store) arenaPorts(id PathID) uint64 {
-	p := (*[MaxVLBHops]int8)(st.ports[int(id)*MaxVLBHops:])
-	var x uint64
-	for i := MaxVLBHops - 1; i >= 0; i-- {
-		x = x<<8 | uint64(uint8(p[i]))
-	}
-	return x
-}
-
-// setLegs writes the path joining legs a and b into arena slot k. A
-// leg's ports are zero past its hops and each slot is written once, so
-// b's three ports may overwrite a's padding and leave the slot's own.
-func (st *Store) setLegs(k int, a, b *Leg) {
-	st.hops[k] = uint8(a.n + b.n)
-	slot := st.ports[k*MaxVLBHops : (k+1)*MaxVLBHops]
-	*(*[3]int8)(slot) = a.ports
-	*(*[3]int8)(slot[a.n:]) = b.ports
+	pi := sort.Search(st.n*st.n, func(i int) bool { return st.pairStart[i+1] > int32(id) })
+	return st.Ports(pi/st.n, pi%st.n, id)
 }
 
 // PairPorts calls fn with each stored path of pair (s, d) in PathID
-// order and its Ports. Over the pristine full set it joins the pair's
-// MIN legs, K into and K out of each intermediate, and decodes no path.
+// order and its Ports: per intermediate its stored paths pass, it builds
+// the MIN legs, K into it and K out of it, and joins them at the stored
+// offsets.
 func (st *Store) PairPorts(s, d int, fn func(id PathID, ports uint64)) {
-	id, count := st.PairRange(s, d)
-	if st.legs == nil {
-		for end := id + PathID(count); id < end; id++ {
-			fn(id, st.arenaPorts(id))
-		}
-		return
-	}
-	st.legs.each(s, d, id, fn)
+	id, _ := st.PairRange(s, d)
+	st.set.each(s, d, id, st.pairOffsets(s*st.n+d), fn)
 }
 
 // FirstPorts calls fn, in order of first appearance, with each port the
@@ -164,8 +223,8 @@ func (st *Store) FirstPorts(s, d int, fn func(port int8, paths int)) {
 		}
 		count[p] += n
 	}
-	if st.legs != nil {
-		st.legs.firstPorts(s, d, add)
+	if st.offs == nil {
+		st.set.firstPorts(s, d, add)
 	} else {
 		st.PairPorts(s, d, func(_ PathID, ports uint64) { add(int8(ports), 1) })
 	}
@@ -185,31 +244,31 @@ func (st *Store) Mask() *topo.FailureMask { return st.mask }
 // pass walks every pair with a policyWalk and leaves its number of
 // admitted paths in pairStart, building no path of a word the table
 // admits whole; the prefix sum turns those into PathID ranges and sizes
-// hops/ports exactly; the fill pass repeats the walk, writing each
-// admitted leg pair into its final slot. Rows own disjoint arena
+// the offsets exactly; the fill pass repeats the walk, writing each
+// admitted join's offset in its pair — its place among all the pair's
+// joins, dead ones counted — into its final slot. Rows own disjoint
 // ranges, so both passes run over row chunks on the default pool and
-// the arenas are byte-identical at any worker count. Per-pair order is
-// the policy's Enumerate order filtered by aliveness — the sequence
-// filtering an already compiled store by the same mask leaves
-// (degradedStore), which is what makes the two byte-identical.
+// the offsets are the same at any worker count. Per-pair order is the
+// full VLB order filtered by pol and aliveness — the sequence filtering
+// an already compiled store by the same mask leaves (degradedStore),
+// which is what makes the two identical.
 //
 // The second result is the counted total. When it exceeds limit (the
 // PathID space, for every caller but the overflow test) the store is
-// nil and no arena has been allocated.
+// nil and no offsets have been allocated.
 func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit int64) (*Store, int64) {
 	start := time.Now()
 	n := t.NumSwitches()
 	_, isFull := pol.(Full)
-	st := &Store{T: t, name: pol.Name(), full: isFull, n: n, mask: mask}
+	st := &Store{T: t, name: pol.Name(), full: isFull, n: n, mask: mask, set: newFullSet(t)}
 	st.pairStart = make([]int32, n*n+1)
 	pool := exec.Default()
 	// pass walks every row: the count pass (fill false) leaves each
 	// pair's admitted count in pairStart, the fill writes each admitted
-	// path into the arena from the row's first PathID on. Each pass
-	// builds its own leg table, so that the count's is garbage when the
-	// arenas are allocated: the collection that allocation starts would
-	// otherwise count it live and raise the next heap goal by twice its
-	// size.
+	// join's offset from the row's first PathID on. Each pass builds its
+	// own leg table, so that the count's is garbage when the offsets are
+	// allocated: the collection that allocation starts would otherwise
+	// count it live and raise the next heap goal by twice its size.
 	pass := func(label string, fill bool) {
 		legs := newLegTable(t, mask)
 		pool.RunRows(label, n, func(s int) {
@@ -219,12 +278,15 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 				id = int(st.pairStart[s*n])
 			}
 			for d := 0; d < n; d++ {
-				first := id
-				w.visit(d, func(a, b *Leg) {
-					if fill {
-						st.setLegs(id, a, b)
+				first, o := id, 0
+				w.judge(d, func(_, _ *Leg, in bool) {
+					if in {
+						if fill {
+							st.offs[id] = uint32(o)
+						}
+						id++
 					}
-					id++
+					o++
 				})
 				if !fill {
 					st.pairStart[s*n+d+1] = int32(id - first)
@@ -244,8 +306,7 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 	if total > limit {
 		return nil, total
 	}
-	st.hops = make([]uint8, total)
-	st.ports = make([]int8, total*MaxVLBHops)
+	st.offs = make([]uint32, total)
 	pass("paths/fill", true)
 	st.buildTime = time.Since(start)
 	return st, total
@@ -314,12 +375,7 @@ func (st *Store) PairRange(s, d int) (PathID, int) {
 }
 
 // Hops returns a compiled path's hop count.
-func (st *Store) Hops(id PathID) int {
-	if st.legs != nil {
-		return PackedHops(st.portsOf(id))
-	}
-	return int(st.hops[id])
-}
+func (st *Store) Hops(id PathID) int { return PackedHops(st.portsOf(id)) }
 
 // SampleID draws a uniform PathID from the pair's range: the O(1),
 // allocation-free replacement for rejection sampling. ok=false when
@@ -415,92 +471,75 @@ func (st *Store) EqualIDs(a, b PathID) bool { return st.portsOf(a) == st.portsOf
 // DropMask marks, by PathID, the paths of st, a store of the full set,
 // that pol, a word policy or an Explicit over one, does not admit. Every
 // policy's per-pair order is the full VLB order filtered, so
-// st.Without(st.DropMask(pol)) is byte-for-byte pol compiled under st's
-// mask. The store is read as the compile's walk reads it: its legs from
-// one table under its mask, and each live join's verdict at its legs'
-// shapes, a key chained from the legs only where it decides. No path is
+// st.Without(st.DropMask(pol)) is pol compiled under st's mask. The
+// store is read as the compile's walk reads it: its legs from one table
+// under its mask, each join's verdict at its legs' shapes, a key chained
+// from the legs only where it decides, and the joins merged with the
+// stored offsets (a full store holds exactly its live joins). No path is
 // built. Rows run over row chunks on the default pool.
-func (st *Store) DropMask(pol Policy) []bool {
+func (st *Store) DropMask(pol Policy) IDSet {
 	if !st.full {
 		panic(fmt.Sprintf("paths: DropMask: %s is not the full VLB set", st.Name()))
 	}
-	drop := make([]bool, st.NumPaths())
+	drop := NewIDSet(st.NumPaths())
 	legs := newLegTable(st.T, st.mask)
 	exec.Default().RunRows("paths/drop-mask", st.n, func(s int) {
 		w := newPolicyWalk(st.T, pol, st.mask, s, legs)
+		marks := rowBits{set: drop, word: -1}
 		for d := 0; d < st.n; d++ {
-			first, count := st.PairRange(s, d)
-			w.drops(d, drop[first:int(first)+count])
+			id, count := st.PairRange(s, d)
+			end, m, o := id+PathID(count), st.merge(id, count), 0
+			w.judge(d, func(_, _ *Leg, in bool) {
+				if m.take(o) {
+					if !in {
+						marks.add(id)
+					}
+					id++
+				}
+				o++
+			})
+			if id != end {
+				panic(fmt.Sprintf("paths: pair (%d, %d) holds %d paths, the walk under its mask took %d", s, d, count, count-int(end-id)))
+			}
 		}
+		marks.flush()
 	})
 	return drop
 }
 
-// Without returns a compacted copy excluding the paths whose PathID
-// is marked in removed (indexed by PathID, len NumPaths), as count ->
-// prefix -> exact-size fill. Pair order is preserved. The pristine full
-// set is filled as the compile fills, every leg pair joined from one
-// leg table, over row chunks on the default pool. This is how the
-// Step-2 balance adjustment expresses its removal set on a compiled
-// store, and the only copy a candidate cut out of the full store ever
-// gets.
-func (st *Store) Without(removed []bool) *Store {
+// Without returns a copy excluding the paths whose PathID is in removed
+// (a set over NumPaths): the kept paths' offsets, in pair order. It
+// reads no topology. This is how the Step-2 balance adjustment
+// expresses its removal set on a compiled store, and the only copy a
+// candidate cut out of the full store ever gets.
+func (st *Store) Without(removed IDSet) *Store {
 	start := time.Now()
 	nn := st.n * st.n
-	out := &Store{T: st.T, n: st.n, mask: st.mask, pairStart: make([]int32, nn+1)}
-	live := 0
-	for pi := 0; pi < nn; pi++ {
-		for id := st.pairStart[pi]; id < st.pairStart[pi+1]; id++ {
-			if !removed[id] {
-				live++
-			}
-		}
-		out.pairStart[pi+1] = int32(live)
+	out := &Store{T: st.T, n: st.n, mask: st.mask, set: st.set, pairStart: make([]int32, nn+1)}
+	live := st.NumPaths()
+	for _, w := range removed {
+		live -= bits.OnesCount64(w)
 	}
 	out.name = fmt.Sprintf("%s-minus-%d", st.name, st.NumPaths()-live)
-	out.hops = make([]uint8, live)
-	out.ports = make([]int8, live*MaxVLBHops)
-	if st.legs == nil {
-		k := 0
-		for id, h := range st.hops {
-			if !removed[id] {
-				out.hops[k] = h
-				copy(out.ports[k*MaxVLBHops:], st.ports[id*MaxVLBHops:(id+1)*MaxVLBHops])
+	out.offs = make([]uint32, live)
+	k := 0
+	for pi := 0; pi < nn; pi++ {
+		for id := PathID(st.pairStart[pi]); id < PathID(st.pairStart[pi+1]); id++ {
+			if !removed.Has(id) {
+				out.offs[k] = uint32(st.offset(pi, id))
 				k++
 			}
 		}
-	} else {
-		legs := newLegTable(st.T, nil)
-		exec.Default().RunRows("paths/without", st.n, func(s int) {
-			v := vlbVisitor{t: st.T, table: legs, src: s}
-			id, k := st.pairStart[s*st.n], int(out.pairStart[s*st.n])
-			for d := 0; d < st.n; d++ {
-				v.each(d, func(legs1, legs2 []Leg) {
-					for i := range legs1 {
-						for j := range legs2 {
-							if !removed[id] {
-								out.setLegs(k, &legs1[i], &legs2[j])
-								k++
-							}
-							id++
-						}
-					}
-				})
-			}
-		})
+		out.pairStart[pi+1] = int32(k)
 	}
 	out.buildTime = time.Since(start)
 	return out
 }
 
-// Bytes reports the resident size of the store: the arenas, or the
-// pristine full set's two tables, and the per-pair index.
+// Bytes reports the resident size of the store: the offsets, the pair
+// index and the full set's two tables.
 func (st *Store) Bytes() int64 {
-	b := int64(len(st.ports)) + int64(len(st.hops)) + 4*int64(len(st.pairStart))
-	if st.legs != nil {
-		b += st.legs.bytes()
-	}
-	return b
+	return 4*int64(len(st.offs)) + 4*int64(len(st.pairStart)) + st.set.bytes()
 }
 
 // BuildTime reports how long compilation took.

@@ -141,7 +141,7 @@ func TestStoreSamplingIsUniform(t *testing.T) {
 func TestStoreWithout(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	st := Compile(tp, LengthCapped{T: tp, MaxHops: 4})
-	removed := make([]bool, st.NumPaths())
+	removed := NewIDSet(st.NumPaths())
 	// Mark every third path of a few pairs.
 	marked := 0
 	n := tp.NumSwitches()
@@ -149,7 +149,7 @@ func TestStoreWithout(t *testing.T) {
 		for d := 0; d < n; d++ {
 			first, count := st.PairRange(s, d)
 			for i := 0; i < count; i += 3 {
-				removed[int(first)+i] = true
+				removed.Add(first + PathID(i))
 				marked++
 			}
 		}
@@ -163,7 +163,7 @@ func TestStoreWithout(t *testing.T) {
 			first, count := st.PairRange(s, d)
 			var want []Path
 			for i := 0; i < count; i++ {
-				if !removed[int(first)+i] {
+				if !removed.Has(first + PathID(i)) {
 					var p Path
 					st.MaterializeInto(s, first+PathID(i), &p)
 					want = append(want, p)
@@ -241,7 +241,7 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 			Strategic{T: tp, FirstLeg: 2},
 			Strategic{T: tp, FirstLeg: 3},
 		}
-		drops := make([][]bool, len(filters))
+		drops := make([]IDSet, len(filters))
 		for i, pol := range filters {
 			drops[i] = base.DropMask(pol)
 		}
@@ -263,7 +263,7 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 					}
 					for i, pol := range filters {
 						want := pol.Contains(s, d, p)
-						if drops[i][id] == want {
+						if drops[i].Has(id) == want {
 							t.Fatalf("%s %s pair (%d,%d) path %d: DropMask disagrees with Contains",
 								tp.Label(), pol.Name(), s, d, k)
 						}
@@ -291,9 +291,8 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 }
 
 // TestDropMaskWorkers pins a candidate derived from the full store —
-// DropMask, then the one Without compaction — byte-identical in pair
-// index, hop array and port arena to the policy's own enumerating
-// compile, at 1, 2 and 8 workers, for every policy shape (an Explicit
+// DropMask, then the one Without copy — identical in pair index and
+// offsets to the policy's own enumerating compile, at 1, 2 and 8 workers, for every policy shape (an Explicit
 // checks its removals on each admitted path's key), pristine and
 // masked, from a full store compiled under the mask and from the
 // pristine store filtered by it.
@@ -312,7 +311,7 @@ func TestDropMaskWorkers(t *testing.T) {
 						old := exec.SetDefault(exec.NewPool(workers))
 						got := base.Without(base.DropMask(pol))
 						exec.SetDefault(old)
-						if !sameArena(got, want) || got.Mask() != mask {
+						if !sameStore(got, want) || got.Mask() != mask {
 							t.Fatalf("%s %s mask %v, %s base, %d workers: candidate differs from the policy's compile",
 								tp.Label(), pol.Name(), mask, kind, workers)
 						}
@@ -352,12 +351,10 @@ func TestCompileDegradedPassesThrough(t *testing.T) {
 	}
 }
 
-// arenaOf returns st's hop array and port arena; the pristine full set,
-// which keeps neither, has them read pair by pair (Store.PairPorts).
-func arenaOf(st *Store) ([]uint8, []int8) {
-	if st.legs == nil {
-		return st.hops, st.ports
-	}
+// readStore returns st's paths as a hop array and a port arena,
+// MaxVLBHops slots a path, read pair by pair (Store.PairPorts): the form
+// naiveCompile gives its reference in.
+func readStore(st *Store) ([]uint8, []int8) {
 	hops, ports := make([]uint8, st.NumPaths()), make([]int8, st.NumPaths()*MaxVLBHops)
 	for s := 0; s < st.n; s++ {
 		for d := 0; d < st.n; d++ {
@@ -372,12 +369,21 @@ func arenaOf(st *Store) ([]uint8, []int8) {
 	return hops, ports
 }
 
-// sameArena reports whether two stores hold the same pair index, hop
-// array and port arena, arenaOf's for the pristine full set.
-func sameArena(a, b *Store) bool {
-	ah, ap := arenaOf(a)
-	bh, bp := arenaOf(b)
-	return slices.Equal(a.pairStart, b.pairStart) && slices.Equal(ah, bh) && slices.Equal(ap, bp)
+// sameStore reports whether two stores of one topology hold the same
+// pair index and the same offsets, so the same paths: the pristine full
+// set's offsets are every pair's 0, 1, ...
+func sameStore(a, b *Store) bool {
+	if !slices.Equal(a.pairStart, b.pairStart) {
+		return false
+	}
+	for pi := 0; pi < a.n*a.n; pi++ {
+		for id := PathID(a.pairStart[pi]); id < PathID(a.pairStart[pi+1]); id++ {
+			if a.offset(pi, id) != b.offset(pi, id) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // unpack returns packed ports (Store.Ports) as a port sequence.
@@ -393,24 +399,52 @@ func unpack(ports uint64) []int8 {
 // shipped before count -> fill, over the naive enumeration: the
 // byte-level reference for pairStart, hops and ports.
 func naiveCompile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (pairStart []int32, hops []uint8, ports []int8) {
+	ref := naiveCompileAll(t, []Policy{pol}, mask)[0]
+	return ref.pairStart, ref.hops, ref.ports
+}
+
+// naiveRef is one policy's naiveCompile reference.
+type naiveRef struct {
+	pairStart []int32
+	hops      []uint8
+	ports     []int8
+}
+
+// naiveCompileAll is naiveCompile for several policies under one mask,
+// from one naive enumeration of each pair.
+func naiveCompileAll(t *topo.Compiled, pols []Policy, mask *topo.FailureMask) []naiveRef {
 	n := t.NumSwitches()
-	pairStart = make([]int32, n*n+1)
+	refs := make([]naiveRef, len(pols))
+	hmax := 0
+	for i, pol := range pols {
+		refs[i].pairStart = make([]int32, n*n+1)
+		hmax = max(hmax, hopCap(pol))
+	}
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			pairStart[s*n+d] = int32(len(hops))
-			for _, p := range naiveEnumerateVLBMax(t, s, d, hopCap(pol)) {
-				if !pol.Contains(s, d, p) || !Alive(mask, p) {
+			for i := range refs {
+				refs[i].pairStart[s*n+d] = int32(len(refs[i].hops))
+			}
+			for _, p := range naiveEnumerateVLBMax(t, s, d, hmax) {
+				if !Alive(mask, p) {
 					continue
 				}
-				hops = append(hops, uint8(p.Hops()))
-				base := len(ports)
-				ports = append(ports, make([]int8, MaxVLBHops)...)
-				copy(ports[base:], p.Ports)
+				for i, pol := range pols {
+					if pol.Contains(s, d, p) {
+						ref := &refs[i]
+						ref.hops = append(ref.hops, uint8(p.Hops()))
+						base := len(ref.ports)
+						ref.ports = append(ref.ports, make([]int8, MaxVLBHops)...)
+						copy(ref.ports[base:], p.Ports)
+					}
+				}
 			}
 		}
 	}
-	pairStart[n*n] = int32(len(hops))
-	return pairStart, hops, ports
+	for i := range refs {
+		refs[i].pairStart[n*n] = int32(len(refs[i].hops))
+	}
+	return refs
 }
 
 // hopCap is the longest hop count pol, a word policy or an Explicit
@@ -436,20 +470,23 @@ func degradedMask(t *topo.Compiled) *topo.FailureMask {
 	return m
 }
 
-// TestCompileWorkers pins the row-parallel compile byte-identical to
-// the naive sequential reference — pair index, hop array and port
-// arena — at 1, 2 and 8 workers, for every policy shape, pristine and
-// under a failure mask.
+// TestCompileWorkers pins the row-parallel compile to the naive
+// sequential reference — pair index, and the paths read back as a hop
+// array and port arena — and its offsets identical at 1, 2 and 8
+// workers, for every policy shape, pristine and under a failure mask.
 func TestCompileWorkers(t *testing.T) {
 	for _, tp := range oracleTopos() {
 		for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
-			for _, pol := range storePolicies(tp) {
+			pols := storePolicies(tp)
+			refs := naiveCompileAll(tp, pols, mask)
+			for i, pol := range pols {
 				name := fmt.Sprintf("%s/%s/pristine", tp.Label(), pol.Name())
 				if mask != nil {
 					name = fmt.Sprintf("%s/%s/%v", tp.Label(), pol.Name(), mask)
 				}
 				t.Run(name, func(t *testing.T) {
-					pairStart, hops, ports := naiveCompile(tp, pol, mask)
+					pairStart, hops, ports := refs[i].pairStart, refs[i].hops, refs[i].ports
+					var one *Store
 					for _, workers := range []int{1, 2, 8} {
 						old := exec.SetDefault(exec.NewPool(workers))
 						st := CompileDegraded(tp, pol, mask)
@@ -457,12 +494,17 @@ func TestCompileWorkers(t *testing.T) {
 						if !slices.Equal(st.pairStart, pairStart) {
 							t.Fatalf("%d workers: pair index differs from the reference", workers)
 						}
-						stHops, stPorts := arenaOf(st)
-						if !slices.Equal(stHops, hops) {
-							t.Fatalf("%d workers: hop array differs from the reference", workers)
-						}
-						if !slices.Equal(stPorts, ports) {
-							t.Fatalf("%d workers: port arena differs from the reference", workers)
+						if one == nil {
+							one = st
+							stHops, stPorts := readStore(st)
+							if !slices.Equal(stHops, hops) {
+								t.Fatalf("%d workers: hop array differs from the reference", workers)
+							}
+							if !slices.Equal(stPorts, ports) {
+								t.Fatalf("%d workers: port arena differs from the reference", workers)
+							}
+						} else if !sameStore(st, one) {
+							t.Fatalf("%d workers: offsets differ from 1 worker's", workers)
 						}
 						if st.Mask() != mask || st.Name() != pol.Name() {
 							t.Fatalf("%d workers: store carries mask %v name %q", workers, st.Mask(), st.Name())
@@ -508,7 +550,7 @@ func TestWalkerMatchesStore(t *testing.T) {
 
 // TestCompileRefusesPathIDOverflow covers a policy whose counted size
 // does not fit the PathID space: the count pass must stop the compile
-// before the arenas are allocated. An instance that really holds 2^31
+// before the offsets are allocated. An instance that really holds 2^31
 // paths takes minutes to count, so the test hands compileStore a small
 // limit on a small instance instead — the one argument TryCompile* and
 // Compile do not choose; they turn its nil store into ok=false and

@@ -2,13 +2,14 @@ package paths
 
 import "tugal/internal/topo"
 
-// hopTable is the one walk over stored paths' channels. Entry
+// hopTable is the channel walk of a route given as packed ports
+// (MaskWalk.Alive). Entry
 // cur*radix+port is the hop out of switch cur at port: the row of the
 // switch it leads to (that switch times radix) and the dense channel it
 // crosses, as FailureMask.DeadDense numbers them. A terminal port leads
 // back to its own switch over slot nch+cur, the switch itself. Port 0
-// is terminal (P >= 1) and unused port slots are zero, so every stored
-// path walks as MaxVLBHops hops with no branch.
+// is terminal (P >= 1) and packed ports are zero past the last hop, so
+// every route walks as MaxVLBHops hops with no branch.
 type hopTable struct {
 	radix int
 	nch   int // dense channels; slot nch+sw is switch sw's own
@@ -33,29 +34,11 @@ func newHopTable(t *topo.Compiled) *hopTable {
 	return h
 }
 
-// step walks the paths id..id+3 of a port arena (MaxVLBHops slots a
-// path) from switch src in lockstep, so that their dependent peer loads
-// overlap, and writes path id+k's channels to c[k]. An ID past last
-// walks last again: no step reads past the range it was given.
-func (h *hopTable) step(ports []int8, src, id, last int, c *[4][MaxVLBHops]int32) {
-	a := (*[MaxVLBHops]int8)(ports[id*MaxVLBHops:])
-	b := (*[MaxVLBHops]int8)(ports[min(id+1, last)*MaxVLBHops:])
-	d := (*[MaxVLBHops]int8)(ports[min(id+2, last)*MaxVLBHops:])
-	e := (*[MaxVLBHops]int8)(ports[min(id+3, last)*MaxVLBHops:])
-	hops := h.hops
-	ra, rb, rd, re := src*h.radix, src*h.radix, src*h.radix, src*h.radix
-	for j := 0; j < MaxVLBHops; j++ {
-		ha, hb, hd, he := hops[ra+int(a[j])], hops[rb+int(b[j])], hops[rd+int(d[j])], hops[re+int(e[j])]
-		c[0][j], c[1][j], c[2][j], c[3][j] = ha.ch, hb.ch, hd.ch, he.ch
-		ra, rb, rd, re = int(ha.at), int(hb.at), int(hd.at), int(he.at)
-	}
-}
-
 // MaskWalk tests stored paths and port sequences against one failure
-// mask through the hop table: the store filter and the route table's
-// row filter are both this walk. An arena's paths are walked hop by
-// hop; the pristine full set's by their MIN legs, a path being dead
-// exactly when one of its two legs is. Read-only once built.
+// mask: the store filter and the route table's row filter are both this
+// walk. A stored path is walked by its two MIN legs, dead exactly when
+// one of them is; a port sequence hop by hop through the hop table.
+// Read-only once built.
 type MaskWalk struct {
 	h *hopTable
 	t *topo.Compiled
@@ -75,7 +58,7 @@ func NewMaskWalk(t *topo.Compiled, mask *topo.FailureMask) *MaskWalk {
 // the last failure, for MarkDelta. Terminal-port channels and switches
 // out of range are skipped: no stored path crosses them. It folds each
 // inter-group MIN leg's channels (newLegTable's legs) into one byte,
-// which is how the pristine full set is marked.
+// which is how stored paths are marked.
 func NewDeltaWalk(t *topo.Compiled, mask *topo.FailureMask, delta []topo.Channel) *MaskWalk {
 	w := &MaskWalk{h: newHopTable(t), t: t}
 	w.dead = make([]uint8, w.h.nch+t.NumSwitches())
@@ -101,12 +84,6 @@ func NewDeltaWalk(t *topo.Compiled, mask *topo.FailureMask, delta []topo.Channel
 	return w
 }
 
-// flags ORs the dead bits of one walked path's slots.
-func (w *MaskWalk) flags(c *[MaxVLBHops]int32) uint8 {
-	d := w.dead
-	return d[c[0]] | d[c[1]] | d[c[2]] | d[c[3]] | d[c[4]] | d[c[5]]
-}
-
 // MarkDead sets dead[k], k below the pair's path count, to whether path
 // k of pair (s, d) of st crosses a channel the mask kills, and returns
 // how many do.
@@ -116,68 +93,56 @@ func (w *MaskWalk) MarkDead(st *Store, s, d int, dead []bool) int {
 }
 
 // MarkDelta is MarkDead that also reports, from the same walk, whether
-// any of the pair's paths crosses a channel of the walk's delta.
+// any of the pair's paths crosses a channel of the walk's delta. A
+// stored path's bits are its two legs', from the walk's leg table. A
+// pair that holds every join walks them in order; any other finds each
+// stored path's legs by its offset, so the walk costs the stored paths,
+// not the pair's full set.
 func (w *MaskWalk) MarkDelta(st *Store, s, d int, dead []bool) (n int, crossed bool) {
-	if st.legs != nil {
-		return w.markLegs(s, d, dead)
-	}
-	first, count := st.PairRange(s, d)
-	return w.markRange(st.ports, s, int(first), count, dead)
-}
-
-// markRange marks paths first..first+count-1 of a port arena out of
-// src, four at a time in lockstep.
-func (w *MaskWalk) markRange(ports []int8, src, first, count int, dead []bool) (n int, crossed bool) {
-	var c [4][MaxVLBHops]int32
-	var hit uint8
-	last := first + count - 1
-	for i := 0; i < count; i += 4 {
-		w.h.step(ports, src, first+i, last, &c)
-		for k := range min(4, count-i) {
-			f := w.flags(&c[k])
-			hit |= f
-			if dead[i+k] = f&1 != 0; dead[i+k] {
-				n++
-			}
-		}
-	}
-	return n, hit&2 != 0
-}
-
-// markLegs is MarkDelta over the pristine full set: a join's bits are
-// its two legs', from the walk's leg table, and the pair crosses the
-// delta exactly when one of its legs does, each leg being in some join.
-func (w *MaskWalk) markLegs(s, d int, dead []bool) (n int, crossed bool) {
-	t := w.t
+	t, split := w.t, st.set.split
 	gs, gd := t.GroupOf(s), t.GroupOf(d)
+	offs := st.pairOffsets(s*st.n + d)
 	var hit uint8
-	mark := func(i int, x uint8) {
+	mark := func(k int, x uint8) {
 		hit |= x
-		if dead[i] = x&1 != 0; dead[i] {
-			n++
-		}
+		dead[k] = x&1 != 0
+		n += int(x & 1)
 	}
 	if gs == gd {
 		nonTerm := t.A - 1 + t.H
-		for o := range dead {
-			m := t.SwitchID(gs, skip(o, t.SwitchIndexInGroup(s), t.SwitchIndexInGroup(d)))
-			mark(o, w.dead[s*nonTerm+t.LocalPort(s, m)-t.P]|w.dead[m*nonTerm+t.LocalPort(m, d)-t.P])
+		for k, o := range offs {
+			mid := t.SwitchID(gs, skip(int(o), t.SwitchIndexInGroup(s), t.SwitchIndexInGroup(d)))
+			mark(k, w.dead[s*nonTerm+t.LocalPort(s, mid)-t.P]|w.dead[mid*nonTerm+t.LocalPort(mid, d)-t.P])
 		}
 		return n, hit&2 != 0
 	}
-	i := 0
-	for q := 0; q < t.G-2; q++ {
-		gi := skip(q, gs, gd)
-		for ip := 0; ip < t.A; ip++ {
-			inter := t.SwitchID(gi, ip)
-			second := w.legsTo(inter, d)
-			for _, a := range w.legsTo(s, inter) {
-				for _, b := range second {
-					mark(i, a|b)
-					i++
+	if len(offs) == st.set.perPair {
+		k := 0
+		for q := 0; q < t.G-2; q++ {
+			gi := skip(q, gs, gd)
+			for ip := 0; ip < t.A; ip++ {
+				inter := t.SwitchID(gi, ip)
+				second := w.legsTo(inter, d)
+				for _, a := range w.legsTo(s, inter) {
+					for _, b := range second {
+						mark(k, a|b)
+						k++
+					}
 				}
 			}
 		}
+		return n, hit&2 != 0
+	}
+	var first, second []uint8
+	at := -1 // the intermediate first and second lead into and out of
+	for k, o := range offs {
+		sp := split[o]
+		if x := int(sp.gq)*t.A + int(sp.si); x != at {
+			at = x
+			inter := t.SwitchID(skip(int(sp.gq), gs, gd), int(sp.si))
+			first, second = w.legsTo(s, inter), w.legsTo(inter, d)
+		}
+		mark(k, first[sp.k1]|second[sp.k2])
 	}
 	return n, hit&2 != 0
 }
@@ -194,11 +159,12 @@ func (w *MaskWalk) legsTo(x, y int) []uint8 {
 // MaxVLBHops, see Store.Ports) survives the mask; a zero-hop one lives
 // with its switch.
 func (w *MaskWalk) Alive(src int, ports uint64) bool {
-	var slots [MaxVLBHops]int8
-	for i := range slots {
-		slots[i] = int8(ports >> (8 * i))
+	var f uint8
+	at := src * w.h.radix
+	for j := 0; j < MaxVLBHops; j, ports = j+1, ports>>8 {
+		h := w.h.hops[at+int(uint8(ports))]
+		f |= w.dead[h.ch]
+		at = int(h.at)
 	}
-	var c [4][MaxVLBHops]int32
-	w.h.step(slots[:], src, 0, 0, &c)
-	return w.flags(&c[0])&1 == 0
+	return f&1 == 0
 }

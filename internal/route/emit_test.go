@@ -281,15 +281,44 @@ func TestEmitRejectsUnpackable(t *testing.T) {
 
 var benchTables *Tables
 
-// BenchmarkFailSwap times a first failure epoch of the route service on
-// the paper's g9 machine and on dfly(4,8,4,17), the topology cmd/routed
-// serves: a global link failed through Service.Fail on freshly emitted
-// tables — mask clone, row list, row filter, swap.
+// benchStore is one store the route benchmarks emit tables from.
+type benchStore struct {
+	name string
+	st   *paths.Store
+}
+
+// benchStores returns the full VLB store of the paper's g9 machine and
+// three of dfly(4,8,4,17), the topology cmd/routed serves: the full set,
+// strategic 2+3 (a quarter of it, as pair offsets) and the full set
+// compiled under a local link and a switch failed (its live joins, as
+// pair offsets), the stores routed's -policy and -failures serve.
+func benchStores(b *testing.B) []benchStore {
+	g9, g17 := topo.MustNew(4, 8, 4, 9), topo.MustNew(4, 8, 4, 17)
+	m := topo.NewFailureMask(g17)
+	_, err := m.FailLocalLink(g17.SwitchID(1, 0), g17.SwitchID(1, 1))
+	if err == nil {
+		_, err = m.FailSwitch(g17.SwitchID(g17.G-1, 0))
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []benchStore{
+		{"g9", paths.Compile(g9, paths.Full{T: g9})},
+		{"g17", paths.Compile(g17, paths.Full{T: g17})},
+		{"g17-strategic", paths.Compile(g17, paths.Strategic{T: g17, FirstLeg: 2})},
+		{"g17-masked", paths.CompileDegraded(g17, paths.Full{T: g17}, m)},
+	}
+}
+
+// BenchmarkFailSwap times a first failure epoch of the route service
+// on each of benchStores' stores: a global link failed through
+// Service.Fail on freshly emitted tables — mask clone, row list, row
+// filter, swap.
 func BenchmarkFailSwap(b *testing.B) {
-	for _, g := range []int{9, 17} {
-		tp := topo.MustNew(4, 8, 4, g)
-		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
-			tb, err := Emit(paths.Compile(tp, paths.Full{T: tp}), Default())
+	for _, c := range benchStores(b) {
+		tp := c.st.T
+		b.Run(c.name, func(b *testing.B) {
+			tb, err := Emit(c.st, Default())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -308,18 +337,19 @@ func BenchmarkFailSwap(b *testing.B) {
 	}
 }
 
-// BenchmarkEmit times the table emit of the full-VLB store on the
-// paper's g9 machine (~4.1M VLB candidates, none of them copied).
+// BenchmarkEmit times the table emit of each of benchStores' stores
+// (g9's full set: ~4.1M VLB candidates, none of them copied).
 func BenchmarkEmit(b *testing.B) {
-	tp := topo.MustNew(4, 8, 4, 9)
-	st := paths.Compile(tp, paths.Full{T: tp})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb, err := Emit(st, Default())
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchTables = tb
+	for _, c := range benchStores(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tb, err := Emit(c.st, Default())
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchTables = tb
+			}
+		})
 	}
 }

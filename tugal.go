@@ -106,8 +106,8 @@ func StrategicVLB(t *Topology, firstLeg int) PathPolicy {
 	return pol
 }
 
-// PathStore is a policy compiled into an immutable flat arena with
-// per-pair PathID ranges: sampling is one RNG draw and materializes
+// PathStore is a policy compiled into immutable per-pair PathID ranges
+// over the topology's arithmetic full VLB set: sampling is one RNG draw and materializes
 // into a caller buffer without allocating, so one store is shared
 // read-only by every run on the worker pool. A PathStore is itself a
 // PathPolicy.
