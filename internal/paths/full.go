@@ -177,10 +177,10 @@ func (f *fullSet) each(s, d int, id PathID, offs []uint32, fn func(id PathID, po
 			}
 			out := f.headsTo(t.SwitchID(gi, si), gd)
 			if k+kk > len(offs) || int(offs[k+kk-1]) != end-1 {
-				for ; k < len(offs) && int(offs[k]) < end; k++ {
+				for ; k < len(offs) && int(offs[k]) < end; k, id = k+1, id+1 {
 					sp := f.split[offs[k]]
 					a := f.leg(into[sp.k1], si)
-					fn(id+PathID(k), a|f.leg(out[sp.k2], di)<<(8*PackedHops(a)))
+					fn(id, a|f.leg(out[sp.k2], di)<<(8*PackedHops(a)))
 				}
 				continue
 			}
@@ -192,10 +192,11 @@ func (f *fullSet) each(s, d int, id PathID, offs []uint32, fn func(id PathID, po
 				a := f.leg(h, si)
 				shift := 8 * PackedHops(a)
 				for _, b := range second {
-					fn(id+PathID(k), a|b<<shift)
-					k++
+					fn(id, a|b<<shift)
+					id++
 				}
 			}
+			k += kk
 		}
 	}
 }
