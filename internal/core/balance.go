@@ -182,14 +182,15 @@ func hotLinks(globalUse []float64, tol float64) ([]bool, int) {
 // paths in flat arrays reused from pair to pair, so the adjustment
 // allocates per growth, not per path. Each path is its hop count and
 // ports packed into one word (from one source switch the ports identify
-// the path, so equal words are the duplicates of one concrete path, see
-// Store.EqualIDs) and its edges at stride MaxVLBHops.
+// the path, so equal words are the duplicates of one concrete path) and
+// its edges at stride MaxVLBHops.
 //
 // The paths come from one of two feeds, and removals go back to it: a
 // compiled store (st) minus the PathIDs marked in drop, where removing
-// marks drop for the path and its twins (see groupTwins); or a walk of
-// the Explicit policy under construction (ex), where removing adds the
-// path's key to ex's removal set.
+// marks drop for the path and its twins (see groupTwins); or a LegWalk
+// of the Explicit policy under construction (ex), which hands out each
+// admitted join's key, where removing adds the path's key to ex's
+// removal set.
 type pairScratch struct {
 	st    *paths.Store
 	drop  paths.IDSet
@@ -197,9 +198,10 @@ type pairScratch struct {
 	twin  []int32
 	slots []int32
 
-	walk *paths.Walker
-	ex   *paths.Explicit
-	ps   []paths.Path
+	walk  *paths.LegWalk
+	ex    *paths.Explicit
+	ports []uint64 // the walk's paths, packed
+	keys  []uint64
 
 	words []uint64
 	edges []flow.Edge
@@ -208,14 +210,26 @@ type pairScratch struct {
 
 // load fills the scratch with the feed's live paths of pair (s, d), in
 // enumeration order, and returns how many there are. A store's pair is
-// one read (paths.Store.PairPorts), joined from MIN legs.
+// one read (paths.Store.PairPorts), joined from MIN legs; the walk's
+// paths are its admitted joins, each packed from its two legs.
 func (ps *pairScratch) load(net *flow.Network, s, d int) int {
 	var count int
 	if ps.st != nil {
 		_, count = ps.st.PairRange(s, d)
 	} else {
-		ps.ps = ps.walk.Pair(s, d)
-		count = len(ps.ps)
+		ps.ports, ps.keys = ps.ports[:0], ps.keys[:0]
+		ps.walk.Pair(s, d, func(first, second []paths.Leg, in []bool, keys []uint64) {
+			for i := range first {
+				a := &first[i]
+				for j := range second {
+					if k := i*len(second) + j; in[k] {
+						ps.ports = append(ps.ports, a.Ports()|second[j].Ports()<<(8*a.Hops()))
+						ps.keys = append(ps.keys, keys[k])
+					}
+				}
+			}
+		})
+		count = len(ps.ports)
 	}
 	if cap(ps.words) < count {
 		c := max(count, 2*cap(ps.words))
@@ -236,8 +250,8 @@ func (ps *pairScratch) load(net *flow.Network, s, d int) int {
 			ps.groupTwins()
 		}
 	} else {
-		for _, p := range ps.ps {
-			ps.add(net, s, paths.Packed(p.Ports))
+		for _, ports := range ps.ports {
+			ps.add(net, s, ports)
 		}
 	}
 	return len(ps.words)
@@ -311,7 +325,7 @@ func (ps *pairScratch) longestFirst() []int32 {
 // the PathID feed drops k's twin ring together too.
 func (ps *pairScratch) remove(k int32) {
 	if ps.st == nil {
-		ps.ex.Remove(ps.ps[k])
+		ps.ex.Removed[ps.keys[k]] = true
 		return
 	}
 	for j := k; ; {
@@ -348,7 +362,7 @@ func (ps *pairScratch) shed(frac float64, keep int, hot func(flow.Edge) bool, co
 // removed reports whether loaded path k has been removed since load.
 func (ps *pairScratch) removed(k int) bool {
 	if ps.st == nil {
-		return ps.ex.Removed[ps.ps[k].Key()]
+		return ps.ex.Removed[ps.keys[k]]
 	}
 	return ps.drop.Has(ps.ids[k])
 }
@@ -372,10 +386,13 @@ func rebalance(net *flow.Network, st *paths.Store, drop paths.IDSet, opt LBOptio
 }
 
 // rebalancePolicy is the adjustment of a policy too large to compile:
-// the result wraps it with the removal set.
+// the result wraps it with the removal set. The walk reads the wrapper
+// itself, so a path removed earlier is out of every later pair read,
+// and keys every length, so each path loaded has its key to remove by.
 func rebalancePolicy(net *flow.Network, pol paths.Policy, opt LBOptions) (*paths.Explicit, BalanceReport) {
 	ex := paths.NewExplicit(pol)
-	return ex, adjust(net, &pairScratch{walk: paths.NewWalker(net.T, ex, net.Fail), ex: ex}, opt)
+	walk := paths.NewLegWalk(net.T, ex, net.Fail, 1<<(paths.MaxVLBHops+1)-1)
+	return ex, adjust(net, &pairScratch{walk: walk, ex: ex}, opt)
 }
 
 // adjust is the two-level adjustment over whatever ps feeds it, one

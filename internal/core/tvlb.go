@@ -195,9 +195,9 @@ func Step1(t *topo.Compiled, opt Options) ([]ProbePoint, DataPoint, error) {
 // step1StoreMax is the largest full VLB set Step 1 compiles before its
 // walk: 2^14 paths, a store of about 110 KB built in about a
 // millisecond. dfly(2,4,2,5) (15 480 paths) is under it; the paper's
-// topologies are far over it. The walk reads a store through the same
-// MIN legs as the interpreted set, plus a merge with the stored range,
-// so compiling first only adds the compile. The one reason to compile
+// topologies are far over it. The walk reads a full store as the
+// interpreted set's MIN legs under the store's mask, so compiling first
+// only adds the compile. The one reason to compile
 // at all is cmd/bench: its quick tier runs step1_g9 on dfly(2,4,2,5),
 // and its tests require that workload to report a store compile.
 const step1StoreMax = 1 << 14

@@ -147,11 +147,11 @@ func TestTwinRemovalMatchesScan(t *testing.T) {
 
 // TestTwinWords: the adjustment finds the duplicate PathIDs of one
 // concrete path by comparing packed words, so word equality must be
-// Store.EqualIDs for every two paths of a pair — on an instance with
-// parallel global links, whose full set holds such duplicates — and
-// the twin rings load builds must partition each pair into exactly
-// those classes: a path's ring holds every path EqualIDs to it and no
-// other.
+// equality of the two IDs' Store.Ports for every two paths of a pair —
+// on an instance with parallel global links, whose full set holds such
+// duplicates — and the twin rings load builds must partition each pair
+// into exactly those classes: a path's ring holds every path with its
+// ports and no other.
 func TestTwinWords(t *testing.T) {
 	tp := topo.MustNew(2, 4, 4, 3)
 	net := flow.NewNetwork(tp)
@@ -165,8 +165,8 @@ func TestTwinWords(t *testing.T) {
 				class := 1
 				for k := 0; k < n; k++ {
 					same := ps.words[j] == ps.words[k]
-					if same != st.EqualIDs(ps.ids[j], ps.ids[k]) {
-						t.Fatalf("pair (%d,%d) ids %d,%d: words equal %v, EqualIDs %v",
+					if same != (st.Ports(s, d, ps.ids[j]) == st.Ports(s, d, ps.ids[k])) {
+						t.Fatalf("pair (%d,%d) ids %d,%d: words equal %v, ports equal %v",
 							s, d, ps.ids[j], ps.ids[k], same, !same)
 					}
 					if same && k > j {
@@ -178,7 +178,7 @@ func TestTwinWords(t *testing.T) {
 				}
 				ring := 0
 				for k := int32(j); ; {
-					if !st.EqualIDs(ps.ids[j], ps.ids[k]) {
+					if st.Ports(s, d, ps.ids[j]) != st.Ports(s, d, ps.ids[k]) {
 						t.Fatalf("pair (%d,%d): id %d's ring holds id %d, not its twin", s, d, ps.ids[j], ps.ids[k])
 					}
 					if ring++; ring > n {
@@ -189,7 +189,7 @@ func TestTwinWords(t *testing.T) {
 					}
 				}
 				if ring != class {
-					t.Fatalf("pair (%d,%d): id %d's ring holds %d paths, its EqualIDs class %d", s, d, ps.ids[j], ring, class)
+					t.Fatalf("pair (%d,%d): id %d's ring holds %d paths, its class of equal ports %d", s, d, ps.ids[j], ring, class)
 				}
 			}
 		}

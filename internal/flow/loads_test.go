@@ -48,14 +48,26 @@ func ComputeLoads(net *Network, pol paths.Policy, demands []traffic.Demand) *Dem
 		MinHops: make([]float64, len(demands)),
 		VlbHops: make([]float64, len(demands)),
 	}
-	re, walk := newRowEnv(net), paths.NewWalker(net.T, pol, net.Fail)
+	re := newRowEnv(net)
 	for i, d := range demands {
 		s, t := int(d.Src), int(d.Dst)
 		dl.Min[i] = re.minRow(s, t, nil)
 		dl.MinHops[i] = avgHops(paths.EnumerateMinAlive(net.T, net.Fail, s, t))
-		dl.Vlb[i], dl.VlbHops[i], dl.VlbOK[i] = re.vlbRow(walk, s, t, nil)
+		dl.Vlb[i], dl.VlbHops[i], dl.VlbOK[i] = re.vlbRow(alivePaths(net, pol, s, t), nil)
 	}
 	return dl
+}
+
+// alivePaths is pol's VLB paths of pair (s, d) that survive net's mask,
+// in enumeration order.
+func alivePaths(net *Network, pol paths.Policy, s, d int) []paths.Path {
+	var out []paths.Path
+	for _, p := range pol.Enumerate(s, d) {
+		if paths.Alive(net.Fail, p) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // PathEdges appends the edges traversed by a switch path, including
@@ -79,13 +91,12 @@ func avgHops(ps []paths.Path) float64 {
 	return hops
 }
 
-// vlbRow appends the pair's VLB load row to arena, returning it with
-// the average hop count and availability. The walk yields a compiled
-// store's own range or an interpreted policy's surviving paths, the
-// same sequence either way, so either form yields the same row.
-func (re *rowEnv) vlbRow(walk *paths.Walker, s, d int, arena []EdgeWeight) ([]EdgeWeight, float64, bool) {
+// vlbRow appends the row of the pair's VLB paths vlbPaths to arena,
+// returning it with the average hop count and availability. A compiled
+// store's range and an interpreted policy's surviving paths are the same
+// sequence, so either form yields the same row.
+func (re *rowEnv) vlbRow(vlbPaths []paths.Path, arena []EdgeWeight) ([]EdgeWeight, float64, bool) {
 	re.acc.reset()
-	vlbPaths := walk.Pair(s, d)
 	if len(vlbPaths) > 0 {
 		w := 1 / float64(len(vlbPaths))
 		for _, p := range vlbPaths {
@@ -224,12 +235,7 @@ func naiveLoads(net *Network, pol paths.Policy, demands []traffic.Demand) *Deman
 	for i, d := range demands {
 		s, t := int(d.Src), int(d.Dst)
 		dl.Min[i], dl.MinHops[i] = row(paths.EnumerateMinAlive(net.T, net.Fail, s, t))
-		var vlb []paths.Path
-		for _, p := range pol.Enumerate(s, t) {
-			if paths.Alive(net.Fail, p) {
-				vlb = append(vlb, p)
-			}
-		}
+		vlb := alivePaths(net, pol, s, t)
 		dl.Vlb[i], dl.VlbHops[i] = row(vlb)
 		dl.VlbOK[i] = len(vlb) > 0
 	}

@@ -100,31 +100,28 @@ func CompileDegraded(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Stor
 	return st
 }
 
-// TryCompileDegraded is TryCompile under a failure mask (nil: none):
-// ok=false when the estimated pristine size exceeds the budget (the
-// degraded set is never larger) or the counted size overflows the
-// PathID space.
-func TryCompileDegraded(t *topo.Compiled, pol Policy, budget int64, mask *topo.FailureMask) (*Store, bool) {
-	if st, ok := pol.(*Store); ok {
-		return degradedStore(st, mask), true
-	}
-	if budget > 0 && EstimatePaths(t, pol) > budget {
-		return nil, false
-	}
-	st, _ := compile(t, pol, mask)
-	return st, st != nil
-}
-
 // Compiled is the one place the interpreted/compiled choice is made:
-// pol as a Store under mask (nil: none) when it fits
-// DefaultCompileBudget, the build reported to pool's observer as
-// compile/<name>; ok=false when it does not, and the caller keeps the
+// pol as a Store under mask (nil: none) when its estimated pristine size
+// fits DefaultCompileBudget (the degraded set is never larger) and its
+// counted size the PathID space, the build reported to pool's observer
+// as compile/<name>; ok=false when it does not, and the caller keeps the
 // interpreted policy — the Figure 13/14 topology stays interpreted by
-// design. A Store already under mask passes through unreported.
+// design. A Store is filtered under mask (CompileDegraded), and passes
+// through unreported when it is already under it.
 func Compiled(pool *exec.Pool, t *topo.Compiled, pol Policy, mask *topo.FailureMask) (*Store, bool) {
-	st, ok := TryCompileDegraded(t, pol, DefaultCompileBudget, mask)
-	if ok && Policy(st) != pol {
+	st, ok := pol.(*Store)
+	switch {
+	case ok:
+		st = degradedStore(st, mask)
+	case EstimatePaths(t, pol) > DefaultCompileBudget:
+		return nil, false
+	default:
+		if st, _ = compile(t, pol, mask); st == nil {
+			return nil, false
+		}
+	}
+	if Policy(st) != pol {
 		pool.Report(exec.Stat{Label: "compile/" + st.Name(), Wall: st.BuildTime(), Bytes: st.Bytes()})
 	}
-	return st, ok
+	return st, true
 }

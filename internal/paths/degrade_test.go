@@ -157,7 +157,8 @@ func TestLegEndsCover(t *testing.T) {
 }
 
 // TestDegradedTwinsAndRemoval is the twin-consistency property: on a
-// store degraded step by step, duplicate concrete paths (EqualIDs twins) must
+// store degraded step by step, duplicate concrete paths (twins: equal
+// Ports of one pair) must
 // still be twinned, and removal-by-PathID (Without) must agree with
 // Contains — removing a concrete path and all its twins makes
 // Contains reject it, while every kept path stays accepted.
@@ -191,7 +192,7 @@ func TestDegradedTwinsAndRemoval(t *testing.T) {
 					removed.Add(id)
 					for j := 0; j < count; j++ {
 						jd := first + PathID(j)
-						if jd != id && !removed.Has(jd) && st.EqualIDs(id, jd) {
+						if jd != id && !removed.Has(jd) && st.Ports(s, d, id) == st.Ports(s, d, jd) {
 							removed.Add(jd)
 						}
 					}
@@ -204,8 +205,7 @@ func TestDegradedTwinsAndRemoval(t *testing.T) {
 				first, count := st.PairRange(s, d)
 				for k := 0; k < count; k++ {
 					id := first + PathID(k)
-					var p Path
-					st.MaterializeInto(s, id, &p)
+					p := materializeID(st, s, d, id)
 					if got, want := out.Contains(s, d, p), !removed.Has(id); got != want {
 						t.Fatalf("%s: pair (%d,%d) path %v: Contains=%v, removed=%v",
 							tp.Label(), s, d, p, got, !want)

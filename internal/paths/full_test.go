@@ -47,11 +47,10 @@ func naiveRow(tp *topo.Compiled, s int) [][]Path {
 // in order, each at its index in row[d] as its offset — so the offsets
 // ascend and stay below the pair's full count. Per pair it checks the
 // count, the pair read and the first ports; per PathID its offset,
-// ports (by pair and by ID alone, zero bytes past the hops), hop count,
-// KeyOf, materialized path and EqualIDs with the next stored path. It
-// returns the row's hop histogram.
+// ports (zero bytes past the hops), hop count and materialized path,
+// and whether its ports equal the next stored path's exactly when the
+// oracle's paths are equal. It returns the row's hop histogram.
 func checkRow(st *Store, s int, row [][]Path, keep func(d, o int) bool) (hist [MaxVLBHops + 1]int, err error) {
-	var q Path
 	for d, full := range row {
 		var offs []int
 		var first [][2]int
@@ -81,17 +80,14 @@ func checkRow(st *Store, s int, row [][]Path, keep func(d, o int) bool) (hist [M
 			if got := st.offset(s*st.n+d, id); got != o {
 				return hist, fmt.Errorf("pair (%d,%d) path %d: offset %d, oracle %d", s, d, id, got, o)
 			}
-			if ids[k] != id || ports[k] != x || st.Ports(s, d, id) != x || st.portsOf(id) != x || PackedHops(x) != p.Hops() || st.Hops(id) != p.Hops() {
-				return hist, fmt.Errorf("pair (%d,%d) path %d: ports %x (pair read %x, by ID alone %x), oracle %v", s, d, id, st.Ports(s, d, id), ports[k], st.portsOf(id), p)
+			if ids[k] != id || ports[k] != x || st.Ports(s, d, id) != x || PackedHops(x) != p.Hops() {
+				return hist, fmt.Errorf("pair (%d,%d) path %d: ports %x (pair read %x), oracle %v", s, d, id, st.Ports(s, d, id), ports[k], p)
 			}
-			if st.KeyOf(s, id) != p.Key() {
-				return hist, fmt.Errorf("pair (%d,%d) path %d: KeyOf %x, oracle %x", s, d, id, st.KeyOf(s, id), p.Key())
-			}
-			if st.MaterializeInto(s, id, &q); !q.Equal(p) {
+			if q := materializeID(st, s, d, id); !q.Equal(p) {
 				return hist, fmt.Errorf("pair (%d,%d) path %d: %v, oracle %v", s, d, id, q, p)
 			}
-			if k+1 < len(offs) && st.EqualIDs(id, id+1) != p.Equal(full[offs[k+1]]) {
-				return hist, fmt.Errorf("pair (%d,%d) paths %d, %d: EqualIDs differs from the oracle", s, d, id, id+1)
+			if k+1 < len(offs) && (st.Ports(s, d, id) == st.Ports(s, d, id+1)) != p.Equal(full[offs[k+1]]) {
+				return hist, fmt.Errorf("pair (%d,%d) paths %d, %d: equal ports differ from the oracle's equal paths", s, d, id, id+1)
 			}
 		}
 	}
@@ -124,11 +120,11 @@ func checkMarks(st *Store, s int, w *MaskWalk, mask *topo.FailureMask, delta []b
 		n, crossed := w.MarkDelta(st, s, d, dead)
 		wantN, wantCrossed := 0, false
 		for k, x := range dead {
-			want := crossesScan(st, s, first+PathID(k), mask.DeadDense())
+			want := crossesScan(st, s, d, first+PathID(k), mask.DeadDense())
 			if want {
 				wantN++
 			}
-			wantCrossed = wantCrossed || crossesScan(st, s, first+PathID(k), delta)
+			wantCrossed = wantCrossed || crossesScan(st, s, d, first+PathID(k), delta)
 			if x != want {
 				return fmt.Errorf("mask %v pair (%d,%d) path %d: MarkDelta %v, scan %v", mask, s, d, k, x, want)
 			}
@@ -177,14 +173,14 @@ func legWalkRecord(lw *LegWalk, s, d int) (rows [][]uint64) {
 
 // TestFullStoreIsArithmetic holds the pristine full store, which keeps
 // no offsets, to the naive enumeration (naiveRow, checkRow): pair
-// counts, and per PathID its ports, hops, KeyOf, materialized path and
-// EqualIDs, with the pair read, first ports and hop histogram, on one
+// counts, and per PathID its ports, hops, materialized path and equal
+// ports, with the pair read, first ports and hop histogram, on one
 // link per group pair, one link between groups (K = 1), parallel links,
 // two D3 instances and — one source row under -short — the paper's g9
 // machine. On the four smaller ones every bulk reader agrees too:
 // DropMask with Contains for the 31 Table-1 points, both strategic sets
-// and two Explicits; Without with the oracle less its removals; the
-// Walker and the LegWalk over the store, and over an Explicit on it,
+// and two Explicits; Without with the oracle less its removals;
+// Enumerate and the LegWalk over the store, and over an Explicit on it,
 // with those over the interpreted set; and, under random masks with a
 // delta, MarkDead and MarkDelta with crossesScan and the store degraded
 // under the mask with the oracle's live paths.
@@ -275,12 +271,11 @@ func TestFullStoreIsArithmetic(t *testing.T) {
 			exFull := NewExplicit(Full{T: tp})
 			exFull.Removed = ex.Removed
 			for _, pair := range [][2]Policy{{got, Full{T: tp}}, {ex, exFull}} {
-				wa, wb := NewWalker(tp, pair[0], nil), NewWalker(tp, pair[1], nil)
 				la, lb := NewLegWalk(tp, pair[0], nil, 1<<5), NewLegWalk(tp, pair[1], nil, 1<<5)
 				for s := 0; s < n; s++ {
 					for d := 0; d < n; d++ {
-						if a, b := wa.Pair(s, d), wb.Pair(s, d); !slices.EqualFunc(a, b, Path.Equal) {
-							t.Fatalf("%s pair (%d,%d): the Walker lists %d paths, over the interpreted set %d", pair[0].Name(), s, d, len(a), len(b))
+						if a, b := pair[0].Enumerate(s, d), pair[1].Enumerate(s, d); !slices.EqualFunc(a, b, Path.Equal) {
+							t.Fatalf("%s pair (%d,%d): Enumerate lists %d paths, over the interpreted set %d", pair[0].Name(), s, d, len(a), len(b))
 						}
 						if !slices.EqualFunc(legWalkRecord(la, s, d), legWalkRecord(lb, s, d), slices.Equal[[]uint64]) {
 							t.Fatalf("%s pair (%d,%d): the LegWalk differs from the interpreted set's", pair[0].Name(), s, d)
@@ -318,7 +313,7 @@ func TestFullStoreIsArithmetic(t *testing.T) {
 // masks, on one link per group pair, one link between groups (K = 1),
 // parallel links, two D3 instances and, outside -short, the paper's g9
 // machine (a strategic set and the Explicit under one mask there). For
-// each store, on a random source row, checkRow holds the count, offsets, ports, KeyOf
+// each store, on a random source row, checkRow holds the count, offsets, ports
 // and materialized paths to the oracle's live paths the policy's
 // Contains admits, MarkDead and MarkDelta under a further mask and
 // delta agree with crossesScan, and the LegWalk over the store hands out
@@ -396,7 +391,7 @@ func firstPorts(st *Store, s, d int) (out [][2]int) {
 // with more global links between two groups than a byte counts
 // (dfly(1,16,34,3): K = 272, ~1.8e9 paths, too many for a naive
 // oracle): one inter-group pair's paths, read in bulk and by PathID,
-// are the walk's, and so are every 97th one's path and key.
+// are the walk's, and so is every 97th one's materialized path.
 func TestFullStoreWideLinks(t *testing.T) {
 	tp := topo.MustNew(1, 16, 34, 3)
 	if tp.K <= 255 {
@@ -410,7 +405,6 @@ func TestFullStoreWideLinks(t *testing.T) {
 	}
 	w := newPolicyWalk(tp, Full{T: tp}, nil, s, nil)
 	want := make([]uint64, 0, count)
-	var p Path
 	w.visit(d, func(a, b *Leg) {
 		id := first + PathID(len(want))
 		x := Packed(w.v.path(a, b).Ports)
@@ -418,8 +412,7 @@ func TestFullStoreWideLinks(t *testing.T) {
 			t.Fatalf("path %d: ports %x, walk %x", id, got, x)
 		}
 		if len(want)%97 == 0 {
-			st.MaterializeInto(s, id, &p)
-			if q := w.v.path(a, b); !p.Equal(q) || st.KeyOf(s, id) != q.Key() {
+			if p, q := materializeID(st, s, d, id), w.v.path(a, b); !p.Equal(q) {
 				t.Fatalf("path %d: %v, walk %v", id, p, q)
 			}
 		}

@@ -266,6 +266,11 @@ func (m *Leg) Alive() bool { return m.alive }
 // Hop returns the switch hop i leaves and the out-port it takes.
 func (m *Leg) Hop(i int) (sw, port int) { return int(m.sw[i]), int(m.ports[i]) }
 
+// Ports returns the leg's out-ports packed as Store.Ports packs a path's:
+// a joined path's are its first leg's ORed with its second's shifted
+// past the first's hops.
+func (m *Leg) Ports() uint64 { return Packed(m.ports[:m.n]) }
+
 // chain continues a Path.Key chain that has mixed in the leg's source
 // over the rest of the leg: each hop's port, then the switch it
 // reaches. A joined path's key is its second leg's chain continued from
@@ -415,32 +420,47 @@ func (v *vlbVisitor) path(a, b *Leg) Path {
 var legShapes = [...]struct{ n, g uint }{{1, 0}, {1, 1}, {2, 2}, {2, 1}, {3, 2}}
 
 // policyWalk is the one filtered enumerator: the paths out of one
-// source switch that pol admits and that survive the visitor's mask,
-// in full VLB order. Every word policy's Enumerate, EnumerateVLBMax,
-// EstimatePaths, Walker, LegWalk and both passes of the store compile
-// are this walk, and so is Store.DropMask. A path's liveness is its two
-// legs', and its admission the policy's table at the word its legs'
-// shapes join into, read once per shape pair when the walk is made, and
-// where that decides (a keyed word, or an Explicit, whose removals it
-// must miss) its Key, chained from the legs. No path is built.
+// source switch that a set admits and that survive the visitor's mask,
+// in full VLB order. The set is a word policy, a Store, or an Explicit
+// over either. Every reader of a pair's joins is this walk — Enumerate
+// of every word policy, EstimatePaths, LegWalk, both passes of the store
+// compile and Store.DropMask — and its loop (pair) is the only place a
+// join is admitted. A path's liveness is its two legs', and its
+// admission the table at the word its legs' shapes join into, read once
+// per shape pair when the walk is made, and where that decides (a keyed
+// word, or an Explicit, whose removals it must miss) its Key, chained
+// from the legs. A Store is walked as Full's table under the mask it was
+// compiled under: a full store holds exactly the live joins, and any
+// other's stored offsets are merged with the joins. No path is built.
 type policyWalk struct {
 	v     vlbVisitor
 	pairs [len(legShapes)][len(legShapes)]admit // by first and second leg shape
 	draw  KeyDraw
 	ex    *Explicit // removals to miss; nil: none
+	st    *Store    // the stored base whose offsets are merged; nil: none
+	keyed uint8     // the hop counts whose keys the caller reads
+	offs  []uint32  // the pair's stored offsets not taken yet
+	in    []bool    // one intermediate's verdicts and keys
+	keys  []uint64
 }
 
 // newPolicyWalk walks pol out of src under mask (nil: pristine), with
 // legs from table, which must have been built under the same mask, or
-// built as the walk goes when table is nil. pol is a word policy or an
-// Explicit over one.
+// built as the walk goes when table is nil. pol is a word policy, a
+// Store or an Explicit over either; a Store's mask must be mask.
 func newPolicyWalk(t *topo.Compiled, pol Policy, mask *topo.FailureMask, src int, table []Leg) *policyWalk {
 	root, ex := unwrap(pol)
+	w := &policyWalk{v: vlbVisitor{t: t, mask: mask, table: table, src: src}, ex: ex}
+	if st, ok := root.(*Store); ok {
+		if root = (Full{T: t}); !st.full {
+			w.st = st
+		}
+	}
 	words, ok := WordsOf(root)
 	if !ok {
 		panic(fmt.Sprintf("paths: %s is not stated by port-kind words", root.Name()))
 	}
-	w := &policyWalk{v: vlbVisitor{t: t, mask: mask, table: table, src: src}, draw: words.draw, ex: ex}
+	w.draw = words.draw
 	for i, a := range legShapes {
 		for j, b := range legShapes {
 			w.pairs[i][j] = words.class(int(a.n+b.n), a.g|b.g<<a.n)
@@ -449,20 +469,12 @@ func newPolicyWalk(t *topo.Compiled, pol Policy, mask *topo.FailureMask, src int
 	return w
 }
 
-// visit calls yield with the two legs of each admitted path to d: all
-// combinations of MIN(src,i) and MIN(i,d) over intermediates i outside
-// both endpoint groups, in (group, switch, first leg, second leg)
-// order, or the 2-hop in-group detours of a same-group pair. Switch
-// revisits are allowed — a VLB path hairpins through the intermediate
-// group's connector switch whenever both legs attach to it, the common
-// case with one link per group pair. The legs are valid only until
-// yield returns.
-func (w *policyWalk) visit(d int, yield func(a, b *Leg)) {
-	w.judge(d, func(a, b *Leg, in bool) {
-		if in {
-			yield(a, b)
-		}
-	})
+// storeOf returns the Store pol reads under its Explicit wrappers, nil
+// when it reads none.
+func storeOf(pol Policy) *Store {
+	root, _ := unwrap(pol)
+	st, _ := root.(*Store)
+	return st
 }
 
 // each calls yield with the first and second legs of every intermediate
@@ -499,32 +511,95 @@ func (v *vlbVisitor) each(d int, yield func(legs1, legs2 []Leg)) {
 	}
 }
 
-// judge calls yield with the two legs of every path of the full set to
-// d, in visit's order, so that the k-th call is the join at offset k in
-// the pair, and pol's verdict on it: out when a leg is dead, else the
-// table's answer for the legs' shapes and, where that decides, the
-// joined path's key, chained from the legs (Leg.chain) — one of a keyed
-// word, or one an Explicit's removals must miss. The legs are valid
-// only until yield returns.
-func (w *policyWalk) judge(d int, yield func(a, b *Leg, in bool)) {
-	start := rng.Mix(rng.HashSeed, uint64(int32(w.v.src)))
-	w.v.each(d, func(legs1, legs2 []Leg) {
-		for i := range legs1 {
-			a := &legs1[i]
+// pair calls yield once for each intermediate of the pair (src, d), in
+// the full VLB order, with its first and second legs; the k-th join of
+// the pair is the path at offset k. For first[i] joined to second[j],
+// in[i*len(second)+j] is the set's verdict: out when a leg is dead or,
+// over a stored base that is not a full set, when the join's offset is
+// not the next stored one; else the table's answer for the legs' shapes
+// and, where that decides, the key — a keyed word's draw and the
+// Explicit's removals. When the path is in and its key was read (or its
+// hop count is one keyed asks for), keys[i*len(second)+j] is its
+// Path.Key. All are valid only until yield returns. A stored offset the
+// walk does not reach panics.
+func (w *policyWalk) pair(d int, yield func(first, second []Leg, in []bool, keys []uint64)) {
+	src := w.v.src
+	if w.st != nil {
+		w.offs = w.st.pairOffsets(src*w.st.n + d)
+	}
+	start, o := rng.Mix(rng.HashSeed, uint64(int32(src))), 0
+	w.v.each(d, func(first, second []Leg) {
+		n2 := len(second)
+		w.in, w.keys = resize(w.in, len(first)*n2), resize(w.keys, len(first)*n2)
+		for i := range first {
+			a, in, keys := &first[i], w.in[i*n2:(i+1)*n2], w.keys[i*n2:(i+1)*n2]
+			if !a.alive {
+				clear(in)
+				continue
+			}
 			row, chain, chained := &w.pairs[a.shape], uint64(0), false
-			for j := range legs2 {
-				b := &legs2[j]
-				c := row[b.shape]
-				in := a.alive && b.alive && c != admitNone
-				if in && (c == admitKeyed || w.ex != nil) {
+			for j := range second {
+				b := &second[j]
+				c, h := row[b.shape], a.n+b.n
+				ok := b.alive && c != admitNone && w.take(o+i*n2+j)
+				if ok && (c == admitKeyed || w.ex != nil || w.keyed>>h&1 != 0) {
 					if !chained {
 						chain, chained = a.chain(start), true
 					}
-					key := b.chain(chain)
-					in = (c == admitAll || w.draw.In(key)) && !w.ex.removes(key)
+					keys[j] = b.chain(chain)
+					ok = (c == admitAll || w.draw.In(keys[j])) && !w.ex.removes(keys[j])
 				}
-				yield(a, b, in)
+				in[j] = ok
 			}
+		}
+		o += len(first) * n2
+		yield(first, second, w.in, w.keys)
+	})
+	if len(w.offs) != 0 {
+		panic(fmt.Sprintf("paths: %s: pair (%d, %d) has stored paths the full walk under the store's mask does not reach", w.st.Name(), src, d))
+	}
+}
+
+// take reports whether the join at offset o of the pair is in the base:
+// every live join of a word policy or a full store is, and of any other
+// store the one at the next stored offset, which it then takes. Offsets
+// come ascending.
+func (w *policyWalk) take(o int) bool {
+	if w.st == nil {
+		return true
+	}
+	if len(w.offs) == 0 || int(w.offs[0]) != o {
+		return false
+	}
+	w.offs = w.offs[1:]
+	return true
+}
+
+// judge calls yield with the two legs of every join of the pair (src, d)
+// and the set's verdict on it (pair), in order, so that the k-th call is
+// the join at offset k. The legs are valid only until yield returns.
+func (w *policyWalk) judge(d int, yield func(a, b *Leg, in bool)) {
+	w.pair(d, func(first, second []Leg, in []bool, _ []uint64) {
+		for i := range first {
+			for j := range second {
+				yield(&first[i], &second[j], in[i*len(second)+j])
+			}
+		}
+	})
+}
+
+// visit calls yield with the two legs of each admitted path to d: all
+// combinations of MIN(src,i) and MIN(i,d) over intermediates i outside
+// both endpoint groups, in (group, switch, first leg, second leg)
+// order, or the 2-hop in-group detours of a same-group pair. Switch
+// revisits are allowed — a VLB path hairpins through the intermediate
+// group's connector switch whenever both legs attach to it, the common
+// case with one link per group pair. The legs are valid only until
+// yield returns.
+func (w *policyWalk) visit(d int, yield func(a, b *Leg)) {
+	w.judge(d, func(a, b *Leg, in bool) {
+		if in {
+			yield(a, b)
 		}
 	})
 }
@@ -535,102 +610,27 @@ func (w *policyWalk) paths(d int, yield func(Path)) {
 	w.visit(d, func(a, b *Leg) { yield(w.v.path(a, b)) })
 }
 
-// Walker lists a policy's path set pair by pair, for the analyses that
-// need a pair's paths together (the load rows of the throughput model,
-// the load-balance adjustment): the stored range of a compiled Store
-// (Store.PairPorts), which must already be degraded under the mask in
-// play, or the filtered walk of an interpreted policy under mask. An
-// Explicit reads its base's paths and skips those it removes. Either
-// way the paths come in the policy's Enumerate order, in scratch the
-// Walker reuses from call to call. Not for concurrent use.
-type Walker struct {
-	st *Store      // the policy, or the base of an Explicit, when it is compiled
-	ex *Explicit   // the stored range's removals; nil: none
-	w  *policyWalk // otherwise its walk, out of the last source asked for
-
-	buf   Path
-	sw    []int32 // the kept paths' switches, ports and hop counts,
-	ports []int8  // back to back
-	hops  []uint8
-	out   []Path
-}
-
-// NewWalker returns a Walker over pol on t.
-func NewWalker(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Walker {
-	root, ex := unwrap(pol)
-	if st, ok := root.(*Store); ok {
-		return &Walker{st: st, ex: ex}
-	}
-	return &Walker{w: newPolicyWalk(t, pol, mask, -1, nil)}
-}
-
-// Pair returns the paths of pair (s, d), valid until the next call.
-func (k *Walker) Pair(s, d int) []Path {
-	k.sw, k.ports, k.hops, k.out = k.sw[:0], k.ports[:0], k.hops[:0], k.out[:0]
-	if k.st != nil {
-		k.st.PairPorts(s, d, func(_ PathID, ports uint64) {
-			k.st.materialize(s, ports, &k.buf)
-			if k.ex == nil || !k.ex.removes(k.buf.Key()) {
-				k.keep(k.buf)
-			}
-		})
-	} else {
-		k.w.v.from(s)
-		k.w.paths(d, k.keep)
-	}
-	// Headers last: the appends above may have moved the scratch. Path
-	// i starts after the o ports and o+i switches of the ones before it.
-	o := 0
-	for i, h := range k.hops {
-		sw, ports := k.sw[o+i:], k.ports[o:]
-		k.out = append(k.out, Path{Sw: sw[: h+1 : h+1], Ports: ports[:h:h]})
-		o += int(h)
-	}
-	return k.out
-}
-
-func (k *Walker) keep(p Path) {
-	k.sw = append(k.sw, p.Sw...)
-	k.ports = append(k.ports, p.Ports...)
-	k.hops = append(k.hops, uint8(p.Hops()))
-}
-
 // LegWalk reads a path set one pair at a time as the MIN legs its VLB
-// paths join, for walks that count crossings instead of listing paths:
-// the throughput model's. It builds no Path. Per intermediate it hands
-// out the first and second legs and the set's verdict on each join, and
-// takes a joined path's Key, where a verdict or the caller needs it, by
-// continuing the key chain of the first leg over the second. A word
-// policy's verdict is its table at the two legs' shapes and, at a keyed
-// word, its draw; an Explicit's is its base's less its removals. Over a
-// compiled Store the legs are the full set's under the store's mask,
-// and a join is in when its offset in the pair is the next stored one:
-// every store's pair range is the full VLB order filtered, so one merge
-// finds them, and a range the merge does not use up panics. A dead leg
-// is in no join. Not for concurrent use.
-type LegWalk struct {
-	w     *policyWalk // the base's table and removals; Full's for a store
-	st    *Store      // the compiled base; nil: none
-	keyed uint8       // the hop counts whose keys the caller reads
-	in    []bool
-	keys  []uint64
-	m     pairMerge // the merge with the pair's stored offsets
-	o     int       // the offset of the intermediate's first join
-}
+// paths join, for the walks that count crossings or pack ports instead
+// of listing paths: the throughput model's, and the load-balance
+// adjustment's over a policy too large to compile. It builds no Path:
+// per intermediate it hands out the first and second legs, the set's
+// verdict on each join and the keys of the joins it admits at the hop
+// counts asked for — policyWalk's loop, over a word policy, a Store (the
+// full set's legs under the store's mask) or an Explicit over either. A
+// dead leg is in no join. Not for concurrent use.
+type LegWalk struct{ w *policyWalk }
 
-// NewLegWalk returns a LegWalk over base on t under mask (a compiled
-// base is walked under the mask it was compiled under), handing out the
-// keys of the joins of hop count h in the set where bit h of keyed is
-// set.
+// NewLegWalk returns a LegWalk over base on t under mask (a stored base
+// is walked under the mask it was compiled under), handing out the keys
+// of the joins of hop count h in the set where bit h of keyed is set.
 func NewLegWalk(t *topo.Compiled, base Policy, mask *topo.FailureMask, keyed uint8) *LegWalk {
-	root, ex := unwrap(base)
-	lw := &LegWalk{keyed: keyed}
-	if st, ok := root.(*Store); ok {
-		lw.st, mask, root = st, st.Mask(), Full{T: t}
+	if st := storeOf(base); st != nil {
+		mask = st.mask
 	}
-	lw.w = newPolicyWalk(t, root, mask, -1, nil)
-	lw.w.ex = ex
-	return lw
+	w := newPolicyWalk(t, base, mask, -1, nil)
+	w.keyed = keyed
+	return &LegWalk{w}
 }
 
 // Pair calls yield once for each intermediate of pair (s, d), in the
@@ -641,47 +641,7 @@ func NewLegWalk(t *topo.Compiled, base Policy, mask *topo.FailureMask, keyed uin
 // returns.
 func (lw *LegWalk) Pair(s, d int, yield func(first, second []Leg, in []bool, keys []uint64)) {
 	lw.w.v.from(s)
-	lw.m, lw.o = pairMerge{all: true}, 0
-	if lw.st != nil {
-		lw.m = lw.st.merge(lw.st.PairRange(s, d))
-	}
-	start := rng.Mix(rng.HashSeed, uint64(int32(s)))
-	lw.w.v.each(d, func(first, second []Leg) {
-		lw.judge(start, first, second)
-		lw.o += len(first) * len(second)
-		yield(first, second, lw.in, lw.keys)
-	})
-	if len(lw.m.offs) != 0 {
-		panic(fmt.Sprintf("paths: %s: pair (%d, %d) has stored paths the full walk under the store's mask does not reach", lw.st.Name(), s, d))
-	}
-}
-
-// judge fills in and keys for one intermediate's joins, start being the
-// key chain through the pair's source.
-func (lw *LegWalk) judge(start uint64, first, second []Leg) {
-	w, n2 := lw.w, len(second)
-	lw.in, lw.keys = resize(lw.in, len(first)*n2), resize(lw.keys, len(first)*n2)
-	for i := range first {
-		a := &first[i]
-		in := lw.in[i*n2 : (i+1)*n2]
-		if !a.alive {
-			clear(in)
-			continue
-		}
-		keys, chain := lw.keys[i*n2:(i+1)*n2], a.chain(start)
-		row := &w.pairs[a.shape]
-		for j := range second {
-			b := &second[j]
-			c, h := row[b.shape], a.n+b.n
-			ok := b.alive && c != admitNone && lw.m.take(lw.o+i*n2+j)
-			if ok && (c == admitKeyed || w.ex != nil || lw.keyed>>h&1 != 0) {
-				key := b.chain(chain)
-				keys[j] = key
-				ok = (c == admitAll || w.draw.In(key)) && !w.ex.removes(key)
-			}
-			in[j] = ok
-		}
-	}
+	lw.w.pair(d, yield)
 }
 
 // resize returns xs with length n, reallocated only to grow; the caller
@@ -698,15 +658,7 @@ func resize[T any](xs []T, n int) []T {
 // both endpoint groups. For a same-group pair it returns the 2-hop
 // in-group detours. Same-switch pairs have no VLB paths.
 func EnumerateVLB(t *topo.Compiled, s, d int) []Path {
-	return EnumerateVLBMax(t, s, d, MaxVLBHops)
-}
-
-// EnumerateVLBMax is EnumerateVLB restricted to paths of at most
-// maxHops hops — the set of LengthCapped{MaxHops: maxHops} — joining
-// no longer leg pair. Enumeration order is a stable subsequence of the
-// full EnumerateVLB order.
-func EnumerateVLBMax(t *topo.Compiled, s, d, maxHops int) []Path {
-	return enumerate(t, LengthCapped{T: t, MaxHops: maxHops}, s, d)
+	return enumerate(t, Full{T: t}, s, d)
 }
 
 // CountVLBByHops histograms the full VLB path set of a pair by hop

@@ -437,8 +437,8 @@ func oracleTopos() []*topo.Compiled {
 	return ts
 }
 
-// TestVisitorMatchesNaiveEnumeration checks EnumerateVLBMax — the
-// visitor with a cloning callback — against the naive oracle: same
+// TestVisitorMatchesNaiveEnumeration checks LengthCapped's Enumerate —
+// the walk with a cloning callback — against the naive oracle: same
 // paths, same order, at every hop cap, and CountVLBByHops against the
 // oracle's histogram. On g9 a few source rows stand in for all 72.
 func TestVisitorMatchesNaiveEnumeration(t *testing.T) {
@@ -452,7 +452,7 @@ func TestVisitorMatchesNaiveEnumeration(t *testing.T) {
 			for d := 0; d < n; d++ {
 				for maxHops := 1; maxHops <= MaxVLBHops; maxHops++ {
 					want := naiveEnumerateVLBMax(tp, s, d, maxHops)
-					got := EnumerateVLBMax(tp, s, d, maxHops)
+					got := LengthCapped{T: tp, MaxHops: maxHops}.Enumerate(s, d)
 					if len(got) != len(want) {
 						t.Fatalf("%s pair (%d,%d) cap %d: %d paths, oracle %d",
 							tp.Label(), s, d, maxHops, len(got), len(want))

@@ -429,7 +429,7 @@ func TestWordsMatchOracle(t *testing.T) {
 							walks[i].judge(d, func(_, _ *Leg, in bool) { verdicts[i] = append(verdicts[i], in) })
 						}
 						fw.visit(d, func(a, b *Leg) {
-							full.MaterializeInto(s, id, &p)
+							p = materializeID(full, s, d, id)
 							if !fw.v.path(a, b).Equal(p) {
 								t.Fatalf("pair (%d,%d): the walk and the store disagree at path %d", s, d, id)
 							}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -107,34 +106,6 @@ func (r *rowBits) flush() {
 	}
 }
 
-// pairMerge is the merge of a pair's full joins with its stored offsets,
-// for the walks that judge every join (DropMask, LegWalk): take(o),
-// called with ascending join offsets, reports whether join o is the
-// pair's next stored path. The pristine full set stores every join.
-type pairMerge struct {
-	offs []uint32 // the offsets not taken yet
-	all  bool
-}
-
-// merge returns the merge of the pair whose range is first, count.
-func (st *Store) merge(first PathID, count int) pairMerge {
-	if st.offs == nil {
-		return pairMerge{all: true}
-	}
-	return pairMerge{offs: st.offs[first : int(first)+count]}
-}
-
-func (m *pairMerge) take(o int) bool {
-	if m.all {
-		return true
-	}
-	if len(m.offs) == 0 || int(m.offs[0]) != o {
-		return false
-	}
-	m.offs = m.offs[1:]
-	return true
-}
-
 // fullStore is the store of Full on pristine t: its pair index and the
 // tables of its arithmetic. The caller has checked fullPaths against
 // the PathID space.
@@ -153,7 +124,9 @@ func fullStore(t *topo.Compiled) *Store {
 
 // compile is compileStore with the PathID space as its limit, save that
 // Full on the pristine topology is the full set itself and walks no
-// path.
+// path, and that an Explicit over a Store is walked under the store's
+// mask, the mask its offsets are joins under, and then filtered by mask
+// (degradedStore). pol is not a Store.
 func compile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (*Store, int64) {
 	if _, ok := pol.(Full); ok && mask == nil {
 		total := fullPaths(t)
@@ -161,6 +134,10 @@ func compile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (*Store, int6
 			return nil, total
 		}
 		return fullStore(t), total
+	}
+	if base := storeOf(pol); base != nil {
+		st, total := compileStore(t, pol, base.mask, pathIDSpace)
+		return degradedStore(st, mask), total
 	}
 	return compileStore(t, pol, mask, pathIDSpace)
 }
@@ -189,13 +166,6 @@ func (st *Store) offset(pi int, id PathID) int {
 // identify the path.
 func (st *Store) Ports(s, d int, id PathID) uint64 {
 	return st.set.path(s, d, st.offset(s*st.n+d, id))
-}
-
-// portsOf is Ports for a PathID alone: its pair is the last whose range
-// starts at or before it.
-func (st *Store) portsOf(id PathID) uint64 {
-	pi := sort.Search(st.n*st.n, func(i int) bool { return st.pairStart[i+1] > int32(id) })
-	return st.Ports(pi/st.n, pi%st.n, id)
 }
 
 // PairPorts calls fn with each stored path of pair (s, d) in PathID
@@ -279,14 +249,16 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 			}
 			for d := 0; d < n; d++ {
 				first, o := id, 0
-				w.judge(d, func(_, _ *Leg, in bool) {
-					if in {
-						if fill {
-							st.offs[id] = uint32(o)
+				w.pair(d, func(_, _ []Leg, in []bool, _ []uint64) {
+					for _, x := range in {
+						if x {
+							if fill {
+								st.offs[id] = uint32(o)
+							}
+							id++
 						}
-						id++
+						o++
 					}
-					o++
 				})
 				if !fill {
 					st.pairStart[s*n+d+1] = int32(id - first)
@@ -316,10 +288,11 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 // without compiling it, by exact intra-group arithmetic plus a few
 // sampled inter-group pair enumerations scaled to the pair count.
 // The estimate is a mild overestimate (it scales by the largest
-// sampled pair), which is the safe direction for a budget check.
+// sampled pair), which is the safe direction for a budget check. A
+// Store, or an Explicit over one, is its stored count.
 func EstimatePaths(t *topo.Compiled, pol Policy) int64 {
-	if st, ok := pol.(*Store); ok {
-		return int64(st.NumPaths())
+	if st := storeOf(pol); st != nil {
+		return int64(st.NumPaths()) // an Explicit over it holds no more
 	}
 	n := int64(t.NumSwitches())
 	a, g := int64(t.A), int64(t.G)
@@ -353,7 +326,14 @@ func EstimatePaths(t *topo.Compiled, pol Policy) int64 {
 // PathID space; ok=false leaves the interpreted policy in charge. A
 // policy that already is a Store passes through.
 func TryCompile(t *topo.Compiled, pol Policy, budget int64) (*Store, bool) {
-	return TryCompileDegraded(t, pol, budget, nil)
+	if st, ok := pol.(*Store); ok {
+		return st, true
+	}
+	if budget > 0 && EstimatePaths(t, pol) > budget {
+		return nil, false
+	}
+	st, _ := compile(t, pol, nil)
+	return st, st != nil
 }
 
 // Name implements Policy.
@@ -374,9 +354,6 @@ func (st *Store) PairRange(s, d int) (PathID, int) {
 	return PathID(first), int(st.pairStart[s*st.n+d+1] - first)
 }
 
-// Hops returns a compiled path's hop count.
-func (st *Store) Hops(id PathID) int { return PackedHops(st.portsOf(id)) }
-
 // SampleID draws a uniform PathID from the pair's range: the O(1),
 // allocation-free replacement for rejection sampling. ok=false when
 // the pair has no candidate (then UGAL degenerates to MIN).
@@ -386,13 +363,6 @@ func (st *Store) SampleID(r *rng.Source, s, d int) (PathID, bool) {
 		return 0, false
 	}
 	return first + PathID(r.Intn(count)), true
-}
-
-// MaterializeInto reconstructs a compiled path into dst's backing
-// storage by walking the port sequence from the source switch.
-// src must be the path's source (PathIDs do not store it).
-func (st *Store) MaterializeInto(src int, id PathID, dst *Path) {
-	st.materialize(src, st.portsOf(id), dst)
 }
 
 // materialize builds the path out of src over packed ports into dst.
@@ -410,25 +380,6 @@ func (st *Store) materialize(src int, ports uint64, dst *Path) {
 		dst.Sw = append(dst.Sw, int32(cur))
 		dst.Ports = append(dst.Ports, pt)
 	}
-}
-
-// KeyOf returns the stored path's identity hash — the value
-// Materialize(src, id).Key() would compute — by walking the port
-// sequence without building the path.
-func (st *Store) KeyOf(src int, id PathID) uint64 {
-	h := rng.Mix(rng.HashSeed, uint64(int32(src)))
-	cur := src
-	for ports := st.portsOf(id); ports != 0; ports >>= 8 {
-		pt := uint8(ports)
-		h = rng.Mix(h, uint64(pt))
-		next, ok := st.T.PeerOfPortOK(cur, int(pt))
-		if !ok {
-			break
-		}
-		cur = next
-		h = rng.Mix(h, uint64(int32(cur)))
-	}
-	return h
 }
 
 // SampleVLBInto implements Policy: one RNG draw, then materialize.
@@ -461,22 +412,14 @@ func (st *Store) Contains(s, d int, p Path) bool {
 	return in
 }
 
-// EqualIDs reports whether two compiled paths of the same source
-// switch have identical port sequences. The full VLB enumeration can
-// emit the same concrete path under two intermediate switches (both
-// split points of its middle local hop), so one concrete path may
-// hold several PathIDs; removal semantics treat those as one path.
-func (st *Store) EqualIDs(a, b PathID) bool { return st.portsOf(a) == st.portsOf(b) }
-
 // DropMask marks, by PathID, the paths of st, a store of the full set,
 // that pol, a word policy or an Explicit over one, does not admit. Every
 // policy's per-pair order is the full VLB order filtered, so
 // st.Without(st.DropMask(pol)) is pol compiled under st's mask. The
-// store is read as the compile's walk reads it: its legs from one table
-// under its mask, each join's verdict at its legs' shapes, a key chained
-// from the legs only where it decides, and the joins merged with the
-// stored offsets (a full store holds exactly its live joins). No path is
-// built. Rows run over row chunks on the default pool.
+// store is read as the compile's walk reads it: pol's walk under st's
+// mask with its legs from one table, whose live joins are st's paths in
+// order (a full store holds exactly its live joins). No path is built.
+// Rows run over row chunks on the default pool.
 func (st *Store) DropMask(pol Policy) IDSet {
 	if !st.full {
 		panic(fmt.Sprintf("paths: DropMask: %s is not the full VLB set", st.Name()))
@@ -488,15 +431,14 @@ func (st *Store) DropMask(pol Policy) IDSet {
 		marks := rowBits{set: drop, word: -1}
 		for d := 0; d < st.n; d++ {
 			id, count := st.PairRange(s, d)
-			end, m, o := id+PathID(count), st.merge(id, count), 0
-			w.judge(d, func(_, _ *Leg, in bool) {
-				if m.take(o) {
+			end := id + PathID(count)
+			w.judge(d, func(a, b *Leg, in bool) {
+				if a.alive && b.alive {
 					if !in {
 						marks.add(id)
 					}
 					id++
 				}
-				o++
 			})
 			if id != end {
 				panic(fmt.Sprintf("paths: pair (%d, %d) holds %d paths, the walk under its mask took %d", s, d, count, count-int(end-id)))

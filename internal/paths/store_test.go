@@ -164,9 +164,7 @@ func TestStoreWithout(t *testing.T) {
 			var want []Path
 			for i := 0; i < count; i++ {
 				if !removed.Has(first + PathID(i)) {
-					var p Path
-					st.MaterializeInto(s, first+PathID(i), &p)
-					want = append(want, p)
+					want = append(want, materializeID(st, s, d, first+PathID(i)))
 				}
 			}
 			got := out.Enumerate(s, d)
@@ -223,9 +221,9 @@ func TestTryCompileBudget(t *testing.T) {
 
 // TestStoredFilterMatchesContains pins the no-materialization
 // membership path on every stored full-VLB path of four instances (one
-// link per group pair, parallel links, the second family): KeyOf must
-// equal the materialized path's Key, the word read off the stored ports
-// the built path's, and DropMask's verdict Contains' under every word
+// link per group pair, parallel links, the second family): the word
+// read off the stored ports must be the built path's, and DropMask's
+// verdict Contains' under every word
 // policy; and Strategic — whose table lists its 5-letter words — must
 // agree with the slice-building legSplits definition.
 func TestStoredFilterMatchesContains(t *testing.T) {
@@ -246,18 +244,13 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 			drops[i] = base.DropMask(pol)
 		}
 		n := tp.NumSwitches()
-		var p Path
 		fiveHop := 0
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
 				first, count := base.PairRange(s, d)
 				for k := 0; k < count; k++ {
 					id := first + PathID(k)
-					base.MaterializeInto(s, id, &p)
-					if got := base.KeyOf(s, id); got != p.Key() {
-						t.Fatalf("%s pair (%d,%d) path %d: KeyOf %x, materialized Key %x",
-							tp.Label(), s, d, k, got, p.Key())
-					}
+					p := materializeID(base, s, d, id)
 					if globals(tp, unpack(base.Ports(s, d, id))) != globals(tp, p.Ports) {
 						t.Fatalf("%s pair (%d,%d) path %d: stored and built words differ", tp.Label(), s, d, k)
 					}
@@ -333,7 +326,7 @@ func TestCompileDegradedPassesThrough(t *testing.T) {
 	filtered := CompileDegraded(tp, Compile(tp, Full{T: tp}), mask)
 	for _, st := range []*Store{st, filtered} {
 		for _, m := range []*topo.FailureMask{mask, mask.Clone(), nil} {
-			got, ok := TryCompileDegraded(tp, st, 1, m)
+			got, ok := Compiled(exec.Default(), tp, st, m)
 			if !ok || got != st || CompileDegraded(tp, st, m) != st {
 				t.Fatalf("store under %v recompiled for mask %v", st.Mask(), m)
 			}
@@ -516,11 +509,11 @@ func TestCompileWorkers(t *testing.T) {
 	}
 }
 
-// TestWalkerMatchesStore holds the interpreted Walker, which joins legs
-// it builds per source and intermediate, to the Walker over the same
-// policy's compiled store, which reads the stored ranges: the same
-// paths of every pair, in order, pristine and under a failure mask,
-// with the source changing between pairs as the load rows walk them.
+// TestWalkerMatchesStore holds the interpreted walk, which joins legs
+// it builds per source and intermediate, to the same policy's compiled
+// store, each path materialized from its Ports: the same paths of every
+// pair, in order, pristine and under a failure mask, with one walk
+// moving from source to source as the load-balance feed moves it.
 func TestWalkerMatchesStore(t *testing.T) {
 	for _, tp := range oracleTopos() {
 		if tp.NumSwitches() > 48 {
@@ -528,11 +521,17 @@ func TestWalkerMatchesStore(t *testing.T) {
 		}
 		for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
 			for _, pol := range storePolicies(tp) {
-				interp := NewWalker(tp, pol, mask)
-				stored := NewWalker(tp, CompileDegraded(tp, pol, mask), mask)
+				interp := newPolicyWalk(tp, pol, mask, -1, nil)
+				st := CompileDegraded(tp, pol, mask)
 				for s := 0; s < tp.NumSwitches(); s++ {
 					for d := 0; d < tp.NumSwitches(); d++ {
-						got, want := interp.Pair(s, d), stored.Pair(s, d)
+						var got, want []Path
+						interp.v.from(s)
+						interp.paths(d, func(p Path) { got = append(got, p.Clone()) })
+						first, count := st.PairRange(s, d)
+						for k := range count {
+							want = append(want, materializeID(st, s, d, first+PathID(k)))
+						}
 						if len(got) != len(want) {
 							t.Fatalf("%s %s mask %v pair (%d,%d): %d paths interpreted, %d stored", tp.Label(), pol.Name(), mask, s, d, len(got), len(want))
 						}
@@ -575,10 +574,10 @@ func TestCompileRefusesPathIDOverflow(t *testing.T) {
 	}
 }
 
-// TestExplicitOverStore: a Walker over an Explicit whose base is a
-// Store, or an Explicit under another, lists the base's stored range
-// less the keys its wrappers remove: the paths it lists over the
-// interpreted base.
+// TestExplicitOverStore: the walk of an Explicit whose base is a Store,
+// or an Explicit under another (a LegWalk), admits the base's stored
+// range less the keys its wrappers remove: what it admits over the
+// interpreted base, join for join, with the same keys.
 func TestExplicitOverStore(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	capped := LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 7}
@@ -588,12 +587,67 @@ func TestExplicitOverStore(t *testing.T) {
 	onStore := NewExplicit(NewExplicit(Compile(tp, capped)))
 	onStore.Base.(*Explicit).Removed = inner.Removed
 	onStore.Removed = outer.Removed
-	wa, wb := NewWalker(tp, outer, nil), NewWalker(tp, onStore, nil)
+	wa, wb := NewLegWalk(tp, outer, nil, 1<<5), NewLegWalk(tp, onStore, nil, 1<<5)
 	for s := 0; s < tp.NumSwitches(); s++ {
 		for d := 0; d < tp.NumSwitches(); d++ {
-			if a, b := wa.Pair(s, d), wb.Pair(s, d); !slices.EqualFunc(a, b, Path.Equal) {
-				t.Fatalf("pair (%d,%d): the walker over the store lists %d paths, over the policy %d", s, d, len(b), len(a))
+			if a, b := legWalkRecord(wa, s, d), legWalkRecord(wb, s, d); !slices.EqualFunc(a, b, slices.Equal[[]uint64]) {
+				t.Fatalf("pair (%d,%d): the walk over the store differs from the one over the policy", s, d)
 			}
 		}
+	}
+}
+
+// TestCompileExplicitOverStore: an Explicit over a Store — what
+// Rebalance returns with the adjustment off, and what a rebalanced
+// candidate is wrapped in — compiles, pristine and under a mask, over
+// the arithmetic full store, a masked full store and stores of offsets
+// (a fractional set, pristine and masked), whether the compile's mask
+// is the store's or a larger one: per pair the store holds the
+// Explicit's Enumerate less the paths the compile's mask kills, in
+// order; it carries that mask; and EstimatePaths is no less than its
+// size.
+func TestCompileExplicitOverStore(t *testing.T) {
+	tp := topo.MustNew(2, 4, 2, 9)
+	mask := degradedMask(tp)
+	capped := LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 7}
+	for _, c := range []struct {
+		name        string
+		base        *Store
+		compileMask *topo.FailureMask
+	}{
+		{"full", Compile(tp, Full{T: tp}), nil},
+		{"full/masked", CompileDegraded(tp, Full{T: tp}, mask), mask},
+		{"full/then-masked", Compile(tp, Full{T: tp}), mask},
+		{"offsets", Compile(tp, capped), nil},
+		{"offsets/masked", CompileDegraded(tp, capped, mask), mask},
+		{"offsets/then-masked", Compile(tp, capped), mask},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ex := NewExplicit(thinned(tp, c.base))
+			ex.Remove(c.base.Enumerate(1, tp.NumSwitches()-1)[0])
+			st, ok := Compiled(exec.Default(), tp, ex, c.compileMask)
+			if !ok {
+				t.Fatal("the Explicit over a store did not compile")
+			}
+			if !sameDead(st.Mask(), c.compileMask) {
+				t.Fatalf("the store carries mask %v, the compile's is %v", st.Mask(), c.compileMask)
+			}
+			if est := EstimatePaths(tp, ex); est < int64(st.NumPaths()) {
+				t.Fatalf("EstimatePaths %d below the compiled %d paths", est, st.NumPaths())
+			}
+			for s := 0; s < tp.NumSwitches(); s++ {
+				for d := 0; d < tp.NumSwitches(); d++ {
+					var want []Path
+					for _, p := range ex.Enumerate(s, d) {
+						if Alive(c.compileMask, p) {
+							want = append(want, p)
+						}
+					}
+					if got := st.Enumerate(s, d); !slices.EqualFunc(got, want, Path.Equal) {
+						t.Fatalf("pair (%d,%d): the compile holds %d paths, the Explicit's live ones are %d", s, d, len(got), len(want))
+					}
+				}
+			}
+		})
 	}
 }

@@ -13,11 +13,11 @@ import (
 // replaced them, kept as the oracle it is held to: path id out of src,
 // hop by hop over the peer arena, reports whether it crosses a channel
 // dead (indexed like FailureMask.DeadDense) marks.
-func crossesScan(st *Store, src int, id PathID, dead []bool) bool {
+func crossesScan(st *Store, src, dst int, id PathID, dead []bool) bool {
 	peer := st.T.PeerDense()
 	nonTerm, p := st.T.A-1+st.T.H, st.T.P
 	cur := src
-	for _, pt := range unpack(st.portsOf(id)) {
+	for _, pt := range unpack(st.Ports(src, dst, id)) {
 		ch := cur*nonTerm + int(pt) - p
 		if dead[ch] {
 			return true
@@ -66,7 +66,7 @@ func TestLockstepWalkMatchesScan(t *testing.T) {
 					s := r.Intn(n)
 					for d := 0; d < n; d++ {
 						st.PairPorts(s, d, func(id PathID, ports uint64) {
-							if x := crossesScan(st, s, id, mask.DeadDense()); w.Alive(s, ports) == x {
+							if x := crossesScan(st, s, d, id, mask.DeadDense()); w.Alive(s, ports) == x {
 								t.Fatalf("pair (%d,%d) path %d: Alive %v, scan crosses %v", s, d, id, !x, x)
 							}
 						})

@@ -27,10 +27,7 @@ func oracleRow(t *testing.T, st *paths.Store, cfg Config, s, d int) (min, vlb []
 	for _, p := range paths.EnumerateMinAlive(st.T, st.Mask(), s, d) {
 		min = append(min, pack(p))
 	}
-	first, count := st.PairRange(s, d)
-	var p paths.Path
-	for k := 0; k < count; k++ {
-		st.MaterializeInto(s, first+paths.PathID(k), &p)
+	for _, p := range st.Enumerate(s, d) {
 		vlb = append(vlb, pack(p))
 	}
 	return min, vlb
@@ -133,11 +130,8 @@ func bruteDirty(st *paths.Store, before, after *topo.FailureMask) (vlb, all int)
 		}
 	}
 	dirty := make([]bool, n*n)
-	var p paths.Path
 	for pi := range dirty {
-		first, count := st.PairRange(pi/n, pi%n)
-		for id := first; id < first+paths.PathID(count) && !dirty[pi]; id++ {
-			st.MaterializeInto(pi/n, id, &p)
+		for _, p := range st.Enumerate(pi/n, pi%n) {
 			for h, pt := range p.Ports {
 				dirty[pi] = dirty[pi] || fresh(int(p.Sw[h]), int(pt))
 			}

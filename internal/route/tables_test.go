@@ -282,7 +282,6 @@ func TestEmitRowShapes(t *testing.T) {
 	}
 	n := tp.NumSwitches()
 	var hops []netsim.RouteHop
-	var p paths.Path
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			min, vlb := tb.Row(s, d)
@@ -298,10 +297,9 @@ func TestEmitRowShapes(t *testing.T) {
 				hops = routing.AppendVCHops(hops[:0], tp, 4, routing.PhaseVC, 1, wantMin[k])
 				checkWord(t, w, hops)
 			}
-			first, _ := st.PairRange(s, d)
+			vlbPaths := st.Enumerate(s, d)
 			for k, w := range vlb {
-				st.MaterializeInto(s, first+paths.PathID(k), &p)
-				hops = routing.AppendVCHops(hops[:0], tp, 4, routing.PhaseVC, 1, p)
+				hops = routing.AppendVCHops(hops[:0], tp, 4, routing.PhaseVC, 1, vlbPaths[k])
 				checkWord(t, w, hops)
 			}
 		}

@@ -91,42 +91,20 @@ type UGAL struct {
 	// Reusable candidate-path buffers (hot path: one MIN and one VLB
 	// candidate per packet).
 	minBuf, vlbBuf paths.Path
-
-	// store caches the compiled form of Policy when it is one, bound
-	// lazily on the first sample; the bound pointer is shared by every
-	// clone (stores are immutable, see paths.Store).
-	store *paths.Store
-	bound bool
 }
 
-// vlbAttempts bounds the aliveness rejection loop of an interpreted
-// policy under a failure mask (the same budget paths uses for its own
-// rejection samplers).
+// vlbAttempts bounds the aliveness rejection loop under a failure mask
+// (the same budget paths uses for its own rejection samplers).
 const vlbAttempts = 64
 
 // sampleVLB draws one candidate VLB path into vlbBuf. With a
 // compiled policy this is a single PathID draw materialized straight
 // into the reusable buffer — O(1) and allocation-free regardless of
-// how restrictive the policy is; otherwise it falls back to the
-// interpreted sampler. Under a failure mask only alive paths are
-// returned: a degraded store samples them directly, an interpreted
-// policy rejection-samples (bounded) against the mask.
+// how restrictive the policy is; otherwise it is the interpreted
+// sampler. Under a failure mask only alive paths are returned, by
+// rejection (bounded) against the mask: a store degraded under it
+// stores no dead path, so its first draw is taken.
 func (u *UGAL) sampleVLB(r *rng.Source, s, d int) bool {
-	if !u.bound {
-		u.store, _ = u.Policy.(*paths.Store)
-		u.bound = true
-	}
-	if u.store != nil {
-		if !u.store.SampleVLBInto(r, s, d, &u.vlbBuf) {
-			return false
-		}
-		if u.Fail != nil && !paths.Alive(u.Fail, u.vlbBuf) {
-			// Only possible when the store predates the mask; the
-			// degraded epoch never stores dead paths.
-			return false
-		}
-		return true
-	}
 	if u.Fail == nil {
 		return u.Policy.SampleVLBInto(r, s, d, &u.vlbBuf)
 	}
