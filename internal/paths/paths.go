@@ -575,19 +575,6 @@ func (w *policyWalk) take(o int) bool {
 	return true
 }
 
-// judge calls yield with the two legs of every join of the pair (src, d)
-// and the set's verdict on it (pair), in order, so that the k-th call is
-// the join at offset k. The legs are valid only until yield returns.
-func (w *policyWalk) judge(d int, yield func(a, b *Leg, in bool)) {
-	w.pair(d, func(first, second []Leg, in []bool, _ []uint64) {
-		for i := range first {
-			for j := range second {
-				yield(&first[i], &second[j], in[i*len(second)+j])
-			}
-		}
-	})
-}
-
 // visit calls yield with the two legs of each admitted path to d: all
 // combinations of MIN(src,i) and MIN(i,d) over intermediates i outside
 // both endpoint groups, in (group, switch, first leg, second leg)
@@ -597,9 +584,13 @@ func (w *policyWalk) judge(d int, yield func(a, b *Leg, in bool)) {
 // case with one link per group pair. The legs are valid only until
 // yield returns.
 func (w *policyWalk) visit(d int, yield func(a, b *Leg)) {
-	w.judge(d, func(a, b *Leg, in bool) {
-		if in {
-			yield(a, b)
+	w.pair(d, func(first, second []Leg, in []bool, _ []uint64) {
+		for i := range first {
+			for j := range second {
+				if in[i*len(second)+j] {
+					yield(&first[i], &second[j])
+				}
+			}
 		}
 	})
 }

@@ -426,7 +426,7 @@ func TestWordsMatchOracle(t *testing.T) {
 						end := id + PathID(count)
 						for i := range pols {
 							verdicts[i] = verdicts[i][:0]
-							walks[i].judge(d, func(_, _ *Leg, in bool) { verdicts[i] = append(verdicts[i], in) })
+							walks[i].pair(d, func(_, _ []Leg, in []bool, _ []uint64) { verdicts[i] = append(verdicts[i], in...) })
 						}
 						fw.visit(d, func(a, b *Leg) {
 							p = materializeID(full, s, d, id)

@@ -292,7 +292,7 @@ func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit in
 // Store, or an Explicit over one, is its stored count.
 func EstimatePaths(t *topo.Compiled, pol Policy) int64 {
 	if st := storeOf(pol); st != nil {
-		return int64(st.NumPaths()) // an Explicit over it holds no more
+		return int64(st.NumPaths())
 	}
 	n := int64(t.NumSwitches())
 	a, g := int64(t.A), int64(t.G)
@@ -432,12 +432,19 @@ func (st *Store) DropMask(pol Policy) IDSet {
 		for d := 0; d < st.n; d++ {
 			id, count := st.PairRange(s, d)
 			end := id + PathID(count)
-			w.judge(d, func(a, b *Leg, in bool) {
-				if a.alive && b.alive {
-					if !in {
-						marks.add(id)
+			w.pair(d, func(first, second []Leg, in []bool, _ []uint64) {
+				for i := range first {
+					if !first[i].alive {
+						continue
 					}
-					id++
+					for j := range second {
+						if second[j].alive {
+							if !in[i*len(second)+j] {
+								marks.add(id)
+							}
+							id++
+						}
+					}
 				}
 			})
 			if id != end {

@@ -523,22 +523,23 @@ func TestWalkerMatchesStore(t *testing.T) {
 			for _, pol := range storePolicies(tp) {
 				interp := newPolicyWalk(tp, pol, mask, -1, nil)
 				st := CompileDegraded(tp, pol, mask)
+				var q Path
 				for s := 0; s < tp.NumSwitches(); s++ {
 					for d := 0; d < tp.NumSwitches(); d++ {
-						var got, want []Path
-						interp.v.from(s)
-						interp.paths(d, func(p Path) { got = append(got, p.Clone()) })
 						first, count := st.PairRange(s, d)
-						for k := range count {
-							want = append(want, materializeID(st, s, d, first+PathID(k)))
-						}
-						if len(got) != len(want) {
-							t.Fatalf("%s %s mask %v pair (%d,%d): %d paths interpreted, %d stored", tp.Label(), pol.Name(), mask, s, d, len(got), len(want))
-						}
-						for i := range want {
-							if !got[i].Equal(want[i]) {
-								t.Fatalf("%s %s mask %v pair (%d,%d) path %d: %v interpreted, %v stored", tp.Label(), pol.Name(), mask, s, d, i, got[i], want[i])
+						k := 0
+						interp.v.from(s)
+						interp.paths(d, func(p Path) {
+							if k < count {
+								st.materialize(s, st.Ports(s, d, first+PathID(k)), &q)
 							}
+							if k >= count || !p.Equal(q) {
+								t.Fatalf("%s %s mask %v pair (%d,%d) path %d: %v interpreted, %v stored (%d stored)", tp.Label(), pol.Name(), mask, s, d, k, p, q, count)
+							}
+							k++
+						})
+						if k != count {
+							t.Fatalf("%s %s mask %v pair (%d,%d): %d paths interpreted, %d stored", tp.Label(), pol.Name(), mask, s, d, k, count)
 						}
 					}
 				}
