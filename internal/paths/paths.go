@@ -424,8 +424,8 @@ var legShapes = [...]struct{ n, g uint }{{1, 0}, {1, 1}, {2, 2}, {2, 1}, {3, 2}}
 // in full VLB order. The set is a word policy, a Store, or an Explicit
 // over either. Every reader of a pair's joins is this walk — Enumerate
 // of every word policy, EstimatePaths, LegWalk, both passes of the store
-// compile and Store.DropMask — and its loop (pair) is the only place a
-// join is admitted. A path's liveness is its two legs', and its
+// compile and Store.DropMask — and its per-intermediate loop (judge,
+// which pair runs) is the only place a join is admitted. A path's liveness is its two legs', and its
 // admission the table at the word its legs' shapes join into, read once
 // per shape pair when the walk is made, and where that decides (a keyed
 // word, or an Explicit, whose removals it must miss) its Key, chained
@@ -529,34 +529,42 @@ func (w *policyWalk) pair(d int, yield func(first, second []Leg, in []bool, keys
 	}
 	start, o := rng.Mix(rng.HashSeed, uint64(int32(src))), 0
 	w.v.each(d, func(first, second []Leg) {
-		n2 := len(second)
-		w.in, w.keys = resize(w.in, len(first)*n2), resize(w.keys, len(first)*n2)
-		for i := range first {
-			a, in, keys := &first[i], w.in[i*n2:(i+1)*n2], w.keys[i*n2:(i+1)*n2]
-			if !a.alive {
-				clear(in)
-				continue
-			}
-			row, chain, chained := &w.pairs[a.shape], uint64(0), false
-			for j := range second {
-				b := &second[j]
-				c, h := row[b.shape], a.n+b.n
-				ok := b.alive && c != admitNone && w.take(o+i*n2+j)
-				if ok && (c == admitKeyed || w.ex != nil || w.keyed>>h&1 != 0) {
-					if !chained {
-						chain, chained = a.chain(start), true
-					}
-					keys[j] = b.chain(chain)
-					ok = (c == admitAll || w.draw.In(keys[j])) && !w.ex.removes(keys[j])
-				}
-				in[j] = ok
-			}
-		}
-		o += len(first) * n2
+		w.judge(start, o, first, second)
+		o += len(first) * len(second)
 		yield(first, second, w.in, w.keys)
 	})
 	if len(w.offs) != 0 {
 		panic(fmt.Sprintf("paths: %s: pair (%d, %d) has stored paths the full walk under the store's mask does not reach", w.st.Name(), src, d))
+	}
+}
+
+// judge fills in and keys for one intermediate's joins, start being the
+// key chain through the pair's source and o the offset of its first
+// join.
+func (w *policyWalk) judge(start uint64, o int, first, second []Leg) {
+	n2 := len(second)
+	w.in, w.keys = resize(w.in, len(first)*n2), resize(w.keys, len(first)*n2)
+	for i := range first {
+		a, in := &first[i], w.in[i*n2:(i+1)*n2]
+		if !a.alive {
+			clear(in)
+			continue
+		}
+		keys, row := w.keys[i*n2:(i+1)*n2], &w.pairs[a.shape]
+		chain, chained := uint64(0), false
+		for j := range second {
+			b := &second[j]
+			c, h := row[b.shape], a.n+b.n
+			ok := b.alive && c != admitNone && w.take(o+i*n2+j)
+			if ok && (c == admitKeyed || w.ex != nil || w.keyed>>h&1 != 0) {
+				if !chained {
+					chain, chained = a.chain(start), true
+				}
+				keys[j] = b.chain(chain)
+				ok = (c == admitAll || w.draw.In(keys[j])) && !w.ex.removes(keys[j])
+			}
+			in[j] = ok
+		}
 	}
 }
 
