@@ -540,9 +540,10 @@ func (w *policyWalk) pair(d int, yield func(first, second []Leg, in []bool, keys
 
 // judge fills in and keys for one intermediate's joins, start being the
 // key chain through the pair's source and o the offset of its first
-// join.
+// join. What the loop reads of w is copied out first: its writes to in
+// and keys could otherwise alias w, and every join would reload it.
 func (w *policyWalk) judge(start uint64, o int, first, second []Leg) {
-	n2 := len(second)
+	n2, draw, ex, keyed, merge := len(second), w.draw, w.ex, w.keyed, w.st != nil
 	w.in, w.keys = resize(w.in, len(first)*n2), resize(w.keys, len(first)*n2)
 	for i := range first {
 		a, in := &first[i], w.in[i*n2:(i+1)*n2]
@@ -555,27 +556,25 @@ func (w *policyWalk) judge(start uint64, o int, first, second []Leg) {
 		for j := range second {
 			b := &second[j]
 			c, h := row[b.shape], a.n+b.n
-			ok := b.alive && c != admitNone && w.take(o+i*n2+j)
-			if ok && (c == admitKeyed || w.ex != nil || w.keyed>>h&1 != 0) {
+			ok := b.alive && c != admitNone && (!merge || w.take(o+i*n2+j))
+			if ok && (c == admitKeyed || ex != nil || keyed>>h&1 != 0) {
 				if !chained {
 					chain, chained = a.chain(start), true
 				}
-				keys[j] = b.chain(chain)
-				ok = (c == admitAll || w.draw.In(keys[j])) && !w.ex.removes(keys[j])
+				key := b.chain(chain)
+				keys[j] = key
+				ok = (c == admitAll || draw.In(key)) && !ex.removes(key)
 			}
 			in[j] = ok
 		}
 	}
 }
 
-// take reports whether the join at offset o of the pair is in the base:
-// every live join of a word policy or a full store is, and of any other
-// store the one at the next stored offset, which it then takes. Offsets
-// come ascending.
+// take reports whether the join at offset o of the pair is the next
+// stored one of a base whose offsets are merged (w.st), and then takes
+// it: every live join of a word policy or a full store is in the base.
+// Offsets come ascending.
 func (w *policyWalk) take(o int) bool {
-	if w.st == nil {
-		return true
-	}
 	if len(w.offs) == 0 || int(w.offs[0]) != o {
 		return false
 	}

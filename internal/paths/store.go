@@ -433,19 +433,21 @@ func (st *Store) DropMask(pol Policy) IDSet {
 			id, count := st.PairRange(s, d)
 			end := id + PathID(count)
 			w.pair(d, func(first, second []Leg, in []bool, _ []uint64) {
+				next := id
 				for i := range first {
 					if !first[i].alive {
 						continue
 					}
-					for j := range second {
+					for j, x := range in[i*len(second) : (i+1)*len(second)] {
 						if second[j].alive {
-							if !in[i*len(second)+j] {
-								marks.add(id)
+							if !x {
+								marks.add(next)
 							}
-							id++
+							next++
 						}
 					}
 				}
+				id = next
 			})
 			if id != end {
 				panic(fmt.Sprintf("paths: pair (%d, %d) holds %d paths, the walk under its mask took %d", s, d, count, count-int(end-id)))
