@@ -425,11 +425,11 @@ var legShapes = [...]struct{ n, g uint }{{1, 0}, {1, 1}, {2, 2}, {2, 1}, {3, 2}}
 // over either. Every reader of a pair's joins is this walk — Enumerate
 // of every word policy, EstimatePaths, LegWalk, both passes of the store
 // compile and Store.DropMask — and its per-intermediate loop (judge,
-// which pair runs) is the only place a join is admitted. A path's liveness is its two legs', and its
-// admission the table at the word its legs' shapes join into, read once
-// per shape pair when the walk is made, and where that decides (a keyed
-// word, or an Explicit, whose removals it must miss) its Key, chained
-// from the legs. A Store is walked as Full's table under the mask it was
+// which pair runs) is the only place a join is admitted. A path's
+// liveness is its two legs', and its admission the table at the word its
+// legs' shapes join into, read once per shape pair when the walk is
+// made, and where that decides (a keyed word, or an Explicit, whose
+// removals it must miss) its Key, chained from the legs. A Store is walked as Full's table under the mask it was
 // compiled under: a full store holds exactly the live joins, and any
 // other's stored offsets are merged with the joins. No path is built.
 type policyWalk struct {
