@@ -124,7 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// filtered under the mask, not compiled again.
 		en.Config.Failures = mask
 		if u, ok := en.Routing.(*routing.UGAL); ok {
-			u.Fail = mask
 			if st, ok := u.Policy.(*paths.Store); ok {
 				u.Policy = paths.CompileDegraded(r.T, st, mask)
 			}

@@ -20,7 +20,7 @@
 //
 //	routed                                  # serve on :8709
 //	routed -topo "dfly(4,8,4,17)" -policy strategic
-//	routed -failures switch:3 -mode min     # start degraded
+//	routed -fail switch:3 -mode min         # start degraded
 package main
 
 import (
@@ -56,7 +56,7 @@ func fail(format string, args ...any) {
 func main() {
 	topoSpec := flag.String("topo", "dfly(4,8,4,17)", spec.TopologyUsage)
 	polSpec := flag.String("policy", "full", "VLB candidate policy spec")
-	failSpec := flag.String("failures", "", "initial failure spec (global:sw:gp,local:u:v,switch:sw)")
+	failSpec := flag.String("fail", "", "initial failure spec (global:sw:gp,local:u:v,switch:sw)")
 	modeSpec := flag.String("mode", "ugal", "lookup mode: ugal, min or vlb")
 	threshold := flag.Int("threshold", 0, "UGAL threshold bias toward MIN")
 	seed := flag.Uint64("seed", 1, "base RNG seed")

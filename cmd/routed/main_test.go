@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"tugal/internal/netsim"
 	"tugal/internal/paths"
 	"tugal/internal/rng"
 	"tugal/internal/route"
@@ -106,7 +107,7 @@ func checkReply(t *testing.T, tp *topo.Compiled, rec *httptest.ResponseRecorder,
 		ok := d.Port == -1 && d.VC == 0 && d.Hops == 0 && d.Word == 0 // the refusal sentinel
 		if !d.Refused {
 			ok = d.Port >= 0 && int(d.Port) < tp.Radix() && d.VC >= 0 && d.VC < 4 &&
-				d.Hops <= paths.MaxVLBHops && int(d.Hops) == route.WordHops(d.Word)
+				d.Hops <= paths.MaxVLBHops && int(d.Hops) == netsim.WordHops(d.Word)
 		}
 		if !ok {
 			t.Fatalf("decision %d out of range: %+v", i, d)
@@ -351,8 +352,8 @@ func TestConcurrentLookupsAcrossFails(t *testing.T) {
 				sent.Add(perRequest)
 				for i, d := range replies {
 					sw := tp.SwitchOfNode(int(src[i]))
-					for h := 0; h < route.WordHops(d.Word); h++ {
-						port, _ := route.WordHop(d.Word, h)
+					for h := 0; h < netsim.WordHops(d.Word); h++ {
+						port, _ := netsim.WordHop(d.Word, h)
 						if mask.ChannelDead(sw, int(port)) {
 							t.Errorf("pair %d->%d: hop %d leaves switch %d by port %d, dead before the request was sent", src[i], dst[i], h, sw, port)
 							return

@@ -316,7 +316,6 @@ func simulateScore(t *topo.Compiled, pol paths.Policy, opt Options) float64 {
 			return traffic.NewGroupPermutation(t, rng.Hash64(patSeed, seed))
 		}
 		rf := routing.NewUGALL(t, pol)
-		rf.Fail = opt.Failures
 		// The label reaches only the pool observer: it is how a search's
 		// probe lines and closing tally name the path set they scored.
 		rf.Label = rf.Name() + "[" + pol.Name() + "]"

@@ -42,9 +42,8 @@ func checkScanState(t *testing.T, n *Network, sw int32, step int) {
 				if rw := n.qRW[g]; rw&rwSlow == 0 {
 					// Fast flit: its arena hopIdx is not maintained;
 					// the authoritative position is the route word's
-					// next-hop index, one past the buffered hop.
-					idx := int(rw>>rwIdxShift) & 31
-					hop := fa.rec[head].route[idx-1]
+					// count of hops after the buffered one.
+					hop := fa.rec[head].route[int(fa.rec[head].routeLen)-1-WordHops(rw)]
 					wantHead = uint16(uint8(hop.Port))<<8 | uint16(uint8(hop.VC))
 				} else {
 					rs := head
@@ -97,8 +96,8 @@ func TestActiveSetInvariants(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 4 // exercise the multi-shard active bitsets too
 	n := New(tp, cfg, minRouter{tp}, traffic.Uniform{T: tp}, 0)
-	if n.Shards() != 4 {
-		t.Fatalf("built %d shards, want 4", n.Shards())
+	if shards, _ := n.ShardStats(); shards != 4 {
+		t.Fatalf("built %d shards, want 4", shards)
 	}
 	r := rng.New(99)
 	numVCs := n.Cfg.NumVCs
@@ -141,7 +140,8 @@ func TestActiveSetInvariants(t *testing.T) {
 		if doEnq {
 			f := mkFlit()
 			pi := int(sw)*n.ports + port
-			n.enqueue(sw, port, vc, pi, pi*n.numVCs+vc, f, headEmpty, n.fa.packRW(f, 1))
+			rw, _ := PackWord(n.fa.routeOf(f)[1:])
+			n.enqueue(sw, port, vc, pi, pi*n.numVCs+vc, f, headEmpty, rw)
 			occupied = append(occupied, slotRef{sw, port, vc})
 			checkScanState(t, n, sw, i)
 		} else if len(occupied) > 0 {

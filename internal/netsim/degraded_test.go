@@ -37,21 +37,17 @@ func degradedMask(tp *topo.Compiled) *topo.FailureMask {
 	return m
 }
 
-// degradedSchemes builds failure-aware routers over the degraded
-// store epoch (and one over an interpreted policy, exercising the
-// rejection-sampling path).
+// degradedSchemes builds routers over the degraded store epoch (and
+// one over an interpreted policy, exercising the rejection-sampling
+// path); each routes on what survives the network's mask.
 func degradedSchemes(tp *topo.Compiled, mask *topo.FailureMask) map[string]func() netsim.RoutingFunc {
 	full := paths.Full{T: tp}
 	degStore := paths.CompileDegraded(tp, full, mask)
-	withFail := func(u *routing.UGAL) netsim.RoutingFunc {
-		u.Fail = mask
-		return u
-	}
 	return map[string]func() netsim.RoutingFunc{
-		"MIN":           func() netsim.RoutingFunc { return withFail(routing.NewMin(tp)) },
-		"VLB":           func() netsim.RoutingFunc { return withFail(routing.NewVLB(tp, degStore)) },
-		"UGAL-L":        func() netsim.RoutingFunc { return withFail(routing.NewUGALL(tp, degStore)) },
-		"UGAL-L/interp": func() netsim.RoutingFunc { return withFail(routing.NewUGALL(tp, full)) },
+		"MIN":           func() netsim.RoutingFunc { return routing.NewMin(tp) },
+		"VLB":           func() netsim.RoutingFunc { return routing.NewVLB(tp, degStore) },
+		"UGAL-L":        func() netsim.RoutingFunc { return routing.NewUGALL(tp, degStore) },
+		"UGAL-L/interp": func() netsim.RoutingFunc { return routing.NewUGALL(tp, full) },
 	}
 }
 
@@ -105,11 +101,7 @@ func TestDegradedWormholeDeterminism(t *testing.T) {
 	cfg.Seed = 5
 	cfg.PacketSize = 3
 	degStore := paths.CompileDegraded(tp, paths.Full{T: tp}, mask)
-	mk := func() netsim.RoutingFunc {
-		u := routing.NewUGALL(tp, degStore)
-		u.Fail = mask
-		return u
-	}
+	mk := func() netsim.RoutingFunc { return routing.NewUGALL(tp, degStore) }
 	ref := runDegraded(tp, mask, cfg, mk(), 0.08, 1, 0)
 	if ref.Measured == 0 || ref.Refused == 0 {
 		t.Fatalf("measured=%d refused=%d; want both positive", ref.Measured, ref.Refused)
@@ -134,11 +126,7 @@ func TestDegradedEmptyMaskMatchesPristine(t *testing.T) {
 	full := paths.Full{T: tp}
 	for _, shards := range []int{1, 4} {
 		ref := runSharded(tp, cfg, routing.NewUGALL(tp, full), traffic.Uniform{T: tp}, 0.3, shards)
-		got := runDegraded(tp, empty, cfg, func() netsim.RoutingFunc {
-			u := routing.NewUGALL(tp, full)
-			u.Fail = empty
-			return u
-		}(), 0.3, shards, shards)
+		got := runDegraded(tp, empty, cfg, routing.NewUGALL(tp, full), 0.3, shards, shards)
 		if got.Refused != 0 {
 			t.Fatalf("shards=%d: empty mask refused %d packets", shards, got.Refused)
 		}

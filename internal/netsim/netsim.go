@@ -264,45 +264,57 @@ func (a *flitArena) routeOf(s int32) []RouteHop {
 	return a.rec[s].route[0:a.rec[s].routeLen:maxRoute]
 }
 
-// Packed remaining-route word ("rw"): travels with a flit through
-// events and queue-block words so the forward path never touches the
-// flit's arena record between inject and eject. Layout:
+// Route words pack up to WordMaxHops route hops into a uint64: bits
+// [0,3) hold the hop count and hop i occupies the 10-bit field at bit
+// 3+10*i — out-port in the low 7 bits, VC in the high 3. 3 + 6*10 = 63
+// bits. internal/route serves a candidate's switch hops in this form.
 //
-//	bits  0..49  up to five future hops, 10 bits each: port | vc<<6
-//	bits 50..53  count of hops held in the word
-//	bits 54..58  route index of the word's first hop
-//	bit  59      slow marker: consult the arena record instead
-//
-// Wormhole packets (route read through headOf, hopIdx drives VC
-// ownership) and Revisable flits (route rewritten at head-arrival)
-// carry the slow marker and use the original record-backed path.
-// Fast routes are at most 7 hops (VLB legs + ejection), so a flit
-// needs at most one mid-flight repack from its record.
+// A flit's remaining-route word ("rw") is the route word of the hops
+// after its next one, ejection included. It travels with the flit
+// through events and queue-block words, so the forward path never
+// touches the flit's arena record between inject and eject. Bit 63,
+// rwSlow, marks a flit that reads its route from the record instead:
+// a wormhole packet's (route read through headOf, hopIdx drives VC
+// ownership), a Revisable flit's (route rewritten at head-arrival) and
+// any route PackWord cannot hold.
 const (
-	rwCntShift = 50
-	rwIdxShift = 54
-	rwSlow     = uint64(1) << 59
-	rwHopMask  = uint64(1)<<rwCntShift - 1
+	WordMaxHops  = 6
+	WordPortMask = 0x7f
+	WordVCMask   = 0x7
+	wordCntMask  = 0x7
+	wordHopBits  = 10
+	wordVCShift  = 7
+	rwSlow       = uint64(1) << 63
 )
 
-// packRW packs up to five hops of slot s's route starting at index
-// from (cnt 0 with a valid idx when from is already past the end —
-// the forward path repacks on demand).
-func (a *flitArena) packRW(s int32, from int) uint64 {
-	rec := &a.rec[s]
-	cnt := int(rec.routeLen) - from
-	if cnt > 5 {
-		cnt = 5
+// WordHops returns a route word's hop count.
+func WordHops(w uint64) int { return int(w & wordCntMask) }
+
+// WordHop returns hop i's out-port and virtual channel.
+func WordHop(w uint64, i int) (port, vc int8) {
+	f := w >> (3 + uint(i)*wordHopBits)
+	return int8(f & WordPortMask), int8(f >> wordVCShift & WordVCMask)
+}
+
+// WordPort returns port p in hop i's port field, to be OR-ed into a
+// word whose port field i is clear.
+func WordPort(i int, p uint64) uint64 { return p << (3 + uint(i)*wordHopBits) }
+
+// PackWord packs a VC-assigned hop sequence into a route word. It
+// reports false when the hops do not fit: more than WordMaxHops of
+// them, or a port or VC past its field.
+func PackWord(hops []RouteHop) (uint64, bool) {
+	if len(hops) > WordMaxHops {
+		return 0, false
 	}
-	if cnt < 0 {
-		cnt = 0
+	w := uint64(len(hops))
+	for i, h := range hops {
+		if uint8(h.Port) > WordPortMask || uint8(h.VC) > WordVCMask {
+			return 0, false
+		}
+		w |= (uint64(h.Port) | uint64(h.VC)<<wordVCShift) << (3 + uint(i)*wordHopBits)
 	}
-	var hops uint64
-	for i := cnt - 1; i >= 0; i-- {
-		h := rec.route[from+i]
-		hops = hops<<10 | uint64(uint8(h.Port)) | uint64(uint8(h.VC))<<6
-	}
-	return hops | uint64(cnt)<<rwCntShift | uint64(from)<<rwIdxShift
+	return w, true
 }
 
 // setRoute records the route a SourceRoute/Revise call left in the
@@ -384,7 +396,7 @@ type chanRef struct {
 type event struct {
 	flit int32
 	r    int32
-	rw   uint64 // packed remaining-route word (see rwCntShift)
+	rw   uint64 // remaining-route word (see rwSlow)
 	port int8
 	vc   int8
 	hop  uint16
@@ -782,20 +794,14 @@ func (n *Network) geomNext(after int64) int64 {
 // Now returns the current simulation cycle.
 func (n *Network) Now() int64 { return n.now }
 
-// Shards returns the effective shard count: Config.Shards clamped to
-// the switch count and downgraded to 1 when the routing function may
-// revise routes in flight (see InFlightReviser).
-func (n *Network) Shards() int { return len(n.shards) }
-
-// ShardStats reports the effective shard count and the number of
-// parallel workers the most recent Run stepped them with (1 before
-// any Run, and always 1 at one shard).
+// ShardStats reports the effective shard count — Config.Shards clamped
+// to the switch count and downgraded to 1 when the routing function may
+// revise routes in flight (see InFlightReviser) — and the number of
+// parallel workers the most recent Run stepped them with (1 before any
+// Run, and always 1 at one shard).
 func (n *Network) ShardStats() (shards, workers int) {
 	return len(n.shards), n.workers
 }
-
-// Routing returns the routing function under simulation.
-func (n *Network) Routing() RoutingFunc { return n.routing }
 
 // CreditOcc estimates the occupancy of the downstream buffer of a
 // non-terminal out-port from local credit state: the information a

@@ -577,7 +577,9 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 	hop := uint16(uint8(r0.Port))<<8 | uint16(uint8(r0.VC))
 	rw := rwSlow
 	if n.ovcOwner == nil && fa.rec[f].flags&fRevisable == 0 {
-		rw = fa.packRW(f, 1)
+		if w, ok := PackWord(fa.rec[f].route[1:fa.rec[f].routeLen]); ok {
+			rw = w
+		}
 	}
 	pi := int(sw)*n.ports + termPort
 	n.enqueue(sw, termPort, 0, pi, pi*n.numVCs, f, hop, rw)
@@ -763,19 +765,12 @@ func (n *Network) allocateRouter(swi int, sh *simShard) {
 						n.returnCredit(sh, pBase+port, vc)
 						var hop uint16
 						if rw&rwSlow == 0 {
-							// Fast flit: the next hop comes off the packed
-							// route word — the arena record is untouched
+							// Fast flit: the next hop comes off the route
+							// word — the arena record is untouched
 							// between inject and eject.
-							cnt := int(rw>>rwCntShift) & 15
-							idx := int(rw>>rwIdxShift) & 31
-							if cnt == 0 {
-								// >6-hop route: the one mid-flight repack.
-								rw = fa.packRW(f, idx)
-								cnt = int(rw>>rwCntShift) & 15
-							}
-							h := uint32(rw) & 1023
-							hop = uint16(h&63)<<8 | uint16(h>>6)
-							rw = (rw&rwHopMask)>>10 | uint64(cnt-1)<<rwCntShift | uint64(idx+1)<<rwIdxShift
+							p, v := WordHop(rw, 0)
+							hop = uint16(p)<<8 | uint16(v)
+							rw = rw>>wordHopBits&^wordCntMask | (rw&wordCntMask - 1)
 						} else {
 							hi := fa.rec[f].hopIdx + 1
 							fa.rec[f].hopIdx = hi

@@ -157,7 +157,7 @@ func TestPARResolvesToOneShard(t *testing.T) {
 	cfg.Shards = 4
 	cfg.ShardWorkers = 4
 	n := netsim.New(tp, cfg, routing.NewPAR(tp, paths.Full{T: tp}), traffic.Uniform{T: tp}, 0.1)
-	if got := n.Shards(); got != 1 {
+	if got, _ := n.ShardStats(); got != 1 {
 		t.Fatalf("PAR network built %d shards, want 1", got)
 	}
 	if res := n.Run(200, 200, 500); res.Measured == 0 {
@@ -168,7 +168,7 @@ func TestPARResolvesToOneShard(t *testing.T) {
 	}
 	// And an eligible scheme on the same config does shard.
 	n2 := netsim.New(tp, cfg, routing.NewUGALL(tp, paths.Full{T: tp}), traffic.Uniform{T: tp}, 0.1)
-	if got := n2.Shards(); got != 4 {
+	if got, _ := n2.ShardStats(); got != 4 {
 		t.Fatalf("UGAL-L network built %d shards, want 4", got)
 	}
 }

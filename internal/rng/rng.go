@@ -92,11 +92,6 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (s *Source) Bool(p float64) bool {
-	return s.Float64() < p
-}
-
 // Perm returns a random permutation of [0, n) using Fisher-Yates.
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

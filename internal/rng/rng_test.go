@@ -133,17 +133,3 @@ func TestHashFloatRange(t *testing.T) {
 		}
 	}
 }
-
-func TestBoolProbability(t *testing.T) {
-	r := New(11)
-	hits := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if r.Bool(0.3) {
-			hits++
-		}
-	}
-	if frac := float64(hits) / n; math.Abs(frac-0.3) > 0.01 {
-		t.Fatalf("Bool(0.3) frequency %.4f", frac)
-	}
-}

@@ -291,7 +291,7 @@ type benchStore struct {
 // three of dfly(4,8,4,17), the topology cmd/routed serves: the full set,
 // strategic 2+3 (a quarter of it, as pair offsets) and the full set
 // compiled under a local link and a switch failed (its live joins, as
-// pair offsets), the stores routed's -policy and -failures serve.
+// pair offsets), the stores routed's -policy and -fail serve.
 func benchStores(b *testing.B) []benchStore {
 	g9, g17 := topo.MustNew(4, 8, 4, 9), topo.MustNew(4, 8, 4, 17)
 	m := topo.NewFailureMask(g17)

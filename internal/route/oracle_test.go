@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"tugal/internal/netsim"
 	"tugal/internal/paths"
 	"tugal/internal/routing"
 	"tugal/internal/topo"
@@ -14,13 +15,13 @@ import (
 // as the test-only oracle the served words are held to: MIN candidates
 // in EnumerateMinAlive order, VLB candidates in the pair range of a
 // store compiled under the same mask, each VC-stamped by
-// routing.AppendVCHops and packed by packWord.
+// routing.AppendVCHops and packed by netsim.PackWord.
 func oracleRow(t *testing.T, st *paths.Store, cfg Config, s, d int) (min, vlb []uint64) {
 	t.Helper()
 	pack := func(p paths.Path) uint64 {
-		w, err := packWord(routing.AppendVCHops(nil, st.T, cfg.NumVCs, cfg.Scheme, 1, p))
-		if err != nil {
-			t.Fatal(err)
+		w, ok := netsim.PackWord(routing.AppendVCHops(nil, st.T, cfg.NumVCs, cfg.Scheme, 1, p))
+		if !ok {
+			t.Fatalf("path %v does not fit a route word", p.Ports)
 		}
 		return w
 	}
@@ -42,8 +43,8 @@ func oracleFirstHops(min, vlb []uint64) []FirstHop {
 	next:
 		for _, w := range words {
 			fh := FirstHop{Port: -1, Weight: 1, Min: c == 0}
-			if WordHops(w) > 0 {
-				fh.Port, fh.VC = WordHop(w, 0)
+			if netsim.WordHops(w) > 0 {
+				fh.Port, fh.VC = netsim.WordHop(w, 0)
 			}
 			for j := base; j < len(out); j++ {
 				if out[j].Port == fh.Port && out[j].VC == fh.VC {

@@ -24,7 +24,7 @@ func validateDecision(t *testing.T, tb *route.Tables, d route.Decision, srcSw, d
 	tp := tb.T
 	sw := srcSw
 	for i := 0; i < int(d.Hops); i++ {
-		p, vc := route.WordHop(d.Word, i)
+		p, vc := netsim.WordHop(d.Word, i)
 		if int(vc) >= 4 {
 			t.Fatalf("hop %d: VC %d out of budget", i, vc)
 		}

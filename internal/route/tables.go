@@ -39,33 +39,12 @@ import (
 	"tugal/internal/topo"
 )
 
-// Route words pack one candidate's full switch-to-switch route into a
-// uint64: bits [0,3) hold the hop count (0..6) and hop i occupies the
-// 10-bit field at bit 3+10*i — out-port in the low 7 bits, VC in the
-// high 3. 3 + 6*10 = 63 bits; ports are int8 repo-wide (<128) and no
-// shipped VC scheme assigns a class above 7.
-const (
-	wordHopBits  = 10
-	wordPortMask = 0x7f
-	wordVCShift  = 7
-	wordVCMask   = 0x7
-)
-
-// WordHops returns a route word's hop count.
-func WordHops(w uint64) int { return int(w & 0x7) }
-
-// WordHop returns hop i's out-port and virtual channel.
-func WordHop(w uint64, i int) (port, vc int8) {
-	f := w >> (3 + uint(i)*wordHopBits)
-	return int8(f & wordPortMask), int8((f >> wordVCShift) & wordVCMask)
-}
-
 // wordPorts returns a route word's ports, packed one byte a hop as
 // paths.Store.Ports packs them.
 func wordPorts(w uint64) uint64 {
 	x := uint64(0)
-	for i := range WordHops(w) {
-		p, _ := WordHop(w, i)
+	for i := range netsim.WordHops(w) {
+		p, _ := netsim.WordHop(w, i)
 		x |= uint64(p) << (8 * i)
 	}
 	return x
@@ -76,33 +55,11 @@ func wordPorts(w uint64) uint64 {
 // switch's terminal port ejectPort — exactly the route SourceRoute
 // would have built.
 func AppendRoute(buf []netsim.RouteHop, w uint64, ejectPort int8) []netsim.RouteHop {
-	h := WordHops(w)
-	for i := 0; i < h; i++ {
-		p, vc := WordHop(w, i)
+	for i := range netsim.WordHops(w) {
+		p, vc := netsim.WordHop(w, i)
 		buf = append(buf, netsim.RouteHop{Port: p, VC: vc})
 	}
 	return append(buf, netsim.RouteHop{Port: ejectPort, VC: 0})
-}
-
-// packWord packs an already-VC-assigned hop sequence into a route
-// word. It fails only on inputs outside the packing contract (more
-// than 6 hops, a port ≥ 128 or a VC class ≥ 8), none of which any
-// supported topology/scheme combination produces.
-func packWord(hops []netsim.RouteHop) (uint64, error) {
-	if len(hops) > paths.MaxVLBHops {
-		return 0, fmt.Errorf("route: %d hops exceed the %d-hop word capacity", len(hops), paths.MaxVLBHops)
-	}
-	w := uint64(len(hops))
-	for i, h := range hops {
-		if h.Port < 0 || int(h.Port) > wordPortMask {
-			return 0, fmt.Errorf("route: port %d of hop %d does not fit the word", h.Port, i)
-		}
-		if h.VC < 0 || int(h.VC) > wordVCMask {
-			return 0, fmt.Errorf("route: VC %d of hop %d does not fit the word", h.VC, i)
-		}
-		w |= (uint64(h.Port) | uint64(h.VC)<<wordVCShift) << (3 + uint(i)*wordHopBits)
-	}
-	return w, nil
 }
 
 // Config selects the VC assignment stamped into every route word.
@@ -131,11 +88,11 @@ func (c Config) withDefaults() Config {
 // field. Lookups build VLB words lazily and have no error to report, so
 // Emit rules out every packing error up front.
 func (c Config) check(t *topo.Compiled) error {
-	if c.NumVCs < 1 || c.NumVCs > wordVCMask+1 {
-		return fmt.Errorf("route: Config.NumVCs %d outside 1..%d, the route word's VC field", c.NumVCs, wordVCMask+1)
+	if c.NumVCs < 1 || c.NumVCs > netsim.WordVCMask+1 {
+		return fmt.Errorf("route: Config.NumVCs %d outside 1..%d, the route word's VC field", c.NumVCs, netsim.WordVCMask+1)
 	}
-	if t.Radix() > wordPortMask+1 {
-		return fmt.Errorf("route: radix %d exceeds the route word's %d-port field", t.Radix(), wordPortMask+1)
+	if t.Radix() > netsim.WordPortMask+1 {
+		return fmt.Errorf("route: radix %d exceeds the route word's %d-port field", t.Radix(), netsim.WordPortMask+1)
 	}
 	return nil
 }
@@ -254,7 +211,7 @@ func (tb *Tables) vlbID(r *row, s, d int, k int32) paths.PathID {
 // from its index and the kinds of the hops up to it alone, so a
 // shape's stamp is every such route's; the word oracle holds each
 // served word to AppendVCHops on its own path. Emit's Config.check
-// leaves packWord nothing to refuse.
+// leaves netsim.PackWord nothing to refuse.
 func stampShapes(t *topo.Compiled, cfg Config) *[1 << (paths.MaxVLBHops + 1)]uint64 {
 	var local, global int8
 	for p := t.Radix() - 1; p >= t.P; p-- {
@@ -274,11 +231,11 @@ func stampShapes(t *topo.Compiled, cfg Config) *[1 << (paths.MaxVLBHops + 1)]uin
 				ports[i] = global
 			}
 		}
-		w, _ := packWord(routing.AppendVCHops(nil, t, cfg.NumVCs, cfg.Scheme, 1, paths.Path{Ports: ports[:h]}))
-		for i := range h {
-			w &^= wordPortMask << (3 + uint(i)*wordHopBits)
+		hops := routing.AppendVCHops(nil, t, cfg.NumVCs, cfg.Scheme, 1, paths.Path{Ports: ports[:h]})
+		for i := range hops {
+			hops[i].Port = 0
 		}
-		stamps[shape] = w
+		stamps[shape], _ = netsim.PackWord(hops)
 	}
 	return stamps
 }
@@ -290,7 +247,7 @@ func (tb *Tables) word(ports uint64) uint64 {
 	w, shape := uint64(0), 1
 	for i := 0; ports != 0; i, ports = i+1, ports>>8 {
 		p := ports & 0xff
-		w |= p << (3 + uint(i)*wordHopBits)
+		w |= netsim.WordPort(i, p)
 		shape <<= 1
 		if tb.T.KindOfPort(int(p)) == topo.Global {
 			shape |= 1
@@ -593,9 +550,9 @@ type Decision struct {
 
 // decide fills a Decision from a chosen candidate word.
 func decide(w uint64, min bool) Decision {
-	d := Decision{Word: w, Min: min, Hops: uint8(WordHops(w)), Port: -1}
+	d := Decision{Word: w, Min: min, Hops: uint8(netsim.WordHops(w)), Port: -1}
 	if d.Hops > 0 {
-		d.Port, d.VC = WordHop(w, 0)
+		d.Port, d.VC = netsim.WordHop(w, 0)
 	}
 	return d
 }
@@ -657,7 +614,7 @@ type FirstHop struct {
 // word of the one-port prefix.
 func (tb *Tables) FirstHops(s, d int, buf []FirstHop) []FirstHop {
 	r := &tb.rows[s*tb.n+d]
-	var at [wordPortMask + 2]int32 // port+1 -> this class's entry index+1
+	var at [netsim.WordPortMask + 2]int32 // port+1 -> this class's entry index+1
 	add := func(p int8, n int, min bool) {
 		if i := at[int(p)+1]; i > 0 {
 			buf[i-1].Weight += int32(n)
@@ -667,12 +624,12 @@ func (tb *Tables) FirstHops(s, d int, buf []FirstHop) []FirstHop {
 	}
 	for _, w := range tb.minWords(r) {
 		p := int8(-1)
-		if WordHops(w) > 0 {
-			p, _ = WordHop(w, 0)
+		if netsim.WordHops(w) > 0 {
+			p, _ = netsim.WordHop(w, 0)
 		}
 		add(p, 1, true)
 	}
-	at = [wordPortMask + 2]int32{}
+	at = [netsim.WordPortMask + 2]int32{}
 	vlb := func(p int8, n int) { add(p, n, false) }
 	if _, n, dead := tb.vlbSpan(r, s, d); n > 0 && len(dead) == 0 {
 		tb.st.FirstPorts(s, d, vlb)
@@ -684,11 +641,11 @@ func (tb *Tables) FirstHops(s, d int, buf []FirstHop) []FirstHop {
 }
 
 // newFirstHop appends the entry of port p, weight n, to buf.
-func (tb *Tables) newFirstHop(buf []FirstHop, at *[wordPortMask + 2]int32, p int8, n int, min bool) []FirstHop {
+func (tb *Tables) newFirstHop(buf []FirstHop, at *[netsim.WordPortMask + 2]int32, p int8, n int, min bool) []FirstHop {
 	at[int(p)+1] = int32(len(buf)) + 1
 	fh := FirstHop{Port: p, Weight: int32(n), Min: min}
 	if p >= 0 {
-		_, fh.VC = WordHop(tb.word(uint64(p)), 0)
+		_, fh.VC = netsim.WordHop(tb.word(uint64(p)), 0)
 	}
 	return append(buf, fh)
 }

@@ -17,12 +17,14 @@ import (
 // counter is full, so CreditOcc/DownstreamOcc report zero — the
 // queue state under which every UGAL variant's threshold rule
 // reduces to the decision the tables serve.
-// numVCs 0 keeps DefaultConfig's budget.
-func idleNetwork(t *topo.Compiled, rf netsim.RoutingFunc, numVCs int) *netsim.Network {
+// numVCs 0 keeps DefaultConfig's budget; mask (nil: pristine) is the
+// failure mask the routers route around.
+func idleNetwork(t *topo.Compiled, rf netsim.RoutingFunc, numVCs int, mask *topo.FailureMask) *netsim.Network {
 	cfg := netsim.DefaultConfig()
 	if numVCs > 0 {
 		cfg.NumVCs = numVCs
 	}
+	cfg.Failures = mask
 	return netsim.New(t, cfg, rf, traffic.Uniform{T: t}, 0.01)
 }
 
@@ -132,9 +134,8 @@ func checkEquivalence(t *testing.T, tp *topo.Compiled, st *paths.Store, mask *to
 	t.Helper()
 	u := c.direct(tp, st)
 	u.Threshold = c.threshold
-	u.Fail = mask
 	u.Scheme = c.cfg.Scheme
-	n := idleNetwork(tp, u, c.cfg.NumVCs)
+	n := idleNetwork(tp, u, c.cfg.NumVCs, mask)
 
 	svc, err := route.NewService(st, c.mode, c.threshold, c.cfg)
 	if err != nil {
@@ -210,8 +211,7 @@ func TestEquivalenceAcrossEpochSwap(t *testing.T) {
 		t.Helper()
 		dst := paths.CompileDegraded(tp, pol, mask)
 		u := routing.NewUGALL(tp, dst)
-		u.Fail = mask
-		n := idleNetwork(tp, u, 0)
+		n := idleNetwork(tp, u, 0, mask)
 		rDirect, rServe := rng.New(3), rng.New(3)
 		pairs := rng.New(11)
 		f := &netsim.Flit{}
@@ -312,11 +312,11 @@ func TestEmitRowShapes(t *testing.T) {
 
 func checkWord(t *testing.T, w uint64, want []netsim.RouteHop) {
 	t.Helper()
-	if route.WordHops(w) != len(want) {
-		t.Fatalf("word hops %d, want %d", route.WordHops(w), len(want))
+	if netsim.WordHops(w) != len(want) {
+		t.Fatalf("word hops %d, want %d", netsim.WordHops(w), len(want))
 	}
 	for i, h := range want {
-		p, vc := route.WordHop(w, i)
+		p, vc := netsim.WordHop(w, i)
 		if p != h.Port || vc != h.VC {
 			t.Fatalf("hop %d decodes (%d,%d), want (%d,%d)", i, p, vc, h.Port, h.VC)
 		}
@@ -489,4 +489,12 @@ func BenchmarkStats(b *testing.B) {
 		benchStats = tb.Stats()
 	}
 	b.ReportMetric(float64(tb.PatchBytes())/(1<<20), "patch-MiB")
+}
+
+// TestWordHoldsEveryVLBPath pins the route word's capacity to the
+// longest VLB path: every candidate a table serves fits one word.
+func TestWordHoldsEveryVLBPath(t *testing.T) {
+	if netsim.WordMaxHops != paths.MaxVLBHops {
+		t.Fatalf("route word holds %d hops, VLB paths run to %d", netsim.WordMaxHops, paths.MaxVLBHops)
+	}
 }

@@ -79,14 +79,6 @@ type UGAL struct {
 	Threshold int
 	// Label overrides the derived name.
 	Label string
-	// Fail, when non-nil, makes the router failure-aware: MIN
-	// candidates are drawn from surviving paths only, VLB samples are
-	// rejected while dead (compiled policies should already be the
-	// degraded store epoch, making the check free), and a packet with
-	// no surviving candidate at all is refused — its route is left
-	// empty, the sentinel the simulator's injection path drops
-	// deterministically.
-	Fail *topo.FailureMask
 
 	// Reusable candidate-path buffers (hot path: one MIN and one VLB
 	// candidate per packet).
@@ -104,15 +96,15 @@ const vlbAttempts = 64
 // sampler. Under a failure mask only alive paths are returned, by
 // rejection (bounded) against the mask: a store degraded under it
 // stores no dead path, so its first draw is taken.
-func (u *UGAL) sampleVLB(r *rng.Source, s, d int) bool {
-	if u.Fail == nil {
+func (u *UGAL) sampleVLB(fail *topo.FailureMask, r *rng.Source, s, d int) bool {
+	if fail == nil {
 		return u.Policy.SampleVLBInto(r, s, d, &u.vlbBuf)
 	}
 	for try := 0; try < vlbAttempts; try++ {
 		if !u.Policy.SampleVLBInto(r, s, d, &u.vlbBuf) {
 			return false
 		}
-		if paths.Alive(u.Fail, u.vlbBuf) {
+		if paths.Alive(fail, u.vlbBuf) {
 			return true
 		}
 	}
@@ -289,14 +281,20 @@ func piggybackCost(n *netsim.Network, t *topo.Compiled, p paths.Path) int {
 	return occ * p.Hops()
 }
 
-// SourceRoute implements netsim.RoutingFunc.
+// SourceRoute implements netsim.RoutingFunc. On a degraded network
+// (n.Cfg.Failures set) it routes on what survives: MIN candidates are
+// drawn from surviving paths only, VLB samples are rejected while dead
+// (compiled policies should already be the degraded store epoch,
+// making the check free), and a packet with no surviving candidate at
+// all is refused — its route is left empty, the sentinel the
+// simulator's injection path drops deterministically.
 func (u *UGAL) SourceRoute(n *netsim.Network, r *rng.Source, f *Flit) {
-	t := u.T
+	t, fail := u.T, n.Cfg.Failures
 	s := t.SwitchOfNode(int(f.Src))
 	d := t.SwitchOfNode(int(f.Dst))
 	eject := netsim.RouteHop{Port: int8(t.NodeIndex(int(f.Dst))), VC: 0}
 	if s == d {
-		if u.Fail != nil && u.Fail.SwitchDead(s) {
+		if fail != nil && fail.SwitchDead(s) {
 			f.Route = f.Route[:0] // refused: dead switch
 			return
 		}
@@ -304,18 +302,18 @@ func (u *UGAL) SourceRoute(n *netsim.Network, r *rng.Source, f *Flit) {
 		f.MinRouted = true
 		return
 	}
-	minOK := paths.SampleMinAliveInto(t, u.Fail, r, s, d, &u.minBuf)
+	minOK := paths.SampleMinAliveInto(t, fail, r, s, d, &u.minBuf)
 	useMin := minOK
 	vlbOK := false
 	switch u.Mode {
 	case MinOnly:
 	case VLBOnly:
-		vlbOK = u.sampleVLB(r, s, d)
+		vlbOK = u.sampleVLB(fail, r, s, d)
 		if vlbOK {
 			useMin = false
 		}
 	default:
-		vlbOK = u.sampleVLB(r, s, d)
+		vlbOK = u.sampleVLB(fail, r, s, d)
 		if vlbOK {
 			if !minOK {
 				useMin = false
@@ -382,7 +380,7 @@ func (u *UGAL) Revise(n *netsim.Network, r *rng.Source, f *Flit, sw int32) {
 		return
 	}
 	qMin := n.CreditOcc(sw, int(f.Route[f.HopIdx].Port)) * remHops
-	if !u.sampleVLB(r, int(sw), d) || u.vlbBuf.Hops() == 0 {
+	if !u.sampleVLB(n.Cfg.Failures, r, int(sw), d) || u.vlbBuf.Hops() == 0 {
 		return
 	}
 	vlbPath := u.vlbBuf
