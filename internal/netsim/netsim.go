@@ -46,9 +46,9 @@ type Config struct {
 	// enters the network. Refusals are counted (RunResult.Refused) and
 	// happen on the sequential injection path only, so sharded and
 	// multi-worker runs stay bit-identical. The routing function
-	// should be failure-aware under the same mask (routing.UGAL.Fail);
-	// the injection-time route walk is a deterministic backstop, not
-	// the primary mechanism.
+	// should route around this mask (routing.UGAL reads it); the
+	// injection-time route walk is a deterministic backstop, not the
+	// primary mechanism.
 	Failures *topo.FailureMask
 	// PacketSize is the number of flits per packet. 1 (the paper's
 	// setting, default when 0) uses the fast single-flit path; >1
@@ -278,13 +278,13 @@ func (a *flitArena) routeOf(s int32) []RouteHop {
 // ownership), a Revisable flit's (route rewritten at head-arrival) and
 // any route PackWord cannot hold.
 const (
-	WordMaxHops  = 6
-	WordPortMask = 0x7f
-	WordVCMask   = 0x7
-	wordCntMask  = 0x7
-	wordHopBits  = 10
-	wordVCShift  = 7
-	rwSlow       = uint64(1) << 63
+	WordMaxHops   = 6
+	WordPortMask  = 0x7f
+	WordVCMask    = 0x7
+	wordCntMask   = 0x7
+	wordFieldBits = 10
+	wordVCBit     = 7
+	rwSlow        = uint64(1) << 63
 )
 
 // WordHops returns a route word's hop count.
@@ -292,13 +292,13 @@ func WordHops(w uint64) int { return int(w & wordCntMask) }
 
 // WordHop returns hop i's out-port and virtual channel.
 func WordHop(w uint64, i int) (port, vc int8) {
-	f := w >> (3 + uint(i)*wordHopBits)
-	return int8(f & WordPortMask), int8(f >> wordVCShift & WordVCMask)
+	f := w >> (3 + uint(i)*wordFieldBits)
+	return int8(f & WordPortMask), int8(f >> wordVCBit & WordVCMask)
 }
 
 // WordPort returns port p in hop i's port field, to be OR-ed into a
 // word whose port field i is clear.
-func WordPort(i int, p uint64) uint64 { return p << (3 + uint(i)*wordHopBits) }
+func WordPort(i int, p uint64) uint64 { return p << (3 + uint(i)*wordFieldBits) }
 
 // PackWord packs a VC-assigned hop sequence into a route word. It
 // reports false when the hops do not fit: more than WordMaxHops of
@@ -312,7 +312,7 @@ func PackWord(hops []RouteHop) (uint64, bool) {
 		if uint8(h.Port) > WordPortMask || uint8(h.VC) > WordVCMask {
 			return 0, false
 		}
-		w |= (uint64(h.Port) | uint64(h.VC)<<wordVCShift) << (3 + uint(i)*wordHopBits)
+		w |= (uint64(h.Port) | uint64(h.VC)<<wordVCBit) << (3 + uint(i)*wordFieldBits)
 	}
 	return w, true
 }

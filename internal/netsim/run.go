@@ -770,7 +770,7 @@ func (n *Network) allocateRouter(swi int, sh *simShard) {
 							// between inject and eject.
 							p, v := WordHop(rw, 0)
 							hop = uint16(p)<<8 | uint16(v)
-							rw = rw>>wordHopBits&^wordCntMask | (rw&wordCntMask - 1)
+							rw = rw>>wordFieldBits&^wordCntMask | (rw&wordCntMask - 1)
 						} else {
 							hi := fa.rec[f].hopIdx + 1
 							fa.rec[f].hopIdx = hi
