@@ -96,6 +96,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *points < 1 {
 		return failUsage("-points must be positive, got %d", *points)
 	}
+	if *chanStats && e.Seeds > 1 {
+		return failUsage("-chanstats reports one run, of -seed; it takes no -seeds %d", e.Seeds)
+	}
 	e.Routing = []string{*rtName}
 	e.Rates = []float64{*rate}
 	if *doSweep {

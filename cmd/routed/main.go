@@ -14,7 +14,9 @@
 // 65 536 pairs in at most 2 MiB (413 past either, 400 for a malformed
 // body or a node id out of range). A connection gets 5 s to send a
 // header, 30 s for a request, a minute to take the reply and 5 minutes
-// idle; SIGINT or SIGTERM gives requests in flight 5 s to finish.
+// idle; SIGINT or SIGTERM gives requests in flight 5 s to finish. A
+// path set with more paths than an int32 PathID holds (the full set of
+// dfly(13,26,13,27)) is refused at start, exit status 1.
 //
 // Usage:
 //
@@ -30,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -80,6 +83,9 @@ func main() {
 		fail("%v", err)
 	}
 
+	if err := fits(t, pol); err != nil {
+		fail("%v", err)
+	}
 	compileStart := time.Now()
 	st := paths.CompileDegraded(t, pol, mask)
 	storeTime := time.Since(compileStart)
@@ -102,6 +108,17 @@ func main() {
 	if err := serve(ctx, l, newMux(t, svc)); err != nil {
 		fail("%v", err)
 	}
+}
+
+// fits refuses a set past the int32 PathID space before anything is
+// compiled: paths.EstimatePaths samples three pairs, where the compile
+// would count every pair and then panic.
+func fits(t *topo.Compiled, pol paths.Policy) error {
+	if n := paths.EstimatePaths(t, pol); n > math.MaxInt32 {
+		return fmt.Errorf("%s on %s has about %d paths, more than the %d an int32 PathID holds",
+			pol.Name(), t.Label(), n, math.MaxInt32)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------- serve

@@ -215,7 +215,7 @@ func FuzzLookupHandler(f *testing.F) {
 		f.Add([]byte(c.body))
 	}
 	tp, svc := g5(f, route.ModeVLB)
-	if _, err := svc.FailSwitch(3); err != nil { // so that some decisions are refused
+	if _, err := failSwitch(svc, 3); err != nil { // so that some decisions are refused
 		f.Fatal(err)
 	}
 	mux := newMux(tp, svc)
@@ -257,12 +257,13 @@ func FuzzFailHandler(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := svc.FailSwitch(3); err != nil {
+		if _, err := failSwitch(svc, 3); err != nil {
 			t.Fatal(err)
 		}
 		before := svc.Tables()
-		dead := slices.Clone(before.Mask().DeadDense())
-		want := before.Mask().Clone()
+		want := servedMask(t, svc)
+		dead := slices.Clone(want.DeadDense())
+		g0, l0, s0 := want.Counts()
 		_, wantErr := spec.ApplyFailures(want, failSpec)
 
 		rec := httptest.NewRecorder()
@@ -274,7 +275,7 @@ func FuzzFailHandler(f *testing.F) {
 			if wantErr == nil && failSpec != "" {
 				t.Fatalf("%q: 400 (%s) for a spec ApplyFailures takes", failSpec, rec.Body)
 			}
-			if after != before || !slices.Equal(after.Mask().DeadDense(), dead) {
+			if after != before || !slices.Equal(servedMask(t, svc).DeadDense(), dead) {
 				t.Fatalf("%q: refused, yet epoch %d -> %d or the mask changed", failSpec, before.Epoch(), after.Epoch())
 			}
 		case http.StatusOK:
@@ -282,10 +283,9 @@ func FuzzFailHandler(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &swap); err != nil || swap.Epoch != after.Epoch() {
 				t.Fatalf("%q: reply %s (err=%v), tables at epoch %d", failSpec, rec.Body, err, after.Epoch())
 			}
-			if wantErr != nil || !slices.Equal(after.Mask().DeadDense(), want.DeadDense()) {
+			if wantErr != nil || !slices.Equal(servedMask(t, svc).DeadDense(), want.DeadDense()) {
 				t.Fatalf("%q: 200, ApplyFailures err=%v, or another mask than it leaves", failSpec, wantErr)
 			}
-			g0, l0, s0 := before.Mask().Counts()
 			g, l, sw := want.Counts()
 			if grew := g != g0 || l != l0 || sw != s0; (grew && after.Epoch() != before.Epoch()+1) || (!grew && after != before) {
 				t.Fatalf("%q: mask grew=%v, epoch %d -> %d", failSpec, grew, before.Epoch(), after.Epoch())
@@ -294,6 +294,24 @@ func FuzzFailHandler(f *testing.F) {
 			t.Fatalf("%q: status %d", failSpec, rec.Code)
 		}
 	})
+}
+
+// failSwitch fails switch sw through the service's one failure entry.
+func failSwitch(svc *route.Service, sw int) (route.SwapStats, error) {
+	return svc.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) { return m.FailSwitch(sw) })
+}
+
+// servedMask is a copy of the mask svc serves under, read through a
+// Fail that fails nothing and so swaps nothing.
+func servedMask(t *testing.T, svc *route.Service) *topo.FailureMask {
+	var mask *topo.FailureMask
+	if _, err := svc.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) {
+		mask = m.Clone()
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return mask
 }
 
 // TestConcurrentLookupsAcrossFails races four keep-alive /lookup clients
@@ -477,5 +495,24 @@ func TestServeDrainsInFlight(t *testing.T) {
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("serve returned %v after a clean shutdown", err)
+	}
+}
+
+// TestFitsRefusesPastPathIDSpace: the full set of the paper's largest
+// topology has more paths than a PathID holds, which fits says, naming
+// the count and the limit, from three sampled pairs and no compile; a
+// small topology's full set fits.
+func TestFitsRefusesPastPathIDSpace(t *testing.T) {
+	tp, err := spec.Topology("dfly(13,26,13,27)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fits(tp, paths.Full{T: tp})
+	if err == nil || !strings.Contains(err.Error(), "dfly(13,26,13,27)") || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("dfly(13,26,13,27) full set: %v", err)
+	}
+	small, _ := g5(t, route.ModeUGAL)
+	if err := fits(small, paths.Full{T: small}); err != nil {
+		t.Fatalf("dfly(2,4,2,5) full set: %v", err)
 	}
 }

@@ -201,7 +201,7 @@ func TestAppendDecisionsMatchesEncodingJSON(t *testing.T) {
 		r := rng.New(11)
 		for _, degraded := range []bool{false, true} {
 			if degraded {
-				if _, err := svc.FailSwitch(3); err != nil {
+				if _, err := failSwitch(svc, 3); err != nil {
 					t.Fatal(err)
 				}
 			}

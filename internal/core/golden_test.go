@@ -75,7 +75,7 @@ func TestGoldenSweepPoint(t *testing.T) {
 	cfg := netsim.DefaultConfig()
 	cfg.Seed = 42
 	rf := routing.NewUGALL(tp, paths.Full{T: tp})
-	pt := sweep.RunPoint(tp, cfg, rf, func(seed uint64) traffic.Pattern {
+	pt := sweep.RunPointOn(exec.Default(), tp, cfg, rf, func(seed uint64) traffic.Pattern {
 		return traffic.Shift{T: tp, DG: 1}
 	}, 0.15, sweep.Windows{Warmup: 300, Measure: 300, Drain: 1500}, 2)
 	if got := math.Float64bits(pt.Throughput); got != 0x3fc3078263ab596e {

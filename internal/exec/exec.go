@@ -1,6 +1,6 @@
 // Package exec is the shared execution engine behind every
 // independent-simulation fan-out in the repository: the per-seed loop
-// of sweep.RunPoint, the load points of sweep.LatencyCurve, the
+// of sweep.RunPointOn, the load points of sweep.LatencyCurve, the
 // bracket probes of sweep.Saturation, the per-scheme curves of
 // internal/figures, Step-2 candidate evaluation in internal/core and
 // the suite entries of cmd/experiment all schedule onto one bounded
@@ -20,7 +20,7 @@
 // benchmark compare against.
 //
 // Run may be called from inside a task (sweep.LatencyCurve schedules
-// load points whose RunPoint schedules seeds). Nesting cannot
+// load points whose RunPointOn schedules seeds). Nesting cannot
 // deadlock: when no worker slot is free the submitting goroutine
 // executes the tasks it claims itself, so a caller blocked in Run
 // always makes progress through its own work list.

@@ -33,14 +33,10 @@ func TestNetworkEdgeSpace(t *testing.T) {
 	if net.Cap[net.InjectionEdge(3)] != float64(tp.P) {
 		t.Fatal("injection capacity != p")
 	}
-	// Global/local classification.
-	gl := tp.GlobalPort(0)
-	if !net.IsGlobal(net.EdgeOf(0, gl)) {
-		t.Fatal("global edge not classified global")
-	}
-	ll := tp.LocalPort(0, 1)
-	if net.IsGlobal(net.EdgeOf(0, ll)) {
-		t.Fatal("local edge classified global")
+	// Switch-to-switch edges come before the terminal edges.
+	gl, ll := net.EdgeOf(0, tp.GlobalPort(0)), net.EdgeOf(0, tp.LocalPort(0, 1))
+	if gl == ll || gl >= net.InjectionEdge(0) || ll >= net.InjectionEdge(0) {
+		t.Fatalf("edges %d and %d of switch 0 overlap or reach the injection edges", gl, ll)
 	}
 }
 

@@ -100,13 +100,3 @@ func (n *Network) InjectionEdge(sw int) Edge { return Edge(n.injBase + sw) }
 
 // EjectionEdge returns the aggregated terminal-out edge of a switch.
 func (n *Network) EjectionEdge(sw int) Edge { return Edge(n.ejBase + sw) }
-
-// IsGlobal reports whether a switch-to-switch edge is a global
-// channel.
-func (n *Network) IsGlobal(e Edge) bool {
-	if int(e) >= n.injBase {
-		return false
-	}
-	port := int(e)%n.portsPerSw + n.T.P
-	return n.T.KindOfPort(port) == topo.Global
-}

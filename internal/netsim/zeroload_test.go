@@ -22,7 +22,12 @@ func hopProfile(tp *topo.Compiled, pat traffic.Deterministic, candidates func(s,
 		}
 		w := d.Rate / float64(len(ps))
 		for _, p := range ps {
-			g := float64(paths.GlobalHops(tp, p))
+			g := 0.0
+			for _, pt := range p.Ports {
+				if tp.KindOfPort(int(pt)) == topo.Global {
+					g++
+				}
+			}
 			global += w * g
 			local += w * (float64(p.Hops()) - g)
 		}

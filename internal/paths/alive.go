@@ -100,16 +100,14 @@ func minLinkAlive(t *topo.Compiled, m *topo.FailureMask, s, d int, l topo.Global
 }
 
 // SampleMinAliveInto draws a uniformly random surviving MIN path for
-// the pair into dst's backing storage, allocation-free. ok=false when
-// the mask leaves the pair without a MIN path (then the router must
-// fall back to a surviving VLB candidate or refuse the packet). A nil
-// mask is exactly SampleMinInto.
+// the pair into dst's backing storage, allocation-free — UGAL's single
+// random MIN candidate, on the simulator's per-packet hot path.
+// ok=false when the mask leaves the pair without a MIN path (then the
+// router must fall back to a surviving VLB candidate or refuse the
+// packet). A nil mask is the pristine topology: one draw over the
+// group pair's links.
 func SampleMinAliveInto(t *topo.Compiled, m *topo.FailureMask, r *rng.Source, s, d int, dst *Path) bool {
-	if m == nil {
-		SampleMinInto(t, r, s, d, dst)
-		return true
-	}
-	if m.SwitchDead(s) || m.SwitchDead(d) {
+	if m != nil && (m.SwitchDead(s) || m.SwitchDead(d)) {
 		return false
 	}
 	dst.Sw = append(dst.Sw[:0], int32(s))
@@ -118,11 +116,16 @@ func SampleMinAliveInto(t *topo.Compiled, m *topo.FailureMask, r *rng.Source, s,
 		return true
 	}
 	if t.SameGroup(s, d) {
-		if m.ChannelDead(s, t.LocalPort(s, d)) {
+		if m != nil && m.ChannelDead(s, t.LocalPort(s, d)) {
 			return false
 		}
 		dst.Sw = append(dst.Sw, int32(d))
 		dst.Ports = append(dst.Ports, int8(t.LocalPort(s, d)))
+		return true
+	}
+	if m == nil {
+		links := t.LinksBetweenGroups(t.GroupOf(s), t.GroupOf(d))
+		appendLeg(t, dst, s, d, links[r.Intn(len(links))])
 		return true
 	}
 	links := m.LinksBetweenGroups(t.GroupOf(s), t.GroupOf(d))

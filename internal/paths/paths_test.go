@@ -116,8 +116,9 @@ func TestSampleMinMatchesEnumeration(t *testing.T) {
 		want[p.Key()] = true
 	}
 	seen := map[uint64]bool{}
+	var p Path
 	for i := 0; i < 200; i++ {
-		p := SampleMin(tp, r, s, d)
+		SampleMinAliveInto(tp, nil, r, s, d, &p)
 		if !want[p.Key()] {
 			t.Fatalf("sampled MIN not in enumeration: %v", p)
 		}

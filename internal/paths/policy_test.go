@@ -113,16 +113,16 @@ func TestSampleMinIntoReusesStorage(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	r := rng.New(3)
 	var buf Path
-	SampleMinInto(tp, r, 0, tp.SwitchID(4, 2), &buf)
+	SampleMinAliveInto(tp, nil, r, 0, tp.SwitchID(4, 2), &buf)
 	sw0 := &buf.Sw[0]
 	for i := 0; i < 50; i++ {
-		SampleMinInto(tp, r, 0, tp.SwitchID(4, 2), &buf)
+		SampleMinAliveInto(tp, nil, r, 0, tp.SwitchID(4, 2), &buf)
 		if err := ValidateMin(tp, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if &buf.Sw[0] != sw0 {
-		t.Error("SampleMinInto reallocated its buffer (capacity regression)")
+		t.Error("SampleMinAliveInto reallocated its buffer (capacity regression)")
 	}
 }
 

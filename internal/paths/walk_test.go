@@ -86,14 +86,18 @@ func TestLockstepWalkMatchesScan(t *testing.T) {
 // byte before its last hop and zeros after it, so a short path's padding
 // is a terminal port, and materializes to its hop count.
 func TestPortSlotsPadTerminal(t *testing.T) {
-	relative, err := topo.NewDragonfly(2, 4, 2, 5, topo.Relative)
+	network, err := topo.NewDragonfly(2, 4, 2, 5, topo.Relative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relative, err := topo.Compile(network)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tp := range []*topo.Compiled{
 		topo.MustNew(2, 4, 2, 5),
 		topo.MustNew(4, 8, 4, 9),
-		topo.MustCompile(relative),
+		relative,
 		topo.MustNewD3(4, 2, 0),
 		topo.MustNewD3(8, 4, 0),
 		topo.MustNewD3(12, 4, 2),

@@ -110,13 +110,6 @@ func (s *Source) Shuffle(p []int) {
 	}
 }
 
-// Split derives an independent child stream. Use it to hand each
-// component (traffic generator, router arbiter, path sampler) its own
-// generator from one experiment master seed.
-func (s *Source) Split() *Source {
-	return New(s.Uint64())
-}
-
 // HashSeed is the initial state of Hash64/Mix chains.
 const HashSeed = uint64(0x51_7c_c1_b7_27_22_0a_95)
 
@@ -135,11 +128,6 @@ func Hash64(words ...uint64) uint64 {
 		h = Mix(h, w)
 	}
 	return h
-}
-
-// HashFloat maps Hash64 of words to [0, 1).
-func HashFloat(words ...uint64) float64 {
-	return Float01(Hash64(words...))
 }
 
 // Float01 maps a 64-bit hash to [0, 1).

@@ -85,21 +85,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(5)
-	a := r.Split()
-	b := r.Split()
-	same := 0
-	for i := 0; i < 64; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split streams collide %d/64", same)
-	}
-}
-
 func TestHashStability(t *testing.T) {
 	// These exact values anchor the implicit path-subset membership:
 	// changing the hash changes every T-VLB subset, so the test pins
@@ -122,14 +107,5 @@ func TestMixMatchesHash64(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHashFloatRange(t *testing.T) {
-	for i := uint64(0); i < 10000; i++ {
-		f := HashFloat(i)
-		if f < 0 || f >= 1 {
-			t.Fatalf("HashFloat out of range: %v", f)
-		}
 	}
 }

@@ -161,21 +161,6 @@ func (s *Service) FailGlobalLink(sw, gp int) (SwapStats, error) {
 	})
 }
 
-// FailLocalLink fails the local link between u and v and swaps in
-// the filtered epoch.
-func (s *Service) FailLocalLink(u, v int) (SwapStats, error) {
-	return s.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) {
-		return m.FailLocalLink(u, v)
-	})
-}
-
-// FailSwitch fails a whole switch and swaps in the filtered epoch.
-func (s *Service) FailSwitch(sw int) (SwapStats, error) {
-	return s.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) {
-		return m.FailSwitch(sw)
-	})
-}
-
 // Counters reports lifetime serving counters: lookups served,
 // batches served, epochs swapped in.
 func (s *Service) Counters() (served, batches, swaps int64) {

@@ -186,10 +186,10 @@ func TestFailErrorLeavesEpoch(t *testing.T) {
 	if stats.NewlyDead != 2 || stats.Epoch != 1 {
 		t.Fatalf("link killed by the rejected failure stayed dead in the mask: %+v", stats)
 	}
-	if m := svc.Tables().Mask(); !m.ChannelDead(gsw, tp.GlobalPort(ggp)) {
+	if m := route.MaskOf(svc.Tables()); !m.ChannelDead(gsw, tp.GlobalPort(ggp)) {
 		t.Fatal("the swapped epoch's mask does not hold the failed link")
 	}
-	if before.Mask() != nil {
+	if route.MaskOf(before) != nil {
 		t.Fatal("epoch 0 acquired a mask")
 	}
 }
@@ -208,7 +208,9 @@ func TestFailSwitchAfterItsLinks(t *testing.T) {
 	mask := topo.NewFailureMask(tp)
 	for i := 0; i < tp.A; i++ {
 		if v := tp.SwitchID(tp.GroupOf(sw), i); v != sw {
-			if _, err := svc.FailLocalLink(sw, v); err != nil {
+			if _, err := svc.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) {
+				return m.FailLocalLink(sw, v)
+			}); err != nil {
 				t.Fatal(err)
 			}
 			mask.FailLocalLink(sw, v)
@@ -229,7 +231,7 @@ func TestFailSwitchAfterItsLinks(t *testing.T) {
 	if out[0].Refused {
 		t.Fatal("an isolated but live switch refused its own terminals")
 	}
-	stats, err := svc.FailSwitch(sw)
+	stats, err := svc.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) { return m.FailSwitch(sw) })
 	if err != nil {
 		t.Fatal(err)
 	}

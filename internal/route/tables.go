@@ -160,10 +160,6 @@ func (tb *Tables) Policy() string { return tb.policy }
 // by every ApplyDelta derivation.
 func (tb *Tables) Epoch() int { return tb.epoch }
 
-// Mask returns the failure mask the tables serve under (nil:
-// pristine). It is shared and must not be modified.
-func (tb *Tables) Mask() *topo.FailureMask { return tb.mask }
-
 // BuildTime reports how long the emit (or delta filter) took.
 func (tb *Tables) BuildTime() time.Duration { return tb.buildTime }
 
@@ -256,16 +252,6 @@ func (tb *Tables) word(ports uint64) uint64 {
 	return w | tb.stamps[shape]
 }
 
-// Row returns the pair's MIN candidate words, a read-only view of the
-// arena, and its VLB candidate words, built into a new slice from the
-// store's pair read (paths.Store.PairPorts).
-func (tb *Tables) Row(s, d int) (min, vlb []uint64) {
-	r := &tb.rows[s*tb.n+d]
-	vlb = make([]uint64, 0, r.vlbN)
-	tb.eachVLB(r, s, d, func(ports uint64) { vlb = append(vlb, tb.word(ports)) })
-	return tb.minWords(r), vlb
-}
-
 // eachVLB calls fn with the ports of each VLB candidate of row r, pair
 // (s, d), in order: the pair's stored paths merged with the row's dead
 // list, or none when the row is empty.
@@ -281,25 +267,6 @@ func (tb *Tables) eachVLB(r *row, s, d int, fn func(ports uint64)) {
 		}
 		fn(ports)
 	})
-}
-
-// EqualRows reports whether two tables serve identical candidate
-// rows for every pair — the equivalence ApplyDelta promises against
-// a from-scratch Emit on the degraded store.
-func (tb *Tables) EqualRows(o *Tables) bool {
-	if tb.n != o.n {
-		return false
-	}
-	for s := 0; s < tb.n; s++ {
-		for d := 0; d < tb.n; d++ {
-			am, av := tb.Row(s, d)
-			bm, bv := o.Row(s, d)
-			if !slices.Equal(am, bm) || !slices.Equal(av, bv) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Emit compiles the store (and the topology's MIN sets, filtered by

@@ -259,7 +259,9 @@ func TestEquivalenceAcrossEpochSwap(t *testing.T) {
 	}
 	check(m)
 	// Second failure: a whole switch, composing on the same epochs.
-	if _, err := svc.FailSwitch(tp.SwitchID(3, 0)); err != nil {
+	if _, err := svc.Fail(func(m *topo.FailureMask) ([]topo.Channel, error) {
+		return m.FailSwitch(tp.SwitchID(3, 0))
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.FailSwitch(tp.SwitchID(3, 0)); err != nil {

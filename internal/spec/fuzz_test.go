@@ -80,7 +80,7 @@ func FuzzFailures(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := m.NumDeadChannels() - len(baseChans); got != len(delta) {
+		if got := len(m.DeadChannels()) - len(baseChans); got != len(delta) {
 			t.Fatalf("%q: delta of %d channels, mask grew by %d", s, len(delta), got)
 		}
 		for _, ch := range delta {

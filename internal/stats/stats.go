@@ -3,11 +3,7 @@
 // error of the mean (the paper's error bars), and latency histograms.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -52,88 +48,22 @@ func MeanErr(xs []float64) (mean, stderr float64) {
 	return Mean(xs), StdErr(xs)
 }
 
-// Quantile returns the q-quantile (0<=q<=1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if q <= 0 {
-		return c[0]
-	}
-	if q >= 1 {
-		return c[len(c)-1]
-	}
-	pos := q * float64(len(c)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return c[lo]
-	}
-	frac := pos - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
-}
-
-// Welford accumulates a running mean/variance without storing samples.
-// The zero value is ready to use.
+// Welford accumulates a running mean without storing samples. The
+// zero value is ready to use.
 type Welford struct {
 	n    int64
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
 }
-
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
 
 // Mean returns the running mean (0 when empty).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 when empty).
-func (w *Welford) Max() float64 { return w.max }
-
-// Var returns the sample variance (n-1 denominator).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Var()) }
-
-// StdErr returns the standard error of the mean.
-func (w *Welford) StdErr() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.StdDev() / math.Sqrt(float64(w.n))
-}
 
 // Reset clears the accumulator.
 func (w *Welford) Reset() { *w = Welford{} }
@@ -144,7 +74,7 @@ type Histogram struct {
 	Width    float64
 	Buckets  []int64
 	Overflow int64
-	acc      Welford
+	n        int64
 }
 
 // NewHistogram creates a histogram with nbuckets buckets of the given
@@ -156,18 +86,18 @@ func NewHistogram(width float64, nbuckets int) *Histogram {
 	return &Histogram{Width: width, Buckets: make([]int64, nbuckets)}
 }
 
-// Reset clears all buckets and the accumulator.
+// Reset clears all buckets and the count.
 func (h *Histogram) Reset() {
 	for i := range h.Buckets {
 		h.Buckets[i] = 0
 	}
 	h.Overflow = 0
-	h.acc.Reset()
+	h.n = 0
 }
 
 // Add records one sample.
 func (h *Histogram) Add(x float64) {
-	h.acc.Add(x)
+	h.n++
 	if x < 0 {
 		x = 0
 	}
@@ -179,17 +109,10 @@ func (h *Histogram) Add(x float64) {
 	h.Buckets[b]++
 }
 
-// N returns the total number of recorded samples.
-func (h *Histogram) N() int64 { return h.acc.N() }
-
-// Mean returns the exact mean of the recorded samples (tracked outside
-// the buckets, so it is not quantized).
-func (h *Histogram) Mean() float64 { return h.acc.Mean() }
-
 // Quantile approximates the q-quantile from the buckets, attributing
 // each bucket's mass to its midpoint.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.acc.N()
+	total := h.n
 	if total == 0 {
 		return 0
 	}
@@ -205,10 +128,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return float64(len(h.Buckets)) * h.Width
-}
-
-// String renders a compact summary.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f p50=%.1f p99=%.1f overflow=%d",
-		h.N(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Overflow)
 }

@@ -33,23 +33,7 @@ func TestEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(xs, 0.5); !approx(q, 3, 1e-12) {
-		t.Fatalf("median %v", q)
-	}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Fatalf("q0 %v", q)
-	}
-	if q := Quantile(xs, 1); q != 5 {
-		t.Fatalf("q1 %v", q)
-	}
-	if q := Quantile(xs, 0.25); !approx(q, 2, 1e-12) {
-		t.Fatalf("q25 %v", q)
-	}
-}
-
-// TestWelfordMatchesBatch: streaming moments equal batch formulas.
+// TestWelfordMatchesBatch: the streaming mean equals the batch one.
 func TestWelfordMatchesBatch(t *testing.T) {
 	f := func(seed uint32, nRaw uint8) bool {
 		n := 2 + int(nRaw)%100
@@ -61,26 +45,20 @@ func TestWelfordMatchesBatch(t *testing.T) {
 			xs = append(xs, x)
 			w.Add(x)
 		}
-		return approx(w.Mean(), Mean(xs), 1e-9) &&
-			approx(w.StdDev(), StdDev(xs), 1e-9) &&
-			approx(w.StdErr(), StdErr(xs), 1e-9) &&
-			w.N() == int64(n)
+		return approx(w.Mean(), Mean(xs), 1e-9) && w.n == int64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestWelfordMinMaxReset(t *testing.T) {
+func TestWelfordReset(t *testing.T) {
 	var w Welford
 	for _, x := range []float64{3, -1, 7, 2} {
 		w.Add(x)
 	}
-	if w.Min() != -1 || w.Max() != 7 {
-		t.Fatalf("min/max %v/%v", w.Min(), w.Max())
-	}
 	w.Reset()
-	if w.N() != 0 || w.Mean() != 0 {
+	if w.n != 0 || w.Mean() != 0 {
 		t.Fatal("reset failed")
 	}
 }
@@ -90,20 +68,18 @@ func TestHistogram(t *testing.T) {
 	for _, x := range []float64{1, 5, 15, 25, 35, 45, 99, 1000} {
 		h.Add(x)
 	}
-	if h.N() != 8 {
-		t.Fatalf("n %d", h.N())
+	if h.n != 8 {
+		t.Fatalf("n %d", h.n)
 	}
 	if h.Buckets[0] != 2 || h.Buckets[1] != 1 || h.Overflow != 2 {
 		t.Fatalf("buckets %v overflow %d", h.Buckets, h.Overflow)
 	}
-	if m := h.Mean(); !approx(m, (1+5+15+25+35+45+99+1000)/8.0, 1e-9) {
-		t.Fatalf("mean %v", m)
-	}
 	if q := h.Quantile(0.5); q < 10 || q > 30 {
 		t.Fatalf("p50 %v", q)
 	}
-	if h.String() == "" {
-		t.Fatal("empty summary")
+	h.Reset()
+	if h.n != 0 || h.Overflow != 0 || h.Quantile(0.5) != 0 {
+		t.Fatalf("reset left n %d overflow %d", h.n, h.Overflow)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"tugal/internal/traffic"
 )
 
-// The determinism contract of the execution engine: RunPoint and
+// The determinism contract of the execution engine: RunPointOn and
 // LatencyCurve produce bit-identical Points on a one-worker pool
 // (strictly sequential, the pre-engine reference behavior) and on a
 // heavily parallel pool, across every routing scheme and across

@@ -81,8 +81,7 @@ type Point struct {
 }
 
 // MarshalJSON encodes the point with saturated (+Inf) latency as
-// null, which encoding/json cannot represent natively. UnmarshalJSON
-// inverts the mapping, so a marshal/unmarshal round trip is exact.
+// null, which encoding/json cannot represent natively.
 func (p Point) MarshalJSON() ([]byte, error) {
 	a := pointJSON{
 		Offered:     p.Offered,
@@ -99,31 +98,7 @@ func (p Point) MarshalJSON() ([]byte, error) {
 	return json.Marshal(a)
 }
 
-// UnmarshalJSON decodes a point written by MarshalJSON: a null (or
-// absent) latency means the point saturated and is restored as +Inf,
-// matching what RunPoint produced before encoding.
-func (p *Point) UnmarshalJSON(data []byte) error {
-	var a pointJSON
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	*p = Point{
-		Offered:     a.Offered,
-		LatencyErr:  a.LatencyErr,
-		Throughput:  a.Throughput,
-		VLBFraction: a.VLBFraction,
-		AvgHops:     a.AvgHops,
-		Saturated:   a.Saturated,
-	}
-	if a.Latency != nil {
-		p.Latency = *a.Latency
-	} else {
-		p.Latency = math.Inf(1)
-	}
-	return nil
-}
-
-// pointJSON is the wire form shared by MarshalJSON/UnmarshalJSON.
+// pointJSON is MarshalJSON's wire form.
 type pointJSON struct {
 	Offered     float64  `json:"offered"`
 	Latency     *float64 `json:"latency"`
@@ -134,15 +109,8 @@ type pointJSON struct {
 	Saturated   bool     `json:"saturated"`
 }
 
-// RunPoint simulates one (routing, pattern, rate) point over seeds
-// and aggregates, scheduling the seeds on the default pool.
-func RunPoint(t *topo.Compiled, cfg netsim.Config, rf netsim.RoutingFunc,
-	pf PatternFactory, rate float64, w Windows, seeds int) Point {
-	return RunPointOn(exec.Default(), t, cfg, rf, pf, rate, w, seeds)
-}
-
-// RunPointOn is RunPoint on an explicit pool. Each seed runs an
-// independent simulation (see runSeeds); per-seed results land in a
+// RunPointOn simulates one (routing, pattern, rate) point over seeds
+// on pool and aggregates. Each seed runs an independent simulation (see runSeeds); per-seed results land in a
 // slice by index and are aggregated in seed order, so the point is
 // bit-identical whatever the pool's worker count.
 func RunPointOn(pool *exec.Pool, t *topo.Compiled, cfg netsim.Config,
@@ -232,9 +200,7 @@ func runSeeds(ctx context.Context, pool *exec.Pool, t *topo.Compiled, cfg netsim
 }
 
 // Curve is a latency-vs-offered-load series for one routing scheme.
-// The JSON keys are lowercase to match Point's wire form; decoding is
-// case-insensitive, so result files written before the tags existed
-// still load.
+// The JSON keys are lowercase to match Point's wire form.
 type Curve struct {
 	Name   string  `json:"name"`
 	Points []Point `json:"points"`
@@ -250,25 +216,6 @@ func (c Curve) SaturationThroughput() float64 {
 		}
 	}
 	return best
-}
-
-// LatencyAt returns the mean latency at the point closest to load,
-// or NaN when that point saturated (a saturated point's stored
-// latency is the +Inf sentinel, not a measurement).
-func (c Curve) LatencyAt(load float64) float64 {
-	bestD := math.Inf(1)
-	lat := math.NaN()
-	for _, p := range c.Points {
-		if d := math.Abs(p.Offered - load); d < bestD {
-			bestD = d
-			if p.Saturated || math.IsInf(p.Latency, 0) {
-				lat = math.NaN()
-			} else {
-				lat = p.Latency
-			}
-		}
-	}
-	return lat
 }
 
 // LatencyCurve sweeps the given rates on the default pool.

@@ -23,7 +23,7 @@ func testEnv() (*topo.Compiled, netsim.Config, netsim.RoutingFunc, PatternFactor
 
 func TestRunPointLowLoad(t *testing.T) {
 	tp, cfg, rf, pf := testEnv()
-	p := RunPoint(tp, cfg, rf, pf, 0.05, QuickWindows(), 2)
+	p := RunPointOn(exec.Default(), tp, cfg, rf, pf, 0.05, QuickWindows(), 2)
 	if p.Saturated {
 		t.Fatal("saturated at 5% uniform load")
 	}
@@ -57,78 +57,26 @@ func TestLatencyCurveMonotoneLatency(t *testing.T) {
 	}
 }
 
-func TestLatencyAt(t *testing.T) {
-	c := Curve{Points: []Point{
-		{Offered: 0.1, Latency: 30},
-		{Offered: 0.2, Latency: 40},
-	}}
-	if l := c.LatencyAt(0.11); l != 30 {
-		t.Fatalf("LatencyAt(0.11) = %v", l)
-	}
-	if l := c.LatencyAt(0.19); l != 40 {
-		t.Fatalf("LatencyAt(0.19) = %v", l)
-	}
-}
-
-// TestLatencyAtSaturatedIsNaN: the documented contract is NaN for a
-// saturated point — the stored +Inf is a sentinel, not a latency.
-func TestLatencyAtSaturatedIsNaN(t *testing.T) {
-	c := Curve{Points: []Point{
-		{Offered: 0.1, Latency: 30},
-		{Offered: 0.3, Latency: math.Inf(1), Saturated: true},
-	}}
-	if l := c.LatencyAt(0.29); !math.IsNaN(l) {
-		t.Fatalf("LatencyAt at a saturated point = %v, want NaN", l)
-	}
-	if l := c.LatencyAt(0.1); l != 30 {
-		t.Fatalf("LatencyAt(0.1) = %v", l)
-	}
-	if l := (Curve{}).LatencyAt(0.5); !math.IsNaN(l) {
-		t.Fatalf("LatencyAt on empty curve = %v, want NaN", l)
-	}
-}
-
-// TestPointJSONRoundTrip: MarshalJSON encodes a saturated point's
-// +Inf latency as null; UnmarshalJSON must restore it, not leave 0.
-func TestPointJSONRoundTrip(t *testing.T) {
-	points := []Point{
+// TestPointJSONWireForm: MarshalJSON writes a saturated point's +Inf
+// latency as null, which encoding/json cannot write itself, and the keys
+// of a Point and of a Curve (the shape cmd/experiment writes) are
+// lowercase.
+func TestPointJSONWireForm(t *testing.T) {
+	c := Curve{Name: "UGAL-L", Points: []Point{
 		{Offered: 0.1, Latency: 31.5, LatencyErr: 0.25, Throughput: 0.099,
 			VLBFraction: 0.4, AvgHops: 2.5},
 		{Offered: 0.6, Latency: math.Inf(1), Throughput: 0.31,
 			VLBFraction: 0.9, AvgHops: 3.8, Saturated: true},
-	}
-	data, err := json.Marshal(points)
+	}}
+	data, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Point
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(points) {
-		t.Fatalf("round trip length %d", len(got))
-	}
-	if got[0] != points[0] {
-		t.Fatalf("unsaturated point changed:\nin  %+v\nout %+v", points[0], got[0])
-	}
-	if !math.IsInf(got[1].Latency, 1) {
-		t.Fatalf("saturated latency decoded as %v, want +Inf", got[1].Latency)
-	}
-	if !got[1].Saturated || got[1].Throughput != points[1].Throughput {
-		t.Fatalf("saturated point fields lost: %+v", got[1])
-	}
-	// A whole Curve (the shape cmd/experiment writes) round-trips too.
-	c := Curve{Name: "UGAL-L", Points: points}
-	data, err = json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gc Curve
-	if err := json.Unmarshal(data, &gc); err != nil {
-		t.Fatal(err)
-	}
-	if gc.Name != c.Name || !math.IsInf(gc.Points[1].Latency, 1) {
-		t.Fatalf("curve round trip: %+v", gc)
+	want := `{"name":"UGAL-L","points":[` +
+		`{"offered":0.1,"latency":31.5,"latencyErr":0.25,"throughput":0.099,"vlbFraction":0.4,"avgHops":2.5,"saturated":false},` +
+		`{"offered":0.6,"latency":null,"latencyErr":0,"throughput":0.31,"vlbFraction":0.9,"avgHops":3.8,"saturated":true}]}`
+	if string(data) != want {
+		t.Fatalf("wire form\n got %s\nwant %s", data, want)
 	}
 }
 
@@ -140,7 +88,7 @@ func TestSaturationSearch(t *testing.T) {
 		t.Fatalf("saturation %v implausible for adversarial UGAL-L", sat)
 	}
 	// Verify the bracket: sat itself must not saturate, sat+2*res must.
-	if RunPoint(tp, cfg, rf, pf, sat, QuickWindows(), 1).Saturated {
+	if RunPointOn(exec.Default(), tp, cfg, rf, pf, sat, QuickWindows(), 1).Saturated {
 		t.Fatalf("returned rate %v is saturated", sat)
 	}
 }
@@ -189,7 +137,7 @@ func TestMultiSeedVariance(t *testing.T) {
 	tp, cfg, _, _ := testEnv()
 	rf := routing.NewUGALL(tp, paths.Full{T: tp})
 	pf := func(seed uint64) traffic.Pattern { return traffic.NewPermutation(tp, seed) }
-	p := RunPoint(tp, cfg, rf, pf, 0.2, QuickWindows(), 3)
+	p := RunPointOn(exec.Default(), tp, cfg, rf, pf, 0.2, QuickWindows(), 3)
 	if p.Saturated {
 		t.Fatal("saturated at 20% permutation load")
 	}

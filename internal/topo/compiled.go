@@ -37,11 +37,8 @@ type Compiled struct {
 	peerSw   []int32
 	peerPort []int16
 
-	// kind[pt] classifies port number pt; lat[pt] is its latency
-	// class (LatTerminal/LatLocal/LatGlobal), mapped to cycle counts
-	// by the simulator's Config. Both indexed by raw port number.
+	// kind[pt] classifies port number pt, indexed by raw port number.
 	kind []PortKind
-	lat  []int8
 
 	// Strength-reduction tables for the id decompositions: p and a
 	// are runtime values, so sw/a-style divisions cost a hardware
@@ -117,17 +114,8 @@ func Compile(n Network) (*Compiled, error) {
 		c.nodeGroup[nd] = int32(nd / (s.A * s.P))
 	}
 	c.kind = make([]PortKind, s.Radix())
-	c.lat = make([]int8, s.Radix())
 	for pt := 0; pt < s.Radix(); pt++ {
 		c.kind[pt] = s.KindOfPort(pt)
-		switch c.kind[pt] {
-		case Local:
-			c.lat[pt] = LatLocal
-		case Global:
-			c.lat[pt] = LatGlobal
-		default:
-			c.lat[pt] = LatTerminal
-		}
 	}
 
 	// Peer tables: locals by in-group arithmetic, globals from the
@@ -174,16 +162,6 @@ func Compile(n Network) (*Compiled, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// MustCompile is Compile panicking on error; for tests and examples
-// with known-good families.
-func MustCompile(n Network) *Compiled {
-	c, err := Compile(n)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // buildLinkCache buckets every wired global channel by its ordered
@@ -255,27 +233,6 @@ func (c *Compiled) NodeIndex(node int) int { return int(c.nodeIdx[node]) }
 // GroupOfNode returns the group a node belongs to.
 func (c *Compiled) GroupOfNode(node int) int { return int(c.nodeGroup[node]) }
 
-// GlobalPeer returns the far-end switch of global port gp of sw. It
-// panics on unwired ports; families with unwired slots are queried
-// through GlobalPeerOK.
-func (c *Compiled) GlobalPeer(sw, gp int) int {
-	peer := c.peerSw[sw*(c.A-1+c.H)+c.A-1+gp]
-	if peer < 0 {
-		panic(fmt.Sprintf("topo: GlobalPeer(%d,%d) on unwired port", sw, gp))
-	}
-	return int(peer)
-}
-
-// GlobalPeerPort returns the far-end global port index of global port
-// gp of sw. It panics on unwired ports.
-func (c *Compiled) GlobalPeerPort(sw, gp int) int {
-	pp := c.peerPort[sw*(c.A-1+c.H)+c.A-1+gp]
-	if pp < 0 {
-		panic(fmt.Sprintf("topo: GlobalPeerPort(%d,%d) on unwired port", sw, gp))
-	}
-	return int(pp) - c.P - c.A + 1
-}
-
 // GlobalPeerOK resolves global port gp of sw to its far end,
 // ok=false for unwired or out-of-range ports.
 func (c *Compiled) GlobalPeerOK(sw, gp int) (peer, peerGp int, ok bool) {
@@ -330,10 +287,6 @@ func (c *Compiled) KindOfPort(pt int) PortKind {
 	return c.Schema.KindOfPort(pt)
 }
 
-// LatencyClass returns the latency class of port pt
-// (LatTerminal/LatLocal/LatGlobal).
-func (c *Compiled) LatencyClass(pt int) int8 { return c.lat[pt] }
-
 // PeerOfPort resolves the switch at the far end of a local or global
 // port of sw. It panics for terminal or unwired ports; validation
 // paths use PeerOfPortOK.
@@ -368,20 +321,6 @@ func (c *Compiled) PeerOfPortOK(sw, pt int) (peer int, ok bool) {
 // must not be modified.
 func (c *Compiled) PeerDense() []int32 { return c.peerSw }
 
-// PeerPortOfPortOK additionally resolves the far-end port number of
-// the channel (the port on the peer pointing back), ok=false exactly
-// when PeerOfPortOK fails.
-func (c *Compiled) PeerPortOfPortOK(sw, pt int) (peer, peerPt int, ok bool) {
-	if sw < 0 || sw >= c.NumSwitches() || pt < c.P || pt >= c.Radix() {
-		return 0, 0, false
-	}
-	i := sw*(c.A-1+c.H) + pt - c.P
-	if c.peerSw[i] < 0 {
-		return 0, 0, false
-	}
-	return int(c.peerSw[i]), int(c.peerPort[i]), true
-}
-
 // LinksBetweenGroups returns the global links from group gi to group
 // gj (gi != gj): exactly K entries. The returned slice is shared and
 // must not be modified.
@@ -394,24 +333,6 @@ func (c *Compiled) LinksBetweenGroups(gi, gj int) []GlobalLink {
 
 // SameGroup reports whether two switches share a group.
 func (c *Compiled) SameGroup(u, v int) bool { return c.swGroup[u] == c.swGroup[v] }
-
-// AdjacentPort returns the port on u that reaches the adjacent switch
-// v (local or global) and whether such a direct connection exists.
-func (c *Compiled) AdjacentPort(u, v int) (port int, ok bool) {
-	if u == v {
-		return 0, false
-	}
-	if c.SameGroup(u, v) {
-		return c.LocalPortOK(u, v)
-	}
-	base := u * (c.A - 1 + c.H)
-	for gp := 0; gp < c.H; gp++ {
-		if c.peerSw[base+c.A-1+gp] == int32(v) {
-			return c.GlobalPort(gp), true
-		}
-	}
-	return 0, false
-}
 
 // Validate rechecks the structural invariants: symmetric wiring
 // (the far end of every wired channel points back), no intra-group

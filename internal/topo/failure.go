@@ -219,10 +219,6 @@ func (m *FailureMask) Counts() (globals, locals, switches int) {
 	return m.nGlobal, m.nLocal, m.nSwitches
 }
 
-// NumDeadChannels reports how many directed channels the mask has
-// killed — the cumulative size of every failure delta so far.
-func (m *FailureMask) NumDeadChannels() int { return len(m.chans) }
-
 // String summarizes the mask for experiment output.
 func (m *FailureMask) String() string {
 	return fmt.Sprintf("fail(g=%d,l=%d,sw=%d)", m.nGlobal, m.nLocal, m.nSwitches)

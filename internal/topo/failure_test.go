@@ -53,7 +53,7 @@ func TestFailGlobalLink(t *testing.T) {
 	tp := MustNew(4, 8, 4, 9)
 	m := NewFailureMask(tp)
 	sw, gp := 5, 2
-	peer, ppt := tp.GlobalPeer(sw, gp), tp.GlobalPeerPort(sw, gp)
+	peer, ppt := globalPeer(tp, sw, gp)
 
 	dead, err := m.FailGlobalLink(sw, gp)
 	if err != nil {
@@ -139,7 +139,7 @@ func TestFailLocalLinkAndSwitch(t *testing.T) {
 		}
 	}
 	for gp := 0; gp < tp.H; gp++ {
-		peer, ppt := tp.GlobalPeer(sw, gp), tp.GlobalPeerPort(sw, gp)
+		peer, ppt := globalPeer(tp, sw, gp)
 		if !m.ChannelDead(peer, tp.GlobalPort(ppt)) {
 			t.Fatalf("global channel into dead switch from %d still alive", peer)
 		}
@@ -161,7 +161,7 @@ func TestFailureMaskClone(t *testing.T) {
 	if _, err := m.FailGlobalLink(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	peer := tp.GlobalPeer(0, 0)
+	peer, _ := globalPeer(tp, 0, 0)
 	gi, gj := tp.GroupOf(0), tp.GroupOf(peer)
 	before := m.String()
 
@@ -172,18 +172,19 @@ func TestFailureMaskClone(t *testing.T) {
 	if _, err := c.FailLocalLink(tp.SwitchID(gi, 1), tp.SwitchID(gi, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if m.String() != before || m.SwitchDead(peer) || m.NumDeadChannels() != 2 ||
+	if m.String() != before || m.SwitchDead(peer) || len(m.DeadChannels()) != 2 ||
 		m.ChannelDead(tp.SwitchID(gi, 1), tp.LocalPort(tp.SwitchID(gi, 1), tp.SwitchID(gi, 2))) {
 		t.Fatalf("failures on the clone reached the original: %v", m)
 	}
-	if !c.ChannelDead(0, tp.GlobalPort(0)) || c.NumDeadChannels() <= 2 {
+	if !c.ChannelDead(0, tp.GlobalPort(0)) || len(c.DeadChannels()) <= 2 {
 		t.Fatalf("clone lost the original's failure: %v", c)
 	}
 	// The other way round, through the link lists both started sharing.
 	if _, err := m.FailGlobalLink(tp.SwitchID(gi, 1), 0); err != nil {
 		t.Fatal(err)
 	}
-	far := tp.GroupOf(tp.GlobalPeer(tp.SwitchID(gi, 1), 0))
+	farSw, _ := globalPeer(tp, tp.SwitchID(gi, 1), 0)
+	far := tp.GroupOf(farSw)
 	if got := len(c.LinksBetweenGroups(gi, far)); far != gj && got != tp.K {
 		t.Fatalf("a failure on the original filtered the clone's link list to %d links", got)
 	}

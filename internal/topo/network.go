@@ -95,14 +95,6 @@ const (
 	Global
 )
 
-// Latency classes of the compiled per-port latency table, mapped to
-// concrete cycle counts by the simulator's Config.
-const (
-	LatTerminal = int8(iota)
-	LatLocal
-	LatGlobal
-)
-
 // GlobalLink is one directed global connection u -> v.
 type GlobalLink struct {
 	From, To int32

@@ -170,31 +170,8 @@ func TestPortHelpers(t *testing.T) {
 			if tp.KindOfPort(pt) != Global {
 				t.Fatalf("port %d not global", pt)
 			}
-			if got := tp.PeerOfPort(u, pt); got != tp.GlobalPeer(u, gp) {
+			if peer, _ := globalPeer(tp, u, gp); tp.PeerOfPort(u, pt) != peer {
 				t.Fatalf("global peer mismatch")
-			}
-		}
-	}
-}
-
-func TestAdjacentPort(t *testing.T) {
-	tp := MustNew(2, 4, 2, 9)
-	n := tp.NumSwitches()
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			pt, ok := tp.AdjacentPort(u, v)
-			if u == v {
-				if ok {
-					t.Fatalf("self-adjacent %d", u)
-				}
-				continue
-			}
-			if tp.SameGroup(u, v) {
-				if !ok || tp.PeerOfPort(u, pt) != v {
-					t.Fatalf("local adjacency broken %d->%d", u, v)
-				}
-			} else if ok && tp.PeerOfPort(u, pt) != v {
-				t.Fatalf("global adjacency wrong peer %d->%d", u, v)
 			}
 		}
 	}
@@ -216,7 +193,7 @@ func TestLinksBetweenGroups(t *testing.T) {
 					if tp.GroupOf(int(l.From)) != gi || tp.GroupOf(int(l.To)) != gj {
 						t.Fatalf("link endpoints in wrong groups")
 					}
-					if tp.GlobalPeer(int(l.From), int(l.FromPort)) != int(l.To) {
+					if peer, _ := globalPeer(tp, int(l.From), int(l.FromPort)); peer != int(l.To) {
 						t.Fatalf("link port inconsistent")
 					}
 				}
@@ -271,7 +248,9 @@ func TestRelativeArrangement(t *testing.T) {
 		differ := false
 		for sw := 0; sw < tp.NumSwitches() && !differ; sw++ {
 			for gp := 0; gp < tp.H; gp++ {
-				if tp.GlobalPeer(sw, gp) != ta.GlobalPeer(sw, gp) {
+				p1, _ := globalPeer(tp, sw, gp)
+				p2, _ := globalPeer(ta, sw, gp)
+				if p1 != p2 {
 					differ = true
 				}
 			}

@@ -129,10 +129,6 @@ func (b *BitReverse) Dest(_ *rng.Source, src int) (int, bool) {
 	return d, d != src
 }
 
-// Neighbor is nearest-group traffic: shift(1, 0) — provided as a
-// named convenience because MIN handles it as badly as any shift.
-func Neighbor(t *topo.Compiled) Shift { return Shift{T: t, DG: 1, DS: 0} }
-
 // Hotspot sends a fraction of every node's packets to a small set of
 // hot destinations and the rest uniformly — an incast approximation.
 type Hotspot struct {

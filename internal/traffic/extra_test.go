@@ -176,6 +176,10 @@ func TestAllToAllCoverage(t *testing.T) {
 	}
 }
 
+// Neighbor is nearest-group traffic: shift(1, 0) — provided as a
+// named convenience because MIN handles it as badly as any shift.
+func Neighbor(t *topo.Compiled) Shift { return Shift{T: t, DG: 1, DS: 0} }
+
 func TestNeighborAlias(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
 	nb := Neighbor(tp)
