@@ -107,8 +107,12 @@ func TestVLBHopRange(t *testing.T) {
 	}
 }
 
+// TestSampleMinMatchesEnumeration: every MIN draw is an enumerated MIN
+// path, and 200 draws reach all four of a dfly(4,8,4,9) pair's (one per
+// link between its groups; dfly(2,4,2,9) has one such link, where
+// a draw that always took the first would pass).
 func TestSampleMinMatchesEnumeration(t *testing.T) {
-	tp := topo.MustNew(2, 4, 2, 9)
+	tp := topo.MustNew(4, 8, 4, 9)
 	r := rng.New(7)
 	s, d := 1, tp.SwitchID(4, 0)
 	want := map[uint64]bool{}
