@@ -96,6 +96,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *points < 1 {
 		return failUsage("-points must be positive, got %d", *points)
 	}
+	if *chanStats && *doSweep {
+		return failUsage("-chanstats reports one run, of -seed and -rate; it takes no -sweep")
+	}
 	if *chanStats && e.Seeds > 1 {
 		return failUsage("-chanstats reports one run, of -seed; it takes no -seeds %d", e.Seeds)
 	}
@@ -149,9 +152,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "degraded: %s\n", mask)
 	}
 
-	if *chanStats && !*doSweep {
+	if *chanStats {
 		// Channel statistics need a direct run (they are not
-		// aggregated across seeds).
+		// aggregated across seeds or rates).
 		w := r.Windows
 		res := netsim.New(r.T, cfg, en.Routing, r.Pattern(cfg.Seed), *rate).Run(w.Warmup, w.Measure, w.Drain)
 		fmt.Fprintf(stdout, "offered:    %.4f packets/cycle/node\n", res.OfferedLoad)

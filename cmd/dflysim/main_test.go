@@ -72,12 +72,16 @@ func TestRuns(t *testing.T) {
 }
 
 // TestChanStatsRefusesSeeds: channel statistics come from one direct
-// run of -seed, so -seeds above 1 beside -chanstats is a usage error
-// naming both flags, not seeds silently dropped.
+// run of -seed at -rate, so -seeds above 1 or -sweep beside -chanstats
+// is a usage error naming both flags, not seeds or rates silently
+// dropped.
 func TestChanStatsRefusesSeeds(t *testing.T) {
-	status, stdout, stderr := dflysim("-topo", "dfly(2,4,2,5)", "-chanstats", "-seeds", "2")
-	first, _, _ := strings.Cut(stderr, "\n")
-	if status != 2 || !strings.HasPrefix(first, "dflysim: -chanstats ") || !strings.Contains(first, "-seeds") || stdout != "" {
-		t.Errorf("-chanstats -seeds 2: status %d, stdout %q, stderr %q", status, stdout, first)
+	for _, other := range [][]string{{"-seeds", "2"}, {"-sweep"}} {
+		args := append([]string{"-topo", "dfly(2,4,2,5)", "-chanstats"}, other...)
+		status, stdout, stderr := dflysim(args...)
+		first, _, _ := strings.Cut(stderr, "\n")
+		if status != 2 || !strings.HasPrefix(first, "dflysim: -chanstats ") || !strings.Contains(first, other[0]) || stdout != "" {
+			t.Errorf("-chanstats %s: status %d, stdout %q, stderr %q", strings.Join(other, " "), status, stdout, first)
+		}
 	}
 }

@@ -70,6 +70,9 @@ func Fixed(p traffic.Pattern) PatternFactory {
 }
 
 // Point is one load point of a latency curve, averaged over seeds.
+// Its JSON form (MarshalJSON) is written to be read, not decoded back:
+// a saturated point's latency is null there, and encoding/json decodes
+// null into a Point as Latency left at 0, not +Inf. Read Saturated.
 type Point struct {
 	Offered     float64
 	Latency     float64 // mean over seeds; +Inf if any seed saturated

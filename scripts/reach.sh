@@ -8,7 +8,6 @@
 # temporary directory, none into the repository.
 #
 #	scripts/reach.sh            # the full sweep, ~25 min on 2 cores
-#	KEEP=1 scripts/reach.sh     # keep the temporary directory
 #
 # Per-run wall times go to stderr as "time <run> <seconds>s".
 set -euo pipefail
@@ -22,7 +21,7 @@ mkdir -p "$bin" "$cov"
 routed_pid=
 cleanup() {
 	if [ -n "$routed_pid" ]; then kill "$routed_pid" 2>/dev/null || true; fi
-	if [ -z "${KEEP:-}" ]; then rm -rf "$tmp"; else echo "kept $tmp" >&2; fi
+	rm -rf "$tmp"
 }
 trap cleanup EXIT
 

@@ -225,7 +225,8 @@ func NewSimulation(t *Topology, cfg SimConfig, rf RoutingFunc, pat TrafficPatter
 // SweepWindows bundles warmup/measure/drain cycle counts.
 type SweepWindows = sweep.Windows
 
-// SweepPoint is one aggregated load point.
+// SweepPoint is one aggregated load point. Its JSON form cannot be
+// decoded back: a saturated point's null latency decodes as 0, not +Inf.
 type SweepPoint = sweep.Point
 
 // SweepCurve is a latency-vs-load series.
