@@ -39,6 +39,8 @@ func TestGoldenNetsimG5(t *testing.T) {
 		"AvgHops":     {math.Float64bits(res.AvgHops), 0x400975b713ac2ee2},
 		"VLBFraction": {math.Float64bits(res.VLBFraction), 0x3fd3a81504ad8767},
 		"OfferedLoad": {math.Float64bits(res.OfferedLoad), 0x3fc9916872b020c5},
+		"P50Latency":  {math.Float64bits(res.P50Latency), 0x4042c00000000000},
+		"P99Latency":  {math.Float64bits(res.P99Latency), 0x4052200000000000},
 	}
 	for name, v := range want {
 		if v[0] != v[1] {
@@ -62,6 +64,8 @@ func TestGoldenNetsimG9(t *testing.T) {
 		"AvgHops":     {math.Float64bits(res.AvgHops), 0x400750d932934818},
 		"VLBFraction": {math.Float64bits(res.VLBFraction), 0x3fc2b9b91f5ab2ff},
 		"OfferedLoad": {math.Float64bits(res.OfferedLoad), 0x3fb9419ca252adb3},
+		"P50Latency":  {math.Float64bits(res.P50Latency), 0x4042c00000000000},
+		"P99Latency":  {math.Float64bits(res.P99Latency), 0x4052200000000000},
 	}
 	for name, v := range want {
 		if v[0] != v[1] {
@@ -131,6 +135,7 @@ func TestGoldenNetsimSequentialPathsG5(t *testing.T) {
 	type golden struct {
 		thr, lat, hops, vlb, load uint64
 		measured, refused         int64
+		p50, p99                  uint64
 	}
 	cases := []struct {
 		name   string
@@ -141,11 +146,11 @@ func TestGoldenNetsimSequentialPathsG5(t *testing.T) {
 		want   golden
 	}{
 		{"PAR", 5, 1, routing.NewPAR(tp, full), 0.2, golden{
-			0x3fc963886594af4f, 0x4045ce98204bdef1, 0x400c793d531ca4e2, 0x3fc72206cae0aa32, 0x3fc9916872b020c5, 3995, 0}},
+			0x3fc963886594af4f, 0x4045ce98204bdef1, 0x400c793d531ca4e2, 0x3fc72206cae0aa32, 0x3fc9916872b020c5, 3995, 0, 0x4042c00000000000, 0x4054a00000000000}},
 		{"PAR/packet4", 5, 4, routing.NewPAR(tp, full), 0.05, golden{
-			0x3fa972474538ef35, 0x404a6d54a6bec905, 0x400e0cc986c6f815, 0x3fd112286857f9dd, 0x3fa9a027525460aa, 1001, 0}},
+			0x3fa972474538ef35, 0x404a6d54a6bec905, 0x400e0cc986c6f815, 0x3fd112286857f9dd, 0x3fa9a027525460aa, 1001, 0, 0x4047c00000000000, 0x4058600000000000}},
 		{"UGAL-L/packet4", 4, 4, routing.NewUGALL(tp, full), 0.05, golden{
-			0x3fa916872b020c4a, 0x40479163fefa1e32, 0x400aa11e6efe35b1, 0x3fd61f336793907f, 0x3fa9a027525460aa, 1001, 0}},
+			0x3fa916872b020c4a, 0x40479163fefa1e32, 0x400aa11e6efe35b1, 0x3fd61f336793907f, 0x3fa9a027525460aa, 1001, 0, 0x4045400000000000, 0x4054a00000000000}},
 	}
 	for _, c := range cases {
 		cfg := netsim.DefaultConfig()
@@ -157,11 +162,12 @@ func TestGoldenNetsimSequentialPathsG5(t *testing.T) {
 			math.Float64bits(res.Throughput), math.Float64bits(res.AvgLatency),
 			math.Float64bits(res.AvgHops), math.Float64bits(res.VLBFraction),
 			math.Float64bits(res.OfferedLoad), res.Measured, res.Refused,
+			math.Float64bits(res.P50Latency), math.Float64bits(res.P99Latency),
 		}
 		if got != c.want {
-			t.Errorf("%s:\n got    {%#x, %#x, %#x, %#x, %#x, %d, %d}\n golden {%#x, %#x, %#x, %#x, %#x, %d, %d}",
-				c.name, got.thr, got.lat, got.hops, got.vlb, got.load, got.measured, got.refused,
-				c.want.thr, c.want.lat, c.want.hops, c.want.vlb, c.want.load, c.want.measured, c.want.refused)
+			t.Errorf("%s:\n got    {%#x, %#x, %#x, %#x, %#x, %d, %d, %#x, %#x}\n golden {%#x, %#x, %#x, %#x, %#x, %d, %d, %#x, %#x}",
+				c.name, got.thr, got.lat, got.hops, got.vlb, got.load, got.measured, got.refused, got.p50, got.p99,
+				c.want.thr, c.want.lat, c.want.hops, c.want.vlb, c.want.load, c.want.measured, c.want.refused, c.want.p50, c.want.p99)
 		}
 	}
 }
@@ -183,6 +189,8 @@ func TestGoldenNetsimInterpretedStrategicG5(t *testing.T) {
 		"AvgHops":     {math.Float64bits(res.AvgHops), 0x4008c350eee3ff41},
 		"VLBFraction": {math.Float64bits(res.VLBFraction), 0x3fd5736883bfa9e0},
 		"OfferedLoad": {math.Float64bits(res.OfferedLoad), 0x3fc9916872b020c5},
+		"P50Latency":  {math.Float64bits(res.P50Latency), 0x4042c00000000000},
+		"P99Latency":  {math.Float64bits(res.P99Latency), 0x404f400000000000},
 	}
 	for name, v := range want {
 		if v[0] != v[1] {

@@ -27,8 +27,9 @@ func Alive(m *topo.FailureMask, p Path) bool {
 }
 
 // EnumerateMinAlive is EnumerateMin restricted to paths surviving the
-// mask: the order is a stable subsequence of EnumerateMin's, so
-// degraded analyses accumulate in a reproducible order.
+// mask, in a stable subsequence of EnumerateMin's order. No command
+// calls it: it is the oracle the MIN legs (MinLegs) are tested against,
+// and through them the route tables and flow's degraded loads.
 func EnumerateMinAlive(t *topo.Compiled, m *topo.FailureMask, s, d int) []Path {
 	if m == nil {
 		return EnumerateMin(t, s, d)
@@ -57,31 +58,6 @@ func EnumerateMinAlive(t *topo.Compiled, m *topo.FailureMask, s, d int) []Path {
 		out = append(out, minViaLink(t, s, d, l))
 	}
 	return out
-}
-
-// CountMinAlive is len(EnumerateMinAlive(t, m, s, d)) without building
-// the paths: what sizing a forwarding-table row needs.
-func CountMinAlive(t *topo.Compiled, m *topo.FailureMask, s, d int) int {
-	switch {
-	case m != nil && (m.SwitchDead(s) || m.SwitchDead(d)):
-		return 0
-	case s == d:
-		return 1
-	case t.SameGroup(s, d):
-		if m != nil && m.ChannelDead(s, t.LocalPort(s, d)) {
-			return 0
-		}
-		return 1
-	case m == nil:
-		return len(t.LinksBetweenGroups(t.GroupOf(s), t.GroupOf(d)))
-	}
-	count := 0
-	for _, l := range m.LinksBetweenGroups(t.GroupOf(s), t.GroupOf(d)) {
-		if minLinkAlive(t, m, s, d, l) {
-			count++
-		}
-	}
-	return count
 }
 
 // minLinkAlive reports whether the MIN path s -> l.From -> l.To -> d
@@ -153,70 +129,32 @@ func SampleMinAliveInto(t *topo.Compiled, m *topo.FailureMask, r *rng.Source, s,
 	return false
 }
 
-// MinDirtyPairs over-approximates the (src,dst) pairs whose MIN path
-// set may change when the given channels die: for a dead global
-// channel every pair between its two groups, for a dead local channel
-// u->v every pair out of u and every pair into v. The result is
-// deduplicated but unsorted.
-func MinDirtyPairs(t *topo.Compiled, chs []topo.Channel) [][2]int32 {
-	n := t.NumSwitches()
-	seen := make([]bool, n*n)
-	var out [][2]int32
-	add := func(s, d int) {
-		if s == d || seen[s*n+d] {
-			return
-		}
-		seen[s*n+d] = true
-		out = append(out, [2]int32{int32(s), int32(d)})
-	}
-	for _, ch := range chs {
-		sw, pt := int(ch.Sw), int(ch.Port)
-		switch t.KindOfPort(pt) {
-		case topo.Global:
-			peer, ok := t.PeerOfPortOK(sw, pt)
-			if !ok {
-				continue
-			}
-			ga, gb := t.GroupOf(sw), t.GroupOf(peer)
-			for si := 0; si < t.A; si++ {
-				for di := 0; di < t.A; di++ {
-					add(t.SwitchID(ga, si), t.SwitchID(gb, di))
-				}
-			}
-		case topo.Local:
-			v, ok := t.PeerOfPortOK(sw, pt)
-			if !ok {
-				continue
-			}
-			for d := 0; d < n; d++ {
-				add(sw, d)
-			}
-			for s := 0; s < n; s++ {
-				add(s, v)
-			}
-		default:
-			// Terminal channels (dead switches) are covered by the
-			// switch's local/global channels, which die with it.
-		}
-	}
-	return out
-}
-
-// LegEnds returns, indexed by switch, where a MIN leg across one of the
-// given channels can start (srcs) and end (dsts). A MIN leg is local,
+// LegEnds is the one rule for the rows a failure touches. The failure
+// grows mask before (nil: pristine) into after, and chs are its newly
+// dead channels. LegEnds returns, indexed by switch, where a MIN leg the
+// failure can kill may start (srcs) and end (dsts). A MIN leg is local,
 // global, local, so a global channel ga->gb is crossed only by legs out
-// of ga into gb, and a local channel u->v only as a leg's first hop
-// (out of u, on to a group v's global ports reach) or its last (into v,
-// from a group whose global links land at u); an in-group detour hop
-// u->v starts at u and ends at v. Every stored path is two MIN legs, so
-// a path of pair (s, d) crosses one of chs only if srcs[s] or dsts[d].
+// of ga into gb, and a local channel u->v only as a leg's first hop (out
+// of u, on to a group v's global ports reach) or its last (into v, from
+// a group whose global links land at u); an in-group detour hop u->v
+// starts at u and ends at v. A newly dead switch marks itself in both:
+// its zero-hop MIN path dies with it, even when its channels died
+// earlier. A MIN candidate of pair (s, d) is one leg or that zero-hop
+// path, so it can die only if srcs[s] && dsts[d]; a stored VLB path is
+// two MIN legs, so it can cross chs only if srcs[s] || dsts[d].
 // Terminal-port channels and switches out of range add nothing.
-func LegEnds(t *topo.Compiled, chs []topo.Channel) (srcs, dsts []bool) {
+func LegEnds(before, after *topo.FailureMask, chs []topo.Channel) (srcs, dsts []bool) {
+	t := after.Topo()
 	n := t.NumSwitches()
 	srcs, dsts = make([]bool, n), make([]bool, n)
 	group := func(set []bool, g int) {
 		for i := 0; i < t.A; i++ {
 			set[t.SwitchID(g, i)] = true
+		}
+	}
+	for sw := range n {
+		if after.SwitchDead(sw) && (before == nil || !before.SwitchDead(sw)) {
+			srcs[sw], dsts[sw] = true, true
 		}
 	}
 	for _, ch := range chs {

@@ -116,15 +116,40 @@ func crossers(st *Store, chs []topo.Channel) (hit [][]bool) {
 	return hit
 }
 
+// minCrossers is crossers over the MIN paths: hit[c][pi] reports
+// whether a MIN path of pair pi crosses chs[c].
+func minCrossers(tp *topo.Compiled, chs []topo.Channel) (hit [][]bool) {
+	n := tp.NumSwitches()
+	at := make(map[topo.Channel]int, len(chs))
+	hit = make([][]bool, len(chs))
+	for c, ch := range chs {
+		at[ch] = c
+		hit[c] = make([]bool, n*n)
+	}
+	for pi := 0; pi < n*n; pi++ {
+		for _, p := range EnumerateMin(tp, pi/n, pi%n) {
+			for h, pt := range p.Ports {
+				if c, ok := at[topo.Channel{Sw: p.Sw[h], Port: pt}]; ok {
+					hit[c][pi] = true
+				}
+			}
+		}
+	}
+	return hit
+}
+
 // TestLegEndsCover is why route.Tables.ApplyDelta can find a failure's
 // rows without an index over the store: for every non-terminal directed
 // channel, every pair with a stored path across it, on a full and on a
 // strategic store, has its source among LegEnds' srcs or its
-// destination among its dsts. A terminal-port channel, one of a switch
-// that does not exist and one of a port past the radix give empty sets.
+// destination among its dsts, and every pair with a MIN path across it
+// has both. A switch that dies after all its links did marks its own
+// ends and nothing else. A terminal-port channel, one of a switch that
+// does not exist and one of a port past the radix give empty sets.
 func TestLegEndsCover(t *testing.T) {
 	for _, tp := range legEndTopos() {
 		n := tp.NumSwitches()
+		pristine := topo.NewFailureMask(tp)
 		var chs []topo.Channel
 		for sw := 0; sw < n; sw++ {
 			for pt := tp.P; pt < tp.Radix(); pt++ {
@@ -133,11 +158,23 @@ func TestLegEndsCover(t *testing.T) {
 				}
 			}
 		}
+		ends := make([][2][]bool, len(chs))
+		for c := range chs {
+			ends[c][0], ends[c][1] = LegEnds(nil, pristine, chs[c:c+1])
+		}
+		for c, hit := range minCrossers(tp, chs) {
+			srcs, dsts := ends[c][0], ends[c][1]
+			for pi, crossed := range hit {
+				if crossed && !(srcs[pi/n] && dsts[pi%n]) {
+					t.Fatalf("%s channel %v: pair (%d,%d) has a MIN path across it, yet not both ends are leg ends", tp.Label(), chs[c], pi/n, pi%n)
+				}
+			}
+		}
 		for _, pol := range []Policy{Full{T: tp}, Strategic{T: tp, FirstLeg: 2}} {
 			t.Run(fmt.Sprintf("%s/%s", tp.Label(), pol.Name()), func(t *testing.T) {
 				hit := crossers(Compile(tp, pol), chs)
 				for c, ch := range chs {
-					srcs, dsts := LegEnds(tp, chs[c:c+1])
+					srcs, dsts := ends[c][0], ends[c][1]
 					for pi, crossed := range hit[c] {
 						if crossed && !srcs[pi/n] && !dsts[pi%n] {
 							t.Fatalf("channel %v: pair (%d,%d) has a path across it, yet neither end is a leg end", ch, pi/n, pi%n)
@@ -146,9 +183,29 @@ func TestLegEndsCover(t *testing.T) {
 				}
 			})
 		}
+		sw := tp.SwitchID(1, 0)
+		before := topo.NewFailureMask(tp)
+		for i := 0; i < tp.A; i++ {
+			if v := tp.SwitchID(1, i); v != sw {
+				before.FailLocalLink(sw, v)
+			}
+		}
+		for gp := 0; gp < tp.H; gp++ {
+			before.FailGlobalLink(sw, gp) // an unwired slot is an error and kills nothing
+		}
+		after := before.Clone()
+		if delta, err := after.FailSwitch(sw); err != nil || len(delta) != 0 {
+			t.Fatalf("%s: switch %d died with %d new channels: %v", tp.Label(), sw, len(delta), err)
+		}
+		srcs, dsts := LegEnds(before, after, nil)
+		for x := 0; x < n; x++ {
+			if srcs[x] != (x == sw) || dsts[x] != (x == sw) {
+				t.Fatalf("%s: switch %d died with no new channel; switch %d is src %v, dst %v", tp.Label(), sw, x, srcs[x], dsts[x])
+			}
+		}
 		// Port 0 of switch 1 is a terminal port.
 		for _, ch := range []topo.Channel{{Sw: 1, Port: 0}, {Sw: int32(n), Port: int8(tp.P)}, {Sw: -1, Port: int8(tp.P)}, {Sw: 0, Port: int8(tp.Radix())}} {
-			srcs, dsts := LegEnds(tp, []topo.Channel{ch})
+			srcs, dsts := LegEnds(nil, pristine, []topo.Channel{ch})
 			if slices.Contains(srcs, true) || slices.Contains(dsts, true) {
 				t.Fatalf("%s: channel %v is no stored path's, yet has leg ends", tp.Label(), ch)
 			}

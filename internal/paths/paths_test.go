@@ -481,22 +481,6 @@ func TestVisitorMatchesNaiveEnumeration(t *testing.T) {
 	}
 }
 
-// TestCountMinAlive checks the non-building MIN count against the
-// enumeration it stands in for, pristine and under a failure mask.
-func TestCountMinAlive(t *testing.T) {
-	for _, tp := range oracleTopos() {
-		for _, mask := range []*topo.FailureMask{nil, degradedMask(tp)} {
-			for s := 0; s < tp.NumSwitches(); s++ {
-				for d := 0; d < tp.NumSwitches(); d++ {
-					if got, want := CountMinAlive(tp, mask, s, d), len(EnumerateMinAlive(tp, mask, s, d)); got != want {
-						t.Fatalf("%s mask %v pair (%d,%d): CountMinAlive = %d, enumeration has %d", tp.Label(), mask, s, d, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestMinLegsMatchEnumeration: the live MIN legs of a pair are the
 // paths EnumerateMinAlive lists, in its order, hop for hop, pristine and
 // under a failure mask, same-switch and same-group pairs included.

@@ -115,20 +115,16 @@ func checkOracle(t *testing.T, tb *Tables, st *paths.Store, cfg Config) {
 
 // bruteDirty is the brute force a failure's DeltaStats are held to,
 // over the channels and switches dead in after but not in before (nil:
-// pristine): vlb counts the pairs with a path of st across a newly dead
-// channel, found path by path, and all those pairs together with
-// paths.MinDirtyPairs' and the newly dead switches' own rows.
+// pristine), and shares no code with paths.LegEnds: vlb counts the pairs
+// with a path of st across a channel newly dead, found path by path, and
+// all those pairs together with the ones with a MIN path live under
+// before and dead under after, a newly dead switch's zero-hop path
+// included.
 func bruteDirty(st *paths.Store, before, after *topo.FailureMask) (vlb, all int) {
 	t := st.T
-	n, nonTerm := t.NumSwitches(), t.A-1+t.H
+	n := t.NumSwitches()
 	fresh := func(sw, pt int) bool {
 		return after.ChannelDead(sw, pt) && (before == nil || !before.ChannelDead(sw, pt))
-	}
-	var delta []topo.Channel
-	for i := range after.DeadDense() {
-		if sw, pt := i/nonTerm, t.P+i%nonTerm; fresh(sw, pt) {
-			delta = append(delta, topo.Channel{Sw: int32(sw), Port: int8(pt)})
-		}
 	}
 	dirty := make([]bool, n*n)
 	for pi := range dirty {
@@ -137,22 +133,13 @@ func bruteDirty(st *paths.Store, before, after *topo.FailureMask) (vlb, all int)
 				dirty[pi] = dirty[pi] || fresh(int(p.Sw[h]), int(pt))
 			}
 		}
-	}
-	for _, d := range dirty {
-		if d {
+		if dirty[pi] {
 			vlb++
 		}
-	}
-	for _, pr := range paths.MinDirtyPairs(t, delta) {
-		dirty[int(pr[0])*n+int(pr[1])] = true
-	}
-	for sw := 0; sw < n; sw++ {
-		if after.SwitchDead(sw) && (before == nil || !before.SwitchDead(sw)) {
-			dirty[sw*n+sw] = true
+		for _, p := range paths.EnumerateMinAlive(t, before, pi/n, pi%n) {
+			dirty[pi] = dirty[pi] || !paths.Alive(after, p)
 		}
-	}
-	for _, d := range dirty {
-		if d {
+		if dirty[pi] {
 			all++
 		}
 	}

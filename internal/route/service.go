@@ -105,17 +105,17 @@ type SwapStats struct {
 	Epoch      int           `json:"epoch"`        // the new serving epoch
 	NewlyDead  int           `json:"newlyDead"`    // channels the failure killed
 	VLBDirty   int           `json:"vlbDirty"`     // pairs with a base-store path across a newly dead channel
-	DirtyPairs int           `json:"dirtyPairs"`   // rows the table delta refiltered: VLB-dirty, MIN-dirty, new self rows
+	DirtyPairs int           `json:"dirtyPairs"`   // rows the failure dirtied: VLB-dirty or lost a MIN candidate
 	PatchBytes int64         `json:"patchBytes"`   // Tables.PatchBytes after the swap: MIN words and dead IDs, all epochs'
-	StoreBuild time.Duration `json:"storeBuildNS"` // row-list time: the pairs the delta's MIN-leg ends can touch
+	StoreBuild time.Duration `json:"storeBuildNS"` // row-list time: the pairs paths.LegEnds says the delta can touch
 	TableBuild time.Duration `json:"tableBuildNS"` // ApplyDelta time, the row list included
 }
 
 // Fail applies one failure via apply (any combination of
 // topo.FailureMask Fail* calls) to a copy of the serving epoch's mask,
 // refilters the rows it dirtied (Tables.ApplyDelta finds them from the
-// newly dead channels alone, so the first failure costs what every
-// other does), and swaps mask and tables in together.
+// newly dead channels and switches alone, so the first failure costs
+// what every other does), and swaps mask and tables in together.
 // When apply fails nothing is kept: the serving epoch and its mask are
 // what they were. A failure that leaves the mask as it was
 // (already-dead link) is a no-op and swaps nothing. Concurrent lookups

@@ -272,12 +272,12 @@ func (tb *Tables) eachVLB(r *row, s, d int, fn func(ports uint64)) {
 // Emit compiles the store (and the topology's MIN sets, filtered by
 // the store's failure mask) into forwarding tables, refusing a Config
 // whose words cannot be packed. VLB candidates are not copied: a row's
-// are its PairRange. Every row's MIN count is known before anything is
-// packed (paths.CountMinAlive), so the MIN arena is allocated once at
-// its exact size — ≈0.3 MiB for the paper's largest compiled store —
-// and every source switch packs its rows into their own range, the
-// switches spread over the default pool. The tables are identical at
-// any worker count.
+// are its PairRange. MIN candidates are read as legs (paths.MinLegs)
+// into a reused buffer, once to count every row's live ones, so the MIN
+// arena is allocated once at its exact size — ≈0.3 MiB for the paper's
+// largest compiled store — and once to pack them, every source switch
+// into its own rows' range, the switches spread over the default pool.
+// The tables are identical at any worker count.
 func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 	start := time.Now()
 	t := st.T
@@ -288,9 +288,16 @@ func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 	n := t.NumSwitches()
 	tb := &Tables{T: t, st: st, policy: st.Name(), cfg: cfg, n: n, mask: st.Mask(), stamps: stampShapes(t, cfg), rows: make([]row, n*n)}
 	total := int64(0)
+	var legs []paths.Leg
 	for pi := range tb.rows {
 		first, vlbN := st.PairRange(pi/n, pi%n)
-		minN := paths.CountMinAlive(t, tb.mask, pi/n, pi%n)
+		legs = paths.MinLegs(t, tb.mask, pi/n, pi%n, legs[:0])
+		minN := 0
+		for i := range legs {
+			if legs[i].Alive() {
+				minN++
+			}
+		}
 		tb.rows[pi] = row{minAt: int32(total), minN: int32(minN), vlbAt: int32(first), vlbN: int32(vlbN)}
 		total += int64(minN)
 	}
@@ -299,10 +306,14 @@ func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 	}
 	min := make([]uint64, total)
 	exec.Default().RunRows("route/emit", n, func(s int) {
+		var legs []paths.Leg
 		for d := 0; d < n; d++ {
 			at := tb.rows[s*n+d].minAt
-			for i, p := range paths.EnumerateMinAlive(t, tb.mask, s, d) {
-				min[at+int32(i)] = tb.word(paths.Packed(p.Ports))
+			legs = paths.MinLegs(t, tb.mask, s, d, legs[:0])
+			for i := range legs {
+				if legs[i].Alive() {
+					min[at], at = tb.word(legs[i].Ports()), at+1
+				}
 			}
 		}
 	})
@@ -313,9 +324,8 @@ func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 
 // DeltaStats reports what one ApplyDelta epoch did.
 type DeltaStats struct {
-	// DirtyPairs is how many rows were refiltered: the union of the
-	// VLB-dirty pairs, the MIN-dirty pairs implied by the newly dead
-	// channels and the newly dead switches' own rows.
+	// DirtyPairs is how many rows the failure dirtied: the VLB-dirty
+	// ones and the ones that lost a MIN candidate.
 	DirtyPairs int
 	// VLBDirty is how many pairs have a base-store path across a newly
 	// dead channel.
@@ -334,43 +344,28 @@ type DeltaStats struct {
 // row is the base row minus the dead candidates, in order: what Emit
 // over a store compiled degraded under mask serves.
 //
-// The rows to walk are the pairs whose source a MIN leg across a newly
-// dead channel can start at or whose destination it can end at
-// (paths.LegEnds), the MIN-dirty pairs (paths.MinDirtyPairs, an
-// over-approximation) and the newly dead switches' own rows, ascending.
-// Each is mark -> size -> fill on the default pool: one paths.MaskWalk
-// walk of its pair's whole base range gives the verdicts under mask (an
-// ID dead in an earlier epoch dies again) and whether a path crosses
-// the delta, which makes the row VLB-dirty. A row neither VLB- nor
-// MIN-dirty keeps its place, since nothing in it crosses a newly dead
-// channel; a dirty row also has its MIN words marked. A dirty row that
-// lost nothing keeps its place, an emptied one becomes an empty base
-// row, and the rest get their MIN survivors and dead IDs, in row order,
-// in one patch of exactly their size. The receiver is never mutated and
-// shares no writable memory with the result, so earlier epochs keep
-// serving their own rows and the result is the same at any worker
-// count.
+// paths.LegEnds says which rows the delta can touch: the pairs whose
+// source a MIN leg it kills can start at or whose destination such a
+// leg can end at are walked, ascending, and of those only the pairs
+// with both ends marked can lose a MIN candidate. Each walked row is
+// mark -> size -> fill on the default pool: one paths.MaskWalk walk of
+// its pair's whole base range gives the verdicts under mask (an ID dead
+// in an earlier epoch dies again) and whether a path crosses the delta,
+// which makes the row VLB-dirty; a row with both ends marked also has
+// its MIN words marked. A row is dirty when it is VLB-dirty or lost a
+// MIN word. A row that lost nothing keeps its place, an emptied one
+// becomes an empty base row, and the rest get their MIN survivors and
+// dead IDs, in row order, in one patch of exactly their size. The
+// receiver is never mutated and shares no writable memory with the
+// result, so earlier epochs keep serving their own rows and the result
+// is the same at any worker count.
 func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (*Tables, DeltaStats) {
 	start := time.Now()
 	n := tb.n
-	minDirty := make([]bool, n*n)
-	for _, p := range paths.MinDirtyPairs(tb.T, newlyDead) {
-		minDirty[int(p[0])*n+int(p[1])] = true
-	}
-	// MinDirtyPairs only reports s != d pairs; a switch death also
-	// dirties its own (sw, sw) row, whose single zero-hop candidate
-	// must drop so same-switch lookups refuse. The masks are compared,
-	// not the delta: a switch whose links had all failed already dies
-	// without a newly dead channel.
-	for sw := 0; sw < n; sw++ {
-		if mask.SwitchDead(sw) && (tb.mask == nil || !tb.mask.SwitchDead(sw)) {
-			minDirty[sw*n+sw] = true
-		}
-	}
-	srcs, dsts := paths.LegEnds(tb.T, newlyDead)
+	srcs, dsts := paths.LegEnds(tb.mask, mask, newlyDead)
 	var walk []int32
-	for pi, md := range minDirty {
-		if md || srcs[pi/n] || dsts[pi%n] {
+	for pi := range tb.rows {
+		if srcs[pi/n] || dsts[pi%n] {
 			walk = append(walk, int32(pi))
 		}
 	}
@@ -395,13 +390,14 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (
 	vlbDirty := make([]bool, len(walk))
 	pool.RunRows("route/delta-count", len(walk), func(k int) {
 		pi := int(walk[k])
-		s, was, r := pi/n, &tb.rows[pi], &out.rows[pi]
+		s, d, was, r := pi/n, pi%n, &tb.rows[pi], &out.rows[pi]
 		marks := dead[at[k]:at[k+1]]
-		deadN, crossed := w.MarkDelta(tb.st, s, pi%n, marks[was.minN:])
-		if vlbDirty[k] = crossed; !crossed && !minDirty[pi] {
+		deadN, crossed := w.MarkDelta(tb.st, s, d, marks[was.minN:])
+		vlbDirty[k] = crossed
+		r.vlbN = int32(len(marks) - int(was.minN) - deadN)
+		if !srcs[s] || !dsts[d] {
 			return
 		}
-		r.vlbN = int32(len(marks) - int(was.minN) - deadN)
 		r.minN = 0
 		for i, wd := range tb.minWords(was) {
 			if marks[i] = !w.Alive(s, wordPorts(wd)); !marks[i] {
@@ -413,14 +409,14 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (
 	var minN, deadN int32
 	stats := DeltaStats{rowList: rowList}
 	for k, pi := range walk {
-		if !vlbDirty[k] && !minDirty[pi] {
+		r, was := &out.rows[pi], &tb.rows[pi]
+		if !vlbDirty[k] && r.minN == was.minN {
 			continue
 		}
 		stats.DirtyPairs++
 		if vlbDirty[k] {
 			stats.VLBDirty++
 		}
-		r, was := &out.rows[pi], &tb.rows[pi]
 		switch {
 		case r.minN == was.minN && r.vlbN == was.vlbN:
 		case r.minN+r.vlbN == 0:
