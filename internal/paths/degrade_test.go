@@ -94,31 +94,10 @@ func TestCompileDegradedComposes(t *testing.T) {
 	}
 }
 
-// crossers is the brute-force VLB-dirty set of each channel:
-// hit[c][pi] reports whether a stored path of pair pi crosses chs[c].
-func crossers(st *Store, chs []topo.Channel) (hit [][]bool) {
-	n := st.T.NumSwitches()
-	at := make(map[topo.Channel]int, len(chs))
-	hit = make([][]bool, len(chs))
-	for c, ch := range chs {
-		at[ch] = c
-		hit[c] = make([]bool, n*n)
-	}
-	for pi := 0; pi < n*n; pi++ {
-		for _, p := range st.Enumerate(pi/n, pi%n) {
-			for h, pt := range p.Ports {
-				if c, ok := at[topo.Channel{Sw: p.Sw[h], Port: pt}]; ok {
-					hit[c][pi] = true
-				}
-			}
-		}
-	}
-	return hit
-}
-
-// minCrossers is crossers over the MIN paths: hit[c][pi] reports
-// whether a MIN path of pair pi crosses chs[c].
-func minCrossers(tp *topo.Compiled, chs []topo.Channel) (hit [][]bool) {
+// crossers is the brute-force dirty set of each channel over the paths
+// enum lists: hit[c][pi] reports whether a path of pair pi crosses
+// chs[c].
+func crossers(tp *topo.Compiled, chs []topo.Channel, enum func(s, d int) []Path) (hit [][]bool) {
 	n := tp.NumSwitches()
 	at := make(map[topo.Channel]int, len(chs))
 	hit = make([][]bool, len(chs))
@@ -127,7 +106,7 @@ func minCrossers(tp *topo.Compiled, chs []topo.Channel) (hit [][]bool) {
 		hit[c] = make([]bool, n*n)
 	}
 	for pi := 0; pi < n*n; pi++ {
-		for _, p := range EnumerateMin(tp, pi/n, pi%n) {
+		for _, p := range enum(pi/n, pi%n) {
 			for h, pt := range p.Ports {
 				if c, ok := at[topo.Channel{Sw: p.Sw[h], Port: pt}]; ok {
 					hit[c][pi] = true
@@ -162,7 +141,7 @@ func TestLegEndsCover(t *testing.T) {
 		for c := range chs {
 			ends[c][0], ends[c][1] = LegEnds(nil, pristine, chs[c:c+1])
 		}
-		for c, hit := range minCrossers(tp, chs) {
+		for c, hit := range crossers(tp, chs, func(s, d int) []Path { return EnumerateMin(tp, s, d) }) {
 			srcs, dsts := ends[c][0], ends[c][1]
 			for pi, crossed := range hit {
 				if crossed && !(srcs[pi/n] && dsts[pi%n]) {
@@ -172,7 +151,7 @@ func TestLegEndsCover(t *testing.T) {
 		}
 		for _, pol := range []Policy{Full{T: tp}, Strategic{T: tp, FirstLeg: 2}} {
 			t.Run(fmt.Sprintf("%s/%s", tp.Label(), pol.Name()), func(t *testing.T) {
-				hit := crossers(Compile(tp, pol), chs)
+				hit := crossers(tp, chs, Compile(tp, pol).Enumerate)
 				for c, ch := range chs {
 					srcs, dsts := ends[c][0], ends[c][1]
 					for pi, crossed := range hit[c] {
