@@ -7,7 +7,6 @@
 package tugal_test
 
 import (
-	"fmt"
 	"testing"
 
 	"tugal"
@@ -125,31 +124,6 @@ func BenchmarkAblationThreshold(b *testing.B) {
 			default:
 				b.ReportMetric(sat, "sat:T=inf(MIN)")
 			}
-		}
-	}
-}
-
-// BenchmarkAblationPacketSize verifies the paper's single-flit
-// simplification is harmless to its conclusions: with 4-flit
-// wormhole packets, T-UGAL-L still beats UGAL-L on adversarial
-// traffic (saturation in packets/cycle/node, so absolute values
-// shrink by ~4x versus single-flit).
-func BenchmarkAblationPacketSize(b *testing.B) {
-	if testing.Short() {
-		b.Skip("saturation searches")
-	}
-	t := topo.MustNew(4, 8, 4, 9)
-	pf := sweep.Fixed(traffic.Shift{T: t, DG: 2, DS: 0})
-	for i := 0; i < b.N; i++ {
-		for _, size := range []int{1, 4} {
-			cfg := netsim.DefaultConfig()
-			cfg.PacketSize = size
-			conv := sweep.Saturation(t, cfg, routing.NewUGALL(t, paths.Full{T: t}),
-				pf, ablationWindows(), 1, 0.01)
-			cust := sweep.Saturation(t, cfg, routing.NewUGALL(t, paths.Strategic{T: t, FirstLeg: 2}),
-				pf, ablationWindows(), 1, 0.01)
-			b.ReportMetric(conv, fmt.Sprintf("sat:UGAL-L/size%d", size))
-			b.ReportMetric(cust, fmt.Sprintf("sat:T-UGAL-L/size%d", size))
 		}
 	}
 }

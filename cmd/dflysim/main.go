@@ -32,7 +32,7 @@ import (
 // flagOf names the flag behind each spec.Experiment field whose flag
 // is not spelled like the field.
 var flagOf = map[string]string{
-	"topology": "topo", "rates": "rate", "packetSize": "packet",
+	"topology": "topo", "rates": "rate",
 	"localLatency": "local-latency", "globalLatency": "global-latency",
 }
 
@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&e.LocalLatency, "local-latency", def.LocalLatency, "local channel latency")
 	fs.IntVar(&e.GlobalLatency, "global-latency", def.GlobalLatency, "global channel latency")
 	fs.IntVar(&e.Speedup, "speedup", def.SpeedUp, "router internal speedup")
-	fs.IntVar(&e.PacketSize, "packet", 1, "flits per packet (>1 enables wormhole)")
 	fs.IntVar(&e.Shards, "shards", 0, "simulator shards (0/1 = sequential; bit-identical results)")
 	failSpec := fs.String("fail", "", "failure mask: comma-separated global:<sw>:<gp>, local:<u>:<v>, switch:<sw>")
 	doSweep := fs.Bool("sweep", false, "sweep loads up to -rate and report the curve")
@@ -145,9 +144,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stop()
 
-	fmt.Fprintf(stdout, "%s (%s)  routing=%s  pattern=%s  vcs=%d buf=%d lat=%d/%d speedup=%d packet=%d\n",
+	fmt.Fprintf(stdout, "%s (%s)  routing=%s  pattern=%s  vcs=%d buf=%d lat=%d/%d speedup=%d\n",
 		r.T.Label(), r.T.Family(), en.Routing.Name(), e.Pattern, cfg.NumVCs, cfg.BufSize,
-		cfg.LocalLatency, cfg.GlobalLatency, cfg.SpeedUp, cfg.PacketSize)
+		cfg.LocalLatency, cfg.GlobalLatency, cfg.SpeedUp)
 	if mask != nil {
 		fmt.Fprintf(stdout, "degraded: %s\n", mask)
 	}

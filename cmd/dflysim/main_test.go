@@ -20,7 +20,6 @@ func TestBadFlags(t *testing.T) {
 		{"-rate", "1.5"}, {"-rate", "NaN"}, {"-rate", "0"}, {"-rate", "-0.2"},
 		{"-buffer", "0"}, {"-buffer", "-3"}, {"-buffer", "129"},
 		{"-speedup", "0"}, {"-speedup", "-1"},
-		{"-packet", "-1"}, {"-packet", "0"}, {"-packet", "33"},
 		{"-warmup", "-5"}, {"-measure", "0"}, {"-measure", "-1"}, {"-drain", "-1"},
 		{"-vcs", "40"}, {"-vcs", "-1"},
 		{"-local-latency", "2000000000"}, {"-global-latency", "-1"},
@@ -34,8 +33,10 @@ func TestBadFlags(t *testing.T) {
 			t.Errorf("%s %s: status %d, stdout %q, stderr %q", c.flag, c.value, status, stdout, first)
 		}
 	}
-	if status, _, _ := dflysim("-g", "9"); status != 2 {
-		t.Errorf("-g 9: status %d; the flag is gone", status)
+	for _, gone := range [][]string{{"-g", "9"}, {"-packet", "4"}} {
+		if status, _, _ := dflysim(gone...); status != 2 {
+			t.Errorf("%v: status %d; the flag is gone", gone, status)
+		}
 	}
 }
 
@@ -52,7 +53,7 @@ func TestRuns(t *testing.T) {
 		return stdout
 	}
 	point := with("-routing", "t-ugal-l")
-	for _, want := range []string{"dfly(2,4,2,5)", "routing=T-UGAL-L", "vcs=4 buf=32 lat=10/15 speedup=2 packet=1", "throughput:", "saturated:  false"} {
+	for _, want := range []string{"dfly(2,4,2,5)", "routing=T-UGAL-L", "vcs=4 buf=32 lat=10/15 speedup=2\n", "throughput:", "saturated:  false"} {
 		if !strings.Contains(point, want) {
 			t.Errorf("one point: no %q in\n%s", want, point)
 		}

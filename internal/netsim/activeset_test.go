@@ -17,13 +17,13 @@ import (
 // rotated vcMask bit scan equivalent to probing every VC's head cache.
 
 // checkScanState recomputes every derived structure of switch sw from
-// its input queues and compares.
-func checkScanState(t *testing.T, n *Network, sw int32, step int) {
+// its input queues and compares. hopOf gives the next hop of a queued
+// flit slot whose remaining-route word is rw.
+func checkScanState(t *testing.T, n *Network, sw int32, step int, hopOf func(f int32, rw uint64) uint16) {
 	t.Helper()
 	numVCs := n.numVCs
 	ports := n.ports
 	sh := &n.shards[sw/n.shardSize]
-	fa := &n.fa
 	var flits int32
 	var portMask uint64
 	for p := 0; p < ports; p++ {
@@ -38,21 +38,7 @@ func checkScanState(t *testing.T, n *Network, sw int32, step int) {
 			wantHead := uint16(headEmpty)
 			if qlen > 0 {
 				vm |= 1 << v
-				head := int32(uint32(m >> 32))
-				if rw := n.qRW[g]; rw&rwSlow == 0 {
-					// Fast flit: its arena hopIdx is not maintained;
-					// the authoritative position is the route word's
-					// count of hops after the buffered one.
-					hop := fa.rec[head].route[int(fa.rec[head].routeLen)-1-WordHops(rw)]
-					wantHead = uint16(uint8(hop.Port))<<8 | uint16(uint8(hop.VC))
-				} else {
-					rs := head
-					if h := fa.rec[head].headOf; h >= 0 {
-						rs = h
-					}
-					hop := fa.rec[rs].route[fa.rec[head].hopIdx]
-					wantHead = uint16(uint8(hop.Port))<<8 | uint16(uint8(hop.VC))
-				}
+				wantHead = hopOf(int32(uint32(m>>32)), n.qRW[g])
 			}
 			if hc := uint16(m >> 16); hc != wantHead {
 				t.Fatalf("step %d: router %d headCache[%d,%d] = %#x, recomputed %#x",
@@ -102,21 +88,14 @@ func TestActiveSetInvariants(t *testing.T) {
 	r := rng.New(99)
 	numVCs := n.Cfg.NumVCs
 	ports := tp.Radix()
-	// Fresh arena slots with 1-hop routes so refreshHead has something
-	// to decode; the decoded next hop is arbitrary — only cache
-	// agreement matters.
+	// Fresh arena slots, each enqueued with an arbitrary next hop;
+	// only cache agreement matters.
+	hops := map[int32]uint16{}
+	hopOf := func(f int32, _ uint64) uint16 { return hops[f] }
 	mkFlit := func() int32 {
 		s := n.fa.alloc()
-		n.fa.rec[s].src, n.fa.rec[s].dst = 0, 1
-		n.fa.rec[s].hopIdx = 0
-		n.fa.rec[s].genTime = 0
-		n.fa.rec[s].headOf = -1
-		n.fa.rec[s].pending = 1
-		n.fa.rec[s].flags = fIsTail
-		route := append(n.fa.routeBlock(s), RouteHop{
-			Port: int8(r.Intn(ports)), VC: int8(r.Intn(numVCs)),
-		})
-		n.fa.setRoute(s, route)
+		n.fa.rec[s] = flitRec{src: 0, dst: 1}
+		hops[s] = uint16(r.Intn(ports))<<8 | uint16(r.Intn(numVCs))
 		return s
 	}
 	type slotRef struct {
@@ -140,10 +119,9 @@ func TestActiveSetInvariants(t *testing.T) {
 		if doEnq {
 			f := mkFlit()
 			pi := int(sw)*n.ports + port
-			rw, _ := PackWord(n.fa.routeOf(f)[1:])
-			n.enqueue(sw, port, vc, pi, pi*n.numVCs+vc, f, headEmpty, rw)
+			n.enqueue(sw, port, vc, pi, pi*n.numVCs+vc, f, hops[f], 0)
 			occupied = append(occupied, slotRef{sw, port, vc})
-			checkScanState(t, n, sw, i)
+			checkScanState(t, n, sw, i, hopOf)
 		} else if len(occupied) > 0 {
 			k := r.Intn(len(occupied))
 			ref := occupied[k]
@@ -153,7 +131,7 @@ func TestActiveSetInvariants(t *testing.T) {
 			if f, _ := n.dequeue(ref.sw, ref.port, ref.vc, pi, pi*n.numVCs+ref.vc); f < 0 {
 				t.Fatalf("step %d: dequeue returned invalid slot %d", i, f)
 			}
-			checkScanState(t, n, ref.sw, i)
+			checkScanState(t, n, ref.sw, i, hopOf)
 		}
 	}
 	// Drain everything and verify the global quiescent state: no
@@ -163,7 +141,7 @@ func TestActiveSetInvariants(t *testing.T) {
 		n.dequeue(ref.sw, ref.port, ref.vc, pi, pi*n.numVCs+ref.vc)
 	}
 	for sw := 0; sw < tp.NumSwitches(); sw++ {
-		checkScanState(t, n, int32(sw), steps)
+		checkScanState(t, n, int32(sw), steps, hopOf)
 	}
 	for s := range n.shards {
 		for w, word := range n.shards[s].active {
@@ -182,12 +160,25 @@ func TestActiveSetUnderTraffic(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		cfg := DefaultConfig()
 		cfg.Shards = shards
-		n := New(tp, cfg, minRouter{tp}, traffic.Uniform{T: tp}, 0.4)
+		rf := minRouter{tp}
+		n := New(tp, cfg, rf, traffic.Uniform{T: tp}, 0.4)
+		// A minRouter flit's next hop is hop k-WordHops(rw) of its
+		// k-hop route word, the ejection after the last.
+		hopOf := func(f int32, rw uint64) uint16 {
+			rec := n.fa.rec[f]
+			w := rf.word(rec.src, rec.dst)
+			i := WordHops(w) - WordHops(rw)
+			if i == WordHops(w) {
+				return uint16(tp.NodeIndex(int(rec.dst))) << 8
+			}
+			p, v := WordHop(w, i)
+			return uint16(p)<<8 | uint16(v)
+		}
 		for c := 0; c < 600; c++ {
 			n.step()
 			if c%97 == 0 {
 				for sw := 0; sw < tp.NumSwitches(); sw++ {
-					checkScanState(t, n, int32(sw), c)
+					checkScanState(t, n, int32(sw), c, hopOf)
 				}
 			}
 		}

@@ -93,13 +93,9 @@ func (n *Network) audit() (inFlight int64, err error) {
 		return inFlight, fmt.Errorf("netsim: conservation violated: injected=%d delivered=%d inflight=%d refused=%d",
 			n.injected, n.delivered, inFlight, n.refusedInj)
 	}
-	// Arena cross-check: every in-flight flit holds a live slot. With
-	// single-flit packets the two counts are equal; in wormhole mode a
-	// head slot legitimately outlives its own ejection while pending
-	// body flits remain (the headOf invariant), so live may exceed
-	// in-flight there but never trail it.
-	live := int64(fa.live())
-	if live < inFlight || (n.Cfg.PacketSize == 1 && live != inFlight) {
+	// Arena cross-check: every in-flight flit holds a live slot, and
+	// no other slot is live.
+	if live := int64(fa.live()); live != inFlight {
 		return inFlight, fmt.Errorf("netsim: arena leak: %d live slots, %d flits in flight", live, inFlight)
 	}
 	return inFlight, nil

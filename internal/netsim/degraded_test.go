@@ -91,27 +91,6 @@ func TestDegradedShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestDegradedWormholeDeterminism covers multi-flit packets: a
-// refused head drops its body flits from the source queue in the same
-// deterministic order regardless of sharding.
-func TestDegradedWormholeDeterminism(t *testing.T) {
-	tp := topo.MustNew(2, 4, 2, 9)
-	mask := degradedMask(tp)
-	cfg := netsim.DefaultConfig()
-	cfg.Seed = 5
-	cfg.PacketSize = 3
-	degStore := paths.CompileDegraded(tp, paths.Full{T: tp}, mask)
-	mk := func() netsim.RoutingFunc { return routing.NewUGALL(tp, degStore) }
-	ref := runDegraded(tp, mask, cfg, mk(), 0.08, 1, 0)
-	if ref.Measured == 0 || ref.Refused == 0 {
-		t.Fatalf("measured=%d refused=%d; want both positive", ref.Measured, ref.Refused)
-	}
-	for _, shards := range []int{2, 4, 8} {
-		got := runDegraded(tp, mask, cfg, mk(), 0.08, shards, shards)
-		requireIdentical(t, ref, got, fmt.Sprintf("wormhole/shards=%d", shards))
-	}
-}
-
 // TestDegradedEmptyMaskMatchesPristine pins that the failure-aware
 // code paths are exact supersets of the pristine ones: an empty mask
 // (failure-aware branches taken, nothing actually dead) reproduces

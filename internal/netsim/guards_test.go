@@ -118,8 +118,6 @@ func TestConfigCheck(t *testing.T) {
 		{"BufSize", tp, set(func(c *Config) { c.BufSize = 0 }), 0.1},
 		{"BufSize", tp, set(func(c *Config) { c.BufSize = 129 }), 0.1},
 		{"SpeedUp", tp, set(func(c *Config) { c.SpeedUp = 0 }), 0.1},
-		{"PacketSize", tp, set(func(c *Config) { c.PacketSize = -1 }), 0.1},
-		{"PacketSize", tp, set(func(c *Config) { c.PacketSize = 33 }), 0.1},
 		{"LocalLatency", tp, set(func(c *Config) { c.LocalLatency = -1 }), 0.1},
 		{"LocalLatency", tp, set(func(c *Config) { c.LocalLatency = 2000000000 }), 0.1},
 		{"GlobalLatency", tp, set(func(c *Config) { c.GlobalLatency = MaxLatency + 1 }), 0.1},
@@ -141,7 +139,7 @@ func TestConfigCheck(t *testing.T) {
 			New(c.t, c.cfg, minRouter{c.t}, traffic.Uniform{T: c.t}, c.rate)
 		}()
 	}
-	atBounds := Config{NumVCs: 16, BufSize: 128, SpeedUp: 1, PacketSize: 128, LocalLatency: MaxLatency, GlobalLatency: 0}
+	atBounds := Config{NumVCs: 16, BufSize: 128, SpeedUp: 1, LocalLatency: MaxLatency, GlobalLatency: 0}
 	if err := atBounds.Check(tp, 1); err != nil {
 		t.Fatalf("refused a config at the bounds: %v", err)
 	}

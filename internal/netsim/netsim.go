@@ -8,6 +8,11 @@
 // group), warmup plus measurement windows, and the paper's
 // 500-cycle average-latency saturation rule.
 //
+// A route has one form: the route word internal/route serves (see
+// PackWord), switch hops only; the simulator adds the ejection hop
+// from the destination. A flit carries the word of its remaining hops
+// in its events and queue entries, never in its arena record.
+//
 // The hot loop is struct-of-arrays: flits live in an int32-indexed
 // arena (see flitArena), every queue — input buffer or source queue —
 // is a chain of arena slots through the arena's links, and
@@ -40,9 +45,9 @@ type Config struct {
 	// measurement window (RunResult.Channels).
 	CollectChanStats bool
 	// Failures, when non-nil, degrades the network: packets to or from
-	// a dead switch are refused at generation time, and a packet whose
-	// computed route is empty (the routing layer's refusal sentinel)
-	// or crosses a dead channel is dropped at injection, before it
+	// a dead switch are refused at generation time, and a packet the
+	// routing function refuses (SourceRoute returns false) or whose
+	// route crosses a dead channel is dropped at injection, before it
 	// enters the network. Refusals are counted (RunResult.Refused) and
 	// happen on the sequential injection path only, so sharded and
 	// multi-worker runs stay bit-identical. The routing function
@@ -50,13 +55,6 @@ type Config struct {
 	// injection-time route walk is a deterministic backstop, not the
 	// primary mechanism.
 	Failures *topo.FailureMask
-	// PacketSize is the number of flits per packet. 1 (the paper's
-	// setting, default when 0) uses the fast single-flit path; >1
-	// switches to wormhole flow control: the head flit acquires the
-	// pre-assigned output VC at each hop and holds it until the tail
-	// passes, body flits follow in order, and packet latency is
-	// measured head-generation to tail-ejection.
-	PacketSize int
 	// Shards partitions the routers into static contiguous shards
 	// stepped by the cycle engine: each shard owns its routers' state,
 	// a timing-wheel segment and an allocation pass, and events flow
@@ -101,27 +99,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// RouteHop is one step of a source route: the out-port to take at the
-// current switch and the VC to occupy on that channel.
+// RouteHop is one decoded hop of a route word: the out-port to take
+// at the current switch and the VC to occupy on that channel.
 type RouteHop struct {
 	Port int8
 	VC   int8
 }
 
-// Flit is the routing-boundary view of one packet head: the struct
+// Flit is the routing-boundary view of one packet: the struct
 // RoutingFunc implementations read and write. Inside the simulator
 // flits are not structs — they are int32 slots in a struct-of-arrays
-// arena (flitArena) — and one reusable Flit is materialized from the
-// arena around each SourceRoute/Revise call. Its Route slice aliases
-// the slot's fixed-stride block of the per-network route arena, so
-// appendHops-style construction writes the arena directly with no
-// copy; a standalone Flit (as the routing unit tests build) works the
-// same way with an ordinary heap slice.
+// arena (flitArena) — and one reusable Flit is materialized around
+// each SourceRoute/Revise call.
 type Flit struct {
 	Src, Dst int32 // node ids
-	Route    []RouteHop
-	HopIdx   int32
-	GenTime  int64 // cycle the packet was generated at the node
+	// Word is the route word of the packet's switch hops, without the
+	// ejection hop (see PackWord).
+	Word    uint64
+	GenTime int64 // cycle the packet was generated at the node
 	// Measured marks packets generated inside the measurement window.
 	Measured bool
 	// MinRouted records the UGAL decision (diagnostics + PAR).
@@ -135,49 +130,24 @@ type Flit struct {
 const (
 	fMeasured uint16 = 1 << iota
 	fMinRouted
-	fRevisable
-	fIsTail
 )
 
-// maxRoute is the fixed stride of the route arena: the longest route
-// (switch hops plus the ejection hop) a slot's block accommodates. A
-// dragonfly VLB route is at most 6 hops + eject, and a PAR diversion
-// rewrites within the same bound; 16 leaves headroom for custom
-// routing functions. setRoute panics loudly on anything longer.
-const maxRoute = 16
-
-// flitRec is one flit-arena slot: every per-flit field the hot loop
-// touches — identity, wormhole linkage, timing, flags and the whole
-// fixed-stride route block — packed into exactly 64 bytes, so the
-// arena is an array of cache-line-sized records and forwarding a flit
-// fills one line instead of one per parallel array. (The arena began
-// as fully parallel per-field arrays; profiling showed the forward
-// path paying four random line fills per flit — hopIdx, flags,
-// headOf, route — for data that always travels together.)
+// flitRec is one flit-arena slot: what a flit needs besides its route,
+// which travels in its events and queue entries instead. Only
+// injection, revision and ejection touch it.
 type flitRec struct {
 	src, dst int32
-	// headOf is the head flit's slot on body/tail flits, -1 on heads
-	// (and on all single-flit packets).
-	headOf int32
-	// pending (head slots only) counts the packet's not-yet-ejected
-	// flits; the head slot is recycled only when it reaches zero.
-	pending  int32
 	genTime  int64
-	hopIdx   int16
-	routeLen int16
 	flags    uint16
-	_        uint16
-	// route holds the slot's source route (fixed stride maxRoute).
-	route [maxRoute]RouteHop
+	// hops is the packet's switch-hop count, revision included, which
+	// deliver records.
+	hops int16
 }
 
 // flitArena is the flit store: a dense array of flitRec records
 // addressed by int32 slot. Slots are recycled through a free list on
 // ejection, so steady-state simulation allocates nothing and the GC
-// never scans a flit. Wormhole packets reference their head flit by
-// slot (headOf) and keep the head's slot alive via pending — the
-// count of the packet's not-yet-ejected flits — so body flits can
-// read the route through the head even after the head itself ejected.
+// never scans a flit.
 //
 // link[s] threads slot s through the one queue it sits in: a flit is
 // in at most one queue at a time (a source queue, an input buffer, or
@@ -194,8 +164,8 @@ type flitArena struct {
 // flitLink is a queued slot's successor in its queue. hop and rw are
 // the slot's own decoded next hop and route word while it waits behind
 // an input buffer's head (the head's are in qMeta/qRW); a source queue
-// uses next alone. Kept apart from flitRec so a fast flit never
-// touches its record between inject and eject.
+// uses next alone. Kept apart from flitRec so a flit never touches its
+// record between inject and eject.
 type flitLink struct {
 	next int32
 	hop  uint16
@@ -210,14 +180,13 @@ func (a *flitArena) alloc() int32 {
 		a.free = a.free[:k-1]
 		return s
 	}
-	a.rec = append(a.rec, flitRec{headOf: -1})
+	a.rec = append(a.rec, flitRec{})
 	a.link = append(a.link, flitLink{})
 	return int32(len(a.rec) - 1)
 }
 
 // release recycles a slot. The caller guarantees no live reference
-// remains — in wormhole mode a head slot is released only when its
-// pending count reaches zero (see deliver).
+// remains.
 func (a *flitArena) release(s int32) { a.free = append(a.free, s) }
 
 // srcQ is a node's source queue: a FIFO chain of n arena slots from
@@ -245,32 +214,19 @@ func (q *srcQ) pop(a *flitArena) int32 {
 	return s
 }
 
-// routeBlock returns the slot's empty arena-backed route view: length
-// zero, capacity maxRoute, aliasing the slot's block so appends write
-// the arena directly.
-func (a *flitArena) routeBlock(s int32) []RouteHop {
-	return a.rec[s].route[0:0:maxRoute]
-}
-
-// routeOf returns the slot's current route, capacity-clamped to its
-// block so in-place revision cannot spill into a neighbor slot.
-func (a *flitArena) routeOf(s int32) []RouteHop {
-	return a.rec[s].route[0:a.rec[s].routeLen:maxRoute]
-}
-
 // Route words pack up to WordMaxHops route hops into a uint64: bits
 // [0,3) hold the hop count and hop i occupies the 10-bit field at bit
 // 3+10*i — out-port in the low 7 bits, VC in the high 3. 3 + 6*10 = 63
-// bits. internal/route serves a candidate's switch hops in this form.
+// bits. A RoutingFunc hands the simulator a route in this form, and
+// internal/route serves a candidate's switch hops in it.
 //
 // A flit's remaining-route word ("rw") is the route word of the hops
 // after its next one, ejection included. It travels with the flit
-// through events and queue-block words, so the forward path never
-// touches the flit's arena record between inject and eject. Bit 63,
-// rwSlow, marks a flit that reads its route from the record instead:
-// a wormhole packet's (route read through headOf, hopIdx drives VC
-// ownership), a Revisable flit's (route rewritten at head-arrival) and
-// any route PackWord cannot hold.
+// through events and queue entries, so the forward path never touches
+// the flit's arena record between inject and eject. A field of all
+// ones (port 127, VC 7: no radix Check accepts has that port) is the
+// revision mark: its hop decodes to headEmpty, and the flit's next
+// hop is decided when it reaches the head of a buffer (see revise).
 const (
 	WordMaxHops   = 6
 	WordPortMask  = 0x7f
@@ -278,7 +234,7 @@ const (
 	wordCntMask   = 0x7
 	wordFieldBits = 10
 	wordVCBit     = 7
-	rwSlow        = uint64(1) << 63
+	wordField     = 1<<wordFieldBits - 1
 )
 
 // WordHops returns a route word's hop count.
@@ -311,39 +267,24 @@ func PackWord(hops []RouteHop) (uint64, bool) {
 	return w, true
 }
 
-// setRoute records the route a SourceRoute/Revise call left in the
-// view. The fast path — the routing function appended within the
-// block's capacity — is just the length store; a view that escaped
-// the block (a reallocating append that later truncated back, or an
-// arena growth between view creation and the write-back) is copied
-// home, and a route that genuinely exceeds maxRoute is a
-// configuration error worth dying loudly for: silently truncating it
-// would corrupt routing.
-func (a *flitArena) setRoute(s int32, route []RouteHop) {
-	if len(route) > maxRoute {
-		panic(fmt.Sprintf("netsim: routing function produced a %d-hop route; "+
-			"the route arena stride is %d hops", len(route), maxRoute))
-	}
-	if len(route) > 0 && &route[0] != &a.rec[s].route[0] {
-		copy(a.rec[s].route[:], route)
-	}
-	a.rec[s].routeLen = int16(len(route))
-}
-
 // RoutingFunc computes and revises source routes. Implementations
 // live in internal/routing (UGAL-L, UGAL-G, PAR and T- variants).
+//
+// A route is a route word of switch hops (see PackWord) naming VCs
+// 0..7 and ports below the radix; the simulator adds the ejection hop
+// at the destination's terminal port. The VCs must also be below
+// Config.NumVCs.
 type RoutingFunc interface {
 	Name() string
-	// SourceRoute fills f.Route (ending with the ejection hop),
-	// f.MinRouted and f.Revisable for a packet entering the network.
-	// f.Route arrives empty with its backing storage provided by the
-	// caller (arena-backed inside the simulator): implementations
-	// should append to it rather than replace it, and must not retain
-	// it past the call.
-	SourceRoute(n *Network, r *rng.Source, f *Flit)
-	// Revise is called once when a Revisable flit reaches the head of
-	// an input buffer at switch sw; it may rewrite the remaining
-	// route (same storage rules as SourceRoute). Implementations that
+	// SourceRoute sets f.Word, f.MinRouted and f.Revisable for a
+	// packet entering the network, or returns false to refuse it. A
+	// Revisable route holds at most WordMaxHops-1 switch hops: its
+	// revision mark takes a field of the flit's word.
+	SourceRoute(n *Network, r *rng.Source, f *Flit) bool
+	// Revise is called once, when a Revisable flit that has taken one
+	// hop reaches the head of an input buffer at switch sw, with
+	// f.Word the switch hops left from sw. It may replace them, with
+	// at most WordMaxHops hops, and f.MinRouted. Implementations that
 	// never revise can no-op.
 	Revise(n *Network, r *rng.Source, f *Flit, sw int32)
 	// CloneRouting returns an independent instance safe to hand to a
@@ -381,16 +322,15 @@ type chanRef struct {
 // barriers and never scanned.
 //
 // hop carries the flit's decoded next hop at the receiving router
-// (outPort<<8|outVC), computed at emission time — when the sender is
-// already touching the flit's arena lines — so head-arrival at the
-// receiver costs no arena loads at all. headEmpty means "decode at
-// head-arrival": the sentinel for Revisable flits, whose route may be
-// rewritten (and whose routeRNG draw must happen) exactly when they
-// reach the head of a buffer.
+// (outPort<<8|outVC), taken off its route word at emission time, so
+// head-arrival at the receiver costs no arena loads at all. headEmpty
+// means "decide at head-arrival": the revision mark of a Revisable
+// flit, whose route may be rewritten (and whose routeRNG draw must
+// happen) exactly when it reaches the head of a buffer.
 type event struct {
 	flit int32
 	r    int32
-	rw   uint64 // remaining-route word (see rwSlow)
+	rw   uint64 // remaining-route word
 	port int8
 	vc   int8
 	hop  uint16
@@ -448,12 +388,6 @@ type Network struct {
 	// credits[(sw*nonTerm+(p-P))*numVCs+v] tracks free downstream
 	// slots for each non-terminal out-port.
 	credits []int16
-	// ovcOwner[(sw*nonTerm+(p-P))*numVCs+v] is the head-flit slot
-	// holding the output VC in wormhole mode (-1 free); nil in
-	// single-flit mode. The head slot is a valid unique key for the
-	// whole ownership window because pending keeps it allocated until
-	// after the tail has passed (and cleared) every owned VC.
-	ovcOwner []int32
 	// inChan[sw*ports+p] is the upstream (router, port) feeding this
 	// input (r = -1 for terminal ports); used to return credits.
 	inChan []chanRef
@@ -589,7 +523,8 @@ func (e *ConfigError) Error() string { return "netsim: " + e.Field + " " + e.Msg
 // cfg at the given injection rate, as a *ConfigError; New panics on
 // exactly these. The bounds are the packed structures': uint8 queue
 // cursors (BufSize), the port- and vc-mask allocators (radix, NumVCs),
-// a wormhole packet that must fit one buffer, int16 latencies.
+// int16 latencies. A radix of at most 64 also keeps every port inside
+// the route word's 7-bit field.
 func (cfg Config) Check(t *topo.Compiled, rate float64) error {
 	bad := func(field, format string, args ...any) error {
 		return &ConfigError{Field: field, Msg: fmt.Sprintf(format, args...)}
@@ -603,8 +538,6 @@ func (cfg Config) Check(t *topo.Compiled, rate float64) error {
 		return bad("BufSize", "%d outside 1..128 (the packed queue metadata's range)", cfg.BufSize)
 	case cfg.SpeedUp < 1:
 		return bad("SpeedUp", "%d below 1", cfg.SpeedUp)
-	case cfg.PacketSize < 0 || cfg.PacketSize > cfg.BufSize:
-		return bad("PacketSize", "%d outside 1..BufSize (%d)", cfg.PacketSize, cfg.BufSize)
 	case cfg.LocalLatency < 0 || cfg.LocalLatency > MaxLatency:
 		return bad("LocalLatency", "%d outside 0..%d", cfg.LocalLatency, MaxLatency)
 	case cfg.GlobalLatency < 0 || cfg.GlobalLatency > MaxLatency:
@@ -622,9 +555,6 @@ func (cfg Config) Check(t *topo.Compiled, rate float64) error {
 func New(t *topo.Compiled, cfg Config, rf RoutingFunc, pat traffic.Pattern, rate float64) *Network {
 	if err := cfg.Check(t, rate); err != nil {
 		panic(err)
-	}
-	if cfg.PacketSize == 0 {
-		cfg.PacketSize = 1
 	}
 	n := &Network{
 		T:          t,
@@ -683,12 +613,6 @@ func (n *Network) build() {
 	n.credits = make([]int16, sw*n.nonTerm*n.numVCs)
 	for i := range n.credits {
 		n.credits[i] = int16(n.Cfg.BufSize)
-	}
-	if n.Cfg.PacketSize > 1 {
-		n.ovcOwner = make([]int32, sw*n.nonTerm*n.numVCs)
-		for i := range n.ovcOwner {
-			n.ovcOwner[i] = -1
-		}
 	}
 	n.inChan = make([]chanRef, sw*n.ports)
 	for i := range n.inChan {

@@ -17,28 +17,36 @@ type minRouter struct {
 
 func (m minRouter) Name() string { return "test-min" }
 
-func (m minRouter) SourceRoute(n *Network, r *rng.Source, f *Flit) {
+// word returns the route word of the switch hops from node src's
+// switch to node dst's.
+func (m minRouter) word(src, dst int32) uint64 {
 	t := m.t
-	s := t.SwitchOfNode(int(f.Src))
-	d := t.SwitchOfNode(int(f.Dst))
-	f.Route = f.Route[:0]
+	s := t.SwitchOfNode(int(src))
+	d := t.SwitchOfNode(int(dst))
+	var hops []RouteHop
 	if s != d {
 		if t.SameGroup(s, d) {
-			f.Route = append(f.Route, RouteHop{Port: int8(t.LocalPort(s, d)), VC: 0})
+			hops = append(hops, RouteHop{Port: int8(t.LocalPort(s, d)), VC: 0})
 		} else {
 			l := t.LinksBetweenGroups(t.GroupOf(s), t.GroupOf(d))[0]
 			u, v := int(l.From), int(l.To)
 			if u != s {
-				f.Route = append(f.Route, RouteHop{Port: int8(t.LocalPort(s, u)), VC: 0})
+				hops = append(hops, RouteHop{Port: int8(t.LocalPort(s, u)), VC: 0})
 			}
-			f.Route = append(f.Route, RouteHop{Port: int8(t.GlobalPort(int(l.FromPort))), VC: 0})
+			hops = append(hops, RouteHop{Port: int8(t.GlobalPort(int(l.FromPort))), VC: 0})
 			if v != d {
-				f.Route = append(f.Route, RouteHop{Port: int8(t.LocalPort(v, d)), VC: 1})
+				hops = append(hops, RouteHop{Port: int8(t.LocalPort(v, d)), VC: 1})
 			}
 		}
 	}
-	f.Route = append(f.Route, RouteHop{Port: int8(t.NodeIndex(int(f.Dst))), VC: 0})
+	w, _ := PackWord(hops)
+	return w
+}
+
+func (m minRouter) SourceRoute(n *Network, r *rng.Source, f *Flit) bool {
+	f.Word = m.word(f.Src, f.Dst)
 	f.MinRouted = true
+	return true
 }
 
 func (m minRouter) Revise(*Network, *rng.Source, *Flit, int32) {}

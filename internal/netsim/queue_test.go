@@ -13,10 +13,10 @@ import (
 // with their own hop and route word, qTail past depth one) and source
 // queues (srcQ chains). Random operation sequences — input buffers
 // filled to BufSize and drained, pushes behind a head carrying the
-// headEmpty sentinel so promotion must decode them, source-queue
-// packets pushed whole, popped, and refused with their bodies — are
-// checked step by step against slice models, with audit walking every
-// chain after each step.
+// headEmpty revision mark so promotion must revise them, source-queue
+// packets pushed, popped and refused — are checked step by step
+// against slice models, with audit walking every chain after each
+// step.
 
 // bufEntry is the model of one input-buffer entry: the slot and the
 // hop and route word the head cache must show when it is promoted.
@@ -24,13 +24,6 @@ type bufEntry struct {
 	slot int32
 	hop  uint16
 	rw   uint64
-}
-
-// srcEntry is the model of one source-queue entry; pkt numbers the
-// packet it belongs to, independently of the arena's headOf links.
-type srcEntry struct {
-	slot int32
-	pkt  int
 }
 
 // peek returns a source queue's head slot, or -1 when it is empty.
@@ -58,28 +51,36 @@ func checkQueuesAgainstModel(t *testing.T, n *Network, r *rng.Source, steps int)
 		pi := at[0]*n.ports + at[1]
 		bufs = append(bufs, &bufQ{sw: int32(at[0]), port: at[1], vc: at[2], pi: pi, g: pi*n.numVCs + at[2]})
 	}
-	srcs := make([][]srcEntry, 4)
-	pkt := 0
+	srcs := make([][]int32, 4)
 
-	newSlot := func(headOf int32) int32 {
+	newSlot := func() int32 {
 		s := fa.alloc()
-		fa.rec[s].headOf = headOf
-		fa.rec[s].hopIdx = 0
-		fa.rec[s].flags = 0
-		route := append(fa.routeBlock(s), RouteHop{Port: int8(r.Intn(n.ports)), VC: int8(r.Intn(n.numVCs))})
-		fa.setRoute(s, route)
+		fa.rec[s] = flitRec{dst: int32(r.Intn(tp.NumNodes()))}
 		return s
 	}
 	push := func(b *bufQ) {
-		f := newSlot(-1)
+		f := newSlot()
 		e := bufEntry{slot: f, hop: uint16(r.Intn(headEmpty)), rw: r.Uint64()}
 		hop := e.hop
 		if r.Intn(4) == 0 {
-			// The lazy sentinel: decoded from the route when it
-			// becomes the head, at push or at promotion.
+			// The revision mark: minRouter's Revise keeps the hops, so
+			// the head takes the first of its 1..5 switch hops when it
+			// becomes the head, at push or at promotion, and the rest
+			// and the ejection stay in its word.
 			hop = headEmpty
-			h := fa.rec[f].route[0]
-			e.hop = uint16(uint8(h.Port))<<8 | uint16(uint8(h.VC))
+			k := 1 + r.Intn(WordMaxHops-1)
+			var hops []RouteHop
+			for range k {
+				hops = append(hops, RouteHop{Port: int8(r.Intn(n.ports)), VC: int8(r.Intn(n.numVCs))})
+			}
+			full := append(hops, RouteHop{Port: int8(tp.NodeIndex(int(fa.rec[f].dst)))})
+			e.hop = uint16(full[0].Port)<<8 | uint16(full[0].VC)
+			e.rw, _ = PackWord(full[1:])
+			rw, _ := PackWord(full)
+			n.enqueue(b.sw, b.port, b.vc, b.pi, b.g, f, hop, rw)
+			n.injected++
+			b.m = append(b.m, e)
+			return
 		}
 		n.enqueue(b.sw, b.port, b.vc, b.pi, b.g, f, hop, e.rw)
 		n.injected++
@@ -115,19 +116,14 @@ func checkQueuesAgainstModel(t *testing.T, n *Network, r *rng.Source, steps int)
 			for len(b.m) > 0 {
 				pop(i, b)
 			}
-		case op < 10: // a source packet of 1-4 flits, pushed whole
-			pkt++
-			head := newSlot(-1)
-			for body := r.Intn(4); body >= 0; body-- {
-				s := head
-				if len(*sm) > 0 && (*sm)[len(*sm)-1].pkt == pkt {
-					s = newSlot(head)
-				}
+		case op < 10: // one to four source packets
+			for range 1 + r.Intn(4) {
+				s := newSlot()
 				q.push(fa, s)
-				*sm = append(*sm, srcEntry{s, pkt})
+				*sm = append(*sm, s)
 				n.injected++
 			}
-		default: // pop, and refuse the packet when the head is a head
+		default: // pop, and refuse the packet half the time
 			if len(*sm) == 0 {
 				if q.n != 0 || q.peek() != -1 {
 					t.Fatalf("step %d: empty source queue reports n=%d peek=%d", i, q.n, q.peek())
@@ -135,16 +131,12 @@ func checkQueuesAgainstModel(t *testing.T, n *Network, r *rng.Source, steps int)
 				continue
 			}
 			f := q.pop(fa)
-			want := (*sm)[0]
-			if f != want.slot {
-				t.Fatalf("step %d: source pop = %d, model %d", i, f, want.slot)
+			if want := (*sm)[0]; f != want {
+				t.Fatalf("step %d: source pop = %d, model %d", i, f, want)
 			}
 			*sm = (*sm)[1:]
-			if fa.rec[f].headOf < 0 && r.Intn(2) == 0 {
-				n.refusePacket(f, q, false)
-				for len(*sm) > 0 && (*sm)[0].pkt == want.pkt {
-					*sm = (*sm)[1:]
-				}
+			if r.Intn(2) == 0 {
+				n.refusePacket(f, false)
 			} else {
 				fa.release(f)
 				n.delivered++
@@ -167,7 +159,7 @@ func checkQueuesAgainstModel(t *testing.T, n *Network, r *rng.Source, steps int)
 			q := &n.nodeQ[k]
 			want := int32(-1)
 			if len(srcs[k]) > 0 {
-				want = srcs[k][0].slot
+				want = srcs[k][0]
 			}
 			if int(q.n) != len(srcs[k]) || q.peek() != want {
 				t.Fatalf("step %d: source queue %d: n=%d peek=%d, model %d entries, head %d", i, k, q.n, q.peek(), len(srcs[k]), want)
@@ -193,55 +185,37 @@ func TestQueueChainsProperty(t *testing.T) {
 }
 
 // TestRefusePacketDropsWholePacket pins the degraded-refusal drop
-// path on the linked source queue: refusing a popped head must also
-// pop exactly its own body flits (contiguous behind it), leave the
-// next packet queued, and return every dropped slot to the arena free
-// list.
+// path on the linked source queue: refusing a popped packet must
+// return its slot to the arena free list, leave the next packet
+// queued, and count one refusal.
 func TestRefusePacketDropsWholePacket(t *testing.T) {
 	tp := topo.MustNew(2, 4, 2, 9)
-	cfg := DefaultConfig()
-	cfg.PacketSize = 4
-	n := New(tp, cfg, minRouter{tp}, traffic.Uniform{T: tp}, 0)
+	n := New(tp, DefaultConfig(), minRouter{tp}, traffic.Uniform{T: tp}, 0)
 	fa := &n.fa
 	freeBefore := len(fa.free)
 
-	mkPacket := func(q *srcQ, size int) int32 {
-		head := fa.alloc()
-		fa.rec[head].headOf = -1
-		fa.rec[head].pending = int32(size)
-		q.push(fa, head)
-		for k := 1; k < size; k++ {
-			b := fa.alloc()
-			fa.rec[b].headOf = head
-			fa.rec[b].pending = 0
-			q.push(fa, b)
-		}
-		return head
-	}
-
 	q := &n.nodeQ[0]
-	doomed := mkPacket(q, 4)
-	second := mkPacket(q, 4)
+	doomed, second := fa.alloc(), fa.alloc()
+	q.push(fa, doomed)
+	q.push(fa, second)
 
-	f := q.pop(fa) // the production path refuses an already-popped head
+	f := q.pop(fa) // the production path refuses an already-popped packet
 	if f != doomed {
-		t.Fatalf("popped %d, want the first head %d", f, doomed)
+		t.Fatalf("popped %d, want the first packet %d", f, doomed)
 	}
-	n.refusePacket(f, q, true)
+	n.refusePacket(f, true)
 
-	if got := q.n; got != 4 {
-		t.Fatalf("queue holds %d flits after refusal, want the 4 of the second packet", got)
+	if got := q.n; got != 1 {
+		t.Fatalf("queue holds %d packets after refusal, want the second", got)
 	}
 	if got := q.peek(); got != second {
-		t.Fatalf("queue head after refusal = %d, want second packet's head %d", got, second)
+		t.Fatalf("queue head after refusal = %d, want second packet %d", got, second)
 	}
-	if got, want := len(fa.free), freeBefore+4; got != want {
-		t.Fatalf("free list holds %d slots, want %d (all 4 dropped flits returned)", got, want)
+	if got, want := len(fa.free), freeBefore+1; got != want || fa.free[len(fa.free)-1] != doomed {
+		t.Fatalf("free list holds %d slots ending %d, want %d ending the refused %d",
+			got, fa.free[len(fa.free)-1], want, doomed)
 	}
-	if n.measRefused != 1 {
-		t.Fatalf("measRefused = %d, want 1", n.measRefused)
-	}
-	if n.refusedInj != 4 {
-		t.Fatalf("refusedInj = %d, want 4 (whole packet)", n.refusedInj)
+	if n.measRefused != 1 || n.refusedInj != 1 {
+		t.Fatalf("measRefused = %d, refusedInj = %d, want 1 and 1", n.measRefused, n.refusedInj)
 	}
 }

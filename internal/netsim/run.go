@@ -267,10 +267,12 @@ func (n *Network) lap(acc *int64) {
 	n.lapAt = now
 }
 
-// headEmpty marks an empty input buffer in the hop field of qMeta;
-// qmEmpty is that field in word position.
+// headEmpty marks an empty input buffer in the hop field of qMeta, and
+// a hop still to be decided in an event or queue entry: it is what a
+// route word's revision mark decodes to. qmEmpty is that field in word
+// position.
 const (
-	headEmpty        = 0xffff
+	headEmpty        = WordPortMask<<8 | WordVCMask
 	qmEmpty   uint64 = headEmpty << 16
 )
 
@@ -286,8 +288,8 @@ const sourceQueueCap = 512
 // and global queue slot (pi*numVCs+vc) — every call site already has
 // them in hand for its own indexing, so enqueue takes them instead
 // of redoing the multiply chain per flit. hop is the flit's
-// pre-decoded next hop at this router (headEmpty for the lazy
-// Revisable path). PAR revision fires when the flit becomes the
+// pre-decoded next hop at this router (headEmpty for a Revisable flit
+// at its gateway). PAR revision fires when the flit becomes the
 // buffer head (the point a progressive router recomputes the route).
 func (n *Network) enqueue(sw int32, port, vc, pi, g int, f int32, hop uint16, rw uint64) {
 	m := n.qMeta[g]
@@ -303,7 +305,7 @@ func (n *Network) enqueue(sw int32, port, vc, pi, g int, f int32, hop uint16, rw
 		// Empty queue: the new head lives entirely in qMeta/qRW, and
 		// no link is written.
 		if hop == headEmpty {
-			hop = n.headVal(sw, f)
+			hop, rw = n.revise(sw, f, rw)
 		}
 		n.qMeta[g] = uint64(head) | uint64(tail+1)<<8 | uint64(hop)<<16 | uint64(uint32(f))<<32
 		n.qRW[g] = rw
@@ -338,12 +340,12 @@ func (n *Network) dequeue(sw int32, port, vc, pi, g int) (int32, uint64) {
 		// its link holds, into the qMeta/qRW head cache.
 		next := n.fa.link[f].next
 		ln := &n.fa.link[next]
-		hop := ln.hop
+		hop, nrw := ln.hop, ln.rw
 		if hop == headEmpty {
-			hop = n.headVal(sw, next)
+			hop, nrw = n.revise(sw, next, nrw)
 		}
 		n.qMeta[g] = uint64(head) | uint64(tail)<<8 | uint64(hop)<<16 | uint64(uint32(next))<<32
-		n.qRW[g] = ln.rw
+		n.qRW[g] = nrw
 	} else {
 		n.qMeta[g] = uint64(head) | uint64(tail)<<8 | qmEmpty
 		n.vcMask[pi] &^= 1 << vc
@@ -354,46 +356,37 @@ func (n *Network) dequeue(sw int32, port, vc, pi, g int) (int32, uint64) {
 	return f, rw
 }
 
-// headVal runs pending PAR revision for flit slot f, which just
-// became the head of an input buffer at switch sw, and returns its
-// decoded next hop for the caller to store in the queue's head-cache
-// field. Body flits read the route through their head slot — kept
-// allocated by the packet's pending count — at their own hop index.
-func (n *Network) headVal(sw int32, f int32) uint16 {
-	fa := &n.fa
-	if fa.rec[f].flags&fRevisable != 0 && fa.rec[f].hopIdx > 0 {
-		n.reviseSlot(f, sw)
-	}
-	rs := f
-	if h := fa.rec[f].headOf; h >= 0 {
-		rs = h
-	}
-	hop := fa.rec[rs].route[fa.rec[f].hopIdx]
-	return uint16(uint8(hop.Port))<<8 | uint16(uint8(hop.VC))
+// revise runs PAR's revision for slot f, which just became the head
+// of an input buffer at switch sw with remaining-route word rw (its
+// switch hops from sw, then the ejection), and returns the flit's next
+// hop and the word after it. Revisable flits only exist at one shard
+// (injectNode panics otherwise), so the shared scratch view is safe.
+func (n *Network) revise(sw, f int32, rw uint64) (uint16, uint64) {
+	rec := &n.fa.rec[f]
+	k := WordHops(rw) - 1
+	v := &n.scratch
+	v.Src, v.Dst, v.GenTime = rec.src, rec.dst, rec.genTime
+	v.Measured = rec.flags&fMeasured != 0
+	v.MinRouted = rec.flags&fMinRouted != 0
+	v.Revisable = true
+	v.Word = rw&^(wordField<<(3+uint(k)*wordFieldBits)|wordCntMask) | uint64(k)
+	n.routing.Revise(n, n.routeRNG, v, sw)
+	rec.hops += int16(WordHops(v.Word) - k)
+	return n.firstHop(v.Word, rec.dst)
 }
 
-// reviseSlot materializes the routing-boundary view of slot f around
-// a Revise call and writes the (possibly rewritten) route back into
-// the arena. Revisable flits only exist at one shard (injectNode
-// panics otherwise), so the shared scratch view is safe.
-func (n *Network) reviseSlot(f int32, sw int32) {
-	fa := &n.fa
-	v := &n.scratch
-	v.Src, v.Dst = fa.rec[f].src, fa.rec[f].dst
-	v.HopIdx = int32(fa.rec[f].hopIdx)
-	v.GenTime = fa.rec[f].genTime
-	v.Measured = fa.rec[f].flags&fMeasured != 0
-	v.MinRouted = fa.rec[f].flags&fMinRouted != 0
-	v.Revisable = true
-	v.Route = fa.routeOf(f)
-	n.routing.Revise(n, n.routeRNG, v, sw)
-	fa.setRoute(f, v.Route)
-	flags := fa.rec[f].flags &^ (fRevisable | fMinRouted)
-	if v.MinRouted {
-		flags |= fMinRouted
+// firstHop splits a route word of switch hops from the current switch
+// into the next hop and the remaining-route word after it, which ends
+// with the ejection hop at dst's terminal port (VC 0).
+func (n *Network) firstHop(w uint64, dst int32) (uint16, uint64) {
+	eject := uint64(n.T.NodeIndex(int(dst)))
+	k := WordHops(w)
+	if k == 0 {
+		return uint16(eject) << 8, 0
 	}
-	fa.rec[f].flags = flags
-	v.Route = nil
+	p, vc := WordHop(w, 0)
+	rest := w>>wordFieldBits&^wordCntMask | uint64(k-1)
+	return uint16(p)<<8 | uint16(vc), rest | WordPort(k-1, eject) + 1
 }
 
 // inject generates new packets and moves source-queue heads into the
@@ -469,41 +462,15 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 					n.measRefused++
 				}
 			} else {
-				size := n.Cfg.PacketSize
-				head := fa.alloc()
-				fa.rec[head].src, fa.rec[head].dst = node, int32(dst)
-				fa.rec[head].hopIdx = 0
-				fa.rec[head].genTime = gen
-				fa.rec[head].headOf = -1
-				fa.rec[head].pending = int32(size)
-				fa.rec[head].routeLen = 0
+				f := fa.alloc()
 				flags := uint16(0)
-				if size == 1 {
-					flags = fIsTail
-				}
 				if gen >= n.measBegin && gen < n.measEnd {
-					flags |= fMeasured
+					flags = fMeasured
 					n.measCount++
 				}
-				fa.rec[head].flags = flags
-				n.nodeQ[node].push(fa, head)
+				fa.rec[f] = flitRec{src: node, dst: int32(dst), genTime: gen, flags: flags}
+				n.nodeQ[node].push(fa, f)
 				n.injected++
-				for k := 1; k < size; k++ {
-					b := fa.alloc()
-					fa.rec[b].src, fa.rec[b].dst = node, int32(dst)
-					fa.rec[b].hopIdx = 0
-					fa.rec[b].genTime = gen
-					fa.rec[b].headOf = head
-					fa.rec[b].pending = 0
-					fa.rec[b].routeLen = 0
-					if k == size-1 {
-						fa.rec[b].flags = fIsTail
-					} else {
-						fa.rec[b].flags = 0
-					}
-					n.nodeQ[node].push(fa, b)
-					n.injected++
-				}
 			}
 		}
 		ng := n.geomNext(gen)
@@ -521,65 +488,51 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 	if n.queueLen(int(sw), termPort, 0) >= n.Cfg.BufSize {
 		return append(nextActive, node)
 	}
+	// Compute the packet's route now, from current source-router state.
 	f := q.pop(fa)
-	if fa.rec[f].headOf < 0 {
-		// Head flit: compute the packet's route now, from current
-		// source-router state, directly into the slot's arena block.
-		v := &n.scratch
-		v.Src, v.Dst = fa.rec[f].src, fa.rec[f].dst
-		v.HopIdx = 0
-		v.GenTime = fa.rec[f].genTime
-		v.Measured = fa.rec[f].flags&fMeasured != 0
-		v.MinRouted, v.Revisable = false, false
-		v.Route = fa.routeBlock(f)
-		n.routing.SourceRoute(n, n.routeRNG, v)
-		if n.Cfg.Failures != nil && (len(v.Route) == 0 || !n.routeAlive(sw, v)) {
-			// The routing function found no surviving candidate (the
-			// empty-route refusal sentinel), or handed back a route
-			// crossing dead gear — refuse the whole packet here at the
-			// injection port rather than blackhole it mid-network.
-			n.refusePacket(f, q, v.Measured)
-			v.Route = nil
-			if q.n > 0 {
-				nextActive = append(nextActive, node)
-			}
-			return nextActive
+	rec := &fa.rec[f]
+	v := &n.scratch
+	v.Src, v.Dst, v.Word = rec.src, rec.dst, 0
+	v.GenTime = rec.genTime
+	v.Measured = rec.flags&fMeasured != 0
+	v.MinRouted, v.Revisable = false, false
+	if !n.routing.SourceRoute(n, n.routeRNG, v) ||
+		(n.Cfg.Failures != nil && !n.routeAlive(sw, v.Word)) {
+		// The routing function found no surviving candidate, or handed
+		// back a route crossing dead gear — refuse the packet here at
+		// the injection port rather than blackhole it mid-network.
+		n.refusePacket(f, v.Measured)
+		if q.n > 0 {
+			nextActive = append(nextActive, node)
 		}
-		if v.Revisable && len(n.shards) > 1 {
+		return nextActive
+	}
+	k := WordHops(v.Word)
+	if k > WordMaxHops || v.Revisable && k == WordMaxHops {
+		panic(fmt.Sprintf("netsim: routing function produced a %d-hop route word "+
+			"(revisable %v); a word holds %d hops, a revisable one %d",
+			k, v.Revisable, WordMaxHops, WordMaxHops-1))
+	}
+	rec.hops = int16(k)
+	if v.MinRouted {
+		rec.flags |= fMinRouted
+	}
+	if v.Measured {
+		n.measInj++
+		if !v.MinRouted {
+			n.measVLB++
+		}
+	}
+	hop, rw := n.firstHop(v.Word, rec.dst)
+	if v.Revisable {
+		if len(n.shards) > 1 {
 			panic("netsim: routing function declared RevisesInFlight()==false " +
 				"but produced a Revisable flit on a multi-shard network")
 		}
-		fa.setRoute(f, v.Route)
-		flags := fa.rec[f].flags
-		if v.MinRouted {
-			flags |= fMinRouted
-		}
-		if v.Revisable {
-			flags |= fRevisable
-		}
-		fa.rec[f].flags = flags
-		if v.Measured {
-			n.measInj++
-			if !v.MinRouted {
-				n.measVLB++
-			}
-		}
-		v.Route = nil
-	}
-	// First-hop decode at injection: a head's own route was just
-	// written (line hot), a body reads its head's. Revision never
-	// fires at hop index 0, so Revisable heads decode directly too.
-	rs := f
-	if h := fa.rec[f].headOf; h >= 0 {
-		rs = h
-	}
-	r0 := fa.rec[rs].route[0]
-	hop := uint16(uint8(r0.Port))<<8 | uint16(uint8(r0.VC))
-	rw := rwSlow
-	if n.ovcOwner == nil && fa.rec[f].flags&fRevisable == 0 {
-		if w, ok := PackWord(fa.rec[f].route[1:fa.rec[f].routeLen]); ok {
-			rw = w
-		}
+		// The revision mark goes in front of the hops after the first,
+		// so the flit's hop out of the next switch is decided when it
+		// reaches the head of a buffer there.
+		rw = (rw&^wordCntMask)<<wordFieldBits | wordField<<3 | (rw&wordCntMask + 1)
 	}
 	pi := int(sw)*n.ports + termPort
 	n.enqueue(sw, termPort, 0, pi, pi*n.numVCs, f, hop, rw)
@@ -589,20 +542,21 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 	return nextActive
 }
 
-// routeAlive walks a head flit's computed route from its source
-// switch and reports whether every channel it would traverse — and
-// the final (ejecting) switch — survives the failure mask. It is the
-// simulator's backstop against a routing function that is not
-// failure-aware: such routes are refused at injection instead of
-// wedging flow control mid-network.
-func (n *Network) routeAlive(sw int32, f *Flit) bool {
+// routeAlive walks a route word from its source switch and reports
+// whether every channel it would traverse — and the final (ejecting)
+// switch — survives the failure mask. It is the simulator's backstop
+// against a routing function that is not failure-aware: such routes
+// are refused at injection instead of wedging flow control
+// mid-network.
+func (n *Network) routeAlive(sw int32, w uint64) bool {
 	fail := n.Cfg.Failures
 	cur := int(sw)
-	for _, hop := range f.Route[:len(f.Route)-1] {
-		if fail.ChannelDead(cur, int(hop.Port)) {
+	for i := range WordHops(w) {
+		p, _ := WordHop(w, i)
+		if fail.ChannelDead(cur, int(p)) {
 			return false
 		}
-		next, ok := n.T.PeerOfPortOK(cur, int(hop.Port))
+		next, ok := n.T.PeerOfPortOK(cur, int(p))
 		if !ok {
 			return false
 		}
@@ -611,24 +565,15 @@ func (n *Network) routeAlive(sw int32, f *Flit) bool {
 	return !fail.SwitchDead(cur)
 }
 
-// refusePacket drops a popped head flit slot plus its body flits —
-// still contiguous behind it, since a packet is pushed whole at
-// generation — from a source queue, recording the refusal. Runs on
-// the sequential injection path only, so the counters stay
-// deterministic under sharding. Body slots are released first, the
-// head last, mirroring arrival order in the free list.
-func (n *Network) refusePacket(f int32, q *srcQ, measured bool) {
-	fa := &n.fa
-	dropped := int64(1)
-	for q.n > 0 && fa.rec[q.head].headOf == f {
-		fa.release(q.pop(fa))
-		dropped++
-	}
+// refusePacket drops popped packet slot f, recording the refusal.
+// Runs on the sequential injection path only, so the counters stay
+// deterministic under sharding.
+func (n *Network) refusePacket(f int32, measured bool) {
 	if measured {
 		n.measRefused++
 	}
-	n.refusedInj += dropped
-	fa.release(f)
+	n.refusedInj++
+	n.fa.release(f)
 }
 
 // allocateShard performs switch allocation for every active router
@@ -664,7 +609,6 @@ func (n *Network) allocateShard(s int) {
 func (n *Network) allocateRouter(swi int, sh *simShard) {
 	termPorts := n.T.P
 	numVCs := n.numVCs
-	fa := &n.fa
 	// Hot arrays come off n once: the arbitration loop stores through
 	// several of them, and without the local copies the compiler must
 	// reload each slice header after every store (it cannot prove the
@@ -688,14 +632,14 @@ func (n *Network) allocateRouter(swi int, sh *simShard) {
 	oBase := swi * n.nonTerm
 	vcFull := uint32(1)<<numVCs - 1
 	// A port that granted nothing in one pass cannot grant in a later
-	// pass of the same cycle unless wormhole ownership or interleaved
-	// credit events can change mid-phase: its queue heads are
-	// untouched, outUsed only accumulates and credits only decrease
-	// during allocation. When neither applies, restricting each later
-	// pass to the previous pass's granting ports is exact, not a
-	// heuristic — it just skips probes that provably fail.
+	// pass of the same cycle unless interleaved credit events can
+	// change mid-phase: its queue heads are untouched, outUsed only
+	// accumulates and credits only decrease during allocation. Without
+	// them, restricting each later pass to the previous pass's granting
+	// ports is exact, not a heuristic — it just skips probes that
+	// provably fail.
 	subset := ^uint64(0)
-	narrow := n.fastCredits && n.ovcOwner == nil
+	narrow := n.fastCredits
 	for pass := 0; pass < n.Cfg.SpeedUp; pass++ {
 		moved := false
 		var granted uint64
@@ -745,67 +689,16 @@ func (n *Network) allocateRouter(swi int, sh *simShard) {
 						if credits[ci] <= 0 {
 							continue
 						}
-						if n.ovcOwner != nil {
-							// Wormhole: heads acquire a free output VC;
-							// body/tail flits may only follow their own
-							// packet (owner == their head's slot).
-							f := int32(uint32(qm >> 32))
-							owner := n.ovcOwner[ci]
-							if h := fa.rec[f].headOf; h < 0 {
-								if owner != -1 {
-									continue
-								}
-							} else if owner != h {
-								continue
-							}
-						}
 						outUsed |= 1 << out
 						credits[ci]--
 						f, rw := n.dequeue(int32(swi), port, vc, pBase+port, hBase+port*numVCs+vc)
 						n.returnCredit(sh, pBase+port, vc)
-						var hop uint16
-						if rw&rwSlow == 0 {
-							// Fast flit: the next hop comes off the route
-							// word — the arena record is untouched
-							// between inject and eject.
-							p, v := WordHop(rw, 0)
-							hop = uint16(p)<<8 | uint16(v)
-							rw = rw>>wordFieldBits&^wordCntMask | (rw&wordCntMask - 1)
-						} else {
-							hi := fa.rec[f].hopIdx + 1
-							fa.rec[f].hopIdx = hi
-							if n.ovcOwner != nil {
-								if fa.rec[f].flags&fIsTail != 0 {
-									n.ovcOwner[ci] = -1
-								} else if fa.rec[f].headOf < 0 {
-									n.ovcOwner[ci] = f
-								}
-							}
-							// Decode the flit's next hop now, while its
-							// arena lines are hot, and ship it inside the
-							// event; flits whose ROUTE slot is still
-							// Revisable get the lazy sentinel instead —
-							// their route (and routeRNG draw) must resolve
-							// at head-arrival time. The check reads the
-							// route slot (the head, for body flits), not
-							// the flit itself: a wormhole body emitted
-							// while its head is still in flight toward its
-							// revision point would otherwise freeze the
-							// pre-revision hop into the event and chase a
-							// channel the (diverted) head never acquired,
-							// wedging the queue forever. Once the head's
-							// revision clears the flag, bodies decode
-							// eagerly from the now-final route.
-							hop = headEmpty
-							rs := f
-							if h := fa.rec[f].headOf; h >= 0 {
-								rs = h
-							}
-							if fa.rec[rs].flags&fRevisable == 0 {
-								nh := fa.rec[rs].route[hi]
-								hop = uint16(uint8(nh.Port))<<8 | uint16(uint8(nh.VC))
-							}
-						}
+						// The next hop comes off the route word: the
+						// arena record is untouched between inject and
+						// eject.
+						p, v := WordHop(rw, 0)
+						hop := uint16(p)<<8 | uint16(v)
+						rw = rw>>wordFieldBits&^wordCntMask | (rw&wordCntMask - 1)
 						peer := n.outPeer[oBase+out-termPorts]
 						n.emit(sh, int(n.outLat[oBase+out-termPorts]), event{
 							flit: f, r: peer.r, port: peer.port, vc: int8(outVC), hop: hop, rw: rw,
@@ -865,47 +758,21 @@ func (n *Network) returnCredit(sh *simShard, pi, vc int) {
 	sh.coutbox[d] = append(sh.coutbox[d], uint64(uint32(slot))<<32|uint64(uint32(ci)))
 }
 
-// deliver ejects flit slot f at its destination and records
-// statistics. Packet-level statistics (latency, throughput) are
-// recorded at the tail flit; single-flit packets are their own head
-// and tail. Slot recycling order: a body/tail slot is released at its
-// own ejection, the head slot only when the packet's pending count
-// hits zero — i.e. after every flit of the packet (the head included)
-// has ejected — so in-flight body flits can always read the route
-// through headOf.
+// deliver ejects flit slot f at its destination, records statistics
+// and recycles the slot.
 func (n *Network) deliver(f int32) {
-	fa := &n.fa
+	rec := &n.fa.rec[f]
 	n.delivered++
 	n.lastDeliver = n.now
-	head := fa.rec[f].headOf
-	if head < 0 {
-		head = f
+	if n.now >= n.measBegin && n.now < n.measEnd {
+		n.deliveredIn++
 	}
-	fa.rec[head].pending--
-	if fa.rec[f].flags&fIsTail != 0 || n.Cfg.PacketSize == 1 {
-		if n.now >= n.measBegin && n.now < n.measEnd {
-			n.deliveredIn++
-		}
-		if fa.rec[head].flags&fMeasured != 0 {
-			n.measDeliv++
-			lat := float64(n.now - fa.rec[head].genTime)
-			n.measLatency.Add(lat)
-			n.measHist.Add(lat)
-			// A routed slot ejects with hopIdx == routeLen-1 by
-			// construction (the fast path no longer maintains hopIdx);
-			// wormhole body/tail slots carry no route copy, so their
-			// (slow-path-maintained) hopIdx is authoritative.
-			if rl := fa.rec[f].routeLen; rl > 0 {
-				n.measHops.Add(float64(rl - 1))
-			} else {
-				n.measHops.Add(float64(fa.rec[f].hopIdx))
-			}
-		}
+	if rec.flags&fMeasured != 0 {
+		n.measDeliv++
+		lat := float64(n.now - rec.genTime)
+		n.measLatency.Add(lat)
+		n.measHist.Add(lat)
+		n.measHops.Add(float64(rec.hops))
 	}
-	if f != head {
-		fa.release(f)
-	}
-	if fa.rec[head].pending <= 0 {
-		fa.release(head)
-	}
+	n.fa.release(f)
 }

@@ -104,25 +104,6 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardDeterminismWormhole covers the multi-flit (wormhole) path:
-// output-VC ownership plus body flits following heads across shard
-// boundaries.
-func TestShardDeterminismWormhole(t *testing.T) {
-	tp := topo.MustNew(2, 4, 2, 9)
-	cfg := netsim.DefaultConfig()
-	cfg.Seed = 5
-	cfg.PacketSize = 3
-	full := paths.Full{T: tp}
-	ref := runSharded(tp, cfg, routing.NewUGALL(tp, full), traffic.Uniform{T: tp}, 0.08, 1)
-	if ref.Measured == 0 {
-		t.Fatal("no measured packets")
-	}
-	for _, shards := range []int{2, 4, 8} {
-		got := runSharded(tp, cfg, routing.NewUGALL(tp, full), traffic.Uniform{T: tp}, 0.08, shards)
-		requireIdentical(t, ref, got, fmt.Sprintf("wormhole/shards=%d", shards))
-	}
-}
-
 // TestShardWarmNetwork pins a fixed sequence of Run calls on one warm
 // network to identical results at one and several shards: statistics
 // reset per call, cycle counts accumulate.

@@ -1,18 +1,20 @@
 package netsim
 
 import (
+	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"tugal/internal/rng"
 	"tugal/internal/topo"
 )
 
 // walkRoutes fixes one custom route per source node: node src's
-// packets take src%8 switch hops along a fixed walk from its switch —
-// 0 to 7, so every length a route word holds plus one it does not —
-// and go to another node of the walk's last switch. As a
-// traffic.Pattern it serves those destinations.
+// packets take src%7 switch hops along a fixed walk from its switch —
+// 0 to 6, every length a route word holds — and go to another node of
+// the walk's last switch. As a traffic.Pattern it serves those
+// destinations.
 type walkRoutes struct {
 	ports [][]int8 // per source node, the walk's out-ports
 	dst   []int
@@ -22,7 +24,7 @@ func newWalkRoutes(t *topo.Compiled) *walkRoutes {
 	w := &walkRoutes{ports: make([][]int8, t.NumNodes()), dst: make([]int, t.NumNodes())}
 	for src := range w.ports {
 		sw := t.SwitchOfNode(src)
-		for j := range src % 8 {
+		for j := range src % (WordMaxHops + 1) {
 			// The first wired network port at a switch- and step-
 			// dependent offset: a walk that changes switch every hop.
 			for o := 0; ; o++ {
@@ -43,89 +45,111 @@ func (w *walkRoutes) Name() string { return "walk" }
 
 func (w *walkRoutes) Dest(_ *rng.Source, src int) (int, bool) { return w.dst[src], true }
 
-// walkRouter routes every packet on its walk. Hop i of a k-hop route
-// rides VC NumVCs-k+i: VCs rise along every route, so the channel
-// dependency graph is acyclic, and the last switch hop takes the top
-// VC. record marks every flit Revisable with a Revise that changes
-// nothing, which forwards it on the arena-record path.
+// hops returns node src's route: hop i of a k-hop route rides VC
+// numVCs-k+i, so VCs rise along every route, the channel dependency
+// graph is acyclic, and the last switch hop takes the top VC.
+func (w *walkRoutes) hops(src int32, numVCs int) []RouteHop {
+	ports := w.ports[src]
+	hops := make([]RouteHop, len(ports))
+	for i, p := range ports {
+		hops[i] = RouteHop{Port: p, VC: int8(numVCs - len(ports) + i)}
+	}
+	return hops
+}
+
+// walkRouter routes every packet on its walk. revise marks every
+// route that leaves room for the revision mark Revisable, with a
+// Revise that keeps the hops it is given.
 type walkRouter struct {
 	w      *walkRoutes
-	record bool
+	revise bool
 }
 
 func (r walkRouter) Name() string { return "walk" }
 
-func (r walkRouter) SourceRoute(n *Network, _ *rng.Source, f *Flit) {
-	ports := r.w.ports[f.Src]
-	f.Route = f.Route[:0]
-	for i, p := range ports {
-		f.Route = append(f.Route, RouteHop{Port: p, VC: int8(n.Cfg.NumVCs - len(ports) + i)})
-	}
-	f.Route = append(f.Route, RouteHop{Port: int8(n.T.NodeIndex(int(f.Dst)))})
+func (r walkRouter) SourceRoute(n *Network, _ *rng.Source, f *Flit) bool {
+	f.Word, _ = PackWord(r.w.hops(f.Src, n.Cfg.NumVCs))
 	f.MinRouted = true
-	f.Revisable = r.record
+	f.Revisable = r.revise && WordHops(f.Word) < WordMaxHops
+	return true
 }
 
 func (r walkRouter) Revise(*Network, *rng.Source, *Flit, int32) {}
 
 func (r walkRouter) CloneRouting() RoutingFunc { return r }
 
-// TestRouteWordFastPath holds the forward path's route word to the
-// arena record. At NumVCs 8 every route of 0 to 6 switch hops must be
-// injected with a word (no rwSlow) holding exactly its hops after the
-// first, and a 7-hop route must take rwSlow; at NumVCs 9 the top VC
-// does not fit the word's VC field, so every route whose word would
-// hold a switch hop takes rwSlow too. Either way every packet must
-// deliver, and a whole run must match, bit for bit, the run that
-// forwards every flit on the record path.
-func TestRouteWordFastPath(t *testing.T) {
+// TestRouteWords holds the simulator to the route words a RoutingFunc
+// hands it, at NumVCs 8, the top VC a word holds. Every route of 0 to
+// 6 switch hops must be injected with its first hop in the head cache
+// and a word holding exactly the hops after it and the ejection. One
+// packet from every node must then be delivered along exactly its
+// hops: the channel counts and the mean hop count are the routes'.
+// A run whose flits carry the revision mark must match, bit for bit,
+// the run whose flits do not.
+func TestRouteWords(t *testing.T) {
+	if s := unsafe.Sizeof(flitRec{}); s > 32 {
+		t.Fatalf("flitRec is %d bytes, want at most 32", s)
+	}
 	tp := topo.MustNew(2, 4, 2, 9)
 	w := newWalkRoutes(tp)
-	for _, numVCs := range []int{8, 9} {
-		cfg := DefaultConfig()
-		cfg.NumVCs = numVCs
-		cfg.Seed = 3
-		cfg.CollectChanStats = true
+	cfg := DefaultConfig()
+	cfg.NumVCs = WordVCMask + 1
+	cfg.Seed = 3
+	cfg.CollectChanStats = true
 
-		n := New(tp, cfg, walkRouter{w: w}, w, 0.1)
-		for node := range tp.NumNodes() {
-			n.injectNode(int32(node), true, nil)
-			pi := tp.SwitchOfNode(node)*n.ports + tp.NodeIndex(node)
-			f, rw := int32(uint32(n.qMeta[pi*n.numVCs]>>32)), n.qRW[pi*n.numVCs]
-			route := n.fa.routeOf(f)
-			k := len(route) - 1
-			if k != node%8 {
-				t.Fatalf("vcs=%d node %d: routed %d switch hops, want %d", numVCs, node, k, node%8)
-			}
-			wantFast := k <= WordMaxHops && (numVCs <= WordVCMask+1 || k <= 1)
-			if fast := rw&rwSlow == 0; fast != wantFast {
-				t.Fatalf("vcs=%d %d-hop route: fast word = %v, want %v", numVCs, k, fast, wantFast)
-			}
-			if !wantFast {
-				continue
-			}
-			if WordHops(rw) != k {
-				t.Fatalf("vcs=%d %d-hop route: word holds %d hops, want %d", numVCs, k, WordHops(rw), k)
-			}
-			for i := range k {
-				if p, vc := WordHop(rw, i); p != route[1+i].Port || vc != route[1+i].VC {
-					t.Fatalf("vcs=%d %d-hop route: word hop %d = (%d,%d), record %+v",
-						numVCs, k, i, p, vc, route[1+i])
-				}
-			}
-		}
+	n := New(tp, cfg, walkRouter{w: w}, w, 0)
+	n.measBegin, n.measEnd = 0, math.MaxInt64
+	n.chanCount = make([]int64, tp.NumSwitches()*n.nonTerm)
+	want := make([]int64, len(n.chanCount))
+	wantHops := 0
+	for node := range int32(tp.NumNodes()) {
+		f := n.fa.alloc()
+		n.fa.rec[f] = flitRec{src: node, dst: int32(w.dst[node]), flags: fMeasured}
+		n.nodeQ[node].push(&n.fa, f)
+		n.injected++
+		n.measCount++
+		n.injectNode(node, false, nil)
 
-		run := func(record bool) RunResult {
-			return New(tp, cfg, walkRouter{w: w, record: record}, w, 0.1).Run(300, 300, 3000)
+		hops := w.hops(node, cfg.NumVCs)
+		eject := RouteHop{Port: int8(tp.NodeIndex(w.dst[node]))}
+		full := append(hops, eject)
+		pi := tp.SwitchOfNode(int(node))*n.ports + tp.NodeIndex(int(node))
+		m, rw := n.qMeta[pi*n.numVCs], n.qRW[pi*n.numVCs]
+		wantRW, _ := PackWord(full[1:])
+		if hop := uint16(m >> 16); int32(uint32(m>>32)) != f || hop != uint16(full[0].Port)<<8|uint16(full[0].VC) || rw != wantRW {
+			t.Fatalf("%d-hop route %v: head (%d, %#x, %#x), want (%d, %+v, %#x)",
+				len(hops), hops, int32(uint32(m>>32)), hop, rw, f, full[0], wantRW)
 		}
-		got, want := run(false), run(true)
-		if got.Measured == 0 || got.Undelivered != 0 {
-			t.Fatalf("vcs=%d: measured %d, undelivered %d", numVCs, got.Measured, got.Undelivered)
+		sw := tp.SwitchOfNode(int(node))
+		for _, h := range hops {
+			want[sw*n.nonTerm+int(h.Port)-tp.P]++
+			sw = tp.PeerOfPort(sw, int(h.Port))
 		}
-		gc, wc := got.Channels, want.Channels
-		got.Channels, want.Channels = nil, nil
-		if got != want || !reflect.DeepEqual(gc, wc) {
-			t.Fatalf("vcs=%d: word run diverged from the record run:\nword:   %+v\nrecord: %+v", numVCs, got, want)
-		}
+		wantHops += len(hops)
+	}
+	for n.delivered < n.injected && n.now < 10000 {
+		n.step()
+	}
+	if n.measDeliv != int64(tp.NumNodes()) {
+		t.Fatalf("delivered %d of %d packets", n.measDeliv, tp.NumNodes())
+	}
+	if !reflect.DeepEqual(n.chanCount, want) {
+		t.Fatalf("channel counts %v, the routes' %v", n.chanCount, want)
+	}
+	if got, want := n.measHops.Mean(), float64(wantHops)/float64(tp.NumNodes()); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("mean hops %v, the routes' %v", got, want)
+	}
+
+	run := func(revise bool) RunResult {
+		return New(tp, cfg, walkRouter{w: w, revise: revise}, w, 0.1).Run(300, 300, 3000)
+	}
+	got, marked := run(false), run(true)
+	if got.Measured == 0 || got.Undelivered != 0 {
+		t.Fatalf("measured %d, undelivered %d", got.Measured, got.Undelivered)
+	}
+	gc, mc := got.Channels, marked.Channels
+	got.Channels, marked.Channels = nil, nil
+	if got != marked || !reflect.DeepEqual(gc, mc) {
+		t.Fatalf("the marked run diverged:\nplain:  %+v\nmarked: %+v", got, marked)
 	}
 }

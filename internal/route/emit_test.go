@@ -65,14 +65,14 @@ func TestEmitWorkers(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/degraded=%v", tp.Label(), pol.Name(), mask != nil), func(t *testing.T) {
 					st := paths.CompileDegraded(tp, pol, mask)
 					n := tp.NumSwitches()
-					ref := &Tables{T: tp, stamps: stampShapes(tp, Default())}
+					ref := &Tables{T: tp, stamps: routing.NewStamps(tp, 4, routing.PhaseVC, 1)}
 					var rows []row
 					var words []uint64
 					for s := 0; s < n; s++ {
 						for d := 0; d < n; d++ {
 							start := int32(len(words))
 							for _, p := range paths.EnumerateMinAlive(tp, mask, s, d) {
-								words = append(words, ref.word(paths.Packed(p.Ports)))
+								words = append(words, ref.stamps.Word(tp, paths.Packed(p.Ports)))
 							}
 							first, count := st.PairRange(s, d)
 							rows = append(rows, row{minAt: start, minN: int32(len(words)) - start, vlbAt: int32(first), vlbN: int32(count)})
@@ -234,7 +234,7 @@ func TestTrimmedRowSelect(t *testing.T) {
 					}
 					_, vlb := tb.Row(s, d)
 					for k, id := range merged {
-						if got := tb.vlbID(r, s, d, int32(k)); got != id || vlb[k] != tb.word(tb.st.Ports(s, d, got)) {
+						if got := tb.vlbID(r, s, d, int32(k)); got != id || vlb[k] != tb.stamps.Word(tb.T, tb.st.Ports(s, d, got)) {
 							t.Fatalf("step %d row (%d,%d): candidate %d selects %d, merge order has %d", i, s, d, k, got, id)
 						}
 					}

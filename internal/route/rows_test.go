@@ -15,7 +15,7 @@ import (
 func (tb *Tables) Row(s, d int) (min, vlb []uint64) {
 	r := &tb.rows[s*tb.n+d]
 	vlb = make([]uint64, 0, r.vlbN)
-	tb.eachVLB(r, s, d, func(ports uint64) { vlb = append(vlb, tb.word(ports)) })
+	tb.eachVLB(r, s, d, func(ports uint64) { vlb = append(vlb, tb.stamps.Word(tb.T, ports)) })
 	return tb.minWords(r), vlb
 }
 

@@ -89,9 +89,8 @@ func (s *Service) LookupBatch(r *rng.Source, src, dst []int32, out []Decision) i
 }
 
 // AppendRouteFor decodes decision d of a (src, dst) node query into
-// full netsim route hops — the form SourceRoute builds — appending
-// to buf. Refused decisions append nothing (the router's empty-route
-// sentinel).
+// netsim route hops, ejection included, appending to buf. Refused
+// decisions append nothing.
 func (s *Service) AppendRouteFor(buf []netsim.RouteHop, d Decision, dstNode int32) []netsim.RouteHop {
 	if d.Refused {
 		return buf

@@ -27,7 +27,6 @@ package route
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -52,8 +51,8 @@ func wordPorts(w uint64) uint64 {
 
 // AppendRoute decodes a route word into netsim route hops, appending
 // to buf, and finishes with the ejection hop at the destination
-// switch's terminal port ejectPort — exactly the route SourceRoute
-// would have built.
+// switch's terminal port ejectPort — the hops a simulated packet on
+// that word takes.
 func AppendRoute(buf []netsim.RouteHop, w uint64, ejectPort int8) []netsim.RouteHop {
 	for i := range netsim.WordHops(w) {
 		p, vc := netsim.WordHop(w, i)
@@ -121,9 +120,9 @@ type Tables struct {
 	// under (nil: pristine). Like the rows it is never written again.
 	mask *topo.FailureMask
 
-	// stamps holds each route shape's word minus its ports (see
-	// stampShapes); every word is built from it by word.
-	stamps *[1 << (paths.MaxVLBHops + 1)]uint64
+	// stamps holds each route shape's word minus its ports; every word,
+	// MIN or VLB, is built from it by Stamps.Word.
+	stamps *routing.Stamps
 
 	rows []row
 	// chunks[0] is the base: the MIN arena Emit packs, beside VLB
@@ -200,58 +199,6 @@ func (tb *Tables) vlbID(r *row, s, d int, k int32) paths.PathID {
 	return id
 }
 
-// stampShapes VC-assigns (srcBudget 1: the UGAL family) and packs one
-// route of every shape — hop count h and which hops are global, shape
-// 1<<h | g with hop i global when bit h-1-i of g is set — and keeps
-// each word minus its ports. Every shipped scheme assigns a hop's VC
-// from its index and the kinds of the hops up to it alone, so a
-// shape's stamp is every such route's; the word oracle holds each
-// served word to AppendVCHops on its own path. Emit's Config.check
-// leaves netsim.PackWord nothing to refuse.
-func stampShapes(t *topo.Compiled, cfg Config) *[1 << (paths.MaxVLBHops + 1)]uint64 {
-	var local, global int8
-	for p := t.Radix() - 1; p >= t.P; p-- {
-		if t.KindOfPort(p) == topo.Global {
-			global = int8(p)
-		} else {
-			local = int8(p)
-		}
-	}
-	stamps := new([1 << (paths.MaxVLBHops + 1)]uint64)
-	var ports [paths.MaxVLBHops]int8
-	for shape := 1; shape < len(stamps); shape++ {
-		h := bits.Len(uint(shape)) - 1
-		for i := range ports[:h] {
-			ports[i] = local
-			if shape>>(h-1-i)&1 == 1 {
-				ports[i] = global
-			}
-		}
-		hops := routing.AppendVCHops(nil, t, cfg.NumVCs, cfg.Scheme, 1, paths.Path{Ports: ports[:h]})
-		for i := range hops {
-			hops[i].Port = 0
-		}
-		stamps[shape], _ = netsim.PackWord(hops)
-	}
-	return stamps
-}
-
-// word packs a route's ports, packed one byte a hop as
-// paths.Store.Ports packs them, under its shape's stamp: the one way
-// every word, MIN or VLB, is built.
-func (tb *Tables) word(ports uint64) uint64 {
-	w, shape := uint64(0), 1
-	for i := 0; ports != 0; i, ports = i+1, ports>>8 {
-		p := ports & 0xff
-		w |= netsim.WordPort(i, p)
-		shape <<= 1
-		if tb.T.KindOfPort(int(p)) == topo.Global {
-			shape |= 1
-		}
-	}
-	return w | tb.stamps[shape]
-}
-
 // eachVLB calls fn with the ports of each VLB candidate of row r, pair
 // (s, d), in order: the pair's stored paths merged with the row's dead
 // list, or none when the row is empty.
@@ -286,7 +233,7 @@ func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 		return nil, err
 	}
 	n := t.NumSwitches()
-	tb := &Tables{T: t, st: st, policy: st.Name(), cfg: cfg, n: n, mask: st.Mask(), stamps: stampShapes(t, cfg), rows: make([]row, n*n)}
+	tb := &Tables{T: t, st: st, policy: st.Name(), cfg: cfg, n: n, mask: st.Mask(), stamps: routing.NewStamps(t, cfg.NumVCs, cfg.Scheme, 1), rows: make([]row, n*n)}
 	total := int64(0)
 	var legs []paths.Leg
 	for pi := range tb.rows {
@@ -312,7 +259,7 @@ func Emit(st *paths.Store, cfg Config) (*Tables, error) {
 			legs = paths.MinLegs(t, tb.mask, s, d, legs[:0])
 			for i := range legs {
 				if legs[i].Alive() {
-					min[at], at = tb.word(legs[i].Ports()), at+1
+					min[at], at = tb.stamps.Word(t, legs[i].Ports()), at+1
 				}
 			}
 		}
@@ -549,7 +496,7 @@ func (tb *Tables) Lookup(r *rng.Source, mode Mode, threshold int, srcSw, dstSw i
 	// estimates (qMin = qVlb = 0) reduce the threshold rule to its sign.
 	switch {
 	case vlbOK && (mode == ModeVLB || !minOK || threshold < 0):
-		return decide(tb.word(tb.st.Ports(srcSw, dstSw, tb.vlbID(row, srcSw, dstSw, vk))), false)
+		return decide(tb.stamps.Word(tb.T, tb.st.Ports(srcSw, dstSw, tb.vlbID(row, srcSw, dstSw, vk))), false)
 	case minOK:
 		return decide(tb.chunks[row.chunk].min[mk], true)
 	}
@@ -608,7 +555,7 @@ func (tb *Tables) newFirstHop(buf []FirstHop, at *[netsim.WordPortMask + 2]int32
 	at[int(p)+1] = int32(len(buf)) + 1
 	fh := FirstHop{Port: p, Weight: int32(n), Min: min}
 	if p >= 0 {
-		_, fh.VC = netsim.WordHop(tb.word(uint64(p)), 0)
+		_, fh.VC = netsim.WordHop(tb.stamps.Word(tb.T, uint64(p)), 0)
 	}
 	return append(buf, fh)
 }

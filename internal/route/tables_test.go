@@ -152,20 +152,18 @@ func checkEquivalence(t *testing.T, tp *topo.Compiled, st *paths.Store, mask *to
 	src := make([]int32, 1)
 	dst := make([]int32, 1)
 	out := make([]route.Decision, 1)
-	var buf []netsim.RouteHop
 	refused := 0
 	for i := 0; i < trials; i++ {
 		src[0] = int32(pairs.Intn(tp.NumNodes()))
 		dst[0] = int32(pairs.Intn(tp.NumNodes()))
 		f.Src, f.Dst = src[0], dst[0]
-		f.Route = f.Route[:0]
-		u.SourceRoute(n, rDirect, f)
+		ok := u.SourceRoute(n, rDirect, f)
 		svc.LookupBatch(rServe, src, dst, out)
 		d := out[0]
 
-		if d.Refused != (len(f.Route) == 0) {
-			t.Fatalf("trial %d (%d->%d): served refused=%v, direct route len %d",
-				i, src[0], dst[0], d.Refused, len(f.Route))
+		if d.Refused == ok {
+			t.Fatalf("trial %d (%d->%d): served refused=%v, direct routed=%v",
+				i, src[0], dst[0], d.Refused, ok)
 		}
 		if d.Refused {
 			refused++
@@ -174,20 +172,11 @@ func checkEquivalence(t *testing.T, tp *topo.Compiled, st *paths.Store, mask *to
 		if d.Min != f.MinRouted {
 			t.Fatalf("trial %d (%d->%d): served min=%v, direct min=%v", i, src[0], dst[0], d.Min, f.MinRouted)
 		}
-		buf = svc.AppendRouteFor(buf[:0], d, dst[0])
-		if len(buf) != len(f.Route) {
-			t.Fatalf("trial %d (%d->%d): served %d hops, direct %d", i, src[0], dst[0], len(buf), len(f.Route))
+		if d.Word != f.Word {
+			t.Fatalf("trial %d (%d->%d): served word %#x, direct %#x", i, src[0], dst[0], d.Word, f.Word)
 		}
-		for h := range buf {
-			if buf[h] != f.Route[h] {
-				t.Fatalf("trial %d (%d->%d): hop %d served %+v, direct %+v",
-					i, src[0], dst[0], h, buf[h], f.Route[h])
-			}
-		}
-		if d.Hops > 0 {
-			if d.Port != f.Route[0].Port || d.VC != f.Route[0].VC {
-				t.Fatalf("trial %d: first-hop decision (%d,%d) != route head %+v", i, d.Port, d.VC, f.Route[0])
-			}
+		if port, vc := netsim.WordHop(f.Word, 0); d.Hops > 0 && (d.Port != port || d.VC != vc) {
+			t.Fatalf("trial %d: first-hop decision (%d,%d) != word head (%d,%d)", i, d.Port, d.VC, port, vc)
 		}
 	}
 	if mask != nil && refused == 0 {
@@ -217,28 +206,17 @@ func TestEquivalenceAcrossEpochSwap(t *testing.T) {
 		f := &netsim.Flit{}
 		src, dstN := make([]int32, 1), make([]int32, 1)
 		out := make([]route.Decision, 1)
-		var buf []netsim.RouteHop
 		for i := 0; i < 800; i++ {
 			src[0] = int32(pairs.Intn(tp.NumNodes()))
 			dstN[0] = int32(pairs.Intn(tp.NumNodes()))
 			f.Src, f.Dst = src[0], dstN[0]
-			f.Route = f.Route[:0]
-			u.SourceRoute(n, rDirect, f)
+			ok := u.SourceRoute(n, rDirect, f)
 			svc.LookupBatch(rServe, src, dstN, out)
-			if out[0].Refused != (len(f.Route) == 0) {
+			if out[0].Refused == ok {
 				t.Fatalf("trial %d: refusal mismatch", i)
 			}
-			if out[0].Refused {
-				continue
-			}
-			buf = svc.AppendRouteFor(buf[:0], out[0], dstN[0])
-			if len(buf) != len(f.Route) {
-				t.Fatalf("trial %d: %d vs %d hops", i, len(buf), len(f.Route))
-			}
-			for h := range buf {
-				if buf[h] != f.Route[h] {
-					t.Fatalf("trial %d hop %d: %+v vs %+v", i, h, buf[h], f.Route[h])
-				}
+			if !out[0].Refused && out[0].Word != f.Word {
+				t.Fatalf("trial %d: served word %#x, direct %#x", i, out[0].Word, f.Word)
 			}
 		}
 	}

@@ -10,6 +10,8 @@
 package routing
 
 import (
+	"math/bits"
+
 	"tugal/internal/netsim"
 	"tugal/internal/paths"
 	"tugal/internal/rng"
@@ -83,6 +85,11 @@ type UGAL struct {
 	// Reusable candidate-path buffers (hot path: one MIN and one VLB
 	// candidate per packet).
 	minBuf, vlbBuf paths.Path
+	// stamps words a route decided at the source, revised (PAR only) a
+	// diversion at the gateway, both for the VC budget and scheme in
+	// stampsFor (see stampsOf).
+	stamps, revised *Stamps
+	stampsFor       [2]int
 }
 
 // vlbAttempts bounds the aliveness rejection loop under a failure mask
@@ -154,6 +161,20 @@ func (u *UGAL) CloneRouting() netsim.RoutingFunc {
 	return &c
 }
 
+// stampsOf returns the stamp tables for n's VC budget and u's scheme,
+// building them when either changed since the last call. The tables
+// are never written after they are built, so clones share them.
+func (u *UGAL) stampsOf(n *netsim.Network) *Stamps {
+	if key := [2]int{n.Cfg.NumVCs, int(u.Scheme)}; u.stamps == nil || key != u.stampsFor {
+		u.stamps = NewStamps(u.T, key[0], u.Scheme, u.srcBudget())
+		if u.Mode == Progressive {
+			u.revised = stampShapes(u.T, key[0], u.Scheme, u.srcBudget(), 1)
+		}
+		u.stampsFor = key
+	}
+	return u.stamps
+}
+
 // RevisesInFlight implements netsim.InFlightReviser: only PAR
 // (Progressive) marks flits Revisable and rewrites routes at
 // head-of-buffer time; every other mode decides the full route at the
@@ -188,12 +209,13 @@ func (u *UGAL) Name() string {
 
 // appendHops extends a route with a path's hops, assigning VCs per
 // the scheme. srcBudget is the number of local classes reserved for
-// the source-group phase (1 for UGAL, 2 for PAR). localInPhase,
-// globalTaken and hopsTaken describe hops already executed (non-zero
-// only for PAR revision mid-route). VCs are clamped to the
-// configured budget; the default budgets never clamp.
+// the source-group phase (1 for UGAL, 2 for PAR). taken is the number
+// of source-group local hops already executed: 1 for PAR's revision at
+// the gateway, 0 for a route decided at the source. VCs are clamped to
+// the configured budget; the default budgets never clamp.
 func appendHops(route []netsim.RouteHop, t *topo.Compiled, numVCs int,
-	scheme VCScheme, srcBudget int, p paths.Path, localInPhase, globalTaken, hopsTaken int) []netsim.RouteHop {
+	scheme VCScheme, srcBudget int, p paths.Path, taken int) []netsim.RouteHop {
+	localInPhase, globalTaken, hopsTaken := taken, 0, taken
 	for _, pt := range p.Ports {
 		var vc int
 		switch scheme {
@@ -229,13 +251,75 @@ func appendHops(route []netsim.RouteHop, t *topo.Compiled, numVCs int,
 // channels exactly as SourceRoute does for a source-decided packet
 // (no hops taken yet) under the given scheme and VC budget. srcBudget
 // is the number of local classes reserved for the source-group phase:
-// 1 for every UGAL-family scheme, 2 for PAR. It exists for layers
-// that precompile routing decisions — the forwarding-table emitter in
-// internal/route compiles every candidate path through it, so emitted
-// tables carry bit-identical VC assignments to live routing.
+// 1 for every UGAL-family scheme, 2 for PAR. It is the hop-by-hop form
+// of the rule Stamps holds, and the oracle the stamps are tested
+// against.
 func AppendVCHops(route []netsim.RouteHop, t *topo.Compiled, numVCs int,
 	scheme VCScheme, srcBudget int, p paths.Path) []netsim.RouteHop {
-	return appendHops(route, t, numVCs, scheme, srcBudget, p, 0, 0, 0)
+	return appendHops(route, t, numVCs, scheme, srcBudget, p, 0)
+}
+
+// Stamps holds one VC rule applied to every route shape: the word of a
+// route of that shape with its ports left zero, so a route's word is
+// its ports OR-ed into its shape's stamp. Shape 1<<h | g is a route of
+// h switch hops in which hop i is global when bit h-1-i of g is set.
+// Every shipped scheme assigns a hop's VC from its index and the kinds
+// of the hops up to it alone, so a shape's stamp is every such route's.
+type Stamps [1 << (paths.MaxVLBHops + 1)]uint64
+
+// NewStamps stamps every shape under scheme at numVCs for a route
+// decided at the source; srcBudget as in AppendVCHops. No shipped
+// scheme assigns a VC above 6, so every stamp fits the word's VC field
+// at any numVCs.
+func NewStamps(t *topo.Compiled, numVCs int, scheme VCScheme, srcBudget int) *Stamps {
+	return stampShapes(t, numVCs, scheme, srcBudget, 0)
+}
+
+// stampShapes VC-assigns one route of every shape, after taken
+// source-group local hops, and keeps each packed word minus its ports.
+func stampShapes(t *topo.Compiled, numVCs int, scheme VCScheme, srcBudget, taken int) *Stamps {
+	var local, global int8
+	for p := t.Radix() - 1; p >= t.P; p-- {
+		if t.KindOfPort(p) == topo.Global {
+			global = int8(p)
+		} else {
+			local = int8(p)
+		}
+	}
+	stamps := new(Stamps)
+	var ports [paths.MaxVLBHops]int8
+	var buf [paths.MaxVLBHops]netsim.RouteHop
+	for shape := 1; shape < len(stamps); shape++ {
+		h := bits.Len(uint(shape)) - 1
+		for i := range ports[:h] {
+			ports[i] = local
+			if shape>>(h-1-i)&1 == 1 {
+				ports[i] = global
+			}
+		}
+		hops := appendHops(buf[:0], t, numVCs, scheme, srcBudget, paths.Path{Ports: ports[:h]}, taken)
+		for i := range hops {
+			hops[i].Port = 0
+		}
+		stamps[shape], _ = netsim.PackWord(hops)
+	}
+	return stamps
+}
+
+// Word builds the route word of a route's ports, packed one byte a hop
+// as paths.Packed packs them, under its shape's stamp: the one way
+// every word, simulated or served, MIN or VLB, is built.
+func (s *Stamps) Word(t *topo.Compiled, ports uint64) uint64 {
+	w, shape := uint64(0), 1
+	for i := 0; ports != 0; i, ports = i+1, ports>>8 {
+		p := ports & 0xff
+		w |= netsim.WordPort(i, p)
+		shape <<= 1
+		if t.KindOfPort(int(p)) == topo.Global {
+			shape |= 1
+		}
+	}
+	return w | s[shape]
 }
 
 // creditCost is UGAL-L's path-delay estimate: source-local downstream
@@ -286,21 +370,19 @@ func piggybackCost(n *netsim.Network, t *topo.Compiled, p paths.Path) int {
 // drawn from surviving paths only, VLB samples are rejected while dead
 // (compiled policies should already be the degraded store epoch,
 // making the check free), and a packet with no surviving candidate at
-// all is refused — its route is left empty, the sentinel the
-// simulator's injection path drops deterministically.
-func (u *UGAL) SourceRoute(n *netsim.Network, r *rng.Source, f *Flit) {
+// all is refused: SourceRoute returns false, and the simulator's
+// injection path drops it deterministically.
+func (u *UGAL) SourceRoute(n *netsim.Network, r *rng.Source, f *Flit) bool {
 	t, fail := u.T, n.Cfg.Failures
 	s := t.SwitchOfNode(int(f.Src))
 	d := t.SwitchOfNode(int(f.Dst))
-	eject := netsim.RouteHop{Port: int8(t.NodeIndex(int(f.Dst))), VC: 0}
 	if s == d {
 		if fail != nil && fail.SwitchDead(s) {
-			f.Route = f.Route[:0] // refused: dead switch
-			return
+			return false // refused: dead switch
 		}
-		f.Route = append(f.Route[:0], eject)
+		f.Word = 0
 		f.MinRouted = true
-		return
+		return true
 	}
 	minOK := paths.SampleMinAliveInto(t, fail, r, s, d, &u.minBuf)
 	useMin := minOK
@@ -336,37 +418,34 @@ func (u *UGAL) SourceRoute(n *netsim.Network, r *rng.Source, f *Flit) {
 	}
 	if (useMin && !minOK) || (!useMin && !vlbOK) {
 		// No surviving candidate in the modes allowed to serve this
-		// packet: refuse it (empty-route sentinel). The second clause
-		// covers pairs where both samplers came up empty — without it
-		// the route would be built from the stale VLB buffer.
-		f.Route = f.Route[:0]
-		return
+		// packet: refuse it. The second clause covers pairs where both
+		// samplers came up empty — without it the route would be built
+		// from the stale VLB buffer.
+		return false
 	}
 	chosen := u.minBuf
 	if !useMin {
 		chosen = u.vlbBuf
 	}
-	f.Route = appendHops(f.Route[:0], t, n.Cfg.NumVCs, u.Scheme, u.srcBudget(), chosen, 0, 0, 0)
-	f.Route = append(f.Route, eject)
+	f.Word = u.stampsOf(n).Word(t, paths.Packed(chosen.Ports))
 	f.MinRouted = useMin
 	// PAR: a MIN decision whose path enters the network through a
 	// local hop followed by a global hop may be revised at the
 	// gateway switch.
-	if u.Mode == Progressive && useMin && chosen.Hops() >= 2 &&
+	f.Revisable = u.Mode == Progressive && useMin && chosen.Hops() >= 2 &&
 		t.KindOfPort(int(chosen.Ports[0])) == topo.Local &&
-		t.KindOfPort(int(chosen.Ports[1])) == topo.Global {
-		f.Revisable = true
-	}
+		t.KindOfPort(int(chosen.Ports[1])) == topo.Global
+	return true
 }
 
 // Flit aliases the simulator's packet type for readability.
 type Flit = netsim.Flit
 
 // Revise implements netsim.RoutingFunc: PAR's in-source-group
-// re-evaluation. Called once at the gateway switch (HopIdx==1 after
-// a local first hop); other modes never set Revisable.
+// re-evaluation, called once at the gateway switch with f.Word the
+// MIN hops left from there; other modes never set Revisable.
 func (u *UGAL) Revise(n *netsim.Network, r *rng.Source, f *Flit, sw int32) {
-	if u.Mode != Progressive || f.HopIdx != 1 {
+	if u.Mode != Progressive {
 		return
 	}
 	t := u.T
@@ -374,12 +453,12 @@ func (u *UGAL) Revise(n *netsim.Network, r *rng.Source, f *Flit, sw int32) {
 	if int(sw) == d {
 		return
 	}
-	// Remaining MIN route viewed from here (exclude the ejection hop).
-	remHops := len(f.Route) - 1 - int(f.HopIdx)
-	if remHops <= 0 {
+	remHops := netsim.WordHops(f.Word)
+	if remHops == 0 {
 		return
 	}
-	qMin := n.CreditOcc(sw, int(f.Route[f.HopIdx].Port)) * remHops
+	first, _ := netsim.WordHop(f.Word, 0)
+	qMin := n.CreditOcc(sw, int(first)) * remHops
 	if !u.sampleVLB(n.Cfg.Failures, r, int(sw), d) || u.vlbBuf.Hops() == 0 {
 		return
 	}
@@ -388,14 +467,12 @@ func (u *UGAL) Revise(n *netsim.Network, r *rng.Source, f *Flit, sw int32) {
 	if qMin <= qVlb+u.Threshold {
 		return
 	}
-	// Divert: rewrite the remaining route with the VLB path from the
-	// gateway. One source-group local hop has been taken (that is
-	// what made the flit revisable), so the source-phase local index
-	// starts at 1 — the extra class PAR's 5th VC accommodates.
-	eject := f.Route[len(f.Route)-1]
-	f.Route = appendHops(f.Route[:f.HopIdx], t, n.Cfg.NumVCs, u.Scheme,
-		u.srcBudget(), vlbPath, 1, 0, int(f.HopIdx))
-	f.Route = append(f.Route, eject)
+	// Divert to the VLB path from the gateway. One source-group local
+	// hop has been taken (that is what made the flit revisable), so its
+	// stamps start the source-phase local index and the hop index at 1
+	// — the extra class PAR's 5th VC accommodates.
+	u.stampsOf(n)
+	f.Word = u.revised.Word(t, paths.Packed(vlbPath.Ports))
 	f.MinRouted = false
 }
 

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math/bits"
 	"testing"
 
 	"tugal/internal/netsim"
@@ -38,23 +39,21 @@ func rank(kind topo.PortKind, vc, sb int) int {
 	}
 }
 
-// checkRoute validates a computed route: adjacency, ejection hop,
-// VC budget, and strictly increasing rank under PhaseVC.
-func checkRoute(t *testing.T, tp *topo.Compiled, f *netsim.Flit, numVCs, sb int) {
+// hopsOf decodes a route word.
+func hopsOf(w uint64) []netsim.RouteHop {
+	hops := make([]netsim.RouteHop, netsim.WordHops(w))
+	for i := range hops {
+		hops[i].Port, hops[i].VC = netsim.WordHop(w, i)
+	}
+	return hops
+}
+
+// checkHops validates switch hops from switch sw that follow hops of
+// rank prevRank: adjacency, VC budget, strictly increasing rank under
+// PhaseVC, and arrival at switch dst.
+func checkHops(t *testing.T, tp *topo.Compiled, sw, dst int, hops []netsim.RouteHop, prevRank, numVCs, sb int) {
 	t.Helper()
-	if len(f.Route) == 0 {
-		t.Fatal("empty route")
-	}
-	last := f.Route[len(f.Route)-1]
-	if int(last.Port) >= tp.P {
-		t.Fatalf("route does not end with ejection: %v", f.Route)
-	}
-	if int(last.Port) != tp.NodeIndex(int(f.Dst)) {
-		t.Fatalf("ejection port %d not destination terminal", last.Port)
-	}
-	sw := tp.SwitchOfNode(int(f.Src))
-	prevRank := -1
-	for _, hop := range f.Route[:len(f.Route)-1] {
+	for _, hop := range hops {
 		if int(hop.VC) >= numVCs {
 			t.Fatalf("vc %d exceeds budget %d", hop.VC, numVCs)
 		}
@@ -64,14 +63,20 @@ func checkRoute(t *testing.T, tp *topo.Compiled, f *netsim.Flit, numVCs, sb int)
 		}
 		r := rank(kind, int(hop.VC), sb)
 		if r <= prevRank {
-			t.Fatalf("rank not increasing: route %v (rank %d after %d)", f.Route, r, prevRank)
+			t.Fatalf("rank not increasing: route %v (rank %d after %d)", hops, r, prevRank)
 		}
 		prevRank = r
 		sw = tp.PeerOfPort(sw, int(hop.Port))
 	}
-	if sw != tp.SwitchOfNode(int(f.Dst)) {
-		t.Fatalf("route ends at switch %d, destination switch is %d", sw, tp.SwitchOfNode(int(f.Dst)))
+	if sw != dst {
+		t.Fatalf("route %v ends at switch %d, destination switch is %d", hops, sw, dst)
 	}
+}
+
+// checkRoute validates a source-routed packet's word with checkHops.
+func checkRoute(t *testing.T, tp *topo.Compiled, f *netsim.Flit, numVCs, sb int) {
+	t.Helper()
+	checkHops(t, tp, tp.SwitchOfNode(int(f.Src)), tp.SwitchOfNode(int(f.Dst)), hopsOf(f.Word), -1, numVCs, sb)
 }
 
 func TestSourceRouteValidity(t *testing.T) {
@@ -98,7 +103,9 @@ func TestSourceRouteValidity(t *testing.T) {
 				continue
 			}
 			f := &netsim.Flit{Src: int32(src), Dst: int32(dst)}
-			tc.rf.SourceRoute(n, r, f)
+			if !tc.rf.SourceRoute(n, r, f) {
+				t.Fatalf("%s refused %d -> %d on a pristine network", tc.rf.Name(), src, dst)
+			}
 			checkRoute(t, tp, f, tc.vcs, sb)
 		}
 	}
@@ -137,9 +144,9 @@ func TestMinOnlyNeverVLB(t *testing.T) {
 		if !f.MinRouted {
 			t.Fatal("MIN routing marked non-minimal")
 		}
-		// MIN path has at most 3 switch hops plus ejection.
-		if len(f.Route) > 4 {
-			t.Fatalf("MIN route too long: %v", f.Route)
+		// MIN path has at most 3 switch hops.
+		if netsim.WordHops(f.Word) > 3 {
+			t.Fatalf("MIN route too long: %v", hopsOf(f.Word))
 		}
 	}
 }
@@ -172,9 +179,8 @@ func TestVLBOnlyUsesPolicy(t *testing.T) {
 		if f.MinRouted {
 			t.Fatal("VLB-only chose MIN")
 		}
-		// Route length = path hops + ejection <= 4+1 under the cap.
-		if len(f.Route) > 5 {
-			t.Fatalf("VLB route exceeds policy cap: %v", f.Route)
+		if netsim.WordHops(f.Word) > 4 {
+			t.Fatalf("VLB route exceeds policy cap: %v", hopsOf(f.Word))
 		}
 	}
 }
@@ -198,7 +204,7 @@ func TestPARMarksRevisable(t *testing.T) {
 			if !f.MinRouted {
 				t.Fatal("revisable flit not MIN-routed")
 			}
-			if tp.KindOfPort(int(f.Route[0].Port)) != topo.Local {
+			if p, _ := netsim.WordHop(f.Word, 0); tp.KindOfPort(int(p)) != topo.Local {
 				t.Fatal("revisable flit does not start with a local hop")
 			}
 		}
@@ -208,16 +214,144 @@ func TestPARMarksRevisable(t *testing.T) {
 	}
 }
 
+// TestPARReviseRewritesRoute diverts revisable PAR packets at their
+// gateway: with a threshold no queue difference can meet, Revise must
+// replace the MIN hops left with a VLB word from the gateway whose VCs
+// continue the taken local hop's rank, and end at the destination; and
+// a saturated run must still route packets non-minimally.
 func TestPARReviseRewritesRoute(t *testing.T) {
 	tp := topo.MustNew(4, 8, 4, 9)
 	rf := NewPAR(tp, paths.Full{T: tp})
+	n := mkNet(tp, rf, 5)
+	r := rng.New(8)
+	diverted := 0
+	for i := 0; i < 400; i++ {
+		src, dst := r.Intn(tp.NumNodes()), r.Intn(tp.NumNodes())
+		f := &netsim.Flit{Src: int32(src), Dst: int32(dst)}
+		rf.Threshold = 0
+		if !rf.SourceRoute(n, r, f) || !f.Revisable {
+			continue
+		}
+		hops := hopsOf(f.Word)
+		gw := tp.PeerOfPort(tp.SwitchOfNode(src), int(hops[0].Port))
+		f.Word, _ = netsim.PackWord(hops[1:])
+		rf.Threshold = -1 << 20
+		rf.Revise(n, r, f, int32(gw))
+		if f.MinRouted {
+			t.Fatalf("%d -> %d: not diverted under threshold %d", src, dst, rf.Threshold)
+		}
+		// The taken hop is a source-group local on VC 0: rank 0.
+		checkHops(t, tp, gw, tp.SwitchOfNode(dst), hopsOf(f.Word), 0, 5, 2)
+		diverted++
+	}
+	if diverted == 0 {
+		t.Fatal("no revisable packet among 400")
+	}
+
 	cfg := netsim.DefaultConfig()
 	cfg.NumVCs = 5
-	// Saturating adversarial load makes diversion likely.
-	n := netsim.New(tp, cfg, rf, traffic.Shift{T: tp, DG: 1, DS: 0}, 0.5)
-	res := n.Run(1500, 1000, 1500)
+	// Saturating adversarial load makes non-minimal routing likely.
+	rf.Threshold = 0
+	res := netsim.New(tp, cfg, rf, traffic.Shift{T: tp, DG: 1, DS: 0}, 0.5).Run(1500, 1000, 1500)
 	if res.VLBFraction == 0 {
-		t.Fatal("PAR never diverted under saturating adversarial load")
+		t.Fatal("PAR never routed non-minimally under saturating adversarial load")
+	}
+}
+
+// shapes returns the route shapes (see Stamps) of every MIN path —
+// one local hop, or [l] g [l] — and of every VLB path: two local hops
+// inside a group, or two MIN legs through a switch of a third group,
+// [l] g, zero to two locals, g [l].
+func shapes() (min, vlb []int) {
+	min = []int{1 << 1}
+	vlb = []int{1 << 2}
+	for pre := range 2 {
+		for post := range 2 {
+			h := pre + 1 + post
+			min = append(min, 1<<h|1<<post)
+			for mid := range 3 {
+				h := pre + 1 + mid + 1 + post
+				vlb = append(vlb, 1<<h|1<<(mid+1+post)|1<<post)
+			}
+		}
+	}
+	return min, vlb
+}
+
+// pathShape is a path's shape index.
+func pathShape(tp *topo.Compiled, p paths.Path) int {
+	shape := 1
+	for _, pt := range p.Ports {
+		shape <<= 1
+		if tp.KindOfPort(int(pt)) == topo.Global {
+			shape |= 1
+		}
+	}
+	return shape
+}
+
+// TestStampsRankRises checks, over every shape a MIN or VLB path can
+// take, the three stamp tables the simulator and the route service
+// use: UGAL's (srcBudget 1, 4 VCs), PAR's (srcBudget 2, 5 VCs) and
+// PAR's revision table, whose routes follow the one source-group local
+// hop taken on VC 0. Along each, PhaseVC's channel-class rank must
+// rise strictly and every VC stay inside the budget, so the channel
+// dependency graph of the stamped routes is acyclic. That the shapes
+// are every path's is checked by enumeration on both families.
+func TestStampsRankRises(t *testing.T) {
+	min, vlb := shapes()
+	for _, tp := range []*topo.Compiled{topo.MustNew(2, 4, 2, 5), topo.MustNewD3(8, 4, 1)} {
+		known := map[int]bool{}
+		for _, sh := range append(min, vlb...) {
+			known[sh] = true
+		}
+		for s := range tp.NumSwitches() {
+			for d := range tp.NumSwitches() {
+				if s == d {
+					continue
+				}
+				for _, p := range append(paths.EnumerateMin(tp, s, d), paths.EnumerateVLB(tp, s, d)...) {
+					if sh := pathShape(tp, p); !known[sh] {
+						t.Fatalf("%s: path %v has shape %b outside the enumerated shapes", tp.Label(), p.Ports, sh)
+					}
+				}
+			}
+		}
+		for _, tc := range []struct {
+			name           string
+			vcs, sb, taken int
+			shapes         []int
+			prevRank       int
+		}{
+			{"ugal", 4, 1, 0, append(min, vlb...), -1},
+			{"par", 5, 2, 0, append(min, vlb...), -1},
+			{"par-revised", 5, 2, 1, vlb, 0},
+		} {
+			st := stampShapes(tp, tc.vcs, PhaseVC, tc.sb, tc.taken)
+			for _, sh := range tc.shapes {
+				w := st[sh]
+				h := bits.Len(uint(sh)) - 1
+				if netsim.WordHops(w) != h {
+					t.Fatalf("%s/%s shape %b: stamp holds %d hops, want %d", tp.Label(), tc.name, sh, netsim.WordHops(w), h)
+				}
+				prev := tc.prevRank
+				for i := range h {
+					port, vc := netsim.WordHop(w, i)
+					kind := topo.Local
+					if sh>>(h-1-i)&1 == 1 {
+						kind = topo.Global
+					}
+					if port != 0 || int(vc) >= tc.vcs {
+						t.Fatalf("%s/%s shape %b hop %d: port %d, vc %d of %d", tp.Label(), tc.name, sh, i, port, vc, tc.vcs)
+					}
+					r := rank(kind, int(vc), tc.sb)
+					if r <= prev {
+						t.Fatalf("%s/%s shape %b hop %d: rank %d after %d", tp.Label(), tc.name, sh, i, r, prev)
+					}
+					prev = r
+				}
+			}
+		}
 	}
 }
 
@@ -303,7 +437,7 @@ func TestHopCountScheme(t *testing.T) {
 		}
 		f := &netsim.Flit{Src: int32(src), Dst: int32(dst)}
 		rf.SourceRoute(n, r, f)
-		for h, hop := range f.Route[:len(f.Route)-1] {
+		for h, hop := range hopsOf(f.Word) {
 			if int(hop.VC) != h {
 				t.Fatalf("hop %d has vc %d under HopCountVC", h, hop.VC)
 			}

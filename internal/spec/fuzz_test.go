@@ -157,7 +157,7 @@ func FuzzLoadSuite(f *testing.F) {
 			}
 			for _, en := range r.Entries {
 				c := en.Config
-				if c.NumVCs < 1 || c.NumVCs > 16 || c.BufSize < 1 || c.BufSize > 128 || c.SpeedUp < 1 || c.PacketSize < 0 || c.PacketSize > c.BufSize ||
+				if c.NumVCs < 1 || c.NumVCs > 16 || c.BufSize < 1 || c.BufSize > 128 || c.SpeedUp < 1 ||
 					c.LocalLatency < 0 || c.LocalLatency > netsim.MaxLatency || c.GlobalLatency < 0 || c.GlobalLatency > netsim.MaxLatency || c.Shards < 0 {
 					t.Fatalf("%q: %s resolved to a config netsim refuses: %+v", e.Name, en.Routing.Name(), c)
 				}

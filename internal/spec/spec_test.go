@@ -196,7 +196,9 @@ func TestSuiteValidation(t *testing.T) {
 		{`{"experiments":[{` + ok + `,"globalLatency":-1}]}`, `"globalLatency"`},
 		{`{"experiments":[{` + ok + `,"vcs":40}]}`, `"vcs"`},
 		{`{"experiments":[{` + ok + `,"vcs":-1}]}`, `"vcs"`},
-		{`{"experiments":[{` + ok + `,"packetSize":9,"buffer":8}]}`, `"packetSize"`},
+		// Packets are single flits: the removed packet-size knob is an
+		// unknown field, refused by name even at its old default.
+		{`{"experiments":[{` + ok + `,"packetSize":1}]}`, `"packetSize"`},
 		{`{"experiments":[{` + ok + `,"buffer":129}]}`, `"buffer"`},
 		{`{"experiments":[{` + ok + `,"speedup":-2}]}`, `"speedup"`},
 		{`{"experiments":[{` + ok + `,"warmup":-5}]}`, `"warmup"`},
@@ -210,7 +212,7 @@ func TestSuiteValidation(t *testing.T) {
 			t.Errorf("%s: error %v, want one naming %s", c.js, err, c.field)
 		}
 	}
-	if _, err := LoadSuite(strings.NewReader(`{"experiments":[{` + ok + `,"localLatency":32767,"vcs":16,"buffer":128,"packetSize":128}]}`)); err != nil {
+	if _, err := LoadSuite(strings.NewReader(`{"experiments":[{` + ok + `,"localLatency":32767,"vcs":16,"buffer":128}]}`)); err != nil {
 		t.Errorf("refused a suite at the bounds: %v", err)
 	}
 }
@@ -237,12 +239,12 @@ func TestResolveConfig(t *testing.T) {
 			t.Errorf("%s: config %+v, want Table 3 with %d VCs", names[i], en.Config, budget)
 		}
 	}
-	e.VCs, e.Buffer, e.LocalLatency, e.GlobalLatency, e.Speedup, e.PacketSize, e.Shards, e.Seed = 6, 8, 40, 60, 1, 2, 3, 9
+	e.VCs, e.Buffer, e.LocalLatency, e.GlobalLatency, e.Speedup, e.Shards, e.Seed = 6, 8, 40, 60, 1, 3, 9
 	e.Warmup, e.Measure, e.Drain, e.Seeds = 100, 200, 300, 4
 	if r, err = e.Resolve(nil); err != nil {
 		t.Fatal(err)
 	}
-	want := netsim.Config{NumVCs: 6, BufSize: 8, LocalLatency: 40, GlobalLatency: 60, SpeedUp: 1, LatencyCap: netsim.DefaultConfig().LatencyCap, Seed: 9, PacketSize: 2, Shards: 3}
+	want := netsim.Config{NumVCs: 6, BufSize: 8, LocalLatency: 40, GlobalLatency: 60, SpeedUp: 1, LatencyCap: netsim.DefaultConfig().LatencyCap, Seed: 9, Shards: 3}
 	for i, en := range r.Entries {
 		if en.Config != want {
 			t.Errorf("%s: config %+v, want %+v", names[i], en.Config, want)

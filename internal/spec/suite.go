@@ -31,7 +31,7 @@ import (
 //	    "warmup": 30000, "measure": 10000, "drain": 20000,
 //	    "vcs": 0, "buffer": 32,
 //	    "localLatency": 10, "globalLatency": 15,
-//	    "speedup": 2, "packetSize": 1, "shards": 0
+//	    "speedup": 2, "shards": 0
 //	  }]
 //	}
 type Suite struct {
@@ -62,7 +62,6 @@ type Experiment struct {
 	LocalLatency  int       `json:"localLatency"`
 	GlobalLatency int       `json:"globalLatency"`
 	Speedup       int       `json:"speedup"`
-	PacketSize    int       `json:"packetSize"`
 	// Shards is the simulator's intra-run shard count (0/1 = one
 	// shard; see netsim.Config.Shards). Results are bit-identical for
 	// any value; schemes that revise routes in flight (PAR) resolve
@@ -104,7 +103,7 @@ func (e *FieldError) Unwrap() error { return e.Err }
 // configField names the Experiment field behind each netsim.Config
 // field (and the rate) that netsim.Config.Check can refuse.
 var configField = map[string]string{
-	"rate": "rates", "NumVCs": "vcs", "BufSize": "buffer", "SpeedUp": "speedup", "PacketSize": "packetSize",
+	"rate": "rates", "NumVCs": "vcs", "BufSize": "buffer", "SpeedUp": "speedup",
 	"LocalLatency": "localLatency", "GlobalLatency": "globalLatency", "topology": "topology",
 }
 
@@ -182,7 +181,7 @@ func (e *Experiment) Resolve(pool *exec.Pool) (*Resolved, error) {
 	lay(&base.LocalLatency, e.LocalLatency)
 	lay(&base.GlobalLatency, e.GlobalLatency)
 	lay(&base.SpeedUp, e.Speedup)
-	base.PacketSize, base.Shards = e.PacketSize, e.Shards
+	base.Shards = e.Shards
 	res := &Resolved{Name: e.Name, Rates: e.Rates, Windows: sweep.PaperWindows(), Seeds: max(e.Seeds, 1)}
 	lay(&res.Windows.Warmup, e.Warmup)
 	lay(&res.Windows.Measure, e.Measure)
