@@ -10,7 +10,7 @@
 //	dflysim -routing ugal-l -pattern shift:2:0 -rate 0.2
 //	dflysim -routing t-par -policy strategic:2 -pattern perm -rate 0.4
 //	dflysim -topo 'dfly(4,8,4,17)' -routing ugal-l -pattern mixed:25 -rate 0.25 -sweep
-//	dflysim -topo 'd3(12,4,2)' -routing ugal-pb -pattern ring@group-rr -rate 0.3
+//	dflysim -topo 'd3(12,4,2)' -routing ugal-pb -pattern gperm -rate 0.2
 package main
 
 import (

@@ -37,9 +37,9 @@ const exampleSuite = `{
       "warmup": 10000, "measure": 5000, "drain": 10000
     },
     {
-      "name": "placed-ring-g9",
+      "name": "tmixed-g9",
       "topology": "dfly(4,8,4,9)",
-      "pattern": "ring@group-rr",
+      "pattern": "tmixed:50",
       "routing": ["ugal-l", "t-ugal-l"],
       "policy": "strategic:2",
       "rates": [0.1, 0.2, 0.3, 0.4]

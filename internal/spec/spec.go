@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"tugal/internal/paths"
-	"tugal/internal/placement"
 	"tugal/internal/rng"
 	"tugal/internal/routing"
 	"tugal/internal/topo"
@@ -156,13 +155,7 @@ func Policy(t *topo.Compiled, s string, seed uint64) (paths.Policy, error) {
 //	perm
 //	gperm
 //	mixed[:urPct] | tmixed[:urPct]
-//	tornado | transpose | bitcomp | bitrev | alltoall | stencil3d
-//	hotspot[:n[:pct]]
-//	ring@<placement> | halfshift@<placement> | pairs@<placement>
 func Pattern(t *topo.Compiled, s string, seed uint64) (traffic.Pattern, error) {
-	if base, strat, ok := strings.Cut(s, "@"); ok {
-		return placedPattern(t, base, strat, seed)
-	}
 	parts := strings.Split(s, ":")
 	atoi := func(i, def int) (int, error) {
 		if len(parts) <= i {
@@ -201,64 +194,9 @@ func Pattern(t *topo.Compiled, s string, seed uint64) (traffic.Pattern, error) {
 			return nil, fmt.Errorf("spec: %v", err)
 		}
 		return traffic.NewTimeMixed(t, ur, traffic.Shift{T: t, DG: 1, DS: 0}), nil
-	case "tornado":
-		return traffic.Tornado{T: t}, nil
-	case "transpose":
-		return traffic.NewTranspose(t), nil
-	case "bitcomp":
-		return traffic.BitComplement{T: t}, nil
-	case "bitrev":
-		return traffic.NewBitReverse(t), nil
-	case "alltoall":
-		return traffic.NewAllToAll(t), nil
-	case "stencil3d":
-		return traffic.NewStencil3D(t), nil
-	case "hotspot":
-		n, err := atoi(1, 4)
-		if err != nil {
-			return nil, fmt.Errorf("spec: %v", err)
-		}
-		pct, err := atoi(2, 50)
-		if err != nil {
-			return nil, fmt.Errorf("spec: %v", err)
-		}
-		return traffic.NewHotspot(t, n, pct, seed), nil
 	default:
 		return nil, fmt.Errorf("spec: unknown pattern %q", s)
 	}
-}
-
-// placedPattern handles "ring@group-rr"-style specs.
-func placedPattern(t *topo.Compiled, base, strat string, seed uint64) (traffic.Pattern, error) {
-	var rp placement.RankPattern
-	switch base {
-	case "ring":
-		rp = placement.RingExchange{}
-	case "halfshift":
-		rp = placement.HalfShift{}
-	case "pairs":
-		rp = placement.PairExchange{}
-	default:
-		return nil, fmt.Errorf("spec: unknown rank pattern %q", base)
-	}
-	var st placement.Strategy
-	switch strat {
-	case "linear":
-		st = placement.Linear
-	case "random":
-		st = placement.Random
-	case "group-rr":
-		st = placement.GroupRoundRobin
-	case "switch-rr":
-		st = placement.SwitchRoundRobin
-	default:
-		return nil, fmt.Errorf("spec: unknown placement %q", strat)
-	}
-	place, err := placement.Map(t, t.NumNodes(), st, seed)
-	if err != nil {
-		return nil, err
-	}
-	return placement.NewPlaced(t, rp, place, st.String()), nil
 }
 
 // Failures parses a failure-mask spec: a comma-separated list of

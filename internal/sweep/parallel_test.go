@@ -18,9 +18,9 @@ import (
 // The determinism contract of the execution engine: RunPointOn and
 // LatencyCurve produce bit-identical Points on a one-worker pool
 // (strictly sequential, the pre-engine reference behavior) and on a
-// heavily parallel pool, across every routing scheme and across
-// stateful traffic patterns. Seeds derive from cfg.Seed exactly as
-// before; results are written by index.
+// heavily parallel pool, across every routing scheme, for a pattern
+// every run shares and one drawn per seed. Seeds derive from cfg.Seed
+// exactly as before; results are written by index.
 
 func detSchemes(t *topo.Compiled) map[string]func() netsim.RoutingFunc {
 	full := paths.Full{T: t}
@@ -53,12 +53,9 @@ func detSchemes(t *topo.Compiled) map[string]func() netsim.RoutingFunc {
 
 func detPatterns(t *topo.Compiled) map[string]PatternFactory {
 	return map[string]PatternFactory{
-		// TMIXED draws a fresh UR-vs-ADV decision per packet — the
-		// adversarial stateful-ish pattern the issue singles out.
+		// TMIXED draws a fresh UR-vs-ADV decision per packet from the
+		// run's own stream; one instance serves every run.
 		"tmixed": Fixed(traffic.NewTimeMixed(t, 50, traffic.Shift{T: t, DG: 1, DS: 0})),
-		// alltoall keeps per-source cursors: the genuinely stateful
-		// pattern, exercised through Fixed's per-run cloning.
-		"alltoall": Fixed(traffic.NewAllToAll(t)),
 		// per-seed frozen structure.
 		"perm": func(seed uint64) traffic.Pattern { return traffic.NewPermutation(t, seed) },
 	}
@@ -206,22 +203,5 @@ func TestSaturationResolutionNotFinite(t *testing.T) {
 		if got := SaturationOn(pool, tp, cfg, rf, pf, w, 1, res); got != want {
 			t.Errorf("resolution %v: saturation %v, want %v (the default resolution's)", res, got, want)
 		}
-	}
-}
-
-// TestFixedClonesStatefulPatterns: Fixed must hand each run its own
-// clone of a Cloner pattern, and the same instance of a stateless one.
-func TestFixedClonesStatefulPatterns(t *testing.T) {
-	tp := topo.MustNew(2, 4, 2, 9)
-	stateful := traffic.NewAllToAll(tp)
-	pf := Fixed(stateful)
-	a, b := pf(1), pf(2)
-	if a == traffic.Pattern(stateful) || b == traffic.Pattern(stateful) || a == b {
-		t.Fatal("Fixed handed out a shared stateful pattern instance")
-	}
-	stateless := traffic.Uniform{T: tp}
-	pf = Fixed(stateless)
-	if pf(1) != traffic.Pattern(stateless) {
-		t.Fatal("Fixed needlessly wrapped a stateless pattern")
 	}
 }

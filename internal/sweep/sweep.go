@@ -58,14 +58,10 @@ func QuickWindows() Windows {
 // it must return an instance not mutated by any other run.
 type PatternFactory func(seed uint64) traffic.Pattern
 
-// Fixed adapts a seed-independent pattern. Stateless patterns are
-// shared across runs; patterns carrying per-run cursor state
-// (traffic.Cloner) are cloned per run so concurrently executing
-// simulations never share mutable state.
+// Fixed adapts a seed-independent pattern. Every run shares p: a
+// pattern's Dest reads only its receiver and draws from the run's own
+// rng.Source, so concurrently executing simulations may share it.
 func Fixed(p traffic.Pattern) PatternFactory {
-	if c, ok := p.(traffic.Cloner); ok {
-		return func(uint64) traffic.Pattern { return c.ClonePattern() }
-	}
 	return func(uint64) traffic.Pattern { return p }
 }
 

@@ -6,7 +6,7 @@ import "fmt"
 // the object every downstream layer (paths, flow, routing, traffic,
 // netsim, core) reads. It is built once per instance by Compile from
 // a family's Network implementation, in the same style as
-// paths.Store: id decompositions, peer/kind/latency tables and the
+// paths.Store: id decompositions, peer port tables and the
 // inter-group link lists are flat int32/int16/int8 arrays, so the
 // simulator's inner loop never makes a virtual call or a hardware
 // divide per flit. Compiled is immutable after construction and safe
@@ -36,9 +36,6 @@ type Compiled struct {
 	// points); terminal ports are not represented.
 	peerSw   []int32
 	peerPort []int16
-
-	// kind[pt] classifies port number pt, indexed by raw port number.
-	kind []PortKind
 
 	// Strength-reduction tables for the id decompositions: p and a
 	// are runtime values, so sw/a-style divisions cost a hardware
@@ -85,7 +82,7 @@ func (s Schema) overLimit() string {
 }
 
 // Compile builds the flat arena for a family instance: decomposition
-// tables, the peer/kind/latency port tables, and the per-group-pair
+// tables, the peer port tables, and the per-group-pair
 // link lists (bucketed in ascending (switch, port) order, which on
 // the Dragonfly reproduces the paper's parallel-link order exactly).
 // It fails, before allocating anything, if the schema is outside the
@@ -113,11 +110,6 @@ func Compile(n Network) (*Compiled, error) {
 		c.nodeIdx[nd] = int16(nd % s.P)
 		c.nodeGroup[nd] = int32(nd / (s.A * s.P))
 	}
-	c.kind = make([]PortKind, s.Radix())
-	for pt := 0; pt < s.Radix(); pt++ {
-		c.kind[pt] = s.KindOfPort(pt)
-	}
-
 	// Peer tables: locals by in-group arithmetic, globals from the
 	// family wiring. Unwired slots stay -1.
 	nonTerm := s.A - 1 + s.H
@@ -280,11 +272,6 @@ func (c *Compiled) LocalPortOK(u, v int) (port int, ok bool) {
 		return 0, false
 	}
 	return c.LocalPortAt(su, sv), true
-}
-
-// KindOfPort classifies port number pt of any switch.
-func (c *Compiled) KindOfPort(pt int) PortKind {
-	return c.Schema.KindOfPort(pt)
 }
 
 // PeerOfPort resolves the switch at the far end of a local or global

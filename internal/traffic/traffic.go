@@ -14,29 +14,14 @@ import (
 )
 
 // Pattern generates a destination node for each packet a source node
-// injects. ok=false means the source does not send under the pattern
-// (used by patterns covering a node subset).
+// injects. ok=false means the source does not send (a fixed
+// destination that is the source itself). Dest only reads the
+// receiver and draws per-packet randomness from the simulation's own
+// rng.Source, so concurrently running simulations may share a pattern.
 type Pattern interface {
 	Name() string
 	// Dest returns the destination node for the next packet of src.
 	Dest(r *rng.Source, src int) (dst int, ok bool)
-}
-
-// Cloner is implemented by patterns that keep per-run mutable state
-// (per-source schedules): AllToAll. ClonePattern returns an
-// independent instance with fresh cursor state, so concurrently
-// running simulations never share it. sweep.Fixed clones such
-// patterns once per simulation run; patterns
-// NOT implementing Cloner declare themselves stateless — their Dest
-// must only read the receiver (every other pattern in this package:
-// Uniform, Shift, Permutation, Mixed, TimeMixed, GroupPermutation,
-// the extra benchmark patterns, Hotspot — all draw per-packet
-// randomness from the simulation's own rng.Source argument).
-type Cloner interface {
-	Pattern
-	// ClonePattern returns an independent equivalent pattern whose
-	// mutable cursors start fresh.
-	ClonePattern() Pattern
 }
 
 // Deterministic is implemented by patterns in which every source has

@@ -68,16 +68,14 @@ run_refused() {
 run tvlb tvlb
 run tvlb-fail tvlb -fail global:0:0
 
-# dflysim: every routing scheme, every pattern of spec.Pattern's grammar
-# (placements included), failures, shards with channel statistics, a
-# sweep over two seeds, and the d3 family.
+# dflysim: every routing scheme, every pattern of spec.Pattern's grammar,
+# failures, shards with channel statistics, a sweep over two seeds, and
+# the d3 family; a benchmark pattern the grammar no longer has is refused.
 short="-warmup 500 -measure 500 -drain 2000"
 for r in min vlb ugal-l ugal-g ugal-pb par t-ugal-l t-ugal-g t-ugal-pb t-par; do
 	run "dflysim-$r" dflysim -routing "$r" $short
 done
-for p in ur uniform shift shift:1:2 adv:2 perm gperm mixed mixed:30 tmixed:30 \
-	tornado transpose bitcomp bitrev alltoall stencil3d hotspot hotspot:2:40 \
-	ring@linear halfshift@random pairs@group-rr ring@switch-rr; do
+for p in ur uniform shift shift:1:2 adv:2 perm gperm mixed mixed:30 tmixed:30; do
 	run "dflysim-$p" dflysim -pattern "$p" $short
 done
 run dflysim-fail dflysim -fail global:4:3,local:0:1,switch:68 -chanstats $short
@@ -85,6 +83,7 @@ run dflysim-shards dflysim -shards 2 -chanstats $short
 run dflysim-sweep dflysim -sweep -seeds 2 -points 3 $short
 run dflysim-d3 dflysim -topo 'd3(12,4)' $short
 run_refused dflysim-usage 2 dflysim -measure 0
+run_refused dflysim-pattern-removed 2 dflysim -pattern tornado
 
 # experiment: the example suite, then the suite run on it.
 run experiment-example experiment -example
