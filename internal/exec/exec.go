@@ -229,11 +229,19 @@ func (p *Pool) Run(label string, n int, task Task) {
 // of loop iterations. A row that writes only what it owns produces the
 // same result at any worker bound.
 func (p *Pool) RunRows(label string, n int, row func(i int)) {
-	chunks := min(p.workers, n)
-	p.Run(label, chunks, func(c int) int64 {
-		for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
+	p.RunRanges(label, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			row(i)
 		}
+	})
+}
+
+// RunRanges is RunRows handing each task its range of rows [lo, hi)
+// whole, so that a task can keep scratch across its rows.
+func (p *Pool) RunRanges(label string, n int, rows func(lo, hi int)) {
+	chunks := min(p.workers, n)
+	p.Run(label, chunks, func(c int) int64 {
+		rows(c*n/chunks, (c+1)*n/chunks)
 		return 0
 	})
 }

@@ -35,19 +35,15 @@ func degradedStore(st *Store, mask *topo.FailureMask) *Store {
 		panic(fmt.Sprintf("paths: %s was compiled under %v, and %v does not include it", st.Name(), st.mask, mask))
 	}
 	start := time.Now()
-	w := NewMaskWalk(st.T, mask)
+	kills := NewDelta(st.T, mask.DeadChannels())
 	drop := NewIDSet(st.NumPaths())
 	exec.Default().RunRows("paths/degrade", st.n, func(s int) {
 		marks := rowBits{set: drop, word: -1}
-		var dead []bool
+		var ids []PathID
 		for d := 0; d < st.n; d++ {
-			first, count := st.PairRange(s, d)
-			dead = resize(dead, count)
-			w.MarkDead(st, s, d, dead)
-			for k, x := range dead {
-				if x {
-					marks.add(first + PathID(k))
-				}
+			ids = kills.AppendIDs(st, s, d, ids[:0])
+			for _, id := range ids {
+				marks.add(id)
 			}
 		}
 		marks.flush()

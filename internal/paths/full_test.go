@@ -110,27 +110,27 @@ func deltaDense(tp *topo.Compiled, delta []topo.Channel) []bool {
 	return dense
 }
 
-// checkMarks holds MaskWalk.MarkDead and MarkDelta on the pairs of
-// source s of st to crossesScan: w walks mask, whose last failure was
-// delta.
-func checkMarks(st *Store, s int, w *MaskWalk, mask *topo.FailureMask, delta []bool) error {
-	for d := 0; d < st.n; d++ {
-		first, count := st.PairRange(s, d)
-		dead := make([]bool, count)
-		n, crossed := w.MarkDelta(st, s, d, dead)
-		wantN, wantCrossed := 0, false
-		for k, x := range dead {
-			want := crossesScan(st, s, d, first+PathID(k), mask.DeadDense())
-			if want {
-				wantN++
+// checkMarks holds the Delta enumeration on the pairs of source s of st
+// to crossesScan, over the channels of delta and over every channel
+// mask kills (the store filter's use): mask's last failure was delta.
+func checkMarks(st *Store, s int, mask *topo.FailureMask, delta []topo.Channel) error {
+	tp := st.T
+	for _, c := range []struct {
+		name  string
+		kills *Delta
+		dense []bool
+	}{{"delta", NewDelta(tp, delta), deltaDense(tp, delta)}, {"mask", NewDelta(tp, mask.DeadChannels()), mask.DeadDense()}} {
+		for d := 0; d < st.n; d++ {
+			first, count := st.PairRange(s, d)
+			var want []PathID
+			for k := range count {
+				if crossesScan(st, s, d, first+PathID(k), c.dense) {
+					want = append(want, first+PathID(k))
+				}
 			}
-			wantCrossed = wantCrossed || crossesScan(st, s, d, first+PathID(k), delta)
-			if x != want {
-				return fmt.Errorf("mask %v pair (%d,%d) path %d: MarkDelta %v, scan %v", mask, s, d, k, x, want)
+			if got := c.kills.AppendIDs(st, s, d, nil); !slices.Equal(got, want) {
+				return fmt.Errorf("%s of mask %v pair (%d,%d): Delta lists %v, scan %v", c.name, mask, s, d, got, want)
 			}
-		}
-		if n != wantN || crossed != wantCrossed || w.MarkDead(st, s, d, dead) != wantN {
-			return fmt.Errorf("mask %v pair (%d,%d): MarkDelta (%d, %v), scan (%d, %v)", mask, s, d, n, crossed, wantN, wantCrossed)
 		}
 	}
 	return nil
@@ -182,7 +182,8 @@ func legWalkRecord(lw *LegWalk, s, d int) (rows [][]uint64) {
 // and two Explicits; Without with the oracle less its removals;
 // Enumerate and the LegWalk over the store, and over an Explicit on it,
 // with those over the interpreted set; and, under random masks with a
-// delta, MarkDead and MarkDelta with crossesScan and the store degraded
+// delta, the Delta enumeration over the delta and over the mask with
+// crossesScan, and the store degraded
 // under the mask with the oracle's live paths.
 func TestFullStoreIsArithmetic(t *testing.T) {
 	topos := []*topo.Compiled{
@@ -286,7 +287,6 @@ func TestFullStoreIsArithmetic(t *testing.T) {
 			for seed := 1; seed <= 4; seed++ {
 				mask := randomMask(tp, r, seed)
 				delta := randomDelta(tp, r, mask)
-				w := NewDeltaWalk(tp, mask, delta)
 				got.Label = "labelled"
 				dg := CompileDegraded(tp, got, mask)
 				got.Label = ""
@@ -294,7 +294,7 @@ func TestFullStoreIsArithmetic(t *testing.T) {
 					t.Fatalf("mask %v: the store degraded under it is %q, mask %v", mask, dg.Name(), dg.Mask())
 				}
 				for s := 0; s < n; s++ {
-					if err := checkMarks(got, s, w, mask, deltaDense(tp, delta)); err != nil {
+					if err := checkMarks(got, s, mask, delta); err != nil {
 						t.Fatal(err)
 					}
 					if _, err := checkRow(dg, s, oracle[s], func(d, o int) bool { return Alive(mask, oracle[s][d][o]) }); err != nil {
@@ -315,8 +315,8 @@ func TestFullStoreIsArithmetic(t *testing.T) {
 // machine (a strategic set and the Explicit under one mask there). For
 // each store, on a random source row, checkRow holds the count, offsets, ports
 // and materialized paths to the oracle's live paths the policy's
-// Contains admits, MarkDead and MarkDelta under a further mask and
-// delta agree with crossesScan, and the LegWalk over the store hands out
+// Contains admits, the Delta enumeration over a further mask and
+// its last failure agrees with crossesScan, and the LegWalk over the store hands out
 // what the one over the interpreted policy does; and the policy cut out
 // of the full store under the same mask, Without(DropMask(pol)), has
 // the compile's offsets.
@@ -355,7 +355,6 @@ func TestStoreOffsetsMatchWalk(t *testing.T) {
 					}
 					walk := randomMask(tp, r, 2)
 					delta := randomDelta(tp, r, walk)
-					w := NewDeltaWalk(tp, walk, delta)
 					lw, lwPol := NewLegWalk(tp, st, nil, 1<<5), NewLegWalk(tp, pol, mask, 1<<5)
 					s := r.Intn(n)
 					if oracle[s] == nil {
@@ -367,7 +366,7 @@ func TestStoreOffsetsMatchWalk(t *testing.T) {
 					}); err != nil {
 						t.Fatalf("%s under %v: %v", pol.Name(), mask, err)
 					}
-					if err := checkMarks(st, s, w, walk, deltaDense(tp, delta)); err != nil {
+					if err := checkMarks(st, s, walk, delta); err != nil {
 						t.Fatalf("%s under %v: %v", pol.Name(), mask, err)
 					}
 					for d := 0; d < n; d++ {

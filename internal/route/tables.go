@@ -294,18 +294,21 @@ type DeltaStats struct {
 // paths.LegEnds says which rows the delta can touch: the pairs whose
 // source a MIN leg it kills can start at or whose destination such a
 // leg can end at are walked, ascending, and of those only the pairs
-// with both ends marked can lose a MIN candidate. Each walked row is
-// mark -> size -> fill on the default pool: one paths.MaskWalk walk of
-// its pair's whole base range gives the verdicts under mask (an ID dead
-// in an earlier epoch dies again) and whether a path crosses the delta,
-// which makes the row VLB-dirty; a row with both ends marked also has
-// its MIN words marked. A row is dirty when it is VLB-dirty or lost a
-// MIN word. A row that lost nothing keeps its place, an emptied one
+// with both ends marked can lose a MIN candidate. A walked row costs
+// the paths the delta kills, not its pair's stored paths: paths.Delta
+// lists the pair's stored paths that cross the delta, dead already or
+// not, and a row with any is VLB-dirty. Its dead IDs are that list
+// merged into the row's dead list from earlier epochs (an emptied row's
+// is its whole range), and a row with both ends marked also has its MIN
+// words walked under mask. A row is dirty when it is VLB-dirty or lost
+// a MIN word. A row that lost nothing keeps its place, an emptied one
 // becomes an empty base row, and the rest get their MIN survivors and
-// dead IDs, in row order, in one patch of exactly their size. The
-// receiver is never mutated and shares no writable memory with the
-// result, so earlier epochs keep serving their own rows and the result
-// is the same at any worker count.
+// merged dead IDs, in row order, in one patch of exactly their size:
+// one pass over the walked rows on the default pool finds each row's
+// counts and merged list, and the patch is laid out and filled from
+// them in row order. The receiver is never mutated and shares no
+// writable memory with the result, so earlier epochs keep serving their
+// own rows and the result is the same at any worker count.
 func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (*Tables, DeltaStats) {
 	start := time.Now()
 	n := tb.n
@@ -318,37 +321,43 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (
 	}
 	rowList := time.Since(start)
 
-	w := paths.NewDeltaWalk(tb.T, mask, newlyDead)
-	pool := exec.Default()
+	kills, w := paths.NewDelta(tb.T, newlyDead), paths.NewMaskWalk(tb.T, mask)
 	out := &Tables{
 		T: tb.T, st: tb.st, policy: tb.policy, cfg: tb.cfg, stamps: tb.stamps,
 		epoch: tb.epoch + 1, n: n, mask: mask,
 		rows: slices.Clone(tb.rows),
 	}
-	// dead[at[k]:at[k+1]] holds the verdicts on walked row k's MIN words,
-	// then on its pair's base range; vlbDirty[k] whether the range
-	// crosses the delta.
-	at := make([]int, len(walk)+1)
-	for k, pi := range walk {
-		_, count := tb.st.PairRange(int(pi)/n, int(pi)%n)
-		at[k+1] = at[k] + int(tb.rows[pi].minN) + count
-	}
-	dead := make([]bool, at[len(walk)])
+	// minAlive reports whether MIN word wd of pair (s, d) survives: only
+	// a row with both ends marked can lose one.
+	minAlive := func(s, d int, wd uint64) bool { return !srcs[s] || !dsts[d] || w.Alive(s, wordPorts(wd)) }
+	// Walked row k is VLB-dirty when vlbDirty[k], and its dead IDs are
+	// dead[k] when the delta added to them.
 	vlbDirty := make([]bool, len(walk))
-	pool.RunRows("route/delta-count", len(walk), func(k int) {
-		pi := int(walk[k])
-		s, d, was, r := pi/n, pi%n, &tb.rows[pi], &out.rows[pi]
-		marks := dead[at[k]:at[k+1]]
-		deadN, crossed := w.MarkDelta(tb.st, s, d, marks[was.minN:])
-		vlbDirty[k] = crossed
-		r.vlbN = int32(len(marks) - int(was.minN) - deadN)
-		if !srcs[s] || !dsts[d] {
-			return
-		}
-		r.minN = 0
-		for i, wd := range tb.minWords(was) {
-			if marks[i] = !w.Alive(s, wordPorts(wd)); !marks[i] {
-				r.minN++
+	dead := make([][]paths.PathID, len(walk))
+	exec.Default().RunRanges("route/delta", len(walk), func(lo, hi int) {
+		var ids, buf []paths.PathID
+		for k := lo; k < hi; k++ {
+			pi := int(walk[k])
+			s, d, was, r := pi/n, pi%n, &tb.rows[pi], &out.rows[pi]
+			ids = kills.AppendIDs(tb.st, s, d, ids[:0])
+			vlbDirty[k] = len(ids) > 0
+			if len(ids) > 0 && was.vlbN > 0 {
+				_, count, old := tb.vlbSpan(was, s, d)
+				need := len(old) + len(ids)
+				if cap(buf)-len(buf) < need {
+					// The rows before keep the old array: nothing is copied.
+					buf = make([]paths.PathID, 0, max(2*cap(buf), need, 1<<10))
+				}
+				at := len(buf)
+				buf = buf[:at+merge(buf[at:at+need], old, ids)]
+				dead[k] = buf[at:len(buf):len(buf)]
+				r.vlbN = int32(count - len(dead[k]))
+			}
+			r.minN = 0
+			for _, wd := range tb.minWords(was) {
+				if minAlive(s, d, wd) {
+					r.minN++
+				}
 			}
 		}
 	})
@@ -369,36 +378,54 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (
 		case r.minN+r.vlbN == 0:
 			*r = row{}
 		default:
+			_, count := tb.st.PairRange(int(pi)/n, int(pi)%n)
 			r.chunk, r.minAt, r.vlbAt = patch, minN, deadN
 			minN += r.minN
-			deadN += int32(at[k+1]-at[k]) - was.minN - r.vlbN
+			deadN += int32(count) - r.vlbN
 		}
 	}
 	ch := chunk{min: make([]uint64, minN), dead: make([]paths.PathID, deadN)}
-	out.chunks = append(slices.Clip(tb.chunks), ch)
-	out.patchBytes = tb.patchBytes + 8*int64(minN) + 4*int64(deadN)
-	pool.RunRows("route/delta-fill", len(walk), func(k int) {
-		pi := int(walk[k])
-		r, was := &out.rows[pi], &tb.rows[pi]
+	for k, pi := range walk {
+		s, d, r, was := int(pi)/n, int(pi)%n, &out.rows[pi], &tb.rows[pi]
 		if r.chunk != patch {
-			return
+			continue
 		}
-		marks, min, ids := dead[at[k]:at[k+1]], ch.min[r.minAt:], ch.dead[r.vlbAt:]
-		for i, wd := range tb.minWords(was) {
-			if !marks[i] {
+		min := ch.min[r.minAt:]
+		for _, wd := range tb.minWords(was) {
+			if minAlive(s, d, wd) {
 				min[0], min = wd, min[1:]
 			}
 		}
-		first, _ := tb.st.PairRange(pi/n, pi%n)
-		for i, x := range marks[was.minN:] {
-			if x {
-				ids[0], ids = first+paths.PathID(i), ids[1:]
-			}
+		if dead[k] == nil {
+			_, _, dead[k] = tb.vlbSpan(was, s, d)
 		}
-	})
+		copy(ch.dead[r.vlbAt:], dead[k])
+	}
+	out.chunks = append(slices.Clip(tb.chunks), ch)
+	out.patchBytes = tb.patchBytes + 8*int64(minN) + 4*int64(deadN)
 	out.buildTime = time.Since(start)
 	stats.PatchEntries, stats.BuildTime = int(minN+deadN), out.buildTime
 	return out, stats
+}
+
+// merge writes the union of the ascending ID lists a and b, ascending
+// and once each, to dst, which has room for it, and returns its length.
+func merge(dst, a, b []paths.PathID) int {
+	n := 0
+	for len(a) > 0 || len(b) > 0 {
+		var x paths.PathID
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			x, a = a[0], a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			x, b = b[0], b[1:]
+		default:
+			x, a, b = a[0], a[1:], b[1:]
+		}
+		dst[n] = x
+		n++
+	}
+	return n
 }
 
 // Mode selects how a lookup combines the row's MIN and VLB candidate

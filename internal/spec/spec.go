@@ -155,6 +155,8 @@ func Policy(t *topo.Compiled, s string, seed uint64) (paths.Policy, error) {
 //	perm
 //	gperm
 //	mixed[:urPct] | tmixed[:urPct]
+//
+// A field past the ones the pattern reads is refused, not ignored.
 func Pattern(t *topo.Compiled, s string, seed uint64) (traffic.Pattern, error) {
 	parts := strings.Split(s, ":")
 	atoi := func(i, def int) (int, error) {
@@ -162,6 +164,11 @@ func Pattern(t *topo.Compiled, s string, seed uint64) (traffic.Pattern, error) {
 			return def, nil
 		}
 		return strconv.Atoi(parts[i])
+	}
+	most, ok := map[string]int{"ur": 0, "uniform": 0, "perm": 0, "gperm": 0, "shift": 2, "adv": 2, "mixed": 1, "tmixed": 1}[parts[0]]
+	if ok && len(parts) > most+1 {
+		takes := [...]string{"no field", "at most 1 field", "at most 2 fields"}[most]
+		return nil, fmt.Errorf("spec: pattern %q: extra field %q (%s takes %s)", s, parts[most+1], parts[0], takes)
 	}
 	switch parts[0] {
 	case "ur", "uniform":

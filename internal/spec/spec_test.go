@@ -69,6 +69,22 @@ func TestPatternSpec(t *testing.T) {
 	}
 	// The benchmark patterns and rank placements the library once had
 	// are refused as any unknown name is.
+	// A field past the ones a pattern reads is refused with the pattern
+	// and the field named.
+	extra := map[string]string{
+		"ur:1": "1", "uniform:x": "x", "perm:junk": "junk", "gperm:3": "3",
+		"shift:1:0:2": "2", "adv:2:1:": "", "mixed:25:50": "50", "tmixed:75:x": "x",
+	}
+	for bad, field := range extra {
+		_, err := Pattern(tp, bad, 1)
+		if err == nil {
+			t.Fatalf("accepted %q", bad)
+		}
+		if name := strings.SplitN(bad, ":", 2)[0]; !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) ||
+			!strings.Contains(err.Error(), name+" takes") || !strings.Contains(err.Error(), fmt.Sprintf("field %q", field)) {
+			t.Errorf("%q: error %q names neither the pattern nor the field %q", bad, err, field)
+		}
+	}
 	for _, bad := range []string{"", "shift:x", "ring@nowhere", "warp@linear", "bogus",
 		"tornado", "alltoall", "hotspot:2:60", "ring@linear"} {
 		_, err := Pattern(tp, bad, 1)

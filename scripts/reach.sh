@@ -84,6 +84,7 @@ run dflysim-sweep dflysim -sweep -seeds 2 -points 3 $short
 run dflysim-d3 dflysim -topo 'd3(12,4)' $short
 run_refused dflysim-usage 2 dflysim -measure 0
 run_refused dflysim-pattern-removed 2 dflysim -pattern tornado
+run_refused dflysim-pattern-extra-field 2 dflysim -pattern mixed:25:50
 
 # experiment: the example suite, then the suite run on it.
 run experiment-example experiment -example
