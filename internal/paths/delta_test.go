@@ -65,7 +65,7 @@ func deltaSteps(tp *topo.Compiled) []failScenario {
 // walks it (MaskWalk.Alive) under the mask of the delta's links alone,
 // and checks that walk against the old and the new mask: a path alive
 // before is listed exactly when it is dead after, and a listed path is
-// dead after. On dfly(2,4,2,5) in both arrangements and d3(12,4), over
+// dead after. On dfly(2,4,2,5) in both arrangements and d3(12,4,2), over
 // the full set, a strategic store and the full set compiled degraded,
 // through deltaSteps' failures.
 func TestDeltaIDsMatchDecode(t *testing.T) {
