@@ -128,55 +128,3 @@ func SampleMinAliveInto(t *topo.Compiled, m *topo.FailureMask, r *rng.Source, s,
 	}
 	return false
 }
-
-// LegEnds is the one rule for the rows a failure touches. The failure
-// grows mask before (nil: pristine) into after, and chs are its newly
-// dead channels. LegEnds returns, indexed by switch, where a MIN leg the
-// failure can kill may start (srcs) and end (dsts). A MIN leg is local,
-// global, local, so a global channel ga->gb is crossed only by legs out
-// of ga into gb, and a local channel u->v only as a leg's first hop (out
-// of u, on to a group v's global ports reach) or its last (into v, from
-// a group whose global links land at u); an in-group detour hop u->v
-// starts at u and ends at v. A newly dead switch marks itself in both:
-// its zero-hop MIN path dies with it, even when its channels died
-// earlier. A MIN candidate of pair (s, d) is one leg or that zero-hop
-// path, so it can die only if srcs[s] && dsts[d]; a stored VLB path is
-// two MIN legs, so it can cross chs only if srcs[s] || dsts[d].
-// Terminal-port channels and switches out of range add nothing.
-func LegEnds(before, after *topo.FailureMask, chs []topo.Channel) (srcs, dsts []bool) {
-	t := after.Topo()
-	n := t.NumSwitches()
-	srcs, dsts = make([]bool, n), make([]bool, n)
-	group := func(set []bool, g int) {
-		for i := 0; i < t.A; i++ {
-			set[t.SwitchID(g, i)] = true
-		}
-	}
-	for sw := range n {
-		if after.SwitchDead(sw) && (before == nil || !before.SwitchDead(sw)) {
-			srcs[sw], dsts[sw] = true, true
-		}
-	}
-	for _, ch := range chs {
-		sw, pt := int(ch.Sw), int(ch.Port)
-		peer, ok := t.PeerOfPortOK(sw, pt)
-		if !ok {
-			continue
-		}
-		if t.KindOfPort(pt) == topo.Global {
-			group(srcs, t.GroupOf(sw))
-			group(dsts, t.GroupOf(peer))
-			continue
-		}
-		srcs[sw], dsts[peer] = true, true
-		for gp := 0; gp < t.H; gp++ {
-			if far, _, ok := t.GlobalPeerOK(sw, gp); ok {
-				group(srcs, t.GroupOf(far))
-			}
-			if far, _, ok := t.GlobalPeerOK(peer, gp); ok {
-				group(dsts, t.GroupOf(far))
-			}
-		}
-	}
-	return srcs, dsts
-}

@@ -22,8 +22,8 @@ func sameDead(a, b *topo.FailureMask) bool {
 
 // degradedStore is the *Store case of the two functions below: a store
 // already compiled under mask passes through; any other is filtered — a
-// row-parallel MaskWalk mark of the stored paths that cross a dead
-// channel of mask, then Without — into a new store that keeps st's
+// row-parallel mark of the stored paths that cross a dead channel of
+// mask (Delta.AppendIDs), then Without — into a new store that keeps st's
 // name, conventional flag and label. mask must include every failure st
 // was compiled under, or the result would claim a mask it does not obey:
 // that panics.
@@ -35,7 +35,7 @@ func degradedStore(st *Store, mask *topo.FailureMask) *Store {
 		panic(fmt.Sprintf("paths: %s was compiled under %v, and %v does not include it", st.Name(), st.mask, mask))
 	}
 	start := time.Now()
-	kills := NewDelta(st.T, mask.DeadChannels())
+	kills := NewDelta(nil, mask, mask.DeadChannels())
 	drop := NewIDSet(st.NumPaths())
 	exec.Default().RunRows("paths/degrade", st.n, func(s int) {
 		marks := rowBits{set: drop, word: -1}

@@ -120,11 +120,16 @@ func crossers(tp *topo.Compiled, chs []topo.Channel, enum func(s, d int) []Path)
 // TestLegEndsCover is why route.Tables.ApplyDelta can find a failure's
 // rows without an index over the store: for every non-terminal directed
 // channel, every pair with a stored path across it, on a full and on a
-// strategic store, has its source among LegEnds' srcs or its
-// destination among its dsts, and every pair with a MIN path across it
-// has both. A switch that dies after all its links did marks its own
-// ends and nothing else. A terminal-port channel, one of a switch that
-// does not exist and one of a port past the radix give empty sets.
+// strategic store, is a row Delta.Touches, that is, a killed leg or
+// in-group hop starts at its source or ends at its destination; on
+// every pair with a MIN path across it Touches says its MIN candidates
+// can die (both ends are marked), and Delta.Kills is true on exactly
+// its MIN paths that cross the channel. A switch that dies after all
+// its links did touches its own rows and nothing else, the MIN
+// candidates of its own pair alone, and kills its zero-hop route
+// alone. A terminal-port channel, one of a
+// switch that does not exist and one of a port past the radix touch no
+// row.
 func TestLegEndsCover(t *testing.T) {
 	for _, tp := range legEndTopos() {
 		n := tp.NumSwitches()
@@ -137,15 +142,24 @@ func TestLegEndsCover(t *testing.T) {
 				}
 			}
 		}
-		ends := make([][2][]bool, len(chs))
+		deltas := make([]*Delta, len(chs))
 		for c := range chs {
-			ends[c][0], ends[c][1] = LegEnds(nil, pristine, chs[c:c+1])
+			deltas[c] = NewDelta(nil, pristine, chs[c:c+1])
 		}
-		for c, hit := range crossers(tp, chs, func(s, d int) []Path { return EnumerateMin(tp, s, d) }) {
-			srcs, dsts := ends[c][0], ends[c][1]
-			for pi, crossed := range hit {
-				if crossed && !(srcs[pi/n] && dsts[pi%n]) {
-					t.Fatalf("%s channel %v: pair (%d,%d) has a MIN path across it, yet not both ends are leg ends", tp.Label(), chs[c], pi/n, pi%n)
+		for pi := 0; pi < n*n; pi++ {
+			s, d := pi/n, pi%n
+			for _, p := range EnumerateMin(tp, s, d) {
+				for c, ch := range chs {
+					crossed := false
+					for h, pt := range p.Ports {
+						crossed = crossed || (topo.Channel{Sw: p.Sw[h], Port: pt}) == ch
+					}
+					if _, min := deltas[c].Touches(s, d); crossed && !min {
+						t.Fatalf("%s channel %v: pair (%d,%d) has a MIN path across it, yet no MIN candidate of it is touched", tp.Label(), ch, s, d)
+					}
+					if got := deltas[c].Kills(s, Packed(p.Ports)); got != crossed {
+						t.Fatalf("%s channel %v: pair (%d,%d) MIN path %v crosses it %v, Kills %v", tp.Label(), ch, s, d, p, crossed, got)
+					}
 				}
 			}
 		}
@@ -153,10 +167,9 @@ func TestLegEndsCover(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", tp.Label(), pol.Name()), func(t *testing.T) {
 				hit := crossers(tp, chs, Compile(tp, pol).Enumerate)
 				for c, ch := range chs {
-					srcs, dsts := ends[c][0], ends[c][1]
 					for pi, crossed := range hit[c] {
-						if crossed && !srcs[pi/n] && !dsts[pi%n] {
-							t.Fatalf("channel %v: pair (%d,%d) has a path across it, yet neither end is a leg end", ch, pi/n, pi%n)
+						if row, _ := deltas[c].Touches(pi/n, pi%n); crossed && !row {
+							t.Fatalf("channel %v: pair (%d,%d) has a path across it, yet is not touched", ch, pi/n, pi%n)
 						}
 					}
 				}
@@ -176,17 +189,24 @@ func TestLegEndsCover(t *testing.T) {
 		if delta, err := after.FailSwitch(sw); err != nil || len(delta) != 0 {
 			t.Fatalf("%s: switch %d died with %d new channels: %v", tp.Label(), sw, len(delta), err)
 		}
-		srcs, dsts := LegEnds(before, after, nil)
+		last := NewDelta(before, after, nil)
 		for x := 0; x < n; x++ {
-			if srcs[x] != (x == sw) || dsts[x] != (x == sw) {
-				t.Fatalf("%s: switch %d died with no new channel; switch %d is src %v, dst %v", tp.Label(), sw, x, srcs[x], dsts[x])
+			if last.Kills(x, 0) != (x == sw) {
+				t.Fatalf("%s: switch %d died with no new channel; zero-hop route at %d dies %v", tp.Label(), sw, x, last.Kills(x, 0))
+			}
+			for y := 0; y < n; y++ {
+				if row, min := last.Touches(x, y); row != (x == sw || y == sw) || min != (x == sw && y == sw) {
+					t.Fatalf("%s: switch %d died with no new channel; pair (%d,%d) touched %v, its MIN candidates %v", tp.Label(), sw, x, y, row, min)
+				}
 			}
 		}
 		// Port 0 of switch 1 is a terminal port.
 		for _, ch := range []topo.Channel{{Sw: 1, Port: 0}, {Sw: int32(n), Port: int8(tp.P)}, {Sw: -1, Port: int8(tp.P)}, {Sw: 0, Port: int8(tp.Radix())}} {
-			srcs, dsts := LegEnds(nil, pristine, []topo.Channel{ch})
-			if slices.Contains(srcs, true) || slices.Contains(dsts, true) {
-				t.Fatalf("%s: channel %v is no stored path's, yet has leg ends", tp.Label(), ch)
+			dl := NewDelta(nil, pristine, []topo.Channel{ch})
+			for pi := 0; pi < n*n; pi++ {
+				if row, _ := dl.Touches(pi/n, pi%n); row {
+					t.Fatalf("%s: channel %v is no stored path's, yet touches pair (%d,%d)", tp.Label(), ch, pi/n, pi%n)
+				}
 			}
 		}
 	}

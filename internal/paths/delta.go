@@ -8,20 +8,34 @@ import (
 	"tugal/internal/topo"
 )
 
-// Delta is the one rule for which stored paths a set of channels — a
-// failure's newly dead ones — kills: a stored path dies exactly when one
-// of its hops crosses one of them. An inter-group pair's path is two MIN
-// legs joined at an intermediate switch, so it dies exactly when one of
-// its legs does; Delta indexes the inter-group MIN legs the channels
-// kill by start and end switch, and what a pair loses costs the legs
-// killed at its two ends, not its stored paths. An in-group pair's A-2
-// detours are tested hop by hop. Read-only once built.
+// Delta is the one rule for what a failure kills. The failure grows
+// mask before (nil: pristine) into after, and its newly dead channels
+// are chs. A route dies exactly when one of its hops crosses one of
+// them, or, zero-hop, when its switch is newly dead: it dies with its
+// switch even when the switch's channels died earlier. A MIN leg is
+// local, global, local, so a global channel ga->gb kills the legs over
+// its link from every switch of ga to every switch of gb, and a local
+// channel u->v the legs out of u over a link of v and the legs into v
+// over a link landing at u; an in-group hop u->v is the channel itself.
+// An inter-group pair's stored path is two MIN legs joined at an
+// intermediate switch, so it dies exactly when one of its legs does:
+// Delta indexes the killed legs by start and end switch, and what a
+// pair loses costs the legs killed at its two ends, not its stored
+// paths. It answers three questions: which rows a failure can touch
+// (Touches), whether a packed route dies (Kills) and which stored paths
+// of a pair die (AppendIDs). Read-only once built.
 type Delta struct {
-	t *topo.Compiled
+	t       *topo.Compiled
+	peer    []int32 // t.PeerDense
+	nonTerm int     // non-terminal ports per switch
 	// ch marks the channels, dense as FailureMask.DeadDense numbers
 	// them; terminal-port channels and switches out of range are
 	// skipped, as no stored path crosses them.
 	ch []bool
+	// from[x] and to[x] mark switch x as the start and the end of a
+	// killed leg or in-group hop; a newly dead switch (died) marks
+	// itself in both, for its zero-hop route.
+	from, to, died []bool
 	// out[outAt[x]:outAt[x+1]] are the killed legs out of switch x, by
 	// the switch they end at and their link, ascending;
 	// in[inAt[y]:inAt[y+1]] are those into y, by the switch they start
@@ -35,14 +49,21 @@ type Delta struct {
 // groups.
 type killed struct{ far, link int32 }
 
-// NewDelta indexes the MIN legs chs kill. A MIN leg is local, global,
-// local (LegEnds), so a global channel ga->gb kills the legs over its
-// link from every switch of ga to every switch of gb, and a local
-// channel u->v the legs out of u over a link of v and the legs into v
-// over a link landing at u.
-func NewDelta(t *topo.Compiled, chs []topo.Channel) *Delta {
+// NewDelta indexes what the failure from before (nil: pristine) to
+// after, with newly dead channels chs, kills, on after's topology.
+func NewDelta(before, after *topo.FailureMask, chs []topo.Channel) *Delta {
+	t := after.Topo()
 	n, a, k, nonTerm := t.NumSwitches(), t.A, t.K, t.A-1+t.H
-	dl := &Delta{t: t, ch: make([]bool, n*nonTerm), outAt: make([]int32, n+1), inAt: make([]int32, n+1)}
+	dl := &Delta{
+		t: t, peer: t.PeerDense(), nonTerm: nonTerm, ch: make([]bool, n*nonTerm),
+		from: make([]bool, n), to: make([]bool, n), died: make([]bool, n),
+		outAt: make([]int32, n+1), inAt: make([]int32, n+1),
+	}
+	for sw := range n {
+		if after.SwitchDead(sw) && (before == nil || !before.SwitchDead(sw)) {
+			dl.died[sw], dl.from[sw], dl.to[sw] = true, true, true
+		}
+	}
 	var legs []int64 // (x*n+y)*K+link of each killed leg x -> y
 	kill := func(x0, x1, y0, y1, link int) {
 		for x := x0; x < x1; x++ {
@@ -63,6 +84,7 @@ func NewDelta(t *topo.Compiled, chs []topo.Channel) *Delta {
 			kill(ga, ga+a, gb, gb+a, linkOf(t, sw, pt-t.GlobalPort(0), peer))
 			continue
 		}
+		dl.from[sw], dl.to[peer] = true, true
 		for gp := 0; gp < t.H; gp++ {
 			if far, _, ok := t.GlobalPeerOK(peer, gp); ok {
 				gy := t.SwitchID(t.GroupOf(far), 0)
@@ -90,10 +112,37 @@ func NewDelta(t *topo.Compiled, chs []topo.Channel) *Delta {
 		link := int32(l % int64(k))
 		x, y := int32(l/int64(n*k)), int32(l/int64(k)%int64(n))
 		dl.out[outNext[x]], dl.in[inNext[y]] = killed{y, link}, killed{x, link}
+		dl.from[x], dl.to[y] = true, true
 		outNext[x]++
 		inNext[y]++
 	}
 	return dl
+}
+
+// Touches reports whether the failure can touch pair (s, d)'s row — a
+// killed leg or in-group hop starts at s or ends at d — and whether it
+// can kill one of the row's MIN candidates. A stored path is two legs,
+// so a row it does not touch loses nothing; a MIN candidate is one leg
+// or a zero-hop route, so it can die only when both ends are marked.
+func (dl *Delta) Touches(s, d int) (row, min bool) {
+	return dl.from[s] || dl.to[d], dl.from[s] && dl.to[d]
+}
+
+// Kills reports whether the route out of src over packed ports (at most
+// MaxVLBHops, zero past the last hop, see Store.Ports) dies: one of its
+// hops crosses a channel, or it has no hop and src is newly dead.
+func (dl *Delta) Kills(src int, ports uint64) bool {
+	if ports == 0 {
+		return dl.died[src]
+	}
+	for cur := src; ports != 0; ports >>= 8 {
+		c := cur*dl.nonTerm + int(uint8(ports)) - dl.t.P
+		if dl.ch[c] {
+			return true
+		}
+		cur = int(dl.peer[c])
+	}
+	return false
 }
 
 // linkOf is the place of switch sw's global port gp, which reaches peer,
@@ -126,11 +175,10 @@ func (dl *Delta) AppendIDs(st *Store, s, d int, dst []PathID) []PathID {
 	offs := st.pairOffsets(s*st.n + d)
 	gs, gd := t.GroupOf(s), t.GroupOf(d)
 	if gs == gd {
-		nonTerm := t.A - 1 + t.H
 		si, di := t.SwitchIndexInGroup(s), t.SwitchIndexInGroup(d)
 		for i, o := range offs {
 			m := t.SwitchID(gs, skip(int(o), si, di))
-			if dl.ch[s*nonTerm+t.LocalPort(s, m)-t.P] || dl.ch[m*nonTerm+t.LocalPort(m, d)-t.P] {
+			if dl.ch[s*dl.nonTerm+t.LocalPort(s, m)-t.P] || dl.ch[m*dl.nonTerm+t.LocalPort(m, d)-t.P] {
 				dst = append(dst, first+PathID(i))
 			}
 		}

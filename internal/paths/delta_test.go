@@ -60,12 +60,15 @@ func deltaSteps(tp *topo.Compiled) []failScenario {
 	return append(steps, failScenario{"links-of-switch", links}, failScenario{"switch-after-links", last}, failScenario{"dead-global-link", steps[0].step})
 }
 
-// TestDeltaIDsMatchDecode holds Delta.AppendIDs, on every ordered pair,
-// to a brute force that decodes each stored path (Store.Ports) and
-// walks it (MaskWalk.Alive) under the mask of the delta's links alone,
-// and checks that walk against the old and the new mask: a path alive
-// before is listed exactly when it is dead after, and a listed path is
-// dead after. On dfly(2,4,2,5) in both arrangements and d3(12,4,2), over
+// TestDeltaIDsMatchDecode holds Delta, on every ordered pair, to a
+// brute force that decodes each stored path (Store.Ports) and scans it
+// (crossesScan) over the dense masks of the delta's links alone, of the
+// old and of the new mask: a path alive before is listed by AppendIDs
+// exactly when it is dead after, a listed path is dead after, and Kills
+// is true on exactly the listed paths. Kills is held to the same scan
+// on every MIN leg (MinLegs), where a zero-hop leg dies with its newly
+// dead switch: the switch-after-links step kills one with no new
+// channel. On dfly(2,4,2,5) in both arrangements and d3(12,4,2), over
 // the full set, a strategic store and the full set compiled degraded,
 // through deltaSteps' failures.
 func TestDeltaIDsMatchDecode(t *testing.T) {
@@ -91,19 +94,21 @@ func TestDeltaIDsMatchDecode(t *testing.T) {
 				if st.Mask() != nil {
 					mask = st.Mask().Clone()
 				}
-				listed := 0
+				listed, zeroHop := 0, 0
+				var was, now []Leg
 				for _, sc := range deltaSteps(tp) {
 					old := mask.Clone()
 					delta := sc.step(tp, mask)
-					kills := NewDelta(tp, delta)
-					was, now, crossed := NewMaskWalk(tp, old), NewMaskWalk(tp, mask), NewMaskWalk(tp, linkMask(tp, delta))
+					kills := NewDelta(old, mask, delta)
+					crossed := linkMask(tp, delta).DeadDense()
 					for pi := range n * n {
 						s, d := pi/n, pi%n
 						first, count := st.PairRange(s, d)
 						var want []PathID
 						for id := first; id < first+PathID(count); id++ {
 							ports := st.Ports(s, d, id)
-							hit, before, after := !crossed.Alive(s, ports), was.Alive(s, ports), now.Alive(s, ports)
+							hit := portsCross(tp, s, ports, crossed)
+							before, after := !portsCross(tp, s, ports, old.DeadDense()), !portsCross(tp, s, ports, mask.DeadDense())
 							if hit {
 								want = append(want, id)
 							}
@@ -111,16 +116,36 @@ func TestDeltaIDsMatchDecode(t *testing.T) {
 								t.Fatalf("%s pair (%d,%d) path %d: crosses the delta %v, alive %v before and %v after",
 									sc.name, s, d, id, hit, before, after)
 							}
+							if kills.Kills(s, ports) != hit {
+								t.Fatalf("%s pair (%d,%d) path %d: crosses the delta %v, Kills %v", sc.name, s, d, id, hit, !hit)
+							}
 						}
 						got := kills.AppendIDs(st, s, d, []PathID{-1})
 						if got[0] != -1 || !slices.Equal(got[1:], want) {
 							t.Fatalf("%s pair (%d,%d): AppendIDs %v, decoded %v", sc.name, s, d, got, want)
 						}
 						listed += len(want)
+						was, now = MinLegs(tp, old, s, d, was[:0]), MinLegs(tp, mask, s, d, now[:0])
+						for i := range was {
+							ports := was[i].Ports()
+							hit := portsCross(tp, s, ports, crossed)
+							if ports == 0 {
+								hit = mask.SwitchDead(s) && !old.SwitchDead(s)
+								if hit {
+									zeroHop++
+								}
+							}
+							if b, a := was[i].Alive(), now[i].Alive(); b && !a != (b && hit) || hit && a {
+								t.Fatalf("%s pair (%d,%d) MIN leg %d: dies %v, alive %v before and %v after", sc.name, s, d, i, hit, b, a)
+							}
+							if kills.Kills(s, ports) != hit {
+								t.Fatalf("%s pair (%d,%d) MIN leg %d: dies %v, Kills %v", sc.name, s, d, i, hit, !hit)
+							}
+						}
 					}
 				}
-				if listed == 0 {
-					t.Fatal("no failure killed a stored path: the enumeration was not exercised")
+				if listed == 0 || zeroHop == 0 {
+					t.Fatalf("%d stored paths and %d zero-hop legs killed: the enumeration was not exercised", listed, zeroHop)
 				}
 			})
 		}

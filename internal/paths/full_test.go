@@ -119,7 +119,7 @@ func checkMarks(st *Store, s int, mask *topo.FailureMask, delta []topo.Channel) 
 		name  string
 		kills *Delta
 		dense []bool
-	}{{"delta", NewDelta(tp, delta), deltaDense(tp, delta)}, {"mask", NewDelta(tp, mask.DeadChannels()), mask.DeadDense()}} {
+	}{{"delta", NewDelta(nil, mask, delta), deltaDense(tp, delta)}, {"mask", NewDelta(nil, mask, mask.DeadChannels()), mask.DeadDense()}} {
 		for d := 0; d < st.n; d++ {
 			first, count := st.PairRange(s, d)
 			var want []PathID

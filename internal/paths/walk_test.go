@@ -9,15 +9,20 @@ import (
 )
 
 // crossesScan is the per-hop walk the store filter, the route table's
-// row filter and the edge index each carried before the lockstep walk
-// replaced them, kept as the oracle it is held to: path id out of src,
-// hop by hop over the peer arena, reports whether it crosses a channel
-// dead (indexed like FailureMask.DeadDense) marks.
+// row filter and the edge index each carried before Delta replaced
+// them, kept as the oracle it is held to: path id out of src, hop by
+// hop over the peer arena, reports whether it crosses a channel dead
+// (indexed like FailureMask.DeadDense) marks.
 func crossesScan(st *Store, src, dst int, id PathID, dead []bool) bool {
-	peer := st.T.PeerDense()
-	nonTerm, p := st.T.A-1+st.T.H, st.T.P
+	return portsCross(st.T, src, st.Ports(src, dst, id), dead)
+}
+
+// portsCross is crossesScan on the route out of src over packed ports.
+func portsCross(tp *topo.Compiled, src int, ports uint64, dead []bool) bool {
+	peer := tp.PeerDense()
+	nonTerm, p := tp.A-1+tp.H, tp.P
 	cur := src
-	for _, pt := range unpack(st.Ports(src, dst, id)) {
+	for _, pt := range unpack(ports) {
 		ch := cur*nonTerm + int(pt) - p
 		if dead[ch] {
 			return true
@@ -43,11 +48,12 @@ func randomMask(tp *topo.Compiled, r *rng.Source, k int) *topo.FailureMask {
 	return m
 }
 
-// TestLockstepWalkMatchesScan holds MaskWalk.Alive, the one-lane hop
-// table walk of packed ports, to the per-hop scan on both families under
-// random masks: on every path of three random source rows of the full
-// set, Alive on its ports is !crossesScan, and on no ports (a zero-hop
-// route) it is its switch's liveness.
+// TestLockstepWalkMatchesScan holds Delta.Kills, the hop-by-hop walk of
+// packed ports, to the per-hop scan on both families under random masks,
+// one and several links per group pair, taken as one failure from
+// pristine: on every path of three random source rows of the full set,
+// Kills on its ports is crossesScan, and on no ports (a zero-hop route)
+// it is its switch's death.
 func TestLockstepWalkMatchesScan(t *testing.T) {
 	for _, tp := range []*topo.Compiled{topo.MustNew(2, 4, 2, 9), topo.MustNew(2, 4, 4, 3), topo.MustNewD3(12, 4, 2)} {
 		st := Compile(tp, Full{T: tp})
@@ -56,18 +62,18 @@ func TestLockstepWalkMatchesScan(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", tp.Label(), seed), func(t *testing.T) {
 				r := rng.New(seed)
 				mask := randomMask(tp, r, 1+int(seed)%4)
-				w := NewMaskWalk(tp, mask)
+				kills := NewDelta(nil, mask, mask.DeadChannels())
 				for sw := 0; sw < n; sw++ {
-					if w.Alive(sw, 0) == mask.SwitchDead(sw) {
-						t.Fatalf("zero-hop route at switch %d: Alive %v, switch dead %v", sw, w.Alive(sw, 0), mask.SwitchDead(sw))
+					if kills.Kills(sw, 0) != mask.SwitchDead(sw) {
+						t.Fatalf("zero-hop route at switch %d: Kills %v, switch dead %v", sw, kills.Kills(sw, 0), mask.SwitchDead(sw))
 					}
 				}
 				for range 3 {
 					s := r.Intn(n)
 					for d := 0; d < n; d++ {
 						st.PairPorts(s, d, func(id PathID, ports uint64) {
-							if x := crossesScan(st, s, d, id, mask.DeadDense()); w.Alive(s, ports) == x {
-								t.Fatalf("pair (%d,%d) path %d: Alive %v, scan crosses %v", s, d, id, !x, x)
+							if x := crossesScan(st, s, d, id, mask.DeadDense()); kills.Kills(s, ports) != x {
+								t.Fatalf("pair (%d,%d) path %d: Kills %v, scan crosses %v", s, d, id, !x, x)
 							}
 						})
 					}
@@ -77,14 +83,14 @@ func TestLockstepWalkMatchesScan(t *testing.T) {
 	}
 }
 
-// TestPortSlotsPadTerminal pins the precondition of the branch-free
-// channel walk (MaskWalk.Alive): port 0 is a terminal port on every
-// instance of the family conformance set (P >= 1), and every store — the
-// full set's walk compile, a compile under a mask, the pristine full set
-// filtered by one, cut by Without and cut to a policy by DropMask then
-// Without, and a cut filtered — reads each path's ports with no zero
-// byte before its last hop and zeros after it, so a short path's padding
-// is a terminal port, and materializes to its hop count.
+// TestPortSlotsPadTerminal pins the precondition of the walk of packed
+// ports (Delta.Kills), which ends at the first zero byte: port 0 is a
+// terminal port on every instance of the family conformance set
+// (P >= 1), and every store — the full set's walk compile, a compile
+// under a mask, the pristine full set filtered by one, cut by Without
+// and cut to a policy by DropMask then Without, and a cut filtered —
+// reads each path's ports with no zero byte before its last hop and
+// zeros after it, and materializes to its hop count.
 func TestPortSlotsPadTerminal(t *testing.T) {
 	network, err := topo.NewDragonfly(2, 4, 2, 5, topo.Relative)
 	if err != nil {

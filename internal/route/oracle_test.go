@@ -115,7 +115,7 @@ func checkOracle(t *testing.T, tb *Tables, st *paths.Store, cfg Config) {
 
 // bruteDirty is the brute force a failure's DeltaStats are held to,
 // over the channels and switches dead in after but not in before (nil:
-// pristine), and shares no code with paths.LegEnds: vlb counts the pairs
+// pristine), and shares no code with paths.Delta: vlb counts the pairs
 // with a path of st across a channel newly dead, found path by path, and
 // all those pairs together with the ones with a MIN path live under
 // before and dead under after, a newly dead switch's zero-hop path

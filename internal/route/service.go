@@ -106,7 +106,7 @@ type SwapStats struct {
 	VLBDirty   int           `json:"vlbDirty"`     // pairs with a base-store path across a newly dead channel
 	DirtyPairs int           `json:"dirtyPairs"`   // rows the failure dirtied: VLB-dirty or lost a MIN candidate
 	PatchBytes int64         `json:"patchBytes"`   // Tables.PatchBytes after the swap: MIN words and dead IDs, all epochs'
-	StoreBuild time.Duration `json:"storeBuildNS"` // row-list time: the pairs paths.LegEnds says the delta can touch
+	StoreBuild time.Duration `json:"storeBuildNS"` // paths.NewDelta plus the list of the rows Delta.Touches
 	TableBuild time.Duration `json:"tableBuildNS"` // ApplyDelta time, the row list included
 }
 

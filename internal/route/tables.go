@@ -281,7 +281,7 @@ type DeltaStats struct {
 	// lost a candidate: MIN survivors at 8 B, dead VLB PathIDs at 4 B.
 	PatchEntries int
 	BuildTime    time.Duration
-	rowList      time.Duration // the part of BuildTime that listed the rows to walk
+	rowList      time.Duration // the part of BuildTime that built the Delta and listed the rows to walk
 }
 
 // ApplyDelta derives the tables for a grown failure mask from the
@@ -291,45 +291,40 @@ type DeltaStats struct {
 // row is the base row minus the dead candidates, in order: what Emit
 // over a store compiled degraded under mask serves.
 //
-// paths.LegEnds says which rows the delta can touch: the pairs whose
-// source a MIN leg it kills can start at or whose destination such a
-// leg can end at are walked, ascending, and of those only the pairs
-// with both ends marked can lose a MIN candidate. A walked row costs
-// the paths the delta kills, not its pair's stored paths: paths.Delta
-// lists the pair's stored paths that cross the delta, dead already or
-// not, and a row with any is VLB-dirty. Its dead IDs are that list
-// merged into the row's dead list from earlier epochs (an emptied row's
-// is its whole range), and a row with both ends marked also has its MIN
-// words walked under mask. A row is dirty when it is VLB-dirty or lost
-// a MIN word. A row that lost nothing keeps its place, an emptied one
-// becomes an empty base row, and the rest get their MIN survivors and
-// merged dead IDs, in row order, in one patch of exactly their size:
-// one pass over the walked rows on the default pool finds each row's
-// counts and merged list, and the patch is laid out and filled from
-// them in row order. The receiver is never mutated and shares no
+// One paths.Delta is the rule for what the failure kills. The rows it
+// touches are walked, ascending, and only those it says can lose a MIN
+// candidate have their MIN words tested. A walked row costs the paths
+// the delta kills, not its pair's stored paths: Delta.AppendIDs lists
+// the pair's stored paths that cross the delta, dead already or not,
+// and a row with any is VLB-dirty. Its dead IDs are that list merged
+// into the row's dead list from earlier epochs (an emptied row's is its
+// whole range), and a tested MIN word survives unless Delta.Kills says
+// the delta kills its route. A row is dirty when it is VLB-dirty or
+// lost a MIN word. A row that lost nothing keeps its place, an emptied
+// one becomes an empty base row, and the rest get their MIN survivors
+// and merged dead IDs, in row order, in one patch of exactly their
+// size: one pass over the walked rows on the default pool finds each
+// row's counts and merged list, and the patch is laid out and filled
+// from them in row order. The receiver is never mutated and shares no
 // writable memory with the result, so earlier epochs keep serving their
 // own rows and the result is the same at any worker count.
 func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (*Tables, DeltaStats) {
 	start := time.Now()
 	n := tb.n
-	srcs, dsts := paths.LegEnds(tb.mask, mask, newlyDead)
+	kills := paths.NewDelta(tb.mask, mask, newlyDead)
 	var walk []int32
 	for pi := range tb.rows {
-		if srcs[pi/n] || dsts[pi%n] {
+		if row, _ := kills.Touches(pi/n, pi%n); row {
 			walk = append(walk, int32(pi))
 		}
 	}
 	rowList := time.Since(start)
 
-	kills, w := paths.NewDelta(tb.T, newlyDead), paths.NewMaskWalk(tb.T, mask)
 	out := &Tables{
 		T: tb.T, st: tb.st, policy: tb.policy, cfg: tb.cfg, stamps: tb.stamps,
 		epoch: tb.epoch + 1, n: n, mask: mask,
 		rows: slices.Clone(tb.rows),
 	}
-	// minAlive reports whether MIN word wd of pair (s, d) survives: only
-	// a row with both ends marked can lose one.
-	minAlive := func(s, d int, wd uint64) bool { return !srcs[s] || !dsts[d] || w.Alive(s, wordPorts(wd)) }
 	// Walked row k is VLB-dirty when vlbDirty[k], and its dead IDs are
 	// dead[k] when the delta added to them.
 	vlbDirty := make([]bool, len(walk))
@@ -353,10 +348,12 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (
 				dead[k] = buf[at:len(buf):len(buf)]
 				r.vlbN = int32(count - len(dead[k]))
 			}
-			r.minN = 0
-			for _, wd := range tb.minWords(was) {
-				if minAlive(s, d, wd) {
-					r.minN++
+			if _, minRow := kills.Touches(s, d); minRow {
+				r.minN = 0
+				for _, wd := range tb.minWords(was) {
+					if !kills.Kills(s, wordPorts(wd)) {
+						r.minN++
+					}
 				}
 			}
 		}
@@ -391,8 +388,9 @@ func (tb *Tables) ApplyDelta(mask *topo.FailureMask, newlyDead []topo.Channel) (
 			continue
 		}
 		min := ch.min[r.minAt:]
+		_, minRow := kills.Touches(s, d)
 		for _, wd := range tb.minWords(was) {
-			if minAlive(s, d, wd) {
+			if !minRow || !kills.Kills(s, wordPorts(wd)) {
 				min[0], min = wd, min[1:]
 			}
 		}
