@@ -18,7 +18,7 @@ import (
 
 // checkScanState recomputes every derived structure of switch sw from
 // its input queues and compares. hopOf gives the next hop of a queued
-// flit slot whose remaining-route word is rw.
+// flit slot whose remaining-route word, read from its link, is rw.
 func checkScanState(t *testing.T, n *Network, sw int32, step int, hopOf func(f int32, rw uint64) uint16) {
 	t.Helper()
 	numVCs := n.numVCs
@@ -38,7 +38,8 @@ func checkScanState(t *testing.T, n *Network, sw int32, step int, hopOf func(f i
 			wantHead := uint16(headEmpty)
 			if qlen > 0 {
 				vm |= 1 << v
-				wantHead = hopOf(int32(uint32(m>>32)), n.qRW[g])
+				f := int32(uint32(m >> 32))
+				wantHead = hopOf(f, n.fa.link[f].rw)
 			}
 			if hc := uint16(m >> 16); hc != wantHead {
 				t.Fatalf("step %d: router %d headCache[%d,%d] = %#x, recomputed %#x",
@@ -119,7 +120,7 @@ func TestActiveSetInvariants(t *testing.T) {
 		if doEnq {
 			f := mkFlit()
 			pi := int(sw)*n.ports + port
-			n.enqueue(sw, port, vc, pi, pi*n.numVCs+vc, f, hops[f], 0)
+			n.enqueue(sw, port, vc, pi, pi*n.numVCs+vc, f, hops[f])
 			occupied = append(occupied, slotRef{sw, port, vc})
 			checkScanState(t, n, sw, i, hopOf)
 		} else if len(occupied) > 0 {

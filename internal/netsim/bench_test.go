@@ -79,36 +79,46 @@ func BenchmarkStepArena(b *testing.B) {
 
 // TestSteadyStateAllocs pins the zero-steady-state-allocation
 // contract at every shard count, including the worker crew: once a
-// network is warmed past the transient (ring growth, calendar bucket
-// growth, shard mailbox growth all happen during ramp), extending the
-// simulation must allocate nothing — on the coordinator or on any
-// engine worker. AllocsPerRun measures the global malloc counter, so
-// a worker goroutine that allocates per cycle fails the test just as
-// the main loop would. cmd/bench reports the same figure from outside
-// as netsim.steady_allocs_per_cycle.
+// network is warmed past the transient (arena growth and shard
+// mailbox growth happen during ramp), extending the simulation must
+// allocate nothing — on the coordinator or on any engine worker.
+// AllocsPerRun measures the global malloc counter, so a worker
+// goroutine that allocates per cycle fails the test just as the main
+// loop would. The low rate is the generation calendar's hard case:
+// most gaps there cross its wheel, so nodes park and move every wheel
+// turn. cmd/bench reports the same figure from outside as
+// netsim.steady_allocs_per_cycle.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc steadiness needs full warmup; skipped in -short")
 	}
 	tp := topo.MustNew(4, 8, 4, 9)
 	rf := routing.NewUGALL(tp, paths.Full{T: tp})
-	for _, shards := range []int{1, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := netsim.DefaultConfig()
-			cfg.Shards = shards
-			if shards > 1 {
-				cfg.ShardWorkers = shards
-			}
-			n := netsim.New(tp, cfg, rf.CloneRouting(),
-				traffic.Shift{T: tp, DG: 2, DS: 0}, 0.15)
-			n.Run(800, 200, 0) // past the transient: buffers at steady size
-			allocs := testing.AllocsPerRun(3, func() {
-				n.Run(0, 200, 0)
+	for _, load := range []struct {
+		rate           float64
+		warmup, window int64
+	}{
+		{0.15, 800, 200},
+		{0.002, 20000, 2000},
+	} {
+		for _, shards := range []int{1, 8} {
+			t.Run(fmt.Sprintf("rate=%g/shards=%d", load.rate, shards), func(t *testing.T) {
+				cfg := netsim.DefaultConfig()
+				cfg.Shards = shards
+				if shards > 1 {
+					cfg.ShardWorkers = shards
+				}
+				n := netsim.New(tp, cfg, rf.CloneRouting(),
+					traffic.Shift{T: tp, DG: 2, DS: 0}, load.rate)
+				n.Run(load.warmup, load.window, 0) // past the transient: buffers at steady size
+				allocs := testing.AllocsPerRun(3, func() {
+					n.Run(0, load.window, 0)
+				})
+				if allocs > 0 {
+					t.Errorf("steady-state Run allocated %.1f times per %d-cycle window, want 0", allocs, load.window)
+				}
 			})
-			if allocs > 0 {
-				t.Errorf("steady-state Run allocated %.1f times per 200-cycle window, want 0", allocs)
-			}
-		})
+		}
 	}
 }
 
@@ -132,14 +142,14 @@ func BenchmarkInjectActive(b *testing.B) {
 }
 
 // newAlloc returns the bytes netsim.New allocates for a UGAL-L network
-// on t with the given buffer depth.
-func newAlloc(t *topo.Compiled, rf netsim.RoutingFunc, bufSize int) uint64 {
+// on t with the given buffer depth and injection rate.
+func newAlloc(t *topo.Compiled, rf netsim.RoutingFunc, bufSize int, rate float64) uint64 {
 	cfg := netsim.DefaultConfig()
 	cfg.BufSize = bufSize
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	n := netsim.New(t, cfg, rf, traffic.Shift{T: t, DG: 2, DS: 0}, 0.15)
+	n := netsim.New(t, cfg, rf, traffic.Shift{T: t, DG: 2, DS: 0}, rate)
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(n)
 	return after.TotalAlloc - before.TotalAlloc
@@ -153,10 +163,25 @@ func newAlloc(t *topo.Compiled, rf netsim.RoutingFunc, bufSize int) uint64 {
 func TestNewAllocIndependentOfBufSize(t *testing.T) {
 	tp := topo.MustNew(4, 8, 4, 9)
 	rf := routing.NewUGALL(tp, paths.Full{T: tp})
-	a32, a128 := newAlloc(tp, rf, 32), newAlloc(tp, rf, 128)
+	a32, a128 := newAlloc(tp, rf, 32, 0.15), newAlloc(tp, rf, 128, 0.15)
 	diff := int64(a128) - int64(a32)
 	if diff < -64<<10 || diff > 64<<10 {
 		t.Fatalf("New allocates %d B at BufSize 32 and %d B at BufSize 128; want equal within 64 KiB", a32, a128)
+	}
+}
+
+// TestNewAllocIndependentOfRate pins that the generation calendar
+// costs the same at every load: each node waits on one intrusive list
+// whatever its gap, so what New allocates does not grow with the
+// injection rate. Like the test above it reads the process-wide
+// allocation counter.
+func TestNewAllocIndependentOfRate(t *testing.T) {
+	tp := topo.MustNew(4, 8, 4, 9)
+	rf := routing.NewUGALL(tp, paths.Full{T: tp})
+	lo, hi := newAlloc(tp, rf, 32, 0.01), newAlloc(tp, rf, 32, 0.9)
+	diff := int64(hi) - int64(lo)
+	if diff < -64<<10 || diff > 64<<10 {
+		t.Fatalf("New allocates %d B at rate 0.01 and %d B at rate 0.9; want equal within 64 KiB", lo, hi)
 	}
 }
 

@@ -10,8 +10,8 @@
 //
 // A route has one form: the route word internal/route serves (see
 // PackWord), switch hops only; the simulator adds the ejection hop
-// from the destination. A flit carries the word of its remaining hops
-// in its events and queue entries, never in its arena record.
+// from the destination. A flit's word of its remaining hops lives in
+// its arena link (flitLink), never in its record.
 //
 // The hot loop is struct-of-arrays: flits live in an int32-indexed
 // arena (see flitArena), every queue — input buffer or source queue —
@@ -132,9 +132,9 @@ const (
 	fMinRouted
 )
 
-// flitRec is one flit-arena slot: what a flit needs besides its route,
-// which travels in its events and queue entries instead. Only
-// injection, revision and ejection touch it.
+// flitRec is one flit-arena slot: what a flit needs besides its route
+// word, which lives in its link instead. Only injection, revision and
+// ejection touch it.
 type flitRec struct {
 	src, dst int32
 	genTime  int64
@@ -161,11 +161,13 @@ type flitArena struct {
 	free []int32
 }
 
-// flitLink is a queued slot's successor in its queue. hop and rw are
-// the slot's own decoded next hop and route word while it waits behind
-// an input buffer's head (the head's are in qMeta/qRW); a source queue
-// uses next alone. Kept apart from flitRec so a flit never touches its
-// record between inject and eject.
+// flitLink is a slot's successor in its queue and its remaining-route
+// word. rw is written at injection and advanced in place by every
+// dequeue that forwards the flit (and by revise), so it is the one copy
+// of the flit's route from injection to ejection. hop is the slot's
+// decoded next hop while it waits behind an input buffer's head (the
+// head's is in qMeta); a source queue uses next alone. Kept apart from
+// flitRec so a flit never touches its record between inject and eject.
 type flitLink struct {
 	next int32
 	hop  uint16
@@ -221,9 +223,9 @@ func (q *srcQ) pop(a *flitArena) int32 {
 // internal/route serves a candidate's switch hops in it.
 //
 // A flit's remaining-route word ("rw") is the route word of the hops
-// after its next one, ejection included. It travels with the flit
-// through events and queue entries, so the forward path never touches
-// the flit's arena record between inject and eject. A field of all
+// after its next one, ejection included. It lives in the flit's link
+// (flitLink.rw), so the forward path never touches the flit's arena
+// record between inject and eject. A field of all
 // ones (port 127, VC 7: no radix Check accepts has that port) is the
 // revision mark: its hop decodes to headEmpty, and the flit's next
 // hop is decided when it reaches the head of a buffer (see revise).
@@ -323,14 +325,14 @@ type chanRef struct {
 //
 // hop carries the flit's decoded next hop at the receiving router
 // (outPort<<8|outVC), taken off its route word at emission time, so
-// head-arrival at the receiver costs no arena loads at all. headEmpty
-// means "decide at head-arrival": the revision mark of a Revisable
-// flit, whose route may be rewritten (and whose routeRNG draw must
-// happen) exactly when it reaches the head of a buffer.
+// head-arrival at the receiver reads no route word. headEmpty means
+// "decide at head-arrival": the revision mark of a Revisable flit,
+// whose route may be rewritten (and whose routeRNG draw must happen)
+// exactly when it reaches the head of a buffer. The route word itself
+// stays in the flit's link, which keeps an event at 12 bytes.
 type event struct {
 	flit int32
 	r    int32
-	rw   uint64 // remaining-route word
 	port int8
 	vc   int8
 	hop  uint16
@@ -415,17 +417,11 @@ type Network struct {
 	// BufSize is capped at 128 so the cursor difference — the depth —
 	// is unambiguous), the head flit's decoded next hop (bits 16-31,
 	// outPort<<8|outVC, headEmpty when empty) and its arena slot
-	// (bits 32-63). qRW[g] holds the head flit's packed route word.
-	// qTail[g] is the last slot of a queue two or more deep; a push
-	// onto a one-deep queue links from the head slot in qMeta.
-	//
-	// qMeta and qRW are deliberately parallel rather than
-	// interleaved: an allocator probe reads only qMeta[g], so qMeta
-	// stays dense enough to live in L2 for the largest topologies,
-	// while qRW is touched only by push/pop/forward. The flits behind
-	// the head keep their hop and route word in their own links.
+	// (bits 32-63). qTail[g] is the last slot of a queue two or more
+	// deep; a push onto a one-deep queue links from the head slot in
+	// qMeta. An allocator probe reads only qMeta[g]; every queued
+	// flit's route word, the head's included, is in its own link.
 	qMeta []uint64
-	qRW   []uint64
 	qTail []int32
 
 	// wheelLen is the length of every shard's timing-wheel segment;
@@ -439,7 +435,7 @@ type Network struct {
 	// fastCredits sends credit returns through the shards' bare
 	// credit-index wheels (simShard.cwheel) instead of the event
 	// machinery: credit delivery is a commutative increment, so a
-	// 4-byte entry and a branch-free drain loop replace a 24-byte
+	// 4-byte entry and a branch-free drain loop replace a 12-byte
 	// event. Only valid when the routing function never revises in
 	// flight: a reviser (PAR) observes credit state mid-delivery
 	// through Revise, so its credits must stay interleaved with flit
@@ -456,14 +452,13 @@ type Network struct {
 	engine  *shardEngine
 	workers int
 
-	// Per-node source queues (bounded by sourceQueueCap) and next
-	// generation times. genCal buckets nodes by next generation cycle
-	// and srcActive lists nodes with non-empty source queues (sorted
+	// Per-node source queues (bounded by sourceQueueCap). genCal holds
+	// each node's next generation cycle and lists nodes by it, and
+	// srcActive lists nodes with non-empty source queues (sorted
 	// ascending), so inject visits O(active) nodes instead of all of
 	// them; srcNext is the double buffer srcActive is rebuilt into
 	// each cycle.
 	nodeQ     []srcQ
-	nextGen   []int64
 	genCal    genCalendar
 	srcActive []int32
 	srcNext   []int32
@@ -607,7 +602,6 @@ func (n *Network) build() {
 	for i := range n.qMeta {
 		n.qMeta[i] = qmEmpty
 	}
-	n.qRW = make([]uint64, len(n.qMeta))
 	n.qTail = make([]int32, len(n.qMeta))
 	n.inOcc = make([]int32, sw*n.ports)
 	n.credits = make([]int16, sw*n.nonTerm*n.numVCs)
@@ -667,21 +661,11 @@ func (n *Network) build() {
 	}
 	nodes := t.NumNodes()
 	n.nodeQ = make([]srcQ, nodes)
-	n.nextGen = make([]int64, nodes)
-	// Expected calendar bucket high water: the mean due-node count of
-	// one cycle plus a five-sigma Poisson margin, so pre-sized buckets
-	// essentially never double.
-	expectDue := 0
-	if n.rate > 0 {
-		m := float64(nodes) * math.Min(1, n.rate)
-		expectDue = int(m+5*math.Sqrt(m)) + 16
-	}
-	n.genCal.init(t.NumNodes(), expectDue)
+	n.genCal.init(nodes)
 	n.srcActive = make([]int32, 0, nodes)
 	n.srcNext = make([]int32, 0, nodes)
-	for i := range n.nextGen {
-		n.nextGen[i] = n.geomNext(0)
-		n.genCal.add(n.nextGen[i], int32(i))
+	for i := range nodes {
+		n.genCal.add(n.geomNext(0), int32(i))
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // Property test for the queues threaded through the flit arena: input
-// buffers (head in qMeta/qRW, the rest chained through flitArena.link
-// with their own hop and route word, qTail past depth one) and source
+// buffers (head in qMeta, the rest chained through flitArena.link with
+// their own hop, every route word in its flit's link, qTail past depth
+// one) and source
 // queues (srcQ chains). Random operation sequences — input buffers
 // filled to BufSize and drained, pushes behind a head carrying the
 // headEmpty revision mark so promotion must revise them, source-queue
@@ -76,20 +77,34 @@ func checkQueuesAgainstModel(t *testing.T, n *Network, r *rng.Source, steps int)
 			full := append(hops, RouteHop{Port: int8(tp.NodeIndex(int(fa.rec[f].dst)))})
 			e.hop = uint16(full[0].Port)<<8 | uint16(full[0].VC)
 			e.rw, _ = PackWord(full[1:])
-			rw, _ := PackWord(full)
-			n.enqueue(b.sw, b.port, b.vc, b.pi, b.g, f, hop, rw)
+			fa.link[f].rw, _ = PackWord(full)
+			n.enqueue(b.sw, b.port, b.vc, b.pi, b.g, f, hop)
 			n.injected++
 			b.m = append(b.m, e)
 			return
 		}
-		n.enqueue(b.sw, b.port, b.vc, b.pi, b.g, f, hop, e.rw)
+		fa.link[f].rw = e.rw
+		n.enqueue(b.sw, b.port, b.vc, b.pi, b.g, f, hop)
 		n.injected++
 		b.m = append(b.m, e)
 	}
 	pop := func(i int, b *bufQ) {
-		f, rw := n.dequeue(b.sw, b.port, b.vc, b.pi, b.g)
-		if want := b.m[0]; f != want.slot || rw != want.rw {
-			t.Fatalf("step %d: dequeue = (%d, %#x), model (%d, %#x)", i, f, rw, want.slot, want.rw)
+		f, hop := n.dequeue(b.sw, b.port, b.vc, b.pi, b.g)
+		want := b.m[0]
+		if p, v := WordHop(want.rw, 0); f != want.slot || hop != uint16(p)<<8|uint16(v) {
+			t.Fatalf("step %d: dequeue = (%d, %#x), model (%d, hop 0 of %#x)", i, f, hop, want.slot, want.rw)
+		}
+		// The popped flit's word has moved past that hop in place.
+		if k, rw := WordHops(want.rw), fa.link[f].rw; k > 0 {
+			if WordHops(rw) != k-1 {
+				t.Fatalf("step %d: advanced word %#x holds %d hops, want %d", i, rw, WordHops(rw), k-1)
+			}
+			for j := range k - 1 {
+				p, v := WordHop(rw, j)
+				if wp, wv := WordHop(want.rw, j+1); p != wp || v != wv {
+					t.Fatalf("step %d: advanced word %#x hop %d = (%d, %d), want hop %d of %#x", i, rw, j, p, v, j+1, want.rw)
+				}
+			}
 		}
 		b.m = b.m[1:]
 		fa.release(f)
@@ -150,9 +165,9 @@ func checkQueuesAgainstModel(t *testing.T, n *Network, r *rng.Source, steps int)
 				continue
 			}
 			m := n.qMeta[b.g]
-			if f, hop, want := int32(uint32(m>>32)), uint16(m>>16), b.m[0]; f != want.slot || hop != want.hop || n.qRW[b.g] != want.rw {
+			if f, hop, want := int32(uint32(m>>32)), uint16(m>>16), b.m[0]; f != want.slot || hop != want.hop || fa.link[f].rw != want.rw {
 				t.Fatalf("step %d: queue %d head (%d, %#x, %#x), model (%d, %#x, %#x)",
-					i, b.g, f, hop, n.qRW[b.g], want.slot, want.hop, want.rw)
+					i, b.g, f, hop, fa.link[f].rw, want.slot, want.hop, want.rw)
 			}
 		}
 		for k := range srcs {

@@ -289,9 +289,10 @@ const sourceQueueCap = 512
 // them in hand for its own indexing, so enqueue takes them instead
 // of redoing the multiply chain per flit. hop is the flit's
 // pre-decoded next hop at this router (headEmpty for a Revisable flit
-// at its gateway). PAR revision fires when the flit becomes the
-// buffer head (the point a progressive router recomputes the route).
-func (n *Network) enqueue(sw int32, port, vc, pi, g int, f int32, hop uint16, rw uint64) {
+// at its gateway); its route word is already in its link. PAR revision
+// fires when the flit becomes the buffer head (the point a progressive
+// router recomputes the route).
+func (n *Network) enqueue(sw int32, port, vc, pi, g int, f int32, hop uint16) {
 	m := n.qMeta[g]
 	head, tail := uint8(m), uint8(m>>8)
 	n.inOcc[pi]++
@@ -302,16 +303,15 @@ func (n *Network) enqueue(sw int32, port, vc, pi, g int, f int32, hop uint16, rw
 	n.vcMask[pi] |= 1 << vc
 	n.portMask[sw] |= 1 << port
 	if head == tail {
-		// Empty queue: the new head lives entirely in qMeta/qRW, and
-		// no link is written.
+		// Empty queue: the new head's hop lives in qMeta, and no link
+		// is threaded.
 		if hop == headEmpty {
-			hop, rw = n.revise(sw, f, rw)
+			hop = n.revise(sw, f)
 		}
 		n.qMeta[g] = uint64(head) | uint64(tail+1)<<8 | uint64(hop)<<16 | uint64(uint32(f))<<32
-		n.qRW[g] = rw
 	} else {
 		link := n.fa.link
-		link[f].hop, link[f].rw = hop, rw
+		link[f].hop = hop
 		prev := int32(uint32(m >> 32))
 		if tail-head > 1 {
 			prev = n.qTail[g]
@@ -323,12 +323,17 @@ func (n *Network) enqueue(sw int32, port, vc, pi, g int, f int32, hop uint16, rw
 }
 
 // dequeue pops the head of input buffer (port, vc) of switch sw,
-// maintaining counters, masks and the head cache. pi/g as in enqueue.
-func (n *Network) dequeue(sw int32, port, vc, pi, g int) (int32, uint64) {
+// maintaining counters, masks and the head cache, and returns its slot
+// and its hop at the next router, which it takes off the front of the
+// flit's route word, advancing the word in place. (An ejecting flit's
+// word is empty: its hop and advanced word mean nothing, and injection
+// writes a fresh word before the slot is queued again.) pi/g as in
+// enqueue.
+func (n *Network) dequeue(sw int32, port, vc, pi, g int) (int32, uint16) {
 	m := n.qMeta[g]
 	head, tail := uint8(m), uint8(m>>8)
 	f := int32(uint32(m >> 32))
-	rw := n.qRW[g]
+	link := n.fa.link
 	head++
 	n.inOcc[pi]--
 	n.flits[sw]--
@@ -336,16 +341,14 @@ func (n *Network) dequeue(sw int32, port, vc, pi, g int) (int32, uint64) {
 		n.clearActive(sw)
 	}
 	if head != tail {
-		// Promote the head's successor, with the hop and route word
-		// its link holds, into the qMeta/qRW head cache.
-		next := n.fa.link[f].next
-		ln := &n.fa.link[next]
-		hop, nrw := ln.hop, ln.rw
+		// Promote the head's successor, with the hop its link holds,
+		// into the qMeta head cache.
+		next := link[f].next
+		hop := link[next].hop
 		if hop == headEmpty {
-			hop, nrw = n.revise(sw, next, nrw)
+			hop = n.revise(sw, next)
 		}
 		n.qMeta[g] = uint64(head) | uint64(tail)<<8 | uint64(hop)<<16 | uint64(uint32(next))<<32
-		n.qRW[g] = nrw
 	} else {
 		n.qMeta[g] = uint64(head) | uint64(tail)<<8 | qmEmpty
 		n.vcMask[pi] &^= 1 << vc
@@ -353,16 +356,23 @@ func (n *Network) dequeue(sw int32, port, vc, pi, g int) (int32, uint64) {
 			n.portMask[sw] &^= 1 << port
 		}
 	}
-	return f, rw
+	ln := &link[f]
+	rw := ln.rw
+	p, v := WordHop(rw, 0)
+	ln.rw = rw>>wordFieldBits&^wordCntMask | (rw&wordCntMask - 1)
+	return f, uint16(p)<<8 | uint16(v)
 }
 
 // revise runs PAR's revision for slot f, which just became the head
-// of an input buffer at switch sw with remaining-route word rw (its
-// switch hops from sw, then the ejection), and returns the flit's next
-// hop and the word after it. Revisable flits only exist at one shard
-// (injectNode panics otherwise), so the shared scratch view is safe.
-func (n *Network) revise(sw, f int32, rw uint64) (uint16, uint64) {
+// of an input buffer at switch sw with its remaining-route word (its
+// switch hops from sw, then the ejection) in its link. It returns the
+// flit's next hop and leaves the word after it in the link. Revisable
+// flits only exist at one shard (injectNode panics otherwise), so the
+// shared scratch view is safe.
+func (n *Network) revise(sw, f int32) uint16 {
 	rec := &n.fa.rec[f]
+	ln := &n.fa.link[f]
+	rw := ln.rw
 	k := WordHops(rw) - 1
 	v := &n.scratch
 	v.Src, v.Dst, v.GenTime = rec.src, rec.dst, rec.genTime
@@ -372,7 +382,9 @@ func (n *Network) revise(sw, f int32, rw uint64) (uint16, uint64) {
 	v.Word = rw&^(wordField<<(3+uint(k)*wordFieldBits)|wordCntMask) | uint64(k)
 	n.routing.Revise(n, n.routeRNG, v, sw)
 	rec.hops += int16(WordHops(v.Word) - k)
-	return n.firstHop(v.Word, rec.dst)
+	var hop uint16
+	hop, ln.rw = n.firstHop(v.Word, rec.dst)
+	return hop
 }
 
 // firstHop splits a route word of switch hops from the current switch
@@ -424,7 +436,6 @@ func (n *Network) inject() {
 	}
 	n.srcActive = next
 	n.srcNext = active[:0]
-	n.genCal.recycle(due)
 }
 
 // injectNode runs one node's injection turn: packet generation when
@@ -436,7 +447,7 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 	t := n.T
 	fa := &n.fa
 	if due {
-		gen := n.nextGen[node]
+		gen := n.genCal.at[node]
 		// Far beyond saturation a source queue only adds latency
 		// that is already far past the saturation threshold;
 		// capping it bounds memory without changing any
@@ -473,9 +484,7 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 				n.injected++
 			}
 		}
-		ng := n.geomNext(gen)
-		n.nextGen[node] = ng
-		n.genCal.add(ng, node)
+		n.genCal.add(n.geomNext(gen), node)
 	}
 	q := &n.nodeQ[node]
 	if q.n == 0 {
@@ -534,8 +543,9 @@ func (n *Network) injectNode(node int32, due bool, nextActive []int32) []int32 {
 		// reaches the head of a buffer there.
 		rw = (rw&^wordCntMask)<<wordFieldBits | wordField<<3 | (rw&wordCntMask + 1)
 	}
+	fa.link[f].rw = rw
 	pi := int(sw)*n.ports + termPort
-	n.enqueue(sw, termPort, 0, pi, pi*n.numVCs, f, hop, rw)
+	n.enqueue(sw, termPort, 0, pi, pi*n.numVCs, f, hop)
 	if q.n > 0 {
 		nextActive = append(nextActive, node)
 	}
@@ -691,17 +701,11 @@ func (n *Network) allocateRouter(swi int, sh *simShard) {
 						}
 						outUsed |= 1 << out
 						credits[ci]--
-						f, rw := n.dequeue(int32(swi), port, vc, pBase+port, hBase+port*numVCs+vc)
+						f, hop := n.dequeue(int32(swi), port, vc, pBase+port, hBase+port*numVCs+vc)
 						n.returnCredit(sh, pBase+port, vc)
-						// The next hop comes off the route word: the
-						// arena record is untouched between inject and
-						// eject.
-						p, v := WordHop(rw, 0)
-						hop := uint16(p)<<8 | uint16(v)
-						rw = rw>>wordFieldBits&^wordCntMask | (rw&wordCntMask - 1)
 						peer := n.outPeer[oBase+out-termPorts]
 						n.emit(sh, int(n.outLat[oBase+out-termPorts]), event{
-							flit: f, r: peer.r, port: peer.port, vc: int8(outVC), hop: hop, rw: rw,
+							flit: f, r: peer.r, port: peer.port, vc: int8(outVC), hop: hop,
 						})
 						if n.chanCount != nil && n.now >= n.measBegin && n.now < n.measEnd {
 							n.chanCount[oBase+out-termPorts]++

@@ -144,7 +144,7 @@ func (n *Network) buildShards() {
 //     may address the same destination shard.
 //
 // The full reserve across shards is O(switches·radix·(wheelLen +
-// shards)) — 17MB at two shards and 25MB at eight on the largest
+// shards)) — 10.8MB at two shards and 15.9MB at eight on the largest
 // benchmarked case (sw702) — and is skipped
 // (growth falls back to amortized doubling, steady allocations stay
 // near but not exactly zero) when it would exceed a sanity budget.
@@ -246,8 +246,7 @@ func (n *Network) shardDeliver(s int) {
 		ev := bucket[i]
 		if ev.flit >= 0 {
 			pi := int(ev.r)*n.ports + int(ev.port)
-			n.enqueue(ev.r, int(ev.port), int(ev.vc), pi, pi*n.numVCs+int(ev.vc),
-				ev.flit, ev.hop, ev.rw)
+			n.enqueue(ev.r, int(ev.port), int(ev.vc), pi, pi*n.numVCs+int(ev.vc), ev.flit, ev.hop)
 		} else {
 			// Interleaved credit of an in-flight reviser (see
 			// returnCredit).
@@ -466,121 +465,98 @@ func (n *Network) startEngine() func() {
 // acquired.
 var releaseNothing = func() {}
 
-// genCalendar buckets node ids by their next packet-generation cycle,
-// so inject pops exactly the nodes due at n.now instead of scanning
-// all of them. Near-future cycles — where virtually every geometric
-// inter-arrival gap lands — live in a small power-of-two wheel
-// indexed by cycle; the long tail spills into a map. Buckets are
-// recycled through a free list. pop must be called once per cycle
-// with strictly increasing t (inject does): the wheel slot is
-// reclaimed on pop, which is what keeps slot collisions impossible.
+// genCalendar holds every node's next packet-generation cycle and
+// lists the nodes by it, so inject pops exactly the nodes due at n.now
+// instead of scanning all of them. The lists are intrusive: slot[t&mask]
+// heads the nodes due at cycle t, chained through next, for the cycles
+// of a 512-slot wheel; a node due beyond the wheel waits on the parked
+// list, chained through the same next, and moves into the wheel when
+// base passes a multiple of the wheel length. A node is on at most one
+// list, so the calendar's memory is a few words a node whatever the
+// rate, and nothing allocates after init. pop must be called once per
+// cycle with t one past the last (inject does): the slot is reclaimed
+// on pop, which is what keeps slot collisions impossible.
 //
-// A popped bucket is handed out in ascending node id order (the
-// injection RNG draw order every shard count relies on). Instead of sorting, pop drains the bucket through a
-// node-indexed scratch bitmap: setting one bit per due node and
-// scanning the words in order is O(nodes/64 + due) per cycle, beats
-// comparison sorting at every realistic bucket size, and yields the
-// ascending order by construction.
+// pop hands the due nodes out in ascending node id order (the
+// injection RNG draw order every shard count relies on) by setting one
+// bit per due node in a node-indexed scratch bitmap and scanning the
+// words it touched: O(span/64 + due) a cycle, ascending by
+// construction, whatever order the list holds.
 type genCalendar struct {
-	near [][]int32 // wheel of len 1<<genWheelBits, indexed by t&mask
-	far  map[int64][]int32
-	base int64 // all cycles < base have been popped
-	free [][]int32
-	seen []uint64 // scratch bitmap, one bit per node
+	at     []int64 // at[v]: node v's next generation cycle, neverGen if none
+	next   []int32 // next[v]: the node after v on its list, -1 at the end
+	slot   [1 << genWheelBits]int32
+	parked int32
+	base   int64    // all cycles < base have been popped
+	seen   []uint64 // scratch bitmap, one bit per node
+	due    []int32  // pop's result, reused every cycle
 }
 
-// genWheelBits sizes the near wheel. 512 cycles puts the far-map spill
-// probability of a geometric gap at ~0.9^512 for the lowest interesting
-// load — with the 64-cycle wheel this replaced, the ~0.1% tail crossed
-// into the far map often enough (hundreds of nodes redrawing every
-// cycle) to keep map churn visible in steady-state allocation counts.
+// genWheelBits sizes the wheel. Every node waits on a list whatever
+// its gap, so the wheel's length sets only how often the parked list is
+// walked: once a wheel turn, each parked node read once.
 const genWheelBits = 9
 
-// init sizes the calendar. expectDue, when positive, is the expected
-// high-water bucket population (due nodes of one cycle); every near
-// bucket is pre-sized to it so steady-state adds never reallocate — a
-// recycled bucket otherwise carries whatever capacity its previous
-// slot needed, and a small one landing on a heavy slot doubles
-// mid-run, which is visible in steady-state allocation counts long
-// after warmup.
-func (c *genCalendar) init(numNodes, expectDue int) {
-	c.near = make([][]int32, 1<<genWheelBits)
-	if expectDue > 0 {
-		for i := range c.near {
-			c.near[i] = make([]int32, 0, expectDue)
-		}
-	}
-	c.far = make(map[int64][]int32)
+// init sizes the calendar for numNodes nodes, none of them listed.
+func (c *genCalendar) init(numNodes int) {
+	c.at = make([]int64, numNodes)
+	c.next = make([]int32, numNodes)
+	c.due = make([]int32, 0, numNodes)
 	c.seen = make([]uint64, (numNodes+63)/64)
+	for i := range c.slot {
+		c.slot[i] = -1
+	}
+	c.parked = -1
 }
 
+// add lists node as due at cycle t (not before base).
 func (c *genCalendar) add(t int64, node int32) {
+	c.at[node] = t
 	if t == neverGen {
 		return
 	}
 	if t-c.base < 1<<genWheelBits {
 		i := int(t) & (1<<genWheelBits - 1)
-		b := c.near[i]
-		if b == nil && len(c.free) > 0 {
-			b = c.free[len(c.free)-1][:0]
-			c.free = c.free[:len(c.free)-1]
-		}
-		c.near[i] = append(b, node)
+		c.next[node], c.slot[i] = c.slot[i], node
 		return
 	}
-	b, ok := c.far[t]
-	if !ok && len(c.free) > 0 {
-		b = c.free[len(c.free)-1][:0]
-		c.free = c.free[:len(c.free)-1]
-	}
-	c.far[t] = append(b, node)
+	c.next[node], c.parked = c.parked, node
 }
 
+// pop returns the nodes due at cycle t, ascending; the slice is valid
+// until the next pop.
 func (c *genCalendar) pop(t int64) []int32 {
-	c.base = t + 1
 	i := int(t) & (1<<genWheelBits - 1)
-	b := c.near[i]
-	c.near[i] = nil
-	if fb, ok := c.far[t]; ok {
-		delete(c.far, t)
-		if b == nil {
-			b = fb
-		} else {
-			b = append(b, fb...)
-			c.recycle(fb)
+	v := c.slot[i]
+	c.slot[i] = -1
+	c.base = t + 1
+	if c.base&(1<<genWheelBits-1) == 0 {
+		// A wheel turn: every parked node now due inside the wheel moves
+		// into its slot (none is overdue, as each was parked at least a
+		// wheel length ahead of the base it was added at).
+		p := c.parked
+		c.parked = -1
+		for p >= 0 {
+			nx := c.next[p]
+			c.add(c.at[p], p)
+			p = nx
 		}
 	}
-	if len(b) > 1 && !int32sSorted(b) {
-		for _, v := range b {
-			c.seen[v>>6] |= 1 << (uint32(v) & 63)
-		}
-		b = b[:0]
-		for w, word := range c.seen {
-			if word == 0 {
-				continue
-			}
-			c.seen[w] = 0
-			base := int32(w << 6)
-			for word != 0 {
-				b = append(b, base+int32(bits.TrailingZeros64(word)))
-				word &= word - 1
-			}
+	lo, hi := len(c.seen), -1
+	for ; v >= 0; v = c.next[v] {
+		w := int(v >> 6)
+		c.seen[w] |= 1 << (uint32(v) & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	b := c.due[:0]
+	for w := lo; w <= hi; w++ {
+		word := c.seen[w]
+		c.seen[w] = 0
+		for word != 0 {
+			b = append(b, int32(w<<6+bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
+	c.due = b
 	return b
-}
-
-func (c *genCalendar) recycle(b []int32) {
-	if cap(b) > 0 {
-		c.free = append(c.free, b[:0])
-	}
-}
-
-func int32sSorted(b []int32) bool {
-	for i := 1; i < len(b); i++ {
-		if b[i] < b[i-1] {
-			return false
-		}
-	}
-	return true
 }

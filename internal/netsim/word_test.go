@@ -114,7 +114,8 @@ func TestRouteWords(t *testing.T) {
 		eject := RouteHop{Port: int8(tp.NodeIndex(w.dst[node]))}
 		full := append(hops, eject)
 		pi := tp.SwitchOfNode(int(node))*n.ports + tp.NodeIndex(int(node))
-		m, rw := n.qMeta[pi*n.numVCs], n.qRW[pi*n.numVCs]
+		m := n.qMeta[pi*n.numVCs]
+		rw := n.fa.link[int32(uint32(m>>32))].rw
 		wantRW, _ := PackWord(full[1:])
 		if hop := uint16(m >> 16); int32(uint32(m>>32)) != f || hop != uint16(full[0].Port)<<8|uint16(full[0].VC) || rw != wantRW {
 			t.Fatalf("%d-hop route %v: head (%d, %#x, %#x), want (%d, %+v, %#x)",
