@@ -94,31 +94,33 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	tp := topo.MustNew(4, 8, 4, 9)
 	rf := routing.NewUGALL(tp, paths.Full{T: tp})
-	for _, load := range []struct {
-		rate           float64
-		warmup, window int64
-	}{
-		{0.15, 800, 200},
-		{0.002, 20000, 2000},
-	} {
-		for _, shards := range []int{1, 8} {
-			t.Run(fmt.Sprintf("rate=%g/shards=%d", load.rate, shards), func(t *testing.T) {
-				cfg := netsim.DefaultConfig()
-				cfg.Shards = shards
-				if shards > 1 {
-					cfg.ShardWorkers = shards
-				}
-				n := netsim.New(tp, cfg, rf.CloneRouting(),
-					traffic.Shift{T: tp, DG: 2, DS: 0}, load.rate)
-				n.Run(load.warmup, load.window, 0) // past the transient: buffers at steady size
-				allocs := testing.AllocsPerRun(3, func() {
-					n.Run(0, load.window, 0)
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			for _, load := range []struct {
+				rate           float64
+				warmup, window int64
+			}{
+				{0.15, 800, 200},
+				{0.002, 20000, 2000},
+			} {
+				t.Run(fmt.Sprintf("rate=%g", load.rate), func(t *testing.T) {
+					cfg := netsim.DefaultConfig()
+					cfg.Shards = shards
+					if shards > 1 {
+						cfg.ShardWorkers = shards
+					}
+					n := netsim.New(tp, cfg, rf.CloneRouting(),
+						traffic.Shift{T: tp, DG: 2, DS: 0}, load.rate)
+					n.Run(load.warmup, load.window, 0) // past the transient: buffers at steady size
+					allocs := testing.AllocsPerRun(3, func() {
+						n.Run(0, load.window, 0)
+					})
+					if allocs > 0 {
+						t.Errorf("steady-state Run allocated %.1f times per %d-cycle window, want 0", allocs, load.window)
+					}
 				})
-				if allocs > 0 {
-					t.Errorf("steady-state Run allocated %.1f times per %d-cycle window, want 0", allocs, load.window)
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
