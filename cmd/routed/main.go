@@ -112,11 +112,14 @@ func main() {
 
 // fits refuses a set past the int32 PathID space before anything is
 // compiled: paths.EstimatePaths samples three pairs, where the compile
-// would count every pair and then panic.
+// would count every pair and then panic. A store places its paths in
+// the full set, so the full set must fit too.
 func fits(t *topo.Compiled, pol paths.Policy) error {
-	if n := paths.EstimatePaths(t, pol); n > math.MaxInt32 {
-		return fmt.Errorf("%s on %s has about %d paths, more than the %d an int32 PathID holds",
-			pol.Name(), t.Label(), n, math.MaxInt32)
+	for _, p := range []paths.Policy{pol, paths.Full{T: t}} {
+		if n := paths.EstimatePaths(t, p); n > math.MaxInt32 {
+			return fmt.Errorf("%s on %s has about %d paths, more than the %d an int32 PathID holds",
+				p.Name(), t.Label(), n, math.MaxInt32)
+		}
 	}
 	return nil
 }

@@ -500,16 +500,19 @@ func TestServeDrainsInFlight(t *testing.T) {
 
 // TestFitsRefusesPastPathIDSpace: the full set of the paper's largest
 // topology has more paths than a PathID holds, which fits says, naming
-// the count and the limit, from three sampled pairs and no compile; a
-// small topology's full set fits.
+// the count and the limit, from three sampled pairs and no compile; so
+// does a set of ~12 M paths there, whose store would place them in
+// that full set; a small topology's full set fits.
 func TestFitsRefusesPastPathIDSpace(t *testing.T) {
 	tp, err := spec.Topology("dfly(13,26,13,27)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = fits(tp, paths.Full{T: tp})
-	if err == nil || !strings.Contains(err.Error(), "dfly(13,26,13,27)") || !strings.Contains(err.Error(), "2147483647") {
-		t.Fatalf("dfly(13,26,13,27) full set: %v", err)
+	for _, pol := range []paths.Policy{paths.Full{T: tp}, paths.LengthCapped{T: tp, MaxHops: 3}} {
+		err = fits(tp, pol)
+		if err == nil || !strings.Contains(err.Error(), "VLB-all on dfly(13,26,13,27)") || !strings.Contains(err.Error(), "2147483647") {
+			t.Fatalf("dfly(13,26,13,27) %s: %v", pol.Name(), err)
+		}
 	}
 	small, _ := g5(t, route.ModeUGAL)
 	if err := fits(small, paths.Full{T: small}); err != nil {

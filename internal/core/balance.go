@@ -87,7 +87,8 @@ func analyzePairs(t *topo.Compiled, opt LBOptions) [][2]int32 {
 // There is one adjustment (adjust) with two feeds. When the policy
 // compiles within the store budget, a pair's paths are read out of the
 // store, removal is a bit per PathID (paths.IDSet) and the result is a
-// Store of the kept offsets, ready for allocation-free sampling. Otherwise
+// Store of the kept paths, one bit per path of the full set (Without),
+// ready for allocation-free sampling. Otherwise
 // (modeled-only giant topologies) they come from a filtered walk of
 // the interpreted policy and the result is an Explicit wrapper with a
 // hash-keyed removal set. Both feeds hand the adjustment the same paths

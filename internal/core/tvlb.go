@@ -372,7 +372,7 @@ func ComputeTVLB(t *topo.Compiled, opt Options) (*Result, error) {
 	// the full store, compiled here once Step 1 is done with its walks
 	// when the topology fits the budget, it is a drop mask over the
 	// stored paths: membership, adjustment and one copy of the kept
-	// offsets, with no enumeration and no copy before the adjustment.
+	// bits, with no enumeration and no copy before the adjustment.
 	// The candidates are independent and run concurrently on the
 	// default pool, written by index so the reported order (and the
 	// winner of score ties below) is stable. One immutable edge space

@@ -10,22 +10,28 @@ import (
 
 var benchStore *Store
 
-// BenchmarkCompileStore times the full-VLB store compile on the
-// paper's g9 machine (~4.1M paths) and on dfly(4,8,4,17), the topology
-// cmd/routed serves (~8.4M paths). allocs/op is the number the
-// count -> fill build is held to: a few per source switch, not a few
-// per path.
+// BenchmarkCompileStore times the store compile on the paper's g9
+// machine (~4.1M paths in the full set) and on dfly(4,8,4,17), the
+// topology cmd/routed serves (~8.4M): the full set, which is
+// arithmetic and walks no path, strategic 2+3, and the keyed
+// LengthCapped{4, 0.5}, which hashes each 5-hop join. Each walked set
+// is one walk setting a bit per admitted join; allocs/op is a few per
+// source switch, not a few per path.
 func BenchmarkCompileStore(b *testing.B) {
 	for _, g := range []int{9, 17} {
 		tp := topo.MustNew(4, 8, 4, g)
-		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
-			pol := Full{T: tp}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchStore = Compile(tp, pol)
-			}
-			b.ReportMetric(float64(benchStore.NumPaths()), "paths")
-		})
+		for _, c := range []struct {
+			name string
+			pol  Policy
+		}{{"full", Full{T: tp}}, {"strategic", Strategic{T: tp, FirstLeg: 2}}, {"keyed", LengthCapped{T: tp, MaxHops: 4, Frac: 0.5, Seed: 7}}} {
+			b.Run(fmt.Sprintf("g%d/%s", g, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchStore = Compile(tp, c.pol)
+				}
+				b.ReportMetric(float64(benchStore.NumPaths()), "paths")
+			})
+		}
 	}
 }
 

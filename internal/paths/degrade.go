@@ -90,7 +90,7 @@ func CompileDegraded(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Stor
 	}
 	st, total := compile(t, pol, mask)
 	if st == nil {
-		panic(fmt.Sprintf("paths: %s on %s has %d paths, more than the int32 PathID space holds",
+		panic(fmt.Sprintf("paths: %s on %s: %d paths, in the set or in the full set its bits are placed in, more than the int32 PathID space holds",
 			pol.Name(), t.Label(), total))
 	}
 	return st
@@ -98,8 +98,9 @@ func CompileDegraded(t *topo.Compiled, pol Policy, mask *topo.FailureMask) *Stor
 
 // Compiled is the one place the interpreted/compiled choice is made:
 // pol as a Store under mask (nil: none) when its estimated pristine size
-// fits DefaultCompileBudget (the degraded set is never larger) and its
-// counted size the PathID space, the build reported to pool's observer
+// fits DefaultCompileBudget (the degraded set is never larger), so do
+// its bits unless it is the pristine full set (fits), and its counted
+// size fits the PathID space, the build reported to pool's observer
 // as compile/<name>; ok=false when it does not, and the caller keeps the
 // interpreted policy — the Figure 13/14 topology stays interpreted by
 // design. A Store is filtered under mask (CompileDegraded), and passes
@@ -109,7 +110,7 @@ func Compiled(pool *exec.Pool, t *topo.Compiled, pol Policy, mask *topo.FailureM
 	switch {
 	case ok:
 		st = degradedStore(st, mask)
-	case EstimatePaths(t, pol) > DefaultCompileBudget:
+	case !fits(t, pol, mask, DefaultCompileBudget):
 		return nil, false
 	default:
 		if st, _ = compile(t, pol, mask); st == nil {

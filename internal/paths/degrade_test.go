@@ -46,7 +46,7 @@ func failSteps() []failScenario {
 // TestCompileDegradedComposes grows a failure mask step by step,
 // degrading the previous step's store under a clone of the mask each
 // time, and checks after every step, at 1, 2 and 8 workers, that the
-// chained store holds the offsets of the policy's own compile under the
+// chained store holds the bits of the policy's own compile under the
 // mask and the naive reference's paths (pair index, hops, ports), and that it still carries the policy's name, conventional
 // flag, the label and the mask it was handed.
 func TestCompileDegradedComposes(t *testing.T) {

@@ -166,27 +166,26 @@ func linkOf(t *topo.Compiled, sw, gp, peer int) int {
 // intermediate's group rank q and place si, and the killed ones are the
 // rows k1 of the killed first legs and the columns k2 of the killed
 // second legs. On the pristine full set a killed join's PathID is its
-// offset's; on any other store the block's stored offsets, found by a
-// search of the pair's sorted offsets, are merged with the killed ones.
-// An in-group pair's stored detours are each tested on their two hops.
+// offset's; on any other store it is stored when its bit is set, and its
+// PathID is the rank of its bit in the pair, counted on from the last
+// one found. An in-group pair's
+// stored detours are each tested on their two hops.
 func (dl *Delta) AppendIDs(st *Store, s, d int, dst []PathID) []PathID {
 	t := dl.t
-	first, _ := st.PairRange(s, d)
-	offs := st.pairOffsets(s*st.n + d)
+	id, keep, at := PathID(st.pairStart[s*st.n+d]), st.keep, st.set.start(s, d)
 	gs, gd := t.GroupOf(s), t.GroupOf(d)
 	if gs == gd {
 		si, di := t.SwitchIndexInGroup(s), t.SwitchIndexInGroup(d)
-		for i, o := range offs {
-			m := t.SwitchID(gs, skip(int(o), si, di))
-			if dl.ch[s*dl.nonTerm+t.LocalPort(s, m)-t.P] || dl.ch[m*dl.nonTerm+t.LocalPort(m, d)-t.P] {
-				dst = append(dst, first+PathID(i))
+		for o := range st.set.count(s, d) {
+			m := t.SwitchID(gs, skip(o, si, di))
+			if keep.holds(at+o) && (dl.ch[s*dl.nonTerm+t.LocalPort(s, m)-t.P] || dl.ch[m*dl.nonTerm+t.LocalPort(m, d)-t.P]) {
+				dst = append(dst, id+PathID(keep.ones(at, at+o)))
 			}
 		}
 		return dst
 	}
-	k := int32(t.K)
+	k, pos := int32(t.K), at // id is the pair's first PathID plus the bits in [at, pos)
 	out, in := dl.out[dl.outAt[s]:dl.outAt[s+1]], dl.in[dl.inAt[d]:dl.inAt[d+1]]
-	at := 0 // offs[at:] are past the blocks done
 	for len(out) > 0 || len(in) > 0 {
 		// The next intermediate either list names, and the links of its
 		// killed legs in from s (rows) and on to d (cols).
@@ -217,11 +216,7 @@ func (dl *Delta) AppendIDs(st *Store, s, d int, dst []PathID) []PathID {
 		if gx > gd {
 			q--
 		}
-		base := int32(q*t.A+t.SwitchIndexInGroup(int(x))) * k * k
-		if st.offs != nil {
-			i, _ := slices.BinarySearch(offs[at:], uint32(base))
-			at += i
-		}
+		base := at + int(int32(q*t.A+t.SwitchIndexInGroup(int(x)))*k*k)
 		for k1 := range k {
 			whole := len(rows) > 0 && rows[0].link == k1
 			if whole {
@@ -235,16 +230,12 @@ func (dl *Delta) AppendIDs(st *Store, s, d int, dst []PathID) []PathID {
 					k2 = cols[c].link
 					c++
 				}
-				o := uint32(base + k1*k + k2)
-				if st.offs == nil {
-					dst = append(dst, first+PathID(o))
-					continue
-				}
-				for at < len(offs) && offs[at] < o {
-					at++
-				}
-				if at < len(offs) && offs[at] == o {
-					dst = append(dst, first+PathID(at))
+				if o := base + int(k1*k+k2); keep == nil {
+					dst = append(dst, id+PathID(o-at))
+				} else if keep.holds(o) {
+					id += PathID(keep.ones(pos, o))
+					pos = o
+					dst = append(dst, id)
 				}
 			}
 		}

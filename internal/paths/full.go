@@ -8,9 +8,10 @@ import (
 )
 
 // fullSet is the pristine full VLB set of one topology as arithmetic
-// over its MIN legs: the space every Store's paths are offsets in. Every
-// inter-group pair holds (G-2)·A·K² paths and every in-group pair A-2,
-// and the path at an offset in its pair is arithmetic.
+// over its MIN legs: the space every Store's paths are offsets in, and
+// its bits places in. Every inter-group pair holds (G-2)·A·K² paths and
+// every in-group pair A-2, the pairs come in s*n+d order, and the path
+// at an offset in its pair is arithmetic.
 //
 // An inter-group pair's paths come in the walk's order: intermediate
 // group (the source and destination groups skipped), switch in it,
@@ -26,7 +27,6 @@ type fullSet struct {
 	perPair int // paths of an inter-group pair
 	split   []split
 	heads   []legHead // [(x*G+gy)*K+i]: out of switch x over link i of x's group to group gy
-	every   []uint32  // 0, 1, ...: a pristine pair's offsets
 }
 
 // split is one offset of an inter-group pair: the intermediate's group
@@ -51,17 +51,14 @@ func fullPaths(t *topo.Compiled) int64 {
 	return int64(t.NumSwitches()) * row
 }
 
-// newFullSet builds the three tables. They are pair-local, so they do not
+// newFullSet builds the two tables. They are pair-local, so they do not
 // depend on the set fitting the PathID space.
 func newFullSet(t *topo.Compiled) *fullSet {
 	n, a, g, k := t.NumSwitches(), t.A, t.G, t.K
 	f := &fullSet{t: t, a: a, g: g, k: k, perPair: max(g-2, 0) * a * k * k}
-	f.split, f.every = make([]split, f.perPair), make([]uint32, max(f.perPair, a-2))
+	f.split = make([]split, f.perPair)
 	for o := range f.split {
 		f.split[o] = split{gq: uint16(o / (a * k * k)), si: uint16(o / (k * k) % a), k1: uint16(o / k % k), k2: uint16(o % k)}
-	}
-	for o := range f.every {
-		f.every[o] = uint32(o)
 	}
 	f.heads = make([]legHead, n*g*k)
 	for x := 0; x < n; x++ {
@@ -83,9 +80,9 @@ func newFullSet(t *topo.Compiled) *fullSet {
 	return f
 }
 
-// bytes is the size of the three tables.
+// bytes is the size of the two tables.
 func (f *fullSet) bytes() int64 {
-	return int64(len(f.split))*int64(unsafe.Sizeof(split{})) + int64(len(f.heads))*int64(unsafe.Sizeof(legHead{})) + 4*int64(len(f.every))
+	return int64(len(f.split))*int64(unsafe.Sizeof(split{})) + int64(len(f.heads))*int64(unsafe.Sizeof(legHead{}))
 }
 
 // count is the path count of pair (s, d).
@@ -97,6 +94,18 @@ func (f *fullSet) count(s, d int) int {
 		return f.a - 2
 	}
 	return f.perPair
+}
+
+// start is the place of pair (s, d)'s first path in the full set: the
+// rows before s, then the pairs (s, d' < d), A-2 or perPair paths each.
+func (f *fullSet) start(s, d int) int {
+	in, g0 := max(f.a-2, 0), f.t.GroupOf(s)*f.a
+	same := min(max(d-g0, 0), f.a) // s's group below d, s too when s < d
+	at := s*((f.t.NumSwitches()-f.a)*f.perPair+(f.a-1)*in) + (d-same)*f.perPair + same*in
+	if s < d {
+		at -= in
+	}
+	return at
 }
 
 // skip returns the q-th of 0, 1, ... with a and b left out (a != b).
@@ -150,53 +159,49 @@ func (f *fullSet) path(s, d, o int) uint64 {
 	return a | f.leg(f.headsTo(inter, gd)[sp.k2], t.SwitchIndexInGroup(d))<<(8*PackedHops(a))
 }
 
-// each calls fn with the packed ports of pair (s, d)'s paths at
-// offsets offs (ascending), in order, numbered from id. Per intermediate
-// its stored joins pass, it joins the legs into it with the legs out of
-// it, built once, when it stores all K² joins, and decodes each stored
-// join (as path does) when it does not: a read costs the stored paths
-// and the intermediates they pass, not the pair's full set.
-func (f *fullSet) each(s, d int, id PathID, offs []uint32, fn func(id PathID, ports uint64)) {
+// each calls fn with the packed ports of pair (s, d)'s paths whose
+// places, the pair's from at, keep holds (nil: every one), in order,
+// numbered from id. Per intermediate that keeps a join, it joins the
+// legs into it with the legs out of it, built once, and passes the
+// joins keep holds: a read costs a popcount per intermediate and the
+// joins of those it passes, not the pair's full set.
+func (f *fullSet) each(s, d int, id PathID, keep IDSet, at int, fn func(id PathID, ports uint64)) {
 	t := f.t
 	gs, gd := t.GroupOf(s), t.GroupOf(d)
 	if gs == gd {
-		for k, o := range offs {
-			fn(id+PathID(k), f.detour(s, d, int(o)))
+		for o := range f.count(s, d) {
+			if keep.holds(at + o) {
+				fn(id, f.detour(s, d, o))
+				id++
+			}
 		}
 		return
 	}
 	var buf [16]uint64
-	di, kk, k := t.SwitchIndexInGroup(d), f.k*f.k, 0
+	di, kk, o := t.SwitchIndexInGroup(d), f.k*f.k, at
 	for q := 0; q < f.g-2; q++ {
 		gi := skip(q, gs, gd)
 		into := f.headsTo(s, gi)
-		for si := 0; si < f.a && k < len(offs); si++ {
-			end := (q*f.a + si + 1) * kk // past the intermediate's joins
-			if int(offs[k]) >= end {
-				continue
-			}
-			out := f.headsTo(t.SwitchID(gi, si), gd)
-			if k+kk > len(offs) || int(offs[k+kk-1]) != end-1 {
-				for ; k < len(offs) && int(offs[k]) < end; k, id = k+1, id+1 {
-					sp := f.split[offs[k]]
-					a := f.leg(into[sp.k1], si)
-					fn(id, a|f.leg(out[sp.k2], di)<<(8*PackedHops(a)))
-				}
+		for si := 0; si < f.a; si++ {
+			if keep.ones(o, o+kk) == 0 {
+				o += kk
 				continue
 			}
 			second := buf[:0]
-			for _, h := range out {
+			for _, h := range f.headsTo(t.SwitchID(gi, si), gd) {
 				second = append(second, f.leg(h, di))
 			}
 			for _, h := range into {
 				a := f.leg(h, si)
 				shift := 8 * PackedHops(a)
 				for _, b := range second {
-					fn(id, a|b<<shift)
-					id++
+					if keep.holds(o) {
+						fn(id, a|b<<shift)
+						id++
+					}
+					o++
 				}
 			}
-			k += kk
 		}
 	}
 }

@@ -77,7 +77,7 @@ func checkRow(st *Store, s int, row [][]Path, keep func(d, o int) bool) (hist [M
 		for k, o := range offs {
 			id, p := id0+PathID(k), full[o]
 			x := Packed(p.Ports)
-			if got := st.offset(s*st.n+d, id); got != o {
+			if got := st.offset(s, d, id); got != o {
 				return hist, fmt.Errorf("pair (%d,%d) path %d: offset %d, oracle %d", s, d, id, got, o)
 			}
 			if ids[k] != id || ports[k] != x || st.Ports(s, d, id) != x || PackedHops(x) != p.Hops() {
@@ -172,7 +172,7 @@ func legWalkRecord(lw *LegWalk, s, d int) (rows [][]uint64) {
 }
 
 // TestFullStoreIsArithmetic holds the pristine full store, which keeps
-// no offsets, to the naive enumeration (naiveRow, checkRow): pair
+// no bits, to the naive enumeration (naiveRow, checkRow): pair
 // counts, and per PathID its ports, hops, materialized path and equal
 // ports, with the pair read, first ports and hop histogram, on one
 // link per group pair, one link between groups (K = 1), parallel links,
@@ -197,8 +197,8 @@ func TestFullStoreIsArithmetic(t *testing.T) {
 	for _, tp := range topos {
 		t.Run(tp.Label(), func(t *testing.T) {
 			got := Compile(tp, Full{T: tp})
-			if got.offs != nil || int64(got.NumPaths()) != fullPaths(tp) {
-				t.Fatalf("the pristine full store keeps %d offsets for %d paths", len(got.offs), got.NumPaths())
+			if got.keep != nil || int64(got.NumPaths()) != fullPaths(tp) {
+				t.Fatalf("the pristine full store keeps %d words of bits for %d paths", len(got.keep), got.NumPaths())
 			}
 			if got.Name() != (Full{}).Name() || !IsConventional(got) || got.Mask() != nil {
 				t.Fatalf("store %q conventional %v mask %v", got.Name(), IsConventional(got), got.Mask())
@@ -306,8 +306,8 @@ func TestFullStoreIsArithmetic(t *testing.T) {
 	}
 }
 
-// TestStoreOffsetsMatchWalk holds every store that keeps offsets to
-// the naive enumeration: the 31 Table-1 points, both strategic sets and
+// TestStoreOffsetsMatchWalk holds every store that keeps bits to the
+// naive enumeration: the 31 Table-1 points, both strategic sets and
 // a rebalanced Explicit (a strategic set less every third path of every
 // fifth pair), each compiled pristine and under one of three random
 // masks, on one link per group pair, one link between groups (K = 1),
@@ -319,7 +319,7 @@ func TestFullStoreIsArithmetic(t *testing.T) {
 // its last failure agrees with crossesScan, and the LegWalk over the store hands out
 // what the one over the interpreted policy does; and the policy cut out
 // of the full store under the same mask, Without(DropMask(pol)), has
-// the compile's offsets.
+// the compile's bits.
 func TestStoreOffsetsMatchWalk(t *testing.T) {
 	topos := []*topo.Compiled{
 		topo.MustNew(2, 4, 2, 9),
@@ -351,7 +351,7 @@ func TestStoreOffsetsMatchWalk(t *testing.T) {
 					mask, full := masks[k], fulls[k]
 					st := CompileDegraded(tp, pol, mask)
 					if !sameStore(full.Without(full.DropMask(pol)), st) {
-						t.Fatalf("%s under %v: the cut of the full store has other offsets than the compile", pol.Name(), mask)
+						t.Fatalf("%s under %v: the cut of the full store has other bits than the compile", pol.Name(), mask)
 					}
 					walk := randomMask(tp, r, 2)
 					delta := randomDelta(tp, r, walk)
@@ -433,14 +433,14 @@ func TestFullStoreWideLinks(t *testing.T) {
 // on dfly(4,8,4,17), the topology cmd/routed serves, as a draw does
 // (SampleVLBInto): the pair's Ports at a PathID, then the path. It reads
 // the pristine full store, whose offsets are arithmetic, and strategic
-// 2+3's store, which loads each PathID's offset first: the point read a
-// VLB lookup or a simulated packet pays.
+// 2+3's store, which selects each PathID's bit in its pair first: the
+// point read a VLB lookup or a simulated packet pays.
 func BenchmarkMaterializeStore(b *testing.B) {
 	tp := topo.MustNew(4, 8, 4, 17)
 	for _, c := range []struct {
 		name string
 		st   *Store
-	}{{"implicit", Compile(tp, Full{T: tp})}, {"offsets", Compile(tp, Strategic{T: tp, FirstLeg: 2})}} {
+	}{{"implicit", Compile(tp, Full{T: tp})}, {"bits", Compile(tp, Strategic{T: tp, FirstLeg: 2})}} {
 		b.Run(c.name, func(b *testing.B) {
 			r := rng.New(1)
 			type draw struct {

@@ -22,9 +22,10 @@
 // set, the base every other set filters. That base is arithmetic: every
 // inter-group pair holds (G-2)·A·K² paths and every in-group pair A-2,
 // and the path at an offset in its pair is the MIN legs it joins. The
-// pristine full set is the base itself; any other store keeps each
-// PathID's offset in its pair. A point read decodes one offset; a
-// reader of a whole pair joins legs and takes the stored joins.
+// pristine full set is the base itself; any other store keeps one bit
+// per path of it. A point read selects a bit and decodes its offset; a
+// reader of a whole pair joins legs and takes the joins whose bits are
+// set.
 package paths
 
 import (
@@ -359,23 +360,25 @@ var legShapes = [...]struct{ n, g uint }{{1, 0}, {1, 1}, {2, 2}, {2, 1}, {3, 2}}
 // source switch that a set admits and that survive the visitor's mask,
 // in full VLB order. The set is a word policy, a Store, or an Explicit
 // over either. Every reader of a pair's joins is this walk — Enumerate
-// of every word policy, EstimatePaths, LegWalk, both passes of the store
-// compile and Store.DropMask — and its per-intermediate loop (judge,
+// of every word policy, EstimatePaths, LegWalk, the store compile and
+// Store.DropMask — and its per-intermediate loop (judge,
 // which pair runs) is the only place a join is admitted. A path's
 // liveness is its two legs', and its admission the table at the word its
 // legs' shapes join into, read once per shape pair when the walk is
 // made, and where that decides (a keyed word, or an Explicit, whose
-// removals it must miss) its Key, chained from the legs. A Store is walked as Full's table under the mask it was
-// compiled under: a full store holds exactly the live joins, and any
-// other's stored offsets are merged with the joins. No path is built.
+// removals it must miss) its Key, chained from the legs. A Store is
+// walked as Full's table under the mask it was compiled under: a full
+// store holds exactly the live joins, and any other's bits are tested
+// at the joins. No path is built.
 type policyWalk struct {
 	v     vlbVisitor
 	pairs [len(legShapes)][len(legShapes)]admit // by first and second leg shape
 	draw  KeyDraw
 	ex    *Explicit // removals to miss; nil: none
-	st    *Store    // the stored base whose offsets are merged; nil: none
+	st    *Store    // the stored base whose bits are tested; nil: none
 	keyed uint8     // the hop counts whose keys the caller reads
-	offs  []uint32  // the pair's stored offsets not taken yet
+	at    int       // the pair's place in the full set (st)
+	left  int       // the pair's stored paths not taken yet (st)
 	in    []bool    // one intermediate's verdicts and keys
 	keys  []uint64
 }
@@ -451,17 +454,17 @@ func (v *vlbVisitor) each(d int, yield func(legs1, legs2 []Leg)) {
 // the full VLB order, with its first and second legs; the k-th join of
 // the pair is the path at offset k. For first[i] joined to second[j],
 // in[i*len(second)+j] is the set's verdict: out when a leg is dead or,
-// over a stored base that is not a full set, when the join's offset is
-// not the next stored one; else the table's answer for the legs' shapes
-// and, where that decides, the key — a keyed word's draw and the
-// Explicit's removals. When the path is in and its key was read (or its
+// over a stored base that is not a full set, when the join's bit is not
+// set; else the table's answer for the legs' shapes and, where that
+// decides, the key — a keyed word's draw and the Explicit's removals. When the path is in and its key was read (or its
 // hop count is one keyed asks for), keys[i*len(second)+j] is its
-// Path.Key. All are valid only until yield returns. A stored offset the
+// Path.Key. All are valid only until yield returns. A stored path the
 // walk does not reach panics.
 func (w *policyWalk) pair(d int, yield func(first, second []Leg, in []bool, keys []uint64)) {
 	src := w.v.src
 	if w.st != nil {
-		w.offs = w.st.pairOffsets(src*w.st.n + d)
+		_, w.left = w.st.PairRange(src, d)
+		w.at = w.st.set.start(src, d)
 	}
 	start, o := rng.Mix(rng.HashSeed, uint64(int32(src))), 0
 	w.v.each(d, func(first, second []Leg) {
@@ -469,7 +472,7 @@ func (w *policyWalk) pair(d int, yield func(first, second []Leg, in []bool, keys
 		o += len(first) * len(second)
 		yield(first, second, w.in, w.keys)
 	})
-	if len(w.offs) != 0 {
+	if w.left != 0 {
 		panic(fmt.Sprintf("paths: %s: pair (%d, %d) has stored paths the full walk under the store's mask does not reach", w.st.Name(), src, d))
 	}
 }
@@ -506,15 +509,14 @@ func (w *policyWalk) judge(start uint64, o int, first, second []Leg) {
 	}
 }
 
-// take reports whether the join at offset o of the pair is the next
-// stored one of a base whose offsets are merged (w.st), and then takes
-// it: every live join of a word policy or a full store is in the base.
-// Offsets come ascending.
+// take reports whether the join at offset o of the pair is stored in a
+// base whose bits are tested (w.st), and then counts it taken: every
+// live join of a word policy or a full store is in the base.
 func (w *policyWalk) take(o int) bool {
-	if len(w.offs) == 0 || int(w.offs[0]) != o {
+	if !w.st.keep.holds(w.at + o) {
 		return false
 	}
-	w.offs = w.offs[1:]
+	w.left--
 	return true
 }
 

@@ -441,7 +441,7 @@ func TestWordsMatchOracle(t *testing.T) {
 								if got := !drops[i].Has(id); got != want {
 									t.Fatalf("%s pair (%d,%d) %v: DropMask admits %v, oracle %v", pol.Name(), s, d, p, got, want)
 								}
-								if got := verdicts[i][full.offset(s*n+d, id)]; got != want {
+								if got := verdicts[i][full.offset(s, d, id)]; got != want {
 									t.Fatalf("%s pair (%d,%d) %v: the walk admits %v, oracle %v", pol.Name(), s, d, p, got, want)
 								}
 								if want {

@@ -19,18 +19,17 @@ type PathID int32
 
 // DefaultCompileBudget caps, in total paths, how large a policy the
 // analysis layers will compile into a Store before falling back to
-// the interpreted form. The pristine full set holds no offsets, but
-// every other set — one cut from it (DropMask and Without, a rebalanced
-// candidate), a masked compile — holds 4 bytes a path, so ~9.4M paths
-// is ~36 MiB. The budget covers every simulated topology of the paper
-// (dfly(4,8,4,9) full VLB is ~4.1M paths, dfly(4,8,4,17) ~8.4M;
-// restricted T-VLB sets are far smaller) while refusing the
-// modeled-only dfly(4,8,4,33) (~17M) and the giant dfly(13,26,13,27),
-// whose full set is tens of billions of paths.
+// the interpreted form. The pristine full set keeps no bits; every other
+// set keeps one per path of the full set, whatever it keeps, and they
+// may take 4 bytes a budgeted path, 36 MiB (fits). The budget covers
+// every simulated topology of the paper (dfly(4,8,4,9) full VLB is ~4.1M
+// paths, 0.49 MiB of bits; dfly(4,8,4,17) ~8.4M; restricted T-VLB sets
+// are far smaller) while refusing the modeled-only dfly(4,8,4,33) (~17M)
+// and the giant dfly(13,26,13,27), tens of billions of paths.
 const DefaultCompileBudget int64 = 9 << 20
 
 // pathIDSpace is the largest path count a Store can index: PathID and
-// pairStart are int32.
+// pairStart are int32, and a set's bits are placed in its full set.
 const pathIDSpace = math.MaxInt32
 
 // Store is the compiled, immutable form of a Policy on one topology: a
@@ -38,12 +37,12 @@ const pathIDSpace = math.MaxInt32
 // paths. Every path is one of its pair's full VLB set, which is
 // arithmetic over the topology's MIN legs (fullSet), so a Store keeps
 // no ports: a PathID is an offset in its pair's full range. The
-// pristine full set stores every offset and so keeps none; every other
-// set — a policy's compile, a masked one, a cut by Without — keeps each
-// PathID's offset, ascending within a pair. A point read decodes one
-// offset; a reader of a whole pair joins its legs and takes the joins
-// whose offsets are stored. Switch sequences are re-derived from the
-// source switch and the ports when a path is materialized.
+// pristine full set keeps every path and so nothing; every other set — a
+// policy's compile, a masked one, a cut by Without — keeps one bit per
+// path of the full set, a pair's from its place there, and a
+// PathID is its pair's k-th set bit. A point read selects a bit; a
+// reader of a whole pair joins its legs where the bits are set. Switch
+// sequences are re-derived when a path is materialized.
 //
 // A Store is strictly read-only after Compile returns. That is the
 // sharing contract with internal/exec: one Store is built per
@@ -59,7 +58,7 @@ type Store struct {
 	full      bool   // compiled from the conventional all-VLB policy
 	n         int    // switches; the pair index is s*n+d
 	pairStart []int32
-	offs      []uint32 // each PathID's offset in its pair; nil: every offset
+	keep      IDSet // the kept paths of the full set; nil: every one
 	set       *fullSet
 	buildTime time.Duration
 
@@ -67,7 +66,7 @@ type Store struct {
 }
 
 // IDSet is a set of a Store's PathIDs, one bit each: a drop mask
-// (DropMask, Without).
+// (DropMask, Without); or of its full set's places, nil holding all.
 type IDSet []uint64
 
 // NewIDSet returns an empty set over n PathIDs.
@@ -78,6 +77,43 @@ func (b IDSet) Has(id PathID) bool { return b[id>>6]&(1<<(id&63)) != 0 }
 
 // Add puts id in the set.
 func (b IDSet) Add(id PathID) { b[id>>6] |= 1 << (id & 63) }
+
+// holds reports whether place i is in the set.
+func (b IDSet) holds(i int) bool { return b == nil || b[i>>6]&(1<<(i&63)) != 0 }
+
+// ones counts the places in [lo, hi) in the set: a rank.
+func (b IDSet) ones(lo, hi int) int {
+	if b == nil {
+		return hi - lo
+	}
+	c := 0
+	for w := lo >> 6; w < hi>>6; w++ {
+		c += bits.OnesCount64(b[w])
+	}
+	if lo&63 != 0 {
+		c -= bits.OnesCount64(b[lo>>6] & (1<<(lo&63) - 1))
+	}
+	if hi&63 != 0 {
+		c += bits.OnesCount64(b[hi>>6] & (1<<(hi&63) - 1))
+	}
+	return c
+}
+
+// nth returns the k-th place (from 0) at or after lo in the set, not
+// nil, which holds more than k there: a select.
+func (b IDSet) nth(lo, k int) int {
+	w := lo >> 6
+	x := b[w] & (^uint64(0) << (lo & 63))
+	for c := bits.OnesCount64(x); k >= c; c = bits.OnesCount64(x) {
+		k -= c
+		w++
+		x = b[w]
+	}
+	for ; k > 0; k-- {
+		x &= x - 1
+	}
+	return w<<6 + bits.TrailingZeros64(x)
+}
 
 // rowBits adds one row task's ascending PathIDs to a shared IDSet a word
 // at a time, each word ORed in atomically: the rows before and after it
@@ -106,34 +142,14 @@ func (r *rowBits) flush() {
 	}
 }
 
-// fullStore is the store of Full on pristine t: its pair index and the
-// tables of its arithmetic. The caller has checked fullPaths against
-// the PathID space.
-func fullStore(t *topo.Compiled) *Store {
-	start := time.Now()
-	n := t.NumSwitches()
-	st := &Store{T: t, name: Full{T: t}.Name(), full: true, n: n, set: newFullSet(t), pairStart: make([]int32, n*n+1)}
-	total := int32(0)
-	for pi := 0; pi < n*n; pi++ {
-		total += int32(st.set.count(pi/n, pi%n))
-		st.pairStart[pi+1] = total
-	}
-	st.buildTime = time.Since(start)
-	return st
-}
-
 // compile is compileStore with the PathID space as its limit, save that
-// Full on the pristine topology is the full set itself and walks no
-// path, and that an Explicit over a Store is walked under the store's
-// mask, the mask its offsets are joins under, and then filtered by mask
-// (degradedStore). pol is not a Store.
+// an Explicit over a Store is walked under the store's mask, the mask
+// its bits are joins under, and then filtered by mask (degradedStore).
+// pol is not a Store. A full set past the PathID space has no store: its
+// count is the second result.
 func compile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (*Store, int64) {
-	if _, ok := pol.(Full); ok && mask == nil {
-		total := fullPaths(t)
-		if total > pathIDSpace {
-			return nil, total
-		}
-		return fullStore(t), total
+	if total := fullPaths(t); total > pathIDSpace {
+		return nil, total
 	}
 	if base := storeOf(pol); base != nil {
 		st, total := compileStore(t, pol, base.mask, pathIDSpace)
@@ -142,22 +158,26 @@ func compile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (*Store, int6
 	return compileStore(t, pol, mask, pathIDSpace)
 }
 
-// pairOffsets returns pair pi's stored offsets, ascending: the pristine
-// full set's are every offset of the pair.
-func (st *Store) pairOffsets(pi int) []uint32 {
-	lo, hi := st.pairStart[pi], st.pairStart[pi+1]
-	if st.offs == nil {
-		return st.set.every[:hi-lo]
+// index builds the pair index from the bits: each pair's count of them,
+// prefix-summed.
+func (st *Store) index() {
+	nn := st.n * st.n
+	st.pairStart = make([]int32, nn+1)
+	for pi, lo := 0, 0; pi < nn; pi++ {
+		hi := lo + st.set.count(pi/st.n, pi%st.n) // the pairs' windows tile the full set
+		st.pairStart[pi+1] = st.pairStart[pi] + int32(st.keep.ones(lo, hi))
+		lo = hi
 	}
-	return st.offs[lo:hi]
 }
 
-// offset returns PathID id's offset in its pair, pair index pi.
-func (st *Store) offset(pi int, id PathID) int {
-	if st.offs != nil {
-		return int(st.offs[id])
+// offset returns PathID id's offset in its pair (s, d).
+func (st *Store) offset(s, d int, id PathID) int {
+	k := int(id - PathID(st.pairStart[s*st.n+d]))
+	if st.keep == nil {
+		return k
 	}
-	return int(id) - int(st.pairStart[pi])
+	at := st.set.start(s, d)
+	return st.keep.nth(at, k) - at
 }
 
 // Ports returns the out-ports of path id of pair (s, d), one byte a
@@ -165,16 +185,16 @@ func (st *Store) offset(pi int, id PathID) int {
 // decoded from the ID's offset in the pair. With the source switch they
 // identify the path.
 func (st *Store) Ports(s, d int, id PathID) uint64 {
-	return st.set.path(s, d, st.offset(s*st.n+d, id))
+	return st.set.path(s, d, st.offset(s, d, id))
 }
 
 // PairPorts calls fn with each stored path of pair (s, d) in PathID
 // order and its Ports: per intermediate its stored paths pass, it builds
-// the MIN legs, K into it and K out of it, and joins them at the stored
-// offsets.
+// the MIN legs, K into it and K out of it, and joins them where its
+// bits are set.
 func (st *Store) PairPorts(s, d int, fn func(id PathID, ports uint64)) {
 	id, _ := st.PairRange(s, d)
-	st.set.each(s, d, id, st.pairOffsets(s*st.n+d), fn)
+	st.set.each(s, d, id, st.keep, st.set.start(s, d), fn)
 }
 
 // FirstPorts calls fn, in order of first appearance, with each port the
@@ -193,7 +213,7 @@ func (st *Store) FirstPorts(s, d int, fn func(port int8, paths int)) {
 		}
 		count[p] += n
 	}
-	if st.offs == nil {
+	if st.keep == nil {
 		st.set.firstPorts(s, d, add)
 	} else {
 		st.PairPorts(s, d, func(_ PathID, ports uint64) { add(int8(ports), 1) })
@@ -207,81 +227,52 @@ func (st *Store) FirstPorts(s, d int, fn func(port int8, paths int)) {
 // pristine stores).
 func (st *Store) Mask() *topo.FailureMask { return st.mask }
 
-// compileStore compiles pol under mask (nil: the pristine topology)
-// as count -> prefix-sum -> fill over source-switch rows. Each pass
-// first builds a leg table (newLegTable), every inter-group MIN leg
-// with its liveness under mask, and joins its legs from it. The count
-// pass walks every pair with a policyWalk and leaves its number of
-// admitted paths in pairStart, building no path of a word the table
-// admits whole; the prefix sum turns those into PathID ranges and sizes
-// the offsets exactly; the fill pass repeats the walk, writing each
-// admitted join's offset in its pair — its place among all the pair's
-// joins, dead ones counted — into its final slot. Rows own disjoint
-// ranges, so both passes run over row chunks on the default pool and
-// the offsets are the same at any worker count. Per-pair order is the
-// full VLB order filtered by pol and aliveness — the sequence filtering
-// an already compiled store by the same mask leaves (degradedStore),
-// which is what makes the two identical.
+// compileStore compiles pol under mask (nil: the pristine topology).
+// Full on the pristine topology is the full set itself and walks no
+// path. Any other set is one walk over source-switch rows on the default
+// pool, its legs from one table (newLegTable) with their liveness under
+// mask: each admitted join sets its bit, at the pair's place plus the
+// join's among all the pair's joins, dead ones counted (rows may share a
+// word: rowBits), and the pair index is the bits' popcounts prefix-summed
+// (index). Per-pair order is the full VLB order filtered by pol and
+// aliveness — the sequence filtering an already compiled store by the
+// same mask leaves (degradedStore), which is what makes the two
+// identical.
 //
 // The second result is the counted total. When it exceeds limit (the
 // PathID space, for every caller but the overflow test) the store is
-// nil and no offsets have been allocated.
+// nil. The full set must fit the PathID space (compile).
 func compileStore(t *topo.Compiled, pol Policy, mask *topo.FailureMask, limit int64) (*Store, int64) {
 	start := time.Now()
 	n := t.NumSwitches()
 	_, isFull := pol.(Full)
 	st := &Store{T: t, name: pol.Name(), full: isFull, n: n, mask: mask, set: newFullSet(t)}
-	st.pairStart = make([]int32, n*n+1)
-	pool := exec.Default()
-	// pass walks every row: the count pass (fill false) leaves each
-	// pair's admitted count in pairStart, the fill writes each admitted
-	// join's offset from the row's first PathID on. Each pass builds its
-	// own leg table, so that the count's is garbage when the offsets are
-	// allocated: the collection that allocation starts would otherwise
-	// count it live and raise the next heap goal by twice its size.
-	pass := func(label string, fill bool) {
+	if !isFull || mask != nil {
+		st.keep = NewIDSet(int(fullPaths(t)))
 		legs := newLegTable(t, mask)
-		pool.RunRows(label, n, func(s int) {
+		exec.Default().RunRows("paths/compile", n, func(s int) {
 			w := newPolicyWalk(t, pol, mask, s, legs)
-			id := 0
-			if fill {
-				id = int(st.pairStart[s*n])
-			}
+			marks := rowBits{set: st.keep, word: -1}
 			for d := 0; d < n; d++ {
-				first, o := id, 0
+				o := PathID(st.set.start(s, d))
 				w.pair(d, func(_, _ []Leg, in []bool, _ []uint64) {
 					for _, x := range in {
 						if x {
-							if fill {
-								st.offs[id] = uint32(o)
-							}
-							id++
+							marks.add(o)
 						}
 						o++
 					}
 				})
-				if !fill {
-					st.pairStart[s*n+d+1] = int32(id - first)
-				}
 			}
-			if fill && id != int(st.pairStart[(s+1)*n]) {
-				panic(fmt.Sprintf("paths: %s admitted different path sets for switch %d on the count and fill passes", pol.Name(), s))
-			}
+			marks.flush()
 		})
 	}
-	pass("paths/count", false)
-	total := int64(0)
-	for pi := 1; pi <= n*n; pi++ {
-		total += int64(st.pairStart[pi])
-		st.pairStart[pi] = int32(total)
-	}
-	if total > limit {
+	st.index()
+	st.buildTime = time.Since(start)
+	if total := int64(st.NumPaths()); total > limit {
 		return nil, total
 	}
-	st.offs = make([]uint32, total)
-	pass("paths/fill", true)
-	st.buildTime = time.Since(start)
-	return st, total
+	return st, int64(st.NumPaths())
 }
 
 // EstimatePaths predicts the total path count of a compiled store
@@ -321,19 +312,27 @@ func EstimatePaths(t *topo.Compiled, pol Policy) int64 {
 	return total + interPairs*perPair
 }
 
-// TryCompile compiles pol into a Store when its estimated size fits
-// the budget (<=0 means unlimited) and its counted size fits the
-// PathID space; ok=false leaves the interpreted policy in charge. A
-// policy that already is a Store passes through.
+// TryCompile compiles pol into a Store when it fits the budget (<=0
+// means unlimited) and its counted size fits the PathID space; ok=false
+// leaves the interpreted policy in charge. A policy that already is a
+// Store passes through.
 func TryCompile(t *topo.Compiled, pol Policy, budget int64) (*Store, bool) {
 	if st, ok := pol.(*Store); ok {
 		return st, true
 	}
-	if budget > 0 && EstimatePaths(t, pol) > budget {
+	if !fits(t, pol, nil, budget) {
 		return nil, false
 	}
 	st, _ := compile(t, pol, nil)
 	return st, st != nil
+}
+
+// fits reports whether pol on t under mask fits budget (<=0: no limit):
+// its estimated paths do and, but for the pristine full set, which keeps
+// nothing, so do its bits, one a full-set path, at 4 B a budgeted path.
+func fits(t *topo.Compiled, pol Policy, mask *topo.FailureMask, budget int64) bool {
+	_, full := pol.(Full)
+	return budget <= 0 || EstimatePaths(t, pol) <= budget && (full && mask == nil || fullPaths(t)/8 <= 4*budget)
 }
 
 // Name implements Policy.
@@ -458,39 +457,41 @@ func (st *Store) DropMask(pol Policy) IDSet {
 	return drop
 }
 
-// Without returns a copy excluding the paths whose PathID is in removed
-// (a set over NumPaths): the kept paths' offsets, in pair order. It
-// reads no topology. This is how the Step-2 balance adjustment
-// expresses its removal set on a compiled store, and the only copy a
-// candidate cut out of the full store ever gets.
+// Without returns the store less the paths whose PathID is in removed
+// (a set over NumPaths), reading no topology: keep &^ removed on the
+// pristine full set, whose PathIDs are its places, and otherwise one
+// pass mapping st's PathIDs through its bits. It is how the Step-2
+// balance adjustment removes paths from a compiled store, and the only
+// copy a candidate cut out of the full store gets: a bit a full-set path.
 func (st *Store) Without(removed IDSet) *Store {
 	start := time.Now()
-	nn := st.n * st.n
-	out := &Store{T: st.T, n: st.n, mask: st.mask, set: st.set, pairStart: make([]int32, nn+1)}
-	live := st.NumPaths()
-	for _, w := range removed {
-		live -= bits.OnesCount64(w)
-	}
-	out.name = fmt.Sprintf("%s-minus-%d", st.name, st.NumPaths()-live)
-	out.offs = make([]uint32, live)
-	k := 0
-	for pi := 0; pi < nn; pi++ {
-		for id := PathID(st.pairStart[pi]); id < PathID(st.pairStart[pi+1]); id++ {
-			if !removed.Has(id) {
-				out.offs[k] = uint32(st.offset(pi, id))
-				k++
-			}
+	out := &Store{T: st.T, n: st.n, mask: st.mask, set: st.set, keep: NewIDSet(int(fullPaths(st.T)))}
+	id := PathID(0) // st's first PathID in word i of its bits
+	for i := range out.keep {
+		if st.keep == nil {
+			out.keep[i] = ^removed[i]
+			continue
 		}
-		out.pairStart[pi+1] = int32(k)
+		for w := st.keep[i]; w != 0; w &= w - 1 {
+			if !removed.Has(id) {
+				out.keep[i] |= w & -w
+			}
+			id++
+		}
 	}
+	if r := fullPaths(st.T) & 63; r != 0 {
+		out.keep[len(out.keep)-1] &= 1<<r - 1 // past the full set
+	}
+	out.index()
 	out.buildTime = time.Since(start)
+	out.name = fmt.Sprintf("%s-minus-%d", st.name, st.NumPaths()-out.NumPaths())
 	return out
 }
 
-// Bytes reports the resident size of the store: the offsets, the pair
-// index and the full set's two tables.
+// Bytes reports the resident size of the store: the bits, the pair
+// index and the full set's tables.
 func (st *Store) Bytes() int64 {
-	return 4*int64(len(st.offs)) + 4*int64(len(st.pairStart)) + st.set.bytes()
+	return 8*int64(len(st.keep)) + 4*int64(len(st.pairStart)) + st.set.bytes()
 }
 
 // BuildTime reports how long compilation took.

@@ -3,6 +3,7 @@ package paths
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"tugal/internal/exec"
@@ -285,7 +286,7 @@ func TestStoredFilterMatchesContains(t *testing.T) {
 
 // TestDropMaskWorkers pins a candidate derived from the full store —
 // DropMask, then the one Without copy — identical in pair index and
-// offsets to the policy's own enumerating compile, at 1, 2 and 8 workers, for every policy shape (an Explicit
+// bits to the policy's own enumerating compile, at 1, 2 and 8 workers, for every policy shape (an Explicit
 // checks its removals on each admitted path's key), pristine and
 // masked, from a full store compiled under the mask and from the
 // pristine store filtered by it.
@@ -363,20 +364,11 @@ func readStore(st *Store) ([]uint8, []int8) {
 }
 
 // sameStore reports whether two stores of one topology hold the same
-// pair index and the same offsets, so the same paths: the pristine full
-// set's offsets are every pair's 0, 1, ...
+// pair index and the same bits, so the same offsets and paths. The
+// pristine full set keeps no bits: with the same pair index, the other
+// store keeps every path of every pair.
 func sameStore(a, b *Store) bool {
-	if !slices.Equal(a.pairStart, b.pairStart) {
-		return false
-	}
-	for pi := 0; pi < a.n*a.n; pi++ {
-		for id := PathID(a.pairStart[pi]); id < PathID(a.pairStart[pi+1]); id++ {
-			if a.offset(pi, id) != b.offset(pi, id) {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(a.pairStart, b.pairStart) && (a.keep == nil || b.keep == nil || slices.Equal(a.keep, b.keep))
 }
 
 // unpack returns packed ports (Store.Ports) as a port sequence.
@@ -389,7 +381,7 @@ func unpack(ports uint64) []int8 {
 }
 
 // naiveCompile is the enumerate-then-append store compile the package
-// shipped before count -> fill, over the naive enumeration: the
+// shipped before its walked compile, over the naive enumeration: the
 // byte-level reference for pairStart, hops and ports.
 func naiveCompile(t *topo.Compiled, pol Policy, mask *topo.FailureMask) (pairStart []int32, hops []uint8, ports []int8) {
 	ref := naiveCompileAll(t, []Policy{pol}, mask)[0]
@@ -465,7 +457,7 @@ func degradedMask(t *topo.Compiled) *topo.FailureMask {
 
 // TestCompileWorkers pins the row-parallel compile to the naive
 // sequential reference — pair index, and the paths read back as a hop
-// array and port arena — and its offsets identical at 1, 2 and 8
+// array and port arena — and its bits identical at 1, 2 and 8
 // workers, for every policy shape, pristine and under a failure mask.
 func TestCompileWorkers(t *testing.T) {
 	for _, tp := range oracleTopos() {
@@ -497,7 +489,7 @@ func TestCompileWorkers(t *testing.T) {
 								t.Fatalf("%d workers: port arena differs from the reference", workers)
 							}
 						} else if !sameStore(st, one) {
-							t.Fatalf("%d workers: offsets differ from 1 worker's", workers)
+							t.Fatalf("%d workers: bits differ from 1 worker's", workers)
 						}
 						if st.Mask() != mask || st.Name() != pol.Name() {
 							t.Fatalf("%d workers: store carries mask %v name %q", workers, st.Mask(), st.Name())
@@ -549,8 +541,8 @@ func TestWalkerMatchesStore(t *testing.T) {
 }
 
 // TestCompileRefusesPathIDOverflow covers a policy whose counted size
-// does not fit the PathID space: the count pass must stop the compile
-// before the offsets are allocated. An instance that really holds 2^31
+// does not fit the PathID space: the compile must return no store and
+// the counted total. An instance that really holds 2^31
 // paths takes minutes to count, so the test hands compileStore a small
 // limit on a small instance instead — the one argument TryCompile* and
 // Compile do not choose; they turn its nil store into ok=false and
@@ -601,8 +593,8 @@ func TestExplicitOverStore(t *testing.T) {
 // TestCompileExplicitOverStore: an Explicit over a Store — what
 // Rebalance returns with the adjustment off, and what a rebalanced
 // candidate is wrapped in — compiles, pristine and under a mask, over
-// the arithmetic full store, a masked full store and stores of offsets
-// (a fractional set, pristine and masked), whether the compile's mask
+// the arithmetic full store, a masked full store and stores that keep
+// bits (a fractional set, pristine and masked: the offsets cases), whether the compile's mask
 // is the store's or a larger one: per pair the store holds the
 // Explicit's Enumerate less the paths the compile's mask kills, in
 // order; it carries that mask; and EstimatePaths is no less than its
@@ -650,5 +642,162 @@ func TestCompileExplicitOverStore(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRankSelectOracle holds the bit reads of a store that is not the
+// full set to a naive scan of its bits: select (nth, a PathID's offset)
+// and rank (ones, an offset's PathID). On bit sets mixing random, empty
+// and full words it checks ones over every window and nth at every
+// place; on stores it checks, pair by pair, the pair's place in the full
+// set against the summed counts of the pairs before it, its PathID
+// count, every PathID's offset and ports, and every offset's rank. The
+// stores are g17's full set thinned by such words — inter-group pairs of
+// 480 paths, whose windows start anywhere in a word, in-group pairs of
+// A-2, empty pairs (s = d) and the last pair, which ends in the set's
+// last, partial word, with no bit set past it — and a strategic set
+// compiled under a mask on dfly(2,4,2,5).
+func TestRankSelectOracle(t *testing.T) {
+	r := rng.New(52)
+	mixed := func(words int) IDSet {
+		b := make(IDSet, words)
+		for i := range b {
+			switch r.Intn(3) {
+			case 0:
+				b[i] = r.Uint64()
+			case 1:
+				b[i] = ^uint64(0)
+			}
+		}
+		return b
+	}
+	b := mixed(6)
+	n := 64*len(b) - 13
+	var places []int // the set's places below n, ascending
+	for i := range n {
+		if b.Has(PathID(i)) {
+			places = append(places, i)
+		}
+	}
+	for lo := 0; lo <= n; lo++ {
+		from, _ := slices.BinarySearch(places, lo)
+		for hi := lo; hi <= n; hi++ {
+			to, _ := slices.BinarySearch(places, hi)
+			if got := b.ones(lo, hi); got != to-from {
+				t.Fatalf("ones(%d, %d) = %d, scan %d", lo, hi, got, to-from)
+			}
+			if got := IDSet(nil).ones(lo, hi); got != hi-lo {
+				t.Fatalf("nil ones(%d, %d) = %d", lo, hi, got)
+			}
+		}
+		for k, p := range places[from:] {
+			if got := b.nth(lo, k); got != p {
+				t.Fatalf("nth(%d, %d) = %d, scan %d", lo, k, got, p)
+			}
+		}
+	}
+	g17 := topo.MustNew(4, 8, 4, 17)
+	full := Compile(g17, Full{T: g17})
+	drop := mixed(len(NewIDSet(full.NumPaths())))
+	drop[len(drop)-1] = 0 // the last word's paths kept: no bit past them may be
+	thinned := full.Without(drop)
+	g5 := topo.MustNew(2, 4, 2, 5)
+	for _, c := range []struct {
+		st   *Store
+		rows []int
+	}{
+		{thinned, []int{0, 1, 37, g17.NumSwitches() - 1}},
+		{CompileDegraded(g5, Strategic{T: g5, FirstLeg: 2}, degradedMask(g5)), []int{0, 5, g5.NumSwitches() - 1}},
+	} {
+		st := c.st
+		if st.keep == nil || st.NumPaths() == 0 {
+			t.Fatalf("%s keeps %d paths in %d words", st.Name(), st.NumPaths(), len(st.keep))
+		}
+		for _, s := range c.rows {
+			at := 0
+			for pi := range s * st.n {
+				at += st.set.count(pi/st.n, pi%st.n)
+			}
+			for d := 0; d < st.n; d++ {
+				count := st.set.count(s, d)
+				if got := st.set.start(s, d); got != at {
+					t.Fatalf("%s pair (%d,%d): place %d in the full set, counts before it %d", st.Name(), s, d, got, at)
+				}
+				first, kept := st.PairRange(s, d)
+				var offs []int // the pair's kept offsets, by scan
+				for o := range count {
+					if got := PathID(st.keep.ones(at, at+o)) + first; got != first+PathID(len(offs)) {
+						t.Fatalf("%s pair (%d,%d) offset %d: rank %d, scan %d", st.Name(), s, d, o, got, first+PathID(len(offs)))
+					}
+					if st.keep.Has(PathID(at + o)) {
+						offs = append(offs, o)
+					}
+				}
+				if kept != len(offs) {
+					t.Fatalf("%s pair (%d,%d): %d PathIDs, %d bits set", st.Name(), s, d, kept, len(offs))
+				}
+				for k, o := range offs {
+					id := first + PathID(k)
+					if got := st.offset(s, d, id); got != o {
+						t.Fatalf("%s pair (%d,%d) path %d: offset %d, scan %d", st.Name(), s, d, id, got, o)
+					}
+					if st.Ports(s, d, id) != st.set.path(s, d, o) {
+						t.Fatalf("%s pair (%d,%d) path %d: ports are not offset %d's", st.Name(), s, d, id, o)
+					}
+				}
+				at += count
+			}
+		}
+		if last := st.set.start(st.n-1, st.n-1); int64(last) != fullPaths(st.T) || st.keep.ones(last, 64*len(st.keep)) != 0 {
+			t.Fatalf("%s: the full set ends at %d of %d, with bits set past it", st.Name(), last, fullPaths(st.T))
+		}
+	}
+}
+
+// TestCompiledDecisions pins what Compiled decides for the 31 Table-1
+// points and strategic 2 and 3, in that order ('1': it compiles), on
+// the topologies the paper and the harness use: a set's bits, one per
+// path of its full set, change no decision there. Compiled itself runs
+// where it refuses and on dfly(2,4,2,5); elsewhere its decision, fits,
+// is read without the compile. A set whose paths fit the budget but
+// whose bits do not is refused: dfly(1,16,34,3) <=3-hop (~1.8M paths,
+// 217 MiB of bits).
+func TestCompiledDecisions(t *testing.T) {
+	for _, c := range []struct {
+		tp   *topo.Compiled
+		want string
+	}{
+		{topo.MustNew(4, 8, 4, 9), strings.Repeat("1", 33)},
+		{topo.MustNew(4, 8, 4, 17), strings.Repeat("1", 33)},
+		{topo.MustNew(2, 4, 2, 5), strings.Repeat("1", 33)},
+		{topo.MustNew(4, 8, 4, 33), strings.Repeat("1", 23) + strings.Repeat("0", 8) + "11"},
+		{topo.MustNewD3(12, 4, 1), strings.Repeat("1", 33)},
+		{topo.MustNew(13, 26, 13, 27), strings.Repeat("0", 33)},
+	} {
+		got := ""
+		for _, pol := range append(table1(c.tp), Strategic{T: c.tp, FirstLeg: 2}, Strategic{T: c.tp, FirstLeg: 3}) {
+			ok := fits(c.tp, pol, nil, DefaultCompileBudget)
+			if !ok || c.tp.NumSwitches() <= 20 {
+				st, compiled := Compiled(exec.Default(), c.tp, pol, nil)
+				if compiled != ok || compiled != (st != nil) {
+					t.Fatalf("%s %s: Compiled says %v, fits %v", c.tp.Label(), pol.Name(), compiled, ok)
+				}
+			}
+			got += map[bool]string{false: "0", true: "1"}[ok]
+		}
+		if got != c.want {
+			t.Errorf("%s: decisions %s, want %s", c.tp.Label(), got, c.want)
+		}
+	}
+	wide := topo.MustNew(1, 16, 34, 3)
+	pol := LengthCapped{T: wide, MaxHops: 3}
+	if est := EstimatePaths(wide, pol); est > DefaultCompileBudget {
+		t.Fatalf("%s %s: about %d paths, over the budget before its bits count", wide.Label(), pol.Name(), est)
+	}
+	if st, ok := Compiled(exec.Default(), wide, pol, nil); ok || st != nil {
+		t.Fatalf("%s %s: compiled, with %d MiB of bits", wide.Label(), pol.Name(), fullPaths(wide)>>23)
+	}
+	if _, ok := TryCompile(wide, pol, DefaultCompileBudget); ok {
+		t.Fatalf("%s %s: TryCompile compiled it", wide.Label(), pol.Name())
 	}
 }

@@ -289,9 +289,9 @@ type benchStore struct {
 
 // benchStores returns the full VLB store of the paper's g9 machine and
 // three of dfly(4,8,4,17), the topology cmd/routed serves: the full set,
-// strategic 2+3 (a quarter of it, as pair offsets) and the full set
-// compiled under a local link and a switch failed (its live joins, as
-// pair offsets), the stores routed's -policy and -fail serve.
+// strategic 2+3 (a quarter of it, as bits over the full set) and the
+// full set compiled under a local link and a switch failed (its live
+// joins, as bits), the stores routed's -policy and -fail serve.
 func benchStores(b *testing.B) []benchStore {
 	g9, g17 := topo.MustNew(4, 8, 4, 9), topo.MustNew(4, 8, 4, 17)
 	m := topo.NewFailureMask(g17)
